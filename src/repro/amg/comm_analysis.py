@@ -20,7 +20,7 @@ from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
 from repro.perfmodel.base import CostModel
-from repro.sparse.comm_pkg import pattern_from_parcsr, transfer_pattern
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
@@ -64,12 +64,12 @@ def level_transfer_patterns(hierarchy: AMGHierarchy, *,
     dtype = np.float64 if dtype is None else dtype
     patterns: List[TransferPatterns] = []
     for index in range(hierarchy.n_levels - 1):
-        prolong = transfer_pattern(hierarchy.prolongation_matrix(index),
-                                   item_bytes=item_bytes, dtype=dtype,
-                                   item_size=item_size)
-        restrict = transfer_pattern(hierarchy.restriction_matrix(index),
-                                    item_bytes=item_bytes, dtype=dtype,
-                                    item_size=item_size)
+        prolong = pattern_from_parcsr(hierarchy.prolongation_matrix(index),
+                                      item_bytes=item_bytes, dtype=dtype,
+                                      item_size=item_size)
+        restrict = pattern_from_parcsr(hierarchy.restriction_matrix(index),
+                                       item_bytes=item_bytes, dtype=dtype,
+                                       item_size=item_size)
         patterns.append(TransferPatterns(level=index, prolong=prolong,
                                          restrict=restrict))
     return patterns

@@ -20,7 +20,7 @@ from repro.amg.coarsen import CPOINT, SplittingResult, pmis_coarsening
 from repro.amg.galerkin import galerkin_product
 from repro.amg.interp import direct_interpolation
 from repro.amg.strength import classical_strength
-from repro.sparse.parcsr import ParCSRMatrix, ParCSRRectMatrix
+from repro.sparse.parcsr import ParCSRMatrix, check_one_partition
 from repro.sparse.partition import RowPartition
 from repro.utils.errors import SolverError, ValidationError
 from repro.utils.validation import check_positive_int
@@ -57,7 +57,7 @@ class AMGHierarchy:
 
     levels: List[AMGLevel] = field(default_factory=list)
     #: Memoized distributed transfer operators, keyed by (level, transposed).
-    #: One rect matrix per level is shared by every V-cycle built over this
+    #: One matrix per level is shared by every V-cycle built over this
     #: hierarchy, so the per-rank block views (and the restriction's
     #: transpose) are computed once, like the square operators' block cache.
     _transfer_cache: dict = field(default_factory=dict, repr=False,
@@ -90,8 +90,8 @@ class AMGHierarchy:
             return 0.0
         return sum(level.n_rows for level in self.levels) / fine_rows
 
-    def prolongation_matrix(self, index: int) -> ParCSRRectMatrix:
-        """Level ``index``'s prolongation as a distributed rectangular operator.
+    def prolongation_matrix(self, index: int) -> ParCSRMatrix:
+        """Level ``index``'s prolongation as a distributed operator.
 
         Rows live on level ``index`` (fine side), columns on level
         ``index + 1`` (coarse side); the off-diagonal columns are exactly the
@@ -105,12 +105,12 @@ class AMGHierarchy:
                 raise ValidationError(
                     f"level {index} has no prolongation (coarsest level)"
                 )
-            self._transfer_cache[key] = ParCSRRectMatrix(
+            self._transfer_cache[key] = ParCSRMatrix(
                 level.prolongation, level.matrix.partition,
                 self.levels[index + 1].matrix.partition)
         return self._transfer_cache[key]
 
-    def restriction_matrix(self, index: int) -> ParCSRRectMatrix:
+    def restriction_matrix(self, index: int) -> ParCSRMatrix:
         """Level ``index``'s restriction (``Pᵀ``) as a distributed operator.
 
         The transpose of :meth:`prolongation_matrix`: rows on the coarse
@@ -183,6 +183,7 @@ def build_hierarchy(matrix: ParCSRMatrix, *,
     """
     check_positive_int("max_levels", max_levels)
     check_positive_int("max_coarse_size", max_coarse_size)
+    check_one_partition(matrix, "build_hierarchy")
     if not 0.0 < min_coarsening_ratio <= 1.0:
         raise ValidationError("min_coarsening_ratio must lie in (0, 1]")
 

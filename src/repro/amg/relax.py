@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
+from repro.sparse.parcsr import check_one_partition
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -79,6 +80,7 @@ class DistributedJacobi:
     """
 
     def __init__(self, spmv: "DistributedSpMV", *, omega: float = 2.0 / 3.0):
+        check_one_partition(spmv.matrix, "Jacobi")
         self.spmv = spmv
         self.omega = float(omega)
         diagonal = np.asarray(spmv.blocks.diag.diagonal(), dtype=np.float64)
@@ -121,6 +123,7 @@ class WorldJacobi:
     """
 
     def __init__(self, spmv: "WorldSpMV", *, omega: float = 2.0 / 3.0):
+        check_one_partition(spmv.matrix, "Jacobi")
         self.spmv = spmv
         self.omega = float(omega)
         diagonal = np.concatenate([

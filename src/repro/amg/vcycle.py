@@ -10,10 +10,10 @@ neighborhood collectives:
 * :class:`DistributedVCycle` is one rank's V-cycle on the envelope-routed
   runtime (one instance per simulated-rank thread, the pinned reference):
   per level a :class:`~repro.sparse.spmv.DistributedSpMV` for the operator,
-  a :class:`~repro.amg.relax.DistributedJacobi` smoother, and two
-  :class:`~repro.sparse.spmv.DistributedRectSpMV` grid transfers (restrict
-  ``Pᵀ r``, prolong-correct ``x + P e``), each with its own communication
-  pattern derived from the transfer operator's column map.
+  a :class:`~repro.amg.relax.DistributedJacobi` smoother, and two more
+  ``DistributedSpMV`` for the grid transfers (restrict ``Pᵀ r``,
+  prolong-correct ``x + P e``), each with its own communication pattern
+  derived from the transfer operator's column map.
 * :class:`WorldVCycle` is the world-stepped twin: the same per-level
   exchanges compiled once and registered with the batched
   :class:`~repro.simmpi.engine.ExchangeEngine`, so one ``cycle`` call runs a
@@ -66,15 +66,9 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
-from repro.sparse.comm_pkg import build_comm_pkg, build_transfer_comm_pkg
+from repro.sparse.comm_pkg import build_comm_pkg
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import (
-    DistributedRectSpMV,
-    DistributedSpMV,
-    WorldRectSpMV,
-    WorldSpMV,
-    check_mapping_covers,
-)
+from repro.sparse.spmv import DistributedSpMV, WorldSpMV, check_mapping_covers
 from repro.topology.mapping import RankMapping
 from repro.utils.arrays import INDEX_DTYPE
 from repro.utils.errors import SolverError, ValidationError
@@ -141,8 +135,8 @@ class _DistributedLevel:
 
     spmv: DistributedSpMV
     smoother: DistributedJacobi
-    restrict: DistributedRectSpMV
-    prolong: DistributedRectSpMV
+    restrict: DistributedSpMV
+    prolong: DistributedSpMV
 
 
 class DistributedVCycle:
@@ -198,11 +192,10 @@ class DistributedVCycle:
         for index in range(n_levels - 1):
             lcomm = level_comm(index)
             level_comms.append(lcomm)
-            for pkg in (build_comm_pkg(hierarchy.levels[index].matrix),
-                        build_transfer_comm_pkg(
-                            hierarchy.restriction_matrix(index)),
-                        build_transfer_comm_pkg(
-                            hierarchy.prolongation_matrix(index))):
+            for operator in (hierarchy.levels[index].matrix,
+                             hierarchy.restriction_matrix(index),
+                             hierarchy.prolongation_matrix(index)):
+                pkg = build_comm_pkg(operator)
                 requests.append(CollectiveRequest(
                     send_items=pkg.send_map(self.rank),
                     recv_items=pkg.recv_map(self.rank),
@@ -239,10 +232,10 @@ class DistributedVCycle:
                                    mapping, variant=variant, strategy=strategy,
                                    collective=spmv_coll)
             smoother = DistributedJacobi(spmv, omega=self.omega)
-            restrict = DistributedRectSpMV(
+            restrict = DistributedSpMV(
                 lcomm, hierarchy.restriction_matrix(index), mapping,
                 variant=variant, strategy=strategy, collective=restrict_coll)
-            prolong = DistributedRectSpMV(
+            prolong = DistributedSpMV(
                 lcomm, hierarchy.prolongation_matrix(index), mapping,
                 variant=variant, strategy=strategy, collective=prolong_coll)
             self.levels.append(_DistributedLevel(spmv=spmv, smoother=smoother,
@@ -301,8 +294,8 @@ class _WorldLevel:
 
     spmv: WorldSpMV
     smoother: WorldJacobi
-    restrict: WorldRectSpMV
-    prolong: WorldRectSpMV
+    restrict: WorldSpMV
+    prolong: WorldSpMV
 
 
 class WorldVCycle:
@@ -426,14 +419,12 @@ class WorldVCycle:
                                  variant=build_variant, strategy=strategy,
                                  engine=engines[index])
                 smoother = WorldJacobi(spmv, omega=self.omega)
-                restrict = WorldRectSpMV(hierarchy.restriction_matrix(index),
-                                         mapping, variant=build_variant,
-                                         strategy=strategy,
-                                         engine=engines[index])
-                prolong = WorldRectSpMV(hierarchy.prolongation_matrix(index),
-                                        mapping, variant=build_variant,
-                                        strategy=strategy,
-                                        engine=engines[index])
+                restrict = WorldSpMV(hierarchy.restriction_matrix(index),
+                                     mapping, variant=build_variant,
+                                     strategy=strategy, engine=engines[index])
+                prolong = WorldSpMV(hierarchy.prolongation_matrix(index),
+                                    mapping, variant=build_variant,
+                                    strategy=strategy, engine=engines[index])
                 built.append(_WorldLevel(spmv=spmv, smoother=smoother,
                                          restrict=restrict, prolong=prolong))
             self._variant_levels[build_variant] = built

@@ -19,25 +19,18 @@ from repro.sparse.stencils import (
 )
 from repro.sparse.parcsr import (
     ParCSRMatrix,
-    ParCSRRectMatrix,
     LocalBlocks,
-    RectLocalBlocks,
 )
 from repro.sparse.comm_pkg import (
     CommPkg,
     build_comm_pkg,
-    build_transfer_comm_pkg,
     pattern_from_parcsr,
-    transfer_pattern,
 )
 from repro.sparse.spmv import (
     sequential_spmv,
     distributed_spmv_results,
-    distributed_transfer_results,
     DistributedSpMV,
-    DistributedRectSpMV,
     WorldSpMV,
-    WorldRectSpMV,
 )
 from repro.sparse.generators import (
     ScalingProblem,
@@ -54,21 +47,14 @@ __all__ = [
     "poisson_2d",
     "poisson_3d",
     "ParCSRMatrix",
-    "ParCSRRectMatrix",
     "LocalBlocks",
-    "RectLocalBlocks",
     "CommPkg",
     "build_comm_pkg",
-    "build_transfer_comm_pkg",
     "pattern_from_parcsr",
-    "transfer_pattern",
     "sequential_spmv",
     "distributed_spmv_results",
-    "distributed_transfer_results",
     "DistributedSpMV",
-    "DistributedRectSpMV",
     "WorldSpMV",
-    "WorldRectSpMV",
     "ScalingProblem",
     "strong_scaling_problem",
     "weak_scaling_problem",

@@ -3,11 +3,11 @@
 Hypre builds a ``hypre_ParCSRCommPkg`` per matrix describing which vector
 entries each rank sends to / receives from which neighbours before a SpMV.
 :func:`build_comm_pkg` derives the same information from a
-:class:`~repro.sparse.parcsr.ParCSRMatrix`, and
-:func:`pattern_from_parcsr` exposes it as the :class:`CommPattern` the
-neighborhood-collective planners consume — item ids are global row indices, so
-the deduplicating collective can recognise when one vector entry is needed by
-several ranks on the same node.
+:class:`~repro.sparse.parcsr.ParCSRMatrix` — a level operator or a grid
+transfer alike — and :func:`pattern_from_parcsr` exposes it as the
+:class:`CommPattern` the neighborhood-collective planners consume — item ids
+are global input-vector indices, so the deduplicating collective can recognise
+when one vector entry is needed by several ranks on the same node.
 
 Both are columnar end to end: the off-process column maps of all ranks are
 concatenated once, their owners resolved with one vectorized partition lookup,
@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.pattern.comm_pattern import CommPattern
-from repro.sparse.parcsr import ParCSRMatrix, ParCSRRectMatrix
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.utils.arrays import INDEX_DTYPE, freeze_columns, group_rows_to_csr
 from repro.utils.errors import ValidationError
 
@@ -133,33 +133,22 @@ class CommPkg:
         return int(item_offsets[hi] - item_offsets[lo])
 
 
-def _pkg_from_needs(owner_partition, n_ranks: int,
-                    needed_per_rank) -> CommPkg:
-    """Core comm-package build shared by the square and rectangular paths.
+def build_comm_pkg(matrix: ParCSRMatrix) -> CommPkg:
+    """Construct the halo-exchange package of ``matrix``.
 
-    ``needed_per_rank`` yields ``(rank, needed global indices)``; owners are
-    resolved against ``owner_partition`` (the row partition for a square SpMV,
-    the column partition for a grid-transfer operator) with one concatenated
-    vectorized lookup, then one lexsort per side packs the CSR columns.
+    For every rank the off-diagonal column map gives the global input-vector
+    entries it needs; their owners come from the *column* partition (the row
+    partition itself for a level operator, the coarse grid for a
+    prolongation, the fine grid for a restriction) with one concatenated
+    vectorized lookup, then one lexsort per side packs the receive and send
+    columns.
     """
-    needed_chunks: List[np.ndarray] = []
-    rank_ids: List[int] = []
-    counts: List[int] = []
-    for rank, needed in needed_per_rank:
-        if needed.size == 0:
-            continue
-        needed_chunks.append(needed)
-        rank_ids.append(rank)
-        counts.append(needed.size)
-    if not needed_chunks:
-        empty = _group_to_csr(n_ranks, np.empty(0, dtype=INDEX_DTYPE),
-                              np.empty(0, dtype=INDEX_DTYPE),
-                              np.empty(0, dtype=INDEX_DTYPE))
-        return CommPkg(n_ranks, empty, empty)
-    needed_all = np.concatenate(needed_chunks).astype(INDEX_DTYPE, copy=False)
-    recv_ranks = np.repeat(np.asarray(rank_ids, dtype=INDEX_DTYPE),
-                           np.asarray(counts, dtype=INDEX_DTYPE))
-    owners = owner_partition.owners_of(needed_all)
+    n_ranks = matrix.n_ranks
+    needed = [matrix.offd_columns(rank) for rank in range(n_ranks)]
+    needed_all = np.concatenate(needed).astype(INDEX_DTYPE, copy=False)
+    recv_ranks = np.repeat(np.arange(n_ranks, dtype=INDEX_DTYPE),
+                           [chunk.size for chunk in needed])
+    owners = matrix.col_partition.owners_of(needed_all)
     if np.any(owners == recv_ranks):
         raise ValidationError("off-diagonal columns must be owned by other ranks")
     recv_csr = _group_to_csr(n_ranks, recv_ranks, owners, needed_all)
@@ -167,58 +156,20 @@ def _pkg_from_needs(owner_partition, n_ranks: int,
     return CommPkg(n_ranks, recv_csr, send_csr)
 
 
-def build_comm_pkg(matrix: ParCSRMatrix) -> CommPkg:
-    """Construct the halo-exchange package of ``matrix``.
-
-    For every rank the off-diagonal column map gives the global vector entries
-    it needs; one concatenated owner lookup plus one lexsort per side yields
-    the packed receive and send columns.
-    """
-    partition = matrix.partition
-    return _pkg_from_needs(partition, partition.n_ranks,
-                           ((rank, matrix.offd_columns(rank))
-                            for rank in partition.iter_ranks()))
-
-
-def build_transfer_comm_pkg(matrix: ParCSRRectMatrix) -> CommPkg:
-    """Construct the grid-transfer exchange package of a rectangular matrix.
-
-    Identical structure to :func:`build_comm_pkg`, but the needed entries are
-    *input-vector* (column-space) indices and their owners come from the
-    column partition — for a prolongation that is the coarse grid, for a
-    restriction the fine grid.
-    """
-    return _pkg_from_needs(matrix.col_partition, matrix.n_ranks,
-                           ((rank, matrix.offd_columns(rank))
-                            for rank in range(matrix.n_ranks)))
-
-
 def pattern_from_parcsr(matrix: ParCSRMatrix, *, item_bytes: int | None = None,
                         dtype=np.float64, item_size: int = 1) -> CommPattern:
     """The SpMV communication pattern of ``matrix`` as a :class:`CommPattern`.
 
+    Item ids are global *input-vector* indices (the operator's own rows for a
+    level ``A``, coarse rows for a prolongation's ``P @ x_coarse``, fine rows
+    for a restriction's ``Pᵀ @ r_fine``), so the deduplicating collectives
+    treat grid-transfer halos exactly like SpMV halos one level up or down.
     ``dtype``/``item_size`` describe the exchanged vector entries (float64
     scalars for a plain SpMV; wider items for multi-component unknowns) and
     determine the modeled wire size unless ``item_bytes`` overrides it.  The
     send-side CSR columns of the comm package are handed to the pattern as-is.
     """
     pkg = build_comm_pkg(matrix)
-    src_offsets, dests, item_offsets, items = pkg.send_csr
-    return CommPattern.from_csr(matrix.n_ranks, src_offsets, dests,
-                                item_offsets, items, item_bytes=item_bytes,
-                                dtype=dtype, item_size=item_size)
-
-
-def transfer_pattern(matrix: ParCSRRectMatrix, *, item_bytes: int | None = None,
-                     dtype=np.float64, item_size: int = 1) -> CommPattern:
-    """The communication pattern of a grid-transfer product as a :class:`CommPattern`.
-
-    Item ids are global *input-vector* indices (coarse rows for a
-    prolongation's ``P @ x_coarse``, fine rows for a restriction's
-    ``Pᵀ @ r_fine``), so the deduplicating collectives treat grid-transfer
-    halos exactly like SpMV halos one level up or down.
-    """
-    pkg = build_transfer_comm_pkg(matrix)
     src_offsets, dests, item_offsets, items = pkg.send_csr
     return CommPattern.from_csr(matrix.n_ranks, src_offsets, dests,
                                 item_offsets, items, item_bytes=item_bytes,

@@ -6,17 +6,19 @@ by the rank) and an *offd* block (columns owned by other ranks) together with
 off-diagonal columns are exactly the vector entries the rank must receive
 before a SpMV — they define the communication pattern.
 
-Here the matrix is kept globally (scipy CSR) next to its
-:class:`~repro.sparse.partition.RowPartition`; :meth:`ParCSRMatrix.local_blocks`
-materialises any rank's diag/offd view on demand.  This "globally stored,
-locally viewed" representation is what lets one Python process reason about
-patterns of thousands of simulated ranks.
+Here the matrix is kept globally (scipy CSR) next to its row and column
+:class:`~repro.sparse.partition.RowPartition` (hypre's row and column starts);
+:meth:`ParCSRMatrix.local_blocks` materialises any rank's diag/offd view on
+demand.  A level operator ``A`` passes one partition for both; a grid transfer
+``P`` / ``Pᵀ`` passes two.  This "globally stored, locally viewed"
+representation is what lets one Python process reason about patterns of
+thousands of simulated ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,18 +29,31 @@ from repro.utils.errors import ValidationError
 
 @dataclass
 class LocalBlocks:
-    """One rank's view of a ParCSR matrix."""
+    """One rank's view of a ParCSR matrix.
+
+    ``diag`` holds the columns the rank owns under the *column* partition
+    (the input-vector entries it already has locally); ``offd`` holds every
+    other referenced column, with ``col_map_offd`` giving their sorted global
+    column indices — exactly the entries the rank must receive before a
+    product.
+    """
 
     rank: int
     row_range: tuple[int, int]
+    col_range: tuple[int, int]
     diag: sp.csr_matrix
     offd: sp.csr_matrix
     col_map_offd: np.ndarray
 
     @property
     def n_local_rows(self) -> int:
-        """Rows owned by the rank."""
+        """Rows owned by the rank (output-vector entries)."""
         return self.diag.shape[0]
+
+    @property
+    def n_local_cols(self) -> int:
+        """Columns owned by the rank (input-vector entries held locally)."""
+        return self.diag.shape[1]
 
     @property
     def n_offd_cols(self) -> int:
@@ -119,199 +134,50 @@ def _split_rank_blocks(matrix: sp.csr_matrix, row_partition: RowPartition,
     return splits
 
 
-class ParCSRMatrix:
-    """A globally stored sparse matrix with a row partition over simulated ranks."""
+def check_one_partition(matrix: "ParCSRMatrix", what: str) -> None:
+    """Reject a grid-transfer operator where ``what`` needs a square level operator."""
+    if matrix.col_partition != matrix.partition:
+        raise ValidationError(
+            f"{what} requires a square operator distributed over one partition "
+            "(col_partition == partition)"
+        )
 
-    def __init__(self, matrix: sp.spmatrix, partition: RowPartition):
+
+class ParCSRMatrix:
+    """A globally stored sparse matrix distributed over simulated ranks.
+
+    Rows are owned under ``partition``, columns (the input vector of a
+    product) under ``col_partition``, which defaults to ``partition`` — the
+    square level operator ``A``.  AMG grid transfers pass two: a prolongation
+    ``P`` has its rows on the fine partition and its columns on the coarse
+    one, and its transpose the other way.  The diag/offd split is taken
+    against the *column* partition (see :class:`LocalBlocks`).
+    """
+
+    def __init__(self, matrix: sp.spmatrix, partition: RowPartition,
+                 col_partition: RowPartition | None = None):
         matrix = sp.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError("ParCSRMatrix requires a square matrix")
+        if col_partition is None:
+            col_partition = partition
         if matrix.shape[0] != partition.n_rows:
             raise ValidationError(
                 f"matrix has {matrix.shape[0]} rows but partition covers "
                 f"{partition.n_rows}"
-            )
-        self.matrix = matrix
-        self.partition = partition
-        self._block_cache: Dict[int, LocalBlocks] = {}
-
-    # -- global properties ---------------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Global number of rows."""
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        """Global number of stored non-zeros."""
-        return int(self.matrix.nnz)
-
-    @property
-    def n_ranks(self) -> int:
-        """Number of ranks in the partition."""
-        return self.partition.n_ranks
-
-    def with_partition(self, partition: RowPartition) -> "ParCSRMatrix":
-        """Same matrix, different distribution."""
-        return ParCSRMatrix(self.matrix, partition)
-
-    # -- per-rank views ---------------------------------------------------------------
-
-    def local_blocks(self, rank: int) -> LocalBlocks:
-        """Diag/offd split of ``rank``'s rows (cached)."""
-        if rank in self._block_cache:
-            return self._block_cache[rank]
-        first, last = self.partition.row_range(rank)
-        local = self.matrix[first:last, :].tocsc()
-        diag = local[:, first:last].tocsr()
-        if first > 0 or last < self.n_rows:
-            left = local[:, :first]
-            right = local[:, last:]
-            offd_global = sp.hstack([left, right], format="csc")
-            # Global column ids of the off-diagonal part, in the hstack order.
-            col_ids = np.concatenate([np.arange(0, first), np.arange(last, self.n_rows)])
-        else:
-            offd_global = sp.csc_matrix((last - first, 0))
-            col_ids = np.empty(0, dtype=np.int64)
-        # Keep only columns that actually carry non-zeros; their sorted global
-        # indices form col_map_offd, as in hypre.
-        nnz_per_col = np.diff(offd_global.indptr)
-        used = np.flatnonzero(nnz_per_col > 0)
-        col_map_offd = col_ids[used].astype(np.int64)
-        order = np.argsort(col_map_offd)
-        col_map_offd = col_map_offd[order]
-        offd = offd_global[:, used[order]].tocsr()
-        blocks = LocalBlocks(rank=rank, row_range=(first, last), diag=diag,
-                             offd=offd, col_map_offd=col_map_offd)
-        self._block_cache[rank] = blocks
-        return blocks
-
-    def all_local_blocks(self) -> List[LocalBlocks]:
-        """Every rank's diag/offd split, built in one pass over the matrix.
-
-        Equivalent to ``[local_blocks(r) for r in range(n_ranks)]`` but
-        O(nnz log nnz) total instead of O(ranks × nnz) — the world-stepped
-        executors build all ranks' blocks up front, which dominated their
-        setup time at paper-scale rank counts.  Already-cached ranks keep
-        their existing block objects.
-        """
-        if len(self._block_cache) < self.n_ranks:
-            splits = _split_rank_blocks(self.matrix, self.partition,
-                                        self.partition)
-            for rank, (diag, offd, col_map) in enumerate(splits):
-                if rank not in self._block_cache:
-                    self._block_cache[rank] = LocalBlocks(
-                        rank=rank, row_range=self.partition.row_range(rank),
-                        diag=diag, offd=offd, col_map_offd=col_map)
-        return [self._block_cache[rank] for rank in range(self.n_ranks)]
-
-    def offd_columns(self, rank: int) -> np.ndarray:
-        """Global indices of off-process vector entries ``rank`` needs for a SpMV.
-
-        Computed directly from the CSR structure (without materialising the
-        rank's diag/offd blocks) because the experiment harness calls this for
-        every rank of every AMG level at up to thousands of simulated ranks.
-        """
-        if rank in self._block_cache:
-            return self._block_cache[rank].col_map_offd.copy()
-        first, last = self.partition.row_range(rank)
-        start, stop = self.matrix.indptr[first], self.matrix.indptr[last]
-        cols = self.matrix.indices[start:stop]
-        outside = cols[(cols < first) | (cols >= last)]
-        return np.unique(outside).astype(np.int64)
-
-    def iter_local_blocks(self) -> Iterator[LocalBlocks]:
-        """Iterate over every rank's local view (ranks with no rows included)."""
-        for rank in self.partition.iter_ranks():
-            yield self.local_blocks(rank)
-
-    # -- convenience -------------------------------------------------------------------
-
-    def row_owner(self, row: int) -> int:
-        """Rank owning a global row."""
-        return self.partition.owner_of(row)
-
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Sequential reference product ``A @ x``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_rows,):
-            raise ValidationError(f"x must have shape ({self.n_rows},), got {x.shape}")
-        return self.matrix @ x
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ParCSRMatrix(n={self.n_rows}, nnz={self.nnz}, "
-                f"ranks={self.n_ranks})")
-
-
-@dataclass
-class RectLocalBlocks:
-    """One rank's view of a rectangular ParCSR matrix.
-
-    ``diag`` holds the columns the rank owns under the *column* partition
-    (the input-vector entries it already has locally); ``offd`` holds every
-    other referenced column, with ``col_map_offd`` giving their sorted global
-    column indices — exactly the entries the rank must receive before a
-    product.
-    """
-
-    rank: int
-    row_range: tuple[int, int]
-    col_range: tuple[int, int]
-    diag: sp.csr_matrix
-    offd: sp.csr_matrix
-    col_map_offd: np.ndarray
-
-    @property
-    def n_local_rows(self) -> int:
-        """Rows owned by the rank (output-vector entries)."""
-        return self.diag.shape[0]
-
-    @property
-    def n_local_cols(self) -> int:
-        """Columns owned by the rank (input-vector entries held locally)."""
-        return self.diag.shape[1]
-
-    @property
-    def n_offd_cols(self) -> int:
-        """Number of distinct off-process columns referenced by the rank."""
-        return int(self.col_map_offd.size)
-
-
-class ParCSRRectMatrix:
-    """A rectangular distributed matrix: rows and columns partitioned separately.
-
-    AMG grid-transfer operators are the motivating case: a prolongation ``P``
-    maps the coarse grid (column space, owned by the coarse partition) to the
-    fine grid (row space, owned by the fine partition), and its transpose maps
-    the other way.  The diag/offd split is taken against the *column*
-    partition — the off-diagonal columns are the input-vector entries a rank
-    must receive before a product, which is what defines the grid-transfer
-    communication pattern.
-    """
-
-    def __init__(self, matrix: sp.spmatrix, row_partition: RowPartition,
-                 col_partition: RowPartition):
-        matrix = sp.csr_matrix(matrix)
-        if matrix.shape[0] != row_partition.n_rows:
-            raise ValidationError(
-                f"matrix has {matrix.shape[0]} rows but the row partition covers "
-                f"{row_partition.n_rows}"
             )
         if matrix.shape[1] != col_partition.n_rows:
             raise ValidationError(
                 f"matrix has {matrix.shape[1]} columns but the column partition "
                 f"covers {col_partition.n_rows}"
             )
-        if row_partition.n_ranks != col_partition.n_ranks:
+        if partition.n_ranks != col_partition.n_ranks:
             raise ValidationError(
                 "row and column partitions must span the same communicator "
-                f"({row_partition.n_ranks} vs {col_partition.n_ranks} ranks)"
+                f"({partition.n_ranks} vs {col_partition.n_ranks} ranks)"
             )
         self.matrix = matrix
-        self.row_partition = row_partition
+        self.partition = partition
         self.col_partition = col_partition
-        self._block_cache: Dict[int, RectLocalBlocks] = {}
+        self._block_cache: Dict[int, LocalBlocks] = {}
 
     # -- global properties ---------------------------------------------------------
 
@@ -333,20 +199,24 @@ class ParCSRRectMatrix:
     @property
     def n_ranks(self) -> int:
         """Number of ranks in the (shared) partitions."""
-        return self.row_partition.n_ranks
+        return self.partition.n_ranks
 
-    def transpose(self) -> "ParCSRRectMatrix":
+    def with_partition(self, partition: RowPartition) -> "ParCSRMatrix":
+        """Same matrix, different distribution."""
+        return ParCSRMatrix(self.matrix, partition)
+
+    def transpose(self) -> "ParCSRMatrix":
         """The transposed operator with the partitions swapped."""
-        return ParCSRRectMatrix(self.matrix.T.tocsr(), self.col_partition,
-                                self.row_partition)
+        return ParCSRMatrix(self.matrix.T.tocsr(), self.col_partition,
+                            self.partition)
 
     # -- per-rank views ---------------------------------------------------------------
 
-    def local_blocks(self, rank: int) -> RectLocalBlocks:
+    def local_blocks(self, rank: int) -> LocalBlocks:
         """Diag/offd split of ``rank``'s rows against the column partition (cached)."""
         if rank in self._block_cache:
             return self._block_cache[rank]
-        first, last = self.row_partition.row_range(rank)
+        first, last = self.partition.row_range(rank)
         col_first, col_last = self.col_partition.row_range(rank)
         local = self.matrix[first:last, :].tocsc()
         diag = local[:, col_first:col_last].tocsr()
@@ -354,48 +224,56 @@ class ParCSRRectMatrix:
             left = local[:, :col_first]
             right = local[:, col_last:]
             offd_global = sp.hstack([left, right], format="csc")
+            # Global column ids of the off-diagonal part, in the hstack order.
             col_ids = np.concatenate([np.arange(0, col_first),
                                       np.arange(col_last, self.n_cols)])
         else:
             offd_global = sp.csc_matrix((last - first, 0))
             col_ids = np.empty(0, dtype=np.int64)
+        # Keep only columns that actually carry non-zeros; their sorted global
+        # indices form col_map_offd, as in hypre.
         nnz_per_col = np.diff(offd_global.indptr)
         used = np.flatnonzero(nnz_per_col > 0)
         col_map_offd = col_ids[used].astype(np.int64)
         order = np.argsort(col_map_offd)
         col_map_offd = col_map_offd[order]
         offd = offd_global[:, used[order]].tocsr()
-        blocks = RectLocalBlocks(rank=rank, row_range=(first, last),
-                                 col_range=(col_first, col_last), diag=diag,
-                                 offd=offd, col_map_offd=col_map_offd)
+        blocks = LocalBlocks(rank=rank, row_range=(first, last),
+                             col_range=(col_first, col_last), diag=diag,
+                             offd=offd, col_map_offd=col_map_offd)
         self._block_cache[rank] = blocks
         return blocks
 
-    def all_local_blocks(self) -> List[RectLocalBlocks]:
-        """Every rank's diag/offd split in one pass (see
-        :meth:`ParCSRMatrix.all_local_blocks`)."""
+    def all_local_blocks(self) -> List[LocalBlocks]:
+        """Every rank's diag/offd split, built in one pass over the matrix.
+
+        Equivalent to ``[local_blocks(r) for r in range(n_ranks)]`` but
+        O(nnz log nnz) total instead of O(ranks × nnz) — the world-stepped
+        executors build all ranks' blocks up front, which dominated their
+        setup time at paper-scale rank counts.  Already-cached ranks keep
+        their existing block objects.
+        """
         if len(self._block_cache) < self.n_ranks:
-            splits = _split_rank_blocks(self.matrix, self.row_partition,
+            splits = _split_rank_blocks(self.matrix, self.partition,
                                         self.col_partition)
             for rank, (diag, offd, col_map) in enumerate(splits):
                 if rank not in self._block_cache:
-                    self._block_cache[rank] = RectLocalBlocks(
-                        rank=rank,
-                        row_range=self.row_partition.row_range(rank),
+                    self._block_cache[rank] = LocalBlocks(
+                        rank=rank, row_range=self.partition.row_range(rank),
                         col_range=self.col_partition.row_range(rank),
                         diag=diag, offd=offd, col_map_offd=col_map)
         return [self._block_cache[rank] for rank in range(self.n_ranks)]
 
     def offd_columns(self, rank: int) -> np.ndarray:
-        """Global input-vector entries ``rank`` needs but does not own.
+        """Global input-vector entries ``rank`` needs for a product but does not own.
 
-        Computed straight from the CSR structure, like
-        :meth:`ParCSRMatrix.offd_columns`, because the hierarchy analysis
-        calls this for every rank of every AMG level.
+        Computed directly from the CSR structure (without materialising the
+        rank's diag/offd blocks) because the experiment harness calls this for
+        every rank of every AMG level at up to thousands of simulated ranks.
         """
         if rank in self._block_cache:
             return self._block_cache[rank].col_map_offd.copy()
-        first, last = self.row_partition.row_range(rank)
+        first, last = self.partition.row_range(rank)
         col_first, col_last = self.col_partition.row_range(rank)
         start, stop = self.matrix.indptr[first], self.matrix.indptr[last]
         cols = self.matrix.indices[start:stop]
@@ -412,5 +290,5 @@ class ParCSRRectMatrix:
         return self.matrix @ x
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ParCSRRectMatrix(shape={self.matrix.shape}, nnz={self.nnz}, "
+        return (f"ParCSRMatrix(shape={self.matrix.shape}, nnz={self.nnz}, "
                 f"ranks={self.n_ranks})")

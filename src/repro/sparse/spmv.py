@@ -3,7 +3,11 @@
 ``sequential_spmv`` is the reference answer.  :class:`DistributedSpMV` is the
 functional distributed version: one instance per rank, exchanging halo entries
 through a persistent neighborhood collective (any variant) on the simulated MPI
-runtime, exactly the structure of ``hypre_ParCSRMatrixMatvec``.  The
+runtime, exactly the structure of ``hypre_ParCSRMatrixMatvec`` — and, like
+it, the one product for every operator of the solve phase: the input vector
+lives on the matrix's column partition and the output on its row partition,
+so a level operator ``A`` (one partition) and the grid transfers ``P`` /
+``Pᵀ`` (two) run through the same code.  The
 integration tests run it at small rank counts and check the result against the
 sequential product to machine precision; that is the correctness argument for
 replacing Hypre's point-to-point communication with the optimized collectives.
@@ -36,25 +40,19 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init, neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
-from repro.pattern.builders import neighbor_lists
 from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ENGINE_RUNTIMES, ExchangeEngine, default_runtime
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.sparse.comm_pkg import (
-    build_comm_pkg,
-    build_transfer_comm_pkg,
-    pattern_from_parcsr,
-    transfer_pattern,
-)
-from repro.sparse.parcsr import ParCSRMatrix, ParCSRRectMatrix
+from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
 
@@ -78,18 +76,16 @@ def check_mapping_covers(mapping: RankMapping, n_ranks: int) -> None:
 
 
 def _halo_positions(col_map_offd: np.ndarray, recv_ids: np.ndarray) -> np.ndarray:
-    """Positions of the received halo ids inside a rank's ``col_map_offd``."""
-    sorter = np.argsort(col_map_offd)
-    return sorter[np.searchsorted(col_map_offd, recv_ids, sorter=sorter)]
+    """Positions of the received halo ids inside a rank's (sorted) ``col_map_offd``."""
+    return np.searchsorted(col_map_offd, recv_ids)
 
 
 def _init_rank_collective(comm: SimComm, pkg, mapping: RankMapping,
                           variant: Variant | str, strategy: BalanceStrategy):
     """One rank's persistent collective from a comm package (collective call).
 
-    The shared setup of the square and rectangular per-rank SpMVs: derive
-    this rank's send/recv maps and neighbor lists from the package, create
-    the graph communicator, and initialise the persistent collective.
+    Derive this rank's send/recv maps and neighbor lists from the package,
+    create the graph communicator, and initialise the persistent collective.
     """
     send_items = pkg.send_map(comm.rank)
     recv_items = pkg.recv_map(comm.rank)
@@ -102,17 +98,16 @@ def _init_rank_collective(comm: SimComm, pkg, mapping: RankMapping,
                                    dtype=np.float64)
 
 
-def _world_positions(collective, blocks_list, input_base):
+def _world_positions(collective, blocks_list):
     """Per-rank (owned, halo) index arrays of a world-stepped SpMV.
 
-    ``input_base(blocks)`` gives the first global index of the rank's slice
-    of the *input* vector (row range for a square SpMV, column range for a
-    grid transfer).  Both sides come straight from the world exchange's
+    Owned positions are relative to the rank's slice of the *input* vector
+    (its column range).  Both sides come straight from the world exchange's
     concatenated columns: one broadcast subtraction plus one split for the
     owned positions, one searchsorted per rank for the halo side.
     """
     world = collective.world
-    bases = np.fromiter((int(input_base(blocks)) for blocks in blocks_list),
+    bases = np.fromiter((blocks.col_range[0] for blocks in blocks_list),
                         dtype=np.int64, count=len(blocks_list))
     owned_counts = np.diff(world.owned_offsets)
     owned_positions = np.split(
@@ -130,9 +125,11 @@ class DistributedSpMV:
     """One rank's persistent distributed SpMV.
 
     Construction is collective: every rank of the communicator builds its own
-    instance with the same matrix and mapping.  ``multiply`` performs the halo
-    exchange through the configured neighborhood-collective variant and then
-    the local ``diag``/``offd`` products.
+    instance with the same matrix and mapping.  ``multiply`` takes the rank's
+    slice of the input vector (column partition), performs the halo exchange
+    through the configured neighborhood-collective variant and then the local
+    ``diag``/``offd`` products, and returns its slice of the output vector
+    (row partition).
     """
 
     def __init__(self, comm: SimComm, matrix: ParCSRMatrix, mapping: RankMapping, *,
@@ -151,6 +148,7 @@ class DistributedSpMV:
         self.rank = comm.rank
         self.blocks = matrix.local_blocks(self.rank)
         self.row_range = self.blocks.row_range
+        self.col_range = self.blocks.col_range
 
         # The collective is built from the comm-pkg index arrays directly —
         # no per-item list conversion at the boundary.  An injected
@@ -164,26 +162,30 @@ class DistributedSpMV:
         # connect the local vector to the dense exchange input and the dense
         # halo output to the offd product input — the per-iteration path is
         # then three fancy indexes and no per-item Python work.
-        first, _ = self.row_range
-        self._owned_positions = self.collective.owned_item_ids - first
+        self._owned_positions = self.collective.owned_item_ids - self.col_range[0]
         self._halo_positions = _halo_positions(self.blocks.col_map_offd,
                                                self.collective.recv_item_ids)
 
     @property
     def n_local_rows(self) -> int:
-        """Rows owned by this rank."""
+        """Output-vector entries owned by this rank."""
         return self.blocks.n_local_rows
+
+    @property
+    def n_local_cols(self) -> int:
+        """Input-vector entries owned by this rank."""
+        return self.blocks.n_local_cols
 
     def multiply(self, x_local: np.ndarray) -> np.ndarray:
         """Compute the local rows of ``A @ x``.
 
-        ``x_local`` holds this rank's owned entries of the global vector; the
-        returned array holds the owned entries of the product.
+        ``x_local`` holds this rank's owned entries of the global input
+        vector; the returned array holds the owned entries of the product.
         """
         x_local = np.asarray(x_local, dtype=np.float64)
-        if x_local.shape != (self.n_local_rows,):
+        if x_local.shape != (self.n_local_cols,):
             raise ValidationError(
-                f"x_local must have shape ({self.n_local_rows},), got {x_local.shape}"
+                f"x_local must have shape ({self.n_local_cols},), got {x_local.shape}"
             )
         halo = self.collective.exchange(x_local[self._owned_positions])
 
@@ -201,7 +203,8 @@ class WorldSpMV:
     Holds every rank's local blocks plus one world-stepped collective for the
     halo exchange, so ``multiply`` runs a full distributed product on a single
     thread: one batched exchange round (O(phases) numpy calls across *all*
-    ranks) followed by the per-rank ``diag``/``offd`` products.  Numerically
+    ranks) followed by the per-rank ``diag``/``offd`` products, from the
+    *global* input vector to the *global* output vector.  Numerically
     this is byte-identical to running :class:`DistributedSpMV` on every rank
     of the envelope-routed runtime — the equivalence tests pin it — but the
     data path never creates a per-message Python object, which is what lets
@@ -230,12 +233,17 @@ class WorldSpMV:
         # positions of the owned exchange input, and offd-column positions of
         # the dense halo output.
         self._owned_positions, self._halo_positions = _world_positions(
-            self.collective, self.blocks, lambda blocks: blocks.row_range[0])
+            self.collective, self.blocks)
 
     @property
     def n_rows(self) -> int:
-        """Global rows of the distributed operator."""
+        """Global output-vector length."""
         return self.matrix.n_rows
+
+    @property
+    def n_cols(self) -> int:
+        """Global input-vector length."""
+        return self.matrix.n_cols
 
     def close(self) -> None:
         """Release the halo collective's private engine (workers, segments)."""
@@ -248,148 +256,7 @@ class WorldSpMV:
         self.close()
 
     def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A @ x`` for the *global* vector ``x`` (one call, all ranks)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.matrix.n_rows,):
-            raise ValidationError(
-                f"x must have shape ({self.matrix.n_rows},), got {x.shape}"
-            )
-        values = [x[blocks.row_range[0]:blocks.row_range[1]][positions]
-                  for blocks, positions in zip(self.blocks, self._owned_positions)]
-        halos = self.collective.exchange(values)
-        result = np.empty(self.matrix.n_rows, dtype=np.float64)
-        for rank, blocks in enumerate(self.blocks):
-            first, last = blocks.row_range
-            local = blocks.diag @ x[first:last]
-            if blocks.n_offd_cols:
-                x_offd = np.zeros(blocks.n_offd_cols, dtype=np.float64)
-                x_offd[self._halo_positions[rank]] = halos[rank]
-                local = local + blocks.offd @ x_offd
-            result[first:last] = local
-        return result
-
-
-class DistributedRectSpMV:
-    """One rank's persistent distributed grid-transfer product.
-
-    The rectangular counterpart of :class:`DistributedSpMV`: the input vector
-    is distributed over the *column* partition, the output over the *row*
-    partition, and the halo exchange moves the off-process input entries
-    (coarse values for a prolongation, fine residual values for a
-    restriction) through the configured neighborhood-collective variant.
-    Construction is collective, one instance per rank.
-    """
-
-    def __init__(self, comm: SimComm, matrix: ParCSRRectMatrix,
-                 mapping: RankMapping, *,
-                 variant: Variant | str = Variant.PARTIAL,
-                 strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                 collective=None):
-        if comm.size < matrix.n_ranks:
-            raise ValidationError(
-                f"communicator has {comm.size} ranks but the matrix is partitioned "
-                f"over {matrix.n_ranks}"
-            )
-        check_mapping_covers(mapping, matrix.n_ranks)
-        self.comm = comm
-        self.matrix = matrix
-        self.mapping = mapping
-        self.rank = comm.rank
-        self.blocks = matrix.local_blocks(self.rank)
-        self.row_range = self.blocks.row_range
-        self.col_range = self.blocks.col_range
-
-        if collective is None:
-            collective = _init_rank_collective(
-                comm, build_transfer_comm_pkg(matrix), mapping, variant, strategy)
-        self.collective = collective
-        col_first, _ = self.col_range
-        self._owned_positions = self.collective.owned_item_ids - col_first
-        self._halo_positions = _halo_positions(self.blocks.col_map_offd,
-                                               self.collective.recv_item_ids)
-
-    @property
-    def n_local_rows(self) -> int:
-        """Output-vector entries owned by this rank."""
-        return self.blocks.n_local_rows
-
-    @property
-    def n_local_cols(self) -> int:
-        """Input-vector entries owned by this rank."""
-        return self.blocks.n_local_cols
-
-    def multiply(self, x_local: np.ndarray) -> np.ndarray:
-        """Compute the local rows of ``A @ x`` from the owned input entries."""
-        x_local = np.asarray(x_local, dtype=np.float64)
-        if x_local.shape != (self.n_local_cols,):
-            raise ValidationError(
-                f"x_local must have shape ({self.n_local_cols},), got {x_local.shape}"
-            )
-        halo = self.collective.exchange(x_local[self._owned_positions])
-
-        result = self.blocks.diag @ x_local
-        if self.blocks.n_offd_cols:
-            x_offd = np.zeros(self.blocks.n_offd_cols, dtype=np.float64)
-            x_offd[self._halo_positions] = halo
-            result = result + self.blocks.offd @ x_offd
-        return result
-
-
-class WorldRectSpMV:
-    """World-stepped distributed grid-transfer product (all ranks in lockstep).
-
-    The rectangular counterpart of :class:`WorldSpMV`: ``multiply`` takes the
-    *global* input vector (column space) and returns the *global* output
-    vector (row space), running every rank's halo exchange through one
-    batched :class:`~repro.simmpi.engine.ExchangeEngine` round and then the
-    per-rank ``diag``/``offd`` products.  Byte-identical to running
-    :class:`DistributedRectSpMV` on every rank of the envelope-routed
-    runtime — the solve-phase equivalence tests pin it.
-    """
-
-    def __init__(self, matrix: ParCSRRectMatrix, mapping: RankMapping, *,
-                 variant: Variant | str = Variant.PARTIAL,
-                 strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                 engine: ExchangeEngine | None = None,
-                 profiler: TrafficProfiler | None = None,
-                 runtime: str | None = None,
-                 n_workers: int | None = None,
-                 on_failure: str | None = None):
-        check_mapping_covers(mapping, matrix.n_ranks)
-        self.matrix = matrix
-        self.mapping = mapping
-        self.n_ranks = matrix.n_ranks
-        pattern = transfer_pattern(matrix)
-        self.collective = neighbor_alltoallv_init_world(
-            pattern, mapping, variant=variant, strategy=strategy,
-            engine=engine, profiler=profiler, runtime=runtime,
-            n_workers=n_workers, on_failure=on_failure)
-        self.blocks = matrix.all_local_blocks()
-        self._owned_positions, self._halo_positions = _world_positions(
-            self.collective, self.blocks, lambda blocks: blocks.col_range[0])
-
-    @property
-    def n_rows(self) -> int:
-        """Global output-vector length."""
-        return self.matrix.n_rows
-
-    def close(self) -> None:
-        """Release the halo collective's private engine (workers, segments)."""
-        self.collective.close()
-
-    def __enter__(self) -> "WorldRectSpMV":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-    @property
-    def n_cols(self) -> int:
-        """Global input-vector length."""
-        return self.matrix.n_cols
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A @ x`` for the global input vector (one call, all ranks)."""
+        """Compute ``A @ x`` for the *global* input vector (one call, all ranks)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValidationError(
@@ -411,52 +278,6 @@ class WorldRectSpMV:
         return result
 
 
-def distributed_transfer_results(matrix: ParCSRRectMatrix, mapping: RankMapping,
-                                 x: np.ndarray, *,
-                                 variant: Variant | str = Variant.PARTIAL,
-                                 strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                                 timeout: float = 120.0,
-                                 runtime: str | None = None) -> np.ndarray:
-    """Run a full distributed grid-transfer product and assemble ``A @ x``.
-
-    The rectangular sibling of :func:`distributed_spmv_results`, with the same
-    ``runtime`` switch: ``"engine"`` executes world-stepped through
-    :class:`WorldRectSpMV`, ``"procs"`` does the same through the
-    shared-memory worker pool, ``"threads"`` runs one
-    :class:`DistributedRectSpMV` per simulated-rank thread (the pinned
-    envelope-routed reference, byte-identical to both engine runtimes).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (matrix.n_cols,):
-        raise ValidationError(f"x must have shape ({matrix.n_cols},), got {x.shape}")
-    check_mapping_covers(mapping, matrix.n_ranks)
-    if runtime is None:
-        runtime = default_runtime()
-    if runtime in ENGINE_RUNTIMES:
-        with WorldRectSpMV(matrix, mapping, variant=variant,
-                           strategy=strategy, runtime=runtime) as spmv:
-            return spmv.multiply(x)
-    if runtime != "threads":
-        raise ValidationError(
-            f"runtime must be 'engine', 'threads' or 'procs', got {runtime!r}"
-        )
-
-    from repro.simmpi.world import run_spmd  # local import to avoid cycles at import time
-
-    def program(comm: SimComm) -> List[float]:
-        spmv = DistributedRectSpMV(comm, matrix, mapping, variant=variant,
-                                   strategy=strategy)
-        col_first, col_last = spmv.col_range
-        return spmv.multiply(x[col_first:col_last]).tolist()
-
-    per_rank = run_spmd(matrix.n_ranks, program, timeout=timeout)
-    result = np.empty(matrix.n_rows, dtype=np.float64)
-    for rank, values in enumerate(per_rank):
-        first, last = matrix.row_partition.row_range(rank)
-        result[first:last] = values
-    return result
-
-
 def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
                              x: np.ndarray, *,
                              variant: Variant | str = Variant.PARTIAL,
@@ -465,7 +286,8 @@ def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
                              runtime: str | None = None) -> np.ndarray:
     """Run a full distributed SpMV and assemble ``A @ x``.
 
-    This is the one-call form used by tests and examples.  With the default
+    This is the one-call form used by tests and examples; ``x`` is the global
+    input vector (``matrix.n_cols`` entries).  With the default
     ``runtime="engine"`` the product runs world-stepped through
     :class:`WorldSpMV` (single process, fused batched exchange);
     ``runtime="procs"`` executes the same world program on the shared-memory
@@ -477,8 +299,8 @@ def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
     engine paths never block, so they have no deadline to enforce).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (matrix.n_rows,):
-        raise ValidationError(f"x must have shape ({matrix.n_rows},), got {x.shape}")
+    if x.shape != (matrix.n_cols,):
+        raise ValidationError(f"x must have shape ({matrix.n_cols},), got {x.shape}")
     check_mapping_covers(mapping, matrix.n_ranks)
     if runtime is None:
         runtime = default_runtime()
@@ -495,8 +317,8 @@ def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
 
     def program(comm: SimComm) -> List[float]:
         spmv = DistributedSpMV(comm, matrix, mapping, variant=variant, strategy=strategy)
-        first, last = spmv.row_range
-        return spmv.multiply(x[first:last]).tolist()
+        col_first, col_last = spmv.col_range
+        return spmv.multiply(x[col_first:col_last]).tolist()
 
     per_rank = run_spmd(matrix.n_ranks, program, timeout=timeout)
     result = np.empty(matrix.n_rows, dtype=np.float64)

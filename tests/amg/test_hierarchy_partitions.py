@@ -108,13 +108,13 @@ class TestRedistributeHierarchy:
         redistributed = redistribute_hierarchy(hierarchy, 4)
         for index in range(redistributed.n_levels - 1):
             prolongation = redistributed.prolongation_matrix(index)
-            assert prolongation.row_partition == \
+            assert prolongation.partition == \
                 redistributed.levels[index].matrix.partition
             assert prolongation.col_partition == \
                 redistributed.levels[index + 1].matrix.partition
             restriction = redistributed.restriction_matrix(index)
-            assert restriction.row_partition == prolongation.col_partition
-            assert restriction.col_partition == prolongation.row_partition
+            assert restriction.partition == prolongation.col_partition
+            assert restriction.col_partition == prolongation.partition
 
     def test_empty_hierarchy_rejected(self):
         from repro.amg.hierarchy import AMGHierarchy

@@ -35,7 +35,7 @@ from repro.collectives.plan import Variant
 from repro.pattern.statistics import PatternStatistics
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.world import run_spmd
-from repro.sparse.comm_pkg import pattern_from_parcsr, transfer_pattern
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
@@ -196,10 +196,10 @@ def test_executed_cycle_statistics_match_planned(variant, rng):
                 pattern_from_parcsr(hierarchy.levels[index].matrix), mapping,
                 variant).statistics()
             restrict_stats = make_plan(
-                transfer_pattern(hierarchy.restriction_matrix(index)), mapping,
+                pattern_from_parcsr(hierarchy.restriction_matrix(index)), mapping,
                 variant).statistics()
             prolong_stats = make_plan(
-                transfer_pattern(hierarchy.prolongation_matrix(index)), mapping,
+                pattern_from_parcsr(hierarchy.prolongation_matrix(index)), mapping,
                 variant).statistics()
             expected = _merged([operator_stats] * 3
                                + [restrict_stats, prolong_stats])

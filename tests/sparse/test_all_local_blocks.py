@@ -1,28 +1,29 @@
 """Golden equivalence: one-pass block splitting vs per-rank ``local_blocks``.
 
-:meth:`ParCSRMatrix.all_local_blocks` (and the rectangular counterpart)
-builds every rank's diag/offd split from one vectorized classification of
-the global CSR; the per-rank scipy slicing path is the pinned reference.
-Structure must match exactly: dense block values, shapes, ``col_map_offd``
-contents, and sorted column order inside every row.
+:meth:`ParCSRMatrix.all_local_blocks` builds every rank's diag/offd split
+(one partition or two) from one vectorized classification of the global CSR;
+the per-rank scipy slicing path is the pinned reference.  Structure must match
+exactly: dense block values, shapes, ``col_map_offd`` contents, and sorted
+column order inside every row.  The last test pins "a square operator is the
+one-partition case": passing the row partition again as ``col_partition``
+changes nothing, down to the bytes of a product.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse.parcsr import ParCSRMatrix, ParCSRRectMatrix
+from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
+from repro.sparse.spmv import WorldSpMV
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
+from repro.topology.presets import paper_mapping
 
 
 def reference_blocks(matrix):
     """Per-rank reference splits on a cache-free twin of ``matrix``."""
-    if isinstance(matrix, ParCSRRectMatrix):
-        twin = ParCSRRectMatrix(matrix.matrix, matrix.row_partition,
-                                matrix.col_partition)
-    else:
-        twin = ParCSRMatrix(matrix.matrix, matrix.partition)
+    twin = ParCSRMatrix(matrix.matrix, matrix.partition, matrix.col_partition)
     return [twin.local_blocks(rank) for rank in range(matrix.n_ranks)]
 
 
@@ -31,6 +32,7 @@ def assert_blocks_match(fast_blocks, ref_blocks):
     for fast, ref in zip(fast_blocks, ref_blocks):
         assert fast.rank == ref.rank
         assert fast.row_range == ref.row_range
+        assert fast.col_range == ref.col_range
         assert fast.diag.shape == ref.diag.shape
         assert fast.offd.shape == ref.offd.shape
         np.testing.assert_array_equal(fast.col_map_offd, ref.col_map_offd)
@@ -59,9 +61,8 @@ def test_square_split_with_empty_ranks():
 def test_rect_split_matches_per_rank_path():
     rng = np.random.default_rng(7)
     dense = (rng.random((24, 15)) < 0.2) * rng.random((24, 15))
-    matrix = ParCSRRectMatrix(sp.csr_matrix(dense),
-                              RowPartition.even(24, 4),
-                              RowPartition.even(15, 4))
+    matrix = ParCSRMatrix(sp.csr_matrix(dense), RowPartition.even(24, 4),
+                          RowPartition.even(15, 4))
     assert_blocks_match(matrix.all_local_blocks(), reference_blocks(matrix))
 
 
@@ -86,3 +87,24 @@ def test_spmv_through_vectorized_blocks():
             local = local + blocks.offd @ x[blocks.col_map_offd]
         result[first:last] = local
     np.testing.assert_allclose(result, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("offsets", [[0, 9, 18, 27, 36], [0, 10, 10, 25, 25, 36]])
+def test_square_is_the_one_partition_case(offsets):
+    csr = rotated_anisotropic_diffusion((6, 6))
+    partition = RowPartition(offsets)
+    one = ParCSRMatrix(csr, partition)
+    two = ParCSRMatrix(csr, partition, RowPartition(offsets))
+    assert one.col_partition is one.partition
+    for rank in range(partition.n_ranks):
+        np.testing.assert_array_equal(one.offd_columns(rank),
+                                      two.offd_columns(rank))
+    assert_blocks_match(one.all_local_blocks(), two.all_local_blocks())
+    assert_blocks_match(reference_blocks(one), reference_blocks(two))
+    pattern_one, pattern_two = pattern_from_parcsr(one), pattern_from_parcsr(two)
+    assert pattern_one == pattern_two
+    assert hash(pattern_one) == hash(pattern_two)
+    mapping = paper_mapping(partition.n_ranks, ranks_per_node=2)
+    x = np.random.default_rng(3).standard_normal(36)
+    with WorldSpMV(one, mapping) as spmv_one, WorldSpMV(two, mapping) as spmv_two:
+        assert spmv_one.multiply(x).tobytes() == spmv_two.multiply(x).tobytes()

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.amg.hierarchy import build_hierarchy
+from repro.amg.relax import DistributedJacobi, WorldJacobi
 from repro.collectives.plan import Variant
 from repro.pattern.validation import validate_pattern
+from repro.simmpi.world import run_spmd
 from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import distributed_spmv_results, sequential_spmv
+from repro.sparse.spmv import (
+    DistributedSpMV,
+    WorldSpMV,
+    distributed_spmv_results,
+    sequential_spmv,
+)
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -20,6 +28,31 @@ class TestParCSRMatrix:
         with pytest.raises(ValidationError):
             ParCSRMatrix(sp.random(4, 5, density=0.5, format="csr"),
                          RowPartition.even(4, 2))
+
+    def test_jacobi_requires_one_partition(self):
+        """A 4 x 4 operator over two different partitions has non-square diag
+        blocks; ``diag.diagonal()`` would silently return ``min(shape)``."""
+        matrix = ParCSRMatrix(sp.eye(4, format="csr"), RowPartition([0, 1, 4]),
+                              RowPartition([0, 3, 4]))
+        mapping = paper_mapping(2, ranks_per_node=2)
+        with WorldSpMV(matrix, mapping) as spmv:
+            with pytest.raises(ValidationError, match="one partition"):
+                WorldJacobi(spmv)
+
+        def program(comm):
+            spmv = DistributedSpMV(comm, matrix, mapping)
+            with pytest.raises(ValidationError, match="one partition"):
+                DistributedJacobi(spmv)
+
+        run_spmd(2, program, timeout=60)
+
+    def test_build_hierarchy_requires_one_partition(self):
+        """Small enough to stop at one level, so the square check inside
+        ``classical_strength`` is never reached."""
+        matrix = ParCSRMatrix(sp.random(4, 5, density=0.5, format="csr"),
+                              RowPartition.even(4, 2), RowPartition.even(5, 2))
+        with pytest.raises(ValidationError, match="one partition"):
+            build_hierarchy(matrix)
 
     def test_partition_must_match_rows(self):
         with pytest.raises(ValidationError):

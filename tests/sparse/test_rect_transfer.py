@@ -1,7 +1,7 @@
 """Rectangular ParCSR matrices and grid-transfer SpMV.
 
-Covers the new transfer layer end to end — ``ParCSRRectMatrix`` block views,
-``transfer_pattern`` construction, and the engine/envelope execution pair —
+Covers grid transfers end to end — two-partition ``ParCSRMatrix`` block views,
+``pattern_from_parcsr`` construction, and the engine/envelope execution pair —
 plus the regression suite for hierarchy levels with empty ranks: a level
 whose partition leaves ranks without rows must flow through
 ``distributed_spmv_results`` and friends cleanly (never a deep engine error),
@@ -17,14 +17,10 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.collectives.plan import Variant
-from repro.sparse.comm_pkg import build_transfer_comm_pkg, transfer_pattern
-from repro.sparse.parcsr import ParCSRMatrix, ParCSRRectMatrix
+from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import (
-    WorldRectSpMV,
-    distributed_spmv_results,
-    distributed_transfer_results,
-)
+from repro.sparse.spmv import WorldSpMV, distributed_spmv_results
 from repro.sparse.stencils import poisson_2d
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -42,14 +38,14 @@ class TestRectMatrix:
     def test_shape_and_partition_validation(self):
         matrix = poisson_2d((4, 4))  # 16 x 16
         with pytest.raises(ValidationError):
-            ParCSRRectMatrix(matrix, RowPartition.even(12, 2),
-                             RowPartition.even(16, 2))
+            ParCSRMatrix(matrix, RowPartition.even(12, 2),
+                         RowPartition.even(16, 2))
         with pytest.raises(ValidationError):
-            ParCSRRectMatrix(matrix, RowPartition.even(16, 2),
-                             RowPartition.even(12, 2))
+            ParCSRMatrix(matrix, RowPartition.even(16, 2),
+                         RowPartition.even(12, 2))
         with pytest.raises(ValidationError):
-            ParCSRRectMatrix(matrix, RowPartition.even(16, 2),
-                             RowPartition.even(16, 4))
+            ParCSRMatrix(matrix, RowPartition.even(16, 2),
+                         RowPartition.even(16, 4))
 
     def test_blocks_reassemble_the_operator(self, transfer_fixture):
         prolongation = transfer_fixture.prolongation_matrix(0)
@@ -76,14 +72,15 @@ class TestRectMatrix:
         prolongation = transfer_fixture.prolongation_matrix(1)
         transposed = prolongation.transpose()
         assert transposed.n_rows == prolongation.n_cols
-        assert transposed.row_partition == prolongation.col_partition
+        assert transposed.partition == prolongation.col_partition
+        assert transposed.col_partition == prolongation.partition
         assert (transposed.matrix != prolongation.matrix.T.tocsr()).nnz == 0
 
 
 class TestTransferPattern:
     def test_pattern_items_are_offd_columns(self, transfer_fixture):
         prolongation = transfer_fixture.prolongation_matrix(0)
-        pattern = transfer_pattern(prolongation)
+        pattern = pattern_from_parcsr(prolongation)
         for rank in range(prolongation.n_ranks):
             wanted = prolongation.offd_columns(rank)
             received = pattern.recv_map(rank)
@@ -93,7 +90,7 @@ class TestTransferPattern:
 
     def test_senders_own_their_items(self, transfer_fixture):
         prolongation = transfer_fixture.prolongation_matrix(0)
-        pattern = transfer_pattern(prolongation)
+        pattern = pattern_from_parcsr(prolongation)
         col_partition = prolongation.col_partition
         for src in range(pattern.n_ranks):
             for dest, items in pattern.send_map(src).items():
@@ -101,7 +98,7 @@ class TestTransferPattern:
                 assert np.all(col_partition.owners_of(items) == src)
 
     def test_pkg_sides_are_transposes(self, transfer_fixture):
-        pkg = build_transfer_comm_pkg(transfer_fixture.restriction_matrix(0))
+        pkg = build_comm_pkg(transfer_fixture.restriction_matrix(0))
         for rank in range(pkg.n_ranks):
             for src, items in pkg.recv_map(rank).items():
                 assert np.array_equal(np.sort(items),
@@ -117,12 +114,10 @@ def test_transfer_engine_byte_identical_to_threads(transfer_fixture, variant,
                      transfer_fixture.restriction_matrix(level)):
         mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
         x = rng.standard_normal(operator.n_cols)
-        engine = distributed_transfer_results(operator, mapping, x,
-                                              variant=variant,
-                                              runtime="engine")
-        threads = distributed_transfer_results(operator, mapping, x,
-                                               variant=variant,
-                                               runtime="threads")
+        engine = distributed_spmv_results(operator, mapping, x,
+                                          variant=variant, runtime="engine")
+        threads = distributed_spmv_results(operator, mapping, x,
+                                           variant=variant, runtime="threads")
         assert np.array_equal(engine, threads)
         np.testing.assert_allclose(engine, operator.spmv(x),
                                    rtol=1e-12, atol=1e-12)
@@ -131,7 +126,7 @@ def test_transfer_engine_byte_identical_to_threads(transfer_fixture, variant,
 def test_world_rect_spmv_reusable(transfer_fixture, rng):
     operator = transfer_fixture.prolongation_matrix(0)
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
-    spmv = WorldRectSpMV(operator, mapping, variant=Variant.FULL)
+    spmv = WorldSpMV(operator, mapping, variant=Variant.FULL)
     for _ in range(3):
         x = rng.standard_normal(operator.n_cols)
         np.testing.assert_allclose(spmv.multiply(x), operator.spmv(x),
@@ -173,8 +168,8 @@ class TestEmptyRankRegression:
         operator = empty_rank_hierarchy.prolongation_matrix(index)
         mapping = paper_mapping(operator.n_ranks, ranks_per_node=16)
         x = rng.standard_normal(operator.n_cols)
-        result = distributed_transfer_results(operator, mapping, x,
-                                              variant=Variant.FULL)
+        result = distributed_spmv_results(operator, mapping, x,
+                                          variant=Variant.FULL)
         np.testing.assert_allclose(result, operator.spmv(x),
                                    rtol=1e-12, atol=1e-12)
 
@@ -204,6 +199,6 @@ class TestEmptyRankRegression:
         with pytest.raises(ValidationError, match="mapping covers"):
             distributed_spmv_results(level, small, x)
         with pytest.raises(ValidationError, match="mapping covers"):
-            distributed_transfer_results(
+            distributed_spmv_results(
                 empty_rank_hierarchy.prolongation_matrix(0), small,
                 rng.standard_normal(empty_rank_hierarchy.levels[1].n_rows))
