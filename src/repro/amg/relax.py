@@ -9,9 +9,9 @@ the solve phase whose SpMVs carry the communication being studied).
 per rank, with the residual's SpMV (and therefore the halo exchange) running
 through the array-native persistent neighborhood collective — the same
 communication the paper times inside BoomerAMG's solve phase.
-:class:`WorldJacobi` is its world-stepped twin: all ranks sweep in lockstep
-over one batched :class:`~repro.sparse.spmv.WorldSpMV`, so a sweep's halo
-exchange is O(phases) numpy calls for the whole communicator.
+:class:`WorldJacobi` is its world-stepped twin: one stacked
+:class:`~repro.sparse.spmv.WorldSpMV` product and one vector expression per
+sweep for the whole communicator.
 """
 
 from __future__ import annotations
@@ -112,24 +112,21 @@ class DistributedJacobi:
 class WorldJacobi:
     """World-stepped weighted-Jacobi smoother over a distributed operator.
 
-    Wraps a :class:`~repro.sparse.spmv.WorldSpMV`: every sweep performs *all*
-    ranks' halo exchanges through the batched exchange engine and then the
-    local residual updates, on a single thread.  A sweep is numerically
-    identical to :func:`weighted_jacobi_iteration` on the assembled global
-    system and byte-identical to running :class:`DistributedJacobi` on every
-    rank of the envelope-routed runtime.  The execution backend is whatever
-    the wrapped SpMV was built with: construct the :class:`WorldSpMV` with
-    ``runtime="procs"`` to smooth through the shared-memory worker pool.
+    Wraps a :class:`~repro.sparse.spmv.WorldSpMV`: every sweep is one stacked
+    product (one flat halo exchange for *all* ranks) and one vector update
+    against its diagonal.  A sweep is numerically identical to
+    :func:`weighted_jacobi_iteration` on the assembled global system and
+    byte-identical to running :class:`DistributedJacobi` on every rank of the
+    envelope-routed runtime.  The execution backend is the wrapped SpMV's:
+    build the :class:`WorldSpMV` with ``runtime="procs"`` to smooth through
+    the shared-memory worker pool.
     """
 
     def __init__(self, spmv: "WorldSpMV", *, omega: float = 2.0 / 3.0):
         check_one_partition(spmv.matrix, "Jacobi")
         self.spmv = spmv
         self.omega = float(omega)
-        diagonal = np.concatenate([
-            np.asarray(blocks.diag.diagonal(), dtype=np.float64)
-            for blocks in spmv.blocks
-        ])
+        diagonal = np.asarray(spmv.diag.diagonal(), dtype=np.float64)
         if np.any(diagonal == 0.0):
             raise ValidationError("Jacobi requires non-zero diagonal entries")
         self._diagonal = diagonal

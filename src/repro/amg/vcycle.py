@@ -576,13 +576,11 @@ class WorldVCycle:
         full = np.empty(self._coarse_partition.n_rows, dtype=np.float64)
         collective = self._coarse_active()
         if collective is not None:
-            # Owned item ids are global coarse rows, so every rank's input
-            # slice is one gather from the concatenated world columns.
-            world = collective.world
-            values = np.split(b[world.owned_items_all],
-                              world.owned_offsets[1:-1])
-            halos = collective.exchange(values)
-            full[collective.recv_item_ids(0)] = halos[0]
+            # Owned item ids are global coarse rows: the input is one gather
+            # from ``b``, and rank 0's share leads the flat result.
+            halo = collective.exchange_flat(b[collective.world.owned_items_all])
+            received = collective.recv_item_ids(0)
+            full[received] = halo[:received.size]
         full[self._coarse_partition.rows_of(0)] = b[self._coarse_partition.rows_of(0)]
         return np.asarray(self._coarse_solver(full), dtype=np.float64)
 

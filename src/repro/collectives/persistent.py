@@ -354,9 +354,10 @@ class WorldNeighborCollective:
     the per-rank executor on the envelope-routed runtime, and an attached
     profiler sees identical data-path byte/message totals.
 
-    ``exchange`` takes one dense array per rank (each in that rank's
-    ``owned_item_ids`` order, or one flat concatenation in rank order) and
-    returns one dense array per rank in ``recv_item_ids`` order.
+    ``exchange_flat`` is the engine's native form: one flat array of every
+    rank's owned values (``world.owned_items_all`` order) in, one of received
+    values (``world.result_items_all`` order) out.  ``exchange`` also takes
+    one array per rank and returns one view per rank (``recv_item_ids``).
 
     ``runtime`` / ``n_workers`` select and size the engine backend
     (``"engine"`` fused single-process, ``"procs"`` shared-memory worker
@@ -466,9 +467,14 @@ class WorldNeighborCollective:
 
     # -- execution -------------------------------------------------------------
 
-    def exchange(self, values: WorldValues) -> List[np.ndarray]:
-        """One full iteration for every rank (start + wait, world-stepped)."""
+    def exchange_flat(self, values: WorldValues) -> np.ndarray:
+        """One full iteration for every rank, flat in and out (engine-native)."""
         return self.engine.run(self._handle, values)
+
+    def exchange(self, values: WorldValues) -> List[np.ndarray]:
+        """One full iteration for every rank; one result view per rank."""
+        return np.split(self.exchange_flat(values),
+                        self.world.result_offsets[1:-1])
 
     # -- introspection ----------------------------------------------------------
 

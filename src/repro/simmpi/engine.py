@@ -7,7 +7,8 @@ O(messages) Python work.  The :class:`ExchangeEngine` executes the same
 exchange as a *world program*
 (:class:`~repro.collectives.exchange.WorldExchange`): every rank's work array
 becomes a block of one world work array, and a whole phase for the whole
-communicator is one kernel call.
+communicator is one kernel call.  I/O is flat-native: ``run`` takes one
+rank-major array of owned values and returns the one ``work[result_rows]``.
 
 Two engine runtimes execute a registered program:
 
@@ -64,8 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.simmpi.faults import FaultPlan
     from repro.simmpi.procs import ProcsPool, RecoveryEvent, SharedProgram
 
-#: Per-iteration input: one dense array per rank, or one flat concatenation of
-#: all ranks' owned values in rank order (the zero-copy fast path).
+#: Per-iteration input: one flat concatenation of all ranks' owned values in
+#: rank order (native, zero-copy), or one dense array per rank.
 WorldValues = Union[Sequence[np.ndarray], np.ndarray]
 
 #: Environment variable that flips the default runtime for every engine (and
@@ -325,15 +326,15 @@ class ExchangeEngine:
         """
         self._run_observer = observer
 
-    def run(self, handle: int, values: WorldValues) -> List[np.ndarray]:
+    def run(self, handle: int, values: WorldValues) -> np.ndarray:
         """Execute one full exchange round for every rank (start + wait).
 
-        ``values`` holds every rank's owned item values, either as a sequence
-        of per-rank dense arrays (each in that rank's ``owned_item_ids``
-        order) or as one flat array concatenating them in rank order.  Returns
-        one dense array per rank, in that rank's ``recv_item_ids`` order —
-        the same values ``PersistentNeighborCollective.wait`` hands each rank
-        on the envelope-routed path.
+        ``values`` holds every rank's owned item values: one flat array in
+        ``world.owned_items_all`` order (native), or a sequence of per-rank
+        dense arrays.  Returns a fresh flat array of every rank's received
+        values in ``world.result_items_all`` order (delimited per rank by
+        ``world.result_offsets``) — what ``PersistentNeighborCollective.wait``
+        hands each rank on the envelope-routed path.
         """
         observer = self._run_observer
         if observer is None:
@@ -343,7 +344,7 @@ class ExchangeEngine:
         observer(handle, self._clock() - start)
         return result
 
-    def _execute(self, handle: int, values: WorldValues) -> List[np.ndarray]:
+    def _execute(self, handle: int, values: WorldValues) -> np.ndarray:
         """One exchange round, untimed (the body :meth:`run` wraps)."""
         self._check_open()
         state = self._program(handle)
@@ -372,9 +373,7 @@ class ExchangeEngine:
         else:
             self._run_serial(state)
         flat = work[world.result_rows]
-        if world.spec.item_size == 1:
-            flat = flat.reshape(-1)
-        return np.split(flat, world.result_offsets[1:-1])
+        return flat.reshape(-1) if world.spec.item_size == 1 else flat
 
     # -- helpers --------------------------------------------------------------
 

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.partition import RowPartition
+from repro.utils.arrays import counts_to_displs
 from repro.utils.errors import ValidationError
 
 
@@ -61,77 +62,74 @@ class LocalBlocks:
         return int(self.col_map_offd.size)
 
 
-def _split_rank_blocks(matrix: sp.csr_matrix, row_partition: RowPartition,
-                       col_partition: RowPartition):
-    """Every rank's ``(diag, offd, col_map_offd)`` split in one global pass.
+@dataclass
+class StackedBlocks:
+    """Every rank's diag/offd blocks as rows of two world-sized operators.
 
-    The per-rank ``local_blocks`` path costs O(nnz) scipy slicing *per rank*;
-    this computes the same splits for all ranks at once: classify every stored
-    entry against its owning rank's column range, derive the per-rank offd
-    column maps from one sort over ``(rank, column)`` keys, and assemble each
-    rank's CSR blocks from slices of the classified arrays.  Entry order is
-    preserved row-by-row, so sorted global indices stay sorted in both blocks.
+    ``diag`` is block-diagonal over the global columns; ``offd``'s columns
+    index ``col_map_offd``, every rank's sorted off-process global columns in
+    rank order, delimited by ``offd_offsets``.  Rows keep the rank blocks'
+    stored entry order — the summation order of a product — so never
+    ``sort_indices`` / ``sum_duplicates`` either operator.
+    """
+
+    diag: sp.csr_matrix
+    offd: sp.csr_matrix
+    col_map_offd: np.ndarray
+    offd_offsets: np.ndarray
+
+
+def _stack_rank_blocks(matrix: sp.csr_matrix, row_partition: RowPartition,
+                       col_partition: RowPartition) -> StackedBlocks:
+    """Every rank's diag/offd split in one global pass, kept stacked.
+
+    Where ``local_blocks`` costs O(nnz) scipy slicing *per rank*, this
+    classifies every stored entry against its owning rank's column range once
+    and takes all offd column maps from one sort over ``(rank, column)`` keys.
+    Entry order is preserved row by row, so sorted indices stay sorted.
     """
     csr = matrix
-    if not csr.has_canonical_format:
+    if not csr.has_canonical_format:        # unsorted indices or duplicates
         csr = csr.copy()
         csr.sum_duplicates()
-    elif not csr.has_sorted_indices:
-        csr = csr.copy()
-        csr.sort_indices()
     n_ranks = row_partition.n_ranks
     n_rows, n_cols = csr.shape
-    row_offsets = row_partition.offsets
     col_offsets = col_partition.offsets
     entry_row = np.repeat(np.arange(n_rows, dtype=np.int64),
                           np.diff(csr.indptr))
     row_rank = np.repeat(np.arange(n_ranks, dtype=np.int64),
-                         np.diff(row_offsets))
+                         np.diff(row_partition.offsets))
     entry_rank = row_rank[entry_row] if n_rows else entry_row
     cols = csr.indices.astype(np.int64, copy=False)
-    diag_lo = col_offsets[entry_rank]
-    in_diag = (cols >= diag_lo) & (cols < col_offsets[entry_rank + 1])
+    in_diag = (cols >= col_offsets[entry_rank]) \
+        & (cols < col_offsets[entry_rank + 1])
 
-    diag_cols = (cols - diag_lo)[in_diag]
-    diag_data = csr.data[in_diag]
-    diag_indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entry_row[in_diag], minlength=n_rows),
-              out=diag_indptr[1:])
+    def indptr_of(mask: np.ndarray) -> np.ndarray:
+        return counts_to_displs(np.bincount(entry_row[mask], minlength=n_rows))
 
+    diag = sp.csr_matrix((csr.data[in_diag], cols[in_diag], indptr_of(in_diag)),
+                         shape=(n_rows, n_cols))
     offd_mask = ~in_diag
-    offd_rank = entry_rank[offd_mask]
-    offd_col_global = cols[offd_mask]
-    offd_data = csr.data[offd_mask]
     # One sort over (rank, global column) yields every rank's sorted unique
-    # column map and, via the inverse, each entry's local offd column.
-    keys = offd_rank * np.int64(n_cols) + offd_col_global
+    # column map and, via the inverse, each entry's stacked offd column.
+    keys = entry_rank[offd_mask] * np.int64(n_cols) + cols[offd_mask]
     unique_keys, inverse = np.unique(keys, return_inverse=True)
-    unique_ranks = unique_keys // np.int64(max(n_cols, 1))
-    unique_cols = unique_keys % np.int64(max(n_cols, 1))
-    map_bounds = np.searchsorted(unique_ranks,
-                                 np.arange(n_ranks + 1, dtype=np.int64))
-    offd_cols = inverse - map_bounds[offd_rank]
-    offd_indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entry_row[offd_mask], minlength=n_rows),
-              out=offd_indptr[1:])
+    offd = sp.csr_matrix((csr.data[offd_mask], inverse, indptr_of(offd_mask)),
+                         shape=(n_rows, unique_keys.size))
+    rank_keys = np.arange(n_ranks + 1, dtype=np.int64) * n_cols
+    return StackedBlocks(diag=diag, offd=offd,
+                         col_map_offd=unique_keys % np.int64(max(n_cols, 1)),
+                         offd_offsets=np.searchsorted(unique_keys, rank_keys))
 
-    splits = []
-    for rank in range(n_ranks):
-        first, last = int(row_offsets[rank]), int(row_offsets[rank + 1])
-        d0, d1 = diag_indptr[first], diag_indptr[last]
-        diag = sp.csr_matrix(
-            (diag_data[d0:d1], diag_cols[d0:d1],
-             diag_indptr[first:last + 1] - diag_indptr[first]),
-            shape=(last - first,
-                   int(col_offsets[rank + 1] - col_offsets[rank])))
-        o0, o1 = offd_indptr[first], offd_indptr[last]
-        g0, g1 = int(map_bounds[rank]), int(map_bounds[rank + 1])
-        offd = sp.csr_matrix(
-            (offd_data[o0:o1], offd_cols[o0:o1],
-             offd_indptr[first:last + 1] - offd_indptr[first]),
-            shape=(last - first, g1 - g0))
-        splits.append((diag, offd, unique_cols[g0:g1]))
-    return splits
+
+def _row_block(stacked: sp.csr_matrix, first: int, last: int,
+               col_first: int, col_last: int) -> sp.csr_matrix:
+    """Rows ``[first, last)`` of a stacked operator, columns rebased to one rank's."""
+    lo, hi = stacked.indptr[first], stacked.indptr[last]
+    return sp.csr_matrix(
+        (stacked.data[lo:hi], stacked.indices[lo:hi] - col_first,
+         stacked.indptr[first:last + 1] - lo),
+        shape=(last - first, col_last - col_first))
 
 
 def check_one_partition(matrix: "ParCSRMatrix", what: str) -> None:
@@ -178,6 +176,7 @@ class ParCSRMatrix:
         self.partition = partition
         self.col_partition = col_partition
         self._block_cache: Dict[int, LocalBlocks] = {}
+        self._stacked: StackedBlocks | None = None
 
     # -- global properties ---------------------------------------------------------
 
@@ -244,24 +243,32 @@ class ParCSRMatrix:
         self._block_cache[rank] = blocks
         return blocks
 
-    def all_local_blocks(self) -> List[LocalBlocks]:
-        """Every rank's diag/offd split, built in one pass over the matrix.
+    def stacked_blocks(self) -> StackedBlocks:
+        """All ranks' diag/offd blocks as one stacked pair: one pass, cached."""
+        if self._stacked is None:
+            self._stacked = _stack_rank_blocks(self.matrix, self.partition,
+                                               self.col_partition)
+        return self._stacked
 
-        Equivalent to ``[local_blocks(r) for r in range(n_ranks)]`` but
-        O(nnz log nnz) total instead of O(ranks × nnz) — the world-stepped
-        executors build all ranks' blocks up front, which dominated their
-        setup time at paper-scale rank counts.  Already-cached ranks keep
-        their existing block objects.
+    def all_local_blocks(self) -> List[LocalBlocks]:
+        """Every rank's diag/offd split, sliced out of :meth:`stacked_blocks`.
+
+        Equal to ``[local_blocks(r) for r in range(n_ranks)]`` in one pass;
+        already-cached ranks keep their existing block objects.
         """
         if len(self._block_cache) < self.n_ranks:
-            splits = _split_rank_blocks(self.matrix, self.partition,
-                                        self.col_partition)
-            for rank, (diag, offd, col_map) in enumerate(splits):
-                if rank not in self._block_cache:
-                    self._block_cache[rank] = LocalBlocks(
-                        rank=rank, row_range=self.partition.row_range(rank),
-                        col_range=self.col_partition.row_range(rank),
-                        diag=diag, offd=offd, col_map_offd=col_map)
+            stacked = self.stacked_blocks()
+            for rank in range(self.n_ranks):
+                if rank in self._block_cache:
+                    continue
+                rows = self.partition.row_range(rank)
+                cols = self.col_partition.row_range(rank)
+                g0, g1 = stacked.offd_offsets[rank:rank + 2].tolist()
+                self._block_cache[rank] = LocalBlocks(
+                    rank=rank, row_range=rows, col_range=cols,
+                    diag=_row_block(stacked.diag, *rows, *cols),
+                    offd=_row_block(stacked.offd, *rows, g0, g1),
+                    col_map_offd=stacked.col_map_offd[g0:g1])
         return [self._block_cache[rank] for rank in range(self.n_ranks)]
 
     def offd_columns(self, rank: int) -> np.ndarray:

@@ -12,13 +12,13 @@ integration tests run it at small rank counts and check the result against the
 sequential product to machine precision; that is the correctness argument for
 replacing Hypre's point-to-point communication with the optimized collectives.
 
-:class:`WorldSpMV` is the world-stepped form of the same computation: every
-rank's halo exchange runs through the batched
-:class:`~repro.simmpi.engine.ExchangeEngine` (one engine, no threads, no
-per-message envelopes), which is what makes paper-scale rank counts tractable
-in pure Python.  ``distributed_spmv_results`` executes through it by default
-and keeps the envelope-routed thread-per-rank path as the pinned reference
-(``runtime="threads"``); the two are byte-identical.
+:class:`WorldSpMV` is the world-stepped form of the same computation, for
+all ranks at once: one flat halo exchange through the batched
+:class:`~repro.simmpi.engine.ExchangeEngine`, then ``D @ x + O @ halo`` over
+the matrix's stacked ``diag``/``offd`` operators — no threads, no envelopes,
+no per-rank loop.  ``distributed_spmv_results`` executes through it by
+default and keeps the envelope-routed thread-per-rank path as the pinned
+reference (``runtime="threads"``); the two are byte-identical.
 
 Example (doctest): distribute a tiny matrix over 4 simulated ranks and check
 the world-stepped product against the sequential reference.
@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init, neighbor_alltoallv_init_world
@@ -52,7 +53,7 @@ from repro.simmpi.engine import ENGINE_RUNTIMES, ExchangeEngine, default_runtime
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.topo_comm import dist_graph_create_adjacent
 from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
-from repro.sparse.parcsr import ParCSRMatrix
+from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
 
@@ -98,27 +99,33 @@ def _init_rank_collective(comm: SimComm, pkg, mapping: RankMapping,
                                    dtype=np.float64)
 
 
-def _world_positions(collective, blocks_list):
-    """Per-rank (owned, halo) index arrays of a world-stepped SpMV.
+def _offd_on_halo(stacked: StackedBlocks, world) -> sp.csr_matrix:
+    """``stacked.offd`` with its columns indexing the engine's flat result.
 
-    Owned positions are relative to the rank's slice of the *input* vector
-    (its column range).  Both sides come straight from the world exchange's
-    concatenated columns: one broadcast subtraction plus one split for the
-    owned positions, one searchsorted per rank for the halo side.
+    Delivery (``world.result_items_all``) and ``col_map_offd`` both ascend per
+    rank for a pattern derived from this matrix, so this is normally
+    ``stacked.offd`` itself.  Any other order is folded into the column
+    indices once (entry order untouched); a rank whose delivered ids are not
+    exactly its column map raises instead of hitting a neighbouring column.
     """
-    world = collective.world
-    bases = np.fromiter((blocks.col_range[0] for blocks in blocks_list),
-                        dtype=np.int64, count=len(blocks_list))
-    owned_counts = np.diff(world.owned_offsets)
-    owned_positions = np.split(
-        world.owned_items_all - np.repeat(bases, owned_counts),
-        world.owned_offsets[1:-1])
-    halo_positions = [
-        _halo_positions(blocks.col_map_offd, recv_ids)
-        for blocks, recv_ids in zip(
-            blocks_list,
-            np.split(world.result_items_all, world.result_offsets[1:-1]))]
-    return owned_positions, halo_positions
+    offsets, ids = world.result_offsets, world.result_items_all
+    if np.array_equal(offsets, stacked.offd_offsets) \
+            and np.array_equal(ids, stacked.col_map_offd):
+        return stacked.offd
+    counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
+    rank_of = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((ids, rank_of))      # halo position of each map entry
+    if np.array_equal(counts, expected):
+        wrong = rank_of[ids[order] != stacked.col_map_offd]
+    else:
+        wrong = np.flatnonzero(counts != expected)
+    if wrong.size:
+        raise ValidationError(
+            f"rank {int(wrong[0])} receives halo ids that differ from its "
+            "col_map_offd; the exchange was not built for this matrix")
+    offd = stacked.offd
+    return sp.csr_matrix((offd.data, order[offd.indices], offd.indptr),
+                         shape=offd.shape)
 
 
 class DistributedSpMV:
@@ -200,15 +207,13 @@ class DistributedSpMV:
 class WorldSpMV:
     """World-stepped distributed SpMV: all ranks advance in lockstep.
 
-    Holds every rank's local blocks plus one world-stepped collective for the
-    halo exchange, so ``multiply`` runs a full distributed product on a single
-    thread: one batched exchange round (O(phases) numpy calls across *all*
-    ranks) followed by the per-rank ``diag``/``offd`` products, from the
-    *global* input vector to the *global* output vector.  Numerically
-    this is byte-identical to running :class:`DistributedSpMV` on every rank
-    of the envelope-routed runtime — the equivalence tests pin it — but the
-    data path never creates a per-message Python object, which is what lets
-    the experiment drivers execute paper-scale rank counts.
+    Holds the matrix's :class:`~repro.sparse.parcsr.StackedBlocks` — a
+    block-diagonal ``diag`` over the global input vector and an ``offd``
+    whose columns index the flat halo buffer — plus one world collective, so
+    ``multiply`` is what hypre runs per process, once for all ranks:
+    ``halo = exchange_flat(x[owned])`` then ``diag @ x + offd @ halo``.  Rows
+    sum in the per-rank blocks' stored order, so the result is byte-identical
+    to :class:`DistributedSpMV` on every rank of the envelope-routed runtime.
     """
 
     def __init__(self, matrix: ParCSRMatrix, mapping: RankMapping, *,
@@ -228,12 +233,12 @@ class WorldSpMV:
             pattern, mapping, variant=variant, strategy=strategy,
             engine=engine, profiler=profiler, runtime=runtime,
             n_workers=n_workers, on_failure=on_failure)
-        self.blocks = matrix.all_local_blocks()
-        # Per-rank index arrays, exactly as in DistributedSpMV: local-vector
-        # positions of the owned exchange input, and offd-column positions of
-        # the dense halo output.
-        self._owned_positions, self._halo_positions = _world_positions(
-            self.collective, self.blocks)
+        stacked = matrix.stacked_blocks()
+        world = self.collective.world
+        self.diag = stacked.diag
+        self.offd = _offd_on_halo(stacked, world)
+        # Item ids are global input-vector indices: the input is ``x[owned]``.
+        self._owned = world.owned_items_all
 
     @property
     def n_rows(self) -> int:
@@ -262,20 +267,8 @@ class WorldSpMV:
             raise ValidationError(
                 f"x must have shape ({self.n_cols},), got {x.shape}"
             )
-        values = [x[blocks.col_range[0]:blocks.col_range[1]][positions]
-                  for blocks, positions in zip(self.blocks, self._owned_positions)]
-        halos = self.collective.exchange(values)
-        result = np.empty(self.n_rows, dtype=np.float64)
-        for rank, blocks in enumerate(self.blocks):
-            first, last = blocks.row_range
-            col_first, col_last = blocks.col_range
-            local = blocks.diag @ x[col_first:col_last]
-            if blocks.n_offd_cols:
-                x_offd = np.zeros(blocks.n_offd_cols, dtype=np.float64)
-                x_offd[self._halo_positions[rank]] = halos[rank]
-                local = local + blocks.offd @ x_offd
-            result[first:last] = local
-        return result
+        halo = self.collective.exchange_flat(x[self._owned])
+        return self.diag @ x + self.offd @ halo
 
 
 def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,

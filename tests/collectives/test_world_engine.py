@@ -295,6 +295,76 @@ class TestEngineInterface:
         assert world.n_messages == plan.n_messages
 
 
+class TestFlatPath:
+    """``exchange_flat`` is the engine's native I/O; ``exchange`` cuts it up."""
+
+    @pytest.mark.parametrize("runtime", ENGINE_RUNTIMES)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64,
+                                       np.complex128])
+    @pytest.mark.parametrize("item_size", [1, 8])
+    def test_flat_equals_concatenated_lists(self, runtime, variant, dtype,
+                                            item_size):
+        n_ranks = 8
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=5,
+                                 duplicate_fraction=0.3, dtype=dtype,
+                                 item_size=item_size)
+        mapping = paper_mapping(n_ranks, ranks_per_node=4)
+        plan = make_plan(pattern, mapping, variant)
+        with WorldNeighborCollective(plan,
+                                     **_runtime_kwargs(runtime)) as collective:
+            world = collective.world
+            flat = (100 * np.repeat(np.arange(n_ranks),
+                                    np.diff(world.owned_offsets))
+                    + world.owned_items_all).astype(dtype)
+            if item_size > 1:
+                flat = flat[:, None] + np.arange(item_size, dtype=dtype)
+            lists = np.split(flat, world.owned_offsets[1:-1])
+            by_lists = collective.exchange(lists)
+            by_flat = collective.exchange_flat(flat)
+            assert isinstance(by_flat, np.ndarray)
+            assert by_flat.dtype == np.dtype(dtype)
+            assert by_flat.shape == ((world.result_rows.size,) if item_size == 1
+                                     else (world.result_rows.size, item_size))
+            assert by_flat.tobytes() == np.concatenate(by_lists).tobytes()
+            # Every delivered row is its item's owner-side value.
+            owner = world.result_sources_all
+            expected = (100 * owner + world.result_items_all).astype(dtype)
+            first = by_flat if item_size == 1 else by_flat[:, 0]
+            assert np.array_equal(first, expected)
+
+    def test_exchange_of_flat_input_returns_one_array_per_rank(self):
+        n_ranks = 6
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=2)
+        mapping = paper_mapping(n_ranks, ranks_per_node=3)
+        with neighbor_alltoallv_init_world(pattern, mapping,
+                                           variant=Variant.FULL) as collective:
+            flat = np.concatenate(_rank_values(collective))
+            results = collective.exchange(flat)
+            assert isinstance(results, list) and len(results) == n_ranks
+            for rank, result in enumerate(results):
+                assert result.shape == collective.recv_item_ids(rank).shape
+            # The result never aliases the engine's work array.
+            again = collective.exchange_flat(2.0 * flat)
+            assert np.array_equal(np.concatenate(results), 0.5 * again)
+
+    @pytest.mark.parametrize("call", ["exchange", "exchange_flat"])
+    def test_bad_flat_input_rejected(self, call):
+        n_ranks = 6
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=2)
+        mapping = paper_mapping(n_ranks, ranks_per_node=3)
+        with neighbor_alltoallv_init_world(pattern, mapping,
+                                           variant=Variant.STANDARD) as collective:
+            flat = np.concatenate(_rank_values(collective))
+            run = getattr(collective, call)
+            with pytest.raises(ValidationError, match="shape"):
+                run(flat[:-1])
+            with pytest.raises(ValidationError, match="shape"):
+                run(np.stack([flat, flat], axis=1))
+            with pytest.raises(ValidationError, match="safely cast"):
+                run(flat.astype(np.complex128))
+
+
 class TestProfilerBatches:
     """Bulk counters behave exactly like per-envelope records."""
 

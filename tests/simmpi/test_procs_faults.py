@@ -89,6 +89,12 @@ def _world_values(world, scale: float = 1.0):
     ])
 
 
+def _run_per_rank(engine, handle, world, scale: float = 1.0):
+    """One round; the engine's flat result cut into one array per rank."""
+    return np.split(engine.run(handle, _world_values(world, scale)),
+                    world.result_offsets[1:-1])
+
+
 def _faulty_engine(faults, *, timeout=30.0, **kwargs) -> ExchangeEngine:
     return ExchangeEngine(N_RANKS, runtime="procs", n_workers=N_WORKERS,
                           fault_plan=FaultPlan(faults), timeout=timeout,
@@ -229,7 +235,7 @@ class TestRecovery:
         try:
             world, handle = _registered(engine, plan)
             for round_index, scale in enumerate([1.0, 2.0, 3.0]):
-                results = engine.run(handle, _world_values(world, scale))
+                results = _run_per_rank(engine, handle, world, scale)
                 for rank in range(N_RANKS):
                     assert np.array_equal(results[rank],
                                           scale * expected[rank]), \
@@ -249,7 +255,7 @@ class TestRecovery:
             timeout=timeout)
         try:
             world, handle = _registered(engine, plan)
-            results = engine.run(handle, _world_values(world))
+            results = _run_per_rank(engine, handle, world)
             for rank in range(N_RANKS):
                 assert np.array_equal(results[rank], expected[rank])
             assert [event.action for event in engine.events] == ["retry"]
@@ -265,7 +271,7 @@ class TestRecovery:
             world, handle = _registered(engine, plan)
             pool = engine._pool
             for scale in [1.0, 0.5, -2.0, 7.0, 11.0]:
-                results = engine.run(handle, _world_values(world, scale))
+                results = _run_per_rank(engine, handle, world, scale)
                 for rank in range(N_RANKS):
                     assert np.array_equal(results[rank],
                                           scale * expected[rank])
@@ -280,9 +286,9 @@ class TestRecovery:
             [FaultSpec("crash", round=0, phase="send", worker=0)])
         try:
             world, handle = _registered(engine, plan)
-            first = engine.run(handle, _world_values(world))
+            first = _run_per_rank(engine, handle, world)
             world2, handle2 = _registered(engine, plan)
-            second = engine.run(handle2, _world_values(world2, 3.0))
+            second = _run_per_rank(engine, handle2, world2, 3.0)
             for rank in range(N_RANKS):
                 assert np.array_equal(first[rank], expected[rank])
                 assert np.array_equal(second[rank], 3.0 * expected[rank])
@@ -300,7 +306,7 @@ class TestFallback:
             max_retries=1, on_failure="fallback")
         try:
             world, handle = _registered(engine, plan)
-            results = engine.run(handle, _world_values(world))
+            results = _run_per_rank(engine, handle, world)
             for rank in range(N_RANKS):
                 assert np.array_equal(results[rank], expected[rank])
             actions = [event.action for event in engine.events]
@@ -313,7 +319,7 @@ class TestFallback:
             # The quarantined pool's workers are gone; later rounds run
             # serially on the retained shared segments and stay correct.
             assert not engine._pool.started
-            again = engine.run(handle, _world_values(world, 2.0))
+            again = _run_per_rank(engine, handle, world, 2.0)
             for rank in range(N_RANKS):
                 assert np.array_equal(again[rank], 2.0 * expected[rank])
         finally:
@@ -328,7 +334,7 @@ class TestFallback:
             world, handle = _registered(engine, plan)
             assert engine.degraded
             assert [event.action for event in engine.events][-1] == "fallback"
-            results = engine.run(handle, _world_values(world))
+            results = _run_per_rank(engine, handle, world)
             for rank in range(N_RANKS):
                 assert np.array_equal(results[rank], expected[rank])
         finally:
