@@ -15,7 +15,6 @@ from repro.amg.interp import direct_interpolation
 from repro.amg.galerkin import galerkin_product
 from repro.amg.relax import (
     DistributedJacobi,
-    WorldJacobi,
     jacobi,
     weighted_jacobi_iteration,
     gauss_seidel_iteration,
@@ -51,7 +50,6 @@ __all__ = [
     "direct_interpolation",
     "galerkin_product",
     "DistributedJacobi",
-    "WorldJacobi",
     "jacobi",
     "weighted_jacobi_iteration",
     "gauss_seidel_iteration",

@@ -8,13 +8,16 @@ exchange through the collectives, per-rank on the envelope-routed runtime or
 world-stepped through the batched engine — lives in :mod:`repro.amg.vcycle`
 (:class:`~repro.amg.vcycle.DistributedVCycle`,
 :class:`~repro.amg.vcycle.WorldAMGSolver`), pinned equivalent to this solver
-by the solve-phase test suite.
+by the solve-phase test suite.  The V-cycle here (``BoomerAMGSolver._cycle``
+over :func:`~repro.amg.relax.weighted_jacobi_iteration`) stays its own code
+because it is that suite's oracle; the stationary iteration around a cycle,
+:func:`stationary_solve`, is the one loop both solvers run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +56,41 @@ class SolveResult:
             return 0.0
         ratio = self.residual_norms[-1] / self.residual_norms[0]
         return float(ratio ** (1.0 / max(self.iterations, 1)))
+
+
+def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     b: np.ndarray, *, n_rows: int,
+                     x0: Optional[np.ndarray] = None, tol: float = 1e-8,
+                     max_iterations: int = 100) -> SolveResult:
+    """Iterate ``x ← cycle(b, x)`` until ``‖residual(b, x)‖ ≤ tol · ‖r₀‖``.
+
+    The one solve loop: the sequential solver passes its assembled-matrix
+    V-cycle and residual, the world-stepped solver its engine-executed ones.
+    A zero initial residual returns ``x0`` converged after zero iterations.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n_rows,):
+        raise ValidationError(f"b must have shape ({n_rows},)")
+    x = np.zeros(n_rows, dtype=np.float64) if x0 is None \
+        else np.array(x0, dtype=np.float64)
+    if x.shape != (n_rows,):
+        raise ValidationError(f"x0 must have shape ({n_rows},)")
+    residual_norms = [float(np.linalg.norm(residual(b, x)))]
+    if residual_norms[0] == 0.0:
+        return SolveResult(solution=x, residual_norms=residual_norms,
+                           iterations=0, converged=True)
+    target = tol * residual_norms[0]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        x = cycle(b, x)
+        residual_norms.append(float(np.linalg.norm(residual(b, x))))
+        if residual_norms[-1] <= target:
+            converged = True
+            break
+    return SolveResult(solution=x, residual_norms=residual_norms,
+                       iterations=iterations, converged=converged)
 
 
 class BoomerAMGSolver:
@@ -124,24 +162,7 @@ class BoomerAMGSolver:
         Convergence is declared when the 2-norm of the residual drops below
         ``tol`` times the initial residual norm.
         """
-        b = np.asarray(b, dtype=np.float64)
-        n = self.matrix.n_rows
-        if b.shape != (n,):
-            raise ValidationError(f"b must have shape ({n},)")
-        x = np.zeros(n, dtype=np.float64) if x0 is None else np.array(x0, dtype=np.float64)
         A = self.matrix.matrix
-        residual_norms = [float(np.linalg.norm(b - A @ x))]
-        if residual_norms[0] == 0.0:
-            return SolveResult(solution=x, residual_norms=residual_norms,
-                               iterations=0, converged=True)
-        target = tol * residual_norms[0]
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            x = self.vcycle(b, x)
-            residual_norms.append(float(np.linalg.norm(b - A @ x)))
-            if residual_norms[-1] <= target:
-                converged = True
-                break
-        return SolveResult(solution=x, residual_norms=residual_norms,
-                           iterations=iterations, converged=converged)
+        return stationary_solve(self.vcycle, lambda b, x: b - A @ x, b,
+                                n_rows=self.matrix.n_rows, x0=x0, tol=tol,
+                                max_iterations=max_iterations)

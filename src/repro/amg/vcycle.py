@@ -5,25 +5,32 @@ relaxing and grid-transferring on the assembled global operators; the classes
 here execute the same V-cycle *distributed*, so every SpMV and smoother halo
 exchange of every hierarchy level — the irregular communication the paper
 times inside BoomerAMG's solve phase — actually runs through the
-neighborhood collectives:
+neighborhood collectives.
 
-* :class:`DistributedVCycle` is one rank's V-cycle on the envelope-routed
+The cycle is written once (``_VCycle``): per non-coarsest level an operator
+SpMV, a :class:`~repro.amg.relax.DistributedJacobi` smoother over it, and two
+more SpMVs for the grid transfers (restrict ``Pᵀ r``, prolong-correct
+``x + P e``), each with its own communication pattern derived from the
+operator's column map; then pre-smooth → residual → restrict → coarse solve →
+prolong-correct → post-smooth.  Two runtimes supply the data path, and one
+solver sits on top:
+
+* :class:`DistributedVCycle` is one rank's cycle on the envelope-routed
   runtime (one instance per simulated-rank thread, the pinned reference):
-  per level a :class:`~repro.sparse.spmv.DistributedSpMV` for the operator,
-  a :class:`~repro.amg.relax.DistributedJacobi` smoother, and two more
-  ``DistributedSpMV`` for the grid transfers (restrict ``Pᵀ r``,
-  prolong-correct ``x + P e``), each with its own communication pattern
-  derived from the transfer operator's column map.
-* :class:`WorldVCycle` is the world-stepped twin: the same per-level
+  its operators are :class:`~repro.sparse.spmv.DistributedSpMV` on the
+  rank's own scipy blocks and its vectors the rank's rows.
+* :class:`WorldVCycle` is the world-stepped form: the same per-level
   exchanges compiled once and registered with the batched
-  :class:`~repro.simmpi.engine.ExchangeEngine`, so one ``cycle`` call runs a
-  whole V-cycle for *all* ranks with O(phases) numpy calls per level — no
-  per-message envelopes, no threads, byte-identical results and identical
-  data-path profiler totals.
+  :class:`~repro.simmpi.engine.ExchangeEngine`, operators
+  :class:`~repro.sparse.spmv.WorldSpMV` on the stacked blocks, global
+  vectors, so one ``cycle`` call runs a whole V-cycle for *all* ranks with
+  O(phases) numpy calls per level — no per-message envelopes, no threads,
+  byte-identical results and identical data-path profiler totals.
 * :class:`WorldAMGSolver` is the ``BoomerAMGSolver.solve``-equivalent built
-  on top: stationary world-stepped V-cycle iterations with residual norms
-  computed through the fine-level world SpMV, so no assembled-matrix
-  multiply remains on the data path.
+  on top: the same stationary iteration
+  (:func:`~repro.amg.solver.stationary_solve`) with residual norms computed
+  through the fine-level world SpMV, so no assembled-matrix multiply remains
+  on the data path.
 
 The coarsest-level direct solve needs every rank to see the full coarse
 right-hand side.  Instead of an object allgather on the control plane, the
@@ -44,8 +51,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
-from repro.amg.relax import DistributedJacobi, WorldJacobi
-from repro.amg.solver import SolveResult
+from repro.amg.relax import DistributedJacobi
+from repro.amg.solver import SolveResult, stationary_solve
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import (
     CollectiveRequest,
@@ -66,7 +73,7 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
-from repro.sparse.comm_pkg import build_comm_pkg
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import DistributedSpMV, WorldSpMV, check_mapping_covers
 from repro.topology.mapping import RankMapping
@@ -104,42 +111,93 @@ def coarse_gather_pattern(partition: RowPartition, *,
         dtype=dtype, item_size=item_size)
 
 
-def _coarse_factorized(matrix: sp.spmatrix):
-    """Factorized direct solver of the coarsest operator (None for 0 rows)."""
-    return spla.factorized(sp.csc_matrix(matrix)) if matrix.shape[0] > 0 else None
+@dataclass
+class _Level:
+    """One (non-coarsest) level's operators: one rank's, or the whole world's."""
+
+    spmv: DistributedSpMV | WorldSpMV
+    smoother: DistributedJacobi
+    restrict: DistributedSpMV | WorldSpMV
+    prolong: DistributedSpMV | WorldSpMV
 
 
-def _check_cycle_arguments(hierarchy: AMGHierarchy, mapping: RankMapping,
-                           pre_sweeps: int, post_sweeps: int) -> None:
-    if hierarchy.n_levels == 0:
-        raise SolverError("hierarchy has no levels")
-    if pre_sweeps < 0 or post_sweeps < 0:
-        raise ValidationError("sweep counts must be non-negative")
-    check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
+class _VCycle:
+    """What the two runtimes share: the argument check and the recursion.
 
+    A subclass builds its levels on its own data path, sets ``_shape`` (the
+    shape of the vectors ``cycle`` takes) and supplies ``_level(index)`` and
+    ``_coarse_solve(b)``.
+    """
 
-def _check_level_profilers(level_profilers, n_levels: int) -> None:
-    if level_profilers is not None and len(level_profilers) != n_levels:
-        raise ValidationError(
-            f"level_profilers must have one entry per level ({n_levels}), "
-            f"got {len(level_profilers)}"
-        )
+    def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping,
+                 pre_sweeps: int, post_sweeps: int, omega: float,
+                 level_profilers: Optional[Sequence[TrafficProfiler]]):
+        if hierarchy.n_levels == 0:
+            raise SolverError("hierarchy has no levels")
+        if pre_sweeps < 0 or post_sweeps < 0:
+            raise ValidationError("sweep counts must be non-negative")
+        check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
+        if level_profilers is not None \
+                and len(level_profilers) != hierarchy.n_levels:
+            raise ValidationError(
+                f"level_profilers must have one entry per level "
+                f"({hierarchy.n_levels}), got {len(level_profilers)}"
+            )
+        self.hierarchy = hierarchy
+        self.mapping = mapping
+        self.pre_sweeps = int(pre_sweeps)
+        self.post_sweeps = int(post_sweeps)
+        self.omega = float(omega)
+        # Coarsest level: a (redundant, deterministic) factorization of the
+        # assembled coarse operator — the distributed analogue of hypre's
+        # gathered Gaussian elimination; None for a zero-row level.
+        coarsest = hierarchy.levels[-1].matrix
+        self._coarse_partition = coarsest.partition
+        self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest.matrix)) \
+            if coarsest.n_rows > 0 else None
+
+    def _level_operators(self, index: int):
+        """Level ``index``'s three distributed operators: ``A``, ``Pᵀ``, ``P``."""
+        return (self.hierarchy.levels[index].matrix,
+                self.hierarchy.restriction_matrix(index),
+                self.hierarchy.prolongation_matrix(index))
+
+    def _build_level(self, index: int, make_spmv) -> _Level:
+        """Level ``index`` with ``make_spmv(operator)`` putting each on the data path."""
+        operator, restriction, prolongation = self._level_operators(index)
+        spmv = make_spmv(operator)
+        return _Level(spmv=spmv,
+                      smoother=DistributedJacobi(spmv, omega=self.omega),
+                      restrict=make_spmv(restriction),
+                      prolong=make_spmv(prolongation))
+
+    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if index == self.hierarchy.n_levels - 1:
+            if self.hierarchy.levels[index].matrix.n_rows == 0:
+                return x
+            return self._coarse_solve(b)
+        level = self._level(index)
+        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
+        residual = b - level.spmv.multiply(x)
+        coarse_b = level.restrict.multiply(residual)
+        coarse_x = np.zeros(coarse_b.shape, dtype=np.float64)
+        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
+        x = x + level.prolong.multiply(coarse_x)
+        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
+
+    def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Apply one V-cycle to ``A x = b`` on this data path's rows (collective)."""
+        b = np.asarray(b, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        if b.shape != self._shape or x.shape != self._shape:
+            raise ValidationError(f"b and x must have shape {self._shape}")
+        return self._cycle(0, b, x)
 
 
 # -- per-rank V-cycle on the envelope-routed runtime ---------------------------------
 
 
-@dataclass
-class _DistributedLevel:
-    """One rank's collectives for one (non-coarsest) level."""
-
-    spmv: DistributedSpMV
-    smoother: DistributedJacobi
-    restrict: DistributedSpMV
-    prolong: DistributedSpMV
-
-
-class DistributedVCycle:
+class DistributedVCycle(_VCycle):
     """One rank's V-cycle over a distributed AMG hierarchy (envelope runtime).
 
     Construction is collective: every rank of the communicator builds its own
@@ -162,14 +220,10 @@ class DistributedVCycle:
                  pre_sweeps: int = 1, post_sweeps: int = 1,
                  omega: float = 2.0 / 3.0,
                  level_profilers: Optional[Sequence[TrafficProfiler]] = None):
-        _check_cycle_arguments(hierarchy, mapping, pre_sweeps, post_sweeps)
-        _check_level_profilers(level_profilers, hierarchy.n_levels)
-        self.hierarchy = hierarchy
-        self.mapping = mapping
+        super().__init__(hierarchy, mapping, pre_sweeps, post_sweeps, omega,
+                         level_profilers)
         self.rank = comm.rank
-        self.pre_sweeps = int(pre_sweeps)
-        self.post_sweeps = int(post_sweeps)
-        self.omega = float(omega)
+        self._shape = (hierarchy.levels[0].matrix.partition.local_size(self.rank),)
         n_levels = hierarchy.n_levels
 
         def level_comm(index: int) -> SimComm:
@@ -179,6 +233,11 @@ class DistributedVCycle:
                     level_profilers[index].record_envelope)
             return duplicate
 
+        def request(pattern: CommPattern, run_comm: SimComm) -> CollectiveRequest:
+            return CollectiveRequest(send_items=pattern.send_map(self.rank),
+                                     recv_items=pattern.recv_map(self.rank),
+                                     comm=run_comm.dup())
+
         # Every level's collectives — operator SpMV, restriction, prolongation,
         # plus the coarsest level's gather-to-all — initialise through ONE
         # batched setup gather (``neighbor_alltoallv_init_many``) instead of
@@ -187,62 +246,33 @@ class DistributedVCycle:
         # O(levels) to one.  Each collective still executes on its own
         # duplicate of its level's communicator, so per-level traffic
         # callbacks see exactly the envelopes they always did.
-        requests: List[CollectiveRequest] = []
-        level_comms: List[SimComm] = []
-        for index in range(n_levels - 1):
-            lcomm = level_comm(index)
-            level_comms.append(lcomm)
-            for operator in (hierarchy.levels[index].matrix,
-                             hierarchy.restriction_matrix(index),
-                             hierarchy.prolongation_matrix(index)):
-                pkg = build_comm_pkg(operator)
-                requests.append(CollectiveRequest(
-                    send_items=pkg.send_map(self.rank),
-                    recv_items=pkg.recv_map(self.rank),
-                    comm=lcomm.dup()))
+        level_comms = [level_comm(index) for index in range(n_levels - 1)]
+        requests = [request(pattern_from_parcsr(operator), level_comms[index])
+                    for index in range(n_levels - 1)
+                    for operator in self._level_operators(index)]
+        gather = coarse_gather_pattern(self._coarse_partition)
+        if gather.n_messages:
+            requests.append(request(gather, level_comm(n_levels - 1)))
+        collectives = iter(neighbor_alltoallv_init_many(
+            comm, requests, mapping, variant=variant, strategy=strategy))
 
-        # Coarsest level: the gather-to-all collective plus a (redundant,
-        # deterministic) local factorization of the assembled coarse operator
-        # — the distributed analogue of hypre's gathered Gaussian elimination.
-        coarsest = hierarchy.levels[-1]
-        self._coarse_partition = coarsest.matrix.partition
+        # ``_build_level`` asks for a level's operators in the order of
+        # ``_level_operators``, which is the order their requests went in.
+        def spmv_on(lcomm: SimComm):
+            return lambda operator: DistributedSpMV(
+                lcomm, operator, mapping, variant=variant, strategy=strategy,
+                collective=next(collectives))
+
+        self.levels = [self._build_level(index, spmv_on(lcomm))
+                       for index, lcomm in enumerate(level_comms)]
         self._coarse_rows = self._coarse_partition.rows_of(self.rank)
-        self._coarse_solver = _coarse_factorized(coarsest.matrix.matrix)
-        self._coarse_collective: PersistentNeighborCollective | None = None
-        pattern = coarse_gather_pattern(self._coarse_partition)
-        if pattern.n_messages:
-            gather_comm = level_comm(n_levels - 1)
-            requests.append(CollectiveRequest(
-                send_items=pattern.send_map(self.rank),
-                recv_items=pattern.recv_map(self.rank),
-                comm=gather_comm.dup()))
+        self._coarse_collective: PersistentNeighborCollective | None = \
+            next(collectives, None)
 
-        collectives = neighbor_alltoallv_init_many(comm, requests, mapping,
-                                                   variant=variant,
-                                                   strategy=strategy)
-        if pattern.n_messages:
-            self._coarse_collective = collectives[-1]
+    # -- the data path --------------------------------------------------------
 
-        self.levels: List[_DistributedLevel] = []
-        for index in range(n_levels - 1):
-            lcomm = level_comms[index]
-            spmv_coll, restrict_coll, prolong_coll = collectives[3 * index:
-                                                                 3 * index + 3]
-            spmv = DistributedSpMV(lcomm, hierarchy.levels[index].matrix,
-                                   mapping, variant=variant, strategy=strategy,
-                                   collective=spmv_coll)
-            smoother = DistributedJacobi(spmv, omega=self.omega)
-            restrict = DistributedSpMV(
-                lcomm, hierarchy.restriction_matrix(index), mapping,
-                variant=variant, strategy=strategy, collective=restrict_coll)
-            prolong = DistributedSpMV(
-                lcomm, hierarchy.prolongation_matrix(index), mapping,
-                variant=variant, strategy=strategy, collective=prolong_coll)
-            self.levels.append(_DistributedLevel(spmv=spmv, smoother=smoother,
-                                                 restrict=restrict,
-                                                 prolong=prolong))
-
-    # -- the cycle ------------------------------------------------------------
+    def _level(self, index: int) -> _Level:
+        return self.levels[index]
 
     def _coarse_solve(self, b_local: np.ndarray) -> np.ndarray:
         """Gather the coarse RHS through the collective, solve, keep owned rows."""
@@ -260,45 +290,11 @@ class DistributedVCycle:
         solution = np.asarray(self._coarse_solver(full), dtype=np.float64)
         return solution[self._coarse_rows]
 
-    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if index == self.hierarchy.n_levels - 1:
-            if self.hierarchy.levels[index].matrix.n_rows == 0:
-                return x
-            return self._coarse_solve(b)
-        level = self.levels[index]
-        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
-        residual = b - level.spmv.multiply(x)
-        coarse_b = level.restrict.multiply(residual)
-        coarse_x = np.zeros(level.restrict.n_local_rows, dtype=np.float64)
-        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
-        x = x + level.prolong.multiply(coarse_x)
-        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
-
-    def cycle(self, b_local: np.ndarray, x_local: np.ndarray) -> np.ndarray:
-        """Apply one V-cycle to this rank's rows of ``A x = b`` (collective)."""
-        b_local = np.asarray(b_local, dtype=np.float64)
-        x_local = np.asarray(x_local, dtype=np.float64)
-        first, last = self.hierarchy.levels[0].matrix.partition.row_range(self.rank)
-        n = last - first
-        if b_local.shape != (n,) or x_local.shape != (n,):
-            raise ValidationError(f"b_local and x_local must have shape ({n},)")
-        return self._cycle(0, b_local, x_local)
-
 
 # -- world-stepped V-cycle through the exchange engine -------------------------------
 
 
-@dataclass
-class _WorldLevel:
-    """All ranks' world collectives for one (non-coarsest) level."""
-
-    spmv: WorldSpMV
-    smoother: WorldJacobi
-    restrict: WorldSpMV
-    prolong: WorldSpMV
-
-
-class WorldVCycle:
+class WorldVCycle(_VCycle):
     """A whole V-cycle for all ranks, stepped through the exchange engine.
 
     Every level's halo exchanges (operator SpMV inside the smoother and the
@@ -344,12 +340,11 @@ class WorldVCycle:
                  level_profilers: Optional[Sequence[TrafficProfiler]] = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
-                 on_failure: str | None = None,
                  selector: OnlineSelector | None = None,
                  model=None,
                  clock=None):
-        _check_cycle_arguments(hierarchy, mapping, pre_sweeps, post_sweeps)
-        _check_level_profilers(level_profilers, hierarchy.n_levels)
+        super().__init__(hierarchy, mapping, pre_sweeps, post_sweeps, omega,
+                         level_profilers)
         if level_profilers is not None and engine is not None:
             raise ValidationError(
                 "pass either a shared engine or per-level profilers, not both"
@@ -361,12 +356,10 @@ class WorldVCycle:
                 "engine / per-level profilers, not both"
             )
         if engine is not None and (runtime is not None or n_workers is not None
-                                   or on_failure is not None
                                    or clock is not None):
             raise ValidationError(
                 "a shared engine already fixed its runtime; pass runtime/"
-                "n_workers/on_failure/clock only when the cycle creates its "
-                "own engines"
+                "n_workers/clock only when the cycle creates its own engines"
             )
         auto = is_auto_variant(variant)
         if not auto and (selector is not None or model is not None):
@@ -381,26 +374,22 @@ class WorldVCycle:
                     "variant='auto' needs a fresh selector (levels are "
                     "seeded by the cycle itself)"
                 )
-        self.hierarchy = hierarchy
-        self.mapping = mapping
         self.n_ranks = hierarchy.levels[0].matrix.n_ranks
-        self.pre_sweeps = int(pre_sweeps)
-        self.post_sweeps = int(post_sweeps)
-        self.omega = float(omega)
+        self._shape = (self.n_rows,)
         self._selector = selector if auto else None
         self._active: Dict[int, Variant] = {}
         n_levels = hierarchy.n_levels
         if level_profilers is not None:
             engines = [ExchangeEngine(self.n_ranks, profiler=level_profiler,
                                       runtime=runtime, n_workers=n_workers,
-                                      on_failure=on_failure, clock=clock)
+                                      clock=clock)
                        for level_profiler in level_profilers]
             self._owned_engines = list(engines)
         else:
             shared = engine if engine is not None else \
                 ExchangeEngine(self.n_ranks, profiler=profiler,
                                runtime=runtime, n_workers=n_workers,
-                               on_failure=on_failure, clock=clock)
+                               clock=clock)
             engines = [shared] * n_levels
             self._owned_engines = [] if engine is not None else [shared]
         self.engines = engines
@@ -411,28 +400,19 @@ class WorldVCycle:
         # cheap); switching a level's variant is then a pure table swap.
         build_variants = self._selector.candidates if auto \
             else (Variant(variant),)
-        self._variant_levels: Dict[Variant, List[_WorldLevel]] = {}
-        for build_variant in build_variants:
-            built: List[_WorldLevel] = []
-            for index in range(n_levels - 1):
-                spmv = WorldSpMV(hierarchy.levels[index].matrix, mapping,
-                                 variant=build_variant, strategy=strategy,
-                                 engine=engines[index])
-                smoother = WorldJacobi(spmv, omega=self.omega)
-                restrict = WorldSpMV(hierarchy.restriction_matrix(index),
-                                     mapping, variant=build_variant,
-                                     strategy=strategy, engine=engines[index])
-                prolong = WorldSpMV(hierarchy.prolongation_matrix(index),
-                                    mapping, variant=build_variant,
-                                    strategy=strategy, engine=engines[index])
-                built.append(_WorldLevel(spmv=spmv, smoother=smoother,
-                                         restrict=restrict, prolong=prolong))
-            self._variant_levels[build_variant] = built
+
+        def spmv_on(index: int, build_variant: Variant):
+            return lambda operator: WorldSpMV(
+                operator, mapping, variant=build_variant, strategy=strategy,
+                engine=engines[index])
+
+        self._variant_levels: Dict[Variant, List[_Level]] = {
+            build_variant: [
+                self._build_level(index, spmv_on(index, build_variant))
+                for index in range(n_levels - 1)]
+            for build_variant in build_variants}
         self.levels = self._variant_levels[build_variants[0]]
 
-        coarsest = hierarchy.levels[-1]
-        self._coarse_partition = coarsest.matrix.partition
-        self._coarse_solver = _coarse_factorized(coarsest.matrix.matrix)
         self._coarse_collectives: Dict[Variant, WorldNeighborCollective] = {}
         self._coarse_collective: WorldNeighborCollective | None = None
         pattern = coarse_gather_pattern(self._coarse_partition)
@@ -560,7 +540,7 @@ class WorldVCycle:
         """Fine-level residual ``b - A x`` through the world-stepped SpMV."""
         return b - self.fine_spmv.multiply(x)
 
-    # -- the cycle ------------------------------------------------------------
+    # -- the data path --------------------------------------------------------
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         """Direct solve of the coarsest system from engine-delivered values.
@@ -593,27 +573,13 @@ class WorldVCycle:
             return self._coarse_collective
         return self._coarse_collectives[active]
 
-    def _level(self, index: int) -> _WorldLevel:
+    def _level(self, index: int) -> _Level:
         """The level's collectives under the cycle's active (or fixed) variant."""
         if self._selector is None:
             return self.levels[index]
         active = self._active.get(index)
         built = self.levels if active is None else self._variant_levels[active]
         return built[index]
-
-    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if index == self.hierarchy.n_levels - 1:
-            if self.hierarchy.levels[index].matrix.n_rows == 0:
-                return x
-            return self._coarse_solve(b)
-        level = self._level(index)
-        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
-        residual = b - level.spmv.multiply(x)
-        coarse_b = level.restrict.multiply(residual)
-        coarse_x = np.zeros(level.restrict.n_rows, dtype=np.float64)
-        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
-        x = x + level.prolong.multiply(coarse_x)
-        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
 
     def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply one V-cycle to ``A x = b`` for the whole communicator.
@@ -625,19 +591,14 @@ class WorldVCycle:
         discarded rather than scored — supervision stalls are not protocol
         cost.
         """
-        b = np.asarray(b, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        n = self.n_rows
-        if b.shape != (n,) or x.shape != (n,):
-            raise ValidationError(f"b and x must have shape ({n},)")
         if self._selector is None:
-            return self._cycle(0, b, x)
+            return super().cycle(b, x)
         self._selector.begin_cycle()
         self._active = {level: self._selector.variant_for(level)
                         for level in self._selector.seeded_levels()}
         events_before = self._recovery_events()
         try:
-            result = self._cycle(0, b, x)
+            result = super().cycle(b, x)
         except BaseException:
             self._selector.abort_cycle()
             raise
@@ -674,7 +635,6 @@ class WorldAMGSolver:
                  level_profilers: Optional[Sequence[TrafficProfiler]] = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
-                 on_failure: str | None = None,
                  selector: OnlineSelector | None = None,
                  model=None,
                  clock=None):
@@ -688,7 +648,7 @@ class WorldAMGSolver:
             self.hierarchy, mapping, variant=variant, strategy=strategy,
             pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega,
             engine=engine, profiler=profiler, level_profilers=level_profilers,
-            runtime=runtime, n_workers=n_workers, on_failure=on_failure,
+            runtime=runtime, n_workers=n_workers,
             selector=selector, model=model, clock=clock)
 
     @property
@@ -719,33 +679,14 @@ class WorldAMGSolver:
               tol: float = 1e-8, max_iterations: int = 100) -> SolveResult:
         """Solve ``A x = b`` with stationary world-stepped V-cycle iterations.
 
-        Mirrors :meth:`BoomerAMGSolver.solve` exactly — same convergence
+        :meth:`BoomerAMGSolver.solve`'s own loop
+        (:func:`~repro.amg.solver.stationary_solve`) — same convergence
         criterion, same :class:`SolveResult` — with every residual computed
         through the fine-level world SpMV instead of the assembled matrix.
         """
-        b = np.asarray(b, dtype=np.float64)
-        n = self.matrix.n_rows
-        if b.shape != (n,):
-            raise ValidationError(f"b must have shape ({n},)")
-        x = np.zeros(n, dtype=np.float64) if x0 is None else np.array(x0, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValidationError(f"x0 must have shape ({n},)")
-        residual_norms = [float(np.linalg.norm(
-            self.vcycle_executor.residual(b, x)))]
-        if residual_norms[0] == 0.0:
-            return SolveResult(solution=x, residual_norms=residual_norms,
-                               iterations=0, converged=True,
-                               decision_trace=self.decision_trace)
-        target = tol * residual_norms[0]
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            x = self.vcycle_executor.cycle(b, x)
-            residual_norms.append(float(np.linalg.norm(
-                self.vcycle_executor.residual(b, x))))
-            if residual_norms[-1] <= target:
-                converged = True
-                break
-        return SolveResult(solution=x, residual_norms=residual_norms,
-                           iterations=iterations, converged=converged,
-                           decision_trace=self.decision_trace)
+        executor = self.vcycle_executor
+        result = stationary_solve(executor.cycle, executor.residual, b,
+                                  n_rows=self.matrix.n_rows, x0=x0, tol=tol,
+                                  max_iterations=max_iterations)
+        result.decision_trace = self.decision_trace
+        return result

@@ -303,8 +303,7 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
                                   engine: ExchangeEngine | None = None,
                                   profiler: TrafficProfiler | None = None,
                                   runtime: str | None = None,
-                                  n_workers: int | None = None,
-                                  on_failure: str | None = None
+                                  n_workers: int | None = None
                                   ) -> WorldNeighborCollective:
     """Initialise a world-stepped persistent neighborhood all-to-all-v.
 
@@ -321,13 +320,12 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     ``profiler`` to let the collective create a private engine around it;
     ``runtime`` / ``n_workers`` select the private engine's backend
     (``"engine"`` fused single-process, ``"procs"`` shared-memory worker
-    pool) and ``on_failure`` its worker-failure policy.
+    pool).
     """
     plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)
     return WorldNeighborCollective(plan, dtype=dtype, item_size=item_size,
                                    engine=engine, profiler=profiler,
-                                   runtime=runtime, n_workers=n_workers,
-                                   on_failure=on_failure)
+                                   runtime=runtime, n_workers=n_workers)
 
 
 def neighbor_alltoallv(graph_comm: DistGraphComm,

@@ -361,10 +361,8 @@ class WorldNeighborCollective:
 
     ``runtime`` / ``n_workers`` select and size the engine backend
     (``"engine"`` fused single-process, ``"procs"`` shared-memory worker
-    pool) and ``on_failure`` the worker-failure policy (``"retry"`` /
-    ``"fallback"`` / ``"raise"``) when the collective creates its own
-    private engine; they cannot be combined with a shared ``engine``, which
-    already fixed its runtime.  ``close`` (or using the collective as a
+    pool) when the collective creates its own private engine; they cannot
+    be combined with a shared ``engine``, which already fixed its runtime.  ``close`` (or using the collective as a
     context manager) releases a private engine's workers and shared
     segments deterministically — a shared engine is left to its owner.
     """
@@ -375,20 +373,17 @@ class WorldNeighborCollective:
                  engine: ExchangeEngine | None = None,
                  profiler: TrafficProfiler | None = None,
                  runtime: str | None = None,
-                 n_workers: int | None = None,
-                 on_failure: str | None = None):
+                 n_workers: int | None = None):
         if engine is not None and profiler is not None \
                 and engine.profiler is not profiler:
             raise ValidationError(
                 "pass either an engine (with its own profiler) or a profiler, "
                 "not both"
             )
-        if engine is not None and (runtime is not None or n_workers is not None
-                                   or on_failure is not None):
+        if engine is not None and (runtime is not None or n_workers is not None):
             raise ValidationError(
                 "a shared engine already fixed its runtime; pass runtime/"
-                "n_workers/on_failure only when the collective creates its "
-                "own engine"
+                "n_workers only when the collective creates its own engine"
             )
         self.plan = plan
         self.variant = plan.variant
@@ -409,8 +404,7 @@ class WorldNeighborCollective:
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else \
             ExchangeEngine(self.world.n_ranks, profiler=profiler,
-                           runtime=runtime, n_workers=n_workers,
-                           on_failure=on_failure)
+                           runtime=runtime, n_workers=n_workers)
         self._handle = self.engine.register(self.world)
 
     @property

@@ -38,9 +38,7 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
 def measured_level_times(profiles: Sequence[LevelCommProfile], *,
                          variants: Sequence[Variant] = ALL_VARIANTS,
                          iterations: int = 3,
-                         runtime: str | None = None,
-                         n_workers: int | None = None,
-                         on_failure: str | None = None
+                         runtime: str | None = None
                          ) -> List[Dict[Variant, float]]:
     """Wall-clock seconds of one world-stepped exchange round, per level and variant.
 
@@ -61,9 +59,7 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
         per_variant: Dict[Variant, float] = {}
         for variant in variants:
             with WorldNeighborCollective(profile.plans[variant],
-                                         runtime=runtime,
-                                         n_workers=n_workers,
-                                         on_failure=on_failure) as collective:
+                                         runtime=runtime) as collective:
                 n_owned = int(collective.world.owned_offsets[-1])
                 values = np.zeros(n_owned, dtype=collective.dtype)
                 collective.exchange(values)  # warm the arenas
@@ -81,9 +77,7 @@ def measured_cycle_times(hierarchy, mapping, *,
                          variants: Sequence[Variant] = ALL_VARIANTS,
                          strategy: BalanceStrategy = BalanceStrategy.BYTES,
                          iterations: int = 3,
-                         runtime: str | None = None,
-                         n_workers: int | None = None,
-                         on_failure: str | None = None) -> Dict[Variant, float]:
+                         runtime: str | None = None) -> Dict[Variant, float]:
     """Wall-clock seconds of one whole world-stepped V-cycle, per variant.
 
     The solve-phase counterpart of :func:`measured_level_times`: instead of
@@ -103,8 +97,7 @@ def measured_cycle_times(hierarchy, mapping, *,
     x = np.zeros(n, dtype=np.float64)
     for variant in variants:
         with WorldVCycle(hierarchy, mapping, variant=variant,
-                         strategy=strategy, runtime=runtime,
-                         n_workers=n_workers, on_failure=on_failure) as vcycle:
+                         strategy=strategy, runtime=runtime) as vcycle:
             vcycle.cycle(b, x)  # warm the arenas
             best = float("inf")
             for _ in range(iterations):
@@ -146,9 +139,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_rows <= 0 or self.n_ranks <= 0 or self.ranks_per_node <= 0:
             raise ValidationError("sizes must be positive")
-        if self.n_ranks % self.ranks_per_node and self.n_ranks > self.ranks_per_node:
-            # Not fatal, but the last node would be partially filled; allow it.
-            pass
 
     # -- named configurations ------------------------------------------------------
 
@@ -235,26 +225,18 @@ class ExperimentContext:
 
     def measured_level_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
                              iterations: int = 3,
-                             runtime: str | None = None,
-                             n_workers: int | None = None,
-                             on_failure: str | None = None
+                             runtime: str | None = None
                              ) -> List[Dict[Variant, float]]:
         """World-stepped measured exchange-round times (see module helper)."""
         return measured_level_times(self.profiles, variants=variants,
-                                    iterations=iterations, runtime=runtime,
-                                    n_workers=n_workers,
-                                    on_failure=on_failure)
+                                    iterations=iterations, runtime=runtime)
 
     def measured_cycle_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
                              iterations: int = 3,
-                             runtime: str | None = None,
-                             n_workers: int | None = None,
-                             on_failure: str | None = None
+                             runtime: str | None = None
                              ) -> Dict[Variant, float]:
         """World-stepped measured whole-V-cycle times (see module helper)."""
         return measured_cycle_times(self.hierarchy, self.mapping,
                                     variants=variants,
                                     strategy=self.config.strategy,
-                                    iterations=iterations, runtime=runtime,
-                                    n_workers=n_workers,
-                                    on_failure=on_failure)
+                                    iterations=iterations, runtime=runtime)

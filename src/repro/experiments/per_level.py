@@ -77,9 +77,7 @@ class PerLevelResult:
 
 
 def executed_statistics(plan: CollectivePlan, *,
-                        runtime: str | None = None,
-                        n_workers: int | None = None,
-                        on_failure: str | None = None) -> PatternStatistics:
+                        runtime: str | None = None) -> PatternStatistics:
     """Statistics *observed* by executing one world-stepped exchange round.
 
     Runs the plan through the batched
@@ -94,9 +92,8 @@ def executed_statistics(plan: CollectivePlan, *,
     from repro.simmpi.profiler import TrafficProfiler
 
     profiler = TrafficProfiler(plan.mapping)
-    with WorldNeighborCollective(plan, profiler=profiler, runtime=runtime,
-                                 n_workers=n_workers,
-                                 on_failure=on_failure) as collective:
+    with WorldNeighborCollective(plan, profiler=profiler,
+                                 runtime=runtime) as collective:
         n_owned = int(collective.world.owned_offsets[-1])
         collective.exchange(np.zeros(n_owned, dtype=collective.dtype))
     sources, dests, nbytes = profiler.data_columns()
@@ -111,9 +108,7 @@ def executed_cycle_statistics(hierarchy, mapping, *,
                               variant: Variant | str = Variant.PARTIAL,
                               strategy=None,
                               pre_sweeps: int = 1, post_sweeps: int = 1,
-                              runtime: str | None = None,
-                              n_workers: int | None = None,
-                              on_failure: str | None = None
+                              runtime: str | None = None
                               ) -> List[PatternStatistics]:
     """Per-level statistics observed by executing one whole world-stepped V-cycle.
 
@@ -134,8 +129,7 @@ def executed_cycle_statistics(hierarchy, mapping, *,
     profilers = [TrafficProfiler(mapping) for _ in range(hierarchy.n_levels)]
     with WorldVCycle(hierarchy, mapping, variant=variant, strategy=strategy,
                      pre_sweeps=pre_sweeps, post_sweeps=post_sweeps,
-                     level_profilers=profilers, runtime=runtime,
-                     n_workers=n_workers, on_failure=on_failure) as vcycle:
+                     level_profilers=profilers, runtime=runtime) as vcycle:
         n = vcycle.n_rows
         vcycle.cycle(np.ones(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
     n_ranks = hierarchy.levels[0].matrix.n_ranks

@@ -167,11 +167,15 @@ def reference_halo_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
 
 def reference_sends_from_parcsr(matrix: ParCSRMatrix
                                 ) -> Dict[int, Dict[int, np.ndarray]]:
-    """Seed ``build_comm_pkg`` send side: per-rank, per-owner dict assembly."""
-    partition = matrix.partition
+    """Seed comm-package send side: per-rank, per-owner dict assembly.
+
+    Needed columns come from the per-rank ``local_blocks`` oracle and their
+    owners from the *column* partition, so grid transfers resolve correctly.
+    """
+    partition = matrix.col_partition
     sends: Dict[int, Dict[int, np.ndarray]] = {}
     for rank in partition.iter_ranks():
-        needed = matrix.offd_columns(rank)
+        needed = matrix.local_blocks(rank).col_map_offd
         if needed.size == 0:
             continue
         owners = partition.owners_of(needed)

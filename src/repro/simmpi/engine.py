@@ -74,8 +74,8 @@ WorldValues = Union[Sequence[np.ndarray], np.ndarray]
 RUNTIME_ENV = "REPRO_RUNTIME"
 
 #: Environment variable that flips the default worker-failure policy for
-#: every ``runtime="procs"`` engine (and the ``on_failure=`` keywords of the
-#: user surface) in the process.
+#: every ``runtime="procs"`` engine in the process — the way to set it for
+#: engines a collective, SpMV or V-cycle creates itself.
 ON_FAILURE_ENV = "REPRO_ON_FAILURE"
 
 #: Runtimes the engine itself executes.  ``"threads"`` is a *user-surface*

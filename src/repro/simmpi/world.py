@@ -41,23 +41,20 @@ class SimWorld:
                        traffic_callback=callback)
 
     def exchange_engine(self, *, runtime: str | None = None,
-                        n_workers: int | None = None,
-                        on_failure: str | None = None) -> "ExchangeEngine":
+                        n_workers: int | None = None) -> "ExchangeEngine":
         """Create a world-stepped :class:`ExchangeEngine` over this world's ranks.
 
         The engine shares the world's profiler, so batched data-path traffic
         lands in the same counters as envelope-routed traffic — the two
         execution paths report identical totals for the same plan.
         ``runtime``/``n_workers`` select the engine's execution backend
-        (serial kernels or the shared-memory worker pool) and ``on_failure``
-        its worker-failure policy; see
+        (serial kernels or the shared-memory worker pool); see
         :class:`~repro.simmpi.engine.ExchangeEngine`.
         """
         from repro.simmpi.engine import ExchangeEngine
 
         return ExchangeEngine(self.n_ranks, profiler=self.profiler,
-                              runtime=runtime, n_workers=n_workers,
-                              on_failure=on_failure)
+                              runtime=runtime, n_workers=n_workers)
 
     def run(self, program: Callable[..., Any], *args: Any,
             rank_args: Optional[Sequence[tuple]] = None) -> List[Any]:

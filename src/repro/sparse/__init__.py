@@ -3,10 +3,10 @@
 This package is the stand-in for Hypre's ParCSR layer: matrices are stored
 globally (scipy CSR) together with a row partition over simulated ranks, and
 every rank-local view that a real distributed code would hold — the diagonal
-block, the off-diagonal block with its ``col_map_offd``, and the communication
-package describing which off-process vector entries the rank needs — is derived
-from that pair.  The communication package *is* the communication pattern the
-neighborhood collectives optimize.
+block, the off-diagonal block with its ``col_map_offd``, and the description
+of which off-process vector entries the rank needs — is derived from that
+pair.  That description (hypre's communication package) *is* the
+communication pattern the neighborhood collectives optimize.
 """
 
 from repro.sparse.partition import RowPartition
@@ -21,11 +21,7 @@ from repro.sparse.parcsr import (
     ParCSRMatrix,
     LocalBlocks,
 )
-from repro.sparse.comm_pkg import (
-    CommPkg,
-    build_comm_pkg,
-    pattern_from_parcsr,
-)
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.spmv import (
     sequential_spmv,
     distributed_spmv_results,
@@ -48,8 +44,6 @@ __all__ = [
     "poisson_3d",
     "ParCSRMatrix",
     "LocalBlocks",
-    "CommPkg",
-    "build_comm_pkg",
     "pattern_from_parcsr",
     "sequential_spmv",
     "distributed_spmv_results",

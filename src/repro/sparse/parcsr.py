@@ -271,22 +271,6 @@ class ParCSRMatrix:
                     col_map_offd=stacked.col_map_offd[g0:g1])
         return [self._block_cache[rank] for rank in range(self.n_ranks)]
 
-    def offd_columns(self, rank: int) -> np.ndarray:
-        """Global input-vector entries ``rank`` needs for a product but does not own.
-
-        Computed directly from the CSR structure (without materialising the
-        rank's diag/offd blocks) because the experiment harness calls this for
-        every rank of every AMG level at up to thousands of simulated ranks.
-        """
-        if rank in self._block_cache:
-            return self._block_cache[rank].col_map_offd.copy()
-        first, last = self.partition.row_range(rank)
-        col_first, col_last = self.col_partition.row_range(rank)
-        start, stop = self.matrix.indptr[first], self.matrix.indptr[last]
-        cols = self.matrix.indices[start:stop]
-        outside = cols[(cols < col_first) | (cols >= col_last)]
-        return np.unique(outside).astype(np.int64)
-
     # -- convenience -------------------------------------------------------------------
 
     def spmv(self, x: np.ndarray) -> np.ndarray:

@@ -48,11 +48,13 @@ import scipy.sparse as sp
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init, neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
+from repro.pattern.builders import neighbor_lists
+from repro.pattern.comm_pattern import CommPattern
 from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ENGINE_RUNTIMES, ExchangeEngine, default_runtime
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
@@ -81,20 +83,18 @@ def _halo_positions(col_map_offd: np.ndarray, recv_ids: np.ndarray) -> np.ndarra
     return np.searchsorted(col_map_offd, recv_ids)
 
 
-def _init_rank_collective(comm: SimComm, pkg, mapping: RankMapping,
-                          variant: Variant | str, strategy: BalanceStrategy):
-    """One rank's persistent collective from a comm package (collective call).
+def _init_rank_collective(comm: SimComm, pattern: CommPattern,
+                          mapping: RankMapping, variant: Variant | str,
+                          strategy: BalanceStrategy):
+    """One rank's persistent collective from the matrix's pattern (collective call).
 
-    Derive this rank's send/recv maps and neighbor lists from the package,
-    create the graph communicator, and initialise the persistent collective.
+    Take this rank's send/recv maps from the pattern, create the graph
+    communicator over their peers, and initialise the persistent collective.
     """
-    send_items = pkg.send_map(comm.rank)
-    recv_items = pkg.recv_map(comm.rank)
-    sources = np.array(sorted(recv_items), dtype=np.int64)
-    destinations = np.array(sorted(send_items), dtype=np.int64)
-    graph_comm = dist_graph_create_adjacent(comm, sources, destinations,
-                                            validate=False)
-    return neighbor_alltoallv_init(graph_comm, send_items, recv_items, mapping,
+    graph_comm = dist_graph_create_adjacent(
+        comm, *neighbor_lists(pattern, comm.rank), validate=False)
+    return neighbor_alltoallv_init(graph_comm, pattern.send_map(comm.rank),
+                                   pattern.recv_map(comm.rank), mapping,
                                    variant=variant, strategy=strategy,
                                    dtype=np.float64)
 
@@ -154,15 +154,16 @@ class DistributedSpMV:
         self.mapping = mapping
         self.rank = comm.rank
         self.blocks = matrix.local_blocks(self.rank)
+        self.diag = self.blocks.diag
         self.row_range = self.blocks.row_range
         self.col_range = self.blocks.col_range
 
-        # The collective is built from the comm-pkg index arrays directly —
+        # The collective is built from the pattern's index arrays directly —
         # no per-item list conversion at the boundary.  An injected
         # ``collective`` (e.g. from a batched ``neighbor_alltoallv_init_many``
         # covering a whole hierarchy's setup) skips the per-instance gather.
         if collective is None:
-            collective = _init_rank_collective(comm, build_comm_pkg(matrix),
+            collective = _init_rank_collective(comm, pattern_from_parcsr(matrix),
                                                mapping, variant, strategy)
         self.collective = collective
         # The halo exchange is array-native: precompute the index arrays that
@@ -196,7 +197,7 @@ class DistributedSpMV:
             )
         halo = self.collective.exchange(x_local[self._owned_positions])
 
-        result = self.blocks.diag @ x_local
+        result = self.diag @ x_local
         if self.blocks.n_offd_cols:
             x_offd = np.zeros(self.blocks.n_offd_cols, dtype=np.float64)
             x_offd[self._halo_positions] = halo
@@ -222,17 +223,15 @@ class WorldSpMV:
                  engine: ExchangeEngine | None = None,
                  profiler: TrafficProfiler | None = None,
                  runtime: str | None = None,
-                 n_workers: int | None = None,
-                 on_failure: str | None = None):
+                 n_workers: int | None = None):
         check_mapping_covers(mapping, matrix.n_ranks)
         self.matrix = matrix
         self.mapping = mapping
         self.n_ranks = matrix.n_ranks
-        pattern = pattern_from_parcsr(matrix)
         self.collective = neighbor_alltoallv_init_world(
-            pattern, mapping, variant=variant, strategy=strategy,
-            engine=engine, profiler=profiler, runtime=runtime,
-            n_workers=n_workers, on_failure=on_failure)
+            pattern_from_parcsr(matrix), mapping, variant=variant,
+            strategy=strategy, engine=engine, profiler=profiler,
+            runtime=runtime, n_workers=n_workers)
         stacked = matrix.stacked_blocks()
         world = self.collective.world
         self.diag = stacked.diag

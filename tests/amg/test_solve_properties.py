@@ -5,7 +5,9 @@ diffusion systems the experiments build (convergence factor < 1, monotone
 residual history), for the seed solver and the world-stepped solver alike;
 and :meth:`SolveResult.convergence_factor` must behave at its edges — zero
 iterations, an exact initial guess, and the ``residual_norms[0] == 0.0``
-early-return path.
+early-return path.  Both solvers run the one ``stationary_solve`` loop, and
+both V-cycles the one smoother class; the early return and the
+``max_iterations`` exhaustion are pinned through each.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.amg.solver import BoomerAMGSolver, SolveResult
-from repro.amg.vcycle import WorldAMGSolver
+from repro.amg.vcycle import DistributedVCycle, WorldAMGSolver, WorldVCycle
+from repro.simmpi.world import run_spmd
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import rotated_anisotropic_diffusion
@@ -70,6 +73,18 @@ def test_seed_and_world_convergence_factors_agree(anisotropic_matrix,
     assert abs(world.convergence_factor() - seed.convergence_factor()) < 1e-8
 
 
+def test_both_cycles_smooth_with_the_same_class(anisotropic_hierarchy, mapping):
+    def program(comm):
+        cycle = DistributedVCycle(comm, anisotropic_hierarchy, mapping)
+        return [type(level.smoother) for level in cycle.levels]
+
+    per_rank = run_spmd(8, program, timeout=120)
+    with WorldVCycle(anisotropic_hierarchy, mapping) as world:
+        world_classes = [type(level.smoother) for level in world.levels]
+    assert world_classes and len(set(world_classes)) == 1
+    assert all(classes == world_classes for classes in per_rank)
+
+
 class TestSolveResultEdgeCases:
     def test_zero_iterations_has_zero_convergence_factor(self):
         result = SolveResult(solution=np.zeros(3), residual_norms=[1.0],
@@ -105,6 +120,27 @@ class TestSolveResultEdgeCases:
         assert result.convergence_factor() == 0.0
         assert np.array_equal(result.solution,
                               np.zeros(anisotropic_matrix.n_rows))
+
+    @pytest.mark.parametrize("make_solver", ["seed", "world"])
+    def test_max_iterations_exhaustion(self, anisotropic_matrix,
+                                       anisotropic_hierarchy, mapping,
+                                       make_solver):
+        """An unreachable tolerance stops at ``max_iterations``, unconverged."""
+        if make_solver == "seed":
+            solver = BoomerAMGSolver(anisotropic_matrix,
+                                     hierarchy=anisotropic_hierarchy)
+        else:
+            solver = WorldAMGSolver(anisotropic_matrix, mapping,
+                                    hierarchy=anisotropic_hierarchy)
+        result = solver.solve(np.ones(anisotropic_matrix.n_rows), tol=0.0,
+                              max_iterations=3)
+        assert not result.converged
+        assert result.iterations == 3
+        assert len(result.residual_norms) == 4
+        zero_budget = solver.solve(np.ones(anisotropic_matrix.n_rows),
+                                   max_iterations=0)
+        assert not zero_budget.converged and zero_budget.iterations == 0
+        assert len(zero_budget.residual_norms) == 1
 
     def test_exact_initial_guess_early_return_seed(self, anisotropic_matrix,
                                                    anisotropic_hierarchy, rng):

@@ -2,8 +2,8 @@
 
 The CSR-native pattern construction (PR 3) must be a pure storage/performance
 change: for every producer — edge-list builder, random generator, halo
-builder, ParCSR comm package, and the collective gather in the API — the CSR
-build has to produce *byte-identical* ``edge_arrays()`` / ``unique_edge_table()``
+builder, ParCSR halo pattern (``A``, ``P`` and ``Pᵀ``), and the collective
+gather in the API — the CSR build has to produce *byte-identical* ``edge_arrays()`` / ``unique_edge_table()``
 columns, equal patterns (``__eq__``/``__hash__`` invariant across construction
 routes), identical plan phases, and identical statistics to the seed's
 edge-by-edge dict construction, which is preserved in
@@ -31,9 +31,10 @@ from repro.pattern.reference import (
     reference_random_pattern,
     reference_sends_from_parcsr,
 )
+from repro.amg.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
 from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.sparse import pattern_from_parcsr, strong_scaling_problem
+from repro.sparse import comm_pkg, pattern_from_parcsr, strong_scaling_problem
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
 
@@ -57,6 +58,17 @@ def assert_tables_identical(csr_pattern: CommPattern, reference: DictPattern):
         assert ours.tobytes() == theirs.tobytes()
 
 
+def _parcsr_pair(operator):
+    """CSR build vs the dict build on a cache-free twin (its own per-rank split)."""
+    return lambda: (pattern_from_parcsr(operator()),
+                    reference_pattern_from_parcsr(operator()))
+
+
+def _transfer(name):
+    hierarchy = build_hierarchy(strong_scaling_problem(1024, 8).matrix, seed=1)
+    return getattr(hierarchy, name)(0)
+
+
 CASES = {
     "edges": lambda: (pattern_from_edges(16, EDGE_TRIPLES),
                       reference_pattern_from_edges(16, EDGE_TRIPLES)),
@@ -75,9 +87,9 @@ CASES = {
         reference_halo_pattern((2, 3), points_per_cell=4, periodic=True)),
     "empty": lambda: (pattern_from_edges(8, []),
                       reference_pattern_from_edges(8, [])),
-    "parcsr": lambda: (
-        pattern_from_parcsr(strong_scaling_problem(4096, 16).matrix),
-        reference_pattern_from_parcsr(strong_scaling_problem(4096, 16).matrix)),
+    "parcsr": _parcsr_pair(lambda: strong_scaling_problem(4096, 16).matrix),
+    "parcsr-prolongation": _parcsr_pair(lambda: _transfer("prolongation_matrix")),
+    "parcsr-restriction": _parcsr_pair(lambda: _transfer("restriction_matrix")),
 }
 
 
@@ -130,26 +142,29 @@ def test_gathered_pattern_matches_local_build():
 
 
 class TestCommPkgColumnarViews:
-    """The comm package's dict accessors are views of the packed CSR sides."""
+    """The pattern's dict accessors are views of its packed CSR columns."""
 
     def test_views_match_reference_dicts(self):
         matrix = strong_scaling_problem(4096, 16).matrix
-        from repro.sparse.comm_pkg import build_comm_pkg
-        pkg = build_comm_pkg(matrix)
+        pattern = pattern_from_parcsr(matrix)
         reference_sends = reference_sends_from_parcsr(matrix)
-        assert set(pkg.send_items) == set(reference_sends)
+        ranks = range(matrix.n_ranks)
+        assert {src for src in ranks if pattern.send_map(src)} \
+            == set(reference_sends)
         for src, dests in reference_sends.items():
-            assert set(pkg.send_items[src]) == set(dests)
+            assert set(pattern.send_map(src)) == set(dests)
             for dest, items in dests.items():
-                np.testing.assert_array_equal(pkg.send_items[src][dest], items)
+                np.testing.assert_array_equal(pattern.send_map(src)[dest], items)
         # recv side is the transpose of the send side.
-        for rank, recv in pkg.recv_items.items():
+        for rank in ranks:
+            recv = pattern.recv_map(rank)
             for src, items in recv.items():
-                np.testing.assert_array_equal(pkg.send_items[src][rank], items)
-            assert pkg.total_recv_items(rank) == sum(a.size for a in recv.values())
-            sources, destinations = pkg.neighbors(rank)
-            assert sources == sorted(recv.keys())
-            assert destinations == sorted(pkg.send_items.get(rank, {}).keys())
+                np.testing.assert_array_equal(pattern.send_map(src)[rank], items)
+                assert items.base is pattern.csr()[3]
+            assert matrix.local_blocks(rank).col_map_offd.size \
+                == sum(a.size for a in recv.values())
+            assert pattern.recv_ranks(rank) == sorted(recv.keys())
+            assert pattern.send_ranks(rank) == sorted(pattern.send_map(rank))
 
 
 class TestCsrConstructor:
@@ -176,14 +191,17 @@ class TestCsrConstructor:
         assert items is pattern.csr()[3]
         assert not items.flags.writeable
 
-    def test_frozen_producer_columns_stored_without_copy(self):
+    def test_frozen_producer_columns_stored_without_copy(self, monkeypatch):
         """Producers that freeze their columns share storage with the pattern."""
         matrix = strong_scaling_problem(1024, 8).matrix
-        from repro.sparse.comm_pkg import build_comm_pkg
-        pkg = build_comm_pkg(matrix)
-        pattern = CommPattern.from_csr(matrix.n_ranks, *pkg.send_csr)
-        for pkg_column, pattern_column in zip(pkg.send_csr, pattern.csr()):
-            assert pattern_column is pkg_column
+        produced = []
+        group = comm_pkg.group_rows_to_csr
+        monkeypatch.setattr(comm_pkg, "group_rows_to_csr", lambda *rows: (
+            produced.append(group(*rows)), produced[-1])[1])
+        pattern = pattern_from_parcsr(matrix)
+        assert len(produced) == 1 and pattern.n_messages
+        for produced_column, pattern_column in zip(produced[0], pattern.csr()):
+            assert pattern_column is produced_column
 
     def test_rejects_inconsistent_offsets(self):
         src_offsets, dests, item_offsets, items = self._columns()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.amg.relax import DistributedJacobi, WorldJacobi, jacobi
+from repro.amg.relax import DistributedJacobi, jacobi
 from repro.collectives.plan import Variant
 from repro.simmpi.world import run_spmd
 from repro.sparse.spmv import (
@@ -70,7 +70,7 @@ def test_world_jacobi_byte_identical_to_threaded_smoother(
     per_rank = run_spmd(matrix.n_ranks, program, timeout=120)
     threaded = np.concatenate([np.asarray(values) for values in per_rank])
 
-    smoother = WorldJacobi(WorldSpMV(matrix, mapping, variant=variant))
+    smoother = DistributedJacobi(WorldSpMV(matrix, mapping, variant=variant))
     world_stepped = smoother.smooth(b, x0, sweeps=sweeps)
 
     assert np.array_equal(world_stepped, threaded)

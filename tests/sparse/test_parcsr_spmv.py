@@ -1,15 +1,15 @@
-"""Unit tests for ParCSR matrices, communication packages, and distributed SpMV."""
+"""Unit tests for ParCSR matrices, their communication patterns, and distributed SpMV."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.amg.hierarchy import build_hierarchy
-from repro.amg.relax import DistributedJacobi, WorldJacobi
+from repro.amg.relax import DistributedJacobi
 from repro.collectives.plan import Variant
 from repro.pattern.validation import validate_pattern
 from repro.simmpi.world import run_spmd
-from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import (
@@ -37,7 +37,7 @@ class TestParCSRMatrix:
         mapping = paper_mapping(2, ranks_per_node=2)
         with WorldSpMV(matrix, mapping) as spmv:
             with pytest.raises(ValidationError, match="one partition"):
-                WorldJacobi(spmv)
+                DistributedJacobi(spmv)
 
         def program(comm):
             spmv = DistributedSpMV(comm, matrix, mapping)
@@ -80,11 +80,15 @@ class TestParCSRMatrix:
             assert np.all((col_map < first) | (col_map >= last))
 
     def test_offd_columns_fast_path_matches_blocks(self, small_anisotropic_matrix):
+        """The one-pass stacked split names the same off-process columns as
+        every rank's scipy slicing."""
         matrix = small_anisotropic_matrix
+        stacked = matrix.stacked_blocks()
         for rank in range(matrix.n_ranks):
-            fast = matrix.offd_columns(rank)
+            lo, hi = stacked.offd_offsets[rank:rank + 2]
             blocks = matrix.local_blocks(rank)
-            np.testing.assert_array_equal(fast, blocks.col_map_offd)
+            np.testing.assert_array_equal(stacked.col_map_offd[lo:hi],
+                                          blocks.col_map_offd)
 
     def test_single_rank_has_no_offd(self):
         matrix = ParCSRMatrix(poisson_2d((8, 8)), RowPartition.even(64, 1))
@@ -103,26 +107,29 @@ class TestParCSRMatrix:
 
 
 class TestCommPkg:
+    """What hypre keeps in a comm package, read off ``pattern_from_parcsr``."""
+
     def test_send_and_recv_sides_are_transposes(self, small_anisotropic_matrix):
-        pkg = build_comm_pkg(small_anisotropic_matrix)
-        for rank, recv in pkg.recv_items.items():
-            for src, items in recv.items():
-                np.testing.assert_array_equal(pkg.send_items[src][rank], items)
+        pattern = pattern_from_parcsr(small_anisotropic_matrix)
+        for rank in range(pattern.n_ranks):
+            for src, items in pattern.recv_map(rank).items():
+                np.testing.assert_array_equal(pattern.send_map(src)[rank], items)
 
     def test_recv_items_are_exactly_offd_columns(self, small_anisotropic_matrix):
-        pkg = build_comm_pkg(small_anisotropic_matrix)
+        pattern = pattern_from_parcsr(small_anisotropic_matrix)
         for rank in range(small_anisotropic_matrix.n_ranks):
-            needed = small_anisotropic_matrix.offd_columns(rank)
+            needed = small_anisotropic_matrix.local_blocks(rank).col_map_offd
             received = np.sort(np.concatenate(
-                [items for items in pkg.recv_map(rank).values()])) \
-                if pkg.recv_map(rank) else np.empty(0, dtype=np.int64)
+                [items for items in pattern.recv_map(rank).values()])) \
+                if pattern.recv_map(rank) else np.empty(0, dtype=np.int64)
             np.testing.assert_array_equal(received, needed)
 
     def test_neighbors_sorted(self, small_anisotropic_matrix):
-        pkg = build_comm_pkg(small_anisotropic_matrix)
-        sources, destinations = pkg.neighbors(5)
-        assert sources == sorted(sources)
-        assert destinations == sorted(destinations)
+        pattern = pattern_from_parcsr(small_anisotropic_matrix)
+        sources, destinations = pattern.recv_ranks(5), pattern.send_ranks(5)
+        assert sources and destinations
+        assert sources == sorted(sources) == list(pattern.recv_map(5))
+        assert destinations == sorted(destinations) == list(pattern.send_map(5))
 
     def test_pattern_from_parcsr_valid(self, small_anisotropic_matrix):
         pattern = pattern_from_parcsr(small_anisotropic_matrix)
@@ -136,10 +143,10 @@ class TestCommPkg:
             assert np.all(partition.owners_of(items) == src)
 
     def test_total_recv_items(self, small_anisotropic_matrix):
-        pkg = build_comm_pkg(small_anisotropic_matrix)
+        pattern = pattern_from_parcsr(small_anisotropic_matrix)
         for rank in range(small_anisotropic_matrix.n_ranks):
-            assert pkg.total_recv_items(rank) == \
-                small_anisotropic_matrix.offd_columns(rank).size
+            assert sum(items.size for items in pattern.recv_map(rank).values()) == \
+                small_anisotropic_matrix.local_blocks(rank).col_map_offd.size
 
 
 class TestDistributedSpMV:

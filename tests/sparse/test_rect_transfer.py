@@ -17,7 +17,7 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.collectives.plan import Variant
-from repro.sparse.comm_pkg import build_comm_pkg, pattern_from_parcsr
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV, distributed_spmv_results
@@ -64,8 +64,10 @@ class TestRectMatrix:
 
     def test_offd_columns_match_block_view(self, transfer_fixture):
         restriction = transfer_fixture.restriction_matrix(0)
+        stacked = restriction.stacked_blocks()
         for rank in range(restriction.n_ranks):
-            assert np.array_equal(restriction.offd_columns(rank),
+            lo, hi = stacked.offd_offsets[rank:rank + 2]
+            assert np.array_equal(stacked.col_map_offd[lo:hi],
                                   restriction.local_blocks(rank).col_map_offd)
 
     def test_transpose_swaps_partitions(self, transfer_fixture):
@@ -82,7 +84,7 @@ class TestTransferPattern:
         prolongation = transfer_fixture.prolongation_matrix(0)
         pattern = pattern_from_parcsr(prolongation)
         for rank in range(prolongation.n_ranks):
-            wanted = prolongation.offd_columns(rank)
+            wanted = prolongation.local_blocks(rank).col_map_offd
             received = pattern.recv_map(rank)
             got = np.sort(np.concatenate(list(received.values()))) \
                 if received else np.empty(0, dtype=np.int64)
@@ -98,11 +100,12 @@ class TestTransferPattern:
                 assert np.all(col_partition.owners_of(items) == src)
 
     def test_pkg_sides_are_transposes(self, transfer_fixture):
-        pkg = build_comm_pkg(transfer_fixture.restriction_matrix(0))
-        for rank in range(pkg.n_ranks):
-            for src, items in pkg.recv_map(rank).items():
+        pattern = pattern_from_parcsr(transfer_fixture.restriction_matrix(0))
+        assert pattern.n_messages
+        for rank in range(pattern.n_ranks):
+            for src, items in pattern.recv_map(rank).items():
                 assert np.array_equal(np.sort(items),
-                                      np.sort(pkg.send_map(src)[rank]))
+                                      np.sort(pattern.send_map(src)[rank]))
 
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,

@@ -7,12 +7,14 @@ rows of two world-sized CSR operators, and :class:`WorldSpMV` is
 * row slices of ``D``/``O`` equal every rank's per-rank ``local_blocks`` in
   data and in stored column *order* (the summation order), for square,
   rectangular (``P``, ``Pᵀ``), empty-rank and no-``offd``-rank operators;
+* the halo pattern built from the stacked split delivers every rank exactly
+  its per-rank ``col_map_offd``, so ``WorldSpMV`` runs on the cached ``O``;
 * ``WorldSpMV.multiply`` stays byte-identical to the envelope-routed
   thread-per-rank product;
 * a delivery order other than ascending-per-rank is folded into ``O`` once,
   and a delivered id set that is not the rank's ``col_map_offd`` raises;
 * structure, with no clock: the world path never builds a per-rank block,
-  and one product is one engine round.
+  splits each operator exactly once, and one product is one engine round.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.vcycle import WorldAMGSolver
 from repro.collectives import persistent
 from repro.collectives.plan import Variant
+from repro.sparse import parcsr
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV, _offd_on_halo, distributed_spmv_results
@@ -104,6 +108,20 @@ def test_row_slices_are_the_rank_blocks_in_data_and_column_order(operator):
                                           local.indices)
             np.testing.assert_array_equal(world.indptr[first:last + 1] - lo,
                                           local.indptr)
+
+
+def test_pattern_delivers_each_rank_its_col_map_offd(operator):
+    """One halo description: the pattern's receive side is the per-rank
+    oracle's column map, so ``_offd_on_halo`` takes its identity path."""
+    pattern = pattern_from_parcsr(operator)
+    for blocks in _reference_blocks(operator):
+        received = pattern.recv_map(blocks.rank)
+        got = np.sort(np.concatenate(list(received.values()))) \
+            if received else np.empty(0, dtype=np.int64)
+        np.testing.assert_array_equal(got, blocks.col_map_offd)
+    mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
+    with WorldSpMV(operator, mapping) as spmv:
+        assert spmv.offd is operator.stacked_blocks().offd
 
 
 def test_case_shapes_are_what_they_claim():
@@ -211,6 +229,9 @@ def test_world_solver_never_builds_a_rank_block_and_one_product_is_one_round(
 
     monkeypatch.setattr(ParCSRMatrix, "local_blocks", forbidden)
     monkeypatch.setattr(ParCSRMatrix, "all_local_blocks", forbidden)
+    split, stack = [], parcsr._stack_rank_blocks
+    monkeypatch.setattr(parcsr, "_stack_rank_blocks", lambda matrix, *partitions: (
+        split.append(matrix), stack(matrix, *partitions))[1])
     n_ranks = 64
     matrix = ParCSRMatrix(rotated_anisotropic_diffusion((32, 32)),
                           RowPartition.even(1024, n_ranks))     # 16 rows per rank
@@ -219,6 +240,10 @@ def test_world_solver_never_builds_a_rank_block_and_one_product_is_one_round(
     with WorldAMGSolver(matrix, mapping, variant=Variant.PARTIAL) as solver:
         cycle = solver.vcycle_executor
         assert len(cycle.levels) >= 2
+        # Pattern and product share one split: A, Pᵀ and P of every smoothed
+        # level, each exactly once.
+        assert len(split) == 3 * len(cycle.levels)
+        assert len({id(matrix) for matrix in split}) == len(split)
         x = solver.vcycle(b, np.zeros(matrix.n_rows))
         assert np.linalg.norm(cycle.residual(b, x)) < np.linalg.norm(b)
 
