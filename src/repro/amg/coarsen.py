@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.amg.strength import symmetrized_strength
+from repro.utils.arrays import _segment_max
 from repro.utils.errors import SolverError
 
 #: Marker values of the coarse/fine splitting array.
@@ -40,20 +41,6 @@ class SplittingResult:
     def coarse_rows(self) -> np.ndarray:
         """Fine-grid indices of the coarse points, ascending."""
         return np.flatnonzero(self.splitting == CPOINT).astype(np.int64)
-
-
-def _row_max(values: np.ndarray, graph: sp.csr_matrix) -> np.ndarray:
-    """Per-row maximum of ``values`` over the columns of ``graph`` (0 for empty rows)."""
-    n = graph.shape[0]
-    result = np.zeros(n, dtype=np.float64)
-    if graph.nnz == 0:
-        return result
-    entry_values = values[graph.indices]
-    row_sizes = np.diff(graph.indptr)
-    nonempty = np.flatnonzero(row_sizes > 0)
-    maxima = np.maximum.reduceat(entry_values, graph.indptr[nonempty])
-    result[nonempty] = maxima
-    return result
 
 
 def pmis_coarsening(strength: sp.spmatrix, *, seed: int = 42,
@@ -95,7 +82,8 @@ def pmis_coarsening(strength: sp.spmatrix, *, seed: int = 42,
         if not undecided.any():
             break
         active_weights = np.where(undecided, weights, -np.inf)
-        neighbor_max = _row_max(np.where(np.isfinite(active_weights), active_weights, -np.inf), sym)
+        finite_weights = np.where(np.isfinite(active_weights), active_weights, -np.inf)
+        neighbor_max = _segment_max(finite_weights[sym.indices], sym.indptr)
         # A point becomes coarse when it is undecided and beats every undecided
         # strongly-coupled neighbour.
         new_coarse = undecided & (weights > neighbor_max)

@@ -3,6 +3,12 @@
 The coarse operator is the triple product ``A_c = R A P`` with ``R = P^T``;
 small entries can optionally be truncated, which is what keeps coarse operators
 from filling in completely (hypre's ``truncation factor``).
+
+Truncation is three passes over the stored entries, never a row loop: per-row
+maximum off-diagonal magnitude (one segmented ``np.maximum``), drop mask (one
+comparison against it), dropped values ``bincount``-ed onto the diagonal.  The
+result is the row-loop oracle's under ``tests/amg/`` exactly, but for rows that
+drop eight or more entries: those are summed left to right (``rtol=1e-13``).
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.arrays import _segment_max
 from repro.utils.errors import ValidationError
 
 
@@ -41,24 +48,13 @@ def galerkin_product(A: sp.spmatrix, P: sp.spmatrix, *,
 def _truncate(matrix: sp.csr_matrix, truncation: float) -> sp.csr_matrix:
     n = matrix.shape[0]
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    keep = np.ones_like(data, dtype=bool)
-    diag_addition = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        start, end = indptr[i], indptr[i + 1]
-        if start == end:
-            continue
-        row_cols = indices[start:end]
-        row_vals = data[start:end]
-        off = row_cols != i
-        if not off.any():
-            continue
-        threshold = truncation * np.abs(row_vals[off]).max()
-        drop = off & (np.abs(row_vals) < threshold)
-        if not drop.any():
-            continue
-        keep[start:end][drop] = False
-        diag_addition[i] = row_vals[drop].sum()
     rows = np.repeat(np.arange(n), np.diff(indptr))
+    off = indices != rows
+    magnitude = np.abs(data)
+    row_max = _segment_max(np.where(off, magnitude, 0.0), indptr)
+    drop = off & (magnitude < truncation * row_max[rows])
+    diag_addition = np.bincount(rows, weights=np.where(drop, data, 0.0), minlength=n)
+    keep = ~drop
     truncated = sp.csr_matrix((data[keep], (rows[keep], indices[keep])),
                               shape=matrix.shape)
     truncated = truncated + sp.diags(diag_addition)

@@ -186,6 +186,11 @@ def build_hierarchy(matrix: ParCSRMatrix, *,
     check_one_partition(matrix, "build_hierarchy")
     if not 0.0 < min_coarsening_ratio <= 1.0:
         raise ValidationError("min_coarsening_ratio must lie in (0, 1]")
+    # NaN fails every set-up comparison silently; the solve would return NaN norms.
+    bad = np.flatnonzero(~np.isfinite(matrix.matrix.data))
+    if bad.size:
+        row = int(np.searchsorted(matrix.matrix.indptr, bad[0], side="right")) - 1
+        raise ValidationError(f"operator has a non-finite entry in row {row}")
 
     hierarchy = AMGHierarchy()
     current = matrix

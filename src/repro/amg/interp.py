@@ -6,6 +6,19 @@ so that constants are (approximately) reproduced; C-points are injected.  This
 is the simplest of BoomerAMG's interpolation operators and, combined with PMIS
 coarsening, produces the growing-stencil coarse operators whose communication
 behaviour the paper studies.
+
+``P`` is built in passes over ``A``'s stored entries, never row by row: rows
+are expanded once (``np.repeat`` over ``indptr``); an entry is *strong-C* when
+its column is a C-point and its ``(row, col)`` is in ``S``'s structure (one
+sorted-key ``searchsorted`` over ``row * n + col``, so explicit zeros in ``S``
+count and ``S`` entries absent from ``A`` contribute nothing); the four row sums
+are ``np.bincount`` with weights; ``alpha``, ``beta`` and the lumped diagonal are
+vector expressions; injections and weights go into one ``csr_matrix`` call.
+
+Contract, pinned against the row-loop oracle by
+``tests/amg/test_interp_equivalence.py``: pattern exactly the loop's, weights to
+``rtol=1e-13``.  ``bincount`` adds a row left to right, as ``ndarray.sum`` does
+below eight terms (rows with < 8 off-diagonals are bit-equal) but not beyond.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.amg.coarsen import CPOINT, SplittingResult
+from repro.utils.arrays import INDEX_DTYPE
 from repro.utils.errors import SolverError, ValidationError
 
 
@@ -28,6 +42,20 @@ def direct_interpolation(matrix: sp.spmatrix, strength: sp.spmatrix,
     computed separately over negative and positive off-diagonal couplings (the
     discretisations used here only have negative ones).  F-points with no
     strong C-neighbour get an empty row — their error is left to relaxation.
+
+    1-D Poisson on five points, coarsened to points 0, 2 and 4: each F-point
+    averages its two C-neighbours.
+
+    >>> A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5), format="csr")
+    >>> S = sp.csr_matrix(abs(A - sp.diags(A.diagonal())))
+    >>> cf = SplittingResult(splitting=np.array([1, 0, 1, 0, 1]),
+    ...                      coarse_index=np.array([0, -1, 1, -1, 2]))
+    >>> print(direct_interpolation(A, S, cf).toarray())
+    [[1.  0.  0. ]
+     [0.5 0.5 0. ]
+     [0.  1.  0. ]
+     [0.  0.5 0.5]
+     [0.  0.  1. ]]
     """
     A = sp.csr_matrix(matrix)
     S = sp.csr_matrix(strength)
@@ -36,67 +64,52 @@ def direct_interpolation(matrix: sp.spmatrix, strength: sp.spmatrix,
         raise ValidationError("interpolation requires a square matrix")
     if splitting.splitting.shape != (n,):
         raise ValidationError("splitting size does not match the matrix")
-    n_coarse = splitting.n_coarse
-    if n_coarse == 0:
+    if splitting.n_coarse == 0:
         raise SolverError("cannot interpolate to an empty coarse grid")
 
     diag = A.diagonal()
     if np.any(diag == 0.0):
         raise SolverError("direct interpolation requires non-zero diagonal entries")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
+    # One row id per stored entry; everything below is a pass over the entries.
     is_coarse = splitting.splitting == CPOINT
-    coarse_index = splitting.coarse_index
+    row_ids = np.arange(n, dtype=INDEX_DTYPE)
+    rows = np.repeat(row_ids, np.diff(A.indptr))
+    cols = A.indices.astype(INDEX_DTYPE, copy=False)
+    vals = A.data
 
-    for i in range(n):
-        if is_coarse[i]:
-            rows.append(i)
-            cols.append(int(coarse_index[i]))
-            vals.append(1.0)
-            continue
-        # Strong C-neighbours of i.
-        strong_cols = S.indices[S.indptr[i]:S.indptr[i + 1]]
-        strong_c = strong_cols[is_coarse[strong_cols]]
-        if strong_c.size == 0:
-            continue
-        row_start, row_end = A.indptr[i], A.indptr[i + 1]
-        row_cols = A.indices[row_start:row_end]
-        row_vals = A.data[row_start:row_end]
-        off_mask = row_cols != i
-        neg_mask = off_mask & (row_vals < 0)
-        pos_mask = off_mask & (row_vals > 0)
+    # Strong-C entries of F-rows.  The -1 sentinel sorts below every key, so
+    # "last key <= query" always exists: no bounds case, none for an empty S.
+    strong_keys = np.sort(np.append(
+        np.repeat(row_ids, np.diff(S.indptr)) * n + S.indices, -1))
+    keys = rows * n + cols
+    in_strength = strong_keys[np.searchsorted(strong_keys, keys, side="right") - 1] == keys
+    strong_c = in_strength & is_coarse[cols] & ~is_coarse[rows]
 
-        # Couplings to the strong C-neighbours.
-        in_strong_c = np.isin(row_cols, strong_c)
-        neg_c = neg_mask & in_strong_c
-        pos_c = pos_mask & in_strong_c
+    def row_sum(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights=np.where(mask, vals, 0.0), minlength=n)
 
-        neg_total = row_vals[neg_mask].sum()
-        pos_total = row_vals[pos_mask].sum()
-        neg_c_total = row_vals[neg_c].sum()
-        pos_c_total = row_vals[pos_c].sum()
+    off_diag = cols != rows
+    neg_c = strong_c & (vals < 0)
+    pos_c = strong_c & (vals > 0)
+    neg_total, neg_c_total = row_sum(off_diag & (vals < 0)), row_sum(neg_c)
+    pos_total, pos_c_total = row_sum(off_diag & (vals > 0)), row_sum(pos_c)
 
-        alpha = neg_total / neg_c_total if neg_c_total != 0 else 0.0
-        beta = pos_total / pos_c_total if pos_c_total != 0 else 0.0
+    # alpha / beta are 0 where the strong-C sum is 0; positive couplings with no
+    # positive C-neighbour are lumped into the diagonal (BoomerAMG's treatment).
+    alpha = np.divide(neg_total, neg_c_total, out=np.zeros(n), where=neg_c_total != 0)
+    beta = np.divide(pos_total, pos_c_total, out=np.zeros(n), where=pos_c_total != 0)
+    scale = diag + np.where(pos_c_total == 0, pos_total, 0.0)
 
-        scale = diag[i]
-        if pos_c_total == 0 and pos_total != 0:
-            # Positive couplings with no positive C-neighbour are lumped into
-            # the diagonal, the standard BoomerAMG treatment.
-            scale += pos_total
+    weighted = np.flatnonzero(neg_c | pos_c)
+    w_rows = rows[weighted]
+    factor = np.where(neg_c[weighted], alpha[w_rows], beta[w_rows])
+    weights = -factor * vals[weighted] / scale[w_rows]
 
-        for mask, factor in ((neg_c, alpha), (pos_c, beta)):
-            selected = np.flatnonzero(mask)
-            for entry in selected:
-                j = row_cols[entry]
-                weight = -factor * row_vals[entry] / scale
-                rows.append(i)
-                cols.append(int(coarse_index[j]))
-                vals.append(float(weight))
-
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n_coarse))
+    coarse_rows = np.flatnonzero(is_coarse)
+    p_rows = np.concatenate([coarse_rows, w_rows])
+    p_cols = splitting.coarse_index[np.concatenate([coarse_rows, cols[weighted]])]
+    p_vals = np.concatenate([np.ones(coarse_rows.size), weights])
+    P = sp.csr_matrix((p_vals, (p_rows, p_cols)), shape=(n, splitting.n_coarse))
     P.sum_duplicates()
     return P

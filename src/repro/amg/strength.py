@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.arrays import _segment_max
 from repro.utils.errors import ValidationError
 
 
@@ -40,21 +41,14 @@ def classical_strength(matrix: sp.spmatrix, theta: float = 0.25) -> sp.csr_matri
     data = A.data
 
     # Off-diagonal negative magnitude per entry; diagonal entries excluded.
-    off_diag_mask = indices != np.repeat(np.arange(n), np.diff(indptr))
+    row_of_entry = np.repeat(np.arange(n), np.diff(indptr))
+    off_diag_mask = indices != row_of_entry
     neg_magnitude = np.where(off_diag_mask, np.maximum(-data, 0.0), 0.0)
 
-    # Row-wise maximum of the negative magnitudes.
-    row_max = np.zeros(n, dtype=np.float64)
-    nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    if nonempty.size:
-        maxima = np.maximum.reduceat(neg_magnitude, indptr[nonempty])
-        row_max[nonempty] = maxima
-
-    threshold = theta * row_max
-    strong = off_diag_mask & (neg_magnitude >= np.repeat(threshold, np.diff(indptr))) \
+    threshold = theta * _segment_max(neg_magnitude, indptr)
+    strong = off_diag_mask & (neg_magnitude >= threshold[row_of_entry]) \
         & (neg_magnitude > 0.0)
 
-    row_of_entry = np.repeat(np.arange(n), np.diff(indptr))
     strength = sp.csr_matrix(
         (np.ones(np.count_nonzero(strong)),
          (row_of_entry[strong], indices[strong])),

@@ -100,10 +100,27 @@ def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
     return traffic
 
 
+def _pair_loads(pattern: CommPattern, mapping: RankMapping) -> Dict[int, Dict[int, float]]:
+    """``loads[src_region][dest_region]``: items (duplicates included) per
+    inter-region pair, regions ascending.  One ``unique`` + ``bincount`` over the
+    pattern's edge columns: Python objects are made per pair, never per edge."""
+    src_regions = mapping.region_of_many(pattern.edge_sources())
+    dest_regions = mapping.region_of_many(pattern.csr()[1])
+    inter = src_regions != dest_regions
+    keys = src_regions[inter] * mapping.n_regions + dest_regions[inter]
+    pair_keys, pair_of_edge = np.unique(keys, return_inverse=True)
+    pair_items = np.bincount(pair_of_edge, weights=pattern.edge_item_counts()[inter])
+    loads: Dict[int, Dict[int, float]] = {}
+    for key, items in zip(pair_keys.tolist(), pair_items.tolist()):
+        src_region, dest_region = divmod(key, mapping.n_regions)
+        loads.setdefault(src_region, {})[dest_region] = items
+    return loads
+
+
 def _assign(members: np.ndarray, targets: Sequence[int], loads: Dict[int, float],
             strategy: BalanceStrategy) -> Dict[int, int]:
     """Assign each target id to one member rank according to ``strategy``."""
-    members = list(int(m) for m in members)
+    members = members.tolist()
     if not members:
         raise PlanError("cannot assign aggregation leaders in an empty region")
     assignment: Dict[int, int] = {}
@@ -137,15 +154,11 @@ def setup_aggregation(pattern: CommPattern, mapping: RankMapping, *,
     ``MPI_Neighbor_alltoallv_init``.
     """
     strategy = BalanceStrategy(strategy)
-    traffic = collect_region_traffic(pattern, mapping)
-
     send_leader: Dict[Tuple[int, int], int] = {}
     recv_pairs: Dict[int, Dict[int, float]] = {}
-    for src_region, region_traffic in traffic.items():
+    for src_region, loads in _pair_loads(pattern, mapping).items():
         members = mapping.ranks_in_region(src_region)
-        loads = {dest_region: float(region_traffic.pair_items(dest_region))
-                 for dest_region in region_traffic.dest_regions()}
-        assignment = _assign(members, region_traffic.dest_regions(), loads, strategy)
+        assignment = _assign(members, list(loads), loads, strategy)
         for dest_region, rank in assignment.items():
             send_leader[(src_region, dest_region)] = rank
             recv_pairs.setdefault(dest_region, {})[src_region] = loads[dest_region]

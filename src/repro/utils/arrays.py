@@ -115,6 +115,19 @@ def gather_ranges(values: np.ndarray, starts: np.ndarray,
     return values[index]
 
 
+def _segment_max(entry_values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row maximum of CSR-ordered entry values (0 for empty rows).
+
+    ``reduceat`` mis-reads an empty segment as its successor's first entry, so
+    only non-empty rows' starts are passed; between two of them lies one row.
+    """
+    result = np.zeros(indptr.size - 1, dtype=entry_values.dtype)
+    nonempty = np.flatnonzero(np.diff(indptr) > 0)
+    if nonempty.size:
+        result[nonempty] = np.maximum.reduceat(entry_values, indptr[nonempty])
+    return result
+
+
 def buffer_writable(array: np.ndarray) -> bool:
     """True when the array's memory can be written through any alias.
 

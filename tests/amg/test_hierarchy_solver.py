@@ -7,6 +7,7 @@ import pytest
 from repro.amg.comm_analysis import hierarchy_comm_profiles, level_partitions, level_patterns
 from repro.amg.hierarchy import build_hierarchy, redistribute_hierarchy
 from repro.amg.solver import BoomerAMGSolver
+from repro.amg.vcycle import WorldAMGSolver
 from repro.collectives.plan import Variant
 from repro.perfmodel.params import lassen_parameters
 from repro.sparse.parcsr import ParCSRMatrix
@@ -83,6 +84,31 @@ class TestHierarchyConstruction:
             owner_coarse = coarse_partition.owner_of(coarse_counter)
             assert owner_fine == owner_coarse
             coarse_counter += 1
+
+
+class TestNonFiniteOperatorRejected:
+    """A NaN makes every set-up comparison false: without the check a 7-level
+    hierarchy comes out and the solve reports NaN residual norms, no error."""
+
+    ROW = 517
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def poisoned(self, request):
+        csr = rotated_anisotropic_diffusion((32, 32))
+        csr.data[csr.indptr[self.ROW] + 2] = request.param
+        return ParCSRMatrix(csr, RowPartition.even(1024, 16))
+
+    def test_build_hierarchy(self, poisoned):
+        with pytest.raises(ValidationError, match=f"row {self.ROW}"):
+            build_hierarchy(poisoned)
+
+    def test_sequential_solver(self, poisoned):
+        with pytest.raises(ValidationError, match="non-finite"):
+            BoomerAMGSolver(poisoned)
+
+    def test_world_solver(self, poisoned):
+        with pytest.raises(ValidationError, match="non-finite"):
+            WorldAMGSolver(poisoned, paper_mapping(16, ranks_per_node=4))
 
 
 class TestRedistribution:

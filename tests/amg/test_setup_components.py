@@ -11,7 +11,7 @@ from repro.amg.interp import direct_interpolation
 from repro.amg.relax import gauss_seidel_iteration, jacobi, weighted_jacobi_iteration
 from repro.amg.strength import classical_strength, symmetrized_strength
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
-from repro.utils.errors import ValidationError
+from repro.utils.errors import SolverError, ValidationError
 
 
 @pytest.fixture
@@ -146,8 +146,28 @@ class TestDirectInterpolation:
         splitting = pmis_coarsening(strength)
         empty = type(splitting)(splitting=np.full(poisson.shape[0], FPOINT),
                                 coarse_index=np.full(poisson.shape[0], -1))
-        with pytest.raises(Exception):
+        with pytest.raises(SolverError):
             direct_interpolation(poisson, strength, empty)
+
+    def test_zero_diagonal_rejected(self, poisson):
+        strength = classical_strength(poisson)
+        splitting = pmis_coarsening(strength)
+        hollow = poisson.tolil()
+        hollow[7, 7] = 0.0
+        with pytest.raises(SolverError):
+            direct_interpolation(hollow.tocsr(), strength, splitting)
+
+    def test_non_square_matrix_rejected(self, poisson):
+        strength = classical_strength(poisson)
+        splitting = pmis_coarsening(strength)
+        with pytest.raises(ValidationError):
+            direct_interpolation(poisson[:-1], strength, splitting)
+
+    def test_splitting_of_another_size_rejected(self, poisson):
+        strength = classical_strength(poisson)
+        splitting = pmis_coarsening(classical_strength(poisson_2d((5, 5))))
+        with pytest.raises(ValidationError):
+            direct_interpolation(poisson, strength, splitting)
 
 
 class TestGalerkin:

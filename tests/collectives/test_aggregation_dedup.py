@@ -5,6 +5,7 @@ import pytest
 from repro.collectives.aggregation import (
     AggregationAssignment,
     BalanceStrategy,
+    _pair_loads,
     collect_region_traffic,
     setup_aggregation,
 )
@@ -16,7 +17,8 @@ from repro.collectives.dedup import (
 )
 from repro.collectives.plan import Slot
 from repro.pattern.builders import pattern_from_edges, random_pattern
-from repro.topology.presets import paper_mapping
+from repro.topology.mapping import RankMapping
+from repro.topology.presets import generic_cluster, paper_mapping
 from repro.utils.errors import PlanError
 
 
@@ -41,6 +43,18 @@ class TestCollectRegionTraffic:
     def test_self_edges_excluded(self, mapping):
         pattern = pattern_from_edges(16, [(3, 3, [9])])
         assert collect_region_traffic(pattern, mapping) == {}
+        assert _pair_loads(pattern, mapping) == {}
+
+    def test_columnar_loads_equal_pair_items(self, mapping):
+        """What ``setup_aggregation`` reads off the CSR columns is, pair for
+        pair, what the edge-walking grouping of the pinned planner counts."""
+        pattern = random_pattern(16, avg_neighbors=6, avg_items_per_message=5,
+                                 duplicate_fraction=0.4, seed=11)
+        traffic = collect_region_traffic(pattern, mapping)
+        assert _pair_loads(pattern, mapping) == {
+            src_region: {dest: float(region_traffic.pair_items(dest))
+                         for dest in region_traffic.dest_regions()}
+            for src_region, region_traffic in traffic.items()}
 
 
 class TestLeaderAssignment:
@@ -76,6 +90,18 @@ class TestLeaderAssignment:
         load = assignment.sender_load()
         # No single rank should carry every pair.
         assert max(load.values()) < 4
+
+    def test_call_count_does_not_grow_with_edges(self, count_calls):
+        """No per-edge (or per-rank) Python work: four regions either way,
+        4x the ranks and 4x the edges, the same number of calls."""
+        counts = []
+        for n_ranks in (64, 256):
+            pattern = random_pattern(n_ranks, avg_neighbors=8, seed=1)
+            four_regions = RankMapping(generic_cluster(4, n_ranks // 4), n_ranks,
+                                       ranks_per_node=n_ranks // 4)
+            counts.append(count_calls(setup_aggregation, pattern, four_regions,
+                                      strategy=BalanceStrategy.ROUND_ROBIN))
+        assert counts[1] <= 2 * counts[0]
 
     def test_unknown_pair_raises(self):
         assignment = AggregationAssignment(send_leader={}, recv_leader={})

@@ -7,6 +7,8 @@ exercised only by the benchmark harness.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,29 @@ def small_poisson_matrix():
 def rng():
     """Deterministic random generator for tests that need noise."""
     return np.random.default_rng(2023)
+
+
+@pytest.fixture
+def count_calls():
+    """``count_calls(func, *args)``: Python + C calls made while ``func`` runs.
+
+    Counted under ``sys.setprofile``, so it reads no clock: a set-up pass
+    written as whole-array operations makes the same number of calls on a
+    large input as on a small one, a per-row or per-edge Python loop does not.
+    """
+    def counter(func, *args, **kwargs) -> int:
+        calls = 0
+
+        def on_event(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            func(*args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+        return calls
+    return counter
