@@ -24,6 +24,28 @@ from repro.experiments.config import ExperimentConfig, ExperimentContext  # noqa
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
+#: Directory ``emit_bench`` writes its ``BENCH_<name>.json`` documents to.
+#: They are outputs of a run, not tracked files: unset, a session writes them
+#: to a pytest temp dir; CI points it at the directory it uploads.
+BENCH_OUT_ENV = "REPRO_BENCH_OUT"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_out_dir(tmp_path_factory):
+    """Resolve ``$REPRO_BENCH_OUT`` once per session (default: a temp dir).
+
+    The variable stays set until the session ends, so tests collected later
+    (``tests/docs/test_bench_schema.py``) find the documents the gates wrote.
+    """
+    if os.environ.get(BENCH_OUT_ENV):
+        yield os.environ[BENCH_OUT_ENV]
+        return
+    os.environ[BENCH_OUT_ENV] = str(tmp_path_factory.mktemp("bench"))
+    try:
+        yield os.environ[BENCH_OUT_ENV]
+    finally:
+        del os.environ[BENCH_OUT_ENV]
+
 
 @pytest.fixture(scope="session")
 def experiment_config() -> ExperimentConfig:
@@ -42,11 +64,19 @@ def emit(name: str, text: str) -> None:
 
     pytest captures stdout by default, so the tables are also written to disk
     where EXPERIMENTS.md points at them; run ``pytest benchmarks -s`` to see
-    them inline.
+    them inline.  The file is only rewritten when its content changes, so a
+    run that reproduces the committed tables leaves the checkout untouched.
     """
     print(f"\n{text}\n")
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:
+    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            if handle.read() == text + "\n":
+                return
+    except OSError:
+        pass
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 
@@ -65,8 +95,8 @@ def _git_revision() -> str | None:
 
 
 def emit_bench(name: str, *, speedup: float, baseline_s: float,
-               optimized_s: float, n_ranks: int, **extra) -> None:
-    """Persist one perf gate's measurement as ``BENCH_<name>.json``.
+               optimized_s: float, n_ranks: int, **extra) -> str:
+    """Persist one perf gate's measurement as ``$REPRO_BENCH_OUT/BENCH_<name>.json``.
 
     The machine-readable twin of the human-readable speedup prints: every
     wall-clock gate records what it compared (best-of-N seconds for the
@@ -100,8 +130,10 @@ def emit_bench(name: str, *, speedup: float, baseline_s: float,
         "kernels": active_backend().name,
         **extra,
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
+    directory = os.environ[BENCH_OUT_ENV]
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return path

@@ -12,6 +12,7 @@ strategies are provided and compared in the ablation benchmarks.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -131,12 +132,12 @@ def _assign(members: np.ndarray, targets: Sequence[int], loads: Dict[int, float]
     if strategy is BalanceStrategy.BYTES:
         # Longest-processing-time greedy: heaviest target first onto the member
         # with the smallest accumulated load (ties broken by rank for determinism).
-        member_load = {m: 0.0 for m in members}
+        heap = [(0.0, member) for member in sorted(members)]
         ordered = sorted(targets, key=lambda t: (-loads.get(int(t), 0.0), int(t)))
         for target in ordered:
-            chosen = min(members, key=lambda m: (member_load[m], m))
+            load, chosen = heap[0]
             assignment[int(target)] = chosen
-            member_load[chosen] += loads.get(int(target), 0.0)
+            heapq.heapreplace(heap, (load + loads.get(int(target), 0.0), chosen))
         return assignment
     raise PlanError(f"unknown balance strategy {strategy!r}")
 

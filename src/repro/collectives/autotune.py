@@ -91,12 +91,6 @@ class FixedStepClock:
         return self.now
 
 
-def _variant_value(variant) -> Optional[str]:
-    if variant is None:
-        return None
-    return Variant(variant).value
-
-
 # -- the trace -----------------------------------------------------------------
 
 

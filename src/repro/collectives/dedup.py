@@ -41,27 +41,23 @@ def unique_pairs_first_appearance(origins: np.ndarray, items: np.ndarray
     return origins[firsts], items[firsts]
 
 
-def unique_pairs_segmented(segments: np.ndarray, origins: np.ndarray,
-                           items: np.ndarray, n_segments: int
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment first-appearance unique pairs in one lexsort.
+def unique_keys_segmented(segments: np.ndarray, keys: np.ndarray,
+                          n_keys: int, n_segments: int
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment first appearances of interned keys, in one packed sort.
 
-    ``segments`` must be non-decreasing (rows of segment ``k`` contiguous), as
-    produced by concatenating per-message payloads.  Returns the deduplicated
-    ``(origins, items)`` columns — segment blocks in order, first-appearance
-    order within each block — plus the per-segment unique counts.  This batches
-    the payload deduplication of every message of a phase into one pass.
+    ``segments`` must be non-decreasing (rows of segment ``k`` contiguous) and
+    ``keys`` dense ids below ``n_keys`` (:meth:`CommPattern.owned_keys`).
+    Returns the ascending row indices keeping each segment's first copy of
+    every key, and the per-segment kept counts: the payload deduplication of
+    every message of a phase as one stable ``segment * n_keys + key`` argsort.
     """
-    n = origins.size
-    counts = np.zeros(n_segments, dtype=INDEX_DTYPE)
-    if n == 0:
-        return origins[:0], items[:0], counts
-    order = np.lexsort((items, origins, segments))
-    new_group = run_starts_mask(segments[order], origins[order], items[order])
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new_group))
-    firsts.sort()
-    counts += np.bincount(segments[firsts], minlength=n_segments)
-    return origins[firsts], items[firsts], counts
+    packed = segments * n_keys + keys
+    order = np.argsort(packed, kind="stable")
+    # Stable: the first row of every run is its earliest appearance.
+    firsts = np.sort(order[run_starts_mask(packed[order])])
+    return firsts, np.bincount(segments[firsts],
+                               minlength=n_segments).astype(INDEX_DTYPE)
 
 
 def _pair_columns(slots) -> Tuple[np.ndarray, np.ndarray]:

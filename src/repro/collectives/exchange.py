@@ -11,18 +11,20 @@ phase (``arena = work[gather]``) and unpacking its mirror
 (``work[scatter] = arena``), with no per-item Python loops anywhere on the
 Start/Wait path.
 
-Compilation itself is columnar too: it consumes each message's payload arrays
-directly and resolves all keys of a schedule step with one lexsort-based
-batch lookup, instead of walking slot objects through a Python dict one key at
-a time.
+Compilation itself is columnar too.  The per-rank compiler (the pinned
+reference) resolves all keys of a schedule step with one lexsort-based batch
+lookup; the world compiler never looks at an ``(origin, item)`` pair at all —
+it reads the plan's phase tables, whose payload rows carry the pattern's
+interned key ids, and sorts and joins on one packed ``holder * width + key``
+int64.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
 distribution set of a lattice-Boltzmann site, or the DOFs of a multi-component
 unknown), and the work array has shape ``(n_rows, item_size)``.
 
-Beyond the per-rank form, :func:`compile_world_exchange` concatenates every
-rank's compiled exchange into one *world program*: a single work array spanning
+Beyond the per-rank form, :func:`compile_world_exchange` emits every rank's
+compiled exchange as one *world program*: a single work array spanning
 all ranks (per-rank row blocks), and per phase one world gather, one wire
 permutation, and one world scatter.  The
 :class:`~repro.simmpi.engine.ExchangeEngine` executes that program with
@@ -41,18 +43,19 @@ from repro.collectives.plan import (
     AGGREGATED_PHASES,
     CollectivePlan,
     Phase,
+    PhaseTable,
     PlannedMessage,
     Variant,
 )
 from repro.utils.arrays import (
     INDEX_DTYPE,
+    argsort_packed,
     concatenate_or_empty,
     counts_to_displs,
     gather_ranges,
     run_starts_mask,
 )
 from repro.utils.errors import PlanError, ValidationError
-from repro.utils.validation import check_value_preserving_cast
 
 #: Compile-time availability schedules, mirroring the *runtime* order of the
 #: executor exactly: a ``("send", phase)`` step may only gather keys that are
@@ -85,16 +88,6 @@ PHASE_TAGS: Dict[Phase, int] = {
     Phase.GLOBAL: 13,
     Phase.FINAL_REDIST: 14,
 }
-
-
-def check_input_dtype(spec: ExchangeSpec, dtype: np.dtype) -> None:
-    """Reject value-corrupting input casts into an exchange of ``spec``.
-
-    Thin spec-flavoured wrapper over
-    :func:`repro.utils.validation.check_value_preserving_cast`, the rule the
-    per-rank executor and the world engine share.
-    """
-    check_value_preserving_cast(dtype, spec.dtype)
 
 
 @dataclass(frozen=True)
@@ -234,19 +227,6 @@ class _RowMap:
         return rows
 
 
-def _payload_columns(messages: Sequence[PlannedMessage]
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated payload key columns and per-message offsets of a step."""
-    if not messages:
-        empty = np.empty(0, dtype=INDEX_DTYPE)
-        return empty, empty, np.zeros(1, dtype=INDEX_DTYPE)
-    counts = np.fromiter((m.payload_origins.size for m in messages),
-                         dtype=INDEX_DTYPE, count=len(messages))
-    origins = np.concatenate([m.payload_origins for m in messages])
-    items = np.concatenate([m.payload_items for m in messages])
-    return origins, items, counts_to_displs(counts)
-
-
 def compile_exchange(plan: CollectivePlan, rank: int,
                      spec: ExchangeSpec | None = None) -> CompiledExchange:
     """Compile ``rank``'s share of ``plan`` into gather/scatter index arrays.
@@ -272,42 +252,36 @@ def compile_exchange(plan: CollectivePlan, rank: int,
         order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
-    gathers: Dict[Phase, Tuple[np.ndarray, np.ndarray]] = {}
-    scatters: Dict[Phase, Tuple[np.ndarray, np.ndarray]] = {}
-    send_lists: Dict[Phase, List[PlannedMessage]] = {}
-    recv_lists: Dict[Phase, List[PlannedMessage]] = {}
+    #: (messages, work-array rows, per-message offsets) per side and phase.
+    steps: Dict[Tuple[str, Phase], Tuple[List[PlannedMessage], np.ndarray,
+                                         np.ndarray]] = {}
     for side, phase in schedule:
-        if side == "send":
-            messages = plan.messages_from(rank, phase)
-            origins, items, offsets = _payload_columns(messages)
-            indices = rows.resolve(origins, items, allow_new=False)
-            unknown = indices < 0
-            if unknown.any():
-                position = int(np.argmax(unknown))
-                message = messages[int(np.searchsorted(offsets, position,
-                                                       side="right")) - 1]
-                raise PlanError(
-                    f"phase-{phase.value} message {message.src}->"
-                    f"{message.dest} packs origin {int(origins[position])}, item "
-                    f"{int(items[position])} which the "
-                    "sending rank neither owns nor received in an earlier phase"
-                )
-            send_lists[phase] = messages
-            gathers[phase] = (indices, offsets)
-        else:
-            messages = plan.messages_to(rank, phase)
-            origins, items, offsets = _payload_columns(messages)
-            indices = rows.resolve(origins, items, allow_new=True)
-            recv_lists[phase] = messages
-            scatters[phase] = (indices, offsets)
+        messages = plan.messages_from(rank, phase) if side == "send" \
+            else plan.messages_to(rank, phase)
+        stacked = PhaseTable.from_messages(phase, messages)
+        origins, items = stacked.payload_origins, stacked.payload_items
+        offsets = stacked.payload_offsets
+        indices = rows.resolve(origins, items, allow_new=side == "recv")
+        unknown = indices < 0
+        if unknown.any():
+            position = int(np.argmax(unknown))
+            message = messages[int(np.searchsorted(offsets, position,
+                                                   side="right")) - 1]
+            raise PlanError(
+                f"phase-{phase.value} message {message.src}->"
+                f"{message.dest} packs origin {int(origins[position])}, item "
+                f"{int(items[position])} which the "
+                "sending rank neither owns nor received in an earlier phase"
+            )
+        steps[side, phase] = (messages, indices, offsets)
     phases: List[CompiledPhase] = []
     for phase in order:
-        gather, send_offsets = gathers[phase]
-        scatter, recv_offsets = scatters[phase]
+        send_messages, gather, send_offsets = steps["send", phase]
+        recv_messages, scatter, recv_offsets = steps["recv", phase]
         phases.append(CompiledPhase(
             phase=phase,
-            send_messages=send_lists[phase],
-            recv_messages=recv_lists[phase],
+            send_messages=send_messages,
+            recv_messages=recv_messages,
             gather=np.ascontiguousarray(gather, dtype=INDEX_DTYPE),
             scatter=np.ascontiguousarray(scatter, dtype=INDEX_DTYPE),
             send_offsets=np.ascontiguousarray(send_offsets, dtype=INDEX_DTYPE),
@@ -587,215 +561,158 @@ def compile_world_exchange_reference(plan: CollectivePlan,
     )
 
 
-def _phase_message_columns(messages: Sequence[PlannedMessage]):
-    """Columnar form of one phase's message list (one O(messages) pass).
-
-    Returns ``(srcs, dests, counts, offsets, pay_origins, pay_items,
-    send_order, recv_order)``: endpoint/count columns in plan list order, the
-    concatenated payload key columns, and the stable message permutations that
-    sort the list by sender (the wire layout) and by receiver (the scatter
-    layout).  Stability is what preserves each rank's per-message order, so
-    sender-side position ``k`` still pairs with receiver-side position ``k``
-    of the same ``(src, dest)`` stream — the FIFO matching of the fabric.
-    """
-    n = len(messages)
-    srcs = np.fromiter((m.src for m in messages), dtype=INDEX_DTYPE, count=n)
-    dests = np.fromiter((m.dest for m in messages), dtype=INDEX_DTYPE, count=n)
-    counts = np.fromiter((m.payload_origins.size for m in messages),
-                         dtype=INDEX_DTYPE, count=n)
-    offsets = counts_to_displs(counts)
-    pay_origins = concatenate_or_empty([m.payload_origins for m in messages])
-    pay_items = concatenate_or_empty([m.payload_items for m in messages])
-    send_order = np.argsort(srcs, kind="stable")
-    recv_order = np.argsort(dests, kind="stable")
-    return (srcs, dests, counts, offsets, pay_origins, pay_items,
-            send_order, recv_order)
-
-
 def compile_world_exchange(plan: CollectivePlan,
                            spec: ExchangeSpec | None = None) -> WorldExchange:
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
-    Emits arrays byte-identical to
-    :func:`compile_world_exchange_reference` (the pinned per-rank compiler)
-    without ever instantiating a per-rank :class:`CompiledExchange`: instead
-    of resolving each rank's keys through its own :class:`_RowMap`, the pass
-    replays *every* rank's registration chronology at once.
+    Emits arrays byte-identical to :func:`compile_world_exchange_reference`
+    (the pinned per-rank compiler) without a per-rank
+    :class:`CompiledExchange` or a :class:`PlannedMessage`: the pass reads the
+    plan's phase tables and replays *every* rank's registration chronology at
+    once.
 
-    The world row space is derived from one *registration stream*: segment 0
-    holds all ranks' owned keys ``(holder, holder, item)`` in (holder, item)
-    order, and each ``("recv", phase)`` schedule step appends the phase's
-    payload keys in (receiver, message, position) order.  Deduplicating the
-    stream by ``(holder, origin, item)`` with a stable lexsort keeps exactly
-    the first occurrence of every key — the moment the per-rank ``_RowMap``
-    would have registered it — so numbering the surviving keys by
-    ``(holder, first occurrence)`` reproduces every rank's row assignment,
-    pre-based into the world row space.  Sends (and the result view) then
-    resolve against that key table with one batched lexsort join; a send may
-    only use keys whose first occurrence lies in an earlier schedule step,
-    which reproduces the per-rank compiler's availability errors.
+    Every value a rank can hold is one int64, ``holder * width + key``; ``key``
+    is the pattern's interned ``(origin, item)`` id
+    (:meth:`CommPattern.owned_keys`) and ``width`` leaves one spare id for keys
+    nobody owns, which only hand-built plans can pack.  The *registration
+    stream* holds all ranks' owned keys in (holder, item) order, then the
+    payload of each ``("recv", phase)`` schedule step in (receiver, message,
+    position) order.  A stable argsort keeps the first occurrence of every
+    value — the moment the per-rank ``_RowMap`` would have registered it — so
+    numbering the survivors by ``(holder, first occurrence)`` is every rank's
+    row assignment, pre-based into the world row space.  Sends and the result
+    view resolve against the sorted survivors with one ``searchsorted``; a
+    send may only use values first seen in an earlier schedule step, which
+    reproduces the per-rank compiler's availability errors.
     """
-    if spec is None:
-        spec = ExchangeSpec(dtype=plan.pattern.dtype,
-                            item_size=plan.pattern.item_size)
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
-
+    if spec is None:
+        spec = ExchangeSpec(dtype=pattern.dtype, item_size=pattern.item_size)
     if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
         order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
-    phase_cols = {phase: _phase_message_columns(plan.phases.get(phase, []))
-                  for phase in order}
 
-    # -- owned keys: unique (origin, item) pairs of the send side ------------
-    edge_origins, edge_dests, edge_items = pattern.edge_arrays()
-    if edge_items.size:
-        owned_sort = np.lexsort((edge_items, edge_origins))
-        o_sorted = edge_origins[owned_sort]
-        i_sorted = edge_items[owned_sort]
-        keep = run_starts_mask(o_sorted, i_sorted)
-        owned_holders = np.ascontiguousarray(o_sorted[keep])
-        owned_items_all = np.ascontiguousarray(i_sorted[keep])
-    else:
-        owned_holders = np.empty(0, dtype=INDEX_DTYPE)
-        owned_items_all = np.empty(0, dtype=INDEX_DTYPE)
+    owned_holders, owned_items_all, edge_keys = pattern.owned_keys()
+    n_owned = int(owned_holders.size)
+    width = n_owned + 1
     owned_offsets = counts_to_displs(
         np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
-    # -- registration stream: owned keys, then each recv step's payloads ----
-    seg_holders: List[np.ndarray] = [owned_holders]
-    seg_origins: List[np.ndarray] = [owned_holders]
-    seg_items: List[np.ndarray] = [owned_items_all]
-    recv_segment: Dict[Phase, int] = {}
-    for side, phase in schedule:
-        if side != "recv":
-            continue
-        _, dests, counts, offsets, pay_o, pay_i, _, recv_order = \
-            phase_cols[phase]
-        starts, lens = offsets[recv_order], counts[recv_order]
-        seg_holders.append(np.repeat(dests[recv_order], lens))
-        seg_origins.append(gather_ranges(pay_o, starts, lens))
-        seg_items.append(gather_ranges(pay_i, starts, lens))
-        recv_segment[phase] = len(seg_holders) - 1
-    seg_sizes = np.fromiter((h.size for h in seg_holders), dtype=INDEX_DTYPE,
-                            count=len(seg_holders))
-    seg_bounds = counts_to_displs(seg_sizes)
-    stream_holder = concatenate_or_empty(seg_holders)
-    stream_origin = concatenate_or_empty(seg_origins)
-    stream_item = concatenate_or_empty(seg_items)
-    stream_step = np.repeat(np.arange(seg_sizes.size, dtype=INDEX_DTYPE),
-                            seg_sizes)
+    # -- per phase: message orders and holder-packed payload values ----------
+    phase_cols, send_values, recv_values = {}, {}, {}
+    for phase in order:
+        table = plan.phases.get(phase) or PhaseTable.from_messages(phase, [])
+        keys = table.payload_key_ids
+        if keys is None:
+            # Hand-built messages: intern their payload against the owned keys.
+            keys = _RowMap(owned_holders, owned_items_all).resolve(
+                table.payload_origins, table.payload_items, allow_new=False)
+            keys[keys < 0] = n_owned
+        counts = table.payload_counts
+        # Stable, so each rank keeps its per-message order and sender-side
+        # position ``k`` of a ``(src, dest)`` stream still pairs with
+        # receiver-side position ``k`` — the FIFO matching of the fabric.
+        send_order = np.argsort(table.srcs, kind="stable")
+        recv_order = np.argsort(table.dests, kind="stable")
+        starts = table.payload_offsets[:-1]
+        phase_cols[phase] = (table, counts, send_order, recv_order)
+        send_values[phase] = gather_ranges(
+            np.repeat(table.srcs, counts) * width + keys,
+            starts[send_order], counts[send_order])
+        recv_values[phase] = gather_ranges(
+            np.repeat(table.dests, counts) * width + keys,
+            starts[recv_order], counts[recv_order])
 
-    # -- world rows: first occurrence per (holder, origin, item) ------------
-    key_sort = np.lexsort((stream_item, stream_origin, stream_holder))
-    h_s = stream_holder[key_sort]
-    o_s = stream_origin[key_sort]
-    i_s = stream_item[key_sort]
-    starts_mask = run_starts_mask(h_s, o_s, i_s)
-    group_sorted = np.cumsum(starts_mask) - 1
-    group_of = np.empty(key_sort.size, dtype=INDEX_DTYPE)
-    group_of[key_sort] = group_sorted
-    # The lexsort is stable, so the first row of each run is the smallest
-    # stream position — the registration moment of that key.
+    # -- registration stream: owned keys, then each recv step's payloads; a
+    # -- send step queries what the recv steps before it registered ---------
+    segments: List[np.ndarray] = [
+        owned_holders * width + np.arange(n_owned, dtype=INDEX_DTYPE)]
+    recv_segment: Dict[Phase, int] = {}
+    send_steps: List[Tuple[Phase, int]] = []
+    query_parts: List[np.ndarray] = []
+    for side, phase in schedule:
+        if side == "recv":
+            recv_segment[phase] = len(segments)
+            segments.append(recv_values[phase])
+        else:
+            send_steps.append((phase, len(segments) - 1))
+            query_parts.append(send_values[phase])
+    seg_bounds = counts_to_displs([segment.size for segment in segments])
+    stream = np.concatenate(segments)
+
+    # -- world rows: first occurrence per (holder, key) ----------------------
+    key_sort = np.argsort(stream, kind="stable")
+    stream_sorted = stream[key_sort]
+    starts_mask = run_starts_mask(stream_sorted)
+    group_of = np.empty(stream.size, dtype=INDEX_DTYPE)
+    group_of[key_sort] = np.cumsum(starts_mask) - 1
+    # The sort is stable, so the first row of each run is the smallest
+    # stream position — the registration moment of that value.
     first_pos = key_sort[starts_mask]
-    key_holder = h_s[starts_mask]
-    key_origin = o_s[starts_mask]
-    key_item = i_s[starts_mask]
-    key_step = stream_step[first_pos]
-    n_keys = int(key_holder.size)
-    row_sort = np.lexsort((first_pos, key_holder))
-    key_row = np.empty(n_keys, dtype=INDEX_DTYPE)
-    key_row[row_sort] = np.arange(n_keys, dtype=INDEX_DTYPE)
-    stream_row = key_row[group_of] if n_keys else \
-        np.empty(0, dtype=INDEX_DTYPE)
+    held = stream_sorted[starts_mask]
+    held_holder = held // width
+    held_step = (np.searchsorted(seg_bounds, first_pos, side="right")
+                 - 1).astype(np.int8)
+    n_held = int(held.size)
+    row_order = np.argsort(held_holder * stream.size + first_pos, kind="stable")
+    held_row = np.empty(n_held, dtype=INDEX_DTYPE)
+    held_row[row_order] = np.arange(n_held, dtype=INDEX_DTYPE)
+    stream_row = held_row[group_of]
     rank_bases = counts_to_displs(
-        np.bincount(key_holder, minlength=n_ranks).astype(INDEX_DTYPE))
-    owned_rows = np.ascontiguousarray(stream_row[:seg_bounds[1]])
+        np.bincount(held_holder, minlength=n_ranks).astype(INDEX_DTYPE))
+    owned_rows = np.ascontiguousarray(stream_row[:n_owned])
 
     # -- result view: per receiver, last-declaring source wins per item -----
-    if edge_items.size:
-        entry_sort = np.lexsort((edge_origins, edge_dests))
-        d_e = edge_dests[entry_sort]
-        s_e = edge_origins[entry_sort]
-        i_e = edge_items[entry_sort]
-        last_sort = np.lexsort((i_e, d_e))
-        d_l, i_l = d_e[last_sort], i_e[last_sort]
-        run_start = run_starts_mask(d_l, i_l)
-        starts_idx = np.flatnonzero(run_start)
-        ends_idx = np.append(starts_idx[1:], d_l.size) - 1
-        result_holders = np.ascontiguousarray(d_l[starts_idx])
-        result_items_all = np.ascontiguousarray(i_l[starts_idx])
-        result_sources_all = np.ascontiguousarray(s_e[last_sort][ends_idx])
-    else:
-        result_holders = np.empty(0, dtype=INDEX_DTYPE)
-        result_items_all = np.empty(0, dtype=INDEX_DTYPE)
-        result_sources_all = np.empty(0, dtype=INDEX_DTYPE)
+    # The unique edge table is sorted by origin first, so a stable sort by
+    # (receiver, item) leaves the highest declaring source last in each run.
+    edge_origins, edge_dests, edge_items = pattern.unique_edge_table()
+    low = int(edge_items.min(initial=0))
+    by_receiver = argsort_packed(
+        (edge_dests, edge_items - low),
+        (n_ranks, int(edge_items.max(initial=0)) - low + 1))
+    d_sorted, i_sorted = edge_dests[by_receiver], edge_items[by_receiver]
+    run_start = run_starts_mask(d_sorted, i_sorted)
+    run_end = np.empty_like(run_start)
+    run_end[:-1], run_end[-1:] = run_start[1:], True
+    run_last = by_receiver[run_end]
+    result_holders = np.ascontiguousarray(d_sorted[run_start])
+    result_items_all = np.ascontiguousarray(i_sorted[run_start])
+    result_sources_all = np.ascontiguousarray(edge_origins[run_last])
     result_offsets = counts_to_displs(
         np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
-    # -- batched key resolution: all send steps plus the result view --------
-    send_steps: List[Tuple[Phase, int]] = []
-    query_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    recvs_before = 0
-    for side, phase in schedule:
-        if side == "recv":
-            recvs_before += 1
-            continue
-        srcs, _, counts, offsets, pay_o, pay_i, send_order, _ = \
-            phase_cols[phase]
-        starts, lens = offsets[send_order], counts[send_order]
-        query_parts.append((np.repeat(srcs[send_order], lens),
-                            gather_ranges(pay_o, starts, lens),
-                            gather_ranges(pay_i, starts, lens)))
-        send_steps.append((phase, recvs_before))
-    query_parts.append((result_holders, result_sources_all, result_items_all))
-    q_holder = concatenate_or_empty([p[0] for p in query_parts])
-    q_origin = concatenate_or_empty([p[1] for p in query_parts])
-    q_item = concatenate_or_empty([p[2] for p in query_parts])
-    q_bounds = counts_to_displs(np.fromiter(
-        (p[0].size for p in query_parts), dtype=INDEX_DTYPE,
-        count=len(query_parts)))
-
-    all_h = np.concatenate([key_holder, q_holder])
-    all_o = np.concatenate([key_origin, q_origin])
-    all_i = np.concatenate([key_item, q_item])
-    join_sort = np.lexsort((all_i, all_o, all_h))
-    join_starts = run_starts_mask(all_h[join_sort], all_o[join_sort],
-                                  all_i[join_sort])
-    jgroup_sorted = np.cumsum(join_starts) - 1
-    jgroup = np.empty(join_sort.size, dtype=INDEX_DTYPE)
-    jgroup[join_sort] = jgroup_sorted
-    n_jgroups = int(jgroup_sorted[-1]) + 1 if join_sort.size else 0
-    row_of_jgroup = np.full(n_jgroups, -1, dtype=INDEX_DTYPE)
-    step_of_jgroup = np.full(n_jgroups, np.iinfo(INDEX_DTYPE).max,
-                             dtype=INDEX_DTYPE)
-    row_of_jgroup[jgroup[:n_keys]] = key_row
-    step_of_jgroup[jgroup[:n_keys]] = key_step
-    q_rows = row_of_jgroup[jgroup[n_keys:]]
-    q_steps = step_of_jgroup[jgroup[n_keys:]]
+    # -- batched resolution: all send steps plus the result view ------------
+    query_parts.append(result_holders * width + edge_keys[run_last])
+    q_bounds = counts_to_displs([part.size for part in query_parts])
+    queries = np.concatenate(query_parts)
+    # (No value is held only when nothing is owned or packed: no queries.)
+    hit = np.minimum(np.searchsorted(held, queries), n_held - 1)
+    found = held[hit] == queries
+    q_rows = np.where(found, held_row[hit], -1)
 
     # -- availability errors, reproducing the per-rank compiler's checks ----
     for index, (phase, allowed) in enumerate(send_steps):
         lo, hi = int(q_bounds[index]), int(q_bounds[index + 1])
-        bad = (q_rows[lo:hi] < 0) | (q_steps[lo:hi] > allowed)
+        bad = (q_rows[lo:hi] < 0) | (held_step[hit[lo:hi]] > allowed)
         if bad.any():
             position = int(np.argmax(bad))
-            _, _, counts, _, _, _, send_order, _ = phase_cols[phase]
-            messages = plan.phases.get(phase, [])
+            table, counts, send_order, _ = phase_cols[phase]
             send_displs = counts_to_displs(counts[send_order])
             slot = int(np.searchsorted(send_displs, position,
                                        side="right")) - 1
-            message = messages[int(send_order[slot])]
+            message = int(send_order[slot])
+            packed = int(table.payload_offsets[message]) \
+                + position - int(send_displs[slot])
             raise PlanError(
-                f"phase-{phase.value} message {message.src}->"
-                f"{message.dest} packs origin "
-                f"{int(q_origin[lo + position])}, item "
-                f"{int(q_item[lo + position])} which the "
+                f"phase-{phase.value} message {int(table.srcs[message])}->"
+                f"{int(table.dests[message])} packs origin "
+                f"{int(table.payload_origins[packed])}, item "
+                f"{int(table.payload_items[packed])} which the "
                 "sending rank neither owns nor received in an earlier phase"
             )
-    lo = int(q_bounds[-2])
-    result_rows = np.ascontiguousarray(q_rows[lo:])
+    result_rows = np.ascontiguousarray(q_rows[int(q_bounds[-2]):])
     undelivered = result_rows < 0
     if undelivered.any():
         position = int(np.argmax(undelivered))
@@ -809,8 +726,7 @@ def compile_world_exchange(plan: CollectivePlan,
     # -- per-phase programs --------------------------------------------------
     programs: Dict[Phase, WorldPhaseProgram] = {}
     for index, (phase, _) in enumerate(send_steps):
-        srcs, dests, counts, _, _, _, send_order, recv_order = \
-            phase_cols[phase]
+        table, counts, send_order, recv_order = phase_cols[phase]
         gather = np.ascontiguousarray(
             q_rows[q_bounds[index]:q_bounds[index + 1]])
         segment = recv_segment[phase]
@@ -826,31 +742,28 @@ def compile_world_exchange(plan: CollectivePlan,
         wire_perm = (np.arange(total, dtype=INDEX_DTYPE)
                      - np.repeat(recv_displs[:-1], counts_recv)
                      + np.repeat(wire_start_of_msg[recv_order], counts_recv))
-        if wire_perm.size != scatter.size:
-            raise PlanError(
-                f"phase-{phase.value} wire permutation covers {wire_perm.size} "
-                f"items but the world scatter expects {scatter.size}"
-            )
         programs[phase] = WorldPhaseProgram(
             phase=phase,
             tag=PHASE_TAGS[phase],
             gather=gather,
             scatter=scatter,
             wire_perm=wire_perm,
-            msg_sources=np.ascontiguousarray(srcs[send_order]),
-            msg_dests=np.ascontiguousarray(dests[send_order]),
+            msg_sources=np.ascontiguousarray(table.srcs[send_order]),
+            msg_dests=np.ascontiguousarray(table.dests[send_order]),
             msg_nbytes=np.ascontiguousarray(counts_send) * spec.item_bytes,
             gather_rank_offsets=counts_to_displs(np.bincount(
-                srcs, weights=counts, minlength=n_ranks).astype(INDEX_DTYPE)),
+                table.srcs, weights=counts,
+                minlength=n_ranks).astype(INDEX_DTYPE)),
             scatter_rank_offsets=counts_to_displs(np.bincount(
-                dests, weights=counts, minlength=n_ranks).astype(INDEX_DTYPE)),
+                table.dests, weights=counts,
+                minlength=n_ranks).astype(INDEX_DTYPE)),
         )
 
     return WorldExchange(
         variant=plan.variant,
         spec=spec,
         n_ranks=n_ranks,
-        n_world_rows=n_keys,
+        n_world_rows=n_held,
         rank_bases=rank_bases,
         owned_rows=owned_rows,
         owned_offsets=owned_offsets,
@@ -861,5 +774,4 @@ def compile_world_exchange(plan: CollectivePlan,
         owned_items_all=owned_items_all,
         result_items_all=result_items_all,
         result_sources_all=result_sources_all,
-        compiled=None,
     )

@@ -12,13 +12,14 @@ Plans are explicit: every message of every phase lists the *slots*
 the original pattern (every required delivery happens exactly once) without
 executing anything.
 
-Slots are stored **columnar**: a :class:`SlotTable` holds three parallel int64
-arrays (``origin`` / ``item`` / ``final_dest``), which is what lets the
-statistics, setup-cost, and validation passes run as ``np.bincount`` /
-``np.unique`` multiset operations instead of per-slot Python loops.  The
-scalar :class:`Slot` NamedTuple survives as the element type:
-``PlannedMessage.slots`` and iteration over a table materialise Slot views
-lazily, so existing per-slot callers keep working unchanged.
+The stored form is **columnar** at both levels.  A :class:`SlotTable` holds
+three parallel int64 arrays (``origin`` / ``item`` / ``final_dest``), and
+``CollectivePlan.phases[phase]`` is one :class:`PhaseTable`: the endpoint,
+slot and payload columns of every message of the phase, exactly as the
+planner's sorts produced them.  Statistics, set-up costs, validation and the
+world compiler read those columns; no per-message object exists until someone
+indexes or iterates a table, which cuts a :class:`PlannedMessage` view (and,
+below it, :class:`Slot` tuples) lazily for per-message callers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,7 +36,14 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
 from repro.perfmodel.base import CostModel, MessageCost
 from repro.topology.mapping import RankMapping
-from repro.utils.arrays import INDEX_DTYPE, frozen_copy_on_write, run_starts_mask
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    concatenate_or_empty,
+    counts_to_displs,
+    freeze_columns,
+    frozen_copy_on_write,
+    run_starts_mask,
+)
 from repro.utils.errors import PlanError
 
 
@@ -184,10 +193,6 @@ class SlotTable:
             column.flags.writeable = False
         return SlotTable._wrap(*columns)
 
-    def triples(self) -> np.ndarray:
-        """``(n, 3)`` array of ``(origin, item, final_dest)`` rows."""
-        return np.column_stack((self.origin, self.item, self.final_dest))
-
     # -- compatibility views ---------------------------------------------------
 
     def to_slots(self) -> List[Slot]:
@@ -217,13 +222,6 @@ class SlotTable:
         return f"SlotTable(n={len(self)})"
 
 
-def _as_slot_table(slots) -> SlotTable:
-    """Accept a SlotTable or any iterable of Slot/3-tuples."""
-    if isinstance(slots, SlotTable):
-        return slots
-    return SlotTable.from_slots(slots or [])
-
-
 class PlannedMessage:
     """One message of a plan.
 
@@ -242,57 +240,42 @@ class PlannedMessage:
 
     def __init__(self, phase: Phase, src: int, dest: int,
                  slots=None, payload_keys=None):
-        self.phase = phase
-        self.src = int(src)
-        self.dest = int(dest)
-        if self.src == self.dest:
-            raise PlanError(f"message with identical endpoints (rank {self.src})")
-        self.table = _as_slot_table(slots)
-        if not len(self.table):
-            raise PlanError(f"empty message {self.src}->{self.dest} in phase {self.phase}")
-        if payload_keys is None:
-            self.payload_origins = self.table.origin
-            self.payload_items = self.table.item
-        else:
+        payload = (None, None)
+        if payload_keys is not None:
             pairs = np.asarray(list(payload_keys), dtype=INDEX_DTYPE)
             if pairs.size == 0:
                 raise PlanError("message carries no payload")
-            self.payload_origins = _index_column(pairs[:, 0])
-            self.payload_items = _index_column(pairs[:, 1])
-        if self.payload_origins.size == 0:
-            raise PlanError("message carries no payload")
-        self._slots_view = None
-        self._payload_view = None
+            payload = (_index_column(pairs[:, 0]), _index_column(pairs[:, 1]))
+        table = slots if isinstance(slots, SlotTable) \
+            else SlotTable.from_slots(slots or [])
+        self._fill(phase, src, dest, table, *payload)
 
     @classmethod
     def from_table(cls, phase: Phase, src: int, dest: int, table: SlotTable,
                    payload_origins: np.ndarray | None = None,
                    payload_items: np.ndarray | None = None) -> "PlannedMessage":
-        """Columnar constructor used by the planners (no per-slot objects).
-
-        Payload arrays, when given, are trusted to be parallel 1-D int64.
-        """
+        """Trusted columnar constructor (payload: parallel 1-D int64, if given)."""
         message = cls.__new__(cls)
-        message.phase = phase
-        message.src = int(src)
-        message.dest = int(dest)
-        if message.src == message.dest:
-            raise PlanError(f"message with identical endpoints (rank {message.src})")
-        message.table = table
-        if not table.origin.size:
-            raise PlanError(
-                f"empty message {message.src}->{message.dest} in phase {phase}")
-        if payload_origins is None:
-            message.payload_origins = table.origin
-            message.payload_items = table.item
-        else:
-            message.payload_origins = payload_origins
-            message.payload_items = payload_items
-        if message.payload_origins.size == 0:
-            raise PlanError("message carries no payload")
-        message._slots_view = None
-        message._payload_view = None
+        message._fill(phase, src, dest, table, payload_origins, payload_items)
         return message
+
+    def _fill(self, phase, src, dest, table, payload_origins, payload_items):
+        self.phase = phase
+        self.src = int(src)
+        self.dest = int(dest)
+        if self.src == self.dest:
+            raise PlanError(f"message with identical endpoints (rank {self.src})")
+        self.table = table
+        if not table.origin.size:
+            raise PlanError(f"empty message {self.src}->{self.dest} in phase {phase}")
+        if payload_origins is None:
+            payload_origins, payload_items = table.origin, table.item
+        self.payload_origins = payload_origins
+        self.payload_items = payload_items
+        if payload_origins.size == 0:
+            raise PlanError("message carries no payload")
+        self._slots_view = None
+        self._payload_view = None
 
     # -- compatibility views ---------------------------------------------------
 
@@ -339,6 +322,119 @@ class PlannedMessage:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PlannedMessage({self.phase.value}, {self.src}->{self.dest}, "
                 f"slots={self.n_slots}, payload={self.payload_count()})")
+
+
+class PhaseTable(Sequence):
+    """Every message of one phase, as read-only int64 columns.
+
+    Message ``k`` travels ``srcs[k] -> dests[k]`` and routes slots
+    ``offsets[k]:offsets[k + 1]`` of the parallel ``origins`` / ``items`` /
+    ``final_dests`` columns.  Its packed payload is rows
+    ``payload_offsets[k]:payload_offsets[k + 1]`` of ``payload_origins`` /
+    ``payload_items`` — the slot columns themselves unless the phase is
+    deduplicated.  ``payload_key_ids`` holds, per payload row, the dense id
+    :meth:`CommPattern.owned_keys` gives its ``(origin, item)``; it is ``None``
+    on tables converted from hand-built message lists.
+
+    The table is a ``Sequence[PlannedMessage]``: indexing cuts a message view
+    and hands out the same object for the same index ever after (the per-rank
+    compiler pairs sender and receiver lists by identity); iteration streams
+    views without retaining them.
+    """
+
+    __slots__ = ("phase", "srcs", "dests", "offsets", "origins", "items",
+                 "final_dests", "payload_offsets", "payload_origins",
+                 "payload_items", "payload_key_ids", "_views")
+
+    def __init__(self, phase: Phase, srcs, dests, offsets, origins, items,
+                 final_dests, payload=None, payload_key_ids=None):
+        """Trusted constructor: parallel 1-D int64 columns the caller gives up.
+
+        ``payload`` is ``(offsets, origins, items)`` of a deduplicated phase.
+        """
+        self.phase = phase
+        self.srcs, self.dests, self.offsets = srcs, dests, offsets
+        self.origins, self.items, self.final_dests = origins, items, final_dests
+        self.payload_offsets, self.payload_origins, self.payload_items = \
+            payload or (offsets, origins, items)
+        self.payload_key_ids = payload_key_ids
+        freeze_columns(srcs, dests, offsets, origins, items, final_dests,
+                       *(payload or ()))
+        if payload_key_ids is not None:
+            freeze_columns(payload_key_ids)
+        self._views: Dict[int, PlannedMessage] = {}
+
+    @classmethod
+    def from_messages(cls, phase: Phase,
+                      messages: Iterable[PlannedMessage]) -> "PhaseTable":
+        """Stack a hand-built message list into columns (one O(messages) pass)."""
+        messages = list(messages)
+        n = len(messages)
+
+        def column(values):
+            return np.fromiter(values, dtype=INDEX_DTYPE, count=n)
+
+        payload = None
+        if any(m.payload_origins is not m.table.origin for m in messages):
+            payload = (
+                counts_to_displs(column(m.payload_origins.size for m in messages)),
+                concatenate_or_empty([m.payload_origins for m in messages]),
+                concatenate_or_empty([m.payload_items for m in messages]))
+        return cls(
+            phase, column(m.src for m in messages),
+            column(m.dest for m in messages),
+            counts_to_displs(column(len(m.table) for m in messages)),
+            concatenate_or_empty([m.table.origin for m in messages]),
+            concatenate_or_empty([m.table.item for m in messages]),
+            concatenate_or_empty([m.table.final_dest for m in messages]),
+            payload)
+
+    @property
+    def slot_counts(self) -> np.ndarray:
+        """Routing entries per message."""
+        return np.diff(self.offsets)
+
+    @property
+    def payload_counts(self) -> np.ndarray:
+        """Values physically packed per message."""
+        return np.diff(self.payload_offsets)
+
+    def _cut(self, index: int) -> PlannedMessage:
+        begin, end = int(self.offsets[index]), int(self.offsets[index + 1])
+        table = SlotTable._wrap(self.origins[begin:end], self.items[begin:end],
+                                self.final_dests[begin:end])
+        if self.payload_origins is self.origins:
+            return PlannedMessage.from_table(
+                self.phase, self.srcs[index], self.dests[index], table)
+        begin, end = (int(self.payload_offsets[index]),
+                      int(self.payload_offsets[index + 1]))
+        return PlannedMessage.from_table(
+            self.phase, self.srcs[index], self.dests[index], table,
+            self.payload_origins[begin:end], self.payload_items[begin:end])
+
+    def __len__(self) -> int:
+        return int(self.srcs.size)
+
+    def __getitem__(self, index: int) -> PlannedMessage:
+        index = range(len(self))[index]      # normalises, raises IndexError
+        view = self._views.get(index)
+        if view is None:        # setdefault: racing rank threads share one view
+            view = self._views.setdefault(index, self._cut(index))
+        return view
+
+    def __iter__(self) -> Iterator[PlannedMessage]:
+        return (self._views.get(i) or self._cut(i) for i in range(len(self)))
+
+    def __add__(self, other) -> List[PlannedMessage]:
+        return list(self) + list(other)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PhaseTable({self.phase.value}, messages={len(self)})"
 
 
 #: Column triple ``(origins, items, final_dests)`` — the multiset element layout.
@@ -405,7 +501,9 @@ class CollectivePlan:
     variant: Variant
     pattern: CommPattern
     mapping: RankMapping
-    phases: Dict[Phase, List[PlannedMessage]]
+    #: One :class:`PhaseTable` per phase; a hand-built ``{phase: [messages]}``
+    #: dict is stacked into tables once, on construction.
+    phases: Dict[Phase, PhaseTable]
     #: Deliveries satisfied without any message (origin already at destination,
     #: or an aggregator that is itself the final destination).
     self_deliveries: SlotTable = field(default_factory=SlotTable.empty)
@@ -420,24 +518,27 @@ class CollectivePlan:
     #: deterministic planner output for exactly that key, so two plans with
     #: equal tokens are interchangeable — a guarantee a hand-assembled
     #: ``phases`` dict cannot make.
-    cache_token: object = field(default=None, compare=False)
-    #: Instance memos for the derived per-plan analyses (statistics and
-    #: modeled times).  A plan is immutable once planned, so both are pure
-    #: functions of the plan (plus, for times, the cost model) — cached
-    #: plans served repeatedly to the experiment drivers then answer their
-    #: analyses in O(1) instead of re-walking every message.  Modeled times
-    #: are keyed by the *live model object* (weakly, so dead models free
-    #: their entries): keying by ``repr`` would let a model whose repr
-    #: omits behaviour-bearing state — any non-dataclass
-    #: :class:`~repro.perfmodel.base.CostModel` subclass with the default
-    #: address-based repr, which the GC can reuse — be served another
-    #: model's cached time.  Frozen-dataclass models hash by content, so
-    #: equal models still share entries.
-    _statistics_memo: object = field(default=None, compare=False, repr=False)
+    cache_token: object = field(default=None, init=False, compare=False)
+    #: Instance memos of the derived analyses.  A plan is immutable, so
+    #: statistics and modeled times are pure functions of it (and the cost
+    #: model); neither memo is an ``__init__`` field, so a
+    #: ``dataclasses.replace`` copy starts without them (and without a cache
+    #: token).  Times are keyed by the *live model object*, weakly: a ``repr``
+    #: key would serve a model whose repr omits behaviour-bearing state — any
+    #: non-dataclass :class:`~repro.perfmodel.base.CostModel` with the default
+    #: address-based repr — another model's time.  Frozen-dataclass models
+    #: hash by content, so equal models still share entries.
+    _statistics_memo: object = field(default=None, init=False, compare=False,
+                                     repr=False)
     _modeled_time_memo: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, compare=False, repr=False)
+        default_factory=weakref.WeakKeyDictionary, init=False, compare=False,
+        repr=False)
 
     def __post_init__(self):
+        self.phases = {
+            phase: messages if isinstance(messages, PhaseTable)
+            else PhaseTable.from_messages(phase, messages)
+            for phase, messages in self.phases.items()}
         if not isinstance(self.self_deliveries, SlotTable):
             self.self_deliveries = SlotTable.from_slots(self.self_deliveries)
 
@@ -458,19 +559,28 @@ class CollectivePlan:
 
     def messages(self, phase: Phase | None = None) -> Iterator[PlannedMessage]:
         """Iterate over all messages, optionally restricted to one phase."""
-        if phase is not None:
-            yield from self.phases.get(phase, [])
-            return
-        for messages in self.phases.values():
-            yield from messages
+        for table in self._tables(phase):
+            yield from table
+
+    def _tables(self, phase: Phase | None = None) -> List[PhaseTable]:
+        if phase is None:
+            return list(self.phases.values())
+        return [self.phases[phase]] if phase in self.phases else []
+
+    def _matching(self, column: str, rank: int,
+                  phase: Phase | None) -> List[PlannedMessage]:
+        """Views of the messages whose endpoint ``column`` equals ``rank``."""
+        return [table[index] for table in self._tables(phase)
+                for index in np.flatnonzero(
+                    getattr(table, column) == rank).tolist()]
 
     def messages_from(self, rank: int, phase: Phase | None = None) -> List[PlannedMessage]:
-        """Messages sent by ``rank``."""
-        return [m for m in self.messages(phase) if m.src == rank]
+        """Messages sent by ``rank`` (a mask over ``srcs``; only matches are cut)."""
+        return self._matching("srcs", rank, phase)
 
     def messages_to(self, rank: int, phase: Phase | None = None) -> List[PlannedMessage]:
-        """Messages received by ``rank``."""
-        return [m for m in self.messages(phase) if m.dest == rank]
+        """Messages received by ``rank`` (a mask over ``dests``)."""
+        return self._matching("dests", rank, phase)
 
     @property
     def item_bytes(self) -> int:
@@ -482,14 +592,11 @@ class CollectivePlan:
         """Total message count across all phases."""
         return sum(len(msgs) for msgs in self.phases.values())
 
-    # -- columnar message views ------------------------------------------------
-
-    def _message_columns(self, messages: Sequence[PlannedMessage]):
-        """``(srcs, dests, payload_counts, slot_counts)`` arrays of a message list."""
-        columns = np.array(
-            [(m.src, m.dest, m.payload_origins.size, m.table.origin.size)
-             for m in messages], dtype=INDEX_DTYPE).reshape(len(messages), 4)
-        return columns[:, 0], columns[:, 1], columns[:, 2], columns[:, 3]
+    def _stacked(self, *names: str) -> List[np.ndarray]:
+        """The named per-message columns of every phase, end to end."""
+        return [concatenate_or_empty([getattr(table, name)
+                                      for table in self.phases.values()])
+                for name in names]
 
     # -- statistics (Figures 8-10) -----------------------------------------------
 
@@ -500,62 +607,43 @@ class CollectivePlan:
         message schedule, and the experiment drivers re-query them on every
         re-run of a figure sweep.  Treat the returned object as read-only.
         """
-        if self._statistics_memo is not None:
-            return self._statistics_memo
-        stats = self._statistics_memo = self._compute_statistics()
-        return stats
+        if self._statistics_memo is None:
+            stats = PatternStatistics(n_ranks=self.pattern.n_ranks)
+            srcs, dests, payloads = self._stacked("srcs", "dests",
+                                                  "payload_counts")
+            if srcs.size:
+                stats.add_messages(srcs,
+                                   self.mapping.same_region_many(srcs, dests),
+                                   payloads * self.item_bytes)
+            self._statistics_memo = stats
+        return self._statistics_memo
 
-    def _compute_statistics(self) -> PatternStatistics:
-        stats = PatternStatistics(n_ranks=self.pattern.n_ranks)
-        messages = list(self.messages())
-        if not messages:
-            return stats
-        srcs, dests, payloads, _ = self._message_columns(messages)
-        is_local = self.mapping.same_region_many(srcs, dests)
-        stats.add_messages(srcs, is_local, payloads * self.item_bytes)
-        return stats
+    def _global_payloads(self) -> np.ndarray:
+        """Payload counts of the messages that cross a region boundary."""
+        srcs, dests, payloads = self._stacked("srcs", "dests", "payload_counts")
+        return payloads[~self.mapping.same_region_many(srcs, dests)]
 
     def max_global_message_bytes(self) -> int:
         """Largest single inter-region message (Figure 10 uses the per-process max)."""
-        messages = list(self.messages())
-        if not messages:
-            return 0
-        srcs, dests, payloads, _ = self._message_columns(messages)
-        inter = ~self.mapping.same_region_many(srcs, dests)
-        if not inter.any():
-            return 0
-        return int((payloads[inter] * self.item_bytes).max())
+        return int(self._global_payloads().max(initial=0)) * self.item_bytes
 
     def global_payload_items(self) -> int:
         """Total number of values crossing region boundaries."""
-        messages = list(self.messages())
-        if not messages:
-            return 0
-        srcs, dests, payloads, _ = self._message_columns(messages)
-        inter = ~self.mapping.same_region_many(srcs, dests)
-        return int(payloads[inter].sum())
+        return int(self._global_payloads().sum())
 
     # -- modeled time (Figures 7, 11-13) --------------------------------------------
 
     def _phase_time(self, model: CostModel, phase: Phase) -> float:
-        messages = self.phases.get(phase, [])
-        if not messages:
+        table = self.phases.get(phase)
+        if not table:
             return model.phase_time({})
-        srcs, dests, payloads, _ = self._message_columns(messages)
-        nbytes = payloads * self.item_bytes
-        localities = self.mapping.locality_many(srcs, dests)
-        # Group messages by sender with one sort instead of dict appends.
-        order = np.argsort(srcs, kind="stable")
-        sorted_srcs = srcs[order]
-        starts = np.flatnonzero(run_starts_mask(sorted_srcs))
-        bounds = np.append(starts, sorted_srcs.size)
+        nbytes = table.payload_counts * self.item_bytes
+        localities = self.mapping.locality_many(table.srcs, table.dests)
         per_process: Dict[int, List[MessageCost]] = {}
-        for begin, end in zip(bounds[:-1], bounds[1:]):
-            indices = order[begin:end]
-            per_process[int(sorted_srcs[begin])] = [
-                MessageCost(nbytes=int(nbytes[i]), locality=localities[i])
-                for i in indices
-            ]
+        for src, size, locality in zip(table.srcs.tolist(), nbytes.tolist(),
+                                       localities):
+            per_process.setdefault(src, []).append(
+                MessageCost(nbytes=size, locality=locality))
         return model.phase_time(per_process)
 
     def modeled_time(self, model: CostModel) -> float:
@@ -603,10 +691,9 @@ class CollectivePlan:
         happens in parallel, so the proxies are the *maximum over processes*,
         not totals.
         """
-        messages = list(self.messages())
-        if not messages:
+        srcs, dests, slot_counts = self._stacked("srcs", "dests", "slot_counts")
+        if not srcs.size:
             return 0, 0
-        srcs, dests, _, slot_counts = self._message_columns(messages)
         endpoints = np.concatenate([srcs, dests])
         slot_bytes = np.concatenate([slot_counts, slot_counts]) * (3 * 8)
         length = int(endpoints.max()) + 1
@@ -629,29 +716,25 @@ class CollectivePlan:
         final destination is not the message destination (one vectorized
         comparison over all terminal slots).
         """
-        messages = [message
-                    for phase in TERMINAL_PHASES[self.variant]
-                    for message in self.phases.get(phase, [])]
-        parts = [message.table for message in messages]
-        if messages:
-            final_dests = np.concatenate([t.final_dest for t in parts])
-            lengths = np.fromiter((t.origin.size for t in parts),
-                                  dtype=INDEX_DTYPE, count=len(parts))
-            expected = np.repeat(
-                np.fromiter((m.dest for m in messages), dtype=INDEX_DTYPE,
-                            count=len(messages)), lengths)
-            stray_mask = final_dests != expected
+        tables = [table for phase in TERMINAL_PHASES[self.variant]
+                  for table in self._tables(phase)]
+        for table in tables:
+            stray_mask = table.final_dests != np.repeat(table.dests,
+                                                        table.slot_counts)
             if stray_mask.any():
                 position = int(np.argmax(stray_mask))
-                message = messages[int(np.searchsorted(
-                    np.cumsum(lengths), position, side="right"))]
+                index = int(np.searchsorted(table.offsets, position,
+                                            side="right")) - 1
                 raise PlanError(
-                    f"terminal message {message.src}->{message.dest} carries a slot "
-                    f"bound for rank {int(final_dests[position])}"
+                    f"terminal message {int(table.srcs[index])}->"
+                    f"{int(table.dests[index])} carries a slot "
+                    f"bound for rank {int(table.final_dests[position])}"
                 )
-        parts.append(self.self_deliveries)
-        table = SlotTable.concat(parts)
-        return table.origin, table.item, table.final_dest
+        own = self.self_deliveries
+        return (concatenate_or_empty([t.origins for t in tables] + [own.origin]),
+                concatenate_or_empty([t.items for t in tables] + [own.item]),
+                concatenate_or_empty([t.final_dests for t in tables]
+                                     + [own.final_dest]))
 
     def required_deliveries(self) -> Dict[Tuple[int, int, int], int]:
         """Multiset of ``(origin, item, final_dest)`` required by the pattern."""
@@ -676,10 +759,10 @@ class CollectivePlan:
     def _check_message_structure(self) -> None:
         """Vectorized endpoint-range and phase-locality checks."""
         n = self.pattern.n_ranks
-        for phase, messages in self.phases.items():
-            if not messages:
+        for phase, table in self.phases.items():
+            if not table:
                 continue
-            srcs, dests, _, _ = self._message_columns(messages)
+            srcs, dests = table.srcs, table.dests
             out_of_range = (srcs < 0) | (srcs >= n) | (dests < 0) | (dests >= n)
             if out_of_range.any():
                 index = int(np.argmax(out_of_range))

@@ -44,7 +44,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
@@ -207,12 +207,16 @@ def _discard(path: str, reason: str) -> None:
         pass
 
 
-def _disk_load(kind: str, digest: str):
-    """Load and verify one on-disk entry; ``None`` on miss or any defect."""
+def _disk_load(kind: str, key: Tuple):
+    """Load and verify one on-disk entry; ``None`` on miss or any defect.
+
+    Nothing is hashed unless a cache directory is configured.
+    """
     global _disk_hits, _disk_misses
     directory = cache_dir()
     if directory is None:
         return None
+    digest = _digest(kind, key)
     path = _entry_path(directory, kind, digest)
     if not os.path.exists(path):
         _disk_misses += 1
@@ -237,11 +241,12 @@ def _disk_load(kind: str, digest: str):
     return envelope.get("payload")
 
 
-def _disk_store(kind: str, digest: str, payload) -> None:
+def _disk_store(kind: str, key: Tuple, payload) -> None:
     """Persist one entry (atomic rename); failures degrade to no caching."""
     directory = cache_dir()
     if directory is None:
         return
+    digest = _digest(kind, key)
     try:
         os.makedirs(directory, exist_ok=True)
         path = _entry_path(directory, kind, digest)
@@ -268,7 +273,7 @@ def fetch_plan(pattern, mapping, variant, strategy):
     plan = _plan_lru.get(key)
     if plan is not None:
         return plan
-    plan = _disk_load("plan", _digest("plan", key))
+    plan = _disk_load("plan", key)
     if plan is not None:
         _plan_lru.put(key, plan)
     return plan
@@ -278,7 +283,7 @@ def store_plan(plan) -> None:
     """Cache a freshly built plan in both tiers."""
     key = plan_key(plan.pattern, plan.mapping, plan.variant, plan.strategy)
     _plan_lru.put(key, plan)
-    _disk_store("plan", _digest("plan", key), plan)
+    _disk_store("plan", key, plan)
 
 
 def fetch_world(plan, spec):
@@ -289,7 +294,7 @@ def fetch_world(plan, spec):
     world = _world_lru.get(key)
     if world is not None:
         return world
-    world = _disk_load("world", _digest("world", key))
+    world = _disk_load("world", key)
     if world is not None:
         _world_lru.put(key, world)
     return world
@@ -308,7 +313,7 @@ def store_world(plan, spec, world) -> None:
         return
     _world_lru.put(key, world)
     if world.compiled is None:
-        _disk_store("world", _digest("world", key), world)
+        _disk_store("world", key, world)
 
 
 def clear_plan_cache(*, disk: bool = False) -> None:

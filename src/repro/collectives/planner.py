@@ -8,14 +8,14 @@ pattern and the rank mapping, which is what lets the experiment harness compute
 Figures 8-13 for thousands of simulated ranks without executing any
 communication.
 
-Compilation is columnar: the pattern's expanded edge table (three parallel
-int64 arrays) is deduplicated, routed, and grouped into messages with a
-handful of ``np.lexsort`` passes — per-row leader assignment via ``np.repeat``
-over the region-pair segments, one sort per phase, boundary detection for the
-message runs — so planning cost no longer scales with one Python loop
-iteration per routed item.  The slot-list implementation this replaced is
-preserved verbatim in :mod:`repro.collectives.reference` and pinned to this
-planner by the golden-equivalence tests.
+Planning is columnar end to end: the pattern's unique edge table (three
+parallel int64 arrays plus the interned key of every row) is routed with one
+sort per phase, and the sorted columns *are* the phase — a
+:class:`~repro.collectives.plan.PhaseTable` keeps them and finds the message
+runs by boundary detection, so planning cost scales with neither routed items
+nor messages.  The slot-list implementation this replaced is preserved
+verbatim in :mod:`repro.collectives.reference` and pinned to this planner by
+the golden-equivalence tests.
 """
 
 from __future__ import annotations
@@ -29,92 +29,59 @@ from repro.collectives.aggregation import (
     BalanceStrategy,
     setup_aggregation,
 )
-from repro.collectives.dedup import unique_pairs_segmented
+from repro.collectives.dedup import unique_keys_segmented
 from repro.collectives.plan import (
+    AGGREGATED_PHASES,
     CollectivePlan,
     Phase,
-    PlannedMessage,
+    PhaseTable,
     SlotTable,
     Variant,
 )
 from repro.collectives import plan_cache
 from repro.pattern.comm_pattern import CommPattern
 from repro.topology.mapping import RankMapping
-from repro.utils.arrays import INDEX_DTYPE, counts_to_displs, run_starts_mask
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    argsort_packed,
+    counts_to_displs,
+    freeze_columns,
+    run_starts_mask,
+)
 from repro.utils.errors import PlanError
-
-
-def _group_bounds(*columns: np.ndarray) -> np.ndarray:
-    """Group boundaries of pre-sorted parallel key columns.
-
-    Returns offsets ``b`` such that group ``i`` spans ``[b[i], b[i + 1])``.
-    """
-    n = columns[0].size
-    if n == 0:
-        return np.zeros(1, dtype=INDEX_DTYPE)
-    starts = np.flatnonzero(run_starts_mask(*columns))
-    return np.append(starts, n).astype(INDEX_DTYPE, copy=False)
-
-
-def _freeze(*arrays: np.ndarray) -> None:
-    """Mark arrays read-only so every slice handed to a SlotTable inherits it."""
-    for array in arrays:
-        if array.flags.writeable:
-            array.flags.writeable = False
 
 
 def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
                          dests: np.ndarray) -> SlotTable:
     """Wrap freshly-masked planner columns as a SlotTable without re-copying."""
-    _freeze(origins, items, dests)
+    freeze_columns(origins, items, dests)
     return SlotTable._wrap(origins, items, dests)
 
 
-def _phase_messages(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
-                    origins: np.ndarray, items: np.ndarray,
-                    final_dests: np.ndarray, *,
-                    deduplicate: bool = False) -> List[PlannedMessage]:
+def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
+                 origins: np.ndarray, items: np.ndarray,
+                 final_dests: np.ndarray, keys: np.ndarray, *,
+                 dedup_keys: int | None = None) -> PhaseTable:
     """One message per ``(src, dest)`` run of pre-sorted per-row endpoint columns.
 
     ``srcs``/``dests`` give every row's message endpoints and must be the
-    primary sort keys of all six columns.  With ``deduplicate`` the payload
-    unique of every message of the phase runs as one segmented lexsort
-    instead of one small sort per message.
+    primary sort keys of all the columns; ``keys`` are the rows' interned
+    ``(origin, item)`` ids.  With ``dedup_keys`` (the pattern's key count) the
+    payload unique of every message of the phase runs as one segmented sort.
     """
-    if origins.size == 0:
-        return []
-    _freeze(origins, items, final_dests)
-    bounds = _group_bounds(srcs, dests)
-    n_messages = bounds.size - 1
-    starts = bounds[:-1]
-    src_values = srcs[starts].tolist()
-    dest_values = dests[starts].tolist()
-    offsets = bounds.tolist()
-
-    payload_offsets = payload_origins = payload_items = None
-    if deduplicate:
+    starts = np.flatnonzero(run_starts_mask(srcs, dests))
+    bounds = np.append(starts, srcs.size).astype(INDEX_DTYPE, copy=False)
+    payload = None
+    if dedup_keys is not None:
+        n_messages = starts.size
         segments = np.repeat(np.arange(n_messages, dtype=INDEX_DTYPE),
                              np.diff(bounds))
-        payload_origins, payload_items, counts = unique_pairs_segmented(
-            segments, origins, items, n_messages)
-        _freeze(payload_origins, payload_items)
-        payload_offsets = counts_to_displs(counts).tolist()
-
-    messages: List[PlannedMessage] = []
-    for index in range(n_messages):
-        begin, end = offsets[index], offsets[index + 1]
-        table = SlotTable._wrap(origins[begin:end], items[begin:end],
-                                final_dests[begin:end])
-        if deduplicate:
-            p_begin, p_end = payload_offsets[index], payload_offsets[index + 1]
-            message = PlannedMessage.from_table(
-                phase, src_values[index], dest_values[index], table,
-                payload_origins[p_begin:p_end], payload_items[p_begin:p_end])
-        else:
-            message = PlannedMessage.from_table(
-                phase, src_values[index], dest_values[index], table)
-        messages.append(message)
-    return messages
+        firsts, counts = unique_keys_segmented(segments, keys, dedup_keys,
+                                               n_messages)
+        payload = (counts_to_displs(counts), origins[firsts], items[firsts])
+        keys = keys[firsts]
+    return PhaseTable(phase, srcs[starts], dests[starts], bounds, origins,
+                      items, final_dests, payload, keys)
 
 
 def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
@@ -123,13 +90,14 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
     if variant not in (Variant.STANDARD, Variant.POINT_TO_POINT):
         raise PlanError(f"plan_standard cannot build variant {variant}")
     origins, dests, items = pattern.unique_edge_table()
+    keys = pattern.owned_keys()[2]
     self_mask = origins == dests
     self_deliveries = _self_delivery_table(origins[self_mask], items[self_mask],
                                            dests[self_mask])
     keep = ~self_mask
     origins, dests, items = origins[keep], dests[keep], items[keep]
-    direct = _phase_messages(Phase.DIRECT, origins, dests,
-                             origins, items, dests)
+    direct = _phase_table(Phase.DIRECT, origins, dests,
+                          origins, items, dests, keys[keep])
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases={Phase.DIRECT: direct},
                           self_deliveries=self_deliveries)
@@ -144,6 +112,8 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         assignment = setup_aggregation(pattern, mapping, strategy=strategy)
 
     origins, dests, items = pattern.unique_edge_table()
+    owned_holders, _, keys = pattern.owned_keys()
+    dedup_keys = int(owned_holders.size) if deduplicate else None
     regions = mapping.regions_array()
     origin_regions = mapping.region_of_many(origins)
     dest_region_ids = mapping.region_of_many(dests)
@@ -157,14 +127,13 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         _self_delivery_table(origins[self_mask], items[self_mask],
                              dests[self_mask])]
     local_mask = same_region & ~self_mask
-    local = _phase_messages(Phase.LOCAL, origins[local_mask],
-                            dests[local_mask], origins[local_mask],
-                            items[local_mask], dests[local_mask])
+    local_origins, local_dests = origins[local_mask], dests[local_mask]
+    local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_origins,
+                         items[local_mask], local_dests, keys[local_mask])
 
-    # Inter-region traffic: the three aggregated phases.  Rows are first
-    # segmented by (source region, destination region); the leaders of each
-    # region pair fan out to per-row arrays with one np.repeat, and each phase
-    # is then a single lexsort + boundary grouping:
+    # Inter-region traffic: the three aggregated phases.  The leaders of each
+    # (source region, destination region) pair fan out to per-row arrays, and
+    # each phase is then a single packed-key sort + boundary grouping:
     #
     # * phase s groups by (origin, send leader), skipping rows the leader
     #   already holds,
@@ -176,32 +145,30 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     # Messages sharing endpoints within a phase merge automatically (one
     # buffer per pair of ranks per phase), which is what a real implementation
     # posts.
-    phases: Dict[Phase, List[PlannedMessage]] = {
-        Phase.LOCAL: local,
-        Phase.SETUP_REDIST: [],
-        Phase.GLOBAL: [],
-        Phase.FINAL_REDIST: [],
-    }
+    phases: Dict[Phase, PhaseTable | tuple] = dict.fromkeys(AGGREGATED_PHASES, ())
+    phases[Phase.LOCAL] = local
 
     inter_mask = ~same_region
     if inter_mask.any():
         row_origins = origins[inter_mask]
         row_dests = dests[inter_mask]
         row_items = items[inter_mask]
+        row_keys = keys[inter_mask]
         row_src_regions = origin_regions[inter_mask]
         row_dest_regions = dest_region_ids[inter_mask]
 
         # Per-row leaders via dense (src_region, dest_region) lookup tables —
         # no pre-sort by region pair needed.
         n_regions = mapping.n_regions
-        send_table = np.full((n_regions, n_regions), -1, dtype=INDEX_DTYPE)
-        recv_table = np.full((n_regions, n_regions), -1, dtype=INDEX_DTYPE)
-        for (src_region, dest_region), rank in assignment.send_leader.items():
-            send_table[src_region, dest_region] = rank
-        for (src_region, dest_region), rank in assignment.recv_leader.items():
-            recv_table[src_region, dest_region] = rank
-        row_send = send_table[row_src_regions, row_dest_regions]
-        row_recv = recv_table[row_src_regions, row_dest_regions]
+
+        def row_leaders(leader_of_pair) -> np.ndarray:
+            table = np.full((n_regions, n_regions), -1, dtype=INDEX_DTYPE)
+            for (src_region, dest_region), rank in leader_of_pair.items():
+                table[src_region, dest_region] = rank
+            return table[row_src_regions, row_dest_regions]
+
+        row_send = row_leaders(assignment.send_leader)
+        row_recv = row_leaders(assignment.recv_leader)
         unassigned = (row_send < 0) | (row_recv < 0)
         if unassigned.any():
             index = int(np.argmax(unassigned))
@@ -215,26 +182,32 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
                 f"{int(row_dest_regions[index])}) share a region"
             )
 
+        # The rows arrive sorted by (origin, dest, item) and every sort below
+        # is stable, so each names only the keys ahead of that tail: ties
+        # share an origin (and in phase r a dest) and keep their input order.
+        n_ranks = mapping.n_ranks
+
         # Phase s: every rank forwards its contribution to the send leader.
         # Sorting with the skip flag as the most significant key puts the
         # leader's own rows last, so the forwarded block is one slice.
         skip = row_origins == row_send
-        order = np.lexsort((row_items, row_dests, row_dest_regions,
-                            row_send, row_origins, skip))
+        order = argsort_packed(
+            (skip, row_origins, row_send, row_dest_regions),
+            (2, n_ranks, n_ranks, n_regions))
         selection = order[:order.size - int(np.count_nonzero(skip))]
         setup_origins = row_origins[selection]
-        phases[Phase.SETUP_REDIST] = _phase_messages(
+        phases[Phase.SETUP_REDIST] = _phase_table(
             Phase.SETUP_REDIST, setup_origins, row_send[selection],
             setup_origins, row_items[selection], row_dests[selection],
-            deduplicate=deduplicate)
+            row_keys[selection], dedup_keys=dedup_keys)
 
         # Phase g: one aggregated message between the leaders of each pair.
-        order = np.lexsort((row_items, row_dests, row_origins,
-                            row_recv, row_send))
-        phases[Phase.GLOBAL] = _phase_messages(
+        order = argsort_packed((row_send, row_recv, row_origins),
+                               (n_ranks, n_ranks, n_ranks))
+        phases[Phase.GLOBAL] = _phase_table(
             Phase.GLOBAL, row_send[order], row_recv[order],
             row_origins[order], row_items[order], row_dests[order],
-            deduplicate=deduplicate)
+            row_keys[order], dedup_keys=dedup_keys)
 
         # Phase r: the receive leader forwards to final destinations; rows it
         # keeps for itself are satisfied without a message (same flag trick,
@@ -242,20 +215,23 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         keep_self = row_dests == row_recv
         n_kept = int(np.count_nonzero(keep_self))
         if n_kept:
-            order = np.lexsort((row_items, row_origins, row_dests,
-                                row_dest_regions, row_src_regions, keep_self))
+            order = argsort_packed(
+                (keep_self, row_src_regions, row_dest_regions, row_dests,
+                 row_origins),
+                (2, n_regions, n_regions, n_ranks, n_ranks))
             selection = order[order.size - n_kept:]
             self_parts.append(_self_delivery_table(row_origins[selection],
                                                    row_items[selection],
                                                    row_dests[selection]))
-        order = np.lexsort((row_items, row_origins, row_src_regions,
-                            row_dests, row_recv, keep_self))
+        order = argsort_packed(
+            (keep_self, row_recv, row_dests, row_src_regions, row_origins),
+            (2, n_ranks, n_ranks, n_regions, n_ranks))
         selection = order[:order.size - n_kept]
         final_dests = row_dests[selection]
-        phases[Phase.FINAL_REDIST] = _phase_messages(
+        phases[Phase.FINAL_REDIST] = _phase_table(
             Phase.FINAL_REDIST, row_recv[selection], final_dests,
             row_origins[selection], row_items[selection], final_dests,
-            deduplicate=deduplicate)
+            row_keys[selection], dedup_keys=dedup_keys)
 
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases=phases,
@@ -279,6 +255,26 @@ def plan_full(pattern: CommPattern, mapping: RankMapping, *,
                             assignment=assignment)
 
 
+_ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
+                 Variant.PARTIAL, Variant.FULL)
+
+
+def _plan_and_store(pattern: CommPattern, mapping: RankMapping,
+                    variant: Variant, strategy: BalanceStrategy,
+                    assignment: AggregationAssignment | None = None
+                    ) -> CollectivePlan:
+    """Cold-build the plan of ``variant``, stamp its cache token, cache it."""
+    if variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
+        plan = plan_standard(pattern, mapping, variant=variant)
+    else:
+        plan = _aggregated_plan(pattern, mapping, strategy=strategy,
+                                deduplicate=variant is Variant.FULL,
+                                assignment=assignment)
+    plan.cache_token = plan_cache.plan_key(pattern, mapping, variant, strategy)
+    plan_cache.store_plan(plan)
+    return plan
+
+
 def make_plan(pattern: CommPattern, mapping: RankMapping, variant: Variant | str, *,
               strategy: BalanceStrategy = BalanceStrategy.BYTES,
               use_cache: bool = True) -> CollectivePlan:
@@ -295,17 +291,7 @@ def make_plan(pattern: CommPattern, mapping: RankMapping, variant: Variant | str
         cached = plan_cache.fetch_plan(pattern, mapping, variant, strategy)
         if cached is not None:
             return cached
-    if variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
-        plan = plan_standard(pattern, mapping, variant=variant)
-    elif variant is Variant.PARTIAL:
-        plan = plan_partial(pattern, mapping, strategy=strategy)
-    elif variant is Variant.FULL:
-        plan = plan_full(pattern, mapping, strategy=strategy)
-    else:
-        raise PlanError(f"unknown variant {variant!r}")
-    plan.cache_token = plan_cache.plan_key(pattern, mapping, variant, strategy)
-    plan_cache.store_plan(plan)
-    return plan
+    return _plan_and_store(pattern, mapping, variant, strategy)
 
 
 def all_plans(pattern: CommPattern, mapping: RankMapping, *,
@@ -322,39 +308,15 @@ def all_plans(pattern: CommPattern, mapping: RankMapping, *,
     The aggregation setup only runs when an aggregated variant misses.
     """
     plans: Dict[Variant, CollectivePlan] = {}
-    if use_cache:
-        for variant in (Variant.POINT_TO_POINT, Variant.STANDARD,
-                        Variant.PARTIAL, Variant.FULL):
-            cached = plan_cache.fetch_plan(pattern, mapping, variant, strategy)
-            if cached is not None:
-                plans[variant] = cached
-
-    def built(variant: Variant, plan: CollectivePlan) -> CollectivePlan:
-        plan.cache_token = plan_cache.plan_key(pattern, mapping, variant,
-                                               strategy)
-        plan_cache.store_plan(plan)
-        return plan
-
-    if Variant.POINT_TO_POINT not in plans:
-        plans[Variant.POINT_TO_POINT] = built(
-            Variant.POINT_TO_POINT,
-            plan_standard(pattern, mapping, variant=Variant.POINT_TO_POINT))
-    if Variant.STANDARD not in plans:
-        plans[Variant.STANDARD] = built(
-            Variant.STANDARD,
-            plan_standard(pattern, mapping, variant=Variant.STANDARD))
-    if Variant.PARTIAL not in plans or Variant.FULL not in plans:
-        assignment = setup_aggregation(pattern, mapping, strategy=strategy)
-        if Variant.PARTIAL not in plans:
-            plans[Variant.PARTIAL] = built(
-                Variant.PARTIAL,
-                plan_partial(pattern, mapping, strategy=strategy,
-                             assignment=assignment))
-        if Variant.FULL not in plans:
-            plans[Variant.FULL] = built(
-                Variant.FULL,
-                plan_full(pattern, mapping, strategy=strategy,
-                          assignment=assignment))
-    return {variant: plans[variant]
-            for variant in (Variant.POINT_TO_POINT, Variant.STANDARD,
-                            Variant.PARTIAL, Variant.FULL)}
+    assignment = None
+    for variant in _ALL_VARIANTS:
+        plan = plan_cache.fetch_plan(pattern, mapping, variant, strategy) \
+            if use_cache else None
+        if plan is None:
+            if variant in (Variant.PARTIAL, Variant.FULL) and assignment is None:
+                assignment = setup_aggregation(pattern, mapping,
+                                               strategy=strategy)
+            plan = _plan_and_store(pattern, mapping, variant, strategy,
+                                   assignment)
+        plans[variant] = plan
+    return plans

@@ -278,6 +278,7 @@ class CommPattern:
         self._edge_lists: Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]] | None = None
         self._edge_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unique_edges: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._owned_keys: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._hash: int | None = None
 
     @staticmethod
@@ -483,7 +484,11 @@ class CommPattern:
         """
         if self._unique_edges is None:
             origins, dests, items = self.edge_arrays()
-            if origins.size:
+            # Edges are stored in (origin, dest) order: the table is already
+            # canonical when every edge lists its items strictly ascending.
+            edge_starts = np.zeros(items.size, dtype=bool)
+            edge_starts[self._item_offsets[:-1]] = True
+            if not np.all((items[1:] > items[:-1]) | edge_starts[1:]):
                 order = np.lexsort((items, dests, origins))
                 origins, dests, items = origins[order], dests[order], items[order]
                 keep = run_starts_mask(origins, dests, items)
@@ -492,6 +497,29 @@ class CommPattern:
                     arr.flags.writeable = False
             self._unique_edges = (origins, dests, items)
         return self._unique_edges
+
+    def owned_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct ``(origin, item)`` values, interned: ``(holders, items, edge_keys)``.
+
+        Key ``k`` is the value ``items[k]`` owned by rank ``holders[k]``; keys
+        are sorted by ``(holder, item)``, so an id orders like its pair.
+        ``edge_keys[r]`` is the key of row ``r`` of :meth:`unique_edge_table`.
+        The planner carries the ids through its sorts and the world compiler
+        packs them with a holder rank into one int64, so neither compares
+        ``(origin, item)`` pairs again (cached, read-only).
+        """
+        if self._owned_keys is None:
+            origins, _, items = self.unique_edge_table()
+            order = np.lexsort((items, origins))
+            origins, items = origins[order], items[order]
+            starts = run_starts_mask(origins, items)
+            edge_keys = np.empty(order.size, dtype=INDEX_DTYPE)
+            edge_keys[order] = np.cumsum(starts) - 1
+            columns = (origins[starts], items[starts], edge_keys)
+            for arr in columns:
+                arr.flags.writeable = False
+            self._owned_keys = columns
+        return self._owned_keys
 
     def transpose(self) -> "CommPattern":
         """Pattern with the roles of senders and receivers exchanged."""

@@ -8,6 +8,7 @@ that MPI-style code needs constantly.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,6 +178,23 @@ def run_starts_mask(*columns: np.ndarray) -> np.ndarray:
     for column in columns[1:]:
         np.logical_or(mask[1:], column[1:] != column[:-1], out=mask[1:])
     return mask
+
+
+def argsort_packed(columns: Sequence[np.ndarray],
+                   bounds: Sequence[int]) -> np.ndarray:
+    """Stable argsort by parallel key columns, most significant first.
+
+    Every column holds integers in ``[0, bound)``.  The keys are packed into
+    one int64 (the ``row * n + col`` idiom) for a single stable argsort —
+    nearly-sorted input costs close to one pass — unless the product of the
+    bounds overflows, where it falls back to ``np.lexsort``.
+    """
+    if math.prod(int(bound) for bound in bounds) >= 2 ** 63:
+        return np.lexsort(tuple(columns)[::-1])
+    packed = columns[0]
+    for column, bound in zip(columns[1:], bounds[1:]):
+        packed = packed * int(bound) + column
+    return np.argsort(packed, kind="stable")
 
 
 def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,

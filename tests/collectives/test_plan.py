@@ -1,5 +1,7 @@
 """Unit tests for the plan data structures and their validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.collectives.plan import (
@@ -82,6 +84,19 @@ class TestPlanAccessors:
         assert plan.statistics().global_bytes[0] == 4
 
 
+def tampered(plan, phase, *, extra=(), drop_last=False):
+    """A copy of ``plan`` whose ``phase`` lost or gained messages.
+
+    Plans are immutable (phase tables have no mutators), so tampering means
+    building a new plan from an edited message list.
+    """
+    messages = list(plan.phases[phase])
+    if drop_last:
+        messages.pop()
+    return dataclasses.replace(
+        plan, phases={**plan.phases, phase: messages + list(extra)})
+
+
 class TestPlanValidation:
     def test_all_variants_validate(self, cross_region_pattern, mapping):
         for plan in (plan_standard(cross_region_pattern, mapping),
@@ -90,45 +105,58 @@ class TestPlanValidation:
             plan.validate()
 
     def test_missing_delivery_detected(self, cross_region_pattern, mapping):
-        plan = plan_standard(cross_region_pattern, mapping)
-        plan.phases[Phase.DIRECT].pop()   # drop one message
+        plan = tampered(plan_standard(cross_region_pattern, mapping),
+                        Phase.DIRECT, drop_last=True)
         with pytest.raises(PlanError, match="misses"):
             plan.validate()
 
     def test_spurious_delivery_detected(self, cross_region_pattern, mapping):
-        plan = plan_standard(cross_region_pattern, mapping)
-        plan.phases[Phase.DIRECT].append(
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 999, 3)]))
+        plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
+            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 999, 3)])])
         with pytest.raises(PlanError, match="spurious"):
             plan.validate()
 
     def test_duplicate_delivery_detected(self, cross_region_pattern, mapping):
-        plan = plan_standard(cross_region_pattern, mapping)
-        plan.phases[Phase.DIRECT].append(
-            PlannedMessage(phase=Phase.DIRECT, src=1, dest=2, slots=[Slot(1, 111, 2)]))
+        plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
+            PlannedMessage(phase=Phase.DIRECT, src=1, dest=2, slots=[Slot(1, 111, 2)])])
         with pytest.raises(PlanError, match="more than once"):
             plan.validate()
 
     def test_global_phase_must_cross_regions(self, cross_region_pattern, mapping):
-        plan = plan_partial(cross_region_pattern, mapping)
-        plan.phases[Phase.GLOBAL].append(
-            PlannedMessage(phase=Phase.GLOBAL, src=2, dest=3, slots=[Slot(2, 5, 3)]))
+        plan = tampered(plan_partial(cross_region_pattern, mapping), Phase.GLOBAL, extra=[
+            PlannedMessage(phase=Phase.GLOBAL, src=2, dest=3, slots=[Slot(2, 5, 3)])])
         with pytest.raises(PlanError, match="stays"):
             plan.validate()
 
     def test_local_phase_must_stay_in_region(self, cross_region_pattern, mapping):
-        plan = plan_partial(cross_region_pattern, mapping)
-        plan.phases[Phase.LOCAL].append(
-            PlannedMessage(phase=Phase.LOCAL, src=2, dest=6, slots=[Slot(2, 5, 6)]))
+        plan = tampered(plan_partial(cross_region_pattern, mapping), Phase.LOCAL, extra=[
+            PlannedMessage(phase=Phase.LOCAL, src=2, dest=6, slots=[Slot(2, 5, 6)])])
         with pytest.raises(PlanError, match="crosses"):
             plan.validate()
 
     def test_terminal_slot_destination_checked(self, cross_region_pattern, mapping):
-        plan = plan_standard(cross_region_pattern, mapping)
-        plan.phases[Phase.DIRECT].append(
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 5, 7)]))
+        plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
+            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 5, 7)])])
         with pytest.raises(PlanError, match="bound for"):
             plan.validate()
+
+    def test_plan_is_immutable_and_tampered_copy_recomputes(
+            self, cross_region_pattern, mapping):
+        """Phase tables have no mutators, and a copy never inherits a memo."""
+        plan = plan_standard(cross_region_pattern, mapping)
+        original = plan.statistics()
+        table = plan.phases[Phase.DIRECT]
+        assert not hasattr(table, "append") and not hasattr(table, "pop")
+        with pytest.raises(ValueError):
+            table.srcs[0] = 3
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        copy = tampered(plan, Phase.DIRECT, extra=[
+            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 5, 3)])])
+        assert copy.cache_token is None
+        assert copy.statistics().total_local_messages \
+            == original.total_local_messages + 1
+        assert plan.statistics() is original
 
 
 class TestModeledTime:

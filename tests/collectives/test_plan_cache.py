@@ -139,6 +139,20 @@ def test_hand_built_plan_never_cached(pattern, mapping):
     assert plan_cache.fetch_world(hand_built, spec) is None
 
 
+def test_nothing_is_hashed_while_the_disk_tier_is_off(pattern, mapping,
+                                                      monkeypatch):
+    """The SHA-256 content digest only addresses disk entries."""
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("content digest computed with no cache directory")
+
+    monkeypatch.setattr(plan_cache.hashlib, "sha256", no_hashing)
+    for _ in range(2):                      # a cold build, then a memory hit
+        plan = make_plan(pattern, mapping, Variant.FULL)
+        collective = WorldNeighborCollective(plan)
+        collective.close()
+    assert plan_cache_stats()["world_memory_hits"] == 1
+
+
 # -- on-disk tier -------------------------------------------------------------------
 
 
