@@ -315,7 +315,7 @@ class WorldVCycle(_VCycle):
     level) for per-level engines whose traffic totals mirror the per-level
     profilers of the envelope path.  ``runtime`` / ``n_workers`` select and
     size the backend of every engine the cycle creates itself (``"engine"``
-    fused single-process, ``"procs"`` shared-memory worker pool); ``close``
+    staged single-process, ``"procs"`` shared-memory worker pool); ``close``
     — or context-manager exit — releases those engines' workers and shared
     segments deterministically (a caller-supplied engine stays open).
 

@@ -319,7 +319,7 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     ``engine`` to share one engine (and its profiler) across collectives, or a
     ``profiler`` to let the collective create a private engine around it;
     ``runtime`` / ``n_workers`` select the private engine's backend
-    (``"engine"`` fused single-process, ``"procs"`` shared-memory worker
+    (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
     pool).
     """
     plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)

@@ -1,4 +1,4 @@
-"""Fused gather–permute–scatter kernels for the exchange data path.
+"""Gather / scatter kernels for the exchange data path.
 
 One phase of a compiled world exchange moves values in three fancy-index
 passes: a *gather* packs the wire (``wire = work[gather]``), a *permutation*
@@ -7,20 +7,21 @@ reorders the wire from send order into receive order (``wire[perm]``), and a
 row holds the value of exactly one ``(origin, item)`` key for the whole
 iteration — sends read keys that earlier steps already delivered, and every
 delivery of a key writes the same value into the same row — the three passes
-compose into a single indexed copy::
+compose into the indexed copy ``work[scatter] = work[gather[perm]]`` (the
+``fused`` kernel, kept only for the frozen ``bench/`` kernel replay).
 
-    work[scatter] = work[gather[perm]]
-
-which this module provides as the *fused* kernel: one fancy read and one
-fancy write per phase, no wire arena, no intermediate permutation pass.  The
-unfused ``gather``/``scatter`` kernels remain for the paths that genuinely
-need the wire as a buffer (the shared-memory procs runtime, whose wire arena
-is the cross-process traffic itself, and the per-rank envelope executor).
+The single-process engine goes one step further: it renumbers the rows at
+registration so each phase's first deliveries are one contiguous slice, and
+the phase is a lone ``gather(work[:a], src, work[a:b])`` — a ``take`` of
+earlier rows into the slice.  ``gather`` therefore runs with ``mode="clip"``
+(numpy's ``mode="raise"`` buffers ``out`` and costs 3x): callers validate
+indices once, up front, as ``ExchangeEngine.register`` does.  The unfused
+``gather``/``scatter`` pair also serves the shared-memory procs runtime,
+whose wire arena is the cross-process traffic itself.
 
 Two backends implement the kernels:
 
-* ``numpy`` — always available; the fused kernel is the one-statement
-  composition above (one temporary, two passes instead of three).
+* ``numpy`` — always available.
 * ``numba`` — ``@njit(parallel=True)`` loops over the index arrays, used
   automatically when numba is importable.  Duplicate scatter targets are
   benign under ``prange`` because every duplicate writes the key's one value
@@ -58,12 +59,13 @@ except ImportError:  # pragma: no cover - the numpy-only environment
 class KernelBackend:
     """One backend's implementations of the three exchange kernels.
 
-    ``gather(work, indices, out)`` packs ``out[i] = work[indices[i]]``;
-    ``scatter(work, indices, values)`` delivers ``work[indices[i]] =
-    values[i]``; ``fused(work, scatter_indices, source_rows)`` performs the
-    whole phase in one pass: ``work[scatter_indices[i]] =
-    work[source_rows[i]]``.  All arrays are 2-D ``(rows, item_size)``; index
-    arrays are int64.
+    ``gather(work, indices, out)`` packs ``out[i] = work[indices[i]]``
+    (indices trusted, not bounds-checked; ``out`` may be a row slice of
+    ``work``'s base, disjoint from ``work``); ``scatter(work, indices,
+    values)`` delivers ``work[indices[i]] = values[i]``; ``fused(work,
+    scatter_indices, source_rows)`` performs the whole phase in one pass:
+    ``work[scatter_indices[i]] = work[source_rows[i]]``.  All arrays are 2-D
+    ``(rows, item_size)``; index arrays are int64.
     """
 
     name: str
@@ -76,7 +78,7 @@ class KernelBackend:
 
 
 def _numpy_gather(work: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
-    np.take(work, indices, axis=0, out=out)
+    np.take(work, indices, axis=0, out=out, mode="clip")
 
 
 def _numpy_scatter(work: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:

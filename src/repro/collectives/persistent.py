@@ -360,7 +360,7 @@ class WorldNeighborCollective:
     one array per rank and returns one view per rank (``recv_item_ids``).
 
     ``runtime`` / ``n_workers`` select and size the engine backend
-    (``"engine"`` fused single-process, ``"procs"`` shared-memory worker
+    (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
     pool) when the collective creates its own private engine; they cannot
     be combined with a shared ``engine``, which already fixed its runtime.  ``close`` (or using the collective as a
     context manager) releases a private engine's workers and shared

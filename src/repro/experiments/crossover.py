@@ -166,7 +166,7 @@ def run_crossover(context: ExperimentContext | None = None, *,
     rounds.
 
     ``runtime`` selects the measuring backend for either flag (``"engine"``
-    serial fused kernels or ``"procs"`` shared-memory worker pool).
+    serial staged kernels or ``"procs"`` shared-memory worker pool).
 
     ``variants`` requests additional series beyond the four fixed protocols
     (always computed — they are the figure's frame of reference): the only

@@ -124,7 +124,7 @@ def run_strong_scaling(context: ExperimentContext | None = None, *,
     sum of isolated exchange rounds.
 
     ``runtime`` selects the measuring backend for either flag (``"engine"``
-    serial fused kernels or ``"procs"`` shared-memory worker pool).
+    serial staged kernels or ``"procs"`` shared-memory worker pool).
     """
     if context is None:
         context = ExperimentContext.build(config or ExperimentConfig.from_environment())

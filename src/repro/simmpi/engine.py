@@ -8,24 +8,25 @@ exchange as a *world program*
 (:class:`~repro.collectives.exchange.WorldExchange`): every rank's work array
 becomes a block of one world work array, and a whole phase for the whole
 communicator is one kernel call.  I/O is flat-native: ``run`` takes one
-rank-major array of owned values and returns the one ``work[result_rows]``.
+rank-major array of owned values and returns one array of received values.
 
 Two engine runtimes execute a registered program:
 
-* ``runtime="engine"`` (default) — single-process, using the *fused*
-  gather–permute–scatter kernels of :mod:`repro.collectives.kernels`: the
-  send step only accounts traffic, and the receive step performs the whole
-  phase as ``work[scatter] = work[gather[wire_perm]]`` — one indexed copy
-  instead of the three fancy-index passes of the unfused form, byte-identical
+* ``runtime="engine"`` (default) — single-process, on a private *staged*
+  layout computed once at :meth:`ExchangeEngine.register`: rows renumbered
+  ``[owned | first written by receive step 1 | step 2 | …]``, so loading is
+  ``work[:n_owned] = values``, a send step only accounts traffic, and a
+  receive step is one ``gather(work[:a], src, work[a:b])`` — a ``take`` of
+  earlier rows into the slice it owns, never overlapping it.  Byte-identical
   because every work row holds its ``(origin, item)`` key's one
-  per-iteration value.  The kernel backend (numba parallel loops or pure
-  numpy) is chosen at import time and overridable via
-  ``REPRO_KERNELS=numba|numpy``.
+  per-iteration value; repeat deliveries leave the data path, not the
+  accounting.  The kernel backend (numba or numpy) is chosen at import time
+  and overridable via ``REPRO_KERNELS=numba|numpy``.
 * ``runtime="procs"`` — a persistent shared-memory worker pool
   (:mod:`repro.simmpi.procs`): work array, index arrays, and wire arenas live
   in ``multiprocessing.shared_memory``; each forked worker owns a contiguous
-  slab of world rows and executes slab-local gathers plus cross-slab wire
-  deliveries with a barrier between steps.
+  slab of (rank-major) world rows and executes slab-local gathers plus
+  cross-slab wire deliveries with a barrier between steps.
 
 Both runtimes produce byte-identical results and identical profiler
 data-path totals to the envelope-routed path; the per-envelope mailbox
@@ -52,7 +53,7 @@ import os
 import time
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,7 +87,7 @@ ENGINE_RUNTIMES = ("engine", "procs")
 #: What a ``runtime="procs"`` engine does when a worker dies, hangs, or
 #: corrupts its pipe: ``"retry"`` respawns the pool and retries (then
 #: raises), ``"fallback"`` retries and — with retries exhausted — finishes
-#: the round on the single-process fused-kernel path and stays serial,
+#: the round on the single-process staged path and stays serial,
 #: ``"raise"`` fails fast with no retry.
 ON_FAILURE_POLICIES = ("retry", "fallback", "raise")
 
@@ -108,18 +109,77 @@ def default_on_failure() -> str:
 
 @dataclass
 class _RegisteredProgram:
-    """Engine-side state of one registered world exchange.
-
-    ``fused_sources`` maps each phase to ``gather[wire_perm]`` — the work
-    rows the fused receive step copies from, precomputed at registration.
-    ``shared`` is the program's shared-memory image under ``runtime="procs"``
-    (``work`` then aliases its work segment).
-    """
+    """Engine-side state of one registered world exchange: ``shared``, its
+    rank-major shared-memory image, while a healthy ``runtime="procs"`` pool
+    runs it; otherwise *staged* — rows renumbered ``[owned | recv step 1 |
+    step 2 | …]`` in ``work``, per step ``(program, src, a, b)`` (a receive
+    fills rows ``[a, b)`` from the earlier rows ``src``; a send, ``src is
+    None``, only accounts), and ``result`` selecting the output rows (a
+    ``slice`` when they are one ascending run)."""
 
     world: "WorldExchange"
-    work: np.ndarray
-    fused_sources: Dict[object, np.ndarray]
     shared: Optional["SharedProgram"] = None
+    work: Optional[np.ndarray] = None
+    steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]] = ()
+    result: Union[slice, np.ndarray, None] = None
+
+
+def _check_indices(world: "WorldExchange") -> None:
+    """Reject out-of-range indices once, so no kernel has to (``take`` clips,
+    fancy indexing wraps negatives — either would deliver garbage)."""
+    n_rows = world.n_world_rows
+    checks = [("owned_rows", world.owned_rows, n_rows),
+              ("result_rows", world.result_rows, n_rows)]
+    for phase, program in world.programs.items():
+        checks += [(f"{phase} gather", program.gather, n_rows),
+                   (f"{phase} scatter", program.scatter, n_rows),
+                   (f"{phase} wire_perm", program.wire_perm,
+                    program.gather.size)]
+    for name, index, bound in checks:
+        if index.size and not (0 <= index.min() and index.max() < bound):
+            raise CommunicationError(f"corrupt world exchange: {name} holds "
+                                     f"an index outside [0, {bound})")
+
+
+def _stage(world: "WorldExchange") -> _RegisteredProgram:
+    """Renumber ``world``'s rows so every step writes one contiguous slice.
+
+    Sort-free and O(rows): a step's first deliveries are the scatter entries
+    whose row is still unnumbered, deduplicated by writing entry positions in
+    reverse (last write wins, so each row keeps its first deliverer).
+    """
+    n_rows, n_owned = world.n_world_rows, world.owned_rows.size
+    new_of_old = np.full(n_rows, -1, dtype=np.int64)
+    new_of_old[world.owned_rows] = np.arange(n_owned)
+    steps, a = [], n_owned
+    for kind, phase in world.steps:
+        program = world.programs[phase]
+        if kind == "send":
+            steps.append((program, None, 0, 0))
+            continue
+        fresh = np.flatnonzero(new_of_old[program.scatter] < 0)
+        rows = program.scatter[fresh]
+        new_of_old[rows[::-1]] = fresh[::-1]  # scratch, renumbered just below
+        keep = new_of_old[rows] == fresh
+        fresh, rows = fresh[keep], rows[keep]
+        b = a + fresh.size
+        new_of_old[rows] = np.arange(a, b)
+        src = new_of_old[program.gather[program.wire_perm[fresh]]]
+        if src.size and not (0 <= src.min() and src.max() < a):
+            raise CommunicationError(f"corrupt world exchange: {phase} sends "
+                                     f"a row that no earlier step delivered")
+        steps.append((program, src, a, b))
+        a = b
+    if a != n_rows or (n_rows and new_of_old.min() < 0):
+        raise CommunicationError(
+            "corrupt world exchange: every world row must be owned or "
+            f"delivered by exactly one step ({a} of {n_rows} rows staged)")
+    result = new_of_old[world.result_rows]
+    if result.size and np.array_equal(
+            result, np.arange(result[0], result[0] + result.size)):
+        result = slice(int(result[0]), int(result[0]) + result.size)
+    work = np.zeros((n_rows, world.spec.item_size), dtype=world.spec.dtype)
+    return _RegisteredProgram(world, work=work, steps=steps, result=result)
 
 
 class ExchangeEngine:
@@ -132,16 +192,16 @@ class ExchangeEngine:
     :meth:`TrafficProfiler.record_batch` with exactly the messages the
     envelope-routed path would have sent.
 
-    ``runtime`` selects the execution backend (``"engine"`` fused
+    ``runtime`` selects the execution backend (``"engine"`` staged
     single-process, ``"procs"`` shared-memory worker pool; ``None`` resolves
     through ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default:
     one per available core, capped by ``n_ranks``); ``kernels`` pins a
-    specific kernel backend name or :class:`KernelBackend` for the fused
+    specific kernel backend name or :class:`KernelBackend` for the staged
     path (default: the import-time selection).
 
     Worker failures on the procs backend are supervised: ``on_failure``
     picks the policy (``"retry"`` — respawn the pool and retry, then raise;
-    ``"fallback"`` — retry, then finish the round on the single-process
+    ``"fallback"`` — retry, then re-run the round on the single-process
     path and stay serial; ``"raise"`` — fail fast; ``None`` resolves
     through ``REPRO_ON_FAILURE``, default ``"retry"``), ``timeout`` bounds
     how long the parent waits for worker acknowledgements
@@ -238,7 +298,7 @@ class ExchangeEngine:
     @property
     def degraded(self) -> bool:
         """Whether the procs pool failed permanently and the engine now runs
-        every round on the single-process fused-kernel path."""
+        every round on the single-process staged path."""
         return self._pool_failed
 
     def close(self) -> None:
@@ -274,22 +334,19 @@ class ExchangeEngine:
     def register(self, world: "WorldExchange") -> int:
         """Register a compiled world exchange; returns its engine handle.
 
-        Mirrors ``neighbor_alltoallv_init``: registration allocates the
-        persistent world work array (a shared-memory segment under
-        ``runtime="procs"``) and precomputes each phase's fused source rows,
-        so the per-iteration path performs no allocation-sized Python work
-        beyond numpy's own temporaries.
+        Mirrors ``neighbor_alltoallv_init``: registration validates the
+        program's indices (a corrupt program raises
+        :class:`CommunicationError` here, never a wrong answer in ``run``),
+        allocates the persistent work array and stages its layout
+        (``runtime="procs"``: shares it with the workers), so a round does
+        no allocation-sized Python work beyond numpy's own temporaries.
         """
         self._check_open()
         if world.n_ranks > self.n_ranks:
             raise CommunicationError(
                 "world exchange spans more ranks than the engine provides"
             )
-        spec = world.spec
-        fused_sources = {
-            phase: np.ascontiguousarray(program.gather[program.wire_perm])
-            for phase, program in world.programs.items()
-        }
+        _check_indices(world)
         shared = None
         if self._pool is not None and not self._pool_failed:
             try:
@@ -298,14 +355,8 @@ class ExchangeEngine:
                 if self.on_failure != "fallback":
                     raise
                 self._fall_back("register", exc)
-        if shared is not None:
-            work = shared.work.array
-        else:
-            work = np.zeros((world.n_world_rows, spec.item_size),
-                            dtype=spec.dtype)
-        self._programs.append(_RegisteredProgram(
-            world=world, work=work, fused_sources=fused_sources,
-            shared=shared))
+        self._programs.append(_stage(world) if shared is None
+                              else _RegisteredProgram(world, shared))
         return len(self._programs) - 1
 
     def _program(self, handle: int) -> _RegisteredProgram:
@@ -349,53 +400,56 @@ class ExchangeEngine:
         self._check_open()
         state = self._program(handle)
         world = state.world
-        work = state.work
-        work[world.owned_rows] = self._load_values(world, values)
+        loaded = self._load_values(world, values)
+        flat = None
         if state.shared is not None and not self._pool_failed:
-            # The workers advance through the steps behind their barrier;
-            # accounting stays here, one bulk record per send step, in the
-            # same schedule order as the single-process path.
+            # The pool's slabs need the compiler's rank-major rows; accounting
+            # stays here, one bulk record per send step, in schedule order.
+            work = state.shared.work.array
+            work[world.owned_rows] = loaded
             try:
                 self._pool.run(handle)
             except WorkerError as exc:
                 if self.on_failure != "fallback":
                     raise
-                # Finish *this* round serially: owned rows are still loaded,
-                # workers only ever write scatter/wire rows, and the serial
-                # schedule rewrites all of them in order — so the
-                # half-written round is discarded byte-exactly.
+                # The half-written round re-runs below on the staged path.
                 self._fall_back("run", exc)
-                self._run_serial(state)
             else:
                 for kind, phase in world.steps:
                     if kind == "send":
                         self._account(world.programs[phase])
-        else:
-            self._run_serial(state)
-        flat = work[world.result_rows]
+                flat = work[world.result_rows]
+        if flat is None:
+            if state.work is None:  # a degraded procs engine stages lazily
+                state = self._programs[handle] = _stage(world)
+            flat = self._run_staged(state, loaded)
         return flat.reshape(-1) if world.spec.item_size == 1 else flat
 
     # -- helpers --------------------------------------------------------------
 
-    def _run_serial(self, state: _RegisteredProgram) -> None:
-        """One exchange round on the single-process fused-kernel path."""
-        fused = self._kernels.fused
-        work = state.work
-        for kind, phase in state.world.steps:
-            program = state.world.programs[phase]
-            if kind == "send":
+    def _run_staged(self, staged: _RegisteredProgram,
+                    loaded: np.ndarray) -> np.ndarray:
+        """One round on the single-process staged layout."""
+        work, gather = staged.work, self._kernels.gather
+        work[:staged.world.owned_rows.size] = loaded
+        for program, src, a, b in staged.steps:
+            if src is None:
                 self._account(program)
-            elif program.scatter.size:
-                fused(work, program.scatter, state.fused_sources[phase])
+            elif b > a:  # sources are rows of earlier steps (< a): no overlap
+                gather(work[:a], src, work[a:b])
+        if isinstance(staged.result, slice):
+            return work[staged.result].copy()
+        # Indices were validated at staging: the unbuffered clip mode is safe.
+        return np.take(work, staged.result, axis=0, mode="clip")
 
     def _fall_back(self, command: str, exc: WorkerError) -> None:
         """Degrade permanently to the single-process path after pool failure.
 
         Quarantines the pool (stopping any wedged worker that might later
         wake and scribble on the shared work arrays — the parent-side
-        segments stay alive, so registered programs keep their work views)
-        and records the decision in the event trace.  Every subsequent round
-        of every registered program runs serially.
+        segments stay alive until ``close``) and records the decision in the
+        event trace.  Every subsequent round of every registered program
+        runs on its private staged layout.
         """
         from repro.simmpi.procs import RecoveryEvent
 
@@ -406,7 +460,7 @@ class ExchangeEngine:
             attempt=self._pool.max_retries,
             chosen=(f"retries exhausted; quarantined the "
                     f"{self._pool.n_workers}-worker pool and completed the "
-                    f"{command} on the single-process fused-kernel path "
+                    f"{command} on the single-process staged path "
                     f"(engine stays serial from here on)"),
             crashes=exc.crashes))
 

@@ -97,6 +97,19 @@ class TestKernelEquivalence:
         backend.fused(work, empty, empty)
         assert np.array_equal(work, before)
 
+    @pytest.mark.parametrize("n_new", [40, 0])
+    def test_gather_into_a_row_slice_of_its_own_array(self, backend_name, n_new):
+        """The staged engine's phase: ``gather(work[:a], src, work[a:b])``."""
+        backend = select_backend(backend_name)
+        rng = np.random.default_rng(17)
+        a = 24
+        work = rng.standard_normal((a + n_new + 5, 3))
+        src = rng.integers(0, a, size=n_new).astype(np.int64)
+        expected = work.copy()
+        expected[a:a + n_new] = work[src]
+        backend.gather(work[:a], src, work[a:a + n_new])
+        assert work.tobytes() == expected.tobytes()
+
 
 class TestBackendSelection:
     def test_numpy_backend_always_available(self):

@@ -78,13 +78,18 @@ def count_calls():
     Counted under ``sys.setprofile``, so it reads no clock: a set-up pass
     written as whole-array operations makes the same number of calls on a
     large input as on a small one, a per-row or per-edge Python loop does not.
+    ``of=(function, ...)`` counts only entries into those Python functions
+    (matched by code object, whatever name the caller imported them under).
     """
-    def counter(func, *args, **kwargs) -> int:
+    def counter(func, *args, of=None, **kwargs) -> int:
         calls = 0
+        targets = None if of is None else {f.__code__ for f in of}
 
         def on_event(frame, event, arg):
             nonlocal calls
-            if event in ("call", "c_call"):
+            if targets is None:
+                calls += event in ("call", "c_call")
+            elif event == "call" and frame.f_code in targets:
                 calls += 1
 
         previous = sys.getprofile()

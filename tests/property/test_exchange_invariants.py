@@ -1,0 +1,145 @@
+"""Executed invariants of the paper's exchange, as properties of engine rounds.
+
+The plan-level invariants (every required item routed once, dedup never grows
+a message) live in ``test_plan_properties.py``; these run the compiled program
+on the engine and check what actually arrives:
+
+(a) every required ``(receiver, item)`` appears exactly once in the result
+    view and carries a value computed from the item id alone;
+(b) the three collective variants deliver identical bytes;
+(c) the profiler's totals are ``plan.statistics()``, and inter-region message
+    counts never rise from standard to partial to full — repeat deliveries
+    the staged data path drops are still counted;
+(d) the staged blocks tile ``[0, n_world_rows)`` with one row per distinct
+    delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without repeats.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.collectives import Variant, WorldNeighborCollective, make_plan
+from repro.pattern import CommPattern, random_pattern
+from repro.simmpi import TrafficProfiler
+from repro.simmpi.engine import _stage
+from repro.topology import Locality, paper_mapping
+
+VARIANTS = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
+DTYPES = (np.float64, np.float32, np.int64, np.complex128)
+
+
+def _oracle(items: np.ndarray, item_size: int, dtype) -> np.ndarray:
+    """The value of every item, from its id alone; exact in every dtype."""
+    table = ((items * 7 + 3) % 1021)[:, None] + 1024 * np.arange(item_size)
+    if np.dtype(dtype).kind == "c":
+        table = table + 1j * (table % 5)
+    table = table.astype(dtype)
+    return table.reshape(-1) if item_size == 1 else table
+
+
+def _required(pattern: CommPattern, rank: int) -> np.ndarray:
+    """Sorted distinct items ``rank`` must receive."""
+    items = [pattern.recv_items(rank, src) for src in pattern.recv_ranks(rank)]
+    return np.unique(np.concatenate(items)) if items else np.empty(0, np.int64)
+
+
+def _run_variants(pattern: CommPattern, mapping):
+    """Two checked rounds per variant: ``{variant: (plan, world, profiler,
+    result bytes)}``."""
+    outcomes = {}
+    for variant in VARIANTS:
+        plan = make_plan(pattern, mapping, variant)
+        profiler = TrafficProfiler(mapping, ignore_self_messages=False)
+        with WorldNeighborCollective(plan, runtime="engine",
+                                     profiler=profiler) as collective:
+            world = collective.world
+            values = _oracle(world.owned_items_all, pattern.item_size,
+                             pattern.dtype)
+            result = collective.exchange_flat(values)
+            # (a) exactly the required items, once each, with their values.
+            for rank in range(pattern.n_ranks):
+                assert np.array_equal(collective.recv_item_ids(rank),
+                                      _required(pattern, rank))
+            assert result.dtype == pattern.dtype
+            assert result.tobytes() == _oracle(
+                world.result_items_all, pattern.item_size,
+                pattern.dtype).tobytes()
+            # A second round with other values must not see stale rows.
+            assert np.array_equal(collective.exchange_flat(values * 2),
+                                  result * 2)
+        outcomes[variant] = (plan, world, profiler, result.tobytes())
+    # (b) one answer, whatever the route.
+    assert len({outcome[3] for outcome in outcomes.values()}) == 1
+    return outcomes
+
+
+@st.composite
+def exchange_case(draw):
+    ranks_per_node = draw(st.sampled_from([2, 3, 4]))
+    n_ranks = ranks_per_node * draw(st.integers(min_value=1, max_value=3))
+    pattern = random_pattern(
+        n_ranks,
+        avg_neighbors=draw(st.sampled_from([1.0, 3.0, 6.0])),
+        avg_items_per_message=draw(st.sampled_from([2.0, 6.0])),
+        duplicate_fraction=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        items_per_rank=12, seed=draw(st.integers(min_value=0, max_value=10_000)),
+        dtype=draw(st.sampled_from(DTYPES)),
+        item_size=draw(st.sampled_from([1, 3, 8])))
+    return pattern, paper_mapping(n_ranks, ranks_per_node=ranks_per_node)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exchange_case())
+def test_executed_rounds_keep_the_papers_invariants(case):
+    pattern, mapping = case
+    outcomes = _run_variants(pattern, mapping)
+
+    inter_region = []
+    for variant in VARIANTS:
+        plan, world, profiler, _ = outcomes[variant]
+        # (c) two rounds ran; each is accounted message for message.
+        stats = plan.statistics()
+        total = profiler.total()
+        assert total.message_count == 2 * (stats.total_local_messages
+                                           + stats.total_global_messages)
+        assert total.byte_count == 2 * (int(stats.local_bytes.sum())
+                                        + stats.total_global_bytes)
+        observed = profiler.by_locality().get(Locality.INTER_NODE)
+        assert (observed.message_count if observed else 0) == \
+            2 * stats.total_global_messages
+        inter_region.append(stats.total_global_messages)
+
+        # (d) the staged layout, against a sort-based count of the rows.
+        staged = _stage(world)
+        blocks = [(a, b) for _, src, a, b in staged.steps if src is not None]
+        edges = [world.owned_rows.size] + [b for _, b in blocks]
+        assert [a for a, _ in blocks] == edges[:-1]
+        assert edges[-1] == world.n_world_rows
+        scatters = [world.programs[phase].scatter
+                    for kind, phase in world.steps if kind == "recv"]
+        delivered = np.concatenate(scatters) if scatters else np.empty(0, int)
+        fresh = np.setdiff1d(delivered, world.owned_rows).size
+        assert sum(b - a for a, b in blocks) == fresh <= delivered.size
+        no_repeats = np.unique(delivered).size == delivered.size and \
+            not np.isin(delivered, world.owned_rows).any()
+        assert (fresh == delivered.size) == no_repeats
+    assert inter_region[0] >= inter_region[1] >= inter_region[2]
+
+
+EDGE_PATTERNS = {
+    "nobody owns or sends anything": {},
+    "only intra-node traffic (empty global phase)": {0: {1: [5, 6]}, 1: {0: [40]}},
+    "self-sends beside real ones": {0: {0: [1, 2], 3: [2]}, 2: {2: [80]}},
+    "rank 3 only receives": {0: {3: [1, 2, 3]}, 1: {3: [41], 2: [41, 42]}},
+}
+
+
+@pytest.mark.parametrize("item_size", [1, 3])
+@pytest.mark.parametrize("name", EDGE_PATTERNS)
+def test_edge_programs_run_and_agree(name, item_size):
+    pattern = CommPattern(4, EDGE_PATTERNS[name], item_size=item_size)
+    outcomes = _run_variants(pattern, paper_mapping(4, ranks_per_node=2))
+    for plan, world, _, _ in outcomes.values():
+        assert _stage(world).work.shape == (world.n_world_rows, item_size)
