@@ -335,74 +335,89 @@ def test_micro_array_path_speedup_over_dict_path():
     assert speedup >= 5.0, f"expected >= 5x speedup, measured {speedup:.1f}x"
 
 
-def test_micro_world_vcycle_speedup_over_envelope_cycle():
-    """Perf gate: the engine-stepped V-cycle must beat the envelope cycle >= 3x.
+def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
+    """Guard: the engine-stepped V-cycle is the envelope cycle, in O(levels) calls.
 
     One whole AMG V-cycle (pre-smooth, residual, restrict, coarse gather +
-    solve, prolong-correct, post-smooth) on a 1600-row anisotropic hierarchy
-    over 32 simulated ranks, executed twice: once with ``DistributedVCycle``
-    on the thread-per-rank envelope-routed runtime (every halo exchange an
-    ``Envelope`` through the mailbox fabric) and once with ``WorldVCycle``
-    through the batched ``ExchangeEngine``.  Results must be byte-identical
-    and the engine at least 3x faster; in practice the gap is well over an
-    order of magnitude, so the gate only catches a regression back to
-    per-message Python work on the solve path.
+    solve, prolong-correct, post-smooth) on a 1600-row anisotropic hierarchy,
+    executed with ``DistributedVCycle`` on the thread-per-rank envelope-routed
+    runtime (every halo exchange an ``Envelope`` through the mailbox fabric),
+    with ``WorldVCycle`` through the batched ``ExchangeEngine``, and with the
+    sequential ``BoomerAMGSolver``.  Clock-free: the three iterates must be
+    equal to the bit, and what made the engine cycle fast is counted instead
+    of timed — five engine rounds per smoothed level plus the coarse gather,
+    one kernel ``gather`` per receive step, nothing staged after set-up, and
+    not one call more at 64 ranks than at 32 (no per-rank or per-message
+    Python work on the solve path).
     """
-    from repro.amg import build_hierarchy
+    from repro.amg import BoomerAMGSolver, build_hierarchy
     from repro.amg.vcycle import DistributedVCycle, WorldVCycle
+    from repro.collectives import kernels
+    from repro.simmpi import ExchangeEngine
+    from repro.simmpi import engine as engine_module
     from repro.sparse import ParCSRMatrix, RowPartition, rotated_anisotropic_diffusion
 
-    iterations = 3
-    n_ranks = 32
-    matrix = ParCSRMatrix(rotated_anisotropic_diffusion((40, 40)),
-                          RowPartition.even(1600, n_ranks))
-    hierarchy = build_hierarchy(matrix, seed=1)
-    mapping = paper_mapping(n_ranks, ranks_per_node=16)
+    stencil = rotated_anisotropic_diffusion((40, 40))
     rng = np.random.default_rng(5)
-    b = rng.standard_normal(matrix.n_rows)
-    x0 = rng.standard_normal(matrix.n_rows)
+    b = rng.standard_normal(1600)
+    x0 = rng.standard_normal(1600)
 
-    def envelope_run():
-        """Init + timed cycles per rank; returns (iterate, best cycle time)."""
+    def setup(n_ranks):
+        matrix = ParCSRMatrix(stencil, RowPartition.even(1600, n_ranks))
+        return (matrix, build_hierarchy(matrix, seed=1),
+                paper_mapping(n_ranks, ranks_per_node=16))
+
+    def envelope_cycle(n_ranks):
+        matrix, hierarchy, mapping = setup(n_ranks)
 
         def program(comm):
             vcycle = DistributedVCycle(comm, hierarchy, mapping,
                                        variant=Variant.STANDARD)
             first, last = matrix.partition.row_range(comm.rank)
-            b_local, x_local = b[first:last], x0[first:last]
-            vcycle.cycle(b_local, x_local)  # warm
-            best = float("inf")
-            for _ in range(iterations):
-                start = time.perf_counter()
-                result = vcycle.cycle(b_local, x_local)
-                best = min(best, time.perf_counter() - start)
-            return result, best
+            return vcycle.cycle(b[first:last], x0[first:last])
 
-        results = run_spmd(n_ranks, program, timeout=300)
-        iterate = np.concatenate([np.asarray(r[0]) for r in results])
-        return iterate, max(r[1] for r in results)
+        return np.concatenate([np.asarray(part) for part in
+                               run_spmd(n_ranks, program, timeout=300)])
 
-    envelope_x, envelope_best = envelope_run()
+    def counted_world_cycle(n_ranks):
+        """The iterate and ``(_execute, gather, _stage, all)`` calls of one cycle."""
+        matrix, hierarchy, mapping = setup(n_ranks)
+        iterates = []
+        # The numpy kernels are Python functions, so their calls are countable.
+        with ExchangeEngine(n_ranks, runtime="engine", kernels="numpy") as engine:
+            world = WorldVCycle(hierarchy, mapping, variant=Variant.STANDARD,
+                                engine=engine)
+            world.cycle(b, x0)          # lazy caches settle before counting
 
-    world = WorldVCycle(hierarchy, mapping, variant=Variant.STANDARD)
-    world.cycle(b, x0)  # warm
-    engine_best = float("inf")
-    for _ in range(iterations):
-        start = time.perf_counter()
-        world_x = world.cycle(b, x0)
-        engine_best = min(engine_best, time.perf_counter() - start)
+            def cycle():
+                iterates.append(world.cycle(b, x0))
 
-    assert np.array_equal(world_x, envelope_x)
-    speedup = envelope_best / engine_best
-    print(f"\n32-rank V-cycle ({hierarchy.n_levels} levels): "
-          f"envelope runtime {envelope_best * 1e3:.1f} ms, "
-          f"world engine {engine_best * 1e3:.2f} ms, speedup {speedup:.1f}x")
-    emit_bench("world_vcycle", speedup=speedup, baseline_s=envelope_best,
-               optimized_s=engine_best, n_ranks=n_ranks,
-               n_levels=hierarchy.n_levels)
-    assert engine_best < envelope_best, \
-        "the engine-stepped cycle must never be slower than the envelope cycle"
-    assert speedup >= 3.0, f"expected >= 3x speedup, measured {speedup:.1f}x"
+            counts = tuple(
+                count_calls(cycle, of=of) for of in (
+                    [ExchangeEngine._execute], [kernels._numpy_gather],
+                    [engine_module._stage], None))
+            exchanges = [operator.collective.world for level in world.levels
+                         for operator in (level.spmv,) * 3
+                         + (level.restrict, level.prolong)]
+            coarse = world._coarse_active()
+            exchanges += [coarse.world] if coarse is not None else []
+        assert len(exchanges) == 5 * (hierarchy.n_levels - 1) + (coarse is not None)
+        receive_steps = sum(1 for exchange in exchanges
+                            for kind, phase in exchange.steps
+                            if kind == "recv" and exchange.programs[phase].scatter.size)
+        assert counts[:3] == (len(exchanges), receive_steps, 0)
+        assert all(np.array_equal(iterate, iterates[0]) for iterate in iterates)
+        sequential = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
+        assert np.array_equal(iterates[0], sequential)
+        return iterates[0], counts
+
+    world_x, counts = counted_world_cycle(32)
+    assert np.array_equal(world_x, envelope_cycle(32))
+    wider_x, wider_counts = counted_world_cycle(64)
+    assert np.array_equal(wider_x, world_x)     # the partition never shows
+    assert wider_counts == counts
+    print(f"\none V-cycle, 32 and 64 ranks: {counts[0]} engine rounds, "
+          f"{counts[1]} kernel gathers, {counts[3]} calls in all")
 
 
 def test_micro_fused_kernel_speedup_over_unfused():

@@ -87,7 +87,9 @@ class DistributedJacobi:
         check_one_partition(spmv.matrix, "Jacobi")
         self.spmv = spmv
         self.omega = float(omega)
-        diagonal = np.asarray(spmv.diag.diagonal(), dtype=np.float64)
+        first, last = spmv.row_range    # one rank's rows, or the world's
+        diagonal = np.asarray(spmv.matrix.matrix.diagonal()[first:last],
+                              dtype=np.float64)
         if np.any(diagonal == 0.0):
             raise ValidationError("Jacobi requires non-zero diagonal entries")
         self._diagonal = diagonal

@@ -22,7 +22,7 @@ solver sits on top:
 * :class:`WorldVCycle` is the world-stepped form: the same per-level
   exchanges compiled once and registered with the batched
   :class:`~repro.simmpi.engine.ExchangeEngine`, operators
-  :class:`~repro.sparse.spmv.WorldSpMV` on the stacked blocks, global
+  :class:`~repro.sparse.spmv.WorldSpMV` on the engine's work array, global
   vectors, so one ``cycle`` call runs a whole V-cycle for *all* ranks with
   O(phases) numpy calls per level — no per-message envelopes, no threads,
   byte-identical results and identical data-path profiler totals.
@@ -305,9 +305,8 @@ class WorldVCycle(_VCycle):
     post-smooth with O(phases) numpy calls per level and no per-message
     envelopes anywhere on the data path.  Results are byte-identical to
     running :class:`DistributedVCycle` on every rank of the envelope-routed
-    runtime, and numerically identical (to rounding) to the seed
-    :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle` on the assembled
-    operators — the solve-phase equivalence suite pins both.
+    runtime and to the seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`
+    on the assembled operators — the solve-phase equivalence suite pins both.
 
     Pass ``engine`` to register all levels with a shared engine (e.g. from
     :meth:`~repro.simmpi.world.SimWorld.exchange_engine`), ``profiler`` for a

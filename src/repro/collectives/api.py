@@ -303,7 +303,8 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
                                   engine: ExchangeEngine | None = None,
                                   profiler: TrafficProfiler | None = None,
                                   runtime: str | None = None,
-                                  n_workers: int | None = None
+                                  n_workers: int | None = None,
+                                  vector_length: int | None = None
                                   ) -> WorldNeighborCollective:
     """Initialise a world-stepped persistent neighborhood all-to-all-v.
 
@@ -320,12 +321,13 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     ``profiler`` to let the collective create a private engine around it;
     ``runtime`` / ``n_workers`` select the private engine's backend
     (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
-    pool).
+    pool); ``vector_length`` registers the exchange on the caller's vector.
     """
     plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)
     return WorldNeighborCollective(plan, dtype=dtype, item_size=item_size,
                                    engine=engine, profiler=profiler,
-                                   runtime=runtime, n_workers=n_workers)
+                                   runtime=runtime, n_workers=n_workers,
+                                   vector_length=vector_length)
 
 
 def neighbor_alltoallv(graph_comm: DistGraphComm,

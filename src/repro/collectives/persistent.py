@@ -359,6 +359,11 @@ class WorldNeighborCollective:
     values (``world.result_items_all`` order) out.  ``exchange`` also takes
     one array per rank and returns one view per rank (``recv_item_ids``).
 
+    ``vector_length=n`` registers the exchange *on the caller's vector*
+    (:meth:`ExchangeEngine.register`): a round is ``engine.run(handle, x)``
+    and returns the engine's round buffer; ``exchange``, and a per-rank list
+    given to ``exchange_flat``, raise :class:`ValidationError`.
+
     ``runtime`` / ``n_workers`` select and size the engine backend
     (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
     pool) when the collective creates its own private engine; they cannot
@@ -373,7 +378,8 @@ class WorldNeighborCollective:
                  engine: ExchangeEngine | None = None,
                  profiler: TrafficProfiler | None = None,
                  runtime: str | None = None,
-                 n_workers: int | None = None):
+                 n_workers: int | None = None,
+                 vector_length: int | None = None):
         if engine is not None and profiler is not None \
                 and engine.profiler is not profiler:
             raise ValidationError(
@@ -405,7 +411,12 @@ class WorldNeighborCollective:
         self.engine = engine if engine is not None else \
             ExchangeEngine(self.world.n_ranks, profiler=profiler,
                            runtime=runtime, n_workers=n_workers)
-        self._handle = self.engine.register(self.world)
+        self._handle = self.engine.register(self.world,
+                                            vector_length=vector_length)
+        # Per-rank slices of the flat result (a bound vector has none).
+        offsets = self.world.result_offsets.tolist()
+        self._result_bounds = None if vector_length is not None \
+            else list(zip(offsets[:-1], offsets[1:]))
 
     @property
     def handle(self) -> int:
@@ -467,8 +478,12 @@ class WorldNeighborCollective:
 
     def exchange(self, values: WorldValues) -> List[np.ndarray]:
         """One full iteration for every rank; one result view per rank."""
-        return np.split(self.exchange_flat(values),
-                        self.world.result_offsets[1:-1])
+        if self._result_bounds is None:
+            raise ValidationError(
+                "this collective is bound to a vector: run engine.run(handle, "
+                "x) and read the halo at engine.halo_rows(handle)")
+        flat = self.exchange_flat(values)
+        return [flat[a:b] for a, b in self._result_bounds]
 
     # -- introspection ----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.sparse.parcsr import ParCSRMatrix
 from repro.utils.arrays import INDEX_DTYPE, run_starts_mask
 from repro.utils.errors import ValidationError
 
@@ -163,30 +162,3 @@ def reference_halo_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
                 items = base + face_index * side + np.arange(side, dtype=np.int64)
                 sends.setdefault(src, {})[dest] = items
     return DictPattern(n_ranks, sends)
-
-
-def reference_sends_from_parcsr(matrix: ParCSRMatrix
-                                ) -> Dict[int, Dict[int, np.ndarray]]:
-    """Seed comm-package send side: per-rank, per-owner dict assembly.
-
-    Needed columns come from the per-rank ``local_blocks`` oracle and their
-    owners from the *column* partition, so grid transfers resolve correctly.
-    """
-    partition = matrix.col_partition
-    sends: Dict[int, Dict[int, np.ndarray]] = {}
-    for rank in partition.iter_ranks():
-        needed = matrix.local_blocks(rank).col_map_offd
-        if needed.size == 0:
-            continue
-        owners = partition.owners_of(needed)
-        if np.any(owners == rank):
-            raise ValidationError("off-diagonal columns must be owned by other ranks")
-        for owner in np.unique(owners):
-            items = needed[owners == owner]
-            sends.setdefault(int(owner), {})[rank] = items.astype(np.int64)
-    return sends
-
-
-def reference_pattern_from_parcsr(matrix: ParCSRMatrix) -> DictPattern:
-    """Seed ``pattern_from_parcsr``: dict-built SpMV pattern of ``matrix``."""
-    return DictPattern(matrix.n_ranks, reference_sends_from_parcsr(matrix))

@@ -8,25 +8,32 @@ exchange as a *world program*
 (:class:`~repro.collectives.exchange.WorldExchange`): every rank's work array
 becomes a block of one world work array, and a whole phase for the whole
 communicator is one kernel call.  I/O is flat-native: ``run`` takes one
-rank-major array of owned values and returns one array of received values.
+rank-major array of owned values and returns one array of received values —
+or, for an exchange registered *on the caller's vector*
+(``register(world, vector_length=n)``, item ids being positions in it), takes
+the vector itself and returns the round buffer ``[x | …]`` read-only, with
+:meth:`ExchangeEngine.halo_rows` locating the received values in it: what
+:class:`~repro.sparse.spmv.WorldSpMV` multiplies by, no pack, no unpack.
 
 Two engine runtimes execute a registered program:
 
 * ``runtime="engine"`` (default) — single-process, on a private *staged*
   layout computed once at :meth:`ExchangeEngine.register`: rows renumbered
-  ``[owned | first written by receive step 1 | step 2 | …]``, so loading is
-  ``work[:n_owned] = values``, a send step only accounts traffic, and a
-  receive step is one ``gather(work[:a], src, work[a:b])`` — a ``take`` of
-  earlier rows into the slice it owns, never overlapping it.  Byte-identical
-  because every work row holds its ``(origin, item)`` key's one
-  per-iteration value; repeat deliveries leave the data path, not the
+  ``[owned (or the whole vector) | first written by receive step 1 | step 2
+  | …]``, so loading is ``work[:n] = values``, a send step only accounts
+  traffic, and a receive step is one ``gather(work[:a], src, work[a:b])`` —
+  a ``take`` of earlier rows into the slice it owns, never overlapping it.
+  Byte-identical because every work row holds its ``(origin, item)`` key's
+  one per-iteration value; repeat deliveries leave the data path, not the
   accounting.  The kernel backend (numba or numpy) is chosen at import time
   and overridable via ``REPRO_KERNELS=numba|numpy``.
 * ``runtime="procs"`` — a persistent shared-memory worker pool
   (:mod:`repro.simmpi.procs`): work array, index arrays, and wire arenas live
   in ``multiprocessing.shared_memory``; each forked worker owns a contiguous
   slab of (rank-major) world rows and executes slab-local gathers plus
-  cross-slab wire deliveries with a barrier between steps.
+  cross-slab wire deliveries with a barrier between steps.  A vector-bound
+  handle's round buffer is a private ``[x | halo]`` array here, so a fallback
+  to the staged path never moves its layout.
 
 Both runtimes produce byte-identical results and identical profiler
 data-path totals to the envelope-routed path; the per-envelope mailbox
@@ -111,17 +118,21 @@ def default_on_failure() -> str:
 class _RegisteredProgram:
     """Engine-side state of one registered world exchange: ``shared``, its
     rank-major shared-memory image, while a healthy ``runtime="procs"`` pool
-    runs it; otherwise *staged* — rows renumbered ``[owned | recv step 1 |
-    step 2 | …]`` in ``work``, per step ``(program, src, a, b)`` (a receive
+    runs it; otherwise *staged* (:func:`_stage`) — ``work`` rows ``[head |
+    recv step 1 | step 2 | …]``, per step ``(program, src, a, b)`` (a receive
     fills rows ``[a, b)`` from the earlier rows ``src``; a send, ``src is
     None``, only accounts), and ``result`` selecting the output rows (a
-    ``slice`` when they are one ascending run)."""
+    ``slice`` when one ascending run).  Bound to a vector of
+    ``vector_length`` entries, ``buffer`` is what a round returns: ``work``,
+    or on a procs engine a private ``[x | halo]`` array."""
 
     world: "WorldExchange"
+    vector_length: Optional[int] = None
     shared: Optional["SharedProgram"] = None
     work: Optional[np.ndarray] = None
     steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]] = ()
     result: Union[slice, np.ndarray, None] = None
+    buffer: Optional[np.ndarray] = None
 
 
 def _check_indices(world: "WorldExchange") -> None:
@@ -141,17 +152,23 @@ def _check_indices(world: "WorldExchange") -> None:
                                      f"an index outside [0, {bound})")
 
 
-def _stage(world: "WorldExchange") -> _RegisteredProgram:
+def _stage(world: "WorldExchange",
+           vector_length: int | None = None) -> _RegisteredProgram:
     """Renumber ``world``'s rows so every step writes one contiguous slice.
 
     Sort-free and O(rows): a step's first deliveries are the scatter entries
     whose row is still unnumbered, deduplicated by writing entry positions in
-    reverse (last write wins, so each row keeps its first deliverer).
+    reverse (last write wins, so each row keeps its first deliverer).  With a
+    ``vector_length`` the head is the caller's whole vector (an owned row sits
+    at its item id) and the result stays an index array: the halo rows.
     """
     n_rows, n_owned = world.n_world_rows, world.owned_rows.size
+    bound = vector_length is not None
+    head = vector_length if bound else n_owned
     new_of_old = np.full(n_rows, -1, dtype=np.int64)
-    new_of_old[world.owned_rows] = np.arange(n_owned)
-    steps, a = [], n_owned
+    new_of_old[world.owned_rows] = \
+        world.owned_items_all if bound else np.arange(n_owned)
+    steps, a = [], head
     for kind, phase in world.steps:
         program = world.programs[phase]
         if kind == "send":
@@ -170,16 +187,29 @@ def _stage(world: "WorldExchange") -> _RegisteredProgram:
                                      f"a row that no earlier step delivered")
         steps.append((program, src, a, b))
         a = b
-    if a != n_rows or (n_rows and new_of_old.min() < 0):
+    staged = a - head + n_owned
+    if staged != n_rows or (n_rows and new_of_old.min() < 0):
         raise CommunicationError(
             "corrupt world exchange: every world row must be owned or "
-            f"delivered by exactly one step ({a} of {n_rows} rows staged)")
+            f"delivered by exactly one step ({staged} of {n_rows} rows staged)")
     result = new_of_old[world.result_rows]
-    if result.size and np.array_equal(
+    if not bound and result.size and np.array_equal(
             result, np.arange(result[0], result[0] + result.size)):
         result = slice(int(result[0]), int(result[0]) + result.size)
-    work = np.zeros((n_rows, world.spec.item_size), dtype=world.spec.dtype)
-    return _RegisteredProgram(world, work=work, steps=steps, result=result)
+    work = np.zeros((a, world.spec.item_size), dtype=world.spec.dtype)
+    return _RegisteredProgram(world, vector_length, work=work, steps=steps,
+                              result=result, buffer=work if bound else None)
+
+
+def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
+    """``values`` as ``(n_rows, item_size)`` rows of the exchange's dtype."""
+    array = np.asarray(values)
+    check_value_preserving_cast(array.dtype, spec.dtype)
+    expected = (n_rows,) if spec.item_size == 1 else (n_rows, spec.item_size)
+    if array.shape != expected and array.shape != (n_rows, spec.item_size):
+        raise ValidationError(
+            f"{what} must have shape {expected}, got {array.shape}")
+    return array.astype(spec.dtype, copy=False).reshape(n_rows, spec.item_size)
 
 
 class ExchangeEngine:
@@ -331,7 +361,8 @@ class ExchangeEngine:
 
     # -- registration ---------------------------------------------------------
 
-    def register(self, world: "WorldExchange") -> int:
+    def register(self, world: "WorldExchange", *,
+                 vector_length: int | None = None) -> int:
         """Register a compiled world exchange; returns its engine handle.
 
         Mirrors ``neighbor_alltoallv_init``: registration validates the
@@ -340,6 +371,10 @@ class ExchangeEngine:
         allocates the persistent work array and stages its layout
         (``runtime="procs"``: shares it with the workers), so a round does
         no allocation-sized Python work beyond numpy's own temporaries.
+
+        ``vector_length=n`` binds the handle to the caller's ``(n,)`` vector,
+        item ids being positions in it (as for every ``pattern_from_parcsr``
+        pattern; scalar items only): see :meth:`run` and :meth:`halo_rows`.
         """
         self._check_open()
         if world.n_ranks > self.n_ranks:
@@ -347,22 +382,53 @@ class ExchangeEngine:
                 "world exchange spans more ranks than the engine provides"
             )
         _check_indices(world)
+        ids, pooled = world.owned_items_all, self._pool is not None
+        if vector_length is not None and (
+                world.spec.item_size != 1 or vector_length < 0 or (
+                    ids.size and not 0 <= ids.min() <= ids.max() < vector_length)):
+            raise ValidationError(
+                f"binding an exchange to a vector of length {vector_length} "
+                f"needs item_size == 1 (got {world.spec.item_size}) and every "
+                f"owned item id in [0, {vector_length})")
         shared = None
-        if self._pool is not None and not self._pool_failed:
+        if pooled and not self._pool_failed:
             try:
                 shared = self._pool.register(world)
             except WorkerError as exc:
                 if self.on_failure != "fallback":
                     raise
                 self._fall_back("register", exc)
-        self._programs.append(_stage(world) if shared is None
-                              else _RegisteredProgram(world, shared))
+        state = _RegisteredProgram(world, shared=shared) if shared is not None \
+            else _stage(world, None if pooled else vector_length)
+        if pooled and vector_length is not None:    # private [x | halo] buffer
+            state.vector_length = vector_length
+            state.buffer = np.zeros((vector_length + world.result_rows.size, 1),
+                                    dtype=world.spec.dtype)
+        self._programs.append(state)
         return len(self._programs) - 1
 
     def _program(self, handle: int) -> _RegisteredProgram:
         if handle < 0 or handle >= len(self._programs):
             raise CommunicationError(f"unknown exchange handle {handle}")
         return self._programs[handle]
+
+    def _bound(self, handle: int) -> _RegisteredProgram:
+        state = self._program(handle)
+        if state.buffer is None:
+            raise ValidationError(
+                f"exchange handle {handle} is not bound to a vector")
+        return state
+
+    def halo_rows(self, handle: int) -> np.ndarray:
+        """Row of a vector-bound handle's round buffer holding each entry of
+        ``world.result_items_all``, in that order (fixed at registration)."""
+        state = self._bound(handle)
+        return state.result if self._pool is None \
+            else np.arange(state.vector_length, state.buffer.shape[0])
+
+    def buffer_length(self, handle: int) -> int:
+        """Entries of the round buffer a vector-bound handle's ``run`` returns."""
+        return self._bound(handle).buffer.shape[0]
 
     # -- per-iteration execution ----------------------------------------------
 
@@ -386,6 +452,12 @@ class ExchangeEngine:
         values in ``world.result_items_all`` order (delimited per rank by
         ``world.result_offsets``) — what ``PersistentNeighborCollective.wait``
         hands each rank on the envelope-routed path.
+
+        On a handle registered with ``vector_length=n``, ``values`` is the
+        ``(n,)`` vector itself (anything else raises :class:`ValidationError`)
+        and the return is the engine's round buffer, read-only and valid until
+        the handle's next round: entries ``[:n]`` are the vector, entry
+        ``halo_rows(handle)[k]`` the value of ``world.result_items_all[k]``.
         """
         observer = self._run_observer
         if observer is None:
@@ -400,8 +472,12 @@ class ExchangeEngine:
         self._check_open()
         state = self._program(handle)
         world = state.world
-        loaded = self._load_values(world, values)
-        flat = None
+        loaded = self._load_values(state, values)
+        vector = None
+        if self._pool is not None and state.vector_length is not None:
+            # Bound on a procs engine: its rows are rank-major, so pack.
+            vector, loaded = loaded, loaded[world.owned_items_all]
+        rows = None
         if state.shared is not None and not self._pool_failed:
             # The pool's slabs need the compiler's rank-major rows; accounting
             # stays here, one bulk record per send step, in schedule order.
@@ -418,12 +494,22 @@ class ExchangeEngine:
                 for kind, phase in world.steps:
                     if kind == "send":
                         self._account(world.programs[phase])
-                flat = work[world.result_rows]
-        if flat is None:
+                rows = work[world.result_rows]
+        if rows is None:
             if state.work is None:  # a degraded procs engine stages lazily
-                state = self._programs[handle] = _stage(world)
-            flat = self._run_staged(state, loaded)
-        return flat.reshape(-1) if world.spec.item_size == 1 else flat
+                staged = _stage(world)
+                state.work, state.steps, state.result = \
+                    staged.work, staged.steps, staged.result
+            rows = self._run_staged(state, loaded)
+        if vector is not None:
+            n = vector.shape[0]
+            state.buffer[:n], state.buffer[n:] = vector, rows
+            rows = state.buffer
+        if world.spec.item_size == 1:
+            rows = rows.reshape(-1)
+        if state.buffer is not None:  # the round buffer itself (a view of it)
+            rows.flags.writeable = False
+        return rows
 
     # -- helpers --------------------------------------------------------------
 
@@ -431,12 +517,14 @@ class ExchangeEngine:
                     loaded: np.ndarray) -> np.ndarray:
         """One round on the single-process staged layout."""
         work, gather = staged.work, self._kernels.gather
-        work[:staged.world.owned_rows.size] = loaded
+        work[:loaded.shape[0]] = loaded
         for program, src, a, b in staged.steps:
             if src is None:
                 self._account(program)
             elif b > a:  # sources are rows of earlier steps (< a): no overlap
                 gather(work[:a], src, work[a:b])
+        if staged.buffer is work:  # bound to the caller's vector: no copy out
+            return work
         if isinstance(staged.result, slice):
             return work[staged.result].copy()
         # Indices were validated at staging: the unbuffered clip mode is safe.
@@ -464,48 +552,40 @@ class ExchangeEngine:
                     f"(engine stays serial from here on)"),
             crashes=exc.crashes))
 
-    def _load_values(self, world: "WorldExchange",
+    def _load_values(self, state: _RegisteredProgram,
                      values: WorldValues) -> np.ndarray:
-        """Validate and concatenate the per-iteration input into owned rows."""
+        """Validate the per-iteration input; returns the head rows to load."""
+        world, n = state.world, state.vector_length
         spec = world.spec
+        if n is not None:
+            if not isinstance(values, np.ndarray) or values.shape != (n,):
+                raise ValidationError(
+                    f"this exchange is bound to a vector: values must be one array "
+                    f"of shape ({n},), got {getattr(values, 'shape', type(values))}")
+            check_value_preserving_cast(values.dtype, spec.dtype)
+            return values.reshape(n, 1)
         n_owned_total = int(world.owned_offsets[-1])
         if isinstance(values, np.ndarray):
-            check_value_preserving_cast(values.dtype, spec.dtype)
-            flat = values.astype(spec.dtype, copy=False)
-            expected = (n_owned_total,) if spec.item_size == 1 \
-                else (n_owned_total, spec.item_size)
-            if flat.shape != expected and \
-                    flat.shape != (n_owned_total, spec.item_size):
-                raise ValidationError(
-                    f"flat world input must have shape {expected}, "
-                    f"got {flat.shape}"
-                )
-            return flat.reshape(n_owned_total, spec.item_size)
+            return _as_rows(values, n_owned_total, spec, "flat world input")
         if len(values) != world.n_ranks:
             raise ValidationError(
                 f"expected one value array per rank ({world.n_ranks}), "
                 f"got {len(values)}"
             )
-        parts: List[np.ndarray] = []
-        offsets = world.owned_offsets
-        for rank, rank_values in enumerate(values):
-            array = np.asarray(rank_values)
-            check_value_preserving_cast(array.dtype, spec.dtype)
-            array = array.astype(spec.dtype, copy=False)
-            n_owned = int(offsets[rank + 1] - offsets[rank])
-            expected = (n_owned,) if spec.item_size == 1 \
-                else (n_owned, spec.item_size)
-            if array.shape != expected and \
-                    array.shape != (n_owned, spec.item_size):
-                raise ValidationError(
-                    f"rank {rank} owns {n_owned} items of size "
-                    f"{spec.item_size}; values must have shape {expected}, "
-                    f"got {array.shape}"
-                )
-            parts.append(array.reshape(n_owned, spec.item_size))
-        if not parts:
-            return np.empty((0, spec.item_size), dtype=spec.dtype)
-        return np.concatenate(parts)
+        counts = np.diff(world.owned_offsets).tolist()
+        tail = () if spec.item_size == 1 else (spec.item_size,)
+        if counts and all(
+                isinstance(array, np.ndarray) and array.dtype == spec.dtype
+                and array.shape == (n_owned, *tail)
+                for array, n_owned in zip(values, counts)):
+            return np.concatenate(values).reshape(n_owned_total, spec.item_size)
+        # Anything else: rank by rank, casting — or naming the offending rank.
+        parts = [_as_rows(rank_values, n_owned, spec,
+                          f"rank {rank} owns {n_owned} items of size "
+                          f"{spec.item_size}; values")
+                 for rank, (rank_values, n_owned) in enumerate(zip(values, counts))]
+        return np.concatenate(parts) if parts \
+            else np.empty((0, spec.item_size), dtype=spec.dtype)
 
     def _account(self, program: "WorldPhaseProgram") -> None:
         """Bulk-record the phase's messages with the attached profiler."""

@@ -7,10 +7,12 @@ off-diagonal columns are exactly the vector entries the rank must receive
 before a SpMV — they define the communication pattern.
 
 Here the matrix is kept globally (scipy CSR) next to its row and column
-:class:`~repro.sparse.partition.RowPartition` (hypre's row and column starts);
-:meth:`ParCSRMatrix.local_blocks` materialises any rank's diag/offd view on
-demand.  A level operator ``A`` passes one partition for both; a grid transfer
-``P`` / ``Pᵀ`` passes two.  This "globally stored, locally viewed"
+:class:`~repro.sparse.partition.RowPartition` (hypre's row and column starts).
+:meth:`ParCSRMatrix.stacked_blocks` is every rank's rows at once — the same
+``data`` and ``indptr`` with the column indices rewritten onto ``[x | halo]``
+— and :meth:`ParCSRMatrix.local_blocks` cuts any rank's diag/offd view out of
+it on demand.  A level operator ``A`` passes one partition for both; a grid
+transfer ``P`` / ``Pᵀ`` passes two.  This "globally stored, locally viewed"
 representation is what lets one Python process reason about patterns of
 thousands of simulated ranks.
 """
@@ -24,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.partition import RowPartition
-from repro.utils.arrays import counts_to_displs
 from repro.utils.errors import ValidationError
 
 
@@ -36,7 +37,8 @@ class LocalBlocks:
     (the input-vector entries it already has locally); ``offd`` holds every
     other referenced column, with ``col_map_offd`` giving their sorted global
     column indices — exactly the entries the rank must receive before a
-    product.
+    product.  ``operator`` is the two unsplit: the rank's rows over the
+    columns ``[own | col_map_offd]``, entries in the assembled stored order.
     """
 
     rank: int
@@ -45,6 +47,7 @@ class LocalBlocks:
     diag: sp.csr_matrix
     offd: sp.csr_matrix
     col_map_offd: np.ndarray
+    operator: sp.csr_matrix | None = None
 
     @property
     def n_local_rows(self) -> int:
@@ -64,72 +67,48 @@ class LocalBlocks:
 
 @dataclass
 class StackedBlocks:
-    """Every rank's diag/offd blocks as rows of two world-sized operators.
+    """Every rank's rows as one operator over the columns ``[x | halo]``.
 
-    ``diag`` is block-diagonal over the global columns; ``offd``'s columns
-    index ``col_map_offd``, every rank's sorted off-process global columns in
-    rank order, delimited by ``offd_offsets``.  Rows keep the rank blocks'
-    stored entry order — the summation order of a product — so never
-    ``sort_indices`` / ``sum_duplicates`` either operator.
+    ``operator`` shares ``data`` and ``indptr`` with the assembled matrix;
+    only its column indices are new: a column the row's rank owns keeps its
+    global index (``< n_cols``, the input vector ``x``), any other becomes
+    ``n_cols + k`` with ``k`` its position in ``col_map_offd`` — every rank's
+    sorted off-process global columns in rank order, delimited by
+    ``offd_offsets``.  Entries keep their stored order, the summation order
+    of a product: never ``sort_indices`` / ``sum_duplicates`` it.
     """
 
-    diag: sp.csr_matrix
-    offd: sp.csr_matrix
+    operator: sp.csr_matrix
     col_map_offd: np.ndarray
     offd_offsets: np.ndarray
 
 
-def _stack_rank_blocks(matrix: sp.csr_matrix, row_partition: RowPartition,
+def _stack_rank_blocks(csr: sp.csr_matrix, row_partition: RowPartition,
                        col_partition: RowPartition) -> StackedBlocks:
-    """Every rank's diag/offd split in one global pass, kept stacked.
-
-    Where ``local_blocks`` costs O(nnz) scipy slicing *per rank*, this
-    classifies every stored entry against its owning rank's column range once
-    and takes all offd column maps from one sort over ``(rank, column)`` keys.
-    Entry order is preserved row by row, so sorted indices stay sorted.
-    """
-    csr = matrix
-    if not csr.has_canonical_format:        # unsorted indices or duplicates
-        csr = csr.copy()
-        csr.sum_duplicates()
+    """Every rank's diag/offd classification in one global pass, kept stacked:
+    each stored entry is compared with its owning rank's column range once,
+    and all offd column maps come from one sort over ``(rank, column)`` keys."""
     n_ranks = row_partition.n_ranks
     n_rows, n_cols = csr.shape
     col_offsets = col_partition.offsets
-    entry_row = np.repeat(np.arange(n_rows, dtype=np.int64),
-                          np.diff(csr.indptr))
-    row_rank = np.repeat(np.arange(n_ranks, dtype=np.int64),
-                         np.diff(row_partition.offsets))
-    entry_rank = row_rank[entry_row] if n_rows else entry_row
-    cols = csr.indices.astype(np.int64, copy=False)
-    in_diag = (cols >= col_offsets[entry_rank]) \
-        & (cols < col_offsets[entry_rank + 1])
-
-    def indptr_of(mask: np.ndarray) -> np.ndarray:
-        return counts_to_displs(np.bincount(entry_row[mask], minlength=n_rows))
-
-    diag = sp.csr_matrix((csr.data[in_diag], cols[in_diag], indptr_of(in_diag)),
-                         shape=(n_rows, n_cols))
-    offd_mask = ~in_diag
+    per_rank = np.diff(csr.indptr[row_partition.offsets])
+    cols = csr.indices
+    offd = np.flatnonzero((cols < np.repeat(col_offsets[:-1], per_rank))
+                          | (cols >= np.repeat(col_offsets[1:], per_rank)))
     # One sort over (rank, global column) yields every rank's sorted unique
-    # column map and, via the inverse, each entry's stacked offd column.
-    keys = entry_rank[offd_mask] * np.int64(n_cols) + cols[offd_mask]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    offd = sp.csr_matrix((csr.data[offd_mask], inverse, indptr_of(offd_mask)),
-                         shape=(n_rows, unique_keys.size))
+    # column map and, via the inverse, each entry's position in it.
     rank_keys = np.arange(n_ranks + 1, dtype=np.int64) * n_cols
-    return StackedBlocks(diag=diag, offd=offd,
-                         col_map_offd=unique_keys % np.int64(max(n_cols, 1)),
-                         offd_offsets=np.searchsorted(unique_keys, rank_keys))
-
-
-def _row_block(stacked: sp.csr_matrix, first: int, last: int,
-               col_first: int, col_last: int) -> sp.csr_matrix:
-    """Rows ``[first, last)`` of a stacked operator, columns rebased to one rank's."""
-    lo, hi = stacked.indptr[first], stacked.indptr[last]
-    return sp.csr_matrix(
-        (stacked.data[lo:hi], stacked.indices[lo:hi] - col_first,
-         stacked.indptr[first:last + 1] - lo),
-        shape=(last - first, col_last - col_first))
+    keys = np.repeat(rank_keys[:-1], per_rank)[offd] + cols[offd]
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    width = n_cols + unique_keys.size
+    indices = cols.astype(np.result_type(cols.dtype,
+                                         sp.get_index_dtype(maxval=width)))
+    indices[offd] = n_cols + inverse
+    return StackedBlocks(
+        operator=sp.csr_matrix((csr.data, indices, csr.indptr),
+                               shape=(n_rows, width)),
+        col_map_offd=unique_keys % np.int64(max(n_cols, 1)),
+        offd_offsets=np.searchsorted(unique_keys, rank_keys))
 
 
 def check_one_partition(matrix: "ParCSRMatrix", what: str) -> None:
@@ -150,11 +129,19 @@ class ParCSRMatrix:
     ``P`` has its rows on the fine partition and its columns on the coarse
     one, and its transpose the other way.  The diag/offd split is taken
     against the *column* partition (see :class:`LocalBlocks`).
+
+    Operator arrays are shared, not copied: ``matrix`` is the CSR handed in
+    (made canonical first, if it has unsorted indices or duplicates) and
+    :meth:`stacked_blocks` adds only a column-index array, so :meth:`spmv` and
+    every distributed product sum the same ``data`` in the same order.
     """
 
     def __init__(self, matrix: sp.spmatrix, partition: RowPartition,
                  col_partition: RowPartition | None = None):
         matrix = sp.csr_matrix(matrix)
+        if not matrix.has_canonical_format:     # unsorted indices or duplicates
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
         if col_partition is None:
             col_partition = partition
         if matrix.shape[0] != partition.n_rows:
@@ -211,65 +198,41 @@ class ParCSRMatrix:
 
     # -- per-rank views ---------------------------------------------------------------
 
-    def local_blocks(self, rank: int) -> LocalBlocks:
-        """Diag/offd split of ``rank``'s rows against the column partition (cached)."""
-        if rank in self._block_cache:
-            return self._block_cache[rank]
-        first, last = self.partition.row_range(rank)
-        col_first, col_last = self.col_partition.row_range(rank)
-        local = self.matrix[first:last, :].tocsc()
-        diag = local[:, col_first:col_last].tocsr()
-        if col_first > 0 or col_last < self.n_cols:
-            left = local[:, :col_first]
-            right = local[:, col_last:]
-            offd_global = sp.hstack([left, right], format="csc")
-            # Global column ids of the off-diagonal part, in the hstack order.
-            col_ids = np.concatenate([np.arange(0, col_first),
-                                      np.arange(col_last, self.n_cols)])
-        else:
-            offd_global = sp.csc_matrix((last - first, 0))
-            col_ids = np.empty(0, dtype=np.int64)
-        # Keep only columns that actually carry non-zeros; their sorted global
-        # indices form col_map_offd, as in hypre.
-        nnz_per_col = np.diff(offd_global.indptr)
-        used = np.flatnonzero(nnz_per_col > 0)
-        col_map_offd = col_ids[used].astype(np.int64)
-        order = np.argsort(col_map_offd)
-        col_map_offd = col_map_offd[order]
-        offd = offd_global[:, used[order]].tocsr()
-        blocks = LocalBlocks(rank=rank, row_range=(first, last),
-                             col_range=(col_first, col_last), diag=diag,
-                             offd=offd, col_map_offd=col_map_offd)
-        self._block_cache[rank] = blocks
-        return blocks
-
     def stacked_blocks(self) -> StackedBlocks:
-        """All ranks' diag/offd blocks as one stacked pair: one pass, cached."""
+        """All ranks' rows as one operator over ``[x | halo]``: one pass, cached."""
         if self._stacked is None:
             self._stacked = _stack_rank_blocks(self.matrix, self.partition,
                                                self.col_partition)
         return self._stacked
 
-    def all_local_blocks(self) -> List[LocalBlocks]:
-        """Every rank's diag/offd split, sliced out of :meth:`stacked_blocks`.
+    def local_blocks(self, rank: int) -> LocalBlocks:
+        """Diag/offd split of ``rank``'s rows against the column partition,
+        cut out of :meth:`stacked_blocks` in stored entry order (cached)."""
+        if rank in self._block_cache:
+            return self._block_cache[rank]
+        stacked = self.stacked_blocks()
+        first, last = self.partition.row_range(rank)
+        col_first, col_last = self.col_partition.row_range(rank)
+        g0, g1 = stacked.offd_offsets[rank:rank + 2].tolist()
+        n_rows, n_own, n_offd = last - first, col_last - col_first, g1 - g0
+        rows = stacked.operator[first:last]
+        halo = rows.indices >= self.n_cols
+        local = rows.indices - np.where(halo, self.n_cols + g0 - n_own, col_first)
+        offd_indptr = np.concatenate(([0], np.cumsum(halo)))[rows.indptr]
+        blocks = self._block_cache[rank] = LocalBlocks(
+            rank=rank, row_range=(first, last), col_range=(col_first, col_last),
+            diag=sp.csr_matrix((rows.data[~halo], local[~halo],
+                                rows.indptr - offd_indptr), shape=(n_rows, n_own)),
+            offd=sp.csr_matrix((rows.data[halo], local[halo] - n_own,
+                                offd_indptr), shape=(n_rows, n_offd)),
+            col_map_offd=stacked.col_map_offd[g0:g1],
+            operator=sp.csr_matrix((rows.data, local, rows.indptr),
+                                   shape=(n_rows, n_own + n_offd)))
+        return blocks
 
-        Equal to ``[local_blocks(r) for r in range(n_ranks)]`` in one pass;
-        already-cached ranks keep their existing block objects.
-        """
-        if len(self._block_cache) < self.n_ranks:
-            stacked = self.stacked_blocks()
-            for rank in range(self.n_ranks):
-                if rank in self._block_cache:
-                    continue
-                rows = self.partition.row_range(rank)
-                cols = self.col_partition.row_range(rank)
-                g0, g1 = stacked.offd_offsets[rank:rank + 2].tolist()
-                self._block_cache[rank] = LocalBlocks(
-                    rank=rank, row_range=rows, col_range=cols,
-                    diag=_row_block(stacked.diag, *rows, *cols),
-                    offd=_row_block(stacked.offd, *rows, g0, g1),
-                    col_map_offd=stacked.col_map_offd[g0:g1])
-        return [self._block_cache[rank] for rank in range(self.n_ranks)]
+    def all_local_blocks(self) -> List[LocalBlocks]:
+        """``local_blocks(rank)`` of every rank, in rank order."""
+        return [self.local_blocks(rank) for rank in range(self.n_ranks)]
 
     # -- convenience -------------------------------------------------------------------
 

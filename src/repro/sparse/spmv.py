@@ -7,18 +7,20 @@ runtime, exactly the structure of ``hypre_ParCSRMatrixMatvec`` — and, like
 it, the one product for every operator of the solve phase: the input vector
 lives on the matrix's column partition and the output on its row partition,
 so a level operator ``A`` (one partition) and the grid transfers ``P`` /
-``Pᵀ`` (two) run through the same code.  The
-integration tests run it at small rank counts and check the result against the
-sequential product to machine precision; that is the correctness argument for
-replacing Hypre's point-to-point communication with the optimized collectives.
+``Pᵀ`` (two) run through the same code.
 
-:class:`WorldSpMV` is the world-stepped form of the same computation, for
-all ranks at once: one flat halo exchange through the batched
-:class:`~repro.simmpi.engine.ExchangeEngine`, then ``D @ x + O @ halo`` over
-the matrix's stacked ``diag``/``offd`` operators — no threads, no envelopes,
-no per-rank loop.  ``distributed_spmv_results`` executes through it by
-default and keeps the envelope-routed thread-per-rank path as the pinned
-reference (``runtime="threads"``); the two are byte-identical.
+:class:`WorldSpMV` is the world-stepped form, for all ranks at once: the halo
+exchange is registered on the input vector itself, so one round through the
+batched :class:`~repro.simmpi.engine.ExchangeEngine` turns ``x`` into the
+engine's ``[x | halo]`` work array, and the product is one CSR — the assembled
+matrix with its column indices rewritten onto that array — times it.  No
+pack, no unpack, no diag/offd split, no threads, no per-rank loop.
+``distributed_spmv_results`` executes through it by default and keeps the
+envelope-routed thread-per-rank path as the pinned reference
+(``runtime="threads"``).  Every path sums a row in the assembled matrix's
+stored order, so all of them equal ``matrix.matrix @ x`` to the bit: the
+correctness argument for replacing Hypre's point-to-point communication with
+the optimized collectives.
 
 Example (doctest): distribute a tiny matrix over 4 simulated ranks and check
 the world-stepped product against the sequential reference.
@@ -31,7 +33,7 @@ the world-stepped product against the sequential reference.
 >>> mapping = paper_mapping(4, ranks_per_node=2)
 >>> x = np.arange(36, dtype=np.float64)
 >>> spmv = WorldSpMV(matrix, mapping, variant="full")
->>> np.allclose(spmv.multiply(x), sequential_spmv(matrix, x))
+>>> np.array_equal(spmv.multiply(x), sequential_spmv(matrix, x))
 True
 >>> np.array_equal(distributed_spmv_results(matrix, mapping, x),
 ...                spmv.multiply(x))
@@ -39,8 +41,6 @@ True
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,19 +78,11 @@ def check_mapping_covers(mapping: RankMapping, n_ranks: int) -> None:
         )
 
 
-def _halo_positions(col_map_offd: np.ndarray, recv_ids: np.ndarray) -> np.ndarray:
-    """Positions of the received halo ids inside a rank's (sorted) ``col_map_offd``."""
-    return np.searchsorted(col_map_offd, recv_ids)
-
-
 def _init_rank_collective(comm: SimComm, pattern: CommPattern,
                           mapping: RankMapping, variant: Variant | str,
                           strategy: BalanceStrategy):
-    """One rank's persistent collective from the matrix's pattern (collective call).
-
-    Take this rank's send/recv maps from the pattern, create the graph
-    communicator over their peers, and initialise the persistent collective.
-    """
+    """One rank's persistent collective from the matrix's pattern (collective
+    call): its send/recv maps, a graph communicator over their peers, the init."""
     graph_comm = dist_graph_create_adjacent(
         comm, *neighbor_lists(pattern, comm.rank), validate=False)
     return neighbor_alltoallv_init(graph_comm, pattern.send_map(comm.rank),
@@ -99,33 +91,41 @@ def _init_rank_collective(comm: SimComm, pattern: CommPattern,
                                    dtype=np.float64)
 
 
-def _offd_on_halo(stacked: StackedBlocks, world) -> sp.csr_matrix:
-    """``stacked.offd`` with its columns indexing the engine's flat result.
+def _operator_on_buffer(stacked: StackedBlocks, world, halo_rows: np.ndarray,
+                        length: int) -> sp.csr_matrix:
+    """``stacked.operator`` with its halo columns on the engine's round buffer.
 
-    Delivery (``world.result_items_all``) and ``col_map_offd`` both ascend per
-    rank for a pattern derived from this matrix, so this is normally
-    ``stacked.offd`` itself.  Any other order is folded into the column
-    indices once (entry order untouched); a rank whose delivered ids are not
-    exactly its column map raises instead of hitting a neighbouring column.
+    ``halo_rows[k]`` is the buffer row of ``world.result_items_all[k]``.
+    Delivery and ``col_map_offd`` both ascend per rank for a pattern derived
+    from this matrix; any other order is folded into the column indices
+    (entry order untouched), and a rank whose delivered ids are not exactly
+    its column map raises instead of hitting a neighbouring column.  A halo
+    right behind ``x`` in map order returns the cached operator itself.
     """
     offsets, ids = world.result_offsets, world.result_items_all
-    if np.array_equal(offsets, stacked.offd_offsets) \
-            and np.array_equal(ids, stacked.col_map_offd):
-        return stacked.offd
-    counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
-    rank_of = np.repeat(np.arange(counts.size), counts)
-    order = np.lexsort((ids, rank_of))      # halo position of each map entry
-    if np.array_equal(counts, expected):
-        wrong = rank_of[ids[order] != stacked.col_map_offd]
-    else:
-        wrong = np.flatnonzero(counts != expected)
-    if wrong.size:
-        raise ValidationError(
-            f"rank {int(wrong[0])} receives halo ids that differ from its "
-            "col_map_offd; the exchange was not built for this matrix")
-    offd = stacked.offd
-    return sp.csr_matrix((offd.data, order[offd.indices], offd.indptr),
-                         shape=offd.shape)
+    if not (np.array_equal(offsets, stacked.offd_offsets)
+            and np.array_equal(ids, stacked.col_map_offd)):
+        counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
+        rank_of = np.repeat(np.arange(counts.size), counts)
+        order = np.lexsort((ids, rank_of))  # delivery position of each map entry
+        if np.array_equal(counts, expected):
+            wrong = rank_of[ids[order] != stacked.col_map_offd]
+        else:
+            wrong = np.flatnonzero(counts != expected)
+        if wrong.size:
+            raise ValidationError(
+                f"rank {int(wrong[0])} receives halo ids that differ from its "
+                "col_map_offd; the exchange was not built for this matrix")
+        halo_rows = halo_rows[order]
+    operator = stacked.operator
+    n_rows, width = operator.shape
+    n_cols = width - halo_rows.size
+    if length == width and np.array_equal(halo_rows, np.arange(n_cols, width)):
+        return operator
+    columns = np.concatenate([np.arange(n_cols), halo_rows]).astype(
+        np.result_type(operator.indices.dtype, sp.get_index_dtype(maxval=length)))
+    return sp.csr_matrix((operator.data, columns[operator.indices],
+                          operator.indptr), shape=(n_rows, length))
 
 
 class DistributedSpMV:
@@ -134,9 +134,10 @@ class DistributedSpMV:
     Construction is collective: every rank of the communicator builds its own
     instance with the same matrix and mapping.  ``multiply`` takes the rank's
     slice of the input vector (column partition), performs the halo exchange
-    through the configured neighborhood-collective variant and then the local
-    ``diag``/``offd`` products, and returns its slice of the output vector
-    (row partition).
+    through the configured neighborhood-collective variant, multiplies the
+    rank's rows of the stacked operator by ``[x_local | halo]``, and returns
+    its slice of the output vector (row partition) — bit for bit the rows
+    :class:`WorldSpMV` and ``matrix.matrix @ x`` compute.
     """
 
     def __init__(self, comm: SimComm, matrix: ParCSRMatrix, mapping: RankMapping, *,
@@ -154,9 +155,10 @@ class DistributedSpMV:
         self.mapping = mapping
         self.rank = comm.rank
         self.blocks = matrix.local_blocks(self.rank)
-        self.diag = self.blocks.diag
         self.row_range = self.blocks.row_range
         self.col_range = self.blocks.col_range
+        self.n_local_rows = self.blocks.n_local_rows    # output entries owned
+        self.n_local_cols = self.blocks.n_local_cols    # input entries owned
 
         # The collective is built from the pattern's index arrays directly —
         # no per-item list conversion at the boundary.  An injected
@@ -166,23 +168,12 @@ class DistributedSpMV:
             collective = _init_rank_collective(comm, pattern_from_parcsr(matrix),
                                                mapping, variant, strategy)
         self.collective = collective
-        # The halo exchange is array-native: precompute the index arrays that
-        # connect the local vector to the dense exchange input and the dense
-        # halo output to the offd product input — the per-iteration path is
-        # then three fancy indexes and no per-item Python work.
+        # Index arrays from the local vector to the dense exchange input, and
+        # from the dense halo output to its place behind ``x_local``.
+        self._buffer = np.zeros(self.blocks.operator.shape[1], dtype=np.float64)
         self._owned_positions = self.collective.owned_item_ids - self.col_range[0]
-        self._halo_positions = _halo_positions(self.blocks.col_map_offd,
-                                               self.collective.recv_item_ids)
-
-    @property
-    def n_local_rows(self) -> int:
-        """Output-vector entries owned by this rank."""
-        return self.blocks.n_local_rows
-
-    @property
-    def n_local_cols(self) -> int:
-        """Input-vector entries owned by this rank."""
-        return self.blocks.n_local_cols
+        self._halo_positions = self.n_local_cols + np.searchsorted(
+            self.blocks.col_map_offd, self.collective.recv_item_ids)
 
     def multiply(self, x_local: np.ndarray) -> np.ndarray:
         """Compute the local rows of ``A @ x``.
@@ -195,26 +186,22 @@ class DistributedSpMV:
             raise ValidationError(
                 f"x_local must have shape ({self.n_local_cols},), got {x_local.shape}"
             )
-        halo = self.collective.exchange(x_local[self._owned_positions])
-
-        result = self.diag @ x_local
-        if self.blocks.n_offd_cols:
-            x_offd = np.zeros(self.blocks.n_offd_cols, dtype=np.float64)
-            x_offd[self._halo_positions] = halo
-            result = result + self.blocks.offd @ x_offd
-        return result
+        self._buffer[:x_local.size] = x_local
+        self._buffer[self._halo_positions] = \
+            self.collective.exchange(x_local[self._owned_positions])
+        return self.blocks.operator @ self._buffer
 
 
 class WorldSpMV:
     """World-stepped distributed SpMV: all ranks advance in lockstep.
 
-    Holds the matrix's :class:`~repro.sparse.parcsr.StackedBlocks` — a
-    block-diagonal ``diag`` over the global input vector and an ``offd``
-    whose columns index the flat halo buffer — plus one world collective, so
-    ``multiply`` is what hypre runs per process, once for all ranks:
-    ``halo = exchange_flat(x[owned])`` then ``diag @ x + offd @ halo``.  Rows
-    sum in the per-rank blocks' stored order, so the result is byte-identical
-    to :class:`DistributedSpMV` on every rank of the envelope-routed runtime.
+    One world collective registered on the input vector, plus the matrix's
+    :class:`~repro.sparse.parcsr.StackedBlocks` operator with its halo
+    columns rewritten once onto the engine's round buffer, so ``multiply`` is
+    what hypre runs per process, once for all ranks: one engine round — every
+    receive step run, every message accounted — then one product, equal bit
+    for bit to ``matrix.matrix @ x`` and to :class:`DistributedSpMV` on every
+    rank of the envelope-routed runtime.
     """
 
     def __init__(self, matrix: ParCSRMatrix, mapping: RankMapping, *,
@@ -228,26 +215,18 @@ class WorldSpMV:
         self.matrix = matrix
         self.mapping = mapping
         self.n_ranks = matrix.n_ranks
-        self.collective = neighbor_alltoallv_init_world(
+        self.n_rows, self.n_cols = matrix.matrix.shape  # output / input lengths
+        self.row_range = (0, self.n_rows)
+        # Item ids are global input-vector indices: the exchange runs on ``x``.
+        self.collective = collective = neighbor_alltoallv_init_world(
             pattern_from_parcsr(matrix), mapping, variant=variant,
             strategy=strategy, engine=engine, profiler=profiler,
-            runtime=runtime, n_workers=n_workers)
-        stacked = matrix.stacked_blocks()
-        world = self.collective.world
-        self.diag = stacked.diag
-        self.offd = _offd_on_halo(stacked, world)
-        # Item ids are global input-vector indices: the input is ``x[owned]``.
-        self._owned = world.owned_items_all
-
-    @property
-    def n_rows(self) -> int:
-        """Global output-vector length."""
-        return self.matrix.n_rows
-
-    @property
-    def n_cols(self) -> int:
-        """Global input-vector length."""
-        return self.matrix.n_cols
+            runtime=runtime, n_workers=n_workers, vector_length=matrix.n_cols)
+        self._handle = handle = collective.handle
+        self._operator = _operator_on_buffer(
+            matrix.stacked_blocks(), collective.world,
+            collective.engine.halo_rows(handle),
+            collective.engine.buffer_length(handle))
 
     def close(self) -> None:
         """Release the halo collective's private engine (workers, segments)."""
@@ -260,14 +239,9 @@ class WorldSpMV:
         self.close()
 
     def multiply(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A @ x`` for the *global* input vector (one call, all ranks)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise ValidationError(
-                f"x must have shape ({self.n_cols},), got {x.shape}"
-            )
-        halo = self.collective.exchange_flat(x[self._owned])
-        return self.diag @ x + self.offd @ halo
+        """``A @ x`` for the *global* ``(n_cols,)`` input array (the engine
+        validates it): one engine round, one product over its round buffer."""
+        return self._operator @ self.collective.engine.run(self._handle, x)
 
 
 def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
@@ -279,15 +253,12 @@ def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
     """Run a full distributed SpMV and assemble ``A @ x``.
 
     This is the one-call form used by tests and examples; ``x`` is the global
-    input vector (``matrix.n_cols`` entries).  With the default
-    ``runtime="engine"`` the product runs world-stepped through
-    :class:`WorldSpMV` (single process, fused batched exchange);
-    ``runtime="procs"`` executes the same world program on the shared-memory
-    worker pool.  ``runtime="threads"`` launches one simulated-rank thread
-    per partition entry on the envelope-routed runtime — the pinned
-    reference path, byte-identical to both engine runtimes.  ``runtime=None``
-    resolves through the ``REPRO_RUNTIME`` environment variable (falling
-    back to ``"engine"``).  ``timeout`` bounds only the threaded run (the
+    input vector (``matrix.n_cols`` entries).  ``runtime="engine"`` (default)
+    and ``"procs"`` run world-stepped through :class:`WorldSpMV`, single
+    process or shared-memory worker pool; ``"threads"`` launches one
+    simulated-rank thread per partition entry on the envelope-routed runtime
+    — the pinned reference path, byte-identical to both.  ``None`` resolves
+    through ``REPRO_RUNTIME``.  ``timeout`` bounds only the threaded run (the
     engine paths never block, so they have no deadline to enforce).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -307,14 +278,9 @@ def distributed_spmv_results(matrix: ParCSRMatrix, mapping: RankMapping,
 
     from repro.simmpi.world import run_spmd  # local import to avoid cycles at import time
 
-    def program(comm: SimComm) -> List[float]:
+    def program(comm: SimComm) -> np.ndarray:
         spmv = DistributedSpMV(comm, matrix, mapping, variant=variant, strategy=strategy)
-        col_first, col_last = spmv.col_range
-        return spmv.multiply(x[col_first:col_last]).tolist()
+        return spmv.multiply(x[slice(*spmv.col_range)])
 
-    per_rank = run_spmd(matrix.n_ranks, program, timeout=timeout)
-    result = np.empty(matrix.n_rows, dtype=np.float64)
-    for rank, values in enumerate(per_rank):
-        first, last = matrix.partition.row_range(rank)
-        result[first:last] = values
-    return result
+    # Ranks own consecutive row ranges, in rank order.
+    return np.concatenate(run_spmd(matrix.n_ranks, program, timeout=timeout))

@@ -27,9 +27,7 @@ from repro.pattern.reference import (
     DictPattern,
     reference_halo_pattern,
     reference_pattern_from_edges,
-    reference_pattern_from_parcsr,
     reference_random_pattern,
-    reference_sends_from_parcsr,
 )
 from repro.amg.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
@@ -45,6 +43,30 @@ EDGE_TRIPLES = [
     (2, 5, [120]), (0, 1, [103]), (3, 12, [130]),
     (0, 4, [99]),                       # repeated (src, dest): concatenates
 ]
+
+
+def reference_sends_from_parcsr(matrix):
+    """Seed comm-package send side: per-rank, per-owner dict assembly.
+
+    Needed columns are read off each rank's own rows and their owners come
+    from the *column* partition, so grid transfers resolve correctly.
+    """
+    partition = matrix.col_partition
+    sends = {}
+    for rank in partition.iter_ranks():
+        first, last = matrix.partition.row_range(rank)
+        col_first, col_last = partition.row_range(rank)
+        cols = np.unique(matrix.matrix[first:last].indices).astype(np.int64)
+        needed = cols[(cols < col_first) | (cols >= col_last)]
+        owners = partition.owners_of(needed)
+        for owner in np.unique(owners):
+            sends.setdefault(int(owner), {})[rank] = needed[owners == owner]
+    return sends
+
+
+def reference_pattern_from_parcsr(matrix) -> DictPattern:
+    """Seed ``pattern_from_parcsr``: dict-built SpMV pattern of ``matrix``."""
+    return DictPattern(matrix.n_ranks, reference_sends_from_parcsr(matrix))
 
 
 def assert_tables_identical(csr_pattern: CommPattern, reference: DictPattern):

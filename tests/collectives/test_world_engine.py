@@ -228,8 +228,24 @@ class TestEngineInterface:
     def test_wrong_shape_rejected(self, small_collective):
         values = _rank_values(small_collective)
         values[2] = values[2][:-1]
-        with pytest.raises(ValidationError, match="shape"):
+        with pytest.raises(ValidationError, match="rank 2 owns .* shape"):
             small_collective.exchange(values)
+
+    def test_every_per_rank_form_loads_the_same_values(self, small_collective):
+        """Arrays of the exchange's dtype concatenate in one pass; lists,
+        other dtypes and ``(n, 1)`` columns go rank by rank — same bytes."""
+        values = [np.round(v) for v in _rank_values(small_collective)]
+        expected = np.concatenate(small_collective.exchange(values)).tobytes()
+        forms = {
+            "lists": [v.tolist() for v in values],
+            "int64": [v.astype(np.int64) for v in values],
+            "columns": [v.reshape(-1, 1) for v in values],
+            "one odd rank": [values[0].astype(np.float32)] + values[1:],
+            "strided views": [np.repeat(v, 2)[::2] for v in values],
+        }
+        for name, form in forms.items():
+            got = np.concatenate(small_collective.exchange(form)).tobytes()
+            assert got == expected, name
 
     def test_unsafe_cast_rejected(self, small_collective):
         values = [v.astype(np.complex128) for v in _rank_values(small_collective)]

@@ -7,8 +7,6 @@ exercised only by the benchmark harness.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -69,34 +67,3 @@ def small_poisson_matrix():
 def rng():
     """Deterministic random generator for tests that need noise."""
     return np.random.default_rng(2023)
-
-
-@pytest.fixture
-def count_calls():
-    """``count_calls(func, *args)``: Python + C calls made while ``func`` runs.
-
-    Counted under ``sys.setprofile``, so it reads no clock: a set-up pass
-    written as whole-array operations makes the same number of calls on a
-    large input as on a small one, a per-row or per-edge Python loop does not.
-    ``of=(function, ...)`` counts only entries into those Python functions
-    (matched by code object, whatever name the caller imported them under).
-    """
-    def counter(func, *args, of=None, **kwargs) -> int:
-        calls = 0
-        targets = None if of is None else {f.__code__ for f in of}
-
-        def on_event(frame, event, arg):
-            nonlocal calls
-            if targets is None:
-                calls += event in ("call", "c_call")
-            elif event == "call" and frame.f_code in targets:
-                calls += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(on_event)
-        try:
-            func(*args, **kwargs)
-        finally:
-            sys.setprofile(previous)
-        return calls
-    return counter

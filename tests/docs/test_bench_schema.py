@@ -50,7 +50,7 @@ RUNTIMES = {"engine", "threads", "procs"}
 BENCH_FILES = [f"BENCH_{name}.json" for name in (
     "array_path", "autotune", "columnar_planner", "fused_kernels",
     "pattern_construction", "plan_cache_warm", "procs_recovery",
-    "setup_scale", "world_engine", "world_vcycle")]
+    "setup_scale", "world_engine")]
 
 
 def test_bench_results_are_committed(tmp_path, monkeypatch):

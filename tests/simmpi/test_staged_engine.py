@@ -6,6 +6,11 @@ step 2 | …]`` at registration and runs every receive step as a clipped
 :class:`CommunicationError`, because no later kernel bounds-checks anything.
 A degraded ``runtime="procs"`` engine runs the same staged path (staging
 lazily), and a healthy one never stages at all.
+
+A handle registered with ``vector_length=n`` is bound to the caller's vector:
+``run`` takes the ``(n,)`` array itself and returns the round buffer
+``[x | …]`` read-only, ``halo_rows`` locates the received values in it, and
+neither a bad input, a bad binding nor a pool fallback can mis-load it.
 """
 
 from __future__ import annotations
@@ -15,13 +20,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.collectives import Phase, Variant, make_plan
+from repro.collectives import (Phase, Variant, make_plan,
+                               neighbor_alltoallv_init_world)
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
 from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
 from repro.simmpi import engine as engine_module
+from repro.sparse import ParCSRMatrix, RowPartition, WorldSpMV, poisson_2d
 from repro.topology import paper_mapping
-from repro.utils.errors import CommunicationError
+from repro.utils.errors import CommunicationError, ValidationError
 
 N_RANKS = 6
 N_WORKERS = 2
@@ -180,3 +187,201 @@ def test_healthy_procs_engine_never_stages(count_calls):
             assert not engine.degraded
 
     assert count_calls(healthy, of=[engine_module._stage]) == 0
+
+
+# -- handles bound to the caller's vector ------------------------------------------
+
+
+def _vector_length(world) -> int:
+    return int(world.owned_items_all.max()) + 3     # a tail nobody owns
+
+
+def _vector(world, scale: float = 1.0) -> np.ndarray:
+    return scale * (7.0 + np.arange(_vector_length(world), dtype=np.float64))
+
+
+def _halo(engine, handle, buffer) -> bytes:
+    return buffer[engine.halo_rows(handle)].tobytes()
+
+
+def _expected_halo(world, scale: float = 1.0) -> bytes:
+    return (scale * (7.0 + world.result_items_all)).tobytes()
+
+
+@pytest.mark.parametrize("runtime", ["engine", "procs"])
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
+def test_bound_round_returns_the_vector_and_the_halo_in_one_buffer(runtime,
+                                                                   variant):
+    world = _world(variant=variant)
+    n = _vector_length(world)
+    with ExchangeEngine(N_RANKS, runtime=runtime,
+                        n_workers=N_WORKERS if runtime == "procs" else None
+                        ) as engine:
+        unbound = engine.register(world)
+        handle = engine.register(world, vector_length=n)
+        halo_rows = engine.halo_rows(handle).copy()
+        assert halo_rows.size == world.result_rows.size and halo_rows.min() >= n
+        if runtime == "procs":
+            assert np.array_equal(halo_rows, n + np.arange(halo_rows.size))
+        for scale in (1.0, -2.5):
+            x = _vector(world, scale)
+            buffer = engine.run(handle, x)
+            assert buffer.shape == (engine.buffer_length(handle),)
+            assert buffer[:n].tobytes() == x.tobytes()
+            assert _halo(engine, handle, buffer) == _expected_halo(world, scale)
+            # The same values the unbound handle delivers from x[owned].
+            assert _halo(engine, handle, buffer) == engine.run(
+                unbound, x[world.owned_items_all]).tobytes()
+        assert np.array_equal(engine.halo_rows(handle), halo_rows)
+        with pytest.raises(ValidationError, match="not bound to a vector"):
+            engine.halo_rows(unbound)
+
+
+def test_bound_buffer_is_read_only_and_valid_until_the_next_round():
+    world = _world()
+    with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+        handle = engine.register(world, vector_length=_vector_length(world))
+        buffer = engine.run(handle, _vector(world))
+        assert not buffer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            buffer[0] = 1.0
+        kept = buffer.copy()
+        again = engine.run(handle, _vector(world, 3.0))
+        assert np.shares_memory(again, buffer)          # the round buffer itself
+        assert not np.array_equal(buffer, kept)         # ... so it moved on
+
+
+def test_multiply_hands_out_a_fresh_array_the_next_round_leaves_alone(rng):
+    matrix = ParCSRMatrix(poisson_2d((6, 6)), RowPartition.even(36, N_RANKS))
+    x = rng.standard_normal(36)
+    with WorldSpMV(matrix, paper_mapping(N_RANKS, ranks_per_node=3)) as spmv:
+        first = spmv.multiply(x)
+        kept = first.copy()
+        second = spmv.multiply(-x)
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == (-second).tobytes()
+
+
+def test_bound_input_must_be_the_vector_itself():
+    world = _world()
+    n = _vector_length(world)
+    shape = rf"\({n},\)"
+    with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+        handle = engine.register(world, vector_length=n)
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)),
+                    np.zeros(world.owned_items_all.size),
+                    [np.zeros(2)] * N_RANKS, list(range(n))):
+            with pytest.raises(ValidationError, match=shape):
+                engine.run(handle, bad)
+        with pytest.raises(ValidationError, match="cannot be safely cast"):
+            engine.run(handle, np.zeros(n, dtype=np.complex128))
+        # Value-preserving casts load; the round stays serviceable.
+        buffer = engine.run(handle, np.arange(n, dtype=np.int32))
+        assert buffer[:n].tobytes() == np.arange(n, dtype=np.float64).tobytes()
+
+
+def test_binding_is_refused_at_register():
+    world = _world()
+    largest = int(world.owned_items_all.max())
+    wide = replace(world, spec=ExchangeSpec(dtype=np.dtype(np.float64),
+                                            item_size=2))
+    with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+        for short in (largest, 0, -1):
+            with pytest.raises(ValidationError, match="every owned item id"):
+                engine.register(world, vector_length=short)
+        with pytest.raises(ValidationError, match="item_size == 1"):
+            engine.register(wide, vector_length=largest + 1)
+        assert engine.buffer_length(
+            engine.register(world, vector_length=largest + 1)) > largest
+
+
+def test_the_value_list_forms_raise_on_a_bound_collective():
+    pattern = random_pattern(N_RANKS, avg_neighbors=3, seed=5)
+    mapping = paper_mapping(N_RANKS, ranks_per_node=3)
+    n = int(pattern.csr()[3].max()) + 1         # the largest item id sent
+    with neighbor_alltoallv_init_world(pattern, mapping,
+                                       vector_length=n) as collective:
+        per_rank = [np.zeros(collective.owned_item_ids(rank).size)
+                    for rank in range(N_RANKS)]
+        with pytest.raises(ValidationError, match="bound to a vector"):
+            collective.exchange(per_rank)
+        with pytest.raises(ValidationError, match="bound to a vector"):
+            collective.exchange(np.zeros(n))
+        with pytest.raises(ValidationError, match="bound to a vector"):
+            collective.exchange_flat(per_rank)
+        assert collective.exchange_flat(np.zeros(n)).shape == \
+            (collective.engine.buffer_length(collective.handle),)
+
+
+@pytest.mark.parametrize("tamper", RANGE_TAMPERS + LAYOUT_TAMPERS)
+def test_corrupt_programs_raise_at_register_when_bound_too(tamper):
+    world = _world()
+    with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+        with pytest.raises(CommunicationError, match="corrupt world exchange"):
+            engine.register(tamper(world), vector_length=_vector_length(world))
+
+
+def test_every_program_is_staged_exactly_once(count_calls):
+    worlds = [_world(13), _world(21, Variant.PARTIAL), _world(34)]
+
+    def serial():
+        with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+            handles = [engine.register(worlds[0]),
+                       engine.register(worlds[1],
+                                       vector_length=_vector_length(worlds[1])),
+                       engine.register(worlds[2],
+                                       vector_length=_vector_length(worlds[2]))]
+            engine.run(handles[0], _values(worlds[0]))
+            for handle, world in zip(handles[1:], worlds[1:]):
+                for scale in (1.0, 2.0):
+                    engine.run(handle, _vector(world, scale))
+
+    assert count_calls(serial, of=[engine_module._stage]) == len(worlds)
+
+    def healthy_pool():
+        with ExchangeEngine(N_RANKS, runtime="procs",
+                            n_workers=N_WORKERS) as engine:
+            for world in worlds:
+                handle = engine.register(
+                    world, vector_length=_vector_length(world))
+                buffer = engine.run(handle, _vector(world))
+                assert _halo(engine, handle, buffer) == _expected_halo(world)
+            assert not engine.degraded
+
+    assert count_calls(healthy_pool, of=[engine_module._stage]) == 0
+
+
+def test_a_fallback_never_moves_a_bound_layout():
+    before, after = [_world(13), _world(21, Variant.PARTIAL)], _world(34)
+    worlds, scales = before + [after], (1.0, -2.5, 4.0)
+    with ExchangeEngine(N_RANKS, runtime="engine") as fresh:
+        handles = [fresh.register(world, vector_length=_vector_length(world))
+                   for world in worlds]
+        expected = [[_halo(fresh, handle, fresh.run(handle, _vector(world, scale)))
+                     for scale in scales]
+                    for handle, world in zip(handles, worlds)]
+    engine = ExchangeEngine(
+        N_RANKS, runtime="procs", n_workers=N_WORKERS, timeout=30.0,
+        retry_backoff=0.01, max_retries=0, on_failure="fallback",
+        fault_plan=FaultPlan([FaultSpec("crash", round=0, phase="send",
+                                        worker=0, attempt=None)]))
+    with engine:
+        handles = [engine.register(world, vector_length=_vector_length(world))
+                   for world in before]
+        halo_rows = [engine.halo_rows(handle) for handle in handles]
+        first = engine.run(handles[0], _vector(before[0], scales[0]))
+        assert engine.degraded
+        assert _halo(engine, handles[0], first) == expected[0][0]
+        handles.append(engine.register(         # registered after the failure
+            after, vector_length=_vector_length(after)))
+        halo_rows.append(engine.halo_rows(handles[-1]))
+        for handle, world, rows, rounds in zip(handles, worlds, halo_rows,
+                                               expected):
+            n = _vector_length(world)
+            assert np.array_equal(rows, n + np.arange(rows.size))
+            for scale, reference in zip(scales, rounds):
+                x = _vector(world, scale)
+                buffer = engine.run(handle, x)
+                assert buffer[:n].tobytes() == x.tobytes()
+                assert _halo(engine, handle, buffer) == reference
+            assert np.array_equal(engine.halo_rows(handle), rows)

@@ -1,12 +1,13 @@
-"""Golden equivalence: one-pass block splitting vs per-rank ``local_blocks``.
+"""Golden equivalence: blocks cut from the stacked operator vs scipy slicing.
 
-:meth:`ParCSRMatrix.all_local_blocks` builds every rank's diag/offd split
-(one partition or two) from one vectorized classification of the global CSR;
-the per-rank scipy slicing path is the pinned reference.  Structure must match
-exactly: dense block values, shapes, ``col_map_offd`` contents, and sorted
-column order inside every row.  The last test pins "a square operator is the
-one-partition case": passing the row partition again as ``col_partition``
-changes nothing, down to the bytes of a product.
+:meth:`ParCSRMatrix.local_blocks` / :meth:`~ParCSRMatrix.all_local_blocks`
+cut every rank's diag/offd split (one partition or two) out of the one
+stacked operator; the per-rank scipy slicing loop (``reference_blocks.py``) is
+the pinned reference.  Structure must match exactly: dense block values,
+shapes, ``col_map_offd`` contents, and sorted column order inside every row.
+The last test pins "a square operator is the one-partition case": passing the
+row partition again as ``col_partition`` changes nothing, down to the bytes
+of a product.
 """
 
 import numpy as np
@@ -20,11 +21,7 @@ from repro.sparse.spmv import WorldSpMV
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 
-
-def reference_blocks(matrix):
-    """Per-rank reference splits on a cache-free twin of ``matrix``."""
-    twin = ParCSRMatrix(matrix.matrix, matrix.partition, matrix.col_partition)
-    return [twin.local_blocks(rank) for rank in range(matrix.n_ranks)]
+from reference_blocks import reference_blocks
 
 
 def assert_blocks_match(fast_blocks, ref_blocks):

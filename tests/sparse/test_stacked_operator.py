@@ -1,20 +1,24 @@
-"""The stacked world operator: one ``D``/``O`` pair instead of 2 N blocks.
+"""The stacked world operator: the assembled CSR over ``[x | halo]`` columns.
 
-:meth:`ParCSRMatrix.stacked_blocks` keeps every rank's diag/offd blocks as
-rows of two world-sized CSR operators, and :class:`WorldSpMV` is
-``exchange → D @ x + O @ halo`` over them.  Pinned here:
+:meth:`ParCSRMatrix.stacked_blocks` keeps every rank's rows as *one* CSR that
+shares ``data`` and ``indptr`` with the assembled matrix — only the column
+indices are new — and :class:`WorldSpMV` is one engine round on the input
+vector, then that operator times the engine's round buffer.  Pinned here:
 
-* row slices of ``D``/``O`` equal every rank's per-rank ``local_blocks`` in
-  data and in stored column *order* (the summation order), for square,
-  rectangular (``P``, ``Pᵀ``), empty-rank and no-``offd``-rank operators;
-* the halo pattern built from the stacked split delivers every rank exactly
-  its per-rank ``col_map_offd``, so ``WorldSpMV`` runs on the cached ``O``;
-* ``WorldSpMV.multiply`` stays byte-identical to the envelope-routed
-  thread-per-rank product;
-* a delivery order other than ascending-per-rank is folded into ``O`` once,
-  and a delivered id set that is not the rank's ``col_map_offd`` raises;
+* the stacked operator shares the assembled arrays; columns ``< n_cols`` are
+  unchanged and columns ``>= n_cols`` map through ``col_map_offd`` back to
+  the original column, for square, rectangular (``P``, ``Pᵀ``), empty-rank
+  and no-halo-rank operators and for random CSRs;
+* the halo pattern built from it delivers every rank exactly its per-rank
+  ``col_map_offd``;
+* ``multiply`` is byte-equal across engine / procs / threads × standard /
+  partial / full **and** byte-equal to ``matrix.matrix @ x``, also on an
+  unsorted-with-duplicates input;
+* a delivery order other than ascending-per-rank is folded into the column
+  indices once, and a delivered id set that is not the rank's
+  ``col_map_offd`` raises;
 * structure, with no clock: the world path never builds a per-rank block,
-  splits each operator exactly once, and one product is one engine round.
+  stacks each operator exactly once, and one product is one engine round.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.amg.vcycle import WorldAMGSolver
@@ -34,10 +40,13 @@ from repro.sparse import parcsr
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import WorldSpMV, _offd_on_halo, distributed_spmv_results
+from repro.sparse.spmv import (WorldSpMV, _operator_on_buffer,
+                               distributed_spmv_results)
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
+
+from reference_blocks import reference_blocks as _reference_blocks
 
 VARIANTS = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
 
@@ -83,45 +92,93 @@ def operator(request):
     return CASES[request.param]()
 
 
-def _reference_blocks(matrix):
-    """The per-rank scipy slicing path on a cache-free twin."""
-    twin = ParCSRMatrix(matrix.matrix, matrix.partition, matrix.col_partition)
-    return [twin.local_blocks(rank) for rank in range(matrix.n_ranks)]
+def _assert_stacked_is_the_assembled_matrix(matrix: ParCSRMatrix) -> None:
+    """Shared arrays; own columns untouched; halo columns through the map."""
+    stacked = matrix.stacked_blocks()
+    operator, csr, n_cols = stacked.operator, matrix.matrix, matrix.n_cols
+    assert np.shares_memory(operator.data, csr.data) or not csr.nnz
+    assert np.shares_memory(operator.indptr, csr.indptr)
+    assert not np.shares_memory(operator.indices, csr.indices)
+    assert operator.shape == (matrix.n_rows, n_cols + stacked.col_map_offd.size)
+    assert stacked.offd_offsets[0] == 0
+    assert stacked.offd_offsets[-1] == stacked.col_map_offd.size
+    halo = operator.indices >= n_cols
+    np.testing.assert_array_equal(operator.indices[~halo], csr.indices[~halo])
+    np.testing.assert_array_equal(
+        stacked.col_map_offd[operator.indices[halo] - n_cols], csr.indices[halo])
+    # A halo column belongs to the segment of the rank that owns its row, and
+    # exactly the columns that rank does not own are halo columns.
+    row_rank = np.repeat(np.arange(matrix.n_ranks),
+                         np.diff(csr.indptr[matrix.partition.offsets]))
+    assert np.all(operator.indices[halo] - n_cols
+                  >= stacked.offd_offsets[row_rank[halo]])
+    assert np.all(operator.indices[halo] - n_cols
+                  < stacked.offd_offsets[row_rank[halo] + 1])
+    np.testing.assert_array_equal(
+        matrix.col_partition.owners_of(csr.indices) != row_rank, halo)
+
+
+def test_stacked_operator_shares_the_assembled_arrays(operator):
+    _assert_stacked_is_the_assembled_matrix(operator)
 
 
 def test_row_slices_are_the_rank_blocks_in_data_and_column_order(operator):
+    """A rank's rows of the stacked operator, read apart at ``n_cols``, are
+    its scipy-sliced diag and offd blocks entry for entry."""
     stacked = operator.stacked_blocks()
-    assert stacked.diag.shape == (operator.n_rows, operator.n_cols)
-    assert stacked.offd.shape == (operator.n_rows, stacked.col_map_offd.size)
-    assert stacked.offd_offsets[0] == 0
-    assert stacked.offd_offsets[-1] == stacked.col_map_offd.size
+    world, n_cols = stacked.operator, operator.n_cols
     for blocks in _reference_blocks(operator):
         first, last = blocks.row_range
-        bounds = stacked.offd_offsets[blocks.rank:blocks.rank + 2]
-        np.testing.assert_array_equal(
-            stacked.col_map_offd[bounds[0]:bounds[1]], blocks.col_map_offd)
-        for world, local, base in ((stacked.diag, blocks.diag, blocks.col_range[0]),
-                                   (stacked.offd, blocks.offd, bounds[0])):
-            lo, hi = world.indptr[first], world.indptr[last]
-            assert world.data[lo:hi].tobytes() == local.data.tobytes()
-            np.testing.assert_array_equal(world.indices[lo:hi] - base,
-                                          local.indices)
-            np.testing.assert_array_equal(world.indptr[first:last + 1] - lo,
-                                          local.indptr)
+        g0, g1 = stacked.offd_offsets[blocks.rank:blocks.rank + 2]
+        np.testing.assert_array_equal(stacked.col_map_offd[g0:g1],
+                                      blocks.col_map_offd)
+        lo, hi = world.indptr[first], world.indptr[last]
+        data, indices = world.data[lo:hi], world.indices[lo:hi]
+        halo = indices >= n_cols
+        assert data[~halo].tobytes() == blocks.diag.data.tobytes()
+        assert data[halo].tobytes() == blocks.offd.data.tobytes()
+        np.testing.assert_array_equal(indices[~halo] - blocks.col_range[0],
+                                      blocks.diag.indices)
+        np.testing.assert_array_equal(indices[halo] - n_cols - g0,
+                                      blocks.offd.indices)
+
+
+@st.composite
+def _partitioned_csr(draw):
+    n_rows, n_cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    n_ranks = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_rows, n_cols)) < draw(st.floats(0.0, 0.7))) \
+        * rng.standard_normal((n_rows, n_cols))
+
+    def partition(n):
+        cuts = np.sort(rng.integers(0, n + 1, size=n_ranks - 1))
+        return RowPartition(np.concatenate(([0], cuts, [n])).tolist())
+
+    return ParCSRMatrix(sp.csr_matrix(dense), partition(n_rows),
+                        partition(n_cols)), rng.standard_normal(n_cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitioned_csr())
+def test_stacked_operator_on_random_csrs(case):
+    matrix, x = case
+    _assert_stacked_is_the_assembled_matrix(matrix)
+    stacked = matrix.stacked_blocks()
+    buffer = np.concatenate([x, x[stacked.col_map_offd]])
+    assert (stacked.operator @ buffer).tobytes() == (matrix.matrix @ x).tobytes()
 
 
 def test_pattern_delivers_each_rank_its_col_map_offd(operator):
     """One halo description: the pattern's receive side is the per-rank
-    oracle's column map, so ``_offd_on_halo`` takes its identity path."""
+    oracle's column map."""
     pattern = pattern_from_parcsr(operator)
     for blocks in _reference_blocks(operator):
         received = pattern.recv_map(blocks.rank)
         got = np.sort(np.concatenate(list(received.values()))) \
             if received else np.empty(0, dtype=np.int64)
         np.testing.assert_array_equal(got, blocks.col_map_offd)
-    mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
-    with WorldSpMV(operator, mapping) as spmv:
-        assert spmv.offd is operator.stacked_blocks().offd
 
 
 def test_case_shapes_are_what_they_claim():
@@ -139,16 +196,42 @@ def test_case_shapes_are_what_they_claim():
 @pytest.mark.parametrize("runtime", ["engine", "procs"])
 def test_multiply_is_byte_identical_to_the_threads_runtime(operator, variant,
                                                            runtime, rng):
+    """... and both to the assembled product: one stored order everywhere."""
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
     x = rng.standard_normal(operator.n_cols)
+    assembled = operator.matrix @ x
     threads = distributed_spmv_results(operator, mapping, x, variant=variant,
                                        runtime="threads")
+    assert threads.tobytes() == assembled.tobytes()
     with WorldSpMV(operator, mapping, variant=variant, runtime=runtime,
                    n_workers=2 if runtime == "procs" else None) as spmv:
-        assert spmv.multiply(x).tobytes() == threads.tobytes()
-        assert spmv.multiply(-x).tobytes() == (-threads).tobytes()
-    np.testing.assert_allclose(threads, operator.matrix @ x,
-                               rtol=1e-12, atol=1e-12)
+        assert spmv.multiply(x).tobytes() == assembled.tobytes()
+        assert spmv.multiply(-x).tobytes() == (-assembled).tobytes()
+
+
+@pytest.mark.parametrize("runtime", ["engine", "procs", "threads"])
+def test_non_canonical_input_has_one_answer(runtime, rng):
+    """Unsorted indices and duplicates are summed once, at construction, so
+    ``spmv()``, the world product and the per-rank product read one array."""
+    canonical = rotated_anisotropic_diffusion((6, 6)).tocsr()
+    # Every entry stored as two duplicates, each row's columns scrambled.
+    rows = np.tile(np.repeat(np.arange(36), np.diff(canonical.indptr)), 2)
+    split = rng.random(canonical.nnz)
+    data = np.concatenate([canonical.data * split, canonical.data * (1 - split)])
+    order = np.lexsort((rng.random(rows.size), rows))
+    raw = sp.csr_matrix(
+        (data[order], np.tile(canonical.indices, 2)[order],
+         np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=36))))),
+        shape=(36, 36))
+    assert not raw.has_canonical_format and raw.nnz == 2 * canonical.nnz
+    matrix = ParCSRMatrix(raw, RowPartition.even(36, 5))
+    assert matrix.matrix.has_canonical_format and matrix.nnz == canonical.nnz
+    assert raw.nnz == 2 * canonical.nnz, "the caller's matrix is left alone"
+    x = rng.standard_normal(36)
+    mapping = paper_mapping(5, ranks_per_node=4)
+    product = distributed_spmv_results(matrix, mapping, x, runtime=runtime)
+    assert product.tobytes() == matrix.spmv(x).tobytes()
+    np.testing.assert_allclose(product, canonical @ x, rtol=1e-12, atol=1e-12)
 
 
 # -- the halo buffer's order is checked, not assumed ------------------------------
@@ -170,8 +253,6 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
     operator = _square()
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
     x = rng.standard_normal(operator.n_cols)
-    expected = distributed_spmv_results(operator, mapping, x, variant=variant,
-                                        runtime="threads")
     # The reversed world bypasses the plan cache in both directions, so it
     # is neither served from nor left behind in any tier.
     compile_world = persistent.compile_world_exchange
@@ -182,22 +263,31 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
                         lambda plan, spec: None)
     monkeypatch.setattr(persistent.plan_cache, "store_world",
                         lambda plan, spec, world: None)
-    with WorldSpMV(operator, mapping, variant=variant) as spmv:
-        first = spmv.collective.recv_item_ids(0)
-        assert first.size > 1 and np.all(np.diff(first) < 0)
-        stacked = operator.stacked_blocks()
-        assert spmv.offd is not stacked.offd
-        # Entries keep their stored (summation) order; only columns move.
-        assert spmv.offd.data.tobytes() == stacked.offd.data.tobytes()
-        assert spmv.multiply(x).tobytes() == expected.tobytes()
+    for runtime in ("engine", "procs"):
+        with WorldSpMV(operator, mapping, variant=variant, runtime=runtime,
+                       n_workers=2 if runtime == "procs" else None) as spmv:
+            first = spmv.collective.recv_item_ids(0)
+            assert first.size > 1 and np.all(np.diff(first) < 0)
+            if runtime == "procs":      # its buffer follows the delivery order
+                assert spmv._operator is not operator.stacked_blocks().operator
+            # Entries keep their stored (summation) order; only columns move.
+            assert np.shares_memory(spmv._operator.data, operator.matrix.data)
+            assert np.shares_memory(spmv._operator.indptr,
+                                    operator.matrix.indptr)
+            assert spmv.multiply(x).tobytes() == (operator.matrix @ x).tobytes()
 
 
 def test_identity_delivery_shares_the_cached_operator():
+    """On ``procs`` the round buffer is ``[x | halo]`` in map order, so the
+    product runs on the matrix's cached operator itself."""
     operator = _square()
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
-    with WorldSpMV(operator, mapping) as spmv:
-        assert spmv.offd is operator.stacked_blocks().offd
-        assert spmv.diag is operator.stacked_blocks().diag
+    with WorldSpMV(operator, mapping, runtime="procs", n_workers=2) as spmv:
+        assert spmv._operator is operator.stacked_blocks().operator
+    with WorldSpMV(operator, mapping, runtime="engine") as spmv:
+        engine, handle = spmv.collective.engine, spmv.collective.handle
+        assert spmv._operator.shape[1] == engine.buffer_length(handle)
+        assert np.shares_memory(spmv._operator.data, operator.matrix.data)
 
 
 @pytest.mark.parametrize("damage", ["wrong_id", "missing_id", "moved_id"])
@@ -215,8 +305,10 @@ def test_a_foreign_halo_raises_naming_the_first_rank(damage):
     else:                           # rank 3's last id is delivered to rank 4
         offsets[4] -= 1
     world = SimpleNamespace(result_offsets=offsets, result_items_all=ids)
+    halo_rows = operator.n_cols + np.arange(ids.size)
     with pytest.raises(ValidationError, match="rank 3 receives halo ids"):
-        _offd_on_halo(stacked, world)
+        _operator_on_buffer(stacked, world, halo_rows,
+                            operator.n_cols + ids.size)
 
 
 # -- structure, with no clock -----------------------------------------------------
@@ -240,8 +332,8 @@ def test_world_solver_never_builds_a_rank_block_and_one_product_is_one_round(
     with WorldAMGSolver(matrix, mapping, variant=Variant.PARTIAL) as solver:
         cycle = solver.vcycle_executor
         assert len(cycle.levels) >= 2
-        # Pattern and product share one split: A, Pᵀ and P of every smoothed
-        # level, each exactly once.
+        # Pattern and product share one stacking: A, Pᵀ and P of every
+        # smoothed level, each exactly once.
         assert len(split) == 3 * len(cycle.levels)
         assert len({id(matrix) for matrix in split}) == len(split)
         x = solver.vcycle(b, np.zeros(matrix.n_rows))
