@@ -350,13 +350,10 @@ class WorldPhaseProgram:
     without creating an envelope per message.
 
     Both ``gather`` and ``scatter`` concatenate the per-rank index arrays in
-    rank order; ``gather_rank_offsets`` / ``scatter_rank_offsets`` (each
-    ``n_ranks + 1`` entries) delimit rank ``r``'s segment.  Because a rank's
-    gather and scatter indices only ever address its own row block, any
-    contiguous range of ranks owns a contiguous, disjoint slice of each array
-    — the property the shared-memory procs runtime uses to carve the phase
-    into per-worker slabs (the wire is laid out in gather order, so a worker's
-    wire segment shares the gather offsets).
+    rank order.  This is the compiler's description of the phase, not what a
+    round executes: :meth:`ExchangeEngine.register
+    <repro.simmpi.engine.ExchangeEngine.register>` stages it once, on every
+    runtime, into one ``take`` of earlier rows into a contiguous slice.
     """
 
     phase: Phase
@@ -367,8 +364,6 @@ class WorldPhaseProgram:
     msg_sources: np.ndarray
     msg_dests: np.ndarray
     msg_nbytes: np.ndarray
-    gather_rank_offsets: np.ndarray
-    scatter_rank_offsets: np.ndarray
 
 
 @dataclass
@@ -531,12 +526,6 @@ def compile_world_exchange_reference(plan: CollectivePlan,
             msg_sources=np.asarray(sources, dtype=INDEX_DTYPE),
             msg_dests=np.asarray(dests, dtype=INDEX_DTYPE),
             msg_nbytes=np.asarray(counts, dtype=INDEX_DTYPE) * spec.item_bytes,
-            gather_rank_offsets=counts_to_displs(np.fromiter(
-                (c.phases[index].gather.size for c in compiled),
-                dtype=INDEX_DTYPE, count=n_ranks)),
-            scatter_rank_offsets=counts_to_displs(np.fromiter(
-                (c.phases[index].scatter.size for c in compiled),
-                dtype=INDEX_DTYPE, count=n_ranks)),
         )
 
     return WorldExchange(
@@ -751,12 +740,6 @@ def compile_world_exchange(plan: CollectivePlan,
             msg_sources=np.ascontiguousarray(table.srcs[send_order]),
             msg_dests=np.ascontiguousarray(table.dests[send_order]),
             msg_nbytes=np.ascontiguousarray(counts_send) * spec.item_bytes,
-            gather_rank_offsets=counts_to_displs(np.bincount(
-                table.srcs, weights=counts,
-                minlength=n_ranks).astype(INDEX_DTYPE)),
-            scatter_rank_offsets=counts_to_displs(np.bincount(
-                table.dests, weights=counts,
-                minlength=n_ranks).astype(INDEX_DTYPE)),
         )
 
     return WorldExchange(

@@ -1,31 +1,28 @@
-"""Gather / scatter kernels for the exchange data path.
+"""Gather kernels for the exchange data path.
 
-One phase of a compiled world exchange moves values in three fancy-index
-passes: a *gather* packs the wire (``wire = work[gather]``), a *permutation*
-reorders the wire from send order into receive order (``wire[perm]``), and a
-*scatter* delivers it (``work[scatter] = wire[perm]``).  Because every work
-row holds the value of exactly one ``(origin, item)`` key for the whole
-iteration — sends read keys that earlier steps already delivered, and every
-delivery of a key writes the same value into the same row — the three passes
-compose into the indexed copy ``work[scatter] = work[gather[perm]]`` (the
-``fused`` kernel, kept only for the frozen ``bench/`` kernel replay).
+A compiled phase describes three fancy-index passes: a *gather* packs the
+wire (``wire = work[gather]``), a *permutation* reorders it from send order
+into receive order (``wire[perm]``), and a *scatter* delivers it
+(``work[scatter] = wire[perm]``).  Because every work row holds the value of
+exactly one ``(origin, item)`` key for the whole iteration — sends read keys
+that earlier steps already delivered, and every delivery of a key writes the
+same value into the same row — the three passes compose into the indexed copy
+``work[scatter] = work[gather[perm]]`` (the ``fused`` kernel, kept only for
+the frozen ``bench/`` kernel replay).
 
-The single-process engine goes one step further: it renumbers the rows at
-registration so each phase's first deliveries are one contiguous slice, and
-the phase is a lone ``gather(work[:a], src, work[a:b])`` — a ``take`` of
-earlier rows into the slice.  ``gather`` therefore runs with ``mode="clip"``
-(numpy's ``mode="raise"`` buffers ``out`` and costs 3x): callers validate
-indices once, up front, as ``ExchangeEngine.register`` does.  The unfused
-``gather``/``scatter`` pair also serves the shared-memory procs runtime,
-whose wire arena is the cross-process traffic itself.
+No runtime executes either form.  ``ExchangeEngine.register`` renumbers the
+rows so each phase's first deliveries are one contiguous slice, and the phase
+is a lone ``gather(work[:a], src, work[a:b])`` — a ``take`` of earlier rows
+into the slice — in the parent on ``runtime="engine"``, cut into one share of
+``[a, b)`` per worker on ``runtime="procs"``.  ``gather`` therefore runs with
+``mode="clip"`` (numpy's ``mode="raise"`` buffers ``out`` and costs 3x):
+callers validate indices once, up front, as ``register`` does.
 
 Two backends implement the kernels:
 
 * ``numpy`` — always available.
 * ``numba`` — ``@njit(parallel=True)`` loops over the index arrays, used
-  automatically when numba is importable.  Duplicate scatter targets are
-  benign under ``prange`` because every duplicate writes the key's one value
-  (identical bytes), so the parallel loop is race-free by value.
+  automatically when numba is importable.
 
 The active backend is selected once at import time — numba when importable,
 numpy otherwise — and can be forced with ``REPRO_KERNELS=numba|numpy`` in the
@@ -57,20 +54,18 @@ except ImportError:  # pragma: no cover - the numpy-only environment
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One backend's implementations of the three exchange kernels.
+    """One backend's implementations of the two exchange kernels.
 
     ``gather(work, indices, out)`` packs ``out[i] = work[indices[i]]``
     (indices trusted, not bounds-checked; ``out`` may be a row slice of
-    ``work``'s base, disjoint from ``work``); ``scatter(work, indices,
-    values)`` delivers ``work[indices[i]] = values[i]``; ``fused(work,
-    scatter_indices, source_rows)`` performs the whole phase in one pass:
+    ``work``'s base, disjoint from ``work``); ``fused(work, scatter_indices,
+    source_rows)`` performs a compiled phase in one pass:
     ``work[scatter_indices[i]] = work[source_rows[i]]``.  All arrays are 2-D
     ``(rows, item_size)``; index arrays are int64.
     """
 
     name: str
     gather: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-    scatter: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     fused: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -81,17 +76,13 @@ def _numpy_gather(work: np.ndarray, indices: np.ndarray, out: np.ndarray) -> Non
     np.take(work, indices, axis=0, out=out, mode="clip")
 
 
-def _numpy_scatter(work: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
-    work[indices] = values
-
-
 def _numpy_fused(work: np.ndarray, scatter_indices: np.ndarray,
                  source_rows: np.ndarray) -> None:
     work[scatter_indices] = work[source_rows]
 
 
 NUMPY_BACKEND = KernelBackend(name="numpy", gather=_numpy_gather,
-                              scatter=_numpy_scatter, fused=_numpy_fused)
+                              fused=_numpy_fused)
 
 
 # -- numba backend (built only when numba imports) ----------------------------------
@@ -109,16 +100,6 @@ def _build_numba_backend() -> KernelBackend:  # pragma: no cover - needs numba
                 out[i, c] = work[row, c]
 
     @njit(parallel=True, cache=True)
-    def nb_scatter(work, indices, values):
-        # Duplicate targets all carry the same key value, so concurrent
-        # writes are idempotent (identical bytes) and prange is safe.
-        n_components = work.shape[1]
-        for i in prange(indices.size):
-            row = indices[i]
-            for c in range(n_components):
-                work[row, c] = values[i, c]
-
-    @njit(parallel=True, cache=True)
     def nb_fused(work, scatter_indices, source_rows):
         n_components = work.shape[1]
         for i in prange(scatter_indices.size):
@@ -127,8 +108,7 @@ def _build_numba_backend() -> KernelBackend:  # pragma: no cover - needs numba
             for c in range(n_components):
                 work[dest, c] = work[src, c]
 
-    return KernelBackend(name="numba", gather=nb_gather, scatter=nb_scatter,
-                         fused=nb_fused)
+    return KernelBackend(name="numba", gather=nb_gather, fused=nb_fused)
 
 
 _NUMBA_BACKEND: Optional[KernelBackend] = None

@@ -15,28 +15,27 @@ the vector itself and returns the round buffer ``[x | …]`` read-only, with
 :meth:`ExchangeEngine.halo_rows` locating the received values in it: what
 :class:`~repro.sparse.spmv.WorldSpMV` multiplies by, no pack, no unpack.
 
-Two engine runtimes execute a registered program:
+Both engine runtimes execute the one *staged* layout
+:meth:`ExchangeEngine.register` computes: rows renumbered ``[owned (or the
+whole vector) | first written by receive step 1 | step 2 | …]``, so loading
+is ``work[:n] = values``, a send step only accounts traffic, and a receive
+step is one ``gather(work[:a], src, work[a:b])`` — a ``take`` of earlier rows
+into the slice it owns, never overlapping it.  Byte-identical to the
+envelope-routed path because every work row holds its ``(origin, item)``
+key's one per-iteration value; repeat deliveries leave the data path, not the
+accounting.
 
-* ``runtime="engine"`` (default) — single-process, on a private *staged*
-  layout computed once at :meth:`ExchangeEngine.register`: rows renumbered
-  ``[owned (or the whole vector) | first written by receive step 1 | step 2
-  | …]``, so loading is ``work[:n] = values``, a send step only accounts
-  traffic, and a receive step is one ``gather(work[:a], src, work[a:b])`` —
-  a ``take`` of earlier rows into the slice it owns, never overlapping it.
-  Byte-identical because every work row holds its ``(origin, item)`` key's
-  one per-iteration value; repeat deliveries leave the data path, not the
-  accounting.  The kernel backend (numba or numpy) is chosen at import time
-  and overridable via ``REPRO_KERNELS=numba|numpy``.
-* ``runtime="procs"`` — a persistent shared-memory worker pool
-  (:mod:`repro.simmpi.procs`): work array, index arrays, and wire arenas live
-  in ``multiprocessing.shared_memory``; each forked worker owns a contiguous
-  slab of (rank-major) world rows and executes slab-local gathers plus
-  cross-slab wire deliveries with a barrier between steps.  A vector-bound
-  handle's round buffer is a private ``[x | halo]`` array here, so a fallback
-  to the staged path never moves its layout.
+* ``runtime="engine"`` (default) — the parent runs the steps itself.  The
+  kernel backend (numba or numpy) is chosen at import time and overridable
+  via ``REPRO_KERNELS=numba|numpy``.
+* ``runtime="procs"`` — a persistent, supervised worker pool
+  (:mod:`repro.simmpi.procs`): the staged work array and the receive steps'
+  ``src`` rows move into ``multiprocessing.shared_memory`` and every forked
+  worker gathers its even share of each step's ``[a, b)``, a barrier between
+  steps.  A retried round, and a round the parent finishes itself after the
+  pool failed, are the same steps on the same rows.
 
-Both runtimes produce byte-identical results and identical profiler
-data-path totals to the envelope-routed path; the per-envelope mailbox
+Profiler data-path totals are identical on both; the per-envelope mailbox
 remains in place for control-plane and object traffic (setup gathers,
 barriers).  ``REPRO_RUNTIME=procs`` in the environment flips the default for
 every engine in the process — how CI runs the whole tier-1 suite through the
@@ -90,6 +89,8 @@ ON_FAILURE_ENV = "REPRO_ON_FAILURE"
 #: runtime (one simulated-rank thread per rank on the envelope-routed
 #: mailbox) and never reaches the engine.
 ENGINE_RUNTIMES = ("engine", "procs")
+#: Every runtime ``REPRO_RUNTIME`` may name.
+USER_RUNTIMES = ("engine", "threads", "procs")
 
 #: What a ``runtime="procs"`` engine does when a worker dies, hangs, or
 #: corrupts its pipe: ``"retry"`` respawns the pool and retries (then
@@ -99,11 +100,15 @@ ENGINE_RUNTIMES = ("engine", "procs")
 ON_FAILURE_POLICIES = ("retry", "fallback", "raise")
 
 
-def default_runtime(allowed: Sequence[str] = ("engine", "threads", "procs"),
-                    ) -> str:
+def default_runtime(allowed: Sequence[str] = USER_RUNTIMES) -> str:
     """The runtime a ``runtime=None`` caller gets: ``REPRO_RUNTIME`` when it
-    names an allowed runtime, ``"engine"`` otherwise."""
+    names an allowed runtime, ``"engine"`` when it is unset or names one only
+    other callers run (``threads``, for an engine).  Anything else raises
+    :class:`ValidationError`: a typo must not silently run the default."""
     value = os.environ.get(RUNTIME_ENV, "").strip().lower()
+    if value and value not in USER_RUNTIMES:
+        raise ValidationError(
+            f"{RUNTIME_ENV} must be one of {USER_RUNTIMES}, got {value!r}")
     return value if value in allowed else "engine"
 
 
@@ -116,23 +121,22 @@ def default_on_failure() -> str:
 
 @dataclass
 class _RegisteredProgram:
-    """Engine-side state of one registered world exchange: ``shared``, its
-    rank-major shared-memory image, while a healthy ``runtime="procs"`` pool
-    runs it; otherwise *staged* (:func:`_stage`) — ``work`` rows ``[head |
-    recv step 1 | step 2 | …]``, per step ``(program, src, a, b)`` (a receive
-    fills rows ``[a, b)`` from the earlier rows ``src``; a send, ``src is
-    None``, only accounts), and ``result`` selecting the output rows (a
-    ``slice`` when one ascending run).  Bound to a vector of
-    ``vector_length`` entries, ``buffer`` is what a round returns: ``work``,
-    or on a procs engine a private ``[x | halo]`` array."""
+    """Engine-side state of one registered world exchange, *staged*
+    (:func:`_stage`): ``work`` rows ``[head | recv step 1 | step 2 | …]``,
+    per step ``(program, src, a, b)`` (a receive fills rows ``[a, b)`` from
+    the earlier rows ``src``; a send, ``src is None``, only accounts), and
+    ``result`` selecting the output rows (a ``slice`` when one ascending
+    run).  Bound to a vector of ``vector_length`` entries, the head is that
+    vector and ``work`` is what a round returns.  ``shared`` is set only
+    while a ``runtime="procs"`` pool holds ``work`` and the ``src`` rows in
+    its two shared-memory segments (they are then views of those)."""
 
     world: "WorldExchange"
-    vector_length: Optional[int] = None
+    vector_length: Optional[int]
+    work: np.ndarray
+    steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]]
+    result: Union[slice, np.ndarray]
     shared: Optional["SharedProgram"] = None
-    work: Optional[np.ndarray] = None
-    steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]] = ()
-    result: Union[slice, np.ndarray, None] = None
-    buffer: Optional[np.ndarray] = None
 
 
 def _check_indices(world: "WorldExchange") -> None:
@@ -197,8 +201,7 @@ def _stage(world: "WorldExchange",
             result, np.arange(result[0], result[0] + result.size)):
         result = slice(int(result[0]), int(result[0]) + result.size)
     work = np.zeros((a, world.spec.item_size), dtype=world.spec.dtype)
-    return _RegisteredProgram(world, vector_length, work=work, steps=steps,
-                              result=result, buffer=work if bound else None)
+    return _RegisteredProgram(world, vector_length, work, steps, result)
 
 
 def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
@@ -222,12 +225,12 @@ class ExchangeEngine:
     :meth:`TrafficProfiler.record_batch` with exactly the messages the
     envelope-routed path would have sent.
 
-    ``runtime`` selects the execution backend (``"engine"`` staged
-    single-process, ``"procs"`` shared-memory worker pool; ``None`` resolves
-    through ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default:
-    one per available core, capped by ``n_ranks``); ``kernels`` pins a
-    specific kernel backend name or :class:`KernelBackend` for the staged
-    path (default: the import-time selection).
+    ``runtime`` selects who runs the staged steps (``"engine"`` the parent,
+    ``"procs"`` a shared-memory worker pool; ``None`` resolves through
+    ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default: one per
+    available core, capped by ``n_ranks``); ``kernels`` pins a specific
+    kernel backend name or :class:`KernelBackend` for the steps the parent
+    runs (default: the import-time selection).
 
     Worker failures on the procs backend are supervised: ``on_failure``
     picks the policy (``"retry"`` — respawn the pool and retry, then raise;
@@ -341,12 +344,9 @@ class ExchangeEngine:
         if self._closed:
             return
         self._closed = True
+        self._programs.clear()      # drop the views of the pool's segments
         if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._pool is not None:
-            self._pool.close()
-        self._programs.clear()
+            self._finalizer()       # ProcsPool.close: the backstop, spent here
         self._run_observer = None
 
     def __enter__(self) -> "ExchangeEngine":
@@ -368,9 +368,10 @@ class ExchangeEngine:
         Mirrors ``neighbor_alltoallv_init``: registration validates the
         program's indices (a corrupt program raises
         :class:`CommunicationError` here, never a wrong answer in ``run``),
-        allocates the persistent work array and stages its layout
-        (``runtime="procs"``: shares it with the workers), so a round does
-        no allocation-sized Python work beyond numpy's own temporaries.
+        stages its layout into the persistent work array and, on
+        ``runtime="procs"``, moves that array and the steps' source rows into
+        the two segments the workers attach to — so a round does no
+        allocation-sized Python work beyond numpy's own temporaries.
 
         ``vector_length=n`` binds the handle to the caller's ``(n,)`` vector,
         item ids being positions in it (as for every ``pattern_from_parcsr``
@@ -382,7 +383,7 @@ class ExchangeEngine:
                 "world exchange spans more ranks than the engine provides"
             )
         _check_indices(world)
-        ids, pooled = world.owned_items_all, self._pool is not None
+        ids = world.owned_items_all
         if vector_length is not None and (
                 world.spec.item_size != 1 or vector_length < 0 or (
                     ids.size and not 0 <= ids.min() <= ids.max() < vector_length)):
@@ -390,20 +391,19 @@ class ExchangeEngine:
                 f"binding an exchange to a vector of length {vector_length} "
                 f"needs item_size == 1 (got {world.spec.item_size}) and every "
                 f"owned item id in [0, {vector_length})")
-        shared = None
-        if pooled and not self._pool_failed:
+        state = _stage(world, vector_length)
+        if self._pool is not None and not self._pool_failed:
             try:
-                shared = self._pool.register(world)
+                shared = self._pool.register(
+                    state.work, [step[1:] for step in state.steps])
             except WorkerError as exc:
                 if self.on_failure != "fallback":
                     raise
-                self._fall_back("register", exc)
-        state = _RegisteredProgram(world, shared=shared) if shared is not None \
-            else _stage(world, None if pooled else vector_length)
-        if pooled and vector_length is not None:    # private [x | halo] buffer
-            state.vector_length = vector_length
-            state.buffer = np.zeros((vector_length + world.result_rows.size, 1),
-                                    dtype=world.spec.dtype)
+                self._fall_back("register", exc)    # stays on its own arrays
+            else:
+                state.shared, state.work = shared, shared.work.array
+                state.steps = [(program, src, a, b) for (program, _, a, b), src
+                               in zip(state.steps, shared.step_sources())]
         self._programs.append(state)
         return len(self._programs) - 1
 
@@ -414,7 +414,7 @@ class ExchangeEngine:
 
     def _bound(self, handle: int) -> _RegisteredProgram:
         state = self._program(handle)
-        if state.buffer is None:
+        if state.vector_length is None:
             raise ValidationError(
                 f"exchange handle {handle} is not bound to a vector")
         return state
@@ -422,13 +422,11 @@ class ExchangeEngine:
     def halo_rows(self, handle: int) -> np.ndarray:
         """Row of a vector-bound handle's round buffer holding each entry of
         ``world.result_items_all``, in that order (fixed at registration)."""
-        state = self._bound(handle)
-        return state.result if self._pool is None \
-            else np.arange(state.vector_length, state.buffer.shape[0])
+        return self._bound(handle).result
 
     def buffer_length(self, handle: int) -> int:
         """Entries of the round buffer a vector-bound handle's ``run`` returns."""
-        return self._bound(handle).buffer.shape[0]
+        return self._bound(handle).work.shape[0]
 
     # -- per-iteration execution ----------------------------------------------
 
@@ -468,67 +466,52 @@ class ExchangeEngine:
         return result
 
     def _execute(self, handle: int, values: WorldValues) -> np.ndarray:
-        """One exchange round, untimed (the body :meth:`run` wraps)."""
+        """One exchange round, untimed (the body :meth:`run` wraps): load the
+        head, run the steps — on the pool, else here — select the result."""
         self._check_open()
         state = self._program(handle)
-        world = state.world
         loaded = self._load_values(state, values)
-        vector = None
-        if self._pool is not None and state.vector_length is not None:
-            # Bound on a procs engine: its rows are rank-major, so pack.
-            vector, loaded = loaded, loaded[world.owned_items_all]
-        rows = None
+        work = state.work
+        work[:loaded.shape[0]] = loaded
+        delivered = False
         if state.shared is not None and not self._pool_failed:
-            # The pool's slabs need the compiler's rank-major rows; accounting
-            # stays here, one bulk record per send step, in schedule order.
-            work = state.shared.work.array
-            work[world.owned_rows] = loaded
             try:
                 self._pool.run(handle)
+                delivered = True
             except WorkerError as exc:
                 if self.on_failure != "fallback":
                     raise
-                # The half-written round re-runs below on the staged path.
+                # No worker is left to write a row: the half-written round
+                # re-runs below, on the same rows.
                 self._fall_back("run", exc)
-            else:
-                for kind, phase in world.steps:
-                    if kind == "send":
-                        self._account(world.programs[phase])
-                rows = work[world.result_rows]
-        if rows is None:
-            if state.work is None:  # a degraded procs engine stages lazily
-                staged = _stage(world)
-                state.work, state.steps, state.result = \
-                    staged.work, staged.steps, staged.result
-            rows = self._run_staged(state, loaded)
-        if vector is not None:
-            n = vector.shape[0]
-            state.buffer[:n], state.buffer[n:] = vector, rows
-            rows = state.buffer
-        if world.spec.item_size == 1:
-            rows = rows.reshape(-1)
-        if state.buffer is not None:  # the round buffer itself (a view of it)
+        self._run_staged(state, delivered)
+        if state.vector_length is not None:
+            # Bound to the caller's vector: the round buffer itself, read-only
+            # — a private copy of it where the rows are a shared segment, so
+            # no shared-memory view escapes to the caller.
+            rows = (work if state.shared is None else work.copy()).reshape(-1)
             rows.flags.writeable = False
-        return rows
+            return rows
+        if isinstance(state.result, slice):
+            rows = work[state.result].copy()
+        else:
+            # Indices were validated at staging: the unbuffered clip mode is safe.
+            rows = np.take(work, state.result, axis=0, mode="clip")
+        return rows.reshape(-1) if state.world.spec.item_size == 1 else rows
 
     # -- helpers --------------------------------------------------------------
 
-    def _run_staged(self, staged: _RegisteredProgram,
-                    loaded: np.ndarray) -> np.ndarray:
-        """One round on the single-process staged layout."""
-        work, gather = staged.work, self._kernels.gather
-        work[:loaded.shape[0]] = loaded
-        for program, src, a, b in staged.steps:
+    def _run_staged(self, state: _RegisteredProgram, delivered: bool) -> None:
+        """One round's steps in the parent, in schedule order: every send
+        step accounted (one bulk record each), every receive step gathered
+        unless the pool already ``delivered`` it."""
+        work, gather = state.work, self._kernels.gather
+        for program, src, a, b in state.steps:
             if src is None:
                 self._account(program)
-            elif b > a:  # sources are rows of earlier steps (< a): no overlap
+            elif b > a and not delivered:
+                # Sources are rows of earlier steps (< a): no overlap.
                 gather(work[:a], src, work[a:b])
-        if staged.buffer is work:  # bound to the caller's vector: no copy out
-            return work
-        if isinstance(staged.result, slice):
-            return work[staged.result].copy()
-        # Indices were validated at staging: the unbuffered clip mode is safe.
-        return np.take(work, staged.result, axis=0, mode="clip")
 
     def _fall_back(self, command: str, exc: WorkerError) -> None:
         """Degrade permanently to the single-process path after pool failure.
@@ -537,7 +520,7 @@ class ExchangeEngine:
         wake and scribble on the shared work arrays — the parent-side
         segments stay alive until ``close``) and records the decision in the
         event trace.  Every subsequent round of every registered program
-        runs on its private staged layout.
+        runs here, on the rows it already has.
         """
         from repro.simmpi.procs import RecoveryEvent
 

@@ -1,36 +1,24 @@
 """Shared-memory multiprocessing runtime for the world-stepped engine.
 
-The serial :class:`~repro.simmpi.engine.ExchangeEngine` executes a registered
-world exchange as O(phases) numpy calls — fast, but on one core.  This module
-provides the ``runtime="procs"`` backend: the world work array, the per-phase
-gather / scatter / wire-permutation index arrays, and the per-phase wire
-arenas are placed in :mod:`multiprocessing.shared_memory` segments at
-registration, and a persistent pool of worker processes (forked once per
-engine, lazily at the first registration) executes every phase in parallel.
+The :class:`~repro.simmpi.engine.ExchangeEngine` stages every registered
+world exchange into rows ``[head | receive step 1 | step 2 | …]`` and runs a
+round as one ``gather(work[:a], src, work[a:b])`` per receive step.  This
+module is the ``runtime="procs"`` backend of those same steps: at
+registration the staged work array and the receive steps' ``src`` rows
+(concatenated) move into two :mod:`multiprocessing.shared_memory` segments,
+and a persistent pool of worker processes (forked once per engine, lazily at
+the first registration) executes every step in parallel.
 
-**Slab ownership.**  ``compile_world_exchange`` lays the world work array out
-as contiguous per-rank row blocks and concatenates each phase's gather and
-scatter indices in the same rank order, so a contiguous range of ranks owns a
-contiguous, disjoint segment of every per-phase array.  The pool partitions
-the ranks evenly across its workers (``partition_evenly`` over
-``world.n_ranks``); worker ``w`` owns the row slab of its rank range and, per
-phase, the matching ``gather_rank_offsets`` / ``scatter_rank_offsets``
-segments.  A rank's gather and scatter indices only ever address its own row
-block, so all of a worker's *work-array* reads and writes stay inside its own
-slab; the only cross-slab traffic is the wire.
+**Step shares.**  A receive step fills the contiguous rows ``[a, b)`` from
+rows below ``a``.  Worker ``w`` of ``n`` owns the even share
+``[a + lo, a + hi)`` of them (:func:`_share`: shares tile the step and differ
+by at most one row) and runs ``gather(work[:a], src[lo:hi],
+work[a + lo:a + hi])`` — disjoint writes, reads only of rows earlier steps
+finished.  A :class:`multiprocessing.Barrier` after each receive step orders
+every write of a step before any read of the next.  Send steps move nothing:
+they stay accounting in the parent (and fault-injection points here).
 
-**Phase-barrier protocol.**  Each step of the schedule runs as one parallel
-stanza:
-
-* ``("send", phase)`` — worker ``w`` packs its slab's slice of the wire:
-  ``wire[a:b] = work[gather[a:b]]`` (slab-local reads, disjoint wire writes);
-* ``("recv", phase)`` — worker ``w`` delivers into its slab:
-  ``work[scatter[a:b]] = wire[wire_perm[a:b]]`` — the wire permutation is
-  where values cross slab boundaries, as actual shared-memory traffic;
-* a :class:`multiprocessing.Barrier` between consecutive steps orders every
-  wire write before any wire read (and every delivery before the next pack).
-
-The parent loads owned values into the shared work array before dispatching
+The parent loads the head — rows no worker ever writes — before dispatching
 and copies results out after all workers report done, so no shared-memory
 view ever escapes to the caller.  Message accounting (the profiler) stays in
 the parent, exactly as on the serial path.
@@ -52,13 +40,13 @@ environment).
 down (aborting the barrier so survivors blocked in ``Barrier.wait`` exit
 cleanly), respawns the pool, re-registers every retained
 :class:`SharedProgram` from the parent-side segments, and re-dispatches the
-failed command — up to ``max_retries`` times with exponential backoff.  The
-parent reloads owned rows before each round and workers only ever write
-scatter destinations and wire rows, all fully rewritten in schedule order,
-so a half-written round is safely discarded and the retried result is
-byte-identical to the serial engine.  Every decision lands in ``events`` as
-a structured :class:`RecoveryEvent` (the decision-trace idiom).  Fault
-injection for all of this is deterministic:
+failed command — up to ``max_retries`` times with exponential backoff.
+Workers only ever write the rows behind the head, all fully rewritten in
+schedule order, so a half-written round is safely discarded and the retried
+result — or the one the engine finishes itself, on the same rows, once the
+pool is quarantined — is byte-identical to the serial engine.  Every decision
+lands in ``events`` as a structured :class:`RecoveryEvent` (the
+decision-trace idiom).  Fault injection for all of this is deterministic:
 :class:`~repro.simmpi.faults.FaultPlan` (``REPRO_FAULTS``).
 
 Lifecycle: workers are daemonic ``fork`` children driven over per-worker
@@ -76,12 +64,12 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simmpi.faults import CORRUPT_WIRE_BYTES, FaultPlan, FaultSpec, fire
-from repro.utils.arrays import INDEX_DTYPE, partition_evenly
+from repro.utils.arrays import concatenate_or_empty
 from repro.utils.errors import (
     CommunicationError,
     ValidationError,
@@ -124,7 +112,7 @@ def default_worker_timeout() -> float:
 
 def default_worker_count(n_ranks: int) -> int:
     """Worker-pool size when the caller does not choose: one per core, capped
-    by the rank count (a worker owns at least one rank's slab)."""
+    by the rank count."""
     try:
         cores = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
@@ -183,8 +171,6 @@ class SharedBlock:
         self.dtype = dtype
         self.array: np.ndarray = np.ndarray(self.shape, dtype=dtype,
                                             buffer=self.shm.buf)
-        if self.owner:
-            self.array.fill(0)
 
     @property
     def name(self) -> str:
@@ -211,119 +197,87 @@ class SharedBlock:
             self.shm.unlink()
 
 
-@dataclass
-class _PhaseBlocks:
-    """Parent-side shared segments of one phase."""
-
-    gather: SharedBlock
-    scatter: SharedBlock
-    wire_perm: SharedBlock
-    wire: SharedBlock
-    gather_bounds: np.ndarray  # (n_workers + 1,) worker segment offsets
-    scatter_bounds: np.ndarray
-
-    def blocks(self) -> List[SharedBlock]:
-        return [self.gather, self.scatter, self.wire_perm, self.wire]
+def _share(n_rows: int, worker_id: int, n_workers: int) -> Tuple[int, int]:
+    """Worker ``worker_id``'s share ``[lo, hi)`` of a step's ``n_rows`` rows:
+    the shares tile the step in worker order and differ by at most one row."""
+    return (n_rows * worker_id // n_workers,
+            n_rows * (worker_id + 1) // n_workers)
 
 
 @dataclass
 class SharedProgram:
-    """Parent-side shared-memory image of one registered world exchange.
+    """Parent-side handle on one registered program's two shared segments.
 
-    ``work.array`` is the parent's view of the world work array — the engine
-    loads owned values into it before a round and fancy-index-copies results
-    out after, so callers only ever see private copies.  The segments outlive
-    any one worker generation: after a crash the respawned pool re-attaches
-    to exactly these blocks (:meth:`ProcsPool._respawn`).
+    ``work`` holds the staged rows — the engine loads the head into its view
+    before a round and copies results out after, so callers only ever see
+    private copies.  ``sources`` holds every receive step's ``src`` rows, one
+    step after another: the steps tile the rows behind the head, so
+    ``sources[r - head]`` is the earlier row that row ``r`` copies.  ``steps``
+    lists the schedule as ``(kind, a, b)``: a ``"recv"`` fills rows
+    ``[a, b)``, a ``"send"`` moves nothing.  The segments outlive any one
+    worker generation: after a crash the respawned pool re-attaches to
+    exactly these blocks (:meth:`ProcsPool._respawn`).
     """
 
     work: SharedBlock
-    phases: Dict[object, _PhaseBlocks]
-    steps: Tuple[Tuple[str, object], ...]
+    sources: SharedBlock
+    steps: Tuple[Tuple[str, int, int], ...]
+
+    def step_sources(self) -> List[Optional[np.ndarray]]:
+        """Per schedule step, the parent's view of its ``src`` rows (``None``
+        for a send)."""
+        head = self.work.shape[0] - self.sources.shape[0]
+        return [self.sources.array[a - head:b - head] if kind == "recv" else None
+                for kind, a, b in self.steps]
 
     def close(self) -> None:
-        for phase_blocks in self.phases.values():
-            for block in phase_blocks.blocks():
-                block.close()
+        self.sources.close()
         self.work.close()
 
     def descriptor(self, handle: int) -> dict:
         """Picklable registration message a worker rebuilds its views from."""
-        return {
-            "handle": handle,
-            "work": (self.work.name, self.work.shape, self.work.dtype.str),
-            "steps": [(kind, phase) for kind, phase in self.steps],
-            "phases": {
-                phase: {
-                    "gather": (pb.gather.name, pb.gather.shape),
-                    "scatter": (pb.scatter.name, pb.scatter.shape),
-                    "wire_perm": (pb.wire_perm.name, pb.wire_perm.shape),
-                    "wire": (pb.wire.name, pb.wire.shape,
-                             pb.wire.dtype.str),
-                    "gather_bounds": pb.gather_bounds.tolist(),
-                    "scatter_bounds": pb.scatter_bounds.tolist(),
-                }
-                for phase, pb in self.phases.items()
-            },
-        }
+        return {"handle": handle, "steps": self.steps,
+                "blocks": [(block.name, block.shape, block.dtype.str)
+                           for block in (self.work, self.sources)]}
 
 
-def share_program(world, n_workers: int) -> SharedProgram:
-    """Build the shared-memory image of a compiled world exchange.
+def share_program(work: np.ndarray, steps: Sequence[tuple]) -> SharedProgram:
+    """Move a staged program's two arrays into shared memory.
 
-    Slab boundaries come from the per-rank row blocks: the ranks are split
-    evenly across the workers, and each phase's per-worker gather/scatter
-    segments are read off the program's rank offsets.
+    ``steps`` is the staged schedule as ``(src, a, b)`` — ``src is None`` for
+    a send.  A segment that cannot be created (``EMFILE``, a full
+    ``/dev/shm``) takes the one created before it down with it.
     """
-    spec = world.spec
-    work = SharedBlock((world.n_world_rows, spec.item_size), spec.dtype)
-    rank_bounds = partition_evenly(world.n_ranks, n_workers)
-    phases: Dict[object, _PhaseBlocks] = {}
-    for phase, program in world.programs.items():
-        gather = SharedBlock((program.gather.size,), INDEX_DTYPE)
-        gather.array[:] = program.gather
-        scatter = SharedBlock((program.scatter.size,), INDEX_DTYPE)
-        scatter.array[:] = program.scatter
-        wire_perm = SharedBlock((program.wire_perm.size,), INDEX_DTYPE)
-        wire_perm.array[:] = program.wire_perm
-        wire = SharedBlock((program.gather.size, spec.item_size), spec.dtype)
-        phases[phase] = _PhaseBlocks(
-            gather=gather, scatter=scatter, wire_perm=wire_perm, wire=wire,
-            gather_bounds=program.gather_rank_offsets[rank_bounds],
-            scatter_bounds=program.scatter_rank_offsets[rank_bounds],
-        )
-    return SharedProgram(work=work, phases=phases, steps=tuple(world.steps))
+    sources = concatenate_or_empty(
+        [src for src, _, _ in steps if src is not None])
+    blocks: List[SharedBlock] = []
+    try:
+        for array in (work, sources):
+            blocks.append(SharedBlock(array.shape, array.dtype))
+            blocks[-1].array[...] = array
+    except OSError:
+        for block in blocks:
+            block.close()
+        raise
+    return SharedProgram(*blocks, steps=tuple(
+        ("send" if src is None else "recv", int(a), int(b))
+        for src, a, b in steps))
 
 
 # -- the worker side ---------------------------------------------------------------
 
 
-def _attach_program(descriptor: dict) -> dict:  # pragma: no cover - forked child
-    """Rebuild a worker's views of a registered program from its descriptor."""
-    work_name, work_shape, work_dtype = descriptor["work"]
-    views = {
-        "work": SharedBlock.attach(work_name, tuple(work_shape),
-                                   np.dtype(work_dtype)),
-        "steps": descriptor["steps"],
-        "phases": {},
-    }
-    for phase, meta in descriptor["phases"].items():
-        wire_name, wire_shape, wire_dtype = meta["wire"]
-        views["phases"][phase] = {
-            "gather": SharedBlock.attach(*meta["gather"], INDEX_DTYPE),
-            "scatter": SharedBlock.attach(*meta["scatter"], INDEX_DTYPE),
-            "wire_perm": SharedBlock.attach(*meta["wire_perm"], INDEX_DTYPE),
-            "wire": SharedBlock.attach(wire_name, tuple(wire_shape),
-                                       np.dtype(wire_dtype)),
-            "gather_bounds": meta["gather_bounds"],
-            "scatter_bounds": meta["scatter_bounds"],
-        }
-    return views
+def _attach_program(descriptor: dict) -> tuple:  # pragma: no cover - forked child
+    """A worker's ``(work, sources, steps)`` of a registered program, the two
+    blocks attached by name from its descriptor."""
+    work, sources = (SharedBlock.attach(name, tuple(shape), np.dtype(dtype))
+                     for name, shape, dtype in descriptor["blocks"])
+    return work, sources, descriptor["steps"]
 
 
-def _run_round(program: dict, worker_id: int, barrier,
+def _run_round(program: tuple, worker_id: int, n_workers: int, barrier,
                conn, fault: Optional[FaultSpec]) -> None:  # pragma: no cover
-    """Execute one exchange round's steps for this worker's slab.
+    """Execute this worker's share of one exchange round's steps.
 
     ``fault`` (chaos testing only) fires at the first step whose kind matches
     the spec's phase — *inside* the round, peers already committed to their
@@ -331,27 +285,19 @@ def _run_round(program: dict, worker_id: int, barrier,
     """
     from repro.collectives.kernels import active_backend
 
-    kernels = active_backend()
-    work = program["work"].array
-    for kind, phase in program["steps"]:
+    gather = active_backend().gather
+    work, sources = program[0].array, program[1].array
+    head = work.shape[0] - sources.shape[0]
+    for kind, a, b in program[2]:
         if fault is not None and fault.phase == kind:
             fire(fault, conn)
             fault = None  # a "hang" fault eventually returns; fire once
-        views = program["phases"][phase]
         if kind == "send":
-            lo = views["gather_bounds"][worker_id]
-            hi = views["gather_bounds"][worker_id + 1]
-            if hi > lo:
-                kernels.gather(work, views["gather"].array[lo:hi],
-                               views["wire"].array[lo:hi])
-        else:
-            lo = views["scatter_bounds"][worker_id]
-            hi = views["scatter_bounds"][worker_id + 1]
-            if hi > lo:
-                wire = views["wire"].array
-                perm = views["wire_perm"].array[lo:hi]
-                kernels.scatter(work, views["scatter"].array[lo:hi],
-                                wire[perm])
+            continue
+        lo, hi = _share(b - a, worker_id, n_workers)
+        if hi > lo:
+            gather(work[:a], sources[a - head + lo:a - head + hi],
+                   work[a + lo:a + hi])
         barrier.wait()
 
 
@@ -368,7 +314,7 @@ def _safe_send(conn: Connection, payload) -> bool:  # pragma: no cover - forked 
         return False
 
 
-def _worker_main(worker_id: int, conn: Connection, barrier,
+def _worker_main(worker_id: int, n_workers: int, conn: Connection, barrier,
                  fault_plan: Optional[FaultPlan]) -> None:  # pragma: no cover - forked child
     """Worker loop: register programs, run rounds, exit on close.
 
@@ -378,7 +324,7 @@ def _worker_main(worker_id: int, conn: Connection, barrier,
     """
     import threading
 
-    programs: Dict[int, dict] = {}
+    programs: Dict[int, tuple] = {}
     try:
         while True:
             command = conn.recv()
@@ -408,8 +354,8 @@ def _worker_main(worker_id: int, conn: Connection, barrier,
                     ) if fault_plan else None
                     if fault is not None and fault.kind == "corrupt":
                         corrupt_ack, fault = True, None
-                    _run_round(programs[handle], worker_id, barrier, conn,
-                               fault)
+                    _run_round(programs[handle], worker_id, n_workers,
+                               barrier, conn, fault)
                 if corrupt_ack:
                     conn.send_bytes(CORRUPT_WIRE_BYTES)
                 elif not _safe_send(conn, (worker_id, None)):
@@ -426,11 +372,9 @@ def _worker_main(worker_id: int, conn: Connection, barrier,
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
-        for program in programs.values():
-            for views in program["phases"].values():
-                for key in ("gather", "scatter", "wire_perm", "wire"):
-                    views[key].close()
-            program["work"].close()
+        for work, sources, _ in programs.values():
+            sources.close()
+            work.close()
         try:
             conn.close()
         except OSError:
@@ -442,7 +386,7 @@ def _worker_main(worker_id: int, conn: Connection, barrier,
 
 @dataclass
 class ProcsPool:
-    """A persistent, supervised pool of slab workers plus their shared programs.
+    """A persistent, supervised pool of workers plus their shared programs.
 
     One pool per ``runtime="procs"`` engine.  The workers are forked lazily at
     the first :meth:`register` (so an engine that never registers anything
@@ -508,7 +452,8 @@ class ProcsPool:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(worker_id, child_conn, self._barrier, self.fault_plan),
+                args=(worker_id, self.n_workers, child_conn, self._barrier,
+                      self.fault_plan),
                 daemon=True,
                 name=f"repro-exchange-worker-{worker_id}",
             )
@@ -747,11 +692,13 @@ class ProcsPool:
 
     # -- commands ------------------------------------------------------------------
 
-    def register(self, world) -> SharedProgram:
-        """Share a compiled world exchange and hand it to every worker."""
+    def register(self, work: np.ndarray,
+                 steps: Sequence[tuple]) -> SharedProgram:
+        """Share a staged program (:func:`share_program`) and hand it to
+        every worker."""
         if self._closed:
             raise CommunicationError("exchange engine is closed")
-        program = share_program(world, self.n_workers)
+        program = share_program(work, steps)
         self._programs.append(program)
         descriptor = program.descriptor(len(self._programs) - 1)
 

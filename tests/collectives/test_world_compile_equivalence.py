@@ -33,8 +33,7 @@ WORLD_ARRAYS = ("rank_bases", "owned_rows", "owned_offsets", "result_rows",
                 "result_offsets", "owned_items_all", "result_items_all",
                 "result_sources_all")
 PROGRAM_ARRAYS = ("gather", "scatter", "wire_perm", "msg_sources",
-                  "msg_dests", "msg_nbytes", "gather_rank_offsets",
-                  "scatter_rank_offsets")
+                  "msg_dests", "msg_nbytes")
 
 
 def assert_worlds_identical(fast, ref):

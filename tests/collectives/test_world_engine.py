@@ -36,8 +36,8 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
                 Variant.PARTIAL, Variant.FULL)
 
 #: The engine runtimes the golden suites pin byte-identical.  ``"procs"``
-#: always runs with several workers (regardless of core count) so the
-#: cross-slab wire permutation is actually exercised.
+#: always runs with several workers (regardless of core count) so every
+#: step is really cut into shares that read each other's earlier rows.
 ENGINE_RUNTIMES = ("engine", "procs")
 
 

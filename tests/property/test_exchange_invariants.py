@@ -11,7 +11,11 @@ on the engine and check what actually arrives:
     counts never rise from standard to partial to full — repeat deliveries
     the staged data path drops are still counted;
 (d) the staged blocks tile ``[0, n_world_rows)`` with one row per distinct
-    delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without repeats.
+    delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without repeats;
+(e) none of it depends on who runs the steps: a ``runtime="procs"`` pool of
+    one worker, of three, or of more workers than a step has rows delivers
+    the same bytes and accounts the same traffic, and its workers' shares
+    tile every step's ``[a, b)``, no two differing by more than one row.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
+from repro.collectives.exchange import compile_world_exchange
 from repro.pattern import CommPattern, random_pattern
 from repro.simmpi import TrafficProfiler
 from repro.simmpi.engine import _stage
+from repro.simmpi.procs import _share
 from repro.topology import Locality, paper_mapping
 
 VARIANTS = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
@@ -45,16 +51,41 @@ def _required(pattern: CommPattern, rank: int) -> np.ndarray:
     return np.unique(np.concatenate(items)) if items else np.empty(0, np.int64)
 
 
-def _run_variants(pattern: CommPattern, mapping):
+def _receive_steps(world):
+    """``(a, b)`` of every receive step of ``world``'s staged layout."""
+    return [(a, b) for _, src, a, b in _stage(world).steps if src is not None]
+
+
+def _assert_shares_tile(steps, n_workers: int) -> None:
+    """(e) the workers' shares of every step, in worker order."""
+    for a, b in steps:
+        shares = [_share(b - a, worker, n_workers) for worker in range(n_workers)]
+        edges = [0] + [hi for _, hi in shares]
+        assert [lo for lo, _ in shares] == edges[:-1] and edges[-1] == b - a
+        sizes = [hi - lo for lo, hi in shares]
+        assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
+
+
+def _run_variants(pattern: CommPattern, mapping, n_workers=None):
     """Two checked rounds per variant: ``{variant: (plan, world, profiler,
-    result bytes)}``."""
+    result bytes)}`` — on ``runtime="engine"``, or on a ``procs`` pool of
+    ``n_workers`` (a callable sizes it from the compiled world)."""
     outcomes = {}
     for variant in VARIANTS:
         plan = make_plan(pattern, mapping, variant)
         profiler = TrafficProfiler(mapping, ignore_self_messages=False)
-        with WorldNeighborCollective(plan, runtime="engine",
-                                     profiler=profiler) as collective:
+        workers = n_workers(plan) if callable(n_workers) else n_workers
+        where = dict(runtime="engine") if workers is None \
+            else dict(runtime="procs", n_workers=workers)
+        with WorldNeighborCollective(plan, profiler=profiler,
+                                     **where) as collective:
             world = collective.world
+            if workers is not None:
+                shared = collective.engine._programs[collective.handle].shared
+                assert collective.engine.n_workers == workers
+                assert [(a, b) for kind, a, b in shared.steps
+                        if kind == "recv"] == _receive_steps(world)
+                _assert_shares_tile(_receive_steps(world), workers)
             values = _oracle(world.owned_items_all, pattern.item_size,
                              pattern.dtype)
             result = collective.exchange_flat(values)
@@ -90,15 +121,11 @@ def exchange_case(draw):
     return pattern, paper_mapping(n_ranks, ranks_per_node=ranks_per_node)
 
 
-@settings(max_examples=40, deadline=None)
-@given(exchange_case())
-def test_executed_rounds_keep_the_papers_invariants(case):
-    pattern, mapping = case
-    outcomes = _run_variants(pattern, mapping)
-
+def _assert_accounting(outcomes) -> None:
+    """(c) on the outcomes of :func:`_run_variants`."""
     inter_region = []
     for variant in VARIANTS:
-        plan, world, profiler, _ = outcomes[variant]
+        plan, _, profiler, _ = outcomes[variant]
         # (c) two rounds ran; each is accounted message for message.
         stats = plan.statistics()
         total = profiler.total()
@@ -110,10 +137,19 @@ def test_executed_rounds_keep_the_papers_invariants(case):
         assert (observed.message_count if observed else 0) == \
             2 * stats.total_global_messages
         inter_region.append(stats.total_global_messages)
+    assert inter_region[0] >= inter_region[1] >= inter_region[2]
 
+
+@settings(max_examples=40, deadline=None)
+@given(exchange_case())
+def test_executed_rounds_keep_the_papers_invariants(case):
+    pattern, mapping = case
+    outcomes = _run_variants(pattern, mapping)
+    _assert_accounting(outcomes)
+    for variant in VARIANTS:
+        world = outcomes[variant][1]
         # (d) the staged layout, against a sort-based count of the rows.
-        staged = _stage(world)
-        blocks = [(a, b) for _, src, a, b in staged.steps if src is not None]
+        blocks = _receive_steps(world)
         edges = [world.owned_rows.size] + [b for _, b in blocks]
         assert [a for a, _ in blocks] == edges[:-1]
         assert edges[-1] == world.n_world_rows
@@ -125,7 +161,30 @@ def test_executed_rounds_keep_the_papers_invariants(case):
         no_repeats = np.unique(delivered).size == delivered.size and \
             not np.isin(delivered, world.owned_rows).any()
         assert (fresh == delivered.size) == no_repeats
-    assert inter_region[0] >= inter_region[1] >= inter_region[2]
+
+
+def _more_workers_than_the_smallest_step_has_rows(plan) -> int:
+    """A pool size that leaves at least one worker an empty share."""
+    rows = [b - a for a, b in _receive_steps(compile_world_exchange(plan))]
+    return min(rows, default=0) + 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(exchange_case(), st.sampled_from([1, 3]))
+def test_executed_invariants_hold_on_a_worker_pool(case, n_workers):
+    pattern, mapping = case
+    pooled = _run_variants(pattern, mapping, n_workers)
+    _assert_accounting(pooled)
+    serial = _run_variants(pattern, mapping)
+    assert all(pooled[variant][3] == serial[variant][3] for variant in VARIANTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 7),
+       st.integers(min_value=0, max_value=10 ** 7),
+       st.integers(min_value=1, max_value=97))
+def test_worker_shares_tile_any_step(a, n_rows, n_workers):
+    _assert_shares_tile([(a, a + n_rows)], n_workers)
 
 
 EDGE_PATTERNS = {
@@ -140,6 +199,13 @@ EDGE_PATTERNS = {
 @pytest.mark.parametrize("name", EDGE_PATTERNS)
 def test_edge_programs_run_and_agree(name, item_size):
     pattern = CommPattern(4, EDGE_PATTERNS[name], item_size=item_size)
-    outcomes = _run_variants(pattern, paper_mapping(4, ranks_per_node=2))
+    mapping = paper_mapping(4, ranks_per_node=2)
+    outcomes = _run_variants(pattern, mapping)
     for plan, world, _, _ in outcomes.values():
         assert _stage(world).work.shape == (world.n_world_rows, item_size)
+    # (e) the same programs with idle workers: their steps have 0-4 rows.
+    pooled = _run_variants(pattern, mapping,
+                           _more_workers_than_the_smallest_step_has_rows)
+    _assert_accounting(pooled)
+    assert all(pooled[variant][3] == outcomes[variant][3]
+               for variant in VARIANTS)

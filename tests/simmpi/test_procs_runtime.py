@@ -144,10 +144,25 @@ class TestRuntimeSelection:
         assert engine.runtime == "procs"
         engine.close()
 
-    def test_unknown_env_value_falls_back_to_engine(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV, "quantum")
-        assert default_runtime() == "engine"
-        assert ExchangeEngine(4).runtime == "engine"
+    def test_unknown_env_value_raises_naming_the_variable(self, monkeypatch):
+        # A typo ("proc") must not run a whole CI leg on the default engine.
+        for typo in ("proc", "quantum"):
+            monkeypatch.setenv(RUNTIME_ENV, typo)
+            for resolve in (default_runtime,
+                            lambda: default_runtime(ENGINE_RUNTIMES),
+                            lambda: ExchangeEngine(4)):
+                with pytest.raises(ValidationError) as info:
+                    resolve()
+                message = str(info.value)
+                assert RUNTIME_ENV in message and repr(typo) in message
+                assert all(name in message
+                           for name in ("engine", "threads", "procs"))
+        # An explicit runtime never consults the variable; unset, empty and
+        # padded / upper-case spellings of a known runtime still resolve.
+        assert ExchangeEngine(4, runtime="engine").runtime == "engine"
+        for value, expected in (("", "engine"), (" Procs ", "procs")):
+            monkeypatch.setenv(RUNTIME_ENV, value)
+            assert default_runtime(ENGINE_RUNTIMES) == expected
 
     def test_threads_is_not_an_engine_runtime(self, monkeypatch):
         # The user surface accepts "threads"; the engine itself must not.

@@ -1,16 +1,18 @@
-"""The engine's staged layout: validated once at ``register``, one serial path.
+"""The engine's staged layout: validated and staged once at ``register``.
 
-``runtime="engine"`` renumbers a program's rows ``[owned | receive step 1 |
-step 2 | …]`` at registration and runs every receive step as a clipped
-``take`` into a slice — so a corrupt program must be refused *there*, with a
+Every runtime renumbers a program's rows ``[owned | receive step 1 | step 2 |
+…]`` at registration and runs every receive step as a clipped ``take`` into a
+slice — so a corrupt program must be refused *there*, with a
 :class:`CommunicationError`, because no later kernel bounds-checks anything.
-A degraded ``runtime="procs"`` engine runs the same staged path (staging
-lazily), and a healthy one never stages at all.
+``runtime="procs"`` hands the same steps to its workers on the same rows (in
+shared memory), so a healthy, a retried and a fallen-back round share one
+layout and nothing is ever staged again.
 
 A handle registered with ``vector_length=n`` is bound to the caller's vector:
 ``run`` takes the ``(n,)`` array itself and returns the round buffer
-``[x | …]`` read-only, ``halo_rows`` locates the received values in it, and
-neither a bad input, a bad binding nor a pool fallback can mis-load it.
+``[x | …]`` read-only, ``halo_rows`` locates the received values in it — the
+same rows on every runtime — and neither a bad input, a bad binding nor a
+pool fallback can mis-load it.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class TestCorruptProgramsRaiseAtRegister:
                 engine.register(_reads_a_later_phase(_world()))
 
 
-# -- the degraded procs engine runs the one staged path -----------------------------
+# -- one layout, whoever runs the steps ---------------------------------------------
 
 
 def _reference_rounds(worlds, scales):
@@ -146,47 +148,63 @@ def _reference_rounds(worlds, scales):
                 for handle, world in zip(handles, worlds)]
 
 
+def _pool_engine(*faults, **kwargs) -> ExchangeEngine:
+    return ExchangeEngine(
+        N_RANKS, runtime="procs", n_workers=N_WORKERS, timeout=30.0,
+        retry_backoff=0.01, fault_plan=FaultPlan(faults) if faults else None,
+        **kwargs)
+
+
+def _crash(round: int, attempt=0) -> FaultSpec:
+    return FaultSpec("crash", round=round, phase="send", worker=0,
+                     attempt=attempt)
+
+
 def test_fallen_back_engine_matches_a_fresh_engine_on_every_program(count_calls):
     before, after = [_world(13), _world(21, Variant.PARTIAL)], _world(34)
     scales = (1.0, -2.5, 4.0)
     expected = _reference_rounds(before + [after], scales)
-    engine = ExchangeEngine(
-        N_RANKS, runtime="procs", n_workers=N_WORKERS, timeout=30.0,
-        retry_backoff=0.01, max_retries=0, on_failure="fallback",
-        fault_plan=FaultPlan([FaultSpec("crash", round=0, phase="send",
-                                        worker=0, attempt=None)]))
-    with engine:
-        handles = [engine.register(world) for world in before]
-        first = engine.run(handles[0], _values(before[0], scales[0]))
-        assert engine.degraded and first.tobytes() == expected[0][0]
-        handles.append(engine.register(after))   # registered after the failure
-        for handle, world, rounds in zip(handles, before + [after], expected):
-            for scale, reference in zip(scales, rounds):
-                assert engine.run(handle, _values(world, scale)).tobytes() \
-                    == reference
 
-        # Every program was staged exactly once (lazily for the two the pool
-        # had accepted), and later rounds stage nothing.
-        def more_rounds():
-            for handle, world in zip(handles, before + [after]):
-                engine.run(handle, _values(world))
-        assert count_calls(more_rounds, of=[engine_module._stage]) == 0
+    def chaos():
+        with _pool_engine(_crash(0, attempt=None), max_retries=0,
+                          on_failure="fallback") as engine:
+            handles = [engine.register(world) for world in before]
+            rows = [engine._programs[handle].work for handle in handles]
+            first = engine.run(handles[0], _values(before[0], scales[0]))
+            assert engine.degraded and first.tobytes() == expected[0][0]
+            # The half-written round re-ran on the very same rows.
+            for handle, work in zip(handles, rows):
+                state = engine._programs[handle]
+                assert state.work is work
+                assert np.shares_memory(work, state.shared.work.array)
+            handles.append(engine.register(after))  # registered after the failure
+            assert engine._programs[handles[-1]].shared is None
+            for handle, world, rounds in zip(handles, before + [after], expected):
+                for scale, reference in zip(scales, rounds):
+                    assert engine.run(handle, _values(world, scale)).tobytes() \
+                        == reference
+
+    # One staging per program, at its registration — before the failure or
+    # after it — and none in any round, the fallen-back one included.
+    assert count_calls(chaos, of=[engine_module._stage]) == 3
 
 
 def test_healthy_procs_engine_never_stages(count_calls):
+    """... in a round: once at ``register``, exactly as ``runtime="engine"``."""
     world = _world()
     expected, = _reference_rounds([world], (1.0, 3.0))
+    with _pool_engine() as engine:
+        handles = []
+        assert count_calls(lambda: handles.append(engine.register(world)),
+                           of=[engine_module._stage]) == 1
 
-    def healthy():
-        with ExchangeEngine(N_RANKS, runtime="procs",
-                            n_workers=N_WORKERS) as engine:
-            handle = engine.register(world)
+        def rounds():
             for scale, reference in zip((1.0, 3.0), expected):
-                assert engine.run(handle, _values(world, scale)).tobytes() \
+                assert engine.run(handles[0], _values(world, scale)).tobytes() \
                     == reference
-            assert not engine.degraded
 
-    assert count_calls(healthy, of=[engine_module._stage]) == 0
+        assert count_calls(rounds, of=[engine_module._stage]) == 0
+        assert not engine.degraded and not engine.events
 
 
 # -- handles bound to the caller's vector ------------------------------------------
@@ -221,8 +239,6 @@ def test_bound_round_returns_the_vector_and_the_halo_in_one_buffer(runtime,
         handle = engine.register(world, vector_length=n)
         halo_rows = engine.halo_rows(handle).copy()
         assert halo_rows.size == world.result_rows.size and halo_rows.min() >= n
-        if runtime == "procs":
-            assert np.array_equal(halo_rows, n + np.arange(halo_rows.size))
         for scale in (1.0, -2.5):
             x = _vector(world, scale)
             buffer = engine.run(handle, x)
@@ -237,6 +253,28 @@ def test_bound_round_returns_the_vector_and_the_halo_in_one_buffer(runtime,
             engine.halo_rows(unbound)
 
 
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
+                                     Variant.FULL])
+def test_a_bound_handle_has_one_layout_on_both_runtimes(variant):
+    world = _world(variant=variant)
+    n = _vector_length(world)
+    with ExchangeEngine(N_RANKS, runtime="engine") as serial, \
+            _pool_engine() as pooled:
+        handles = [engine.register(world, vector_length=n)
+                   for engine in (serial, pooled)]
+        rows = [engine.halo_rows(handle)
+                for engine, handle in zip((serial, pooled), handles)]
+        assert np.array_equal(*rows) and rows[0].dtype == rows[1].dtype
+        assert serial.buffer_length(handles[0]) == \
+            pooled.buffer_length(handles[1])
+        for scale in (1.0, -2.5):
+            x = _vector(world, scale)
+            buffers = [engine.run(handle, x)
+                       for engine, handle in zip((serial, pooled), handles)]
+            assert buffers[0].tobytes() == buffers[1].tobytes()
+            assert buffers[0].shape == buffers[1].shape
+
+
 def test_bound_buffer_is_read_only_and_valid_until_the_next_round():
     world = _world()
     with ExchangeEngine(N_RANKS, runtime="engine") as engine:
@@ -249,6 +287,26 @@ def test_bound_buffer_is_read_only_and_valid_until_the_next_round():
         again = engine.run(handle, _vector(world, 3.0))
         assert np.shares_memory(again, buffer)          # the round buffer itself
         assert not np.array_equal(buffer, kept)         # ... so it moved on
+
+
+def test_a_pool_hands_out_a_private_read_only_copy_that_survives_close():
+    world = _world()
+    with _pool_engine() as engine:
+        handle = engine.register(world, vector_length=_vector_length(world))
+        shared = engine._programs[handle].shared.work.array
+        buffer = engine.run(handle, _vector(world))
+        assert not buffer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            buffer[0] = 1.0
+        assert not np.shares_memory(buffer, shared)     # no segment escapes
+        kept = buffer.copy()
+        again = engine.run(handle, _vector(world, 3.0))
+        assert not np.shares_memory(again, buffer)
+        assert buffer.tobytes() == kept.tobytes()       # the next round left it
+        del shared
+    assert engine.closed
+    assert buffer.tobytes() == kept.tobytes()           # ... and so did close()
+    assert again.tobytes() == (3.0 * kept).tobytes()
 
 
 def test_multiply_hands_out_a_fresh_array_the_next_round_leaves_alone(rng):
@@ -324,31 +382,33 @@ def test_corrupt_programs_raise_at_register_when_bound_too(tamper):
 def test_every_program_is_staged_exactly_once(count_calls):
     worlds = [_world(13), _world(21, Variant.PARTIAL), _world(34)]
 
-    def serial():
-        with ExchangeEngine(N_RANKS, runtime="engine") as engine:
-            handles = [engine.register(worlds[0]),
-                       engine.register(worlds[1],
-                                       vector_length=_vector_length(worlds[1])),
-                       engine.register(worlds[2],
-                                       vector_length=_vector_length(worlds[2]))]
-            engine.run(handles[0], _values(worlds[0]))
-            for handle, world in zip(handles[1:], worlds[1:]):
-                for scale in (1.0, 2.0):
-                    engine.run(handle, _vector(world, scale))
+    def lifetime(make_engine, events):
+        def run():
+            with make_engine() as engine:
+                handles = [engine.register(worlds[0]),
+                           engine.register(
+                               worlds[1],
+                               vector_length=_vector_length(worlds[1])),
+                           engine.register(
+                               worlds[2],
+                               vector_length=_vector_length(worlds[2]))]
+                engine.run(handles[0], _values(worlds[0]))
+                for handle, world in zip(handles[1:], worlds[1:]):
+                    for scale in (1.0, 2.0):
+                        buffer = engine.run(handle, _vector(world, scale))
+                        assert _halo(engine, handle, buffer) == \
+                            _expected_halo(world, scale)
+                assert [event.action for event in engine.events] == events
+        return run
 
-    assert count_calls(serial, of=[engine_module._stage]) == len(worlds)
-
-    def healthy_pool():
-        with ExchangeEngine(N_RANKS, runtime="procs",
-                            n_workers=N_WORKERS) as engine:
-            for world in worlds:
-                handle = engine.register(
-                    world, vector_length=_vector_length(world))
-                buffer = engine.run(handle, _vector(world))
-                assert _halo(engine, handle, buffer) == _expected_halo(world)
-            assert not engine.degraded
-
-    assert count_calls(healthy_pool, of=[engine_module._stage]) == 0
+    # Whoever runs the steps — the parent, a healthy pool, a pool that
+    # respawned mid-round — a program is staged at register and never again.
+    for make_engine, events in (
+            (lambda: ExchangeEngine(N_RANKS, runtime="engine"), []),
+            (_pool_engine, []),
+            (lambda: _pool_engine(_crash(1)), ["retry"])):
+        assert count_calls(lifetime(make_engine, events),
+                           of=[engine_module._stage]) == len(worlds)
 
 
 def test_a_fallback_never_moves_a_bound_layout():
@@ -357,31 +417,24 @@ def test_a_fallback_never_moves_a_bound_layout():
     with ExchangeEngine(N_RANKS, runtime="engine") as fresh:
         handles = [fresh.register(world, vector_length=_vector_length(world))
                    for world in worlds]
-        expected = [[_halo(fresh, handle, fresh.run(handle, _vector(world, scale)))
+        layouts = [fresh.halo_rows(handle) for handle in handles]
+        expected = [[fresh.run(handle, _vector(world, scale)).tobytes()
                      for scale in scales]
                     for handle, world in zip(handles, worlds)]
-    engine = ExchangeEngine(
-        N_RANKS, runtime="procs", n_workers=N_WORKERS, timeout=30.0,
-        retry_backoff=0.01, max_retries=0, on_failure="fallback",
-        fault_plan=FaultPlan([FaultSpec("crash", round=0, phase="send",
-                                        worker=0, attempt=None)]))
-    with engine:
+    with _pool_engine(_crash(0, attempt=None), max_retries=0,
+                      on_failure="fallback") as engine:
         handles = [engine.register(world, vector_length=_vector_length(world))
                    for world in before]
-        halo_rows = [engine.halo_rows(handle) for handle in handles]
         first = engine.run(handles[0], _vector(before[0], scales[0]))
         assert engine.degraded
-        assert _halo(engine, handles[0], first) == expected[0][0]
+        assert first.tobytes() == expected[0][0]
         handles.append(engine.register(         # registered after the failure
             after, vector_length=_vector_length(after)))
-        halo_rows.append(engine.halo_rows(handles[-1]))
-        for handle, world, rows, rounds in zip(handles, worlds, halo_rows,
+        for handle, world, rows, rounds in zip(handles, worlds, layouts,
                                                expected):
-            n = _vector_length(world)
-            assert np.array_equal(rows, n + np.arange(rows.size))
+            # The engine runtime's rows, before the failure and after it.
+            assert np.array_equal(engine.halo_rows(handle), rows)
             for scale, reference in zip(scales, rounds):
-                x = _vector(world, scale)
-                buffer = engine.run(handle, x)
-                assert buffer[:n].tobytes() == x.tobytes()
-                assert _halo(engine, handle, buffer) == reference
+                assert engine.run(handle, _vector(world, scale)).tobytes() \
+                    == reference
             assert np.array_equal(engine.halo_rows(handle), rows)

@@ -268,8 +268,6 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
                        n_workers=2 if runtime == "procs" else None) as spmv:
             first = spmv.collective.recv_item_ids(0)
             assert first.size > 1 and np.all(np.diff(first) < 0)
-            if runtime == "procs":      # its buffer follows the delivery order
-                assert spmv._operator is not operator.stacked_blocks().operator
             # Entries keep their stored (summation) order; only columns move.
             assert np.shares_memory(spmv._operator.data, operator.matrix.data)
             assert np.shares_memory(spmv._operator.indptr,
@@ -278,16 +276,28 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
 
 
 def test_identity_delivery_shares_the_cached_operator():
-    """On ``procs`` the round buffer is ``[x | halo]`` in map order, so the
-    product runs on the matrix's cached operator itself."""
+    """One operator on one layout: both runtimes rewrite the same columns
+    onto the same round buffer and share the assembled matrix's entries; a
+    halo right behind ``x`` in map order is the cached operator itself."""
     operator = _square()
+    stacked = operator.stacked_blocks()
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
-    with WorldSpMV(operator, mapping, runtime="procs", n_workers=2) as spmv:
-        assert spmv._operator is operator.stacked_blocks().operator
-    with WorldSpMV(operator, mapping, runtime="engine") as spmv:
-        engine, handle = spmv.collective.engine, spmv.collective.handle
-        assert spmv._operator.shape[1] == engine.buffer_length(handle)
-        assert np.shares_memory(spmv._operator.data, operator.matrix.data)
+    built = []
+    for runtime in ("engine", "procs"):
+        with WorldSpMV(operator, mapping, runtime=runtime,
+                       n_workers=2 if runtime == "procs" else None) as spmv:
+            engine, handle = spmv.collective.engine, spmv.collective.handle
+            assert spmv._operator.shape[1] == engine.buffer_length(handle)
+            assert np.shares_memory(spmv._operator.data, operator.matrix.data)
+            built.append((spmv._operator.indices.copy(),
+                          engine.halo_rows(handle).copy()))
+            world = spmv.collective.world
+    assert np.array_equal(built[0][0], built[1][0])
+    assert np.array_equal(built[0][1], built[1][1])
+    width = stacked.operator.shape[1]
+    assert _operator_on_buffer(
+        stacked, world, np.arange(operator.n_cols, width), width) \
+        is stacked.operator
 
 
 @pytest.mark.parametrize("damage", ["wrong_id", "missing_id", "moved_id"])
