@@ -14,7 +14,10 @@ No runtime executes either form.  ``ExchangeEngine.register`` renumbers the
 rows so each phase's first deliveries are one contiguous slice, and the phase
 is a lone ``gather(work[:a], src, work[a:b])`` — a ``take`` of earlier rows
 into the slice — in the parent on ``runtime="engine"``, cut into one share of
-``[a, b)`` per worker on ``runtime="procs"``.  ``gather`` therefore runs with
+``[a, b)`` per worker on ``runtime="procs"``.  A fresh output is one more
+``gather(work, result, out)``, always in the parent; a phase whose rows no
+later step reads gets no slice at all, its deliveries made by that output
+gather straight from their sources.  ``gather`` therefore runs with
 ``mode="clip"`` (numpy's ``mode="raise"`` buffers ``out`` and costs 3x):
 callers validate indices once, up front, as ``register`` does.
 

@@ -25,6 +25,13 @@ envelope-routed path because every work row holds its ``(origin, item)``
 key's one per-iteration value; repeat deliveries leave the data path, not the
 accounting.
 
+A fresh output is one more ``gather(work, result, out)`` into a new array.
+On an unbound handle a *terminal* receive step — one whose rows no later
+step reads — owns no rows at all: ``result`` points its output rows straight
+at the step's sources, so that one pass both makes the last hop's deliveries
+and copies out what earlier steps delivered.  A bound handle keeps every
+block, because its round buffer *is* the output.
+
 * ``runtime="engine"`` (default) — the parent runs the steps itself.  The
   kernel backend (numba or numpy) is chosen at import time and overridable
   via ``REPRO_KERNELS=numba|numpy``.
@@ -124,18 +131,19 @@ class _RegisteredProgram:
     """Engine-side state of one registered world exchange, *staged*
     (:func:`_stage`): ``work`` rows ``[head | recv step 1 | step 2 | …]``,
     per step ``(program, src, a, b)`` (a receive fills rows ``[a, b)`` from
-    the earlier rows ``src``; a send, ``src is None``, only accounts), and
-    ``result`` selecting the output rows (a ``slice`` when one ascending
-    run).  Bound to a vector of ``vector_length`` entries, the head is that
-    vector and ``work`` is what a round returns.  ``shared`` is set only
-    while a ``runtime="procs"`` pool holds ``work`` and the ``src`` rows in
-    its two shared-memory segments (they are then views of those)."""
+    the earlier rows ``src`` — none, ``a == b``, for a folded terminal step;
+    a send, ``src is None``, only accounts), and ``result`` the ``work`` row
+    of every output entry.  Bound to a vector of ``vector_length`` entries,
+    the head is that vector and ``work`` is what a round returns.  ``shared``
+    is set only while a ``runtime="procs"`` pool holds ``work`` and the
+    ``src`` rows in its two shared-memory segments (they are then views of
+    those)."""
 
     world: "WorldExchange"
     vector_length: Optional[int]
     work: np.ndarray
     steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]]
-    result: Union[slice, np.ndarray]
+    result: np.ndarray
     shared: Optional["SharedProgram"] = None
 
 
@@ -164,7 +172,9 @@ def _stage(world: "WorldExchange",
     whose row is still unnumbered, deduplicated by writing entry positions in
     reverse (last write wins, so each row keeps its first deliverer).  With a
     ``vector_length`` the head is the caller's whole vector (an owned row sits
-    at its item id) and the result stays an index array: the halo rows.
+    at its item id), every block stays and the result is the halo rows;
+    without one the terminal blocks fold into the result
+    (:func:`_fold_terminal`).
     """
     n_rows, n_owned = world.n_world_rows, world.owned_rows.size
     bound = vector_length is not None
@@ -197,11 +207,39 @@ def _stage(world: "WorldExchange",
             "corrupt world exchange: every world row must be owned or "
             f"delivered by exactly one step ({staged} of {n_rows} rows staged)")
     result = new_of_old[world.result_rows]
-    if not bound and result.size and np.array_equal(
-            result, np.arange(result[0], result[0] + result.size)):
-        result = slice(int(result[0]), int(result[0]) + result.size)
+    if not bound:
+        steps, result, a = _fold_terminal(steps, result, a)
     work = np.zeros((a, world.spec.item_size), dtype=world.spec.dtype)
     return _RegisteredProgram(world, vector_length, work, steps, result)
+
+
+def _fold_terminal(steps, result: np.ndarray, n_rows: int):
+    """Drop the blocks of *terminal* receive steps — read by no later step's
+    ``src`` — from an unbound layout: a result row in one reads that step's
+    source row instead, so the round's output gather makes the delivery.
+
+    Sort-free and O(rows): mark every ``src``, then test each block (only
+    later steps can read it).  A terminal step keeps its schedule slot with
+    an empty range; the blocks after it move down to close the gap.
+    Returns ``(steps, result, rows still in work)``.
+    """
+    read = np.zeros(n_rows, dtype=bool)
+    for _, src, _, _ in steps:
+        if src is not None:
+            read[src] = True
+    final = np.arange(n_rows)       # the row each staged row is read from
+    folded, gap = [], 0
+    for program, src, a, b in steps:
+        if src is None:
+            folded.append((program, src, 0, 0))
+        elif read[a:b].any():
+            final[a:b] -= gap
+            folded.append((program, final[src], a - gap, b - gap))
+        else:
+            final[a:b] = final[src]
+            gap += b - a
+            folded.append((program, src[:0], b - gap, b - gap))
+    return folded, final[result], n_rows - gap
 
 
 def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
@@ -259,6 +297,8 @@ class ExchangeEngine:
                  clock=None):
         if n_ranks <= 0:
             raise CommunicationError("an exchange engine needs at least one rank")
+        if n_workers is not None and int(n_workers) < 1:
+            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         if runtime is None:
             runtime = default_runtime(ENGINE_RUNTIMES)
         if runtime not in ENGINE_RUNTIMES:
@@ -291,10 +331,6 @@ class ExchangeEngine:
         if runtime == "procs":
             from repro.simmpi.procs import ProcsPool, default_worker_count
 
-            if n_workers is not None and int(n_workers) < 1:
-                raise ValidationError(
-                    f"n_workers must be >= 1, got {n_workers}"
-                )
             self._pool = ProcsPool(
                 n_workers=int(n_workers) if n_workers is not None
                 else default_worker_count(self.n_ranks),
@@ -449,7 +485,9 @@ class ExchangeEngine:
         dense arrays.  Returns a fresh flat array of every rank's received
         values in ``world.result_items_all`` order (delimited per rank by
         ``world.result_offsets``) — what ``PersistentNeighborCollective.wait``
-        hands each rank on the envelope-routed path.
+        hands each rank on the envelope-routed path.  It is made by one
+        gather from the work array, which also performs the round's terminal
+        deliveries: those rows are read from their sources, never staged.
 
         On a handle registered with ``vector_length=n``, ``values`` is the
         ``(n,)`` vector itself (anything else raises :class:`ValidationError`)
@@ -492,11 +530,9 @@ class ExchangeEngine:
             rows = (work if state.shared is None else work.copy()).reshape(-1)
             rows.flags.writeable = False
             return rows
-        if isinstance(state.result, slice):
-            rows = work[state.result].copy()
-        else:
-            # Indices were validated at staging: the unbuffered clip mode is safe.
-            rows = np.take(work, state.result, axis=0, mode="clip")
+        # One pass: the terminal deliveries, and the rows earlier steps made.
+        rows = np.empty((state.result.size, work.shape[1]), dtype=work.dtype)
+        self._kernels.gather(work, state.result, rows)
         return rows.reshape(-1) if state.world.spec.item_size == 1 else rows
 
     # -- helpers --------------------------------------------------------------

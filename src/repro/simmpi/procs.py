@@ -19,9 +19,13 @@ every write of a step before any read of the next.  Send steps move nothing:
 they stay accounting in the parent (and fault-injection points here).
 
 The parent loads the head — rows no worker ever writes — before dispatching
-and copies results out after all workers report done, so no shared-memory
-view ever escapes to the caller.  Message accounting (the profiler) stays in
-the parent, exactly as on the serial path.
+and, after all workers report done, runs the output gather into a fresh
+array, so no shared-memory view ever escapes to the caller.  That gather
+also makes the deliveries of every *terminal* receive step (one whose rows
+no later step reads): the engine staged such a step with an empty range
+``a == b``, so every worker's share of it is empty and only the barrier
+and the fault-injection point remain.  Message accounting (the profiler)
+stays in the parent, exactly as on the serial path.
 
 **Supervision.**  The parent collects acknowledgements with one
 ``multiprocessing.connection.wait`` over every command pipe *and* every

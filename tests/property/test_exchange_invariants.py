@@ -10,12 +10,20 @@ on the engine and check what actually arrives:
 (c) the profiler's totals are ``plan.statistics()``, and inter-region message
     counts never rise from standard to partial to full — repeat deliveries
     the staged data path drops are still counted;
-(d) the staged blocks tile ``[0, n_world_rows)`` with one row per distinct
-    delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without repeats;
+(d) a bound layout's blocks tile ``[0, n_world_rows)`` with one row per
+    distinct delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without
+    repeats; an unbound layout folds every *terminal* block (read by no
+    later step's ``src``, the last receive step's always) into its result —
+    the step keeps its slot with ``a == b``, the other blocks tile ``work``,
+    and ``len(work)`` plus the folded rows is ``n_world_rows``;
 (e) none of it depends on who runs the steps: a ``runtime="procs"`` pool of
     one worker, of three, or of more workers than a step has rows delivers
     the same bytes and accounts the same traffic, and its workers' shares
-    tile every step's ``[a, b)``, no two differing by more than one row.
+    tile every step's ``[a, b)``, no two differing by more than one row;
+(f) every round is byte-equal to the reference executor that runs the
+    compiled program as written, three fancy-index passes per phase on
+    ``n_world_rows`` rows — whatever the variant, dtype, item size or
+    runtime.
 """
 
 from __future__ import annotations
@@ -51,9 +59,64 @@ def _required(pattern: CommPattern, rank: int) -> np.ndarray:
     return np.unique(np.concatenate(items)) if items else np.empty(0, np.int64)
 
 
+def _blocks(state):
+    """``(a, b)`` of every receive step of a staged layout."""
+    return [(a, b) for _, src, a, b in state.steps if src is not None]
+
+
 def _receive_steps(world):
-    """``(a, b)`` of every receive step of ``world``'s staged layout."""
-    return [(a, b) for _, src, a, b in _stage(world).steps if src is not None]
+    """``(a, b)`` of every receive step of ``world``'s unbound layout."""
+    return _blocks(_stage(world))
+
+
+def _reference_round(world, values: np.ndarray) -> np.ndarray:
+    """(f) the program as compiled: ``work[scatter] = work[gather][wire_perm]``
+    per receive step on every world row, then the result rows."""
+    item_size = world.spec.item_size
+    work = np.zeros((world.n_world_rows, item_size), dtype=values.dtype)
+    work[world.owned_rows] = values.reshape(-1, item_size)
+    for kind, phase in world.steps:
+        program = world.programs[phase]
+        if kind == "recv":
+            work[program.scatter] = work[program.gather][program.wire_perm]
+    result = work[world.result_rows]
+    return result.reshape(-1) if item_size == 1 else result
+
+
+def _assert_layout(world) -> None:
+    """(d) the bound and the unbound layout of ``world``."""
+    n_owned = world.owned_rows.size
+    head = int(world.owned_items_all.max(initial=-1)) + 1
+    bound, unbound = _stage(world, head), _stage(world)
+    full, kept = _blocks(bound), _blocks(unbound)
+    # Bound: every block, one after another, one row per distinct key.
+    edges = [head] + [b for _, b in full]
+    assert [a for a, _ in full] == edges[:-1]
+    assert edges[-1] - head + n_owned == world.n_world_rows == \
+        bound.work.shape[0] - head + n_owned
+    scatters = [world.programs[phase].scatter
+                for kind, phase in world.steps if kind == "recv"]
+    delivered = np.concatenate(scatters) if scatters else np.empty(0, int)
+    fresh = np.setdiff1d(delivered, world.owned_rows).size
+    assert sum(b - a for a, b in full) == fresh <= delivered.size
+    no_repeats = np.unique(delivered).size == delivered.size and \
+        not np.isin(delivered, world.owned_rows).any()
+    assert (fresh == delivered.size) == no_repeats
+    # Unbound: the terminal blocks fold away, the others tile ``work``.
+    read = np.zeros(bound.work.shape[0], dtype=bool)
+    for _, src, _, _ in bound.steps:
+        if src is not None:
+            read[src] = True
+    terminal = [not read[a:b].any() for a, b in full]
+    assert not full or terminal[-1]
+    assert [b - a for a, b in kept] == \
+        [0 if folded else b - a for (a, b), folded in zip(full, terminal)]
+    edges = [n_owned] + [b for _, b in kept]
+    assert [a for a, _ in kept] == edges[:-1]
+    assert edges[-1] == unbound.work.shape[0]
+    folded_rows = sum(b - a for (a, b), folded in zip(full, terminal) if folded)
+    assert unbound.work.shape[0] + folded_rows == world.n_world_rows
+    assert unbound.result.size == world.result_rows.size
 
 
 def _assert_shares_tile(steps, n_workers: int) -> None:
@@ -97,9 +160,12 @@ def _run_variants(pattern: CommPattern, mapping, n_workers=None):
             assert result.tobytes() == _oracle(
                 world.result_items_all, pattern.item_size,
                 pattern.dtype).tobytes()
-            # A second round with other values must not see stale rows.
-            assert np.array_equal(collective.exchange_flat(values * 2),
-                                  result * 2)
+            # (f) this round and a second one, which must not see stale rows.
+            assert result.tobytes() == _reference_round(world, values).tobytes()
+            again = collective.exchange_flat(values * 2)
+            assert again.tobytes() == \
+                _reference_round(world, values * 2).tobytes()
+            assert np.array_equal(again, result * 2)
         outcomes[variant] = (plan, world, profiler, result.tobytes())
     # (b) one answer, whatever the route.
     assert len({outcome[3] for outcome in outcomes.values()}) == 1
@@ -147,20 +213,7 @@ def test_executed_rounds_keep_the_papers_invariants(case):
     outcomes = _run_variants(pattern, mapping)
     _assert_accounting(outcomes)
     for variant in VARIANTS:
-        world = outcomes[variant][1]
-        # (d) the staged layout, against a sort-based count of the rows.
-        blocks = _receive_steps(world)
-        edges = [world.owned_rows.size] + [b for _, b in blocks]
-        assert [a for a, _ in blocks] == edges[:-1]
-        assert edges[-1] == world.n_world_rows
-        scatters = [world.programs[phase].scatter
-                    for kind, phase in world.steps if kind == "recv"]
-        delivered = np.concatenate(scatters) if scatters else np.empty(0, int)
-        fresh = np.setdiff1d(delivered, world.owned_rows).size
-        assert sum(b - a for a, b in blocks) == fresh <= delivered.size
-        no_repeats = np.unique(delivered).size == delivered.size and \
-            not np.isin(delivered, world.owned_rows).any()
-        assert (fresh == delivered.size) == no_repeats
+        _assert_layout(outcomes[variant][1])
 
 
 def _more_workers_than_the_smallest_step_has_rows(plan) -> int:
@@ -195,14 +248,26 @@ EDGE_PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("item_size", [1, 3])
+@pytest.mark.parametrize("n_workers", [None, 2])
+@pytest.mark.parametrize("item_size", [1, 3, 8])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_every_round_is_the_reference_executors(dtype, item_size, n_workers):
+    """(f) on the whole dtype × item size × runtime grid, every variant."""
+    pattern = random_pattern(8, avg_neighbors=3.0, avg_items_per_message=6.0,
+                             duplicate_fraction=0.3, items_per_rank=12,
+                             seed=41, dtype=dtype, item_size=item_size)
+    mapping = paper_mapping(8, ranks_per_node=4)
+    _assert_accounting(_run_variants(pattern, mapping, n_workers))
+
+
+@pytest.mark.parametrize("item_size", [1, 3, 8])
 @pytest.mark.parametrize("name", EDGE_PATTERNS)
 def test_edge_programs_run_and_agree(name, item_size):
     pattern = CommPattern(4, EDGE_PATTERNS[name], item_size=item_size)
     mapping = paper_mapping(4, ranks_per_node=2)
     outcomes = _run_variants(pattern, mapping)
-    for plan, world, _, _ in outcomes.values():
-        assert _stage(world).work.shape == (world.n_world_rows, item_size)
+    for _, world, _, _ in outcomes.values():
+        _assert_layout(world)
     # (e) the same programs with idle workers: their steps have 0-4 rows.
     pooled = _run_variants(pattern, mapping,
                            _more_workers_than_the_smallest_step_has_rows)

@@ -176,6 +176,15 @@ class TestRuntimeSelection:
         with pytest.raises(ValidationError, match="n_workers"):
             ExchangeEngine(4, runtime="procs", n_workers=0)
 
+    @pytest.mark.parametrize("runtime", [None, "engine", "procs"])
+    @pytest.mark.parametrize("n_workers", [0, -1, -64])
+    def test_worker_count_is_validated_on_every_runtime(self, runtime,
+                                                        n_workers):
+        with pytest.raises(ValidationError,
+                           match=rf"n_workers must be >= 1, got {n_workers}"):
+            ExchangeEngine(4, runtime=runtime, n_workers=n_workers)
+        assert ExchangeEngine(4, runtime="engine", n_workers=1).n_workers == 1
+
     def test_default_worker_count_bounds(self):
         assert default_worker_count(1) == 1
         assert 1 <= default_worker_count(10 ** 6)
