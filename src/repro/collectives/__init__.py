@@ -55,7 +55,6 @@ from repro.collectives.exchange import (
     WorldPhaseProgram,
     compile_exchange,
     compile_world_exchange,
-    compile_world_exchange_reference,
 )
 from repro.collectives.plan_cache import (
     PlanCacheWarning,
@@ -80,8 +79,6 @@ from repro.collectives.api import (
     neighbor_alltoallv_init_many,
     neighbor_alltoallv_init_world,
     neighbor_alltoallv,
-    pack_alltoallv_buffers,
-    unpack_alltoallv_buffers,
 )
 from repro.collectives.selection import SelectionResult, select_variant, best_per_pattern
 from repro.collectives.autotune import (
@@ -127,7 +124,6 @@ __all__ = [
     "WorldPhaseProgram",
     "compile_exchange",
     "compile_world_exchange",
-    "compile_world_exchange_reference",
     "PlanCacheWarning",
     "clear_plan_cache",
     "plan_cache_stats",
@@ -144,8 +140,6 @@ __all__ = [
     "neighbor_alltoallv_init_many",
     "neighbor_alltoallv_init_world",
     "neighbor_alltoallv",
-    "pack_alltoallv_buffers",
-    "unpack_alltoallv_buffers",
     "SelectionResult",
     "select_variant",
     "best_per_pattern",

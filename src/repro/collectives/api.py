@@ -49,7 +49,7 @@ array([50.])
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -333,7 +333,7 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
 def neighbor_alltoallv(graph_comm: DistGraphComm,
                        send_items: Mapping[int, Sequence[int]],
                        recv_items: Mapping[int, Sequence[int]],
-                       values: Union[np.ndarray, Mapping[int, float]],
+                       values: np.ndarray,
                        mapping: RankMapping,
                        *,
                        variant: Variant | str = Variant.PARTIAL,
@@ -341,81 +341,14 @@ def neighbor_alltoallv(graph_comm: DistGraphComm,
                        dtype: np.dtype | type | str = np.float64,
                        item_size: int = 1,
                        item_bytes: int | None = None
-                       ) -> Union[np.ndarray, Dict[int, float]]:
+                       ) -> np.ndarray:
     """Non-persistent convenience wrapper: init, one exchange, done.
 
     ``values`` is a dense array over this rank's owned items in ascending item
-    id order (or, deprecated, an item-keyed mapping — the result mirrors the
-    input style).
+    id order; the result is in ascending received-item id order.
     """
     collective = neighbor_alltoallv_init(graph_comm, send_items, recv_items, mapping,
                                          variant=variant, strategy=strategy,
                                          dtype=dtype, item_size=item_size,
                                          item_bytes=item_bytes)
     return collective.exchange(values)
-
-
-def _lookup_dense(item_lists: Mapping[int, Sequence[int]],
-                  values: Mapping[int, float],
-                  ranks: list[int], dtype: np.dtype | None, item_size: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core of the alltoallv buffer helpers.
-
-    Returns ``(buffer, counts, displs)`` where ``buffer`` concatenates the
-    values of every rank's item list in rank order.  The value lookup is a
-    single vectorized ``searchsorted`` — no per-item Python loop.
-    """
-    counts = np.array([len(item_lists[r]) for r in ranks], dtype=INDEX_DTYPE)
-    displs = counts_to_displs(counts)
-    wanted = np.array([int(i) for r in ranks for i in item_lists[r]],
-                      dtype=INDEX_DTYPE)
-    ids = np.fromiter(values.keys(), dtype=INDEX_DTYPE, count=len(values))
-    table = np.asarray(list(values.values()))
-    if item_size > 1:
-        table = table.reshape(ids.size, item_size)
-    if dtype is not None:
-        table = table.astype(dtype, copy=False)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    positions = np.searchsorted(sorted_ids, wanted)
-    found = positions < sorted_ids.size
-    found[found] = sorted_ids[positions[found]] == wanted[found]
-    if not found.all():
-        raise ValidationError(f"no value for item(s) {wanted[~found][:5].tolist()}")
-    buffer = table[order[positions]]
-    return np.ascontiguousarray(buffer), counts, displs
-
-
-def pack_alltoallv_buffers(send_items: Mapping[int, Sequence[int]],
-                           values: Mapping[int, float],
-                           *, dtype: np.dtype | type | str | None = None,
-                           item_size: int = 1
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Build classic MPI-style ``(sendbuf, counts, displs, neighbor order)`` buffers.
-
-    Utility for applications that keep their data in alltoallv-style packed
-    buffers.  The packing is fully vectorized (one ``searchsorted`` + one
-    fancy index) and dtype-aware: ``dtype`` defaults to the dtype of the
-    values, and ``item_size > 1`` packs vector-valued items contiguously.
-    """
-    destinations = sorted(int(d) for d in send_items)
-    buffer, counts, displs = _lookup_dense(send_items, values, destinations,
-                                           np.dtype(dtype) if dtype else None,
-                                           item_size)
-    return buffer, counts, displs[:-1], destinations
-
-
-def unpack_alltoallv_buffers(recv_items: Mapping[int, Sequence[int]],
-                             received: Mapping[int, float],
-                             *, dtype: np.dtype | type | str | None = None,
-                             item_size: int = 1
-                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Arrange received item values into MPI-style packed receive buffers.
-
-    Vectorized and dtype-aware, mirroring :func:`pack_alltoallv_buffers`.
-    """
-    sources = sorted(int(s) for s in recv_items)
-    buffer, counts, displs = _lookup_dense(recv_items, received, sources,
-                                           np.dtype(dtype) if dtype else None,
-                                           item_size)
-    return buffer, counts, displs[:-1], sources

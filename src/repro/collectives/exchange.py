@@ -2,21 +2,19 @@
 
 A :class:`CollectivePlan` describes *what* moves (slot tables and payload
 keys); this module compiles one rank's share of a plan into *how* it moves on
-dense numpy buffers.  The compiled form replaces the item-keyed-dict data
-path: every value a rank ever holds during one exchange — its owned items plus
-everything it receives in any phase — is assigned a row of a dense *work
-array*, and every message gets a precomputed gather (pack) or scatter (unpack)
-index into that array.  Per-iteration packing is then a single fancy-index per
-phase (``arena = work[gather]``) and unpacking its mirror
-(``work[scatter] = arena``), with no per-item Python loops anywhere on the
-Start/Wait path.
+dense numpy buffers: every value a rank ever holds during one exchange — its
+owned items plus everything it receives in any phase — is assigned a row of a
+dense *work array*, and every message gets a precomputed gather (pack) or
+scatter (unpack) index into that array.  Per-iteration packing is then a
+single fancy-index per phase (``arena = work[gather]``) and unpacking its
+mirror (``work[scatter] = arena``), with no per-item Python loops anywhere on
+the Start/Wait path.
 
-Compilation itself is columnar too.  The per-rank compiler (the pinned
-reference) resolves all keys of a schedule step with one lexsort-based batch
-lookup; the world compiler never looks at an ``(origin, item)`` pair at all —
-it reads the plan's phase tables, whose payload rows carry the pattern's
-interned key ids, and sorts and joins on one packed ``holder * width + key``
-int64.
+Compilation itself is columnar too.  The per-rank compiler resolves all keys
+of a schedule step with one lexsort-based batch lookup; the world compiler
+never looks at an ``(origin, item)`` pair at all — it reads the plan's phase
+tables, whose payload rows carry the pattern's interned key ids, and sorts
+and joins on one packed ``holder * width + key`` int64.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
@@ -35,7 +33,7 @@ no per-rank Python loop on the data path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from repro.collectives.plan import (
 from repro.utils.arrays import (
     INDEX_DTYPE,
     argsort_packed,
-    concatenate_or_empty,
     counts_to_displs,
     gather_ranges,
     run_starts_mask,
@@ -370,8 +367,9 @@ class WorldPhaseProgram:
 class WorldExchange:
     """Every rank's compiled exchange, concatenated into one world program.
 
-    Rank ``r``'s work-array rows live in the world block
-    ``[rank_bases[r], rank_bases[r] + compiled[r].n_rows)``.  ``owned_rows``
+    Rank ``r``'s work-array rows (what :func:`compile_exchange` would number
+    for it alone) live in the world block
+    ``[rank_bases[r], rank_bases[r + 1])``.  ``owned_rows``
     and ``result_rows`` are world-row index arrays for loading all ranks'
     dense inputs and gathering all ranks' dense outputs with one fancy index
     each; ``owned_offsets`` / ``result_offsets`` delimit each rank's slice of
@@ -382,11 +380,9 @@ class WorldExchange:
     The per-rank item metadata is stored columnar: ``owned_items_all`` /
     ``result_items_all`` / ``result_sources_all`` concatenate every rank's
     owned-input and result-output id columns, delimited by ``owned_offsets``
-    and ``result_offsets`` — the accessors below slice them.  ``compiled``
-    (the per-rank :class:`CompiledExchange` list) is only populated by the
-    pinned reference compiler; the world-level pass never materialises it,
-    which also keeps a :class:`WorldExchange` free of plan-object references
-    and therefore cheap to pickle for the on-disk plan cache.
+    and ``result_offsets`` — the accessors below slice them.  A world holds
+    arrays only, no plan-object reference, so it is cheap to pickle for the
+    on-disk plan cache.
     """
 
     variant: Variant
@@ -403,7 +399,6 @@ class WorldExchange:
     owned_items_all: np.ndarray
     result_items_all: np.ndarray
     result_sources_all: np.ndarray
-    compiled: List[CompiledExchange] | None = None
 
     @property
     def n_messages(self) -> int:
@@ -426,139 +421,14 @@ class WorldExchange:
             self.result_offsets[rank]:self.result_offsets[rank + 1]]
 
 
-def compile_world_exchange_reference(plan: CollectivePlan,
-                                     spec: ExchangeSpec | None = None
-                                     ) -> WorldExchange:
-    """Compile all ranks' shares of ``plan`` into one batched world program.
-
-    Pinned per-rank reference per the repo's golden-equivalence convention:
-    every rank is compiled with :func:`compile_exchange` (so the world program
-    is the per-rank programs, verbatim, re-based into one row space), then each
-    phase's messages are matched sender-to-receiver: the ``k``-th send from
-    ``src`` to ``dest`` in ``src``'s message order pairs with the ``k``-th
-    receive from ``src`` in ``dest``'s order — the same FIFO matching the
-    mailbox fabric performs — and the pairing becomes the phase's static
-    ``wire_perm``.  ``spec`` defaults to the pattern's dtype/item_size.
-
-    This walks a Python loop over ranks (and scans the phase message lists
-    once per rank), which is O(ranks × messages); the production
-    :func:`compile_world_exchange` emits identical arrays with one world-level
-    pass and is what every caller should use.
-    """
-    if spec is None:
-        spec = ExchangeSpec(dtype=plan.pattern.dtype,
-                            item_size=plan.pattern.item_size)
-    n_ranks = plan.pattern.n_ranks
-    compiled = [compile_exchange(plan, rank, spec) for rank in range(n_ranks)]
-
-    rank_bases = counts_to_displs(np.fromiter((c.n_rows for c in compiled),
-                                              dtype=INDEX_DTYPE, count=n_ranks))
-    owned_rows = np.concatenate([
-        rank_bases[rank] + np.arange(c.n_owned, dtype=INDEX_DTYPE)
-        for rank, c in enumerate(compiled)
-    ]) if n_ranks else np.empty(0, dtype=INDEX_DTYPE)
-    owned_offsets = counts_to_displs(np.fromiter(
-        (c.n_owned for c in compiled), dtype=INDEX_DTYPE, count=n_ranks))
-    result_rows = np.concatenate([
-        rank_bases[rank] + c.result_rows for rank, c in enumerate(compiled)
-    ]) if n_ranks else np.empty(0, dtype=INDEX_DTYPE)
-    result_offsets = counts_to_displs(np.fromiter(
-        (c.n_result for c in compiled), dtype=INDEX_DTYPE, count=n_ranks))
-
-    if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
-        order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
-    else:
-        order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
-
-    programs: Dict[Phase, WorldPhaseProgram] = {}
-    for index, phase in enumerate(order):
-        gather_parts: List[np.ndarray] = []
-        scatter_parts: List[np.ndarray] = []
-        sources: List[int] = []
-        dests: List[int] = []
-        counts: List[int] = []
-        # Wire layout: rank by rank, message by message, in send order.  The
-        # dict maps each message (by identity — every PlannedMessage appears in
-        # exactly one sender's and one receiver's list) to its wire slice.
-        wire_slices: Dict[int, Tuple[int, int]] = {}
-        offset = 0
-        for rank, world in enumerate(compiled):
-            cp = world.phases[index]
-            gather_parts.append(rank_bases[rank] + cp.gather)
-            send_offsets = cp.send_offsets
-            for i, message in enumerate(cp.send_messages):
-                start = offset + int(send_offsets[i])
-                stop = offset + int(send_offsets[i + 1])
-                wire_slices[id(message)] = (start, stop)
-                sources.append(message.src)
-                dests.append(message.dest)
-                counts.append(stop - start)
-            offset += int(cp.gather.size)
-        perm_parts: List[np.ndarray] = []
-        for rank, world in enumerate(compiled):
-            cp = world.phases[index]
-            scatter_parts.append(rank_bases[rank] + cp.scatter)
-            recv_offsets = cp.recv_offsets
-            for i, message in enumerate(cp.recv_messages):
-                start, stop = wire_slices[id(message)]
-                expected = int(recv_offsets[i + 1] - recv_offsets[i])
-                if stop - start != expected:
-                    raise PlanError(
-                        f"phase-{phase.value} message {message.src}->"
-                        f"{message.dest} packs {stop - start} items but the "
-                        f"receiver unpacks {expected}"
-                    )
-                perm_parts.append(np.arange(start, stop, dtype=INDEX_DTYPE))
-        gather = concatenate_or_empty(gather_parts)
-        scatter = concatenate_or_empty(scatter_parts)
-        wire_perm = concatenate_or_empty(perm_parts)
-        if wire_perm.size != scatter.size:
-            raise PlanError(
-                f"phase-{phase.value} wire permutation covers {wire_perm.size} "
-                f"items but the world scatter expects {scatter.size}"
-            )
-        programs[phase] = WorldPhaseProgram(
-            phase=phase,
-            tag=PHASE_TAGS[phase],
-            gather=gather,
-            scatter=scatter,
-            wire_perm=wire_perm,
-            msg_sources=np.asarray(sources, dtype=INDEX_DTYPE),
-            msg_dests=np.asarray(dests, dtype=INDEX_DTYPE),
-            msg_nbytes=np.asarray(counts, dtype=INDEX_DTYPE) * spec.item_bytes,
-        )
-
-    return WorldExchange(
-        variant=plan.variant,
-        spec=spec,
-        n_ranks=n_ranks,
-        n_world_rows=int(rank_bases[-1]),
-        rank_bases=rank_bases,
-        owned_rows=owned_rows,
-        owned_offsets=owned_offsets,
-        result_rows=result_rows,
-        result_offsets=result_offsets,
-        steps=schedule,
-        programs=programs,
-        owned_items_all=concatenate_or_empty(
-            [c.owned_items for c in compiled]),
-        result_items_all=concatenate_or_empty(
-            [c.result_items for c in compiled]),
-        result_sources_all=concatenate_or_empty(
-            [c.result_sources for c in compiled]),
-        compiled=compiled,
-    )
-
-
 def compile_world_exchange(plan: CollectivePlan,
                            spec: ExchangeSpec | None = None) -> WorldExchange:
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
-    Emits arrays byte-identical to :func:`compile_world_exchange_reference`
-    (the pinned per-rank compiler) without a per-rank
-    :class:`CompiledExchange` or a :class:`PlannedMessage`: the pass reads the
-    plan's phase tables and replays *every* rank's registration chronology at
-    once.
+    Emits the per-rank :func:`compile_exchange` programs, re-based into one
+    row space, without a per-rank :class:`CompiledExchange` or a
+    :class:`PlannedMessage`: the pass reads the plan's phase tables and
+    replays *every* rank's registration chronology at once.
 
     Every value a rank can hold is one int64, ``holder * width + key``; ``key``
     is the pattern's interned ``(origin, item)`` id

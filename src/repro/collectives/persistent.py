@@ -15,15 +15,11 @@ complex128/…) with any number of components per item.  Packing is one fancy
 index per phase into a contiguous send arena whose per-message slices are
 posted directly as the persistent send buffers; unpacking is the mirror
 scatter.  No per-item Python loop runs between ``start`` and ``wait``.
-
-The original item-keyed-dict interface (``start({item: value})`` /
-``wait() -> {item: value}``) is kept as a thin **deprecated** compatibility
-wrapper that converts at the boundary and runs the same array core.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Union
+from typing import List
 
 import numpy as np
 
@@ -42,7 +38,7 @@ from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ExchangeEngine, WorldValues
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.request import PersistentRecvRequest, PersistentSendRequest
-from repro.utils.errors import CommunicationError, PlanError, ValidationError
+from repro.utils.errors import CommunicationError, ValidationError
 from repro.utils.validation import check_value_preserving_cast
 
 #: Tag offsets per phase so concurrent phases never match each other's traffic
@@ -126,20 +122,13 @@ class _PhaseEndpoint:
         return len(self.send_messages)
 
 
-#: Caller-side value container: a dense array (canonical) or the deprecated
-#: item-keyed mapping.
-Values = Union[np.ndarray, Mapping[int, float]]
-
-
 class PersistentNeighborCollective:
     """One rank's persistent handle for a planned neighborhood collective.
 
-    The canonical interface is array-native: ``start`` takes a dense array of
-    the rank's owned item values in ``owned_item_ids`` order (shape
+    The interface is array-native: ``start`` takes a dense array of the
+    rank's owned item values in ``owned_item_ids`` order (shape
     ``(n_owned,)``, or ``(n_owned, item_size)`` for vector-valued items) and
-    ``wait`` returns the received values in ``recv_item_ids`` order.  Passing a
-    ``{item id: value}`` mapping instead still works but converts at the
-    boundary and is deprecated.
+    ``wait`` returns the received values in ``recv_item_ids`` order.
     """
 
     def __init__(self, comm: SimComm, plan: CollectivePlan, *,
@@ -166,7 +155,6 @@ class PersistentNeighborCollective:
         self._work = np.zeros((self.compiled.n_rows, self.spec.item_size),
                               dtype=self.spec.dtype)
         self._started = False
-        self._dict_mode = False
 
     # -- array API: index metadata ---------------------------------------------
 
@@ -197,20 +185,17 @@ class PersistentNeighborCollective:
 
     # -- persistent life-cycle ----------------------------------------------------
 
-    def start(self, values: Values) -> None:
+    def start(self, values: np.ndarray) -> None:
         """Begin one iteration of communication (MPI_Start).
 
-        ``values`` holds the current values of the items this rank *owns*: a
-        dense array in ``owned_item_ids`` order, or (deprecated) an item-keyed
-        mapping.  Following Algorithm 5, the fully local phase and the initial
-        redistribution are started immediately; the redistribution is completed
-        inside ``start`` so the inter-region phase can begin.
+        ``values`` holds the current values of the items this rank *owns*, as
+        a dense array in ``owned_item_ids`` order.  Following Algorithm 5, the
+        fully local phase and the initial redistribution are started
+        immediately; the redistribution is completed inside ``start`` so the
+        inter-region phase can begin.
         """
         if self._started:
             raise CommunicationError("collective started twice without wait")
-        self._dict_mode = isinstance(values, Mapping)
-        if self._dict_mode:
-            values = self._array_from_mapping(values)
         self._load_owned(values)
         work = self._work
         if self.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
@@ -230,12 +215,12 @@ class PersistentNeighborCollective:
             global_phase.start()
         self._started = True
 
-    def wait(self) -> Union[np.ndarray, Dict[int, float]]:
+    def wait(self) -> np.ndarray:
         """Complete the iteration (MPI_Wait) and return received values.
 
         Returns the values of every item this rank receives in the pattern
-        (plus items it sends to itself) in ``recv_item_ids`` order — as a dense
-        array, or as an item-keyed dict when ``start`` was given a mapping.
+        (plus items it sends to itself), as a dense array in
+        ``recv_item_ids`` order.
         """
         if not self._started:
             raise CommunicationError("wait called before start")
@@ -255,64 +240,12 @@ class PersistentNeighborCollective:
         result = work[self.compiled.result_rows]
         if self.spec.item_size == 1:
             result = result.reshape(-1)
-        if self._dict_mode:
-            return self._mapping_from_array(result)
         return result
 
-    def exchange(self, values: Values) -> Union[np.ndarray, Dict[int, float]]:
+    def exchange(self, values: np.ndarray) -> np.ndarray:
         """Convenience start-then-wait for a single iteration."""
         self.start(values)
         return self.wait()
-
-    # -- deprecated dict boundary ---------------------------------------------------
-
-    def _array_from_mapping(self, values: Mapping[int, float]) -> np.ndarray:
-        """Convert an item-keyed mapping into the dense input array (deprecated path).
-
-        One ``np.fromiter`` over the keys plus one ``searchsorted`` lookup —
-        the boundary cost is O(n log n) array work, not a per-item Python loop.
-        """
-        wanted = self.compiled.owned_items
-        ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-        table = np.asarray(list(values.values()))
-        self._check_input_dtype(table.dtype)
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        positions = np.searchsorted(sorted_ids, wanted)
-        found = positions < sorted_ids.size
-        found[found] = sorted_ids[positions[found]] == wanted[found]
-        if not found.all():
-            missing = int(wanted[int(np.argmax(~found))])
-            raise PlanError(
-                f"rank {self.rank} holds no value for item {missing} needed by "
-                "the exchange"
-            )
-        array = table[order[positions]].astype(self.spec.dtype, copy=False)
-        if array.ndim == 1 and self.spec.item_size > 1:
-            # Scalar values broadcast across the item row, as the per-item
-            # assignment loop did.
-            array = np.broadcast_to(array[:, None],
-                                    (array.shape[0], self.spec.item_size))
-        return np.ascontiguousarray(array).reshape(self.compiled.n_owned,
-                                                   self.spec.item_size)
-
-    def _mapping_from_array(self, result: np.ndarray) -> Dict[int, float]:
-        """Convert the dense output back into an item-keyed dict (deprecated path).
-
-        Built with one ``dict(zip(...))`` over ``ndarray.tolist()`` columns —
-        C-level iteration, no per-item numpy scalar boxing.
-        """
-        items = self.compiled.result_items.tolist()
-        if self.spec.item_size == 1:
-            return dict(zip(items, result.tolist()))
-        return dict(zip(items, np.ascontiguousarray(result)))
-
-    def _check_input_dtype(self, dtype: np.dtype) -> None:
-        """Reject value-corrupting input casts (same rule for array and dict input).
-
-        Delegates to the rule shared with the world-stepped engine.
-        """
-        check_value_preserving_cast(dtype, self.spec.dtype)
 
     def _load_owned(self, values: np.ndarray) -> None:
         """Copy the caller's dense input into the owned rows of the work array."""
@@ -320,7 +253,8 @@ class PersistentNeighborCollective:
         expected = (n_owned,) if self.spec.item_size == 1 else \
             (n_owned, self.spec.item_size)
         array = np.asarray(values)
-        self._check_input_dtype(array.dtype)
+        # Reject value-corrupting casts: the rule shared with the world engine.
+        check_value_preserving_cast(array.dtype, self.spec.dtype)
         array = array.astype(self.spec.dtype, copy=False)
         if array.shape != expected and array.shape != (n_owned, self.spec.item_size):
             raise ValidationError(

@@ -44,7 +44,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
@@ -301,19 +301,12 @@ def fetch_world(plan, spec):
 
 
 def store_world(plan, spec, world) -> None:
-    """Cache a freshly compiled world exchange in both tiers.
-
-    Only worlds without the per-rank ``compiled`` list are persisted to disk
-    (the world-level compiler never builds it); reference-compiled worlds
-    drag the whole plan object graph into the pickle, so they stay
-    memory-only.
-    """
+    """Cache a freshly compiled world exchange in both tiers."""
     key = world_key(plan, spec)
     if key is None:
         return
     _world_lru.put(key, world)
-    if world.compiled is None:
-        _disk_store("world", key, world)
+    _disk_store("world", key, world)
 
 
 def clear_plan_cache(*, disk: bool = False) -> None:

@@ -14,8 +14,8 @@ sort per phase, and the sorted columns *are* the phase — a
 :class:`~repro.collectives.plan.PhaseTable` keeps them and finds the message
 runs by boundary detection, so planning cost scales with neither routed items
 nor messages.  The slot-list implementation this replaced is preserved
-verbatim in :mod:`repro.collectives.reference` and pinned to this planner by
-the golden-equivalence tests.
+verbatim as a test oracle (``tests/collectives/reference_planner.py``) and
+pinned to this planner by the golden-equivalence tests.
 """
 
 from __future__ import annotations

@@ -4,14 +4,11 @@ The production :class:`~repro.pattern.comm_pattern.CommPattern` stores CSR
 columns and every builder emits them directly.  This module preserves the
 original edge-by-edge construction — ``Dict[src, Dict[dest, items]]`` send
 maps assembled with ``setdefault`` loops, and the per-edge derivation of the
-columnar edge tables — so that
+columnar edge tables — so that the construction-equivalence tests
+(``test_construction_equivalence.py``) can pin the CSR build to
+byte-identical ``edge_arrays()`` / ``unique_edge_table()`` output.
 
-* the construction-equivalence tests can pin the CSR build to byte-identical
-  ``edge_arrays()`` / ``unique_edge_table()`` output, and
-* the pattern-construction micro-benchmark has an honest dict-build baseline
-  to gate the vectorized path against.
-
-Nothing in the library proper imports this module.
+It is a test oracle, not library code.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from repro.utils.errors import ValidationError
 class DictPattern:
     """Seed-style pattern container: dict-of-dict storage, per-edge loops.
 
-    Only the surface the equivalence tests and the construction benchmark
-    need is reproduced: construction semantics (int casts, empty-edge
+    Only the surface the equivalence tests need is reproduced:
+    construction semantics (int casts, empty-edge
     dropping, range validation), deterministic ``edges()`` iteration, and the
     per-edge derivation of ``edge_arrays()`` / ``unique_edge_table()``.
     """

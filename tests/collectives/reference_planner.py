@@ -4,15 +4,12 @@ The production planner (:mod:`repro.collectives.planner`) compiles patterns
 into columnar :class:`~repro.collectives.plan.SlotTable` plans.  This module
 preserves the original per-slot implementation — one Python ``Slot`` NamedTuple
 per routed item, dict-of-list grouping, per-slot statistics and validation —
-for two purposes:
+so the golden-equivalence tests (``test_plan_equivalence.py``) can assert
+that the columnar planner produces byte-identical phases, payload keys, and
+statistics for every variant.
 
-* the golden-equivalence tests assert that the columnar planner produces
-  byte-identical phases, payload keys, and statistics for every variant, and
-* the planner microbenchmark gates the columnar path at >= 5x the speed of
-  this baseline.
-
-Nothing in the library imports this module on a hot path.  Do not "optimise"
-it: its value is being a faithful copy of the seed semantics.
+It is a test oracle, not library code.  Do not "optimise" it: its value is
+being a faithful copy of the seed semantics.
 """
 
 from __future__ import annotations

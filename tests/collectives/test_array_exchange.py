@@ -2,9 +2,8 @@
 
 The tentpole claims of the array path: values flow through dense numpy buffers
 end to end (no per-item Python loops between ``start`` and ``wait``), the path
-is dtype-generic with vector-valued items, the wire carries exactly
-``count * item_size * dtype.itemsize`` bytes per message, and the deprecated
-item-keyed dict interface produces identical results through the same core.
+is dtype-generic with vector-valued items, and the wire carries exactly
+``count * item_size * dtype.itemsize`` bytes per message.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ import numpy as np
 import pytest
 
 import repro.collectives.persistent as persistent_module
-from repro.collectives.api import (
-    neighbor_alltoallv_init,
-    pack_alltoallv_buffers,
-    unpack_alltoallv_buffers,
-)
+from repro.collectives.api import neighbor_alltoallv_init
 from repro.collectives.exchange import ExchangeSpec, compile_exchange
 from repro.collectives.persistent import PersistentNeighborCollective
 from repro.collectives.plan import Variant
@@ -141,24 +136,6 @@ class TestArrayPathDeliversCorrectData:
 
         assert all(run_spmd(2, program, timeout=30))
 
-    def test_lossy_input_cast_raises_in_dict_mode_too(self, small_mapping):
-        """The deprecated dict boundary applies the same safe-cast rule as the
-        array path — complex values never silently lose their imaginary part."""
-        pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(ValidationError, match="safely cast"):
-                    collective.start({int(i): complex(i, 99.0)
-                                      for i in collective.owned_item_ids})
-            collective.exchange({int(i): float(i)
-                                 for i in collective.owned_item_ids})
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
-
     def test_wrong_input_shape_raises(self, small_mapping):
         pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])])
 
@@ -171,70 +148,6 @@ class TestArrayPathDeliversCorrectData:
             # Complete a real exchange so the peer does not hang.
             collective.exchange(np.arange(collective.owned_item_ids.size,
                                           dtype=np.float64))
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
-
-
-class TestDictCompatibilityWrapper:
-    """The deprecated item-keyed interface runs the same array core."""
-
-    def test_dict_and_array_results_agree(self):
-        n_ranks = 8
-        mapping = paper_mapping(n_ranks, ranks_per_node=4)
-        pattern = random_pattern(n_ranks, avg_neighbors=4, duplicate_fraction=0.4,
-                                 seed=43)
-
-        def program(comm):
-            rank = comm.rank
-            send_items = {d: pattern.send_items(rank, d).tolist()
-                          for d in pattern.send_ranks(rank)}
-            recv_items = {s: pattern.recv_items(rank, s).tolist()
-                          for s in pattern.recv_ranks(rank)}
-            sources, dests = neighbor_lists(pattern, rank)
-            graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-            collective = neighbor_alltoallv_init(graph, send_items, recv_items,
-                                                 mapping, variant=Variant.PARTIAL)
-            array_in = _owned_values(collective, rank, np.float64, 1)
-            dict_in = {int(i): float(v)
-                       for i, v in zip(collective.owned_item_ids, array_in)}
-            from_array = collective.exchange(array_in)
-            from_dict = collective.exchange(dict_in)
-            assert isinstance(from_dict, dict)
-            assert set(from_dict) == set(collective.recv_item_ids.tolist())
-            for position, item in enumerate(collective.recv_item_ids.tolist()):
-                assert from_dict[item] == from_array[position]
-            return True
-
-        assert all(run_spmd(n_ranks, program, timeout=120))
-
-    def test_dict_scalars_broadcast_across_item_components(self, small_mapping):
-        """A scalar per item in dict mode fills every component of the item row,
-        exactly as the seed's per-item assignment loop did."""
-        pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [10])],
-                                     item_size=3)
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan, item_size=3)
-            values = {int(i): float(i) for i in collective.owned_item_ids}
-            result = collective.exchange(values)
-            for item, row in result.items():
-                np.testing.assert_array_equal(row, np.full(3, float(item)))
-            return sorted(result)
-
-        received = run_spmd(2, program, timeout=30)
-        assert received == [[10], [1, 2]]
-
-    def test_missing_value_in_dict_raises(self, small_mapping):
-        pattern = pattern_from_edges(2, [(0, 1, [1, 2])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(PlanError, match="no value"):
-                    collective.start({1: 1.0})   # value for item 2 missing
             return True
 
         assert all(run_spmd(2, program, timeout=30))
@@ -371,20 +284,3 @@ class TestCompiledExchange:
             ExchangeSpec(item_size=0)
         spec = ExchangeSpec(dtype=np.float32, item_size=9)
         assert spec.item_bytes == 36
-
-
-class TestVectorizedBufferHelpers:
-    def test_pack_dtype_and_item_size(self):
-        send_items = {2: [7, 9], 1: [3]}
-        values = {7: [70.0, 71.0], 9: [90.0, 91.0], 3: [30.0, 31.0]}
-        buffer, counts, displs, order = pack_alltoallv_buffers(
-            send_items, values, dtype=np.float32, item_size=2)
-        assert buffer.dtype == np.float32
-        assert buffer.shape == (3, 2)
-        assert order == [1, 2]
-        np.testing.assert_array_equal(
-            buffer, np.array([[30, 31], [70, 71], [90, 91]], dtype=np.float32))
-
-    def test_unpack_missing_value_raises(self):
-        with pytest.raises(ValidationError, match="no value"):
-            unpack_alltoallv_buffers({0: [1, 2]}, {1: 1.0})

@@ -7,11 +7,18 @@ gather in the API — the CSR build has to produce *byte-identical* ``edge_array
 columns, equal patterns (``__eq__``/``__hash__`` invariant across construction
 routes), identical plan phases, and identical statistics to the seed's
 edge-by-edge dict construction, which is preserved in
-:mod:`repro.pattern.reference` for exactly this comparison.
+``reference_pattern.py`` for exactly this comparison.
 """
 
 import numpy as np
 import pytest
+
+from reference_pattern import (
+    DictPattern,
+    reference_halo_pattern,
+    reference_pattern_from_edges,
+    reference_random_pattern,
+)
 
 from repro.collectives.api import _gather_pattern
 from repro.collectives.plan import Variant
@@ -23,12 +30,6 @@ from repro.pattern.builders import (
     random_pattern,
 )
 from repro.pattern.comm_pattern import CommPattern
-from repro.pattern.reference import (
-    DictPattern,
-    reference_halo_pattern,
-    reference_pattern_from_edges,
-    reference_random_pattern,
-)
 from repro.amg.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
 from repro.simmpi.topo_comm import dist_graph_create_adjacent

@@ -10,11 +10,11 @@ import pytest
 
 from repro.collectives.api import (
     CollectiveRequest,
+    _pack_send_map,
+    _pattern_from_packets,
     neighbor_alltoallv,
     neighbor_alltoallv_init,
     neighbor_alltoallv_init_many,
-    pack_alltoallv_buffers,
-    unpack_alltoallv_buffers,
 )
 from repro.collectives.persistent import PersistentNeighborCollective
 from repro.collectives.plan import Variant
@@ -26,8 +26,21 @@ from repro.topology.presets import paper_mapping
 from repro.utils.errors import CommunicationError, ValidationError
 
 
-def _value_of(rank: int, item: int) -> float:
-    return 1000.0 * rank + item
+def _value_of(rank, item):
+    """The value ``rank`` holds for ``item`` (scalars or aligned arrays)."""
+    return 1000.0 * rank + np.asarray(item, dtype=np.float64)
+
+
+def _check_received(collective, received, recv_items, factor=1.0):
+    """``received`` is ``recv_item_ids`` order: every declared item, valued by
+    the source that declared it."""
+    ids = collective.recv_item_ids
+    assert ids.tolist() == sorted({int(i) for items in recv_items.values()
+                                   for i in items})
+    for src, items in recv_items.items():
+        positions = np.searchsorted(ids, items)
+        np.testing.assert_array_equal(received[positions],
+                                      factor * _value_of(src, items))
 
 
 def _exchange_program(comm, pattern, mapping, variant, iterations=1, scale=1.0):
@@ -41,14 +54,11 @@ def _exchange_program(comm, pattern, mapping, variant, iterations=1, scale=1.0):
     graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
     collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
                                          variant=variant)
-    owned = {int(i) for items in send_items.values() for i in items}
     for iteration in range(iterations):
         factor = scale * (iteration + 1)
-        values = {item: factor * _value_of(rank, item) for item in owned}
-        received = collective.exchange(values)
-        for src, items in recv_items.items():
-            for item in items:
-                assert received[int(item)] == factor * _value_of(src, item)
+        received = collective.exchange(
+            factor * _value_of(rank, collective.owned_item_ids))
+        _check_received(collective, received, recv_items, factor)
     return True
 
 
@@ -93,7 +103,7 @@ class TestPersistentHandleSemantics:
         def program(comm):
             plan = make_plan(pattern, small_mapping, Variant.STANDARD)
             collective = PersistentNeighborCollective(comm, plan)
-            values = {comm.rank * 0 + (1 if comm.rank == 0 else 2): 1.0}
+            values = np.ones(collective.owned_item_ids.size)
             collective.start(values)
             if comm.rank == 0:
                 with pytest.raises(CommunicationError, match="started twice"):
@@ -123,8 +133,22 @@ class TestPersistentHandleSemantics:
             plan = make_plan(pattern, small_mapping, Variant.STANDARD)
             collective = PersistentNeighborCollective(comm, plan)
             if comm.rank == 0:
-                with pytest.raises(Exception, match="no value"):
-                    collective.start({1: 1.0})   # value for item 2 missing
+                with pytest.raises(ValidationError, match="shape"):
+                    collective.start(np.array([1.0]))   # value for item 2 missing
+            return True
+
+        assert all(run_spmd(2, program, timeout=30))
+
+    def test_mapping_input_raises(self, small_mapping):
+        """An item-keyed mapping is not a value array: the cast check rejects it."""
+        pattern = pattern_from_edges(2, [(0, 1, [1, 2])])
+
+        def program(comm):
+            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
+            collective = PersistentNeighborCollective(comm, plan)
+            if comm.rank == 0:
+                with pytest.raises(ValidationError, match="safely cast"):
+                    collective.start({1: 1.0, 2: 2.0})
             return True
 
         assert all(run_spmd(2, program, timeout=30))
@@ -179,14 +203,14 @@ class TestApiValidation:
                           for s in pattern.recv_ranks(rank)}
             sources, dests = neighbor_lists(pattern, rank)
             graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-            owned = {int(i) for items in send_items.values() for i in items}
-            values = {item: _value_of(rank, item) for item in owned}
-            return neighbor_alltoallv(graph, send_items, recv_items, values, mapping,
+            owned = np.unique(np.concatenate(list(send_items.values())))
+            return neighbor_alltoallv(graph, send_items, recv_items,
+                                      _value_of(rank, owned), mapping,
                                       variant=Variant.FULL)
 
         results = run_spmd(n_ranks, program, timeout=60)
-        assert results[0] == {21: _value_of(2, 21)}
-        assert results[3] == {15: _value_of(1, 15)}
+        assert results[0].tolist() == [_value_of(2, 21)]
+        assert results[3].tolist() == [_value_of(1, 15)]
 
 
 class TestBatchedInit:
@@ -209,13 +233,11 @@ class TestBatchedInit:
     def _exchange_all(self, comm, collectives, patterns):
         rank = comm.rank
         for collective, pattern in zip(collectives, patterns):
-            owned = {int(i) for d in pattern.send_ranks(rank)
-                     for i in pattern.send_items(rank, d)}
             received = collective.exchange(
-                {item: _value_of(rank, item) for item in owned})
-            for src in pattern.recv_ranks(rank):
-                for item in pattern.recv_items(rank, src):
-                    assert received[int(item)] == _value_of(src, int(item))
+                _value_of(rank, collective.owned_item_ids))
+            _check_received(collective, received,
+                            {src: pattern.recv_items(rank, src)
+                             for src in pattern.recv_ranks(rank)})
         return True
 
     @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
@@ -283,18 +305,15 @@ class TestBatchedInit:
 
 class TestBufferHelpers:
     def test_pack_and_unpack_roundtrip(self):
-        send_items = {2: [7, 9], 1: [3]}
-        values = {7: 70.0, 9: 90.0, 3: 30.0}
-        buffer, counts, displs, order = pack_alltoallv_buffers(send_items, values)
-        assert order == [1, 2]
-        assert counts.tolist() == [1, 2]
-        assert displs.tolist() == [0, 1]
-        assert buffer.tolist() == [30.0, 70.0, 90.0]
-
-        recv_items = {4: [11], 0: [12, 13]}
-        received = {11: 1.0, 12: 2.0, 13: 3.0}
-        rbuffer, rcounts, rdispls, rorder = unpack_alltoallv_buffers(recv_items, received)
-        assert rorder == [0, 4]
-        assert rbuffer.tolist() == [2.0, 3.0, 1.0]
-        assert rcounts.tolist() == [2, 1]
-        assert rdispls.tolist() == [0, 2]
+        """The set-up gather's wire packets round-trip into the pattern:
+        ``[n_edges, dests…, counts…, items…]`` per rank, destinations sorted
+        and empty item lists dropped."""
+        send_maps = [{2: [7, 9], 1: [3]}, {}, {0: [12, 13], 1: []}]
+        packets = [_pack_send_map(send_items) for send_items in send_maps]
+        assert [packet.tolist() for packet in packets] == [
+            [2, 1, 2, 1, 2, 3, 7, 9], [0], [1, 0, 2, 12, 13]]
+        pattern = _pattern_from_packets(
+            3, np.concatenate(packets), np.array([p.size for p in packets]),
+            dtype=np.dtype(np.float64), item_size=1, item_bytes=None)
+        assert pattern == pattern_from_edges(
+            3, [(0, 2, [7, 9]), (0, 1, [3]), (2, 0, [12, 13])])

@@ -16,13 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_world_compile import compile_world_exchange_reference
 from test_world_compile_equivalence import assert_worlds_identical
 
 from repro.collectives import Variant, make_plan
-from repro.collectives.exchange import (
-    compile_world_exchange,
-    compile_world_exchange_reference,
-)
+from repro.collectives.exchange import compile_world_exchange
 from repro.collectives.plan import Phase, PhaseTable, PlannedMessage
 from repro.pattern.builders import (
     halo_exchange_pattern,

@@ -5,15 +5,16 @@ performance change: for any pattern, mapping, and variant it has to produce
 *byte-identical* phases (same messages in the same order, same slots in the
 same order), identical payload keys, identical self-deliveries, and identical
 statistics to the seed's Slot-list implementation, which is preserved verbatim
-in :mod:`repro.collectives.reference` for exactly this comparison.
+in ``reference_planner.py`` for exactly this comparison.
 """
 
 import numpy as np
 import pytest
 
+from reference_planner import reference_all_plans, reference_make_plan
+
 from repro.collectives.plan import SlotTable, Variant
 from repro.collectives.planner import all_plans, make_plan
-from repro.collectives.reference import reference_all_plans, reference_make_plan
 from repro.pattern.builders import (
     halo_exchange_pattern,
     pattern_from_edges,

@@ -2,7 +2,7 @@
 
 :func:`~repro.collectives.exchange.compile_world_exchange` emits the
 concatenated world program with one vectorized pass over the plan's columnar
-payload; :func:`~repro.collectives.exchange.compile_world_exchange_reference`
+payload; ``compile_world_exchange_reference`` (``reference_world_compile.py``)
 is the pinned seed-equivalent path that compiles every rank separately with
 :func:`compile_exchange` and re-bases the results.  Every array of the two
 must be **byte-identical** (values and dtypes) across variants x patterns x
@@ -15,11 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_world_compile import compile_world_exchange_reference
+
 from repro.collectives import Variant, make_plan
 from repro.collectives.exchange import (
     ExchangeSpec,
+    compile_exchange,
     compile_world_exchange,
-    compile_world_exchange_reference,
 )
 from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
@@ -112,15 +114,14 @@ def test_world_compile_socket_regions_match():
                                 compile_world_exchange_reference(plan))
 
 
-def test_world_compile_leaves_compiled_lazy():
+def test_world_compile_leaves_compiled_lazy(count_calls):
     """The world-level pass must not materialise per-rank CompiledExchange."""
     pattern = halo_exchange_pattern((3, 3))
     mapping = paper_mapping(9, ranks_per_node=3)
     plan = make_plan(pattern, mapping, Variant.STANDARD)
-    fast = compile_world_exchange(plan)
-    ref = compile_world_exchange_reference(plan)
-    assert fast.compiled is None
-    assert ref.compiled is not None and len(ref.compiled) == 9
+    assert count_calls(compile_world_exchange, plan, of=[compile_exchange]) == 0
+    assert count_calls(compile_world_exchange_reference, plan,
+                       of=[compile_exchange]) == 9
 
 
 def _unsendable_plan():

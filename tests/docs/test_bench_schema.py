@@ -48,8 +48,7 @@ RUNTIMES = {"engine", "threads", "procs"}
 
 #: One document per always-on perf gate.
 BENCH_FILES = [f"BENCH_{name}.json" for name in (
-    "array_path", "autotune", "columnar_planner", "fused_kernels",
-    "pattern_construction", "plan_cache_warm", "procs_recovery",
+    "autotune", "fused_kernels", "plan_cache_warm", "procs_recovery",
     "setup_scale", "world_engine")]
 
 

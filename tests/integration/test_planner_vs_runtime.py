@@ -36,10 +36,9 @@ def _run_with_profiler(pattern, mapping, variant):
         graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
         collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
                                              variant=variant)
-        owned = {int(i) for items in send_items.values() for i in items}
         profiler_was_quiet = profiler.total().message_count
         comm.barrier()
-        collective.exchange({i: float(i) for i in owned})
+        collective.exchange(collective.owned_item_ids.astype(np.float64))
         return profiler_was_quiet
 
     world.run(program)
