@@ -233,7 +233,7 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
 
     # World-stepped engine: same plan, one registration, one call per round.
     # The numpy kernels are Python functions, so their calls are countable.
-    with ExchangeEngine(n_ranks, runtime="engine", kernels="numpy") as engine:
+    with ExchangeEngine(n_ranks, runtime="engine") as engine:
         collective = WorldNeighborCollective(plan, engine=engine)
 
         def engine_round():
@@ -244,7 +244,7 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
         for rank in range(n_ranks):
             assert reference[rank].tobytes() == batched[rank].tobytes()
 
-        # One direct phase, whose receive step is the last hop: staged with
+        # One direct phase, whose receive step is the last hop: kept with
         # an empty range, its deliveries made by the output gather.
         steps = engine._programs[collective.handle].steps
         assert [b - a for _, src, a, b in steps if src is not None] == [0]
@@ -329,7 +329,7 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
     sequential ``BoomerAMGSolver``.  Clock-free: the three iterates must be
     equal to the bit, and what made the engine cycle fast is counted instead
     of timed — five engine rounds per smoothed level plus the coarse gather,
-    one kernel ``gather`` per receive step, nothing staged after set-up, and
+    one kernel ``gather`` per receive step, nothing validated after set-up, and
     not one call more at 64 ranks than at 32 (no per-rank or per-message
     Python work on the solve path).
     """
@@ -363,11 +363,12 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
                                run_spmd(n_ranks, program, timeout=300)])
 
     def counted_world_cycle(n_ranks):
-        """The iterate and ``(_execute, gather, _stage, all)`` calls of one cycle."""
+        """The iterate and ``(_execute, gather, _checked_steps, all)`` calls
+        of one cycle."""
         matrix, hierarchy, mapping = setup(n_ranks)
         iterates = []
         # The numpy kernels are Python functions, so their calls are countable.
-        with ExchangeEngine(n_ranks, runtime="engine", kernels="numpy") as engine:
+        with ExchangeEngine(n_ranks, runtime="engine") as engine:
             world = WorldVCycle(hierarchy, mapping, variant=Variant.STANDARD,
                                 engine=engine)
             world.cycle(b, x0)          # lazy caches settle before counting
@@ -378,7 +379,7 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
             counts = tuple(
                 count_calls(cycle, of=of) for of in (
                     [ExchangeEngine._execute], [kernels._numpy_gather],
-                    [engine_module._stage], None))
+                    [engine_module._checked_steps], None))
             exchanges = [operator.collective.world for level in world.levels
                          for operator in (level.spmv,) * 3
                          + (level.restrict, level.prolong)]
@@ -403,23 +404,22 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
           f"{counts[1]} kernel gathers, {counts[3]} calls in all")
 
 
-def test_micro_fused_kernel_speedup_over_unfused():
+def test_micro_fused_kernel_speedup_over_unfused(count_calls):
     """Guard: an engine round is one ``take`` per phase, equal to the 3 passes.
 
     One synthetic phase big enough to be memory-bound (300k wire rows of
     4-component float64 items, duplicate deliveries included) wrapped as a
-    one-phase :class:`WorldExchange`.  The unfused form pays gather-to-wire,
-    wire permutation and scatter; the engine stages the rows
-    ``[owned | delivered]`` at registration and runs the phase as one kernel
-    ``gather`` into a slice.  Clock-free: the round must be byte-equal to the
-    unfused composition, make exactly one ``gather`` call per round and never
-    call ``fused``.  Both timings are recorded for the trajectory; neither is
-    asserted.
+    one-phase :class:`WorldExchange` in the compiler's layout: rows
+    ``[owned | delivered, in first-delivery order]``.  The unfused form pays
+    gather-to-wire, wire permutation and scatter; the engine runs the phase —
+    a last hop, folded into the output — as one kernel ``gather``.
+    Clock-free: the round must be byte-equal to the unfused composition and,
+    counted, make exactly one ``gather`` call and no ``fused`` one.  Both
+    timings are recorded for the trajectory; neither is asserted.
     """
-    from repro.collectives import KernelBackend
+    from repro.collectives import kernels
     from repro.collectives.exchange import (ExchangeSpec, WorldExchange,
                                             WorldPhaseProgram)
-    from repro.collectives.kernels import active_backend
     from repro.collectives.plan import Phase
     from repro.simmpi import ExchangeEngine
 
@@ -428,51 +428,49 @@ def test_micro_fused_kernel_speedup_over_unfused():
     rng = np.random.default_rng(23)
     gather = rng.integers(0, n_owned, size=n_wire).astype(np.int64)
     perm = rng.permutation(n_wire).astype(np.int64)
-    # Every source row has one (scattered) target row, so repeat deliveries
-    # are value-consistent — the world-exchange invariant.
-    sources, target_of = np.unique(gather[perm], return_inverse=True)
-    scatter = n_owned + rng.permutation(sources.size)[target_of]
+    # Every source row has one target row, numbered in first-delivery order,
+    # so repeat deliveries are value-consistent — the world-exchange invariant.
+    copied = gather[perm]
+    sources, first, target_of = np.unique(copied, return_index=True,
+                                          return_inverse=True)
+    row_of = np.empty(sources.size, dtype=np.int64)
+    row_of[np.argsort(first)] = np.arange(sources.size)
+    scatter = n_owned + row_of[target_of]
     n_rows = n_owned + sources.size
     result_rows = n_owned + rng.permutation(sources.size)
     empty = np.empty(0, dtype=np.int64)
     world = WorldExchange(
         variant=Variant.STANDARD,
         spec=ExchangeSpec(dtype=np.dtype(np.float64), item_size=item_size),
-        n_ranks=1, n_world_rows=n_rows, rank_bases=np.zeros(1, dtype=np.int64),
-        owned_rows=np.arange(n_owned), owned_offsets=np.array([0, n_owned]),
+        n_ranks=1, n_world_rows=n_rows, n_unbound_rows=n_owned,
+        owned_offsets=np.array([0, n_owned]),
         result_rows=result_rows, result_offsets=np.array([0, sources.size]),
         steps=(("send", Phase.DIRECT), ("recv", Phase.DIRECT)),
         programs={Phase.DIRECT: WorldPhaseProgram(
             phase=Phase.DIRECT, tag=10, gather=gather, scatter=scatter,
             wire_perm=perm, msg_sources=empty, msg_dests=empty,
-            msg_nbytes=empty)},
+            msg_nbytes=empty, src=copied[np.sort(first)], a=n_owned,
+            b=n_rows)},
         owned_items_all=np.arange(n_owned), result_items_all=result_rows,
         result_sources_all=np.zeros(sources.size, dtype=np.int64))
     values = rng.standard_normal((n_owned, item_size))
 
-    kernels = active_backend()
-    calls = {"gather": 0, "fused": 0}
-
-    def counted(name):
-        def kernel(*args):
-            calls[name] += 1
-            getattr(kernels, name)(*args)
-        return kernel
-
+    backend = kernels.active_backend()
     unfused_work = np.zeros((n_rows, item_size))
     wire = np.empty((n_wire, item_size))
 
     def unfused_round():
-        unfused_work[world.owned_rows] = values
-        kernels.gather(unfused_work, gather, wire)
+        unfused_work[:n_owned] = values
+        backend.gather(unfused_work, gather, wire)
         unfused_work[scatter] = wire[perm]
         return unfused_work[result_rows]
 
-    with ExchangeEngine(1, runtime="engine", kernels=KernelBackend(
-            name=kernels.name, **{name: counted(name) for name in calls})
-            ) as engine:
+    with ExchangeEngine(1, runtime="engine") as engine:
         handle = engine.register(world)
         assert engine.run(handle, values).tobytes() == unfused_round().tobytes()
+        # The numpy kernels are Python functions, so their calls are countable.
+        calls = [count_calls(engine.run, handle, values, of=[kernel])
+                 for kernel in (kernels._numpy_gather, kernels._numpy_fused)]
 
         unfused_best = engine_best = float("inf")
         for _ in range(rounds):
@@ -483,15 +481,15 @@ def test_micro_fused_kernel_speedup_over_unfused():
             start = time.perf_counter()
             engine.run(handle, values)
             engine_best = min(engine_best, time.perf_counter() - start)
-    assert calls == {"gather": rounds + 1, "fused": 0}
+    assert calls == [1, 0]
 
     speedup = unfused_best / engine_best
-    print(f"\n{n_wire}-row phase ({kernels.name} kernels): "
+    print(f"\n{n_wire}-row phase ({backend.name} kernels): "
           f"unfused {unfused_best * 1e3:.2f} ms, "
           f"engine round {engine_best * 1e3:.2f} ms, ratio {speedup:.2f}x")
     emit_bench("fused_kernels", speedup=speedup, baseline_s=unfused_best,
                optimized_s=engine_best, n_ranks=1, n_wire_rows=n_wire,
-               kernel_backend=kernels.name)
+               kernel_backend=backend.name)
 
 
 def test_micro_procs_pool_speedup_over_single_process(count_calls):
@@ -523,8 +521,8 @@ def test_micro_procs_pool_speedup_over_single_process(count_calls):
 
     # The numpy kernels are Python functions, so their calls are countable.
     with WorldNeighborCollective(plan, runtime="engine") as serial, \
-            ExchangeEngine(n_ranks, runtime="procs", n_workers=n_workers,
-                           kernels="numpy") as engine:
+            ExchangeEngine(n_ranks, runtime="procs",
+                           n_workers=n_workers) as engine:
         pooled = WorldNeighborCollective(plan, engine=engine)
         values = [np.tile(100.0 * rank
                           + serial.owned_item_ids(rank).astype(np.float64),
@@ -572,7 +570,7 @@ def _terminal_receive_steps(world):
     after it gathers a row it delivers first (rows counted in ``world``'s
     own numbering, a repeat delivery's sources included)."""
     held = np.zeros(world.n_world_rows, dtype=bool)
-    held[world.owned_rows] = True
+    held[:world.owned_items_all.size] = True
     firsts, read_after = [], []
     for kind, phase in world.steps:
         program = world.programs[phase]

@@ -61,14 +61,7 @@ from repro.collectives.plan_cache import (
     clear_plan_cache,
     plan_cache_stats,
 )
-from repro.collectives.kernels import (
-    HAVE_NUMBA,
-    KERNELS_ENV,
-    KernelBackend,
-    active_backend,
-    available_backends,
-    select_backend,
-)
+from repro.collectives.kernels import KernelBackend, active_backend
 from repro.collectives.persistent import (
     PersistentNeighborCollective,
     WorldNeighborCollective,
@@ -127,12 +120,8 @@ __all__ = [
     "PlanCacheWarning",
     "clear_plan_cache",
     "plan_cache_stats",
-    "HAVE_NUMBA",
-    "KERNELS_ENV",
     "KernelBackend",
     "active_backend",
-    "available_backends",
-    "select_backend",
     "PersistentNeighborCollective",
     "WorldNeighborCollective",
     "CollectiveRequest",

@@ -22,12 +22,13 @@ distribution set of a lattice-Boltzmann site, or the DOFs of a multi-component
 unknown), and the work array has shape ``(n_rows, item_size)``.
 
 Beyond the per-rank form, :func:`compile_world_exchange` emits every rank's
-compiled exchange as one *world program*: a single work array spanning
-all ranks (per-rank row blocks), and per phase one world gather, one wire
-permutation, and one world scatter.  The
-:class:`~repro.simmpi.engine.ExchangeEngine` executes that program with
-O(phases) numpy calls for the whole communicator — no per-message envelopes,
-no per-rank Python loop on the data path.
+compiled exchange as one *world program*, numbered in the layout the
+:class:`~repro.simmpi.engine.ExchangeEngine` executes: one work array for
+all ranks, rows ``[owned | blocks a later step reads | terminal blocks]``,
+and per receive step one ``(src, a, b)`` — fill rows ``[a, b)`` from the
+earlier rows ``src``.  A round is then O(phases) numpy calls for the whole
+communicator — no per-message envelopes, no per-rank Python loop, and no
+renumbering at registration.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.collectives.plan import (
 from repro.utils.arrays import (
     INDEX_DTYPE,
     argsort_packed,
+    concatenate_or_empty,
     counts_to_displs,
     gather_ranges,
     run_starts_mask,
@@ -333,24 +335,20 @@ def compile_exchange(plan: CollectivePlan, rank: int,
 
 @dataclass
 class WorldPhaseProgram:
-    """All ranks' sends and receives of one phase, as three index arrays.
+    """All ranks' sends and receives of one phase.
 
-    Executing the phase against the world work array is exactly
+    What executes is the receive step ``(src, a, b)``: rows ``[a, b)`` of
+    the world work array are the phase's *first* deliveries (a key its
+    holder did not have yet), row ``a + i`` copied from row ``src[i]``.  A
+    repeat delivery writes bytes its row already holds, so it leaves the
+    data path — but not ``msg_sources`` / ``msg_dests`` / ``msg_nbytes``,
+    every message of the phase in wire order, which the engine hands to the
+    profiler as one bulk record per round.
 
-    ``wire = work[gather]`` (every rank's send arenas, concatenated in rank
-    order) followed by ``work[scatter] = wire[wire_perm]`` (every rank's
-    receive arenas, reordered from wire/send order into receive order).
-
-    ``msg_sources`` / ``msg_dests`` / ``msg_nbytes`` describe every message of
-    the phase in wire order; the engine hands them to the profiler as one bulk
-    record per iteration, preserving the per-envelope byte/message accounting
-    without creating an envelope per message.
-
-    Both ``gather`` and ``scatter`` concatenate the per-rank index arrays in
-    rank order.  This is the compiler's description of the phase, not what a
-    round executes: :meth:`ExchangeEngine.register
-    <repro.simmpi.engine.ExchangeEngine.register>` stages it once, on every
-    runtime, into one ``take`` of earlier rows into a contiguous slice.
+    ``gather`` / ``wire_perm`` / ``scatter`` keep the phase as written, in
+    the same row numbering — ``wire = work[gather]``, then
+    ``work[scatter] = wire[wire_perm]`` — for the kernel replay and the
+    reference executor of the tests; no engine code reads them.
     """
 
     phase: Phase
@@ -361,19 +359,24 @@ class WorldPhaseProgram:
     msg_sources: np.ndarray
     msg_dests: np.ndarray
     msg_nbytes: np.ndarray
+    src: np.ndarray
+    a: int
+    b: int
 
 
 @dataclass
 class WorldExchange:
-    """Every rank's compiled exchange, concatenated into one world program.
+    """Every rank's compiled exchange, as one world program.
 
-    Rank ``r``'s work-array rows (what :func:`compile_exchange` would number
-    for it alone) live in the world block
-    ``[rank_bases[r], rank_bases[r + 1])``.  ``owned_rows``
-    and ``result_rows`` are world-row index arrays for loading all ranks'
-    dense inputs and gathering all ranks' dense outputs with one fancy index
-    each; ``owned_offsets`` / ``result_offsets`` delimit each rank's slice of
-    those concatenations.  ``steps`` is the runtime schedule: ``("send", p)``
+    The world work array has ``n_world_rows`` rows: every rank's owned items
+    (rows ``[0, n_owned)``, in ``owned_items_all`` order), then each receive
+    step's block of first deliveries, in schedule order — those that a later
+    step reads first, the *terminal* ones (the last hop) after them.  So an
+    unbound handle keeps the prefix ``[0, n_unbound_rows)`` and reads each
+    terminal delivery straight from its source, and a vector-bound one keeps
+    every row.  ``result_rows`` is the row of every output entry;
+    ``owned_offsets`` / ``result_offsets`` delimit each rank's slice of the
+    input and the output.  ``steps`` is the runtime schedule: ``("send", p)``
     packs phase ``p``'s wire, ``("recv", p)`` delivers it — the same order the
     per-rank executor interleaves its ``pack``/``start``/``wait`` calls.
 
@@ -389,8 +392,7 @@ class WorldExchange:
     spec: ExchangeSpec
     n_ranks: int
     n_world_rows: int
-    rank_bases: np.ndarray
-    owned_rows: np.ndarray
+    n_unbound_rows: int
     owned_offsets: np.ndarray
     result_rows: np.ndarray
     result_offsets: np.ndarray
@@ -425,8 +427,8 @@ def compile_world_exchange(plan: CollectivePlan,
                            spec: ExchangeSpec | None = None) -> WorldExchange:
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
-    Emits the per-rank :func:`compile_exchange` programs, re-based into one
-    row space, without a per-rank :class:`CompiledExchange` or a
+    Emits what the per-rank :func:`compile_exchange` programs deliver,
+    without a per-rank :class:`CompiledExchange` or a
     :class:`PlannedMessage`: the pass reads the plan's phase tables and
     replays *every* rank's registration chronology at once.
 
@@ -437,12 +439,13 @@ def compile_world_exchange(plan: CollectivePlan,
     stream* holds all ranks' owned keys in (holder, item) order, then the
     payload of each ``("recv", phase)`` schedule step in (receiver, message,
     position) order.  A stable argsort keeps the first occurrence of every
-    value — the moment the per-rank ``_RowMap`` would have registered it — so
-    numbering the survivors by ``(holder, first occurrence)`` is every rank's
-    row assignment, pre-based into the world row space.  Sends and the result
-    view resolve against the sorted survivors with one ``searchsorted``; a
-    send may only use values first seen in an earlier schedule step, which
-    reproduces the per-rank compiler's availability errors.
+    value — the moment the per-rank ``_RowMap`` would have registered it.
+    Sends and the result view resolve against the sorted survivors with one
+    ``searchsorted``; a send may only use values first seen in an earlier
+    schedule step, which reproduces the per-rank compiler's availability
+    errors.  A value's row is its first occurrence's rank in the stream,
+    with the blocks of steps whose first deliveries no later first delivery
+    reads (one ``bincount`` of their sources' steps) moved to the end.
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
@@ -459,8 +462,9 @@ def compile_world_exchange(plan: CollectivePlan,
     owned_offsets = counts_to_displs(
         np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
-    # -- per phase: message orders and holder-packed payload values ----------
-    phase_cols, send_values, recv_values = {}, {}, {}
+    # -- per phase: message orders, holder-packed payload values, and the
+    # -- wire permutation (receive position -> wire position) ---------------
+    phase_cols, send_values, recv_values, wire_perms = {}, {}, {}, {}
     for phase in order:
         table = plan.phases.get(phase) or PhaseTable.from_messages(phase, [])
         keys = table.payload_key_ids
@@ -476,13 +480,18 @@ def compile_world_exchange(plan: CollectivePlan,
         send_order = np.argsort(table.srcs, kind="stable")
         recv_order = np.argsort(table.dests, kind="stable")
         starts = table.payload_offsets[:-1]
-        phase_cols[phase] = (table, counts, send_order, recv_order)
+        phase_cols[phase] = (table, counts, send_order)
         send_values[phase] = gather_ranges(
             np.repeat(table.srcs, counts) * width + keys,
             starts[send_order], counts[send_order])
         recv_values[phase] = gather_ranges(
             np.repeat(table.dests, counts) * width + keys,
             starts[recv_order], counts[recv_order])
+        wire_starts = np.empty(counts.size, dtype=INDEX_DTYPE)
+        wire_starts[send_order] = counts_to_displs(counts[send_order])[:-1]
+        wire_perms[phase] = gather_ranges(
+            np.arange(recv_values[phase].size, dtype=INDEX_DTYPE),
+            wire_starts[recv_order], counts[recv_order])
 
     # -- registration stream: owned keys, then each recv step's payloads; a
     # -- send step queries what the recv steps before it registered ---------
@@ -501,7 +510,7 @@ def compile_world_exchange(plan: CollectivePlan,
     seg_bounds = counts_to_displs([segment.size for segment in segments])
     stream = np.concatenate(segments)
 
-    # -- world rows: first occurrence per (holder, key) ----------------------
+    # -- held values: first occurrence per (holder, key) ---------------------
     key_sort = np.argsort(stream, kind="stable")
     stream_sorted = stream[key_sort]
     starts_mask = run_starts_mask(stream_sorted)
@@ -511,17 +520,9 @@ def compile_world_exchange(plan: CollectivePlan,
     # stream position — the registration moment of that value.
     first_pos = key_sort[starts_mask]
     held = stream_sorted[starts_mask]
-    held_holder = held // width
     held_step = (np.searchsorted(seg_bounds, first_pos, side="right")
                  - 1).astype(np.int8)
     n_held = int(held.size)
-    row_order = np.argsort(held_holder * stream.size + first_pos, kind="stable")
-    held_row = np.empty(n_held, dtype=INDEX_DTYPE)
-    held_row[row_order] = np.arange(n_held, dtype=INDEX_DTYPE)
-    stream_row = held_row[group_of]
-    rank_bases = counts_to_displs(
-        np.bincount(held_holder, minlength=n_ranks).astype(INDEX_DTYPE))
-    owned_rows = np.ascontiguousarray(stream_row[:n_owned])
 
     # -- result view: per receiver, last-declaring source wins per item -----
     # The unique edge table is sorted by origin first, so a stable sort by
@@ -549,15 +550,14 @@ def compile_world_exchange(plan: CollectivePlan,
     # (No value is held only when nothing is owned or packed: no queries.)
     hit = np.minimum(np.searchsorted(held, queries), n_held - 1)
     found = held[hit] == queries
-    q_rows = np.where(found, held_row[hit], -1)
 
     # -- availability errors, reproducing the per-rank compiler's checks ----
     for index, (phase, allowed) in enumerate(send_steps):
         lo, hi = int(q_bounds[index]), int(q_bounds[index + 1])
-        bad = (q_rows[lo:hi] < 0) | (held_step[hit[lo:hi]] > allowed)
+        bad = ~found[lo:hi] | (held_step[hit[lo:hi]] > allowed)
         if bad.any():
             position = int(np.argmax(bad))
-            table, counts, send_order, _ = phase_cols[phase]
+            table, counts, send_order = phase_cols[phase]
             send_displs = counts_to_displs(counts[send_order])
             slot = int(np.searchsorted(send_displs, position,
                                        side="right")) - 1
@@ -571,8 +571,7 @@ def compile_world_exchange(plan: CollectivePlan,
                 f"{int(table.payload_items[packed])} which the "
                 "sending rank neither owns nor received in an earlier phase"
             )
-    result_rows = np.ascontiguousarray(q_rows[int(q_bounds[-2]):])
-    undelivered = result_rows < 0
+    undelivered = ~found[int(q_bounds[-2]):]
     if undelivered.any():
         position = int(np.argmax(undelivered))
         raise PlanError(
@@ -582,34 +581,50 @@ def compile_world_exchange(plan: CollectivePlan,
             "the plan delivers it"
         )
 
-    # -- per-phase programs --------------------------------------------------
+    # -- per receive step: the value each first delivery (a receive position
+    # -- holding its value's first occurrence) copies -----------------------
+    is_first = np.zeros(stream.size, dtype=bool)
+    is_first[first_pos] = True
+    sources = {}
+    for index, (phase, _) in enumerate(send_steps):
+        lo, wire_perm = int(seg_bounds[recv_segment[phase]]), wire_perms[phase]
+        fresh = np.flatnonzero(is_first[lo:lo + wire_perm.size])
+        sources[phase] = hit[q_bounds[index] + wire_perm[fresh]]
+
+    # -- rows: [owned | blocks some first delivery reads | terminal blocks],
+    # -- blocks in schedule order, rows in first-occurrence order -----------
+    n_segments = len(segments)
+    fresh_counts = np.bincount(held_step, minlength=n_segments)
+    read = np.bincount(held_step[concatenate_or_empty(list(sources.values()))],
+                       minlength=n_segments) > 0
+    read[0] = True                  # the owned rows lead
+    layout = np.concatenate([np.flatnonzero(read), np.flatnonzero(~read)])
+    block_start = np.empty(n_segments, dtype=INDEX_DTYPE)
+    block_start[layout] = counts_to_displs(fresh_counts[layout])[:-1]
+    held_row = (np.cumsum(is_first) - 1)[first_pos] + (
+        block_start - counts_to_displs(fresh_counts)[:-1])[held_step]
+    q_rows = held_row[hit]
+    stream_row = held_row[group_of]
+
     programs: Dict[Phase, WorldPhaseProgram] = {}
     for index, (phase, _) in enumerate(send_steps):
-        table, counts, send_order, recv_order = phase_cols[phase]
-        gather = np.ascontiguousarray(
-            q_rows[q_bounds[index]:q_bounds[index + 1]])
+        table, counts, send_order = phase_cols[phase]
         segment = recv_segment[phase]
-        scatter = np.ascontiguousarray(
-            stream_row[seg_bounds[segment]:seg_bounds[segment + 1]])
-        counts_send = counts[send_order]
-        wire_displs = counts_to_displs(counts_send)
-        wire_start_of_msg = np.empty(counts.size, dtype=INDEX_DTYPE)
-        wire_start_of_msg[send_order] = wire_displs[:-1]
-        counts_recv = counts[recv_order]
-        recv_displs = counts_to_displs(counts_recv)
-        total = int(recv_displs[-1])
-        wire_perm = (np.arange(total, dtype=INDEX_DTYPE)
-                     - np.repeat(recv_displs[:-1], counts_recv)
-                     + np.repeat(wire_start_of_msg[recv_order], counts_recv))
+        a = int(block_start[segment])
         programs[phase] = WorldPhaseProgram(
             phase=phase,
             tag=PHASE_TAGS[phase],
-            gather=gather,
-            scatter=scatter,
-            wire_perm=wire_perm,
-            msg_sources=np.ascontiguousarray(table.srcs[send_order]),
-            msg_dests=np.ascontiguousarray(table.dests[send_order]),
-            msg_nbytes=np.ascontiguousarray(counts_send) * spec.item_bytes,
+            gather=np.ascontiguousarray(
+                q_rows[q_bounds[index]:q_bounds[index + 1]]),
+            scatter=np.ascontiguousarray(
+                stream_row[seg_bounds[segment]:seg_bounds[segment + 1]]),
+            wire_perm=wire_perms[phase],
+            msg_sources=table.srcs[send_order],
+            msg_dests=table.dests[send_order],
+            msg_nbytes=counts[send_order] * spec.item_bytes,
+            src=held_row[sources[phase]],
+            a=a,
+            b=a + int(fresh_counts[segment]),
         )
 
     return WorldExchange(
@@ -617,10 +632,9 @@ def compile_world_exchange(plan: CollectivePlan,
         spec=spec,
         n_ranks=n_ranks,
         n_world_rows=n_held,
-        rank_bases=rank_bases,
-        owned_rows=owned_rows,
+        n_unbound_rows=int(fresh_counts[read].sum()),
         owned_offsets=owned_offsets,
-        result_rows=result_rows,
+        result_rows=np.ascontiguousarray(q_rows[int(q_bounds[-2]):]),
         result_offsets=result_offsets,
         steps=schedule,
         programs=programs,

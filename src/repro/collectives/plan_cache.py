@@ -22,9 +22,10 @@ Two tiers share one content key:
   caller recompiles — a cache can produce a miss, never a wrong result.
 
 Cache hits are byte-identical to cold compiles (the golden cache tests pin
-this) and a cached :class:`~repro.collectives.exchange.WorldExchange` can be
-re-registered with any engine runtime — registration never mutates the world
-program.
+this).  A cached :class:`~repro.collectives.exchange.WorldExchange` is the
+program the engine runs, so a hit is re-registered with any engine runtime
+without renumbering anything — registration validates it, remaps its head,
+and never mutates it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128

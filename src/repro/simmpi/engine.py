@@ -15,15 +15,15 @@ the vector itself and returns the round buffer ``[x | …]`` read-only, with
 :meth:`ExchangeEngine.halo_rows` locating the received values in it: what
 :class:`~repro.sparse.spmv.WorldSpMV` multiplies by, no pack, no unpack.
 
-Both engine runtimes execute the one *staged* layout
-:meth:`ExchangeEngine.register` computes: rows renumbered ``[owned (or the
-whole vector) | first written by receive step 1 | step 2 | …]``, so loading
-is ``work[:n] = values``, a send step only accounts traffic, and a receive
-step is one ``gather(work[:a], src, work[a:b])`` — a ``take`` of earlier rows
-into the slice it owns, never overlapping it.  Byte-identical to the
-envelope-routed path because every work row holds its ``(origin, item)``
-key's one per-iteration value; repeat deliveries leave the data path, not the
-accounting.
+Both engine runtimes execute the layout the compiler numbered: rows
+``[owned (or the whole vector) | receive blocks a later step reads |
+terminal blocks]``, so loading is ``work[:n] = values``, a send step only
+accounts traffic, and a receive step is one ``gather(work[:a], src,
+work[a:b])`` — a ``take`` of rows earlier steps wrote into the slice it owns,
+never overlapping it.  :meth:`ExchangeEngine.register` only validates that
+program and remaps its head.  Byte-identical to the envelope-routed path
+because every work row holds its ``(origin, item)`` key's one per-iteration
+value; repeat deliveries leave the data path, not the accounting.
 
 A fresh output is one more ``gather(work, result, out)`` into a new array.
 On an unbound handle a *terminal* receive step — one whose rows no later
@@ -32,13 +32,12 @@ at the step's sources, so that one pass both makes the last hop's deliveries
 and copies out what earlier steps delivered.  A bound handle keeps every
 block, because its round buffer *is* the output.
 
-* ``runtime="engine"`` (default) — the parent runs the steps itself.  The
-  kernel backend (numba or numpy) is chosen at import time and overridable
-  via ``REPRO_KERNELS=numba|numpy``.
+* ``runtime="engine"`` (default) — the parent runs the steps itself with the
+  numpy ``gather``.
 * ``runtime="procs"`` — a persistent, supervised worker pool
-  (:mod:`repro.simmpi.procs`): the staged work array and the receive steps'
-  ``src`` rows move into ``multiprocessing.shared_memory`` and every forked
-  worker gathers its even share of each step's ``[a, b)``, a barrier between
+  (:mod:`repro.simmpi.procs`): the work array and the receive steps' ``src``
+  rows move into ``multiprocessing.shared_memory`` and every forked worker
+  gathers its even share of each step's ``[a, b)``, a barrier between
   steps.  A retried round, and a round the parent finishes itself after the
   pool failed, are the same steps on the same rows.
 
@@ -57,7 +56,7 @@ The engine deliberately knows nothing about plans or patterns: it executes
 whatever registered program it is handed, which keeps :mod:`repro.simmpi`
 free of dependencies on :mod:`repro.collectives` (compilation lives there, in
 :func:`~repro.collectives.exchange.compile_world_exchange`; the kernel import
-happens lazily, inside the engine's methods, for the same reason).
+happens lazily, in the constructor, for the same reason).
 """
 
 from __future__ import annotations
@@ -121,23 +120,27 @@ def default_runtime(allowed: Sequence[str] = USER_RUNTIMES) -> str:
 
 def default_on_failure() -> str:
     """The policy an ``on_failure=None`` caller gets: ``REPRO_ON_FAILURE``
-    when it names a known policy, ``"retry"`` otherwise."""
+    when set, ``"retry"`` otherwise.  A value that names no policy raises
+    :class:`ValidationError`, as an unknown ``REPRO_RUNTIME`` does."""
     value = os.environ.get(ON_FAILURE_ENV, "").strip().lower()
-    return value if value in ON_FAILURE_POLICIES else "retry"
+    if value and value not in ON_FAILURE_POLICIES:
+        raise ValidationError(
+            f"{ON_FAILURE_ENV} must be one of {ON_FAILURE_POLICIES}, "
+            f"got {value!r}")
+    return value or "retry"
 
 
 @dataclass
 class _RegisteredProgram:
-    """Engine-side state of one registered world exchange, *staged*
-    (:func:`_stage`): ``work`` rows ``[head | recv step 1 | step 2 | …]``,
-    per step ``(program, src, a, b)`` (a receive fills rows ``[a, b)`` from
-    the earlier rows ``src`` — none, ``a == b``, for a folded terminal step;
-    a send, ``src is None``, only accounts), and ``result`` the ``work`` row
-    of every output entry.  Bound to a vector of ``vector_length`` entries,
-    the head is that vector and ``work`` is what a round returns.  ``shared``
-    is set only while a ``runtime="procs"`` pool holds ``work`` and the
-    ``src`` rows in its two shared-memory segments (they are then views of
-    those)."""
+    """Engine-side state of one registered world exchange: ``work`` rows
+    ``[head | kept blocks …]``, per schedule step ``(program, src, a, b)``
+    (a receive fills rows ``[a, b)`` from the earlier rows ``src`` — none,
+    ``a == b``, for a terminal step folded into the result; a send,
+    ``src is None``, only accounts), and ``result`` the ``work`` row of every
+    output entry.  Bound to a vector of ``vector_length`` entries, the head
+    is that vector and ``work`` is what a round returns.  ``shared`` is set
+    only while a ``runtime="procs"`` pool holds ``work`` and the ``src`` rows
+    in its two shared-memory segments (they are then views of those)."""
 
     world: "WorldExchange"
     vector_length: Optional[int]
@@ -147,99 +150,56 @@ class _RegisteredProgram:
     shared: Optional["SharedProgram"] = None
 
 
-def _check_indices(world: "WorldExchange") -> None:
-    """Reject out-of-range indices once, so no kernel has to (``take`` clips,
-    fancy indexing wraps negatives — either would deliver garbage)."""
-    n_rows = world.n_world_rows
-    checks = [("owned_rows", world.owned_rows, n_rows),
-              ("result_rows", world.result_rows, n_rows)]
-    for phase, program in world.programs.items():
-        checks += [(f"{phase} gather", program.gather, n_rows),
-                   (f"{phase} scatter", program.scatter, n_rows),
-                   (f"{phase} wire_perm", program.wire_perm,
-                    program.gather.size)]
-    for name, index, bound in checks:
-        if index.size and not (0 <= index.min() and index.max() < bound):
-            raise CommunicationError(f"corrupt world exchange: {name} holds "
-                                     f"an index outside [0, {bound})")
+def _check_range(name: str, index: np.ndarray, bound: int) -> None:
+    """Reject an index outside ``[0, bound)`` once, so no kernel has to
+    (``take`` clips, fancy indexing wraps negatives — either would deliver
+    garbage)."""
+    if index.size and not (0 <= index.min() and index.max() < bound):
+        raise CommunicationError(f"corrupt world exchange: {name} holds an "
+                                 f"index outside [0, {bound})")
 
 
-def _stage(world: "WorldExchange",
-           vector_length: int | None = None) -> _RegisteredProgram:
-    """Renumber ``world``'s rows so every step writes one contiguous slice.
+def _checked_steps(world: "WorldExchange", fold: bool):
+    """``world``'s schedule as ``(program, src, a, b)``, validated.
 
-    Sort-free and O(rows): a step's first deliveries are the scatter entries
-    whose row is still unnumbered, deduplicated by writing entry positions in
-    reverse (last write wins, so each row keeps its first deliverer).  With a
-    ``vector_length`` the head is the caller's whole vector (an owned row sits
-    at its item id), every block stays and the result is the halo rows;
-    without one the terminal blocks fold into the result
-    (:func:`_fold_terminal`).
+    The receive blocks must tile the rows: those below ``n_unbound_rows``
+    one after another from the owned rows up, in schedule order, the
+    terminal ones likewise from ``n_unbound_rows`` to ``n_world_rows``.  A
+    step may read only what the steps before it kept — every ``src`` below
+    the end of the last kept block so far, which no terminal block is —
+    so whatever order its rows sit in, nothing is read before it is
+    written.  With ``fold`` a terminal step keeps its slot with the empty
+    range at that row.  Returns ``(steps, terminal srcs in row order)``.
     """
-    n_rows, n_owned = world.n_world_rows, world.owned_rows.size
-    bound = vector_length is not None
-    head = vector_length if bound else n_owned
-    new_of_old = np.full(n_rows, -1, dtype=np.int64)
-    new_of_old[world.owned_rows] = \
-        world.owned_items_all if bound else np.arange(n_owned)
-    steps, a = [], head
+    kept_end, n_kept = world.owned_items_all.size, world.n_unbound_rows
+    tail_end, steps, tail = n_kept, [], []
     for kind, phase in world.steps:
         program = world.programs[phase]
         if kind == "send":
             steps.append((program, None, 0, 0))
             continue
-        fresh = np.flatnonzero(new_of_old[program.scatter] < 0)
-        rows = program.scatter[fresh]
-        new_of_old[rows[::-1]] = fresh[::-1]  # scratch, renumbered just below
-        keep = new_of_old[rows] == fresh
-        fresh, rows = fresh[keep], rows[keep]
-        b = a + fresh.size
-        new_of_old[rows] = np.arange(a, b)
-        src = new_of_old[program.gather[program.wire_perm[fresh]]]
-        if src.size and not (0 <= src.min() and src.max() < a):
-            raise CommunicationError(f"corrupt world exchange: {phase} sends "
-                                     f"a row that no earlier step delivered")
-        steps.append((program, src, a, b))
-        a = b
-    staged = a - head + n_owned
-    if staged != n_rows or (n_rows and new_of_old.min() < 0):
-        raise CommunicationError(
-            "corrupt world exchange: every world row must be owned or "
-            f"delivered by exactly one step ({staged} of {n_rows} rows staged)")
-    result = new_of_old[world.result_rows]
-    if not bound:
-        steps, result, a = _fold_terminal(steps, result, a)
-    work = np.zeros((a, world.spec.item_size), dtype=world.spec.dtype)
-    return _RegisteredProgram(world, vector_length, work, steps, result)
-
-
-def _fold_terminal(steps, result: np.ndarray, n_rows: int):
-    """Drop the blocks of *terminal* receive steps — read by no later step's
-    ``src`` — from an unbound layout: a result row in one reads that step's
-    source row instead, so the round's output gather makes the delivery.
-
-    Sort-free and O(rows): mark every ``src``, then test each block (only
-    later steps can read it).  A terminal step keeps its schedule slot with
-    an empty range; the blocks after it move down to close the gap.
-    Returns ``(steps, result, rows still in work)``.
-    """
-    read = np.zeros(n_rows, dtype=bool)
-    for _, src, _, _ in steps:
-        if src is not None:
-            read[src] = True
-    final = np.arange(n_rows)       # the row each staged row is read from
-    folded, gap = [], 0
-    for program, src, a, b in steps:
-        if src is None:
-            folded.append((program, src, 0, 0))
-        elif read[a:b].any():
-            final[a:b] -= gap
-            folded.append((program, final[src], a - gap, b - gap))
+        src, a, b = program.src, program.a, program.b
+        kept = a < n_kept
+        start = kept_end if kept else tail_end
+        if (a, b) != (start, start + src.size) or (kept and b > n_kept):
+            raise CommunicationError(
+                f"corrupt world exchange: {phase} writes rows [{a}, {b}), but "
+                f"its {src.size} rows must start at row {start}: the blocks "
+                "must tile the rows")
+        _check_range(f"{phase} src", src, kept_end)
+        if kept:
+            kept_end = b
         else:
-            final[a:b] = final[src]
-            gap += b - a
-            folded.append((program, src[:0], b - gap, b - gap))
-    return folded, final[result], n_rows - gap
+            tail_end = b
+            tail.append(src)
+        steps.append((program, src[:0], kept_end, kept_end)
+                     if fold and not kept else (program, src, a, b))
+    if (kept_end, tail_end) != (n_kept, world.n_world_rows):
+        raise CommunicationError(
+            f"corrupt world exchange: the blocks end at rows {kept_end} and "
+            f"{tail_end}, not {n_kept} and {world.n_world_rows}")
+    _check_range("result_rows", world.result_rows, world.n_world_rows)
+    return steps, tail
 
 
 def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
@@ -266,9 +226,7 @@ class ExchangeEngine:
     ``runtime`` selects who runs the staged steps (``"engine"`` the parent,
     ``"procs"`` a shared-memory worker pool; ``None`` resolves through
     ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default: one per
-    available core, capped by ``n_ranks``); ``kernels`` pins a specific
-    kernel backend name or :class:`KernelBackend` for the steps the parent
-    runs (default: the import-time selection).
+    available core, capped by ``n_ranks``).
 
     Worker failures on the procs backend are supervised: ``on_failure``
     picks the policy (``"retry"`` — respawn the pool and retry, then raise;
@@ -290,7 +248,7 @@ class ExchangeEngine:
 
     def __init__(self, n_ranks: int, *, profiler: TrafficProfiler | None = None,
                  runtime: str | None = None, n_workers: int | None = None,
-                 kernels=None, on_failure: str | None = None,
+                 on_failure: str | None = None,
                  timeout: float | None = None, max_retries: int = 2,
                  retry_backoff: float = 0.05,
                  fault_plan: "FaultPlan | None" = None,
@@ -325,9 +283,9 @@ class ExchangeEngine:
         self._finalizer = None
         self._clock = clock if clock is not None else time.perf_counter
         self._run_observer = None
-        from repro.collectives.kernels import select_backend
+        from repro.collectives.kernels import _numpy_gather
 
-        self._kernels = select_backend(kernels)
+        self._gather = _numpy_gather
         if runtime == "procs":
             from repro.simmpi.procs import ProcsPool, default_worker_count
 
@@ -401,33 +359,53 @@ class ExchangeEngine:
                  vector_length: int | None = None) -> int:
         """Register a compiled world exchange; returns its engine handle.
 
-        Mirrors ``neighbor_alltoallv_init``: registration validates the
-        program's indices (a corrupt program raises
+        Mirrors ``neighbor_alltoallv_init``, with the optimisation already
+        done by the compiler: registration validates the program it will
+        run (blocks that tile the rows, every ``src`` row written before its
+        step, every result row in range — a corrupt program raises
         :class:`CommunicationError` here, never a wrong answer in ``run``),
-        stages its layout into the persistent work array and, on
-        ``runtime="procs"``, moves that array and the steps' source rows into
-        the two segments the workers attach to — so a round does no
-        allocation-sized Python work beyond numpy's own temporaries.
+        remaps the head, allocates the persistent work array and, on
+        ``runtime="procs"``, moves that array and the steps' source rows
+        into the two segments the workers attach to.  An unbound handle
+        keeps the rows ``[0, world.n_unbound_rows)``: each terminal row of
+        the result reads its source instead.
 
         ``vector_length=n`` binds the handle to the caller's ``(n,)`` vector,
         item ids being positions in it (as for every ``pattern_from_parcsr``
-        pattern; scalar items only): see :meth:`run` and :meth:`halo_rows`.
+        pattern; scalar items only): owned row ``i`` becomes entry
+        ``owned_items_all[i]`` of the vector, every later row moves up by
+        ``n - n_owned`` and every block is kept; see :meth:`run` and
+        :meth:`halo_rows`.
         """
         self._check_open()
         if world.n_ranks > self.n_ranks:
             raise CommunicationError(
                 "world exchange spans more ranks than the engine provides"
             )
-        _check_indices(world)
         ids = world.owned_items_all
-        if vector_length is not None and (
+        bound = vector_length is not None
+        if bound and (
                 world.spec.item_size != 1 or vector_length < 0 or (
                     ids.size and not 0 <= ids.min() <= ids.max() < vector_length)):
             raise ValidationError(
                 f"binding an exchange to a vector of length {vector_length} "
                 f"needs item_size == 1 (got {world.spec.item_size}) and every "
                 f"owned item id in [0, {vector_length})")
-        state = _stage(world, vector_length)
+        steps, tail = _checked_steps(world, fold=not bound)
+        if bound:
+            shift = vector_length - ids.size
+            lut = np.arange(shift, world.n_world_rows + shift)
+            lut[:ids.size] = ids
+            steps = [(program, None, 0, 0) if src is None
+                     else (program, np.take(lut, src), a + shift, b + shift)
+                     for program, src, a, b in steps]
+            n_rows = world.n_world_rows + shift
+        else:
+            lut = np.concatenate([np.arange(world.n_unbound_rows), *tail])
+            n_rows = world.n_unbound_rows
+        work = np.zeros((n_rows, world.spec.item_size), dtype=world.spec.dtype)
+        state = _RegisteredProgram(world, vector_length, work, steps,
+                                   np.take(lut, world.result_rows))
         if self._pool is not None and not self._pool_failed:
             try:
                 shared = self._pool.register(
@@ -487,7 +465,7 @@ class ExchangeEngine:
         ``world.result_offsets``) — what ``PersistentNeighborCollective.wait``
         hands each rank on the envelope-routed path.  It is made by one
         gather from the work array, which also performs the round's terminal
-        deliveries: those rows are read from their sources, never staged.
+        deliveries: those rows are read from their sources, never stored.
 
         On a handle registered with ``vector_length=n``, ``values`` is the
         ``(n,)`` vector itself (anything else raises :class:`ValidationError`)
@@ -532,7 +510,7 @@ class ExchangeEngine:
             return rows
         # One pass: the terminal deliveries, and the rows earlier steps made.
         rows = np.empty((state.result.size, work.shape[1]), dtype=work.dtype)
-        self._kernels.gather(work, state.result, rows)
+        self._gather(work, state.result, rows)
         return rows.reshape(-1) if state.world.spec.item_size == 1 else rows
 
     # -- helpers --------------------------------------------------------------
@@ -541,7 +519,7 @@ class ExchangeEngine:
         """One round's steps in the parent, in schedule order: every send
         step accounted (one bulk record each), every receive step gathered
         unless the pool already ``delivered`` it."""
-        work, gather = state.work, self._kernels.gather
+        work, gather = state.work, self._gather
         for program, src, a, b in state.steps:
             if src is None:
                 self._account(program)

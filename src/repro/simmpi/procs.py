@@ -1,16 +1,17 @@
 """Shared-memory multiprocessing runtime for the world-stepped engine.
 
-The :class:`~repro.simmpi.engine.ExchangeEngine` stages every registered
-world exchange into rows ``[head | receive step 1 | step 2 | …]`` and runs a
-round as one ``gather(work[:a], src, work[a:b])`` per receive step.  This
-module is the ``runtime="procs"`` backend of those same steps: at
-registration the staged work array and the receive steps' ``src`` rows
-(concatenated) move into two :mod:`multiprocessing.shared_memory` segments,
-and a persistent pool of worker processes (forked once per engine, lazily at
-the first registration) executes every step in parallel.
+The :class:`~repro.simmpi.engine.ExchangeEngine` runs a registered world
+exchange on rows ``[head | receive blocks …]`` as one ``gather(work[:a], src,
+work[a:b])`` per receive step.  This module is the ``runtime="procs"``
+backend of those same steps: at registration the work array and the receive
+steps' ``src`` rows (concatenated in row order) move into two
+:mod:`multiprocessing.shared_memory` segments, and a persistent pool of
+worker processes (forked once per engine, lazily at the first registration)
+executes every step in parallel.
 
 **Step shares.**  A receive step fills the contiguous rows ``[a, b)`` from
-rows below ``a``.  Worker ``w`` of ``n`` owns the even share
+rows earlier steps wrote, all below ``a``.  Worker ``w`` of ``n`` owns the
+even share
 ``[a + lo, a + hi)`` of them (:func:`_share`: shares tile the step and differ
 by at most one row) and runs ``gather(work[:a], src[lo:hi],
 work[a + lo:a + hi])`` — disjoint writes, reads only of rows earlier steps
@@ -22,7 +23,7 @@ The parent loads the head — rows no worker ever writes — before dispatching
 and, after all workers report done, runs the output gather into a fresh
 array, so no shared-memory view ever escapes to the caller.  That gather
 also makes the deliveries of every *terminal* receive step (one whose rows
-no later step reads): the engine staged such a step with an empty range
+no later step reads): an unbound handle keeps such a step with an empty range
 ``a == b``, so every worker's share of it is empty and only the barrier
 and the fault-injection point remain.  Message accounting (the profiler)
 stays in the parent, exactly as on the serial path.
@@ -215,11 +216,11 @@ class SharedProgram:
     ``work`` holds the staged rows — the engine loads the head into its view
     before a round and copies results out after, so callers only ever see
     private copies.  ``sources`` holds every receive step's ``src`` rows, one
-    step after another: the steps tile the rows behind the head, so
-    ``sources[r - head]`` is the earlier row that row ``r`` copies.  ``steps``
-    lists the schedule as ``(kind, a, b)``: a ``"recv"`` fills rows
-    ``[a, b)``, a ``"send"`` moves nothing.  The segments outlive any one
-    worker generation: after a crash the respawned pool re-attaches to
+    block after another in row order: the blocks tile the rows behind the
+    head, so ``sources[r - head]`` is the earlier row that row ``r`` copies.
+    ``steps`` lists the schedule as ``(kind, a, b)``: a ``"recv"`` fills
+    rows ``[a, b)``, a ``"send"`` moves nothing.  The segments outlive any
+    one worker generation: after a crash the respawned pool re-attaches to
     exactly these blocks (:meth:`ProcsPool._respawn`).
     """
 
@@ -248,12 +249,15 @@ class SharedProgram:
 def share_program(work: np.ndarray, steps: Sequence[tuple]) -> SharedProgram:
     """Move a staged program's two arrays into shared memory.
 
-    ``steps`` is the staged schedule as ``(src, a, b)`` — ``src is None`` for
-    a send.  A segment that cannot be created (``EMFILE``, a full
-    ``/dev/shm``) takes the one created before it down with it.
+    ``steps`` is the schedule as ``(src, a, b)`` — ``src is None`` for a
+    send.  The ``src`` rows are concatenated in row order, which is not
+    schedule order where a terminal block sits behind a later step's.  A
+    segment that cannot be created (``EMFILE``, a full ``/dev/shm``) takes
+    the one created before it down with it.
     """
-    sources = concatenate_or_empty(
-        [src for src, _, _ in steps if src is not None])
+    receives = sorted((step for step in steps if step[0] is not None),
+                      key=lambda step: step[1])
+    sources = concatenate_or_empty([src for src, _, _ in receives])
     blocks: List[SharedBlock] = []
     try:
         for array in (work, sources):
@@ -287,9 +291,8 @@ def _run_round(program: tuple, worker_id: int, n_workers: int, barrier,
     the spec's phase — *inside* the round, peers already committed to their
     barrier waits, exactly where a real OOM kill or wedge lands.
     """
-    from repro.collectives.kernels import active_backend
+    from repro.collectives.kernels import _numpy_gather as gather
 
-    gather = active_backend().gather
     work, sources = program[0].array, program[1].array
     head = work.shape[0] - sources.shape[0]
     for kind, a, b in program[2]:

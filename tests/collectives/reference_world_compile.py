@@ -1,18 +1,22 @@
-"""The seed's per-rank world compiler, kept verbatim as a golden baseline.
+"""The seed's per-rank world compiler, kept as a golden baseline.
 
 :func:`repro.collectives.exchange.compile_world_exchange` emits every rank's
-compiled exchange as one world program in a single vectorized pass.  This
-module preserves the implementation it replaced — compile every rank with
+compiled exchange as one world program in a single vectorized pass, in the
+row layout the engine executes.  This module preserves the implementation it
+replaced — compile every rank with
 :func:`~repro.collectives.exchange.compile_exchange`, re-base the results
-into one row space, and pair senders with receivers message by message — so
-the equivalence suites (``test_world_compile_equivalence.py``,
-``test_phase_table.py``) can pin the world pass byte-identical to it.
+into one rank-major row space, and pair senders with receivers message by
+message — as a :class:`ReferenceWorld`.  Relabelled through the layout
+oracle of ``reference_staging.py``, the equivalence suites
+(``test_world_compile_equivalence.py``, ``test_phase_table.py``) pin the
+world pass byte-identical to it.
 
 It is a test oracle, not library code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -22,8 +26,6 @@ from repro.collectives.exchange import (
     _AGGREGATED_SCHEDULE,
     _DIRECT_SCHEDULE,
     ExchangeSpec,
-    WorldExchange,
-    WorldPhaseProgram,
     compile_exchange,
 )
 from repro.collectives.plan import AGGREGATED_PHASES, CollectivePlan, Phase, Variant
@@ -31,9 +33,47 @@ from repro.utils.arrays import INDEX_DTYPE, concatenate_or_empty, counts_to_disp
 from repro.utils.errors import PlanError
 
 
+@dataclass
+class ReferencePhase:
+    """One phase as the seed compiled it: ``wire = work[gather]``, then
+    ``work[scatter] = wire[wire_perm]``, plus the message columns."""
+
+    phase: Phase
+    tag: int
+    gather: np.ndarray
+    scatter: np.ndarray
+    wire_perm: np.ndarray
+    msg_sources: np.ndarray
+    msg_dests: np.ndarray
+    msg_nbytes: np.ndarray
+
+
+@dataclass
+class ReferenceWorld:
+    """The seed's world program: rank ``r``'s rows (what
+    :func:`compile_exchange` numbers for it alone) are the world block
+    ``[rank_bases[r], rank_bases[r + 1])``; ``owned_rows`` / ``result_rows``
+    load the inputs and select the outputs."""
+
+    variant: Variant
+    spec: ExchangeSpec
+    n_ranks: int
+    n_world_rows: int
+    rank_bases: np.ndarray
+    owned_rows: np.ndarray
+    owned_offsets: np.ndarray
+    result_rows: np.ndarray
+    result_offsets: np.ndarray
+    steps: Tuple[Tuple[str, Phase], ...]
+    programs: Dict[Phase, ReferencePhase]
+    owned_items_all: np.ndarray
+    result_items_all: np.ndarray
+    result_sources_all: np.ndarray
+
+
 def compile_world_exchange_reference(plan: CollectivePlan,
                                      spec: ExchangeSpec | None = None
-                                     ) -> WorldExchange:
+                                     ) -> ReferenceWorld:
     """Compile all ranks' shares of ``plan`` into one batched world program.
 
     Pinned per-rank reference per the repo's golden-equivalence convention:
@@ -47,8 +87,9 @@ def compile_world_exchange_reference(plan: CollectivePlan,
 
     This walks a Python loop over ranks (and scans the phase message lists
     once per rank), which is O(ranks × messages); the production
-    :func:`compile_world_exchange` emits identical arrays with one world-level
-    pass and is what every caller should use.
+    :func:`compile_world_exchange` emits the same program, renumbered into
+    the engine's layout, with one world-level pass and is what every caller
+    should use.
     """
     if spec is None:
         spec = ExchangeSpec(dtype=plan.pattern.dtype,
@@ -75,7 +116,7 @@ def compile_world_exchange_reference(plan: CollectivePlan,
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
 
-    programs: Dict[Phase, WorldPhaseProgram] = {}
+    programs: Dict[Phase, ReferencePhase] = {}
     for index, phase in enumerate(order):
         gather_parts: List[np.ndarray] = []
         scatter_parts: List[np.ndarray] = []
@@ -122,7 +163,7 @@ def compile_world_exchange_reference(plan: CollectivePlan,
                 f"phase-{phase.value} wire permutation covers {wire_perm.size} "
                 f"items but the world scatter expects {scatter.size}"
             )
-        programs[phase] = WorldPhaseProgram(
+        programs[phase] = ReferencePhase(
             phase=phase,
             tag=PHASE_TAGS[phase],
             gather=gather,
@@ -133,7 +174,7 @@ def compile_world_exchange_reference(plan: CollectivePlan,
             msg_nbytes=np.asarray(counts, dtype=INDEX_DTYPE) * spec.item_bytes,
         )
 
-    return WorldExchange(
+    return ReferenceWorld(
         variant=plan.variant,
         spec=spec,
         n_ranks=n_ranks,

@@ -1,13 +1,18 @@
 """Golden equivalence: world-level plan compilation vs the per-rank reference.
 
-:func:`~repro.collectives.exchange.compile_world_exchange` emits the
-concatenated world program with one vectorized pass over the plan's columnar
-payload; ``compile_world_exchange_reference`` (``reference_world_compile.py``)
-is the pinned seed-equivalent path that compiles every rank separately with
-:func:`compile_exchange` and re-bases the results.  Every array of the two
-must be **byte-identical** (values and dtypes) across variants x patterns x
-mappings x element specs, and the world-level pass must reproduce the
-reference compiler's :class:`PlanError` diagnostics for malformed plans.
+:func:`~repro.collectives.exchange.compile_world_exchange` emits the world
+program with one vectorized pass over the plan's columnar payload, numbered
+in the layout the engine executes; ``compile_world_exchange_reference``
+(``reference_world_compile.py``) is the pinned seed-equivalent path that
+compiles every rank separately with :func:`compile_exchange` and re-bases the
+results rank-major.  Relabelled through the engine's former staging pass
+(``reference_staging.py``), the reference's unbound layout — rows kept,
+every step's ``(src, a, b)``, the result selector — must be **byte-identical**
+to what the engine registers from the compiled world, the message columns
+and item ids equal outright, and every row of the compiled world one row of
+the reference's, across variants x patterns x mappings x element specs.  The
+world-level pass must reproduce the reference compiler's :class:`PlanError`
+diagnostics for malformed plans.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_staging import _stage
 from reference_world_compile import compile_world_exchange_reference
 
 from repro.collectives import Variant, make_plan
@@ -25,47 +31,80 @@ from repro.collectives.exchange import (
 )
 from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
+from repro.simmpi import ExchangeEngine
 from repro.topology import paper_mapping
 from repro.utils.errors import PlanError
 
 ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
                 Variant.PARTIAL, Variant.FULL)
 
-WORLD_ARRAYS = ("rank_bases", "owned_rows", "owned_offsets", "result_rows",
-                "result_offsets", "owned_items_all", "result_items_all",
-                "result_sources_all")
-PROGRAM_ARRAYS = ("gather", "scatter", "wire_perm", "msg_sources",
-                  "msg_dests", "msg_nbytes")
+#: What the row numbering does not touch, compared outright.
+SHARED_FIELDS = ("variant", "spec", "n_ranks", "n_world_rows", "steps",
+                 "owned_offsets", "result_offsets", "owned_items_all",
+                 "result_items_all", "result_sources_all")
+MESSAGE_FIELDS = ("tag", "wire_perm", "msg_sources", "msg_dests",
+                  "msg_nbytes")
 
 
-def assert_worlds_identical(fast, ref):
-    """Every scalar, offset, and index array must match value- and dtype-wise."""
-    assert fast.variant == ref.variant
-    assert fast.spec == ref.spec
-    assert fast.n_ranks == ref.n_ranks
-    assert fast.n_world_rows == ref.n_world_rows
-    assert fast.steps == ref.steps
-    for name in WORLD_ARRAYS:
-        lhs, rhs = getattr(fast, name), getattr(ref, name)
+def _layout(state):
+    """``(len(work), every step's (src, a, b), result)`` of a registered
+    program, as bytes."""
+    return (state.work.shape[0],
+            [(None if src is None else (src.dtype.str, src.tobytes()), a, b)
+             for _, src, a, b in state.steps],
+            (state.result.dtype.str, state.result.tobytes()))
+
+
+def _assert_same(lhs, rhs, name) -> None:
+    if isinstance(lhs, np.ndarray):
         assert lhs.dtype == rhs.dtype, name
         np.testing.assert_array_equal(lhs, rhs, err_msg=name)
+    else:
+        assert lhs == rhs, name
+
+
+def assert_worlds_identical(lhs, rhs):
+    """Two compiled worlds: every scalar and array equal, value- and
+    dtype-wise."""
+    assert set(lhs.programs) == set(rhs.programs)
+    for name, value in vars(lhs).items():
+        if name != "programs":
+            _assert_same(value, getattr(rhs, name), name)
+    for phase, program in lhs.programs.items():
+        for name, value in vars(program).items():
+            _assert_same(value, getattr(rhs.programs[phase], name),
+                         f"{phase}:{name}")
+
+
+def assert_matches_reference(fast, ref):
+    """``fast`` is the reference world ``ref``, renumbered into the engine's
+    layout: equal to it wherever rows do not show, one relabelling of its
+    rows where they do, and running the unbound layout the engine used to
+    stage from ``ref`` at registration."""
+    for name in SHARED_FIELDS:
+        _assert_same(getattr(fast, name), getattr(ref, name), name)
     assert set(fast.programs) == set(ref.programs)
+    # Owned rows lead, in input order; each receive position lands its
+    # value's row; the relabelling so defined is one-to-one.
+    relabel = np.full(ref.n_world_rows, -1)
+    relabel[ref.owned_rows] = np.arange(ref.owned_rows.size)
+    for phase, program in fast.programs.items():
+        relabel[ref.programs[phase].scatter] = program.scatter
+    assert np.array_equal(np.sort(relabel), np.arange(ref.n_world_rows))
+    np.testing.assert_array_equal(relabel[ref.result_rows], fast.result_rows)
     for phase, program in fast.programs.items():
         reference = ref.programs[phase]
-        assert program.tag == reference.tag
-        for name in PROGRAM_ARRAYS:
-            lhs = getattr(program, name)
-            rhs = getattr(reference, name)
-            assert lhs.dtype == rhs.dtype, (phase, name)
-            np.testing.assert_array_equal(lhs, rhs,
-                                          err_msg=f"{phase}:{name}")
-    for rank in range(ref.n_ranks):
-        np.testing.assert_array_equal(fast.owned_item_ids(rank),
-                                      ref.owned_item_ids(rank))
-        np.testing.assert_array_equal(fast.recv_item_ids(rank),
-                                      ref.recv_item_ids(rank))
-        np.testing.assert_array_equal(fast.recv_item_sources(rank),
-                                      ref.recv_item_sources(rank))
+        for name in MESSAGE_FIELDS:
+            _assert_same(getattr(program, name), getattr(reference, name),
+                         f"{phase}:{name}")
+        for name in ("gather", "scatter"):
+            assert getattr(program, name).dtype == np.int64, (phase, name)
+            np.testing.assert_array_equal(
+                relabel[getattr(reference, name)], getattr(program, name),
+                err_msg=f"{phase}:{name}")
+    with ExchangeEngine(fast.n_ranks, runtime="engine") as engine:
+        registered = engine._programs[engine.register(fast)]
+        assert _layout(registered) == _layout(_stage(ref))
 
 
 def patterns():
@@ -84,8 +123,8 @@ def test_world_compile_matches_reference(name, pattern, variant):
     mapping = paper_mapping(pattern.n_ranks,
                             ranks_per_node=min(4, pattern.n_ranks))
     plan = make_plan(pattern, mapping, variant)
-    assert_worlds_identical(compile_world_exchange(plan),
-                            compile_world_exchange_reference(plan))
+    assert_matches_reference(compile_world_exchange(plan),
+                             compile_world_exchange_reference(plan))
 
 
 @pytest.mark.parametrize("variant", (Variant.STANDARD, Variant.PARTIAL,
@@ -98,8 +137,8 @@ def test_world_compile_matches_reference_specs(variant, dtype, item_size):
     mapping = paper_mapping(16, ranks_per_node=8)
     plan = make_plan(pattern, mapping, variant)
     spec = ExchangeSpec(dtype=dtype, item_size=item_size)
-    assert_worlds_identical(compile_world_exchange(plan, spec),
-                            compile_world_exchange_reference(plan, spec))
+    assert_matches_reference(compile_world_exchange(plan, spec),
+                             compile_world_exchange_reference(plan, spec))
 
 
 def test_world_compile_socket_regions_match():
@@ -110,8 +149,8 @@ def test_world_compile_socket_regions_match():
                           region="socket")
     for variant in ALL_VARIANTS:
         plan = make_plan(pattern, mapping, variant)
-        assert_worlds_identical(compile_world_exchange(plan),
-                                compile_world_exchange_reference(plan))
+        assert_matches_reference(compile_world_exchange(plan),
+                                 compile_world_exchange_reference(plan))
 
 
 def test_world_compile_leaves_compiled_lazy(count_calls):

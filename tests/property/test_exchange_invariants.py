@@ -10,12 +10,14 @@ on the engine and check what actually arrives:
 (c) the profiler's totals are ``plan.statistics()``, and inter-region message
     counts never rise from standard to partial to full — repeat deliveries
     the staged data path drops are still counted;
-(d) a bound layout's blocks tile ``[0, n_world_rows)`` with one row per
-    distinct delivered key: ``Σ(b − a) ≤ Σ scatter.size``, equal without
-    repeats; an unbound layout folds every *terminal* block (read by no
-    later step's ``src``, the last receive step's always) into its result —
-    the step keeps its slot with ``a == b``, the other blocks tile ``work``,
-    and ``len(work)`` plus the folded rows is ``n_world_rows``;
+(d) the compiled blocks tile ``[0, n_world_rows)`` with one row per
+    distinct delivered key — ``Σ(b − a) ≤ Σ scatter.size``, equal without
+    repeats — those some later step's ``src`` reads first, in schedule
+    order, then the *terminal* ones (the last receive step's always), so
+    ``[0, n_unbound_rows)`` is the owned rows and the read blocks; a
+    vector-bound handle keeps every block, moved up past the vector, and an
+    unbound one folds the terminal blocks into its result — the step keeps
+    its slot with ``a == b`` and ``len(work)`` is ``n_unbound_rows``;
 (e) none of it depends on who runs the steps: a ``runtime="procs"`` pool of
     one worker, of three, or of more workers than a step has rows delivers
     the same bytes and accounts the same traffic, and its workers' shares
@@ -23,20 +25,22 @@ on the engine and check what actually arrives:
 (f) every round is byte-equal to the reference executor that runs the
     compiled program as written, three fancy-index passes per phase on
     ``n_world_rows`` rows — whatever the variant, dtype, item size or
-    runtime.
+    runtime, and wherever a terminal block sits.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives import Variant, WorldNeighborCollective, make_plan
-from repro.collectives.exchange import compile_world_exchange
+from repro.collectives import (Phase, Variant, WorldNeighborCollective,
+                               make_plan)
+from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import CommPattern, random_pattern
-from repro.simmpi import TrafficProfiler
-from repro.simmpi.engine import _stage
+from repro.simmpi import ExchangeEngine, TrafficProfiler
 from repro.simmpi.procs import _share
 from repro.topology import Locality, paper_mapping
 
@@ -60,13 +64,28 @@ def _required(pattern: CommPattern, rank: int) -> np.ndarray:
 
 
 def _blocks(state):
-    """``(a, b)`` of every receive step of a staged layout."""
+    """``(a, b)`` of every receive step of a registered layout."""
     return [(a, b) for _, src, a, b in state.steps if src is not None]
 
 
+def _receives(world):
+    """Every receive step's program, in schedule order."""
+    return [world.programs[phase] for kind, phase in world.steps
+            if kind == "recv"]
+
+
 def _receive_steps(world):
-    """``(a, b)`` of every receive step of ``world``'s unbound layout."""
-    return _blocks(_stage(world))
+    """``(a, b)`` of every receive step of ``world``'s unbound layout: a
+    terminal block, at or past ``n_unbound_rows``, folds to the empty range
+    where the kept blocks before it end."""
+    end, steps = world.owned_items_all.size, []
+    for program in _receives(world):
+        if program.a < world.n_unbound_rows:
+            end = program.b
+            steps.append((program.a, end))
+        else:
+            steps.append((end, end))
+    return steps
 
 
 def _reference_round(world, values: np.ndarray) -> np.ndarray:
@@ -74,7 +93,7 @@ def _reference_round(world, values: np.ndarray) -> np.ndarray:
     per receive step on every world row, then the result rows."""
     item_size = world.spec.item_size
     work = np.zeros((world.n_world_rows, item_size), dtype=values.dtype)
-    work[world.owned_rows] = values.reshape(-1, item_size)
+    work[:world.owned_items_all.size] = values.reshape(-1, item_size)
     for kind, phase in world.steps:
         program = world.programs[phase]
         if kind == "recv":
@@ -84,38 +103,43 @@ def _reference_round(world, values: np.ndarray) -> np.ndarray:
 
 
 def _assert_layout(world) -> None:
-    """(d) the bound and the unbound layout of ``world``."""
-    n_owned = world.owned_rows.size
-    head = int(world.owned_items_all.max(initial=-1)) + 1
-    bound, unbound = _stage(world, head), _stage(world)
-    full, kept = _blocks(bound), _blocks(unbound)
-    # Bound: every block, one after another, one row per distinct key.
-    edges = [head] + [b for _, b in full]
-    assert [a for a, _ in full] == edges[:-1]
-    assert edges[-1] - head + n_owned == world.n_world_rows == \
-        bound.work.shape[0] - head + n_owned
-    scatters = [world.programs[phase].scatter
-                for kind, phase in world.steps if kind == "recv"]
-    delivered = np.concatenate(scatters) if scatters else np.empty(0, int)
-    fresh = np.setdiff1d(delivered, world.owned_rows).size
-    assert sum(b - a for a, b in full) == fresh <= delivered.size
+    """(d) the compiled layout, and the bound and unbound ones registered
+    from it."""
+    n_owned = world.owned_items_all.size
+    receives = _receives(world)
+    read = np.zeros(world.n_world_rows, dtype=bool)
+    for program in receives:
+        read[program.src] = True
+    terminal = [not read[program.a:program.b].any() for program in receives]
+    assert not receives or terminal[-1]
+    order = [program for program, last in zip(receives, terminal) if not last] \
+        + [program for program, last in zip(receives, terminal) if last]
+    edges = [n_owned] + [program.b for program in order]
+    assert [program.a for program in order] == edges[:-1]
+    assert edges[-1] == world.n_world_rows
+    assert world.n_unbound_rows == edges[terminal.count(False)]
+    # One row per distinct delivered key.
+    delivered = np.concatenate([program.scatter for program in receives]) \
+        if receives else np.empty(0, int)
+    fresh = np.setdiff1d(delivered, np.arange(n_owned)).size
+    assert sum(program.b - program.a for program in receives) == fresh \
+        <= delivered.size
     no_repeats = np.unique(delivered).size == delivered.size and \
-        not np.isin(delivered, world.owned_rows).any()
+        not (delivered < n_owned).any()
     assert (fresh == delivered.size) == no_repeats
-    # Unbound: the terminal blocks fold away, the others tile ``work``.
-    read = np.zeros(bound.work.shape[0], dtype=bool)
-    for _, src, _, _ in bound.steps:
-        if src is not None:
-            read[src] = True
-    terminal = [not read[a:b].any() for a, b in full]
-    assert not full or terminal[-1]
-    assert [b - a for a, b in kept] == \
-        [0 if folded else b - a for (a, b), folded in zip(full, terminal)]
-    edges = [n_owned] + [b for _, b in kept]
-    assert [a for a, _ in kept] == edges[:-1]
-    assert edges[-1] == unbound.work.shape[0]
-    folded_rows = sum(b - a for (a, b), folded in zip(full, terminal) if folded)
-    assert unbound.work.shape[0] + folded_rows == world.n_world_rows
+    # Registered: bound (scalar items; the layout is the same at any size)
+    # every block moves up past the vector, unbound the terminal ones fold.
+    head = int(world.owned_items_all.max(initial=-1)) + 1
+    scalar = replace(world, spec=ExchangeSpec(world.spec.dtype, 1))
+    with ExchangeEngine(world.n_ranks, runtime="engine") as engine:
+        bound = engine._programs[engine.register(scalar, vector_length=head)]
+        unbound = engine._programs[engine.register(world)]
+    assert _blocks(bound) == [(program.a + head - n_owned,
+                               program.b + head - n_owned)
+                              for program in receives]
+    assert bound.work.shape[0] == head + world.n_world_rows - n_owned
+    assert _blocks(unbound) == _receive_steps(world)
+    assert unbound.work.shape[0] == world.n_unbound_rows
     assert unbound.result.size == world.result_rows.size
 
 
@@ -274,3 +298,35 @@ def test_edge_programs_run_and_agree(name, item_size):
     _assert_accounting(pooled)
     assert all(pooled[variant][3] == outcomes[variant][3]
                for variant in VARIANTS)
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_a_terminal_block_behind_a_later_steps_runs_on_a_pool(n_workers):
+    """(d)-(f) on a vector-bound aggregated program whose ``LOCAL`` block is
+    terminal but scheduled before ``GLOBAL``'s, which ``FINAL_REDIST`` reads:
+    rows and schedule disagree, and a pool of workers still delivers the
+    reference executor's bytes, equal to the parent's."""
+    pattern = random_pattern(12, avg_neighbors=4.0, duplicate_fraction=0.3,
+                             seed=3)
+    mapping = paper_mapping(12, ranks_per_node=4)
+    world = compile_world_exchange(make_plan(pattern, mapping, Variant.PARTIAL))
+    local, global_ = world.programs[Phase.LOCAL], world.programs[Phase.GLOBAL]
+    schedule = [phase for kind, phase in world.steps if kind == "recv"]
+    assert schedule.index(Phase.LOCAL) < schedule.index(Phase.GLOBAL)
+    assert global_.b <= world.n_unbound_rows <= local.a < local.b
+    _assert_layout(world)
+    n = int(world.owned_items_all.max()) + 3
+    buffers = []
+    with ExchangeEngine(12, runtime="engine") as serial, \
+            ExchangeEngine(12, runtime="procs", n_workers=n_workers) as pooled:
+        for engine in (serial, pooled):
+            handle = engine.register(world, vector_length=n)
+            for scale in (1.0, -2.5):
+                x = scale * (7.0 + np.arange(n))
+                buffer = engine.run(handle, x)
+                halo = buffer[engine.halo_rows(handle)]
+                assert halo.tobytes() == _reference_round(
+                    world, x[world.owned_items_all]).tobytes()
+                buffers.append(buffer.tobytes())
+            assert not engine.degraded
+    assert buffers[:2] == buffers[2:]

@@ -396,7 +396,8 @@ class TestPolicyAndConfiguration:
         assert engine.on_failure == "fallback"
         engine.close()
         monkeypatch.setenv(ON_FAILURE_ENV, "quantum")
-        assert default_on_failure() == "retry"
+        with pytest.raises(ValidationError, match=ON_FAILURE_ENV):
+            default_on_failure()
 
     def test_timeout_env_and_validation(self, monkeypatch):
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)

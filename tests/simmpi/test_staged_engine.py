@@ -1,12 +1,12 @@
-"""The engine's staged layout: validated and staged once at ``register``.
+"""The engine's layout: compiled once, validated once at ``register``.
 
-Every runtime renumbers a program's rows ``[owned | receive step 1 | step 2 |
-…]`` at registration and runs every receive step as a clipped ``take`` into a
-slice — so a corrupt program must be refused *there*, with a
-:class:`CommunicationError`, because no later kernel bounds-checks anything.
-``runtime="procs"`` hands the same steps to its workers on the same rows (in
-shared memory), so a healthy, a retried and a fallen-back round share one
-layout and nothing is ever staged again.
+The compiler numbers a program's rows ``[owned | blocks a later step reads |
+terminal blocks]`` and every runtime runs each receive step as a clipped
+``take`` into its slice — so a corrupt program must be refused at
+registration, with a :class:`CommunicationError`, because no later kernel
+bounds-checks anything.  ``runtime="procs"`` hands the same steps to its
+workers on the same rows (in shared memory), so a healthy, a retried and a
+fallen-back round share one layout and nothing is ever validated again.
 
 A handle registered with ``vector_length=n`` is bound to the caller's vector:
 ``run`` takes the ``(n,)`` array itself and returns the round buffer
@@ -48,9 +48,9 @@ def _values(world, scale: float = 1.0) -> np.ndarray:
     return scale * (7.0 + world.owned_items_all.astype(np.float64))
 
 
-def _with_program(world, phase, **arrays):
-    """``world`` with one phase program's index arrays replaced."""
-    program = replace(world.programs[phase], **arrays)
+def _with_program(world, phase, **fields):
+    """``world`` with one phase program's fields replaced."""
+    program = replace(world.programs[phase], **fields)
     return replace(world, programs={**world.programs, phase: program})
 
 
@@ -64,42 +64,49 @@ def _poked(index: np.ndarray, value: int) -> np.ndarray:
 
 
 def _negative_row(world):
-    program = world.programs[Phase.LOCAL]
-    return _with_program(world, Phase.LOCAL, gather=_poked(program.gather, -1))
+    """A receive step reads row -1."""
+    program = world.programs[Phase.GLOBAL]
+    return _with_program(world, Phase.GLOBAL, src=_poked(program.src, -1))
 
 
 def _row_past_the_end(world):
+    """A receive step reads the first row of its own block."""
     program = world.programs[Phase.GLOBAL]
     return _with_program(world, Phase.GLOBAL,
-                         scatter=_poked(program.scatter, world.n_world_rows))
+                         src=_poked(program.src, program.a))
 
 
 def _wire_perm_past_the_wire(world):
-    program = world.programs[Phase.FINAL_REDIST]
-    return _with_program(
-        world, Phase.FINAL_REDIST,
-        wire_perm=_poked(program.wire_perm, program.gather.size))
+    """The result selector points one row past the world's rows (a round
+    runs no wire permutation, so the output is the last index to corrupt)."""
+    return replace(world, result_rows=_poked(world.result_rows,
+                                             world.n_world_rows))
 
 
 def _reads_a_later_phase(world):
-    """The first send gathers rows only the final redistribution delivers."""
-    earlier = np.concatenate(
-        [world.owned_rows] + [program.scatter
-                              for phase, program in world.programs.items()
-                              if phase is not Phase.FINAL_REDIST])
-    late = np.setdiff1d(world.programs[Phase.FINAL_REDIST].scatter, earlier)
-    assert late.size, "the fixture pattern must redistribute something"
-    program = world.programs[Phase.LOCAL]
+    """The terminal ``LOCAL`` block, whose rows follow ``GLOBAL``'s, reads a
+    ``GLOBAL`` row: below its own block, but written only later."""
+    local, global_ = world.programs[Phase.LOCAL], world.programs[Phase.GLOBAL]
+    assert global_.a < global_.b <= local.a, \
+        "the fixture's LOCAL block must be terminal and GLOBAL's not"
     return _with_program(world, Phase.LOCAL,
-                         gather=np.full_like(program.gather, late[0]))
+                         src=np.full_like(local.src, global_.a))
 
 
 def _orphan_row(world):
+    """A gap: the world has a row no block writes."""
     return replace(world, n_world_rows=world.n_world_rows + 1)
 
 
+def _overlapping_blocks(world):
+    """``GLOBAL``'s block starts one row early, on the previous block's."""
+    program = world.programs[Phase.GLOBAL]
+    return _with_program(world, Phase.GLOBAL, a=program.a - 1,
+                         src=np.concatenate([program.src[:1], program.src]))
+
+
 RANGE_TAMPERS = [_negative_row, _row_past_the_end, _wire_perm_past_the_wire]
-LAYOUT_TAMPERS = [_reads_a_later_phase, _orphan_row]
+LAYOUT_TAMPERS = [_reads_a_later_phase, _orphan_row, _overlapping_blocks]
 
 
 class TestCorruptProgramsRaiseAtRegister:
@@ -120,7 +127,7 @@ class TestCorruptProgramsRaiseAtRegister:
 
     def test_out_of_range_error_names_the_phase(self):
         with ExchangeEngine(N_RANKS, runtime="engine") as engine:
-            with pytest.raises(CommunicationError, match="GLOBAL.* scatter"):
+            with pytest.raises(CommunicationError, match="GLOBAL src"):
                 engine.register(_row_past_the_end(_world()))
 
     @pytest.mark.parametrize("tamper", LAYOUT_TAMPERS)
@@ -133,8 +140,11 @@ class TestCorruptProgramsRaiseAtRegister:
     def test_later_phase_error_names_the_phase(self):
         with ExchangeEngine(N_RANKS, runtime="engine") as engine:
             with pytest.raises(CommunicationError,
-                               match="LOCAL.* no earlier step delivered"):
+                               match=r"LOCAL src .*outside \[0, "):
                 engine.register(_reads_a_later_phase(_world()))
+            with pytest.raises(CommunicationError,
+                               match="GLOBAL writes rows .* must tile"):
+                engine.register(_overlapping_blocks(_world()))
 
 
 # -- one layout, whoever runs the steps ---------------------------------------------
@@ -184,26 +194,27 @@ def test_fallen_back_engine_matches_a_fresh_engine_on_every_program(count_calls)
                     assert engine.run(handle, _values(world, scale)).tobytes() \
                         == reference
 
-    # One staging per program, at its registration — before the failure or
-    # after it — and none in any round, the fallen-back one included.
-    assert count_calls(chaos, of=[engine_module._stage]) == 3
+    # One validation per program, at its registration — before the failure
+    # or after it — and none in any round, the fallen-back one included.
+    assert count_calls(chaos, of=[engine_module._checked_steps]) == 3
 
 
 def test_healthy_procs_engine_never_stages(count_calls):
-    """... in a round: once at ``register``, exactly as ``runtime="engine"``."""
+    """... nor validates in a round: once at ``register``, exactly as
+    ``runtime="engine"``."""
     world = _world()
     expected, = _reference_rounds([world], (1.0, 3.0))
     with _pool_engine() as engine:
         handles = []
         assert count_calls(lambda: handles.append(engine.register(world)),
-                           of=[engine_module._stage]) == 1
+                           of=[engine_module._checked_steps]) == 1
 
         def rounds():
             for scale, reference in zip((1.0, 3.0), expected):
                 assert engine.run(handles[0], _values(world, scale)).tobytes() \
                     == reference
 
-        assert count_calls(rounds, of=[engine_module._stage]) == 0
+        assert count_calls(rounds, of=[engine_module._checked_steps]) == 0
         assert not engine.degraded and not engine.events
 
 
@@ -379,7 +390,23 @@ def test_corrupt_programs_raise_at_register_when_bound_too(tamper):
             engine.register(tamper(world), vector_length=_vector_length(world))
 
 
+@pytest.mark.parametrize("tamper", RANGE_TAMPERS + LAYOUT_TAMPERS)
+def test_corrupt_programs_raise_at_register_on_a_pool(tamper):
+    world = _world()
+    with _pool_engine() as engine:
+        for binding in ({}, {"vector_length": _vector_length(world)}):
+            with pytest.raises(CommunicationError,
+                               match="corrupt world exchange"):
+                engine.register(tamper(world), **binding)
+        # Nothing was shared: the pool serves the intact program.
+        assert not engine._pool.started
+        handle = engine.register(world)
+        assert engine.run(handle, _values(world)).tobytes() == \
+            _reference_rounds([world], (1.0,))[0][0]
+
+
 def test_every_program_is_staged_exactly_once(count_calls):
+    """Registration is O(1) numpy calls per step, once per program."""
     worlds = [_world(13), _world(21, Variant.PARTIAL), _world(34)]
 
     def lifetime(make_engine, events):
@@ -402,13 +429,30 @@ def test_every_program_is_staged_exactly_once(count_calls):
         return run
 
     # Whoever runs the steps — the parent, a healthy pool, a pool that
-    # respawned mid-round — a program is staged at register and never again.
+    # respawned mid-round — a program is validated at register and never
+    # again.
     for make_engine, events in (
             (lambda: ExchangeEngine(N_RANKS, runtime="engine"), []),
             (_pool_engine, []),
             (lambda: _pool_engine(_crash(1)), ["retry"])):
         assert count_calls(lifetime(make_engine, events),
-                           of=[engine_module._stage]) == len(worlds)
+                           of=[engine_module._checked_steps]) == len(worlds)
+
+    # ... and makes as many calls for 8x the ranks and rows, bound or not:
+    # nothing in it walks a row, a rank or a message.
+    pattern = random_pattern(8 * N_RANKS, avg_neighbors=3,
+                             duplicate_fraction=0.3, seed=13)
+    wide = compile_world_exchange(
+        make_plan(pattern, paper_mapping(8 * N_RANKS, ranks_per_node=3),
+                  Variant.FULL),
+        ExchangeSpec(dtype=np.dtype(np.float64), item_size=1))
+    assert wide.n_world_rows > 8 * worlds[0].n_world_rows
+    with ExchangeEngine(8 * N_RANKS, runtime="engine") as engine:
+        counts = [[count_calls(engine.register, world, **binding)
+                   for binding in ({}, {"vector_length":
+                                        _vector_length(world)})]
+                  for world in (worlds[0], wide)]
+    assert counts[0] == counts[1]
 
 
 def test_a_fallback_never_moves_a_bound_layout():
