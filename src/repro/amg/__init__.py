@@ -27,7 +27,6 @@ from repro.amg.hierarchy import (
 )
 from repro.amg.solver import BoomerAMGSolver, SolveResult
 from repro.amg.vcycle import (
-    DistributedVCycle,
     WorldVCycle,
     WorldAMGSolver,
     coarse_gather_pattern,
@@ -59,7 +58,6 @@ __all__ = [
     "redistribute_hierarchy",
     "BoomerAMGSolver",
     "SolveResult",
-    "DistributedVCycle",
     "WorldVCycle",
     "WorldAMGSolver",
     "coarse_gather_pattern",

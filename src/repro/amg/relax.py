@@ -5,12 +5,10 @@ Gauss-Seidel reduces to plain Gauss-Seidel in a sequential setting, so both of
 the library's smoothers cover the behaviour that matters here (convergence of
 the solve phase whose SpMVs carry the communication being studied).
 
-:class:`DistributedJacobi` is the functional distributed form, written once
-for both runtimes: the residual's SpMV (and therefore the halo exchange) runs
-through the persistent neighborhood collective — the same communication the
-paper times inside BoomerAMG's solve phase — and which data path that is
-(one rank's envelopes or the whole communicator's flat engine round) is the
-wrapped SpMV's business.
+:class:`DistributedJacobi` is the functional distributed form: the residual's
+SpMV (and therefore the halo exchange) runs through the world-stepped
+neighborhood collective of a :class:`~repro.sparse.spmv.WorldSpMV` — the same
+communication the paper times inside BoomerAMG's solve phase.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.sparse.parcsr import check_one_partition
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.sparse.spmv import DistributedSpMV, WorldSpMV
+    from repro.sparse.spmv import WorldSpMV
 
 
 def _check_system(A: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
@@ -69,33 +67,26 @@ def jacobi(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, *, sweeps: int = 1,
 
 
 class DistributedJacobi:
-    """Weighted-Jacobi smoother over a distributed operator, on either runtime.
+    """Weighted-Jacobi smoother over a distributed operator.
 
-    Wraps the operator's SpMV and works on whatever vectors that SpMV does:
-    over a :class:`~repro.sparse.spmv.DistributedSpMV` it is one rank's
-    smoother on the rank's rows (construction is collective, one instance per
-    rank, like the SpMV it wraps); over a
-    :class:`~repro.sparse.spmv.WorldSpMV` it smooths the global vectors for
-    the whole communicator, one flat halo exchange per sweep.  Either way a
-    sweep is the product, then one vector update against the diagonal —
-    numerically identical to :func:`weighted_jacobi_iteration` on the
-    assembled global system, and byte-identical between the two runtimes.
+    Wraps the operator's :class:`~repro.sparse.spmv.WorldSpMV` and smooths
+    the global vectors for the whole communicator, one flat halo exchange per
+    sweep.  A sweep is the product, then one vector update against the
+    diagonal — bit for bit :func:`weighted_jacobi_iteration` on the assembled
+    global system.
     """
 
-    def __init__(self, spmv: "DistributedSpMV | WorldSpMV", *,
-                 omega: float = 2.0 / 3.0):
+    def __init__(self, spmv: "WorldSpMV", *, omega: float = 2.0 / 3.0):
         check_one_partition(spmv.matrix, "Jacobi")
         self.spmv = spmv
         self.omega = float(omega)
-        first, last = spmv.row_range    # one rank's rows, or the world's
-        diagonal = np.asarray(spmv.matrix.matrix.diagonal()[first:last],
-                              dtype=np.float64)
+        diagonal = np.asarray(spmv.matrix.matrix.diagonal(), dtype=np.float64)
         if np.any(diagonal == 0.0):
             raise ValidationError("Jacobi requires non-zero diagonal entries")
         self._diagonal = diagonal
 
     def sweep(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """One weighted-Jacobi sweep on the SpMV's rows (out of place)."""
+        """One weighted-Jacobi sweep (out of place)."""
         b = np.asarray(b, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         shape = self._diagonal.shape

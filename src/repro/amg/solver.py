@@ -4,10 +4,9 @@ The solver validates the substrate: the hierarchies whose communication the
 experiments analyse really do solve the rotated anisotropic diffusion systems
 they are built from.  Relaxation and grid transfers are computed on the global
 operators; the *distributed* execution of the same V-cycle — every halo
-exchange through the collectives, per-rank on the envelope-routed runtime or
-world-stepped through the batched engine — lives in :mod:`repro.amg.vcycle`
-(:class:`~repro.amg.vcycle.DistributedVCycle`,
-:class:`~repro.amg.vcycle.WorldAMGSolver`), pinned equivalent to this solver
+exchange through the collectives, world-stepped through the batched engine —
+lives in :mod:`repro.amg.vcycle` (:class:`~repro.amg.vcycle.WorldVCycle`,
+:class:`~repro.amg.vcycle.WorldAMGSolver`), pinned bit-equal to this solver
 by the solve-phase test suite.  The V-cycle here (``BoomerAMGSolver._cycle``
 over :func:`~repro.amg.relax.weighted_jacobi_iteration`) stays its own code
 because it is that suite's oracle; the stationary iteration around a cycle,

@@ -7,25 +7,20 @@ exchange of every hierarchy level — the irregular communication the paper
 times inside BoomerAMG's solve phase — actually runs through the
 neighborhood collectives.
 
-The cycle is written once (``_VCycle``): per non-coarsest level an operator
-SpMV, a :class:`~repro.amg.relax.DistributedJacobi` smoother over it, and two
-more SpMVs for the grid transfers (restrict ``Pᵀ r``, prolong-correct
-``x + P e``), each with its own communication pattern derived from the
-operator's column map; then pre-smooth → residual → restrict → coarse solve →
-prolong-correct → post-smooth.  Two runtimes supply the data path, and one
-solver sits on top:
+Per non-coarsest level the cycle runs an operator SpMV, a
+:class:`~repro.amg.relax.DistributedJacobi` smoother over it, and two more
+SpMVs for the grid transfers (restrict ``Pᵀ r``, prolong-correct ``x + P e``),
+each with its own communication pattern derived from the operator's column
+map; then pre-smooth → residual → restrict → coarse solve → prolong-correct →
+post-smooth.
 
-* :class:`DistributedVCycle` is one rank's cycle on the envelope-routed
-  runtime (one instance per simulated-rank thread, the pinned reference):
-  its operators are :class:`~repro.sparse.spmv.DistributedSpMV` on the
-  rank's own scipy blocks and its vectors the rank's rows.
-* :class:`WorldVCycle` is the world-stepped form: the same per-level
-  exchanges compiled once and registered with the batched
-  :class:`~repro.simmpi.engine.ExchangeEngine`, operators
-  :class:`~repro.sparse.spmv.WorldSpMV` on the engine's work array, global
-  vectors, so one ``cycle`` call runs a whole V-cycle for *all* ranks with
-  O(phases) numpy calls per level — no per-message envelopes, no threads,
-  byte-identical results and identical data-path profiler totals.
+* :class:`WorldVCycle` compiles every level's exchanges once and registers
+  them with the batched :class:`~repro.simmpi.engine.ExchangeEngine`; its
+  operators are :class:`~repro.sparse.spmv.WorldSpMV` on the engine's work
+  array and its vectors global, so one ``cycle`` call runs a whole V-cycle
+  for *all* ranks with O(phases) numpy calls per level — no per-message
+  envelopes, and an iterate bit-equal to
+  :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.
 * :class:`WorldAMGSolver` is the ``BoomerAMGSolver.solve``-equivalent built
   on top: the same stationary iteration
   (:func:`~repro.amg.solver.stationary_solve`) with residual norms computed
@@ -36,9 +31,8 @@ The coarsest-level direct solve needs every rank to see the full coarse
 right-hand side.  Instead of an object allgather on the control plane, the
 gather is expressed as one more neighborhood collective
 (:func:`coarse_gather_pattern`: every owning rank sends its coarse entries to
-every other rank) and executed through the same engine/envelope machinery as
-the halo exchanges — batching the last setup-gather-style collective of the
-solve phase through the data path, with identical traffic on both runtimes.
+every other rank) and executed through the same engine as the halo
+exchanges, so its traffic is accounted like theirs.
 """
 
 from __future__ import annotations
@@ -54,28 +48,19 @@ from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
 from repro.amg.relax import DistributedJacobi
 from repro.amg.solver import SolveResult, stationary_solve
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.api import (
-    CollectiveRequest,
-    neighbor_alltoallv_init_many,
-    neighbor_alltoallv_init_world,
-)
+from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
     DecisionTrace,
     OnlineSelector,
     is_auto_variant,
 )
-from repro.collectives.persistent import (
-    PersistentNeighborCollective,
-    WorldNeighborCollective,
-)
+from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
 from repro.pattern.comm_pattern import CommPattern
-from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
-from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import DistributedSpMV, WorldSpMV, check_mapping_covers
+from repro.sparse.spmv import WorldSpMV, check_mapping_covers
 from repro.topology.mapping import RankMapping
 from repro.utils.arrays import INDEX_DTYPE
 from repro.utils.errors import SolverError, ValidationError
@@ -90,8 +75,7 @@ def coarse_gather_pattern(partition: RowPartition, *,
     holds the full coarse right-hand side: its own entries plus everything
     the pattern delivered.  Expressing the gather as a pattern lets the
     coarse solve ride the same collective machinery — and the same traffic
-    accounting — as the halo exchanges, on both the envelope-routed and the
-    world-stepped runtime.
+    accounting — as the halo exchanges.
     """
     n_ranks = partition.n_ranks
     srcs: List[int] = []
@@ -113,188 +97,15 @@ def coarse_gather_pattern(partition: RowPartition, *,
 
 @dataclass
 class _Level:
-    """One (non-coarsest) level's operators: one rank's, or the whole world's."""
+    """One (non-coarsest) level's operators on the world data path."""
 
-    spmv: DistributedSpMV | WorldSpMV
+    spmv: WorldSpMV
     smoother: DistributedJacobi
-    restrict: DistributedSpMV | WorldSpMV
-    prolong: DistributedSpMV | WorldSpMV
+    restrict: WorldSpMV
+    prolong: WorldSpMV
 
 
-class _VCycle:
-    """What the two runtimes share: the argument check and the recursion.
-
-    A subclass builds its levels on its own data path, sets ``_shape`` (the
-    shape of the vectors ``cycle`` takes) and supplies ``_level(index)`` and
-    ``_coarse_solve(b)``.
-    """
-
-    def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping,
-                 pre_sweeps: int, post_sweeps: int, omega: float,
-                 level_profilers: Optional[Sequence[TrafficProfiler]]):
-        if hierarchy.n_levels == 0:
-            raise SolverError("hierarchy has no levels")
-        if pre_sweeps < 0 or post_sweeps < 0:
-            raise ValidationError("sweep counts must be non-negative")
-        check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
-        if level_profilers is not None \
-                and len(level_profilers) != hierarchy.n_levels:
-            raise ValidationError(
-                f"level_profilers must have one entry per level "
-                f"({hierarchy.n_levels}), got {len(level_profilers)}"
-            )
-        self.hierarchy = hierarchy
-        self.mapping = mapping
-        self.pre_sweeps = int(pre_sweeps)
-        self.post_sweeps = int(post_sweeps)
-        self.omega = float(omega)
-        # Coarsest level: a (redundant, deterministic) factorization of the
-        # assembled coarse operator — the distributed analogue of hypre's
-        # gathered Gaussian elimination; None for a zero-row level.
-        coarsest = hierarchy.levels[-1].matrix
-        self._coarse_partition = coarsest.partition
-        self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest.matrix)) \
-            if coarsest.n_rows > 0 else None
-
-    def _level_operators(self, index: int):
-        """Level ``index``'s three distributed operators: ``A``, ``Pᵀ``, ``P``."""
-        return (self.hierarchy.levels[index].matrix,
-                self.hierarchy.restriction_matrix(index),
-                self.hierarchy.prolongation_matrix(index))
-
-    def _build_level(self, index: int, make_spmv) -> _Level:
-        """Level ``index`` with ``make_spmv(operator)`` putting each on the data path."""
-        operator, restriction, prolongation = self._level_operators(index)
-        spmv = make_spmv(operator)
-        return _Level(spmv=spmv,
-                      smoother=DistributedJacobi(spmv, omega=self.omega),
-                      restrict=make_spmv(restriction),
-                      prolong=make_spmv(prolongation))
-
-    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if index == self.hierarchy.n_levels - 1:
-            if self.hierarchy.levels[index].matrix.n_rows == 0:
-                return x
-            return self._coarse_solve(b)
-        level = self._level(index)
-        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
-        residual = b - level.spmv.multiply(x)
-        coarse_b = level.restrict.multiply(residual)
-        coarse_x = np.zeros(coarse_b.shape, dtype=np.float64)
-        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
-        x = x + level.prolong.multiply(coarse_x)
-        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
-
-    def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Apply one V-cycle to ``A x = b`` on this data path's rows (collective)."""
-        b = np.asarray(b, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        if b.shape != self._shape or x.shape != self._shape:
-            raise ValidationError(f"b and x must have shape {self._shape}")
-        return self._cycle(0, b, x)
-
-
-# -- per-rank V-cycle on the envelope-routed runtime ---------------------------------
-
-
-class DistributedVCycle(_VCycle):
-    """One rank's V-cycle over a distributed AMG hierarchy (envelope runtime).
-
-    Construction is collective: every rank of the communicator builds its own
-    instance with the same hierarchy and mapping, in the same order, exactly
-    like the SpMV and smoother it is made of.  ``cycle`` then runs one
-    V-cycle on this rank's rows; the ranks advance in lockstep through the
-    per-level exchanges.
-
-    ``level_profilers`` (optional, one :class:`TrafficProfiler` per level)
-    attaches per-level traffic accounting: each level's collectives are built
-    on a duplicated communicator whose traffic callback records into that
-    level's profiler — the envelope-side mirror of the world V-cycle's
-    per-level engines.
-    """
-
-    def __init__(self, comm: SimComm, hierarchy: AMGHierarchy,
-                 mapping: RankMapping, *,
-                 variant: Variant | str = Variant.PARTIAL,
-                 strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                 pre_sweeps: int = 1, post_sweeps: int = 1,
-                 omega: float = 2.0 / 3.0,
-                 level_profilers: Optional[Sequence[TrafficProfiler]] = None):
-        super().__init__(hierarchy, mapping, pre_sweeps, post_sweeps, omega,
-                         level_profilers)
-        self.rank = comm.rank
-        self._shape = (hierarchy.levels[0].matrix.partition.local_size(self.rank),)
-        n_levels = hierarchy.n_levels
-
-        def level_comm(index: int) -> SimComm:
-            duplicate = comm.dup()
-            if level_profilers is not None:
-                duplicate.set_traffic_callback(
-                    level_profilers[index].record_envelope)
-            return duplicate
-
-        def request(pattern: CommPattern, run_comm: SimComm) -> CollectiveRequest:
-            return CollectiveRequest(send_items=pattern.send_map(self.rank),
-                                     recv_items=pattern.recv_map(self.rank),
-                                     comm=run_comm.dup())
-
-        # Every level's collectives — operator SpMV, restriction, prolongation,
-        # plus the coarsest level's gather-to-all — initialise through ONE
-        # batched setup gather (``neighbor_alltoallv_init_many``) instead of
-        # one allgather round per collective: the collectives that come back
-        # are byte-identical, the setup synchronisation count drops from
-        # O(levels) to one.  Each collective still executes on its own
-        # duplicate of its level's communicator, so per-level traffic
-        # callbacks see exactly the envelopes they always did.
-        level_comms = [level_comm(index) for index in range(n_levels - 1)]
-        requests = [request(pattern_from_parcsr(operator), level_comms[index])
-                    for index in range(n_levels - 1)
-                    for operator in self._level_operators(index)]
-        gather = coarse_gather_pattern(self._coarse_partition)
-        if gather.n_messages:
-            requests.append(request(gather, level_comm(n_levels - 1)))
-        collectives = iter(neighbor_alltoallv_init_many(
-            comm, requests, mapping, variant=variant, strategy=strategy))
-
-        # ``_build_level`` asks for a level's operators in the order of
-        # ``_level_operators``, which is the order their requests went in.
-        def spmv_on(lcomm: SimComm):
-            return lambda operator: DistributedSpMV(
-                lcomm, operator, mapping, variant=variant, strategy=strategy,
-                collective=next(collectives))
-
-        self.levels = [self._build_level(index, spmv_on(lcomm))
-                       for index, lcomm in enumerate(level_comms)]
-        self._coarse_rows = self._coarse_partition.rows_of(self.rank)
-        self._coarse_collective: PersistentNeighborCollective | None = \
-            next(collectives, None)
-
-    # -- the data path --------------------------------------------------------
-
-    def _level(self, index: int) -> _Level:
-        return self.levels[index]
-
-    def _coarse_solve(self, b_local: np.ndarray) -> np.ndarray:
-        """Gather the coarse RHS through the collective, solve, keep owned rows."""
-        if self._coarse_solver is None:
-            return b_local.copy()
-        n_coarse = self._coarse_partition.n_rows
-        full = np.empty(n_coarse, dtype=np.float64)
-        if self._coarse_collective is not None:
-            halo = self._coarse_collective.exchange(b_local)
-            full[self._coarse_collective.recv_item_ids] = halo
-        full[self._coarse_rows] = b_local
-        if self._coarse_rows.size == 0:
-            # Nothing owned here: participate in the gather, skip the solve.
-            return b_local.copy()
-        solution = np.asarray(self._coarse_solver(full), dtype=np.float64)
-        return solution[self._coarse_rows]
-
-
-# -- world-stepped V-cycle through the exchange engine -------------------------------
-
-
-class WorldVCycle(_VCycle):
+class WorldVCycle:
     """A whole V-cycle for all ranks, stepped through the exchange engine.
 
     Every level's halo exchanges (operator SpMV inside the smoother and the
@@ -303,20 +114,19 @@ class WorldVCycle(_VCycle):
     ``cycle`` then advances the whole communicator through
     pre-smooth → residual → restrict → coarse-solve → prolong-correct →
     post-smooth with O(phases) numpy calls per level and no per-message
-    envelopes anywhere on the data path.  Results are byte-identical to
-    running :class:`DistributedVCycle` on every rank of the envelope-routed
-    runtime and to the seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`
-    on the assembled operators — the solve-phase equivalence suite pins both.
+    envelopes anywhere on the data path.  Results are byte-identical to the
+    seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle` on the assembled
+    operators — the solve-phase equivalence suite pins it.
 
     Pass ``engine`` to register all levels with a shared engine (e.g. from
     :meth:`~repro.simmpi.world.SimWorld.exchange_engine`), ``profiler`` for a
     private engine around one profiler, or ``level_profilers`` (one per
-    level) for per-level engines whose traffic totals mirror the per-level
-    profilers of the envelope path.  ``runtime`` / ``n_workers`` select and
-    size the backend of every engine the cycle creates itself (``"engine"``
-    staged single-process, ``"procs"`` shared-memory worker pool); ``close``
-    — or context-manager exit — releases those engines' workers and shared
-    segments deterministically (a caller-supplied engine stays open).
+    level) for per-level engines, each accounting its own level's traffic.
+    ``runtime`` / ``n_workers`` select and size the backend of every engine
+    the cycle creates itself (``"engine"`` staged single-process, ``"procs"``
+    shared-memory worker pool); ``close`` — or context-manager exit —
+    releases those engines' workers and shared segments deterministically (a
+    caller-supplied engine stays open).
 
     ``variant="auto"`` turns on online selection: every candidate variant's
     exchanges are registered up front (the plan cache keeps this cheap), an
@@ -342,8 +152,17 @@ class WorldVCycle(_VCycle):
                  selector: OnlineSelector | None = None,
                  model=None,
                  clock=None):
-        super().__init__(hierarchy, mapping, pre_sweeps, post_sweeps, omega,
-                         level_profilers)
+        if hierarchy.n_levels == 0:
+            raise SolverError("hierarchy has no levels")
+        if pre_sweeps < 0 or post_sweeps < 0:
+            raise ValidationError("sweep counts must be non-negative")
+        check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
+        if level_profilers is not None \
+                and len(level_profilers) != hierarchy.n_levels:
+            raise ValidationError(
+                f"level_profilers must have one entry per level "
+                f"({hierarchy.n_levels}), got {len(level_profilers)}"
+            )
         if level_profilers is not None and engine is not None:
             raise ValidationError(
                 "pass either a shared engine or per-level profilers, not both"
@@ -373,8 +192,19 @@ class WorldVCycle(_VCycle):
                     "variant='auto' needs a fresh selector (levels are "
                     "seeded by the cycle itself)"
                 )
+        self.hierarchy = hierarchy
+        self.mapping = mapping
+        self.pre_sweeps = int(pre_sweeps)
+        self.post_sweeps = int(post_sweeps)
+        self.omega = float(omega)
+        # Coarsest level: a (redundant, deterministic) factorization of the
+        # assembled coarse operator — the distributed analogue of hypre's
+        # gathered Gaussian elimination; None for a zero-row level.
+        coarsest = hierarchy.levels[-1].matrix
+        self._coarse_partition = coarsest.partition
+        self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest.matrix)) \
+            if coarsest.n_rows > 0 else None
         self.n_ranks = hierarchy.levels[0].matrix.n_ranks
-        self._shape = (self.n_rows,)
         self._selector = selector if auto else None
         self._active: Dict[int, Variant] = {}
         n_levels = hierarchy.n_levels
@@ -400,15 +230,21 @@ class WorldVCycle(_VCycle):
         build_variants = self._selector.candidates if auto \
             else (Variant(variant),)
 
-        def spmv_on(index: int, build_variant: Variant):
-            return lambda operator: WorldSpMV(
-                operator, mapping, variant=build_variant, strategy=strategy,
-                engine=engines[index])
+        def build_level(index: int, build_variant: Variant) -> _Level:
+            """Level ``index``'s ``A``, ``Pᵀ`` and ``P`` on its engine."""
+            spmv, restrict, prolong = (
+                WorldSpMV(operator, mapping, variant=build_variant,
+                          strategy=strategy, engine=engines[index])
+                for operator in (hierarchy.levels[index].matrix,
+                                 hierarchy.restriction_matrix(index),
+                                 hierarchy.prolongation_matrix(index)))
+            return _Level(spmv=spmv,
+                          smoother=DistributedJacobi(spmv, omega=self.omega),
+                          restrict=restrict, prolong=prolong)
 
         self._variant_levels: Dict[Variant, List[_Level]] = {
-            build_variant: [
-                self._build_level(index, spmv_on(index, build_variant))
-                for index in range(n_levels - 1)]
+            build_variant: [build_level(index, build_variant)
+                            for index in range(n_levels - 1)]
             for build_variant in build_variants}
         self.levels = self._variant_levels[build_variants[0]]
 
@@ -544,9 +380,9 @@ class WorldVCycle(_VCycle):
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         """Direct solve of the coarsest system from engine-delivered values.
 
-        The gather collective runs exactly as on the per-rank path (same
-        plan, same wire traffic, accounted by the coarsest level's engine);
-        the solve then consumes the delivered values: the full coarse RHS is
+        The gather collective runs on the coarsest level's engine (its wire
+        traffic accounted like any halo exchange); the solve then consumes
+        the delivered values: the full coarse RHS is
         reassembled from rank 0's received halo plus its owned slice, which
         is bitwise the global ``b`` — no assembled-vector shortcut.
         """
@@ -580,6 +416,20 @@ class WorldVCycle(_VCycle):
         built = self.levels if active is None else self._variant_levels[active]
         return built[index]
 
+    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if index == self.hierarchy.n_levels - 1:
+            if self.hierarchy.levels[index].matrix.n_rows == 0:
+                return x
+            return self._coarse_solve(b)
+        level = self._level(index)
+        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
+        residual = b - level.spmv.multiply(x)
+        coarse_b = level.restrict.multiply(residual)
+        coarse_x = np.zeros(coarse_b.shape, dtype=np.float64)
+        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
+        x = x + level.prolong.multiply(coarse_x)
+        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
+
     def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply one V-cycle to ``A x = b`` for the whole communicator.
 
@@ -590,14 +440,18 @@ class WorldVCycle(_VCycle):
         discarded rather than scored — supervision stalls are not protocol
         cost.
         """
+        b = np.asarray(b, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        if b.shape != (self.n_rows,) or x.shape != (self.n_rows,):
+            raise ValidationError(f"b and x must have shape {(self.n_rows,)}")
         if self._selector is None:
-            return super().cycle(b, x)
+            return self._cycle(0, b, x)
         self._selector.begin_cycle()
         self._active = {level: self._selector.variant_for(level)
                         for level in self._selector.seeded_levels()}
         events_before = self._recovery_events()
         try:
-            result = super().cycle(b, x)
+            result = self._cycle(0, b, x)
         except BaseException:
             self._selector.abort_cycle()
             raise

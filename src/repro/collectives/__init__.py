@@ -67,9 +67,7 @@ from repro.collectives.persistent import (
     WorldNeighborCollective,
 )
 from repro.collectives.api import (
-    CollectiveRequest,
     neighbor_alltoallv_init,
-    neighbor_alltoallv_init_many,
     neighbor_alltoallv_init_world,
     neighbor_alltoallv,
 )
@@ -124,9 +122,7 @@ __all__ = [
     "active_backend",
     "PersistentNeighborCollective",
     "WorldNeighborCollective",
-    "CollectiveRequest",
     "neighbor_alltoallv_init",
-    "neighbor_alltoallv_init_many",
     "neighbor_alltoallv_init_world",
     "neighbor_alltoallv",
     "SelectionResult",

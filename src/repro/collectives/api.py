@@ -48,7 +48,6 @@ array([50.])
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,7 +60,6 @@ from repro.collectives.persistent import (
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.comm_pattern import CommPattern
-from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
 from repro.simmpi.topo_comm import DistGraphComm
@@ -212,85 +210,6 @@ def neighbor_alltoallv_init(graph_comm: DistGraphComm,
     plan = make_plan(pattern, mapping, variant, strategy=strategy)
     return PersistentNeighborCollective(graph_comm.comm, plan,
                                         dtype=dtype, item_size=item_size)
-
-
-@dataclass(frozen=True)
-class CollectiveRequest:
-    """One collective's arguments inside a batched :func:`neighbor_alltoallv_init_many`.
-
-    ``send_items`` / ``recv_items`` are this rank's maps, exactly as passed to
-    :func:`neighbor_alltoallv_init`.  ``comm`` optionally names the
-    communicator the returned collective executes on (e.g. a per-level
-    duplicate carrying its own traffic callback); when ``None`` the batched
-    init duplicates the gather communicator.
-    """
-
-    send_items: Mapping[int, Sequence[int]]
-    recv_items: Mapping[int, Sequence[int]]
-    dtype: np.dtype | type | str = np.float64
-    item_size: int = 1
-    item_bytes: int | None = None
-    comm: SimComm | None = None
-
-
-def neighbor_alltoallv_init_many(comm: SimComm,
-                                 requests: Sequence[CollectiveRequest],
-                                 mapping: RankMapping,
-                                 *,
-                                 variant: Variant | str = Variant.PARTIAL,
-                                 strategy: BalanceStrategy = BalanceStrategy.BYTES
-                                 ) -> list[PersistentNeighborCollective]:
-    """Initialise many persistent collectives with ONE setup gather (collective call).
-
-    Every rank calls this with the same number of requests in the same order
-    (like any collective).  Instead of one ``allgatherv_array`` round per
-    collective — the O(collectives) synchronisation a distributed V-cycle
-    setup pays when each level's SpMV and grid transfers initialise
-    separately — all requests' packed send maps travel in a single gather:
-    per rank the wire packet is ``[len_0 .. len_{N-1}, packet_0 ..
-    packet_{N-1}]``, and the decode back into per-request per-rank packets is
-    two vectorized :func:`gather_ranges` passes.  Each request then builds
-    its pattern, plan, and :class:`PersistentNeighborCollective` exactly as
-    the one-at-a-time init does — the resulting collectives are
-    byte-identical to individually initialised ones.
-    """
-    requests = list(requests)
-    if not requests:
-        return []
-    n_requests = len(requests)
-    packets = [_pack_send_map(request.send_items) for request in requests]
-    lengths = np.array([packet.size for packet in packets], dtype=INDEX_DTYPE)
-    flat, sizes = comm.allgatherv_array(np.concatenate([lengths] + packets))
-    n_ranks = comm.size
-    rank_starts = counts_to_displs(sizes)[:-1]
-    if np.any(sizes < n_requests):
-        raise CommunicationError(
-            f"batched init expected {n_requests} packed requests from every rank"
-        )
-    # Per-(rank, request) packet lengths, then start offsets inside ``flat``:
-    # each rank's slice leads with its N packet lengths, packets follow.
-    length_table = gather_ranges(
-        flat, rank_starts,
-        np.full(n_ranks, n_requests, dtype=INDEX_DTYPE)).reshape(n_ranks,
-                                                                 n_requests)
-    packet_ends = np.cumsum(length_table, axis=1)
-    packet_starts = (rank_starts[:, None] + n_requests
-                     + packet_ends - length_table)
-    collectives: list[PersistentNeighborCollective] = []
-    for index, request in enumerate(requests):
-        dtype = np.dtype(request.dtype)
-        pattern = _pattern_from_packets(
-            n_ranks,
-            gather_ranges(flat, packet_starts[:, index], length_table[:, index]),
-            np.ascontiguousarray(length_table[:, index]),
-            dtype=dtype, item_size=request.item_size,
-            item_bytes=request.item_bytes)
-        _check_recv_side(comm.rank, request.recv_items, pattern)
-        plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)
-        run_comm = request.comm if request.comm is not None else comm.dup()
-        collectives.append(PersistentNeighborCollective(
-            run_comm, plan, dtype=dtype, item_size=request.item_size))
-    return collectives
 
 
 def neighbor_alltoallv_init_world(pattern: CommPattern,

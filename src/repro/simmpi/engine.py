@@ -1,9 +1,9 @@
 """The world-stepped exchange engine: batched columnar delivery for all ranks.
 
-The envelope-routed runtime (:mod:`repro.simmpi.mailbox`) moves one Python
+The per-rank collective API runs on the envelope-routed runtime
+(:mod:`repro.simmpi.mailbox`), which moves one Python
 :class:`~repro.simmpi.mailbox.Envelope` per message — faithful to MPI
-semantics, and the pinned reference — but a full exchange round costs
-O(messages) Python work.  The :class:`ExchangeEngine` executes the same
+semantics, but a full exchange round costs O(messages) Python work.  The :class:`ExchangeEngine` executes the same
 exchange as a *world program*
 (:class:`~repro.collectives.exchange.WorldExchange`): every rank's work array
 becomes a block of one world work array, and a whole phase for the whole
@@ -21,9 +21,9 @@ terminal blocks]``, so loading is ``work[:n] = values``, a send step only
 accounts traffic, and a receive step is one ``gather(work[:a], src,
 work[a:b])`` — a ``take`` of rows earlier steps wrote into the slice it owns,
 never overlapping it.  :meth:`ExchangeEngine.register` only validates that
-program and remaps its head.  Byte-identical to the envelope-routed path
-because every work row holds its ``(origin, item)`` key's one per-iteration
-value; repeat deliveries leave the data path, not the accounting.
+program and remaps its head.  Every work row holds its ``(origin, item)``
+key's one per-iteration value; repeat deliveries leave the data path, not
+the accounting.
 
 A fresh output is one more ``gather(work, result, out)`` into a new array.
 On an unbound handle a *terminal* receive step — one whose rows no later
@@ -41,11 +41,10 @@ block, because its round buffer *is* the output.
   steps.  A retried round, and a round the parent finishes itself after the
   pool failed, are the same steps on the same rows.
 
-Profiler data-path totals are identical on both; the per-envelope mailbox
-remains in place for control-plane and object traffic (setup gathers,
-barriers).  ``REPRO_RUNTIME=procs`` in the environment flips the default for
+Profiler data-path totals are identical on both.  These two are the only
+runtimes: ``REPRO_RUNTIME=procs`` in the environment flips the default for
 every engine in the process — how CI runs the whole tier-1 suite through the
-worker pool.
+worker pool — and any other value raises.
 
 Engines own external resources only under ``runtime="procs"`` (workers and
 shared segments); :meth:`ExchangeEngine.close` — or using the engine as a
@@ -82,8 +81,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
 #: rank order (native, zero-copy), or one dense array per rank.
 WorldValues = Union[Sequence[np.ndarray], np.ndarray]
 
-#: Environment variable that flips the default runtime for every engine (and
-#: for the ``runtime=`` keywords of the user surface) in the process.
+#: Environment variable that flips the default runtime for every engine in
+#: the process, including those a collective, SpMV or V-cycle creates itself.
 RUNTIME_ENV = "REPRO_RUNTIME"
 
 #: Environment variable that flips the default worker-failure policy for
@@ -91,12 +90,9 @@ RUNTIME_ENV = "REPRO_RUNTIME"
 #: engines a collective, SpMV or V-cycle creates itself.
 ON_FAILURE_ENV = "REPRO_ON_FAILURE"
 
-#: Runtimes the engine itself executes.  ``"threads"`` is a *user-surface*
-#: runtime (one simulated-rank thread per rank on the envelope-routed
-#: mailbox) and never reaches the engine.
+#: Every runtime an engine executes, and so every value ``runtime=`` and
+#: ``REPRO_RUNTIME`` may name.
 ENGINE_RUNTIMES = ("engine", "procs")
-#: Every runtime ``REPRO_RUNTIME`` may name.
-USER_RUNTIMES = ("engine", "threads", "procs")
 
 #: What a ``runtime="procs"`` engine does when a worker dies, hangs, or
 #: corrupts its pipe: ``"retry"`` respawns the pool and retries (then
@@ -106,16 +102,16 @@ USER_RUNTIMES = ("engine", "threads", "procs")
 ON_FAILURE_POLICIES = ("retry", "fallback", "raise")
 
 
-def default_runtime(allowed: Sequence[str] = USER_RUNTIMES) -> str:
-    """The runtime a ``runtime=None`` caller gets: ``REPRO_RUNTIME`` when it
-    names an allowed runtime, ``"engine"`` when it is unset or names one only
-    other callers run (``threads``, for an engine).  Anything else raises
-    :class:`ValidationError`: a typo must not silently run the default."""
+def default_runtime() -> str:
+    """The runtime a ``runtime=None`` caller gets: ``REPRO_RUNTIME`` when
+    set, ``"engine"`` otherwise.  A value that names no engine runtime
+    raises :class:`ValidationError`: a typo must not silently run the
+    default."""
     value = os.environ.get(RUNTIME_ENV, "").strip().lower()
-    if value and value not in USER_RUNTIMES:
+    if value and value not in ENGINE_RUNTIMES:
         raise ValidationError(
-            f"{RUNTIME_ENV} must be one of {USER_RUNTIMES}, got {value!r}")
-    return value if value in allowed else "engine"
+            f"{RUNTIME_ENV} must be one of {ENGINE_RUNTIMES}, got {value!r}")
+    return value or "engine"
 
 
 def default_on_failure() -> str:
@@ -258,7 +254,7 @@ class ExchangeEngine:
         if n_workers is not None and int(n_workers) < 1:
             raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         if runtime is None:
-            runtime = default_runtime(ENGINE_RUNTIMES)
+            runtime = default_runtime()
         if runtime not in ENGINE_RUNTIMES:
             raise ValidationError(
                 f"engine runtime must be one of {ENGINE_RUNTIMES}, "

@@ -24,8 +24,6 @@ from repro.sparse.parcsr import (
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.spmv import (
     sequential_spmv,
-    distributed_spmv_results,
-    DistributedSpMV,
     WorldSpMV,
 )
 from repro.sparse.generators import (
@@ -46,8 +44,6 @@ __all__ = [
     "LocalBlocks",
     "pattern_from_parcsr",
     "sequential_spmv",
-    "distributed_spmv_results",
-    "DistributedSpMV",
     "WorldSpMV",
     "ScalingProblem",
     "strong_scaling_problem",

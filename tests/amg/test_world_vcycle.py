@@ -1,21 +1,14 @@
 """Golden solve-phase equivalence suite.
 
-The distributed V-cycle exists in three forms that must agree:
-
-* the seed :class:`BoomerAMGSolver` relaxing on the assembled global
-  operators (the numerical reference),
-* :class:`DistributedVCycle`, one rank per thread on the envelope-routed
-  runtime (the pinned byte-level reference for the engine), and
-* :class:`WorldVCycle`, whole cycles for all ranks through the batched
-  :class:`ExchangeEngine` — on both engine runtimes (single-process fused
-  kernels and the ``"procs"`` shared-memory worker pool).
-
-World vs envelope is pinned *byte-identical* — results and per-level
-data-path profiler totals — across stencils x partitions x mappings x sweep
-counts x variants; both are pinned *equal* to the seed solver as well (every
-product sums its rows in the assembled operator's stored order), and the
-executed per-level traffic of a cycle is pinned equal to the planner's
-predicted statistics.
+:class:`WorldVCycle` runs whole cycles for all ranks through the batched
+:class:`ExchangeEngine` — on both engine runtimes (single-process staged
+steps and the ``"procs"`` shared-memory worker pool).  Its iterate is pinned
+*byte-identical* to the seed :class:`BoomerAMGSolver` relaxing on the
+assembled global operators (every product sums its rows in the assembled
+operator's stored order) across stencils x partitions x mappings x sweep
+counts x variants.  The traffic a cycle executes is pinned to the plans: per
+level, the profiler's message columns are the plans' phase-table columns,
+and the per-rank totals are the planner's predicted statistics.
 """
 
 from __future__ import annotations
@@ -25,17 +18,11 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.amg.solver import BoomerAMGSolver
-from repro.amg.vcycle import (
-    DistributedVCycle,
-    WorldAMGSolver,
-    WorldVCycle,
-    coarse_gather_pattern,
-)
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.planner import make_plan
 from repro.collectives.plan import Variant
 from repro.pattern.statistics import PatternStatistics
 from repro.simmpi.profiler import TrafficProfiler
-from repro.simmpi.world import run_spmd
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
@@ -61,34 +48,41 @@ def _build(config_key: str):
     return matrix, hierarchy
 
 
-def _distributed_cycle(hierarchy, mapping, b, x0, *, variant,
-                       pre_sweeps=1, post_sweeps=1, level_profilers=None):
-    """One envelope-routed V-cycle for all ranks; returns the global iterate."""
-    partition = hierarchy.levels[0].matrix.partition
-
-    def program(comm):
-        vcycle = DistributedVCycle(comm, hierarchy, mapping, variant=variant,
-                                   pre_sweeps=pre_sweeps, post_sweeps=post_sweeps,
-                                   level_profilers=level_profilers)
-        first, last = partition.row_range(comm.rank)
-        return vcycle.cycle(b[first:last], x0[first:last])
-
-    per_rank = run_spmd(partition.n_ranks, program, timeout=120)
-    return np.concatenate([np.asarray(values) for values in per_rank])
+def _level_plans(hierarchy, mapping, variant, index, rounds):
+    """The plans of every exchange level ``index`` runs in one cycle, with
+    ``rounds`` operator exchanges on a smoothed level."""
+    if index == hierarchy.n_levels - 1:
+        return [make_plan(coarse_gather_pattern(
+            hierarchy.levels[index].matrix.partition), mapping, variant)]
+    operator, restriction, prolongation = (
+        make_plan(pattern_from_parcsr(matrix), mapping, variant)
+        for matrix in (hierarchy.levels[index].matrix,
+                       hierarchy.restriction_matrix(index),
+                       hierarchy.prolongation_matrix(index)))
+    return [operator] * rounds + [restriction, prolongation]
 
 
-def _sorted_columns(profiler):
-    sources, dests, nbytes = profiler.data_columns()
+def _sorted(sources, dests, nbytes):
     order = np.lexsort((nbytes, dests, sources))
     return sources[order], dests[order], nbytes[order]
+
+
+def _planned_columns(plans):
+    """``(srcs, dests, payload bytes)`` of every message of ``plans``, sorted."""
+    tables = [(table, plan.item_bytes) for plan in plans
+              for table in plan.phases.values()]
+    return _sorted(np.concatenate([table.srcs for table, _ in tables]),
+                   np.concatenate([table.dests for table, _ in tables]),
+                   np.concatenate([table.payload_counts * item_bytes
+                                   for table, item_bytes in tables]))
 
 
 @pytest.mark.parametrize("runtime,n_workers", [("engine", None), ("procs", 2)])
 @pytest.mark.parametrize("config_key", sorted(CONFIGS))
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
                                      Variant.FULL])
-def test_world_cycle_byte_identical_to_envelope_and_matches_seed(
-        config_key, variant, runtime, n_workers, rng):
+def test_world_cycle_byte_identical_to_seed(config_key, variant, runtime,
+                                            n_workers, rng):
     matrix, hierarchy = _build(config_key)
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
     b = rng.standard_normal(matrix.n_rows)
@@ -97,11 +91,8 @@ def test_world_cycle_byte_identical_to_envelope_and_matches_seed(
     with WorldVCycle(hierarchy, mapping, variant=variant, runtime=runtime,
                      n_workers=n_workers) as world:
         world_x = world.cycle(b, x0)
-    envelope_x = _distributed_cycle(hierarchy, mapping, b, x0, variant=variant)
-    assert np.array_equal(world_x, envelope_x)
-
     seed_x = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
-    assert np.array_equal(world_x, seed_x)
+    assert world_x.tobytes() == seed_x.tobytes()
 
 
 @pytest.mark.parametrize("pre_sweeps,post_sweeps", [(2, 0), (0, 2), (2, 2)])
@@ -113,16 +104,9 @@ def test_world_cycle_equivalence_across_sweep_counts(pre_sweeps, post_sweeps, rn
 
     world = WorldVCycle(hierarchy, mapping, variant=Variant.FULL,
                         pre_sweeps=pre_sweeps, post_sweeps=post_sweeps)
-    world_x = world.cycle(b, x0)
-    envelope_x = _distributed_cycle(hierarchy, mapping, b, x0,
-                                    variant=Variant.FULL,
-                                    pre_sweeps=pre_sweeps,
-                                    post_sweeps=post_sweeps)
-    assert np.array_equal(world_x, envelope_x)
-
     seed = BoomerAMGSolver(matrix, hierarchy=hierarchy,
                            pre_sweeps=pre_sweeps, post_sweeps=post_sweeps)
-    assert np.array_equal(world_x, seed.vcycle(b, x0))
+    assert world.cycle(b, x0).tobytes() == seed.vcycle(b, x0).tobytes()
 
 
 @pytest.mark.parametrize("ranks_per_node", [4, 8])
@@ -133,34 +117,41 @@ def test_world_cycle_identical_across_mappings(ranks_per_node, rng):
     b = rng.standard_normal(matrix.n_rows)
     x0 = rng.standard_normal(matrix.n_rows)
     world_x = WorldVCycle(hierarchy, mapping, variant=Variant.FULL).cycle(b, x0)
-    envelope_x = _distributed_cycle(hierarchy, mapping, b, x0,
-                                    variant=Variant.FULL)
-    assert np.array_equal(world_x, envelope_x)
-    assert np.array_equal(
-        world_x, BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0))
+    seed_x = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
+    assert world_x.tobytes() == seed_x.tobytes()
 
 
-@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
-def test_per_level_profiler_totals_identical(variant, rng):
-    """World engine and envelope runtime move identical per-level traffic."""
-    matrix, hierarchy = _build("poisson_even")
+@pytest.mark.parametrize("config_key", sorted(CONFIGS))
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
+                                     Variant.FULL])
+def test_per_level_profiler_totals_identical(config_key, variant, rng):
+    """Every message a level sends in a cycle is a message of its plans.
+
+    Per level, the profiler's ``(src, dest, nbytes)`` columns are — as a
+    multiset — the phase-table columns ``(srcs, dests, payload_counts *
+    item_bytes)`` of the operator's plan once per smoother sweep and once for
+    the residual, then the restriction's and the prolongation's; on the
+    coarsest level, the coarse gather's.
+    """
+    matrix, hierarchy = _build(config_key)
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
     b = rng.standard_normal(matrix.n_rows)
     x0 = rng.standard_normal(matrix.n_rows)
     n_levels = hierarchy.n_levels
 
-    world_profilers = [TrafficProfiler(mapping) for _ in range(n_levels)]
-    WorldVCycle(hierarchy, mapping, variant=variant,
-                level_profilers=world_profilers).cycle(b, x0)
+    profilers = [TrafficProfiler(mapping) for _ in range(n_levels)]
+    with WorldVCycle(hierarchy, mapping, variant=variant,
+                     level_profilers=profilers) as world:
+        world.cycle(b, x0)
+        rounds = world.pre_sweeps + 1 + world.post_sweeps
 
-    envelope_profilers = [TrafficProfiler(mapping) for _ in range(n_levels)]
-    _distributed_cycle(hierarchy, mapping, b, x0, variant=variant,
-                       level_profilers=envelope_profilers)
-
-    for world_prof, envelope_prof in zip(world_profilers, envelope_profilers):
-        for world_column, envelope_column in zip(_sorted_columns(world_prof),
-                                                 _sorted_columns(envelope_prof)):
-            assert np.array_equal(world_column, envelope_column)
+    for index, profiler in enumerate(profilers):
+        planned = _planned_columns(
+            _level_plans(hierarchy, mapping, variant, index, rounds))
+        observed = _sorted(*profiler.data_columns())
+        assert planned[0].size, f"level {index} planned no traffic"
+        for observed_column, planned_column in zip(observed, planned):
+            assert np.array_equal(observed_column, planned_column), index
 
 
 def _merged(parts):
@@ -190,22 +181,8 @@ def test_executed_cycle_statistics_match_planned(variant, rng):
                 level_profilers=profilers).cycle(b, x0)
 
     for index in range(n_levels):
-        if index < n_levels - 1:
-            operator_stats = make_plan(
-                pattern_from_parcsr(hierarchy.levels[index].matrix), mapping,
-                variant).statistics()
-            restrict_stats = make_plan(
-                pattern_from_parcsr(hierarchy.restriction_matrix(index)), mapping,
-                variant).statistics()
-            prolong_stats = make_plan(
-                pattern_from_parcsr(hierarchy.prolongation_matrix(index)), mapping,
-                variant).statistics()
-            expected = _merged([operator_stats] * 3
-                               + [restrict_stats, prolong_stats])
-        else:
-            expected = make_plan(
-                coarse_gather_pattern(hierarchy.levels[index].matrix.partition),
-                mapping, variant).statistics()
+        expected = _merged([plan.statistics() for plan in _level_plans(
+            hierarchy, mapping, variant, index, rounds=3)])
         sources, dests, nbytes = profilers[index].data_columns()
         observed = PatternStatistics(n_ranks=N_RANKS)
         if sources.size:

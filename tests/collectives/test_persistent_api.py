@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from repro.collectives.api import (
-    CollectiveRequest,
     _pack_send_map,
     _pattern_from_packets,
     neighbor_alltoallv,
     neighbor_alltoallv_init,
-    neighbor_alltoallv_init_many,
 )
 from repro.collectives.persistent import PersistentNeighborCollective
 from repro.collectives.plan import Variant
@@ -211,96 +209,6 @@ class TestApiValidation:
         results = run_spmd(n_ranks, program, timeout=60)
         assert results[0].tolist() == [_value_of(2, 21)]
         assert results[3].tolist() == [_value_of(1, 15)]
-
-
-class TestBatchedInit:
-    """``neighbor_alltoallv_init_many``: one setup gather, identical results."""
-
-    N_RANKS = 8
-
-    def _patterns(self):
-        return [random_pattern(self.N_RANKS, avg_neighbors=4, seed=seed)
-                for seed in (41, 42, 43)]
-
-    @staticmethod
-    def _request(pattern, rank):
-        send_items = {d: pattern.send_items(rank, d).tolist()
-                      for d in pattern.send_ranks(rank)}
-        recv_items = {s: pattern.recv_items(rank, s).tolist()
-                      for s in pattern.recv_ranks(rank)}
-        return CollectiveRequest(send_items=send_items, recv_items=recv_items)
-
-    def _exchange_all(self, comm, collectives, patterns):
-        rank = comm.rank
-        for collective, pattern in zip(collectives, patterns):
-            received = collective.exchange(
-                _value_of(rank, collective.owned_item_ids))
-            _check_received(collective, received,
-                            {src: pattern.recv_items(rank, src)
-                             for src in pattern.recv_ranks(rank)})
-        return True
-
-    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
-    def test_batched_matches_individual_init(self, variant):
-        patterns = self._patterns()
-        mapping = paper_mapping(self.N_RANKS, ranks_per_node=4)
-
-        def program(comm):
-            requests = [self._request(pattern, comm.rank)
-                        for pattern in patterns]
-            collectives = neighbor_alltoallv_init_many(comm, requests, mapping,
-                                                       variant=variant)
-            assert len(collectives) == len(patterns)
-            for collective, pattern in zip(collectives, patterns):
-                reference = make_plan(pattern, mapping, variant)
-                assert collective.plan.n_messages == reference.n_messages
-            return self._exchange_all(comm, collectives, patterns)
-
-        assert all(run_spmd(self.N_RANKS, program, timeout=120))
-
-    def test_one_gather_for_all_requests(self, monkeypatch):
-        """Three requests cost one allgather round, not three."""
-        from repro.simmpi.comm import SimComm
-
-        patterns = self._patterns()
-        mapping = paper_mapping(self.N_RANKS, ranks_per_node=4)
-        calls = []
-        original = SimComm.allgatherv_array
-
-        def counting(self, *args, **kwargs):
-            calls.append(self.rank)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SimComm, "allgatherv_array", counting)
-
-        def program(comm):
-            requests = [self._request(pattern, comm.rank)
-                        for pattern in patterns]
-            return neighbor_alltoallv_init_many(comm, requests, mapping) and True
-
-        assert all(run_spmd(self.N_RANKS, program, timeout=120))
-        assert len(calls) == self.N_RANKS
-
-    def test_mismatched_request_counts_rejected(self):
-        patterns = self._patterns()
-        mapping = paper_mapping(self.N_RANKS, ranks_per_node=4)
-
-        def program(comm):
-            keep = 1 if comm.rank else len(patterns)
-            requests = [self._request(pattern, comm.rank)
-                        for pattern in patterns[:keep]]
-            neighbor_alltoallv_init_many(comm, requests, mapping)
-
-        with pytest.raises(CommunicationError):
-            run_spmd(self.N_RANKS, program, timeout=120)
-
-    def test_empty_request_list(self):
-        mapping = paper_mapping(2, ranks_per_node=2)
-
-        def program(comm):
-            return neighbor_alltoallv_init_many(comm, [], mapping)
-
-        assert run_spmd(2, program, timeout=30) == [[], []]
 
 
 class TestBufferHelpers:

@@ -44,7 +44,7 @@ REQUIRED_FIELDS = {
     "kernels": str,
 }
 
-RUNTIMES = {"engine", "threads", "procs"}
+RUNTIMES = {"engine", "procs"}
 
 #: One document per always-on perf gate.
 BENCH_FILES = [f"BENCH_{name}.json" for name in (

@@ -16,7 +16,7 @@ from repro.collectives.plan import Variant
 from repro.perfmodel.params import lassen_parameters
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import distributed_spmv_results, sequential_spmv
+from repro.sparse.spmv import WorldSpMV, sequential_spmv
 from repro.sparse.stencils import rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 
@@ -38,16 +38,17 @@ class TestEndToEnd:
             if level.matrix.n_rows < hierarchy.levels[0].matrix.n_ranks:
                 continue  # tiny coarsest grids leave most ranks idle; covered elsewhere
             x = rng.random(level.matrix.n_rows)
-            expected = sequential_spmv(level.matrix, x)
-            result = distributed_spmv_results(level.matrix, mapping, x,
-                                              variant=Variant.FULL)
-            np.testing.assert_allclose(result, expected, rtol=1e-12, atol=1e-12)
+            with WorldSpMV(level.matrix, mapping, variant=Variant.FULL) as spmv:
+                result = spmv.multiply(x)
+            assert result.tobytes() == sequential_spmv(level.matrix, x).tobytes()
 
     def test_variants_agree_with_each_other(self, problem, rng):
         matrix, _, mapping = problem
         x = rng.random(matrix.n_rows)
-        results = {variant: distributed_spmv_results(matrix, mapping, x, variant=variant)
-                   for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)}
+        results = {}
+        for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
+            with WorldSpMV(matrix, mapping, variant=variant) as spmv:
+                results[variant] = spmv.multiply(x)
         np.testing.assert_allclose(results[Variant.PARTIAL], results[Variant.STANDARD])
         np.testing.assert_allclose(results[Variant.FULL], results[Variant.STANDARD])
 

@@ -1,25 +1,19 @@
-"""Integration: world-stepped SpMV and relaxation vs the threaded reference.
+"""Integration: world-stepped SpMV and relaxation vs the sequential oracle.
 
-``distributed_spmv_results`` defaults to the batched engine; these tests pin
-it byte-identical to the envelope-routed thread-per-rank path (the pinned
-reference) and to the sequential product, and do the same one layer up for
-the Jacobi smoother — for every collective variant.
+:class:`WorldSpMV` runs the halo exchange through the batched engine; its
+product is pinned byte-equal to the sequential product on the assembled
+matrix for every collective variant.  One layer up, where the paper's timed
+communication actually happens, :class:`DistributedJacobi` sweeps over it
+are pinned byte-equal to the sequential weighted-Jacobi reference.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.amg.relax import DistributedJacobi, jacobi
 from repro.collectives.plan import Variant
-from repro.simmpi.world import run_spmd
-from repro.sparse.spmv import (
-    DistributedSpMV,
-    WorldSpMV,
-    distributed_spmv_results,
-    sequential_spmv,
-)
+from repro.sparse.spmv import WorldSpMV, sequential_spmv
 from repro.topology.presets import paper_mapping
 
 ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
@@ -27,18 +21,14 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_engine_spmv_byte_identical_to_threaded_reference(
-        small_anisotropic_matrix, variant, rng):
+def test_world_spmv_byte_identical_to_sequential(small_anisotropic_matrix,
+                                                 variant, rng):
     matrix = small_anisotropic_matrix
     mapping = paper_mapping(matrix.n_ranks, ranks_per_node=4)
     x = rng.standard_normal(matrix.n_rows)
-    engine_result = distributed_spmv_results(matrix, mapping, x,
-                                             variant=variant, runtime="engine")
-    threads_result = distributed_spmv_results(matrix, mapping, x,
-                                              variant=variant, runtime="threads")
-    assert np.array_equal(engine_result, threads_result)
-    np.testing.assert_allclose(engine_result, sequential_spmv(matrix, x),
-                               rtol=1e-12, atol=1e-12)
+    with WorldSpMV(matrix, mapping, variant=variant) as spmv:
+        product = spmv.multiply(x)
+    assert product.tobytes() == sequential_spmv(matrix, x).tobytes()
 
 
 def test_world_spmv_reusable_across_iterations(small_poisson_matrix, rng):
@@ -47,13 +37,12 @@ def test_world_spmv_reusable_across_iterations(small_poisson_matrix, rng):
     spmv = WorldSpMV(matrix, mapping, variant=Variant.FULL)
     for _ in range(3):
         x = rng.standard_normal(matrix.n_rows)
-        np.testing.assert_allclose(spmv.multiply(x), sequential_spmv(matrix, x),
-                                   rtol=1e-12, atol=1e-12)
+        assert spmv.multiply(x).tobytes() == sequential_spmv(matrix, x).tobytes()
 
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
-def test_world_jacobi_byte_identical_to_threaded_smoother(
-        small_poisson_matrix, variant, rng):
+def test_world_jacobi_byte_identical_to_sequential(small_poisson_matrix,
+                                                   variant, rng):
     matrix = small_poisson_matrix
     n = matrix.n_rows
     mapping = paper_mapping(matrix.n_ranks, ranks_per_node=4)
@@ -61,27 +50,7 @@ def test_world_jacobi_byte_identical_to_threaded_smoother(
     x0 = rng.standard_normal(n)
     sweeps = 3
 
-    def program(comm):
-        spmv = DistributedSpMV(comm, matrix, mapping, variant=variant)
-        smoother = DistributedJacobi(spmv)
-        first, last = spmv.row_range
-        return smoother.smooth(b[first:last], x0[first:last], sweeps=sweeps)
-
-    per_rank = run_spmd(matrix.n_ranks, program, timeout=120)
-    threaded = np.concatenate([np.asarray(values) for values in per_rank])
-
     smoother = DistributedJacobi(WorldSpMV(matrix, mapping, variant=variant))
-    world_stepped = smoother.smooth(b, x0, sweeps=sweeps)
-
-    assert np.array_equal(world_stepped, threaded)
-    np.testing.assert_allclose(world_stepped,
-                               jacobi(matrix.matrix, b, x0, sweeps=sweeps),
-                               rtol=1e-12, atol=1e-12)
-
-
-def test_invalid_runtime_rejected(small_poisson_matrix, rng):
-    matrix = small_poisson_matrix
-    mapping = paper_mapping(matrix.n_ranks, ranks_per_node=4)
-    x = rng.standard_normal(matrix.n_rows)
-    with pytest.raises(Exception, match="runtime"):
-        distributed_spmv_results(matrix, mapping, x, runtime="mailbox")
+    smoothed = smoother.smooth(b, x0, sweeps=sweeps)
+    reference = jacobi(matrix.matrix, b, x0, sweeps=sweeps)
+    assert smoothed.tobytes() == reference.tobytes()

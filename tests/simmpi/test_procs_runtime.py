@@ -2,8 +2,8 @@
 
 The golden suites (``tests/collectives/test_world_engine.py``,
 ``tests/amg/test_world_vcycle.py``) pin the procs runtime byte-identical to
-the envelope-routed reference on their runtime axis; this module covers what
-they do not:
+their references on their runtime axis; this module covers what they do
+not:
 
 * the dtype x item_size x empty-rank matrix executed *on the worker pool*
   (empty slabs, zero-row segments, multi-component items in shared memory),
@@ -139,38 +139,43 @@ class TestRuntimeSelection:
     def test_env_flips_default_runtime(self, monkeypatch):
         monkeypatch.setenv(RUNTIME_ENV, "procs")
         assert default_runtime() == "procs"
-        assert default_runtime(ENGINE_RUNTIMES) == "procs"
         engine = ExchangeEngine(4)
         assert engine.runtime == "procs"
         engine.close()
 
     def test_unknown_env_value_raises_naming_the_variable(self, monkeypatch):
-        # A typo ("proc") must not run a whole CI leg on the default engine.
-        for typo in ("proc", "quantum"):
+        # A typo ("proc") must not run a whole CI leg on the default engine,
+        # and the retired thread-per-rank runtime is just another unknown name.
+        for typo in ("proc", "quantum", "threads"):
             monkeypatch.setenv(RUNTIME_ENV, typo)
-            for resolve in (default_runtime,
-                            lambda: default_runtime(ENGINE_RUNTIMES),
-                            lambda: ExchangeEngine(4)):
+            for resolve in (default_runtime, lambda: ExchangeEngine(4)):
                 with pytest.raises(ValidationError) as info:
                     resolve()
                 message = str(info.value)
                 assert RUNTIME_ENV in message and repr(typo) in message
-                assert all(name in message
-                           for name in ("engine", "threads", "procs"))
+                assert all(name in message for name in ENGINE_RUNTIMES)
         # An explicit runtime never consults the variable; unset, empty and
         # padded / upper-case spellings of a known runtime still resolve.
         assert ExchangeEngine(4, runtime="engine").runtime == "engine"
         for value, expected in (("", "engine"), (" Procs ", "procs")):
             monkeypatch.setenv(RUNTIME_ENV, value)
-            assert default_runtime(ENGINE_RUNTIMES) == expected
+            assert default_runtime() == expected
 
     def test_threads_is_not_an_engine_runtime(self, monkeypatch):
-        # The user surface accepts "threads"; the engine itself must not.
+        # "threads" names no runtime anywhere: not in the environment, not
+        # as an explicit keyword of the engine or of what builds one.
+        assert "threads" not in ENGINE_RUNTIMES
         monkeypatch.setenv(RUNTIME_ENV, "threads")
-        assert default_runtime() == "threads"
-        assert default_runtime(ENGINE_RUNTIMES) == "engine"
+        with pytest.raises(ValidationError, match=RUNTIME_ENV):
+            default_runtime()
+        monkeypatch.delenv(RUNTIME_ENV)
         with pytest.raises(ValidationError, match="engine runtime"):
             ExchangeEngine(4, runtime="threads")
+        pattern = random_pattern(4, avg_neighbors=2, seed=3)
+        plan = make_plan(pattern, paper_mapping(4, ranks_per_node=2),
+                         Variant.STANDARD)
+        with pytest.raises(ValidationError, match="engine runtime"):
+            _world_collective(plan, runtime="threads")
 
     def test_worker_count_validation(self):
         with pytest.raises(ValidationError, match="n_workers"):

@@ -8,16 +8,10 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.relax import DistributedJacobi
 from repro.collectives.plan import Variant
 from repro.pattern.validation import validate_pattern
-from repro.simmpi.world import run_spmd
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import (
-    DistributedSpMV,
-    WorldSpMV,
-    distributed_spmv_results,
-    sequential_spmv,
-)
+from repro.sparse.spmv import WorldSpMV, sequential_spmv
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -38,13 +32,6 @@ class TestParCSRMatrix:
         with WorldSpMV(matrix, mapping) as spmv:
             with pytest.raises(ValidationError, match="one partition"):
                 DistributedJacobi(spmv)
-
-        def program(comm):
-            spmv = DistributedSpMV(comm, matrix, mapping)
-            with pytest.raises(ValidationError, match="one partition"):
-                DistributedJacobi(spmv)
-
-        run_spmd(2, program, timeout=60)
 
     def test_build_hierarchy_requires_one_partition(self):
         """Small enough to stop at one level, so the square check inside
@@ -149,26 +136,28 @@ class TestCommPkg:
                 small_anisotropic_matrix.local_blocks(rank).col_map_offd.size
 
 
-class TestDistributedSpMV:
+class TestWorldSpMV:
     @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL, Variant.FULL])
     def test_matches_sequential_product(self, variant, rng):
         matrix = ParCSRMatrix(rotated_anisotropic_diffusion((16, 16)),
                               RowPartition.even(256, 8))
         mapping = paper_mapping(8, ranks_per_node=4)
         x = rng.random(256)
-        expected = sequential_spmv(matrix, x)
-        result = distributed_spmv_results(matrix, mapping, x, variant=variant)
-        np.testing.assert_allclose(result, expected, rtol=1e-13, atol=1e-13)
+        with WorldSpMV(matrix, mapping, variant=variant) as spmv:
+            result = spmv.multiply(x)
+        assert result.tobytes() == sequential_spmv(matrix, x).tobytes()
 
     def test_poisson_matches_sequential(self, small_poisson_matrix, rng):
         mapping = paper_mapping(8, ranks_per_node=4)
         x = rng.random(small_poisson_matrix.n_rows)
-        expected = sequential_spmv(small_poisson_matrix, x)
-        result = distributed_spmv_results(small_poisson_matrix, mapping, x,
-                                          variant=Variant.FULL)
-        np.testing.assert_allclose(result, expected, rtol=1e-13, atol=1e-13)
+        with WorldSpMV(small_poisson_matrix, mapping,
+                       variant=Variant.FULL) as spmv:
+            result = spmv.multiply(x)
+        assert result.tobytes() == \
+            sequential_spmv(small_poisson_matrix, x).tobytes()
 
     def test_shape_validation(self, small_poisson_matrix):
         mapping = paper_mapping(8, ranks_per_node=4)
-        with pytest.raises(ValidationError):
-            distributed_spmv_results(small_poisson_matrix, mapping, np.zeros(3))
+        with WorldSpMV(small_poisson_matrix, mapping) as spmv:
+            with pytest.raises(ValidationError):
+                spmv.multiply(np.zeros(3))

@@ -1,10 +1,10 @@
 """Rectangular ParCSR matrices and grid-transfer SpMV.
 
 Covers grid transfers end to end — two-partition ``ParCSRMatrix`` block views,
-``pattern_from_parcsr`` construction, and the engine/envelope execution pair —
-plus the regression suite for hierarchy levels with empty ranks: a level
-whose partition leaves ranks without rows must flow through
-``distributed_spmv_results`` and friends cleanly (never a deep engine error),
+``pattern_from_parcsr`` construction, and the world product, byte-equal to
+the sequential one — plus the regression suite for hierarchy levels with
+empty ranks: a level whose partition leaves ranks without rows must flow
+through :class:`WorldSpMV` and friends cleanly (never a deep engine error),
 while genuinely invalid inputs (a mapping smaller than the partition, which
 used to surface as a deep planner ``TopologyError``) fail up front with a
 clear :class:`ValidationError`.
@@ -20,7 +20,7 @@ from repro.collectives.plan import Variant
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import WorldSpMV, distributed_spmv_results
+from repro.sparse.spmv import WorldSpMV
 from repro.sparse.stencils import poisson_2d
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -111,19 +111,15 @@ class TestTransferPattern:
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
                                      Variant.FULL])
 @pytest.mark.parametrize("level", [0, 1])
-def test_transfer_engine_byte_identical_to_threads(transfer_fixture, variant,
-                                                   level, rng):
+def test_transfer_byte_identical_to_sequential(transfer_fixture, variant,
+                                               level, rng):
     for operator in (transfer_fixture.prolongation_matrix(level),
                      transfer_fixture.restriction_matrix(level)):
         mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
         x = rng.standard_normal(operator.n_cols)
-        engine = distributed_spmv_results(operator, mapping, x,
-                                          variant=variant, runtime="engine")
-        threads = distributed_spmv_results(operator, mapping, x,
-                                           variant=variant, runtime="threads")
-        assert np.array_equal(engine, threads)
-        np.testing.assert_allclose(engine, operator.spmv(x),
-                                   rtol=1e-12, atol=1e-12)
+        with WorldSpMV(operator, mapping, variant=variant) as spmv:
+            product = spmv.multiply(x)
+        assert product.tobytes() == operator.spmv(x).tobytes()
 
 
 def test_world_rect_spmv_reusable(transfer_fixture, rng):
@@ -132,15 +128,14 @@ def test_world_rect_spmv_reusable(transfer_fixture, rng):
     spmv = WorldSpMV(operator, mapping, variant=Variant.FULL)
     for _ in range(3):
         x = rng.standard_normal(operator.n_cols)
-        np.testing.assert_allclose(spmv.multiply(x), operator.spmv(x),
-                                   rtol=1e-12, atol=1e-12)
+        assert spmv.multiply(x).tobytes() == operator.spmv(x).tobytes()
 
 
 class TestEmptyRankRegression:
     """Hierarchy levels with empty ranks flow through cleanly.
 
-    Coarse AMG levels routinely leave ranks without rows; the engine and
-    envelope paths must execute those levels (SpMV and grid transfers alike)
+    Coarse AMG levels routinely leave ranks without rows; both engine
+    runtimes must execute those levels (SpMV and grid transfers alike)
     rather than fail deep inside the exchange machinery.
     """
 
@@ -155,26 +150,24 @@ class TestEmptyRankRegression:
         sizes = np.diff(empty_rank_hierarchy.levels[-1].matrix.partition.offsets)
         assert (sizes == 0).any()
 
-    @pytest.mark.parametrize("runtime", ["engine", "threads"])
+    @pytest.mark.parametrize("runtime", ["engine", "procs"])
     def test_spmv_on_empty_rank_level(self, empty_rank_hierarchy, runtime, rng):
         level = empty_rank_hierarchy.levels[-1].matrix
         mapping = paper_mapping(level.n_ranks, ranks_per_node=16)
         x = rng.standard_normal(level.n_rows)
-        result = distributed_spmv_results(level, mapping, x,
-                                          variant=Variant.FULL,
-                                          runtime=runtime)
-        np.testing.assert_allclose(result, level.spmv(x),
-                                   rtol=1e-12, atol=1e-12)
+        with WorldSpMV(level, mapping, variant=Variant.FULL, runtime=runtime,
+                       n_workers=2 if runtime == "procs" else None) as spmv:
+            result = spmv.multiply(x)
+        assert result.tobytes() == level.spmv(x).tobytes()
 
     def test_transfer_onto_empty_rank_level(self, empty_rank_hierarchy, rng):
         index = empty_rank_hierarchy.n_levels - 2
         operator = empty_rank_hierarchy.prolongation_matrix(index)
         mapping = paper_mapping(operator.n_ranks, ranks_per_node=16)
         x = rng.standard_normal(operator.n_cols)
-        result = distributed_spmv_results(operator, mapping, x,
-                                          variant=Variant.FULL)
-        np.testing.assert_allclose(result, operator.spmv(x),
-                                   rtol=1e-12, atol=1e-12)
+        with WorldSpMV(operator, mapping, variant=Variant.FULL) as spmv:
+            result = spmv.multiply(x)
+        assert result.tobytes() == operator.spmv(x).tobytes()
 
     def test_world_vcycle_over_empty_rank_levels(self, empty_rank_hierarchy,
                                                  rng):
@@ -189,19 +182,14 @@ class TestEmptyRankRegression:
                               variant=Variant.FULL).cycle(b, x0)
         seed_x = BoomerAMGSolver(matrix,
                                  hierarchy=empty_rank_hierarchy).vcycle(b, x0)
-        np.testing.assert_allclose(world_x, seed_x, rtol=1e-10, atol=1e-12)
+        assert world_x.tobytes() == seed_x.tobytes()
 
-    def test_undersized_mapping_rejected_up_front(self, empty_rank_hierarchy,
-                                                  rng):
+    def test_undersized_mapping_rejected_up_front(self, empty_rank_hierarchy):
         """This used to surface as a deep planner ``TopologyError`` (or pass
         silently for the standard variant); now every entry point raises a
         clear :class:`ValidationError` before any plan is built."""
-        level = empty_rank_hierarchy.levels[0].matrix
         small = paper_mapping(4, ranks_per_node=4)
-        x = rng.standard_normal(level.n_rows)
-        with pytest.raises(ValidationError, match="mapping covers"):
-            distributed_spmv_results(level, small, x)
-        with pytest.raises(ValidationError, match="mapping covers"):
-            distributed_spmv_results(
-                empty_rank_hierarchy.prolongation_matrix(0), small,
-                rng.standard_normal(empty_rank_hierarchy.levels[1].n_rows))
+        for operator in (empty_rank_hierarchy.levels[0].matrix,
+                         empty_rank_hierarchy.prolongation_matrix(0)):
+            with pytest.raises(ValidationError, match="mapping covers"):
+                WorldSpMV(operator, small)

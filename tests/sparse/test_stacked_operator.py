@@ -11,9 +11,8 @@ vector, then that operator times the engine's round buffer.  Pinned here:
   and no-halo-rank operators and for random CSRs;
 * the halo pattern built from it delivers every rank exactly its per-rank
   ``col_map_offd``;
-* ``multiply`` is byte-equal across engine / procs / threads × standard /
-  partial / full **and** byte-equal to ``matrix.matrix @ x``, also on an
-  unsorted-with-duplicates input;
+* ``multiply`` is byte-equal to ``matrix.matrix @ x`` on engine / procs ×
+  standard / partial / full, also on an unsorted-with-duplicates input;
 * a delivery order other than ascending-per-rank is folded into the column
   indices once, and a delivered id set that is not the rank's
   ``col_map_offd`` raises;
@@ -40,8 +39,7 @@ from repro.sparse import parcsr
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import (WorldSpMV, _operator_on_buffer,
-                               distributed_spmv_results)
+from repro.sparse.spmv import WorldSpMV, _operator_on_buffer
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -194,25 +192,23 @@ def test_case_shapes_are_what_they_claim():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("runtime", ["engine", "procs"])
-def test_multiply_is_byte_identical_to_the_threads_runtime(operator, variant,
-                                                           runtime, rng):
-    """... and both to the assembled product: one stored order everywhere."""
+def test_multiply_is_byte_identical_to_the_assembled_product(operator, variant,
+                                                             runtime, rng):
+    """One stored order everywhere: every runtime and variant sums a row as
+    the assembled matrix stores it."""
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
     x = rng.standard_normal(operator.n_cols)
     assembled = operator.matrix @ x
-    threads = distributed_spmv_results(operator, mapping, x, variant=variant,
-                                       runtime="threads")
-    assert threads.tobytes() == assembled.tobytes()
     with WorldSpMV(operator, mapping, variant=variant, runtime=runtime,
                    n_workers=2 if runtime == "procs" else None) as spmv:
         assert spmv.multiply(x).tobytes() == assembled.tobytes()
         assert spmv.multiply(-x).tobytes() == (-assembled).tobytes()
 
 
-@pytest.mark.parametrize("runtime", ["engine", "procs", "threads"])
+@pytest.mark.parametrize("runtime", ["engine", "procs"])
 def test_non_canonical_input_has_one_answer(runtime, rng):
     """Unsorted indices and duplicates are summed once, at construction, so
-    ``spmv()``, the world product and the per-rank product read one array."""
+    ``spmv()`` and the world product read one array."""
     canonical = rotated_anisotropic_diffusion((6, 6)).tocsr()
     # Every entry stored as two duplicates, each row's columns scrambled.
     rows = np.tile(np.repeat(np.arange(36), np.diff(canonical.indptr)), 2)
@@ -229,7 +225,9 @@ def test_non_canonical_input_has_one_answer(runtime, rng):
     assert raw.nnz == 2 * canonical.nnz, "the caller's matrix is left alone"
     x = rng.standard_normal(36)
     mapping = paper_mapping(5, ranks_per_node=4)
-    product = distributed_spmv_results(matrix, mapping, x, runtime=runtime)
+    with WorldSpMV(matrix, mapping, runtime=runtime,
+                   n_workers=2 if runtime == "procs" else None) as spmv:
+        product = spmv.multiply(x)
     assert product.tobytes() == matrix.spmv(x).tobytes()
     np.testing.assert_allclose(product, canonical @ x, rtol=1e-12, atol=1e-12)
 
