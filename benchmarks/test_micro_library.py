@@ -3,7 +3,7 @@
 Unlike the figure benchmarks (whose communication times are *modeled*), these
 measure the real Python cost of the hot library paths: planning each collective
 variant, validating plans, building communication packages, and executing a
-functional exchange on the simulated runtime.  They exist so that regressions
+functional exchange on the world engine.  They exist so that regressions
 in the reproduction's own code show up in ``pytest benchmarks --benchmark-only``.
 
 The guards pin what made each path fast without racing two stopwatches: they
@@ -23,19 +23,18 @@ from conftest import emit_bench
 
 from repro.collectives import (
     Variant,
+    WorldNeighborCollective,
     all_plans,
     make_plan,
-    neighbor_alltoallv_init,
+    neighbor_alltoallv_init_world,
     plan_full,
     plan_partial,
     plan_standard,
     setup_aggregation,
 )
-from repro.collectives.persistent import PersistentNeighborCollective
 from repro.pattern import random_pattern
-from repro.pattern.builders import neighbor_lists, pattern_from_edges
+from repro.pattern.builders import pattern_from_edges
 from repro.perfmodel import lassen_parameters
-from repro.simmpi import SimWorld, dist_graph_create_adjacent, run_spmd
 from repro.sparse import pattern_from_parcsr, strong_scaling_problem
 from repro.topology import paper_mapping
 
@@ -76,26 +75,20 @@ def test_micro_comm_pkg_construction(benchmark):
 
 
 def test_micro_functional_exchange(benchmark):
-    """Time one functional locality-aware exchange on 16 simulated ranks."""
+    """Time one functional locality-aware exchange (init + one round) on 16
+    simulated ranks."""
     n_ranks = 16
     mapping = paper_mapping(n_ranks, ranks_per_node=4)
     pattern = random_pattern(n_ranks, avg_neighbors=6, seed=5)
 
     def one_exchange():
-        def program(comm):
-            rank = comm.rank
-            send_items = {d: pattern.send_items(rank, d).tolist()
-                          for d in pattern.send_ranks(rank)}
-            recv_items = {s: pattern.recv_items(rank, s).tolist()
-                          for s in pattern.recv_ranks(rank)}
-            sources, dests = neighbor_lists(pattern, rank)
-            graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-            collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                                 variant=Variant.FULL)
-            received = collective.exchange(
-                collective.owned_item_ids.astype(np.float64))
-            return received, collective.recv_item_ids
-        return run_spmd(n_ranks, program, timeout=120)
+        with neighbor_alltoallv_init_world(pattern, mapping,
+                                           variant=Variant.FULL) as collective:
+            received = collective.exchange([
+                collective.owned_item_ids(rank).astype(np.float64)
+                for rank in range(n_ranks)])
+            return [(values, collective.recv_item_ids(rank))
+                    for rank, values in enumerate(received)]
 
     results = benchmark.pedantic(one_exchange, iterations=1, rounds=3)
     assert len(results) == n_ranks
@@ -194,55 +187,39 @@ def test_micro_pattern_construction_speedup_over_dict_build(count_calls):
 
 
 def test_micro_world_engine_speedup_over_envelope_path(count_calls):
-    """Guard: a world-engine round is the envelope round, in O(phases) calls.
+    """Guard: a world-engine round is the oracle's round, in O(phases) calls.
 
-    One exchange round of a 1024-rank irregular pattern, executed twice from
-    the same plan: once through per-rank ``PersistentNeighborCollective``
-    handles stepped rank-by-rank in a Python loop (the envelope-routed
-    reference — every message becomes an ``Envelope`` through the mailbox
-    fabric; eager delivery makes single-threaded stepping of the direct-phase
-    variant deadlock-free), and once through the batched ``ExchangeEngine``.
-    Clock-free: the results must be byte-identical per rank, and what makes
-    the engine fast is counted instead of timed — a round is one
+    One exchange round of a 1024-rank irregular pattern through the batched
+    ``ExchangeEngine``.  Clock-free: every rank's result must be byte-equal
+    to the closed-form oracle (the value its source owns of every received
+    item), and what makes the engine fast is counted — a round is one
     ``_execute`` and one kernel ``gather`` per non-terminal receive step plus
     the output gather (which makes the terminal deliveries), whatever the
-    rank or message count.  Both timings are recorded; neither is asserted.
+    rank or message count.
     """
-    from repro.collectives import WorldNeighborCollective, kernels
-    from repro.collectives.persistent import PersistentNeighborCollective
-    from repro.simmpi import ExchangeEngine, SimWorld
+    from repro.collectives import kernels
+    from repro.simmpi import ExchangeEngine
 
-    rounds = 3
     n_ranks = 1024
     pattern = random_pattern(n_ranks, avg_neighbors=8, avg_items_per_message=16,
                              duplicate_fraction=0.3, seed=17)
     mapping = paper_mapping(n_ranks, ranks_per_node=16)
     plan = make_plan(pattern, mapping, Variant.STANDARD)
 
-    # Envelope-routed reference: one per-rank handle each, stepped in a loop.
-    world = SimWorld(n_ranks, timeout=120)
-    per_rank = [PersistentNeighborCollective(world.comm(rank), plan)
-                for rank in range(n_ranks)]
-    values = [100.0 * rank + handle.owned_item_ids.astype(np.float64)
-              for rank, handle in enumerate(per_rank)]
-
-    def envelope_round():
-        for handle, owned in zip(per_rank, values):
-            handle.start(owned)
-        return [handle.wait() for handle in per_rank]
-
-    # World-stepped engine: same plan, one registration, one call per round.
     # The numpy kernels are Python functions, so their calls are countable.
     with ExchangeEngine(n_ranks, runtime="engine") as engine:
         collective = WorldNeighborCollective(plan, engine=engine)
+        values = [100.0 * rank + collective.owned_item_ids(rank).astype(np.float64)
+                  for rank in range(n_ranks)]
 
         def engine_round():
             return collective.exchange(values)
 
-        reference = envelope_round()  # warm + correctness sample
         batched = engine_round()
         for rank in range(n_ranks):
-            assert reference[rank].tobytes() == batched[rank].tobytes()
+            expected = 100.0 * collective.recv_item_sources(rank) \
+                + collective.recv_item_ids(rank).astype(np.float64)
+            assert batched[rank].tobytes() == expected.tobytes()
 
         # One direct phase, whose receive step is the last hop: kept with
         # an empty range, its deliveries made by the output gather.
@@ -252,35 +229,18 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
                   for of in ([ExchangeEngine._execute],
                              [kernels._numpy_gather])]
         assert counts == [1, 0 + 1]     # non-terminal receive steps + output
-
-        envelope_best = engine_best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            envelope_round()
-            envelope_best = min(envelope_best, time.perf_counter() - start)
-        for _ in range(rounds):
-            start = time.perf_counter()
-            engine_round()
-            engine_best = min(engine_best, time.perf_counter() - start)
-    speedup = envelope_best / engine_best
     print(f"\n1024-rank exchange round ({plan.n_messages} messages): "
-          f"envelope path {envelope_best * 1e3:.1f} ms, "
-          f"world engine {engine_best * 1e3:.2f} ms, ratio {speedup:.1f}x; "
           f"1 _execute, 1 kernel gather per round")
-    emit_bench("world_engine", speedup=speedup, baseline_s=envelope_best,
-               optimized_s=engine_best, n_ranks=n_ranks,
-               n_messages=plan.n_messages, kernel_backend="numpy")
 
 
 def test_micro_array_path_speedup_over_dict_path(count_calls):
     """Guard: an array round enters no per-item Python frame.
 
-    Two ranks exchange ``n`` float64 items each way through two
-    ``PersistentNeighborCollective`` handles on one ``SimWorld``, stepped in
-    one thread (eager delivery makes that deadlock-free).  Packing is one
-    ``take`` per phase into a send arena and unpacking its mirror scatter, so
-    one round makes the same number of Python + C calls at 10k and at 40k
-    items, on the direct path (``standard``) and on the aggregated one
+    Two ranks exchange ``n`` float64 items each way through one
+    ``WorldNeighborCollective``.  A round loads the flat input, runs one
+    ``take`` per non-terminal receive step and one output gather, so one
+    ``exchange`` makes the same number of Python + C calls at 10k and at
+    40k items, on the direct path (``standard``) and on the aggregated one
     (``full``: the two ranks sit on two nodes).  Every round's results must
     be byte-equal to the item ids the values were made from.
     """
@@ -290,31 +250,27 @@ def test_micro_array_path_speedup_over_dict_path(count_calls):
             (0, 1, np.arange(n_items)),
             (1, 0, np.arange(n_items, 2 * n_items)),
         ])
-        plan = make_plan(pattern, mapping, variant)
-        world = SimWorld(2, timeout=60)
-        handles = [PersistentNeighborCollective(world.comm(rank), plan)
-                   for rank in range(2)]
-        values = [handle.owned_item_ids.astype(np.float64)
-                  for handle in handles]
-        results = []
+        with WorldNeighborCollective(make_plan(pattern, mapping, variant),
+                                     runtime="engine") as collective:
+            values = [collective.owned_item_ids(rank).astype(np.float64)
+                      for rank in range(2)]
+            results = []
 
-        def one_round():
-            for handle, owned in zip(handles, values):
-                handle.start(owned)
-            results.append([handle.wait() for handle in handles])
+            def one_round():
+                results.append(collective.exchange(values))
 
-        one_round()             # lazy state settles before counting
-        calls = count_calls(one_round)
-        for received in results:
-            for handle, halo in zip(handles, received):
-                assert halo.tobytes() \
-                    == handle.recv_item_ids.astype(np.float64).tobytes()
+            one_round()             # lazy state settles before counting
+            calls = count_calls(one_round)
+            for received in results:
+                for rank, halo in enumerate(received):
+                    assert halo.tobytes() == collective.recv_item_ids(
+                        rank).astype(np.float64).tobytes()
         return calls
 
     for variant in (Variant.STANDARD, Variant.FULL):
         counts = [counted_round(variant, n) for n in (10_000, 40_000)]
-        print(f"\none {variant.value} round of two handles: {counts[0]} calls "
-              f"at 10k items, {counts[1]} at 40k")
+        print(f"\none {variant.value} world round of two ranks: {counts[0]} "
+              f"calls at 10k items, {counts[1]} at 40k")
         assert counts[0] == counts[1], (variant, counts)
 
 

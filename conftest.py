@@ -7,6 +7,7 @@ installs place it earlier on the path.  Also home of the one fixture both
 ``tests/`` and ``benchmarks/`` use.
 """
 
+import gc
 import os
 import sys
 
@@ -26,10 +27,13 @@ def count_calls():
     large input as on a small one, a per-row or per-edge Python loop does not.
     ``of=(function, ...)`` counts only entries into those Python functions
     (matched by code object, whatever name the caller imported them under).
+    Earlier garbage is collected first, so a collection of it — and the
+    weakref callbacks that runs — never lands inside the count.
     """
     def counter(func, *args, of=None, **kwargs) -> int:
         calls = 0
         targets = None if of is None else {f.__code__ for f in of}
+        gc.collect()
 
         def on_event(frame, event, arg):
             nonlocal calls

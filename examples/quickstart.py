@@ -5,8 +5,9 @@ Run with ``python examples/quickstart.py``.
 The script builds a random irregular communication pattern on 32 simulated
 ranks (4 nodes x 8 ranks), plans the three collective variants the paper
 compares, prints their message statistics and modeled Start+Wait times, and
-finally executes the fully optimized variant on the simulated MPI runtime to
-show that it delivers exactly the same values as plain point-to-point.
+finally executes the fully optimized variant for every rank on the world
+exchange engine to show that it delivers exactly the same values as plain
+point-to-point.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np
 
-from repro.collectives import Variant, all_plans, neighbor_alltoallv_init
-from repro.pattern import random_pattern, pattern_statistics
-from repro.pattern.builders import neighbor_lists
+from repro.collectives import Variant, all_plans, neighbor_alltoallv_init_world
+from repro.pattern import random_pattern
 from repro.perfmodel import lassen_parameters
-from repro.simmpi import dist_graph_create_adjacent, run_spmd
 from repro.topology import paper_mapping
 from repro.utils import format_table
 
@@ -56,30 +55,23 @@ def main() -> int:
          "max global bytes", "modeled time (us)"],
         rows, title="Collective variants on one irregular pattern"))
 
-    # 2. Execute the fully optimized variant on the simulated runtime and
-    #    verify it against the pattern.  The exchange is array-native: a dense
-    #    vector of owned values goes in, a dense halo comes out, and the
-    #    collective's index metadata says which item each slot is.
-    def program(comm):
-        rank = comm.rank
-        send_items = {d: pattern.send_items(rank, d).tolist()
-                      for d in pattern.send_ranks(rank)}
-        recv_items = {s: pattern.recv_items(rank, s).tolist()
-                      for s in pattern.recv_ranks(rank)}
-        sources, dests = neighbor_lists(pattern, rank)
-        graph = dist_graph_create_adjacent(comm, sources, dests)
-        collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                             variant=Variant.FULL)
-        values = 100.0 * rank + collective.owned_item_ids.astype(np.float64)
-        received = collective.exchange(values)
-        expected = 100.0 * collective.recv_item_sources \
-            + collective.recv_item_ids
-        assert np.array_equal(received, expected.astype(np.float64))
-        return len(received)
-
-    received_counts = run_spmd(n_ranks, program, timeout=120)
-    print("\nFunctional execution on the simulated runtime: every rank received "
-          "its halo values correctly.")
+    # 2. Execute the fully optimized variant for every rank at once and verify
+    #    it against the pattern.  The exchange is array-native: one dense
+    #    vector of owned values per rank goes in, one dense halo per rank
+    #    comes out, and the collective's index metadata says which item (from
+    #    which source) each slot is.
+    with neighbor_alltoallv_init_world(pattern, mapping,
+                                       variant=Variant.FULL) as collective:
+        values = [100.0 * rank + collective.owned_item_ids(rank).astype(np.float64)
+                  for rank in range(n_ranks)]
+        halos = collective.exchange(values)
+        for rank, received in enumerate(halos):
+            expected = 100.0 * collective.recv_item_sources(rank) \
+                + collective.recv_item_ids(rank)
+            assert np.array_equal(received, expected.astype(np.float64))
+    received_counts = [len(received) for received in halos]
+    print("\nFunctional execution on the world exchange engine: every rank "
+          "received its halo values correctly.")
     print(f"Values received per rank: min={min(received_counts)}, "
           f"max={max(received_counts)}")
     return 0

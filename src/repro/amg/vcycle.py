@@ -19,7 +19,7 @@ post-smooth.
   operators are :class:`~repro.sparse.spmv.WorldSpMV` on the engine's work
   array and its vectors global, so one ``cycle`` call runs a whole V-cycle
   for *all* ranks with O(phases) numpy calls per level — no per-message
-  envelopes, and an iterate bit-equal to
+  Python work, and an iterate bit-equal to
   :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.
 * :class:`WorldAMGSolver` is the ``BoomerAMGSolver.solve``-equivalent built
   on top: the same stationary iteration
@@ -114,12 +114,12 @@ class WorldVCycle:
     ``cycle`` then advances the whole communicator through
     pre-smooth → residual → restrict → coarse-solve → prolong-correct →
     post-smooth with O(phases) numpy calls per level and no per-message
-    envelopes anywhere on the data path.  Results are byte-identical to the
+    Python work anywhere on the data path.  Results are byte-identical to the
     seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle` on the assembled
     operators — the solve-phase equivalence suite pins it.
 
-    Pass ``engine`` to register all levels with a shared engine (e.g. from
-    :meth:`~repro.simmpi.world.SimWorld.exchange_engine`), ``profiler`` for a
+    Pass ``engine`` to register all levels with a shared engine (e.g.
+    ``ExchangeEngine(n_ranks, profiler=...)``), ``profiler`` for a
     private engine around one profiler, or ``level_profilers`` (one per
     level) for per-level engines, each accounting its own level's traffic.
     ``runtime`` / ``n_workers`` select and size the backend of every engine

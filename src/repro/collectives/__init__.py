@@ -6,9 +6,11 @@ This package is the reproduction of the paper's core contribution:
   pattern plus rank mapping into explicit message schedules for the standard
   (Section 3.1), partially optimized (Section 3.2, three-step aggregation) and
   fully optimized (Section 3.3, duplicate removal) variants;
-* :mod:`repro.collectives.persistent` — a per-rank persistent handle that
-  executes any plan on the simulated MPI runtime (init / start / wait);
-* :mod:`repro.collectives.api` — the MPI-Advance-style entry points
+* :mod:`repro.collectives.exchange` — the compiler from a plan to the world
+  program the :class:`~repro.simmpi.engine.ExchangeEngine` runs;
+* :mod:`repro.collectives.persistent` — a persistent world-stepped handle
+  that executes any plan for every rank at once (init / exchange);
+* :mod:`repro.collectives.api` — the MPI-Advance-style entry point
   applications call;
 * :mod:`repro.collectives.selection` — model-driven dynamic selection of the
   cheapest variant (the paper's future-work extension);
@@ -49,11 +51,8 @@ from repro.collectives.planner import (
 )
 from repro.collectives.exchange import (
     ExchangeSpec,
-    CompiledExchange,
-    CompiledPhase,
     WorldExchange,
     WorldPhaseProgram,
-    compile_exchange,
     compile_world_exchange,
 )
 from repro.collectives.plan_cache import (
@@ -62,15 +61,8 @@ from repro.collectives.plan_cache import (
     plan_cache_stats,
 )
 from repro.collectives.kernels import KernelBackend, active_backend
-from repro.collectives.persistent import (
-    PersistentNeighborCollective,
-    WorldNeighborCollective,
-)
-from repro.collectives.api import (
-    neighbor_alltoallv_init,
-    neighbor_alltoallv_init_world,
-    neighbor_alltoallv,
-)
+from repro.collectives.persistent import WorldNeighborCollective
+from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.selection import SelectionResult, select_variant, best_per_pattern
 from repro.collectives.autotune import (
     AUTO_VARIANT,
@@ -109,22 +101,16 @@ __all__ = [
     "make_plan",
     "all_plans",
     "ExchangeSpec",
-    "CompiledExchange",
-    "CompiledPhase",
     "WorldExchange",
     "WorldPhaseProgram",
-    "compile_exchange",
     "compile_world_exchange",
     "PlanCacheWarning",
     "clear_plan_cache",
     "plan_cache_stats",
     "KernelBackend",
     "active_backend",
-    "PersistentNeighborCollective",
     "WorldNeighborCollective",
-    "neighbor_alltoallv_init",
     "neighbor_alltoallv_init_world",
-    "neighbor_alltoallv",
     "SelectionResult",
     "select_variant",
     "best_per_pattern",

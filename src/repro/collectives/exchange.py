@@ -1,39 +1,31 @@
 """Compiled, array-native execution form of a collective plan.
 
 A :class:`CollectivePlan` describes *what* moves (slot tables and payload
-keys); this module compiles one rank's share of a plan into *how* it moves on
-dense numpy buffers: every value a rank ever holds during one exchange — its
-owned items plus everything it receives in any phase — is assigned a row of a
-dense *work array*, and every message gets a precomputed gather (pack) or
-scatter (unpack) index into that array.  Per-iteration packing is then a
-single fancy-index per phase (``arena = work[gather]``) and unpacking its
-mirror (``work[scatter] = arena``), with no per-item Python loops anywhere on
-the Start/Wait path.
+keys); :func:`compile_world_exchange` compiles every rank's share of a plan
+into *how* it moves on dense numpy buffers, as one *world program*: every
+value any rank ever holds during one exchange — its owned items plus
+everything it receives in any phase — is one row of a single world work
+array, numbered in the layout the :class:`~repro.simmpi.engine.ExchangeEngine`
+executes: rows ``[owned | blocks a later step reads | terminal blocks]``, and
+per receive step one ``(src, a, b)`` — fill rows ``[a, b)`` from the earlier
+rows ``src``.  A round is then O(phases) numpy calls for the whole
+communicator — no per-message or per-rank Python loop, and no renumbering at
+registration.
 
-Compilation itself is columnar too.  The per-rank compiler resolves all keys
-of a schedule step with one lexsort-based batch lookup; the world compiler
-never looks at an ``(origin, item)`` pair at all — it reads the plan's phase
-tables, whose payload rows carry the pattern's interned key ids, and sorts
-and joins on one packed ``holder * width + key`` int64.
+Compilation itself is columnar too: the compiler never looks at an
+``(origin, item)`` pair — it reads the plan's phase tables, whose payload
+rows carry the pattern's interned key ids, and sorts and joins on one packed
+``holder * width + key`` int64.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
 distribution set of a lattice-Boltzmann site, or the DOFs of a multi-component
 unknown), and the work array has shape ``(n_rows, item_size)``.
-
-Beyond the per-rank form, :func:`compile_world_exchange` emits every rank's
-compiled exchange as one *world program*, numbered in the layout the
-:class:`~repro.simmpi.engine.ExchangeEngine` executes: one work array for
-all ranks, rows ``[owned | blocks a later step reads | terminal blocks]``,
-and per receive step one ``(src, a, b)`` — fill rows ``[a, b)`` from the
-earlier rows ``src``.  A round is then O(phases) numpy calls for the whole
-communicator — no per-message envelopes, no per-rank Python loop, and no
-renumbering at registration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -43,7 +35,6 @@ from repro.collectives.plan import (
     CollectivePlan,
     Phase,
     PhaseTable,
-    PlannedMessage,
     Variant,
 )
 from repro.utils.arrays import (
@@ -56,8 +47,8 @@ from repro.utils.arrays import (
 )
 from repro.utils.errors import PlanError, ValidationError
 
-#: Compile-time availability schedules, mirroring the *runtime* order of the
-#: executor exactly: a ``("send", phase)`` step may only gather keys that are
+#: Compile-time availability schedules, the order a round runs its steps in:
+#: a ``("send", phase)`` step may only gather keys that are
 #: owned or were registered by an earlier ``("recv", phase)`` step.  In the
 #: aggregated protocol (Algorithms 5-6) the setup redistribution completes
 #: inside ``start`` before the global phase packs, but the local and global
@@ -77,9 +68,7 @@ _AGGREGATED_SCHEDULE: Tuple[Tuple[str, Phase], ...] = (
     ("recv", Phase.FINAL_REDIST),
 )
 
-#: Tag offsets per phase so concurrent phases never match each other's traffic.
-#: Shared by the per-rank executor (request tags) and the world engine (bulk
-#: traffic accounting), so both report identical per-tag profiler data.
+#: Tag of each phase's messages in the engine's bulk traffic accounting.
 PHASE_TAGS: Dict[Phase, int] = {
     Phase.DIRECT: 10,
     Phase.LOCAL: 11,
@@ -108,65 +97,13 @@ class ExchangeSpec:
         return self.item_size * self.dtype.itemsize
 
 
-@dataclass
-class CompiledPhase:
-    """One rank's compiled sends and receives for one phase.
-
-    ``gather`` concatenates the work-array rows of every send message's payload
-    in message order; message ``i`` packs rows
-    ``gather[send_offsets[i]:send_offsets[i + 1]]`` and its wire buffer is the
-    matching slice of the phase's contiguous send arena.  ``scatter`` is the
-    mirror image for receives.
-    """
-
-    phase: Phase
-    send_messages: List[PlannedMessage]
-    recv_messages: List[PlannedMessage]
-    gather: np.ndarray
-    scatter: np.ndarray
-    send_offsets: np.ndarray
-    recv_offsets: np.ndarray
-
-
-@dataclass
-class CompiledExchange:
-    """One rank's complete compiled exchange.
-
-    ``owned_items`` fixes the caller-side input order: element ``i`` of the
-    dense input array is the value of item ``owned_items[i]`` (rows
-    ``[0, owned_items.size)`` of the work array).  ``result_rows`` gathers the
-    output: item ``result_items[i]`` (sent by ``result_sources[i]``) is row
-    ``result_rows[i]``.
-    """
-
-    rank: int
-    variant: Variant
-    spec: ExchangeSpec
-    n_rows: int
-    owned_items: np.ndarray
-    result_items: np.ndarray
-    result_sources: np.ndarray
-    result_rows: np.ndarray
-    phases: List[CompiledPhase] = field(default_factory=list)
-
-    @property
-    def n_owned(self) -> int:
-        """Items the caller supplies per iteration."""
-        return int(self.owned_items.size)
-
-    @property
-    def n_result(self) -> int:
-        """Items handed back to the caller per iteration."""
-        return int(self.result_items.size)
-
-
 class _RowMap:
     """Vectorized ``(origin, item) -> work-array row`` mapping.
 
     Rows are assigned in registration order: the owned keys occupy rows
     ``[0, n_owned)`` and every batch of newly received keys appends rows in
-    first-appearance order — exactly the order the per-key dict of the
-    slot-list compiler produced.
+    first-appearance order.  :func:`compile_world_exchange` interns the
+    payload of hand-built messages (which carry no key ids) with it.
     """
 
     def __init__(self, origins: np.ndarray, items: np.ndarray):
@@ -226,110 +163,6 @@ class _RowMap:
         return rows
 
 
-def compile_exchange(plan: CollectivePlan, rank: int,
-                     spec: ExchangeSpec | None = None) -> CompiledExchange:
-    """Compile ``rank``'s share of ``plan`` into gather/scatter index arrays.
-
-    The compilation walks the phases in execution order, resolving every send
-    against the keys the rank holds so far (owned items first, then whatever
-    earlier phases delivered); a send of an unobtainable key is a
-    :class:`PlanError` at compile time rather than a runtime failure.
-    """
-    spec = spec or ExchangeSpec()
-    pattern = plan.pattern
-
-    # Rows [0, n_owned) are the rank's owned items in ascending-id order; that
-    # order is the array API's input convention.
-    send_map = pattern.send_map(rank)
-    if send_map:
-        owned_ids = np.unique(np.concatenate(list(send_map.values())))
-    else:
-        owned_ids = np.empty(0, dtype=INDEX_DTYPE)
-    rows = _RowMap(np.full(owned_ids.size, rank, dtype=INDEX_DTYPE), owned_ids)
-
-    if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
-        order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
-    else:
-        order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
-    #: (messages, work-array rows, per-message offsets) per side and phase.
-    steps: Dict[Tuple[str, Phase], Tuple[List[PlannedMessage], np.ndarray,
-                                         np.ndarray]] = {}
-    for side, phase in schedule:
-        messages = plan.messages_from(rank, phase) if side == "send" \
-            else plan.messages_to(rank, phase)
-        stacked = PhaseTable.from_messages(phase, messages)
-        origins, items = stacked.payload_origins, stacked.payload_items
-        offsets = stacked.payload_offsets
-        indices = rows.resolve(origins, items, allow_new=side == "recv")
-        unknown = indices < 0
-        if unknown.any():
-            position = int(np.argmax(unknown))
-            message = messages[int(np.searchsorted(offsets, position,
-                                                   side="right")) - 1]
-            raise PlanError(
-                f"phase-{phase.value} message {message.src}->"
-                f"{message.dest} packs origin {int(origins[position])}, item "
-                f"{int(items[position])} which the "
-                "sending rank neither owns nor received in an earlier phase"
-            )
-        steps[side, phase] = (messages, indices, offsets)
-    phases: List[CompiledPhase] = []
-    for phase in order:
-        send_messages, gather, send_offsets = steps["send", phase]
-        recv_messages, scatter, recv_offsets = steps["recv", phase]
-        phases.append(CompiledPhase(
-            phase=phase,
-            send_messages=send_messages,
-            recv_messages=recv_messages,
-            gather=np.ascontiguousarray(gather, dtype=INDEX_DTYPE),
-            scatter=np.ascontiguousarray(scatter, dtype=INDEX_DTYPE),
-            send_offsets=np.ascontiguousarray(send_offsets, dtype=INDEX_DTYPE),
-            recv_offsets=np.ascontiguousarray(recv_offsets, dtype=INDEX_DTYPE),
-        ))
-
-    # Output view: every item the pattern says this rank receives (including
-    # self-sends) must have a row by now — either owned, or delivered by some
-    # phase, or a self-delivery of the aggregation (the receive leader is the
-    # final destination, so the key arrived with the global phase).
-    recv_map = pattern.recv_map(rank)
-    if recv_map:
-        sources = np.concatenate([
-            np.full(items.size, src, dtype=INDEX_DTYPE)
-            for src, items in recv_map.items()
-        ])
-        received = np.concatenate(list(recv_map.values()))
-        # When several sources declare the same item the last declaration
-        # wins, matching the dict-accumulation order of the seed compiler.
-        result_items, reversed_first = np.unique(received[::-1],
-                                                 return_index=True)
-        last_occurrence = received.size - 1 - reversed_first
-        result_sources = sources[last_occurrence]
-    else:
-        result_items = np.empty(0, dtype=INDEX_DTYPE)
-        result_sources = np.empty(0, dtype=INDEX_DTYPE)
-    result_rows = rows.resolve(result_sources, result_items, allow_new=False)
-    undelivered = result_rows < 0
-    if undelivered.any():
-        position = int(np.argmax(undelivered))
-        raise PlanError(
-            f"rank {rank} expects item {int(result_items[position])} from rank "
-            f"{int(result_sources[position])} but no phase of "
-            "the plan delivers it"
-        )
-
-    return CompiledExchange(
-        rank=rank,
-        variant=plan.variant,
-        spec=spec,
-        n_rows=rows.n_rows,
-        owned_items=np.ascontiguousarray(owned_ids, dtype=INDEX_DTYPE),
-        result_items=np.ascontiguousarray(result_items, dtype=INDEX_DTYPE),
-        result_sources=np.ascontiguousarray(result_sources, dtype=INDEX_DTYPE),
-        result_rows=np.ascontiguousarray(result_rows, dtype=INDEX_DTYPE),
-        phases=phases,
-    )
-
-
 # -- world-level compilation -----------------------------------------------------
 
 
@@ -377,8 +210,8 @@ class WorldExchange:
     every row.  ``result_rows`` is the row of every output entry;
     ``owned_offsets`` / ``result_offsets`` delimit each rank's slice of the
     input and the output.  ``steps`` is the runtime schedule: ``("send", p)``
-    packs phase ``p``'s wire, ``("recv", p)`` delivers it — the same order the
-    per-rank executor interleaves its ``pack``/``start``/``wait`` calls.
+    packs phase ``p``'s wire, ``("recv", p)`` delivers it — in the order of
+    the persistent protocol's Start/Wait (Algorithms 5-6).
 
     The per-rank item metadata is stored columnar: ``owned_items_all`` /
     ``result_items_all`` / ``result_sources_all`` concatenate every rank's
@@ -427,10 +260,9 @@ def compile_world_exchange(plan: CollectivePlan,
                            spec: ExchangeSpec | None = None) -> WorldExchange:
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
-    Emits what the per-rank :func:`compile_exchange` programs deliver,
-    without a per-rank :class:`CompiledExchange` or a
-    :class:`PlannedMessage`: the pass reads the plan's phase tables and
-    replays *every* rank's registration chronology at once.
+    No per-rank program and no :class:`PlannedMessage` is built: the pass
+    reads the plan's phase tables and replays *every* rank's registration
+    chronology at once.
 
     Every value a rank can hold is one int64, ``holder * width + key``; ``key``
     is the pattern's interned ``(origin, item)`` id
@@ -439,13 +271,14 @@ def compile_world_exchange(plan: CollectivePlan,
     stream* holds all ranks' owned keys in (holder, item) order, then the
     payload of each ``("recv", phase)`` schedule step in (receiver, message,
     position) order.  A stable argsort keeps the first occurrence of every
-    value — the moment the per-rank ``_RowMap`` would have registered it.
+    value — the moment its holder first has it.
     Sends and the result view resolve against the sorted survivors with one
     ``searchsorted``; a send may only use values first seen in an earlier
-    schedule step, which reproduces the per-rank compiler's availability
-    errors.  A value's row is its first occurrence's rank in the stream,
-    with the blocks of steps whose first deliveries no later first delivery
-    reads (one ``bincount`` of their sources' steps) moved to the end.
+    schedule step, so a plan that forwards a value before it arrives is a
+    :class:`PlanError` at compile time.  A value's row is its first
+    occurrence's rank in the stream, with the blocks of steps whose first
+    deliveries no later first delivery reads (one ``bincount`` of their
+    sources' steps) moved to the end.
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
@@ -551,7 +384,7 @@ def compile_world_exchange(plan: CollectivePlan,
     hit = np.minimum(np.searchsorted(held, queries), n_held - 1)
     found = held[hit] == queries
 
-    # -- availability errors, reproducing the per-rank compiler's checks ----
+    # -- availability errors: a send of a value its holder does not have yet -
     for index, (phase, allowed) in enumerate(send_steps):
         lo, hi = int(q_bounds[index]), int(q_bounds[index + 1])
         bad = ~found[lo:hi] | (held_step[hit[lo:hi]] > allowed)

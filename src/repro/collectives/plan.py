@@ -418,7 +418,7 @@ class PhaseTable(Sequence):
     def __getitem__(self, index: int) -> PlannedMessage:
         index = range(len(self))[index]      # normalises, raises IndexError
         view = self._views.get(index)
-        if view is None:        # setdefault: racing rank threads share one view
+        if view is None:        # setdefault: racing threads share one view
             view = self._views.setdefault(index, self._cut(index))
         return view
 

@@ -251,7 +251,7 @@ def _disk_store(kind: str, key: Tuple, payload) -> None:
     try:
         os.makedirs(directory, exist_ok=True)
         path = _entry_path(directory, kind, digest)
-        # Unique per writer: concurrent simulated ranks (threads) may store
+        # Unique per writer: concurrent threads or processes may store
         # the same digest, and a shared staging path would let one writer's
         # rename snatch the file out from under another's.
         staging = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"

@@ -48,8 +48,7 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
     :class:`~repro.simmpi.engine.ExchangeEngine`; the best of ``iterations``
     rounds is recorded.  This is what "switching the experiment drivers onto
     the world-stepped API" means operationally — the drivers can ask for real
-    execution cost at figure scale, which the envelope-routed runtime made
-    impractical beyond a few dozen ranks.  ``runtime="procs"`` measures the
+    execution cost at figure scale.  ``runtime="procs"`` measures the
     same exchanges through the shared-memory worker pool.
     """
     if iterations < 1:

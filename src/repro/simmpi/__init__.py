@@ -1,39 +1,26 @@
 """A functional, in-process simulated MPI runtime.
 
 The real system in the paper runs on thousands of MPI ranks; this package
-provides enough of MPI — persistent point-to-point communication, a handful of
-collectives, and distributed-graph topology communicators — for the
-neighborhood-collective implementations in :mod:`repro.collectives` to execute
-unmodified and be verified for correctness.  Ranks are Python threads inside
-one process exchanging numpy buffers through an in-memory fabric, so the
-runtime is about *data movement correctness*, never about wall-clock speed
-(timings come from :mod:`repro.perfmodel`).
+executes the neighborhood collectives of :mod:`repro.collectives` for a whole
+simulated communicator at once, so their data movement can be verified for
+correctness.  One :class:`ExchangeEngine` runs every registered world program
+(:func:`~repro.collectives.exchange.compile_world_exchange`) a phase at a
+time for all ranks — in the parent process (``runtime="engine"``) or on a
+supervised shared-memory worker pool (``runtime="procs"``) — and accounts
+every message it stands for with a :class:`TrafficProfiler`.  The runtime is
+about *data movement correctness*, never about wall-clock speed of a real
+network (timings come from :mod:`repro.perfmodel`).
 
 Typical use::
 
-    from repro import simmpi
+    from repro.collectives import neighbor_alltoallv_init_world
+    from repro.simmpi import ExchangeEngine, TrafficProfiler
 
-    def program(comm):
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        send = comm.send_init(np.full(4, comm.rank), dest=right, tag=7)
-        recv = comm.recv_init(np.empty(4), source=left, tag=7)
-        simmpi.start_all([send, recv]); simmpi.wait_all([send, recv])
-        return recv.buffer.copy()
-
-    results = simmpi.run_spmd(8, program)
+    engine = ExchangeEngine(pattern.n_ranks, profiler=TrafficProfiler(mapping))
+    collective = neighbor_alltoallv_init_world(pattern, mapping, engine=engine)
+    halos = collective.exchange(owned_values_per_rank)
 """
 
-from repro.simmpi.mailbox import MessageFabric
-from repro.simmpi.request import (
-    Request,
-    PersistentRequest,
-    PersistentSendRequest,
-    PersistentRecvRequest,
-    start_all,
-    wait_all,
-)
-from repro.simmpi.comm import SimComm
 from repro.simmpi.engine import (
     ENGINE_RUNTIMES,
     ON_FAILURE_ENV,
@@ -51,8 +38,6 @@ from repro.simmpi.procs import (
     default_worker_count,
     default_worker_timeout,
 )
-from repro.simmpi.world import SimWorld, run_spmd
-from repro.simmpi.topo_comm import DistGraphComm, dist_graph_create_adjacent
 from repro.simmpi.profiler import TrafficBatch, TrafficProfiler, TrafficRecord
 
 __all__ = [
@@ -72,18 +57,6 @@ __all__ = [
     "default_worker_count",
     "default_worker_timeout",
     "TrafficBatch",
-    "MessageFabric",
-    "Request",
-    "PersistentRequest",
-    "PersistentSendRequest",
-    "PersistentRecvRequest",
-    "start_all",
-    "wait_all",
-    "SimComm",
-    "SimWorld",
-    "run_spmd",
-    "DistGraphComm",
-    "dist_graph_create_adjacent",
     "TrafficProfiler",
     "TrafficRecord",
 ]

@@ -1,15 +1,12 @@
 """The world-stepped exchange engine: batched columnar delivery for all ranks.
 
-The per-rank collective API runs on the envelope-routed runtime
-(:mod:`repro.simmpi.mailbox`), which moves one Python
-:class:`~repro.simmpi.mailbox.Envelope` per message — faithful to MPI
-semantics, but a full exchange round costs O(messages) Python work.  The :class:`ExchangeEngine` executes the same
-exchange as a *world program*
-(:class:`~repro.collectives.exchange.WorldExchange`): every rank's work array
-becomes a block of one world work array, and a whole phase for the whole
-communicator is one kernel call.  I/O is flat-native: ``run`` takes one
-rank-major array of owned values and returns one array of received values —
-or, for an exchange registered *on the caller's vector*
+The :class:`ExchangeEngine` executes a neighborhood collective as a *world
+program* (:class:`~repro.collectives.exchange.WorldExchange`): every rank's
+values live in one world work array, and a whole phase for the whole
+communicator is one kernel call — never O(messages) Python work.  I/O is
+flat-native: ``run`` takes one rank-major array of owned values and returns
+one array of received values — or, for an exchange registered *on the
+caller's vector*
 (``register(world, vector_length=n)``, item ids being positions in it), takes
 the vector itself and returns the round buffer ``[x | …]`` read-only, with
 :meth:`ExchangeEngine.halo_rows` locating the received values in it: what
@@ -216,8 +213,8 @@ class ExchangeEngine:
     exchanges — e.g. one per AMG level — can be registered against it and
     executed repeatedly.  When a :class:`TrafficProfiler` is attached, every
     phase of every iteration is accounted through
-    :meth:`TrafficProfiler.record_batch` with exactly the messages the
-    envelope-routed path would have sent.
+    :meth:`TrafficProfiler.record_batch` with exactly the messages of the
+    plan the program was compiled from.
 
     ``runtime`` selects who runs the staged steps (``"engine"`` the parent,
     ``"procs"`` a shared-memory worker pool; ``None`` resolves through
@@ -355,8 +352,8 @@ class ExchangeEngine:
                  vector_length: int | None = None) -> int:
         """Register a compiled world exchange; returns its engine handle.
 
-        Mirrors ``neighbor_alltoallv_init``, with the optimisation already
-        done by the compiler: registration validates the program it will
+        The persistent collective's init, with the optimisation already done
+        by the compiler: registration validates the program it will
         run (blocks that tile the rows, every ``src`` row written before its
         step, every result row in range — a corrupt program raises
         :class:`CommunicationError` here, never a wrong answer in ``run``),
@@ -458,8 +455,8 @@ class ExchangeEngine:
         ``world.owned_items_all`` order (native), or a sequence of per-rank
         dense arrays.  Returns a fresh flat array of every rank's received
         values in ``world.result_items_all`` order (delimited per rank by
-        ``world.result_offsets``) — what ``PersistentNeighborCollective.wait``
-        hands each rank on the envelope-routed path.  It is made by one
+        ``world.result_offsets``): the value its source owns of every item
+        each rank receives.  It is made by one
         gather from the work array, which also performs the round's terminal
         deliveries: those rows are read from their sources, never stored.
 

@@ -1,23 +1,17 @@
 """Traffic profiling for the simulated runtime.
 
-The profiler records every envelope a rank sends, classifies it by locality
-(when given a :class:`~repro.topology.mapping.RankMapping`), and produces the
-per-process and per-class statistics that the integration tests compare against
-the pure planner's predictions — if the functional collectives and the planner
-ever disagree about how many inter-region bytes move, something is wrong.
+The profiler records every message an exchange round stands for, classifies
+it by locality (when given a :class:`~repro.topology.mapping.RankMapping`),
+and produces the per-process and per-class statistics that the integration
+tests compare against the pure planner's predictions — if the executed
+collectives and the planner ever disagree about how many inter-region bytes
+move, something is wrong.
 
-Traffic arrives through two doors:
-
-* :meth:`TrafficProfiler.record_envelope` — the per-message callback the
-  envelope-routed mailbox path installs on every :class:`SimComm`;
-* :meth:`TrafficProfiler.record_batch` — the bulk counters the world-stepped
-  :class:`~repro.simmpi.engine.ExchangeEngine` calls once per phase with
-  column arrays describing *all* messages of the phase.
-
-Both doors feed the same counters, and a batch of N messages is accounted
-exactly like N envelope records (same filters, same locality classification),
-so byte/message totals are identical between the two execution paths — that
-equivalence is pinned by the engine's golden tests.
+Traffic arrives through one door, :meth:`TrafficProfiler.record_batch`: the
+:class:`~repro.simmpi.engine.ExchangeEngine` calls it once per phase with
+column arrays describing *all* messages of the phase.  Every recorded
+message is data-path traffic; a rank's message to itself moves nothing and
+is dropped.
 """
 
 from __future__ import annotations
@@ -25,11 +19,10 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.simmpi.mailbox import Envelope
 from repro.topology.machine import Locality
 from repro.topology.mapping import RankMapping
 
@@ -47,8 +40,6 @@ class TrafficRecord:
     tag: int
     nbytes: int
     locality: Optional[Locality]
-    #: True for numpy data-path traffic, False for pickled setup-phase objects.
-    is_array: bool = True
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,6 @@ class TrafficBatch:
     nbytes: np.ndarray
     tag: int
     locality_codes: Optional[np.ndarray]
-    is_array: bool = True
 
     @property
     def message_count(self) -> int:
@@ -82,12 +72,9 @@ class TrafficBatch:
             localities = [_LOCALITY_ORDER[code]
                           for code in self.locality_codes.tolist()]
         return [TrafficRecord(source=s, dest=d, tag=self.tag, nbytes=b,
-                              locality=l, is_array=self.is_array)
+                              locality=l)
                 for s, d, b, l in zip(self.sources.tolist(), self.dests.tolist(),
                                       self.nbytes.tolist(), localities)]
-
-
-_Entry = Union[TrafficRecord, TrafficBatch]
 
 
 @dataclass
@@ -96,10 +83,6 @@ class TrafficSummary:
 
     message_count: int = 0
     byte_count: int = 0
-
-    def add(self, nbytes: int) -> None:
-        self.message_count += 1
-        self.byte_count += int(nbytes)
 
     def add_bulk(self, message_count: int, byte_count: int) -> None:
         """Account many messages at once (batch-record accumulation)."""
@@ -110,166 +93,91 @@ class TrafficSummary:
 class TrafficProfiler:
     """Thread-safe collector of sent messages across a simulated world."""
 
-    def __init__(self, mapping: RankMapping | None = None, *,
-                 ignore_self_messages: bool = True,
-                 ignore_object_messages: bool = True):
+    def __init__(self, mapping: RankMapping | None = None):
         self.mapping = mapping
-        self.ignore_self_messages = ignore_self_messages
-        #: When True (default), setup-phase control traffic — pickled objects
-        #: and packed arrays on internal collective tags — is not recorded;
-        #: only data-path buffer traffic counts.
-        self.ignore_object_messages = ignore_object_messages
         self._lock = threading.Lock()
-        self._entries: List[_Entry] = []
+        self._batches: List[TrafficBatch] = []
 
     # -- recording -----------------------------------------------------------
 
-    def record_envelope(self, envelope: Envelope) -> None:
-        """Callback installed on :class:`SimComm`; records one sent envelope."""
-        is_array = not envelope.is_control
-        if self.ignore_object_messages and not is_array:
-            return
-        if self.ignore_self_messages and envelope.source == envelope.dest:
-            return
-        locality = None
-        if self.mapping is not None:
-            locality = self.mapping.locality(envelope.source, envelope.dest)
-        record = TrafficRecord(source=envelope.source, dest=envelope.dest,
-                               tag=envelope.tag, nbytes=envelope.nbytes,
-                               locality=locality, is_array=is_array)
-        with self._lock:
-            self._entries.append(record)
-
     def record_batch(self, sources: np.ndarray, dests: np.ndarray,
-                     nbytes: np.ndarray, *, tag: int = 0,
-                     is_array: bool = True) -> None:
+                     nbytes: np.ndarray, *, tag: int = 0) -> None:
         """Record many messages with one call (the engine's bulk counters).
 
         ``sources`` / ``dests`` / ``nbytes`` are parallel arrays, one entry
-        per message.  The same filters as :meth:`record_envelope` apply —
-        self-messages are dropped element-wise when ``ignore_self_messages``
-        is set — and locality classification runs vectorized, so a phase of
-        ten thousand messages costs one Python call, not ten thousand.
+        per message.  Self-messages are dropped element-wise, and locality
+        classification runs vectorized, so a phase of ten thousand messages
+        costs one Python call, not ten thousand.
         """
-        if self.ignore_object_messages and not is_array:
-            return
         sources = np.asarray(sources, dtype=np.int64)
         dests = np.asarray(dests, dtype=np.int64)
         nbytes = np.asarray(nbytes, dtype=np.int64)
         if not (sources.shape == dests.shape == nbytes.shape):
             raise ValueError("record_batch columns must be parallel arrays")
-        if self.ignore_self_messages:
-            keep = sources != dests
-            if not keep.all():
-                sources, dests, nbytes = sources[keep], dests[keep], nbytes[keep]
+        keep = sources != dests
+        if not keep.all():
+            sources, dests, nbytes = sources[keep], dests[keep], nbytes[keep]
         if sources.size == 0:
             return
         codes = None
         if self.mapping is not None:
             codes = self.mapping.locality_codes(sources, dests)
         batch = TrafficBatch(sources=sources, dests=dests, nbytes=nbytes,
-                             tag=int(tag), locality_codes=codes,
-                             is_array=is_array)
+                             tag=int(tag), locality_codes=codes)
         with self._lock:
-            self._entries.append(batch)
+            self._batches.append(batch)
 
     def clear(self) -> None:
         """Drop all recorded traffic."""
         with self._lock:
-            self._entries.clear()
+            self._batches.clear()
 
     # -- queries --------------------------------------------------------------
 
-    def _snapshot(self) -> List[_Entry]:
+    def _snapshot(self) -> List[TrafficBatch]:
         with self._lock:
-            return list(self._entries)
+            return list(self._batches)
 
     @property
     def records(self) -> List[TrafficRecord]:
         """All recorded messages, batches expanded in recording order."""
-        expanded: List[TrafficRecord] = []
-        for entry in self._snapshot():
-            if isinstance(entry, TrafficBatch):
-                expanded.extend(entry.expand())
-            else:
-                expanded.append(entry)
-        return expanded
+        return [record for batch in self._snapshot() for record in batch.expand()]
 
     def total(self) -> TrafficSummary:
         """Counters over all recorded messages."""
         summary = TrafficSummary()
-        for entry in self._snapshot():
-            if isinstance(entry, TrafficBatch):
-                summary.add_bulk(entry.message_count, int(entry.nbytes.sum()))
-            else:
-                summary.add(entry.nbytes)
-        return summary
-
-    def object_traffic(self) -> TrafficSummary:
-        """Counters over setup-phase object messages (pickled-size estimates).
-
-        Only non-empty when the profiler was built with
-        ``ignore_object_messages=False``.
-        """
-        summary = TrafficSummary()
-        for entry in self._snapshot():
-            if entry.is_array:
-                continue
-            if isinstance(entry, TrafficBatch):
-                summary.add_bulk(entry.message_count, int(entry.nbytes.sum()))
-            else:
-                summary.add(entry.nbytes)
+        for batch in self._snapshot():
+            summary.add_bulk(batch.message_count, int(batch.nbytes.sum()))
         return summary
 
     def data_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All data-path traffic as ``(sources, dests, nbytes)`` column arrays.
+        """All recorded traffic as ``(sources, dests, nbytes)`` column arrays.
 
         The bulk view observed-statistics consumers build on (one
-        ``np.bincount`` away from per-rank byte counts); batches contribute
-        their columns directly, per-envelope records are packed.
+        ``np.bincount`` away from per-rank byte counts).
         """
-        source_parts: List[np.ndarray] = []
-        dest_parts: List[np.ndarray] = []
-        nbyte_parts: List[np.ndarray] = []
-        singles: List[Tuple[int, int, int]] = []
-        for entry in self._snapshot():
-            if not entry.is_array:
-                continue
-            if isinstance(entry, TrafficBatch):
-                source_parts.append(entry.sources)
-                dest_parts.append(entry.dests)
-                nbyte_parts.append(entry.nbytes)
-            else:
-                singles.append((entry.source, entry.dest, entry.nbytes))
-        if singles:
-            columns = np.asarray(singles, dtype=np.int64).reshape(len(singles), 3)
-            source_parts.append(columns[:, 0])
-            dest_parts.append(columns[:, 1])
-            nbyte_parts.append(columns[:, 2])
-        if not source_parts:
+        batches = self._snapshot()
+        if not batches:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        return (np.concatenate(source_parts), np.concatenate(dest_parts),
-                np.concatenate(nbyte_parts))
+        return tuple(np.concatenate([getattr(batch, name) for batch in batches])
+                     for name in ("sources", "dests", "nbytes"))
 
     def by_locality(self) -> Dict[Locality, TrafficSummary]:
         """Counters split by locality class (requires a mapping)."""
         summaries: Dict[Locality, TrafficSummary] = defaultdict(TrafficSummary)
-        for entry in self._snapshot():
-            if isinstance(entry, TrafficBatch):
-                if entry.locality_codes is None:
-                    continue
-                counts = np.bincount(entry.locality_codes,
-                                     minlength=len(_LOCALITY_ORDER))
-                bytes_per_class = np.bincount(entry.locality_codes,
-                                              weights=entry.nbytes,
-                                              minlength=len(_LOCALITY_ORDER))
-                for code, locality in enumerate(_LOCALITY_ORDER):
-                    if counts[code]:
-                        summaries[locality].add_bulk(int(counts[code]),
-                                                     int(bytes_per_class[code]))
-            elif entry.locality is not None:
-                summaries[entry.locality].add(entry.nbytes)
+        for batch in self._snapshot():
+            if batch.locality_codes is None:
+                continue
+            counts = np.bincount(batch.locality_codes,
+                                 minlength=len(_LOCALITY_ORDER))
+            bytes_per_class = np.bincount(batch.locality_codes,
+                                          weights=batch.nbytes,
+                                          minlength=len(_LOCALITY_ORDER))
+            for code, locality in enumerate(_LOCALITY_ORDER):
+                if counts[code]:
+                    summaries[locality].add_bulk(int(counts[code]),
+                                                 int(bytes_per_class[code]))
         return dict(summaries)
 
     def per_rank(self, *, localities: Iterable[Locality] | None = None
@@ -277,32 +185,21 @@ class TrafficProfiler:
         """Counters of sent traffic per source rank, optionally filtered by class."""
         wanted = set(localities) if localities is not None else None
         # Accumulate columnar, convert once: the filtered (source, nbytes)
-        # columns of every entry are concatenated and reduced with a single
+        # columns of every batch are concatenated and reduced with a single
         # bincount pair instead of touching a summary dict per record.
         source_parts: List[np.ndarray] = []
         nbyte_parts: List[np.ndarray] = []
-        singles: List[tuple[int, int]] = []
-        for entry in self._snapshot():
-            if isinstance(entry, TrafficBatch):
-                sources, nbytes = entry.sources, entry.nbytes
-                if wanted is not None:
-                    if entry.locality_codes is None:
-                        continue
-                    keep = np.isin(entry.locality_codes,
-                                   np.asarray([int(l) for l in wanted]))
-                    sources, nbytes = sources[keep], nbytes[keep]
-                if sources.size:
-                    source_parts.append(sources)
-                    nbyte_parts.append(nbytes)
-            else:
-                if wanted is not None and entry.locality not in wanted:
+        for batch in self._snapshot():
+            sources, nbytes = batch.sources, batch.nbytes
+            if wanted is not None:
+                if batch.locality_codes is None:
                     continue
-                singles.append((entry.source, entry.nbytes))
-        if singles:
-            columns = np.asarray(singles, dtype=np.int64).reshape(
-                len(singles), 2)
-            source_parts.append(columns[:, 0])
-            nbyte_parts.append(columns[:, 1])
+                keep = np.isin(batch.locality_codes,
+                               np.asarray([int(l) for l in wanted]))
+                sources, nbytes = sources[keep], nbytes[keep]
+            if sources.size:
+                source_parts.append(sources)
+                nbyte_parts.append(nbytes)
         if not source_parts:
             return {}
         sources = np.concatenate(source_parts)

@@ -10,7 +10,8 @@ transfer alike — with global input-vector indices as item ids, so the
 deduplicating collective can recognise when one vector entry is needed by
 several ranks on the same node.  ``pattern.send_map(rank)`` /
 ``pattern.recv_map(rank)`` are what a rank hands to
-``neighbor_alltoallv_init``.
+``MPI_Neighbor_alltoallv_init``; the world-stepped collective takes the
+whole pattern (``neighbor_alltoallv_init_world``).
 
 The build is columnar end to end: the matrix's one stacked diag/offd split
 already holds every rank's needed columns in rank order, their owners come

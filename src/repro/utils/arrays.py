@@ -100,8 +100,8 @@ def gather_ranges(values: np.ndarray, starts: np.ndarray,
     The vectorized form of a slice-and-concatenate loop: one index array is
     built with ``repeat``/``arange`` and applied in a single fancy index, so
     unpacking N variable-length ranges costs O(total) numpy work instead of
-    N Python-level slices.  This is the parse primitive of the packed setup
-    gathers (``_gather_pattern`` and the batched ``init_many`` form).
+    N Python-level slices; the world compiler cuts each rank's payload
+    stream out of a phase table with it.
     """
     starts = np.asarray(starts, dtype=INDEX_DTYPE)
     lengths = np.asarray(lengths, dtype=INDEX_DTYPE)

@@ -41,9 +41,8 @@ def check_value_preserving_cast(source: np.dtype, target: np.dtype) -> None:
 
     Within-kind narrowing (float64 -> float32) is C-style assignment and
     allowed; cross-kind casts must be value-preserving — int64 into a float
-    buffer or complex into a real one would corrupt data silently.  Shared by
-    the per-rank collective executor and the world exchange engine, so both
-    reject exactly the same inputs.
+    buffer or complex into a real one would corrupt data silently.  Every
+    input the world exchange engine loads passes through it.
     """
     if source != target and source.kind != target.kind \
             and not np.can_cast(source, target, casting="safe"):

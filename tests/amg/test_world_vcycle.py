@@ -215,17 +215,19 @@ def test_world_solver_matches_seed_solver(rng):
 
 def test_world_solver_reuses_shared_engine(rng):
     """All levels of a solve can register with one caller-supplied engine."""
-    from repro.simmpi.world import SimWorld
+    from repro.simmpi.engine import ExchangeEngine
 
     matrix, hierarchy = _build("poisson_even")
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
-    world = SimWorld(N_RANKS, profiler=TrafficProfiler(mapping))
-    engine = world.exchange_engine()
-    solver = WorldAMGSolver(matrix, mapping, hierarchy=hierarchy, engine=engine)
-    b = rng.standard_normal(matrix.n_rows)
-    result = solver.solve(b, tol=1e-6, max_iterations=50)
+    profiler = TrafficProfiler(mapping)
+    with ExchangeEngine(N_RANKS, profiler=profiler) as engine:
+        solver = WorldAMGSolver(matrix, mapping, hierarchy=hierarchy,
+                                engine=engine)
+        b = rng.standard_normal(matrix.n_rows)
+        result = solver.solve(b, tol=1e-6, max_iterations=50)
+        assert not engine.closed        # the solver leaves it to its owner
     assert result.converged
-    assert world.profiler.total().message_count > 0
+    assert profiler.total().message_count > 0
 
 
 def test_vcycle_validation():

@@ -3,9 +3,10 @@
 :func:`repro.collectives.exchange.compile_world_exchange` emits every rank's
 compiled exchange as one world program in a single vectorized pass, in the
 row layout the engine executes.  This module preserves the implementation it
-replaced — compile every rank with
-:func:`~repro.collectives.exchange.compile_exchange`, re-base the results
-into one rank-major row space, and pair senders with receivers message by
+replaced — compile every rank with the per-rank :func:`compile_exchange`
+(one rank's :class:`CompiledExchange`: a work array of its owned and received
+keys, with a gather and a scatter index per phase), re-base the results into
+one rank-major row space, and pair senders with receivers message by
 message — as a :class:`ReferenceWorld`.  Relabelled through the layout
 oracle of ``reference_staging.py``, the equivalence suites
 (``test_world_compile_equivalence.py``, ``test_phase_table.py``) pin the
@@ -16,7 +17,7 @@ It is a test oracle, not library code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -26,11 +27,174 @@ from repro.collectives.exchange import (
     _AGGREGATED_SCHEDULE,
     _DIRECT_SCHEDULE,
     ExchangeSpec,
-    compile_exchange,
+    _RowMap,
 )
-from repro.collectives.plan import AGGREGATED_PHASES, CollectivePlan, Phase, Variant
+from repro.collectives.plan import (
+    AGGREGATED_PHASES,
+    CollectivePlan,
+    Phase,
+    PhaseTable,
+    PlannedMessage,
+    Variant,
+)
 from repro.utils.arrays import INDEX_DTYPE, concatenate_or_empty, counts_to_displs
 from repro.utils.errors import PlanError
+
+
+@dataclass
+class CompiledPhase:
+    """One rank's compiled sends and receives for one phase.
+
+    ``gather`` concatenates the work-array rows of every send message's payload
+    in message order; message ``i`` packs rows
+    ``gather[send_offsets[i]:send_offsets[i + 1]]`` and its wire buffer is the
+    matching slice of the phase's contiguous send arena.  ``scatter`` is the
+    mirror image for receives.
+    """
+
+    phase: Phase
+    send_messages: List[PlannedMessage]
+    recv_messages: List[PlannedMessage]
+    gather: np.ndarray
+    scatter: np.ndarray
+    send_offsets: np.ndarray
+    recv_offsets: np.ndarray
+
+
+@dataclass
+class CompiledExchange:
+    """One rank's complete compiled exchange.
+
+    ``owned_items`` fixes the caller-side input order: element ``i`` of the
+    dense input array is the value of item ``owned_items[i]`` (rows
+    ``[0, owned_items.size)`` of the work array).  ``result_rows`` gathers the
+    output: item ``result_items[i]`` (sent by ``result_sources[i]``) is row
+    ``result_rows[i]``.
+    """
+
+    rank: int
+    variant: Variant
+    spec: ExchangeSpec
+    n_rows: int
+    owned_items: np.ndarray
+    result_items: np.ndarray
+    result_sources: np.ndarray
+    result_rows: np.ndarray
+    phases: List[CompiledPhase] = field(default_factory=list)
+
+    @property
+    def n_owned(self) -> int:
+        """Items the caller supplies per iteration."""
+        return int(self.owned_items.size)
+
+    @property
+    def n_result(self) -> int:
+        """Items handed back to the caller per iteration."""
+        return int(self.result_items.size)
+
+
+def compile_exchange(plan: CollectivePlan, rank: int,
+                     spec: ExchangeSpec | None = None) -> CompiledExchange:
+    """Compile ``rank``'s share of ``plan`` into gather/scatter index arrays.
+
+    The compilation walks the phases in execution order, resolving every send
+    against the keys the rank holds so far (owned items first, then whatever
+    earlier phases delivered); a send of an unobtainable key is a
+    :class:`PlanError` at compile time rather than a runtime failure.
+    """
+    spec = spec or ExchangeSpec()
+    pattern = plan.pattern
+
+    # Rows [0, n_owned) are the rank's owned items in ascending-id order; that
+    # order is the array API's input convention.
+    send_map = pattern.send_map(rank)
+    if send_map:
+        owned_ids = np.unique(np.concatenate(list(send_map.values())))
+    else:
+        owned_ids = np.empty(0, dtype=INDEX_DTYPE)
+    rows = _RowMap(np.full(owned_ids.size, rank, dtype=INDEX_DTYPE), owned_ids)
+
+    if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
+        order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
+    else:
+        order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
+    #: (messages, work-array rows, per-message offsets) per side and phase.
+    steps: Dict[Tuple[str, Phase], Tuple[List[PlannedMessage], np.ndarray,
+                                         np.ndarray]] = {}
+    for side, phase in schedule:
+        messages = plan.messages_from(rank, phase) if side == "send" \
+            else plan.messages_to(rank, phase)
+        stacked = PhaseTable.from_messages(phase, messages)
+        origins, items = stacked.payload_origins, stacked.payload_items
+        offsets = stacked.payload_offsets
+        indices = rows.resolve(origins, items, allow_new=side == "recv")
+        unknown = indices < 0
+        if unknown.any():
+            position = int(np.argmax(unknown))
+            message = messages[int(np.searchsorted(offsets, position,
+                                                   side="right")) - 1]
+            raise PlanError(
+                f"phase-{phase.value} message {message.src}->"
+                f"{message.dest} packs origin {int(origins[position])}, item "
+                f"{int(items[position])} which the "
+                "sending rank neither owns nor received in an earlier phase"
+            )
+        steps[side, phase] = (messages, indices, offsets)
+    phases: List[CompiledPhase] = []
+    for phase in order:
+        send_messages, gather, send_offsets = steps["send", phase]
+        recv_messages, scatter, recv_offsets = steps["recv", phase]
+        phases.append(CompiledPhase(
+            phase=phase,
+            send_messages=send_messages,
+            recv_messages=recv_messages,
+            gather=np.ascontiguousarray(gather, dtype=INDEX_DTYPE),
+            scatter=np.ascontiguousarray(scatter, dtype=INDEX_DTYPE),
+            send_offsets=np.ascontiguousarray(send_offsets, dtype=INDEX_DTYPE),
+            recv_offsets=np.ascontiguousarray(recv_offsets, dtype=INDEX_DTYPE),
+        ))
+
+    # Output view: every item the pattern says this rank receives (including
+    # self-sends) must have a row by now — either owned, or delivered by some
+    # phase, or a self-delivery of the aggregation (the receive leader is the
+    # final destination, so the key arrived with the global phase).
+    recv_map = pattern.recv_map(rank)
+    if recv_map:
+        sources = np.concatenate([
+            np.full(items.size, src, dtype=INDEX_DTYPE)
+            for src, items in recv_map.items()
+        ])
+        received = np.concatenate(list(recv_map.values()))
+        # When several sources declare the same item the last declaration
+        # wins, matching the dict-accumulation order of the seed compiler.
+        result_items, reversed_first = np.unique(received[::-1],
+                                                 return_index=True)
+        last_occurrence = received.size - 1 - reversed_first
+        result_sources = sources[last_occurrence]
+    else:
+        result_items = np.empty(0, dtype=INDEX_DTYPE)
+        result_sources = np.empty(0, dtype=INDEX_DTYPE)
+    result_rows = rows.resolve(result_sources, result_items, allow_new=False)
+    undelivered = result_rows < 0
+    if undelivered.any():
+        position = int(np.argmax(undelivered))
+        raise PlanError(
+            f"rank {rank} expects item {int(result_items[position])} from rank "
+            f"{int(result_sources[position])} but no phase of "
+            "the plan delivers it"
+        )
+
+    return CompiledExchange(
+        rank=rank,
+        variant=plan.variant,
+        spec=spec,
+        n_rows=rows.n_rows,
+        owned_items=np.ascontiguousarray(owned_ids, dtype=INDEX_DTYPE),
+        result_items=np.ascontiguousarray(result_items, dtype=INDEX_DTYPE),
+        result_sources=np.ascontiguousarray(result_sources, dtype=INDEX_DTYPE),
+        result_rows=np.ascontiguousarray(result_rows, dtype=INDEX_DTYPE),
+        phases=phases,
+    )
 
 
 @dataclass

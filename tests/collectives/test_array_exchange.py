@@ -1,8 +1,8 @@
 """Tests of the array-native exchange path.
 
-The tentpole claims of the array path: values flow through dense numpy buffers
-end to end (no per-item Python loops between ``start`` and ``wait``), the path
-is dtype-generic with vector-valued items, and the wire carries exactly
+The claims of the array path: values flow through dense numpy buffers end to
+end, the path is dtype-generic with vector-valued items, input that would
+corrupt values is rejected, and the wire carries exactly
 ``count * item_size * dtype.itemsize`` bytes per message.
 """
 
@@ -11,16 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.collectives.persistent as persistent_module
-from repro.collectives.api import neighbor_alltoallv_init
-from repro.collectives.exchange import ExchangeSpec, compile_exchange
-from repro.collectives.persistent import PersistentNeighborCollective
+from repro.collectives.api import neighbor_alltoallv_init_world
+from repro.collectives.exchange import (
+    ExchangeSpec,
+    _RowMap,
+    compile_world_exchange,
+)
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
-from repro.pattern.builders import neighbor_lists, pattern_from_edges, random_pattern
+from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.simmpi.profiler import TrafficProfiler
-from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.simmpi.world import SimWorld, run_spmd
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import PlanError, ValidationError
 
@@ -35,45 +35,42 @@ def _reference_value(origin: int, item: int, component: int, dtype: np.dtype):
     return float(origin * 1000 + item) + component / 8.0
 
 
-def _owned_values(collective, rank, dtype, item_size):
-    """Dense input array for ``rank`` in ``owned_item_ids`` order."""
-    ids = collective.owned_item_ids
-    values = np.empty((ids.size, item_size), dtype=dtype)
-    for position, item in enumerate(ids.tolist()):
+def _values(items, origins, dtype, item_size):
+    """Dense array of ``_reference_value`` per ``(origin, item)`` entry."""
+    values = np.empty((len(items), item_size), dtype=dtype)
+    for position, (item, origin) in enumerate(zip(items, origins)):
         for component in range(item_size):
-            values[position, component] = _reference_value(rank, item, component, dtype)
+            values[position, component] = _reference_value(origin, item,
+                                                            component, dtype)
     return values if item_size > 1 else values.reshape(-1)
 
 
-def _expected_output(collective, dtype, item_size):
-    """Expected dense output of ``wait`` computed straight from the pattern."""
-    ids = collective.recv_item_ids
-    sources = collective.recv_item_sources
-    expected = np.empty((ids.size, item_size), dtype=dtype)
-    for position, (item, src) in enumerate(zip(ids.tolist(), sources.tolist())):
-        for component in range(item_size):
-            expected[position, component] = _reference_value(src, item, component, dtype)
-    return expected if item_size > 1 else expected.reshape(-1)
+def _owned_values(collective, rank, dtype, item_size):
+    """Dense input array for ``rank`` in ``owned_item_ids`` order."""
+    ids = collective.owned_item_ids(rank).tolist()
+    return _values(ids, [rank] * len(ids), dtype, item_size)
 
 
-def _array_exchange_program(comm, pattern, mapping, variant, dtype, item_size):
-    rank = comm.rank
-    send_items = {d: pattern.send_items(rank, d).tolist()
-                  for d in pattern.send_ranks(rank)}
-    recv_items = {s: pattern.recv_items(rank, s).tolist()
-                  for s in pattern.recv_ranks(rank)}
-    sources, dests = neighbor_lists(pattern, rank)
-    graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-    collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                         variant=variant, dtype=dtype,
-                                         item_size=item_size)
-    values = _owned_values(collective, rank, dtype, item_size)
-    received = collective.exchange(values)
-    expected = _expected_output(collective, dtype, item_size)
-    assert received.dtype == np.dtype(dtype)
-    assert received.shape == expected.shape
-    np.testing.assert_array_equal(received, expected)
-    return True
+def _expected_output(collective, rank, dtype, item_size):
+    """Expected dense output of ``rank`` computed straight from the pattern."""
+    return _values(collective.recv_item_ids(rank).tolist(),
+                   collective.recv_item_sources(rank).tolist(),
+                   dtype, item_size)
+
+
+def _check_array_exchange(pattern, mapping, variant, dtype, item_size,
+                          profiler=None):
+    with neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                       dtype=dtype, item_size=item_size,
+                                       profiler=profiler) as collective:
+        received = collective.exchange([
+            _owned_values(collective, rank, dtype, item_size)
+            for rank in range(pattern.n_ranks)])
+        for rank, values in enumerate(received):
+            expected = _expected_output(collective, rank, dtype, item_size)
+            assert values.dtype == np.dtype(dtype)
+            assert values.shape == expected.shape
+            np.testing.assert_array_equal(values, expected)
 
 
 class TestArrayPathDeliversCorrectData:
@@ -84,129 +81,152 @@ class TestArrayPathDeliversCorrectData:
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         pattern = random_pattern(n_ranks, avg_neighbors=6, duplicate_fraction=0.5,
                                  seed=41)
-        results = run_spmd(n_ranks, _array_exchange_program, pattern, mapping,
-                           variant, np.float64, 1, timeout=120)
-        assert all(results)
+        _check_array_exchange(pattern, mapping, variant, np.float64, 1)
 
     def test_repeated_iterations_reuse_buffers(self):
         n_ranks = 8
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         pattern = random_pattern(n_ranks, avg_neighbors=4, seed=42)
-
-        def program(comm):
-            rank = comm.rank
-            send_items = {d: pattern.send_items(rank, d).tolist()
-                          for d in pattern.send_ranks(rank)}
-            recv_items = {s: pattern.recv_items(rank, s).tolist()
-                          for s in pattern.recv_ranks(rank)}
-            sources, dests = neighbor_lists(pattern, rank)
-            graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-            collective = neighbor_alltoallv_init(graph, send_items, recv_items,
-                                                 mapping, variant=Variant.FULL)
-            base = _owned_values(collective, rank, np.float64, 1)
-            expected = _expected_output(collective, np.float64, 1)
+        with neighbor_alltoallv_init_world(pattern, mapping,
+                                           variant=Variant.FULL) as collective:
+            base = [_owned_values(collective, rank, np.float64, 1)
+                    for rank in range(n_ranks)]
+            expected = [_expected_output(collective, rank, np.float64, 1)
+                        for rank in range(n_ranks)]
             for iteration in (1, 2, 3):
-                received = collective.exchange(base * iteration)
-                np.testing.assert_array_equal(received, expected * iteration)
-            return True
-
-        assert all(run_spmd(n_ranks, program, timeout=120))
+                received = collective.exchange([values * iteration
+                                                for values in base])
+                for got, want in zip(received, expected):
+                    np.testing.assert_array_equal(got, want * iteration)
 
     def test_lossy_input_cast_raises(self, small_mapping):
         pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            f32 = PersistentNeighborCollective(comm, plan, dtype=np.float32)
-            if comm.rank == 0:
-                # Cross-kind casts that can corrupt values must be rejected:
-                # complex into a real collective (imaginary parts discarded),
-                # int64 into float32 (exact above 2**24 only).
-                with pytest.raises(ValidationError, match="safely cast"):
-                    collective.start(np.array([1 + 2j, 3 + 4j]))
-                with pytest.raises(ValidationError, match="safely cast"):
-                    f32.start(np.array([16777217, 1], dtype=np.int64))
-            # Within-kind narrowing (float64 -> float32) is C-style assignment
-            # and stays allowed.
-            f32.exchange(np.arange(f32.owned_item_ids.size, dtype=np.float64))
-            collective.exchange(np.arange(collective.owned_item_ids.size,
-                                          dtype=np.float64))
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
+        collective = neighbor_alltoallv_init_world(
+            pattern, small_mapping, variant=Variant.STANDARD)
+        f32 = neighbor_alltoallv_init_world(
+            pattern, small_mapping, variant=Variant.STANDARD, dtype=np.float32)
+        # Cross-kind casts that can corrupt values must be rejected: complex
+        # into a real collective (imaginary parts discarded), int64 into
+        # float32 (exact above 2**24 only).
+        with pytest.raises(ValidationError, match="safely cast"):
+            collective.exchange([np.array([1 + 2j, 3 + 4j]), np.array([5.0])])
+        with pytest.raises(ValidationError, match="safely cast"):
+            f32.exchange([np.array([16777217, 1], dtype=np.int64),
+                          np.array([5], dtype=np.int64)])
+        # Within-kind narrowing (float64 -> float32) is C-style assignment
+        # and stays allowed.
+        halos = f32.exchange([np.array([1.0, 2.0]), np.array([5.0])])
+        assert halos[1].dtype == np.float32 and halos[1].tolist() == [1.0, 2.0]
+        halos = collective.exchange([np.array([1.0, 2.0]), np.array([5.0])])
+        assert halos[0].tolist() == [5.0]
 
     def test_wrong_input_shape_raises(self, small_mapping):
         pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(ValidationError, match="shape"):
-                    collective.start(np.zeros(5))
-            # Complete a real exchange so the peer does not hang.
-            collective.exchange(np.arange(collective.owned_item_ids.size,
-                                          dtype=np.float64))
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
+        collective = neighbor_alltoallv_init_world(
+            pattern, small_mapping, variant=Variant.STANDARD)
+        with pytest.raises(ValidationError, match="rank 0 owns .* shape"):
+            collective.exchange([np.zeros(5), np.zeros(1)])
+        # The failed round leaves the collective usable.
+        halos = collective.exchange([np.array([1.0, 2.0]), np.array([5.0])])
+        assert halos[1].tolist() == [1.0, 2.0]
 
 
 class TestZeroPerItemWork:
-    """Regression guard: the Start/Wait path is O(phases), not O(items).
+    """Regression guard: an exchange round is O(phases), not O(items).
 
-    The pack and unpack seams (``_gather_into`` / ``_scatter_from``) are
-    shimmed with counting wrappers; the number of invocations per exchange
-    must not change when the item count grows 100-fold — every message moves
-    through one fancy-index numpy operation regardless of its size.
+    One round of a two-rank partially optimized exchange is counted (Python
+    + C calls, and entries into the numpy gather kernel); neither count may
+    change when the item count grows 100-fold — every receive step moves
+    through one ``take`` regardless of its size.
     """
 
     @staticmethod
-    def _count_ops(monkeypatch, n_items):
-        import threading
-
-        lock = threading.Lock()
-        counters = {"gather": 0, "scatter": 0}
-        real_gather = persistent_module._gather_into
-        real_scatter = persistent_module._scatter_from
-
-        def counting_gather(work, indices, out):
-            with lock:
-                counters["gather"] += 1
-            real_gather(work, indices, out)
-
-        def counting_scatter(work, indices, arena):
-            with lock:
-                counters["scatter"] += 1
-            real_scatter(work, indices, arena)
-
-        monkeypatch.setattr(persistent_module, "_gather_into", counting_gather)
-        monkeypatch.setattr(persistent_module, "_scatter_from", counting_scatter)
+    def _count_ops(count_calls, n_items):
+        from repro.collectives import kernels
 
         mapping = paper_mapping(2, ranks_per_node=1)
         pattern = pattern_from_edges(2, [
             (0, 1, list(range(n_items))),
             (1, 0, list(range(n_items, 2 * n_items))),
         ])
+        with neighbor_alltoallv_init_world(pattern, mapping,
+                                           variant=Variant.PARTIAL) as collective:
+            values = [collective.owned_item_ids(rank).astype(np.float64)
+                      for rank in range(2)]
 
-        def program(comm):
-            plan = make_plan(pattern, mapping, Variant.PARTIAL)
-            collective = PersistentNeighborCollective(comm, plan)
-            values = np.arange(collective.owned_item_ids.size, dtype=np.float64)
-            received = collective.exchange(values)
-            assert received.size == n_items
-            return True
+            def one_round():
+                received = collective.exchange(values)
+                assert received[0].size == received[1].size == n_items
+                assert np.array_equal(received[1], values[0])
 
-        assert all(run_spmd(2, program, timeout=60))
-        return counters["gather"], counters["scatter"]
+            one_round()
+            return (count_calls(one_round),
+                    count_calls(one_round, of=[kernels._numpy_gather]))
 
-    def test_op_count_independent_of_item_count(self, monkeypatch):
-        small = self._count_ops(monkeypatch, 10)
-        large = self._count_ops(monkeypatch, 1000)
+    def test_op_count_independent_of_item_count(self, count_calls):
+        small = self._count_ops(count_calls, 10)
+        large = self._count_ops(count_calls, 1000)
         assert small == large
-        # Two ranks x at most one pack + one unpack per non-empty phase.
-        assert small[0] <= 8 and small[1] <= 8
+        # At most one gather per receive step of the partial schedule
+        # (local, setup redistribution, global, final redistribution) plus
+        # the output gather.
+        assert 1 <= small[1] <= 5
+
+
+class TestRowMap:
+    """``_RowMap``: the ``(origin, item) -> row`` interning the world compiler
+    uses for the payload of hand-built messages."""
+
+    @staticmethod
+    def _row_map():
+        """Owned keys ``(0, 5), (0, 7), (1, 5)`` on rows 0, 1, 2."""
+        return _RowMap(np.array([0, 0, 1]), np.array([5, 7, 5]))
+
+    def test_owned_keys_occupy_the_first_rows(self):
+        rows = self._row_map()
+        assert rows.n_rows == 3
+        assert rows.resolve(np.array([1, 0, 0]), np.array([5, 7, 5]),
+                            allow_new=False).tolist() == [2, 1, 0]
+
+    def test_same_item_of_different_origins_is_distinct(self):
+        rows = self._row_map()
+        assert rows.resolve(np.array([0, 1]), np.array([5, 5]),
+                            allow_new=False).tolist() == [0, 2]
+
+    def test_unknown_keys_are_marked_without_allow_new(self):
+        rows = self._row_map()
+        assert rows.resolve(np.array([2, 0]), np.array([5, 9]),
+                            allow_new=False).tolist() == [-1, -1]
+        assert rows.n_rows == 3
+
+    def test_new_keys_get_rows_in_first_appearance_order(self):
+        rows = self._row_map()
+        got = rows.resolve(np.array([2, 0, 2, 1]), np.array([5, 9, 5, 5]),
+                           allow_new=True)
+        # (2, 5) appears first, then (0, 9); the repeat shares its row.
+        assert got.tolist() == [3, 4, 3, 2]
+        assert rows.n_rows == 5
+
+    def test_registered_keys_resolve_in_later_batches(self):
+        rows = self._row_map()
+        rows.resolve(np.array([2]), np.array([5]), allow_new=True)
+        rows.resolve(np.array([0]), np.array([9]), allow_new=True)
+        assert rows.resolve(np.array([0, 2, 0]), np.array([9, 5, 7]),
+                            allow_new=False).tolist() == [4, 3, 1]
+
+    def test_empty_query_returns_no_rows(self):
+        rows = self._row_map()
+        empty = np.empty(0, dtype=np.int64)
+        got = rows.resolve(empty, empty, allow_new=True)
+        assert got.size == 0 and rows.n_rows == 3
+
+    def test_empty_map_interns_from_row_zero(self):
+        empty = np.empty(0, dtype=np.int64)
+        rows = _RowMap(empty, empty)
+        assert rows.n_rows == 0
+        assert rows.resolve(np.array([3, 3]), np.array([1, 1]),
+                            allow_new=True).tolist() == [0, 0]
+        assert rows.n_rows == 1
 
 
 class TestTrafficByteAccounting:
@@ -221,13 +241,8 @@ class TestTrafficByteAccounting:
                                  seed=44, dtype=dtype, item_size=item_size)
         plan = make_plan(pattern, mapping, Variant.FULL)
         profiler = TrafficProfiler(mapping)
-        world = SimWorld(n_ranks, timeout=120, profiler=profiler)
-
-        def program(comm):
-            _array_exchange_program(comm, pattern, mapping, Variant.FULL,
-                                    dtype, item_size)
-
-        world.run(program)
+        _check_array_exchange(pattern, mapping, Variant.FULL, dtype, item_size,
+                              profiler=profiler)
         observed = profiler.total()
         spec = ExchangeSpec(dtype=dtype, item_size=item_size)
         expected_bytes = sum(m.payload_count() for m in plan.messages()) \
@@ -240,23 +255,28 @@ class TestCompiledExchange:
     def test_compile_assigns_owned_rows_first(self, small_mapping):
         pattern = random_pattern(16, avg_neighbors=5, seed=45)
         plan = make_plan(pattern, small_mapping, Variant.FULL)
+        world = compile_world_exchange(plan)
+        n_owned = int(world.owned_offsets[-1])
+        assert world.n_world_rows >= n_owned
         for rank in (0, 3, 7):
-            compiled = compile_exchange(plan, rank)
-            assert compiled.n_rows >= compiled.n_owned
-            assert np.array_equal(np.sort(compiled.owned_items),
-                                  compiled.owned_items)
-            # Result rows of self-sent items point into the owned prefix.
-            for position, src in enumerate(compiled.result_sources.tolist()):
-                if src == rank:
-                    assert compiled.result_rows[position] < compiled.n_owned
+            owned = world.owned_item_ids(rank)
+            assert np.array_equal(np.sort(owned), owned)
+            # Result rows of self-sent items point at the rank's owned rows.
+            lo, hi = world.result_offsets[rank:rank + 2]
+            rows = world.result_rows[lo:hi]
+            own = world.recv_item_sources(rank) == rank
+            first = int(world.owned_offsets[rank])
+            assert np.array_equal(
+                rows[own], first + np.searchsorted(
+                    owned, world.recv_item_ids(rank)[own]))
 
     def test_forwarding_a_local_receive_is_rejected(self):
-        """Compile-time validation mirrors the runtime availability order.
+        """Compile-time validation follows the runtime availability order.
 
-        The setup redistribution packs inside ``start`` *before* the local
-        phase's receives land (they complete in ``wait``), so a plan whose
-        setup message forwards a locally-received key must be rejected at
-        compile time — at runtime it would put never-written rows on the wire.
+        The setup redistribution packs *before* the local phase's receives
+        land, so a hand-built plan whose setup message forwards a
+        locally-received key must be rejected at compile time — at runtime it
+        would put never-written rows on the wire.
         """
         from repro.collectives.plan import (
             CollectivePlan, Phase, PlannedMessage, Slot,
@@ -277,7 +297,7 @@ class TestCompiledExchange:
                 Phase.FINAL_REDIST: [],
             })
         with pytest.raises(PlanError, match="neither owns nor received"):
-            compile_exchange(plan, 0)
+            compile_world_exchange(plan)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -2,8 +2,8 @@
 
 The CSR-native pattern construction (PR 3) must be a pure storage/performance
 change: for every producer — edge-list builder, random generator, halo
-builder, ParCSR halo pattern (``A``, ``P`` and ``Pᵀ``), and the collective
-gather in the API — the CSR build has to produce *byte-identical* ``edge_arrays()`` / ``unique_edge_table()``
+builder and ParCSR halo pattern (``A``, ``P`` and ``Pᵀ``) — the CSR build
+has to produce *byte-identical* ``edge_arrays()`` / ``unique_edge_table()``
 columns, equal patterns (``__eq__``/``__hash__`` invariant across construction
 routes), identical plan phases, and identical statistics to the seed's
 edge-by-edge dict construction, which is preserved in
@@ -20,19 +20,15 @@ from reference_pattern import (
     reference_random_pattern,
 )
 
-from repro.collectives.api import _gather_pattern
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.builders import (
     halo_exchange_pattern,
-    neighbor_lists,
     pattern_from_edges,
     random_pattern,
 )
 from repro.pattern.comm_pattern import CommPattern
 from repro.amg.hierarchy import build_hierarchy
-from repro.simmpi import run_spmd
-from repro.simmpi.topo_comm import dist_graph_create_adjacent
 from repro.sparse import comm_pkg, pattern_from_parcsr, strong_scaling_problem
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -145,23 +141,6 @@ def test_plans_identical_across_construction_routes(case, variant):
     mapping = paper_mapping(csr_pattern.n_ranks, ranks_per_node=4)
     assert_plans_identical(make_plan(csr_pattern, mapping, variant),
                            make_plan(dict_route, mapping, variant))
-
-
-def test_gathered_pattern_matches_local_build():
-    """The packed-array collective gather reassembles the exact local pattern."""
-    pattern = random_pattern(6, avg_neighbors=3, duplicate_fraction=0.4, seed=77)
-
-    def program(comm):
-        rank = comm.rank
-        sources, dests = neighbor_lists(pattern, rank)
-        graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-        send_items = {d: pattern.send_items(rank, d)
-                      for d in pattern.send_ranks(rank)}
-        gathered = _gather_pattern(graph, send_items, dtype=pattern.dtype,
-                                   item_size=pattern.item_size, item_bytes=None)
-        return gathered == pattern and hash(gathered) == hash(pattern)
-
-    assert all(run_spmd(6, program, timeout=60))
 
 
 class TestCommPkgColumnarViews:

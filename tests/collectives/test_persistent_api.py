@@ -1,26 +1,28 @@
-"""Functional tests of the persistent collectives and the MPI-Advance-style API.
+"""Functional tests of the persistent collective API on the world engine.
 
-These run real data through the simulated runtime and check, for every
-variant, that the delivered values are exactly what point-to-point would have
-delivered — the core correctness claim behind replacing Hypre's communication.
+These run real data through :func:`neighbor_alltoallv_init_world` and check,
+for every variant, that each rank receives exactly what point-to-point would
+have delivered — the core correctness claim behind replacing Hypre's
+communication.  The oracle reads the pattern's send and receive maps only,
+never the collective's own metadata.
 """
 
 import numpy as np
 import pytest
 
-from repro.collectives.api import (
-    _pack_send_map,
-    _pattern_from_packets,
-    neighbor_alltoallv,
-    neighbor_alltoallv_init,
-)
-from repro.collectives.persistent import PersistentNeighborCollective
+from repro.collectives.api import neighbor_alltoallv_init_world
+from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
-from repro.pattern.builders import neighbor_lists, pattern_from_edges, random_pattern
-from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.simmpi.world import run_spmd
+from repro.pattern.builders import (
+    halo_exchange_pattern,
+    pattern_from_edges,
+    random_pattern,
+)
+from repro.simmpi.engine import ExchangeEngine
+from repro.simmpi.profiler import TrafficProfiler
 from repro.topology.presets import paper_mapping
+from repro.utils.arrays import concatenate_or_empty
 from repro.utils.errors import CommunicationError, ValidationError
 
 
@@ -29,55 +31,55 @@ def _value_of(rank, item):
     return 1000.0 * rank + np.asarray(item, dtype=np.float64)
 
 
-def _check_received(collective, received, recv_items, factor=1.0):
-    """``received`` is ``recv_item_ids`` order: every declared item, valued by
-    the source that declared it."""
-    ids = collective.recv_item_ids
-    assert ids.tolist() == sorted({int(i) for items in recv_items.values()
-                                   for i in items})
-    for src, items in recv_items.items():
-        positions = np.searchsorted(ids, items)
-        np.testing.assert_array_equal(received[positions],
-                                      factor * _value_of(src, items))
+def _owned_items(pattern, rank):
+    """Every item ``rank`` sends, ascending: its dense input order."""
+    return np.unique(concatenate_or_empty(list(pattern.send_map(rank).values())))
 
 
-def _exchange_program(comm, pattern, mapping, variant, iterations=1, scale=1.0):
-    """SPMD program: set up the collective, exchange, verify, return success."""
-    rank = comm.rank
-    send_items = {d: pattern.send_items(rank, d).tolist()
-                  for d in pattern.send_ranks(rank)}
-    recv_items = {s: pattern.recv_items(rank, s).tolist()
-                  for s in pattern.recv_ranks(rank)}
-    sources, dests = neighbor_lists(pattern, rank)
-    graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-    collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                         variant=variant)
-    for iteration in range(iterations):
-        factor = scale * (iteration + 1)
-        received = collective.exchange(
-            factor * _value_of(rank, collective.owned_item_ids))
-        _check_received(collective, received, recv_items, factor)
-    return True
+def _check_received(pattern, collective, results, factor=1.0):
+    """Per rank, ``results`` is ``recv_item_ids`` order: every item the
+    pattern says the rank expects, valued by the source that declared it."""
+    for rank, received in enumerate(results):
+        recv_map = pattern.recv_map(rank)
+        ids = collective.recv_item_ids(rank)
+        assert ids.tolist() == sorted({int(i) for items in recv_map.values()
+                                       for i in items})
+        for src, items in recv_map.items():
+            positions = np.searchsorted(ids, items)
+            np.testing.assert_array_equal(received[positions],
+                                          factor * _value_of(src, items))
 
 
-@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL, Variant.FULL])
+def _exchange(pattern, mapping, variant, iterations=1):
+    """Init once, exchange ``iterations`` rounds, verify every rank."""
+    with neighbor_alltoallv_init_world(pattern, mapping,
+                                       variant=variant) as collective:
+        owned = [_owned_items(pattern, rank) for rank in range(pattern.n_ranks)]
+        for rank, items in enumerate(owned):
+            assert np.array_equal(collective.owned_item_ids(rank), items)
+        for iteration in range(iterations):
+            factor = iteration + 1.0
+            results = collective.exchange(
+                [factor * _value_of(rank, items)
+                 for rank, items in enumerate(owned)])
+            _check_received(pattern, collective, results, factor)
+
+
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
+                                     Variant.FULL, Variant.POINT_TO_POINT])
 class TestAllVariantsDeliverCorrectData:
     def test_random_pattern(self, variant):
         n_ranks = 16
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         pattern = random_pattern(n_ranks, avg_neighbors=6, duplicate_fraction=0.5,
                                  seed=21)
-        results = run_spmd(n_ranks, _exchange_program, pattern, mapping, variant,
-                           timeout=120)
-        assert all(results)
+        _exchange(pattern, mapping, variant)
 
     def test_repeated_iterations_with_changing_values(self, variant):
         n_ranks = 8
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         pattern = random_pattern(n_ranks, avg_neighbors=4, seed=22)
-        results = run_spmd(n_ranks, _exchange_program, pattern, mapping, variant, 3,
-                           timeout=120)
-        assert all(results)
+        _exchange(pattern, mapping, variant, iterations=3)
 
     def test_example_2_1_style_duplicates(self, variant):
         """The paper's Example 2.1: region 0 values shared by several ranks of region 1."""
@@ -89,139 +91,144 @@ class TestAllVariantsDeliverCorrectData:
             (2, 4, [1200]), (2, 5, [1201]), (2, 6, [1201]), (2, 7, [1201]),
             (3, 7, [1300]),
         ])
-        results = run_spmd(n_ranks, _exchange_program, pattern, mapping, variant,
-                           timeout=120)
-        assert all(results)
+        _exchange(pattern, mapping, variant)
+
+    def test_halo_pattern(self, variant):
+        """A structured 4x4 process-grid halo spread over four nodes."""
+        pattern = halo_exchange_pattern((4, 4), points_per_cell=3)
+        _exchange(pattern, paper_mapping(16, ranks_per_node=4), variant)
 
 
 class TestPersistentHandleSemantics:
-    def test_start_twice_raises(self, small_mapping):
-        pattern = pattern_from_edges(2, [(0, 1, [1]), (1, 0, [2])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            values = np.ones(collective.owned_item_ids.size)
-            collective.start(values)
-            if comm.rank == 0:
-                with pytest.raises(CommunicationError, match="started twice"):
-                    collective.start(values)
-            collective.wait()
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
-
-    def test_wait_before_start_raises(self, small_mapping):
-        pattern = pattern_from_edges(2, [(0, 1, [1])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(CommunicationError, match="before start"):
-                    collective.wait()
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
-
     def test_missing_owned_value_raises(self, small_mapping):
         pattern = pattern_from_edges(2, [(0, 1, [1, 2])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(ValidationError, match="shape"):
-                    collective.start(np.array([1.0]))   # value for item 2 missing
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
+        collective = neighbor_alltoallv_init_world(pattern, small_mapping,
+                                                   variant=Variant.STANDARD)
+        with pytest.raises(ValidationError, match="shape"):
+            collective.exchange([np.array([1.0]), np.empty(0)])  # item 2 missing
 
     def test_mapping_input_raises(self, small_mapping):
         """An item-keyed mapping is not a value array: the cast check rejects it."""
         pattern = pattern_from_edges(2, [(0, 1, [1, 2])])
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.STANDARD)
-            collective = PersistentNeighborCollective(comm, plan)
-            if comm.rank == 0:
-                with pytest.raises(ValidationError, match="safely cast"):
-                    collective.start({1: 1.0, 2: 2.0})
-            return True
-
-        assert all(run_spmd(2, program, timeout=30))
+        collective = neighbor_alltoallv_init_world(pattern, small_mapping,
+                                                   variant=Variant.STANDARD)
+        with pytest.raises(ValidationError, match="safely cast"):
+            collective.exchange([{1: 1.0, 2: 2.0}, np.empty(0)])
 
     def test_messages_per_iteration_matches_plan(self, small_mapping):
         pattern = random_pattern(16, avg_neighbors=5, seed=30)
-
-        def program(comm):
-            plan = make_plan(pattern, small_mapping, Variant.PARTIAL)
-            collective = PersistentNeighborCollective(comm, plan)
-            return collective.messages_per_iteration()
-
-        per_rank = run_spmd(16, program, timeout=60)
         plan = make_plan(pattern, small_mapping, Variant.PARTIAL)
-        for rank, count in enumerate(per_rank):
-            assert count == len(plan.messages_from(rank))
+        profiler = TrafficProfiler(small_mapping)
+        collective = WorldNeighborCollective(plan, profiler=profiler)
+        expected = sum(len(plan.messages_from(rank)) for rank in range(16))
+        assert collective.messages_per_iteration() == expected
+        collective.exchange([_value_of(rank, _owned_items(pattern, rank))
+                             for rank in range(16)])
+        assert profiler.total().message_count == expected
+
+    def test_close_releases_a_private_engine(self):
+        pattern = random_pattern(4, avg_neighbors=2, seed=31)
+        with neighbor_alltoallv_init_world(pattern, paper_mapping(4, ranks_per_node=2),
+                                           variant=Variant.FULL) as collective:
+            values = [_value_of(rank, _owned_items(pattern, rank))
+                      for rank in range(4)]
+            collective.exchange(values)
+        assert collective.engine.closed
+        with pytest.raises(CommunicationError, match="closed"):
+            collective.exchange(values)
+
+    def test_close_leaves_a_shared_engine_open(self):
+        n_ranks = 4
+        mapping = paper_mapping(n_ranks, ranks_per_node=2)
+        pattern = random_pattern(n_ranks, avg_neighbors=2, seed=32)
+        with ExchangeEngine(n_ranks) as engine:
+            first, second = (neighbor_alltoallv_init_world(
+                pattern, mapping, variant=variant, engine=engine)
+                for variant in (Variant.STANDARD, Variant.FULL))
+            first.close()
+            assert not engine.closed
+            results = second.exchange([_value_of(rank, _owned_items(pattern, rank))
+                                       for rank in range(n_ranks)])
+            _check_received(pattern, second, results)
+
+    def test_handle_is_the_engine_registration(self):
+        """Collectives sharing an engine hold distinct handles, and running a
+        handle on the engine is the collective's own flat round."""
+        n_ranks = 6
+        mapping = paper_mapping(n_ranks, ranks_per_node=3)
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=33)
+        engine = ExchangeEngine(n_ranks)
+        collectives = [neighbor_alltoallv_init_world(pattern, mapping,
+                                                     variant=variant, engine=engine)
+                       for variant in (Variant.STANDARD, Variant.PARTIAL)]
+        assert [c.handle for c in collectives] == [0, 1]
+        flat = np.concatenate([_value_of(rank, _owned_items(pattern, rank))
+                               for rank in range(n_ranks)])
+        for collective in collectives:
+            assert np.array_equal(engine.run(collective.handle, flat),
+                                  collective.exchange_flat(flat))
+
+    def test_shared_engine_fixes_the_runtime(self):
+        n_ranks = 4
+        pattern = random_pattern(n_ranks, avg_neighbors=2, seed=34)
+        plan = make_plan(pattern, paper_mapping(n_ranks, ranks_per_node=2),
+                         Variant.STANDARD)
+        engine = ExchangeEngine(n_ranks)
+        for kwargs in ({"runtime": "engine"}, {"n_workers": 2}):
+            with pytest.raises(ValidationError, match="already fixed its runtime"):
+                WorldNeighborCollective(plan, engine=engine, **kwargs)
+
+    def test_describe_names_variant_and_item_type(self):
+        pattern = random_pattern(8, avg_neighbors=3, seed=35)
+        collective = neighbor_alltoallv_init_world(
+            pattern, paper_mapping(8, ranks_per_node=4), variant=Variant.FULL,
+            dtype=np.float32, item_size=3)
+        text = collective.describe()
+        assert text.startswith("world full collective over 8 ranks")
+        assert f"{collective.messages_per_iteration()} messages/iteration" in text
+        assert text.endswith("3xfloat32 items")
 
 
 class TestApiValidation:
-    def test_send_map_must_match_graph(self):
-        def program(comm):
-            mapping = paper_mapping(2, ranks_per_node=2)
-            graph = dist_graph_create_adjacent(comm, [], [], validate=False)
-            neighbor_alltoallv_init(graph, {1 - comm.rank: [1]}, {}, mapping)
+    def test_variant_accepted_by_name(self):
+        n_ranks = 8
+        mapping = paper_mapping(n_ranks, ranks_per_node=4)
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=36)
+        for variant in Variant:
+            collective = neighbor_alltoallv_init_world(pattern, mapping,
+                                                       variant=variant.value)
+            assert collective.variant is variant
+            results = collective.exchange([_value_of(rank, _owned_items(pattern, rank))
+                                           for rank in range(n_ranks)])
+            _check_received(pattern, collective, results)
 
-        with pytest.raises(CommunicationError, match="not among"):
-            run_spmd(2, program, timeout=30)
+    def test_unknown_variant_rejected(self, small_mapping):
+        pattern = pattern_from_edges(2, [(0, 1, [1])])
+        with pytest.raises(ValueError, match="not a valid Variant"):
+            neighbor_alltoallv_init_world(pattern, small_mapping, variant="bogus")
 
-    def test_recv_map_must_match_declared_sends(self):
-        def program(comm):
-            mapping = paper_mapping(2, ranks_per_node=2)
-            peer = 1 - comm.rank
-            graph = dist_graph_create_adjacent(comm, [peer], [peer], validate=False)
-            send_items = {peer: [comm.rank * 10]}
-            recv_items = {peer: [999]}     # wrong expectation
-            neighbor_alltoallv_init(graph, send_items, recv_items, mapping)
+    def test_pattern_wider_than_shared_engine_rejected(self):
+        pattern = random_pattern(4, avg_neighbors=2, seed=37)
+        with pytest.raises(CommunicationError, match="more ranks"):
+            neighbor_alltoallv_init_world(pattern, paper_mapping(4, ranks_per_node=2),
+                                          engine=ExchangeEngine(2))
 
-        with pytest.raises(CommunicationError, match="expects items"):
-            run_spmd(2, program, timeout=30)
-
-    def test_one_shot_convenience_wrapper(self):
-        n_ranks = 4
-        mapping = paper_mapping(n_ranks, ranks_per_node=2)
-        pattern = pattern_from_edges(n_ranks, [(0, 2, [5]), (2, 0, [21]),
-                                               (1, 3, [15]), (3, 1, [31])])
-
-        def program(comm):
-            rank = comm.rank
-            send_items = {d: pattern.send_items(rank, d).tolist()
-                          for d in pattern.send_ranks(rank)}
-            recv_items = {s: pattern.recv_items(rank, s).tolist()
-                          for s in pattern.recv_ranks(rank)}
-            sources, dests = neighbor_lists(pattern, rank)
-            graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-            owned = np.unique(np.concatenate(list(send_items.values())))
-            return neighbor_alltoallv(graph, send_items, recv_items,
-                                      _value_of(rank, owned), mapping,
-                                      variant=Variant.FULL)
-
-        results = run_spmd(n_ranks, program, timeout=60)
-        assert results[0].tolist() == [_value_of(2, 21)]
-        assert results[3].tolist() == [_value_of(1, 15)]
-
-
-class TestBufferHelpers:
-    def test_pack_and_unpack_roundtrip(self):
-        """The set-up gather's wire packets round-trip into the pattern:
-        ``[n_edges, dests…, counts…, items…]`` per rank, destinations sorted
-        and empty item lists dropped."""
-        send_maps = [{2: [7, 9], 1: [3]}, {}, {0: [12, 13], 1: []}]
-        packets = [_pack_send_map(send_items) for send_items in send_maps]
-        assert [packet.tolist() for packet in packets] == [
-            [2, 1, 2, 1, 2, 3, 7, 9], [0], [1, 0, 2, 12, 13]]
-        pattern = _pattern_from_packets(
-            3, np.concatenate(packets), np.array([p.size for p in packets]),
-            dtype=np.dtype(np.float64), item_size=1, item_bytes=None)
-        assert pattern == pattern_from_edges(
-            3, [(0, 2, [7, 9]), (0, 1, [3]), (2, 0, [12, 13])])
+    def test_dtype_and_item_size_override_the_pattern(self):
+        """The wire carries ``item_size * dtype.itemsize`` bytes per item of
+        the element type asked for, not the pattern's default float64."""
+        n_ranks = 8
+        mapping = paper_mapping(n_ranks, ranks_per_node=4)
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=38)
+        profiler = TrafficProfiler(mapping)
+        collective = neighbor_alltoallv_init_world(
+            pattern, mapping, variant=Variant.PARTIAL, dtype=np.float32,
+            item_size=3, profiler=profiler)
+        assert (collective.dtype, collective.item_size) == (np.float32, 3)
+        values = [(_value_of(rank, _owned_items(pattern, rank))[:, None]
+                   + np.arange(3)).astype(np.float32) for rank in range(n_ranks)]
+        results = collective.exchange(values)
+        for rank, received in enumerate(results):
+            assert received.dtype == np.float32
+            assert received.shape == (collective.recv_item_ids(rank).size, 3)
+        payload = sum(m.payload_count() for m in collective.plan.messages())
+        assert profiler.total().byte_count == payload * 3 * 4

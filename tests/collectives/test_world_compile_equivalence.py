@@ -4,11 +4,12 @@
 program with one vectorized pass over the plan's columnar payload, numbered
 in the layout the engine executes; ``compile_world_exchange_reference``
 (``reference_world_compile.py``) is the pinned seed-equivalent path that
-compiles every rank separately with :func:`compile_exchange` and re-bases the
-results rank-major.  Relabelled through the engine's former staging pass
-(``reference_staging.py``), the reference's unbound layout — rows kept,
-every step's ``(src, a, b)``, the result selector — must be **byte-identical**
-to what the engine registers from the compiled world, the message columns
+compiles every rank separately with the per-rank ``compile_exchange`` kept
+beside it and re-bases the results rank-major.  Relabelled through the
+engine's former staging pass (``reference_staging.py``), the reference's
+unbound layout — rows kept, every step's ``(src, a, b)``, the result
+selector — must be **byte-identical** to what the engine registers from the
+compiled world, the message columns
 and item ids equal outright, and every row of the compiled world one row of
 the reference's, across variants x patterns x mappings x element specs.  The
 world-level pass must reproduce the reference compiler's :class:`PlanError`
@@ -21,14 +22,13 @@ import numpy as np
 import pytest
 
 from reference_staging import _stage
-from reference_world_compile import compile_world_exchange_reference
+from reference_world_compile import (
+    compile_exchange,
+    compile_world_exchange_reference,
+)
 
 from repro.collectives import Variant, make_plan
-from repro.collectives.exchange import (
-    ExchangeSpec,
-    compile_exchange,
-    compile_world_exchange,
-)
+from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
 from repro.simmpi import ExchangeEngine

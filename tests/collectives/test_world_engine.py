@@ -1,20 +1,24 @@
-"""Golden equivalence: the world-stepped engine vs the envelope-routed runtime.
+"""Golden suite: the world-stepped engine against closed-form oracles.
 
-The batched :class:`~repro.simmpi.engine.ExchangeEngine` must be
-indistinguishable from the pinned reference — every rank's
-:class:`PersistentNeighborCollective` running on the threaded mailbox
-runtime — in two observable ways:
+The batched :class:`~repro.simmpi.engine.ExchangeEngine` is checked against
+two oracles that share no code with it:
 
-* **results**: byte-identical per-rank output arrays, and
-* **profiler accounting**: identical data-path byte/message totals, per
-  locality class and per source rank.
+* **results**: every rank receives, for every entry of its
+  ``recv_item_ids``, the value the entry's source owns — with inputs built
+  from ``(rank, item)`` alone, the expected output is a closed form of
+  ``(recv_item_sources, recv_item_ids)``, compared byte for byte;
+* **profiler accounting**: the profiler's sorted ``(src, dest, nbytes)``
+  columns are the plan's phase-table columns, self-messages dropped.
 
 Both are checked across variants x patterns x mappings, plus the dtype /
-item_size matrix, multi-iteration persistence, and the input validation the
-engine shares with the per-rank executor.
+item_size matrix, multi-iteration persistence, and the engine's input
+validation.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -26,10 +30,11 @@ from repro.collectives import (
     make_plan,
     neighbor_alltoallv_init_world,
 )
-from repro.collectives.persistent import PersistentNeighborCollective
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
-from repro.simmpi import ExchangeEngine, SimWorld, TrafficProfiler
+from repro.pattern.builders import pattern_from_edges
+from repro.simmpi import ExchangeEngine, TrafficProfiler
 from repro.topology import paper_mapping
+from repro.utils.arrays import concatenate_or_empty
 from repro.utils.errors import CommunicationError, ValidationError
 
 ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
@@ -39,6 +44,14 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
 #: always runs with several workers (regardless of core count) so every
 #: step is really cut into shares that read each other's earlier rows.
 ENGINE_RUNTIMES = ("engine", "procs")
+
+_spec = importlib.util.spec_from_file_location(
+    "dtype_matrix", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "property", "test_dtype_matrix.py"))
+_dtype_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_dtype_matrix)
+#: The per-(origin, item, component) value table of the dtype matrix.
+_value_table = _dtype_matrix._reference
 
 
 def _runtime_kwargs(runtime):
@@ -52,40 +65,47 @@ def _rank_values(collective: WorldNeighborCollective, scale: float = 100.0):
             for rank in range(collective.n_ranks)]
 
 
-def _reference_results(plan, n_ranks, values_fn, *, profiler=None,
-                       iterations: int = 1):
-    """Run the plan on the envelope-routed runtime; per-rank results of the
-    last iteration."""
-    world = SimWorld(n_ranks, timeout=120, profiler=profiler)
-
-    def program(comm):
-        collective = PersistentNeighborCollective(comm, plan)
-        result = None
-        for iteration in range(iterations):
-            result = collective.exchange(values_fn(comm.rank, iteration,
-                                                   collective.owned_item_ids))
-        return result
-
-    return world.run(program)
+def _oracle_results(collective: WorldNeighborCollective, scale: float = 100.0):
+    """What :func:`_rank_values` inputs must deliver: per rank, the value
+    the source of every received entry owns."""
+    return [scale * collective.recv_item_sources(rank)
+            + collective.recv_item_ids(rank).astype(np.float64)
+            for rank in range(collective.n_ranks)]
 
 
-def _summary_tuple(summary):
-    return (summary.message_count, summary.byte_count)
+def _assert_results(results, expected):
+    assert len(results) == len(expected)
+    for rank, (got, want) in enumerate(zip(results, expected)):
+        assert got.dtype == want.dtype, rank
+        assert got.tobytes() == want.tobytes(), rank
 
 
-def _profile_digest(profiler: TrafficProfiler):
-    """Everything the equivalence check compares about recorded traffic."""
-    return {
-        "total": _summary_tuple(profiler.total()),
-        "by_locality": {locality: _summary_tuple(summary) for locality, summary
-                        in profiler.by_locality().items()},
-        "per_rank": {rank: _summary_tuple(summary) for rank, summary
-                     in profiler.per_rank().items()},
-    }
+def _sorted(sources, dests, nbytes):
+    order = np.lexsort((nbytes, dests, sources))
+    return sources[order], dests[order], nbytes[order]
+
+
+def _planned_columns(plan, item_bytes: int, rounds: int = 1):
+    """``(srcs, dests, payload bytes)`` of every message ``rounds`` rounds
+    of ``plan`` send, self-messages dropped, sorted."""
+    tables = list(plan.phases.values())
+    srcs, dests, counts = (concatenate_or_empty([getattr(table, name)
+                                                 for table in tables])
+                           for name in ("srcs", "dests", "payload_counts"))
+    keep = srcs != dests
+    return _sorted(*(np.tile(column[keep], rounds)
+                     for column in (srcs, dests, counts * item_bytes)))
+
+
+def _assert_profile_is_plan(profiler, plan, item_bytes, rounds=1):
+    observed = _sorted(*profiler.data_columns())
+    planned = _planned_columns(plan, item_bytes, rounds)
+    for observed_column, planned_column in zip(observed, planned):
+        assert np.array_equal(observed_column, planned_column)
 
 
 class TestGoldenEquivalence:
-    """Engine output and accounting == envelope-routed reference."""
+    """Engine output and accounting == the closed-form oracles."""
 
     @pytest.mark.parametrize("runtime", ENGINE_RUNTIMES)
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -93,10 +113,21 @@ class TestGoldenEquivalence:
         ("random_dup", 8),
         ("random_sparse", 4),
         ("halo", 8),
+        ("example_2_1", 4),
     ])
     def test_results_and_profile_match(self, variant, pattern_name,
                                        ranks_per_node, runtime):
-        if pattern_name == "random_dup":
+        if pattern_name == "example_2_1":
+            # The paper's Example 2.1: region 0 values shared by several
+            # ranks of region 1.
+            n_ranks = 8
+            pattern = pattern_from_edges(n_ranks, [
+                (0, 5, [1000]), (0, 6, [1000]), (0, 4, [1001]), (0, 5, [1001]),
+                (0, 7, [1001]), (1, 4, [1100]), (1, 5, [1100]), (1, 6, [1101]),
+                (2, 4, [1200]), (2, 5, [1201]), (2, 6, [1201]), (2, 7, [1201]),
+                (3, 7, [1300]),
+            ])
+        elif pattern_name == "random_dup":
             n_ranks = 24
             pattern = random_pattern(n_ranks, avg_neighbors=6,
                                      avg_items_per_message=12,
@@ -113,20 +144,12 @@ class TestGoldenEquivalence:
         mapping = paper_mapping(n_ranks, ranks_per_node=ranks_per_node)
         plan = make_plan(pattern, mapping, variant)
 
-        reference_profiler = TrafficProfiler(mapping)
-        reference = _reference_results(
-            plan, n_ranks,
-            lambda rank, _, owned: 100.0 * rank + owned.astype(np.float64),
-            profiler=reference_profiler)
-
-        engine_profiler = TrafficProfiler(mapping)
-        with WorldNeighborCollective(plan, profiler=engine_profiler,
+        profiler = TrafficProfiler(mapping)
+        with WorldNeighborCollective(plan, profiler=profiler,
                                      **_runtime_kwargs(runtime)) as collective:
             results = collective.exchange(_rank_values(collective))
-
-        for rank in range(n_ranks):
-            assert np.array_equal(np.asarray(reference[rank]), results[rank])
-        assert _profile_digest(reference_profiler) == _profile_digest(engine_profiler)
+            _assert_results(results, _oracle_results(collective))
+            _assert_profile_is_plan(profiler, plan, collective.spec.item_bytes)
 
     @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
     def test_multi_iteration_persistence(self, variant):
@@ -134,22 +157,14 @@ class TestGoldenEquivalence:
         pattern = random_pattern(n_ranks, avg_neighbors=4, seed=7)
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         plan = make_plan(pattern, mapping, variant)
-
-        def iteration_values(rank, iteration, owned):
-            return (iteration + 1) * 10.0 * rank + owned.astype(np.float64)
-
-        reference = _reference_results(plan, n_ranks, iteration_values,
-                                       iterations=3)
-        collective = WorldNeighborCollective(plan)
-        results = None
+        profiler = TrafficProfiler(mapping)
+        collective = WorldNeighborCollective(plan, profiler=profiler)
         for iteration in range(3):
-            results = collective.exchange([
-                iteration_values(rank, iteration,
-                                 collective.owned_item_ids(rank))
-                for rank in range(n_ranks)
-            ])
-        for rank in range(n_ranks):
-            assert np.array_equal(np.asarray(reference[rank]), results[rank])
+            scale = (iteration + 1) * 10.0
+            results = collective.exchange(_rank_values(collective, scale))
+            _assert_results(results, _oracle_results(collective, scale))
+        _assert_profile_is_plan(profiler, plan, collective.spec.item_bytes,
+                                rounds=3)
 
     @pytest.mark.parametrize("runtime", ENGINE_RUNTIMES)
     @pytest.mark.parametrize("dtype,item_size", [
@@ -162,43 +177,46 @@ class TestGoldenEquivalence:
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         plan = make_plan(pattern, mapping, Variant.FULL)
 
-        def values_for(rank, owned):
-            base = (100 * rank + owned).astype(dtype)
-            if item_size == 1:
-                return base
-            return np.repeat(base[:, None], item_size, axis=1) \
-                + np.arange(item_size, dtype=dtype)
+        def values_for(rank, items):
+            table = _value_table(rank, items, item_size, dtype)
+            return table.reshape(-1) if item_size == 1 else table
 
-        reference = _reference_results(
-            plan, n_ranks, lambda rank, _, owned: values_for(rank, owned))
         with WorldNeighborCollective(plan,
                                      **_runtime_kwargs(runtime)) as collective:
             results = collective.exchange([
                 values_for(rank, collective.owned_item_ids(rank))
                 for rank in range(n_ranks)
             ])
-        for rank in range(n_ranks):
-            assert results[rank].dtype == np.dtype(dtype)
-            assert np.array_equal(np.asarray(reference[rank]), results[rank])
+            expected = []
+            for rank in range(n_ranks):
+                sources = collective.recv_item_sources(rank).tolist()
+                items = collective.recv_item_ids(rank)
+                expected.append(np.concatenate(
+                    [values_for(src, items[k:k + 1])
+                     for k, src in enumerate(sources)]) if sources
+                    else values_for(rank, items))
+        _assert_results(results, expected)
 
     def test_metadata_matches_per_rank_executor(self):
+        """Each rank's input and output ids are its pattern's send and receive
+        maps: owned = every item it sends, received = every item it expects,
+        each from the highest source that declares it."""
         n_ranks = 10
         pattern = random_pattern(n_ranks, avg_neighbors=4,
                                  duplicate_fraction=0.4, seed=13)
         mapping = paper_mapping(n_ranks, ranks_per_node=5)
         plan = make_plan(pattern, mapping, Variant.PARTIAL)
         collective = WorldNeighborCollective(plan)
-
-        def program(comm):
-            per_rank = PersistentNeighborCollective(comm, plan)
-            return (per_rank.owned_item_ids, per_rank.recv_item_ids,
-                    per_rank.recv_item_sources)
-
-        per_rank_meta = SimWorld(n_ranks, timeout=120).run(program)
-        for rank, (owned, recv, sources) in enumerate(per_rank_meta):
-            assert np.array_equal(owned, collective.owned_item_ids(rank))
-            assert np.array_equal(recv, collective.recv_item_ids(rank))
-            assert np.array_equal(sources, collective.recv_item_sources(rank))
+        for rank in range(n_ranks):
+            sent = list(pattern.send_map(rank).values())
+            assert np.array_equal(collective.owned_item_ids(rank),
+                                  np.unique(concatenate_or_empty(sent)))
+            declared = {}
+            for src, items in sorted(pattern.recv_map(rank).items()):
+                declared.update(dict.fromkeys(items.tolist(), src))
+            assert collective.recv_item_ids(rank).tolist() == sorted(declared)
+            assert collective.recv_item_sources(rank).tolist() == \
+                [declared[item] for item in sorted(declared)]
 
 
 class TestEngineInterface:
@@ -295,13 +313,6 @@ class TestEngineInterface:
             WorldNeighborCollective(plan, engine=engine,
                                     profiler=TrafficProfiler(mapping))
 
-    def test_sim_world_engine_shares_profiler(self):
-        profiler = TrafficProfiler()
-        world = SimWorld(4, profiler=profiler)
-        engine = world.exchange_engine()
-        assert engine.profiler is profiler
-        assert engine.n_ranks == 4
-
     def test_world_exchange_message_count_matches_plan(self):
         n_ranks = 12
         pattern = random_pattern(n_ranks, avg_neighbors=5, seed=4)
@@ -309,6 +320,56 @@ class TestEngineInterface:
         plan = make_plan(pattern, mapping, Variant.PARTIAL)
         world = compile_world_exchange(plan)
         assert world.n_messages == plan.n_messages
+
+
+class TestRunObserver:
+    """The per-round timing hook reads the engine's clock, and only it."""
+
+    @staticmethod
+    def _collectives(engine, n_ranks=6):
+        mapping = paper_mapping(n_ranks, ranks_per_node=3)
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=2)
+        return [neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                              engine=engine)
+                for variant in (Variant.STANDARD, Variant.FULL)]
+
+    def test_observer_sees_each_round_on_the_engine_clock(self):
+        ticks = iter([1.0, 1.25, 2.0, 2.5, 3.0, 4.0])
+        engine = ExchangeEngine(6, clock=lambda: next(ticks))
+        first, second = self._collectives(engine)
+        seen = []
+        engine.set_run_observer(lambda handle, seconds: seen.append(
+            (handle, seconds)))
+        for collective in (first, second, first):
+            results = collective.exchange(_rank_values(collective))
+            _assert_results(results, _oracle_results(collective))
+        assert seen == [(first.handle, 0.25), (second.handle, 0.5),
+                        (first.handle, 1.0)]
+
+    def test_clock_is_read_only_while_observed(self):
+        def clock():
+            raise AssertionError("the data path read the clock")
+
+        engine = ExchangeEngine(6, clock=clock)
+        collective = self._collectives(engine)[0]
+        collective.exchange(_rank_values(collective))
+        engine.set_run_observer(lambda handle, seconds: None)
+        with pytest.raises(AssertionError, match="read the clock"):
+            collective.exchange(_rank_values(collective))
+        engine.set_run_observer(None)
+        results = collective.exchange(_rank_values(collective))
+        _assert_results(results, _oracle_results(collective))
+
+    def test_a_new_observer_replaces_the_old(self):
+        ticks = iter(range(100))
+        engine = ExchangeEngine(6, clock=lambda: float(next(ticks)))
+        collective = self._collectives(engine)[0]
+        old, new = [], []
+        engine.set_run_observer(lambda handle, seconds: old.append(seconds))
+        collective.exchange(_rank_values(collective))
+        engine.set_run_observer(lambda handle, seconds: new.append(seconds))
+        collective.exchange(_rank_values(collective))
+        assert (old, new) == ([1.0], [1.0])
 
 
 class TestFlatPath:
@@ -382,7 +443,7 @@ class TestFlatPath:
 
 
 class TestProfilerBatches:
-    """Bulk counters behave exactly like per-envelope records."""
+    """Bulk counters: the profiler's one input path."""
 
     def test_record_batch_filters_self_messages(self):
         profiler = TrafficProfiler()
@@ -391,18 +452,6 @@ class TestProfilerBatches:
         total = profiler.total()
         assert total.message_count == 2
         assert total.byte_count == 40
-
-    def test_record_batch_keeps_self_messages_when_asked(self):
-        profiler = TrafficProfiler(ignore_self_messages=False)
-        profiler.record_batch(np.array([0, 1]), np.array([0, 2]),
-                              np.array([8, 16]))
-        assert profiler.total().message_count == 2
-
-    def test_record_batch_object_traffic_ignored_by_default(self):
-        profiler = TrafficProfiler()
-        profiler.record_batch(np.array([0]), np.array([1]), np.array([100]),
-                              is_array=False)
-        assert profiler.total().message_count == 0
 
     def test_records_expand_batches_in_order(self):
         mapping = paper_mapping(4, ranks_per_node=2)
@@ -432,7 +481,7 @@ class TestProfilerBatches:
 
 
 class TestSelfSendPattern:
-    """Items a rank sends to itself flow through both paths identically."""
+    """Items a rank sends to itself arrive; the message is not accounted."""
 
     def test_self_send_results_match(self):
         pattern = CommPattern(4, {
@@ -443,10 +492,8 @@ class TestSelfSendPattern:
         mapping = paper_mapping(4, ranks_per_node=2)
         for variant in ALL_VARIANTS:
             plan = make_plan(pattern, mapping, variant)
-            reference = _reference_results(
-                plan, 4,
-                lambda rank, _, owned: 10.0 * rank + owned.astype(np.float64))
-            collective = WorldNeighborCollective(plan)
+            profiler = TrafficProfiler(mapping)
+            collective = WorldNeighborCollective(plan, profiler=profiler)
             results = collective.exchange(_rank_values(collective, scale=10.0))
-            for rank in range(4):
-                assert np.array_equal(np.asarray(reference[rank]), results[rank])
+            _assert_results(results, _oracle_results(collective, scale=10.0))
+            _assert_profile_is_plan(profiler, plan, collective.spec.item_bytes)

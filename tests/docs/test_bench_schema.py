@@ -49,7 +49,7 @@ RUNTIMES = {"engine", "procs"}
 #: One document per always-on perf gate.
 BENCH_FILES = [f"BENCH_{name}.json" for name in (
     "autotune", "fused_kernels", "plan_cache_warm", "procs_recovery",
-    "setup_scale", "world_engine")]
+    "setup_scale")]
 
 
 def test_bench_results_are_committed(tmp_path, monkeypatch):

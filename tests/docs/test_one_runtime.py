@@ -1,0 +1,131 @@
+"""The library has one execution runtime: the world exchange engine.
+
+Every collective, product, smoother sweep and coarse gather runs through the
+batched :class:`~repro.simmpi.engine.ExchangeEngine`.  The thread-per-rank,
+envelope-routed simulator (mailbox fabric, requests, communicators, the
+SPMD world, graph communicators) and the per-rank collective built on it
+were deleted.  This guard keeps them deleted: it fails if one of their
+module files exists again, or if any module under ``src/``, ``examples/`` or
+``bench/`` defines, imports or references one of their public names.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import textwrap
+
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))))
+
+#: Trees the guard parses.
+GUARDED = ("src", "examples", "bench")
+
+#: Modules of the deleted envelope-routed runtime.
+DELETED_MODULES = ("mailbox", "request", "comm", "world", "topo_comm")
+
+#: Public names of the deleted runtime and the per-rank collective API.
+DELETED_NAMES = {"PersistentNeighborCollective", "neighbor_alltoallv_init",
+                 "run_spmd", "SimWorld", "SimComm",
+                 "dist_graph_create_adjacent", "Envelope"}
+
+_DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
+
+
+def _is_deleted_module(module: str) -> bool:
+    return any(module == path or module.startswith(path + ".")
+               for path in _DELETED_PATHS)
+
+
+def _violations(source: str) -> list:
+    """``(line, what)`` for every definition, import or attribute reference
+    of the deleted runtime in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if _is_deleted_module(alias.name)]
+            continue
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if _is_deleted_module(node.module):
+                found.append((node.lineno, node.module))
+                continue
+            found += [(node.lineno, f"{node.module}.{alias.name}")
+                      for alias in node.names
+                      if alias.name in DELETED_NAMES
+                      or _is_deleted_module(f"{node.module}.{alias.name}")]
+            continue
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in DELETED_NAMES]
+    return found
+
+
+def _guarded_modules():
+    for tree in GUARDED:
+        for directory, _, files in os.walk(os.path.join(REPO_ROOT, tree)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(directory, name)
+
+
+def test_the_envelope_runtime_modules_are_gone():
+    simmpi = os.path.join(REPO_ROOT, "src", "repro", "simmpi")
+    assert os.path.isfile(os.path.join(simmpi, "engine.py"))
+    present = [name for name in DELETED_MODULES
+               if os.path.exists(os.path.join(simmpi, f"{name}.py"))]
+    assert not present, f"deleted runtime modules are back: {present}"
+
+
+def test_no_module_defines_or_imports_the_deleted_runtime():
+    modules = list(_guarded_modules())
+    assert len(modules) > 50
+    offences = []
+    for path in modules:
+        with open(path, encoding="utf-8") as handle:
+            offences += [f"{os.path.relpath(path, REPO_ROOT)}:{line}: {what}"
+                         for line, what in _violations(handle.read())]
+    assert not offences, "\n".join(offences)
+
+
+@pytest.mark.parametrize("source", [
+    "from repro.simmpi.comm import Anything",
+    "import repro.simmpi.mailbox",
+    "from repro.simmpi.request import PersistentRequest",
+    "from repro.simmpi import run_spmd",
+    "from repro.simmpi import topo_comm",
+    "from repro.collectives.api import neighbor_alltoallv_init",
+    "from repro.collectives import PersistentNeighborCollective",
+    "import repro.simmpi as simmpi\nworld = simmpi.SimWorld(4)",
+    "class SimComm:\n    pass",
+    "def dist_graph_create_adjacent(comm):\n    pass",
+    "Envelope = tuple",
+    """
+    def later():
+        from repro.simmpi.world import helper
+    """,
+])
+def test_the_guard_sees_each_kind_of_use(source):
+    assert _violations(textwrap.dedent(source))
+
+
+@pytest.mark.parametrize("source", [
+    "from repro.simmpi.engine import ExchangeEngine",
+    "from repro.simmpi import ExchangeEngine, TrafficProfiler",
+    "from repro.collectives.api import neighbor_alltoallv_init_world",
+    "from repro.collectives.persistent import WorldNeighborCollective",
+    "from repro.simmpi.procs import ProcsPool",
+])
+def test_the_world_path_stays_allowed(source):
+    assert not _violations(source)

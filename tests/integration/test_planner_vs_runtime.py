@@ -1,21 +1,19 @@
-"""Integration: the pure planner and the functional runtime must agree.
+"""Integration: the pure planner and the executed exchange must agree.
 
 The figures come from the planner (statistics, modeled times); the correctness
-argument comes from the functional runtime.  These tests run both on the same
-patterns and require the observed traffic (message counts, byte counts, and
-locality split) to match the plan exactly.
+argument comes from executing the exchange on the world engine.  These tests
+run both on the same patterns and require the observed traffic (message
+counts, byte counts, and locality split) to match the plan exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.collectives.api import neighbor_alltoallv_init
+from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
-from repro.pattern.builders import neighbor_lists, random_pattern
+from repro.pattern.builders import random_pattern
 from repro.simmpi.profiler import TrafficProfiler
-from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.simmpi.world import SimWorld
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.topology.machine import Locality
 from repro.topology.presets import paper_mapping
@@ -24,24 +22,12 @@ from repro.topology.presets import paper_mapping
 def _run_with_profiler(pattern, mapping, variant):
     """Execute one exchange of ``variant`` and return the recorded traffic."""
     profiler = TrafficProfiler(mapping)
-    world = SimWorld(pattern.n_ranks, timeout=120, profiler=profiler)
-
-    def program(comm):
-        rank = comm.rank
-        send_items = {d: pattern.send_items(rank, d).tolist()
-                      for d in pattern.send_ranks(rank)}
-        recv_items = {s: pattern.recv_items(rank, s).tolist()
-                      for s in pattern.recv_ranks(rank)}
-        sources, dests = neighbor_lists(pattern, rank)
-        graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-        collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                             variant=variant)
-        profiler_was_quiet = profiler.total().message_count
-        comm.barrier()
-        collective.exchange(collective.owned_item_ids.astype(np.float64))
-        return profiler_was_quiet
-
-    world.run(program)
+    with neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                       profiler=profiler) as collective:
+        # Set-up sends nothing: only the exchange is accounted.
+        assert profiler.total().message_count == 0
+        collective.exchange([collective.owned_item_ids(rank).astype(np.float64)
+                             for rank in range(pattern.n_ranks)])
     return profiler
 
 

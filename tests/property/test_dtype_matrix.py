@@ -1,7 +1,7 @@
 """Property matrix: every variant x dtype x item_size delivers the reference.
 
 The acceptance matrix of the array-native exchange: each of the four collective
-variants, run over the simulated runtime with every supported element type
+variants, run on the world exchange engine with every supported element type
 (float32, float64, int64, complex128) and both scalar and vector-valued items
 (item_size 1 and 4), must deliver exactly the values the sequential reference
 assigns — bit-identical, because the exchange only moves bytes and a correct
@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives.api import neighbor_alltoallv_init
+from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
-from repro.pattern.builders import neighbor_lists, random_pattern
+from repro.pattern.builders import random_pattern
+from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
-from repro.simmpi.world import SimWorld
 from repro.topology.presets import paper_mapping
 
 N_RANKS = 8
@@ -45,37 +45,25 @@ def _reference(origin: int, items: np.ndarray, item_size: int,
     return table.astype(dtype)
 
 
-def _matrix_program(comm, pattern, mapping, dtype, item_size):
-    """Run all four variants on one simulated world and verify each."""
-    rank = comm.rank
-    send_items = {d: pattern.send_items(rank, d).tolist()
-                  for d in pattern.send_ranks(rank)}
-    recv_items = {s: pattern.recv_items(rank, s).tolist()
-                  for s in pattern.recv_ranks(rank)}
-    sources, dests = neighbor_lists(pattern, rank)
-
-    for variant in VARIANTS:
-        from repro.simmpi.topo_comm import dist_graph_create_adjacent
-
-        graph = dist_graph_create_adjacent(comm, sources, dests, validate=False)
-        collective = neighbor_alltoallv_init(graph, send_items, recv_items, mapping,
-                                             variant=variant, dtype=dtype,
-                                             item_size=item_size)
-        values = _reference(rank, collective.owned_item_ids, item_size, dtype)
-        if item_size == 1:
-            values = values.reshape(-1)
-        received = collective.exchange(values)
+def _check_variant(engine, pattern, mapping, variant, dtype, item_size):
+    """Run one variant on ``engine`` and verify every rank's output."""
+    collective = neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                               dtype=dtype, item_size=item_size,
+                                               engine=engine)
+    received = collective.exchange([
+        _reference(rank, collective.owned_item_ids(rank), item_size, dtype)
+        for rank in range(pattern.n_ranks)])
+    for rank, values in enumerate(received):
+        ids = collective.recv_item_ids(rank)
         expected = np.concatenate([
             _reference(src, np.array([item]), item_size, dtype)
-            for item, src in zip(collective.recv_item_ids.tolist(),
-                                 collective.recv_item_sources.tolist())
-        ]) if collective.recv_item_ids.size else \
-            np.empty((0, item_size), dtype=dtype)
+            for item, src in zip(ids.tolist(),
+                                 collective.recv_item_sources(rank).tolist())
+        ]) if ids.size else np.empty((0, item_size), dtype=dtype)
         if item_size == 1:
             expected = expected.reshape(-1)
-        assert received.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(received, expected)
-    return True
+        assert values.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(values, expected)
 
 
 @pytest.mark.parametrize("item_size", ITEM_SIZES)
@@ -86,8 +74,9 @@ def test_all_variants_match_sequential_reference(dtype, item_size):
     pattern = random_pattern(N_RANKS, avg_neighbors=4, duplicate_fraction=0.5,
                              seed=97, dtype=dtype, item_size=item_size)
     profiler = TrafficProfiler(mapping)
-    world = SimWorld(N_RANKS, timeout=120, profiler=profiler)
-    world.run(_matrix_program, pattern, mapping, dtype, item_size)
+    with ExchangeEngine(N_RANKS, profiler=profiler) as engine:
+        for variant in VARIANTS:
+            _check_variant(engine, pattern, mapping, variant, dtype, item_size)
 
     # Wire accounting: across all four variants the profiler must observe
     # exactly count * item_size * dtype.itemsize bytes per planned message.

@@ -160,7 +160,7 @@ def _run_variants(pattern: CommPattern, mapping, n_workers=None):
     outcomes = {}
     for variant in VARIANTS:
         plan = make_plan(pattern, mapping, variant)
-        profiler = TrafficProfiler(mapping, ignore_self_messages=False)
+        profiler = TrafficProfiler(mapping)
         workers = n_workers(plan) if callable(n_workers) else n_workers
         where = dict(runtime="engine") if workers is None \
             else dict(runtime="procs", n_workers=workers)

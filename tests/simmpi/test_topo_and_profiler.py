@@ -1,114 +1,27 @@
-"""Unit tests for distributed-graph communicators and the traffic profiler."""
+"""Unit tests for the traffic profiler's bulk counters."""
+
+import threading
 
 import numpy as np
-import pytest
 
-from repro.simmpi.profiler import TrafficProfiler
-from repro.simmpi.topo_comm import dist_graph_create_adjacent
-from repro.simmpi.world import SimWorld, run_spmd
+from repro.simmpi.profiler import TrafficBatch, TrafficProfiler, TrafficRecord
 from repro.topology.machine import Locality
 from repro.topology.presets import paper_mapping
-from repro.utils.errors import CommunicationError, ValidationError
 
 
-class TestDistGraphCreateAdjacent:
-    def test_ring_graph(self):
-        def program(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            graph = dist_graph_create_adjacent(comm, sources=[left],
-                                               destinations=[right])
-            return graph.indegree, graph.outdegree, graph.rank
-
-        results = run_spmd(4, program)
-        assert all(r == (1, 1, rank) for rank, r in enumerate(results))
-
-    def test_neighbors_returned_in_call_order(self):
-        def program(comm):
-            others = [r for r in range(comm.size) if r != comm.rank]
-            graph = dist_graph_create_adjacent(comm, sources=others[::-1],
-                                               destinations=others)
-            sources, destinations = graph.neighbors()
-            return sources.tolist(), destinations.tolist()
-
-        results = run_spmd(3, program)
-        assert results[0] == ([2, 1], [1, 2])
-
-    def test_inconsistent_edges_detected(self):
-        def program(comm):
-            # Rank 0 claims to receive from rank 1, but rank 1 sends nothing.
-            sources = [1] if comm.rank == 0 else []
-            destinations = []
-            return dist_graph_create_adjacent(comm, sources, destinations)
-
-        with pytest.raises(CommunicationError, match="does not list"):
-            run_spmd(2, program, timeout=5)
-
-    def test_validation_can_be_skipped(self):
-        def program(comm):
-            sources = [1] if comm.rank == 0 else []
-            graph = dist_graph_create_adjacent(comm, sources, [], validate=False)
-            return graph.indegree
-
-        assert run_spmd(2, program) == [1, 0]
-
-    def test_out_of_range_neighbor_rejected(self):
-        def program(comm):
-            dist_graph_create_adjacent(comm, [99], [])
-
-        with pytest.raises(CommunicationError):
-            run_spmd(2, program, timeout=5)
-
-    def test_out_of_range_neighbor_rejected_before_any_exchange(self):
-        """Malformed lists fail as ValidationError on the calling rank, before
-        the (collective) consistency exchange can deadlock or misbehave."""
-        comm = SimWorld(2).comm(0)
-        with pytest.raises(ValidationError, match="outside the communicator"):
-            dist_graph_create_adjacent(comm, [99], [], validate=True)
-        with pytest.raises(ValidationError, match="outside the communicator"):
-            dist_graph_create_adjacent(comm, [], [-1], validate=False)
-
-    def test_duplicate_neighbors_rejected(self):
-        comm = SimWorld(4).comm(0)
-        with pytest.raises(ValidationError, match="sources contains duplicate"):
-            dist_graph_create_adjacent(comm, [1, 2, 1], [3], validate=False)
-        with pytest.raises(ValidationError, match="destinations contains duplicate"):
-            dist_graph_create_adjacent(comm, [1], [3, 3], validate=False)
-
-        def program(comm):
-            dist_graph_create_adjacent(comm, [], [1 % comm.size, 1 % comm.size])
-
-        with pytest.raises(CommunicationError, match="duplicate"):
-            run_spmd(2, program, timeout=5)
-
-    def test_weights_must_match_lengths(self):
-        def program(comm):
-            dist_graph_create_adjacent(comm, [0], [0], sourceweights=[1, 2])
-
-        with pytest.raises(CommunicationError):
-            run_spmd(2, program, timeout=5)
-
-    def test_graph_comm_uses_duplicated_context(self):
-        def program(comm):
-            graph = dist_graph_create_adjacent(comm, [], [])
-            return graph.comm.context != comm.context
-
-        assert all(run_spmd(2, program))
+def _ring(n_ranks):
+    """Every rank sends to the next: ``(sources, dests)`` columns."""
+    sources = np.arange(n_ranks)
+    return sources, (sources + 1) % n_ranks
 
 
 class TestTrafficProfiler:
     def test_records_locality_and_bytes(self):
         mapping = paper_mapping(8, ranks_per_node=4)
         profiler = TrafficProfiler(mapping)
-        world = SimWorld(8, profiler=profiler)
-
-        def program(comm):
-            # Every rank sends 4 float64 to the next rank (32 bytes each).
-            dest = (comm.rank + 1) % comm.size
-            comm.send(np.zeros(4), dest=dest, tag=1)
-            comm.recv(np.zeros(4), source=(comm.rank - 1) % comm.size, tag=1)
-
-        world.run(program)
+        # Every rank sends 4 float64 to the next rank (32 bytes each).
+        sources, dests = _ring(8)
+        profiler.record_batch(sources, dests, np.full(8, 32), tag=1)
         total = profiler.total()
         assert total.message_count == 8
         assert total.byte_count == 8 * 32
@@ -120,32 +33,16 @@ class TestTrafficProfiler:
     def test_per_rank_and_maxima(self):
         mapping = paper_mapping(4, ranks_per_node=4)
         profiler = TrafficProfiler(mapping)
-        world = SimWorld(4, profiler=profiler)
-
-        def program(comm):
-            if comm.rank == 0:
-                for dest in (1, 2, 3):
-                    comm.send(np.zeros(2), dest=dest, tag=0)
-            else:
-                comm.recv(np.zeros(2), source=0, tag=0)
-
-        world.run(program)
+        profiler.record_batch(np.zeros(3, dtype=np.int64), np.array([1, 2, 3]),
+                              np.full(3, 16))
         assert profiler.max_messages_per_rank() == 3
         assert profiler.max_bytes_per_rank() == 3 * 16
         assert set(profiler.per_rank().keys()) == {0}
 
-    def test_object_messages_ignored_by_default(self):
-        profiler = TrafficProfiler()
-        world = SimWorld(2, profiler=profiler)
-        world.run(lambda comm: comm.allgather_obj(comm.rank))
-        assert profiler.total().message_count == 0
-
     def test_clear(self):
         mapping = paper_mapping(2, ranks_per_node=2)
         profiler = TrafficProfiler(mapping)
-        world = SimWorld(2, profiler=profiler)
-        world.run(lambda comm: comm.send(np.zeros(1), dest=1 - comm.rank, tag=0) or
-                  comm.recv(np.zeros(1), source=1 - comm.rank, tag=0))
+        profiler.record_batch(np.array([0, 1]), np.array([1, 0]), np.full(2, 8))
         assert profiler.total().message_count > 0
         profiler.clear()
         assert profiler.total().message_count == 0
@@ -153,15 +50,108 @@ class TestTrafficProfiler:
     def test_inter_region_records(self):
         mapping = paper_mapping(8, ranks_per_node=4)
         profiler = TrafficProfiler(mapping)
-        world = SimWorld(8, profiler=profiler)
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(1), dest=7, tag=0)   # crosses node boundary
-                comm.send(np.zeros(1), dest=1, tag=0)   # stays on node
-            elif comm.rank in (1, 7):
-                comm.recv(np.zeros(1), source=0, tag=0)
-
-        world.run(program)
+        # Rank 0 sends once across the node boundary and once on its node.
+        profiler.record_batch(np.array([0, 0]), np.array([7, 1]), np.full(2, 8))
         inter = profiler.inter_region_records()
         assert len(inter) == 1 and inter[0].dest == 7
+
+    def test_by_locality_sums_bytes_per_class(self):
+        mapping = paper_mapping(8, ranks_per_node=4)
+        profiler = TrafficProfiler(mapping)
+        # 0 -> 1 and 0 -> 2 stay on the node; 0 -> 4 and 3 -> 7 leave it.
+        profiler.record_batch(np.array([0, 0, 0, 3]), np.array([1, 2, 4, 7]),
+                              np.array([8, 16, 32, 64]))
+        by_locality = profiler.by_locality()
+        assert set(by_locality) == {Locality.INTRA_SOCKET, Locality.INTER_NODE}
+        assert by_locality[Locality.INTRA_SOCKET].byte_count == 24
+        assert by_locality[Locality.INTER_NODE].byte_count == 96
+        assert sum(s.message_count for s in by_locality.values()) == 4
+
+    def test_per_rank_filtered_by_locality(self):
+        mapping = paper_mapping(8, ranks_per_node=4)
+        profiler = TrafficProfiler(mapping)
+        profiler.record_batch(np.array([0, 0, 0, 3]), np.array([1, 2, 4, 7]),
+                              np.array([8, 16, 32, 64]))
+        inter = profiler.per_rank(localities=[Locality.INTER_NODE])
+        assert {rank: (s.message_count, s.byte_count)
+                for rank, s in inter.items()} == {0: (1, 32), 3: (1, 64)}
+        assert profiler.max_messages_per_rank() == 3
+        assert profiler.max_messages_per_rank(localities=[Locality.INTER_NODE]) == 1
+        assert profiler.max_bytes_per_rank(localities=[Locality.INTER_NODE]) == 64
+        assert profiler.per_rank(localities=[Locality.INTER_SOCKET]) == {}
+
+    def test_without_a_mapping_only_totals_are_known(self):
+        profiler = TrafficProfiler()
+        sources, dests = _ring(4)
+        profiler.record_batch(sources, dests, np.full(4, 8))
+        assert profiler.total().message_count == 4
+        assert profiler.by_locality() == {}
+        assert profiler.per_rank(localities=[Locality.INTER_NODE]) == {}
+        assert profiler.max_bytes_per_rank(localities=[Locality.INTER_NODE]) == 0
+        assert profiler.inter_region_records() == []
+        assert all(record.locality is None for record in profiler.records)
+        assert len(profiler.per_rank()) == 4
+
+    def test_empty_profiler(self):
+        profiler = TrafficProfiler(paper_mapping(4, ranks_per_node=2))
+        total = profiler.total()
+        assert (total.message_count, total.byte_count) == (0, 0)
+        columns = profiler.data_columns()
+        assert all(column.dtype == np.int64 and column.size == 0
+                   for column in columns)
+        assert len({id(column) for column in columns}) == 3
+        assert profiler.records == []
+        assert profiler.per_rank() == {}
+        assert profiler.max_messages_per_rank() == 0
+        assert profiler.max_bytes_per_rank() == 0
+
+    def test_a_batch_of_self_messages_records_nothing(self):
+        profiler = TrafficProfiler(paper_mapping(4, ranks_per_node=2))
+        profiler.record_batch(np.arange(4), np.arange(4), np.full(4, 8))
+        assert profiler.records == []
+        assert profiler.data_columns()[0].size == 0
+
+    def test_columns_are_stored_as_int64(self):
+        profiler = TrafficProfiler()
+        profiler.record_batch([0, 1], np.array([1, 0], dtype=np.int32),
+                              np.array([8, 8], dtype=np.uint16))
+        assert all(column.dtype == np.int64 for column in profiler.data_columns())
+        assert profiler.total().byte_count == 16
+
+    def test_records_keep_tags_in_recording_order(self):
+        profiler = TrafficProfiler()
+        profiler.record_batch(np.array([0]), np.array([1]), np.array([8]), tag=13)
+        profiler.record_batch(np.array([2, 1]), np.array([3, 0]),
+                              np.array([4, 4]), tag=11)
+        assert [(r.source, r.dest, r.tag) for r in profiler.records] == \
+            [(0, 1, 13), (2, 3, 11), (1, 0, 11)]
+
+    def test_batch_expands_to_one_record_per_message(self):
+        batch = TrafficBatch(sources=np.array([0, 2]), dests=np.array([1, 3]),
+                             nbytes=np.array([8, 24]), tag=12,
+                             locality_codes=np.array([int(Locality.INTER_NODE),
+                                                      int(Locality.INTRA_SOCKET)]))
+        assert batch.message_count == 2
+        assert batch.expand() == [
+            TrafficRecord(0, 1, 12, 8, Locality.INTER_NODE),
+            TrafficRecord(2, 3, 12, 24, Locality.INTRA_SOCKET),
+        ]
+
+    def test_concurrent_batches_are_all_counted(self):
+        """Recording is thread-safe: no batch from a concurrent recorder is lost."""
+        profiler = TrafficProfiler(paper_mapping(8, ranks_per_node=4))
+        sources, dests = _ring(8)
+        n_threads, batches_each = 8, 50
+
+        def recorder():
+            for _ in range(batches_each):
+                profiler.record_batch(sources, dests, np.full(8, 16))
+
+        threads = [threading.Thread(target=recorder) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        total = profiler.total()
+        assert total.message_count == n_threads * batches_each * 8
+        assert total.byte_count == 16 * total.message_count
