@@ -22,7 +22,6 @@ This package is the reproduction of the paper's core contribution:
 from repro.collectives.plan import (
     Variant,
     Phase,
-    Slot,
     SlotTable,
     PlannedMessage,
     CollectivePlan,
@@ -34,13 +33,6 @@ from repro.collectives.aggregation import (
     AggregationAssignment,
     setup_aggregation,
     collect_region_traffic,
-)
-from repro.collectives.dedup import (
-    unique_payload_keys,
-    unique_pairs_first_appearance,
-    duplicate_item_count,
-    dedup_savings_fraction,
-    group_slots_by_final_dest,
 )
 from repro.collectives.planner import (
     plan_standard,
@@ -80,7 +72,6 @@ from repro.collectives.autotune import (
 __all__ = [
     "Variant",
     "Phase",
-    "Slot",
     "SlotTable",
     "PlannedMessage",
     "CollectivePlan",
@@ -90,11 +81,6 @@ __all__ = [
     "AggregationAssignment",
     "setup_aggregation",
     "collect_region_traffic",
-    "unique_payload_keys",
-    "unique_pairs_first_appearance",
-    "duplicate_item_count",
-    "dedup_savings_fraction",
-    "group_slots_by_final_dest",
     "plan_standard",
     "plan_partial",
     "plan_full",

@@ -1,16 +1,16 @@
 """Compiled, array-native execution form of a collective plan.
 
-A :class:`CollectivePlan` describes *what* moves (slot tables and payload
-keys); :func:`compile_world_exchange` compiles every rank's share of a plan
-into *how* it moves on dense numpy buffers, as one *world program*: every
-value any rank ever holds during one exchange — its owned items plus
-everything it receives in any phase — is one row of a single world work
-array, numbered in the layout the :class:`~repro.simmpi.engine.ExchangeEngine`
-executes: rows ``[owned | blocks a later step reads | terminal blocks]``, and
-per receive step one ``(src, a, b)`` — fill rows ``[a, b)`` from the earlier
-rows ``src``.  A round is then O(phases) numpy calls for the whole
-communicator — no per-message or per-rank Python loop, and no renumbering at
-registration.
+A :class:`CollectivePlan` describes *what* moves (phase tables of slot and
+payload columns); :func:`compile_world_exchange` compiles every rank's share
+of a plan into *how* it moves on dense numpy buffers, as one *world
+program*: every value any rank ever holds during one exchange — its owned
+items plus everything it receives in any phase — is one row of a single world
+work array, numbered in the layout the
+:class:`~repro.simmpi.engine.ExchangeEngine` executes: rows
+``[owned | blocks a later step reads | terminal blocks]``, and per receive
+step one ``(src, a, b)`` — fill rows ``[a, b)`` from the earlier rows
+``src``.  A round is then O(phases) numpy calls for the whole communicator —
+no per-message or per-rank Python loop, and no renumbering at registration.
 
 Compilation itself is columnar too: the compiler never looks at an
 ``(origin, item)`` pair — it reads the plan's phase tables, whose payload
@@ -95,72 +95,6 @@ class ExchangeSpec:
     def item_bytes(self) -> int:
         """Bytes of one item (all components)."""
         return self.item_size * self.dtype.itemsize
-
-
-class _RowMap:
-    """Vectorized ``(origin, item) -> work-array row`` mapping.
-
-    Rows are assigned in registration order: the owned keys occupy rows
-    ``[0, n_owned)`` and every batch of newly received keys appends rows in
-    first-appearance order.  :func:`compile_world_exchange` interns the
-    payload of hand-built messages (which carry no key ids) with it.
-    """
-
-    def __init__(self, origins: np.ndarray, items: np.ndarray):
-        self._origin_chunks = [np.asarray(origins, dtype=INDEX_DTYPE)]
-        self._item_chunks = [np.asarray(items, dtype=INDEX_DTYPE)]
-        self.n_rows = int(self._origin_chunks[0].size)
-
-    def _known(self) -> Tuple[np.ndarray, np.ndarray]:
-        if len(self._origin_chunks) > 1:
-            self._origin_chunks = [np.concatenate(self._origin_chunks)]
-            self._item_chunks = [np.concatenate(self._item_chunks)]
-        return self._origin_chunks[0], self._item_chunks[0]
-
-    def resolve(self, query_origins: np.ndarray, query_items: np.ndarray, *,
-                allow_new: bool) -> np.ndarray:
-        """Rows of the queried keys; unknown keys are registered or marked -1.
-
-        One lexsort over (known keys + queries) recovers the key groups; known
-        keys seed each group with their row, queries inherit it.  With
-        ``allow_new`` the unmatched groups get fresh rows in first-appearance
-        order of the query batch.
-        """
-        if query_origins.size == 0:
-            return np.empty(0, dtype=INDEX_DTYPE)
-        known_origins, known_items = self._known()
-        n_known = known_origins.size
-        all_origins = np.concatenate([known_origins, query_origins])
-        all_items = np.concatenate([known_items, query_items])
-        order = np.lexsort((all_items, all_origins))
-        new_group = run_starts_mask(all_origins[order], all_items[order])
-        group_sorted = np.cumsum(new_group) - 1
-        group_of = np.empty(order.size, dtype=INDEX_DTYPE)
-        group_of[order] = group_sorted
-        row_of_group = np.full(int(group_sorted[-1]) + 1, -1, dtype=INDEX_DTYPE)
-        row_of_group[group_of[:n_known]] = np.arange(n_known, dtype=INDEX_DTYPE)
-
-        query_groups = group_of[n_known:]
-        rows = row_of_group[query_groups]
-        unknown = rows < 0
-        if not unknown.any() or not allow_new:
-            return rows
-        missing_groups = query_groups[unknown]
-        unique_groups, first_position = np.unique(missing_groups,
-                                                  return_index=True)
-        appearance = np.argsort(first_position, kind="stable")
-        row_of_group[unique_groups[appearance]] = self.n_rows + np.arange(
-            unique_groups.size, dtype=INDEX_DTYPE)
-        rows[unknown] = row_of_group[missing_groups]
-        # Register the new keys in row order so later lookups resolve them.
-        unknown_positions = np.flatnonzero(unknown)
-        firsts = unknown_positions[first_position[appearance]]
-        self._origin_chunks.append(np.asarray(query_origins[firsts],
-                                              dtype=INDEX_DTYPE))
-        self._item_chunks.append(np.asarray(query_items[firsts],
-                                            dtype=INDEX_DTYPE))
-        self.n_rows += int(unique_groups.size)
-        return rows
 
 
 # -- world-level compilation -----------------------------------------------------
@@ -260,14 +194,15 @@ def compile_world_exchange(plan: CollectivePlan,
                            spec: ExchangeSpec | None = None) -> WorldExchange:
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
-    No per-rank program and no :class:`PlannedMessage` is built: the pass
-    reads the plan's phase tables and replays *every* rank's registration
+    No per-rank program and no per-message object is built: the pass reads
+    the plan's phase tables and replays *every* rank's registration
     chronology at once.
 
     Every value a rank can hold is one int64, ``holder * width + key``; ``key``
-    is the pattern's interned ``(origin, item)`` id
-    (:meth:`CommPattern.owned_keys`) and ``width`` leaves one spare id for keys
-    nobody owns, which only hand-built plans can pack.  The *registration
+    is the payload row's interned ``(origin, item)`` id
+    (:meth:`CommPattern.owned_keys`, the table's ``payload_key_ids``) and
+    ``width`` leaves one spare id, ``n_owned``, for keys nobody owns, which
+    only phase tables built by hand can pack.  The *registration
     stream* holds all ranks' owned keys in (holder, item) order, then the
     payload of each ``("recv", phase)`` schedule step in (receiver, message,
     position) order.  A stable argsort keeps the first occurrence of every
@@ -299,13 +234,8 @@ def compile_world_exchange(plan: CollectivePlan,
     # -- wire permutation (receive position -> wire position) ---------------
     phase_cols, send_values, recv_values, wire_perms = {}, {}, {}, {}
     for phase in order:
-        table = plan.phases.get(phase) or PhaseTable.from_messages(phase, [])
+        table = plan.phases.get(phase) or PhaseTable.empty(phase)
         keys = table.payload_key_ids
-        if keys is None:
-            # Hand-built messages: intern their payload against the owned keys.
-            keys = _RowMap(owned_holders, owned_items_all).resolve(
-                table.payload_origins, table.payload_items, allow_new=False)
-            keys[keys < 0] = n_owned
         counts = table.payload_counts
         # Stable, so each rank keeps its per-message order and sender-side
         # position ``k`` of a ``(src, dest)`` stream still pairs with

@@ -4,22 +4,21 @@ A :class:`CollectivePlan` is the planner's output and the common input of
 
 * the statistics used by Figures 8-10 (message counts / sizes per process),
 * the performance models that time an iteration (Figures 7, 11-13), and
-* the functional executor in :mod:`repro.collectives.persistent` that moves
-  real data over the simulated MPI runtime.
+* the world compiler in :mod:`repro.collectives.exchange`, whose program
+  the :class:`~repro.simmpi.engine.ExchangeEngine` runs.
 
 Plans are explicit: every message of every phase lists the *slots*
 ``(origin, item, final_dest)`` it carries, so a plan can be validated against
 the original pattern (every required delivery happens exactly once) without
 executing anything.
 
-The stored form is **columnar** at both levels.  A :class:`SlotTable` holds
-three parallel int64 arrays (``origin`` / ``item`` / ``final_dest``), and
-``CollectivePlan.phases[phase]`` is one :class:`PhaseTable`: the endpoint,
-slot and payload columns of every message of the phase, exactly as the
-planner's sorts produced them.  Statistics, set-up costs, validation and the
-world compiler read those columns; no per-message object exists until someone
-indexes or iterates a table, which cuts a :class:`PlannedMessage` view (and,
-below it, :class:`Slot` tuples) lazily for per-message callers.
+A plan is only columns.  ``CollectivePlan.phases[phase]`` is one
+:class:`PhaseTable`: the endpoint, slot and payload columns of every message
+of the phase, exactly as the planner's sorts produced them, and the
+self-deliveries are one :class:`SlotTable`.  Statistics, set-up costs,
+validation and the world compiler read those columns;
+:meth:`CollectivePlan.messages` cuts a read-only :class:`PlannedMessage`
+record per message for callers that count messages one by one.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
-from collections.abc import Sequence
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from repro.topology.mapping import RankMapping
 from repro.utils.arrays import (
     INDEX_DTYPE,
     concatenate_or_empty,
-    counts_to_displs,
     freeze_columns,
     frozen_copy_on_write,
     run_starts_mask,
@@ -92,14 +89,6 @@ TERMINAL_PHASES: Dict[Variant, Tuple[Phase, ...]] = {
 }
 
 
-class Slot(NamedTuple):
-    """One routed data item: value ``item`` owned by ``origin`` bound for ``final_dest``."""
-
-    origin: int
-    item: int
-    final_dest: int
-
-
 def _index_column(values) -> np.ndarray:
     """Coerce one column to a read-only contiguous int64 array.
 
@@ -118,9 +107,8 @@ def _index_column(values) -> np.ndarray:
 class SlotTable:
     """Columnar slot storage: parallel read-only int64 arrays.
 
-    The table is the unit the planner, the statistics pass, and the validator
-    operate on; per-slot access (iteration, indexing, ``to_slots``) exists only
-    as a compatibility view and materialises :class:`Slot` tuples on demand.
+    Row ``k`` is value ``item[k]`` owned by ``origin[k]`` bound for
+    ``final_dest[k]``; the table types ``CollectivePlan.self_deliveries``.
     """
 
     __slots__ = ("origin", "item", "final_dest")
@@ -135,16 +123,10 @@ class SlotTable:
                 f"{self.origin.size}/{self.item.size}/{self.final_dest.size}"
             )
 
-    # -- constructors ----------------------------------------------------------
-
     @classmethod
     def _wrap(cls, origin: np.ndarray, item: np.ndarray,
               final_dest: np.ndarray) -> "SlotTable":
-        """Trusted constructor: columns must already be parallel 1-D int64.
-
-        The planners call this with slices of arrays they froze wholesale, so
-        per-message construction does no validation or flag work.
-        """
+        """Trusted constructor: columns must already be parallel 1-D int64."""
         table = cls.__new__(cls)
         table.origin = origin
         table.item = item
@@ -158,17 +140,6 @@ class SlotTable:
         return cls(zero, zero, zero)
 
     @classmethod
-    def from_slots(cls, slots: Iterable[Tuple[int, int, int]]) -> "SlotTable":
-        """Build a table from an iterable of ``Slot`` (or 3-tuples)."""
-        slots = list(slots)
-        if not slots:
-            return cls.empty()
-        triples = np.asarray(slots, dtype=INDEX_DTYPE)
-        if triples.ndim != 2 or triples.shape[1] != 3:
-            raise PlanError("slots must be (origin, item, final_dest) triples")
-        return cls(triples[:, 0], triples[:, 1], triples[:, 2])
-
-    @classmethod
     def concat(cls, tables: Sequence["SlotTable"]) -> "SlotTable":
         """Concatenate tables in order (zero-copy for a single table)."""
         tables = [t for t in tables if t.origin.size]
@@ -179,37 +150,11 @@ class SlotTable:
         columns = (np.concatenate([t.origin for t in tables]),
                    np.concatenate([t.item for t in tables]),
                    np.concatenate([t.final_dest for t in tables]))
-        for column in columns:
-            column.flags.writeable = False
+        freeze_columns(*columns)
         return cls._wrap(*columns)
-
-    # -- array-level operations ------------------------------------------------
-
-    def take(self, indices: np.ndarray) -> "SlotTable":
-        """Rows selected by an index (or boolean mask) array."""
-        columns = (self.origin[indices], self.item[indices],
-                   self.final_dest[indices])
-        for column in columns:
-            column.flags.writeable = False
-        return SlotTable._wrap(*columns)
-
-    # -- compatibility views ---------------------------------------------------
-
-    def to_slots(self) -> List[Slot]:
-        """Materialise the per-slot view (compatibility; O(n) Python objects)."""
-        return [Slot(o, i, d) for o, i, d in zip(self.origin.tolist(),
-                                                 self.item.tolist(),
-                                                 self.final_dest.tolist())]
 
     def __len__(self) -> int:
         return int(self.origin.size)
-
-    def __iter__(self) -> Iterator[Slot]:
-        return iter(self.to_slots())
-
-    def __getitem__(self, index: int) -> Slot:
-        return Slot(int(self.origin[index]), int(self.item[index]),
-                    int(self.final_dest[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlotTable):
@@ -222,109 +167,31 @@ class SlotTable:
         return f"SlotTable(n={len(self)})"
 
 
-class PlannedMessage:
-    """One message of a plan.
+class PlannedMessage(NamedTuple):
+    """One message of a plan, as :meth:`CollectivePlan.messages` reports it.
 
-    The routing work lives in ``table`` (a :class:`SlotTable`); the
-    ``(origin, item)`` values physically packed into the buffer live in the
-    parallel ``payload_origins`` / ``payload_items`` arrays, in packing order.
-    For deduplicated messages the payload is shorter than the table.
-
-    ``slots`` and ``payload_keys`` are lazy per-element compatibility views;
-    the constructor also accepts them in their legacy list forms.
+    A read-only record cut from the phase columns on every call: endpoints,
+    routing entries and packed payload size.  The plan stores no such record.
     """
 
-    __slots__ = ("phase", "src", "dest", "table",
-                 "payload_origins", "payload_items",
-                 "_slots_view", "_payload_view")
-
-    def __init__(self, phase: Phase, src: int, dest: int,
-                 slots=None, payload_keys=None):
-        payload = (None, None)
-        if payload_keys is not None:
-            pairs = np.asarray(list(payload_keys), dtype=INDEX_DTYPE)
-            if pairs.size == 0:
-                raise PlanError("message carries no payload")
-            payload = (_index_column(pairs[:, 0]), _index_column(pairs[:, 1]))
-        table = slots if isinstance(slots, SlotTable) \
-            else SlotTable.from_slots(slots or [])
-        self._fill(phase, src, dest, table, *payload)
-
-    @classmethod
-    def from_table(cls, phase: Phase, src: int, dest: int, table: SlotTable,
-                   payload_origins: np.ndarray | None = None,
-                   payload_items: np.ndarray | None = None) -> "PlannedMessage":
-        """Trusted columnar constructor (payload: parallel 1-D int64, if given)."""
-        message = cls.__new__(cls)
-        message._fill(phase, src, dest, table, payload_origins, payload_items)
-        return message
-
-    def _fill(self, phase, src, dest, table, payload_origins, payload_items):
-        self.phase = phase
-        self.src = int(src)
-        self.dest = int(dest)
-        if self.src == self.dest:
-            raise PlanError(f"message with identical endpoints (rank {self.src})")
-        self.table = table
-        if not table.origin.size:
-            raise PlanError(f"empty message {self.src}->{self.dest} in phase {phase}")
-        if payload_origins is None:
-            payload_origins, payload_items = table.origin, table.item
-        self.payload_origins = payload_origins
-        self.payload_items = payload_items
-        if payload_origins.size == 0:
-            raise PlanError("message carries no payload")
-        self._slots_view = None
-        self._payload_view = None
-
-    # -- compatibility views ---------------------------------------------------
-
-    @property
-    def slots(self) -> List[Slot]:
-        """Lazy per-slot view of ``table`` (kept for existing callers)."""
-        if self._slots_view is None:
-            self._slots_view = self.table.to_slots()
-        return self._slots_view
-
-    @property
-    def payload_keys(self) -> List[Tuple[int, int]]:
-        """Lazy ``(origin, item)`` pair view of the packed payload."""
-        if self._payload_view is None:
-            self._payload_view = list(zip(self.payload_origins.tolist(),
-                                          self.payload_items.tolist()))
-        return self._payload_view
-
-    # -- sizes -----------------------------------------------------------------
-
-    @property
-    def n_slots(self) -> int:
-        """Routing entries the message performs."""
-        return len(self.table)
+    phase: Phase
+    src: int
+    dest: int
+    #: Routing entries the message performs.
+    n_slots: int
+    #: Values physically transferred (fewer than ``n_slots`` when deduplicated).
+    n_payload: int
 
     def payload_count(self) -> int:
         """Number of values physically transferred."""
-        return int(self.payload_origins.size)
+        return self.n_payload
 
     def nbytes(self, item_bytes: int) -> int:
         """Payload size in bytes."""
-        return self.payload_count() * item_bytes
-
-    def __eq__(self, other: object) -> bool:
-        """Field equality, matching the seed's dataclass semantics."""
-        if not isinstance(other, PlannedMessage):
-            return NotImplemented
-        return (self.phase is other.phase
-                and self.src == other.src and self.dest == other.dest
-                and self.table == other.table
-                and np.array_equal(self.payload_origins, other.payload_origins)
-                and np.array_equal(self.payload_items, other.payload_items))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PlannedMessage({self.phase.value}, {self.src}->{self.dest}, "
-                f"slots={self.n_slots}, payload={self.payload_count()})")
+        return self.n_payload * item_bytes
 
 
-class PhaseTable(Sequence):
+class PhaseTable:
     """Every message of one phase, as read-only int64 columns.
 
     Message ``k`` travels ``srcs[k] -> dests[k]`` and routes slots
@@ -333,21 +200,18 @@ class PhaseTable(Sequence):
     ``payload_offsets[k]:payload_offsets[k + 1]`` of ``payload_origins`` /
     ``payload_items`` — the slot columns themselves unless the phase is
     deduplicated.  ``payload_key_ids`` holds, per payload row, the dense id
-    :meth:`CommPattern.owned_keys` gives its ``(origin, item)``; it is ``None``
-    on tables converted from hand-built message lists.
-
-    The table is a ``Sequence[PlannedMessage]``: indexing cuts a message view
-    and hands out the same object for the same index ever after (the per-rank
-    compiler pairs sender and receiver lists by identity); iteration streams
-    views without retaining them.
+    :meth:`CommPattern.owned_keys` gives its ``(origin, item)``.
     """
 
     __slots__ = ("phase", "srcs", "dests", "offsets", "origins", "items",
                  "final_dests", "payload_offsets", "payload_origins",
-                 "payload_items", "payload_key_ids", "_views")
+                 "payload_items", "payload_key_ids")
+
+    #: Every column, in the order :meth:`__eq__` compares them.
+    COLUMNS = __slots__[1:]
 
     def __init__(self, phase: Phase, srcs, dests, offsets, origins, items,
-                 final_dests, payload=None, payload_key_ids=None):
+                 final_dests, payload_key_ids, payload=None):
         """Trusted constructor: parallel 1-D int64 columns the caller gives up.
 
         ``payload`` is ``(offsets, origins, items)`` of a deduplicated phase.
@@ -359,35 +223,14 @@ class PhaseTable(Sequence):
             payload or (offsets, origins, items)
         self.payload_key_ids = payload_key_ids
         freeze_columns(srcs, dests, offsets, origins, items, final_dests,
-                       *(payload or ()))
-        if payload_key_ids is not None:
-            freeze_columns(payload_key_ids)
-        self._views: Dict[int, PlannedMessage] = {}
+                       payload_key_ids, *(payload or ()))
 
     @classmethod
-    def from_messages(cls, phase: Phase,
-                      messages: Iterable[PlannedMessage]) -> "PhaseTable":
-        """Stack a hand-built message list into columns (one O(messages) pass)."""
-        messages = list(messages)
-        n = len(messages)
-
-        def column(values):
-            return np.fromiter(values, dtype=INDEX_DTYPE, count=n)
-
-        payload = None
-        if any(m.payload_origins is not m.table.origin for m in messages):
-            payload = (
-                counts_to_displs(column(m.payload_origins.size for m in messages)),
-                concatenate_or_empty([m.payload_origins for m in messages]),
-                concatenate_or_empty([m.payload_items for m in messages]))
-        return cls(
-            phase, column(m.src for m in messages),
-            column(m.dest for m in messages),
-            counts_to_displs(column(len(m.table) for m in messages)),
-            concatenate_or_empty([m.table.origin for m in messages]),
-            concatenate_or_empty([m.table.item for m in messages]),
-            concatenate_or_empty([m.table.final_dest for m in messages]),
-            payload)
+    def empty(cls, phase: Phase) -> "PhaseTable":
+        """A phase with no message."""
+        zero = np.empty(0, dtype=INDEX_DTYPE)
+        return cls(phase, zero, zero, np.zeros(1, dtype=INDEX_DTYPE), zero,
+                   zero, zero, zero)
 
     @property
     def slot_counts(self) -> np.ndarray:
@@ -399,39 +242,15 @@ class PhaseTable(Sequence):
         """Values physically packed per message."""
         return np.diff(self.payload_offsets)
 
-    def _cut(self, index: int) -> PlannedMessage:
-        begin, end = int(self.offsets[index]), int(self.offsets[index + 1])
-        table = SlotTable._wrap(self.origins[begin:end], self.items[begin:end],
-                                self.final_dests[begin:end])
-        if self.payload_origins is self.origins:
-            return PlannedMessage.from_table(
-                self.phase, self.srcs[index], self.dests[index], table)
-        begin, end = (int(self.payload_offsets[index]),
-                      int(self.payload_offsets[index + 1]))
-        return PlannedMessage.from_table(
-            self.phase, self.srcs[index], self.dests[index], table,
-            self.payload_origins[begin:end], self.payload_items[begin:end])
-
     def __len__(self) -> int:
         return int(self.srcs.size)
 
-    def __getitem__(self, index: int) -> PlannedMessage:
-        index = range(len(self))[index]      # normalises, raises IndexError
-        view = self._views.get(index)
-        if view is None:        # setdefault: racing threads share one view
-            view = self._views.setdefault(index, self._cut(index))
-        return view
-
-    def __iter__(self) -> Iterator[PlannedMessage]:
-        return (self._views.get(i) or self._cut(i) for i in range(len(self)))
-
-    def __add__(self, other) -> List[PlannedMessage]:
-        return list(self) + list(other)
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, PhaseTable):
             return NotImplemented
-        return list(self) == list(other)
+        return self.phase is other.phase and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.COLUMNS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PhaseTable({self.phase.value}, messages={len(self)})"
@@ -441,50 +260,31 @@ class PhaseTable(Sequence):
 _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _triple_groups(origins: np.ndarray, items: np.ndarray, dests: np.ndarray):
-    """Lexicographic group ids of ``(origin, item, dest)`` triples.
-
-    Returns ``(group_of, unique_columns)``: ``group_of[k]`` is the dense id of
-    row ``k``'s triple, and ``unique_columns`` holds one representative triple
-    per id, sorted lexicographically.  One int64 lexsort — far faster than
-    ``np.unique(..., axis=0)``'s void-dtype sort.
-    """
-    order = np.lexsort((dests, items, origins))
-    sorted_origins = origins[order]
-    sorted_items = items[order]
-    sorted_dests = dests[order]
-    new_group = run_starts_mask(sorted_origins, sorted_items, sorted_dests)
-    group_sorted = np.cumsum(new_group) - 1
-    group_of = np.empty(order.size, dtype=INDEX_DTYPE)
-    group_of[order] = group_sorted
-    starts = np.flatnonzero(new_group)
-    unique_columns = (sorted_origins[starts], sorted_items[starts],
-                      sorted_dests[starts])
-    return group_of, unique_columns
-
-
 def _multiset_compare(required: _Columns, delivered: _Columns):
     """Compare two delivery multisets (column triples) with one lexsort pass.
 
     Returns ``(unique_columns, missing_ids, spurious_ids, duplicated_ids)``
-    where the id arrays index into ``unique_columns`` (sorted
-    lexicographically, so ids ascend in tuple order).
+    where the id arrays index into ``unique_columns`` (one row per distinct
+    triple, sorted lexicographically, so ids ascend in tuple order).  One
+    int64 lexsort — far faster than ``np.unique(..., axis=0)``'s void-dtype
+    sort.
     """
     n_required = required[0].size
-    origins = np.concatenate([required[0], delivered[0]])
-    items = np.concatenate([required[1], delivered[1]])
-    dests = np.concatenate([required[2], delivered[2]])
-    if origins.size == 0:
-        empty = np.empty(0, dtype=INDEX_DTYPE)
-        return (empty, empty, empty), empty, empty, empty
-    group_of, unique_columns = _triple_groups(origins, items, dests)
-    n_groups = unique_columns[0].size
-    required_counts = np.bincount(group_of[:n_required], minlength=n_groups)
-    delivered_counts = np.bincount(group_of[n_required:], minlength=n_groups)
+    origins, items, dests = (np.concatenate(pair)
+                             for pair in zip(required, delivered))
+    order = np.lexsort((dests, items, origins))
+    columns = (origins[order], items[order], dests[order])
+    new_group = run_starts_mask(*columns)
+    group_of = np.empty(order.size, dtype=INDEX_DTYPE)
+    group_of[order] = np.cumsum(new_group) - 1
+    starts = np.flatnonzero(new_group)
+    required_counts = np.bincount(group_of[:n_required], minlength=starts.size)
+    delivered_counts = np.bincount(group_of[n_required:], minlength=starts.size)
     missing = np.flatnonzero((required_counts > 0) & (delivered_counts == 0))
     spurious = np.flatnonzero((delivered_counts > 0) & (required_counts == 0))
     duplicated = np.flatnonzero(delivered_counts > 1)
-    return unique_columns, missing, spurious, duplicated
+    return (tuple(column[starts] for column in columns), missing, spurious,
+            duplicated)
 
 
 def _example_rows(unique_columns: _Columns, ids: np.ndarray, limit: int = 3):
@@ -501,8 +301,7 @@ class CollectivePlan:
     variant: Variant
     pattern: CommPattern
     mapping: RankMapping
-    #: One :class:`PhaseTable` per phase; a hand-built ``{phase: [messages]}``
-    #: dict is stacked into tables once, on construction.
+    #: One :class:`PhaseTable` per phase.
     phases: Dict[Phase, PhaseTable]
     #: Deliveries satisfied without any message (origin already at destination,
     #: or an aggregator that is itself the final destination).
@@ -516,8 +315,8 @@ class CollectivePlan:
     #: (``None`` on hand-built plans).  The plan/exchange cache only serves
     #: entries for token-carrying plans: the token certifies the plan is the
     #: deterministic planner output for exactly that key, so two plans with
-    #: equal tokens are interchangeable — a guarantee a hand-assembled
-    #: ``phases`` dict cannot make.
+    #: equal tokens are interchangeable — a guarantee hand-assembled phase
+    #: tables cannot make.
     cache_token: object = field(default=None, init=False, compare=False)
     #: Instance memos of the derived analyses.  A plan is immutable, so
     #: statistics and modeled times are pure functions of it (and the cost
@@ -533,14 +332,6 @@ class CollectivePlan:
     _modeled_time_memo: "weakref.WeakKeyDictionary" = field(
         default_factory=weakref.WeakKeyDictionary, init=False, compare=False,
         repr=False)
-
-    def __post_init__(self):
-        self.phases = {
-            phase: messages if isinstance(messages, PhaseTable)
-            else PhaseTable.from_messages(phase, messages)
-            for phase, messages in self.phases.items()}
-        if not isinstance(self.self_deliveries, SlotTable):
-            self.self_deliveries = SlotTable.from_slots(self.self_deliveries)
 
     def __getstate__(self):
         # The memos are derived state: excluding them keeps pickles (the
@@ -558,29 +349,20 @@ class CollectivePlan:
     # -- iteration ------------------------------------------------------------
 
     def messages(self, phase: Phase | None = None) -> Iterator[PlannedMessage]:
-        """Iterate over all messages, optionally restricted to one phase."""
+        """Records of all messages, optionally restricted to one phase.
+
+        Each record is cut from the columns on this call; none is kept.
+        """
         for table in self._tables(phase):
-            yield from table
+            for row in zip(table.srcs.tolist(), table.dests.tolist(),
+                           table.slot_counts.tolist(),
+                           table.payload_counts.tolist()):
+                yield PlannedMessage(table.phase, *row)
 
     def _tables(self, phase: Phase | None = None) -> List[PhaseTable]:
         if phase is None:
             return list(self.phases.values())
         return [self.phases[phase]] if phase in self.phases else []
-
-    def _matching(self, column: str, rank: int,
-                  phase: Phase | None) -> List[PlannedMessage]:
-        """Views of the messages whose endpoint ``column`` equals ``rank``."""
-        return [table[index] for table in self._tables(phase)
-                for index in np.flatnonzero(
-                    getattr(table, column) == rank).tolist()]
-
-    def messages_from(self, rank: int, phase: Phase | None = None) -> List[PlannedMessage]:
-        """Messages sent by ``rank`` (a mask over ``srcs``; only matches are cut)."""
-        return self._matching("srcs", rank, phase)
-
-    def messages_to(self, rank: int, phase: Phase | None = None) -> List[PlannedMessage]:
-        """Messages received by ``rank`` (a mask over ``dests``)."""
-        return self._matching("dests", rank, phase)
 
     @property
     def item_bytes(self) -> int:
@@ -704,11 +486,6 @@ class CollectivePlan:
 
     # -- validation -------------------------------------------------------------------
 
-    def _required_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(origin, item, final_dest)`` columns the pattern requires."""
-        origins, dests, items = self.pattern.edge_arrays()
-        return origins, items, dests
-
     def _planned_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Delivery columns the plan performs (terminal phases plus self-deliveries).
 
@@ -736,33 +513,30 @@ class CollectivePlan:
                 concatenate_or_empty([t.final_dests for t in tables]
                                      + [own.final_dest]))
 
-    def required_deliveries(self) -> Dict[Tuple[int, int, int], int]:
-        """Multiset of ``(origin, item, final_dest)`` required by the pattern."""
-        return self._columns_to_multiset(self._required_columns())
-
-    def planned_deliveries(self) -> Dict[Tuple[int, int, int], int]:
-        """Multiset of deliveries the plan performs (terminal phases only)."""
-        return self._columns_to_multiset(self._planned_columns())
-
-    @staticmethod
-    def _columns_to_multiset(columns) -> Dict[Tuple[int, int, int], int]:
-        origins, items, dests = columns
-        if origins.size == 0:
-            return {}
-        group_of, (unique_origins, unique_items, unique_dests) = \
-            _triple_groups(origins, items, dests)
-        counts = np.bincount(group_of)
-        return {key: int(count) for key, count in zip(
-            zip(unique_origins.tolist(), unique_items.tolist(),
-                unique_dests.tolist()), counts.tolist())}
-
     def _check_message_structure(self) -> None:
-        """Vectorized endpoint-range and phase-locality checks."""
+        """Vectorized per-message checks over every phase table.
+
+        Every message has two distinct endpoints in range, routes at least
+        one slot, packs at least one value, and respects its phase's
+        locality.
+        """
         n = self.pattern.n_ranks
         for phase, table in self.phases.items():
             if not table:
                 continue
             srcs, dests = table.srcs, table.dests
+            self_addressed = srcs == dests
+            if self_addressed.any():
+                index = int(np.argmax(self_addressed))
+                raise PlanError(
+                    f"message with identical endpoints (rank {int(srcs[index])})")
+            empty = table.slot_counts <= 0
+            if empty.any():
+                index = int(np.argmax(empty))
+                raise PlanError(f"empty message {int(srcs[index])}->"
+                                f"{int(dests[index])} in phase {phase}")
+            if (table.payload_counts <= 0).any():
+                raise PlanError("message carries no payload")
             out_of_range = (srcs < 0) | (srcs >= n) | (dests < 0) | (dests >= n)
             if out_of_range.any():
                 index = int(np.argmax(out_of_range))
@@ -789,13 +563,14 @@ class CollectivePlan:
         """Check the plan delivers exactly what the pattern requires.
 
         Raises :class:`PlanError` on missing, duplicated, or spurious
-        deliveries, on messages whose endpoints are out of range, and on
-        inter-region messages appearing in intra-region phases (and vice
-        versa).  The delivery check is a single ``np.unique`` multiset
-        comparison over the columnar slot tables.
+        deliveries, on self-addressed or empty messages, on messages whose
+        endpoints are out of range, and on inter-region messages appearing in
+        intra-region phases (and vice versa).  The delivery check is one
+        lexsort multiset comparison over the phase and self-delivery columns.
         """
         self._check_message_structure()
-        required = self._required_columns()
+        origins, dests, items = self.pattern.edge_arrays()
+        required = (origins, items, dests)
         delivered = self._planned_columns()
         # The pattern may list the same (origin, item, dest) more than once
         # (duplicate entries in a send list); a single delivery satisfies them.

@@ -45,7 +45,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
@@ -145,8 +145,8 @@ def world_key(plan, spec) -> Tuple | None:
     Extends the plan's :func:`plan_key` token with the element spec —
     ``(dtype, item_size)`` changes the wire sizes — and the rank count
     (already implied by the pattern, kept explicit per the cache-key
-    contract).  Plans without a ``cache_token`` (hand-built ``phases``
-    dicts) are uncacheable: the inputs alone do not determine their message
+    contract).  Plans without a ``cache_token`` (phase tables assembled by
+    hand) are uncacheable: the inputs alone do not determine their message
     schedule, so serving a cached world for them could be wrong.
     """
     if plan.cache_token is None:

@@ -81,7 +81,7 @@ def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
         payload = (counts_to_displs(counts), origins[firsts], items[firsts])
         keys = keys[firsts]
     return PhaseTable(phase, srcs[starts], dests[starts], bounds, origins,
-                      items, final_dests, payload, keys)
+                      items, final_dests, keys, payload)
 
 
 def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
@@ -145,7 +145,7 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     # Messages sharing endpoints within a phase merge automatically (one
     # buffer per pair of ranks per phase), which is what a real implementation
     # posts.
-    phases: Dict[Phase, PhaseTable | tuple] = dict.fromkeys(AGGREGATED_PHASES, ())
+    phases = {phase: PhaseTable.empty(phase) for phase in AGGREGATED_PHASES}
     phases[Phase.LOCAL] = local
 
     inter_mask = ~same_region

@@ -13,7 +13,6 @@ from repro.pattern.builders import (
     pattern_from_edges,
     random_pattern,
     halo_exchange_pattern,
-    neighbor_lists,
 )
 from repro.pattern.statistics import (
     PatternStatistics,
@@ -29,7 +28,6 @@ __all__ = [
     "pattern_from_edges",
     "random_pattern",
     "halo_exchange_pattern",
-    "neighbor_lists",
     "PatternStatistics",
     "pattern_statistics",
     "locality_message_counts",

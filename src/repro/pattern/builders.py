@@ -168,11 +168,3 @@ def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
     return _pattern_from_triples(n_ranks, srcs, edge_dests, item_arrays,
                                  item_bytes=item_bytes, dtype=dtype,
                                  item_size=item_size)
-
-
-def neighbor_lists(pattern: CommPattern, rank: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(sources, destinations)`` for ``rank`` — the arguments of
-    ``MPI_Dist_graph_create_adjacent``."""
-    sources = np.array(pattern.recv_ranks(rank), dtype=np.int64)
-    destinations = np.array(pattern.send_ranks(rank), dtype=np.int64)
-    return sources, destinations

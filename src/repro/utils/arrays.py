@@ -150,8 +150,8 @@ def frozen_copy_on_write(arr: np.ndarray, source) -> np.ndarray:
 
     ``source`` is the caller-supplied object ``arr`` was coerced from.  The
     one shared implementation of the copy-if-shared-writable rule used by
-    every immutable int64 container (CommPattern item arrays, SlotTable
-    columns).
+    the immutable int64 containers (CommPattern item arrays, the plan's
+    self-delivery columns).
     """
     if isinstance(source, np.ndarray) and np.may_share_memory(arr, source) \
             and buffer_writable(source):

@@ -1,7 +1,7 @@
 """The seed's Slot-list planner, kept verbatim as a golden baseline.
 
 The production planner (:mod:`repro.collectives.planner`) compiles patterns
-into columnar :class:`~repro.collectives.plan.SlotTable` plans.  This module
+into columnar :class:`~repro.collectives.plan.PhaseTable` plans.  This module
 preserves the original per-slot implementation — one Python ``Slot`` NamedTuple
 per routed item, dict-of-list grouping, per-slot statistics and validation —
 so the golden-equivalence tests (``test_plan_equivalence.py``) can assert
@@ -15,7 +15,7 @@ being a faithful copy of the seed semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +25,19 @@ from repro.collectives.aggregation import (
     collect_region_traffic,
     setup_aggregation,
 )
-from repro.collectives.plan import Phase, Slot, Variant
+from repro.collectives.plan import Phase, Variant
 from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import PlanError
+
+
+class Slot(NamedTuple):
+    """One routed data item: value ``item`` owned by ``origin`` bound for ``final_dest``."""
+
+    origin: int
+    item: int
+    final_dest: int
 
 
 def reference_unique_payload_keys(slots: Sequence[Slot]) -> List[Tuple[int, int]]:

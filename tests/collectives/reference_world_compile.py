@@ -22,23 +22,93 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from plan_tables import Message, plan_messages
+
 from repro.collectives.exchange import (
     PHASE_TAGS,
     _AGGREGATED_SCHEDULE,
     _DIRECT_SCHEDULE,
     ExchangeSpec,
-    _RowMap,
 )
 from repro.collectives.plan import (
     AGGREGATED_PHASES,
     CollectivePlan,
     Phase,
-    PhaseTable,
-    PlannedMessage,
     Variant,
 )
-from repro.utils.arrays import INDEX_DTYPE, concatenate_or_empty, counts_to_displs
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    concatenate_or_empty,
+    counts_to_displs,
+    run_starts_mask,
+)
 from repro.utils.errors import PlanError
+
+
+class _RowMap:
+    """Vectorized ``(origin, item) -> work-array row`` mapping.
+
+    Rows are assigned in registration order: the owned keys occupy rows
+    ``[0, n_owned)`` and every batch of newly received keys appends rows in
+    first-appearance order.  :func:`compile_exchange` numbers one rank's
+    owned and received keys with it.
+    """
+
+    def __init__(self, origins: np.ndarray, items: np.ndarray):
+        self._origin_chunks = [np.asarray(origins, dtype=INDEX_DTYPE)]
+        self._item_chunks = [np.asarray(items, dtype=INDEX_DTYPE)]
+        self.n_rows = int(self._origin_chunks[0].size)
+
+    def _known(self) -> Tuple[np.ndarray, np.ndarray]:
+        if len(self._origin_chunks) > 1:
+            self._origin_chunks = [np.concatenate(self._origin_chunks)]
+            self._item_chunks = [np.concatenate(self._item_chunks)]
+        return self._origin_chunks[0], self._item_chunks[0]
+
+    def resolve(self, query_origins: np.ndarray, query_items: np.ndarray, *,
+                allow_new: bool) -> np.ndarray:
+        """Rows of the queried keys; unknown keys are registered or marked -1.
+
+        One lexsort over (known keys + queries) recovers the key groups; known
+        keys seed each group with their row, queries inherit it.  With
+        ``allow_new`` the unmatched groups get fresh rows in first-appearance
+        order of the query batch.
+        """
+        if query_origins.size == 0:
+            return np.empty(0, dtype=INDEX_DTYPE)
+        known_origins, known_items = self._known()
+        n_known = known_origins.size
+        all_origins = np.concatenate([known_origins, query_origins])
+        all_items = np.concatenate([known_items, query_items])
+        order = np.lexsort((all_items, all_origins))
+        new_group = run_starts_mask(all_origins[order], all_items[order])
+        group_sorted = np.cumsum(new_group) - 1
+        group_of = np.empty(order.size, dtype=INDEX_DTYPE)
+        group_of[order] = group_sorted
+        row_of_group = np.full(int(group_sorted[-1]) + 1, -1, dtype=INDEX_DTYPE)
+        row_of_group[group_of[:n_known]] = np.arange(n_known, dtype=INDEX_DTYPE)
+
+        query_groups = group_of[n_known:]
+        rows = row_of_group[query_groups]
+        unknown = rows < 0
+        if not unknown.any() or not allow_new:
+            return rows
+        missing_groups = query_groups[unknown]
+        unique_groups, first_position = np.unique(missing_groups,
+                                                  return_index=True)
+        appearance = np.argsort(first_position, kind="stable")
+        row_of_group[unique_groups[appearance]] = self.n_rows + np.arange(
+            unique_groups.size, dtype=INDEX_DTYPE)
+        rows[unknown] = row_of_group[missing_groups]
+        # Register the new keys in row order so later lookups resolve them.
+        unknown_positions = np.flatnonzero(unknown)
+        firsts = unknown_positions[first_position[appearance]]
+        self._origin_chunks.append(np.asarray(query_origins[firsts],
+                                              dtype=INDEX_DTYPE))
+        self._item_chunks.append(np.asarray(query_items[firsts],
+                                            dtype=INDEX_DTYPE))
+        self.n_rows += int(unique_groups.size)
+        return rows
 
 
 @dataclass
@@ -53,8 +123,8 @@ class CompiledPhase:
     """
 
     phase: Phase
-    send_messages: List[PlannedMessage]
-    recv_messages: List[PlannedMessage]
+    send_messages: List[Message]
+    recv_messages: List[Message]
     gather: np.ndarray
     scatter: np.ndarray
     send_offsets: np.ndarray
@@ -94,13 +164,18 @@ class CompiledExchange:
 
 
 def compile_exchange(plan: CollectivePlan, rank: int,
-                     spec: ExchangeSpec | None = None) -> CompiledExchange:
+                     spec: ExchangeSpec | None = None,
+                     messages: Dict[Phase, List[Message]] | None = None
+                     ) -> CompiledExchange:
     """Compile ``rank``'s share of ``plan`` into gather/scatter index arrays.
 
     The compilation walks the phases in execution order, resolving every send
     against the keys the rank holds so far (owned items first, then whatever
     earlier phases delivered); a send of an unobtainable key is a
     :class:`PlanError` at compile time rather than a runtime failure.
+    ``messages`` is the plan cut into records (``plan_messages``); the world
+    reference passes one cut to every rank, so a sender's and a receiver's
+    list share the record of each message.
     """
     spec = spec or ExchangeSpec()
     pattern = plan.pattern
@@ -118,28 +193,32 @@ def compile_exchange(plan: CollectivePlan, rank: int,
         order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
+    if messages is None:
+        messages = plan_messages(plan)
     #: (messages, work-array rows, per-message offsets) per side and phase.
-    steps: Dict[Tuple[str, Phase], Tuple[List[PlannedMessage], np.ndarray,
+    steps: Dict[Tuple[str, Phase], Tuple[List[Message], np.ndarray,
                                          np.ndarray]] = {}
     for side, phase in schedule:
-        messages = plan.messages_from(rank, phase) if side == "send" \
-            else plan.messages_to(rank, phase)
-        stacked = PhaseTable.from_messages(phase, messages)
-        origins, items = stacked.payload_origins, stacked.payload_items
-        offsets = stacked.payload_offsets
+        mine = [message for message in messages.get(phase, ())
+                if (message.src if side == "send" else message.dest) == rank]
+        pairs = np.concatenate(
+            [message.payload for message in mine]
+            + [np.empty((0, 2), dtype=INDEX_DTYPE)])
+        origins, items = pairs[:, 0], pairs[:, 1]
+        offsets = counts_to_displs([len(message.payload) for message in mine])
         indices = rows.resolve(origins, items, allow_new=side == "recv")
         unknown = indices < 0
         if unknown.any():
             position = int(np.argmax(unknown))
-            message = messages[int(np.searchsorted(offsets, position,
-                                                   side="right")) - 1]
+            message = mine[int(np.searchsorted(offsets, position,
+                                               side="right")) - 1]
             raise PlanError(
                 f"phase-{phase.value} message {message.src}->"
                 f"{message.dest} packs origin {int(origins[position])}, item "
                 f"{int(items[position])} which the "
                 "sending rank neither owns nor received in an earlier phase"
             )
-        steps[side, phase] = (messages, indices, offsets)
+        steps[side, phase] = (mine, indices, offsets)
     phases: List[CompiledPhase] = []
     for phase in order:
         send_messages, gather, send_offsets = steps["send", phase]
@@ -259,7 +338,9 @@ def compile_world_exchange_reference(plan: CollectivePlan,
         spec = ExchangeSpec(dtype=plan.pattern.dtype,
                             item_size=plan.pattern.item_size)
     n_ranks = plan.pattern.n_ranks
-    compiled = [compile_exchange(plan, rank, spec) for rank in range(n_ranks)]
+    messages = plan_messages(plan)
+    compiled = [compile_exchange(plan, rank, spec, messages)
+                for rank in range(n_ranks)]
 
     rank_bases = counts_to_displs(np.fromiter((c.n_rows for c in compiled),
                                               dtype=INDEX_DTYPE, count=n_ranks))
@@ -288,7 +369,7 @@ def compile_world_exchange_reference(plan: CollectivePlan,
         dests: List[int] = []
         counts: List[int] = []
         # Wire layout: rank by rank, message by message, in send order.  The
-        # dict maps each message (by identity — every PlannedMessage appears in
+        # dict maps each message (by identity — every record appears in
         # exactly one sender's and one receiver's list) to its wire slice.
         wire_slices: Dict[int, Tuple[int, int]] = {}
         offset = 0

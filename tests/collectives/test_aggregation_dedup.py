@@ -1,5 +1,6 @@
 """Unit tests for aggregation setup (leader assignment) and deduplication."""
 
+import numpy as np
 import pytest
 
 from repro.collectives.aggregation import (
@@ -9,13 +10,7 @@ from repro.collectives.aggregation import (
     collect_region_traffic,
     setup_aggregation,
 )
-from repro.collectives.dedup import (
-    dedup_savings_fraction,
-    duplicate_item_count,
-    group_slots_by_final_dest,
-    unique_payload_keys,
-)
-from repro.collectives.plan import Slot
+from repro.collectives.dedup import unique_keys_segmented
 from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.topology.mapping import RankMapping
 from repro.topology.presets import generic_cluster, paper_mapping
@@ -117,25 +112,18 @@ class TestLeaderAssignment:
 
 
 class TestDeduplication:
-    def test_unique_payload_keys_order_stable(self):
-        slots = [Slot(0, 7, 4), Slot(0, 9, 5), Slot(0, 7, 5), Slot(1, 7, 4)]
-        assert unique_payload_keys(slots) == [(0, 7), (0, 9), (1, 7)]
+    def test_segment_firsts_in_appearance_order(self):
+        """Each segment keeps the first row of every key it holds, rows in
+        their original order; a key repeated in another segment is kept
+        there too."""
+        segments = np.array([0, 0, 0, 0, 2, 2, 2])
+        keys = np.array([3, 1, 3, 0, 1, 1, 3])
+        firsts, counts = unique_keys_segmented(segments, keys, 4, 3)
+        assert firsts.tolist() == [0, 1, 3, 4, 6]
+        assert counts.tolist() == [3, 0, 2]
+        assert counts.dtype == np.int64
 
-    def test_duplicate_item_count(self):
-        slots = [Slot(0, 7, 4), Slot(0, 7, 5), Slot(0, 7, 6)]
-        assert duplicate_item_count(slots) == 2
-
-    def test_savings_fraction(self):
-        slots = [Slot(0, 7, 4), Slot(0, 7, 5)]
-        assert dedup_savings_fraction(slots) == pytest.approx(0.5)
-        assert dedup_savings_fraction([]) == 0.0
-
-    def test_group_by_final_dest(self):
-        slots = [Slot(0, 1, 5), Slot(0, 2, 4), Slot(1, 3, 5)]
-        groups = group_slots_by_final_dest(slots)
-        assert list(groups.keys()) == [4, 5]
-        assert len(groups[5]) == 2
-
-    def test_no_duplicates_no_savings(self):
-        slots = [Slot(0, 1, 4), Slot(0, 2, 4)]
-        assert duplicate_item_count(slots) == 0
+    def test_no_rows(self):
+        empty = np.empty(0, dtype=np.int64)
+        firsts, counts = unique_keys_segmented(empty, empty, 5, 2)
+        assert firsts.size == 0 and counts.tolist() == [0, 0]

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from repro.collectives.api import neighbor_alltoallv_init_world
-from repro.collectives.exchange import (
-    ExchangeSpec,
-    _RowMap,
-    compile_world_exchange,
-)
+from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.builders import pattern_from_edges, random_pattern
@@ -173,62 +169,6 @@ class TestZeroPerItemWork:
         assert 1 <= small[1] <= 5
 
 
-class TestRowMap:
-    """``_RowMap``: the ``(origin, item) -> row`` interning the world compiler
-    uses for the payload of hand-built messages."""
-
-    @staticmethod
-    def _row_map():
-        """Owned keys ``(0, 5), (0, 7), (1, 5)`` on rows 0, 1, 2."""
-        return _RowMap(np.array([0, 0, 1]), np.array([5, 7, 5]))
-
-    def test_owned_keys_occupy_the_first_rows(self):
-        rows = self._row_map()
-        assert rows.n_rows == 3
-        assert rows.resolve(np.array([1, 0, 0]), np.array([5, 7, 5]),
-                            allow_new=False).tolist() == [2, 1, 0]
-
-    def test_same_item_of_different_origins_is_distinct(self):
-        rows = self._row_map()
-        assert rows.resolve(np.array([0, 1]), np.array([5, 5]),
-                            allow_new=False).tolist() == [0, 2]
-
-    def test_unknown_keys_are_marked_without_allow_new(self):
-        rows = self._row_map()
-        assert rows.resolve(np.array([2, 0]), np.array([5, 9]),
-                            allow_new=False).tolist() == [-1, -1]
-        assert rows.n_rows == 3
-
-    def test_new_keys_get_rows_in_first_appearance_order(self):
-        rows = self._row_map()
-        got = rows.resolve(np.array([2, 0, 2, 1]), np.array([5, 9, 5, 5]),
-                           allow_new=True)
-        # (2, 5) appears first, then (0, 9); the repeat shares its row.
-        assert got.tolist() == [3, 4, 3, 2]
-        assert rows.n_rows == 5
-
-    def test_registered_keys_resolve_in_later_batches(self):
-        rows = self._row_map()
-        rows.resolve(np.array([2]), np.array([5]), allow_new=True)
-        rows.resolve(np.array([0]), np.array([9]), allow_new=True)
-        assert rows.resolve(np.array([0, 2, 0]), np.array([9, 5, 7]),
-                            allow_new=False).tolist() == [4, 3, 1]
-
-    def test_empty_query_returns_no_rows(self):
-        rows = self._row_map()
-        empty = np.empty(0, dtype=np.int64)
-        got = rows.resolve(empty, empty, allow_new=True)
-        assert got.size == 0 and rows.n_rows == 3
-
-    def test_empty_map_interns_from_row_zero(self):
-        empty = np.empty(0, dtype=np.int64)
-        rows = _RowMap(empty, empty)
-        assert rows.n_rows == 0
-        assert rows.resolve(np.array([3, 3]), np.array([1, 1]),
-                            allow_new=True).tolist() == [0, 0]
-        assert rows.n_rows == 1
-
-
 class TestTrafficByteAccounting:
     """Observed wire bytes must equal count * item_size * dtype.itemsize."""
 
@@ -278,24 +218,20 @@ class TestCompiledExchange:
         locally-received key must be rejected at compile time — at runtime it
         would put never-written rows on the wire.
         """
-        from repro.collectives.plan import (
-            CollectivePlan, Phase, PlannedMessage, Slot,
-        )
+        from plan_tables import phase_table
+
+        from repro.collectives.plan import CollectivePlan, Phase
         from repro.pattern.comm_pattern import CommPattern
 
         mapping = paper_mapping(4, ranks_per_node=2)
         pattern = CommPattern(4, {1: {0: [5]}})
+        messages = {Phase.LOCAL: [(1, 0, [(1, 5, 0)])],
+                    Phase.SETUP_REDIST: [(0, 1, [(1, 5, 2)])],
+                    Phase.GLOBAL: [], Phase.FINAL_REDIST: []}
         plan = CollectivePlan(
             variant=Variant.PARTIAL, pattern=pattern, mapping=mapping,
-            phases={
-                Phase.LOCAL: [PlannedMessage(phase=Phase.LOCAL, src=1, dest=0,
-                                             slots=[Slot(1, 5, 0)])],
-                Phase.SETUP_REDIST: [PlannedMessage(phase=Phase.SETUP_REDIST,
-                                                    src=0, dest=1,
-                                                    slots=[Slot(1, 5, 2)])],
-                Phase.GLOBAL: [],
-                Phase.FINAL_REDIST: [],
-            })
+            phases={phase: phase_table(pattern, phase, rows)
+                    for phase, rows in messages.items()})
         with pytest.raises(PlanError, match="neither owns nor received"):
             compile_world_exchange(plan)
 

@@ -1,24 +1,22 @@
 """The plan is its columns: phase tables, interned keys and the packed join.
 
-``CollectivePlan.phases[phase]`` is a read-only :class:`PhaseTable` that
-behaves as a ``Sequence[PlannedMessage]``; the world compiler reads its
-columns and joins on one packed ``holder * width + key`` int64.  These tests
-pin the seams that design introduced: the sequence protocol and view
-identity, the conversion of hand-built message lists, set-up call counts that
-do not grow with the message count, and exactness of the packing for ids
-that cannot be packed naively.
+``CollectivePlan.phases[phase]`` is a read-only :class:`PhaseTable` of int64
+columns; the world compiler joins on one packed ``holder * width + key``
+int64.  These tests pin the seams of that design: message records cut from
+the columns, column-by-column equality whose cost does not grow with the
+message count, set-up call counts that do not grow with it either, and
+exactness of the packing for ids that cannot be packed naively.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plan_tables import tampered
 from reference_world_compile import compile_world_exchange_reference
-from test_world_compile_equivalence import (assert_matches_reference,
-                                            assert_worlds_identical)
+from test_world_compile_equivalence import assert_matches_reference
 
 from repro.collectives import Variant, make_plan
 from repro.collectives.exchange import compile_world_exchange
@@ -39,58 +37,41 @@ def full_plan():
                      use_cache=False)
 
 
-def hand_built(plan):
-    """The same schedule rebuilt from message lists: no interned key column."""
-    return dataclasses.replace(
-        plan, phases={phase: list(table) for phase, table in plan.phases.items()})
-
-
-class TestSequenceProtocol:
-    def test_len_truth_index_iter_add(self, full_plan):
-        table = full_plan.phases[Phase.GLOBAL]
-        assert isinstance(table, PhaseTable) and table
-        assert len(table) == table.srcs.size == len(list(table))
-        assert table[-1] is table[len(table) - 1]
-        assert list(table)[1] == table[1]
-        with pytest.raises(IndexError):
-            table[len(table)]
-        extra = PlannedMessage(Phase.GLOBAL, 0, 5, slots=[(0, 1, 5)])
-        assert (table + [extra])[-1] is extra
-        assert not PhaseTable.from_messages(Phase.GLOBAL, [])
-
-    def test_views_match_columns(self, full_plan):
-        for table in full_plan.phases.values():
-            for index, message in enumerate(table):
-                assert (message.src, message.dest) == \
-                    (table.srcs[index], table.dests[index])
-                assert message.n_slots == table.slot_counts[index]
-                assert message.payload_count() == table.payload_counts[index]
+class TestColumns:
+    def test_records_match_columns(self, full_plan):
+        for phase, table in full_plan.phases.items():
+            assert isinstance(table, PhaseTable) and table.phase is phase
+            records = list(full_plan.messages(phase))
+            assert len(records) == len(table)
+            assert all(type(record) is PlannedMessage for record in records)
+            assert [(m.src, m.dest, m.n_slots, m.payload_count())
+                    for m in records] == list(zip(
+                        table.srcs.tolist(), table.dests.tolist(),
+                        table.slot_counts.tolist(),
+                        table.payload_counts.tolist()))
+            assert all(m.phase is phase for m in records)
         deduplicated = full_plan.phases[Phase.GLOBAL]
         assert deduplicated.payload_origins is not deduplicated.origins
         assert deduplicated.payload_counts.sum() < deduplicated.slot_counts.sum()
         local = full_plan.phases[Phase.LOCAL]
         assert local.payload_origins is local.origins
 
-    def test_sender_and_receiver_lists_share_one_view(self, full_plan):
-        """The per-rank compiler pairs the two sides by ``id(message)``."""
-        for phase, table in full_plan.phases.items():
-            for index in range(len(table)):
-                src, dest = int(table.srcs[index]), int(table.dests[index])
-                sent = full_plan.messages_from(src, phase)
-                received = full_plan.messages_to(dest, phase)
-                (match,) = [m for m in sent if m.dest == dest]
-                assert any(match is m for m in received)
-                assert match is table[index]
+    def test_records_are_cut_fresh_and_read_only(self, full_plan):
+        first, again = next(full_plan.messages()), next(full_plan.messages())
+        assert first == again and first is not again
+        with pytest.raises(AttributeError):
+            first.src = 3
+        assert first.nbytes(8) == 8 * first.payload_count()
 
-    def test_hand_built_dict_is_converted_once(self, full_plan):
-        rebuilt = hand_built(full_plan)
-        for phase, table in rebuilt.phases.items():
-            assert isinstance(table, PhaseTable)
-            assert table.payload_key_ids is None
-            assert table == full_plan.phases[phase]
-        assert rebuilt.statistics().total_global_bytes \
-            == full_plan.statistics().total_global_bytes
-        rebuilt.validate()
+    def test_tables_compare_column_by_column(self, full_plan):
+        table = full_plan.phases[Phase.GLOBAL]
+        assert table == table and table != full_plan.phases[Phase.LOCAL]
+        edited = tampered(full_plan, Phase.GLOBAL, drop_last=True)
+        assert edited.phases[Phase.GLOBAL] != table
+        assert edited.phases[Phase.LOCAL] == full_plan.phases[Phase.LOCAL]
+        assert PhaseTable.empty(Phase.GLOBAL) == PhaseTable.empty(Phase.GLOBAL)
+        assert not PhaseTable.empty(Phase.GLOBAL)
+        assert PhaseTable.empty(Phase.GLOBAL) != PhaseTable.empty(Phase.LOCAL)
 
     def test_pickle_round_trip_keeps_payload_sharing(self, full_plan):
         restored = pickle.loads(pickle.dumps(full_plan))
@@ -101,6 +82,25 @@ class TestSequenceProtocol:
                 == (table.payload_origins is table.origins)
             np.testing.assert_array_equal(twin.payload_key_ids,
                                           table.payload_key_ids)
+
+
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
+def test_phase_equality_call_count_does_not_grow_with_messages(count_calls,
+                                                              variant):
+    """``plan.phases == twin.phases`` (``twin`` a pickle round trip) makes
+    the same number of calls at 256 ranks as at 1024: the tables compare
+    column by column, not message by message."""
+    counts = []
+    for side in (16, 32):
+        pattern = halo_exchange_pattern((side, side), points_per_cell=4)
+        plan = make_plan(pattern, paper_mapping(side * side, ranks_per_node=16),
+                         variant, use_cache=False)
+        twin = pickle.loads(pickle.dumps(plan))
+
+        def compare():
+            assert plan.phases == twin.phases
+        counts.append(count_calls(compare))
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
@@ -150,26 +150,25 @@ def patterns(draw):
 def test_packed_compile_equals_reference(case, variant):
     pattern, mapping = case
     plan = make_plan(pattern, mapping, variant, use_cache=False)
-    world = compile_world_exchange(plan)
-    assert_matches_reference(world, compile_world_exchange_reference(plan))
-    # Without the planner's key column the compiler interns the payload itself.
-    assert_worlds_identical(compile_world_exchange(hand_built(plan)), world)
+    assert_matches_reference(compile_world_exchange(plan),
+                             compile_world_exchange_reference(plan))
 
 
 @settings(max_examples=40, deadline=None)
 @given(patterns(), st.data())
 def test_key_nobody_owns_fails_like_reference(case, data):
-    """A hand-built message packing an unowned key: same error, both compilers."""
+    """A message packing a key nobody owns (the spare key id): same error,
+    both compilers."""
     pattern, mapping = case
     plan = make_plan(pattern, mapping, Variant.STANDARD, use_cache=False)
     src = data.draw(st.integers(0, pattern.n_ranks - 1))
     dest = data.draw(st.integers(0, pattern.n_ranks - 2))
     dest += dest >= src
     origin = data.draw(st.integers(0, pattern.n_ranks - 1))
-    bogus = PlannedMessage(Phase.DIRECT, src, dest,
-                           slots=[(origin, 2 ** 62 + 1, dest)])
-    broken = dataclasses.replace(
-        plan, phases={Phase.DIRECT: plan.phases[Phase.DIRECT] + [bogus]})
+    broken = tampered(plan, Phase.DIRECT,
+                      extra=[(src, dest, [(origin, 2 ** 62 + 1, dest)])])
+    assert broken.phases[Phase.DIRECT].payload_key_ids[-1] \
+        == pattern.owned_keys()[0].size
     with pytest.raises(PlanError, match="neither owns nor received") as ours:
         compile_world_exchange(broken)
     with pytest.raises(PlanError, match="neither owns nor received") as theirs:

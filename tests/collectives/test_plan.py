@@ -4,13 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.collectives.plan import (
-    CollectivePlan,
-    Phase,
-    PlannedMessage,
-    Slot,
-    Variant,
-)
+from plan_tables import phase_table, tampered
+
+from repro.collectives.exchange import compile_world_exchange
+from repro.collectives.plan import Phase, PlannedMessage, SlotTable
 from repro.collectives.planner import plan_full, plan_partial, plan_standard
 from repro.pattern.builders import pattern_from_edges
 from repro.perfmodel.base import CostModel
@@ -36,33 +33,75 @@ def cross_region_pattern():
     ])
 
 
+def with_direct(plan, *messages):
+    """``plan`` with its direct phase replaced by ``messages``."""
+    return dataclasses.replace(plan, phases={
+        Phase.DIRECT: phase_table(plan.pattern, Phase.DIRECT, messages)})
+
+
 class TestPlannedMessage:
-    def test_payload_defaults_to_slots(self):
-        message = PlannedMessage(phase=Phase.DIRECT, src=0, dest=1,
-                                 slots=[Slot(0, 7, 1), Slot(0, 8, 1)])
-        assert message.payload_count() == 2
+    def test_payload_defaults_to_slots(self, cross_region_pattern, mapping):
+        message = next(plan_standard(cross_region_pattern, mapping).messages())
+        assert type(message) is PlannedMessage
+        assert message.payload_count() == message.n_slots == 2
         assert message.nbytes(8) == 16
 
-    def test_explicit_payload_keys(self):
-        message = PlannedMessage(phase=Phase.GLOBAL, src=0, dest=4,
-                                 slots=[Slot(0, 7, 4), Slot(0, 7, 5)],
-                                 payload_keys=[(0, 7)])
-        assert message.payload_count() == 1
+    def test_explicit_payload_keys(self, cross_region_pattern, mapping):
+        (message,) = plan_full(cross_region_pattern, mapping).messages(
+            Phase.GLOBAL)
+        assert message.n_slots == 4
+        assert message.payload_count() == 3
 
-    def test_self_message_rejected(self):
-        with pytest.raises(PlanError):
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=2, slots=[Slot(2, 1, 2)])
+    def test_self_message_rejected(self, mapping):
+        """A self-edge delivered by a 2 -> 2 message, not a self-delivery."""
+        pattern = pattern_from_edges(8, [(0, 4, [100]), (2, 2, [1])])
+        plan = dataclasses.replace(
+            tampered(plan_standard(pattern, mapping), Phase.DIRECT,
+                     extra=[(2, 2, [(2, 1, 2)])]),
+            self_deliveries=SlotTable.empty())
+        with pytest.raises(PlanError, match=r"identical endpoints \(rank 2\)"):
+            plan.validate()
 
-    def test_empty_message_rejected(self):
-        with pytest.raises(PlanError):
-            PlannedMessage(phase=Phase.DIRECT, src=0, dest=1, slots=[])
+    def test_empty_message_rejected(self, cross_region_pattern, mapping):
+        plan = tampered(plan_standard(cross_region_pattern, mapping),
+                        Phase.DIRECT, extra=[(0, 1, [])])
+        with pytest.raises(PlanError, match="empty message 0->1 in phase"):
+            plan.validate()
+
+    def test_message_without_payload_rejected(self, cross_region_pattern,
+                                              mapping):
+        plan = tampered(plan_full(cross_region_pattern, mapping), Phase.GLOBAL,
+                        extra=[(1, 6, [(1, 110, 5)], [])])
+        with pytest.raises(PlanError, match="carries no payload"):
+            plan.validate()
+
+    def test_empty_message_never_reaches_the_compiler(self, count_calls,
+                                                      mapping):
+        """A plan of one real message and one empty one fails ``validate()``,
+        so a caller that validates first never compiles (and never counts)
+        the empty message."""
+        pattern = pattern_from_edges(8, [(0, 4, [100])])
+        plan = with_direct(plan_standard(pattern, mapping),
+                           (0, 4, [(0, 100, 4)]), (1, 5, []))
+        errors = []
+
+        def validate_then_compile():
+            try:
+                plan.validate()
+                compile_world_exchange(plan)
+            except PlanError as error:
+                errors.append(str(error))
+
+        assert count_calls(validate_then_compile,
+                           of=[compile_world_exchange]) == 0
+        assert errors == ["empty message 1->5 in phase Phase.DIRECT"]
 
 
 class TestPlanAccessors:
     def test_messages_from_and_to(self, cross_region_pattern, mapping):
         plan = plan_standard(cross_region_pattern, mapping)
-        assert {m.dest for m in plan.messages_from(0)} == {4, 5}
-        assert {m.src for m in plan.messages_to(5)} == {0, 1}
+        assert {m.dest for m in plan.messages() if m.src == 0} == {4, 5}
+        assert {m.src for m in plan.messages() if m.dest == 5} == {0, 1}
         assert plan.n_messages == 4
 
     def test_statistics_sender_side(self, cross_region_pattern, mapping):
@@ -84,19 +123,6 @@ class TestPlanAccessors:
         assert plan.statistics().global_bytes[0] == 4
 
 
-def tampered(plan, phase, *, extra=(), drop_last=False):
-    """A copy of ``plan`` whose ``phase`` lost or gained messages.
-
-    Plans are immutable (phase tables have no mutators), so tampering means
-    building a new plan from an edited message list.
-    """
-    messages = list(plan.phases[phase])
-    if drop_last:
-        messages.pop()
-    return dataclasses.replace(
-        plan, phases={**plan.phases, phase: messages + list(extra)})
-
-
 class TestPlanValidation:
     def test_all_variants_validate(self, cross_region_pattern, mapping):
         for plan in (plan_standard(cross_region_pattern, mapping),
@@ -112,31 +138,31 @@ class TestPlanValidation:
 
     def test_spurious_delivery_detected(self, cross_region_pattern, mapping):
         plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 999, 3)])])
+            (2, 3, [(2, 999, 3)])])
         with pytest.raises(PlanError, match="spurious"):
             plan.validate()
 
     def test_duplicate_delivery_detected(self, cross_region_pattern, mapping):
         plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
-            PlannedMessage(phase=Phase.DIRECT, src=1, dest=2, slots=[Slot(1, 111, 2)])])
+            (1, 2, [(1, 111, 2)])])
         with pytest.raises(PlanError, match="more than once"):
             plan.validate()
 
     def test_global_phase_must_cross_regions(self, cross_region_pattern, mapping):
         plan = tampered(plan_partial(cross_region_pattern, mapping), Phase.GLOBAL, extra=[
-            PlannedMessage(phase=Phase.GLOBAL, src=2, dest=3, slots=[Slot(2, 5, 3)])])
+            (2, 3, [(2, 5, 3)])])
         with pytest.raises(PlanError, match="stays"):
             plan.validate()
 
     def test_local_phase_must_stay_in_region(self, cross_region_pattern, mapping):
         plan = tampered(plan_partial(cross_region_pattern, mapping), Phase.LOCAL, extra=[
-            PlannedMessage(phase=Phase.LOCAL, src=2, dest=6, slots=[Slot(2, 5, 6)])])
+            (2, 6, [(2, 5, 6)])])
         with pytest.raises(PlanError, match="crosses"):
             plan.validate()
 
     def test_terminal_slot_destination_checked(self, cross_region_pattern, mapping):
         plan = tampered(plan_standard(cross_region_pattern, mapping), Phase.DIRECT, extra=[
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 5, 7)])])
+            (2, 3, [(2, 5, 7)])])
         with pytest.raises(PlanError, match="bound for"):
             plan.validate()
 
@@ -150,9 +176,9 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             table.srcs[0] = 3
         with pytest.raises(TypeError):
-            table[0] = table[1]
+            table[0] = None
         copy = tampered(plan, Phase.DIRECT, extra=[
-            PlannedMessage(phase=Phase.DIRECT, src=2, dest=3, slots=[Slot(2, 5, 3)])])
+            (2, 3, [(2, 5, 3)])])
         assert copy.cache_token is None
         assert copy.statistics().total_local_messages \
             == original.total_local_messages + 1

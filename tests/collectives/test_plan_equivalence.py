@@ -1,19 +1,28 @@
 """Golden-equivalence tests: columnar planner vs the kept slot-list reference.
 
 The columnar planner (:mod:`repro.collectives.planner`) must be a pure
-performance change: for any pattern, mapping, and variant it has to produce
-*byte-identical* phases (same messages in the same order, same slots in the
-same order), identical payload keys, identical self-deliveries, and identical
-statistics to the seed's Slot-list implementation, which is preserved verbatim
-in ``reference_planner.py`` for exactly this comparison.
+performance change: for any pattern, mapping, and variant every column of
+every phase table — endpoints, slots, payload and interned payload keys, in
+order — must equal the seed's Slot-list implementation's messages stacked
+into the same columns, and the self-deliveries, statistics and delivery
+multisets must agree.  The seed implementation is preserved verbatim in
+``reference_planner.py`` for exactly this comparison.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from plan_tables import phase_table
 from reference_planner import reference_all_plans, reference_make_plan
 
-from repro.collectives.plan import SlotTable, Variant
+from repro.collectives.plan import (
+    TERMINAL_PHASES,
+    PhaseTable,
+    SlotTable,
+    Variant,
+)
 from repro.collectives.planner import all_plans, make_plan
 from repro.pattern.builders import (
     halo_exchange_pattern,
@@ -24,28 +33,49 @@ from repro.topology.mapping import MappingKind, RankMapping
 from repro.topology.presets import lassen_like, paper_mapping
 
 
+def _multiset(origins, items, dests):
+    return dict(Counter(zip(origins.tolist(), items.tolist(), dests.tolist())))
+
+
+def _planned_deliveries(plan):
+    """``(origin, item, final_dest)`` multiset of the terminal phases' slots
+    plus the self-deliveries."""
+    tables = [plan.phases[phase] for phase in TERMINAL_PHASES[plan.variant]
+              if phase in plan.phases]
+    own = plan.self_deliveries
+    return _multiset(np.concatenate([t.origins for t in tables] + [own.origin]),
+                     np.concatenate([t.items for t in tables] + [own.item]),
+                     np.concatenate([t.final_dests for t in tables]
+                                    + [own.final_dest]))
+
+
 def assert_plans_identical(plan, reference):
-    """Field-by-field comparison of a columnar plan against a reference plan."""
+    """Column-by-column comparison of a planner plan against a reference plan."""
     assert plan.variant is reference.variant
     assert set(plan.phases) == set(reference.phases)
-    for phase in plan.phases:
-        ours, theirs = plan.phases[phase], reference.phases[phase]
-        assert len(ours) == len(theirs), f"message count differs in phase {phase}"
-        for message, expected in zip(ours, theirs):
-            assert message.phase is expected.phase
-            assert (message.src, message.dest) == (expected.src, expected.dest)
-            assert message.slots == expected.slots
-            assert message.payload_keys == expected.payload_keys
-            assert message.payload_count() == expected.payload_count()
-    assert list(plan.self_deliveries) == list(reference.self_deliveries)
+    for phase, messages in reference.phases.items():
+        ours = plan.phases[phase]
+        theirs = phase_table(reference.pattern, phase, [
+            (m.src, m.dest, m.slots, m.payload_keys) for m in messages])
+        assert ours.phase is phase
+        for name in PhaseTable.COLUMNS:
+            column = getattr(ours, name)
+            assert column.dtype == np.int64, f"{phase}:{name}"
+            np.testing.assert_array_equal(column, getattr(theirs, name),
+                                          err_msg=f"{phase}:{name}")
+    own = plan.self_deliveries
+    np.testing.assert_array_equal(
+        np.stack([own.origin, own.item, own.final_dest], axis=1),
+        np.array(reference.self_deliveries, dtype=np.int64).reshape(-1, 3))
 
     ours, theirs = plan.statistics(), reference.statistics()
     for field in ("local_messages", "global_messages", "local_bytes",
                   "global_bytes"):
         np.testing.assert_array_equal(getattr(ours, field), getattr(theirs, field),
                                       err_msg=f"statistics field {field}")
-    assert plan.required_deliveries() == reference.required_deliveries()
-    assert plan.planned_deliveries() == reference.planned_deliveries()
+    origins, dests, items = plan.pattern.edge_arrays()
+    assert _multiset(origins, items, dests) == reference.required_deliveries()
+    assert _planned_deliveries(plan) == reference.planned_deliveries()
     plan.validate()
     reference.validate()
 
@@ -106,19 +136,18 @@ def test_all_plans_matches_reference_with_shared_assignment(seed):
         assert_plans_identical(plans[variant], references[variant])
 
 
-class TestSlotTableView:
-    """The lazy per-slot compatibility views over the columnar storage."""
+class TestSlotTable:
+    """The self-delivery columns: read-only, never aliasing a caller's array."""
 
-    def test_round_trip_through_slots(self):
+    def test_concat_and_equality(self):
         table = SlotTable([0, 1, 1], [10, 11, 12], [2, 3, 3])
         assert len(table) == 3
-        assert SlotTable.from_slots(table.to_slots()) == table
-
-    def test_iteration_and_indexing(self):
-        table = SlotTable([5], [7], [9])
-        (slot,) = list(table)
-        assert (slot.origin, slot.item, slot.final_dest) == (5, 7, 9)
-        assert table[0] == slot
+        parts = [SlotTable([0], [10], [2]), SlotTable.empty(),
+                 SlotTable([1, 1], [11, 12], [3, 3])]
+        assert SlotTable.concat(parts) == table
+        assert SlotTable.concat([table]) is table
+        assert SlotTable.concat([]) == SlotTable.empty()
+        assert table != SlotTable([0, 1, 1], [10, 11, 13], [2, 3, 3])
 
     def test_columns_are_read_only(self):
         table = SlotTable([1], [2], [3])
@@ -143,24 +172,3 @@ class TestSlotTableView:
         table = SlotTable(view, [4, 5, 6], [7, 8, 9])
         base[0] = 99
         assert table.origin.tolist() == [1, 2, 3]
-
-    def test_planned_message_field_equality(self):
-        from repro.collectives.plan import Phase, PlannedMessage, Slot
-        a = PlannedMessage(phase=Phase.DIRECT, src=0, dest=1,
-                           slots=[Slot(0, 7, 1)])
-        b = PlannedMessage(phase=Phase.DIRECT, src=0, dest=1,
-                           slots=[Slot(0, 7, 1)])
-        c = PlannedMessage(phase=Phase.DIRECT, src=0, dest=1,
-                           slots=[Slot(0, 8, 1)])
-        assert a == b
-        assert a != c
-
-    def test_message_slots_view_is_lazy_and_cached(self):
-        pattern = random_pattern(16, avg_neighbors=5, seed=41)
-        plan = make_plan(pattern, paper_mapping(16, ranks_per_node=4),
-                         Variant.FULL)
-        message = next(plan.messages())
-        assert message._slots_view is None
-        view = message.slots
-        assert view is message.slots          # cached
-        assert len(view) == len(message.table)

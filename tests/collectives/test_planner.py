@@ -100,8 +100,8 @@ class TestAggregatedPlans:
         full = plan_full(example_pattern, mapping)
         assert full.global_payload_items() < partial.global_payload_items()
         # The routing work (slots) is identical; only the payload shrinks.
-        assert sum(len(m.slots) for m in full.messages(Phase.GLOBAL)) == \
-            sum(len(m.slots) for m in partial.messages(Phase.GLOBAL))
+        assert sum(m.n_slots for m in full.messages(Phase.GLOBAL)) == \
+            sum(m.n_slots for m in partial.messages(Phase.GLOBAL))
         partial.validate()
         full.validate()
 

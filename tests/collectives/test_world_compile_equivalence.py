@@ -13,7 +13,8 @@ compiled world, the message columns
 and item ids equal outright, and every row of the compiled world one row of
 the reference's, across variants x patterns x mappings x element specs.  The
 world-level pass must reproduce the reference compiler's :class:`PlanError`
-diagnostics for malformed plans.
+diagnostics for malformed plans.  ``TestRowMap`` pins the reference's own
+key interning.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from plan_tables import phase_table, tampered
 from reference_staging import _stage
 from reference_world_compile import (
+    _RowMap,
     compile_exchange,
     compile_world_exchange_reference,
 )
 
 from repro.collectives import Variant, make_plan
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
-from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
+from repro.collectives.plan import CollectivePlan, Phase
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
 from repro.simmpi import ExchangeEngine
 from repro.topology import paper_mapping
@@ -168,11 +171,7 @@ def _unsendable_plan():
     pattern = CommPattern(3, {0: {1: [0]}, 1: {2: [7]}})
     mapping = paper_mapping(3, ranks_per_node=3)
     plan = make_plan(pattern, mapping, Variant.STANDARD)
-    bogus = PlannedMessage(Phase.DIRECT, 1, 2, slots=[(0, 99, 2)])
-    phases = {Phase.DIRECT: plan.phases[Phase.DIRECT] + [bogus]}
-    return CollectivePlan(variant=Variant.STANDARD, pattern=pattern,
-                          mapping=mapping, phases=phases,
-                          self_deliveries=plan.self_deliveries)
+    return tampered(plan, Phase.DIRECT, extra=[(1, 2, [(0, 99, 2)])])
 
 
 def test_world_compile_reports_unobtainable_send_like_reference():
@@ -189,10 +188,67 @@ def test_world_compile_reports_undelivered_result_like_reference():
     mapping = paper_mapping(2, ranks_per_node=2)
     plan = make_plan(pattern, mapping, Variant.STANDARD)
     # Drop the only direct message: item 0/1 can no longer reach rank 1.
-    broken = CollectivePlan(variant=Variant.STANDARD, pattern=pattern,
-                            mapping=mapping, phases={Phase.DIRECT: []},
-                            self_deliveries=plan.self_deliveries)
+    broken = CollectivePlan(
+        variant=Variant.STANDARD, pattern=pattern, mapping=mapping,
+        phases={Phase.DIRECT: phase_table(pattern, Phase.DIRECT, [])},
+        self_deliveries=plan.self_deliveries)
     with pytest.raises(PlanError, match="no phase of"):
         compile_world_exchange_reference(broken)
     with pytest.raises(PlanError, match="no phase of"):
         compile_world_exchange(broken)
+
+
+class TestRowMap:
+    """``_RowMap``: the ``(origin, item) -> row`` interning the per-rank
+    oracle numbers each rank's keys with."""
+
+    @staticmethod
+    def _row_map():
+        """Owned keys ``(0, 5), (0, 7), (1, 5)`` on rows 0, 1, 2."""
+        return _RowMap(np.array([0, 0, 1]), np.array([5, 7, 5]))
+
+    def test_owned_keys_occupy_the_first_rows(self):
+        rows = self._row_map()
+        assert rows.n_rows == 3
+        assert rows.resolve(np.array([1, 0, 0]), np.array([5, 7, 5]),
+                            allow_new=False).tolist() == [2, 1, 0]
+
+    def test_same_item_of_different_origins_is_distinct(self):
+        rows = self._row_map()
+        assert rows.resolve(np.array([0, 1]), np.array([5, 5]),
+                            allow_new=False).tolist() == [0, 2]
+
+    def test_unknown_keys_are_marked_without_allow_new(self):
+        rows = self._row_map()
+        assert rows.resolve(np.array([2, 0]), np.array([5, 9]),
+                            allow_new=False).tolist() == [-1, -1]
+        assert rows.n_rows == 3
+
+    def test_new_keys_get_rows_in_first_appearance_order(self):
+        rows = self._row_map()
+        got = rows.resolve(np.array([2, 0, 2, 1]), np.array([5, 9, 5, 5]),
+                           allow_new=True)
+        # (2, 5) appears first, then (0, 9); the repeat shares its row.
+        assert got.tolist() == [3, 4, 3, 2]
+        assert rows.n_rows == 5
+
+    def test_registered_keys_resolve_in_later_batches(self):
+        rows = self._row_map()
+        rows.resolve(np.array([2]), np.array([5]), allow_new=True)
+        rows.resolve(np.array([0]), np.array([9]), allow_new=True)
+        assert rows.resolve(np.array([0, 2, 0]), np.array([9, 5, 7]),
+                            allow_new=False).tolist() == [4, 3, 1]
+
+    def test_empty_query_returns_no_rows(self):
+        rows = self._row_map()
+        empty = np.empty(0, dtype=np.int64)
+        got = rows.resolve(empty, empty, allow_new=True)
+        assert got.size == 0 and rows.n_rows == 3
+
+    def test_empty_map_interns_from_row_zero(self):
+        empty = np.empty(0, dtype=np.int64)
+        rows = _RowMap(empty, empty)
+        assert rows.n_rows == 0
+        assert rows.resolve(np.array([3, 3]), np.array([1, 1]),
+                            allow_new=True).tolist() == [0, 0]
+        assert rows.n_rows == 1

@@ -1,12 +1,15 @@
-"""The library has one execution runtime: the world exchange engine.
+"""The library has one execution runtime, and a plan has one form.
 
 Every collective, product, smoother sweep and coarse gather runs through the
 batched :class:`~repro.simmpi.engine.ExchangeEngine`.  The thread-per-rank,
 envelope-routed simulator (mailbox fabric, requests, communicators, the
 SPMD world, graph communicators) and the per-rank collective built on it
-were deleted.  This guard keeps them deleted: it fails if one of their
-module files exists again, or if any module under ``src/``, ``examples/`` or
-``bench/`` defines, imports or references one of their public names.
+were deleted.  So was a plan's per-message object form: a plan is only its
+phase-table columns, with no slot tuples, message-list input, per-rank
+message accessors, dict delivery multisets or slot-list helpers.  This guard
+keeps both deleted: it fails if one of the runtime's module files exists
+again, or if any module under ``src/``, ``examples/`` or ``bench/`` defines,
+imports or references one of the deleted names.
 """
 
 from __future__ import annotations
@@ -27,9 +30,22 @@ GUARDED = ("src", "examples", "bench")
 DELETED_MODULES = ("mailbox", "request", "comm", "world", "topo_comm")
 
 #: Public names of the deleted runtime and the per-rank collective API.
-DELETED_NAMES = {"PersistentNeighborCollective", "neighbor_alltoallv_init",
+RUNTIME_NAMES = {"PersistentNeighborCollective", "neighbor_alltoallv_init",
                  "run_spmd", "SimWorld", "SimComm",
                  "dist_graph_create_adjacent", "Envelope"}
+
+#: Names of the deleted per-message plan form and the helpers beside it.
+#: (``SlotTable.take`` is gone too, but ``take`` is ``np.take`` elsewhere.)
+PLAN_OBJECT_NAMES = {"Slot", "from_slots", "to_slots", "from_table", "_fill",
+                     "from_messages", "_cut", "_views", "messages_from",
+                     "messages_to", "_matching", "required_deliveries",
+                     "planned_deliveries", "_columns_to_multiset",
+                     "unique_pairs_first_appearance", "unique_payload_keys",
+                     "duplicate_item_count", "group_slots_by_final_dest",
+                     "dedup_savings_fraction", "_pair_columns",
+                     "neighbor_lists", "_RowMap"}
+
+DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES
 
 _DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
 
@@ -111,6 +127,11 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "class SimComm:\n    pass",
     "def dist_graph_create_adjacent(comm):\n    pass",
     "Envelope = tuple",
+    "from repro.collectives.plan import Slot",
+    "from repro.collectives import unique_payload_keys",
+    "plan.messages_from(0)",
+    "class _RowMap:\n    pass",
+    "from repro.pattern import neighbor_lists",
     """
     def later():
         from repro.simmpi.world import helper
@@ -126,6 +147,9 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.api import neighbor_alltoallv_init_world",
     "from repro.collectives.persistent import WorldNeighborCollective",
     "from repro.simmpi.procs import ProcsPool",
+    "from repro.collectives.plan import PhaseTable, PlannedMessage, SlotTable",
+    "from repro.collectives.dedup import unique_keys_segmented",
+    "np.take(work, rows, axis=0)",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.pattern.builders import (
     halo_exchange_pattern,
-    neighbor_lists,
     pattern_from_edges,
     random_pattern,
 )
@@ -233,10 +232,3 @@ class TestHaloPattern:
         for src, dest, _ in pattern.edges():
             assert pattern.send_items(dest, src).size > 0  # symmetric neighbours
 
-
-class TestNeighborLists:
-    def test_matches_pattern_views(self, small_pattern):
-        for rank in range(small_pattern.n_ranks):
-            sources, destinations = neighbor_lists(small_pattern, rank)
-            assert sources.tolist() == small_pattern.recv_ranks(rank)
-            assert destinations.tolist() == small_pattern.send_ranks(rank)
