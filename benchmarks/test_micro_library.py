@@ -193,11 +193,10 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
     ``ExchangeEngine``.  Clock-free: every rank's result must be byte-equal
     to the closed-form oracle (the value its source owns of every received
     item), and what makes the engine fast is counted — a round is one
-    ``_execute`` and one kernel ``gather`` per non-terminal receive step plus
+    ``_execute`` and one ``take`` per non-terminal receive step plus
     the output gather (which makes the terminal deliveries), whatever the
     rank or message count.
     """
-    from repro.collectives import kernels
     from repro.simmpi import ExchangeEngine
 
     n_ranks = 1024
@@ -206,7 +205,7 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
     mapping = paper_mapping(n_ranks, ranks_per_node=16)
     plan = make_plan(pattern, mapping, Variant.STANDARD)
 
-    # The numpy kernels are Python functions, so their calls are countable.
+    # Every gather is one ``ndarray.take`` call, so gathers are countable.
     with ExchangeEngine(n_ranks, runtime="engine") as engine:
         collective = WorldNeighborCollective(plan, engine=engine)
         values = [100.0 * rank + collective.owned_item_ids(rank).astype(np.float64)
@@ -226,11 +225,10 @@ def test_micro_world_engine_speedup_over_envelope_path(count_calls):
         steps = engine._programs[collective.handle].steps
         assert [b - a for _, src, a, b in steps if src is not None] == [0]
         counts = [count_calls(engine_round, of=of)
-                  for of in ([ExchangeEngine._execute],
-                             [kernels._numpy_gather])]
+                  for of in ([ExchangeEngine._execute], [np.ndarray.take])]
         assert counts == [1, 0 + 1]     # non-terminal receive steps + output
     print(f"\n1024-rank exchange round ({plan.n_messages} messages): "
-          f"1 _execute, 1 kernel gather per round")
+          f"1 _execute, 1 take per round")
 
 
 def test_micro_array_path_speedup_over_dict_path(count_calls):
@@ -283,13 +281,12 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
     with the sequential ``BoomerAMGSolver``.  Clock-free: the iterates must be
     equal to the bit, and what made the engine cycle fast is counted instead
     of timed — five engine rounds per smoothed level plus the coarse gather,
-    one kernel ``gather`` per receive step, nothing validated after set-up, and
+    one ``take`` per receive step, nothing validated after set-up, and
     not one call more at 64 ranks than at 32 (no per-rank or per-message
     Python work on the solve path).
     """
     from repro.amg import BoomerAMGSolver, build_hierarchy
     from repro.amg.vcycle import WorldVCycle
-    from repro.collectives import kernels
     from repro.simmpi import ExchangeEngine
     from repro.simmpi import engine as engine_module
     from repro.sparse import ParCSRMatrix, RowPartition, rotated_anisotropic_diffusion
@@ -305,11 +302,11 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
                 paper_mapping(n_ranks, ranks_per_node=16))
 
     def counted_world_cycle(n_ranks):
-        """The iterate and ``(_execute, gather, _checked_steps, all)`` calls
+        """The iterate and ``(_execute, take, _checked_steps, all)`` calls
         of one cycle."""
         matrix, hierarchy, mapping = setup(n_ranks)
         iterates = []
-        # The numpy kernels are Python functions, so their calls are countable.
+        # Every gather is one ``ndarray.take`` call, so gathers are countable.
         with ExchangeEngine(n_ranks, runtime="engine") as engine:
             world = WorldVCycle(hierarchy, mapping, variant=Variant.STANDARD,
                                 engine=engine)
@@ -320,7 +317,7 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
 
             counts = tuple(
                 count_calls(cycle, of=of) for of in (
-                    [ExchangeEngine._execute], [kernels._numpy_gather],
+                    [ExchangeEngine._execute], [np.ndarray.take],
                     [engine_module._checked_steps], None))
             exchanges = [operator.collective.world for level in world.levels
                          for operator in (level.spmv,) * 3
@@ -342,7 +339,7 @@ def test_micro_world_vcycle_speedup_over_envelope_cycle(count_calls):
     assert np.array_equal(wider_x, world_x)     # the partition never shows
     assert wider_counts == counts
     print(f"\none V-cycle, 32 and 64 ranks: {counts[0]} engine rounds, "
-          f"{counts[1]} kernel gathers, {counts[3]} calls in all")
+          f"{counts[1]} takes, {counts[3]} calls in all")
 
 
 def test_micro_fused_kernel_speedup_over_unfused(count_calls):
@@ -447,7 +444,7 @@ def test_micro_procs_pool_speedup_over_single_process(count_calls):
     receive step keeps its slot with an empty range, and each worker's share
     of every other receive step is the even split.
     """
-    from repro.collectives import WorldNeighborCollective, kernels
+    from repro.collectives import WorldNeighborCollective
     from repro.simmpi import ExchangeEngine
     from repro.simmpi.procs import SharedBlock, _share
     from repro.utils.arrays import partition_evenly
@@ -460,7 +457,8 @@ def test_micro_procs_pool_speedup_over_single_process(count_calls):
     mapping = paper_mapping(n_ranks, ranks_per_node=16)
     plan = make_plan(pattern, mapping, Variant.FULL)
 
-    # The numpy kernels are Python functions, so their calls are countable.
+    # Every gather is one ``ndarray.take`` call, so gathers are countable;
+    # the workers' run in other processes and stay out of the count.
     with WorldNeighborCollective(plan, runtime="engine") as serial, \
             ExchangeEngine(n_ranks, runtime="procs",
                            n_workers=n_workers) as engine:
@@ -473,8 +471,7 @@ def test_micro_procs_pool_speedup_over_single_process(count_calls):
         results = []
         counts = [count_calls(lambda: results.append(pooled.exchange(values)),
                               of=of)
-                  for of in ([ExchangeEngine._execute],
-                             [kernels._numpy_gather])]
+                  for of in ([ExchangeEngine._execute], [np.ndarray.take])]
         assert counts == [1, 1]
         assert not engine.degraded and not engine.events
         for round_results in results:

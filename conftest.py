@@ -26,21 +26,42 @@ def count_calls():
     written as whole-array operations makes the same number of calls on a
     large input as on a small one, a per-row or per-edge Python loop does not.
     ``of=(function, ...)`` counts only entries into those Python functions
-    (matched by code object, whatever name the caller imported them under).
-    Earlier garbage is collected first, so a collection of it — and the
-    weakref callbacks that runs — never lands inside the count.
+    (matched by code object, whatever name the caller imported them under)
+    and calls of those C methods (a descriptor such as ``np.ndarray.take``,
+    matched by name and receiver type, however the caller reached it).
+    ``skip=(function, ...)`` counts a call of those Python functions but
+    nothing made inside it — e.g. a worker pool's wait for acknowledgements,
+    whose polling varies from run to run.  Earlier garbage is collected
+    first, so a collection of it — and the weakref callbacks that runs —
+    never lands inside the count.
     """
-    def counter(func, *args, of=None, **kwargs) -> int:
+    def counter(func, *args, of=None, skip=(), **kwargs) -> int:
         calls = 0
-        targets = None if of is None else {f.__code__ for f in of}
+        codes = methods = None
+        if of is not None:
+            codes = {f.__code__ for f in of if hasattr(f, "__code__")}
+            methods = [(f.__name__, f.__objclass__) for f in of
+                       if not hasattr(f, "__code__")]
+        skipped = {f.__code__ for f in skip}
+        inside = None       # the frame of the skipped call being run
         gc.collect()
 
         def on_event(frame, event, arg):
-            nonlocal calls
-            if targets is None:
+            nonlocal calls, inside
+            if inside is not None:
+                if event == "return" and frame is inside:
+                    inside = None
+                return
+            if event == "call" and frame.f_code in skipped:
+                inside = frame
+            if codes is None:
                 calls += event in ("call", "c_call")
-            elif event == "call" and frame.f_code in targets:
-                calls += 1
+            elif event == "call":
+                calls += frame.f_code in codes
+            elif event == "c_call":
+                calls += any(getattr(arg, "__name__", None) == name
+                             and isinstance(getattr(arg, "__self__", None), cls)
+                             for name, cls in methods)
 
         previous = sys.getprofile()
         sys.setprofile(on_event)

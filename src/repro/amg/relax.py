@@ -8,7 +8,9 @@ the solve phase whose SpMVs carry the communication being studied).
 :class:`DistributedJacobi` is the functional distributed form: the residual's
 SpMV (and therefore the halo exchange) runs through the world-stepped
 neighborhood collective of a :class:`~repro.sparse.spmv.WorldSpMV` — the same
-communication the paper times inside BoomerAMG's solve phase.
+communication the paper times inside BoomerAMG's solve phase.  Its sweep
+runs in place on caller-owned vectors; the sequential functions here are the
+out-of-place reference it is checked against.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ class DistributedJacobi:
 
     Wraps the operator's :class:`~repro.sparse.spmv.WorldSpMV` and smooths
     the global vectors for the whole communicator, one flat halo exchange per
-    sweep.  A sweep is the product, then one vector update against the
-    diagonal — bit for bit :func:`weighted_jacobi_iteration` on the assembled
-    global system.
+    sweep.  A sweep is the product, then the update against the diagonal
+    written step by step into one output array — bit for bit
+    :func:`weighted_jacobi_iteration` on the assembled global system, with no
+    temporaries when the caller owns that array (``sweep(b, x, out=y)``, as
+    the V-cycle does on its preallocated level vectors).
     """
 
     def __init__(self, spmv: "WorldSpMV", *, omega: float = 2.0 / 3.0):
@@ -85,15 +89,33 @@ class DistributedJacobi:
             raise ValidationError("Jacobi requires non-zero diagonal entries")
         self._diagonal = diagonal
 
-    def sweep(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """One weighted-Jacobi sweep (out of place)."""
+    def sweep(self, b: np.ndarray, x: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """One weighted-Jacobi sweep, ``x + omega * (b - A x) / diag``.
+
+        Every step is written into ``out`` — a float64 array of ``x``'s
+        shape overlapping neither ``b`` nor ``x`` — or into a new array when
+        it is ``None``, in the order the expression reads, so the iterate is
+        the same to the bit either way.  Returns ``out``.
+        """
         b = np.asarray(b, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         shape = self._diagonal.shape
         if b.shape != shape or x.shape != shape:
             raise ValidationError(f"b and x must have shape {shape}")
-        residual = b - self.spmv.multiply(x)
-        return x + self.omega * residual / self._diagonal
+        if out is None:
+            out = np.empty(shape)
+        elif not isinstance(out, np.ndarray) or out.shape != shape \
+                or out.dtype != np.float64 or np.may_share_memory(out, x) \
+                or np.may_share_memory(out, b):
+            raise ValidationError(
+                f"out must be a float64 array of shape {shape} that overlaps "
+                "neither b nor x")
+        self.spmv.multiply(x, out=out)           # A x
+        np.subtract(b, out, out=out)             # the residual b - A x
+        np.multiply(self.omega, out, out=out)
+        np.divide(out, self._diagonal, out=out)
+        return np.add(x, out, out=out)
 
     def smooth(self, b: np.ndarray, x: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
         """Run ``sweeps`` Jacobi sweeps."""

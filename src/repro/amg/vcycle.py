@@ -20,7 +20,11 @@ post-smooth.
   array and its vectors global, so one ``cycle`` call runs a whole V-cycle
   for *all* ranks with O(phases) numpy calls per level — no per-message
   Python work, and an iterate bit-equal to
-  :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.
+  :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.  It runs in place: each
+  level's vectors are allocated once, every product and smoother step is
+  written into one of them with ``out=`` in the order the out-of-place
+  expressions read, and only the caller's ``x`` is copied in and the result
+  copied out.
 * :class:`WorldAMGSolver` is the ``BoomerAMGSolver.solve``-equivalent built
   on top: the same stationary iteration
   (:func:`~repro.amg.solver.stationary_solve`) with residual norms computed
@@ -260,6 +264,15 @@ class WorldVCycle:
             self._coarse_collective = self._coarse_collectives[
                 build_variants[0]]
 
+        # The cycle's vectors, allocated once and shared by every candidate
+        # variant: per smoothed level the iterate and one more vector (A x,
+        # then the residual, then the prolonged correction), and per coarser
+        # level the right-hand side the restriction writes.
+        sizes = [level.matrix.n_rows for level in hierarchy.levels]
+        self._vectors = [(np.empty(size), np.empty(size))
+                         for size in sizes[:-1]]
+        self._rhs = [None] + [np.empty(size) for size in sizes[1:]]
+
         # Residual norms of an iterative solve need the fine operator even on
         # a single-level hierarchy, where no smoothing level exists.
         self.fine_spmv = self.levels[0].spmv if self.levels else \
@@ -416,19 +429,35 @@ class WorldVCycle:
         built = self.levels if active is None else self._variant_levels[active]
         return built[index]
 
-    def _cycle(self, index: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _cycle(self, index: int, b: np.ndarray) -> np.ndarray:
+        """The cycle from level ``index`` down, on the level's own vectors.
+
+        Starts from the iterate in the level's first vector and returns the
+        one of its two vectors that holds the new iterate (each sweep writes
+        into the other and the two swap) — on the coarsest level, the direct
+        solution.  Every update is the out-of-place expression's arithmetic
+        in its order, written with ``out=``, so the iterate is bit-equal.
+        """
         if index == self.hierarchy.n_levels - 1:
-            if self.hierarchy.levels[index].matrix.n_rows == 0:
-                return x
             return self._coarse_solve(b)
         level = self._level(index)
-        x = level.smoother.smooth(b, x, sweeps=self.pre_sweeps)
-        residual = b - level.spmv.multiply(x)
-        coarse_b = level.restrict.multiply(residual)
-        coarse_x = np.zeros(coarse_b.shape, dtype=np.float64)
-        coarse_x = self._cycle(index + 1, coarse_b, coarse_x)
-        x = x + level.prolong.multiply(coarse_x)
-        return level.smoother.smooth(b, x, sweeps=self.post_sweeps)
+        smoother = level.smoother
+        x, y = self._vectors[index]
+        for _ in range(self.pre_sweeps):
+            smoother.sweep(b, x, out=y)
+            x, y = y, x
+        level.spmv.multiply(x, out=y)
+        np.subtract(b, y, out=y)                # the residual b - A x
+        coarse_b = self._rhs[index + 1]
+        level.restrict.multiply(y, out=coarse_b)
+        if index + 1 < len(self._vectors):
+            self._vectors[index + 1][0].fill(0.0)   # the coarse start: zero
+        level.prolong.multiply(self._cycle(index + 1, coarse_b), out=y)
+        np.add(x, y, out=x)                     # x + P e
+        for _ in range(self.post_sweeps):
+            smoother.sweep(b, x, out=y)
+            x, y = y, x
+        return x
 
     def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply one V-cycle to ``A x = b`` for the whole communicator.
@@ -439,19 +468,24 @@ class WorldVCycle:
         round into it, and a cycle overlapped by engine fault recovery is
         discarded rather than scored — supervision stalls are not protocol
         cost.
+
+        ``x`` is copied into the cycle's own vectors and neither argument is
+        written; the result is a new array.
         """
         b = np.asarray(b, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if b.shape != (self.n_rows,) or x.shape != (self.n_rows,):
             raise ValidationError(f"b and x must have shape {(self.n_rows,)}")
+        if self._vectors:
+            self._vectors[0][0][...] = x
         if self._selector is None:
-            return self._cycle(0, b, x)
+            return self._cycle(0, b).copy()
         self._selector.begin_cycle()
         self._active = {level: self._selector.variant_for(level)
                         for level in self._selector.seeded_levels()}
         events_before = self._recovery_events()
         try:
-            result = self._cycle(0, b, x)
+            result = self._cycle(0, b).copy()
         except BaseException:
             self._selector.abort_cycle()
             raise

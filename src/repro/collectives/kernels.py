@@ -5,15 +5,18 @@ key, so a compiled phase's three passes — ``wire = work[gather]``, then
 ``work[scatter] = wire[perm]`` — compose into the indexed copy
 ``work[scatter] = work[gather[perm]]`` (the ``fused`` kernel, kept only for
 the frozen ``bench/`` kernel replay).  What runs is the compiler's layout:
-each phase's first deliveries are one contiguous slice, filled by
-``gather(work[:a], src, work[a:b])`` — in the parent on ``runtime="engine"``,
-one share of ``[a, b)`` per worker on ``runtime="procs"`` — and a fresh
-output is one more ``gather(work, result, out)`` in the parent, which also
-makes the deliveries of the phases no later step reads.  ``gather`` runs
-with ``mode="clip"`` (numpy's ``mode="raise"`` buffers ``out`` and costs
-3x): ``ExchangeEngine.register`` validates every index once, up front.
+each phase's first deliveries are one contiguous slice ``[a, b)``, filled
+from the rows ``src`` earlier steps wrote.  On ``runtime="engine"`` the
+parent does that itself with ``work[:a].take(src, 0, work[a:b], "clip")``,
+one C call per step with no Python frame around it; ``gather`` is what the
+``runtime="procs"`` workers run on their share of ``[a, b)``, and the one
+more ``gather(work, result, out)`` the parent makes for a fresh output,
+which also makes the deliveries of the phases no later step reads.  Every
+``take`` runs with ``mode="clip"`` (numpy's ``mode="raise"`` buffers ``out``
+and costs 3x): ``ExchangeEngine.register`` validates every index once, up
+front.
 
-There is one backend, plain numpy: a round is ``np.take`` into a slice.
+There is one backend, plain numpy: a round is ``take`` into a slice.
 """
 
 from __future__ import annotations

@@ -15,12 +15,15 @@ the vector itself and returns the round buffer ``[x | …]`` read-only, with
 Both engine runtimes execute the layout the compiler numbered: rows
 ``[owned (or the whole vector) | receive blocks a later step reads |
 terminal blocks]``, so loading is ``work[:n] = values``, a send step only
-accounts traffic, and a receive step is one ``gather(work[:a], src,
-work[a:b])`` — a ``take`` of rows earlier steps wrote into the slice it owns,
-never overlapping it.  :meth:`ExchangeEngine.register` only validates that
-program and remaps its head.  Every work row holds its ``(origin, item)``
-key's one per-iteration value; repeat deliveries leave the data path, not
-the accounting.
+accounts traffic (and is skipped when no profiler is attached), and a
+receive step is one ``work[:a].take(src, 0, work[a:b], "clip")`` — rows
+earlier steps wrote, taken into the slice the step owns, never overlapping
+it, called on the array itself.  :meth:`ExchangeEngine.register` only
+validates that program, remaps its head and fixes a bound handle's input
+test: a vector of exactly the registered shape and dtype is copied into the
+head as is; anything else goes through the full input check.  Every work
+row holds its ``(origin, item)`` key's one per-iteration value; repeat
+deliveries leave the data path, not the accounting.
 
 A fresh output is one more ``gather(work, result, out)`` into a new array.
 On an unbound handle a *terminal* receive step — one whose rows no later
@@ -29,8 +32,8 @@ at the step's sources, so that one pass both makes the last hop's deliveries
 and copies out what earlier steps delivered.  A bound handle keeps every
 block, because its round buffer *is* the output.
 
-* ``runtime="engine"`` (default) — the parent runs the steps itself with the
-  numpy ``gather``.
+* ``runtime="engine"`` (default) — the parent runs the steps itself, one
+  ``take`` each.
 * ``runtime="procs"`` — a persistent, supervised worker pool
   (:mod:`repro.simmpi.procs`): the work array and the receive steps' ``src``
   rows move into ``multiprocessing.shared_memory`` and every forked worker
@@ -133,7 +136,13 @@ class _RegisteredProgram:
     output entry.  Bound to a vector of ``vector_length`` entries, the head
     is that vector and ``work`` is what a round returns.  ``shared`` is set
     only while a ``runtime="procs"`` pool holds ``work`` and the ``src`` rows
-    in its two shared-memory segments (they are then views of those)."""
+    in its two shared-memory segments (they are then views of those).
+
+    A bound handle also fixes its fast path at registration: ``head`` is the
+    vector's rows of ``work`` as one 1-D view — an input of exactly its
+    shape and dtype is copied in with no further check — and ``buffer`` the
+    read-only flat view of ``work`` a round returns (``None`` while ``work``
+    is a shared segment, which hands out a copy instead)."""
 
     world: "WorldExchange"
     vector_length: Optional[int]
@@ -141,6 +150,8 @@ class _RegisteredProgram:
     steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]]
     result: np.ndarray
     shared: Optional["SharedProgram"] = None
+    head: Optional[np.ndarray] = None
+    buffer: Optional[np.ndarray] = None
 
 
 def _check_range(name: str, index: np.ndarray, bound: int) -> None:
@@ -411,6 +422,11 @@ class ExchangeEngine:
                 state.shared, state.work = shared, shared.work.array
                 state.steps = [(program, src, a, b) for (program, _, a, b), src
                                in zip(state.steps, shared.step_sources())]
+        if bound:
+            state.head = state.work[:vector_length, 0]
+            if state.shared is None:
+                state.buffer = state.work.reshape(-1)
+                state.buffer.flags.writeable = False
         self._programs.append(state)
         return len(self._programs) - 1
 
@@ -479,9 +495,13 @@ class ExchangeEngine:
         head, run the steps — on the pool, else here — select the result."""
         self._check_open()
         state = self._program(handle)
-        loaded = self._load_values(state, values)
-        work = state.work
-        work[:loaded.shape[0]] = loaded
+        work, head = state.work, state.head
+        if head is not None and isinstance(values, np.ndarray) \
+                and values.shape == head.shape and values.dtype == head.dtype:
+            head[...] = values          # a bound handle's own vector, as is
+        else:
+            loaded = self._load_values(state, values)
+            work[:loaded.shape[0]] = loaded
         delivered = False
         if state.shared is not None and not self._pool_failed:
             try:
@@ -494,11 +514,12 @@ class ExchangeEngine:
                 # re-runs below, on the same rows.
                 self._fall_back("run", exc)
         self._run_staged(state, delivered)
+        if state.buffer is not None:
+            return state.buffer         # the round buffer itself, read-only
         if state.vector_length is not None:
-            # Bound to the caller's vector: the round buffer itself, read-only
-            # — a private copy of it where the rows are a shared segment, so
-            # no shared-memory view escapes to the caller.
-            rows = (work if state.shared is None else work.copy()).reshape(-1)
+            # The rows are a shared segment: a private read-only copy, so no
+            # shared-memory view escapes to the caller.
+            rows = work.copy().reshape(-1)
             rows.flags.writeable = False
             return rows
         # One pass: the terminal deliveries, and the rows earlier steps made.
@@ -510,15 +531,19 @@ class ExchangeEngine:
 
     def _run_staged(self, state: _RegisteredProgram, delivered: bool) -> None:
         """One round's steps in the parent, in schedule order: every send
-        step accounted (one bulk record each), every receive step gathered
-        unless the pool already ``delivered`` it."""
-        work, gather = state.work, self._gather
+        step accounted (one bulk record each) when a profiler is attached,
+        every receive step gathered unless the pool already ``delivered`` it
+        — one ``take`` into the slice it owns, called on the array directly
+        (``np.take`` would add two Python frames per step)."""
+        work, account = state.work, self.profiler is not None
         for program, src, a, b in state.steps:
             if src is None:
-                self._account(program)
+                if account:
+                    self._account(program)
             elif b > a and not delivered:
-                # Sources are rows of earlier steps (< a): no overlap.
-                gather(work[:a], src, work[a:b])
+                # Sources are rows of earlier steps (< a): no overlap.  Indices
+                # were validated at register, so "clip" never clips.
+                work[:a].take(src, 0, work[a:b], "clip")
 
     def _fall_back(self, command: str, exc: WorkerError) -> None:
         """Degrade permanently to the single-process path after pool failure.
@@ -579,7 +604,7 @@ class ExchangeEngine:
 
     def _account(self, program: "WorldPhaseProgram") -> None:
         """Bulk-record the phase's messages with the attached profiler."""
-        if self.profiler is None or program.msg_sources.size == 0:
+        if program.msg_sources.size == 0:
             return
         self.profiler.record_batch(program.msg_sources, program.msg_dests,
                                    program.msg_nbytes, tag=program.tag)

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+# The kernel ``csr_matrix @ vector`` ends in; public ``@`` has no ``out=``.
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
@@ -113,7 +115,9 @@ class WorldSpMV:
     columns rewritten once onto the engine's round buffer, so ``multiply`` is
     what hypre runs per process, once for all ranks: one engine round — every
     receive step run, every message accounted — then one product, equal bit
-    for bit to ``matrix.matrix @ x``.
+    for bit to ``matrix.matrix @ x``.  The product is the ``csr_matvec``
+    call ``operator @ buffer`` itself makes, so it can be written into a
+    caller's ``out`` array instead of a new one.
     """
 
     def __init__(self, matrix: ParCSRMatrix, mapping: RankMapping, *,
@@ -134,10 +138,15 @@ class WorldSpMV:
             strategy=strategy, engine=engine, profiler=profiler,
             runtime=runtime, n_workers=n_workers, vector_length=matrix.n_cols)
         self._handle = handle = collective.handle
-        self._operator = _operator_on_buffer(
+        self._operator = operator = _operator_on_buffer(
             matrix.stacked_blocks(), collective.world,
             collective.engine.halo_rows(handle),
             collective.engine.buffer_length(handle))
+        # What ``operator @ buffer`` passes to ``csr_matvec``, and the dtype
+        # of the product it allocates.
+        self._matvec_args = (operator.shape[0], operator.shape[1],
+                             operator.indptr, operator.indices, operator.data)
+        self._dtype = np.result_type(operator.dtype, collective.world.spec.dtype)
 
     def close(self) -> None:
         """Release the halo collective's private engine (workers, segments)."""
@@ -149,7 +158,28 @@ class WorldSpMV:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def multiply(self, x: np.ndarray) -> np.ndarray:
+    def multiply(self, x: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
         """``A @ x`` for the *global* ``(n_cols,)`` input array (the engine
-        validates it): one engine round, one product over its round buffer."""
-        return self._operator @ self.collective.engine.run(self._handle, x)
+        validates it): one engine round, one product over its round buffer.
+
+        The product goes into ``out`` when given — a writeable contiguous
+        ``(n_rows,)`` array of the product's dtype (float64 for a real
+        operator) other than ``x``, overwritten — and into a new array
+        otherwise; either way it is returned.
+        """
+        if out is None:
+            out = np.zeros(self.n_rows, dtype=self._dtype)
+        elif not isinstance(out, np.ndarray) or out is x \
+                or out.shape != (self.n_rows,) or out.dtype != self._dtype \
+                or not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValidationError(
+                f"out must be a writeable contiguous {self._dtype} array of "
+                f"shape ({self.n_rows},) other than x, got "
+                f"{getattr(out, 'dtype', type(out))} "
+                f"{getattr(out, 'shape', '')}")
+        else:
+            out.fill(0)
+        csr_matvec(*self._matvec_args,
+                   self.collective.engine.run(self._handle, x), out)
+        return out

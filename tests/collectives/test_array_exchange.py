@@ -130,15 +130,17 @@ class TestArrayPathDeliversCorrectData:
 class TestZeroPerItemWork:
     """Regression guard: an exchange round is O(phases), not O(items).
 
-    One round of a two-rank partially optimized exchange is counted (Python
-    + C calls, and entries into the numpy gather kernel); neither count may
-    change when the item count grows 100-fold — every receive step moves
-    through one ``take`` regardless of its size.
+    One round of a two-rank partially optimized exchange is counted (the
+    Python + C calls the parent makes, and its ``ndarray.take`` gathers);
+    neither count may change when the item count grows 100-fold — every
+    receive step moves through one ``take`` regardless of its size.  On
+    ``runtime="procs"`` the pool's wait for its workers is left out: how
+    often it polls depends on the machine, not on the items.
     """
 
     @staticmethod
     def _count_ops(count_calls, n_items):
-        from repro.collectives import kernels
+        from repro.simmpi.procs import ProcsPool
 
         mapping = paper_mapping(2, ranks_per_node=1)
         pattern = pattern_from_edges(2, [
@@ -156,8 +158,8 @@ class TestZeroPerItemWork:
                 assert np.array_equal(received[1], values[0])
 
             one_round()
-            return (count_calls(one_round),
-                    count_calls(one_round, of=[kernels._numpy_gather]))
+            return (count_calls(one_round, skip=[ProcsPool.run]),
+                    count_calls(one_round, of=[np.ndarray.take]))
 
     def test_op_count_independent_of_item_count(self, count_calls):
         small = self._count_ops(count_calls, 10)
@@ -165,7 +167,7 @@ class TestZeroPerItemWork:
         assert small == large
         # At most one gather per receive step of the partial schedule
         # (local, setup redistribution, global, final redistribution) plus
-        # the output gather.
+        # the output gather; on a pool the workers make the first four.
         assert 1 <= small[1] <= 5
 
 
