@@ -8,8 +8,8 @@ It contains:
   locality-aware (three-step aggregation), and deduplicating implementations,
   plus model-driven dynamic selection (:mod:`repro.collectives`);
 * every substrate the evaluation depends on -- machine topology and rank
-  placement (:mod:`repro.topology`), communication performance models
-  (:mod:`repro.perfmodel`), a simulated MPI runtime (:mod:`repro.simmpi`),
+  placement (:mod:`repro.topology`), the locality-aware communication cost
+  model (:mod:`repro.perfmodel`), a simulated MPI runtime (:mod:`repro.simmpi`),
   communication patterns (:mod:`repro.pattern`), ParCSR-style distributed
   matrices and SpMV (:mod:`repro.sparse`), and a BoomerAMG-style solver
   (:mod:`repro.amg`);

@@ -3,24 +3,18 @@
 The paper evaluates its collectives inside the solve phase of Hypre's
 BoomerAMG; this package provides the equivalent substrate: classical strength
 of connection, PMIS coarsening, direct interpolation, Galerkin coarse
-operators, weighted-Jacobi / Gauss-Seidel relaxation, and a V-cycle solver.
+operators, weighted-Jacobi relaxation, and a V-cycle solver.
 Each level keeps a distributed view (partition inherited from the fine grid),
 from which :mod:`repro.amg.comm_analysis` extracts the per-level SpMV
 communication patterns that Figures 8-13 are built on.
 """
 
 from repro.amg.strength import classical_strength
-from repro.amg.coarsen import pmis_coarsening, SplittingResult, CPOINT, FPOINT
+from repro.amg.coarsen import pmis_coarsening, SplittingResult, CPOINT
 from repro.amg.interp import direct_interpolation
 from repro.amg.galerkin import galerkin_product
-from repro.amg.relax import (
-    DistributedJacobi,
-    jacobi,
-    weighted_jacobi_iteration,
-    gauss_seidel_iteration,
-)
+from repro.amg.relax import DistributedJacobi, weighted_jacobi_iteration
 from repro.amg.hierarchy import (
-    AMGLevel,
     AMGHierarchy,
     build_hierarchy,
     redistribute_hierarchy,
@@ -33,9 +27,7 @@ from repro.amg.vcycle import (
 )
 from repro.amg.comm_analysis import (
     level_patterns,
-    level_partitions,
     level_transfer_patterns,
-    TransferPatterns,
     LevelCommProfile,
     hierarchy_comm_profiles,
 )
@@ -45,14 +37,10 @@ __all__ = [
     "pmis_coarsening",
     "SplittingResult",
     "CPOINT",
-    "FPOINT",
     "direct_interpolation",
     "galerkin_product",
     "DistributedJacobi",
-    "jacobi",
     "weighted_jacobi_iteration",
-    "gauss_seidel_iteration",
-    "AMGLevel",
     "AMGHierarchy",
     "build_hierarchy",
     "redistribute_hierarchy",
@@ -62,9 +50,7 @@ __all__ = [
     "WorldAMGSolver",
     "coarse_gather_pattern",
     "level_patterns",
-    "level_partitions",
     "level_transfer_patterns",
-    "TransferPatterns",
     "LevelCommProfile",
     "hierarchy_comm_profiles",
 ]

@@ -21,7 +21,6 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
 from repro.perfmodel.base import CostModel
 from repro.sparse.comm_pkg import pattern_from_parcsr
-from repro.sparse.partition import RowPartition
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
 
@@ -33,11 +32,6 @@ def level_patterns(hierarchy: AMGHierarchy, *, item_bytes: int | None = None,
     return [pattern_from_parcsr(level.matrix, item_bytes=item_bytes,
                                 dtype=dtype, item_size=item_size)
             for level in hierarchy.levels]
-
-
-def level_partitions(hierarchy: AMGHierarchy) -> List[RowPartition]:
-    """The row partition of every level."""
-    return [level.matrix.partition for level in hierarchy.levels]
 
 
 @dataclass

@@ -181,6 +181,9 @@ def build_hierarchy(matrix: ParCSRMatrix, *,
     when ``max_levels`` is reached, or when a level fails to shrink by at least
     ``1 - min_coarsening_ratio`` (stagnation guard).
     """
+    if not isinstance(matrix, ParCSRMatrix):
+        raise ValidationError(
+            f"build_hierarchy needs a ParCSRMatrix, got {type(matrix).__name__}")
     check_positive_int("max_levels", max_levels)
     check_positive_int("max_coarse_size", max_coarse_size)
     check_one_partition(matrix, "build_hierarchy")

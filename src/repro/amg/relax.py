@@ -1,16 +1,17 @@
-"""Relaxation (smoothing) methods for the V-cycle.
+"""Weighted-Jacobi relaxation (smoothing) for the V-cycle.
 
-Weighted Jacobi and forward Gauss-Seidel; Hypre's default hybrid
-Gauss-Seidel reduces to plain Gauss-Seidel in a sequential setting, so both of
-the library's smoothers cover the behaviour that matters here (convergence of
-the solve phase whose SpMVs carry the communication being studied).
+Weighted Jacobi is the library's one smoother; it carries the behaviour that
+matters here, the convergence of the solve phase whose SpMVs carry the
+communication being studied.
 
 :class:`DistributedJacobi` is the functional distributed form: the residual's
 SpMV (and therefore the halo exchange) runs through the world-stepped
 neighborhood collective of a :class:`~repro.sparse.spmv.WorldSpMV` — the same
 communication the paper times inside BoomerAMG's solve phase.  Its sweep
-runs in place on caller-owned vectors; the sequential functions here are the
-out-of-place reference it is checked against.
+runs in place on caller-owned vectors; :func:`weighted_jacobi_iteration` is
+the out-of-place sweep on the assembled matrix, which the sequential
+:class:`~repro.amg.solver.BoomerAMGSolver` runs and the sweep is checked
+against.
 """
 
 from __future__ import annotations
@@ -45,27 +46,6 @@ def weighted_jacobi_iteration(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, *,
         raise ValidationError("Jacobi requires non-zero diagonal entries")
     residual = b - A @ x
     return x + omega * residual / diag
-
-
-def gauss_seidel_iteration(A: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One forward Gauss-Seidel sweep (out of place)."""
-    A = _check_system(A, b, x)
-    lower = sp.tril(A, k=0, format="csr")
-    upper = A - lower
-    rhs = b - upper @ x
-    updated = sp.linalg.spsolve_triangular(lower.tocsr(), rhs, lower=True)
-    return np.asarray(updated, dtype=np.float64)
-
-
-def jacobi(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, *, sweeps: int = 1,
-           omega: float = 2.0 / 3.0) -> np.ndarray:
-    """Run ``sweeps`` weighted-Jacobi iterations."""
-    if sweeps < 0:
-        raise ValidationError("sweeps must be >= 0")
-    result = np.array(x, dtype=np.float64, copy=True)
-    for _ in range(sweeps):
-        result = weighted_jacobi_iteration(A, b, result, omega=omega)
-    return result
 
 
 class DistributedJacobi:
@@ -116,12 +96,3 @@ class DistributedJacobi:
         np.multiply(self.omega, out, out=out)
         np.divide(out, self._diagonal, out=out)
         return np.add(x, out, out=out)
-
-    def smooth(self, b: np.ndarray, x: np.ndarray, *, sweeps: int = 1) -> np.ndarray:
-        """Run ``sweeps`` Jacobi sweeps."""
-        if sweeps < 0:
-            raise ValidationError("sweeps must be >= 0")
-        result = np.array(x, dtype=np.float64, copy=True)
-        for _ in range(sweeps):
-            result = self.sweep(b, result)
-        return result

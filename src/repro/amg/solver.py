@@ -29,6 +29,7 @@ from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
 from repro.amg.relax import weighted_jacobi_iteration
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.utils.errors import SolverError, ValidationError
+from repro.utils.validation import check_non_negative_int
 
 
 @dataclass
@@ -57,6 +58,21 @@ class SolveResult:
         return float(ratio ** (1.0 / max(self.iterations, 1)))
 
 
+def check_cycle_parameters(pre_sweeps: int, post_sweeps: int,
+                           omega: float) -> tuple[int, int, float]:
+    """The V-cycle's smoother knobs, checked once for both solvers.
+
+    Sweep counts are non-negative ints; the Jacobi weight ``omega`` is finite
+    and positive (``0`` or NaN would leave every cycle without progress).
+    """
+    pre_sweeps = check_non_negative_int("pre_sweeps", pre_sweeps)
+    post_sweeps = check_non_negative_int("post_sweeps", post_sweeps)
+    omega = float(omega)
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ValidationError(f"omega must be finite and > 0, got {omega}")
+    return pre_sweeps, post_sweeps, omega
+
+
 def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      b: np.ndarray, *, n_rows: int,
@@ -66,7 +82,8 @@ def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     The one solve loop: the sequential solver passes its assembled-matrix
     V-cycle and residual, the world-stepped solver its engine-executed ones.
-    A zero initial residual returns ``x0`` converged after zero iterations.
+    A zero initial residual returns ``x0`` converged after zero iterations;
+    a non-finite entry in ``b`` or ``x0`` is rejected up front.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n_rows,):
@@ -75,6 +92,9 @@ def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
         else np.array(x0, dtype=np.float64)
     if x.shape != (n_rows,):
         raise ValidationError(f"x0 must have shape ({n_rows},)")
+    for name, vector in (("b", b), ("x0", x)):
+        if not np.isfinite(vector).all():
+            raise ValidationError(f"{name} has a non-finite entry")
     residual_norms = [float(np.linalg.norm(residual(b, x)))]
     if residual_norms[0] == 0.0:
         return SolveResult(solution=x, residual_norms=residual_norms,
@@ -106,11 +126,8 @@ class BoomerAMGSolver:
                  seed: int = 42,
                  hierarchy: Optional[AMGHierarchy] = None):
         self.matrix = matrix
-        self.pre_sweeps = int(pre_sweeps)
-        self.post_sweeps = int(post_sweeps)
-        self.omega = float(omega)
-        if self.pre_sweeps < 0 or self.post_sweeps < 0:
-            raise ValidationError("sweep counts must be non-negative")
+        self.pre_sweeps, self.post_sweeps, self.omega = check_cycle_parameters(
+            pre_sweeps, post_sweeps, omega)
         self.hierarchy = hierarchy or build_hierarchy(
             matrix, strength_theta=strength_theta, max_levels=max_levels,
             max_coarse_size=max_coarse_size, truncation=truncation, seed=seed)

@@ -50,7 +50,8 @@ import scipy.sparse.linalg as spla
 
 from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
 from repro.amg.relax import DistributedJacobi
-from repro.amg.solver import SolveResult, stationary_solve
+from repro.amg.solver import (SolveResult, check_cycle_parameters,
+                              stationary_solve)
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
@@ -158,8 +159,8 @@ class WorldVCycle:
                  clock=None):
         if hierarchy.n_levels == 0:
             raise SolverError("hierarchy has no levels")
-        if pre_sweeps < 0 or post_sweeps < 0:
-            raise ValidationError("sweep counts must be non-negative")
+        self.pre_sweeps, self.post_sweeps, self.omega = check_cycle_parameters(
+            pre_sweeps, post_sweeps, omega)
         check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
         if level_profilers is not None \
                 and len(level_profilers) != hierarchy.n_levels:
@@ -198,9 +199,6 @@ class WorldVCycle:
                 )
         self.hierarchy = hierarchy
         self.mapping = mapping
-        self.pre_sweeps = int(pre_sweeps)
-        self.post_sweeps = int(post_sweeps)
-        self.omega = float(omega)
         # Coarsest level: a (redundant, deterministic) factorization of the
         # assembled coarse operator — the distributed analogue of hypre's
         # gathered Gaussian elimination; None for a zero-row level.

@@ -23,16 +23,13 @@ from repro.collectives.plan import (
     Variant,
     Phase,
     SlotTable,
-    PlannedMessage,
     CollectivePlan,
     AGGREGATED_PHASES,
-    TERMINAL_PHASES,
 )
 from repro.collectives.aggregation import (
     BalanceStrategy,
     AggregationAssignment,
     setup_aggregation,
-    collect_region_traffic,
 )
 from repro.collectives.planner import (
     plan_standard,
@@ -52,18 +49,12 @@ from repro.collectives.plan_cache import (
     clear_plan_cache,
     plan_cache_stats,
 )
-from repro.collectives.kernels import KernelBackend, active_backend
+from repro.collectives.kernels import active_backend
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.api import neighbor_alltoallv_init_world
-from repro.collectives.selection import SelectionResult, select_variant, best_per_pattern
+from repro.collectives.selection import select_variant
 from repro.collectives.autotune import (
-    AUTO_VARIANT,
-    DEFAULT_CANDIDATES,
-    TRACE_SCHEMA_VERSION,
-    AutoSimulation,
-    DecisionEvent,
     DecisionTrace,
-    FixedStepClock,
     OnlineSelector,
     is_auto_variant,
     simulate_modeled_auto,
@@ -73,14 +64,11 @@ __all__ = [
     "Variant",
     "Phase",
     "SlotTable",
-    "PlannedMessage",
     "CollectivePlan",
     "AGGREGATED_PHASES",
-    "TERMINAL_PHASES",
     "BalanceStrategy",
     "AggregationAssignment",
     "setup_aggregation",
-    "collect_region_traffic",
     "plan_standard",
     "plan_partial",
     "plan_full",
@@ -93,20 +81,11 @@ __all__ = [
     "PlanCacheWarning",
     "clear_plan_cache",
     "plan_cache_stats",
-    "KernelBackend",
     "active_backend",
     "WorldNeighborCollective",
     "neighbor_alltoallv_init_world",
-    "SelectionResult",
     "select_variant",
-    "best_per_pattern",
-    "AUTO_VARIANT",
-    "DEFAULT_CANDIDATES",
-    "TRACE_SCHEMA_VERSION",
-    "AutoSimulation",
-    "DecisionEvent",
     "DecisionTrace",
-    "FixedStepClock",
     "OnlineSelector",
     "is_auto_variant",
     "simulate_modeled_auto",

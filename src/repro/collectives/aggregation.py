@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -30,25 +30,6 @@ class BalanceStrategy(str, enum.Enum):
     ROUND_ROBIN = "round_robin"
     #: Greedy longest-processing-time assignment by byte volume.
     BYTES = "bytes"
-
-
-@dataclass
-class RegionTraffic:
-    """All inter-region traffic originating in one region, grouped by destination region.
-
-    ``per_pair[dest_region]`` lists ``(src_rank, dest_rank, items)`` triples.
-    """
-
-    region: int
-    per_pair: Dict[int, List[Tuple[int, int, np.ndarray]]] = field(default_factory=dict)
-
-    def dest_regions(self) -> List[int]:
-        """Destination regions with any traffic, sorted."""
-        return sorted(self.per_pair.keys())
-
-    def pair_items(self, dest_region: int) -> int:
-        """Total item count (duplicates included) bound for ``dest_region``."""
-        return sum(int(items.size) for _, _, items in self.per_pair.get(dest_region, []))
 
 
 @dataclass(frozen=True)
@@ -77,28 +58,6 @@ class AggregationAssignment:
         for rank in self.send_leader.values():
             load[rank] = load.get(rank, 0) + 1
         return load
-
-
-def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
-                           ) -> Dict[int, RegionTraffic]:
-    """Group the inter-region edges of ``pattern`` by (source region, dest region).
-
-    Region membership is resolved with one vectorized lookup over the per-edge
-    endpoint arrays instead of two mapping queries per edge.
-    """
-    srcs, dests, item_arrays = pattern.edge_lists()
-    traffic: Dict[int, RegionTraffic] = {}
-    if srcs.size == 0:
-        return traffic
-    src_regions = mapping.region_of_many(srcs)
-    dest_regions = mapping.region_of_many(dests)
-    inter = (srcs != dests) & (src_regions != dest_regions)
-    for index in np.flatnonzero(inter):
-        src_region = int(src_regions[index])
-        bucket = traffic.setdefault(src_region, RegionTraffic(region=src_region))
-        bucket.per_pair.setdefault(int(dest_regions[index]), []).append(
-            (int(srcs[index]), int(dests[index]), item_arrays[index]))
-    return traffic
 
 
 def _pair_loads(pattern: CommPattern, mapping: RankMapping) -> Dict[int, Dict[int, float]]:

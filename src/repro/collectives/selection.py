@@ -81,10 +81,3 @@ def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel,
     return SelectionResult(variant=best, plan=plans[best],
                            per_iteration=per_iteration, setup=setup,
                            expected_iterations=expected_iterations)
-
-
-def best_per_pattern(patterns: Mapping[object, CommPattern], mapping: RankMapping,
-                     model: CostModel, **kwargs) -> Dict[object, SelectionResult]:
-    """Run :func:`select_variant` over a family of patterns (e.g. AMG levels)."""
-    return {key: select_variant(pattern, mapping, model, **kwargs)
-            for key, pattern in patterns.items()}

@@ -13,43 +13,22 @@ from repro.experiments.config import (
     measured_cycle_times,
     measured_level_times,
 )
-from repro.experiments.graph_creation import GraphCreationResult, run_graph_creation
-from repro.experiments.crossover import CrossoverResult, run_crossover
-from repro.experiments.per_level import (
-    PerLevelResult,
-    executed_cycle_statistics,
-    executed_statistics,
-    run_per_level,
-)
-from repro.experiments.scaling import ScalingResult, run_strong_scaling, run_weak_scaling
-from repro.experiments.ablation import (
-    SelectionAblationResult,
-    BalanceAblationResult,
-    run_selection_ablation,
-    run_balance_ablation,
-)
-from repro.experiments.runner import FIGURE_KEYS, run_all_experiments
+from repro.experiments.graph_creation import run_graph_creation
+from repro.experiments.crossover import run_crossover
+from repro.experiments.per_level import run_per_level
+from repro.experiments.scaling import run_strong_scaling, run_weak_scaling
+from repro.experiments.ablation import run_selection_ablation, run_balance_ablation
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentContext",
     "measured_cycle_times",
     "measured_level_times",
-    "executed_cycle_statistics",
-    "executed_statistics",
-    "FIGURE_KEYS",
-    "GraphCreationResult",
     "run_graph_creation",
-    "CrossoverResult",
     "run_crossover",
-    "PerLevelResult",
     "run_per_level",
-    "ScalingResult",
     "run_strong_scaling",
     "run_weak_scaling",
-    "SelectionAblationResult",
-    "BalanceAblationResult",
     "run_selection_ablation",
     "run_balance_ablation",
-    "run_all_experiments",
 ]

@@ -37,8 +37,7 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
 
 def measured_level_times(profiles: Sequence[LevelCommProfile], *,
                          variants: Sequence[Variant] = ALL_VARIANTS,
-                         iterations: int = 3,
-                         runtime: str | None = None
+                         iterations: int = 3
                          ) -> List[Dict[Variant, float]]:
     """Wall-clock seconds of one world-stepped exchange round, per level and variant.
 
@@ -48,8 +47,7 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
     :class:`~repro.simmpi.engine.ExchangeEngine`; the best of ``iterations``
     rounds is recorded.  This is what "switching the experiment drivers onto
     the world-stepped API" means operationally — the drivers can ask for real
-    execution cost at figure scale.  ``runtime="procs"`` measures the
-    same exchanges through the shared-memory worker pool.
+    execution cost at figure scale.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
@@ -57,8 +55,7 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
     for profile in profiles:
         per_variant: Dict[Variant, float] = {}
         for variant in variants:
-            with WorldNeighborCollective(profile.plans[variant],
-                                         runtime=runtime) as collective:
+            with WorldNeighborCollective(profile.plans[variant]) as collective:
                 n_owned = int(collective.world.owned_offsets[-1])
                 values = np.zeros(n_owned, dtype=collective.dtype)
                 collective.exchange(values)  # warm the arenas
@@ -75,8 +72,7 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
 def measured_cycle_times(hierarchy, mapping, *,
                          variants: Sequence[Variant] = ALL_VARIANTS,
                          strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                         iterations: int = 3,
-                         runtime: str | None = None) -> Dict[Variant, float]:
+                         iterations: int = 3) -> Dict[Variant, float]:
     """Wall-clock seconds of one whole world-stepped V-cycle, per variant.
 
     The solve-phase counterpart of :func:`measured_level_times`: instead of
@@ -96,7 +92,7 @@ def measured_cycle_times(hierarchy, mapping, *,
     x = np.zeros(n, dtype=np.float64)
     for variant in variants:
         with WorldVCycle(hierarchy, mapping, variant=variant,
-                         strategy=strategy, runtime=runtime) as vcycle:
+                         strategy=strategy) as vcycle:
             vcycle.cycle(b, x)  # warm the arenas
             best = float("inf")
             for _ in range(iterations):
@@ -223,19 +219,17 @@ class ExperimentContext:
                                  model=self.model, setup_model=self.setup_model)
 
     def measured_level_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
-                             iterations: int = 3,
-                             runtime: str | None = None
+                             iterations: int = 3
                              ) -> List[Dict[Variant, float]]:
         """World-stepped measured exchange-round times (see module helper)."""
         return measured_level_times(self.profiles, variants=variants,
-                                    iterations=iterations, runtime=runtime)
+                                    iterations=iterations)
 
     def measured_cycle_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
-                             iterations: int = 3,
-                             runtime: str | None = None
+                             iterations: int = 3
                              ) -> Dict[Variant, float]:
         """World-stepped measured whole-V-cycle times (see module helper)."""
         return measured_cycle_times(self.hierarchy, self.mapping,
                                     variants=variants,
                                     strategy=self.config.strategy,
-                                    iterations=iterations, runtime=runtime)
+                                    iterations=iterations)

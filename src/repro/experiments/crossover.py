@@ -144,7 +144,6 @@ def run_crossover(context: ExperimentContext | None = None, *,
                   iteration_counts: Sequence[int] | None = None,
                   use_measured_iteration: bool = False,
                   solve_phase: bool = False,
-                  runtime: str | None = None,
                   variants: Sequence[Variant | str] | None = None,
                   autotune_window: int = 3) -> CrossoverResult:
     """Reproduce Figure 7 for the configured problem and scale.
@@ -164,9 +163,6 @@ def run_crossover(context: ExperimentContext | None = None, *,
     (:meth:`ExperimentContext.measured_cycle_times`) — so the crossover is
     computed against real solve-phase execution rather than summed exchange
     rounds.
-
-    ``runtime`` selects the measuring backend for either flag (``"engine"``
-    serial staged kernels or ``"procs"`` shared-memory worker pool).
 
     ``variants`` requests additional series beyond the four fixed protocols
     (always computed — they are the figure's frame of reference): the only
@@ -198,9 +194,9 @@ def run_crossover(context: ExperimentContext | None = None, *,
     init_costs = _initialisation_costs(context, graph_model)
     level_times: List[Dict[Variant, float]] | None = None
     if solve_phase:
-        per_iteration = dict(context.measured_cycle_times(runtime=runtime))
+        per_iteration = dict(context.measured_cycle_times())
     else:
-        level_times = (context.measured_level_times(runtime=runtime)
+        level_times = (context.measured_level_times()
                        if use_measured_iteration
                        else [profile.times for profile in context.profiles])
         per_iteration = {

@@ -76,8 +76,7 @@ class PerLevelResult:
                              title="Figure 11: SpMV communication time per level (seconds)")
 
 
-def executed_statistics(plan: CollectivePlan, *,
-                        runtime: str | None = None) -> PatternStatistics:
+def executed_statistics(plan: CollectivePlan) -> PatternStatistics:
     """Statistics *observed* by executing one world-stepped exchange round.
 
     Runs the plan through the batched
@@ -92,8 +91,7 @@ def executed_statistics(plan: CollectivePlan, *,
     from repro.simmpi.profiler import TrafficProfiler
 
     profiler = TrafficProfiler(plan.mapping)
-    with WorldNeighborCollective(plan, profiler=profiler,
-                                 runtime=runtime) as collective:
+    with WorldNeighborCollective(plan, profiler=profiler) as collective:
         n_owned = int(collective.world.owned_offsets[-1])
         collective.exchange(np.zeros(n_owned, dtype=collective.dtype))
     sources, dests, nbytes = profiler.data_columns()
@@ -107,8 +105,7 @@ def executed_statistics(plan: CollectivePlan, *,
 def executed_cycle_statistics(hierarchy, mapping, *,
                               variant: Variant | str = Variant.PARTIAL,
                               strategy=None,
-                              pre_sweeps: int = 1, post_sweeps: int = 1,
-                              runtime: str | None = None
+                              pre_sweeps: int = 1, post_sweeps: int = 1
                               ) -> List[PatternStatistics]:
     """Per-level statistics observed by executing one whole world-stepped V-cycle.
 
@@ -129,7 +126,7 @@ def executed_cycle_statistics(hierarchy, mapping, *,
     profilers = [TrafficProfiler(mapping) for _ in range(hierarchy.n_levels)]
     with WorldVCycle(hierarchy, mapping, variant=variant, strategy=strategy,
                      pre_sweeps=pre_sweeps, post_sweeps=post_sweeps,
-                     level_profilers=profilers, runtime=runtime) as vcycle:
+                     level_profilers=profilers) as vcycle:
         n = vcycle.n_rows
         vcycle.cycle(np.ones(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
     n_ranks = hierarchy.levels[0].matrix.n_ranks
@@ -147,8 +144,7 @@ def executed_cycle_statistics(hierarchy, mapping, *,
 def run_per_level(context: ExperimentContext | None = None, *,
                   config: ExperimentConfig | None = None,
                   execute: bool = False,
-                  solve_phase: bool = False,
-                  runtime: str | None = None) -> PerLevelResult:
+                  solve_phase: bool = False) -> PerLevelResult:
     """Reproduce the per-level analysis of Section 4.1 (Figures 8-11).
 
     With ``execute=True`` the message/byte series of Figures 8-10 come from
@@ -163,10 +159,6 @@ def run_per_level(context: ExperimentContext | None = None, *,
     per variant, so every level's numbers are the traffic its smoother
     sweeps, residual SpMV, grid transfers, and coarse gather actually moved —
     the solve phase the paper times, executed rather than planned.
-
-    ``runtime`` selects the executing backend for either flag (``"engine"``
-    serial kernels or ``"procs"`` shared-memory worker pool); the observed
-    traffic is identical by the byte-equivalence guarantee.
     """
     if context is None:
         context = ExperimentContext.build(config or ExperimentConfig.from_environment())
@@ -179,17 +171,14 @@ def run_per_level(context: ExperimentContext | None = None, *,
         std, par, ful = (
             executed_cycle_statistics(context.hierarchy, context.mapping,
                                       variant=variant,
-                                      strategy=context.config.strategy,
-                                      runtime=runtime)
+                                      strategy=context.config.strategy)
             for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
         )
     elif execute:
-        std = [executed_statistics(p.plans[Variant.STANDARD], runtime=runtime)
-               for p in profiles]
-        par = [executed_statistics(p.plans[Variant.PARTIAL], runtime=runtime)
-               for p in profiles]
-        ful = [executed_statistics(p.plans[Variant.FULL], runtime=runtime)
-               for p in profiles]
+        std, par, ful = (
+            [executed_statistics(p.plans[variant]) for p in profiles]
+            for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
+        )
     else:
         std = [p.statistics[Variant.STANDARD] for p in profiles]
         par = [p.statistics[Variant.PARTIAL] for p in profiles]

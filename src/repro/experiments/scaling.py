@@ -83,23 +83,20 @@ def _protocol_times(level_times: Sequence[Dict[Variant, float]], *,
     return totals
 
 
-def _level_times(profiles, *, measured: bool,
-                 runtime: str | None = None) -> Sequence[Dict[Variant, float]]:
+def _level_times(profiles, *, measured: bool) -> Sequence[Dict[Variant, float]]:
     """Per-level time mappings: modeled by default, world-stepped measured on demand."""
     if measured:
         from repro.experiments.config import measured_level_times
 
-        return measured_level_times(profiles, runtime=runtime)
+        return measured_level_times(profiles)
     return [profile.times for profile in profiles]
 
 
-def _solve_phase_totals(hierarchy, mapping, strategy,
-                        runtime: str | None = None) -> Dict[str, float]:
+def _solve_phase_totals(hierarchy, mapping, strategy) -> Dict[str, float]:
     """Per-protocol cost of one whole executed world-stepped V-cycle."""
     from repro.experiments.config import measured_cycle_times
 
-    cycle_times = measured_cycle_times(hierarchy, mapping, strategy=strategy,
-                                       runtime=runtime)
+    cycle_times = measured_cycle_times(hierarchy, mapping, strategy=strategy)
     return {label: cycle_times[variant] for label, variant in _PROTOCOLS.items()}
 
 
@@ -108,8 +105,7 @@ def run_strong_scaling(context: ExperimentContext | None = None, *,
                        process_counts: Sequence[int] | None = None,
                        best_per_level: bool = True,
                        use_measured_iteration: bool = False,
-                       solve_phase: bool = False,
-                       runtime: str | None = None) -> ScalingResult:
+                       solve_phase: bool = False) -> ScalingResult:
     """Reproduce Figure 12: fixed problem size, growing process count.
 
     With ``use_measured_iteration=True`` every scale's per-level times are
@@ -122,9 +118,6 @@ def run_strong_scaling(context: ExperimentContext | None = None, *,
     every scale's per-protocol cost is one whole executed world-stepped
     V-cycle on the redistributed hierarchy — the solve phase itself, not a
     sum of isolated exchange rounds.
-
-    ``runtime`` selects the measuring backend for either flag (``"engine"``
-    serial staged kernels or ``"procs"`` shared-memory worker pool).
     """
     if context is None:
         context = ExperimentContext.build(config or ExperimentConfig.from_environment())
@@ -138,11 +131,10 @@ def run_strong_scaling(context: ExperimentContext | None = None, *,
         scaled = context.redistributed(n_ranks)
         if solve_phase:
             totals = _solve_phase_totals(scaled.hierarchy, scaled.mapping,
-                                         config.strategy, runtime)
+                                         config.strategy)
         else:
             totals = _protocol_times(
-                _level_times(scaled.profiles, measured=use_measured_iteration,
-                             runtime=runtime),
+                _level_times(scaled.profiles, measured=use_measured_iteration),
                 best_per_level=best_per_level)
         for label, total in totals.items():
             result.times[label].append(total)
@@ -171,8 +163,7 @@ def run_weak_scaling(config: ExperimentConfig | None = None, *,
                      rows_per_rank: int | None = None,
                      best_per_level: bool = True,
                      use_measured_iteration: bool = False,
-                     solve_phase: bool = False,
-                     runtime: str | None = None) -> ScalingResult:
+                     solve_phase: bool = False) -> ScalingResult:
     """Reproduce Figure 13: fixed rows per process, growing process count.
 
     ``use_measured_iteration`` and ``solve_phase`` behave as in
@@ -191,15 +182,13 @@ def run_weak_scaling(config: ExperimentConfig | None = None, *,
                                    config.strength_theta, config.seed)
         mapping = paper_mapping(n_ranks, ranks_per_node=config.ranks_per_node)
         if solve_phase:
-            totals = _solve_phase_totals(hierarchy, mapping, config.strategy,
-                                         runtime)
+            totals = _solve_phase_totals(hierarchy, mapping, config.strategy)
         else:
             model = lassen_parameters(active_per_node=config.ranks_per_node)
             profiles = hierarchy_comm_profiles(hierarchy, mapping, model=model,
                                                strategy=config.strategy)
             totals = _protocol_times(
-                _level_times(profiles, measured=use_measured_iteration,
-                             runtime=runtime),
+                _level_times(profiles, measured=use_measured_iteration),
                 best_per_level=best_per_level)
         for label, total in totals.items():
             result.times[label].append(total)

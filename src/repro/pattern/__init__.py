@@ -4,8 +4,9 @@ A :class:`CommPattern` is the library's common currency.  The sparse-matrix
 layer derives one from each distributed matrix (which off-process vector
 entries does every rank need), the collective planners transform it into phase
 plans for the standard / partially optimized / fully optimized neighborhood
-collectives, and the statistics module reports the per-rank, per-locality
-message counts and sizes that the paper's Figures 8-10 plot.
+collectives, and every plan carries a :class:`PatternStatistics` with the
+per-rank, per-locality message counts and sizes that the paper's Figures 8-10
+plot.
 """
 
 from repro.pattern.comm_pattern import CommPattern
@@ -14,14 +15,7 @@ from repro.pattern.builders import (
     random_pattern,
     halo_exchange_pattern,
 )
-from repro.pattern.statistics import (
-    PatternStatistics,
-    pattern_statistics,
-    locality_message_counts,
-    locality_byte_counts,
-    average_neighbors,
-)
-from repro.pattern.validation import validate_pattern, patterns_equivalent
+from repro.pattern.statistics import PatternStatistics, average_neighbors
 
 __all__ = [
     "CommPattern",
@@ -29,10 +23,5 @@ __all__ = [
     "random_pattern",
     "halo_exchange_pattern",
     "PatternStatistics",
-    "pattern_statistics",
-    "locality_message_counts",
-    "locality_byte_counts",
     "average_neighbors",
-    "validate_pattern",
-    "patterns_equivalent",
 ]

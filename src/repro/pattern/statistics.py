@@ -1,10 +1,9 @@
 """Pattern statistics: the quantities the paper's Figures 8-10 report.
 
-For the *standard* collective these statistics come straight from the pattern
-(one message per (src, dest) pair).  For the aggregated variants they come from
-the planner's phase plans; :mod:`repro.collectives.planner` re-uses the same
-:class:`PatternStatistics` container so the experiment code can treat all
-variants uniformly.
+Every plan :mod:`repro.collectives.planner` builds, standard or aggregated,
+carries one :class:`PatternStatistics` — per-rank message and byte counts
+split into intra-region and inter-region — so the experiment code can treat
+all variants uniformly.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from typing import Dict, Iterable
 import numpy as np
 
 from repro.pattern.comm_pattern import CommPattern
-from repro.topology.machine import Locality
-from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
 
 
@@ -144,55 +141,6 @@ class PatternStatistics:
             "total_global_messages": self.total_global_messages,
             "total_global_bytes": self.total_global_bytes,
         }
-
-
-def _edge_columns(pattern: CommPattern):
-    """Per-edge ``(srcs, dests, item_counts)`` arrays of a pattern.
-
-    Straight off the CSR storage: the destination column is the stored array
-    and the counts are one ``diff`` over the item offsets.
-    """
-    _, dests, _, _ = pattern.csr()
-    return pattern.edge_sources(), dests, pattern.edge_item_counts()
-
-
-def pattern_statistics(pattern: CommPattern, mapping: RankMapping) -> PatternStatistics:
-    """Statistics of the *standard* (unaggregated) communication of ``pattern``."""
-    if mapping.n_ranks < pattern.n_ranks:
-        raise ValidationError(
-            f"mapping covers {mapping.n_ranks} ranks but pattern has {pattern.n_ranks}"
-        )
-    stats = PatternStatistics(n_ranks=pattern.n_ranks)
-    srcs, dests, counts = _edge_columns(pattern)
-    off_rank = srcs != dests
-    if not off_rank.any():
-        return stats
-    srcs, dests, counts = srcs[off_rank], dests[off_rank], counts[off_rank]
-    stats.add_messages(srcs, mapping.same_region_many(srcs, dests),
-                       counts * pattern.item_bytes)
-    return stats
-
-
-def locality_message_counts(pattern: CommPattern,
-                            mapping: RankMapping) -> Dict[Locality, int]:
-    """Total message counts split by full locality class (not just local/global)."""
-    counts: Dict[Locality, int] = {loc: 0 for loc in Locality}
-    srcs, dests, _ = _edge_columns(pattern)
-    for locality in mapping.locality_many(srcs, dests):
-        counts[locality] += 1
-    return counts
-
-
-def locality_byte_counts(pattern: CommPattern,
-                         mapping: RankMapping) -> Dict[Locality, int]:
-    """Total byte counts split by full locality class."""
-    counts: Dict[Locality, int] = {loc: 0 for loc in Locality}
-    srcs, dests, item_counts = _edge_columns(pattern)
-    nbytes = item_counts * pattern.item_bytes
-    for locality, edge_bytes in zip(mapping.locality_many(srcs, dests),
-                                    nbytes.tolist()):
-        counts[locality] += edge_bytes
-    return counts
 
 
 def average_neighbors(pattern: CommPattern, ranks: Iterable[int] | None = None) -> float:

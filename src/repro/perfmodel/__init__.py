@@ -2,22 +2,18 @@
 
 The paper's measurements are wall-clock times of ``MPI_Start``/``MPI_Wait`` on
 Lassen.  We cannot time a network we do not have, so this package provides the
-models the related-work section describes — the postal (alpha-beta) model, the
-max-rate model with injection-bandwidth limits, and their locality-aware
-extension with separate intra-socket / inter-socket / inter-node parameters —
-and uses them to turn message lists produced by the collective planners into
-estimated times.  Parameter sets calibrated to published Lassen-class numbers
-live in :mod:`repro.perfmodel.params`.
+locality-aware model the related-work section describes — separate
+intra-socket / inter-socket / inter-node latency and bandwidth parameters,
+with a per-node injection-bandwidth limit — and uses it to turn the message
+lists produced by the collective planners into estimated times.  Parameter
+sets calibrated to published Lassen-class numbers, and the graph-creation and
+setup cost models, live in :mod:`repro.perfmodel.params`.
 """
 
 from repro.perfmodel.base import CostModel, MessageCost
-from repro.perfmodel.postal import PostalModel
-from repro.perfmodel.maxrate import MaxRateModel
 from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
-from repro.perfmodel.contention import QueueSearchModel, ContentionModel
 from repro.perfmodel.params import (
     lassen_parameters,
-    smp_parameters,
     graph_creation_model,
     GraphCreationModel,
     SetupCostModel,
@@ -26,14 +22,9 @@ from repro.perfmodel.params import (
 __all__ = [
     "CostModel",
     "MessageCost",
-    "PostalModel",
-    "MaxRateModel",
     "LocalityAwareModel",
     "LocalityParameters",
-    "QueueSearchModel",
-    "ContentionModel",
     "lassen_parameters",
-    "smp_parameters",
     "graph_creation_model",
     "GraphCreationModel",
     "SetupCostModel",

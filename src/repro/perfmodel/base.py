@@ -47,9 +47,8 @@ class CostModel(abc.ABC):
     def process_time(self, messages: Iterable[MessageCost]) -> float:
         """Time for one process to send/receive ``messages`` sequentially.
 
-        The default implementation sums per-message times, matching the postal
-        assumption that a process injects its messages one after another.
-        Subclasses (max-rate) override this to add per-process bandwidth caps.
+        Per-message times are summed, matching the postal assumption that a
+        process injects its messages one after another.
         """
         return float(sum(self.message_time(m.nbytes, m.locality) for m in messages))
 

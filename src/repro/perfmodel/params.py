@@ -2,10 +2,10 @@
 
 Two things live here:
 
-* :func:`lassen_parameters` / :func:`smp_parameters` — locality-aware model
-  instances whose constants reflect the Lassen-class measurements the paper
-  cites (cheap intra-CPU messages, expensive inter-CPU large messages, shared
-  injection bandwidth per node).
+* :func:`lassen_parameters` — the locality-aware model whose constants
+  reflect the Lassen-class measurements the paper cites (cheap intra-CPU
+  messages, expensive inter-CPU large messages, shared injection bandwidth
+  per node).
 * :class:`GraphCreationModel` — the cost of
   ``MPI_Dist_graph_create_adjacent`` as a function of process count for the
   two MPI implementations compared in Figure 6 (Spectrum MPI and MVAPICH).
@@ -39,19 +39,6 @@ def lassen_parameters(*, active_per_node: int = 16) -> LocalityAwareModel:
             Locality.INTER_NODE: LocalityParameters(alpha=3.4e-6, beta=8.0e-11),
         },
         beta_injection=5.0e-12,
-        active_per_node=active_per_node,
-    )
-
-
-def smp_parameters(*, active_per_node: int = 32) -> LocalityAwareModel:
-    """Parameters for the generic two-NUMA SMP node of the paper's Figure 1."""
-    return LocalityAwareModel(
-        parameters={
-            Locality.INTRA_SOCKET: LocalityParameters(alpha=5.0e-7, beta=2.5e-11),
-            Locality.INTER_SOCKET: LocalityParameters(alpha=9.0e-7, beta=1.2e-10),
-            Locality.INTER_NODE: LocalityParameters(alpha=3.0e-6, beta=9.0e-11),
-        },
-        beta_injection=6.0e-12,
         active_per_node=active_per_node,
     )
 

@@ -21,42 +21,18 @@ Typical use::
     halos = collective.exchange(owned_values_per_rank)
 """
 
-from repro.simmpi.engine import (
-    ENGINE_RUNTIMES,
-    ON_FAILURE_ENV,
-    ON_FAILURE_POLICIES,
-    RUNTIME_ENV,
-    ExchangeEngine,
-    default_on_failure,
-    default_runtime,
-)
-from repro.simmpi.faults import FAULTS_ENV, FaultPlan, FaultSpec
-from repro.simmpi.procs import (
-    TIMEOUT_ENV,
-    ProcsPool,
-    RecoveryEvent,
-    default_worker_count,
-    default_worker_timeout,
-)
-from repro.simmpi.profiler import TrafficBatch, TrafficProfiler, TrafficRecord
+from repro.simmpi.engine import ExchangeEngine, default_runtime
+from repro.simmpi.faults import FaultPlan, FaultSpec
+from repro.simmpi.procs import ProcsPool, RecoveryEvent, default_worker_count
+from repro.simmpi.profiler import TrafficProfiler
 
 __all__ = [
-    "ENGINE_RUNTIMES",
-    "FAULTS_ENV",
-    "ON_FAILURE_ENV",
-    "ON_FAILURE_POLICIES",
-    "RUNTIME_ENV",
-    "TIMEOUT_ENV",
     "ExchangeEngine",
     "FaultPlan",
     "FaultSpec",
     "ProcsPool",
     "RecoveryEvent",
-    "default_on_failure",
     "default_runtime",
     "default_worker_count",
-    "default_worker_timeout",
-    "TrafficBatch",
     "TrafficProfiler",
-    "TrafficRecord",
 ]

@@ -258,7 +258,7 @@ class ExchangeEngine:
                  fault_plan: "FaultPlan | None" = None,
                  clock=None):
         if n_ranks <= 0:
-            raise CommunicationError("an exchange engine needs at least one rank")
+            raise ValidationError("an exchange engine needs at least one rank")
         if n_workers is not None and int(n_workers) < 1:
             raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         if runtime is None:

@@ -10,43 +10,18 @@ communication pattern the neighborhood collectives optimize.
 """
 
 from repro.sparse.partition import RowPartition
-from repro.sparse.stencils import (
-    rotated_anisotropic_stencil,
-    stencil_grid,
-    rotated_anisotropic_diffusion,
-    poisson_2d,
-    poisson_3d,
-)
-from repro.sparse.parcsr import (
-    ParCSRMatrix,
-    LocalBlocks,
-)
+from repro.sparse.stencils import rotated_anisotropic_diffusion
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.comm_pkg import pattern_from_parcsr
-from repro.sparse.spmv import (
-    sequential_spmv,
-    WorldSpMV,
-)
-from repro.sparse.generators import (
-    ScalingProblem,
-    strong_scaling_problem,
-    weak_scaling_problem,
-    grid_shape_for_rows,
-)
+from repro.sparse.spmv import WorldSpMV
+from repro.sparse.generators import strong_scaling_problem, weak_scaling_problem
 
 __all__ = [
     "RowPartition",
-    "rotated_anisotropic_stencil",
-    "stencil_grid",
     "rotated_anisotropic_diffusion",
-    "poisson_2d",
-    "poisson_3d",
     "ParCSRMatrix",
-    "LocalBlocks",
     "pattern_from_parcsr",
-    "sequential_spmv",
     "WorldSpMV",
-    "ScalingProblem",
     "strong_scaling_problem",
     "weak_scaling_problem",
-    "grid_shape_for_rows",
 ]

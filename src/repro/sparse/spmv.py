@@ -1,13 +1,13 @@
-"""Sparse matrix-vector multiplication, sequential and distributed.
+"""Distributed sparse matrix-vector multiplication.
 
-``sequential_spmv`` is the reference answer.  :class:`WorldSpMV` is the
-distributed product for all ranks at once, the structure of
-``hypre_ParCSRMatrixMatvec`` with its point-to-point halo replaced by a
-neighborhood collective (any variant).  It is the one product for every
-operator of the solve phase: the input vector lives on the matrix's column
-partition and the output on its row partition, so a level operator ``A``
-(one partition) and the grid transfers ``P`` / ``Pᵀ`` (two) run through the
-same code.
+``matrix.spmv(x)`` on the assembled matrix is the reference answer.
+:class:`WorldSpMV` is the distributed product for all ranks at once, the
+structure of ``hypre_ParCSRMatrixMatvec`` with its point-to-point halo
+replaced by a neighborhood collective (any variant).  It is the one
+product for every operator of the solve phase: the input vector lives on the
+matrix's column partition and the output on its row partition, so a level
+operator ``A`` (one partition) and the grid transfers ``P`` / ``Pᵀ`` (two)
+run through the same code.
 
 The halo exchange is registered on the input vector itself, so one round
 through the batched :class:`~repro.simmpi.engine.ExchangeEngine` turns ``x``
@@ -22,15 +22,15 @@ Example (doctest): distribute a tiny matrix over 4 simulated ranks and check
 the world-stepped product against the sequential reference.
 
 >>> import numpy as np
->>> from repro.sparse import ParCSRMatrix, RowPartition, poisson_2d
->>> from repro.sparse.spmv import WorldSpMV, sequential_spmv
+>>> from repro.sparse import ParCSRMatrix, RowPartition, WorldSpMV
+>>> from repro.sparse.stencils import poisson_2d
 >>> from repro.topology import paper_mapping
 >>> matrix = ParCSRMatrix(poisson_2d((6, 6)), RowPartition.even(36, 4))
 >>> mapping = paper_mapping(4, ranks_per_node=2)
 >>> x = np.arange(36, dtype=np.float64)
 >>> with WorldSpMV(matrix, mapping, variant="full") as spmv:
 ...     product = spmv.multiply(x)
->>> product.tobytes() == sequential_spmv(matrix, x).tobytes()
+>>> product.tobytes() == matrix.spmv(x).tobytes()
 True
 """
 
@@ -50,11 +50,6 @@ from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
-
-
-def sequential_spmv(matrix: ParCSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Reference product ``A @ x`` computed on the global matrix."""
-    return matrix.spmv(x)
 
 
 def check_mapping_covers(mapping: RankMapping, n_ranks: int) -> None:

@@ -12,7 +12,7 @@ additional workloads for examples and tests.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,30 +130,3 @@ def poisson_2d(grid_shape: Tuple[int, int]) -> sp.csr_matrix:
                         [-1.0, 4.0, -1.0],
                         [0.0, -1.0, 0.0]])
     return stencil_grid(stencil, grid_shape)
-
-
-def poisson_3d(grid_shape: Tuple[int, int, int]) -> sp.csr_matrix:
-    """Standard 7-point Laplacian on a 3-D grid (row-major ordering)."""
-    nz, ny, nx = (int(s) for s in grid_shape)
-    for name, value in (("nz", nz), ("ny", ny), ("nx", nx)):
-        check_positive_int(name, value)
-    n = nx * ny * nz
-    diagonals = [6.0 * np.ones(n)]
-    offsets = [0]
-    ix = np.arange(n) % nx
-    iy = (np.arange(n) // nx) % ny
-    iz = np.arange(n) // (nx * ny)
-    # x neighbours
-    off = np.where(ix[:-1] + 1 < nx, -1.0, 0.0)
-    diagonals.extend([off, off])
-    offsets.extend([1, -1])
-    # y neighbours
-    offy = np.where(iy[:-nx] + 1 < ny, -1.0, 0.0) if n > nx else np.zeros(0)
-    diagonals.extend([offy, offy])
-    offsets.extend([nx, -nx])
-    # z neighbours
-    offz = np.where(iz[:-nx * ny] + 1 < nz, -1.0, 0.0) if n > nx * ny else np.zeros(0)
-    diagonals.extend([offz, offz])
-    offsets.extend([nx * ny, -nx * ny])
-    matrix = sp.diags(diagonals, offsets, shape=(n, n), format="csr")
-    return matrix.tocsr()

@@ -21,36 +21,6 @@ def lassen_like(nodes: int = 256) -> MachineSpec:
                        sockets_per_node=2, cores_per_socket=22)
 
 
-def frontier_like(nodes: int = 256) -> MachineSpec:
-    """Frontier-class node: one 64-core chip split into four 16-core NUMAs."""
-    return MachineSpec(name="frontier-like", nodes=nodes,
-                       sockets_per_node=4, cores_per_socket=16)
-
-
-def bluegene_q_like(nodes: int = 1024) -> MachineSpec:
-    """Blue Gene/Q-class node: 16 cores per node, single CPU."""
-    return MachineSpec(name="bgq-like", nodes=nodes,
-                       sockets_per_node=1, cores_per_socket=16)
-
-
-def smp_example_node(nodes: int = 64) -> MachineSpec:
-    """The SMP node of the paper's Figure 1: two NUMA regions of 16 cores."""
-    return MachineSpec(name="smp-example", nodes=nodes,
-                       sockets_per_node=2, cores_per_socket=16)
-
-
-def generic_cluster(nodes: int, cores_per_node: int, *, sockets_per_node: int = 1,
-                    name: str = "generic") -> MachineSpec:
-    """Build an ad-hoc machine description.
-
-    ``cores_per_node`` must be divisible by ``sockets_per_node``.
-    """
-    if cores_per_node % sockets_per_node:
-        raise ValueError("cores_per_node must be divisible by sockets_per_node")
-    return MachineSpec(name=name, nodes=nodes, sockets_per_node=sockets_per_node,
-                       cores_per_socket=cores_per_node // sockets_per_node)
-
-
 def paper_mapping(n_ranks: int, *, ranks_per_node: int = 16,
                   nodes: int | None = None) -> RankMapping:
     """The placement used for every result in the paper's Section 4.

@@ -2,7 +2,9 @@
 
 The helpers here are intentionally small and dependency-free so that the
 substrate packages (:mod:`repro.topology`, :mod:`repro.simmpi`, ...) never have
-to import each other just to validate arguments or format a report table.
+to import each other just to validate arguments or format a report table: the
+error hierarchy, integer argument checks, index-array helpers, and the
+fixed-width tables the experiment reports print.
 """
 
 from repro.utils.errors import (
@@ -14,28 +16,17 @@ from repro.utils.errors import (
 from repro.utils.validation import (
     check_positive_int,
     check_non_negative_int,
-    check_in_range,
-    check_probability,
-    check_index_array,
-    check_monotone,
-    check_type,
 )
 from repro.utils.arrays import (
     as_index_array,
     concatenate_or_empty,
     counts_to_displs,
-    displs_to_counts,
-    invert_permutation,
     partition_evenly,
-    stable_unique,
 )
 from repro.utils.formatting import (
-    format_bytes,
-    format_seconds,
     format_table,
     format_series,
 )
-from repro.utils.timing import Timer, WallClock
 
 __all__ = [
     "ReproError",
@@ -44,22 +35,10 @@ __all__ = [
     "PlanError",
     "check_positive_int",
     "check_non_negative_int",
-    "check_in_range",
-    "check_probability",
-    "check_index_array",
-    "check_monotone",
-    "check_type",
     "as_index_array",
     "concatenate_or_empty",
     "counts_to_displs",
-    "displs_to_counts",
-    "invert_permutation",
     "partition_evenly",
-    "stable_unique",
-    "format_bytes",
-    "format_seconds",
     "format_table",
     "format_series",
-    "Timer",
-    "WallClock",
 ]

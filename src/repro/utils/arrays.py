@@ -49,30 +49,6 @@ def counts_to_displs(counts: Sequence[int]) -> np.ndarray:
     return displs
 
 
-def displs_to_counts(displs: Sequence[int]) -> np.ndarray:
-    """Convert an exclusive-prefix displacement array back into counts."""
-    displs = np.asarray(displs, dtype=INDEX_DTYPE)
-    if displs.size == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    counts = np.diff(displs)
-    if counts.size and counts.min() < 0:
-        raise ValidationError("displacements must be non-decreasing")
-    return counts
-
-
-def invert_permutation(perm: Sequence[int]) -> np.ndarray:
-    """Return the inverse of a permutation given as an index array."""
-    perm = np.asarray(perm, dtype=INDEX_DTYPE)
-    n = perm.size
-    if n and (perm.min() < 0 or perm.max() >= n):
-        raise ValidationError("not a permutation: entries out of range")
-    inverse = np.empty(n, dtype=INDEX_DTYPE)
-    inverse[perm] = np.arange(n, dtype=INDEX_DTYPE)
-    if n and not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValidationError("not a permutation: repeated entries")
-    return inverse
-
-
 def partition_evenly(total: int, parts: int) -> np.ndarray:
     """Split ``total`` items into ``parts`` contiguous chunks as evenly as possible.
 
@@ -236,16 +212,3 @@ def freeze_columns(*columns: np.ndarray) -> None:
     for column in columns:
         if column.flags.writeable:
             column.flags.writeable = False
-
-
-def stable_unique(values: Sequence[int]) -> np.ndarray:
-    """Return unique values preserving first-occurrence order.
-
-    ``np.unique`` sorts; communication code frequently needs the *stable*
-    variant so that send buffers keep the order the application packed them in.
-    """
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return arr.astype(INDEX_DTYPE, copy=False)
-    _, first_index = np.unique(arr, return_index=True)
-    return arr[np.sort(first_index)].astype(INDEX_DTYPE, copy=False)

@@ -10,32 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
-def format_bytes(num_bytes: float) -> str:
-    """Render a byte count using binary prefixes (B, KiB, MiB, GiB)."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            if unit == "B":
-                return f"{value:.0f} {unit}"
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    return f"{value:.2f} TiB"
-
-
-def format_seconds(seconds: float) -> str:
-    """Render a duration with a unit that keeps the mantissa readable."""
-    value = float(seconds)
-    if value == 0.0:
-        return "0 s"
-    if abs(value) >= 1.0:
-        return f"{value:.3f} s"
-    if abs(value) >= 1e-3:
-        return f"{value * 1e3:.3f} ms"
-    if abs(value) >= 1e-6:
-        return f"{value * 1e6:.3f} us"
-    return f"{value * 1e9:.3f} ns"
-
-
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  *, title: str | None = None) -> str:
     """Format rows as a fixed-width text table.

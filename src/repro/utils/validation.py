@@ -7,24 +7,11 @@ without pulling in a validation framework.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.utils.errors import ValidationError
-
-
-def check_type(name: str, value: Any, types) -> Any:
-    """Check that ``value`` is an instance of ``types`` and return it."""
-    if not isinstance(value, types):
-        if isinstance(types, tuple):
-            expected = ", ".join(t.__name__ for t in types)
-        else:
-            expected = types.__name__
-        raise ValidationError(
-            f"{name} must be of type {expected}, got {type(value).__name__}"
-        )
-    return value
 
 
 def check_positive_int(name: str, value: Any) -> int:
@@ -60,59 +47,3 @@ def check_non_negative_int(name: str, value: Any) -> int:
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value}")
     return int(value)
-
-
-def check_in_range(name: str, value: float, low: float, high: float,
-                   *, inclusive: bool = True) -> float:
-    """Check that a scalar lies in ``[low, high]`` (or ``(low, high)``)."""
-    value = float(value)
-    if inclusive:
-        ok = low <= value <= high
-        bounds = f"[{low}, {high}]"
-    else:
-        ok = low < value < high
-        bounds = f"({low}, {high})"
-    if not ok:
-        raise ValidationError(f"{name} must lie in {bounds}, got {value}")
-    return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Check that ``value`` is a probability in ``[0, 1]``."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
-def check_index_array(name: str, values: Iterable[int], *,
-                      upper: int | None = None) -> np.ndarray:
-    """Validate an array of non-negative indices, optionally bounded above.
-
-    Returns the values as a contiguous ``int64`` numpy array.
-    """
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{name} must contain integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.min(initial=0) < 0:
-        raise ValidationError(f"{name} must be non-negative")
-    if upper is not None and arr.size and arr.max() >= upper:
-        raise ValidationError(
-            f"{name} contains index {int(arr.max())} >= upper bound {upper}"
-        )
-    return np.ascontiguousarray(arr)
-
-
-def check_monotone(name: str, values: Sequence[float], *, strict: bool = False) -> np.ndarray:
-    """Check that a sequence is non-decreasing (or strictly increasing)."""
-    arr = np.asarray(values)
-    if arr.size <= 1:
-        return arr
-    diffs = np.diff(arr)
-    if strict:
-        if not np.all(diffs > 0):
-            raise ValidationError(f"{name} must be strictly increasing")
-    else:
-        if not np.all(diffs >= 0):
-            raise ValidationError(f"{name} must be non-decreasing")
-    return arr

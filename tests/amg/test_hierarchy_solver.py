@@ -4,10 +4,10 @@ and per-level communication analysis."""
 import numpy as np
 import pytest
 
-from repro.amg.comm_analysis import hierarchy_comm_profiles, level_partitions, level_patterns
+from repro.amg.comm_analysis import hierarchy_comm_profiles, level_patterns
 from repro.amg.hierarchy import build_hierarchy, redistribute_hierarchy
 from repro.amg.solver import BoomerAMGSolver
-from repro.amg.vcycle import WorldAMGSolver
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
 from repro.collectives.plan import Variant
 from repro.perfmodel.params import lassen_parameters
 from repro.sparse.parcsr import ParCSRMatrix
@@ -111,6 +111,59 @@ class TestNonFiniteOperatorRejected:
             WorldAMGSolver(poisoned, paper_mapping(16, ranks_per_node=4))
 
 
+class TestSolveInputsChecked:
+    """Both solvers reject a bad right-hand side, start vector, smoother
+    weight or sweep count up front, instead of running every cycle to a
+    NaN or unconverged result."""
+
+    @pytest.fixture(params=["sequential", "world"])
+    def solve(self, request, poisson_matrix, poisson_hierarchy):
+        if request.param == "sequential":
+            yield BoomerAMGSolver(poisson_matrix,
+                                  hierarchy=poisson_hierarchy).solve
+        else:
+            with WorldAMGSolver(poisson_matrix,
+                                paper_mapping(16, ranks_per_node=4),
+                                hierarchy=poisson_hierarchy) as solver:
+                yield solver.solve
+
+    def test_non_finite_rhs(self, solve, poisson_matrix):
+        b = np.ones(poisson_matrix.n_rows)
+        b[7] = np.nan
+        with pytest.raises(ValidationError, match="b has a non-finite"):
+            solve(b, max_iterations=50)
+
+    def test_non_finite_start_vector(self, solve, poisson_matrix):
+        x0 = np.zeros(poisson_matrix.n_rows)
+        x0[3] = np.inf
+        with pytest.raises(ValidationError, match="x0 has a non-finite"):
+            solve(np.ones(poisson_matrix.n_rows), x0=x0, max_iterations=50)
+
+    @pytest.mark.parametrize("knobs, match", [
+        ({"omega": np.nan}, "omega"),
+        ({"omega": 0.0}, "omega"),
+        ({"omega": -0.5}, "omega"),
+        ({"omega": np.inf}, "omega"),
+        ({"pre_sweeps": 1.5}, "pre_sweeps"),
+        ({"post_sweeps": -1}, "post_sweeps"),
+        ({"pre_sweeps": True}, "pre_sweeps"),
+    ])
+    @pytest.mark.parametrize("build", ["sequential", "world"])
+    def test_cycle_parameters(self, build, knobs, match, poisson_matrix,
+                              poisson_hierarchy):
+        with pytest.raises(ValidationError, match=match):
+            if build == "sequential":
+                BoomerAMGSolver(poisson_matrix, hierarchy=poisson_hierarchy,
+                                **knobs)
+            else:
+                WorldVCycle(poisson_hierarchy,
+                            paper_mapping(16, ranks_per_node=4), **knobs)
+
+    def test_build_hierarchy_needs_a_parcsr_matrix(self):
+        with pytest.raises(ValidationError, match="ParCSRMatrix"):
+            build_hierarchy(poisson_2d((8, 8)))
+
+
 class TestRedistribution:
     def test_same_operators_different_partition(self, poisson_hierarchy):
         redistributed = redistribute_hierarchy(poisson_hierarchy, 4)
@@ -169,10 +222,9 @@ class TestSolver:
 class TestCommAnalysis:
     def test_level_patterns_and_partitions(self, poisson_hierarchy):
         patterns = level_patterns(poisson_hierarchy)
-        partitions = level_partitions(poisson_hierarchy)
-        assert len(patterns) == len(partitions) == poisson_hierarchy.n_levels
+        assert len(patterns) == poisson_hierarchy.n_levels
         for pattern, level in zip(patterns, poisson_hierarchy.levels):
-            assert pattern.n_ranks == level.matrix.n_ranks
+            assert pattern.n_ranks == level.matrix.partition.n_ranks
 
     def test_profiles_contain_all_variants(self, poisson_hierarchy):
         mapping = paper_mapping(16, ranks_per_node=4)

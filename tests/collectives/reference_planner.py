@@ -22,7 +22,6 @@ import numpy as np
 from repro.collectives.aggregation import (
     AggregationAssignment,
     BalanceStrategy,
-    collect_region_traffic,
     setup_aggregation,
 )
 from repro.collectives.plan import Phase, Variant
@@ -30,6 +29,47 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
 from repro.topology.mapping import RankMapping
 from repro.utils.errors import PlanError
+
+
+@dataclass
+class RegionTraffic:
+    """All inter-region traffic originating in one region, grouped by destination region.
+
+    ``per_pair[dest_region]`` lists ``(src_rank, dest_rank, items)`` triples.
+    """
+
+    region: int
+    per_pair: Dict[int, List[Tuple[int, int, np.ndarray]]] = field(default_factory=dict)
+
+    def dest_regions(self) -> List[int]:
+        """Destination regions with any traffic, sorted."""
+        return sorted(self.per_pair.keys())
+
+    def pair_items(self, dest_region: int) -> int:
+        """Total item count (duplicates included) bound for ``dest_region``."""
+        return sum(int(items.size) for _, _, items in self.per_pair.get(dest_region, []))
+
+
+def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
+                           ) -> Dict[int, RegionTraffic]:
+    """Group the inter-region edges of ``pattern`` by (source region, dest region).
+
+    Region membership is resolved with one vectorized lookup over the per-edge
+    endpoint arrays instead of two mapping queries per edge.
+    """
+    srcs, dests, item_arrays = pattern.edge_lists()
+    traffic: Dict[int, RegionTraffic] = {}
+    if srcs.size == 0:
+        return traffic
+    src_regions = mapping.region_of_many(srcs)
+    dest_regions = mapping.region_of_many(dests)
+    inter = (srcs != dests) & (src_regions != dest_regions)
+    for index in np.flatnonzero(inter):
+        src_region = int(src_regions[index])
+        bucket = traffic.setdefault(src_region, RegionTraffic(region=src_region))
+        bucket.per_pair.setdefault(int(dest_regions[index]), []).append(
+            (int(srcs[index]), int(dests[index]), item_arrays[index]))
+    return traffic
 
 
 class Slot(NamedTuple):

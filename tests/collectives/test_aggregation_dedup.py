@@ -7,13 +7,14 @@ from repro.collectives.aggregation import (
     AggregationAssignment,
     BalanceStrategy,
     _pair_loads,
-    collect_region_traffic,
     setup_aggregation,
 )
 from repro.collectives.dedup import unique_keys_segmented
 from repro.pattern.builders import pattern_from_edges, random_pattern
+from repro.topology.machine import MachineSpec
 from repro.topology.mapping import RankMapping
-from repro.topology.presets import generic_cluster, paper_mapping
+from repro.topology.presets import paper_mapping
+from reference_planner import collect_region_traffic
 from repro.utils.errors import PlanError
 
 
@@ -92,7 +93,9 @@ class TestLeaderAssignment:
         counts = []
         for n_ranks in (64, 256):
             pattern = random_pattern(n_ranks, avg_neighbors=8, seed=1)
-            four_regions = RankMapping(generic_cluster(4, n_ranks // 4), n_ranks,
+            machine = MachineSpec(name="generic", nodes=4, sockets_per_node=1,
+                                  cores_per_socket=n_ranks // 4)
+            four_regions = RankMapping(machine, n_ranks,
                                        ranks_per_node=n_ranks // 4)
             counts.append(count_calls(setup_aggregation, pattern, four_regions,
                                       strategy=BalanceStrategy.ROUND_ROBIN))

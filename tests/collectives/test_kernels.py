@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import KernelBackend, active_backend
-from repro.collectives.kernels import NUMPY_BACKEND
+from repro.collectives import active_backend
+from repro.collectives.kernels import NUMPY_BACKEND, KernelBackend
 
 
 def _phase_arrays(rng, *, n_rows=64, n_wire=200, item_size=3, dtype=np.float64):

@@ -11,9 +11,9 @@ from repro.collectives.plan import Phase, PlannedMessage, SlotTable
 from repro.collectives.planner import plan_full, plan_partial, plan_standard
 from repro.pattern.builders import pattern_from_edges
 from repro.perfmodel.base import CostModel
-from repro.perfmodel.postal import PostalModel
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import PlanError
+from oracles import PostalModel
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.collectives.plan import Variant
-from repro.collectives.selection import best_per_pattern, select_variant
+from repro.collectives.selection import select_variant
 from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.perfmodel.params import SetupCostModel, lassen_parameters
 from repro.topology.presets import paper_mapping
@@ -74,14 +74,3 @@ class TestSelectVariant:
         result = select_variant(pattern, mapping, model, expected_iterations=10,
                                 setup_model=expensive_setup)
         assert result.variant is Variant.STANDARD
-
-
-class TestBestPerPattern:
-    def test_one_selection_per_pattern(self, mapping, model):
-        patterns = {
-            "dense": random_pattern(32, avg_neighbors=20, seed=47),
-            "sparse": pattern_from_edges(32, [(0, 16, [1])]),
-        }
-        results = best_per_pattern(patterns, mapping, model, expected_iterations=10_000)
-        assert set(results) == {"dense", "sparse"}
-        assert results["sparse"].variant is Variant.STANDARD

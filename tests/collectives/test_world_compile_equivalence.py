@@ -145,7 +145,8 @@ def test_world_compile_matches_reference_specs(variant, dtype, item_size):
 
 
 def test_world_compile_socket_regions_match():
-    from repro.topology import RankMapping, lassen_like
+    from repro.topology import RankMapping
+    from repro.topology.presets import lassen_like
 
     pattern = random_pattern(32, seed=5)
     mapping = RankMapping(lassen_like(nodes=2), 32, ranks_per_node=16,

@@ -9,8 +9,8 @@ from repro.pattern.builders import (
     random_pattern,
 )
 from repro.pattern.comm_pattern import CommPattern
-from repro.pattern.validation import patterns_equivalent, validate_pattern
 from repro.utils.errors import ValidationError
+from oracles import patterns_equivalent
 
 
 class TestCommPatternBasics:
@@ -148,22 +148,6 @@ class TestCommPatternBasics:
         assert items.tolist() == [9, 4, 5]
 
 
-class TestValidation:
-    def test_validate_accepts_good_pattern(self, small_pattern):
-        validate_pattern(small_pattern)
-
-    def test_validate_rejects_duplicate_items_when_requested(self):
-        pattern = pattern_from_edges(2, [(0, 1, [3, 3])])
-        validate_pattern(pattern)  # allowed by default
-        with pytest.raises(ValidationError):
-            validate_pattern(pattern, require_unique_items=True)
-
-    def test_validate_rejects_self_messages_when_requested(self):
-        pattern = pattern_from_edges(2, [(0, 0, [1])])
-        with pytest.raises(ValidationError):
-            validate_pattern(pattern, allow_self_messages=False)
-
-
 class TestRandomPattern:
     def test_deterministic_for_seed(self):
         assert patterns_equivalent(random_pattern(16, seed=9), random_pattern(16, seed=9))
@@ -231,4 +215,3 @@ class TestHaloPattern:
         assert patterns_equivalent(pattern.transpose().transpose(), pattern)
         for src, dest, _ in pattern.edges():
             assert pattern.send_items(dest, src).size > 0  # symmetric neighbours
-

@@ -1,14 +1,12 @@
-"""Unit tests for the postal, max-rate, and locality-aware cost models."""
+"""Unit tests for the locality-aware cost model and the postal test oracle."""
 
 import pytest
 
 from repro.perfmodel.base import MessageCost
-from repro.perfmodel.contention import ContentionModel, QueueSearchModel
 from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
-from repro.perfmodel.maxrate import MaxRateModel
-from repro.perfmodel.postal import PostalModel
 from repro.topology.machine import Locality
 from repro.utils.errors import ValidationError
+from oracles import PostalModel
 
 
 class TestPostalModel:
@@ -46,28 +44,6 @@ class TestPostalModel:
 
     def test_phase_time_empty(self):
         assert PostalModel().phase_time({}) == 0.0
-
-
-class TestMaxRateModel:
-    def test_injection_cap_applies_to_inter_node(self):
-        model = MaxRateModel(alpha=0.0, beta=1e-11, beta_injection=1e-11,
-                             active_per_node=16)
-        # Effective beta = max(1e-11, 16e-11) = 16e-11.
-        assert model.message_time(1000, Locality.INTER_NODE) == pytest.approx(1.6e-7)
-
-    def test_intra_node_not_capped(self):
-        model = MaxRateModel(alpha=0.0, beta=1e-11, beta_injection=1e-11,
-                             active_per_node=16)
-        assert model.message_time(1000, Locality.INTRA_SOCKET) == pytest.approx(1e-8)
-
-    def test_single_active_process_uncapped(self):
-        model = MaxRateModel(alpha=0.0, beta=2e-11, beta_injection=1e-11,
-                             active_per_node=1)
-        assert model.effective_beta == pytest.approx(2e-11)
-
-    def test_invalid_active_per_node(self):
-        with pytest.raises(ValidationError):
-            MaxRateModel(active_per_node=0)
 
 
 class TestLocalityAwareModel:
@@ -109,29 +85,3 @@ class TestLocalityAwareModel:
     def test_describe_mentions_classes(self, lassen_model):
         text = lassen_model.describe()
         assert "intra_socket" in text and "inter_node" in text
-
-
-class TestCorrections:
-    def test_queue_search_adds_quadratic_term(self):
-        base = PostalModel(alpha=0.0, beta=0.0)
-        model = QueueSearchModel(base=base, queue_time=1e-6)
-        msgs = [MessageCost(0, Locality.INTER_NODE)] * 4
-        # 4 messages -> 6 pairwise queue searches.
-        assert model.process_time(msgs) == pytest.approx(6e-6)
-
-    def test_queue_search_ignores_self_messages(self):
-        base = PostalModel(alpha=0.0, beta=0.0)
-        model = QueueSearchModel(base=base, queue_time=1e-6)
-        msgs = [MessageCost(0, Locality.SELF)] * 4
-        assert model.process_time(msgs) == 0.0
-
-    def test_contention_scales_only_inter_node_bandwidth(self):
-        base = PostalModel(alpha=1e-6, beta=1e-9)
-        model = ContentionModel(base=base, factor=2.0)
-        assert model.message_time(1000, Locality.INTER_NODE) == pytest.approx(3e-6)
-        assert model.message_time(1000, Locality.INTRA_SOCKET) == \
-            base.message_time(1000, Locality.INTRA_SOCKET)
-
-    def test_contention_factor_below_one_rejected(self):
-        with pytest.raises(ValidationError):
-            ContentionModel(base=PostalModel(), factor=0.5)

@@ -7,7 +7,6 @@ from repro.perfmodel.params import (
     SetupCostModel,
     graph_creation_model,
     lassen_parameters,
-    smp_parameters,
 )
 from repro.topology.machine import Locality
 from repro.utils.errors import ValidationError
@@ -23,11 +22,6 @@ class TestNamedParameterSets:
         few = lassen_parameters(active_per_node=1)
         many = lassen_parameters(active_per_node=32)
         assert few.active_per_node == 1 and many.active_per_node == 32
-
-    def test_smp_parameters_valid(self):
-        model = smp_parameters()
-        assert model.message_time(100, Locality.INTER_NODE) > 0
-
 
 class TestGraphCreationModel:
     def test_paper_ratio_at_2048(self):

@@ -16,8 +16,8 @@ from repro.collectives.plan import Phase, Variant
 from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
 from repro.perfmodel.params import lassen_parameters
-from repro.perfmodel.postal import PostalModel
 from repro.topology.presets import paper_mapping
+from oracles import PostalModel
 
 
 @st.composite

@@ -6,14 +6,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.pattern.builders import pattern_from_edges
-from repro.pattern.validation import patterns_equivalent
 from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
-from repro.perfmodel.maxrate import MaxRateModel
-from repro.perfmodel.postal import PostalModel
 from repro.sparse.partition import RowPartition
 from repro.topology.machine import Locality
 from repro.topology.presets import paper_mapping
-from repro.utils.arrays import counts_to_displs, displs_to_counts, partition_evenly, stable_unique
+from repro.utils.arrays import counts_to_displs, partition_evenly
+from oracles import PostalModel, patterns_equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +21,7 @@ from repro.utils.arrays import counts_to_displs, displs_to_counts, partition_eve
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=50))
 def test_counts_displs_roundtrip(counts):
-    assert displs_to_counts(counts_to_displs(counts)).tolist() == counts
+    assert np.diff(counts_to_displs(counts)).tolist() == counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -34,15 +32,6 @@ def test_partition_evenly_conserves_and_balances(total, parts):
     assert sizes.sum() == total
     assert sizes.max() - sizes.min() <= 1
     assert np.all(sizes >= 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
-def test_stable_unique_preserves_set_and_order(values):
-    unique = stable_unique(values).tolist()
-    assert set(unique) == set(values)
-    positions = [values.index(v) for v in unique]
-    assert positions == sorted(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +94,8 @@ def test_send_and_recv_views_agree(edges):
        st.sampled_from([Locality.INTRA_SOCKET, Locality.INTER_SOCKET, Locality.INTER_NODE]))
 def test_models_monotone_in_message_size(a, b, locality):
     small, large = sorted((a, b))
-    for model in (PostalModel(), MaxRateModel(),
-                  LocalityAwareModel()):
+    for model in (PostalModel(), LocalityAwareModel()):
         assert model.message_time(small, locality) <= model.message_time(large, locality)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=1 << 20))
-def test_maxrate_injection_penalty_monotone_in_active_processes(active, nbytes):
-    sparse = MaxRateModel(active_per_node=1)
-    busy = MaxRateModel(active_per_node=active)
-    assert busy.message_time(nbytes, Locality.INTER_NODE) >= \
-        sparse.message_time(nbytes, Locality.INTER_NODE)
 
 
 @settings(max_examples=50, deadline=None)

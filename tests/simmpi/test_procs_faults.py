@@ -32,16 +32,10 @@ import pytest
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
-from repro.simmpi import (
-    FAULTS_ENV,
-    ON_FAILURE_ENV,
-    TIMEOUT_ENV,
-    ExchangeEngine,
-    FaultPlan,
-    FaultSpec,
-    default_on_failure,
-    default_worker_timeout,
-)
+from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
+from repro.simmpi.engine import ON_FAILURE_ENV, default_on_failure
+from repro.simmpi.faults import FAULTS_ENV
+from repro.simmpi.procs import TIMEOUT_ENV, default_worker_timeout
 from repro.topology import paper_mapping
 from repro.utils.errors import (
     CommunicationError,

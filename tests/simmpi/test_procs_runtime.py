@@ -27,13 +27,8 @@ import pytest
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.pattern import CommPattern, random_pattern
-from repro.simmpi import (
-    ENGINE_RUNTIMES,
-    RUNTIME_ENV,
-    ExchangeEngine,
-    default_runtime,
-    default_worker_count,
-)
+from repro.simmpi import ExchangeEngine, default_runtime, default_worker_count
+from repro.simmpi.engine import ENGINE_RUNTIMES, RUNTIME_ENV
 from repro.topology import paper_mapping
 from repro.utils.errors import CommunicationError, ValidationError
 
@@ -189,6 +184,11 @@ class TestRuntimeSelection:
                            match=rf"n_workers must be >= 1, got {n_workers}"):
             ExchangeEngine(4, runtime=runtime, n_workers=n_workers)
         assert ExchangeEngine(4, runtime="engine", n_workers=1).n_workers == 1
+
+    @pytest.mark.parametrize("n_ranks", [0, -3])
+    def test_rank_count_is_a_validation_error(self, n_ranks):
+        with pytest.raises(ValidationError, match="at least one rank"):
+            ExchangeEngine(n_ranks)
 
     def test_default_worker_count_bounds(self):
         assert default_worker_count(1) == 1

@@ -28,7 +28,8 @@ from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
 from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
 from repro.simmpi import engine as engine_module
-from repro.sparse import ParCSRMatrix, RowPartition, WorldSpMV, poisson_2d
+from repro.sparse import ParCSRMatrix, RowPartition, WorldSpMV
+from repro.sparse.stencils import poisson_2d
 from repro.topology import paper_mapping
 from repro.utils.errors import CommunicationError, ValidationError
 

@@ -10,7 +10,6 @@ from repro.sparse.generators import grid_shape_for_rows, strong_scaling_problem,
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import (
     poisson_2d,
-    poisson_3d,
     rotated_anisotropic_diffusion,
     rotated_anisotropic_stencil,
     stencil_grid,
@@ -114,13 +113,6 @@ class TestStencilGrid:
         interior = 2 * 5 + 2
         assert matrix[interior].nnz == 5
         assert matrix.diagonal().min() == 4.0
-
-    def test_poisson_3d_structure(self):
-        matrix = poisson_3d((3, 3, 3))
-        assert matrix.shape == (27, 27)
-        center = 13
-        assert matrix[center].nnz == 7
-        assert abs(matrix - matrix.T).max() < 1e-12
 
     def test_stencil_grid_rejects_bad_stencil(self):
         with pytest.raises(ValidationError):

@@ -1,63 +1,6 @@
-"""Unit tests for region views and machine presets."""
+"""Unit tests for the machine presets."""
 
-import pytest
-
-from repro.topology.machine import MachineSpec
-from repro.topology.mapping import RankMapping
-from repro.topology.presets import (
-    bluegene_q_like,
-    frontier_like,
-    generic_cluster,
-    lassen_like,
-    paper_mapping,
-    smp_example_node,
-)
-from repro.topology.regions import (
-    bytes_by_region,
-    destination_regions,
-    ranks_by_region,
-    region_histogram,
-    RegionView,
-)
-
-
-@pytest.fixture
-def mapping():
-    machine = MachineSpec(name="t", nodes=4, sockets_per_node=1, cores_per_socket=4)
-    return RankMapping(machine, 16, ranks_per_node=4)
-
-
-class TestRegionViews:
-    def test_ranks_by_region_covers_all_ranks(self, mapping):
-        views = ranks_by_region(mapping)
-        all_ranks = sorted(r for view in views for r in view.ranks)
-        assert all_ranks == list(range(16))
-
-    def test_region_view_contains(self, mapping):
-        view = ranks_by_region(mapping)[1]
-        assert 4 in view and 0 not in view
-        assert view.local_rank(5) == 1
-        assert view.size == 4
-
-    def test_region_view_is_frozen(self):
-        view = RegionView(region=0, ranks=(0, 1))
-        with pytest.raises(Exception):
-            view.region = 5  # type: ignore[misc]
-
-    def test_region_histogram(self, mapping):
-        histogram = region_histogram(mapping, [0, 1, 4, 8, 9, 9])
-        assert histogram == {0: 2, 1: 1, 2: 3}
-
-    def test_region_histogram_empty(self, mapping):
-        assert region_histogram(mapping, []) == {}
-
-    def test_destination_regions(self, mapping):
-        regions = destination_regions(mapping, [15, 0, 7])
-        assert regions.tolist() == [0, 1, 3]
-
-    def test_bytes_by_region(self, mapping):
-        totals = bytes_by_region(mapping, [(0, 100), (1, 50), (4, 8)])
-        assert totals == {0: 150, 1: 8}
+from repro.topology.presets import lassen_like, paper_mapping
 
 
 class TestPresets:
@@ -65,28 +8,6 @@ class TestPresets:
         machine = lassen_like()
         assert machine.sockets_per_node == 2
         assert machine.cores_per_socket == 22
-
-    def test_frontier_node_shape(self):
-        machine = frontier_like()
-        assert machine.sockets_per_node == 4
-        assert machine.cores_per_node == 64
-
-    def test_bluegene_q_node_shape(self):
-        machine = bluegene_q_like()
-        assert machine.cores_per_node == 16
-
-    def test_smp_example_matches_figure_1(self):
-        machine = smp_example_node()
-        assert machine.sockets_per_node == 2
-        assert machine.cores_per_socket == 16
-
-    def test_generic_cluster_divisibility(self):
-        with pytest.raises(ValueError):
-            generic_cluster(4, 10, sockets_per_node=3)
-
-    def test_generic_cluster(self):
-        machine = generic_cluster(4, 12, sockets_per_node=2, name="c")
-        assert machine.cores_per_socket == 6
 
     def test_paper_mapping_uses_16_ranks_per_node(self):
         mapping = paper_mapping(64)

@@ -7,11 +7,8 @@ from repro.utils.arrays import (
     as_index_array,
     concatenate_or_empty,
     counts_to_displs,
-    displs_to_counts,
     gather_ranges,
-    invert_permutation,
     partition_evenly,
-    stable_unique,
 )
 from repro.utils.errors import ValidationError
 
@@ -27,18 +24,6 @@ class TestCountsDispls:
     def test_counts_to_displs_rejects_negative(self):
         with pytest.raises(ValidationError):
             counts_to_displs([2, -1])
-
-    def test_displs_to_counts_roundtrip(self):
-        counts = np.array([4, 1, 0, 7])
-        assert displs_to_counts(counts_to_displs(counts)).tolist() == counts.tolist()
-
-    def test_displs_to_counts_rejects_decreasing(self):
-        with pytest.raises(ValidationError):
-            displs_to_counts([0, 5, 3])
-
-    def test_displs_to_counts_empty(self):
-        assert displs_to_counts([]).size == 0
-
 
 class TestPartitionEvenly:
     def test_even_split(self):
@@ -64,35 +49,6 @@ class TestPartitionEvenly:
     def test_negative_total(self):
         with pytest.raises(ValidationError):
             partition_evenly(-1, 2)
-
-
-class TestPermutation:
-    def test_invert_permutation(self):
-        perm = np.array([2, 0, 3, 1])
-        inverse = invert_permutation(perm)
-        assert inverse[perm].tolist() == [0, 1, 2, 3]
-
-    def test_invert_identity(self):
-        assert invert_permutation([0, 1, 2]).tolist() == [0, 1, 2]
-
-    def test_invert_rejects_repeats(self):
-        with pytest.raises(ValidationError):
-            invert_permutation([0, 0, 1])
-
-    def test_invert_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            invert_permutation([0, 5])
-
-
-class TestStableUnique:
-    def test_preserves_first_occurrence_order(self):
-        assert stable_unique([5, 3, 5, 1, 3, 7]).tolist() == [5, 3, 1, 7]
-
-    def test_empty(self):
-        assert stable_unique([]).size == 0
-
-    def test_already_unique(self):
-        assert stable_unique([9, 2, 4]).tolist() == [9, 2, 4]
 
 
 class TestGatherRanges:

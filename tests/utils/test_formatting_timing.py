@@ -1,42 +1,6 @@
-"""Unit tests for repro.utils.formatting and repro.utils.timing."""
+"""Unit tests for repro.utils.formatting."""
 
-import itertools
-
-import pytest
-
-from repro.utils.formatting import format_bytes, format_seconds, format_series, format_table
-from repro.utils.timing import Timer, WallClock
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert format_bytes(512) == "512 B"
-
-    def test_kibibytes(self):
-        assert format_bytes(2048) == "2.00 KiB"
-
-    def test_mebibytes(self):
-        assert "MiB" in format_bytes(5 * 1024 * 1024)
-
-    def test_zero(self):
-        assert format_bytes(0) == "0 B"
-
-
-class TestFormatSeconds:
-    def test_seconds(self):
-        assert format_seconds(1.5) == "1.500 s"
-
-    def test_milliseconds(self):
-        assert format_seconds(0.0025) == "2.500 ms"
-
-    def test_microseconds(self):
-        assert "us" in format_seconds(3.2e-6)
-
-    def test_nanoseconds(self):
-        assert "ns" in format_seconds(5e-9)
-
-    def test_zero(self):
-        assert format_seconds(0.0) == "0 s"
+from repro.utils.formatting import format_series, format_table
 
 
 class TestFormatTable:
@@ -67,30 +31,3 @@ class TestFormatSeries:
     def test_missing_values_rendered_as_dash(self):
         text = format_series({"s1": [1.0]}, [10, 20])
         assert "-" in text.splitlines()[-1]
-
-
-class TestTimer:
-    def test_measure_uses_min_of_averages(self):
-        # Fake clock advancing 1s per call: each trial of N iterations appears
-        # to take exactly 1 second regardless of N.
-        counter = itertools.count()
-        clock = WallClock(source=lambda: float(next(counter)))
-        timer = Timer(iterations=10, trials=3, clock=clock)
-        result = timer.measure(lambda: None)
-        assert result == pytest.approx(0.1)
-
-    def test_measure_once(self):
-        counter = itertools.count()
-        clock = WallClock(source=lambda: float(next(counter)))
-        timer = Timer(clock=clock)
-        assert timer.measure_once(lambda: None) == pytest.approx(1.0)
-
-    def test_invalid_configuration(self):
-        timer = Timer(iterations=0)
-        with pytest.raises(ValueError):
-            timer.measure(lambda: None)
-
-    def test_real_clock_monotone(self):
-        clock = WallClock()
-        a, b = clock.now(), clock.now()
-        assert b >= a

@@ -9,15 +9,7 @@ from repro.utils.errors import (
     ReproError,
     ValidationError,
 )
-from repro.utils.validation import (
-    check_in_range,
-    check_index_array,
-    check_monotone,
-    check_non_negative_int,
-    check_positive_int,
-    check_probability,
-    check_type,
-)
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 
 class TestErrorHierarchy:
@@ -58,61 +50,3 @@ class TestIntChecks:
     def test_error_message_names_argument(self):
         with pytest.raises(ValidationError, match="n_ranks"):
             check_positive_int("n_ranks", -3)
-
-
-class TestRangeChecks:
-    def test_in_range_inclusive_bounds(self):
-        assert check_in_range("x", 1.0, 0.0, 1.0) == 1.0
-
-    def test_in_range_exclusive_rejects_bound(self):
-        with pytest.raises(ValidationError):
-            check_in_range("x", 0.0, 0.0, 1.0, inclusive=False)
-
-    def test_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValidationError):
-            check_probability("p", 1.5)
-
-
-class TestIndexArray:
-    def test_accepts_list(self):
-        arr = check_index_array("idx", [1, 2, 3])
-        assert arr.dtype == np.int64
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            check_index_array("idx", [1, -2])
-
-    def test_upper_bound(self):
-        with pytest.raises(ValidationError):
-            check_index_array("idx", [1, 5], upper=5)
-
-    def test_empty_ok(self):
-        assert check_index_array("idx", []).size == 0
-
-    def test_rejects_floats(self):
-        with pytest.raises(ValidationError):
-            check_index_array("idx", np.array([1.5, 2.0]))
-
-
-class TestMonotoneAndType:
-    def test_monotone_accepts_equal(self):
-        check_monotone("x", [1, 1, 2])
-
-    def test_strict_rejects_equal(self):
-        with pytest.raises(ValidationError):
-            check_monotone("x", [1, 1, 2], strict=True)
-
-    def test_monotone_rejects_decreasing(self):
-        with pytest.raises(ValidationError):
-            check_monotone("x", [2, 1])
-
-    def test_check_type_single(self):
-        assert check_type("x", 5, int) == 5
-
-    def test_check_type_tuple(self):
-        assert check_type("x", "abc", (int, str)) == "abc"
-
-    def test_check_type_rejects(self):
-        with pytest.raises(ValidationError, match="x must be of type"):
-            check_type("x", 5, str)
