@@ -222,6 +222,21 @@ class TestRelaxation:
         jacobi(poisson, b, x0, sweeps=2)
         assert np.all(x0 == 0.0)
 
+    def test_zero_sweeps_returns_copy(self, poisson, rng):
+        b = rng.random(poisson.shape[0])
+        x0 = rng.random(poisson.shape[0])
+        x = jacobi(poisson, b, x0, sweeps=0)
+        assert x is not x0 and x.tobytes() == x0.tobytes()
+
+    def test_sweeps_are_repeated_iterations(self, poisson, rng):
+        b = rng.random(poisson.shape[0])
+        x0 = np.zeros_like(b)
+        expected = weighted_jacobi_iteration(
+            poisson, b, weighted_jacobi_iteration(poisson, b, x0, omega=0.5),
+            omega=0.5)
+        assert jacobi(poisson, b, x0, sweeps=2, omega=0.5).tobytes() == \
+            expected.tobytes()
+
     def test_dimension_mismatch(self, poisson):
         with pytest.raises(ValidationError):
             weighted_jacobi_iteration(poisson, np.zeros(3), np.zeros(poisson.shape[0]))

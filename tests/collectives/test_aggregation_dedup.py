@@ -41,6 +41,22 @@ class TestCollectRegionTraffic:
         assert collect_region_traffic(pattern, mapping) == {}
         assert _pair_loads(pattern, mapping) == {}
 
+    def test_pair_items_count_duplicates(self, mapping):
+        pattern = pattern_from_edges(16, [(0, 4, [1, 1, 2]), (2, 6, [1])])
+        traffic = collect_region_traffic(pattern, mapping)
+        assert traffic[0].pair_items(1) == 4
+        assert traffic[0].pair_items(3) == 0
+
+    def test_per_pair_lists_every_edge(self, mapping):
+        pattern = pattern_from_edges(16, [(5, 12, [7, 8]), (4, 13, [9]),
+                                          (6, 0, [3])])
+        traffic = collect_region_traffic(pattern, mapping)
+        assert sorted(traffic) == [1]
+        assert traffic[1].dest_regions() == [0, 3]
+        triples = sorted((src, dest, items.tolist())
+                         for src, dest, items in traffic[1].per_pair[3])
+        assert triples == [(4, 13, [9]), (5, 12, [7, 8])]
+
     def test_columnar_loads_equal_pair_items(self, mapping):
         """What ``setup_aggregation`` reads off the CSR columns is, pair for
         pair, what the edge-walking grouping of the pinned planner counts."""

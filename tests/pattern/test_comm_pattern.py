@@ -66,6 +66,24 @@ class TestCommPatternBasics:
         assert a != c  # order matters for strict equality
         assert patterns_equivalent(a, c)  # but not for equivalence
 
+    def test_equivalence_respects_item_multiplicity(self):
+        a = pattern_from_edges(3, [(0, 1, [1, 1, 2])])
+        b = pattern_from_edges(3, [(0, 1, [1, 2, 2])])
+        assert not patterns_equivalent(a, b)
+
+    def test_equivalence_respects_size_and_item_bytes(self):
+        edges = [(0, 1, [1, 2])]
+        a = pattern_from_edges(3, edges)
+        assert not patterns_equivalent(a, pattern_from_edges(4, edges))
+        assert not patterns_equivalent(
+            a, pattern_from_edges(3, edges, item_bytes=a.item_bytes * 2))
+
+    def test_equivalence_detects_missing_edge(self):
+        a = pattern_from_edges(3, [(0, 1, [1]), (2, 0, [4])])
+        b = pattern_from_edges(3, [(0, 1, [1])])
+        assert not patterns_equivalent(a, b)
+        assert not patterns_equivalent(b, a)
+
     def test_edges_deterministic_order(self):
         pattern = pattern_from_edges(4, [(2, 0, [5]), (0, 3, [1]), (0, 1, [2])])
         edges = [(s, d) for s, d, _ in pattern.edges()]

@@ -45,6 +45,10 @@ class TestPostalModel:
     def test_phase_time_empty(self):
         assert PostalModel().phase_time({}) == 0.0
 
+    def test_describe_names_parameters(self):
+        text = PostalModel(alpha=2e-6, beta=3e-9).describe()
+        assert text.startswith("PostalModel(") and "2e-06" in text and "3e-09" in text
+
 
 class TestLocalityAwareModel:
     def test_intra_socket_cheapest_for_small_messages(self, lassen_model):

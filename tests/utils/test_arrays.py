@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.utils.arrays import (
+    argsort_packed,
     as_index_array,
+    buffer_writable,
     concatenate_or_empty,
     counts_to_displs,
+    freeze_columns,
+    frozen_copy_on_write,
     gather_ranges,
+    group_rows_to_csr,
     partition_evenly,
+    run_starts_mask,
 )
 from repro.utils.errors import ValidationError
 
@@ -17,6 +23,10 @@ class TestCountsDispls:
     def test_counts_to_displs_basic(self):
         displs = counts_to_displs([3, 0, 2, 5])
         assert displs.tolist() == [0, 3, 3, 5, 10]
+
+    def test_counts_to_displs_diff_roundtrip(self):
+        counts = np.array([4, 1, 0, 7])
+        assert np.diff(counts_to_displs(counts)).tolist() == counts.tolist()
 
     def test_counts_to_displs_empty(self):
         assert counts_to_displs([]).tolist() == [0]
@@ -94,3 +104,107 @@ class TestMisc:
     def test_concatenate_or_empty_all_empty(self):
         result = concatenate_or_empty([np.array([]), np.array([])])
         assert result.size == 0 and result.dtype == np.int64
+
+
+class TestRunStartsMask:
+    def test_empty(self):
+        assert run_starts_mask(np.array([], dtype=np.int64)).size == 0
+
+    def test_single_column(self):
+        mask = run_starts_mask(np.array([1, 1, 2, 2, 2, 5]))
+        assert mask.tolist() == [True, False, True, False, False, True]
+
+    def test_any_column_change_starts_a_run(self):
+        first = np.array([0, 0, 0, 1, 1])
+        second = np.array([3, 3, 4, 4, 4])
+        mask = run_starts_mask(first, second)
+        assert mask.tolist() == [True, False, True, True, False]
+
+    def test_single_row_starts_a_run(self):
+        assert run_starts_mask(np.array([7]), np.array([9])).tolist() == [True]
+
+
+class TestArgsortPacked:
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 5, 50)
+        b = rng.integers(0, 7, 50)
+        expected = np.lexsort((b, a))
+        assert argsort_packed([a, b], [5, 7]).tolist() == expected.tolist()
+
+    def test_stable_for_equal_keys(self):
+        a = np.array([1, 0, 1, 0])
+        b = np.array([2, 2, 2, 2])
+        assert argsort_packed([a, b], [2, 3]).tolist() == [1, 3, 0, 2]
+
+    def test_overflowing_bounds_fall_back_to_lexsort(self):
+        big = 2 ** 40
+        a = np.array([big - 1, 0, big - 1, 3])
+        b = np.array([5, big - 2, 1, 0])
+        expected = np.lexsort((b, a))
+        assert argsort_packed([a, b], [big, big]).tolist() == expected.tolist()
+
+
+class TestGroupRowsToCsr:
+    def test_empty_rows(self):
+        offsets, secondaries, item_offsets, items = group_rows_to_csr(
+            3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64))
+        assert offsets.tolist() == [0, 0, 0, 0]
+        assert secondaries.size == 0 and items.size == 0
+        assert item_offsets.tolist() == [0]
+
+    def test_groups_by_key_pair(self):
+        primary = np.array([2, 0, 2, 0])
+        secondary = np.array([1, 3, 1, 1])
+        items = np.array([10, 11, 12, 13])
+        offsets, secondaries, item_offsets, grouped = group_rows_to_csr(
+            3, primary, secondary, items)
+        # Key 0 has edges to 1 and 3, key 1 none, key 2 one edge to 1.
+        assert offsets.tolist() == [0, 2, 2, 3]
+        assert secondaries.tolist() == [1, 3, 1]
+        assert item_offsets.tolist() == [0, 1, 2, 4]
+        assert grouped.tolist() == [13, 11, 10, 12]
+
+    def test_items_keep_input_order_within_an_edge(self):
+        primary = np.zeros(4, dtype=np.int64)
+        secondary = np.ones(4, dtype=np.int64)
+        items = np.array([9, 4, 7, 4])
+        _, _, item_offsets, grouped = group_rows_to_csr(
+            1, primary, secondary, items)
+        assert item_offsets.tolist() == [0, 4]
+        assert grouped.tolist() == [9, 4, 7, 4]
+
+
+class TestFreezing:
+    def test_buffer_writable_sees_through_read_only_view(self):
+        base = np.arange(4)
+        view = base[1:]
+        view.flags.writeable = False
+        assert buffer_writable(view)
+
+    def test_buffer_writable_false_for_read_only_root(self):
+        root = np.arange(4)
+        root.flags.writeable = False
+        assert not buffer_writable(root[1:])
+
+    def test_frozen_copy_on_write_copies_shared_writable_source(self):
+        source = np.arange(5, dtype=np.int64)
+        frozen = frozen_copy_on_write(np.asarray(source), source)
+        assert not frozen.flags.writeable
+        assert not np.may_share_memory(frozen, source)
+        source[0] = 99
+        assert frozen[0] == 0
+        assert source.flags.writeable
+
+    def test_frozen_copy_on_write_keeps_unshared_array(self):
+        arr = np.arange(5, dtype=np.int64)
+        frozen = frozen_copy_on_write(arr, [0, 1, 2, 3, 4])
+        assert frozen is arr and not frozen.flags.writeable
+
+    def test_freeze_columns_marks_every_column_read_only(self):
+        a, b = np.arange(3), np.arange(2)
+        freeze_columns(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
