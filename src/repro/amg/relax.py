@@ -93,6 +93,13 @@ class DistributedJacobi:
                 "neither b nor x")
         self.spmv.multiply(x, out=out)           # A x
         np.subtract(b, out, out=out)             # the residual b - A x
-        np.multiply(self.omega, out, out=out)
+        return self._correct(x, out, out)
+
+    def _correct(self, x: np.ndarray, residual: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """The rest of a sweep once ``residual = b - A x`` is known:
+        ``x + omega * residual / diag`` into ``out`` (which may be
+        ``residual``), step by step in that order."""
+        np.multiply(self.omega, residual, out=out)
         np.divide(out, self._diagonal, out=out)
         return np.add(x, out, out=out)

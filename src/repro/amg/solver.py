@@ -73,15 +73,18 @@ def check_cycle_parameters(pre_sweeps: int, post_sweeps: int,
     return pre_sweeps, post_sweeps, omega
 
 
-def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     b: np.ndarray, *, n_rows: int,
-                     x0: Optional[np.ndarray] = None, tol: float = 1e-8,
-                     max_iterations: int = 100) -> SolveResult:
-    """Iterate ``x ← cycle(b, x)`` until ``‖residual(b, x)‖ ≤ tol · ‖r₀‖``.
+def stationary_solve(
+        cycle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        b: np.ndarray, *, n_rows: int, x0: Optional[np.ndarray] = None,
+        tol: float = 1e-8, max_iterations: int = 100) -> SolveResult:
+    """Iterate ``x ← cycle(b, x, r)`` until ``‖r‖ ≤ tol · ‖r₀‖``, where
+    ``r = residual(b, x)`` is the convergence check of the iterate.
 
     The one solve loop: the sequential solver passes its assembled-matrix
     V-cycle and residual, the world-stepped solver its engine-executed ones.
+    ``cycle`` gets the residual just checked, of the very ``x`` it starts
+    from, so it may begin there instead of computing ``b - A x`` again.
     A zero initial residual returns ``x0`` converged after zero iterations;
     a non-finite entry in ``b`` or ``x0`` is rejected up front.
     """
@@ -95,7 +98,8 @@ def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for name, vector in (("b", b), ("x0", x)):
         if not np.isfinite(vector).all():
             raise ValidationError(f"{name} has a non-finite entry")
-    residual_norms = [float(np.linalg.norm(residual(b, x)))]
+    checked = residual(b, x)
+    residual_norms = [float(np.linalg.norm(checked))]
     if residual_norms[0] == 0.0:
         return SolveResult(solution=x, residual_norms=residual_norms,
                            iterations=0, converged=True)
@@ -103,8 +107,9 @@ def stationary_solve(cycle: Callable[[np.ndarray, np.ndarray], np.ndarray],
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        x = cycle(b, x)
-        residual_norms.append(float(np.linalg.norm(residual(b, x))))
+        x = cycle(b, x, checked)
+        checked = residual(b, x)
+        residual_norms.append(float(np.linalg.norm(checked)))
         if residual_norms[-1] <= target:
             converged = True
             break
@@ -179,6 +184,7 @@ class BoomerAMGSolver:
         ``tol`` times the initial residual norm.
         """
         A = self.matrix.matrix
-        return stationary_solve(self.vcycle, lambda b, x: b - A @ x, b,
+        return stationary_solve(lambda b, x, r: self.vcycle(b, x),
+                                lambda b, x: b - A @ x, b,
                                 n_rows=self.matrix.n_rows, x0=x0, tol=tol,
                                 max_iterations=max_iterations)

@@ -427,7 +427,8 @@ class WorldVCycle:
         built = self.levels if active is None else self._variant_levels[active]
         return built[index]
 
-    def _cycle(self, index: int, b: np.ndarray) -> np.ndarray:
+    def _cycle(self, index: int, b: np.ndarray,
+               residual: np.ndarray | None = None) -> np.ndarray:
         """The cycle from level ``index`` down, on the level's own vectors.
 
         Starts from the iterate in the level's first vector and returns the
@@ -435,13 +436,20 @@ class WorldVCycle:
         into the other and the two swap) — on the coarsest level, the direct
         solution.  Every update is the out-of-place expression's arithmetic
         in its order, written with ``out=``, so the iterate is bit-equal.
+        A given ``residual`` is ``b - A x`` of that starting iterate, as the
+        solve's convergence check computed it: the first pre-smoothing sweep
+        continues from it instead of making the product again.
         """
         if index == self.hierarchy.n_levels - 1:
             return self._coarse_solve(b)
         level = self._level(index)
         smoother = level.smoother
         x, y = self._vectors[index]
-        for _ in range(self.pre_sweeps):
+        sweeps = self.pre_sweeps
+        if residual is not None and sweeps:
+            smoother._correct(x, residual, y)
+            x, y, sweeps = y, x, sweeps - 1
+        for _ in range(sweeps):
             smoother.sweep(b, x, out=y)
             x, y = y, x
         level.spmv.multiply(x, out=y)
@@ -470,6 +478,14 @@ class WorldVCycle:
         ``x`` is copied into the cycle's own vectors and neither argument is
         written; the result is a new array.
         """
+        return self._cycle_from(b, x, None)
+
+    def _cycle_from(self, b: np.ndarray, x: np.ndarray,
+                    residual: np.ndarray | None) -> np.ndarray:
+        """:meth:`cycle`, handed ``residual = b - A x`` when the caller has
+        just computed it (the solve loop's convergence check), which saves
+        the fine level's first product.  Under ``variant="auto"`` it is not
+        used: each cycle is one timing window, which keeps every product."""
         b = np.asarray(b, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if b.shape != (self.n_rows,) or x.shape != (self.n_rows,):
@@ -477,7 +493,7 @@ class WorldVCycle:
         if self._vectors:
             self._vectors[0][0][...] = x
         if self._selector is None:
-            return self._cycle(0, b).copy()
+            return self._cycle(0, b, residual).copy()
         self._selector.begin_cycle()
         self._active = {level: self._selector.variant_for(level)
                         for level in self._selector.seeded_levels()}
@@ -568,9 +584,12 @@ class WorldAMGSolver:
         (:func:`~repro.amg.solver.stationary_solve`) — same convergence
         criterion, same :class:`SolveResult` — with every residual computed
         through the fine-level world SpMV instead of the assembled matrix.
+        Each cycle's first pre-smoothing sweep starts from the residual the
+        convergence check just computed, so the fine level makes one product
+        per iteration fewer, with the same iterates to the bit.
         """
         executor = self.vcycle_executor
-        result = stationary_solve(executor.cycle, executor.residual, b,
+        result = stationary_solve(executor._cycle_from, executor.residual, b,
                                   n_rows=self.matrix.n_rows, x0=x0, tol=tol,
                                   max_iterations=max_iterations)
         result.decision_trace = self.decision_trace

@@ -169,7 +169,16 @@ class WorldNeighborCollective:
         return self.engine.run(self._handle, values)
 
     def exchange(self, values: WorldValues) -> List[np.ndarray]:
-        """One full iteration for every rank; one result view per rank."""
+        """One full iteration for every rank; one result view per rank.
+
+        ``values`` is the flat array :meth:`exchange_flat` takes, or one
+        array per rank in ``owned_item_ids`` order.  A list or tuple of exact
+        ``ndarray`` s of :attr:`dtype`, each of shape ``(n_owned,)``
+        (``(n_owned, item_size)`` for wider items), is checked and loaded by
+        C-level calls with no per-rank Python work; any other per-rank form
+        (casts, nested lists, ``(n_owned, 1)`` columns, subclasses) is still
+        accepted through the engine's checked per-rank path.
+        """
         if self._result_bounds is None:
             raise ValidationError(
                 "this collective is bound to a vector: run engine.run(handle, "

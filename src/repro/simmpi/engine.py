@@ -19,11 +19,13 @@ accounts traffic (and is skipped when no profiler is attached), and a
 receive step is one ``work[:a].take(src, 0, work[a:b], "clip")`` — rows
 earlier steps wrote, taken into the slice the step owns, never overlapping
 it, called on the array itself.  :meth:`ExchangeEngine.register` only
-validates that program, remaps its head and fixes a bound handle's input
-test: a vector of exactly the registered shape and dtype is copied into the
-head as is; anything else goes through the full input check.  Every work
-row holds its ``(origin, item)`` key's one per-iteration value; repeat
-deliveries leave the data path, not the accounting.
+validates that program, remaps its head and fixes each handle's input
+test: a bound handle's vector of exactly the registered shape and dtype is
+copied into the head as is, and an unbound handle's list of per-rank arrays
+of exactly the exchange's dtype, ndim and owned lengths is concatenated
+into the owned rows; anything else goes through the full input check.
+Every work row holds its ``(origin, item)`` key's one per-iteration value;
+repeat deliveries leave the data path, not the accounting.
 
 A fresh output is one more ``gather(work, result, out)`` into a new array.
 On an unbound handle a *terminal* receive step — one whose rows no later
@@ -63,14 +65,17 @@ from __future__ import annotations
 import os
 import time
 import weakref
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.simmpi.profiler import TrafficProfiler
 from repro.utils.errors import CommunicationError, ValidationError, WorkerError
-from repro.utils.validation import check_value_preserving_cast
+from repro.utils.validation import (check_non_negative_int,
+                                    check_value_preserving_cast)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.collectives.exchange import WorldExchange, WorldPhaseProgram
@@ -142,7 +147,12 @@ class _RegisteredProgram:
     vector's rows of ``work`` as one 1-D view — an input of exactly its
     shape and dtype is copied in with no further check — and ``buffer`` the
     read-only flat view of ``work`` a round returns (``None`` while ``work``
-    is a shared segment, which hands out a copy instead)."""
+    is a shared segment, which hands out a copy instead).  An unbound handle
+    fixes its list fast path likewise: ``owned`` is the owned rows of
+    ``work`` as one ``(n,)`` view (``(n, item_size)`` for wider items) and
+    ``lengths`` every rank's owned-row count, so a list or tuple of per-rank
+    arrays of exactly that dtype, ndim and lengths is concatenated straight
+    into ``owned``."""
 
     world: "WorldExchange"
     vector_length: Optional[int]
@@ -152,6 +162,8 @@ class _RegisteredProgram:
     shared: Optional["SharedProgram"] = None
     head: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
+    owned: Optional[np.ndarray] = None
+    lengths: Optional[List[int]] = None
 
 
 def _check_range(name: str, index: np.ndarray, bound: int) -> None:
@@ -217,6 +229,31 @@ def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
     return array.astype(spec.dtype, copy=False).reshape(n_rows, spec.item_size)
 
 
+_DTYPE, _NDIM = attrgetter("dtype"), attrgetter("ndim")
+
+
+def _load_ranks(state: _RegisteredProgram, values) -> bool:
+    """Concatenate a list or tuple of per-rank arrays straight into an
+    unbound handle's owned rows, if C-level passes over it show that nothing
+    needs a cast or a reshape: every entry an exact ``ndarray`` of the
+    exchange's dtype and ndim, each rank's of its owned length.  One copy,
+    no temporary.  Returns ``False`` — anything else, or a trailing
+    dimension that is not ``item_size`` (``concatenate`` rejects it before
+    writing) — to send the input through the checked per-rank path."""
+    owned = state.owned
+    if type(values) not in (list, tuple) \
+            or set(map(type, values)) != {np.ndarray} \
+            or set(map(_DTYPE, values)) != {owned.dtype} \
+            or set(map(_NDIM, values)) != {owned.ndim} \
+            or list(map(len, values)) != state.lengths:
+        return False
+    try:
+        np.concatenate(values, out=owned)
+    except ValueError:
+        return False
+    return True
+
+
 class ExchangeEngine:
     """Executes registered world exchanges, one phase at a time for all ranks.
 
@@ -259,8 +296,12 @@ class ExchangeEngine:
                  clock=None):
         if n_ranks <= 0:
             raise ValidationError("an exchange engine needs at least one rank")
-        if n_workers is not None and int(n_workers) < 1:
-            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+        if n_workers is not None:
+            if isinstance(n_workers, (int, np.integer)) and n_workers < 1:
+                raise ValidationError(
+                    f"n_workers must be >= 1, got {n_workers}")
+            # A float, bool or string is rejected, never truncated.
+            n_workers = check_non_negative_int("n_workers", n_workers)
         if runtime is None:
             runtime = default_runtime()
         if runtime not in ENGINE_RUNTIMES:
@@ -294,7 +335,7 @@ class ExchangeEngine:
             from repro.simmpi.procs import ProcsPool, default_worker_count
 
             self._pool = ProcsPool(
-                n_workers=int(n_workers) if n_workers is not None
+                n_workers=n_workers if n_workers is not None
                 else default_worker_count(self.n_ranks),
                 timeout=timeout,
                 # "raise" means fail fast: the pool gets no retry budget.
@@ -427,6 +468,11 @@ class ExchangeEngine:
             if state.shared is None:
                 state.buffer = state.work.reshape(-1)
                 state.buffer.flags.writeable = False
+        else:
+            state.owned = state.work[:ids.size]
+            if world.spec.item_size == 1:
+                state.owned = state.owned[:, 0]
+            state.lengths = np.diff(world.owned_offsets).tolist()
         self._programs.append(state)
         return len(self._programs) - 1
 
@@ -469,7 +515,14 @@ class ExchangeEngine:
 
         ``values`` holds every rank's owned item values: one flat array in
         ``world.owned_items_all`` order (native), or a sequence of per-rank
-        dense arrays.  Returns a fresh flat array of every rank's received
+        dense arrays.  A list or tuple of exact ``ndarray`` s, each of the
+        exchange's dtype and of shape ``(n_owned,)`` (``(n_owned,
+        item_size)`` for wider items), is checked and concatenated into the
+        work array by C-level calls, with no per-rank Python work; any other
+        sequence — casts, nested lists, ``(n_owned, 1)`` columns, subclasses
+        — is still accepted through the checked per-rank path, which names
+        the offending rank.  Anything else raises :class:`ValidationError`.
+        Returns a fresh flat array of every rank's received
         values in ``world.result_items_all`` order (delimited per rank by
         ``world.result_offsets``): the value its source owns of every item
         each rank receives.  It is made by one
@@ -499,7 +552,7 @@ class ExchangeEngine:
         if head is not None and isinstance(values, np.ndarray) \
                 and values.shape == head.shape and values.dtype == head.dtype:
             head[...] = values          # a bound handle's own vector, as is
-        else:
+        elif not (state.owned is not None and _load_ranks(state, values)):
             loaded = self._load_values(state, values)
             work[:loaded.shape[0]] = loaded
         delivered = False
@@ -582,23 +635,23 @@ class ExchangeEngine:
         n_owned_total = int(world.owned_offsets[-1])
         if isinstance(values, np.ndarray):
             return _as_rows(values, n_owned_total, spec, "flat world input")
+        if not isinstance(values, SequenceABC):     # a dict or set is none
+            raise ValidationError(
+                "values must be one flat array of every rank's owned values "
+                "or a sequence (list or tuple) of one array per rank, got "
+                f"{type(values).__name__}")
         if len(values) != world.n_ranks:
             raise ValidationError(
                 f"expected one value array per rank ({world.n_ranks}), "
                 f"got {len(values)}"
             )
-        counts = np.diff(world.owned_offsets).tolist()
-        tail = () if spec.item_size == 1 else (spec.item_size,)
-        if counts and all(
-                isinstance(array, np.ndarray) and array.dtype == spec.dtype
-                and array.shape == (n_owned, *tail)
-                for array, n_owned in zip(values, counts)):
-            return np.concatenate(values).reshape(n_owned_total, spec.item_size)
-        # Anything else: rank by rank, casting — or naming the offending rank.
+        # What _load_ranks did not take: rank by rank, casting — or naming
+        # the offending rank.
         parts = [_as_rows(rank_values, n_owned, spec,
                           f"rank {rank} owns {n_owned} items of size "
                           f"{spec.item_size}; values")
-                 for rank, (rank_values, n_owned) in enumerate(zip(values, counts))]
+                 for rank, (rank_values, n_owned)
+                 in enumerate(zip(values, state.lengths))]
         return np.concatenate(parts) if parts \
             else np.empty((0, spec.item_size), dtype=spec.dtype)
 

@@ -233,3 +233,38 @@ def test_cycle_call_budget_per_level(count_calls, levels, rng):
                                of=[engine_module._checked_steps]) == 0
     assert counts[0] == counts[1], counts
     assert counts[0] <= CALLS_PER_LEVEL * (levels - 1) + CALLS_ONCE, counts
+
+
+# -- the solve loop's residual -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pre_sweeps", [0, 1, 2])
+@pytest.mark.parametrize("variant", [Variant.PARTIAL, "auto"])
+def test_solve_hands_its_checked_residual_to_the_next_cycle(
+        count_calls, variant, pre_sweeps, rng):
+    """The convergence check's ``b - A x`` is the first pre-smoothing
+    sweep's: a steady iteration makes ``(sweeps + 3) × (levels − 1) + 1``
+    engine rounds — 5 per smoothed level and the coarse gather, with one
+    sweep each way — where checking and cycling apart make one more.  With
+    no pre-sweep there is nothing to hand over, and under ``"auto"`` each
+    cycle is a timing window that keeps every product.  Either way the
+    solve is the sequential solver's to the bit."""
+    matrix, hierarchy = _hierarchy()
+    levels = hierarchy.n_levels
+    b = rng.standard_normal(matrix.n_rows)
+    with WorldAMGSolver(matrix, paper_mapping(N_RANKS, ranks_per_node=4),
+                        hierarchy=hierarchy, variant=variant,
+                        pre_sweeps=pre_sweeps) as solver:
+        rounds = [count_calls(solver.solve, b, tol=0.0, max_iterations=k,
+                              of=[ExchangeEngine._execute]) for k in (3, 4)]
+        result = solver.solve(b, tol=1e-8, max_iterations=60)
+    handed = pre_sweeps > 0 and variant != "auto"
+    assert rounds[1] - rounds[0] == \
+        (pre_sweeps + 1 + 3) * (levels - 1) + 1 + (not handed)
+    expected = BoomerAMGSolver(matrix, hierarchy=hierarchy,
+                               pre_sweeps=pre_sweeps).solve(
+        b, tol=1e-8, max_iterations=60)
+    assert result.iterations == expected.iterations
+    assert result.converged == expected.converged
+    assert result.residual_norms == expected.residual_norms
+    assert result.solution.tobytes() == expected.solution.tobytes()

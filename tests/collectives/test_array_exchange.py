@@ -15,7 +15,8 @@ from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
-from repro.pattern.builders import pattern_from_edges, random_pattern
+from repro.pattern.builders import (halo_exchange_pattern, pattern_from_edges,
+                                    random_pattern)
 from repro.simmpi.profiler import TrafficProfiler
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import PlanError, ValidationError
@@ -127,6 +128,25 @@ class TestArrayPathDeliversCorrectData:
         assert halos[1].tolist() == [1.0, 2.0]
 
 
+    @pytest.mark.parametrize("values", [
+        None, 3.0, (np.zeros(n) for n in (2, 1)),
+        {0: np.zeros(2), 1: np.zeros(1)}, {np.zeros(2).tobytes()}],
+        ids=["None", "float", "generator", "dict", "set"])
+    def test_input_that_is_no_sequence_of_ranks_raises(self, small_mapping,
+                                                       values):
+        pattern = pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])])
+        collective = neighbor_alltoallv_init_world(
+            pattern, small_mapping, variant=Variant.STANDARD)
+        with pytest.raises(ValidationError) as info:
+            collective.exchange(values)
+        assert str(info.value) == (
+            "values must be one flat array of every rank's owned values or a "
+            "sequence (list or tuple) of one array per rank, got "
+            f"{type(values).__name__}")
+        halos = collective.exchange((np.array([1.0, 2.0]), np.array([5.0])))
+        assert halos[1].tolist() == [1.0, 2.0]
+
+
 class TestZeroPerItemWork:
     """Regression guard: an exchange round is O(phases), not O(items).
 
@@ -169,6 +189,50 @@ class TestZeroPerItemWork:
         # (local, setup redistribution, global, final redistribution) plus
         # the output gather; on a pool the workers make the first four.
         assert 1 <= small[1] <= 5
+
+
+class TestZeroPerRankWork:
+    """Regression guard: a list-I/O round is O(phases), not O(ranks).
+
+    One round of a standard periodic halo exchange fed one array per rank
+    (views of one flat array, as ``np.split`` cuts them) is counted; the
+    count may not change from 16 to 256 ranks.  The engine checks the list
+    and concatenates it into its work array with C-level calls, and the
+    per-rank views of the output are slices, which make no calls.  On
+    ``runtime="procs"`` the pool's wait for its workers is left out, as in
+    :class:`TestZeroPerItemWork`; loading the list happens in the parent on
+    both runtimes.
+    """
+
+    @staticmethod
+    def _count_ops(count_calls, side):
+        from repro.simmpi.procs import ProcsPool
+
+        n_ranks = side * side
+        pattern = halo_exchange_pattern((side, side), points_per_cell=4,
+                                        periodic=True)
+        with neighbor_alltoallv_init_world(
+                pattern, paper_mapping(n_ranks, ranks_per_node=4),
+                variant=Variant.STANDARD) as collective:
+            world = collective.world
+            # Item ids are global, so each rank receives the ids it expects.
+            values = np.split(world.owned_items_all.astype(np.float64),
+                              world.owned_offsets[1:-1])
+            assert len(values) == n_ranks
+            collective.exchange(values)
+            count = count_calls(collective.exchange, values,
+                                skip=[ProcsPool.run])
+            received = collective.exchange(values)
+            for rank in range(n_ranks):
+                assert np.array_equal(received[rank],
+                                      collective.recv_item_ids(rank))
+            return count
+
+    def test_op_count_independent_of_rank_count(self, count_calls):
+        small = self._count_ops(count_calls, 4)
+        large = self._count_ops(count_calls, 16)
+        assert small == large
+        assert large <= 40
 
 
 class TestTrafficByteAccounting:

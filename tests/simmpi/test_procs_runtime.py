@@ -185,6 +185,22 @@ class TestRuntimeSelection:
             ExchangeEngine(4, runtime=runtime, n_workers=n_workers)
         assert ExchangeEngine(4, runtime="engine", n_workers=1).n_workers == 1
 
+    @pytest.mark.parametrize("runtime", ["engine", "procs"])
+    @pytest.mark.parametrize("n_workers", [1.5, 2.0, True, "2"])
+    def test_worker_count_that_is_no_int_is_rejected_not_truncated(
+            self, runtime, n_workers):
+        with pytest.raises(ValidationError) as info:
+            ExchangeEngine(2, runtime=runtime, n_workers=n_workers)
+        assert str(info.value) == \
+            f"n_workers must be an int, got {type(n_workers).__name__}"
+
+    def test_worker_count_may_exceed_the_rank_count(self):
+        # Extra workers get empty shares of every step (see the property
+        # suite's pool of 3 on 2-rank patterns); numpy ints count as ints.
+        with ExchangeEngine(2, runtime="procs", n_workers=np.int64(3)) as engine:
+            assert engine.n_workers == 3
+            assert type(engine.n_workers) is int
+
     @pytest.mark.parametrize("n_ranks", [0, -3])
     def test_rank_count_is_a_validation_error(self, n_ranks):
         with pytest.raises(ValidationError, match="at least one rank"):
