@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.ablation import run_balance_ablation
 
 
-def test_ablation_load_balancing(benchmark, experiment_context):
+def test_ablation_load_balancing(experiment_context):
     """Round-robin vs byte-balanced leader assignment.
 
     Byte-balanced assignment may not always change the per-process maximum
     (patterns are fairly uniform on a stencil problem) but it must never make
     the worst-loaded process worse.
     """
-    result = benchmark.pedantic(run_balance_ablation, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_balance_ablation(experiment_context)
     emit("ablation_balance", result.to_table())
 
     by_name = dict(zip(result.strategies, result.max_global_bytes))

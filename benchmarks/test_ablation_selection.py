@@ -7,7 +7,7 @@ from conftest import emit
 from repro.experiments.ablation import run_selection_ablation
 
 
-def test_ablation_dynamic_selection(benchmark, experiment_context):
+def test_ablation_dynamic_selection(experiment_context):
     """The selection the paper proposes as future work.
 
     The model-driven choice amortises setup costs over an expected iteration
@@ -15,8 +15,7 @@ def test_ablation_dynamic_selection(benchmark, experiment_context):
     aggregation setup would never pay off; it must still clearly beat the
     always-standard default and stay close to the per-iteration oracle.
     """
-    result = benchmark.pedantic(run_selection_ablation, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_selection_ablation(experiment_context)
     emit("ablation_selection", result.to_table())
 
     assert result.policy_times["model_selection"] <= result.policy_times["always_standard"]

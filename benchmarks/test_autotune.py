@@ -10,7 +10,7 @@ margin guards future noise sources).
 
 from __future__ import annotations
 
-from conftest import emit, emit_bench
+from conftest import emit
 
 from repro.collectives.plan import Variant
 from repro.experiments.config import ExperimentContext
@@ -20,11 +20,9 @@ N_RANKS = 1024
 CANDIDATES = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
 
 
-def test_bench_autotune_tracks_per_level_best(benchmark, experiment_config):
+def test_bench_autotune_tracks_per_level_best(experiment_config):
     context = ExperimentContext.build(experiment_config.with_ranks(N_RANKS))
-    result = benchmark.pedantic(
-        run_crossover, args=(context,), kwargs={"variants": ("auto",)},
-        iterations=1, rounds=1)
+    result = run_crossover(context, variants=("auto",))
     emit("fig07_crossover_auto", result.to_table())
 
     auto_steady = result.per_iteration["auto"]
@@ -46,13 +44,3 @@ def test_bench_autotune_tracks_per_level_best(benchmark, experiment_config):
     for level, variant in choices.items():
         assert trace.events(kind="probe", level=level)
         assert variant in CANDIDATES
-
-    emit_bench("autotune",
-               speedup=best_fixed / auto_steady,
-               baseline_s=best_fixed,
-               optimized_s=auto_steady,
-               n_ranks=N_RANKS,
-               oracle_s=oracle,
-               crossover_auto=result.crossovers["auto"],
-               n_levels=len(context.profiles),
-               trace_events=len(trace))

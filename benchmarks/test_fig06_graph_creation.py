@@ -7,14 +7,13 @@ from conftest import emit
 from repro.experiments.graph_creation import run_graph_creation
 
 
-def test_fig06_graph_creation(benchmark, experiment_config):
+def test_fig06_graph_creation(experiment_config):
     """Regenerate the Figure 6 series and check its qualitative shape.
 
     The paper reports MVAPICH performing ``MPI_Dist_graph_create_adjacent``
     8.6x faster than Spectrum MPI at 2048 cores, with better strong scaling.
     """
-    result = benchmark.pedantic(run_graph_creation, args=(experiment_config,),
-                                iterations=1, rounds=1)
+    result = run_graph_creation(experiment_config)
     emit("fig06_graph_creation", result.to_table())
 
     largest = result.process_counts[-1]

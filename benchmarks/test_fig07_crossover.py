@@ -8,7 +8,7 @@ from repro.collectives import Variant
 from repro.experiments.crossover import run_crossover
 
 
-def test_fig07_crossover(benchmark, experiment_context):
+def test_fig07_crossover(experiment_context):
     """Regenerate the Figure 7 series and check the crossover structure.
 
     The paper finds the fully optimized collective amortising its setup after
@@ -16,8 +16,7 @@ def test_fig07_crossover(benchmark, experiment_context):
     implementation wraps the full one, so its initialisation is more
     expensive while its per-iteration cost is no better).
     """
-    result = benchmark.pedantic(run_crossover, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_crossover(experiment_context)
     emit("fig07_crossover", result.to_table())
 
     # The standard neighborhood collective costs only the graph creation.

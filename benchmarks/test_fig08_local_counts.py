@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.per_level import run_per_level
 
 
-def test_fig08_local_message_counts(benchmark, experiment_context):
+def test_fig08_local_message_counts(experiment_context):
     """Regenerate the Figure 8 series.
 
     Locality-aware aggregation trades inter-region messages for additional
     intra-region redistribution, so the optimized local counts must be at
     least as high as the standard ones on the communication-heavy levels.
     """
-    result = benchmark.pedantic(run_per_level, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_per_level(experiment_context)
     emit("fig08_local_counts", result.table_fig8())
 
     standard = result.local_messages["standard_local"]

@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.per_level import run_per_level
 
 
-def test_fig09_global_message_counts(benchmark, experiment_context):
+def test_fig09_global_message_counts(experiment_context):
     """Regenerate the Figure 9 series.
 
     Three-step aggregation sends one message per destination region handled by
     a process, so the optimized inter-region counts must never exceed the
     standard ones and must be strictly lower on the dense middle levels.
     """
-    result = benchmark.pedantic(run_per_level, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_per_level(experiment_context)
     emit("fig09_global_counts", result.table_fig9())
 
     standard = result.global_messages["standard_global"]

@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.per_level import run_per_level
 
 
-def test_fig10_global_message_sizes(benchmark, experiment_context):
+def test_fig10_global_message_sizes(experiment_context):
     """Regenerate the Figure 10 series.
 
     Removing duplicate values can only shrink inter-region payloads; the paper
     reports up to a 35% reduction of the per-process maximum on a middle level
     of the hierarchy.
     """
-    result = benchmark.pedantic(run_per_level, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_per_level(experiment_context)
     emit("fig10_global_sizes", result.table_fig10())
 
     partial = result.global_bytes["partially_optimized"]

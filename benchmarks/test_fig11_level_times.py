@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.per_level import run_per_level
 
 
-def test_fig11_per_level_times(benchmark, experiment_context):
+def test_fig11_per_level_times(experiment_context):
     """Regenerate the Figure 11 series.
 
     Fine levels have little communication (standard may win there thanks to
     the extra redistribution the optimized variants pay); the coarse/middle
     levels are where locality-aware aggregation pays off.
     """
-    result = benchmark.pedantic(run_per_level, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_per_level(experiment_context)
     emit("fig11_level_times", result.table_fig11())
 
     hypre = result.times["standard_hypre"]

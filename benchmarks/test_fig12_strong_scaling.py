@@ -7,7 +7,7 @@ from conftest import emit
 from repro.experiments.scaling import run_strong_scaling
 
 
-def test_fig12_strong_scaling(benchmark, experiment_context):
+def test_fig12_strong_scaling(experiment_context):
     """Regenerate the Figure 12 series.
 
     The paper strong-scales a 524 288-row problem and reports a 1.32x speedup
@@ -16,8 +16,7 @@ def test_fig12_strong_scaling(benchmark, experiment_context):
     with process count.  At the reduced default scale the absolute factors
     differ but the ordering and the growth with scale must hold.
     """
-    result = benchmark.pedantic(run_strong_scaling, args=(experiment_context,),
-                                iterations=1, rounds=1)
+    result = run_strong_scaling(experiment_context)
     emit("fig12_strong_scaling", result.to_table())
 
     partial_speedup = result.speedup("partially_optimized_neighbor")

@@ -7,15 +7,14 @@ from conftest import emit
 from repro.experiments.scaling import run_weak_scaling
 
 
-def test_fig13_weak_scaling(benchmark, experiment_config):
+def test_fig13_weak_scaling(experiment_config):
     """Regenerate the Figure 13 series.
 
     The paper weak-scales at a fixed per-process share and reports a 1.96x
     speedup from locality-aware aggregation at 2048 processes plus 0.21x from
     duplicate removal, with the impact increasing with process count.
     """
-    result = benchmark.pedantic(run_weak_scaling, args=(experiment_config,),
-                                iterations=1, rounds=1)
+    result = run_weak_scaling(experiment_config)
     emit("fig13_weak_scaling", result.to_table())
 
     partial_speedup = result.speedup("partially_optimized_neighbor")

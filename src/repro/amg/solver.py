@@ -86,8 +86,14 @@ def stationary_solve(
     ``cycle`` gets the residual just checked, of the very ``x`` it starts
     from, so it may begin there instead of computing ``b - A x`` again.
     A zero initial residual returns ``x0`` converged after zero iterations;
-    a non-finite entry in ``b`` or ``x0`` is rejected up front.
+    a non-finite entry in ``b`` or ``x0``, a ``tol`` that is negative or not
+    finite, and a ``max_iterations`` that is no non-negative int are
+    rejected up front.
     """
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    max_iterations = check_non_negative_int("max_iterations", max_iterations)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n_rows,):
         raise ValidationError(f"b must have shape ({n_rows},)")

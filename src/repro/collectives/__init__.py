@@ -32,9 +32,7 @@ from repro.collectives.aggregation import (
     setup_aggregation,
 )
 from repro.collectives.planner import (
-    plan_standard,
     plan_partial,
-    plan_full,
     make_plan,
     all_plans,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "BalanceStrategy",
     "AggregationAssignment",
     "setup_aggregation",
-    "plan_standard",
     "plan_partial",
-    "plan_full",
     "make_plan",
     "all_plans",
     "ExchangeSpec",

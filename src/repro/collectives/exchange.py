@@ -176,18 +176,24 @@ class WorldExchange:
 
     def owned_item_ids(self, rank: int) -> np.ndarray:
         """Item ids of ``rank``'s dense input, in input order (ascending)."""
-        return self.owned_items_all[
-            self.owned_offsets[rank]:self.owned_offsets[rank + 1]]
+        return self.owned_items_all[self._rank_slice(self.owned_offsets, rank)]
 
     def recv_item_ids(self, rank: int) -> np.ndarray:
         """Item ids of ``rank``'s dense output, in output order (ascending)."""
-        return self.result_items_all[
-            self.result_offsets[rank]:self.result_offsets[rank + 1]]
+        return self.result_items_all[self._rank_slice(self.result_offsets, rank)]
 
     def recv_item_sources(self, rank: int) -> np.ndarray:
         """Owning rank of every entry of ``recv_item_ids(rank)``."""
         return self.result_sources_all[
-            self.result_offsets[rank]:self.result_offsets[rank + 1]]
+            self._rank_slice(self.result_offsets, rank)]
+
+    def _rank_slice(self, offsets: np.ndarray, rank: int) -> slice:
+        """``rank``'s rows of an offsets-delimited column; a rank outside
+        ``[0, n_ranks)`` raises instead of reading as empty or wrapping."""
+        if not 0 <= rank < self.n_ranks:
+            raise ValidationError(
+                f"rank must be in [0, {self.n_ranks}), got {rank}")
+        return slice(offsets[rank], offsets[rank + 1])
 
 
 def compile_world_exchange(plan: CollectivePlan,

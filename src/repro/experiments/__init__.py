@@ -3,8 +3,9 @@
 Every experiment is a plain function from an :class:`ExperimentConfig` (or a
 prebuilt :class:`ExperimentContext`) to a result object that knows how to
 render itself as the table/series the corresponding figure plots.  The
-``benchmarks/`` directory wraps these functions in pytest-benchmark targets;
-:mod:`repro.experiments.runner` runs everything and prints a full report.
+figure drivers in ``benchmarks/`` call these functions and write their
+tables to ``benchmarks/results/``; :mod:`repro.experiments.runner` runs
+everything and prints a full report.
 """
 
 from repro.experiments.config import (

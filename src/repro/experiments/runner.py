@@ -5,7 +5,7 @@ default (reduced) configuration; ``--paper`` switches to the paper's full-size
 configuration (slow in pure Python; the world-stepped exchange engine is what
 keeps it tractable at all).  ``--figures fig07_crossover,fig12_strong_scaling``
 restricts the run to a subset — handy for docs examples that only need one
-figure.  The same functions are reused by the pytest-benchmark targets in
+figure.  The same functions are called by the figure drivers in
 ``benchmarks/``.
 """
 

@@ -10,16 +10,11 @@ plot.
 """
 
 from repro.pattern.comm_pattern import CommPattern
-from repro.pattern.builders import (
-    pattern_from_edges,
-    random_pattern,
-    halo_exchange_pattern,
-)
+from repro.pattern.builders import random_pattern, halo_exchange_pattern
 from repro.pattern.statistics import PatternStatistics, average_neighbors
 
 __all__ = [
     "CommPattern",
-    "pattern_from_edges",
     "random_pattern",
     "halo_exchange_pattern",
     "PatternStatistics",

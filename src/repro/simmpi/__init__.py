@@ -21,7 +21,7 @@ Typical use::
     halos = collective.exchange(owned_values_per_rank)
 """
 
-from repro.simmpi.engine import ExchangeEngine, default_runtime
+from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.procs import ProcsPool, RecoveryEvent, default_worker_count
 from repro.simmpi.profiler import TrafficProfiler
@@ -32,7 +32,6 @@ __all__ = [
     "FaultSpec",
     "ProcsPool",
     "RecoveryEvent",
-    "default_runtime",
     "default_worker_count",
     "TrafficProfiler",
 ]

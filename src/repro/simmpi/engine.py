@@ -294,13 +294,14 @@ class ExchangeEngine:
                  retry_backoff: float = 0.05,
                  fault_plan: "FaultPlan | None" = None,
                  clock=None):
-        if n_ranks <= 0:
+        if isinstance(n_ranks, (int, np.integer)) and n_ranks <= 0:
             raise ValidationError("an exchange engine needs at least one rank")
+        # A float, bool or string is rejected, never truncated.
+        n_ranks = check_non_negative_int("n_ranks", n_ranks)
         if n_workers is not None:
             if isinstance(n_workers, (int, np.integer)) and n_workers < 1:
                 raise ValidationError(
                     f"n_workers must be >= 1, got {n_workers}")
-            # A float, bool or string is rejected, never truncated.
             n_workers = check_non_negative_int("n_workers", n_workers)
         if runtime is None:
             runtime = default_runtime()
@@ -316,7 +317,7 @@ class ExchangeEngine:
                 f"on_failure must be one of {ON_FAILURE_POLICIES}, "
                 f"got {on_failure!r}"
             )
-        self.n_ranks = int(n_ranks)
+        self.n_ranks = n_ranks
         self.profiler = profiler
         self.runtime = runtime
         self.on_failure = on_failure

@@ -45,7 +45,6 @@ from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
 from repro.simmpi.engine import ExchangeEngine
-from repro.simmpi.profiler import TrafficProfiler
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping
@@ -113,15 +112,16 @@ class WorldSpMV:
     for bit to ``matrix.matrix @ x``.  The product is the ``csr_matvec``
     call ``operator @ buffer`` itself makes, so it can be written into a
     caller's ``out`` array instead of a new one.
+
+    The exchange runs on ``engine``; without one it gets a private default
+    engine (``REPRO_RUNTIME`` picks its runtime).  A profiler, a runtime or
+    a worker count is a property of the engine a caller builds.
     """
 
     def __init__(self, matrix: ParCSRMatrix, mapping: RankMapping, *,
                  variant: Variant | str = Variant.PARTIAL,
                  strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                 engine: ExchangeEngine | None = None,
-                 profiler: TrafficProfiler | None = None,
-                 runtime: str | None = None,
-                 n_workers: int | None = None):
+                 engine: ExchangeEngine | None = None):
         check_mapping_covers(mapping, matrix.n_ranks)
         self.matrix = matrix
         self.mapping = mapping
@@ -130,8 +130,7 @@ class WorldSpMV:
         # Item ids are global input-vector indices: the exchange runs on ``x``.
         self.collective = collective = neighbor_alltoallv_init_world(
             pattern_from_parcsr(matrix), mapping, variant=variant,
-            strategy=strategy, engine=engine, profiler=profiler,
-            runtime=runtime, n_workers=n_workers, vector_length=matrix.n_cols)
+            strategy=strategy, engine=engine, vector_length=matrix.n_cols)
         self._handle = handle = collective.handle
         self._operator = operator = _operator_on_buffer(
             matrix.stacked_blocks(), collective.world,

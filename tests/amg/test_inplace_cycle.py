@@ -235,6 +235,67 @@ def test_cycle_call_budget_per_level(count_calls, levels, rng):
     assert counts[0] <= CALLS_PER_LEVEL * (levels - 1) + CALLS_ONCE, counts
 
 
+def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
+        count_calls):
+    """The engine-stepped V-cycle is the sequential cycle, in O(levels) calls.
+
+    One whole AMG V-cycle (pre-smooth, residual, restrict, coarse gather +
+    solve, prolong-correct, post-smooth) on a 1600-row anisotropic hierarchy,
+    executed with ``WorldVCycle`` through the batched ``ExchangeEngine`` and
+    with the sequential ``BoomerAMGSolver``.  Clock-free: the iterates must be
+    equal to the bit, and what made the engine cycle fast is counted — five
+    engine rounds per smoothed level plus the coarse gather, one ``take`` per
+    receive step that delivers rows (``b > a``), nothing validated after
+    set-up, and not one call more at 64 ranks than at 32 (no per-rank or
+    per-message Python work on the solve path).
+    """
+    stencil = rotated_anisotropic_diffusion((40, 40))
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(1600)
+    x0 = rng.standard_normal(1600)
+
+    def counted_world_cycle(n_ranks):
+        """The iterate and ``(_execute, take, _checked_steps, all)`` calls
+        of one cycle."""
+        matrix = ParCSRMatrix(stencil, RowPartition.even(1600, n_ranks))
+        hierarchy = build_hierarchy(matrix, seed=1)
+        mapping = paper_mapping(n_ranks, ranks_per_node=16)
+        iterates = []
+        # Every gather is one ``ndarray.take`` call, so gathers are countable.
+        with ExchangeEngine(n_ranks, runtime="engine") as engine:
+            world = WorldVCycle(hierarchy, mapping, variant=Variant.STANDARD,
+                                engine=engine)
+            world.cycle(b, x0)          # lazy caches settle before counting
+
+            def cycle():
+                iterates.append(world.cycle(b, x0))
+
+            counts = tuple(
+                count_calls(cycle, of=of) for of in (
+                    [ExchangeEngine._execute], [np.ndarray.take],
+                    [engine_module._checked_steps], None))
+            exchanges = [operator.collective.world for level in world.levels
+                         for operator in (level.spmv,) * 3
+                         + (level.restrict, level.prolong)]
+            coarse = world._coarse_active()
+            exchanges += [coarse.world] if coarse is not None else []
+        assert len(exchanges) == 5 * (hierarchy.n_levels - 1) + (coarse is not None)
+        receive_steps = sum(1 for exchange in exchanges
+                            for kind, phase in exchange.steps
+                            if kind == "recv" and exchange.programs[phase].b
+                            > exchange.programs[phase].a)
+        assert counts[:3] == (len(exchanges), receive_steps, 0)
+        assert all(np.array_equal(iterate, iterates[0]) for iterate in iterates)
+        sequential = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
+        assert np.array_equal(iterates[0], sequential)
+        return iterates[0], counts
+
+    world_x, counts = counted_world_cycle(32)
+    wider_x, wider_counts = counted_world_cycle(64)
+    assert np.array_equal(wider_x, world_x)     # the partition never shows
+    assert wider_counts == counts
+
+
 # -- the solve loop's residual -----------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
+from repro.utils.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,31 @@ class TestSolveResultEdgeCases:
                                    max_iterations=0)
         assert not zero_budget.converged and zero_budget.iterations == 0
         assert len(zero_budget.residual_norms) == 1
+
+    @pytest.mark.parametrize("make_solver", ["seed", "world"])
+    @pytest.mark.parametrize("options, message", [
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
+        ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+        ({"max_iterations": -3}, "max_iterations must be >= 0, got -3"),
+        ({"max_iterations": True}, "max_iterations must be an int, got bool"),
+        ({"max_iterations": 2.5}, "max_iterations must be an int, got float"),
+    ], ids=["tol_nan", "tol_inf", "tol_negative", "max_iterations_negative",
+            "max_iterations_bool", "max_iterations_float"])
+    def test_bad_stopping_rule_is_rejected_before_any_cycle(
+            self, anisotropic_matrix, anisotropic_hierarchy, mapping,
+            make_solver, options, message):
+        """A ``tol`` that no residual can meet or a ``max_iterations`` that
+        would be truncated or run nothing raises instead of solving."""
+        if make_solver == "seed":
+            solver = BoomerAMGSolver(anisotropic_matrix,
+                                     hierarchy=anisotropic_hierarchy)
+        else:
+            solver = WorldAMGSolver(anisotropic_matrix, mapping,
+                                    hierarchy=anisotropic_hierarchy)
+        with pytest.raises(ValidationError) as info:
+            solver.solve(np.ones(anisotropic_matrix.n_rows), **options)
+        assert str(info.value) == message
 
     def test_exact_initial_guess_early_return_seed(self, anisotropic_matrix,
                                                    anisotropic_hierarchy, rng):

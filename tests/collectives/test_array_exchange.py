@@ -150,16 +150,19 @@ class TestArrayPathDeliversCorrectData:
 class TestZeroPerItemWork:
     """Regression guard: an exchange round is O(phases), not O(items).
 
-    One round of a two-rank partially optimized exchange is counted (the
-    Python + C calls the parent makes, and its ``ndarray.take`` gathers);
-    neither count may change when the item count grows 100-fold — every
-    receive step moves through one ``take`` regardless of its size.  On
-    ``runtime="procs"`` the pool's wait for its workers is left out: how
-    often it polls depends on the machine, not on the items.
+    One round of a two-rank exchange is counted (the Python + C calls the
+    parent makes, and its ``ndarray.take`` gathers); neither count may change
+    when the item count grows — 100-fold on the partially optimized path,
+    4-fold from 10k items on the direct path (``standard``) and the
+    aggregated one (``full``: the two ranks sit on two nodes).  Every receive
+    step moves through one ``take`` regardless of its size, and every
+    round's results must be byte-equal to the item ids the values were made
+    from.  On ``runtime="procs"`` the pool's wait for its workers is left
+    out: how often it polls depends on the machine, not on the items.
     """
 
     @staticmethod
-    def _count_ops(count_calls, n_items):
+    def _count_ops(count_calls, variant, n_items):
         from repro.simmpi.procs import ProcsPool
 
         mapping = paper_mapping(2, ranks_per_node=1)
@@ -168,26 +171,36 @@ class TestZeroPerItemWork:
             (1, 0, list(range(n_items, 2 * n_items))),
         ])
         with neighbor_alltoallv_init_world(pattern, mapping,
-                                           variant=Variant.PARTIAL) as collective:
+                                           variant=variant) as collective:
             values = [collective.owned_item_ids(rank).astype(np.float64)
                       for rank in range(2)]
+            expected = [collective.recv_item_ids(rank).astype(np.float64)
+                        for rank in range(2)]
 
             def one_round():
                 received = collective.exchange(values)
                 assert received[0].size == received[1].size == n_items
                 assert np.array_equal(received[1], values[0])
+                for halo, want in zip(received, expected):
+                    assert halo.tobytes() == want.tobytes()
 
             one_round()
             return (count_calls(one_round, skip=[ProcsPool.run]),
                     count_calls(one_round, of=[np.ndarray.take]))
 
-    def test_op_count_independent_of_item_count(self, count_calls):
-        small = self._count_ops(count_calls, 10)
-        large = self._count_ops(count_calls, 1000)
+    @pytest.mark.parametrize("variant, n_items", [
+        (Variant.PARTIAL, (10, 1000)),
+        (Variant.STANDARD, (10_000, 40_000)),
+        (Variant.FULL, (10_000, 40_000)),
+    ], ids=["partial", "standard", "full"])
+    def test_op_count_independent_of_item_count(self, count_calls, variant,
+                                                n_items):
+        small, large = (self._count_ops(count_calls, variant, n)
+                        for n in n_items)
         assert small == large
-        # At most one gather per receive step of the partial schedule
-        # (local, setup redistribution, global, final redistribution) plus
-        # the output gather; on a pool the workers make the first four.
+        # At most one gather per receive step (the partial schedule's local,
+        # setup redistribution, global and final redistribution) plus the
+        # output gather; on a pool the workers make all but the last.
         assert 1 <= small[1] <= 5
 
 

@@ -3,7 +3,8 @@
 The one backend (numpy) must execute both kernels byte-identically to plain
 numpy indexing, the fused kernel must equal the unfused
 gather→permute→scatter composition, and the gather must write a row slice of
-its own source array — the engine's receive step.
+its own source array — the engine's receive step.  A memory-bound engine
+round is counted: one ``gather`` call, no ``fused`` one.
 """
 
 from __future__ import annotations
@@ -11,8 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import active_backend
+from repro.collectives import Variant, active_backend, kernels
+from repro.collectives.exchange import (ExchangeSpec, WorldExchange,
+                                        WorldPhaseProgram)
 from repro.collectives.kernels import NUMPY_BACKEND, KernelBackend
+from repro.collectives.plan import Phase
+from repro.simmpi import ExchangeEngine
 
 
 def _phase_arrays(rng, *, n_rows=64, n_wire=200, item_size=3, dtype=np.float64):
@@ -90,3 +95,54 @@ class TestKernelEquivalence:
         expected[a:a + n_new] = work[src]
         backend.gather(work[:a], src, work[a:a + n_new])
         assert work.tobytes() == expected.tobytes()
+
+
+def test_memory_bound_last_hop_round_makes_one_gather_and_no_fused_call(
+        count_calls):
+    """An engine round of a last hop is one ``gather``, equal to plain numpy.
+
+    One synthetic phase big enough to be memory-bound (300k wire rows of
+    4-component float64 items, duplicate deliveries included) wrapped as a
+    one-phase :class:`WorldExchange` in the compiler's layout: rows
+    ``[owned | delivered, in first-delivery order]``, row ``a + i`` filled
+    from row ``src[i]``.  The engine runs the phase — a last hop, folded
+    into the output — as one kernel ``gather``.  Clock-free: the round must
+    be byte-equal to plain numpy indexing of ``src`` and ``result_rows`` and,
+    counted, make exactly one ``gather`` call and no ``fused`` one.
+    """
+    n_owned, n_wire, item_size = 200_000, 300_000, 4
+    rng = np.random.default_rng(23)
+    # The owned row each wire row copies, in delivery order; a repeat
+    # delivery adds no row, so the new rows are the first deliveries.
+    copied = rng.integers(0, n_owned, size=n_wire).astype(np.int64)
+    _, first = np.unique(copied, return_index=True)
+    src = copied[np.sort(first)]
+    n_rows = n_owned + src.size
+    result_rows = n_owned + rng.permutation(src.size)
+    empty = np.empty(0, dtype=np.int64)
+    world = WorldExchange(
+        variant=Variant.STANDARD,
+        spec=ExchangeSpec(dtype=np.dtype(np.float64), item_size=item_size),
+        n_ranks=1, n_world_rows=n_rows, n_unbound_rows=n_owned,
+        owned_offsets=np.array([0, n_owned]),
+        result_rows=result_rows, result_offsets=np.array([0, src.size]),
+        steps=(("send", Phase.DIRECT), ("recv", Phase.DIRECT)),
+        programs={Phase.DIRECT: WorldPhaseProgram(
+            phase=Phase.DIRECT, tag=10, gather=empty, scatter=empty,
+            wire_perm=empty, msg_sources=empty, msg_dests=empty,
+            msg_nbytes=empty, src=src, a=n_owned, b=n_rows)},
+        owned_items_all=np.arange(n_owned), result_items_all=result_rows,
+        result_sources_all=np.zeros(src.size, dtype=np.int64))
+    values = rng.standard_normal((n_owned, item_size))
+    work = np.zeros((n_rows, item_size))
+    work[:n_owned] = values
+    work[n_owned:] = work[src]
+
+    with ExchangeEngine(1, runtime="engine") as engine:
+        handle = engine.register(world)
+        assert engine.run(handle, values).tobytes() \
+            == work[result_rows].tobytes()
+        # The numpy kernels are Python functions, so their calls are countable.
+        calls = [count_calls(engine.run, handle, values, of=[kernel])
+                 for kernel in (kernels._numpy_gather, kernels._numpy_fused)]
+    assert calls == [1, 0]

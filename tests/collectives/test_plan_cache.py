@@ -28,6 +28,7 @@ from repro.collectives import (
     make_plan,
     plan_cache_stats,
 )
+from repro.collectives import exchange, planner
 from repro.collectives.exchange import ExchangeSpec
 from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
 from repro.collectives import plan_cache
@@ -301,3 +302,46 @@ def test_disk_loaded_world_usable_under_procs(pattern, mapping, monkeypatch,
             np.testing.assert_array_equal(lhs, rhs)
     finally:
         warm.close()
+
+
+# -- a warm driver re-run ------------------------------------------------------------
+
+
+def test_warm_weak_scaling_rerun_makes_no_planner_or_compiler_call(count_calls):
+    """A warm plan-cache driver re-run does no set-up work at all.
+
+    Runs the Figure 13 weak-scaling driver twice at two mid-sized scale
+    points.  The first (cold) run plans and caches every level; the second
+    must be served from the content-addressed cache and the driver's
+    hierarchy memo — not one new cache miss, not one call into a planner or
+    the world compiler — and must produce byte-identical protocol times: the
+    cache may only change *when* work happens, never the answer.
+    """
+    from repro.experiments.scaling import _weak_setup, run_weak_scaling
+
+    _weak_setup.cache_clear()
+    # Entries into the planners and the world compiler, matched by code object.
+    setup_functions = (planner.plan_standard, planner._aggregated_plan,
+                       exchange.compile_world_exchange)
+    results = []
+
+    def weak_scaling_run():
+        results.append(run_weak_scaling(process_counts=[256, 1024],
+                                        rows_per_rank=8))
+
+    cold_calls = count_calls(weak_scaling_run, of=setup_functions)
+    cold_stats = plan_cache_stats()
+    warm_calls = count_calls(weak_scaling_run, of=setup_functions)
+    stats = plan_cache_stats()
+    cold_result, warm_result = results
+
+    assert warm_result.times == cold_result.times, \
+        "warm re-run must be byte-identical to the cold run"
+    assert cold_calls > 0, "the cold run must actually plan"
+    assert warm_calls == 0, \
+        f"warm run re-entered a planner or the compiler {warm_calls} times"
+    for counter in ("plan_memory_misses", "world_memory_misses"):
+        assert stats[counter] == cold_stats[counter], \
+            f"warm run added {stats[counter] - cold_stats[counter]} {counter}"
+    assert stats["plan_memory_hits"] > cold_stats["plan_memory_hits"], \
+        "warm run never hit the plan cache"

@@ -313,6 +313,18 @@ class TestEngineInterface:
             WorldNeighborCollective(plan, engine=engine,
                                     profiler=TrafficProfiler(mapping))
 
+    @pytest.mark.parametrize("rank", [-1, 6, 7])
+    def test_rank_outside_the_world_is_rejected(self, small_collective, rank):
+        """A negative rank would slice ``offsets[-1]:offsets[0]`` — empty —
+        and one past the last would index past the offsets."""
+        for accessor in (small_collective.owned_item_ids,
+                         small_collective.recv_item_ids,
+                         small_collective.recv_item_sources,
+                         small_collective.world.recv_item_ids):
+            with pytest.raises(ValidationError,
+                               match=rf"rank must be in \[0, 6\), got {rank}"):
+                accessor(rank)
+
     def test_world_exchange_message_count_matches_plan(self):
         n_ranks = 12
         pattern = random_pattern(n_ranks, avg_neighbors=5, seed=4)
@@ -320,6 +332,47 @@ class TestEngineInterface:
         plan = make_plan(pattern, mapping, Variant.PARTIAL)
         world = compile_world_exchange(plan)
         assert world.n_messages == plan.n_messages
+
+
+def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(count_calls):
+    """A world-engine round is the oracle's round, in O(phases) calls.
+
+    One exchange round of a 1024-rank irregular pattern through the batched
+    ``ExchangeEngine``.  Clock-free: every rank's result must be byte-equal
+    to the closed-form oracle (the value its source owns of every received
+    item), and what makes the engine fast is counted — a round is one
+    ``_execute`` and one ``take`` per non-terminal receive step plus
+    the output gather (which makes the terminal deliveries), whatever the
+    rank or message count.
+    """
+    n_ranks = 1024
+    pattern = random_pattern(n_ranks, avg_neighbors=8, avg_items_per_message=16,
+                             duplicate_fraction=0.3, seed=17)
+    mapping = paper_mapping(n_ranks, ranks_per_node=16)
+    plan = make_plan(pattern, mapping, Variant.STANDARD)
+
+    # Every gather is one ``ndarray.take`` call, so gathers are countable.
+    with ExchangeEngine(n_ranks, runtime="engine") as engine:
+        collective = WorldNeighborCollective(plan, engine=engine)
+        values = [100.0 * rank + collective.owned_item_ids(rank).astype(np.float64)
+                  for rank in range(n_ranks)]
+
+        def engine_round():
+            return collective.exchange(values)
+
+        batched = engine_round()
+        for rank in range(n_ranks):
+            expected = 100.0 * collective.recv_item_sources(rank) \
+                + collective.recv_item_ids(rank).astype(np.float64)
+            assert batched[rank].tobytes() == expected.tobytes()
+
+        # One direct phase, whose receive step is the last hop: kept with
+        # an empty range, its deliveries made by the output gather.
+        steps = engine._programs[collective.handle].steps
+        assert [b - a for _, src, a, b in steps if src is not None] == [0]
+        counts = [count_calls(engine_round, of=of)
+                  for of in ([ExchangeEngine._execute], [np.ndarray.take])]
+        assert counts == [1, 0 + 1]     # non-terminal receive steps + output
 
 
 class TestRunObserver:

@@ -33,12 +33,12 @@ SCANNED = ("tests", "benchmarks")
 #: Each is generous against what it measures, so machine load cannot fail it.
 ABSOLUTE_BUDGETS = {
     "16k-rank cold set-up under 60 s": (
-        "benchmarks/test_setup_scale.py::test_bench_setup_scale_to_16k_ranks",),
+        "tests/collectives/test_setup_scale.py::"
+        "test_cold_setup_at_16384_ranks_under_60_s",),
     "1024-rank plan pipeline under 60 s": (
-        "benchmarks/test_micro_library.py::"
-        "test_micro_plan_pipeline_scales_to_1024_ranks",),
+        "tests/collectives/test_planner.py::"
+        "test_all_plans_with_statistics_and_validate_at_1024_ranks_under_60_s",),
     "dead or wedged worker handled under 5 s": (
-        "benchmarks/test_micro_library.py::test_bench_procs_crash_recovery",
         "tests/simmpi/test_procs_faults.py::TestDetection::"
         "test_dead_or_corrupt_worker_detected_fast",
         "tests/simmpi/test_procs_faults.py::TestDetection::"

@@ -233,3 +233,30 @@ class TestHaloPattern:
         assert patterns_equivalent(pattern.transpose().transpose(), pattern)
         for src, dest, _ in pattern.edges():
             assert pattern.send_items(dest, src).size > 0  # symmetric neighbours
+
+
+def test_pattern_from_edges_makes_as_many_calls_with_4x_the_items(count_calls):
+    """Pattern construction is per-edge work, never per-item work.
+
+    A 1024-rank irregular pattern's edge triples are assembled into a pattern
+    with its columnar edge table (``edge_arrays()``) through the production
+    CSR path (``pattern_from_edges`` -> ``CommPattern.from_edge_lists``),
+    once as generated and once with every item list four times longer.  The
+    seed's build extended nested dicts item by item (kept as the oracle of
+    ``tests/collectives/test_construction_equivalence.py``); the CSR build
+    converts each edge's list with one array call and canonicalises all
+    edges with one stable lexsort, so both builds make the same number of
+    Python + C calls — about eleven per edge, whatever the items.
+    """
+    n_ranks = 1024
+    base = random_pattern(n_ranks, avg_neighbors=16, avg_items_per_message=48,
+                          duplicate_fraction=0.4, seed=11)
+    triples = [(src, dest, items) for src, dest, items in base.edges()]
+    longer = [(src, dest, (4 * items[:, None] + np.arange(4)).ravel())
+              for src, dest, items in triples]
+    assert pattern_from_edges(n_ranks, longer).total_items \
+        == 4 * base.total_items
+    counts = [count_calls(lambda edges=edges:
+                          pattern_from_edges(n_ranks, edges).edge_arrays())
+              for edges in (triples, longer)]
+    assert counts[0] == counts[1], counts

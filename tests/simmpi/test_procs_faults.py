@@ -172,16 +172,22 @@ class TestStructuredCrashes:
 class TestDetection:
     """A dead worker is diagnosed immediately, not after the timeout."""
 
-    @pytest.mark.parametrize("kind", ["crash", "pipe_drop", "corrupt"])
-    def test_dead_or_corrupt_worker_detected_fast(self, plan, kind):
+    @pytest.mark.parametrize("kind, fault_round", [
+        ("crash", 0), ("pipe_drop", 0), ("corrupt", 0), ("crash", 1),
+    ], ids=["crash", "pipe_drop", "corrupt", "crash_after_a_warm_round"])
+    def test_dead_or_corrupt_worker_detected_fast(self, plan, kind,
+                                                  fault_round):
         # The generous timeout proves detection is sentinel/EOF-driven, not
         # timeout-driven: with the legacy sequential poll this would block
-        # the full 60 s before diagnosing anything.
+        # the full 60 s before diagnosing anything.  A crash after a warm
+        # round hits a pool that has already run the program.
         engine = _faulty_engine(
-            [FaultSpec(kind, round=0, phase="send", worker=1)],
+            [FaultSpec(kind, round=fault_round, phase="send", worker=1)],
             timeout=60.0, on_failure="raise")
         try:
             world, handle = _registered(engine, plan)
+            for _ in range(fault_round):
+                engine.run(handle, _world_values(world))
             start = time.monotonic()
             with pytest.raises(WorkerError) as info:
                 engine.run(handle, _world_values(world))

@@ -27,8 +27,8 @@ import pytest
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.pattern import CommPattern, random_pattern
-from repro.simmpi import ExchangeEngine, default_runtime, default_worker_count
-from repro.simmpi.engine import ENGINE_RUNTIMES, RUNTIME_ENV
+from repro.simmpi import ExchangeEngine, default_worker_count
+from repro.simmpi.engine import ENGINE_RUNTIMES, RUNTIME_ENV, default_runtime
 from repro.topology import paper_mapping
 from repro.utils.errors import CommunicationError, ValidationError
 
@@ -130,6 +130,88 @@ class TestProcsExecution:
             assert procs_side.engine._pool is pool
 
 
+    def test_pool_round_makes_one_execute_and_one_parent_take_in_even_shares(
+            self, count_calls):
+        """A pool round is the engine's round, run by the workers.
+
+        A communication-heavy world exchange (64 ranks, 8-component items,
+        the three-step aggregated path) executed through the same compiled
+        program twice: by the parent, then by a pool of 4 workers.
+        Clock-free — what the pool is kept for is supervision, not a speed
+        no machine here has the cores to show: the results must be
+        byte-identical per rank, a healthy round is one ``_execute`` in which
+        the parent gathers exactly once (the output, which also makes the
+        terminal deliveries), the program lives in two shared segments,
+        every terminal receive step keeps its slot with an empty range, and
+        each worker's share of every other receive step is the even split.
+        """
+        from repro.simmpi.procs import SharedBlock, _share
+        from repro.utils.arrays import partition_evenly
+
+        n_workers = 4
+        n_ranks = 64
+        pattern = random_pattern(n_ranks, avg_neighbors=8,
+                                 avg_items_per_message=64, items_per_rank=512,
+                                 duplicate_fraction=0.2, seed=29, item_size=8)
+        mapping = paper_mapping(n_ranks, ranks_per_node=16)
+        plan = make_plan(pattern, mapping, Variant.FULL)
+
+        # Every gather is one ``ndarray.take`` call, so gathers are
+        # countable; the workers' run in other processes and stay out of
+        # the count.
+        with WorldNeighborCollective(plan, runtime="engine") as serial, \
+                ExchangeEngine(n_ranks, runtime="procs",
+                               n_workers=n_workers) as engine:
+            pooled = WorldNeighborCollective(plan, engine=engine)
+            values = [np.tile(100.0 * rank
+                              + serial.owned_item_ids(rank).astype(np.float64),
+                              (8, 1)).T.copy()
+                      for rank in range(n_ranks)]
+            reference = serial.exchange(values)
+            results = []
+            counts = [count_calls(
+                lambda: results.append(pooled.exchange(values)), of=of)
+                for of in ([ExchangeEngine._execute], [np.ndarray.take])]
+            assert counts == [1, 1]
+            assert not engine.degraded and not engine.events
+            for round_results in results:
+                for rank in range(n_ranks):
+                    assert reference[rank].tobytes() \
+                        == round_results[rank].tobytes()
+
+            shared = engine._programs[pooled.handle].shared
+            blocks = [value for value in vars(shared).values()
+                      if isinstance(value, SharedBlock)]
+            assert len(blocks) == 2 and len({block.name for block in blocks}) == 2
+            receive_steps = [(a, b) for kind, a, b in shared.steps
+                             if kind == "recv"]
+            terminal = _terminal_receive_steps(pooled.world)
+            assert len(receive_steps) == len(terminal) and terminal[-1]
+            assert all(a == b for (a, b), last_hop
+                       in zip(receive_steps, terminal) if last_hop)
+            non_empty = [(a, b) for a, b in receive_steps if b > a]
+            assert non_empty and all(b - a >= n_workers for a, b in non_empty)
+            assert shared.work.shape[0] == non_empty[-1][1]
+            for a, b in non_empty:
+                shares = [_share(b - a, worker, n_workers)
+                          for worker in range(n_workers)]
+                assert shares[0][0] == 0 and shares[-1][1] == b - a
+                assert all(hi == lo for (_, hi), (lo, _)
+                           in zip(shares, shares[1:]))
+                assert sorted(hi - lo for lo, hi in shares) == \
+                    sorted(np.diff(partition_evenly(b - a, n_workers)).tolist())
+
+
+def _terminal_receive_steps(world):
+    """Per receive step of ``world``, whether it is a last hop: no later
+    receive step copies a row of its block ``[a, b)`` (its ``src``)."""
+    blocks = [world.programs[phase] for kind, phase in world.steps
+              if kind == "recv"]
+    return [not any(((later.src >= block.a) & (later.src < block.b)).any()
+                    for later in blocks[index + 1:])
+            for index, block in enumerate(blocks)]
+
+
 class TestRuntimeSelection:
     def test_env_flips_default_runtime(self, monkeypatch):
         monkeypatch.setenv(RUNTIME_ENV, "procs")
@@ -205,6 +287,16 @@ class TestRuntimeSelection:
     def test_rank_count_is_a_validation_error(self, n_ranks):
         with pytest.raises(ValidationError, match="at least one rank"):
             ExchangeEngine(n_ranks)
+
+    @pytest.mark.parametrize("n_ranks", [2.5, 2.0, True, "2"])
+    def test_rank_count_that_is_no_int_is_rejected_not_truncated(self,
+                                                                 n_ranks):
+        with pytest.raises(ValidationError) as info:
+            ExchangeEngine(n_ranks, runtime="engine")
+        assert str(info.value) == \
+            f"n_ranks must be an int, got {type(n_ranks).__name__}"
+        with ExchangeEngine(np.int64(2), runtime="engine") as engine:
+            assert type(engine.n_ranks) is int and engine.n_ranks == 2
 
     def test_default_worker_count_bounds(self):
         assert default_worker_count(1) == 1

@@ -8,6 +8,7 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.relax import DistributedJacobi
 from repro.collectives.plan import Variant
 from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.sparse.generators import strong_scaling_problem
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV
@@ -135,6 +136,11 @@ class TestCommPkg:
         for rank in range(small_anisotropic_matrix.n_ranks):
             assert sum(items.size for items in pattern.recv_map(rank).values()) == \
                 small_anisotropic_matrix.local_blocks(rank).col_map_offd.size
+
+
+    def test_pattern_of_the_65536_row_strong_scaling_problem_has_messages(self):
+        pattern = pattern_from_parcsr(strong_scaling_problem(65536, 256).matrix)
+        assert pattern.n_messages > 0
 
 
 class TestWorldSpMV:

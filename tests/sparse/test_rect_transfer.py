@@ -17,6 +17,7 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.collectives.plan import Variant
+from repro.simmpi import ExchangeEngine
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
@@ -155,8 +156,10 @@ class TestEmptyRankRegression:
         level = empty_rank_hierarchy.levels[-1].matrix
         mapping = paper_mapping(level.n_ranks, ranks_per_node=16)
         x = rng.standard_normal(level.n_rows)
-        with WorldSpMV(level, mapping, variant=Variant.FULL, runtime=runtime,
-                       n_workers=2 if runtime == "procs" else None) as spmv:
+        engine = ExchangeEngine(level.n_ranks, runtime=runtime,
+                                n_workers=2 if runtime == "procs" else None)
+        with engine, WorldSpMV(level, mapping, variant=Variant.FULL,
+                               engine=engine) as spmv:
             result = spmv.multiply(x)
         assert result.tobytes() == level.spmv(x).tobytes()
 

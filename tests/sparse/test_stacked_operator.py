@@ -35,6 +35,7 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.vcycle import WorldAMGSolver
 from repro.collectives import persistent
 from repro.collectives.plan import Variant
+from repro.simmpi import ExchangeEngine
 from repro.sparse import parcsr
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
@@ -47,6 +48,12 @@ from repro.utils.errors import ValidationError
 from reference_blocks import reference_blocks as _reference_blocks
 
 VARIANTS = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
+
+
+def _engine(n_ranks: int, runtime: str) -> ExchangeEngine:
+    """An engine on ``runtime``; a pool gets two workers."""
+    return ExchangeEngine(n_ranks, runtime=runtime,
+                          n_workers=2 if runtime == "procs" else None)
 
 
 def _square():
@@ -199,8 +206,8 @@ def test_multiply_is_byte_identical_to_the_assembled_product(operator, variant,
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
     x = rng.standard_normal(operator.n_cols)
     assembled = operator.matrix @ x
-    with WorldSpMV(operator, mapping, variant=variant, runtime=runtime,
-                   n_workers=2 if runtime == "procs" else None) as spmv:
+    with _engine(operator.n_ranks, runtime) as engine, \
+            WorldSpMV(operator, mapping, variant=variant, engine=engine) as spmv:
         assert spmv.multiply(x).tobytes() == assembled.tobytes()
         assert spmv.multiply(-x).tobytes() == (-assembled).tobytes()
 
@@ -225,8 +232,8 @@ def test_non_canonical_input_has_one_answer(runtime, rng):
     assert raw.nnz == 2 * canonical.nnz, "the caller's matrix is left alone"
     x = rng.standard_normal(36)
     mapping = paper_mapping(5, ranks_per_node=4)
-    with WorldSpMV(matrix, mapping, runtime=runtime,
-                   n_workers=2 if runtime == "procs" else None) as spmv:
+    with _engine(matrix.n_ranks, runtime) as engine, \
+            WorldSpMV(matrix, mapping, engine=engine) as spmv:
         product = spmv.multiply(x)
     assert product.tobytes() == matrix.spmv(x).tobytes()
     np.testing.assert_allclose(product, canonical @ x, rtol=1e-12, atol=1e-12)
@@ -262,8 +269,9 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
     monkeypatch.setattr(persistent.plan_cache, "store_world",
                         lambda plan, spec, world: None)
     for runtime in ("engine", "procs"):
-        with WorldSpMV(operator, mapping, variant=variant, runtime=runtime,
-                       n_workers=2 if runtime == "procs" else None) as spmv:
+        with _engine(operator.n_ranks, runtime) as engine, \
+                WorldSpMV(operator, mapping, variant=variant,
+                          engine=engine) as spmv:
             first = spmv.collective.recv_item_ids(0)
             assert first.size > 1 and np.all(np.diff(first) < 0)
             # Entries keep their stored (summation) order; only columns move.
@@ -282,9 +290,9 @@ def test_identity_delivery_shares_the_cached_operator():
     mapping = paper_mapping(operator.n_ranks, ranks_per_node=4)
     built = []
     for runtime in ("engine", "procs"):
-        with WorldSpMV(operator, mapping, runtime=runtime,
-                       n_workers=2 if runtime == "procs" else None) as spmv:
-            engine, handle = spmv.collective.engine, spmv.collective.handle
+        with _engine(operator.n_ranks, runtime) as engine, \
+                WorldSpMV(operator, mapping, engine=engine) as spmv:
+            handle = spmv.collective.handle
             assert spmv._operator.shape[1] == engine.buffer_length(handle)
             assert np.shares_memory(spmv._operator.data, operator.matrix.data)
             built.append((spmv._operator.indices.copy(),
