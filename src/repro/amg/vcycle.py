@@ -65,8 +65,8 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import WorldSpMV, check_mapping_covers
-from repro.topology.mapping import RankMapping
+from repro.sparse.spmv import WorldSpMV
+from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.arrays import INDEX_DTYPE
 from repro.utils.errors import SolverError, ValidationError
 
@@ -161,7 +161,8 @@ class WorldVCycle:
             raise SolverError("hierarchy has no levels")
         self.pre_sweeps, self.post_sweeps, self.omega = check_cycle_parameters(
             pre_sweeps, post_sweeps, omega)
-        check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks)
+        check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks,
+                             "the matrix partition")
         if level_profilers is not None \
                 and len(level_profilers) != hierarchy.n_levels:
             raise ValidationError(

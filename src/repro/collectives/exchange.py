@@ -43,9 +43,11 @@ from repro.utils.arrays import (
     concatenate_or_empty,
     counts_to_displs,
     gather_ranges,
+    range_index,
     run_starts_mask,
 )
 from repro.utils.errors import PlanError, ValidationError
+from repro.utils.validation import check_positive_int
 
 #: Compile-time availability schedules, the order a round runs its steps in:
 #: a ``("send", phase)`` step may only gather keys that are
@@ -87,9 +89,9 @@ class ExchangeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
-        object.__setattr__(self, "item_size", int(self.item_size))
-        if self.item_size < 1:
-            raise ValidationError(f"item_size must be >= 1, got {self.item_size}")
+        # A float, bool or string is rejected, never truncated.
+        object.__setattr__(self, "item_size",
+                           check_positive_int("item_size", self.item_size))
 
     @property
     def item_bytes(self) -> int:
@@ -214,12 +216,18 @@ def compile_world_exchange(plan: CollectivePlan,
     position) order.  A stable argsort keeps the first occurrence of every
     value — the moment its holder first has it.
     Sends and the result view resolve against the sorted survivors with one
-    ``searchsorted``; a send may only use values first seen in an earlier
-    schedule step, so a plan that forwards a value before it arrives is a
-    :class:`PlanError` at compile time.  A value's row is its first
+    ``searchsorted`` each; a send may only use values first seen in an
+    earlier schedule step, so a plan that forwards a value before it arrives
+    is a :class:`PlanError` at compile time.  A value's row is its first
     occurrence's rank in the stream, with the blocks of steps whose first
     deliveries no later first delivery reads (one ``bincount`` of their
     sources' steps) moved to the end.
+
+    Every intermediate is released after its last reader — the stream
+    once sorted, the held values once every lookup ran, the lookups and the
+    stream's value groups once the rows are out — so the pass peaks near
+    twice the world it returns, which keeps only the per-phase wire
+    permutations, the gather / scatter / source rows and the result view.
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
@@ -230,103 +238,63 @@ def compile_world_exchange(plan: CollectivePlan,
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
 
-    owned_holders, owned_items_all, edge_keys = pattern.owned_keys()
-    n_owned = int(owned_holders.size)
-    width = n_owned + 1
+    owned_holders, owned_items_all, _ = pattern.owned_keys()
+    width = int(owned_holders.size) + 1
     owned_offsets = counts_to_displs(
         np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
-    # -- per phase: message orders, holder-packed payload values, and the
-    # -- wire permutation (receive position -> wire position) ---------------
-    phase_cols, send_values, recv_values, wire_perms = {}, {}, {}, {}
+    # -- per phase: message orders and the wire permutation (receive
+    # -- position -> wire position) -----------------------------------------
+    tables, send_orders, recv_orders, wire_perms = {}, {}, {}, {}
     for phase in order:
-        table = plan.phases.get(phase) or PhaseTable.empty(phase)
-        keys = table.payload_key_ids
+        table = tables[phase] = plan.phases.get(phase) or PhaseTable.empty(phase)
         counts = table.payload_counts
         # Stable, so each rank keeps its per-message order and sender-side
         # position ``k`` of a ``(src, dest)`` stream still pairs with
         # receiver-side position ``k`` — the FIFO matching of the fabric.
-        send_order = np.argsort(table.srcs, kind="stable")
-        recv_order = np.argsort(table.dests, kind="stable")
-        starts = table.payload_offsets[:-1]
-        phase_cols[phase] = (table, counts, send_order)
-        send_values[phase] = gather_ranges(
-            np.repeat(table.srcs, counts) * width + keys,
-            starts[send_order], counts[send_order])
-        recv_values[phase] = gather_ranges(
-            np.repeat(table.dests, counts) * width + keys,
-            starts[recv_order], counts[recv_order])
+        send_order = send_orders[phase] = np.argsort(table.srcs, kind="stable")
+        recv_order = recv_orders[phase] = np.argsort(table.dests, kind="stable")
         wire_starts = np.empty(counts.size, dtype=INDEX_DTYPE)
         wire_starts[send_order] = counts_to_displs(counts[send_order])[:-1]
-        wire_perms[phase] = gather_ranges(
-            np.arange(recv_values[phase].size, dtype=INDEX_DTYPE),
-            wire_starts[recv_order], counts[recv_order])
+        wire_perms[phase] = range_index(wire_starts[recv_order],
+                                        counts[recv_order])
 
-    # -- registration stream: owned keys, then each recv step's payloads; a
-    # -- send step queries what the recv steps before it registered ---------
-    segments: List[np.ndarray] = [
-        owned_holders * width + np.arange(n_owned, dtype=INDEX_DTYPE)]
+    # -- the stream's segments: owned keys, then each recv step's payloads; a
+    # -- send step may read what the segments up to ``allowed`` registered --
     recv_segment: Dict[Phase, int] = {}
     send_steps: List[Tuple[Phase, int]] = []
-    query_parts: List[np.ndarray] = []
     for side, phase in schedule:
         if side == "recv":
-            recv_segment[phase] = len(segments)
-            segments.append(recv_values[phase])
+            recv_segment[phase] = len(recv_segment) + 1
         else:
-            send_steps.append((phase, len(segments) - 1))
-            query_parts.append(send_values[phase])
-    seg_bounds = counts_to_displs([segment.size for segment in segments])
-    stream = np.concatenate(segments)
+            send_steps.append((phase, len(recv_segment)))
 
-    # -- held values: first occurrence per (holder, key) ---------------------
-    key_sort = np.argsort(stream, kind="stable")
-    stream_sorted = stream[key_sort]
-    starts_mask = run_starts_mask(stream_sorted)
-    group_of = np.empty(stream.size, dtype=INDEX_DTYPE)
-    group_of[key_sort] = np.cumsum(starts_mask) - 1
-    # The sort is stable, so the first row of each run is the smallest
-    # stream position — the registration moment of that value.
-    first_pos = key_sort[starts_mask]
-    held = stream_sorted[starts_mask]
-    held_step = (np.searchsorted(seg_bounds, first_pos, side="right")
-                 - 1).astype(np.int8)
-    n_held = int(held.size)
-
-    # -- result view: per receiver, last-declaring source wins per item -----
-    # The unique edge table is sorted by origin first, so a stable sort by
-    # (receiver, item) leaves the highest declaring source last in each run.
-    edge_origins, edge_dests, edge_items = pattern.unique_edge_table()
-    low = int(edge_items.min(initial=0))
-    by_receiver = argsort_packed(
-        (edge_dests, edge_items - low),
-        (n_ranks, int(edge_items.max(initial=0)) - low + 1))
-    d_sorted, i_sorted = edge_dests[by_receiver], edge_items[by_receiver]
-    run_start = run_starts_mask(d_sorted, i_sorted)
-    run_end = np.empty_like(run_start)
-    run_end[:-1], run_end[-1:] = run_start[1:], True
-    run_last = by_receiver[run_end]
-    result_holders = np.ascontiguousarray(d_sorted[run_start])
-    result_items_all = np.ascontiguousarray(i_sorted[run_start])
-    result_sources_all = np.ascontiguousarray(edge_origins[run_last])
+    result_holders, result_items_all, result_sources_all, result_keys = \
+        _result_view(pattern)
     result_offsets = counts_to_displs(
         np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
-    # -- batched resolution: all send steps plus the result view ------------
-    query_parts.append(result_holders * width + edge_keys[run_last])
-    q_bounds = counts_to_displs([part.size for part in query_parts])
-    queries = np.concatenate(query_parts)
-    # (No value is held only when nothing is owned or packed: no queries.)
-    hit = np.minimum(np.searchsorted(held, queries), n_held - 1)
-    found = held[hit] == queries
+    seg_bounds, group_of, first_pos, held = _held_values(
+        owned_holders, width,
+        [(tables[phase], recv_orders[phase]) for phase in recv_segment])
+    held_step = (np.searchsorted(seg_bounds, first_pos, side="right")
+                 - 1).astype(np.int8)
+    is_first = np.zeros(group_of.size, dtype=bool)
+    is_first[first_pos] = True
 
-    # -- availability errors: a send of a value its holder does not have yet -
-    for index, (phase, allowed) in enumerate(send_steps):
-        lo, hi = int(q_bounds[index]), int(q_bounds[index + 1])
-        bad = ~found[lo:hi] | (held_step[hit[lo:hi]] > allowed)
+    # -- lookups: every send step, then the result view; per receive step,
+    # -- the value each first delivery (a receive position holding its
+    # -- value's first occurrence) copies ------------------------------------
+    hits, sources = {}, {}
+    for phase, allowed in send_steps:
+        table, send_order = tables[phase], send_orders[phase]
+        hit, found = _lookup(held, _packed_values(table, send_order,
+                                                  table.srcs, width))
+        # A send of a value its holder does not have yet.
+        bad = ~found | (held_step[hit] > allowed)
         if bad.any():
             position = int(np.argmax(bad))
-            table, counts, send_order = phase_cols[phase]
+            counts = table.payload_counts
             send_displs = counts_to_displs(counts[send_order])
             slot = int(np.searchsorted(send_displs, position,
                                        side="right")) - 1
@@ -340,29 +308,23 @@ def compile_world_exchange(plan: CollectivePlan,
                 f"{int(table.payload_items[packed])} which the "
                 "sending rank neither owns nor received in an earlier phase"
             )
-    undelivered = ~found[int(q_bounds[-2]):]
-    if undelivered.any():
-        position = int(np.argmax(undelivered))
+        lo, wire_perm = int(seg_bounds[recv_segment[phase]]), wire_perms[phase]
+        fresh = np.flatnonzero(is_first[lo:lo + wire_perm.size])
+        hits[phase], sources[phase] = hit, hit[wire_perm[fresh]]
+    result_hit, found = _lookup(held, result_holders * width + result_keys)
+    if not found.all():
+        position = int(np.argmin(found))
         raise PlanError(
             f"rank {int(result_holders[position])} expects item "
             f"{int(result_items_all[position])} from rank "
             f"{int(result_sources_all[position])} but no phase of "
             "the plan delivers it"
         )
-
-    # -- per receive step: the value each first delivery (a receive position
-    # -- holding its value's first occurrence) copies -----------------------
-    is_first = np.zeros(stream.size, dtype=bool)
-    is_first[first_pos] = True
-    sources = {}
-    for index, (phase, _) in enumerate(send_steps):
-        lo, wire_perm = int(seg_bounds[recv_segment[phase]]), wire_perms[phase]
-        fresh = np.flatnonzero(is_first[lo:lo + wire_perm.size])
-        sources[phase] = hit[q_bounds[index] + wire_perm[fresh]]
+    del held
 
     # -- rows: [owned | blocks some first delivery reads | terminal blocks],
     # -- blocks in schedule order, rows in first-occurrence order -----------
-    n_segments = len(segments)
+    n_segments = seg_bounds.size - 1
     fresh_counts = np.bincount(held_step, minlength=n_segments)
     read = np.bincount(held_step[concatenate_or_empty(list(sources.values()))],
                        minlength=n_segments) > 0
@@ -372,25 +334,23 @@ def compile_world_exchange(plan: CollectivePlan,
     block_start[layout] = counts_to_displs(fresh_counts[layout])[:-1]
     held_row = (np.cumsum(is_first) - 1)[first_pos] + (
         block_start - counts_to_displs(fresh_counts)[:-1])[held_step]
-    q_rows = held_row[hit]
-    stream_row = held_row[group_of]
+    del is_first, first_pos, held_step
 
     programs: Dict[Phase, WorldPhaseProgram] = {}
-    for index, (phase, _) in enumerate(send_steps):
-        table, counts, send_order = phase_cols[phase]
+    for phase, _ in send_steps:
+        table, send_order = tables[phase], send_orders[phase]
         segment = recv_segment[phase]
         a = int(block_start[segment])
         programs[phase] = WorldPhaseProgram(
             phase=phase,
             tag=PHASE_TAGS[phase],
-            gather=np.ascontiguousarray(
-                q_rows[q_bounds[index]:q_bounds[index + 1]]),
-            scatter=np.ascontiguousarray(
-                stream_row[seg_bounds[segment]:seg_bounds[segment + 1]]),
+            gather=held_row[hits.pop(phase)],
+            scatter=held_row[
+                group_of[seg_bounds[segment]:seg_bounds[segment + 1]]],
             wire_perm=wire_perms[phase],
             msg_sources=table.srcs[send_order],
             msg_dests=table.dests[send_order],
-            msg_nbytes=counts[send_order] * spec.item_bytes,
+            msg_nbytes=table.payload_counts[send_order] * spec.item_bytes,
             src=held_row[sources[phase]],
             a=a,
             b=a + int(fresh_counts[segment]),
@@ -400,10 +360,10 @@ def compile_world_exchange(plan: CollectivePlan,
         variant=plan.variant,
         spec=spec,
         n_ranks=n_ranks,
-        n_world_rows=n_held,
+        n_world_rows=int(held_row.size),
         n_unbound_rows=int(fresh_counts[read].sum()),
         owned_offsets=owned_offsets,
-        result_rows=np.ascontiguousarray(q_rows[int(q_bounds[-2]):]),
+        result_rows=held_row[result_hit],
         result_offsets=result_offsets,
         steps=schedule,
         programs=programs,
@@ -411,3 +371,80 @@ def compile_world_exchange(plan: CollectivePlan,
         result_items_all=result_items_all,
         result_sources_all=result_sources_all,
     )
+
+
+def _packed_values(table: PhaseTable, message_order: np.ndarray,
+                   holders: np.ndarray, width: int) -> np.ndarray:
+    """Every payload row of ``table`` as ``holder * width + key``, messages
+    in ``message_order``; ``holders`` (``srcs`` or ``dests``) names each
+    message's holder."""
+    counts = table.payload_counts
+    return gather_ranges(np.repeat(holders, counts) * width
+                         + table.payload_key_ids,
+                         table.payload_offsets[:-1][message_order],
+                         counts[message_order])
+
+
+def _held_values(owned_holders: np.ndarray, width: int,
+                 recv_steps: List[Tuple[PhaseTable, np.ndarray]]):
+    """The registration stream's first occurrences.
+
+    The stream is every owned value, then each receive step's payload in
+    (receiver, message, position) order (``recv_steps`` gives each step's
+    table and receive order).  Returns ``seg_bounds`` (the segments'
+    stream offsets), ``group_of`` (each stream position's index into the
+    held values), ``first_pos`` (each held value's first stream position)
+    and ``held`` (the distinct values, ascending); the stream itself and
+    its sort die here.
+    """
+    n_owned = int(owned_holders.size)
+    seg_bounds = counts_to_displs(
+        [n_owned] + [int(table.payload_counts.sum()) for table, _ in recv_steps])
+    stream = np.empty(int(seg_bounds[-1]), dtype=INDEX_DTYPE)
+    stream[:n_owned] = owned_holders * width + np.arange(n_owned,
+                                                         dtype=INDEX_DTYPE)
+    for segment, (table, recv_order) in enumerate(recv_steps, 1):
+        stream[seg_bounds[segment]:seg_bounds[segment + 1]] = _packed_values(
+            table, recv_order, table.dests, width)
+    key_sort = np.argsort(stream, kind="stable")
+    stream = stream[key_sort]
+    starts_mask = run_starts_mask(stream)
+    held = stream[starts_mask]
+    del stream
+    # The sort is stable, so the first row of each run is the smallest
+    # stream position — the registration moment of that value.
+    first_pos = key_sort[starts_mask]
+    group_of = np.empty(key_sort.size, dtype=INDEX_DTYPE)
+    group_of[key_sort] = np.cumsum(starts_mask) - 1
+    return seg_bounds, group_of, first_pos, held
+
+
+def _lookup(held: np.ndarray, values: np.ndarray):
+    """Position of every value in the sorted ``held`` and whether it is
+    there (nothing is held only when there are no values either)."""
+    hit = np.searchsorted(held, values)
+    np.minimum(hit, held.size - 1, out=hit)
+    return hit, held[hit] == values
+
+
+def _result_view(pattern):
+    """Per receiver, the last-declaring source of every item it expects.
+
+    Returns the ``(holder, item, source, key)`` columns of the result, in
+    (receiver, item) order.  The unique edge table is sorted by origin
+    first, so a stable sort by (receiver, item) leaves the highest declaring
+    source last in each run.
+    """
+    edge_origins, edge_dests, edge_items = pattern.unique_edge_table()
+    edge_keys = pattern.owned_keys()[2]
+    low = int(edge_items.min(initial=0))
+    by_receiver = argsort_packed(
+        (edge_dests, edge_items - low),
+        (pattern.n_ranks, int(edge_items.max(initial=0)) - low + 1))
+    d_sorted, i_sorted = edge_dests[by_receiver], edge_items[by_receiver]
+    run_start = run_starts_mask(d_sorted, i_sorted)
+    run_end = np.empty_like(run_start)
+    run_end[:-1], run_end[-1:] = run_start[1:], True
+    run_last = by_receiver[run_end]
+    return (d_sorted[run_start], i_sorted[run_start],
+            edge_origins[run_last], edge_keys[run_last])

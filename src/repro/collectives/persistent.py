@@ -87,7 +87,7 @@ class WorldNeighborCollective:
         self.variant = plan.variant
         self.spec = ExchangeSpec(
             dtype=np.dtype(dtype) if dtype is not None else plan.pattern.dtype,
-            item_size=int(item_size) if item_size is not None
+            item_size=item_size if item_size is not None
             else plan.pattern.item_size,
         )
         # Planner-built plans carry a content token, so the compiled world

@@ -40,7 +40,7 @@ from repro.collectives.plan import (
 )
 from repro.collectives import plan_cache
 from repro.pattern.comm_pattern import CommPattern
-from repro.topology.mapping import RankMapping
+from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.arrays import (
     INDEX_DTYPE,
     argsort_packed,
@@ -94,10 +94,14 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
     self_mask = origins == dests
     self_deliveries = _self_delivery_table(origins[self_mask], items[self_mask],
                                            dests[self_mask])
-    keep = ~self_mask
-    origins, dests, items = origins[keep], dests[keep], items[keep]
+    # Without a self-edge the direct phase is the pattern's own read-only
+    # columns, shared rather than copied.
+    if len(self_deliveries):
+        keep = ~self_mask
+        origins, dests, items, keys = \
+            origins[keep], dests[keep], items[keep], keys[keep]
     direct = _phase_table(Phase.DIRECT, origins, dests,
-                          origins, items, dests, keys[keep])
+                          origins, items, dests, keys)
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases={Phase.DIRECT: direct},
                           self_deliveries=self_deliveries)
@@ -284,9 +288,12 @@ def make_plan(pattern: CommPattern, mapping: RankMapping, variant: Variant | str
     (see :mod:`repro.collectives.plan_cache`): planning is deterministic in
     ``(pattern, mapping, variant, strategy)``, so a hit is the same plan a
     cold build would produce.  Pass ``use_cache=False`` to force a cold
-    build (the cold plan is still stored for later callers).
+    build (the cold plan is still stored for later callers).  A mapping
+    that places fewer ranks than the pattern spans raises
+    :class:`ValidationError` up front, for every variant.
     """
     variant = Variant(variant)
+    check_mapping_covers(mapping, pattern.n_ranks)
     if use_cache:
         cached = plan_cache.fetch_plan(pattern, mapping, variant, strategy)
         if cached is not None:
@@ -307,6 +314,7 @@ def all_plans(pattern: CommPattern, mapping: RankMapping, *,
     per-plan assignment produce the same plan and may share cache entries.
     The aggregation setup only runs when an aggregated variant misses.
     """
+    check_mapping_covers(mapping, pattern.n_ranks)
     plans: Dict[Variant, CollectivePlan] = {}
     assignment = None
     for variant in _ALL_VARIANTS:

@@ -430,6 +430,11 @@ class ExchangeEngine:
             )
         ids = world.owned_items_all
         bound = vector_length is not None
+        if bound and not (isinstance(vector_length, (int, np.integer))
+                          and vector_length < 0):
+            # A float, bool or string is rejected, never truncated.
+            vector_length = check_non_negative_int("vector_length",
+                                                   vector_length)
         if bound and (
                 world.spec.item_size != 1 or vector_length < 0 or (
                     ids.size and not 0 <= ids.min() <= ids.max() < vector_length)):

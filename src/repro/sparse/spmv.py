@@ -47,21 +47,8 @@ from repro.collectives.plan import Variant
 from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
-from repro.topology.mapping import RankMapping
+from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.errors import ValidationError
-
-
-def check_mapping_covers(mapping: RankMapping, n_ranks: int) -> None:
-    """Reject a rank mapping smaller than the matrix partition up front.
-
-    Without this guard the mismatch surfaces only deep inside the planner
-    (an out-of-range region lookup) once an aggregated variant is selected.
-    """
-    if mapping.n_ranks < n_ranks:
-        raise ValidationError(
-            f"mapping covers {mapping.n_ranks} ranks but the matrix is "
-            f"partitioned over {n_ranks}"
-        )
 
 
 def _operator_on_buffer(stacked: StackedBlocks, world, halo_rows: np.ndarray,
@@ -122,7 +109,8 @@ class WorldSpMV:
                  variant: Variant | str = Variant.PARTIAL,
                  strategy: BalanceStrategy = BalanceStrategy.BYTES,
                  engine: ExchangeEngine | None = None):
-        check_mapping_covers(mapping, matrix.n_ranks)
+        check_mapping_covers(mapping, matrix.n_ranks,
+                             "the matrix partition")
         self.matrix = matrix
         self.mapping = mapping
         self.n_ranks = matrix.n_ranks

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.topology.machine import Locality, MachineSpec
-from repro.utils.errors import TopologyError
+from repro.utils.errors import TopologyError, ValidationError
 from repro.utils.validation import check_positive_int
 
 
@@ -281,3 +281,19 @@ class RankMapping:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankMapping({self.describe()})"
+
+
+def check_mapping_covers(mapping: RankMapping, n_ranks: int,
+                         what: str = "the pattern") -> None:
+    """Reject a rank mapping smaller than the ``n_ranks`` it must place.
+
+    Without this up-front guard the mismatch surfaces far from its cause:
+    an out-of-range region lookup inside the aggregated planners, or a
+    plan that builds and then fails in its statistics or a profiled round.
+    The planner and the solve phase (``WorldSpMV``, ``WorldVCycle``) share
+    it; ``what`` names what spans ``n_ranks`` in the message.
+    """
+    if mapping.n_ranks < n_ranks:
+        raise ValidationError(
+            f"mapping covers {mapping.n_ranks} ranks but {what} spans "
+            f"{n_ranks}")

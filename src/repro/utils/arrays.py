@@ -69,15 +69,12 @@ def partition_evenly(total: int, parts: int) -> np.ndarray:
     return offsets
 
 
-def gather_ranges(values: np.ndarray, starts: np.ndarray,
-                  lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``values[starts[i]:starts[i] + lengths[i]]`` for every ``i``.
+def range_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[i], starts[i] + lengths[i])`` for every ``i``.
 
-    The vectorized form of a slice-and-concatenate loop: one index array is
-    built with ``repeat``/``arange`` and applied in a single fancy index, so
-    unpacking N variable-length ranges costs O(total) numpy work instead of
-    N Python-level slices; the world compiler cuts each rank's payload
-    stream out of a phase table with it.
+    The index :func:`gather_ranges` applies, built with one ``arange`` and
+    one ``repeat``; the world compiler also keeps it as a phase's wire
+    permutation.
     """
     starts = np.asarray(starts, dtype=INDEX_DTYPE)
     lengths = np.asarray(lengths, dtype=INDEX_DTYPE)
@@ -86,10 +83,22 @@ def gather_ranges(values: np.ndarray, starts: np.ndarray,
     if lengths.size and lengths.min() < 0:
         raise ValidationError("lengths must be non-negative")
     offsets = counts_to_displs(lengths)
-    total = int(offsets[-1])
-    index = np.arange(total, dtype=INDEX_DTYPE)
+    index = np.arange(int(offsets[-1]), dtype=INDEX_DTYPE)
     index += np.repeat(starts - offsets[:-1], lengths)
-    return values[index]
+    return index
+
+
+def gather_ranges(values: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``values[starts[i]:starts[i] + lengths[i]]`` for every ``i``.
+
+    The vectorized form of a slice-and-concatenate loop: one index array
+    (:func:`range_index`) applied in a single fancy index, so unpacking N
+    variable-length ranges costs O(total) numpy work instead of N
+    Python-level slices; the world compiler cuts each rank's payload stream
+    out of a phase table with it.
+    """
+    return values[range_index(starts, lengths)]
 
 
 def _segment_max(entry_values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -317,5 +317,9 @@ class TestCompiledExchange:
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             ExchangeSpec(item_size=0)
+        for item_size in (2.5, True, "2"):
+            with pytest.raises(ValidationError, match="item_size must be an int"):
+                ExchangeSpec(item_size=item_size)
+        assert ExchangeSpec(item_size=np.int32(2)).item_size == 2
         spec = ExchangeSpec(dtype=np.float32, item_size=9)
         assert spec.item_bytes == 36

@@ -213,6 +213,16 @@ class TestApiValidation:
             neighbor_alltoallv_init_world(pattern, paper_mapping(4, ranks_per_node=2),
                                           engine=ExchangeEngine(2))
 
+    @pytest.mark.parametrize("item_size", [2.5, True, "2", np.float64(2.0)])
+    def test_non_int_item_size_rejected(self, item_size):
+        """A float, bool or string item size is refused by name, never
+        truncated to run with fewer (or one) components per item."""
+        pattern = random_pattern(4, avg_neighbors=2, seed=37)
+        with pytest.raises(ValidationError, match="item_size must be an int"):
+            neighbor_alltoallv_init_world(
+                pattern, paper_mapping(4, ranks_per_node=2),
+                item_size=item_size)
+
     def test_dtype_and_item_size_override_the_pattern(self):
         """The wire carries ``item_size * dtype.itemsize`` bytes per item of
         the element type asked for, not the pattern's default float64."""

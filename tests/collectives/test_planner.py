@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Phase, Variant
 from repro.collectives.aggregation import setup_aggregation
 from repro.collectives.planner import (
@@ -22,7 +23,7 @@ from repro.collectives.planner import (
 from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.perfmodel import lassen_parameters
 from repro.topology.presets import paper_mapping
-from repro.utils.errors import PlanError
+from repro.utils.errors import PlanError, ValidationError
 
 
 @pytest.fixture
@@ -162,6 +163,28 @@ class TestUndersizedMapping:
         small_mapping = paper_mapping(8, ranks_per_node=4)
         with pytest.raises(TopologyError, match="out of range"):
             plan_partial(pattern, small_mapping)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_make_plan_refuses_it_up_front(self, variant):
+        """The dispatcher checks the mapping before any planner runs, so
+        ``standard`` / ``point_to_point`` cannot build a plan whose
+        statistics fail later, and the aggregated variants name both rank
+        counts instead of failing in a region lookup."""
+        pattern = random_pattern(8, avg_neighbors=3, seed=1)
+        small_mapping = paper_mapping(4, ranks_per_node=2)
+        with pytest.raises(ValidationError,
+                           match="mapping covers 4 ranks but the pattern "
+                                 "spans 8"):
+            make_plan(pattern, small_mapping, variant, use_cache=False)
+        with pytest.raises(ValidationError, match="covers 4 .* spans 8"):
+            neighbor_alltoallv_init_world(pattern, small_mapping,
+                                          variant=variant)
+
+    def test_all_plans_refuses_it_up_front(self):
+        pattern = random_pattern(8, avg_neighbors=3, seed=1)
+        with pytest.raises(ValidationError, match="covers 4 .* spans 8"):
+            all_plans(pattern, paper_mapping(4, ranks_per_node=2),
+                      use_cache=False)
 
 
 class TestDispatchers:

@@ -2,7 +2,7 @@
 
 The set-up phase — planning a collective and compiling it into one batched
 world program — once looped over every simulated rank and therefore scaled
-as O(ranks x messages).  Two guards pin the world-level compiler
+as O(ranks x messages).  Guards pin the world-level compiler
 (:func:`repro.collectives.exchange.compile_world_exchange`) at the scales the
 paper's largest runs need:
 
@@ -10,16 +10,29 @@ paper's largest runs need:
   8192 and 16384 simulated ranks, with the 16384-rank point under one
   generous absolute budget;
 * a world compiler whose call count does not grow with ranks (counted, not
-  timed).
+  timed);
+* a world compiler whose working set stays a small multiple of the world it
+  returns (counted in traced bytes, not timed), and a standard plan that
+  shares the pattern's columns instead of copying them.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
+
+import numpy as np
+import pytest
 
 from repro.collectives import Variant, make_plan
 from repro.collectives.exchange import compile_world_exchange
-from repro.pattern.builders import halo_exchange_pattern
+from repro.collectives.plan import Phase
+from repro.collectives.planner import plan_standard
+from repro.pattern.builders import (
+    halo_exchange_pattern,
+    pattern_from_edges,
+    random_pattern,
+)
 from repro.topology import paper_mapping
 
 #: Halo grids whose rank counts trace the paper's weak-scaling sweep.
@@ -68,3 +81,92 @@ def test_world_compile_makes_as_many_calls_at_4096_ranks_as_at_256(
         compile_world_exchange(plan)    # the pattern's cached tables settle
         compile_calls[side * side] = count_calls(compile_world_exchange, plan)
     assert len(set(compile_calls.values())) == 1, compile_calls
+
+
+#: Most a compile may allocate at its peak, above its entry level, per byte
+#: the returned world keeps.  A compile that held every intermediate until
+#: it returned peaked at 4.2-4.7x on the plans below.
+WORKING_SET_RATIO = 3.0
+
+#: ``name -> (pattern factory, ranks, variant)``: the halo and irregular
+#: plans of the ``halo_exchange_4096`` / ``irregular_exchange_1024_wide``
+#: benchmark workloads, plus the halo's aggregated plan.
+WORKING_SET_PLANS = {
+    "halo-4096-standard": (
+        lambda: halo_exchange_pattern((64, 64), points_per_cell=16,
+                                      periodic=True),
+        4096, Variant.STANDARD),
+    "halo-4096-partial": (
+        lambda: halo_exchange_pattern((64, 64), points_per_cell=16,
+                                      periodic=True),
+        4096, Variant.PARTIAL),
+    "random-1024-full": (
+        lambda: random_pattern(1024, avg_neighbors=24,
+                               avg_items_per_message=24,
+                               duplicate_fraction=0.3, items_per_rank=128,
+                               item_size=8, seed=0),
+        1024, Variant.FULL),
+}
+
+
+def working_set_plan(name):
+    """The cold plan of :data:`WORKING_SET_PLANS` entry ``name``, 16 ranks
+    per node."""
+    factory, n_ranks, variant = WORKING_SET_PLANS[name]
+    return make_plan(factory(), paper_mapping(n_ranks, ranks_per_node=16),
+                     variant, use_cache=False)
+
+
+def compile_working_set(plan):
+    """``(peak, kept)``: traced bytes a compile of ``plan`` allocates at its
+    peak and keeps in the world it returns, both above its entry level."""
+    compile_world_exchange(plan)    # the pattern's cached tables settle
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        world = compile_world_exchange(plan)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert world.n_messages > 0
+    return peak - entry, kept - entry
+
+
+@pytest.mark.parametrize("name", sorted(WORKING_SET_PLANS))
+def test_world_compile_peaks_at_most_3x_the_world_it_keeps(name):
+    """Each intermediate of the compile is released after its last reader,
+    so the pass never holds the stream, its sort, the lookups and the rows
+    at once."""
+    peak, kept = compile_working_set(working_set_plan(name))
+    assert peak <= WORKING_SET_RATIO * kept, \
+        f"{name}: compile peak {peak / 1e6:.1f} MB is " \
+        f"{peak / kept:.2f}x the {kept / 1e6:.1f} MB it keeps"
+
+
+def test_standard_plan_shares_the_pattern_columns_unless_it_drops_self_edges():
+    """Without a self-edge the DIRECT table is the pattern's unique edge
+    table and keys, not four copies of them; with one, the self-edges
+    still leave the table for the self-deliveries."""
+    mapping = paper_mapping(64, ranks_per_node=16)
+    pattern = halo_exchange_pattern((8, 8), points_per_cell=16, periodic=True)
+    direct = plan_standard(pattern, mapping).phases[Phase.DIRECT]
+    origins, dests, items = pattern.unique_edge_table()
+    for column, source in ((direct.origins, origins),
+                           (direct.final_dests, dests), (direct.items, items),
+                           (direct.payload_key_ids, pattern.owned_keys()[2])):
+        assert column.size and np.shares_memory(column, source)
+
+    looped = pattern_from_edges(64, [(0, 1, [3, 4]), (2, 2, [7, 8, 9]),
+                                     (5, 4, [1])])
+    plan = plan_standard(looped, mapping)
+    direct = plan.phases[Phase.DIRECT]
+    assert direct.origins.tolist() == [0, 0, 5]
+    assert direct.final_dests.tolist() == [1, 1, 4]
+    assert direct.items.tolist() == [3, 4, 1]
+    assert plan.self_deliveries.item.tolist() == [7, 8, 9]
+    assert not np.shares_memory(direct.origins,
+                                looped.unique_edge_table()[0])

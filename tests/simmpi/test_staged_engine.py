@@ -361,6 +361,12 @@ def test_binding_is_refused_at_register():
                 engine.register(world, vector_length=short)
         with pytest.raises(ValidationError, match="item_size == 1"):
             engine.register(wide, vector_length=largest + 1)
+        # A float, bool or string length is refused by name, not read as a
+        # range failure (or truncated).
+        for length in (largest + 1.5, True, str(largest + 1)):
+            with pytest.raises(ValidationError,
+                               match="vector_length must be an int"):
+                engine.register(world, vector_length=length)
         assert engine.buffer_length(
             engine.register(world, vector_length=largest + 1)) > largest
 
