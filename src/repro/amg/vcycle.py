@@ -128,7 +128,7 @@ class WorldVCycle:
     private engine around one profiler, or ``level_profilers`` (one per
     level) for per-level engines, each accounting its own level's traffic.
     ``runtime`` / ``n_workers`` select and size the backend of every engine
-    the cycle creates itself (``"engine"`` staged single-process, ``"procs"``
+    the cycle creates itself (``"engine"`` single-process, ``"procs"``
     shared-memory worker pool); ``close`` — or context-manager exit —
     releases those engines' workers and shared segments deterministically (a
     caller-supplied engine stays open).

@@ -77,7 +77,7 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     ``engine`` to share one engine (and its profiler) across collectives, or a
     ``profiler`` to let the collective create a private engine around it;
     ``runtime`` / ``n_workers`` select the private engine's backend
-    (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
+    (``"engine"`` single-process, ``"procs"`` shared-memory worker
     pool); ``vector_length`` registers the exchange on the caller's vector.
     """
     plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)

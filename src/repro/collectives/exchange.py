@@ -3,24 +3,27 @@
 A :class:`CollectivePlan` describes *what* moves (phase tables of slot and
 payload columns); :func:`compile_world_exchange` compiles every rank's share
 of a plan into *how* it moves on dense numpy buffers, as one *world
-program*: every value any rank ever holds during one exchange — its owned
-items plus everything it receives in any phase — is one row of a single world
-work array, numbered in the layout the
-:class:`~repro.simmpi.engine.ExchangeEngine` executes: rows
-``[owned | blocks a later step reads | terminal blocks]``, and per receive
-step one ``(src, a, b)`` — fill rows ``[a, b)`` from the earlier rows
-``src``.  A round is then O(phases) numpy calls for the whole communicator —
-no per-message or per-rank Python loop, and no renumbering at registration.
+program* for the :class:`~repro.simmpi.engine.ExchangeEngine`.
+
+Every value an exchange delivers is a copy of some owned row, so the
+compiler composes a plan's hops — up to three for the locality-aware
+variants — into their end points: ``result_rows`` names the owned row of
+every output entry, and a round is one gather from the owned rows, whatever
+the variant.  In one address space the intermediate hops would only add
+copies no network sees; the traffic they stand for is accounted in bulk from
+each phase's message columns, which the compiler emits in wire order.  It
+still checks every hop: a plan that forwards a value before its holder has
+it, or never delivers a required one, is a :class:`PlanError` here.
 
 Compilation itself is columnar too: the compiler never looks at an
 ``(origin, item)`` pair — it reads the plan's phase tables, whose payload
 rows carry the pattern's interned key ids, and sorts and joins on one packed
-``holder * width + key`` int64.
+``(holder, key)`` int64.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
 distribution set of a lattice-Boltzmann site, or the DOFs of a multi-component
-unknown), and the work array has shape ``(n_rows, item_size)``.
+unknown), and the engine's work array has shape ``(n_rows, item_size)``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.collectives.plan import (
 from repro.utils.arrays import (
     INDEX_DTYPE,
     argsort_packed,
-    concatenate_or_empty,
     counts_to_displs,
     gather_ranges,
     range_index,
@@ -106,17 +108,14 @@ class ExchangeSpec:
 class WorldPhaseProgram:
     """All ranks' sends and receives of one phase.
 
-    What executes is the receive step ``(src, a, b)``: rows ``[a, b)`` of
-    the world work array are the phase's *first* deliveries (a key its
-    holder did not have yet), row ``a + i`` copied from row ``src[i]``.  A
-    repeat delivery writes bytes its row already holds, so it leaves the
-    data path — but not ``msg_sources`` / ``msg_dests`` / ``msg_nbytes``,
-    every message of the phase in wire order, which the engine hands to the
+    What the engine reads is ``msg_sources`` / ``msg_dests`` /
+    ``msg_nbytes``: every message of the phase in wire order, handed to the
     profiler as one bulk record per round.
 
-    ``gather`` / ``wire_perm`` / ``scatter`` keep the phase as written, in
-    the same row numbering — ``wire = work[gather]``, then
-    ``work[scatter] = wire[wire_perm]`` — for the kernel replay and the
+    ``gather`` / ``wire_perm`` / ``scatter`` keep the phase as written, on
+    the world's ``n_world_rows`` replay rows (owned rows first, then every
+    delivered value in first-occurrence order) — ``wire = work[gather]``,
+    then ``work[scatter] = wire[wire_perm]`` — for the kernel replay and the
     reference executor of the tests; no engine code reads them.
     """
 
@@ -128,26 +127,22 @@ class WorldPhaseProgram:
     msg_sources: np.ndarray
     msg_dests: np.ndarray
     msg_nbytes: np.ndarray
-    src: np.ndarray
-    a: int
-    b: int
 
 
 @dataclass
 class WorldExchange:
     """Every rank's compiled exchange, as one world program.
 
-    The world work array has ``n_world_rows`` rows: every rank's owned items
-    (rows ``[0, n_owned)``, in ``owned_items_all`` order), then each receive
-    step's block of first deliveries, in schedule order — those that a later
-    step reads first, the *terminal* ones (the last hop) after them.  So an
-    unbound handle keeps the prefix ``[0, n_unbound_rows)`` and reads each
-    terminal delivery straight from its source, and a vector-bound one keeps
-    every row.  ``result_rows`` is the row of every output entry;
+    Rows ``[0, n_owned)`` are every rank's owned items, in
+    ``owned_items_all`` order.  ``result_rows`` is the owned row of every
+    output entry — the value its source owns of the item — and
     ``owned_offsets`` / ``result_offsets`` delimit each rank's slice of the
-    input and the output.  ``steps`` is the runtime schedule: ``("send", p)``
-    packs phase ``p``'s wire, ``("recv", p)`` delivers it — in the order of
-    the persistent protocol's Start/Wait (Algorithms 5-6).
+    input and the output.  ``steps`` is the schedule the hops run in:
+    ``("send", p)`` packs phase ``p``'s wire, ``("recv", p)`` delivers it —
+    in the order of the persistent protocol's Start/Wait (Algorithms 5-6);
+    the engine accounts the send phases' messages in that order.
+    ``n_world_rows`` counts the replay rows of the programs' ``gather`` /
+    ``scatter`` columns.
 
     The per-rank item metadata is stored columnar: ``owned_items_all`` /
     ``result_items_all`` / ``result_sources_all`` concatenate every rank's
@@ -161,7 +156,6 @@ class WorldExchange:
     spec: ExchangeSpec
     n_ranks: int
     n_world_rows: int
-    n_unbound_rows: int
     owned_offsets: np.ndarray
     result_rows: np.ndarray
     result_offsets: np.ndarray
@@ -191,7 +185,11 @@ class WorldExchange:
 
     def _rank_slice(self, offsets: np.ndarray, rank: int) -> slice:
         """``rank``'s rows of an offsets-delimited column; a rank outside
-        ``[0, n_ranks)`` raises instead of reading as empty or wrapping."""
+        ``[0, n_ranks)`` raises instead of reading as empty or wrapping, and
+        a float, bool or string instead of being truncated or indexed."""
+        if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
+            raise ValidationError(
+                f"rank must be an int, got {type(rank).__name__}")
         if not 0 <= rank < self.n_ranks:
             raise ValidationError(
                 f"rank must be in [0, {self.n_ranks}), got {rank}")
@@ -206,28 +204,26 @@ def compile_world_exchange(plan: CollectivePlan,
     the plan's phase tables and replays *every* rank's registration
     chronology at once.
 
-    Every value a rank can hold is one int64, ``holder * width + key``; ``key``
-    is the payload row's interned ``(origin, item)`` id
-    (:meth:`CommPattern.owned_keys`, the table's ``payload_key_ids``) and
-    ``width`` leaves one spare id, ``n_owned``, for keys nobody owns, which
-    only phase tables built by hand can pack.  The *registration
-    stream* holds all ranks' owned keys in (holder, item) order, then the
-    payload of each ``("recv", phase)`` schedule step in (receiver, message,
-    position) order.  A stable argsort keeps the first occurrence of every
-    value — the moment its holder first has it.
-    Sends and the result view resolve against the sorted survivors with one
+    Every value a rank can hold is one packed int64 (:func:`_packing`) of
+    its holder and its ``key``, the payload row's interned ``(origin,
+    item)`` id (:meth:`CommPattern.owned_keys`, the table's
+    ``payload_key_ids``), which is also the value's owned row.  The
+    *registration stream* holds all ranks' owned keys in (holder, item)
+    order, then the payload of each ``("recv", phase)`` schedule step in
+    (receiver, message, position) order.  A stable argsort keeps the first
+    occurrence of every value — the moment its holder first has it.  Sends
+    and the result view resolve against the sorted survivors with one
     ``searchsorted`` each; a send may only use values first seen in an
-    earlier schedule step, so a plan that forwards a value before it arrives
-    is a :class:`PlanError` at compile time.  A value's row is its first
-    occurrence's rank in the stream, with the blocks of steps whose first
-    deliveries no later first delivery reads (one ``bincount`` of their
-    sources' steps) moved to the end.
+    earlier schedule step, so a plan that forwards a value before it
+    arrives is a :class:`PlanError` at compile time, and so is a result
+    entry no phase delivers.  A result entry's row is its key; a replay
+    row is its value's index among the sorted survivors, where the owned
+    values come first, in key order.
 
     Every intermediate is released after its last reader — the stream
-    once sorted, the held values once every lookup ran, the lookups and the
-    stream's value groups once the rows are out — so the pass peaks near
-    twice the world it returns, which keeps only the per-phase wire
-    permutations, the gather / scatter / source rows and the result view.
+    once sorted, the held values once every lookup ran — so the pass peaks
+    near twice the world it returns, which keeps only the per-phase message
+    and replay columns and the result view.
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
@@ -239,7 +235,7 @@ def compile_world_exchange(plan: CollectivePlan,
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
 
     owned_holders, owned_items_all, _ = pattern.owned_keys()
-    width = int(owned_holders.size) + 1
+    pack = _packing(owned_holders, n_ranks)
     owned_offsets = counts_to_displs(
         np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
@@ -269,27 +265,17 @@ def compile_world_exchange(plan: CollectivePlan,
         else:
             send_steps.append((phase, len(recv_segment)))
 
-    result_holders, result_items_all, result_sources_all, result_keys = \
-        _result_view(pattern)
-    result_offsets = counts_to_displs(
-        np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
-
-    seg_bounds, group_of, first_pos, held = _held_values(
-        owned_holders, width,
+    seg_bounds, group_of, held_step, held = _held_values(
+        owned_holders, pack,
         [(tables[phase], recv_orders[phase]) for phase in recv_segment])
-    held_step = (np.searchsorted(seg_bounds, first_pos, side="right")
-                 - 1).astype(np.int8)
-    is_first = np.zeros(group_of.size, dtype=bool)
-    is_first[first_pos] = True
 
-    # -- lookups: every send step, then the result view; per receive step,
-    # -- the value each first delivery (a receive position holding its
-    # -- value's first occurrence) copies ------------------------------------
-    hits, sources = {}, {}
+    # -- every send step packs only what its holder already has; a held
+    # -- value's replay row is its index in ``held`` ---------------------------
+    programs: Dict[Phase, WorldPhaseProgram] = {}
     for phase, allowed in send_steps:
         table, send_order = tables[phase], send_orders[phase]
         hit, found = _lookup(held, _packed_values(table, send_order,
-                                                  table.srcs, width))
+                                                  table.srcs, pack))
         # A send of a value its holder does not have yet.
         bad = ~found | (held_step[hit] > allowed)
         if bad.any():
@@ -308,10 +294,27 @@ def compile_world_exchange(plan: CollectivePlan,
                 f"{int(table.payload_items[packed])} which the "
                 "sending rank neither owns nor received in an earlier phase"
             )
-        lo, wire_perm = int(seg_bounds[recv_segment[phase]]), wire_perms[phase]
-        fresh = np.flatnonzero(is_first[lo:lo + wire_perm.size])
-        hits[phase], sources[phase] = hit, hit[wire_perm[fresh]]
-    result_hit, found = _lookup(held, result_holders * width + result_keys)
+        segment = recv_segment[phase]
+        lo, hi = seg_bounds[segment], seg_bounds[segment + 1]
+        programs[phase] = WorldPhaseProgram(
+            phase=phase,
+            tag=PHASE_TAGS[phase],
+            gather=hit,
+            scatter=group_of[lo:hi].copy(),
+            wire_perm=wire_perms[phase],
+            msg_sources=table.srcs[send_order],
+            msg_dests=table.dests[send_order],
+            msg_nbytes=table.payload_counts[send_order] * spec.item_bytes,
+        )
+    del held_step, group_of
+
+    # -- the result view: each output entry is its value's owned row, which
+    # -- its holder must hold by the end of the round -------------------------
+    result_holders, result_items_all, result_sources_all, result_rows = \
+        _result_view(pattern)
+    found = _lookup(held, pack(result_holders, result_rows))[1]
+    n_world_rows = int(held.size)
+    del held
     if not found.all():
         position = int(np.argmin(found))
         raise PlanError(
@@ -320,50 +323,16 @@ def compile_world_exchange(plan: CollectivePlan,
             f"{int(result_sources_all[position])} but no phase of "
             "the plan delivers it"
         )
-    del held
-
-    # -- rows: [owned | blocks some first delivery reads | terminal blocks],
-    # -- blocks in schedule order, rows in first-occurrence order -----------
-    n_segments = seg_bounds.size - 1
-    fresh_counts = np.bincount(held_step, minlength=n_segments)
-    read = np.bincount(held_step[concatenate_or_empty(list(sources.values()))],
-                       minlength=n_segments) > 0
-    read[0] = True                  # the owned rows lead
-    layout = np.concatenate([np.flatnonzero(read), np.flatnonzero(~read)])
-    block_start = np.empty(n_segments, dtype=INDEX_DTYPE)
-    block_start[layout] = counts_to_displs(fresh_counts[layout])[:-1]
-    held_row = (np.cumsum(is_first) - 1)[first_pos] + (
-        block_start - counts_to_displs(fresh_counts)[:-1])[held_step]
-    del is_first, first_pos, held_step
-
-    programs: Dict[Phase, WorldPhaseProgram] = {}
-    for phase, _ in send_steps:
-        table, send_order = tables[phase], send_orders[phase]
-        segment = recv_segment[phase]
-        a = int(block_start[segment])
-        programs[phase] = WorldPhaseProgram(
-            phase=phase,
-            tag=PHASE_TAGS[phase],
-            gather=held_row[hits.pop(phase)],
-            scatter=held_row[
-                group_of[seg_bounds[segment]:seg_bounds[segment + 1]]],
-            wire_perm=wire_perms[phase],
-            msg_sources=table.srcs[send_order],
-            msg_dests=table.dests[send_order],
-            msg_nbytes=table.payload_counts[send_order] * spec.item_bytes,
-            src=held_row[sources[phase]],
-            a=a,
-            b=a + int(fresh_counts[segment]),
-        )
+    result_offsets = counts_to_displs(
+        np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
     return WorldExchange(
         variant=plan.variant,
         spec=spec,
         n_ranks=n_ranks,
-        n_world_rows=int(held_row.size),
-        n_unbound_rows=int(fresh_counts[read].sum()),
+        n_world_rows=n_world_rows,
         owned_offsets=owned_offsets,
-        result_rows=held_row[result_hit],
+        result_rows=result_rows,
         result_offsets=result_offsets,
         steps=schedule,
         programs=programs,
@@ -373,19 +342,39 @@ def compile_world_exchange(plan: CollectivePlan,
     )
 
 
+def _packing(owned_holders: np.ndarray, n_ranks: int):
+    """The packing of every value a rank can hold into one int64.
+
+    ``pack(holders, keys)`` is ``holder * width + key`` — ``width`` leaves
+    one spare key id, ``n_owned``, that nobody owns — plus ``n_ranks *
+    width`` where the holder does not own the key.  So the owned values
+    sort first, in key order: owned key ``k`` is the ``k``-th smallest
+    value any holder can have.
+    """
+    width = owned_holders.size + 1
+    owners = np.append(owned_holders, -1)
+
+    def pack(holders: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        values = holders * width + keys
+        values[owners[keys] != holders] += n_ranks * width
+        return values
+
+    return pack
+
+
 def _packed_values(table: PhaseTable, message_order: np.ndarray,
-                   holders: np.ndarray, width: int) -> np.ndarray:
-    """Every payload row of ``table`` as ``holder * width + key``, messages
-    in ``message_order``; ``holders`` (``srcs`` or ``dests``) names each
+                   holders: np.ndarray, pack) -> np.ndarray:
+    """Every payload row of ``table`` packed, messages in
+    ``message_order``; ``holders`` (``srcs`` or ``dests``) names each
     message's holder."""
     counts = table.payload_counts
-    return gather_ranges(np.repeat(holders, counts) * width
-                         + table.payload_key_ids,
+    return gather_ranges(pack(np.repeat(holders, counts),
+                              table.payload_key_ids),
                          table.payload_offsets[:-1][message_order],
                          counts[message_order])
 
 
-def _held_values(owned_holders: np.ndarray, width: int,
+def _held_values(owned_holders: np.ndarray, pack,
                  recv_steps: List[Tuple[PhaseTable, np.ndarray]]):
     """The registration stream's first occurrences.
 
@@ -393,30 +382,33 @@ def _held_values(owned_holders: np.ndarray, width: int,
     (receiver, message, position) order (``recv_steps`` gives each step's
     table and receive order).  Returns ``seg_bounds`` (the segments'
     stream offsets), ``group_of`` (each stream position's index into the
-    held values), ``first_pos`` (each held value's first stream position)
-    and ``held`` (the distinct values, ascending); the stream itself and
-    its sort die here.
+    held values), ``held_step`` (the segment of each held value's first
+    occurrence: the step that registered it) and ``held`` (the distinct
+    values, ascending); the stream itself and its sort die here.
     """
     n_owned = int(owned_holders.size)
     seg_bounds = counts_to_displs(
         [n_owned] + [int(table.payload_counts.sum()) for table, _ in recv_steps])
     stream = np.empty(int(seg_bounds[-1]), dtype=INDEX_DTYPE)
-    stream[:n_owned] = owned_holders * width + np.arange(n_owned,
-                                                         dtype=INDEX_DTYPE)
+    stream[:n_owned] = pack(owned_holders, np.arange(n_owned,
+                                                     dtype=INDEX_DTYPE))
     for segment, (table, recv_order) in enumerate(recv_steps, 1):
         stream[seg_bounds[segment]:seg_bounds[segment + 1]] = _packed_values(
-            table, recv_order, table.dests, width)
+            table, recv_order, table.dests, pack)
     key_sort = np.argsort(stream, kind="stable")
     stream = stream[key_sort]
     starts_mask = run_starts_mask(stream)
     held = stream[starts_mask]
-    del stream
     # The sort is stable, so the first row of each run is the smallest
     # stream position — the registration moment of that value.
-    first_pos = key_sort[starts_mask]
-    group_of = np.empty(key_sort.size, dtype=INDEX_DTYPE)
-    group_of[key_sort] = np.cumsum(starts_mask) - 1
-    return seg_bounds, group_of, first_pos, held
+    held_step = (np.searchsorted(seg_bounds, key_sort[starts_mask],
+                                 side="right") - 1).astype(np.int8)
+    # The sorted stream's buffer becomes each sorted position's group.
+    np.cumsum(starts_mask, out=stream)
+    stream -= 1
+    group_of = np.empty_like(key_sort)
+    group_of[key_sort] = stream
+    return seg_bounds, group_of, held_step, held
 
 
 def _lookup(held: np.ndarray, values: np.ndarray):
@@ -446,5 +438,8 @@ def _result_view(pattern):
     run_end = np.empty_like(run_start)
     run_end[:-1], run_end[-1:] = run_start[1:], True
     run_last = by_receiver[run_end]
-    return (d_sorted[run_start], i_sorted[run_start],
-            edge_origins[run_last], edge_keys[run_last])
+    del by_receiver, run_end
+    holders = d_sorted[run_start]
+    del d_sorted
+    return (holders, i_sorted[run_start], edge_origins[run_last],
+            edge_keys[run_last])

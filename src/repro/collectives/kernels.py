@@ -4,17 +4,14 @@ Every work row holds the one per-iteration value of its ``(origin, item)``
 key, so a compiled phase's three passes — ``wire = work[gather]``, then
 ``work[scatter] = wire[perm]`` — compose into the indexed copy
 ``work[scatter] = work[gather[perm]]`` (the ``fused`` kernel, kept only for
-the frozen ``bench/`` kernel replay).  What runs is the compiler's layout:
-each phase's first deliveries are one contiguous slice ``[a, b)``, filled
-from the rows ``src`` earlier steps wrote.  On ``runtime="engine"`` the
-parent does that itself with ``work[:a].take(src, 0, work[a:b], "clip")``,
-one C call per step with no Python frame around it; ``gather`` is what the
-``runtime="procs"`` workers run on their share of ``[a, b)``, and the one
-more ``gather(work, result, out)`` the parent makes for a fresh output,
-which also makes the deliveries of the phases no later step reads.  Every
-``take`` runs with ``mode="clip"`` (numpy's ``mode="raise"`` buffers ``out``
-and costs 3x): ``ExchangeEngine.register`` validates every index once, up
-front.
+the frozen ``bench/`` kernel replay).  What runs is the compiler's
+composition of every hop: one gather from the owned rows per round.  On
+``runtime="engine"`` the parent makes it itself with ``ndarray.take``, one C
+call with no Python frame around it; ``gather`` is what the
+``runtime="procs"`` workers run on their share of a vector-bound handle's
+halo rows.  Every ``take`` runs with ``mode="clip"`` (numpy's
+``mode="raise"`` buffers ``out`` and costs 3x): ``ExchangeEngine.register``
+validates every index once, up front.
 
 There is one backend, plain numpy: a round is ``take`` into a slice.
 """

@@ -56,7 +56,7 @@ class WorldNeighborCollective:
     given to ``exchange_flat``, raise :class:`ValidationError`.
 
     ``runtime`` / ``n_workers`` select and size the engine backend
-    (``"engine"`` staged single-process, ``"procs"`` shared-memory worker
+    (``"engine"`` single-process, ``"procs"`` shared-memory worker
     pool) when the collective creates its own private engine; they cannot
     be combined with a shared ``engine``, which already fixed its runtime.
     ``close`` (or using the collective as a context manager) releases a

@@ -2,46 +2,40 @@
 
 The :class:`ExchangeEngine` executes a neighborhood collective as a *world
 program* (:class:`~repro.collectives.exchange.WorldExchange`): every rank's
-values live in one world work array, and a whole phase for the whole
+values live in one world work array, and a whole round for the whole
 communicator is one kernel call — never O(messages) Python work.  I/O is
 flat-native: ``run`` takes one rank-major array of owned values and returns
 one array of received values — or, for an exchange registered *on the
 caller's vector*
 (``register(world, vector_length=n)``, item ids being positions in it), takes
-the vector itself and returns the round buffer ``[x | …]`` read-only, with
+the vector itself and returns the round buffer ``[x | halo]`` read-only, with
 :meth:`ExchangeEngine.halo_rows` locating the received values in it: what
 :class:`~repro.sparse.spmv.WorldSpMV` multiplies by, no pack, no unpack.
 
-Both engine runtimes execute the layout the compiler numbered: rows
-``[owned (or the whole vector) | receive blocks a later step reads |
-terminal blocks]``, so loading is ``work[:n] = values``, a send step only
-accounts traffic (and is skipped when no profiler is attached), and a
-receive step is one ``work[:a].take(src, 0, work[a:b], "clip")`` — rows
-earlier steps wrote, taken into the slice the step owns, never overlapping
-it, called on the array itself.  :meth:`ExchangeEngine.register` only
-validates that program, remaps its head and fixes each handle's input
-test: a bound handle's vector of exactly the registered shape and dtype is
-copied into the head as is, and an unbound handle's list of per-rank arrays
-of exactly the exchange's dtype, ndim and owned lengths is concatenated
-into the owned rows; anything else goes through the full input check.
-Every work row holds its ``(origin, item)`` key's one per-iteration value;
-repeat deliveries leave the data path, not the accounting.
+The compiler already composed every hop of the plan into its end points
+(``world.result_rows``, the owned row of every output entry), so a round on
+either engine runtime is: load the head, one ``take``, and — only when a
+profiler is attached — one bulk accounting record per send phase.  An
+unbound handle's work array is its owned rows, and the take is the output
+gather into a fresh array.  A vector-bound handle's is ``[x | halo]``: the
+take fills the halo rows ``n + arange(R)`` from the vector rows
+``owned_items_all[result_rows]``, and the buffer itself is the output.
+:meth:`ExchangeEngine.register` validates that one source column, allocates
+the work array and fixes each handle's input test: a bound handle's vector
+of exactly the registered shape and dtype is copied into the head as is,
+and an unbound handle's list of per-rank arrays of exactly the exchange's
+dtype, ndim and owned lengths is concatenated into the owned rows; anything
+else goes through the full input check.
 
-A fresh output is one more ``gather(work, result, out)`` into a new array.
-On an unbound handle a *terminal* receive step — one whose rows no later
-step reads — owns no rows at all: ``result`` points its output rows straight
-at the step's sources, so that one pass both makes the last hop's deliveries
-and copies out what earlier steps delivered.  A bound handle keeps every
-block, because its round buffer *is* the output.
-
-* ``runtime="engine"`` (default) — the parent runs the steps itself, one
-  ``take`` each.
+* ``runtime="engine"`` (default) — the parent makes the take itself.
 * ``runtime="procs"`` — a persistent, supervised worker pool
-  (:mod:`repro.simmpi.procs`): the work array and the receive steps' ``src``
-  rows move into ``multiprocessing.shared_memory`` and every forked worker
-  gathers its even share of each step's ``[a, b)``, a barrier between
-  steps.  A retried round, and a round the parent finishes itself after the
-  pool failed, are the same steps on the same rows.
+  (:mod:`repro.simmpi.procs`) runs the round's one receive step: the work
+  array and the step's source rows move into
+  ``multiprocessing.shared_memory`` and every forked worker gathers its even
+  share of the halo rows.  On an unbound handle the step is an empty slot —
+  the output gather stays in the parent.  A retried round, and a round the
+  parent finishes itself after the pool failed, are the same step on the
+  same rows.
 
 Profiler data-path totals are identical on both.  These two are the only
 runtimes: ``REPRO_RUNTIME=procs`` in the environment flips the default for
@@ -56,8 +50,7 @@ context manager — releases them deterministically on any runtime, with a
 The engine deliberately knows nothing about plans or patterns: it executes
 whatever registered program it is handed, which keeps :mod:`repro.simmpi`
 free of dependencies on :mod:`repro.collectives` (compilation lives there, in
-:func:`~repro.collectives.exchange.compile_world_exchange`; the kernel import
-happens lazily, in the constructor, for the same reason).
+:func:`~repro.collectives.exchange.compile_world_exchange`).
 """
 
 from __future__ import annotations
@@ -68,7 +61,7 @@ import weakref
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,7 +95,7 @@ ENGINE_RUNTIMES = ("engine", "procs")
 #: What a ``runtime="procs"`` engine does when a worker dies, hangs, or
 #: corrupts its pipe: ``"retry"`` respawns the pool and retries (then
 #: raises), ``"fallback"`` retries and — with retries exhausted — finishes
-#: the round on the single-process staged path and stays serial,
+#: the round on the single-process path and stays serial,
 #: ``"raise"`` fails fast with no retry.
 ON_FAILURE_POLICIES = ("retry", "fallback", "raise")
 
@@ -133,32 +126,36 @@ def default_on_failure() -> str:
 
 @dataclass
 class _RegisteredProgram:
-    """Engine-side state of one registered world exchange: ``work`` rows
-    ``[head | kept blocks …]``, per schedule step ``(program, src, a, b)``
-    (a receive fills rows ``[a, b)`` from the earlier rows ``src`` — none,
-    ``a == b``, for a terminal step folded into the result; a send,
-    ``src is None``, only accounts), and ``result`` the ``work`` row of every
-    output entry.  Bound to a vector of ``vector_length`` entries, the head
-    is that vector and ``work`` is what a round returns.  ``shared`` is set
-    only while a ``runtime="procs"`` pool holds ``work`` and the ``src`` rows
-    in its two shared-memory segments (they are then views of those).
+    """Engine-side state of one registered world exchange.
+
+    ``sends`` are the world's send phases in schedule order, each accounted
+    with one bulk record per round while a profiler is attached, and
+    ``source`` is the round's one gather column: the ``work`` row every
+    delivered entry copies.  Unbound, ``work`` is the owned rows and
+    ``source`` is ``world.result_rows``, gathered into a fresh output.
+    Bound to a vector of ``vector_length`` (``n``) entries, ``work`` is
+    ``[x | halo]``, what a round returns, ``source`` is the vector row of
+    every halo row and ``result`` the halo rows ``n + arange(R)``.
+    ``shared`` is set only while a ``runtime="procs"`` pool holds ``work``
+    and ``source`` in its two shared-memory segments (they are then views of
+    those).
 
     A bound handle also fixes its fast path at registration: ``head`` is the
     vector's rows of ``work`` as one 1-D view — an input of exactly its
     shape and dtype is copied in with no further check — and ``buffer`` the
     read-only flat view of ``work`` a round returns (``None`` while ``work``
     is a shared segment, which hands out a copy instead).  An unbound handle
-    fixes its list fast path likewise: ``owned`` is the owned rows of
-    ``work`` as one ``(n,)`` view (``(n, item_size)`` for wider items) and
-    ``lengths`` every rank's owned-row count, so a list or tuple of per-rank
-    arrays of exactly that dtype, ndim and lengths is concatenated straight
-    into ``owned``."""
+    fixes its list fast path likewise: ``owned`` is ``work`` as one ``(n,)``
+    view (``(n, item_size)`` for wider items) and ``lengths`` every rank's
+    owned-row count, so a list or tuple of per-rank arrays of exactly that
+    dtype, ndim and lengths is concatenated straight into ``owned``."""
 
     world: "WorldExchange"
     vector_length: Optional[int]
     work: np.ndarray
-    steps: Sequence[Tuple["WorldPhaseProgram", np.ndarray | None, int, int]]
-    result: np.ndarray
+    sends: List["WorldPhaseProgram"]
+    source: np.ndarray
+    result: Optional[np.ndarray] = None
     shared: Optional["SharedProgram"] = None
     head: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
@@ -175,47 +172,12 @@ def _check_range(name: str, index: np.ndarray, bound: int) -> None:
                                  f"index outside [0, {bound})")
 
 
-def _checked_steps(world: "WorldExchange", fold: bool):
-    """``world``'s schedule as ``(program, src, a, b)``, validated.
-
-    The receive blocks must tile the rows: those below ``n_unbound_rows``
-    one after another from the owned rows up, in schedule order, the
-    terminal ones likewise from ``n_unbound_rows`` to ``n_world_rows``.  A
-    step may read only what the steps before it kept — every ``src`` below
-    the end of the last kept block so far, which no terminal block is —
-    so whatever order its rows sit in, nothing is read before it is
-    written.  With ``fold`` a terminal step keeps its slot with the empty
-    range at that row.  Returns ``(steps, terminal srcs in row order)``.
-    """
-    kept_end, n_kept = world.owned_items_all.size, world.n_unbound_rows
-    tail_end, steps, tail = n_kept, [], []
-    for kind, phase in world.steps:
-        program = world.programs[phase]
-        if kind == "send":
-            steps.append((program, None, 0, 0))
-            continue
-        src, a, b = program.src, program.a, program.b
-        kept = a < n_kept
-        start = kept_end if kept else tail_end
-        if (a, b) != (start, start + src.size) or (kept and b > n_kept):
-            raise CommunicationError(
-                f"corrupt world exchange: {phase} writes rows [{a}, {b}), but "
-                f"its {src.size} rows must start at row {start}: the blocks "
-                "must tile the rows")
-        _check_range(f"{phase} src", src, kept_end)
-        if kept:
-            kept_end = b
-        else:
-            tail_end = b
-            tail.append(src)
-        steps.append((program, src[:0], kept_end, kept_end)
-                     if fold and not kept else (program, src, a, b))
-    if (kept_end, tail_end) != (n_kept, world.n_world_rows):
-        raise CommunicationError(
-            f"corrupt world exchange: the blocks end at rows {kept_end} and "
-            f"{tail_end}, not {n_kept} and {world.n_world_rows}")
-    _check_range("result_rows", world.result_rows, world.n_world_rows)
-    return steps, tail
+def _checked_steps(world: "WorldExchange") -> List["WorldPhaseProgram"]:
+    """``world``'s send phases in schedule order, once its one source
+    column checks out: every output entry must copy an owned row."""
+    _check_range("result_rows", world.result_rows, world.owned_items_all.size)
+    return [world.programs[phase] for kind, phase in world.steps
+            if kind == "send"]
 
 
 def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
@@ -264,10 +226,10 @@ class ExchangeEngine:
     :meth:`TrafficProfiler.record_batch` with exactly the messages of the
     plan the program was compiled from.
 
-    ``runtime`` selects who runs the staged steps (``"engine"`` the parent,
-    ``"procs"`` a shared-memory worker pool; ``None`` resolves through
-    ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default: one per
-    available core, capped by ``n_ranks``).
+    ``runtime`` selects who runs each round's receive step (``"engine"``
+    the parent, ``"procs"`` a shared-memory worker pool; ``None`` resolves
+    through ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default:
+    one per available core, capped by ``n_ranks``).
 
     Worker failures on the procs backend are supervised: ``on_failure``
     picks the policy (``"retry"`` — respawn the pool and retry, then raise;
@@ -329,9 +291,6 @@ class ExchangeEngine:
         self._finalizer = None
         self._clock = clock if clock is not None else time.perf_counter
         self._run_observer = None
-        from repro.collectives.kernels import _numpy_gather
-
-        self._gather = _numpy_gather
         if runtime == "procs":
             from repro.simmpi.procs import ProcsPool, default_worker_count
 
@@ -371,7 +330,7 @@ class ExchangeEngine:
     @property
     def degraded(self) -> bool:
         """Whether the procs pool failed permanently and the engine now runs
-        every round on the single-process staged path."""
+        every round on the single-process path."""
         return self._pool_failed
 
     def close(self) -> None:
@@ -406,21 +365,18 @@ class ExchangeEngine:
         """Register a compiled world exchange; returns its engine handle.
 
         The persistent collective's init, with the optimisation already done
-        by the compiler: registration validates the program it will
-        run (blocks that tile the rows, every ``src`` row written before its
-        step, every result row in range — a corrupt program raises
-        :class:`CommunicationError` here, never a wrong answer in ``run``),
-        remaps the head, allocates the persistent work array and, on
-        ``runtime="procs"``, moves that array and the steps' source rows
-        into the two segments the workers attach to.  An unbound handle
-        keeps the rows ``[0, world.n_unbound_rows)``: each terminal row of
-        the result reads its source instead.
+        by the compiler: registration checks the one source column it will
+        gather (every ``result_rows`` entry an owned row — a corrupt program
+        raises :class:`CommunicationError` here, never a wrong answer in
+        ``run``), allocates the persistent work array and, on
+        ``runtime="procs"``, moves that array and the source rows into the
+        two segments the workers attach to.  An unbound handle keeps the
+        owned rows only.
 
         ``vector_length=n`` binds the handle to the caller's ``(n,)`` vector,
         item ids being positions in it (as for every ``pattern_from_parcsr``
-        pattern; scalar items only): owned row ``i`` becomes entry
-        ``owned_items_all[i]`` of the vector, every later row moves up by
-        ``n - n_owned`` and every block is kept; see :meth:`run` and
+        pattern; scalar items only): the work array is ``[x | halo]``, halo
+        row ``n + k`` holding output entry ``k``; see :meth:`run` and
         :meth:`halo_rows`.
         """
         self._check_open()
@@ -442,40 +398,39 @@ class ExchangeEngine:
                 f"binding an exchange to a vector of length {vector_length} "
                 f"needs item_size == 1 (got {world.spec.item_size}) and every "
                 f"owned item id in [0, {vector_length})")
-        steps, tail = _checked_steps(world, fold=not bound)
+        sends = _checked_steps(world)
         if bound:
-            shift = vector_length - ids.size
-            lut = np.arange(shift, world.n_world_rows + shift)
-            lut[:ids.size] = ids
-            steps = [(program, None, 0, 0) if src is None
-                     else (program, np.take(lut, src), a + shift, b + shift)
-                     for program, src, a, b in steps]
-            n_rows = world.n_world_rows + shift
+            head, n_halo = vector_length, world.result_rows.size
+            source = np.take(ids, world.result_rows)
         else:
-            lut = np.concatenate([np.arange(world.n_unbound_rows), *tail])
-            n_rows = world.n_unbound_rows
-        work = np.zeros((n_rows, world.spec.item_size), dtype=world.spec.dtype)
-        state = _RegisteredProgram(world, vector_length, work, steps,
-                                   np.take(lut, world.result_rows))
+            head, n_halo, source = ids.size, 0, world.result_rows
+        work = np.zeros((head + n_halo, world.spec.item_size),
+                        dtype=world.spec.dtype)
+        state = _RegisteredProgram(world, vector_length, work, sends, source)
         if self._pool is not None and not self._pool_failed:
+            # The pool's schedule: every send, then the round's one receive
+            # step — an empty slot on an unbound handle, whose output gather
+            # stays here.
+            steps = [(None, 0, 0)] * len(sends) \
+                + [(source if bound else source[:0], head, head + n_halo)]
             try:
-                shared = self._pool.register(
-                    state.work, [step[1:] for step in state.steps])
+                shared = self._pool.register(work, steps)
             except WorkerError as exc:
                 if self.on_failure != "fallback":
                     raise
                 self._fall_back("register", exc)    # stays on its own arrays
             else:
                 state.shared, state.work = shared, shared.work.array
-                state.steps = [(program, src, a, b) for (program, _, a, b), src
-                               in zip(state.steps, shared.step_sources())]
+                if bound:
+                    state.source = shared.step_sources()[-1]
         if bound:
-            state.head = state.work[:vector_length, 0]
+            state.result = np.arange(head, head + n_halo)
+            state.head = state.work[:head, 0]
             if state.shared is None:
                 state.buffer = state.work.reshape(-1)
                 state.buffer.flags.writeable = False
         else:
-            state.owned = state.work[:ids.size]
+            state.owned = state.work
             if world.spec.item_size == 1:
                 state.owned = state.owned[:, 0]
             state.lengths = np.diff(world.owned_offsets).tolist()
@@ -498,10 +453,6 @@ class ExchangeEngine:
         """Row of a vector-bound handle's round buffer holding each entry of
         ``world.result_items_all``, in that order (fixed at registration)."""
         return self._bound(handle).result
-
-    def buffer_length(self, handle: int) -> int:
-        """Entries of the round buffer a vector-bound handle's ``run`` returns."""
-        return self._bound(handle).work.shape[0]
 
     # -- per-iteration execution ----------------------------------------------
 
@@ -531,9 +482,7 @@ class ExchangeEngine:
         Returns a fresh flat array of every rank's received
         values in ``world.result_items_all`` order (delimited per rank by
         ``world.result_offsets``): the value its source owns of every item
-        each rank receives.  It is made by one
-        gather from the work array, which also performs the round's terminal
-        deliveries: those rows are read from their sources, never stored.
+        each rank receives, made by one gather from the owned rows.
 
         On a handle registered with ``vector_length=n``, ``values`` is the
         ``(n,)`` vector itself (anything else raises :class:`ValidationError`)
@@ -551,7 +500,8 @@ class ExchangeEngine:
 
     def _execute(self, handle: int, values: WorldValues) -> np.ndarray:
         """One exchange round, untimed (the body :meth:`run` wraps): load the
-        head, run the steps — on the pool, else here — select the result."""
+        head, run the receive step — on the pool, else here — account every
+        send phase, and return the result."""
         self._check_open()
         state = self._program(handle)
         work, head = state.work, state.head
@@ -572,37 +522,31 @@ class ExchangeEngine:
                 # No worker is left to write a row: the half-written round
                 # re-runs below, on the same rows.
                 self._fall_back("run", exc)
-        self._run_staged(state, delivered)
+        if self.profiler is not None:
+            for program in state.sends:
+                self._account(program)
+        if state.result is None:
+            # The round's one gather: every output entry from its owned row.
+            # Indices were validated at register, so "clip" never clips.
+            rows = np.empty((state.source.size, work.shape[1]),
+                            dtype=work.dtype)
+            work.take(state.source, 0, rows, "clip")
+            return rows.reshape(-1) if state.world.spec.item_size == 1 \
+                else rows
+        if not delivered:
+            # The halo from the vector rows: no overlap, called on the array
+            # directly (``np.take`` would add two Python frames).
+            n = state.vector_length
+            work[:n].take(state.source, 0, work[n:], "clip")
         if state.buffer is not None:
             return state.buffer         # the round buffer itself, read-only
-        if state.vector_length is not None:
-            # The rows are a shared segment: a private read-only copy, so no
-            # shared-memory view escapes to the caller.
-            rows = work.copy().reshape(-1)
-            rows.flags.writeable = False
-            return rows
-        # One pass: the terminal deliveries, and the rows earlier steps made.
-        rows = np.empty((state.result.size, work.shape[1]), dtype=work.dtype)
-        self._gather(work, state.result, rows)
-        return rows.reshape(-1) if state.world.spec.item_size == 1 else rows
+        # The rows are a shared segment: a private read-only copy, so no
+        # shared-memory view escapes to the caller.
+        rows = work.copy().reshape(-1)
+        rows.flags.writeable = False
+        return rows
 
     # -- helpers --------------------------------------------------------------
-
-    def _run_staged(self, state: _RegisteredProgram, delivered: bool) -> None:
-        """One round's steps in the parent, in schedule order: every send
-        step accounted (one bulk record each) when a profiler is attached,
-        every receive step gathered unless the pool already ``delivered`` it
-        — one ``take`` into the slice it owns, called on the array directly
-        (``np.take`` would add two Python frames per step)."""
-        work, account = state.work, self.profiler is not None
-        for program, src, a, b in state.steps:
-            if src is None:
-                if account:
-                    self._account(program)
-            elif b > a and not delivered:
-                # Sources are rows of earlier steps (< a): no overlap.  Indices
-                # were validated at register, so "clip" never clips.
-                work[:a].take(src, 0, work[a:b], "clip")
 
     def _fall_back(self, command: str, exc: WorkerError) -> None:
         """Degrade permanently to the single-process path after pool failure.
@@ -622,7 +566,7 @@ class ExchangeEngine:
             attempt=self._pool.max_retries,
             chosen=(f"retries exhausted; quarantined the "
                     f"{self._pool.n_workers}-worker pool and completed the "
-                    f"{command} on the single-process staged path "
+                    f"{command} on the single-process path "
                     f"(engine stays serial from here on)"),
             crashes=exc.crashes))
 

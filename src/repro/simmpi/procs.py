@@ -1,32 +1,30 @@
 """Shared-memory multiprocessing runtime for the world-stepped engine.
 
 The :class:`~repro.simmpi.engine.ExchangeEngine` runs a registered world
-exchange on rows ``[head | receive blocks …]`` as one ``gather(work[:a], src,
-work[a:b])`` per receive step.  This module is the ``runtime="procs"``
-backend of those same steps: at registration the work array and the receive
-steps' ``src`` rows (concatenated in row order) move into two
-:mod:`multiprocessing.shared_memory` segments, and a persistent pool of
+exchange as a schedule of steps: every send phase, then one receive step
+``gather(work[:a], src, work[a:b])``.  This module is the
+``runtime="procs"`` backend of those steps: at registration the work array
+and the receive steps' ``src`` rows (concatenated in row order) move into
+two :mod:`multiprocessing.shared_memory` segments, and a persistent pool of
 worker processes (forked once per engine, lazily at the first registration)
 executes every step in parallel.
 
 **Step shares.**  A receive step fills the contiguous rows ``[a, b)`` from
-rows earlier steps wrote, all below ``a``.  Worker ``w`` of ``n`` owns the
-even share
+rows below ``a``.  Worker ``w`` of ``n`` owns the even share
 ``[a + lo, a + hi)`` of them (:func:`_share`: shares tile the step and differ
 by at most one row) and runs ``gather(work[:a], src[lo:hi],
-work[a + lo:a + hi])`` — disjoint writes, reads only of rows earlier steps
-finished.  A :class:`multiprocessing.Barrier` after each receive step orders
-every write of a step before any read of the next.  Send steps move nothing:
-they stay accounting in the parent (and fault-injection points here).
+work[a + lo:a + hi])`` — disjoint writes, reads only of rows no step writes.
+A :class:`multiprocessing.Barrier` after each receive step orders every
+write of a step before any read of the next.  Send steps move nothing: they
+stay accounting in the parent (and fault-injection points here).
 
 The parent loads the head — rows no worker ever writes — before dispatching
-and, after all workers report done, runs the output gather into a fresh
-array, so no shared-memory view ever escapes to the caller.  That gather
-also makes the deliveries of every *terminal* receive step (one whose rows
-no later step reads): an unbound handle keeps such a step with an empty range
-``a == b``, so every worker's share of it is empty and only the barrier
-and the fault-injection point remain.  Message accounting (the profiler)
-stays in the parent, exactly as on the serial path.
+and, after all workers report done, copies the result out (or, on an
+unbound handle, runs the output gather into a fresh array), so no
+shared-memory view ever escapes to the caller.  An unbound handle's receive
+step is an empty range ``a == b``: every worker's share of it is empty and
+only the barrier and the fault-injection point remain.  Message accounting
+(the profiler) stays in the parent, exactly as on the serial path.
 
 **Supervision.**  The parent collects acknowledgements with one
 ``multiprocessing.connection.wait`` over every command pipe *and* every
@@ -213,7 +211,7 @@ def _share(n_rows: int, worker_id: int, n_workers: int) -> Tuple[int, int]:
 class SharedProgram:
     """Parent-side handle on one registered program's two shared segments.
 
-    ``work`` holds the staged rows — the engine loads the head into its view
+    ``work`` holds the program's rows — the engine loads the head into its view
     before a round and copies results out after, so callers only ever see
     private copies.  ``sources`` holds every receive step's ``src`` rows, one
     block after another in row order: the blocks tile the rows behind the
@@ -247,11 +245,10 @@ class SharedProgram:
 
 
 def share_program(work: np.ndarray, steps: Sequence[tuple]) -> SharedProgram:
-    """Move a staged program's two arrays into shared memory.
+    """Move a program's two arrays into shared memory.
 
     ``steps`` is the schedule as ``(src, a, b)`` — ``src is None`` for a
-    send.  The ``src`` rows are concatenated in row order, which is not
-    schedule order where a terminal block sits behind a later step's.  A
+    send.  The ``src`` rows are concatenated in row order.  A
     segment that cannot be created (``EMFILE``, a full ``/dev/shm``) takes
     the one created before it down with it.
     """
@@ -701,7 +698,7 @@ class ProcsPool:
 
     def register(self, work: np.ndarray,
                  steps: Sequence[tuple]) -> SharedProgram:
-        """Share a staged program (:func:`share_program`) and hand it to
+        """Share a program (:func:`share_program`) and hand it to
         every worker."""
         if self._closed:
             raise CommunicationError("exchange engine is closed")

@@ -11,10 +11,11 @@ run through the same code.
 
 The halo exchange is registered on the input vector itself, so one round
 through the batched :class:`~repro.simmpi.engine.ExchangeEngine` turns ``x``
-into the engine's ``[x | halo]`` work array, and the product is one CSR — the
-assembled matrix with its column indices rewritten onto that array — times
-it.  No pack, no unpack, no diag/offd split, no per-rank loop.  A row sums in
-the assembled matrix's stored order, so every product equals
+into the engine's ``[x | halo]`` work array, the halo in ``col_map_offd``
+order, and the product is one CSR — the matrix's cached stacked operator,
+whose columns are that array — times it.  No pack, no unpack, no diag/offd
+split, no per-rank loop.  A row sums in the assembled matrix's stored order,
+so every product equals
 ``matrix.matrix @ x`` to the bit: the correctness argument for replacing
 Hypre's point-to-point communication with the optimized collectives.
 
@@ -51,51 +52,48 @@ from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.errors import ValidationError
 
 
-def _operator_on_buffer(stacked: StackedBlocks, world, halo_rows: np.ndarray,
-                        length: int) -> sp.csr_matrix:
-    """``stacked.operator`` with its halo columns on the engine's round buffer.
+def _operator_on_buffer(stacked: StackedBlocks, world) -> sp.csr_matrix:
+    """``stacked.operator`` over the engine's round buffer ``[x | halo]``,
+    halo entry ``k`` the value of ``world.result_items_all[k]``.
 
-    ``halo_rows[k]`` is the buffer row of ``world.result_items_all[k]``.
-    Delivery and ``col_map_offd`` both ascend per rank for a pattern derived
-    from this matrix; any other order is folded into the column indices
-    (entry order untouched), and a rank whose delivered ids are not exactly
-    its column map raises instead of hitting a neighbouring column.  A halo
-    right behind ``x`` in map order returns the cached operator itself.
+    A pattern derived from this matrix delivers every rank's halo in
+    ``col_map_offd`` order, so the buffer is the operator's own column
+    layout and the cached operator itself is returned.  Any other order is
+    folded into the column indices (entry order untouched), and a rank whose
+    delivered ids are not exactly its column map raises instead of hitting
+    a neighbouring column.
     """
     offsets, ids = world.result_offsets, world.result_items_all
-    if not (np.array_equal(offsets, stacked.offd_offsets)
-            and np.array_equal(ids, stacked.col_map_offd)):
-        counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
-        rank_of = np.repeat(np.arange(counts.size), counts)
-        order = np.lexsort((ids, rank_of))  # delivery position of each map entry
-        if np.array_equal(counts, expected):
-            wrong = rank_of[ids[order] != stacked.col_map_offd]
-        else:
-            wrong = np.flatnonzero(counts != expected)
-        if wrong.size:
-            raise ValidationError(
-                f"rank {int(wrong[0])} receives halo ids that differ from its "
-                "col_map_offd; the exchange was not built for this matrix")
-        halo_rows = halo_rows[order]
     operator = stacked.operator
-    n_rows, width = operator.shape
-    n_cols = width - halo_rows.size
-    if length == width and np.array_equal(halo_rows, np.arange(n_cols, width)):
+    if np.array_equal(offsets, stacked.offd_offsets) \
+            and np.array_equal(ids, stacked.col_map_offd):
         return operator
-    columns = np.concatenate([np.arange(n_cols), halo_rows]).astype(
-        np.result_type(operator.indices.dtype, sp.get_index_dtype(maxval=length)))
+    counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
+    rank_of = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((ids, rank_of))  # delivery position of each map entry
+    if np.array_equal(counts, expected):
+        wrong = rank_of[ids[order] != stacked.col_map_offd]
+    else:
+        wrong = np.flatnonzero(counts != expected)
+    if wrong.size:
+        raise ValidationError(
+            f"rank {int(wrong[0])} receives halo ids that differ from its "
+            "col_map_offd; the exchange was not built for this matrix")
+    n_cols = operator.shape[1] - order.size
+    columns = np.concatenate([np.arange(n_cols), n_cols + order]).astype(
+        operator.indices.dtype)
     return sp.csr_matrix((operator.data, columns[operator.indices],
-                          operator.indptr), shape=(n_rows, length))
+                          operator.indptr), shape=operator.shape)
 
 
 class WorldSpMV:
     """World-stepped distributed SpMV: all ranks advance in lockstep.
 
     One world collective registered on the input vector, plus the matrix's
-    :class:`~repro.sparse.parcsr.StackedBlocks` operator with its halo
-    columns rewritten once onto the engine's round buffer, so ``multiply`` is
-    what hypre runs per process, once for all ranks: one engine round — every
-    receive step run, every message accounted — then one product, equal bit
+    cached :class:`~repro.sparse.parcsr.StackedBlocks` operator, whose
+    columns ``[x | halo]`` are the engine's round buffer, so ``multiply`` is
+    what hypre runs per process, once for all ranks: one engine round — the
+    halo gathered, every message accounted — then one product, equal bit
     for bit to ``matrix.matrix @ x``.  The product is the ``csr_matvec``
     call ``operator @ buffer`` itself makes, so it can be written into a
     caller's ``out`` array instead of a new one.
@@ -119,11 +117,9 @@ class WorldSpMV:
         self.collective = collective = neighbor_alltoallv_init_world(
             pattern_from_parcsr(matrix), mapping, variant=variant,
             strategy=strategy, engine=engine, vector_length=matrix.n_cols)
-        self._handle = handle = collective.handle
+        self._handle = collective.handle
         self._operator = operator = _operator_on_buffer(
-            matrix.stacked_blocks(), collective.world,
-            collective.engine.halo_rows(handle),
-            collective.engine.buffer_length(handle))
+            matrix.stacked_blocks(), collective.world)
         # What ``operator @ buffer`` passes to ``csr_matvec``, and the dtype
         # of the product it allocates.
         self._matvec_args = (operator.shape[0], operator.shape[1],
@@ -147,17 +143,17 @@ class WorldSpMV:
 
         The product goes into ``out`` when given — a writeable contiguous
         ``(n_rows,)`` array of the product's dtype (float64 for a real
-        operator) other than ``x``, overwritten — and into a new array
-        otherwise; either way it is returned.
+        operator) sharing no memory with ``x``, overwritten — and into a new
+        array otherwise; either way it is returned.
         """
         if out is None:
             out = np.zeros(self.n_rows, dtype=self._dtype)
-        elif not isinstance(out, np.ndarray) or out is x \
+        elif not isinstance(out, np.ndarray) or np.may_share_memory(out, x) \
                 or out.shape != (self.n_rows,) or out.dtype != self._dtype \
                 or not (out.flags.c_contiguous and out.flags.writeable):
             raise ValidationError(
                 f"out must be a writeable contiguous {self._dtype} array of "
-                f"shape ({self.n_rows},) other than x, got "
+                f"shape ({self.n_rows},) sharing no memory with x, got "
                 f"{getattr(out, 'dtype', type(out))} "
                 f"{getattr(out, 'shape', '')}")
         else:

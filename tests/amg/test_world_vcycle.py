@@ -1,8 +1,8 @@
 """Golden solve-phase equivalence suite.
 
 :class:`WorldVCycle` runs whole cycles for all ranks through the batched
-:class:`ExchangeEngine` — on both engine runtimes (single-process staged
-steps and the ``"procs"`` shared-memory worker pool).  Its iterate is pinned
+:class:`ExchangeEngine` — on both engine runtimes (single-process and
+the ``"procs"`` shared-memory worker pool).  Its iterate is pinned
 *byte-identical* to the seed :class:`BoomerAMGSolver` relaxing on the
 assembled global operators (every product sums its rows in the assembled
 operator's stored order) across stencils x partitions x mappings x sweep

@@ -7,10 +7,11 @@ replaced — compile every rank with the per-rank :func:`compile_exchange`
 (one rank's :class:`CompiledExchange`: a work array of its owned and received
 keys, with a gather and a scatter index per phase), re-base the results into
 one rank-major row space, and pair senders with receivers message by
-message — as a :class:`ReferenceWorld`.  Relabelled through the layout
-oracle of ``reference_staging.py``, the equivalence suites
+message — as a :class:`ReferenceWorld`.  The equivalence suites
 (``test_world_compile_equivalence.py``, ``test_phase_table.py``) pin the
-world pass byte-identical to it.
+world pass's message columns and item ids equal to it, its replay columns
+one relabelling of it, and its composed result rows to what the
+reference's hops deliver.
 
 It is a test oracle, not library code.
 """
@@ -330,9 +331,9 @@ def compile_world_exchange_reference(plan: CollectivePlan,
 
     This walks a Python loop over ranks (and scans the phase message lists
     once per rank), which is O(ranks × messages); the production
-    :func:`compile_world_exchange` emits the same program, renumbered into
-    the engine's layout, with one world-level pass and is what every caller
-    should use.
+    :func:`compile_world_exchange` emits the same program, its rows
+    renumbered and its hops composed, with one world-level pass and is what
+    every caller should use.
     """
     if spec is None:
         spec = ExchangeSpec(dtype=plan.pattern.dtype,

@@ -3,8 +3,8 @@
 The one backend (numpy) must execute both kernels byte-identically to plain
 numpy indexing, the fused kernel must equal the unfused
 gather→permute→scatter composition, and the gather must write a row slice of
-its own source array — the engine's receive step.  A memory-bound engine
-round is counted: one ``gather`` call, no ``fused`` one.
+its own source array — a pool worker's share of a receive step.  A
+memory-bound engine round is counted: one ``take``, no ``fused`` call.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("n_new", [40, 0])
     def test_gather_into_a_row_slice_of_its_own_array(self, backend, n_new):
-        """The staged engine's phase: ``gather(work[:a], src, work[a:b])``."""
+        """A pool worker's share: ``gather(work[:a], src, work[a:b])``."""
         rng = np.random.default_rng(17)
         a = 24
         work = rng.standard_normal((a + n_new + 5, 3))
@@ -99,50 +99,38 @@ class TestKernelEquivalence:
 
 def test_memory_bound_last_hop_round_makes_one_gather_and_no_fused_call(
         count_calls):
-    """An engine round of a last hop is one ``gather``, equal to plain numpy.
+    """An engine round is one ``take``, equal to plain numpy.
 
-    One synthetic phase big enough to be memory-bound (300k wire rows of
+    One synthetic phase big enough to be memory-bound (300k output rows of
     4-component float64 items, duplicate deliveries included) wrapped as a
-    one-phase :class:`WorldExchange` in the compiler's layout: rows
-    ``[owned | delivered, in first-delivery order]``, row ``a + i`` filled
-    from row ``src[i]``.  The engine runs the phase — a last hop, folded
-    into the output — as one kernel ``gather``.  Clock-free: the round must
-    be byte-equal to plain numpy indexing of ``src`` and ``result_rows`` and,
-    counted, make exactly one ``gather`` call and no ``fused`` one.
+    one-phase :class:`WorldExchange` in the compiler's form: every output
+    entry names the owned row it copies.  Clock-free: the round must be
+    byte-equal to plain numpy indexing of ``result_rows`` and, counted, make
+    exactly one ``take`` and no ``fused`` call.
     """
-    n_owned, n_wire, item_size = 200_000, 300_000, 4
+    n_owned, n_result, item_size = 200_000, 300_000, 4
     rng = np.random.default_rng(23)
-    # The owned row each wire row copies, in delivery order; a repeat
-    # delivery adds no row, so the new rows are the first deliveries.
-    copied = rng.integers(0, n_owned, size=n_wire).astype(np.int64)
-    _, first = np.unique(copied, return_index=True)
-    src = copied[np.sort(first)]
-    n_rows = n_owned + src.size
-    result_rows = n_owned + rng.permutation(src.size)
+    result_rows = rng.integers(0, n_owned, size=n_result).astype(np.int64)
     empty = np.empty(0, dtype=np.int64)
     world = WorldExchange(
         variant=Variant.STANDARD,
         spec=ExchangeSpec(dtype=np.dtype(np.float64), item_size=item_size),
-        n_ranks=1, n_world_rows=n_rows, n_unbound_rows=n_owned,
+        n_ranks=1, n_world_rows=n_owned,
         owned_offsets=np.array([0, n_owned]),
-        result_rows=result_rows, result_offsets=np.array([0, src.size]),
+        result_rows=result_rows, result_offsets=np.array([0, n_result]),
         steps=(("send", Phase.DIRECT), ("recv", Phase.DIRECT)),
         programs={Phase.DIRECT: WorldPhaseProgram(
             phase=Phase.DIRECT, tag=10, gather=empty, scatter=empty,
             wire_perm=empty, msg_sources=empty, msg_dests=empty,
-            msg_nbytes=empty, src=src, a=n_owned, b=n_rows)},
+            msg_nbytes=empty)},
         owned_items_all=np.arange(n_owned), result_items_all=result_rows,
-        result_sources_all=np.zeros(src.size, dtype=np.int64))
+        result_sources_all=np.zeros(n_result, dtype=np.int64))
     values = rng.standard_normal((n_owned, item_size))
-    work = np.zeros((n_rows, item_size))
-    work[:n_owned] = values
-    work[n_owned:] = work[src]
 
     with ExchangeEngine(1, runtime="engine") as engine:
         handle = engine.register(world)
         assert engine.run(handle, values).tobytes() \
-            == work[result_rows].tobytes()
-        # The numpy kernels are Python functions, so their calls are countable.
+            == values[result_rows].tobytes()
         calls = [count_calls(engine.run, handle, values, of=[kernel])
-                 for kernel in (kernels._numpy_gather, kernels._numpy_fused)]
+                 for kernel in (np.ndarray.take, kernels._numpy_fused)]
     assert calls == [1, 0]

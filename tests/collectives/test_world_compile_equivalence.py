@@ -1,20 +1,19 @@
 """Golden equivalence: world-level plan compilation vs the per-rank reference.
 
 :func:`~repro.collectives.exchange.compile_world_exchange` emits the world
-program with one vectorized pass over the plan's columnar payload, numbered
-in the layout the engine executes; ``compile_world_exchange_reference``
-(``reference_world_compile.py``) is the pinned seed-equivalent path that
-compiles every rank separately with the per-rank ``compile_exchange`` kept
-beside it and re-bases the results rank-major.  Relabelled through the
-engine's former staging pass (``reference_staging.py``), the reference's
-unbound layout — rows kept, every step's ``(src, a, b)``, the result
-selector — must be **byte-identical** to what the engine registers from the
-compiled world, the message columns
-and item ids equal outright, and every row of the compiled world one row of
-the reference's, across variants x patterns x mappings x element specs.  The
-world-level pass must reproduce the reference compiler's :class:`PlanError`
-diagnostics for malformed plans.  ``TestRowMap`` pins the reference's own
-key interning.
+program with one vectorized pass over the plan's columnar payload;
+``compile_world_exchange_reference`` (``reference_world_compile.py``) is the
+pinned seed-equivalent path that compiles every rank separately with the
+per-rank ``compile_exchange`` kept beside it and re-bases the results
+rank-major.  The message columns and item ids must equal the reference's
+outright, and every replay row of the compiled world be one row of the
+reference's, across variants x patterns x mappings x element specs.  The
+hops composed into ``result_rows`` are checked against both worlds run hop
+by hop (``oracles.replay_hops``): the reference's result rows, the compiled
+world's replay and the engine's one-gather round must return the same
+bytes.  The world-level pass must reproduce the reference compiler's
+:class:`PlanError` diagnostics for malformed plans.  ``TestRowMap`` pins the
+reference's own key interning.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import replay_hops, replay_round
 from plan_tables import phase_table, tampered
-from reference_staging import _stage
 from reference_world_compile import (
     _RowMap,
     compile_exchange,
@@ -49,15 +48,6 @@ MESSAGE_FIELDS = ("tag", "wire_perm", "msg_sources", "msg_dests",
                   "msg_nbytes")
 
 
-def _layout(state):
-    """``(len(work), every step's (src, a, b), result)`` of a registered
-    program, as bytes."""
-    return (state.work.shape[0],
-            [(None if src is None else (src.dtype.str, src.tobytes()), a, b)
-             for _, src, a, b in state.steps],
-            (state.result.dtype.str, state.result.tobytes()))
-
-
 def _assert_same(lhs, rhs, name) -> None:
     if isinstance(lhs, np.ndarray):
         assert lhs.dtype == rhs.dtype, name
@@ -80,10 +70,10 @@ def assert_worlds_identical(lhs, rhs):
 
 
 def assert_matches_reference(fast, ref):
-    """``fast`` is the reference world ``ref``, renumbered into the engine's
-    layout: equal to it wherever rows do not show, one relabelling of its
-    rows where they do, and running the unbound layout the engine used to
-    stage from ``ref`` at registration."""
+    """``fast`` is the reference world ``ref`` with its hops composed: equal
+    to it wherever rows do not show, one relabelling of its replay rows
+    where they do, and every round — the reference's hops, ``fast``'s hops
+    and the engine's one gather — returning the same bytes."""
     for name in SHARED_FIELDS:
         _assert_same(getattr(fast, name), getattr(ref, name), name)
     assert set(fast.programs) == set(ref.programs)
@@ -94,7 +84,6 @@ def assert_matches_reference(fast, ref):
     for phase, program in fast.programs.items():
         relabel[ref.programs[phase].scatter] = program.scatter
     assert np.array_equal(np.sort(relabel), np.arange(ref.n_world_rows))
-    np.testing.assert_array_equal(relabel[ref.result_rows], fast.result_rows)
     for phase, program in fast.programs.items():
         reference = ref.programs[phase]
         for name in MESSAGE_FIELDS:
@@ -105,9 +94,19 @@ def assert_matches_reference(fast, ref):
             np.testing.assert_array_equal(
                 relabel[getattr(reference, name)], getattr(program, name),
                 err_msg=f"{phase}:{name}")
+    # The composed gather: each output entry's owned row is the one its
+    # value came from under the reference's hops.
+    spec = fast.spec
+    values = np.arange(1, 1 + fast.owned_items_all.size * spec.item_size,
+                       dtype=spec.dtype).reshape(-1, spec.item_size)
+    reference = replay_hops(ref, values, ref.owned_rows)[0][ref.result_rows]
+    if spec.item_size == 1:
+        reference, values = reference.reshape(-1), values.reshape(-1)
+    assert fast.result_rows.dtype == np.int64
+    assert replay_round(fast, values).tobytes() == reference.tobytes()
     with ExchangeEngine(fast.n_ranks, runtime="engine") as engine:
-        registered = engine._programs[engine.register(fast)]
-        assert _layout(registered) == _layout(_stage(ref))
+        handle = engine.register(fast)
+        assert engine.run(handle, values).tobytes() == reference.tobytes()
 
 
 def patterns():

@@ -325,6 +325,20 @@ class TestEngineInterface:
                                match=rf"rank must be in \[0, 6\), got {rank}"):
                 accessor(rank)
 
+    @pytest.mark.parametrize("rank", [3.0, True, "2", np.float64(1.0)],
+                             ids=repr)
+    def test_non_int_rank_is_rejected(self, small_collective, rank):
+        """A float, bool or string is rejected by name, never truncated or
+        used as an index; a numpy integer is a rank."""
+        world = small_collective.world
+        for accessor in (world.owned_item_ids, world.recv_item_ids,
+                         world.recv_item_sources,
+                         small_collective.recv_item_ids):
+            with pytest.raises(ValidationError, match="rank must be an int"):
+                accessor(rank)
+        assert world.recv_item_ids(np.int64(2)).tobytes() == \
+            world.recv_item_ids(2).tobytes()
+
     def test_world_exchange_message_count_matches_plan(self):
         n_ranks = 12
         pattern = random_pattern(n_ranks, avg_neighbors=5, seed=4)
@@ -334,25 +348,28 @@ class TestEngineInterface:
         assert world.n_messages == plan.n_messages
 
 
-def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(count_calls):
-    """A world-engine round is the oracle's round, in O(phases) calls.
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL,
+                                     Variant.FULL], ids=str)
+def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(
+        count_calls, variant):
+    """A world-engine round is the oracle's round, in O(1) calls.
 
     One exchange round of a 1024-rank irregular pattern through the batched
-    ``ExchangeEngine``.  Clock-free: every rank's result must be byte-equal
-    to the closed-form oracle (the value its source owns of every received
-    item), and what makes the engine fast is counted — a round is one
-    ``_execute`` and one ``take`` per non-terminal receive step plus
-    the output gather (which makes the terminal deliveries), whatever the
-    rank or message count.
+    ``ExchangeEngine``, on the default runtime.  Clock-free: every rank's
+    result must be byte-equal to the closed-form oracle (the value its
+    source owns of every received item), and what makes the engine fast is
+    counted — a round is one ``_execute`` and one ``take`` in the parent,
+    the output gather from the owned rows, whatever the variant and however
+    many hops it composes, and whatever the rank or message count.
     """
     n_ranks = 1024
     pattern = random_pattern(n_ranks, avg_neighbors=8, avg_items_per_message=16,
                              duplicate_fraction=0.3, seed=17)
     mapping = paper_mapping(n_ranks, ranks_per_node=16)
-    plan = make_plan(pattern, mapping, Variant.STANDARD)
+    plan = make_plan(pattern, mapping, variant)
 
     # Every gather is one ``ndarray.take`` call, so gathers are countable.
-    with ExchangeEngine(n_ranks, runtime="engine") as engine:
+    with ExchangeEngine(n_ranks) as engine:
         collective = WorldNeighborCollective(plan, engine=engine)
         values = [100.0 * rank + collective.owned_item_ids(rank).astype(np.float64)
                   for rank in range(n_ranks)]
@@ -366,13 +383,12 @@ def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(count_calls):
                 + collective.recv_item_ids(rank).astype(np.float64)
             assert batched[rank].tobytes() == expected.tobytes()
 
-        # One direct phase, whose receive step is the last hop: kept with
-        # an empty range, its deliveries made by the output gather.
-        steps = engine._programs[collective.handle].steps
-        assert [b - a for _, src, a, b in steps if src is not None] == [0]
+        # The work array is the owned rows; the output gather reads them.
+        state = engine._programs[collective.handle]
+        assert state.work.shape[0] == collective.world.owned_items_all.size
         counts = [count_calls(engine_round, of=of)
                   for of in ([ExchangeEngine._execute], [np.ndarray.take])]
-        assert counts == [1, 0 + 1]     # non-terminal receive steps + output
+        assert counts == [1, 1]
 
 
 class TestRunObserver:

@@ -8,7 +8,10 @@ another way, kept only so tests can check against it:
 * :func:`patterns_equivalent` — pattern equality up to the order of items
   within a message;
 * :class:`PostalModel` — the uniform alpha-beta cost model, which prices
-  plans in the modeled-time tests.
+  plans in the modeled-time tests;
+* :func:`replay_hops` / :func:`replay_round` — a world exchange run hop by
+  hop on its replay columns, the reference the engine's one-gather round is
+  pinned to.
 
 pytest puts ``tests/`` on ``sys.path`` when it loads ``tests/conftest.py``,
 so any test imports them as ``from oracles import ...``.
@@ -83,3 +86,67 @@ class PostalModel(CostModel):
 
     def describe(self) -> str:
         return f"PostalModel(alpha={self.alpha:.3g}s, beta={self.beta:.3g}s/B)"
+
+
+def replay_hops(world, values: np.ndarray, owned_rows=None):
+    """Run ``world``'s phases hop by hop on its replay columns.
+
+    ``values`` (every owned value, in ``owned_items_all`` order) load rows
+    ``owned_rows`` (default ``[0, n_owned)``) of an ``n_world_rows`` work
+    array; then, in schedule order, each ``("send", p)`` step packs its wire
+    ``wire = work[gather]`` and each ``("recv", p)`` step lands it,
+    ``work[scatter] = wire[wire_perm]``.  Beside the values the same hops
+    carry the owned row each replay row copies (``key``), and every landed
+    row takes its message's receiver as ``holder``.  A send that packs a
+    row no earlier step wrote, or one its sender does not hold, fails an
+    assertion.  Returns ``(work, holder, key)``.
+    """
+    n_owned = world.owned_items_all.size
+    if owned_rows is None:
+        owned_rows = np.arange(n_owned)
+    item_size = world.spec.item_size
+    work = np.zeros((world.n_world_rows, item_size), dtype=values.dtype)
+    work[owned_rows] = values.reshape(-1, item_size)
+    key = np.full(world.n_world_rows, -1)
+    key[owned_rows] = np.arange(n_owned)
+    holder = np.full(world.n_world_rows, -1)
+    holder[owned_rows] = np.repeat(np.arange(world.n_ranks),
+                                   np.diff(world.owned_offsets))
+    wires = {}
+    for kind, phase in world.steps:
+        program = world.programs[phase]
+        counts = program.msg_nbytes // world.spec.item_bytes
+        if kind == "send":
+            gather = program.gather
+            assert (key[gather] >= 0).all(), f"{phase} sends an unwritten row"
+            assert np.array_equal(holder[gather],
+                                  np.repeat(program.msg_sources, counts)), \
+                f"{phase} sends a row its sender does not hold"
+            wires[phase] = (work[gather], key[gather])
+        else:
+            wire, wire_keys = wires.pop(phase)
+            scatter, perm = program.scatter, program.wire_perm
+            work[scatter] = wire[perm]
+            key[scatter] = wire_keys[perm]
+            holder[scatter] = np.repeat(program.msg_dests, counts)[perm]
+    return work, holder, key
+
+
+def replay_round(world, values: np.ndarray) -> np.ndarray:
+    """The output of one round of ``world``, read off :func:`replay_hops`:
+    entry ``i`` is the value its receiver holds of the owned row
+    ``world.result_rows[i]``, which the hops must have delivered to it."""
+    work, holder, key = replay_hops(world, values)
+    receivers = np.repeat(np.arange(world.n_ranks),
+                          np.diff(world.result_offsets))
+    width = world.owned_items_all.size + 1
+    held = holder * width + key
+    order = np.argsort(held, kind="stable")
+    wanted = receivers * width + world.result_rows
+    rows = order[np.minimum(np.searchsorted(held[order], wanted),
+                            order.size - 1)] if order.size \
+        else np.zeros(0, dtype=np.int64)
+    assert np.array_equal(held[rows], wanted), \
+        "a receiver never holds an output entry's value"
+    result = work[rows]
+    return result.reshape(-1) if world.spec.item_size == 1 else result

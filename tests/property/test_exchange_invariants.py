@@ -8,24 +8,25 @@ on the engine and check what actually arrives:
     view and carries a value computed from the item id alone;
 (b) the three collective variants deliver identical bytes;
 (c) the profiler's totals are ``plan.statistics()``, and inter-region message
-    counts never rise from standard to partial to full — repeat deliveries
-    the staged data path drops are still counted;
-(d) the compiled blocks tile ``[0, n_world_rows)`` with one row per
-    distinct delivered key — ``Σ(b − a) ≤ Σ scatter.size``, equal without
-    repeats — those some later step's ``src`` reads first, in schedule
-    order, then the *terminal* ones (the last receive step's always), so
-    ``[0, n_unbound_rows)`` is the owned rows and the read blocks; a
-    vector-bound handle keeps every block, moved up past the vector, and an
-    unbound one folds the terminal blocks into its result — the step keeps
-    its slot with ``a == b`` and ``len(work)`` is ``n_unbound_rows``;
-(e) none of it depends on who runs the steps: a ``runtime="procs"`` pool of
-    one worker, of three, or of more workers than a step has rows delivers
-    the same bytes and accounts the same traffic, and its workers' shares
-    tile every step's ``[a, b)``, no two differing by more than one row;
+    counts never rise from standard to partial to full — the hops the
+    engine's one gather composes are still counted, message for message;
+(d) a registered round is one gather: every ``result_rows`` entry is the
+    owned row of its item at its source; an unbound handle's work array is
+    the owned rows, which its output gather reads, and a vector-bound one's
+    is ``[x | halo]``, halo rows ``n + arange(R)`` filled from the vector
+    rows ``owned_items_all[result_rows]``; the replay rows are the owned
+    ones plus one per distinct delivered key;
+(e) none of it depends on who runs the round: a ``runtime="procs"`` pool of
+    one worker, of three, or of more workers than the halo has rows
+    delivers the same bytes and accounts the same traffic; its schedule is
+    every send phase, then one receive step — the halo rows, or an empty
+    slot on an unbound handle — and its workers' shares tile that step, no
+    two differing by more than one row;
 (f) every round is byte-equal to the reference executor that runs the
-    compiled program as written, three fancy-index passes per phase on
-    ``n_world_rows`` rows — whatever the variant, dtype, item size or
-    runtime, and wherever a terminal block sits.
+    plan's hops as compiled, ``wire = work[gather]`` then ``work[scatter] =
+    wire[wire_perm]`` per phase in schedule order on ``n_world_rows`` rows
+    (``oracles.replay_round``) — whatever the variant, dtype, item size or
+    runtime, bound or unbound.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import replay_round
 
-from repro.collectives import (Phase, Variant, WorldNeighborCollective,
-                               make_plan)
+from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import CommPattern, random_pattern
 from repro.simmpi import ExchangeEngine, TrafficProfiler
@@ -63,84 +64,48 @@ def _required(pattern: CommPattern, rank: int) -> np.ndarray:
     return np.unique(np.concatenate(items)) if items else np.empty(0, np.int64)
 
 
-def _blocks(state):
-    """``(a, b)`` of every receive step of a registered layout."""
-    return [(a, b) for _, src, a, b in state.steps if src is not None]
-
-
-def _receives(world):
-    """Every receive step's program, in schedule order."""
-    return [world.programs[phase] for kind, phase in world.steps
-            if kind == "recv"]
-
-
-def _receive_steps(world):
-    """``(a, b)`` of every receive step of ``world``'s unbound layout: a
-    terminal block, at or past ``n_unbound_rows``, folds to the empty range
-    where the kept blocks before it end."""
-    end, steps = world.owned_items_all.size, []
-    for program in _receives(world):
-        if program.a < world.n_unbound_rows:
-            end = program.b
-            steps.append((program.a, end))
-        else:
-            steps.append((end, end))
-    return steps
-
-
-def _reference_round(world, values: np.ndarray) -> np.ndarray:
-    """(f) the program as compiled: ``work[scatter] = work[gather][wire_perm]``
-    per receive step on every world row, then the result rows."""
-    item_size = world.spec.item_size
-    work = np.zeros((world.n_world_rows, item_size), dtype=values.dtype)
-    work[:world.owned_items_all.size] = values.reshape(-1, item_size)
-    for kind, phase in world.steps:
-        program = world.programs[phase]
-        if kind == "recv":
-            work[program.scatter] = work[program.gather][program.wire_perm]
-    result = work[world.result_rows]
-    return result.reshape(-1) if item_size == 1 else result
+def _pool_steps(world, head: int | None = None):
+    """The schedule a pool runs for ``world``: ``(kind, a, b)`` per send
+    phase, then the one receive step — the halo rows behind a bound
+    handle's ``head`` vector entries, an empty slot after an unbound
+    handle's owned rows."""
+    sends = [("send", 0, 0) for kind, _ in world.steps if kind == "send"]
+    if head is None:
+        n_owned = world.owned_items_all.size
+        return sends + [("recv", n_owned, n_owned)]
+    return sends + [("recv", head, head + world.result_rows.size)]
 
 
 def _assert_layout(world) -> None:
-    """(d) the compiled layout, and the bound and unbound ones registered
+    """(d) the compiled world, and the bound and unbound rounds registered
     from it."""
     n_owned = world.owned_items_all.size
-    receives = _receives(world)
-    read = np.zeros(world.n_world_rows, dtype=bool)
-    for program in receives:
-        read[program.src] = True
-    terminal = [not read[program.a:program.b].any() for program in receives]
-    assert not receives or terminal[-1]
-    order = [program for program, last in zip(receives, terminal) if not last] \
-        + [program for program, last in zip(receives, terminal) if last]
-    edges = [n_owned] + [program.b for program in order]
-    assert [program.a for program in order] == edges[:-1]
-    assert edges[-1] == world.n_world_rows
-    assert world.n_unbound_rows == edges[terminal.count(False)]
-    # One row per distinct delivered key.
-    delivered = np.concatenate([program.scatter for program in receives]) \
-        if receives else np.empty(0, int)
-    fresh = np.setdiff1d(delivered, np.arange(n_owned)).size
-    assert sum(program.b - program.a for program in receives) == fresh \
-        <= delivered.size
-    no_repeats = np.unique(delivered).size == delivered.size and \
-        not (delivered < n_owned).any()
-    assert (fresh == delivered.size) == no_repeats
+    rows = world.result_rows
+    assert rows.dtype == np.int64
+    assert rows.size == 0 or 0 <= rows.min() <= rows.max() < n_owned
+    assert np.array_equal(world.owned_items_all[rows], world.result_items_all)
+    owner = np.repeat(np.arange(world.n_ranks), np.diff(world.owned_offsets))
+    assert np.array_equal(owner[rows], world.result_sources_all)
+    # Replay rows: the owned ones, then one per distinct delivered key.
+    delivered = [world.programs[phase].scatter for kind, phase in world.steps
+                 if kind == "recv"]
+    held = np.union1d(np.arange(n_owned), np.concatenate(delivered))
+    assert np.array_equal(held, np.arange(world.n_world_rows))
     # Registered: bound (scalar items; the layout is the same at any size)
-    # every block moves up past the vector, unbound the terminal ones fold.
+    # and unbound.
     head = int(world.owned_items_all.max(initial=-1)) + 1
     scalar = replace(world, spec=ExchangeSpec(world.spec.dtype, 1))
     with ExchangeEngine(world.n_ranks, runtime="engine") as engine:
         bound = engine._programs[engine.register(scalar, vector_length=head)]
         unbound = engine._programs[engine.register(world)]
-    assert _blocks(bound) == [(program.a + head - n_owned,
-                               program.b + head - n_owned)
-                              for program in receives]
-    assert bound.work.shape[0] == head + world.n_world_rows - n_owned
-    assert _blocks(unbound) == _receive_steps(world)
-    assert unbound.work.shape[0] == world.n_unbound_rows
-    assert unbound.result.size == world.result_rows.size
+        assert np.array_equal(engine.halo_rows(0),
+                              head + np.arange(rows.size))
+    assert bound.work.shape[0] == head + rows.size
+    assert np.array_equal(bound.source, world.owned_items_all[rows])
+    assert unbound.work.shape[0] == n_owned
+    assert np.array_equal(unbound.source, rows)
+    assert [program.phase for program in bound.sends] == \
+        [phase for kind, phase in world.steps if kind == "send"]
 
 
 def _assert_shares_tile(steps, n_workers: int) -> None:
@@ -170,9 +135,7 @@ def _run_variants(pattern: CommPattern, mapping, n_workers=None):
             if workers is not None:
                 shared = collective.engine._programs[collective.handle].shared
                 assert collective.engine.n_workers == workers
-                assert [(a, b) for kind, a, b in shared.steps
-                        if kind == "recv"] == _receive_steps(world)
-                _assert_shares_tile(_receive_steps(world), workers)
+                assert list(shared.steps) == _pool_steps(world)
             values = _oracle(world.owned_items_all, pattern.item_size,
                              pattern.dtype)
             result = collective.exchange_flat(values)
@@ -185,10 +148,9 @@ def _run_variants(pattern: CommPattern, mapping, n_workers=None):
                 world.result_items_all, pattern.item_size,
                 pattern.dtype).tobytes()
             # (f) this round and a second one, which must not see stale rows.
-            assert result.tobytes() == _reference_round(world, values).tobytes()
+            assert result.tobytes() == replay_round(world, values).tobytes()
             again = collective.exchange_flat(values * 2)
-            assert again.tobytes() == \
-                _reference_round(world, values * 2).tobytes()
+            assert again.tobytes() == replay_round(world, values * 2).tobytes()
             assert np.array_equal(again, result * 2)
         outcomes[variant] = (plan, world, profiler, result.tobytes())
     # (b) one answer, whatever the route.
@@ -240,12 +202,6 @@ def test_executed_rounds_keep_the_papers_invariants(case):
         _assert_layout(outcomes[variant][1])
 
 
-def _more_workers_than_the_smallest_step_has_rows(plan) -> int:
-    """A pool size that leaves at least one worker an empty share."""
-    rows = [b - a for a, b in _receive_steps(compile_world_exchange(plan))]
-    return min(rows, default=0) + 2
-
-
 @settings(max_examples=12, deadline=None)
 @given(exchange_case(), st.sampled_from([1, 3]))
 def test_executed_invariants_hold_on_a_worker_pool(case, n_workers):
@@ -284,6 +240,38 @@ def test_every_round_is_the_reference_executors(dtype, item_size, n_workers):
     _assert_accounting(_run_variants(pattern, mapping, n_workers))
 
 
+def _assert_bound_rounds(world, n_workers) -> None:
+    """(d)-(f) for ``world`` bound to a vector (scalar items), on the parent
+    and on a pool of ``n_workers``: both return the vector and then the
+    reference executor's halo, in the buffer rows ``halo_rows`` names."""
+    size = world.spec.item_size
+    scalar = replace(world, spec=ExchangeSpec(np.float64, 1))
+    n = int(world.owned_items_all.max(initial=-1)) + 3
+    buffers = []
+    with ExchangeEngine(world.n_ranks, runtime="engine") as serial, \
+            ExchangeEngine(world.n_ranks, runtime="procs",
+                           n_workers=n_workers) as pooled:
+        for engine in (serial, pooled):
+            handle = engine.register(scalar, vector_length=n)
+            if engine is pooled:
+                assert list(engine._programs[handle].shared.steps) \
+                    == _pool_steps(world, n)
+            for scale in (1.0, -2.5):
+                x = scale * (7.0 + np.arange(n))
+                buffer = engine.run(handle, x)
+                assert buffer[:n].tobytes() == x.tobytes()
+                halo = buffer[engine.halo_rows(handle)]
+                # Every component of an item carries the entry's value.
+                expected = replay_round(
+                    world, np.repeat(x[world.owned_items_all], size))
+                assert halo.tobytes() == \
+                    expected.reshape(-1, size)[:, 0].tobytes()
+                buffers.append(buffer.tobytes())
+            assert not engine.degraded
+    _assert_shares_tile([(n, n + world.result_rows.size)], n_workers)
+    assert buffers[:2] == buffers[2:]
+
+
 @pytest.mark.parametrize("item_size", [1, 3, 8])
 @pytest.mark.parametrize("name", EDGE_PATTERNS)
 def test_edge_programs_run_and_agree(name, item_size):
@@ -292,41 +280,23 @@ def test_edge_programs_run_and_agree(name, item_size):
     outcomes = _run_variants(pattern, mapping)
     for _, world, _, _ in outcomes.values():
         _assert_layout(world)
-    # (e) the same programs with idle workers: their steps have 0-4 rows.
-    pooled = _run_variants(pattern, mapping,
-                           _more_workers_than_the_smallest_step_has_rows)
+        # (e) more workers than the halo has rows (0-4): some idle.
+        _assert_bound_rounds(world, world.result_rows.size + 2)
+    pooled = _run_variants(pattern, mapping, 2)
     _assert_accounting(pooled)
     assert all(pooled[variant][3] == outcomes[variant][3]
                for variant in VARIANTS)
 
 
 @pytest.mark.parametrize("n_workers", [1, 3])
-def test_a_terminal_block_behind_a_later_steps_runs_on_a_pool(n_workers):
-    """(d)-(f) on a vector-bound aggregated program whose ``LOCAL`` block is
-    terminal but scheduled before ``GLOBAL``'s, which ``FINAL_REDIST`` reads:
-    rows and schedule disagree, and a pool of workers still delivers the
-    reference executor's bytes, equal to the parent's."""
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_bound_round_runs_on_a_pool(variant, n_workers):
+    """(d)-(f) on a vector-bound program of every variant: a pool of
+    workers fills the halo with the reference executor's bytes, equal to
+    the parent's."""
     pattern = random_pattern(12, avg_neighbors=4.0, duplicate_fraction=0.3,
                              seed=3)
     mapping = paper_mapping(12, ranks_per_node=4)
-    world = compile_world_exchange(make_plan(pattern, mapping, Variant.PARTIAL))
-    local, global_ = world.programs[Phase.LOCAL], world.programs[Phase.GLOBAL]
-    schedule = [phase for kind, phase in world.steps if kind == "recv"]
-    assert schedule.index(Phase.LOCAL) < schedule.index(Phase.GLOBAL)
-    assert global_.b <= world.n_unbound_rows <= local.a < local.b
+    world = compile_world_exchange(make_plan(pattern, mapping, variant))
     _assert_layout(world)
-    n = int(world.owned_items_all.max()) + 3
-    buffers = []
-    with ExchangeEngine(12, runtime="engine") as serial, \
-            ExchangeEngine(12, runtime="procs", n_workers=n_workers) as pooled:
-        for engine in (serial, pooled):
-            handle = engine.register(world, vector_length=n)
-            for scale in (1.0, -2.5):
-                x = scale * (7.0 + np.arange(n))
-                buffer = engine.run(handle, x)
-                halo = buffer[engine.halo_rows(handle)]
-                assert halo.tobytes() == _reference_round(
-                    world, x[world.owned_items_all]).tobytes()
-                buffers.append(buffer.tobytes())
-            assert not engine.degraded
-    assert buffers[:2] == buffers[2:]
+    _assert_bound_rounds(world, n_workers)

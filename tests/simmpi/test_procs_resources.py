@@ -1,7 +1,7 @@
 """What a ``runtime="procs"`` engine holds per registered program, and what a
 failed registration leaves behind: nothing.
 
-A staged program is two arrays, so sharing it is two segments — not one per
+A program is two arrays, so sharing it is two segments — not one per
 phase array — and a segment the kernel refuses (``EMFILE`` under a low
 ``ulimit -n``, a full ``/dev/shm``) must take the one created before it down
 with it instead of leaving it to the resource tracker.

@@ -21,11 +21,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
+from repro.collectives.exchange import ExchangeSpec
 from repro.pattern import CommPattern, random_pattern
 from repro.simmpi import ExchangeEngine, default_worker_count
 from repro.simmpi.engine import ENGINE_RUNTIMES, RUNTIME_ENV, default_runtime
@@ -140,10 +142,12 @@ class TestProcsExecution:
         Clock-free — what the pool is kept for is supervision, not a speed
         no machine here has the cores to show: the results must be
         byte-identical per rank, a healthy round is one ``_execute`` in which
-        the parent gathers exactly once (the output, which also makes the
-        terminal deliveries), the program lives in two shared segments,
-        every terminal receive step keeps its slot with an empty range, and
-        each worker's share of every other receive step is the even split.
+        the parent gathers exactly once (the output, from the owned rows),
+        the program lives in two shared segments, and the pool's schedule is
+        every send phase, then the round's one receive step — an empty slot
+        on this unbound handle.  Bound to a vector, the same program's one
+        receive step is the halo rows, and each worker's share of it is the
+        even split.
         """
         from repro.simmpi.procs import SharedBlock, _share
         from repro.utils.arrays import partition_evenly
@@ -183,33 +187,27 @@ class TestProcsExecution:
             blocks = [value for value in vars(shared).values()
                       if isinstance(value, SharedBlock)]
             assert len(blocks) == 2 and len({block.name for block in blocks}) == 2
-            receive_steps = [(a, b) for kind, a, b in shared.steps
-                             if kind == "recv"]
-            terminal = _terminal_receive_steps(pooled.world)
-            assert len(receive_steps) == len(terminal) and terminal[-1]
-            assert all(a == b for (a, b), last_hop
-                       in zip(receive_steps, terminal) if last_hop)
-            non_empty = [(a, b) for a, b in receive_steps if b > a]
-            assert non_empty and all(b - a >= n_workers for a, b in non_empty)
-            assert shared.work.shape[0] == non_empty[-1][1]
-            for a, b in non_empty:
-                shares = [_share(b - a, worker, n_workers)
-                          for worker in range(n_workers)]
-                assert shares[0][0] == 0 and shares[-1][1] == b - a
-                assert all(hi == lo for (_, hi), (lo, _)
-                           in zip(shares, shares[1:]))
-                assert sorted(hi - lo for lo, hi in shares) == \
-                    sorted(np.diff(partition_evenly(b - a, n_workers)).tolist())
+            n_owned = pooled.world.owned_items_all.size
+            assert shared.work.shape[0] == n_owned
+            assert shared.steps == (("send", 0, 0),) * 4 \
+                + (("recv", n_owned, n_owned),)
 
-
-def _terminal_receive_steps(world):
-    """Per receive step of ``world``, whether it is a last hop: no later
-    receive step copies a row of its block ``[a, b)`` (its ``src``)."""
-    blocks = [world.programs[phase] for kind, phase in world.steps
-              if kind == "recv"]
-    return [not any(((later.src >= block.a) & (later.src < block.b)).any()
-                    for later in blocks[index + 1:])
-            for index, block in enumerate(blocks)]
+            # Bound to a vector: one receive step, the halo rows.
+            n = int(pooled.world.owned_items_all.max()) + 1
+            world = replace(pooled.world,
+                            spec=ExchangeSpec(np.float64, item_size=1))
+            bound = engine._programs[engine.register(world,
+                                                     vector_length=n)].shared
+            n_halo = world.result_rows.size
+            assert n_halo >= n_workers
+            assert bound.steps[-1] == ("recv", n, n + n_halo)
+            shares = [_share(n_halo, worker, n_workers)
+                      for worker in range(n_workers)]
+            assert shares[0][0] == 0 and shares[-1][1] == n_halo
+            assert all(hi == lo for (_, hi), (lo, _)
+                       in zip(shares, shares[1:]))
+            assert sorted(hi - lo for lo, hi in shares) == \
+                sorted(np.diff(partition_evenly(n_halo, n_workers)).tolist())
 
 
 class TestRuntimeSelection:

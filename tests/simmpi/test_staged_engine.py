@@ -1,18 +1,18 @@
 """The engine's layout: compiled once, validated once at ``register``.
 
-The compiler numbers a program's rows ``[owned | blocks a later step reads |
-terminal blocks]`` and every runtime runs each receive step as a clipped
-``take`` into its slice — so a corrupt program must be refused at
+The compiler composes a program's hops into one source column, the owned
+row of every output entry (``result_rows``), and every runtime runs a round
+as one clipped ``take`` of it — so a corrupt column must be refused at
 registration, with a :class:`CommunicationError`, because no later kernel
-bounds-checks anything.  ``runtime="procs"`` hands the same steps to its
+bounds-checks anything.  ``runtime="procs"`` hands the same step to its
 workers on the same rows (in shared memory), so a healthy, a retried and a
 fallen-back round share one layout and nothing is ever validated again.
 
 A handle registered with ``vector_length=n`` is bound to the caller's vector:
 ``run`` takes the ``(n,)`` array itself and returns the round buffer
-``[x | …]`` read-only, ``halo_rows`` locates the received values in it — the
-same rows on every runtime — and neither a bad input, a bad binding nor a
-pool fallback can mis-load it.
+``[x | halo]`` read-only, ``halo_rows`` locates the received values in it —
+the same rows on every runtime — and neither a bad input, a bad binding nor
+a pool fallback can mis-load it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.collectives import (Phase, Variant, make_plan,
+from repro.collectives import (Variant, make_plan,
                                neighbor_alltoallv_init_world)
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
@@ -49,12 +49,6 @@ def _values(world, scale: float = 1.0) -> np.ndarray:
     return scale * (7.0 + world.owned_items_all.astype(np.float64))
 
 
-def _with_program(world, phase, **fields):
-    """``world`` with one phase program's fields replaced."""
-    program = replace(world.programs[phase], **fields)
-    return replace(world, programs={**world.programs, phase: program})
-
-
 def _poked(index: np.ndarray, value: int) -> np.ndarray:
     poked = index.copy()
     poked[0] = value
@@ -65,54 +59,29 @@ def _poked(index: np.ndarray, value: int) -> np.ndarray:
 
 
 def _negative_row(world):
-    """A receive step reads row -1."""
-    program = world.programs[Phase.GLOBAL]
-    return _with_program(world, Phase.GLOBAL, src=_poked(program.src, -1))
+    """An output entry reads row -1."""
+    return replace(world, result_rows=_poked(world.result_rows, -1))
 
 
-def _row_past_the_end(world):
-    """A receive step reads the first row of its own block."""
-    program = world.programs[Phase.GLOBAL]
-    return _with_program(world, Phase.GLOBAL,
-                         src=_poked(program.src, program.a))
+def _replay_row(world):
+    """An output entry reads the first row past the owned ones: a replay
+    row, which no work array holds."""
+    return replace(world, result_rows=_poked(world.result_rows,
+                                             world.owned_items_all.size))
 
 
-def _wire_perm_past_the_wire(world):
-    """The result selector points one row past the world's rows (a round
-    runs no wire permutation, so the output is the last index to corrupt)."""
+def _row_past_the_world(world):
+    """An output entry reads one row past the world's replay rows."""
     return replace(world, result_rows=_poked(world.result_rows,
                                              world.n_world_rows))
 
 
-def _reads_a_later_phase(world):
-    """The terminal ``LOCAL`` block, whose rows follow ``GLOBAL``'s, reads a
-    ``GLOBAL`` row: below its own block, but written only later."""
-    local, global_ = world.programs[Phase.LOCAL], world.programs[Phase.GLOBAL]
-    assert global_.a < global_.b <= local.a, \
-        "the fixture's LOCAL block must be terminal and GLOBAL's not"
-    return _with_program(world, Phase.LOCAL,
-                         src=np.full_like(local.src, global_.a))
-
-
-def _orphan_row(world):
-    """A gap: the world has a row no block writes."""
-    return replace(world, n_world_rows=world.n_world_rows + 1)
-
-
-def _overlapping_blocks(world):
-    """``GLOBAL``'s block starts one row early, on the previous block's."""
-    program = world.programs[Phase.GLOBAL]
-    return _with_program(world, Phase.GLOBAL, a=program.a - 1,
-                         src=np.concatenate([program.src[:1], program.src]))
-
-
-RANGE_TAMPERS = [_negative_row, _row_past_the_end, _wire_perm_past_the_wire]
-LAYOUT_TAMPERS = [_reads_a_later_phase, _orphan_row, _overlapping_blocks]
+TAMPERS = [_negative_row, _replay_row, _row_past_the_world]
 
 
 class TestCorruptProgramsRaiseAtRegister:
     @pytest.mark.parametrize("runtime", ["engine", "procs"])
-    @pytest.mark.parametrize("tamper", RANGE_TAMPERS)
+    @pytest.mark.parametrize("tamper", TAMPERS)
     def test_out_of_range_index(self, tamper, runtime):
         world = _world()
         with ExchangeEngine(N_RANKS, runtime=runtime,
@@ -126,26 +95,12 @@ class TestCorruptProgramsRaiseAtRegister:
             assert engine.run(handle, _values(world)).size == \
                 world.result_rows.size
 
-    def test_out_of_range_error_names_the_phase(self):
-        with ExchangeEngine(N_RANKS, runtime="engine") as engine:
-            with pytest.raises(CommunicationError, match="GLOBAL src"):
-                engine.register(_row_past_the_end(_world()))
-
-    @pytest.mark.parametrize("tamper", LAYOUT_TAMPERS)
-    def test_unstageable_layout(self, tamper):
+    def test_out_of_range_error_names_the_column(self):
+        n_owned = _world().owned_items_all.size
         with ExchangeEngine(N_RANKS, runtime="engine") as engine:
             with pytest.raises(CommunicationError,
-                               match="corrupt world exchange"):
-                engine.register(tamper(_world()))
-
-    def test_later_phase_error_names_the_phase(self):
-        with ExchangeEngine(N_RANKS, runtime="engine") as engine:
-            with pytest.raises(CommunicationError,
-                               match=r"LOCAL src .*outside \[0, "):
-                engine.register(_reads_a_later_phase(_world()))
-            with pytest.raises(CommunicationError,
-                               match="GLOBAL writes rows .* must tile"):
-                engine.register(_overlapping_blocks(_world()))
+                               match=rf"result_rows .*outside \[0, {n_owned}\)"):
+                engine.register(_replay_row(_world()))
 
 
 # -- one layout, whoever runs the steps ---------------------------------------------
@@ -254,7 +209,7 @@ def test_bound_round_returns_the_vector_and_the_halo_in_one_buffer(runtime,
         for scale in (1.0, -2.5):
             x = _vector(world, scale)
             buffer = engine.run(handle, x)
-            assert buffer.shape == (engine.buffer_length(handle),)
+            assert buffer.shape == (n + world.result_rows.size,)
             assert buffer[:n].tobytes() == x.tobytes()
             assert _halo(engine, handle, buffer) == _expected_halo(world, scale)
             # The same values the unbound handle delivers from x[owned].
@@ -277,8 +232,6 @@ def test_a_bound_handle_has_one_layout_on_both_runtimes(variant):
         rows = [engine.halo_rows(handle)
                 for engine, handle in zip((serial, pooled), handles)]
         assert np.array_equal(*rows) and rows[0].dtype == rows[1].dtype
-        assert serial.buffer_length(handles[0]) == \
-            pooled.buffer_length(handles[1])
         for scale in (1.0, -2.5):
             x = _vector(world, scale)
             buffers = [engine.run(handle, x)
@@ -367,8 +320,8 @@ def test_binding_is_refused_at_register():
             with pytest.raises(ValidationError,
                                match="vector_length must be an int"):
                 engine.register(world, vector_length=length)
-        assert engine.buffer_length(
-            engine.register(world, vector_length=largest + 1)) > largest
+        handle = engine.register(world, vector_length=largest + 1)
+        assert engine.run(handle, np.zeros(largest + 1)).size > largest
 
 
 def test_the_value_list_forms_raise_on_a_bound_collective():
@@ -386,10 +339,10 @@ def test_the_value_list_forms_raise_on_a_bound_collective():
         with pytest.raises(ValidationError, match="bound to a vector"):
             collective.exchange_flat(per_rank)
         assert collective.exchange_flat(np.zeros(n)).shape == \
-            (collective.engine.buffer_length(collective.handle),)
+            (n + collective.world.result_rows.size,)
 
 
-@pytest.mark.parametrize("tamper", RANGE_TAMPERS + LAYOUT_TAMPERS)
+@pytest.mark.parametrize("tamper", TAMPERS)
 def test_corrupt_programs_raise_at_register_when_bound_too(tamper):
     world = _world()
     with ExchangeEngine(N_RANKS, runtime="engine") as engine:
@@ -397,7 +350,7 @@ def test_corrupt_programs_raise_at_register_when_bound_too(tamper):
             engine.register(tamper(world), vector_length=_vector_length(world))
 
 
-@pytest.mark.parametrize("tamper", RANGE_TAMPERS + LAYOUT_TAMPERS)
+@pytest.mark.parametrize("tamper", TAMPERS)
 def test_corrupt_programs_raise_at_register_on_a_pool(tamper):
     world = _world()
     with _pool_engine() as engine:
