@@ -425,12 +425,14 @@ class OnlineSelector:
         state = _LevelState(estimates, committed)
         state.queue = list(self.candidates)
         self._levels[level] = state
+        # Equal estimates (all zero without a model) name no cheapest one.
+        why = ("every candidate's estimate ties; candidate order picked the "
+               "commit" if len(set(estimates.values())) == 1
+               else "cost model's cheapest candidate")
         self.trace.append(DecisionEvent(
             kind="seed", level=level, cycle=self._cycle,
             variant=committed.value, estimates=self._snapshot(state),
-            source="model",
-            reason="cost model's cheapest candidate; full probe "
-                   "schedule queued"))
+            source="model", reason=f"{why}; full probe schedule queued"))
 
     def variant_for(self, level: int) -> Variant:
         """The variant the level should execute on the next/current cycle."""

@@ -346,17 +346,21 @@ def _packing(owned_holders: np.ndarray, n_ranks: int):
     """The packing of every value a rank can hold into one int64.
 
     ``pack(holders, keys)`` is ``holder * width + key`` — ``width`` leaves
-    one spare key id, ``n_owned``, that nobody owns — plus ``n_ranks *
-    width`` where the holder does not own the key.  So the owned values
-    sort first, in key order: owned key ``k`` is the ``k``-th smallest
-    value any holder can have.
+    one spare key id, ``n_owned``, that nobody owns, and every id past it
+    (a hand-built table's pair outside the pattern) packs as that spare —
+    plus ``n_ranks * width`` where the holder does not own the key.  So the
+    owned values sort first, in key order: owned key ``k`` is the ``k``-th
+    smallest value any holder can have.
     """
-    width = owned_holders.size + 1
+    spare = owned_holders.size
+    width = spare + 1
     owners = np.append(owned_holders, -1)
 
     def pack(holders: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        values = holders * width + keys
-        values[owners[keys] != holders] += n_ranks * width
+        values = np.minimum(keys, spare)
+        unowned = owners[values] != holders
+        values += holders * width
+        values[unowned] += n_ranks * width
         return values
 
     return pack

@@ -191,46 +191,79 @@ class PlannedMessage(NamedTuple):
         return self.n_payload * item_bytes
 
 
+def _gathered(column: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
+    """``column[key_ids]``, read-only: a derived phase column."""
+    values = column[key_ids]
+    values.flags.writeable = False
+    return values
+
+
 class PhaseTable:
-    """Every message of one phase, as read-only int64 columns.
+    """Every message of one phase, as read-only int64 columns of ids.
 
     Message ``k`` travels ``srcs[k] -> dests[k]`` and routes slots
-    ``offsets[k]:offsets[k + 1]`` of the parallel ``origins`` / ``items`` /
+    ``offsets[k]:offsets[k + 1]`` of the parallel ``slot_key_ids`` /
     ``final_dests`` columns.  Its packed payload is rows
-    ``payload_offsets[k]:payload_offsets[k + 1]`` of ``payload_origins`` /
-    ``payload_items`` — the slot columns themselves unless the phase is
-    deduplicated.  ``payload_key_ids`` holds, per payload row, the dense id
-    :meth:`CommPattern.owned_keys` gives its ``(origin, item)``.
+    ``payload_offsets[k]:payload_offsets[k + 1]`` of ``payload_key_ids`` —
+    the slot columns themselves unless the phase is deduplicated.  A key id
+    names an ``(origin, item)`` pair: row ``id`` of the shared, read-only key
+    table ``(key_holders, key_items)``, the pattern's
+    :meth:`CommPattern.owned_keys` columns.  ``origins`` / ``items`` /
+    ``payload_origins`` / ``payload_items`` are gathered through that table
+    on every read; the table stores no ``(origin, item)`` column of its own.
     """
 
-    __slots__ = ("phase", "srcs", "dests", "offsets", "origins", "items",
-                 "final_dests", "payload_offsets", "payload_origins",
-                 "payload_items", "payload_key_ids")
+    __slots__ = ("phase", "srcs", "dests", "offsets", "slot_key_ids",
+                 "final_dests", "payload_offsets", "payload_key_ids",
+                 "key_holders", "key_items")
 
     #: Every column, in the order :meth:`__eq__` compares them.
-    COLUMNS = __slots__[1:]
+    COLUMNS = ("srcs", "dests", "offsets", "origins", "items", "final_dests",
+               "payload_offsets", "payload_origins", "payload_items",
+               "payload_key_ids")
 
-    def __init__(self, phase: Phase, srcs, dests, offsets, origins, items,
-                 final_dests, payload_key_ids, payload=None):
+    def __init__(self, phase: Phase, srcs, dests, offsets, slot_key_ids,
+                 final_dests, key_table, payload=None):
         """Trusted constructor: parallel 1-D int64 columns the caller gives up.
 
-        ``payload`` is ``(offsets, origins, items)`` of a deduplicated phase.
+        ``key_table`` is ``(holders, items)``, shared, not copied;
+        ``payload`` is ``(offsets, key_ids)`` of a deduplicated phase.
         """
         self.phase = phase
         self.srcs, self.dests, self.offsets = srcs, dests, offsets
-        self.origins, self.items, self.final_dests = origins, items, final_dests
-        self.payload_offsets, self.payload_origins, self.payload_items = \
-            payload or (offsets, origins, items)
-        self.payload_key_ids = payload_key_ids
-        freeze_columns(srcs, dests, offsets, origins, items, final_dests,
-                       payload_key_ids, *(payload or ()))
+        self.slot_key_ids, self.final_dests = slot_key_ids, final_dests
+        self.payload_offsets, self.payload_key_ids = \
+            payload or (offsets, slot_key_ids)
+        self.key_holders, self.key_items = key_table
+        freeze_columns(srcs, dests, offsets, slot_key_ids, final_dests,
+                       *(payload or ()))
 
     @classmethod
     def empty(cls, phase: Phase) -> "PhaseTable":
         """A phase with no message."""
         zero = np.empty(0, dtype=INDEX_DTYPE)
         return cls(phase, zero, zero, np.zeros(1, dtype=INDEX_DTYPE), zero,
-                   zero, zero, zero)
+                   zero, (zero, zero))
+
+    @property
+    def origins(self) -> np.ndarray:
+        """Holder of every slot's value, gathered from the key table."""
+        return _gathered(self.key_holders, self.slot_key_ids)
+
+    @property
+    def items(self) -> np.ndarray:
+        """Item id of every slot's value, gathered from the key table."""
+        return _gathered(self.key_items, self.slot_key_ids)
+
+    @property
+    def payload_origins(self) -> np.ndarray:
+        """Holder of every packed value, gathered from the key table."""
+        return _gathered(self.key_holders, self.payload_key_ids)
+
+    @property
+    def payload_items(self) -> np.ndarray:
+        """Item id of every packed value, gathered from the key table."""
+        return _gathered(self.key_items, self.payload_key_ids)
 
     @property
     def slot_counts(self) -> np.ndarray:

@@ -45,7 +45,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 7
+CACHE_FORMAT_VERSION = 8
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128

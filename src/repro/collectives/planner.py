@@ -59,15 +59,16 @@ def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
 
 
 def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
-                 origins: np.ndarray, items: np.ndarray,
-                 final_dests: np.ndarray, keys: np.ndarray, *,
-                 dedup_keys: int | None = None) -> PhaseTable:
+                 final_dests: np.ndarray, keys: np.ndarray,
+                 key_table, *, dedup_keys: int | None = None) -> PhaseTable:
     """One message per ``(src, dest)`` run of pre-sorted per-row endpoint columns.
 
     ``srcs``/``dests`` give every row's message endpoints and must be the
     primary sort keys of all the columns; ``keys`` are the rows' interned
-    ``(origin, item)`` ids.  With ``dedup_keys`` (the pattern's key count) the
-    payload unique of every message of the phase runs as one segmented sort.
+    ``(origin, item)`` ids, rows of ``key_table`` (the pattern's
+    ``(holders, items)`` key columns, shared by the table).  With
+    ``dedup_keys`` (the pattern's key count) the payload unique of every
+    message of the phase runs as one segmented sort.
     """
     starts = np.flatnonzero(run_starts_mask(srcs, dests))
     bounds = np.append(starts, srcs.size).astype(INDEX_DTYPE, copy=False)
@@ -78,10 +79,9 @@ def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
                              np.diff(bounds))
         firsts, counts = unique_keys_segmented(segments, keys, dedup_keys,
                                                n_messages)
-        payload = (counts_to_displs(counts), origins[firsts], items[firsts])
-        keys = keys[firsts]
-    return PhaseTable(phase, srcs[starts], dests[starts], bounds, origins,
-                      items, final_dests, keys, payload)
+        payload = (counts_to_displs(counts), keys[firsts])
+    return PhaseTable(phase, srcs[starts], dests[starts], bounds, keys,
+                      final_dests, key_table, payload)
 
 
 def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
@@ -90,7 +90,7 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
     if variant not in (Variant.STANDARD, Variant.POINT_TO_POINT):
         raise PlanError(f"plan_standard cannot build variant {variant}")
     origins, dests, items = pattern.unique_edge_table()
-    keys = pattern.owned_keys()[2]
+    key_holders, key_items, keys = pattern.owned_keys()
     self_mask = origins == dests
     self_deliveries = _self_delivery_table(origins[self_mask], items[self_mask],
                                            dests[self_mask])
@@ -98,10 +98,9 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
     # columns, shared rather than copied.
     if len(self_deliveries):
         keep = ~self_mask
-        origins, dests, items, keys = \
-            origins[keep], dests[keep], items[keep], keys[keep]
-    direct = _phase_table(Phase.DIRECT, origins, dests,
-                          origins, items, dests, keys)
+        origins, dests, keys = origins[keep], dests[keep], keys[keep]
+    direct = _phase_table(Phase.DIRECT, origins, dests, dests, keys,
+                          (key_holders, key_items))
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases={Phase.DIRECT: direct},
                           self_deliveries=self_deliveries)
@@ -116,8 +115,9 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         assignment = setup_aggregation(pattern, mapping, strategy=strategy)
 
     origins, dests, items = pattern.unique_edge_table()
-    owned_holders, _, keys = pattern.owned_keys()
-    dedup_keys = int(owned_holders.size) if deduplicate else None
+    key_holders, key_items, keys = pattern.owned_keys()
+    key_table = (key_holders, key_items)
+    dedup_keys = int(key_holders.size) if deduplicate else None
     regions = mapping.regions_array()
     origin_regions = mapping.region_of_many(origins)
     dest_region_ids = mapping.region_of_many(dests)
@@ -132,8 +132,8 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
                              dests[self_mask])]
     local_mask = same_region & ~self_mask
     local_origins, local_dests = origins[local_mask], dests[local_mask]
-    local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_origins,
-                         items[local_mask], local_dests, keys[local_mask])
+    local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_dests,
+                         keys[local_mask], key_table)
 
     # Inter-region traffic: the three aggregated phases.  The leaders of each
     # (source region, destination region) pair fan out to per-row arrays, and
@@ -156,7 +156,6 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     if inter_mask.any():
         row_origins = origins[inter_mask]
         row_dests = dests[inter_mask]
-        row_items = items[inter_mask]
         row_keys = keys[inter_mask]
         row_src_regions = origin_regions[inter_mask]
         row_dest_regions = dest_region_ids[inter_mask]
@@ -199,19 +198,17 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
             (skip, row_origins, row_send, row_dest_regions),
             (2, n_ranks, n_ranks, n_regions))
         selection = order[:order.size - int(np.count_nonzero(skip))]
-        setup_origins = row_origins[selection]
         phases[Phase.SETUP_REDIST] = _phase_table(
-            Phase.SETUP_REDIST, setup_origins, row_send[selection],
-            setup_origins, row_items[selection], row_dests[selection],
-            row_keys[selection], dedup_keys=dedup_keys)
+            Phase.SETUP_REDIST, row_origins[selection], row_send[selection],
+            row_dests[selection], row_keys[selection], key_table,
+            dedup_keys=dedup_keys)
 
         # Phase g: one aggregated message between the leaders of each pair.
         order = argsort_packed((row_send, row_recv, row_origins),
                                (n_ranks, n_ranks, n_ranks))
         phases[Phase.GLOBAL] = _phase_table(
-            Phase.GLOBAL, row_send[order], row_recv[order],
-            row_origins[order], row_items[order], row_dests[order],
-            row_keys[order], dedup_keys=dedup_keys)
+            Phase.GLOBAL, row_send[order], row_recv[order], row_dests[order],
+            row_keys[order], key_table, dedup_keys=dedup_keys)
 
         # Phase r: the receive leader forwards to final destinations; rows it
         # keeps for itself are satisfied without a message (same flag trick,
@@ -224,18 +221,17 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
                  row_origins),
                 (2, n_regions, n_regions, n_ranks, n_ranks))
             selection = order[order.size - n_kept:]
-            self_parts.append(_self_delivery_table(row_origins[selection],
-                                                   row_items[selection],
-                                                   row_dests[selection]))
+            self_parts.append(_self_delivery_table(
+                row_origins[selection], key_items[row_keys[selection]],
+                row_dests[selection]))
         order = argsort_packed(
             (keep_self, row_recv, row_dests, row_src_regions, row_origins),
             (2, n_ranks, n_ranks, n_regions, n_ranks))
         selection = order[:order.size - n_kept]
         final_dests = row_dests[selection]
         phases[Phase.FINAL_REDIST] = _phase_table(
-            Phase.FINAL_REDIST, row_recv[selection], final_dests,
-            row_origins[selection], row_items[selection], final_dests,
-            row_keys[selection], dedup_keys=dedup_keys)
+            Phase.FINAL_REDIST, row_recv[selection], final_dests, final_dests,
+            row_keys[selection], key_table, dedup_keys=dedup_keys)
 
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases=phases,

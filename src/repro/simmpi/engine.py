@@ -60,7 +60,6 @@ import time
 import weakref
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
@@ -191,27 +190,21 @@ def _as_rows(values, n_rows: int, spec, what: str) -> np.ndarray:
     return array.astype(spec.dtype, copy=False).reshape(n_rows, spec.item_size)
 
 
-_DTYPE, _NDIM = attrgetter("dtype"), attrgetter("ndim")
-
-
 def _load_ranks(state: _RegisteredProgram, values) -> bool:
     """Concatenate a list or tuple of per-rank arrays straight into an
     unbound handle's owned rows, if C-level passes over it show that nothing
-    needs a cast or a reshape: every entry an exact ``ndarray`` of the
-    exchange's dtype and ndim, each rank's of its owned length.  One copy,
-    no temporary.  Returns ``False`` — anything else, or a trailing
-    dimension that is not ``item_size`` (``concatenate`` rejects it before
-    writing) — to send the input through the checked per-rank path."""
-    owned = state.owned
-    if type(values) not in (list, tuple) \
-            or set(map(type, values)) != {np.ndarray} \
-            or set(map(_DTYPE, values)) != {owned.dtype} \
-            or set(map(_NDIM, values)) != {owned.ndim} \
-            or list(map(len, values)) != state.lengths:
-        return False
+    needs a cast or a reshape: every entry an exact ``ndarray``, each rank's
+    of its owned length, and ``concatenate`` itself refuses any other dtype
+    (``casting="no"``) or shape.  One copy, no temporary.  Returns
+    ``False`` — on anything else, a 0-d entry included — to send the input
+    through the checked per-rank path, which rewrites every owned row."""
     try:
-        np.concatenate(values, out=owned)
-    except ValueError:
+        if type(values) not in (list, tuple) \
+                or set(map(type, values)) != {np.ndarray} \
+                or list(map(len, values)) != state.lengths:
+            return False
+        np.concatenate(values, out=state.owned, casting="no")
+    except (TypeError, ValueError):
         return False
     return True
 

@@ -5,7 +5,8 @@ The planner is the library's only producer of
 schedule the planner never emits — a tampered, self-addressed, empty or
 unowned-key message — lists its messages and stacks them with
 :func:`phase_table`; the per-rank oracle of ``reference_world_compile.py``
-reads a plan message by message through :func:`plan_messages`.
+reads a plan message by message through :func:`plan_messages`;
+:func:`stored_nbytes` measures what a table keeps alive.
 """
 
 from __future__ import annotations
@@ -35,15 +36,26 @@ def _column(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=INDEX_DTYPE)
 
 
-def key_ids(pattern: CommPattern, origins: np.ndarray,
-            items: np.ndarray) -> np.ndarray:
-    """The id ``pattern.owned_keys()`` gives every ``(origin, item)``; a
-    pair nobody owns gets the spare id ``n_owned``."""
+def key_ids(pattern: CommPattern, pairs: np.ndarray):
+    """``(ids, key_table)``: the id ``pattern.owned_keys()`` gives every
+    ``(origin, item)`` row of ``pairs``.  A pair nobody owns gets an id past
+    the owned ones, ``n_owned`` first, in order of first appearance, and
+    ``key_table`` — the pattern's ``(holders, items)`` key columns, shared
+    when every pair is owned — is extended by it."""
     holders, owned_items, _ = pattern.owned_keys()
     key_of = {pair: key for key, pair in enumerate(
         zip(holders.tolist(), owned_items.tolist()))}
-    return _column([key_of.get(pair, len(key_of))
-                    for pair in zip(origins.tolist(), items.tolist())])
+    n_owned = len(key_of)
+    ids = _column([key_of.setdefault(pair, len(key_of))
+                   for pair in map(tuple, pairs.tolist())])
+    if len(key_of) == n_owned:
+        return ids, (holders, owned_items)
+    extra = np.array(list(key_of)[n_owned:], dtype=INDEX_DTYPE)
+    table = (np.append(holders, extra[:, 0]),
+             np.append(owned_items, extra[:, 1]))
+    for column in table:
+        column.flags.writeable = False
+    return ids, table
 
 
 def phase_table(pattern: CommPattern, phase: Phase,
@@ -62,18 +74,17 @@ def phase_table(pattern: CommPattern, phase: Phase,
                 for m, rows in zip(messages, slots)]
     slot_rows = np.concatenate(slots + [np.empty((0, 3), dtype=INDEX_DTYPE)])
     pairs = np.concatenate(payloads + [np.empty((0, 2), dtype=INDEX_DTYPE)])
+    ids, table = key_ids(pattern, np.concatenate([slot_rows[:, :2], pairs]))
+    n_slots = len(slot_rows)
     payload = None
     if any(m.payload is not None for m in messages):
         payload = (counts_to_displs([len(rows) for rows in payloads]),
-                   _column(pairs[:, 0]), _column(pairs[:, 1]))
+                   ids[n_slots:])
     return PhaseTable(
         phase, _column([m.src for m in messages]),
         _column([m.dest for m in messages]),
-        counts_to_displs([len(rows) for rows in slots]),
-        _column(slot_rows[:, 0]), _column(slot_rows[:, 1]),
-        _column(slot_rows[:, 2]),
-        payload_key_ids=key_ids(pattern, pairs[:, 0], pairs[:, 1]),
-        payload=payload)
+        counts_to_displs([len(rows) for rows in slots]), ids[:n_slots],
+        _column(slot_rows[:, 2]), table, payload)
 
 
 def cut_messages(table: PhaseTable) -> List[Message]:
@@ -87,6 +98,24 @@ def cut_messages(table: PhaseTable) -> List[Message]:
                     payload[payload_offsets[k]:payload_offsets[k + 1]])
             for k, (src, dest) in enumerate(zip(table.srcs.tolist(),
                                                 table.dests.tolist()))]
+
+
+#: What a phase table stores beyond its shared key table.
+STORED_COLUMNS = tuple(name for name in PhaseTable.__slots__
+                       if name not in ("phase", "key_holders", "key_items"))
+
+
+def stored_nbytes(table: PhaseTable) -> int:
+    """Bytes of the arrays ``table`` stores, other than its shared key
+    table.  A view counts its whole base, and a buffer stored twice (a
+    non-deduplicated phase's payload ids are its slot ids) counts once."""
+    roots = {}
+    for name in STORED_COLUMNS:
+        column = getattr(table, name)
+        while isinstance(column.base, np.ndarray):
+            column = column.base
+        roots[id(column)] = column
+    return sum(column.nbytes for column in roots.values())
 
 
 def plan_messages(plan: CollectivePlan) -> Dict[Phase, List[Message]]:

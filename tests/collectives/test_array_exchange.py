@@ -248,6 +248,72 @@ class TestZeroPerRankWork:
         assert large <= 40
 
 
+def _outcome(collective, values):
+    """A round's delivered bytes, or the type and text of its error."""
+    try:
+        received = collective.exchange(values)
+    except Exception as exc:    # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return b"".join(np.ascontiguousarray(halo).tobytes() for halo in received)
+
+
+def _list_forms(owned, item_size):
+    """Per-rank list inputs the one-``concatenate`` load must turn away."""
+    rows = [ids.astype(np.float64).repeat(item_size).reshape(-1, item_size)
+            for ids in owned]
+    if item_size == 1:
+        rows = [r.reshape(-1) for r in rows]
+    forms = {
+        "float32": [r.astype(np.float32) for r in rows],
+        "big-endian": [r.astype(">f8") for r in rows],
+        "int64": [r.astype(np.int64) for r in rows],
+        "float64-then-float32": [rows[0]] + [r.astype(np.float32)
+                                             for r in rows[1:]],
+        "mixed-ndim": [rows[0].reshape(-1, 1, item_size)] + rows[1:],
+        "0-d": [np.array(1.0) for _ in rows],
+        "one-0-d": rows[:-1] + [np.array(1.0)],
+    }
+    if item_size == 1:
+        forms["n-by-1"] = [r.reshape(-1, 1) for r in rows]
+    else:
+        forms["flat"] = [r.reshape(-1) for r in rows]
+    return forms
+
+
+class TestListLoadFallsBackLikeTheCheckedPath:
+    """A per-rank list the engine cannot concatenate as is — another dtype or
+    byte order, another ndim, a 0-d entry — gets exactly the result or the
+    error of the checked per-rank path, which casts and names the rank."""
+
+    @pytest.mark.parametrize("item_size", [1, 2])
+    def test_every_form_matches_the_checked_path(self, monkeypatch,
+                                                 item_size):
+        from repro.simmpi import engine as engine_module
+
+        n_ranks = 8
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=21,
+                                 item_size=item_size)
+        with neighbor_alltoallv_init_world(
+                pattern, paper_mapping(n_ranks, ranks_per_node=4),
+                variant=Variant.FULL) as collective:
+            owned = [collective.owned_item_ids(rank)
+                     for rank in range(n_ranks)]
+            forms = _list_forms(owned, item_size)
+            fast = {name: _outcome(collective, values)
+                    for name, values in forms.items()}
+            monkeypatch.setattr(engine_module, "_load_ranks",
+                                lambda state, values: False)
+            checked = {name: _outcome(collective, values)
+                       for name, values in forms.items()}
+        assert fast == checked
+        loaded = {name for name, outcome in fast.items()
+                  if isinstance(outcome, bytes)}
+        assert {"float32", "big-endian", "float64-then-float32"} <= loaded
+        assert "0-d" not in loaded and "one-0-d" not in loaded
+        if item_size == 1:
+            assert "n-by-1" in loaded
+
+
 class TestTrafficByteAccounting:
     """Observed wire bytes must equal count * item_size * dtype.itemsize."""
 

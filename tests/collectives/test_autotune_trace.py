@@ -83,6 +83,20 @@ class TestEventSchema:
                       "schedule queued",
         }
 
+    def test_seed_reason_without_a_model_says_the_estimates_tie(self):
+        """With no ``model=`` every seed estimate is 0.0: no candidate is
+        cheapest, so the reason names the tie and candidate order."""
+        matrix, hierarchy, mapping = _problem()
+        with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
+            seeds = vcycle.decision_trace.events(kind="seed")
+        assert len(seeds) == hierarchy.n_levels
+        for event in seeds:
+            assert set(event.estimates.values()) == {0.0}
+            assert event.variant == vcycle.selector.candidates[0].value
+            assert event.reason == (
+                "every candidate's estimate ties; candidate order picked the "
+                "commit; full probe schedule queued")
+
     def test_event_round_trip_is_lossless(self):
         sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
         for event in sim.trace:

@@ -51,10 +51,11 @@ class TestColumns:
                         table.payload_counts.tolist()))
             assert all(m.phase is phase for m in records)
         deduplicated = full_plan.phases[Phase.GLOBAL]
-        assert deduplicated.payload_origins is not deduplicated.origins
+        assert deduplicated.payload_key_ids is not deduplicated.slot_key_ids
         assert deduplicated.payload_counts.sum() < deduplicated.slot_counts.sum()
         local = full_plan.phases[Phase.LOCAL]
-        assert local.payload_origins is local.origins
+        assert local.payload_key_ids is local.slot_key_ids
+        assert local.payload_offsets is local.offsets
 
     def test_records_are_cut_fresh_and_read_only(self, full_plan):
         first, again = next(full_plan.messages()), next(full_plan.messages())
@@ -78,8 +79,8 @@ class TestColumns:
         for phase, table in full_plan.phases.items():
             twin = restored.phases[phase]
             assert twin == table
-            assert (twin.payload_origins is twin.origins) \
-                == (table.payload_origins is table.origins)
+            assert (twin.payload_key_ids is twin.slot_key_ids) \
+                == (table.payload_key_ids is table.slot_key_ids)
             np.testing.assert_array_equal(twin.payload_key_ids,
                                           table.payload_key_ids)
 

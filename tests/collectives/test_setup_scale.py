@@ -12,8 +12,9 @@ paper's largest runs need:
 * a world compiler whose call count does not grow with ranks (counted, not
   timed);
 * a world compiler whose working set stays a small multiple of the world it
-  returns (counted in traced bytes, not timed), and a standard plan that
-  shares the pattern's columns instead of copying them.
+  returns (counted in traced bytes, not timed), a standard plan that
+  shares the pattern's columns instead of copying them, and phase tables
+  that store key ids, not ``(origin, item)`` pairs (counted in bytes).
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from repro.pattern.builders import (
     pattern_from_edges,
     random_pattern,
 )
+from repro.sparse import pattern_from_parcsr, strong_scaling_problem
 from repro.topology import paper_mapping
+
+from plan_tables import stored_nbytes
 
 #: Halo grids whose rank counts trace the paper's weak-scaling sweep.
 SETUP_GRIDS = {4096: (64, 64), 8192: (128, 64), 16384: (128, 128)}
@@ -148,17 +152,22 @@ def test_world_compile_peaks_at_most_3x_the_world_it_keeps(name):
 
 
 def test_standard_plan_shares_the_pattern_columns_unless_it_drops_self_edges():
-    """Without a self-edge the DIRECT table is the pattern's unique edge
-    table and keys, not four copies of them; with one, the self-edges
-    still leave the table for the self-deliveries."""
+    """Without a self-edge the DIRECT table stores the pattern's edge keys
+    and dests and its key table, not copies of them; with one, the
+    self-edges still leave the table for the self-deliveries."""
     mapping = paper_mapping(64, ranks_per_node=16)
     pattern = halo_exchange_pattern((8, 8), points_per_cell=16, periodic=True)
     direct = plan_standard(pattern, mapping).phases[Phase.DIRECT]
     origins, dests, items = pattern.unique_edge_table()
-    for column, source in ((direct.origins, origins),
-                           (direct.final_dests, dests), (direct.items, items),
-                           (direct.payload_key_ids, pattern.owned_keys()[2])):
+    holders, key_items, edge_keys = pattern.owned_keys()
+    for column, source in ((direct.slot_key_ids, edge_keys),
+                           (direct.final_dests, dests),
+                           (direct.key_holders, holders),
+                           (direct.key_items, key_items)):
         assert column.size and np.shares_memory(column, source)
+    assert direct.payload_key_ids is direct.slot_key_ids
+    np.testing.assert_array_equal(direct.origins, origins)
+    np.testing.assert_array_equal(direct.items, items)
 
     looped = pattern_from_edges(64, [(0, 1, [3, 4]), (2, 2, [7, 8, 9]),
                                      (5, 4, [1])])
@@ -168,5 +177,32 @@ def test_standard_plan_shares_the_pattern_columns_unless_it_drops_self_edges():
     assert direct.final_dests.tolist() == [1, 1, 4]
     assert direct.items.tolist() == [3, 4, 1]
     assert plan.self_deliveries.item.tolist() == [7, 8, 9]
-    assert not np.shares_memory(direct.origins,
-                                looped.unique_edge_table()[0])
+    assert not np.shares_memory(direct.slot_key_ids, looped.owned_keys()[2])
+
+
+def _amg_partial_plan():
+    """The partial plan of a fine-level AMG operator's SpMV exchange."""
+    matrix = strong_scaling_problem(16384, 64).matrix
+    return make_plan(pattern_from_parcsr(matrix),
+                     paper_mapping(64, ranks_per_node=16), Variant.PARTIAL,
+                     use_cache=False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: working_set_plan("random-1024-full"), _amg_partial_plan],
+    ids=["random-1024-full", "amg-64-partial"])
+def test_phase_tables_store_ids_not_pairs(build):
+    """A phase table keeps at most two int64 per slot (its key id and
+    final destination), one per payload row and a few per message; every
+    ``(origin, item)`` pair lives once, in the pattern's key table, which
+    the tables share."""
+    plan = build()
+    holders, key_items, _ = plan.pattern.owned_keys()
+    for phase, table in plan.phases.items():
+        n_slots = int(table.offsets[-1])
+        n_payload = int(table.payload_offsets[-1])
+        bound = 8 * (2 * n_slots + n_payload + 4 * (len(table) + 1))
+        assert stored_nbytes(table) <= bound, phase
+        assert np.shares_memory(table.key_holders, holders), phase
+        assert np.shares_memory(table.key_items, key_items), phase
+    assert plan.phases[Phase.GLOBAL].offsets[-1] > 0
