@@ -40,7 +40,7 @@ class SolveResult:
     residual_norms: List[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    #: Online-autotuning decision record (``variant="auto"`` solves through
+    #: Per-level variant commits (``variant="auto"`` solves through
     #: :class:`~repro.amg.vcycle.WorldAMGSolver` attach theirs; fixed-variant
     #: and sequential solves leave it ``None``).
     decision_trace: "Optional[DecisionTrace]" = None

@@ -42,7 +42,7 @@ exchanges, so its traffic is accounted like theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,15 +55,19 @@ from repro.amg.solver import (SolveResult, check_cycle_parameters,
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
+    DEFAULT_CANDIDATES,
     DecisionTrace,
-    OnlineSelector,
     is_auto_variant,
+    seed_event,
 )
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
+from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
+from repro.perfmodel.params import lassen_parameters
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV
 from repro.topology.mapping import RankMapping, check_mapping_covers
@@ -133,15 +137,17 @@ class WorldVCycle:
     releases those engines' workers and shared segments deterministically (a
     caller-supplied engine stays open).
 
-    ``variant="auto"`` turns on online selection: every candidate variant's
-    exchanges are registered up front (the plan cache keeps this cheap), an
-    :class:`~repro.collectives.autotune.OnlineSelector` — seeded from
-    ``model``'s modeled times when given — picks each level's variant per
-    cycle, and the engines' per-round timing hook feeds it measured
-    seconds.  Switching variants is a per-level table swap, results stay
-    byte-identical to any fixed variant, and every decision lands on
-    :attr:`decision_trace`.  ``selector`` supplies a configured (fresh)
-    selector, ``clock`` a deterministic timer for the cycle's own engines.
+    ``variant="auto"`` picks each level's variant at set-up: every
+    candidate's plans are built, and the level commits the one the cost
+    ``model`` (default: :func:`~repro.perfmodel.params.lassen_parameters`
+    at the mapping's ranks per node) prices cheapest over one cycle — the
+    operator's exchange once per smoother sweep and once for the residual,
+    plus one restrict and one prolong exchange; the coarsest level prices
+    its gather.  Ties break on candidate order.  Only the committed
+    variant's exchanges are compiled, so the cycle is then a fixed-variant
+    cycle whose levels differ in variant; results are byte-identical to any
+    fixed variant, and every commit is a ``seed`` event on
+    :attr:`decision_trace`.
     """
 
     def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping, *,
@@ -154,9 +160,7 @@ class WorldVCycle:
                  level_profilers: Optional[Sequence[TrafficProfiler]] = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
-                 selector: OnlineSelector | None = None,
-                 model=None,
-                 clock=None):
+                 model=None):
         if hierarchy.n_levels == 0:
             raise SolverError("hierarchy has no levels")
         self.pre_sweeps, self.post_sweeps, self.omega = check_cycle_parameters(
@@ -179,25 +183,28 @@ class WorldVCycle:
                 "pass either a profiler (for a private shared engine) or an "
                 "engine / per-level profilers, not both"
             )
-        if engine is not None and (runtime is not None or n_workers is not None
-                                   or clock is not None):
+        if engine is not None and (runtime is not None
+                                   or n_workers is not None):
             raise ValidationError(
                 "a shared engine already fixed its runtime; pass runtime/"
-                "n_workers/clock only when the cycle creates its own engines"
+                "n_workers only when the cycle creates its own engines"
             )
         auto = is_auto_variant(variant)
-        if not auto and (selector is not None or model is not None):
-            raise ValidationError(
-                "selector= and model= configure online selection; pass "
-                "variant='auto' to enable it"
-            )
-        if auto:
-            selector = selector if selector is not None else OnlineSelector()
-            if selector.seeded_levels():
+        if not auto:
+            try:
+                variant = Variant(variant)
+            except ValidationError:
                 raise ValidationError(
-                    "variant='auto' needs a fresh selector (levels are "
-                    "seeded by the cycle itself)"
+                    f"variant must be 'auto' or one of "
+                    f"{tuple(v.value for v in Variant)}, got {variant!r}"
+                ) from None
+            if model is not None:
+                raise ValidationError(
+                    "model= prices the candidates of variant='auto'; pass "
+                    "it only with variant='auto'"
                 )
+        elif model is None:
+            model = lassen_parameters(active_per_node=mapping.ranks_per_node)
         self.hierarchy = hierarchy
         self.mapping = mapping
         # Coarsest level: a (redundant, deterministic) factorization of the
@@ -208,160 +215,88 @@ class WorldVCycle:
         self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest.matrix)) \
             if coarsest.n_rows > 0 else None
         self.n_ranks = hierarchy.levels[0].matrix.n_ranks
-        self._selector = selector if auto else None
-        self._active: Dict[int, Variant] = {}
         n_levels = hierarchy.n_levels
         if level_profilers is not None:
             engines = [ExchangeEngine(self.n_ranks, profiler=level_profiler,
-                                      runtime=runtime, n_workers=n_workers,
-                                      clock=clock)
+                                      runtime=runtime, n_workers=n_workers)
                        for level_profiler in level_profilers]
             self._owned_engines = list(engines)
         else:
             shared = engine if engine is not None else \
                 ExchangeEngine(self.n_ranks, profiler=profiler,
-                               runtime=runtime, n_workers=n_workers,
-                               clock=clock)
+                               runtime=runtime, n_workers=n_workers)
             engines = [shared] * n_levels
             self._owned_engines = [] if engine is not None else [shared]
         self.engines = engines
-        self._unique_engines = list({id(e): e for e in engines}.values())
+        self._trace = DecisionTrace() if auto else None
 
-        # In auto mode every candidate's exchanges register up front against
-        # the same engines (the plan/exchange cache makes the extra variants
-        # cheap); switching a level's variant is then a pure table swap.
-        build_variants = self._selector.candidates if auto \
-            else (Variant(variant),)
+        def commit(index: int, weighted) -> Variant:
+            """Level ``index``'s variant: the fixed one, or under ``"auto"``
+            the cheapest modeled ``sum(weight · exchange)`` over its
+            ``(weight, pattern)`` pairs, recorded on the trace."""
+            if not auto:
+                return variant
+            modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)
+            for weight, pattern in weighted:
+                plans = all_plans(pattern, mapping, strategy=strategy)
+                for candidate in modeled:
+                    modeled[candidate] += \
+                        weight * plans[candidate].modeled_time(model)
+            event = seed_event(index, modeled,
+                               outcome="committed at set-up for the solve")
+            self._trace.append(event)
+            return Variant(event.variant)
 
-        def build_level(index: int, build_variant: Variant) -> _Level:
+        sweeps = self.pre_sweeps + self.post_sweeps + 1
+
+        def build_level(index: int) -> _Level:
             """Level ``index``'s ``A``, ``Pᵀ`` and ``P`` on its engine."""
+            operators = (hierarchy.levels[index].matrix,
+                         hierarchy.restriction_matrix(index),
+                         hierarchy.prolongation_matrix(index))
+            chosen = commit(index, ((weight, pattern_from_parcsr(operator))
+                                    for weight, operator
+                                    in zip((sweeps, 1, 1), operators)))
             spmv, restrict, prolong = (
-                WorldSpMV(operator, mapping, variant=build_variant,
+                WorldSpMV(operator, mapping, variant=chosen,
                           strategy=strategy, engine=engines[index])
-                for operator in (hierarchy.levels[index].matrix,
-                                 hierarchy.restriction_matrix(index),
-                                 hierarchy.prolongation_matrix(index)))
+                for operator in operators)
             return _Level(spmv=spmv,
                           smoother=DistributedJacobi(spmv, omega=self.omega),
                           restrict=restrict, prolong=prolong)
 
-        self._variant_levels: Dict[Variant, List[_Level]] = {
-            build_variant: [build_level(index, build_variant)
-                            for index in range(n_levels - 1)]
-            for build_variant in build_variants}
-        self.levels = self._variant_levels[build_variants[0]]
+        self.levels = [build_level(index) for index in range(n_levels - 1)]
 
-        self._coarse_collectives: Dict[Variant, WorldNeighborCollective] = {}
         self._coarse_collective: WorldNeighborCollective | None = None
         pattern = coarse_gather_pattern(self._coarse_partition)
         if pattern.n_messages:
-            for build_variant in build_variants:
-                self._coarse_collectives[build_variant] = \
-                    neighbor_alltoallv_init_world(
-                        pattern, mapping, variant=build_variant,
-                        strategy=strategy, engine=engines[n_levels - 1])
-            self._coarse_collective = self._coarse_collectives[
-                build_variants[0]]
+            self._coarse_collective = neighbor_alltoallv_init_world(
+                pattern, mapping, variant=commit(n_levels - 1, [(1, pattern)]),
+                strategy=strategy, engine=engines[n_levels - 1])
 
-        # The cycle's vectors, allocated once and shared by every candidate
-        # variant: per smoothed level the iterate and one more vector (A x,
-        # then the residual, then the prolonged correction), and per coarser
-        # level the right-hand side the restriction writes.
+        # The cycle's vectors, allocated once: per smoothed level the iterate
+        # and one more vector (A x, then the residual, then the prolonged
+        # correction), and per coarser level the right-hand side the
+        # restriction writes.
         sizes = [level.matrix.n_rows for level in hierarchy.levels]
         self._vectors = [(np.empty(size), np.empty(size))
                          for size in sizes[:-1]]
         self._rhs = [None] + [np.empty(size) for size in sizes[1:]]
 
         # Residual norms of an iterative solve need the fine operator even on
-        # a single-level hierarchy, where no smoothing level exists.
+        # a single-level hierarchy, where no smoothing level exists; under
+        # "auto" it takes the level's commit (its gather's), if any.
         self.fine_spmv = self.levels[0].spmv if self.levels else \
             WorldSpMV(hierarchy.levels[0].matrix, mapping,
-                      variant=build_variants[0], strategy=strategy,
-                      engine=engines[0])
-
-        self._observed_engines: List[ExchangeEngine] = []
-        if auto:
-            self._seed_selector(model)
-            self._attach_observers()
-
-    # -- online selection -----------------------------------------------------
-
-    @property
-    def selector(self) -> OnlineSelector | None:
-        """The online selector (``None`` unless ``variant="auto"``)."""
-        return self._selector
+                      variant=variant if not auto else (
+                          self._trace.committed(0) or DEFAULT_CANDIDATES[0]),
+                      strategy=strategy, engine=engines[0])
 
     @property
     def decision_trace(self) -> DecisionTrace | None:
-        """Every seed/probe/commit/switch decision (``None`` on fixed variants)."""
-        return self._selector.trace if self._selector is not None else None
-
-    def _seed_selector(self, model) -> None:
-        """Seed every communicating level from the cost model's plan times.
-
-        A level's cycle cost under one variant is the modeled time of its
-        operator-SpMV exchange once per smoother sweep plus once for the
-        residual, plus one restrict and one prolong exchange; the coarsest
-        level contributes its gather.  Without a model every candidate
-        seeds equal (zero), so the probe schedule alone decides.
-        """
-        weight = self.pre_sweeps + self.post_sweeps + 1
-        for index in range(self.hierarchy.n_levels - 1):
-            modeled = {}
-            for build_variant, built in self._variant_levels.items():
-                level = built[index]
-                if model is None:
-                    modeled[build_variant] = 0.0
-                else:
-                    modeled[build_variant] = (
-                        weight * level.spmv.collective.plan.modeled_time(model)
-                        + level.restrict.collective.plan.modeled_time(model)
-                        + level.prolong.collective.plan.modeled_time(model))
-            self._selector.seed(index, modeled)
-        if self._coarse_collectives:
-            modeled = {
-                build_variant: (0.0 if model is None
-                                else collective.plan.modeled_time(model))
-                for build_variant, collective
-                in self._coarse_collectives.items()
-            }
-            self._selector.seed(self.hierarchy.n_levels - 1, modeled)
-
-    def _attach_observers(self) -> None:
-        """Point every engine's timing hook at the selector, by handle."""
-        tables: Dict[int, Dict[int, int]] = {}
-        engines_by_id: Dict[int, ExchangeEngine] = {}
-
-        def note(collective, level_index: int) -> None:
-            tables.setdefault(id(collective.engine), {})[
-                collective.handle] = level_index
-            engines_by_id[id(collective.engine)] = collective.engine
-
-        for built in self._variant_levels.values():
-            for index, level in enumerate(built):
-                note(level.spmv.collective, index)
-                note(level.restrict.collective, index)
-                note(level.prolong.collective, index)
-        for collective in self._coarse_collectives.values():
-            note(collective, self.hierarchy.n_levels - 1)
-        for engine_id, table in tables.items():
-            observed = engines_by_id[engine_id]
-            observed.set_run_observer(self._make_observer(table))
-            self._observed_engines.append(observed)
-
-    def _make_observer(self, table: Dict[int, int]):
-        selector = self._selector
-
-        def observer(handle: int, seconds: float) -> None:
-            level = table.get(handle)
-            if level is not None:
-                selector.record(level, seconds)
-
-        return observer
-
-    def _recovery_events(self) -> int:
-        """Supervision events recorded so far across this cycle's engines."""
-        return sum(len(used.events) for used in self._unique_engines)
+        """Each level's ``seed`` commit under ``variant="auto"`` (``None``
+        on a fixed variant)."""
+        return self._trace
 
     @property
     def n_rows(self) -> int:
@@ -370,10 +305,6 @@ class WorldVCycle:
 
     def close(self) -> None:
         """Release every engine this cycle created (workers, shared segments)."""
-        for observed in self._observed_engines:
-            if not observed.closed:
-                observed.set_run_observer(None)
-        self._observed_engines = []
         for owned in self._owned_engines:
             owned.close()
 
@@ -401,7 +332,7 @@ class WorldVCycle:
         if self._coarse_solver is None:
             return np.zeros(self._coarse_partition.n_rows, dtype=np.float64)
         full = np.empty(self._coarse_partition.n_rows, dtype=np.float64)
-        collective = self._coarse_active()
+        collective = self._coarse_collective
         if collective is not None:
             # Owned item ids are global coarse rows: the input is one gather
             # from ``b``, and rank 0's share leads the flat result.
@@ -410,23 +341,6 @@ class WorldVCycle:
             full[received] = halo[:received.size]
         full[self._coarse_partition.rows_of(0)] = b[self._coarse_partition.rows_of(0)]
         return np.asarray(self._coarse_solver(full), dtype=np.float64)
-
-    def _coarse_active(self) -> WorldNeighborCollective | None:
-        """The coarse gather of the cycle's active (or fixed) variant."""
-        if self._selector is None or not self._coarse_collectives:
-            return self._coarse_collective
-        active = self._active.get(self.hierarchy.n_levels - 1)
-        if active is None:
-            return self._coarse_collective
-        return self._coarse_collectives[active]
-
-    def _level(self, index: int) -> _Level:
-        """The level's collectives under the cycle's active (or fixed) variant."""
-        if self._selector is None:
-            return self.levels[index]
-        active = self._active.get(index)
-        built = self.levels if active is None else self._variant_levels[active]
-        return built[index]
 
     def _cycle(self, index: int, b: np.ndarray,
                residual: np.ndarray | None = None) -> np.ndarray:
@@ -443,7 +357,7 @@ class WorldVCycle:
         """
         if index == self.hierarchy.n_levels - 1:
             return self._coarse_solve(b)
-        level = self._level(index)
+        level = self.levels[index]
         smoother = level.smoother
         x, y = self._vectors[index]
         sweeps = self.pre_sweeps
@@ -469,13 +383,6 @@ class WorldVCycle:
     def cycle(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply one V-cycle to ``A x = b`` for the whole communicator.
 
-        Under ``variant="auto"`` the cycle is one measurement window: the
-        selector fixes each level's variant up front (so a cycle never
-        mixes variants within a level), the engines time every exchange
-        round into it, and a cycle overlapped by engine fault recovery is
-        discarded rather than scored — supervision stalls are not protocol
-        cost.
-
         ``x`` is copied into the cycle's own vectors and neither argument is
         written; the result is a new array.
         """
@@ -485,28 +392,14 @@ class WorldVCycle:
                     residual: np.ndarray | None) -> np.ndarray:
         """:meth:`cycle`, handed ``residual = b - A x`` when the caller has
         just computed it (the solve loop's convergence check), which saves
-        the fine level's first product.  Under ``variant="auto"`` it is not
-        used: each cycle is one timing window, which keeps every product."""
+        the fine level's first product."""
         b = np.asarray(b, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if b.shape != (self.n_rows,) or x.shape != (self.n_rows,):
             raise ValidationError(f"b and x must have shape {(self.n_rows,)}")
         if self._vectors:
             self._vectors[0][0][...] = x
-        if self._selector is None:
-            return self._cycle(0, b, residual).copy()
-        self._selector.begin_cycle()
-        self._active = {level: self._selector.variant_for(level)
-                        for level in self._selector.seeded_levels()}
-        events_before = self._recovery_events()
-        try:
-            result = self._cycle(0, b).copy()
-        except BaseException:
-            self._selector.abort_cycle()
-            raise
-        self._selector.end_cycle(
-            recovered=self._recovery_events() > events_before)
-        return result
+        return self._cycle(0, b, residual).copy()
 
 
 class WorldAMGSolver:
@@ -517,7 +410,9 @@ class WorldAMGSolver:
     :class:`~repro.amg.solver.SolveResult`, but relaxation, grid transfers,
     the coarse gather, *and* the convergence-check residuals all run through
     the batched exchange engine — the hierarchy traffic the experiments
-    analyse is executed, not modeled, on every iteration.
+    analyse is executed, not modeled, on every iteration.  ``variant`` and
+    ``model`` are :class:`WorldVCycle`'s (``"auto"`` commits each level's
+    modeled-cheapest variant at set-up).
     """
 
     def __init__(self, matrix, mapping: RankMapping, *,
@@ -537,9 +432,7 @@ class WorldAMGSolver:
                  level_profilers: Optional[Sequence[TrafficProfiler]] = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
-                 selector: OnlineSelector | None = None,
-                 model=None,
-                 clock=None):
+                 model=None):
         self.matrix = matrix
         self.hierarchy = hierarchy or build_hierarchy(
             matrix, strength_theta=strength_theta, max_levels=max_levels,
@@ -550,17 +443,12 @@ class WorldAMGSolver:
             self.hierarchy, mapping, variant=variant, strategy=strategy,
             pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega,
             engine=engine, profiler=profiler, level_profilers=level_profilers,
-            runtime=runtime, n_workers=n_workers,
-            selector=selector, model=model, clock=clock)
-
-    @property
-    def selector(self) -> OnlineSelector | None:
-        """The online selector (``None`` unless ``variant="auto"``)."""
-        return self.vcycle_executor.selector
+            runtime=runtime, n_workers=n_workers, model=model)
 
     @property
     def decision_trace(self) -> DecisionTrace | None:
-        """Every autotuning decision of the solve (``None`` on fixed variants)."""
+        """Each level's ``variant="auto"`` commit (``None`` on a fixed
+        variant)."""
         return self.vcycle_executor.decision_trace
 
     def close(self) -> None:

@@ -14,9 +14,9 @@ This package is the reproduction of the paper's core contribution:
   applications call;
 * :mod:`repro.collectives.selection` — model-driven dynamic selection of the
   cheapest variant (the paper's future-work extension);
-* :mod:`repro.collectives.autotune` — the *online* half of that future work:
-  measured probe windows per level, empirical commits, and an auditable
-  decision trace.
+* :mod:`repro.collectives.autotune` — per-level selection for a whole
+  hierarchy: the modeled commit of ``variant="auto"``, the probe-window
+  selector the drivers simulate, and an auditable decision trace.
 """
 
 from repro.collectives.plan import (
@@ -53,7 +53,6 @@ from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.selection import select_variant
 from repro.collectives.autotune import (
     DecisionTrace,
-    OnlineSelector,
     is_auto_variant,
     simulate_modeled_auto,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "neighbor_alltoallv_init_world",
     "select_variant",
     "DecisionTrace",
-    "OnlineSelector",
     "is_auto_variant",
     "simulate_modeled_auto",
 ]

@@ -80,7 +80,7 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     (``"engine"`` single-process, ``"procs"`` shared-memory worker
     pool); ``vector_length`` registers the exchange on the caller's vector.
     """
-    plan = make_plan(pattern, mapping, Variant(variant), strategy=strategy)
+    plan = make_plan(pattern, mapping, variant, strategy=strategy)
     return WorldNeighborCollective(plan, dtype=dtype, item_size=item_size,
                                    engine=engine, profiler=profiler,
                                    runtime=runtime, n_workers=n_workers,

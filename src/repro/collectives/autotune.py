@@ -1,32 +1,32 @@
-"""Online per-level variant selection with an auditable decision trace.
+"""Per-level variant selection with an auditable decision trace.
 
 The paper's stated future work is a "simple performance measure within the
 neighborhood collective to dynamically select the optimal communication
 strategy": its crossover figures show the winning variant flips with level
 size and density, so one protocol per hierarchy leaves time on the table.
-:mod:`repro.collectives.selection` already performs the *static* half —
-pick the modeled-cheapest variant before the solve starts.  This module is
-the *online* half:
+Its figures compare the variants by their cost on a network, so the measure
+here is the cost model's:
 
-* :class:`OnlineSelector` seeds each level's variant from the cost model,
-  then — during real cycles — walks every candidate through a short timed
-  *probe window*, keeps a median-of-window running estimate per
-  ``(level, variant)``, commits the empirically cheapest candidate, and
-  keeps monitoring the committed choice so sustained drift (the estimate
-  going stale by more than ``drift_factor``) triggers a clean re-probe.
-* Every seed / probe / commit / switch / drift / recovery lands as a
-  structured :class:`DecisionEvent` on a queryable :class:`DecisionTrace`
-  with a stable, versioned dict/JSON schema — figures can annotate *why*
-  each level chose its variant, and tests can replay the decisions.
+* :func:`seed_event` commits one level's modeled-cheapest candidate (ties
+  break on candidate order) and says why.  The solve path
+  (:class:`~repro.amg.vcycle.WorldVCycle` under ``variant="auto"``) calls
+  it once per level at set-up and compiles only the committed variant.
+* :class:`OnlineSelector` starts from the same seed, then walks every
+  candidate through a short *probe window* of recorded costs, keeps a
+  median-of-window running estimate per ``(level, variant)``, commits the
+  cheapest candidate, and keeps monitoring the committed choice so
+  sustained drift (the estimate going stale by more than ``drift_factor``)
+  triggers a clean re-probe.
+* Every seed / probe / commit / switch / drift lands as a structured
+  :class:`DecisionEvent` on a queryable :class:`DecisionTrace` with a
+  stable, versioned dict/JSON schema — figures can annotate *why* each
+  level chose its variant, and tests can replay the decisions.
 * :func:`simulate_modeled_auto` drives a selector with modeled per-level
-  times as a deterministic clock — the "auto" series of the experiment
-  drivers, with zero wall-clock dependence.
+  times — the "auto" series of the experiment drivers, with zero
+  wall-clock dependence.
 
-The selector is deliberately clock-agnostic: it consumes whatever seconds
-the caller records.  The solve path feeds it engine-measured wall time
-(:meth:`~repro.simmpi.engine.ExchangeEngine.set_run_observer`); tests and
-drivers feed it modeled times or a :class:`FixedStepClock`, so selection is
-bit-reproducible whenever its inputs are.
+The selector never reads a clock: it consumes whatever seconds the caller
+records, so selection is bit-reproducible whenever its inputs are.
 
 Probe scheduling is deliberately lock-stepped: every level walks the
 candidate tuple in the same order with the same window length, so during
@@ -38,6 +38,7 @@ never exceed the worst fixed variant, which the property suite pins.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -56,39 +57,18 @@ DEFAULT_CANDIDATES: Tuple[Variant, ...] = (
 AUTO_VARIANT = "auto"
 
 #: Version stamp of :meth:`DecisionTrace.to_dict`; bump on any schema change.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Every event kind a trace may contain, in lifecycle order.
-EVENT_KINDS = ("seed", "probe", "commit", "switch", "drift", "recovery")
+EVENT_KINDS = ("seed", "probe", "commit", "switch", "drift")
 
-#: Where an event's numbers came from: the cost model, engine measurement,
-#: or the runtime's fault supervision.
-EVENT_SOURCES = ("model", "measured", "runtime")
+#: Where an event's numbers came from: the cost model or recorded costs.
+EVENT_SOURCES = ("model", "measured")
 
 
 def is_auto_variant(variant) -> bool:
     """Whether ``variant`` requests online selection instead of a fixed protocol."""
     return isinstance(variant, str) and variant.strip().lower() == AUTO_VARIANT
-
-
-class FixedStepClock:
-    """Deterministic clock: every reading advances by exactly ``step`` seconds.
-
-    Drop-in for ``time.perf_counter`` wherever a ``clock=`` keyword is
-    accepted (e.g. :class:`~repro.simmpi.engine.ExchangeEngine`), so timed
-    probe windows — and therefore the whole decision trace — are
-    bit-reproducible across runs and runtimes.
-    """
-
-    def __init__(self, step: float = 1.0, start: float = 0.0):
-        if step <= 0.0:
-            raise ValidationError("clock step must be positive")
-        self.step = float(step)
-        self.now = float(start)
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
 
 
 # -- the trace -----------------------------------------------------------------
@@ -143,20 +123,29 @@ class DecisionEvent:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "DecisionEvent":
-        """Inverse of :meth:`to_dict`; validates kinds and sources."""
-        return cls(
-            kind=str(payload["kind"]),
-            level=int(payload["level"]),
-            cycle=int(payload["cycle"]),
-            variant=payload.get("variant"),
-            previous=payload.get("previous"),
-            estimates=dict(payload.get("estimates", {})),
-            window=(None if payload.get("window") is None
-                    else int(payload["window"])),
-            samples=tuple(float(s) for s in payload.get("samples", ())),
-            source=str(payload.get("source", "measured")),
-            reason=str(payload.get("reason", "")),
-        )
+        """Inverse of :meth:`to_dict`; validates kinds and sources, and
+        raises :class:`ValidationError` for a field missing or of the wrong
+        type (a trace is read from outside the program)."""
+        try:
+            return cls(
+                kind=str(payload["kind"]),
+                level=int(payload["level"]),
+                cycle=int(payload["cycle"]),
+                variant=payload.get("variant"),
+                previous=payload.get("previous"),
+                estimates=dict(payload.get("estimates", {})),
+                window=(None if payload.get("window") is None
+                        else int(payload["window"])),
+                samples=tuple(float(s) for s in payload.get("samples", ())),
+                source=str(payload.get("source", "measured")),
+                reason=str(payload.get("reason", "")),
+            )
+        except ValidationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"malformed decision event {payload!r}: "
+                f"{type(exc).__name__}: {exc}") from None
 
 
 class DecisionTrace:
@@ -206,8 +195,8 @@ class DecisionTrace:
         return list(selected)
 
     def levels(self) -> List[int]:
-        """Sorted levels that appear in the trace (recovery events excluded)."""
-        return sorted({e.level for e in self._events if e.level >= 0})
+        """Sorted levels that appear in the trace."""
+        return sorted({e.level for e in self._events})
 
     def committed(self, level: int) -> Optional[Variant]:
         """The level's latest choice (last seed/commit event), if any."""
@@ -234,19 +223,32 @@ class DecisionTrace:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "DecisionTrace":
-        """Rebuild a trace from :meth:`to_dict` output."""
+        """Rebuild a trace from :meth:`to_dict` output; anything else raises
+        :class:`ValidationError`."""
+        if not isinstance(payload, Mapping):
+            raise ValidationError(
+                f"a decision trace is a mapping, got {type(payload).__name__}")
         schema = payload.get("schema")
         if schema != TRACE_SCHEMA_VERSION:
             raise ValidationError(
                 f"unsupported decision-trace schema {schema!r} "
                 f"(this build reads version {TRACE_SCHEMA_VERSION})")
-        return cls([DecisionEvent.from_dict(event)
-                    for event in payload.get("events", [])])
+        events = payload.get("events", [])
+        if not isinstance(events, (list, tuple)) or not all(
+                isinstance(event, Mapping) for event in events):
+            raise ValidationError(
+                "a decision trace's events are a list of mappings")
+        return cls([DecisionEvent.from_dict(event) for event in events])
 
     @classmethod
     def from_json(cls, text: str) -> "DecisionTrace":
         """Rebuild a trace from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"decision trace is not JSON: {exc}") \
+                from None
+        return cls.from_dict(payload)
 
     # -- validation -----------------------------------------------------------
 
@@ -278,14 +280,61 @@ class DecisionTrace:
         """Human-readable one-line-per-event rendering (figure annotations)."""
         lines = []
         for event in self._events:
-            where = f"level {event.level}" if event.level >= 0 else "cycle-wide"
             what = event.variant or "-"
-            lines.append(f"[cycle {event.cycle:>3d}] {where}: "
+            lines.append(f"[cycle {event.cycle:>3d}] level {event.level}: "
                          f"{event.kind:<8s} {what:<14s} {event.reason}")
         return "\n".join(lines)
 
 
 # -- the selector --------------------------------------------------------------
+
+
+def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
+               candidates: Sequence[Variant] = DEFAULT_CANDIDATES,
+               cycle: int = 0, outcome: str) -> DecisionEvent:
+    """The ``seed`` event committing one level's modeled-cheapest candidate.
+
+    ``modeled`` gives the modeled seconds of every candidate, keyed by
+    variant or value; each must be finite and non-negative, or
+    :class:`ValidationError` is raised (a ``nan`` would otherwise decide the
+    commit silently).  Ties break on candidate order, and the reason names
+    the candidates the commit ties with; ``outcome`` ends it with what the
+    caller does with the commit.
+    """
+    estimates: Dict[str, float] = {}
+    for candidate in candidates:
+        value = modeled.get(candidate)
+        if value is None:
+            value = modeled.get(candidate.value)
+        if value is None:
+            raise ValidationError(
+                f"seed for level {level} lacks candidate {candidate.value!r}")
+        estimates[candidate.value] = _checked_seconds(
+            value, f"level {level}'s {candidate.value} estimate")
+    committed = min(candidates, key=lambda v: estimates[v.value])
+    tied = [candidate.value for candidate in candidates
+            if candidate != committed
+            and estimates[candidate.value] == estimates[committed.value]]
+    if len(tied) == len(candidates) - 1:    # no cheapest one to name
+        why = "every candidate's estimate ties; candidate order picked the " \
+              "commit"
+    elif tied:
+        why = (f"cost model's cheapest candidate, tied with "
+               f"{', '.join(tied)}; candidate order picked the commit")
+    else:
+        why = "cost model's cheapest candidate"
+    return DecisionEvent(kind="seed", level=level, cycle=cycle,
+                         variant=committed.value, estimates=estimates,
+                         source="model", reason=f"{why}; {outcome}")
+
+
+def _checked_seconds(value, what: str) -> float:
+    """``value`` as seconds: finite and non-negative, else it raises."""
+    seconds = float(value)
+    if not (math.isfinite(seconds) and seconds >= 0.0):
+        raise ValidationError(
+            f"{what} must be finite and non-negative seconds, got {seconds!r}")
+    return seconds
 
 
 class _LevelState:
@@ -294,11 +343,12 @@ class _LevelState:
     __slots__ = ("estimates", "committed", "probing", "queue", "samples",
                  "windows", "monitor", "pending", "active")
 
-    def __init__(self, estimates: Dict[Variant, float], committed: Variant):
+    def __init__(self, estimates: Dict[Variant, float], committed: Variant,
+                 candidates: Sequence[Variant]):
         self.estimates = estimates
         self.committed = committed
         self.probing = True
-        self.queue: List[Variant] = []
+        self.queue: List[Variant] = list(candidates)
         self.samples: List[float] = []
         #: last completed probe-window id per candidate.
         self.windows: Dict[Variant, int] = {}
@@ -313,23 +363,20 @@ class _LevelState:
 class OnlineSelector:
     """Seed → probe → commit state machine over the candidate variants.
 
-    Lifecycle per level: :meth:`seed` installs the cost model's choice and
-    schedules one probe window per candidate; each real cycle is bracketed
-    by :meth:`begin_cycle` / :meth:`end_cycle` with the caller feeding
-    measured seconds through :meth:`record`; after ``window`` cycles on a
-    candidate its median becomes the running estimate, and once every
-    candidate is measured the cheapest is committed (a ``switch`` event
-    marks a change from the current choice).  Committed levels keep a
+    Lifecycle per level: :meth:`seed` installs the cost model's choice
+    (:func:`seed_event`) and schedules one probe window per candidate;
+    each cycle is bracketed by :meth:`begin_cycle` / :meth:`end_cycle` with
+    the caller feeding seconds through :meth:`record`; after ``window``
+    cycles on a candidate its median becomes the running estimate, and once
+    every candidate is measured the cheapest is committed (a ``switch``
+    event marks a change from the current choice).  Committed levels keep a
     rolling median of their measurements; when it departs from the
     estimate by more than ``drift_factor`` (either direction) the level
     re-probes from scratch.
 
     The selector never reads a clock and ignores :meth:`record` calls
-    outside an open cycle (warm-ups, residual checks), so its decisions are
-    a pure function of the recorded values.  A cycle ended with
-    ``recovered=True`` — the engine retried or fell back mid-cycle — is
-    discarded wholesale: its timings include supervision stalls, not
-    protocol cost.
+    outside an open cycle, so its decisions are a pure function of the
+    recorded values.
     """
 
     def __init__(self, *, candidates: Sequence[Variant | str] = DEFAULT_CANDIDATES,
@@ -360,11 +407,6 @@ class OnlineSelector:
         """Cycles a level needs to measure every candidate once."""
         return len(self.candidates) * self.window
 
-    @property
-    def cycles(self) -> int:
-        """Completed (non-discarded and discarded) cycles so far."""
-        return self._cycle
-
     def seeded_levels(self) -> Tuple[int, ...]:
         """Levels under management, sorted."""
         return tuple(sorted(self._levels))
@@ -387,11 +429,6 @@ class OnlineSelector:
         except KeyError:
             raise ValidationError(f"level {level} was never seeded") from None
 
-    def _argmin(self, estimates: Mapping[Variant, float]) -> Variant:
-        """Cheapest candidate; ties break on candidate order (deterministic)."""
-        return min(self.candidates,
-                   key=lambda v: (estimates[v], self.candidates.index(v)))
-
     def _snapshot(self, state: _LevelState) -> Dict[str, float]:
         return {variant.value: float(seconds)
                 for variant, seconds in state.estimates.items()}
@@ -401,38 +438,24 @@ class OnlineSelector:
     def seed(self, level: int, modeled: Mapping[Variant | str, float]) -> None:
         """Install the cost model's estimates and choice for one level.
 
-        ``modeled`` must provide a (modeled) seconds value for every
-        candidate; the cheapest becomes the level's initial committed
-        variant and a full probe schedule is queued so every candidate gets
-        measured before the first empirical commit.
+        ``modeled`` must provide a finite, non-negative (modeled) seconds
+        value for every candidate; the cheapest becomes the level's initial
+        committed variant and a full probe schedule is queued so every
+        candidate gets measured before the first empirical commit.
         """
         level = int(level)
         if level in self._levels:
             raise ValidationError(f"level {level} is already seeded")
         if self._in_cycle:
             raise ValidationError("cannot seed a level inside an open cycle")
-        estimates: Dict[Variant, float] = {}
-        for candidate in self.candidates:
-            value = modeled.get(candidate)
-            if value is None:
-                value = modeled.get(candidate.value)
-            if value is None:
-                raise ValidationError(
-                    f"seed for level {level} lacks candidate "
-                    f"{candidate.value!r}")
-            estimates[candidate] = float(value)
-        committed = self._argmin(estimates)
-        state = _LevelState(estimates, committed)
-        state.queue = list(self.candidates)
-        self._levels[level] = state
-        # Equal estimates (all zero without a model) name no cheapest one.
-        why = ("every candidate's estimate ties; candidate order picked the "
-               "commit" if len(set(estimates.values())) == 1
-               else "cost model's cheapest candidate")
-        self.trace.append(DecisionEvent(
-            kind="seed", level=level, cycle=self._cycle,
-            variant=committed.value, estimates=self._snapshot(state),
-            source="model", reason=f"{why}; full probe schedule queued"))
+        event = seed_event(level, modeled, candidates=self.candidates,
+                           cycle=self._cycle,
+                           outcome="full probe schedule queued")
+        self._levels[level] = _LevelState(
+            {candidate: event.estimates[candidate.value]
+             for candidate in self.candidates},
+            Variant(event.variant), self.candidates)
+        self.trace.append(event)
 
     def variant_for(self, level: int) -> Variant:
         """The variant the level should execute on the next/current cycle."""
@@ -452,54 +475,27 @@ class OnlineSelector:
                             else state.committed)
 
     def record(self, level: int, seconds: float) -> None:
-        """Attribute measured seconds to a level of the open cycle.
+        """Attribute seconds to a level of the open cycle.
 
-        Silently ignored outside an open cycle (warm-ups, residual-norm
-        exchanges) and for levels the selector does not manage.
+        ``seconds`` must be finite and non-negative.  Silently ignored
+        outside an open cycle and for levels the selector does not manage.
         """
+        seconds = _checked_seconds(seconds, f"level {level}'s recorded time")
         if not self._in_cycle:
             return
         state = self._levels.get(int(level))
         if state is None:
             return
-        seconds = float(seconds)
-        if seconds < 0.0:
-            raise ValidationError("measured seconds must be non-negative")
         state.pending = seconds if state.pending is None \
             else state.pending + seconds
 
-    def abort_cycle(self) -> None:
-        """Close an open cycle without consuming its measurements.
-
-        For error paths: the cycle neither advances probe windows nor
-        counts toward the cycle index, and no event is recorded.
-        """
-        if not self._in_cycle:
-            return
-        self._in_cycle = False
-        for state in self._levels.values():
-            state.pending = None
-
-    def end_cycle(self, *, recovered: bool = False) -> None:
-        """Close the cycle and fold its measurements into the estimates.
-
-        ``recovered=True`` discards every measurement of the cycle (they
-        include fault-supervision stalls) and records a ``recovery`` event;
-        probe windows stay open and re-measure on the next clean cycle.
-        """
+    def end_cycle(self) -> None:
+        """Close the cycle and fold its measurements into the estimates."""
         if not self._in_cycle:
             raise ValidationError("no measurement cycle is open")
         self._in_cycle = False
         cycle = self._cycle
         self._cycle += 1
-        if recovered:
-            for state in self._levels.values():
-                state.pending = None
-            self.trace.append(DecisionEvent(
-                kind="recovery", level=-1, cycle=cycle, source="runtime",
-                reason="engine recovery overlapped this cycle; its "
-                       "measurements were discarded"))
-            return
         for level in sorted(self._levels):
             state = self._levels[level]
             sample = state.pending
@@ -534,7 +530,7 @@ class OnlineSelector:
             self._commit(level, state, cycle)
 
     def _commit(self, level: int, state: _LevelState, cycle: int) -> None:
-        best = self._argmin(state.estimates)
+        best = min(self.candidates, key=state.estimates.__getitem__)
         window_id = state.windows[best]
         previous = state.committed
         self.trace.append(DecisionEvent(

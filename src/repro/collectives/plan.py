@@ -41,7 +41,7 @@ from repro.utils.arrays import (
     frozen_copy_on_write,
     run_starts_mask,
 )
-from repro.utils.errors import PlanError
+from repro.utils.errors import PlanError, ValidationError
 
 
 class Variant(str, enum.Enum):
@@ -55,6 +55,12 @@ class Variant(str, enum.Enum):
     PARTIAL = "partial"
     #: Aggregation plus duplicate removal via the index extension (Section 3.3).
     FULL = "full"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(
+            f"variant must be one of {tuple(v.value for v in cls)}, "
+            f"got {value!r}")
 
 
 class Phase(str, enum.Enum):

@@ -568,6 +568,25 @@ class CommPattern:
             self.n_ranks, *columns, item_bytes=self.item_bytes,
             dtype=self.dtype, item_size=self.item_size)
 
+    def __getstate__(self):
+        """Pickle the metadata, the CSR columns and ``owned_keys`` only.
+
+        Every other cache is derived and rebuilds on first use.
+        ``owned_keys`` stays: a plan's phase tables share its arrays, so a
+        pickled plan stores them once, and the loaded tables share them
+        again.
+        """
+        state = self.__dict__.copy()
+        state.update(_edge_srcs=None, _item_views=None, _item_view_cache={},
+                     _recv_csr=None, _edge_lists=None, _edge_arrays=None,
+                     _unique_edges=None)
+        return state
+
+    def __setstate__(self, state):
+        # The content hash is a hash of bytes, which differs between
+        # processes: a loaded pattern computes its own.
+        self.__dict__.update(state, _hash=None)
+
     # -- comparison / utilities -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

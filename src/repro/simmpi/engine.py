@@ -56,7 +56,6 @@ free of dependencies on :mod:`repro.collectives` (compilation lives there, in
 from __future__ import annotations
 
 import os
-import time
 import weakref
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -234,12 +233,6 @@ class ExchangeEngine:
     ``retry_backoff`` shape the retry schedule, and ``fault_plan`` injects
     deterministic chaos (:mod:`repro.simmpi.faults`, ``REPRO_FAULTS``).
     Every supervision decision is recorded in :attr:`events`.
-
-    ``clock`` supplies the timestamps of the per-round timing hook
-    (:meth:`set_run_observer`, used by the online autotuner); the default is
-    ``time.perf_counter``, and injecting a deterministic clock makes timed
-    runs bit-reproducible.  The clock is only consulted while an observer
-    is attached — the plain data path never reads it.
     """
 
     def __init__(self, n_ranks: int, *, profiler: TrafficProfiler | None = None,
@@ -247,8 +240,7 @@ class ExchangeEngine:
                  on_failure: str | None = None,
                  timeout: float | None = None, max_retries: int = 2,
                  retry_backoff: float = 0.05,
-                 fault_plan: "FaultPlan | None" = None,
-                 clock=None):
+                 fault_plan: "FaultPlan | None" = None):
         if isinstance(n_ranks, (int, np.integer)) and n_ranks <= 0:
             raise ValidationError("an exchange engine needs at least one rank")
         # A float, bool or string is rejected, never truncated.
@@ -282,8 +274,6 @@ class ExchangeEngine:
         self._pool_failed = False
         self._events: List["RecoveryEvent"] = []
         self._finalizer = None
-        self._clock = clock if clock is not None else time.perf_counter
-        self._run_observer = None
         if runtime == "procs":
             from repro.simmpi.procs import ProcsPool, default_worker_count
 
@@ -339,7 +329,6 @@ class ExchangeEngine:
         self._programs.clear()      # drop the views of the pool's segments
         if self._finalizer is not None:
             self._finalizer()       # ProcsPool.close: the backstop, spent here
-        self._run_observer = None
 
     def __enter__(self) -> "ExchangeEngine":
         return self
@@ -449,17 +438,6 @@ class ExchangeEngine:
 
     # -- per-iteration execution ----------------------------------------------
 
-    def set_run_observer(self, observer) -> None:
-        """Attach (or with ``None`` detach) the per-round timing hook.
-
-        While attached, every :meth:`run` is bracketed by two readings of
-        the engine's clock and ``observer(handle, seconds)`` is called with
-        the elapsed wall time of the round — retries, fallbacks, and serial
-        completion included, which is exactly what an online autotuner must
-        see.  One observer per engine; setting a new one replaces the old.
-        """
-        self._run_observer = observer
-
     def run(self, handle: int, values: WorldValues) -> np.ndarray:
         """Execute one full exchange round for every rank (start + wait).
 
@@ -482,19 +460,10 @@ class ExchangeEngine:
         and the return is the engine's round buffer, read-only and valid until
         the handle's next round: entries ``[:n]`` are the vector, entry
         ``halo_rows(handle)[k]`` the value of ``world.result_items_all[k]``.
-        """
-        observer = self._run_observer
-        if observer is None:
-            return self._execute(handle, values)
-        start = self._clock()
-        result = self._execute(handle, values)
-        observer(handle, self._clock() - start)
-        return result
 
-    def _execute(self, handle: int, values: WorldValues) -> np.ndarray:
-        """One exchange round, untimed (the body :meth:`run` wraps): load the
-        head, run the receive step — on the pool, else here — account every
-        send phase, and return the result."""
+        The round loads the head, runs the receive step — on the pool, else
+        here — and accounts every send phase.
+        """
         self._check_open()
         state = self._program(handle)
         work, head = state.work, state.head

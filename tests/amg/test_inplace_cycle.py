@@ -275,7 +275,7 @@ def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
     x0 = rng.standard_normal(1600)
 
     def counted_world_cycle(n_ranks):
-        """The iterate and ``(_execute, take, _checked_steps, all)`` calls
+        """The iterate and ``(run, take, _checked_steps, all)`` calls
         of one cycle."""
         matrix = ParCSRMatrix(stencil, RowPartition.even(1600, n_ranks))
         hierarchy = build_hierarchy(matrix, seed=1)
@@ -292,12 +292,12 @@ def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
 
             counts = tuple(
                 count_calls(cycle, of=of) for of in (
-                    [ExchangeEngine._execute], [np.ndarray.take],
+                    [ExchangeEngine.run], [np.ndarray.take],
                     [engine_module._checked_steps], None))
             exchanges = [operator.collective.world for level in world.levels
                          for operator in (level.spmv,) * 3
                          + (level.restrict, level.prolong)]
-            coarse = world._coarse_active()
+            coarse = world._coarse_collective
             exchanges += [coarse.world] if coarse is not None else []
         assert len(exchanges) == 5 * (hierarchy.n_levels - 1) + (coarse is not None)
         assert counts[:3] == (len(exchanges), len(exchanges), 0)
@@ -323,9 +323,10 @@ def test_solve_hands_its_checked_residual_to_the_next_cycle(
     sweep's: a steady iteration makes ``(sweeps + 3) × (levels − 1) + 1``
     engine rounds — 5 per smoothed level and the coarse gather, with one
     sweep each way — where checking and cycling apart make one more.  With
-    no pre-sweep there is nothing to hand over, and under ``"auto"`` each
-    cycle is a timing window that keeps every product.  Either way the
-    solve is the sequential solver's to the bit."""
+    no pre-sweep there is nothing to hand over.  ``"auto"`` commits each
+    level's variant at set-up, so its cycle is a fixed-variant cycle and
+    hands over the same.  Either way the solve is the sequential solver's
+    to the bit."""
     matrix, hierarchy = _hierarchy()
     levels = hierarchy.n_levels
     b = rng.standard_normal(matrix.n_rows)
@@ -333,9 +334,9 @@ def test_solve_hands_its_checked_residual_to_the_next_cycle(
                         hierarchy=hierarchy, variant=variant,
                         pre_sweeps=pre_sweeps) as solver:
         rounds = [count_calls(solver.solve, b, tol=0.0, max_iterations=k,
-                              of=[ExchangeEngine._execute]) for k in (3, 4)]
+                              of=[ExchangeEngine.run]) for k in (3, 4)]
         result = solver.solve(b, tol=1e-8, max_iterations=60)
-    handed = pre_sweeps > 0 and variant != "auto"
+    handed = pre_sweeps > 0
     assert rounds[1] - rounds[0] == \
         (pre_sweeps + 1 + 3) * (levels - 1) + 1 + (not handed)
     expected = BoomerAMGSolver(matrix, hierarchy=hierarchy,

@@ -252,3 +252,21 @@ def test_vcycle_validation():
     # with a clear error, not deep inside the planner.
     with pytest.raises(ValidationError, match="mapping covers"):
         WorldVCycle(hierarchy, paper_mapping(4, ranks_per_node=4))
+
+
+@pytest.mark.parametrize("variant", ["bogus", "Partial", 3])
+def test_an_unknown_variant_is_a_validation_error_naming_the_accepted_ones(
+        variant):
+    """Every entry point refuses a variant it cannot parse with a
+    :class:`ValidationError` (a ``ReproError``) that lists what it takes:
+    the solve path ``"auto"`` and the protocols, the planner the protocols.
+    """
+    matrix, hierarchy = _build("poisson_even")
+    mapping = paper_mapping(N_RANKS, ranks_per_node=4)
+    protocols = r"\('point_to_point', 'standard', 'partial', 'full'\)"
+    with pytest.raises(ValidationError, match=rf"'auto' or one of {protocols}"):
+        WorldVCycle(hierarchy, mapping, variant=variant)
+    with pytest.raises(ValidationError, match=rf"'auto' or one of {protocols}"):
+        WorldAMGSolver(matrix, mapping, hierarchy=hierarchy, variant=variant)
+    with pytest.raises(ValidationError, match=f"one of {protocols}"):
+        make_plan(pattern_from_parcsr(matrix), mapping, variant)

@@ -6,12 +6,15 @@ tests) rely on:
 * the dict/JSON serialisation schema of :class:`DecisionEvent` and
   :class:`DecisionTrace` — exact key set, canonical JSON, version stamp,
   lossless round-trip;
+* the modeled commit of ``variant="auto"`` — each level's argmin of the
+  cost model over every candidate's plans, computed here independently,
+  with only the committed variant compiled;
 * trace *byte-identity* across execution runtimes: the same auto solve on
-  ``"engine"`` and ``"procs"`` with a :class:`FixedStepClock` must produce
-  the identical ``to_json()`` string (the selector is a pure function of
-  its recorded values);
+  ``"engine"`` and ``"procs"`` must produce the identical ``to_json()``
+  string (the commit is made at set-up, before any round runs);
 * :meth:`DecisionTrace.validate` — every commit/switch must reference a
   probe window that actually ran for that level, and tampering is caught;
+  malformed input raises :class:`ValidationError`;
 * solver equivalence — an auto solve is byte-identical to the fixed-variant
   solves it arbitrates between (variant choice changes time, never bytes).
 """
@@ -19,21 +22,29 @@ tests) rely on:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.amg.hierarchy import build_hierarchy
-from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
+from repro.collectives import exchange as exchange_module
+from repro.collectives import plan_cache
 from repro.collectives.autotune import (
+    DEFAULT_CANDIDATES,
     TRACE_SCHEMA_VERSION,
     DecisionEvent,
     DecisionTrace,
-    FixedStepClock,
     OnlineSelector,
     simulate_modeled_auto,
 )
 from repro.collectives.plan import Variant
+from repro.collectives.planner import all_plans
+from repro.perfmodel.base import CostModel
+from repro.perfmodel.params import lassen_parameters
+from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.sparse.generators import strong_scaling_problem
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import poisson_2d
@@ -60,6 +71,19 @@ def _problem():
     return matrix, hierarchy, mapping
 
 
+class _FlatModel(CostModel):
+    """A stub cost model: every phase costs ``seconds``, whatever it moves."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def message_time(self, nbytes, locality) -> float:
+        return self.seconds
+
+    def phase_time(self, per_process) -> float:
+        return self.seconds
+
+
 class TestEventSchema:
     def test_event_dict_key_set_is_pinned(self):
         sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
@@ -84,18 +108,32 @@ class TestEventSchema:
         }
 
     def test_seed_reason_without_a_model_says_the_estimates_tie(self):
-        """With no ``model=`` every seed estimate is 0.0: no candidate is
-        cheapest, so the reason names the tie and candidate order."""
+        """Equal estimates name no cheapest candidate, so the reason names
+        the tie and candidate order — in the simulation and on the solve
+        path, where a model pricing every plan alike ties every level."""
+        tie = "every candidate's estimate ties; candidate order picked the " \
+              "commit"
+        sim = simulate_modeled_auto([dict.fromkeys(DEFAULT_CANDIDATES, 1.0)])
+        assert sim.trace[0].variant == DEFAULT_CANDIDATES[0].value
+        assert sim.trace[0].reason == f"{tie}; full probe schedule queued"
         matrix, hierarchy, mapping = _problem()
-        with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
+        with WorldVCycle(hierarchy, mapping, variant="auto",
+                         model=_FlatModel(0.0)) as vcycle:
             seeds = vcycle.decision_trace.events(kind="seed")
-        assert len(seeds) == hierarchy.n_levels
+        assert len(seeds) == len(vcycle.decision_trace) == hierarchy.n_levels
         for event in seeds:
             assert set(event.estimates.values()) == {0.0}
-            assert event.variant == vcycle.selector.candidates[0].value
-            assert event.reason == (
-                "every candidate's estimate ties; candidate order picked the "
-                "commit; full probe schedule queued")
+            assert event.variant == DEFAULT_CANDIDATES[0].value
+            assert event.reason == f"{tie}; committed at set-up for the solve"
+
+    def test_seed_reason_names_the_candidates_a_commit_ties_with(self):
+        sim = simulate_modeled_auto([{Variant.STANDARD: 2.0,
+                                      Variant.PARTIAL: 1.0,
+                                      Variant.FULL: 1.0}])
+        assert sim.trace[0].variant == "partial"
+        assert sim.trace[0].reason == (
+            "cost model's cheapest candidate, tied with full; candidate "
+            "order picked the commit; full probe schedule queued")
 
     def test_event_round_trip_is_lossless(self):
         sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
@@ -130,6 +168,35 @@ class TestTraceSerialisation:
         payload["schema"] = TRACE_SCHEMA_VERSION + 1
         with pytest.raises(ValidationError):
             DecisionTrace.from_dict(payload)
+
+    @staticmethod
+    def _payload(**changes):
+        """A one-event trace dict with the event's fields ``changes``d
+        (``None`` drops a field)."""
+        event = simulate_modeled_auto(LEVEL_TIMES, window=1).trace[0].to_dict()
+        event.update(changes)
+        return {"schema": TRACE_SCHEMA_VERSION,
+                "events": [{key: value for key, value in event.items()
+                            if value is not None or key not in changes}]}
+
+    def test_an_event_without_a_kind_is_rejected(self):
+        with pytest.raises(ValidationError, match="malformed decision event"):
+            DecisionTrace.from_dict(self._payload(kind=None))
+
+    def test_a_non_integer_level_is_rejected(self):
+        with pytest.raises(ValidationError, match="malformed decision event"):
+            DecisionTrace.from_dict(self._payload(level="x"))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"trace"', "{"])
+    def test_json_that_is_not_a_trace_object_is_rejected(self, text):
+        with pytest.raises(ValidationError):
+            DecisionTrace.from_json(text)
+
+    def test_events_that_are_not_a_list_of_objects_are_rejected(self):
+        for events in ({"kind": "seed"}, ["seed"]):
+            with pytest.raises(ValidationError, match="list of mappings"):
+                DecisionTrace.from_dict({"schema": TRACE_SCHEMA_VERSION,
+                                         "events": events})
 
 
 class TestTraceValidation:
@@ -176,25 +243,133 @@ class TestTraceValidation:
             bad.validate()
 
 
+class TestModeledCommit:
+    """``variant="auto"`` commits each level's modeled argmin at set-up."""
+
+    @staticmethod
+    def _oracle(hierarchy, mapping, model, sweeps):
+        """Each level's ``(estimates, argmin)``, from ``all_plans`` and
+        ``modeled_time``: ``sweeps·A + Pᵀ + P`` per smoothed level, the
+        coarse gather on the coarsest."""
+        def argmin(modeled):
+            return modeled, min(DEFAULT_CANDIDATES, key=modeled.__getitem__)
+
+        levels = []
+        for index in range(hierarchy.n_levels - 1):
+            a, r, p = (all_plans(pattern_from_parcsr(operator), mapping)
+                       for operator in (hierarchy.levels[index].matrix,
+                                        hierarchy.restriction_matrix(index),
+                                        hierarchy.prolongation_matrix(index)))
+            levels.append(argmin({
+                v: sweeps * a[v].modeled_time(model) + r[v].modeled_time(model)
+                + p[v].modeled_time(model) for v in DEFAULT_CANDIDATES}))
+        gather = all_plans(coarse_gather_pattern(
+            hierarchy.levels[-1].matrix.partition), mapping)
+        levels.append(argmin({v: gather[v].modeled_time(model)
+                              for v in DEFAULT_CANDIDATES}))
+        return levels
+
+    def test_amg_solve_256_commits_the_modeled_argmin_of_every_level(self):
+        """65 536 rows on 256 ranks, 16 per node, no ``model=``: the
+        default is the Lassen model at 16 ranks per node.  Several
+        partial / full pairs differ only in the last digits, so the commit
+        is checked against the oracle's argmin, not only the pinned list."""
+        problem = strong_scaling_problem(65536, 256, epsilon=0.001,
+                                         theta=math.pi / 4.0)
+        hierarchy = build_hierarchy(problem.matrix)
+        mapping = paper_mapping(256, ranks_per_node=16)
+        traces = []
+        for _ in range(2):
+            with WorldVCycle(hierarchy, mapping, variant="auto",
+                             runtime="engine") as vcycle:
+                traces.append(vcycle.decision_trace)
+        assert traces[0].to_json() == traces[1].to_json()
+        oracle = self._oracle(hierarchy, mapping,
+                              lassen_parameters(active_per_node=16), sweeps=3)
+        trace = traces[0]
+        assert [event.kind for event in trace] == ["seed"] * len(oracle)
+        for level, (event, (modeled, best)) in enumerate(zip(trace, oracle)):
+            assert (event.level, event.source) == (level, "model")
+            assert event.estimates == {v.value: t for v, t in modeled.items()}
+            assert event.variant == best.value
+            assert event.reason.endswith("; committed at set-up for the solve")
+        assert [trace.committed(level).value for level in trace.levels()] == [
+            "standard", "full", "partial", "full", "full", "full", "full",
+            "partial", "full", "full"]
+        trace.validate()
+
+    def test_each_level_runs_and_compiles_only_its_committed_variant(
+            self, count_calls, monkeypatch):
+        """One compile per exchange, as many as a fixed variant makes, and
+        every exchange of a level on the level's commit."""
+        monkeypatch.delenv(plan_cache.ENV_VAR, raising=False)
+        matrix, hierarchy, mapping = _problem()
+        compiles = {}
+        for variant in ("auto", Variant.PARTIAL):
+            plan_cache.clear_plan_cache()
+            compiles[variant] = count_calls(
+                lambda: WorldVCycle(hierarchy, mapping, variant=variant,
+                                    runtime="engine").close(),
+                of=[exchange_module.compile_world_exchange])
+        plan_cache.clear_plan_cache()
+        with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
+            choices = vcycle.decision_trace.choices()
+            for index, level in enumerate(vcycle.levels):
+                assert {operator.collective.plan.variant for operator in (
+                    level.spmv, level.restrict, level.prolong)} == \
+                    {choices[index]}
+            assert vcycle._coarse_collective.plan.variant == \
+                choices[hierarchy.n_levels - 1]
+        assert compiles["auto"] == compiles[Variant.PARTIAL] == \
+            3 * (hierarchy.n_levels - 1) + 1
+
+    def test_model_prices_the_commit(self):
+        """``model=`` replaces the default: a model pricing every phase
+        alike makes the one-phase standard plan the cheapest on every
+        level, where the default commits ``full`` on the coarsest."""
+        matrix, hierarchy, mapping = _problem()
+        for model, coarsest in ((None, "full"), (_FlatModel(1e-6), "standard")):
+            with WorldVCycle(hierarchy, mapping, variant="auto",
+                             model=model) as vcycle:
+                trace = vcycle.decision_trace
+            assert [event.variant for event in trace] == \
+                ["standard"] * (hierarchy.n_levels - 1) + [coarsest]
+        oracle = self._oracle(hierarchy, mapping, _FlatModel(1e-6), sweeps=3)
+        assert [event.estimates for event in trace] == [
+            {v.value: t for v, t in modeled.items()} for modeled, _ in oracle]
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_a_model_that_prices_a_plan_non_finite_is_refused(self, seconds):
+        matrix, hierarchy, mapping = _problem()
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            WorldVCycle(hierarchy, mapping, variant="auto",
+                        model=_FlatModel(seconds))
+
+    def test_model_without_auto_is_refused(self):
+        matrix, hierarchy, mapping = _problem()
+        with pytest.raises(ValidationError, match="variant='auto'"):
+            WorldVCycle(hierarchy, mapping, variant=Variant.FULL,
+                        model=lassen_parameters())
+
+
 class TestRuntimeByteIdentity:
     def _run(self, runtime: str, n_workers=None):
         matrix, hierarchy, mapping = _problem()
         b = np.ones(matrix.n_rows, dtype=np.float64)
-        with WorldVCycle(hierarchy, mapping, variant="auto",
-                         selector=OnlineSelector(window=1),
-                         clock=FixedStepClock(), runtime=runtime,
+        with WorldVCycle(hierarchy, mapping, variant="auto", runtime=runtime,
                          n_workers=n_workers) as vcycle:
             x = np.zeros(matrix.n_rows, dtype=np.float64)
-            for _ in range(vcycle.selector.probe_budget + 2):
+            for _ in range(4):
                 x = vcycle.cycle(b, x)
             return x, vcycle.decision_trace
 
     def test_trace_byte_identical_across_runtimes(self):
-        """Engine vs procs: identical measurements (FixedStepClock), hence
-        identical decisions, hence the same canonical JSON byte string."""
+        """Engine vs procs: the same commits, hence the same canonical JSON
+        byte string, and the same iterate."""
         x_engine, trace_engine = self._run("engine")
         x_procs, trace_procs = self._run("procs", n_workers=2)
         assert np.array_equal(x_engine, x_procs)
+        assert trace_engine.choices() == trace_procs.choices()
         assert trace_engine.to_json() == trace_procs.to_json()
         trace_engine.validate()
 
@@ -209,8 +384,7 @@ class TestSolverEquivalence:
                                 variant=variant, **kwargs) as solver:
                 return solver.solve(b, max_iterations=6, tol=0.0)
 
-        auto = solve("auto", selector=OnlineSelector(window=1),
-                     clock=FixedStepClock())
+        auto = solve("auto")
         assert auto.decision_trace is not None
         auto.decision_trace.validate()
         assert auto.decision_trace.choices()  # every level justified

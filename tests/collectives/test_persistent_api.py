@@ -204,7 +204,7 @@ class TestApiValidation:
 
     def test_unknown_variant_rejected(self, small_mapping):
         pattern = pattern_from_edges(2, [(0, 1, [1])])
-        with pytest.raises(ValueError, match="not a valid Variant"):
+        with pytest.raises(ValidationError, match="variant must be one of"):
             neighbor_alltoallv_init_world(pattern, small_mapping, variant="bogus")
 
     def test_pattern_wider_than_shared_engine_rejected(self):

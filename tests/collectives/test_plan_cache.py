@@ -190,6 +190,34 @@ def test_disk_round_trip_byte_identical(pattern, mapping, monkeypatch,
     assert plan_cache_stats()["disk_hits"] >= 2
 
 
+def test_a_plan_loaded_from_disk_shares_its_patterns_key_table(
+        mapping, monkeypatch, tmp_path):
+    """A pattern pickles its CSR columns and ``owned_keys``, not its other
+    derived caches: a planned pattern's pickle is no larger than those
+    arrays, loads back equal, and a plan read from the disk tier still
+    gathers its phase tables through its pattern's own key table."""
+    pattern = halo_exchange_pattern((4, 4), width=2)
+    enable_disk(monkeypatch, tmp_path)
+    plan = make_plan(pattern, mapping, Variant.FULL)
+    pattern.edge_arrays(), pattern.edge_lists(), pattern.recv_map(0)
+    kept = sum(column.nbytes for column in pattern.csr() + pattern.owned_keys())
+    # 2 KiB for pickle framing and metadata; the expanded edge arrays alone
+    # are 36 KiB here.
+    assert sum(column.nbytes for column in pattern.edge_arrays()) > 16 * 2048
+    assert len(pickle.dumps(pattern)) <= kept + 2048
+    twin = pickle.loads(pickle.dumps(pattern))
+    assert twin == pattern and hash(twin) == hash(pattern)
+
+    clear_plan_cache()  # a fresh process: memory gone, disk remains
+    warm = make_plan(pattern, mapping, Variant.FULL)
+    assert warm is not plan and warm.pattern == pattern
+    holders, items, _ = warm.pattern.owned_keys()
+    for table in warm.phases.values():
+        assert np.shares_memory(table.key_holders, holders)
+        assert np.shares_memory(table.key_items, items)
+    assert plan_cache_stats()["disk_hits"] >= 1
+
+
 def test_corrupted_disk_entry_discarded_then_recompiled(pattern, mapping,
                                                         monkeypatch,
                                                         tmp_path):

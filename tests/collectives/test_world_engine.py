@@ -358,7 +358,7 @@ def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(
     ``ExchangeEngine``, on the default runtime.  Clock-free: every rank's
     result must be byte-equal to the closed-form oracle (the value its
     source owns of every received item), and what makes the engine fast is
-    counted — a round is one ``_execute`` and one ``take`` in the parent,
+    counted — a round is one ``run`` and one ``take`` in the parent,
     the output gather from the owned rows, whatever the variant and however
     many hops it composes, and whatever the rank or message count.
     """
@@ -387,58 +387,8 @@ def test_world_round_makes_one_execute_and_one_take_at_1024_ranks(
         state = engine._programs[collective.handle]
         assert state.work.shape[0] == collective.world.owned_items_all.size
         counts = [count_calls(engine_round, of=of)
-                  for of in ([ExchangeEngine._execute], [np.ndarray.take])]
+                  for of in ([ExchangeEngine.run], [np.ndarray.take])]
         assert counts == [1, 1]
-
-
-class TestRunObserver:
-    """The per-round timing hook reads the engine's clock, and only it."""
-
-    @staticmethod
-    def _collectives(engine, n_ranks=6):
-        mapping = paper_mapping(n_ranks, ranks_per_node=3)
-        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=2)
-        return [neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
-                                              engine=engine)
-                for variant in (Variant.STANDARD, Variant.FULL)]
-
-    def test_observer_sees_each_round_on_the_engine_clock(self):
-        ticks = iter([1.0, 1.25, 2.0, 2.5, 3.0, 4.0])
-        engine = ExchangeEngine(6, clock=lambda: next(ticks))
-        first, second = self._collectives(engine)
-        seen = []
-        engine.set_run_observer(lambda handle, seconds: seen.append(
-            (handle, seconds)))
-        for collective in (first, second, first):
-            results = collective.exchange(_rank_values(collective))
-            _assert_results(results, _oracle_results(collective))
-        assert seen == [(first.handle, 0.25), (second.handle, 0.5),
-                        (first.handle, 1.0)]
-
-    def test_clock_is_read_only_while_observed(self):
-        def clock():
-            raise AssertionError("the data path read the clock")
-
-        engine = ExchangeEngine(6, clock=clock)
-        collective = self._collectives(engine)[0]
-        collective.exchange(_rank_values(collective))
-        engine.set_run_observer(lambda handle, seconds: None)
-        with pytest.raises(AssertionError, match="read the clock"):
-            collective.exchange(_rank_values(collective))
-        engine.set_run_observer(None)
-        results = collective.exchange(_rank_values(collective))
-        _assert_results(results, _oracle_results(collective))
-
-    def test_a_new_observer_replaces_the_old(self):
-        ticks = iter(range(100))
-        engine = ExchangeEngine(6, clock=lambda: float(next(ticks)))
-        collective = self._collectives(engine)[0]
-        old, new = [], []
-        engine.set_run_observer(lambda handle, seconds: old.append(seconds))
-        collective.exchange(_rank_values(collective))
-        engine.set_run_observer(lambda handle, seconds: new.append(seconds))
-        collective.exchange(_rank_values(collective))
-        assert (old, new) == ([1.0], [1.0])
 
 
 class TestFlatPath:

@@ -6,10 +6,14 @@ envelope-routed simulator (mailbox fabric, requests, communicators, the
 SPMD world, graph communicators) and the per-rank collective built on it
 were deleted.  So was a plan's per-message object form: a plan is only its
 phase-table columns, with no slot tuples, message-list input, per-rank
-message accessors, dict delivery multisets or slot-list helpers.  This guard
-keeps both deleted: it fails if one of the runtime's module files exists
-again, or if any module under ``src/``, ``examples/`` or ``bench/`` defines,
-imports or references one of the deleted names.
+message accessors, dict delivery multisets or slot-list helpers.  Nor does
+the solve path time its rounds: ``variant="auto"`` commits each level's
+variant from the cost model at set-up, and the engine's per-round timing
+hook, the deterministic clock fed to it and the per-cycle measurement
+window were deleted.  This guard keeps all three deleted: it fails if one
+of the runtime's module files exists again, or if any module under
+``src/``, ``examples/`` or ``bench/`` defines, imports or references one of
+the deleted names.
 """
 
 from __future__ import annotations
@@ -45,7 +49,11 @@ PLAN_OBJECT_NAMES = {"Slot", "from_slots", "to_slots", "from_table", "_fill",
                      "dedup_savings_fraction", "_pair_columns",
                      "neighbor_lists", "_RowMap"}
 
-DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES
+#: Names of the deleted wall-clock autotuning hooks of the solve path.
+CLOCK_HOOK_NAMES = {"set_run_observer", "FixedStepClock", "abort_cycle",
+                    "_attach_observers", "_make_observer", "_recovery_events"}
+
+DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES
 
 _DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
 
@@ -132,6 +140,9 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "plan.messages_from(0)",
     "class _RowMap:\n    pass",
     "from repro.pattern import neighbor_lists",
+    "engine.set_run_observer(None)",
+    "from repro.collectives.autotune import FixedStepClock",
+    "def _recovery_events(self):\n    return 0",
     """
     def later():
         from repro.simmpi.world import helper
@@ -150,6 +161,7 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.plan import PhaseTable, PlannedMessage, SlotTable",
     "from repro.collectives.dedup import unique_keys_segmented",
     "np.take(work, rows, axis=0)",
+    "from repro.collectives.autotune import OnlineSelector, seed_event",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)

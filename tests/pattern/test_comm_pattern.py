@@ -1,5 +1,10 @@
 """Unit tests for CommPattern and its builders."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,3 +265,23 @@ def test_pattern_from_edges_makes_as_many_calls_with_4x_the_items(count_calls):
                           pattern_from_edges(n_ranks, edges).edge_arrays())
               for edges in (triples, longer)]
     assert counts[0] == counts[1], counts
+
+
+def test_a_pickled_pattern_hashes_like_an_equal_one_in_another_process():
+    """A pattern's hash is a hash of bytes, which differs between processes:
+    a pickle must not carry it, or a pattern loaded elsewhere (the disk plan
+    cache) equals a fresh one yet misses it as a dict key."""
+    pattern = halo_exchange_pattern((4, 4))
+    hash(pattern)
+    code = ("import pickle, sys\n"
+            "from repro.pattern.builders import halo_exchange_pattern\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = halo_exchange_pattern((4, 4))\n"
+            "print(loaded == fresh, {fresh: 1}.get(loaded))\n")
+    env = dict(os.environ, PYTHONHASHSEED="123",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code],
+                            input=pickle.dumps(pattern), capture_output=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().split() == ["True", "1"]

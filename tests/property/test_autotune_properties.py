@@ -9,13 +9,13 @@ The invariants ISSUE 9 pins:
   per-level cheapest candidate, so the steady per-iteration cost equals the
   oracle's (sum of per-level minima), never worse than any fixed variant;
 * **determinism** — the selector never reads a clock; fed the same values it
-  produces byte-identical decision traces and cost series, and with a
-  :class:`FixedStepClock` an engine-backed auto solve is just as
+  produces byte-identical decision traces and cost series, and an
+  engine-backed auto solve, which commits at set-up, is just as
   reproducible;
 * **drift** — a sustained change of the committed variant's cost triggers a
   clean re-probe and a new commit on the now-cheapest candidate;
-* **hygiene** — recovered cycles are discarded wholesale, and measurements
-  outside an open cycle never perturb the state machine.
+* **hygiene** — measurements outside an open cycle never perturb the state
+  machine, and a non-finite one is refused.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.vcycle import WorldVCycle
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    FixedStepClock,
     OnlineSelector,
     simulate_modeled_auto,
 )
@@ -152,26 +151,6 @@ def test_drift_triggers_a_clean_reprobe_and_a_new_commit():
     del level_times
 
 
-def test_recovered_cycles_are_discarded_wholesale():
-    """A recovery-tainted cycle advances nothing and poisons no estimate."""
-    times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
-    selector = OnlineSelector(window=2)
-    selector.seed(0, times)
-    # A tainted cycle with an absurd measurement...
-    selector.begin_cycle()
-    selector.record(0, 1e6)
-    selector.end_cycle(recovered=True)
-    assert selector.trace.events(kind="recovery")
-    assert selector.trace[-1].level == -1
-    # ...then clean cycles: convergence proceeds as if it never happened.
-    for _ in range(selector.probe_budget):
-        selector.begin_cycle()
-        selector.record(0, float(times[selector.variant_for(0)]))
-        selector.end_cycle()
-    assert selector.committed(0) == Variant.STANDARD
-    assert selector.estimates(0)[Variant.STANDARD] == 1.0
-
-
 def test_records_outside_a_cycle_are_ignored():
     times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
     selector = OnlineSelector(window=1)
@@ -188,17 +167,22 @@ def test_records_outside_a_cycle_are_ignored():
     assert selector.estimates(0)[Variant.STANDARD] == 1.0
 
 
-def test_abort_cycle_consumes_nothing():
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_seconds_are_refused(bad):
+    """A ``nan`` would make an estimate ``nan`` and decide commits
+    silently: seeds, records and the modeled simulation refuse it."""
     times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
     selector = OnlineSelector(window=1)
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        selector.seed(0, {**times, Variant.PARTIAL: bad})
     selector.seed(0, times)
     selector.begin_cycle()
-    selector.record(0, 1e9)
-    selector.abort_cycle()
-    assert selector.cycles == 0
-    assert len(selector.trace) == 1    # just the seed event
-    with pytest.raises(ValidationError):
-        selector.end_cycle()
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        selector.record(0, bad)
+    selector.end_cycle()
+    assert selector.estimates(0) == times
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        simulate_modeled_auto([{**times, Variant.FULL: bad}])
 
 
 def test_seed_rejects_duplicates_and_incomplete_estimates():
@@ -211,19 +195,18 @@ def test_seed_rejects_duplicates_and_incomplete_estimates():
 
 
 def test_engine_backed_auto_vcycle_is_deterministic():
-    """Under the ambient runtime (engine or procs via REPRO_RUNTIME), an
-    auto V-cycle driven by a FixedStepClock reproduces results and trace."""
+    """Under the ambient runtime (engine or procs via REPRO_RUNTIME), two
+    constructions of an auto V-cycle commit alike and reproduce results
+    and trace."""
     matrix = ParCSRMatrix(poisson_2d((12, 12)), RowPartition.even(144, 4))
     hierarchy = build_hierarchy(matrix, seed=1)
     mapping = paper_mapping(4, ranks_per_node=2)
     b = np.ones(matrix.n_rows, dtype=np.float64)
 
     def run():
-        with WorldVCycle(hierarchy, mapping, variant="auto",
-                         selector=OnlineSelector(window=1),
-                         clock=FixedStepClock()) as vcycle:
+        with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
             x = np.zeros(matrix.n_rows, dtype=np.float64)
-            for _ in range(vcycle.selector.probe_budget + 2):
+            for _ in range(4):
                 x = vcycle.cycle(b, x)
             return x, vcycle.decision_trace.to_json()
 

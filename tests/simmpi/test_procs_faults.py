@@ -533,121 +533,3 @@ def test_no_leaks_or_zombies_after_chaos_under_w_error():
     assert "OK" in result.stdout
     assert "ResourceWarning" not in result.stderr
     assert "leaked" not in result.stderr
-
-
-class TestAutotuneUnderFaults:
-    """ISSUE 9's chaos contract: a worker crash mid-probe must not corrupt
-    the online selector.  The engine's supervision retries the failed round;
-    the V-cycle sees the recovery (the engine's event count moved) and ends
-    the tainted measurement cycle with ``recovered=True``, so the selector
-    discards it wholesale, records the overlap on the trace, and still
-    commits cleanly once clean probe windows complete."""
-
-    def _problem(self):
-        from repro.amg.hierarchy import build_hierarchy
-        from repro.sparse.parcsr import ParCSRMatrix
-        from repro.sparse.partition import RowPartition
-        from repro.sparse.stencils import poisson_2d
-
-        matrix = ParCSRMatrix(poisson_2d((12, 12)),
-                              RowPartition.even(144, N_RANKS))
-        hierarchy = build_hierarchy(matrix, seed=1)
-        mapping = paper_mapping(N_RANKS, ranks_per_node=3)
-        return matrix, hierarchy, mapping
-
-    def _auto_cycles(self, engine, hierarchy, mapping, n_rows):
-        from repro.amg.vcycle import WorldVCycle
-        from repro.collectives.autotune import OnlineSelector
-
-        selector = OnlineSelector(window=1)
-        b = np.ones(n_rows, dtype=np.float64)
-        x = np.zeros(n_rows, dtype=np.float64)
-        with WorldVCycle(hierarchy, mapping, variant="auto",
-                         selector=selector, engine=engine) as vcycle:
-            # One discarded cycle costs one extra cycle of probing.
-            for _ in range(selector.probe_budget + 3):
-                x = vcycle.cycle(b, x)
-        return x, selector
-
-    def test_crash_mid_probe_recovers_and_commits_cleanly(self):
-        from repro.collectives.autotune import FixedStepClock
-
-        matrix, hierarchy, mapping = self._problem()
-
-        # Clean reference: the same auto schedule on the serial engine.
-        clean = ExchangeEngine(N_RANKS, runtime="engine",
-                               clock=FixedStepClock())
-        try:
-            x_clean, selector_clean = self._auto_cycles(
-                clean, hierarchy, mapping, matrix.n_rows)
-        finally:
-            clean.close()
-
-        # Faulty run: SIGKILL a worker a few engine rounds in — inside the
-        # selector's very first probe window.
-        engine = ExchangeEngine(
-            N_RANKS, runtime="procs", n_workers=N_WORKERS,
-            fault_plan=FaultPlan([FaultSpec("crash", round=3, phase="send",
-                                            worker=0)]),
-            retry_backoff=0.01, clock=FixedStepClock())
-        try:
-            x_faulty, selector = self._auto_cycles(
-                engine, hierarchy, mapping, matrix.n_rows)
-            assert [event.action for event in engine.events] == ["retry"]
-            assert not engine.degraded
-        finally:
-            engine.close()
-
-        # Numerics survived the crash bit-for-bit.
-        assert np.array_equal(x_faulty, x_clean)
-
-        # The selector state machine came out healthy: every level is
-        # committed, estimates are finite and positive, nothing half-probed.
-        trace = selector.trace
-        trace.validate()
-        for level in selector.seeded_levels():
-            assert not selector.is_probing(level)
-            assert all(value > 0.0
-                       for value in selector.estimates(level).values())
-            assert trace.committed(level) == selector.committed(level)
-
-        # The overlap is on the record: exactly one recovery event, on the
-        # cycle the crash hit, and that cycle advanced no probe window.
-        recoveries = trace.events(kind="recovery")
-        assert len(recoveries) == 1
-        assert recoveries[0].source == "runtime"
-        tainted_cycle = recoveries[0].cycle
-        assert all(event.cycle != tainted_cycle
-                   for event in trace.events(kind="probe"))
-
-        # Same decisions as the clean run — one cycle later (the discard).
-        assert selector.choices() == selector_clean.choices()
-        assert selector.cycles == selector_clean.cycles
-
-    def test_fallback_mid_probe_keeps_the_selector_consistent(self):
-        """Retries exhausted -> serial fallback mid-cycle: the cycle is
-        still discarded (the engine recovered), later serial cycles are
-        clean, and the selector converges."""
-        from repro.collectives.autotune import FixedStepClock
-
-        matrix, hierarchy, mapping = self._problem()
-        engine = ExchangeEngine(
-            N_RANKS, runtime="procs", n_workers=N_WORKERS,
-            fault_plan=FaultPlan([FaultSpec("crash", round=3, phase="send",
-                                            worker=0, attempt=None)]),
-            max_retries=1, on_failure="fallback",
-            retry_backoff=0.01, clock=FixedStepClock())
-        try:
-            x, selector = self._auto_cycles(
-                engine, hierarchy, mapping, matrix.n_rows)
-            assert engine.degraded
-            assert [event.action for event in engine.events] == \
-                ["retry", "give-up", "fallback"]
-        finally:
-            engine.close()
-        trace = selector.trace
-        trace.validate()
-        assert len(trace.events(kind="recovery")) == 1
-        for level in selector.seeded_levels():
-            assert not selector.is_probing(level)
-        assert np.isfinite(x).all()

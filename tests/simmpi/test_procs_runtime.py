@@ -141,7 +141,7 @@ class TestProcsExecution:
         program twice: by the parent, then by a pool of 4 workers.
         Clock-free — what the pool is kept for is supervision, not a speed
         no machine here has the cores to show: the results must be
-        byte-identical per rank, a healthy round is one ``_execute`` in which
+        byte-identical per rank, a healthy round is one ``run`` in which
         the parent gathers exactly once (the output, from the owned rows),
         the program lives in two shared segments, and the pool's schedule is
         every send phase, then the round's one receive step — an empty slot
@@ -175,7 +175,7 @@ class TestProcsExecution:
             results = []
             counts = [count_calls(
                 lambda: results.append(pooled.exchange(values)), of=of)
-                for of in ([ExchangeEngine._execute], [np.ndarray.take])]
+                for of in ([ExchangeEngine.run], [np.ndarray.take])]
             assert counts == [1, 1]
             assert not engine.degraded and not engine.events
             for round_results in results:
