@@ -17,8 +17,13 @@ it, or never delivers a required one, is a :class:`PlanError` here.
 
 Compilation itself is columnar too: the compiler never looks at an
 ``(origin, item)`` pair — it reads the plan's phase tables, whose payload
-rows carry the pattern's interned key ids, and sorts and joins on one packed
-``(holder, key)`` int64.
+rows carry the pattern's interned key ids, and checks the hops with one
+in-place sort of packed ``(holder, key, step)`` int64 and one
+``searchsorted`` per hop.  The hops as written — the *replay columns*
+``gather`` / ``scatter`` / ``wire_perm`` on ``n_world_rows`` rows, which
+only the kernel replay and the tests' reference executor read — are not
+compiled: a world derives them from its plan by the hop-by-hop join
+(:func:`_replay_columns`) when one is first read.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
@@ -28,7 +33,7 @@ unknown), and the engine's work array has shape ``(n_rows, item_size)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -104,6 +109,34 @@ class ExchangeSpec:
 # -- world-level compilation -----------------------------------------------------
 
 
+class _Replay:
+    """A world's replay columns, derived from its compiling plan by
+    :func:`_replay_columns` on first read and kept from then on.
+
+    The world and each of its phase programs share one; a pickle of it is
+    an empty one, so a pickled world carries neither the plan nor the
+    columns (the plan cache attaches the plan again on load).
+    """
+
+    __slots__ = ("plan", "columns")
+
+    def __init__(self, plan: CollectivePlan | None = None):
+        self.plan, self.columns = plan, None
+
+    def __reduce__(self):
+        return _Replay, ()
+
+    def __call__(self):
+        """``(n_world_rows, {phase: (gather, scatter, wire_perm)})``."""
+        if self.columns is None:
+            if self.plan is None:
+                raise ValidationError(
+                    "this world exchange holds no plan to derive its replay "
+                    "columns from")
+            self.columns = _replay_columns(self.plan)
+        return self.columns
+
+
 @dataclass
 class WorldPhaseProgram:
     """All ranks' sends and receives of one phase.
@@ -112,21 +145,37 @@ class WorldPhaseProgram:
     ``msg_nbytes``: every message of the phase in wire order, handed to the
     profiler as one bulk record per round.
 
-    ``gather`` / ``wire_perm`` / ``scatter`` keep the phase as written, on
+    ``gather`` / ``wire_perm`` / ``scatter`` are the phase as written, on
     the world's ``n_world_rows`` replay rows (owned rows first, then every
     delivered value in first-occurrence order) — ``wire = work[gather]``,
     then ``work[scatter] = wire[wire_perm]`` — for the kernel replay and the
-    reference executor of the tests; no engine code reads them.
+    reference executor of the tests.  No engine code reads them, so the
+    program does not store them: the first read derives every phase's from
+    the compiling plan (``replay``, shared with the world) and keeps them.
     """
 
     phase: Phase
     tag: int
-    gather: np.ndarray
-    scatter: np.ndarray
-    wire_perm: np.ndarray
     msg_sources: np.ndarray
     msg_dests: np.ndarray
     msg_nbytes: np.ndarray
+    replay: _Replay = field(default_factory=_Replay, repr=False,
+                            compare=False)
+
+    @property
+    def gather(self) -> np.ndarray:
+        """Replay row of every wire position, in wire order."""
+        return self.replay()[1][self.phase][0]
+
+    @property
+    def scatter(self) -> np.ndarray:
+        """Replay row every receive position lands on."""
+        return self.replay()[1][self.phase][1]
+
+    @property
+    def wire_perm(self) -> np.ndarray:
+        """Wire position of every receive position."""
+        return self.replay()[1][self.phase][2]
 
 
 @dataclass
@@ -142,20 +191,20 @@ class WorldExchange:
     in the order of the persistent protocol's Start/Wait (Algorithms 5-6);
     the engine accounts the send phases' messages in that order.
     ``n_world_rows`` counts the replay rows of the programs' ``gather`` /
-    ``scatter`` columns.
+    ``scatter`` columns; like them it is derived from the compiling plan
+    when first read (``replay``).
 
     The per-rank item metadata is stored columnar: ``owned_items_all`` /
     ``result_items_all`` / ``result_sources_all`` concatenate every rank's
     owned-input and result-output id columns, delimited by ``owned_offsets``
-    and ``result_offsets`` — the accessors below slice them.  A world holds
-    arrays only, no plan-object reference, so it is cheap to pickle for the
-    on-disk plan cache.
+    and ``result_offsets`` — the accessors below slice them.  A pickled
+    world holds these arrays only, no plan and no replay column, so it is
+    cheap to store in the on-disk plan cache.
     """
 
     variant: Variant
     spec: ExchangeSpec
     n_ranks: int
-    n_world_rows: int
     owned_offsets: np.ndarray
     result_rows: np.ndarray
     result_offsets: np.ndarray
@@ -164,6 +213,13 @@ class WorldExchange:
     owned_items_all: np.ndarray
     result_items_all: np.ndarray
     result_sources_all: np.ndarray
+    replay: _Replay = field(default_factory=_Replay, repr=False,
+                            compare=False)
+
+    @property
+    def n_world_rows(self) -> int:
+        """Replay rows of the programs' ``gather`` / ``scatter`` columns."""
+        return self.replay()[0]
 
     @property
     def n_messages(self) -> int:
@@ -201,49 +257,261 @@ def compile_world_exchange(plan: CollectivePlan,
     """Compile all ranks' shares of ``plan`` in one world-level pass.
 
     No per-rank program and no per-message object is built: the pass reads
-    the plan's phase tables and replays *every* rank's registration
-    chronology at once.
-
-    Every value a rank can hold is one packed int64 (:func:`_packing`) of
-    its holder and its ``key``, the payload row's interned ``(origin,
+    the plan's phase tables and checks *every* rank's hops at once.  A value
+    a rank holds is its ``key`` — the payload row's interned ``(origin,
     item)`` id (:meth:`CommPattern.owned_keys`, the table's
-    ``payload_key_ids``), which is also the value's owned row.  The
-    *registration stream* holds all ranks' owned keys in (holder, item)
-    order, then the payload of each ``("recv", phase)`` schedule step in
-    (receiver, message, position) order.  A stable argsort keeps the first
-    occurrence of every value — the moment its holder first has it.  Sends
-    and the result view resolve against the sorted survivors with one
-    ``searchsorted`` each; a send may only use values first seen in an
-    earlier schedule step, so a plan that forwards a value before it
-    arrives is a :class:`PlanError` at compile time, and so is a result
-    entry no phase delivers.  A result entry's row is its key; a replay
-    row is its value's index among the sorted survivors, where the owned
-    values come first, in key order.
+    ``payload_key_ids``), which is also the value's owned row.  A holder
+    has the keys it owns from the start; every other ``(holder, key)`` is
+    one packed int64 of a *receipt stream*, which holds each receive step's
+    payload rows tagged with the step's number and is sorted in place.  A
+    send may only pack what its sender owns or received in an earlier
+    schedule step, and every result entry's receiver must hold its value by
+    the end of the round: both are one ``searchsorted`` of the sorted
+    unowned queries into the stream.  A plan that fails either is a
+    :class:`PlanError`, with the diagnostic of the hop-by-hop join
+    (:func:`_replay_columns`).
 
-    Every intermediate is released after its last reader — the stream
-    once sorted, the held values once every lookup ran — so the pass peaks
-    near twice the world it returns, which keeps only the per-phase message
-    and replay columns and the result view.
+    The world keeps what the engine runs — each phase's message columns in
+    wire order, the result view (a result entry's row is its key) and the
+    offsets — and the plan, from which the replay columns are derived on
+    first read.  The result queries are built before the stream and every
+    intermediate is dropped after its last reader, so the pass peaks under
+    three times the world it returns.
+
+    >>> from repro.collectives import make_plan
+    >>> from repro.pattern import halo_exchange_pattern
+    >>> from repro.simmpi import ExchangeEngine
+    >>> from repro.topology import paper_mapping
+    >>> plan = make_plan(halo_exchange_pattern((4, 2)),
+    ...                  paper_mapping(8, ranks_per_node=4), Variant.PARTIAL)
+    >>> world = compile_world_exchange(plan)
+    >>> [name for name in ("gather", "scatter", "wire_perm")
+    ...  if name in vars(world.programs[Phase.GLOBAL])]
+    []
+
+    The engine's round is one gather from the owned rows.  Replayed hop by
+    hop on the replay rows, the three phases deliver every output entry's
+    value to its receiver:
+
+    >>> values = 1.0 + np.arange(world.owned_items_all.size)
+    >>> with ExchangeEngine(8) as engine:
+    ...     out = engine.run(engine.register(world), values)
+    >>> work = np.zeros(world.n_world_rows)
+    >>> work[:values.size] = values
+    >>> holder = np.zeros(world.n_world_rows, dtype=int)
+    >>> holder[:values.size] = np.repeat(np.arange(8),
+    ...                                  np.diff(world.owned_offsets))
+    >>> wires = {}
+    >>> for kind, phase in world.steps:
+    ...     hop = world.programs[phase]
+    ...     if kind == "send":
+    ...         wires[phase] = work[hop.gather]
+    ...     else:
+    ...         work[hop.scatter] = wires[phase][hop.wire_perm]
+    ...         holder[hop.scatter] = np.repeat(
+    ...             hop.msg_dests, hop.msg_nbytes // 8)[hop.wire_perm]
+    >>> receivers = np.repeat(np.arange(8), np.diff(world.result_offsets))
+    >>> set(zip(receivers, out)) <= set(zip(holder, work))
+    True
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
     if spec is None:
         spec = ExchangeSpec(dtype=pattern.dtype, item_size=pattern.item_size)
+    tables, schedule = _phase_tables(plan)
+    recv_step, send_steps = _step_numbers(schedule)
+
+    owned_holders, owned_items_all, _ = pattern.owned_keys()
+    owned_offsets = counts_to_displs(
+        np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
+    unowned = _unowned_queries(owned_holders, n_ranks)
+
+    # -- the result view: each output entry is its value's owned row, which
+    # -- its receiver must hold by the end of the round ------------------------
+    result_holders, result_items_all, result_sources_all, result_rows = \
+        _result_view(pattern)
+    result_offsets = counts_to_displs(
+        np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
+    result_queries = unowned(result_holders, result_rows)
+    del result_holders
+
+    stream = _receipt_stream(
+        [(tables[phase], step) for phase, step in recv_step.items()],
+        n_ranks, owned_holders.size)
+    held = _all_held(stream, result_queries, len(recv_step))
+    del result_queries
+
+    # -- every send step packs only what its holder already has ---------------
+    replay = _Replay(plan)
+    programs: Dict[Phase, WorldPhaseProgram] = {}
+    for phase, allowed in send_steps:
+        table = tables[phase]
+        counts = table.payload_counts
+        held &= _all_held(stream, unowned(np.repeat(table.srcs, counts),
+                                          table.payload_key_ids), allowed)
+        send_order = np.argsort(table.srcs, kind="stable")
+        programs[phase] = WorldPhaseProgram(
+            phase=phase,
+            tag=PHASE_TAGS[phase],
+            msg_sources=table.srcs[send_order],
+            msg_dests=table.dests[send_order],
+            msg_nbytes=counts[send_order] * spec.item_bytes,
+            replay=replay,
+        )
+    del stream
+    if not held:
+        _replay_columns(plan)       # names the first hop that fails
+        raise PlanError("the plan's hops do not deliver what it uses")
+
+    return WorldExchange(
+        variant=plan.variant,
+        spec=spec,
+        n_ranks=n_ranks,
+        owned_offsets=owned_offsets,
+        result_rows=result_rows,
+        result_offsets=result_offsets,
+        steps=schedule,
+        programs=programs,
+        owned_items_all=owned_items_all,
+        result_items_all=result_items_all,
+        result_sources_all=result_sources_all,
+        replay=replay,
+    )
+
+
+def _phase_tables(plan: CollectivePlan):
+    """``(tables, schedule)``: ``plan``'s table of every phase of its
+    variant, in phase order and empty where it has none, and the schedule
+    its steps run in."""
     if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
         order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
+    return {phase: plan.phases.get(phase) or PhaseTable.empty(phase)
+            for phase in order}, schedule
 
-    owned_holders, owned_items_all, _ = pattern.owned_keys()
+
+def _step_numbers(schedule):
+    """``(recv_step, send_steps)``: the number ``1, 2, ...`` of every
+    ``("recv", phase)`` step, and every ``("send", phase)`` step with the
+    number of receive steps before it — what it may forward."""
+    recv_step: Dict[Phase, int] = {}
+    send_steps: List[Tuple[Phase, int]] = []
+    for side, phase in schedule:
+        if side == "recv":
+            recv_step[phase] = len(recv_step) + 1
+        else:
+            send_steps.append((phase, len(recv_step)))
+    return recv_step, send_steps
+
+
+#: Low bits of a receipt-stream entry, which number its receive step.
+_STEP_BITS = 3
+
+
+def _unowned_queries(owned_holders: np.ndarray, n_ranks: int):
+    """``unowned(holders, keys)``: the sorted stream queries of every row
+    whose holder does not own its key.
+
+    A query is ``((n_ranks + holder) * width + key) << _STEP_BITS``, with
+    ``width`` leaving one spare key id, ``n_owned``, that nobody owns;
+    every id past it (a hand-built table's pair outside the pattern) packs
+    as that spare.  A row whose holder owns its key asks nothing.
+    """
+    spare = owned_holders.size
+    width = spare + 1
+    owners = np.append(owned_holders, -1)
+
+    def unowned(holders: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        asks = owners.take(keys, mode="clip") != holders
+        query = holders[asks]
+        query += n_ranks
+        query *= width
+        asked = keys[asks]
+        del asks
+        np.minimum(asked, spare, out=asked)
+        query += asked
+        del asked
+        query <<= _STEP_BITS
+        query.sort()
+        return query
+
+    return unowned
+
+
+def _receipt_stream(recv_steps, n_ranks: int, spare: int) -> np.ndarray:
+    """Every receive row of ``recv_steps`` (``(table, step number)``
+    pairs), packed as its receiver's query of the key with the step number
+    in the low bits, written in place into one array that is then sorted
+    in place: the first entry at or after a query is the earliest step that
+    delivered it, if any did."""
+    width = spare + 1
+    sizes = [int(table.payload_key_ids.size) for table, _ in recv_steps]
+    stream = np.empty(sum(sizes), dtype=INDEX_DTYPE)
+    start = 0
+    for (table, step), size in zip(recv_steps, sizes):
+        rows = stream[start:start + size]
+        start += size
+        np.minimum(table.payload_key_ids, spare, out=rows)
+        receivers = np.repeat(table.dests, table.payload_counts)
+        receivers += n_ranks
+        receivers *= width
+        rows += receivers
+        del receivers
+        rows <<= _STEP_BITS
+        rows |= step
+    stream.sort()
+    return stream
+
+
+def _all_held(stream: np.ndarray, queries: np.ndarray, allowed: int) -> bool:
+    """Whether the sorted ``stream`` answers every one of the sorted
+    ``queries`` with a step numbered at most ``allowed``: the entry found
+    xor the query is the step when they pack the same ``(holder, key)``,
+    and at least ``1 << _STEP_BITS`` when they do not."""
+    if not queries.size:
+        return True
+    if not stream.size:
+        return False
+    found = np.searchsorted(stream, queries)
+    stream.take(found, out=found, mode="clip")
+    found ^= queries
+    return int(found.max()) <= allowed
+
+
+# -- the replay columns: today's hop-by-hop join ---------------------------------
+
+
+def _replay_columns(plan: CollectivePlan):
+    """The replay columns of ``plan``'s world: ``(n_world_rows, {phase:
+    (gather, scatter, wire_perm)})``, or the :class:`PlanError` of the
+    first hop that fails.
+
+    This replays *every* rank's registration chronology at once.  Every
+    value a rank can hold is one packed int64 (:func:`_packing`) of its
+    holder and its key.  The *registration stream* holds all ranks' owned
+    keys in (holder, item) order, then the payload of each ``("recv",
+    phase)`` schedule step in (receiver, message, position) order.  A
+    stable argsort keeps the first occurrence of every value — the moment
+    its holder first has it.  Sends and the result view resolve against the
+    sorted survivors with one ``searchsorted`` each; a send may only use
+    values first seen in an earlier schedule step.  A replay row is its
+    value's index among the sorted survivors, where the owned values come
+    first, in key order.  The compiler checks the same hops with a leaner
+    pass and calls this only to name a failure; nothing on the solve path
+    reads its columns.
+    """
+    pattern = plan.pattern
+    n_ranks = pattern.n_ranks
+    tables, schedule = _phase_tables(plan)
+    recv_segment, send_steps = _step_numbers(schedule)
+    owned_holders = pattern.owned_keys()[0]
     pack = _packing(owned_holders, n_ranks)
-    owned_offsets = counts_to_displs(
-        np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
 
     # -- per phase: message orders and the wire permutation (receive
     # -- position -> wire position) -----------------------------------------
-    tables, send_orders, recv_orders, wire_perms = {}, {}, {}, {}
-    for phase in order:
-        table = tables[phase] = plan.phases.get(phase) or PhaseTable.empty(phase)
+    send_orders, recv_orders, wire_perms = {}, {}, {}
+    for phase, table in tables.items():
         counts = table.payload_counts
         # Stable, so each rank keeps its per-message order and sender-side
         # position ``k`` of a ``(src, dest)`` stream still pairs with
@@ -255,23 +523,13 @@ def compile_world_exchange(plan: CollectivePlan,
         wire_perms[phase] = range_index(wire_starts[recv_order],
                                         counts[recv_order])
 
-    # -- the stream's segments: owned keys, then each recv step's payloads; a
-    # -- send step may read what the segments up to ``allowed`` registered --
-    recv_segment: Dict[Phase, int] = {}
-    send_steps: List[Tuple[Phase, int]] = []
-    for side, phase in schedule:
-        if side == "recv":
-            recv_segment[phase] = len(recv_segment) + 1
-        else:
-            send_steps.append((phase, len(recv_segment)))
-
     seg_bounds, group_of, held_step, held = _held_values(
         owned_holders, pack,
         [(tables[phase], recv_orders[phase]) for phase in recv_segment])
 
     # -- every send step packs only what its holder already has; a held
     # -- value's replay row is its index in ``held`` ---------------------------
-    programs: Dict[Phase, WorldPhaseProgram] = {}
+    columns = {}
     for phase, allowed in send_steps:
         table, send_order = tables[phase], send_orders[phase]
         hit, found = _lookup(held, _packed_values(table, send_order,
@@ -296,25 +554,12 @@ def compile_world_exchange(plan: CollectivePlan,
             )
         segment = recv_segment[phase]
         lo, hi = seg_bounds[segment], seg_bounds[segment + 1]
-        programs[phase] = WorldPhaseProgram(
-            phase=phase,
-            tag=PHASE_TAGS[phase],
-            gather=hit,
-            scatter=group_of[lo:hi].copy(),
-            wire_perm=wire_perms[phase],
-            msg_sources=table.srcs[send_order],
-            msg_dests=table.dests[send_order],
-            msg_nbytes=table.payload_counts[send_order] * spec.item_bytes,
-        )
-    del held_step, group_of
+        columns[phase] = (hit, group_of[lo:hi].copy(), wire_perms[phase])
 
-    # -- the result view: each output entry is its value's owned row, which
-    # -- its holder must hold by the end of the round -------------------------
+    # -- the result view: each output entry's value must reach its holder ----
     result_holders, result_items_all, result_sources_all, result_rows = \
         _result_view(pattern)
     found = _lookup(held, pack(result_holders, result_rows))[1]
-    n_world_rows = int(held.size)
-    del held
     if not found.all():
         position = int(np.argmin(found))
         raise PlanError(
@@ -323,23 +568,7 @@ def compile_world_exchange(plan: CollectivePlan,
             f"{int(result_sources_all[position])} but no phase of "
             "the plan delivers it"
         )
-    result_offsets = counts_to_displs(
-        np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
-
-    return WorldExchange(
-        variant=plan.variant,
-        spec=spec,
-        n_ranks=n_ranks,
-        n_world_rows=n_world_rows,
-        owned_offsets=owned_offsets,
-        result_rows=result_rows,
-        result_offsets=result_offsets,
-        steps=schedule,
-        programs=programs,
-        owned_items_all=owned_items_all,
-        result_items_all=result_items_all,
-        result_sources_all=result_sources_all,
-    )
+    return int(held.size), columns
 
 
 def _packing(owned_holders: np.ndarray, n_ranks: int):

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.pattern.comm_pattern import CommPattern
 from repro.pattern.statistics import PatternStatistics
-from repro.perfmodel.base import CostModel, MessageCost
+from repro.perfmodel.base import CostModel
 from repro.topology.mapping import RankMapping
 from repro.utils.arrays import (
     INDEX_DTYPE,
@@ -455,17 +455,10 @@ class CollectivePlan:
     # -- modeled time (Figures 7, 11-13) --------------------------------------------
 
     def _phase_time(self, model: CostModel, phase: Phase) -> float:
-        table = self.phases.get(phase)
-        if not table:
-            return model.phase_time({})
-        nbytes = table.payload_counts * self.item_bytes
-        localities = self.mapping.locality_many(table.srcs, table.dests)
-        per_process: Dict[int, List[MessageCost]] = {}
-        for src, size, locality in zip(table.srcs.tolist(), nbytes.tolist(),
-                                       localities):
-            per_process.setdefault(src, []).append(
-                MessageCost(nbytes=size, locality=locality))
-        return model.phase_time(per_process)
+        table = self.phases.get(phase) or PhaseTable.empty(phase)
+        return model.phase_time(
+            table.srcs, table.payload_counts * self.item_bytes,
+            self.mapping.locality_codes(table.srcs, table.dests))
 
     def modeled_time(self, model: CostModel) -> float:
         """Modeled Start+Wait time of one iteration of this plan.

@@ -1,8 +1,9 @@
 """Content-addressed cache for collective plans and compiled world exchanges.
 
 Setup at scale pays two distinct costs: *planning* (pattern → message
-schedule) and *world compilation* (plan → concatenated gather/scatter/wire
-programs).  Both are pure functions of content — a pattern's CSR columns, the
+schedule) and *world compilation* (plan → checked hops, each phase's
+message columns and the one-gather result view).  Both are pure functions
+of content — a pattern's CSR columns, the
 rank mapping, the variant/strategy, and the element spec — so drivers that
 rebuild the same problem (the figure harness, repeated ``WorldVCycle``
 setups, every warm re-run of a weak-scaling sweep) can reuse earlier results
@@ -25,7 +26,10 @@ Cache hits are byte-identical to cold compiles (the golden cache tests pin
 this).  A cached :class:`~repro.collectives.exchange.WorldExchange` is the
 program the engine runs, so a hit is re-registered with any engine runtime
 without renumbering anything — registration validates it, remaps its head,
-and never mutates it.
+and never mutates it.  A pickled world holds neither its plan nor its
+replay columns (``gather`` / ``scatter`` / ``wire_perm``, derived from the
+plan on first read), so :func:`fetch_world` attaches the plan it was asked
+for to a world it loads from disk.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 8
+CACHE_FORMAT_VERSION = 9
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
@@ -297,6 +301,7 @@ def fetch_world(plan, spec):
         return world
     world = _disk_load("world", key)
     if world is not None:
+        world.replay.plan = plan    # a pickled world holds no plan
         _world_lru.put(key, world)
     return world
 

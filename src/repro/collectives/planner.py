@@ -134,6 +134,9 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     local_origins, local_dests = origins[local_mask], dests[local_mask]
     local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_dests,
                          keys[local_mask], key_table)
+    # Each per-row column is released after its last reader: the planner's
+    # transient peak is the high-water mark of a collective's set-up.
+    del self_mask, local_mask, local_origins, local_dests
 
     # Inter-region traffic: the three aggregated phases.  The leaders of each
     # (source region, destination region) pair fan out to per-row arrays, and
@@ -159,6 +162,7 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         row_keys = keys[inter_mask]
         row_src_regions = origin_regions[inter_mask]
         row_dest_regions = dest_region_ids[inter_mask]
+        del origin_regions, dest_region_ids, same_region, inter_mask
 
         # Per-row leaders via dense (src_region, dest_region) lookup tables —
         # no pre-sort by region pair needed.
@@ -184,6 +188,7 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
                 f"leaders for region pair ({int(row_src_regions[index])}, "
                 f"{int(row_dest_regions[index])}) share a region"
             )
+        del unassigned, shared
 
         # The rows arrive sorted by (origin, dest, item) and every sort below
         # is stable, so each names only the keys ahead of that tail: ties
@@ -202,6 +207,7 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
             Phase.SETUP_REDIST, row_origins[selection], row_send[selection],
             row_dests[selection], row_keys[selection], key_table,
             dedup_keys=dedup_keys)
+        del skip, order, selection
 
         # Phase g: one aggregated message between the leaders of each pair.
         order = argsort_packed((row_send, row_recv, row_origins),
@@ -209,6 +215,7 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         phases[Phase.GLOBAL] = _phase_table(
             Phase.GLOBAL, row_send[order], row_recv[order], row_dests[order],
             row_keys[order], key_table, dedup_keys=dedup_keys)
+        del order, row_send
 
         # Phase r: the receive leader forwards to final destinations; rows it
         # keeps for itself are satisfied without a message (same flag trick,

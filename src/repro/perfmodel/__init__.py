@@ -10,7 +10,7 @@ sets calibrated to published Lassen-class numbers, and the graph-creation and
 setup cost models, live in :mod:`repro.perfmodel.params`.
 """
 
-from repro.perfmodel.base import CostModel, MessageCost
+from repro.perfmodel.base import CostModel
 from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
 from repro.perfmodel.params import (
     lassen_parameters,
@@ -21,7 +21,6 @@ from repro.perfmodel.params import (
 
 __all__ = [
     "CostModel",
-    "MessageCost",
     "LocalityAwareModel",
     "LocalityParameters",
     "lassen_parameters",

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from repro.perfmodel.base import CostModel
 from repro.topology.machine import Locality
 from repro.utils.errors import ValidationError
@@ -91,6 +93,24 @@ class LocalityAwareModel(CostModel):
         if locality is Locality.INTER_NODE:
             beta = max(beta, self.active_per_node * self.beta_injection)
         return params.alpha + nbytes * beta
+
+    def message_times(self, nbytes: np.ndarray,
+                      localities: np.ndarray) -> np.ndarray:
+        """:meth:`message_time` of whole columns: ``alpha + nbytes * beta``
+        by locality code, the inter-node ``beta`` capped as there."""
+        if nbytes.size and nbytes.min() < 0:
+            raise ValidationError("nbytes must be >= 0")
+        classes = (Locality.INTRA_SOCKET, Locality.INTER_SOCKET,
+                   Locality.INTER_NODE)
+        alpha = np.zeros(len(Locality))
+        beta = np.zeros(len(Locality))
+        for locality in classes:
+            alpha[locality] = self.parameters[locality].alpha
+            beta[locality] = self.parameters[locality].beta
+        beta[Locality.INTER_NODE] = max(beta[Locality.INTER_NODE],
+                                        self.active_per_node
+                                        * self.beta_injection)
+        return alpha[localities] + nbytes * beta[localities]
 
     def alpha(self, locality: Locality) -> float:
         """Latency of the given class (0 for SELF)."""

@@ -132,8 +132,8 @@ class _RegisteredProgram:
     delivered entry copies.  Unbound, ``work`` is the owned rows and
     ``source`` is ``world.result_rows``, gathered into a fresh output.
     Bound to a vector of ``vector_length`` (``n``) entries, ``work`` is
-    ``[x | halo]``, what a round returns, ``source`` is the vector row of
-    every halo row and ``result`` the halo rows ``n + arange(R)``.
+    ``[x | halo]``, what a round returns, and ``source`` is the vector row
+    of every halo row ``n + arange(R)``.
     ``shared`` is set only while a ``runtime="procs"`` pool holds ``work``
     and ``source`` in its two shared-memory segments (they are then views of
     those).
@@ -153,7 +153,6 @@ class _RegisteredProgram:
     work: np.ndarray
     sends: List["WorldPhaseProgram"]
     source: np.ndarray
-    result: Optional[np.ndarray] = None
     shared: Optional["SharedProgram"] = None
     head: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
@@ -406,7 +405,6 @@ class ExchangeEngine:
                 if bound:
                     state.source = shared.step_sources()[-1]
         if bound:
-            state.result = np.arange(head, head + n_halo)
             state.head = state.work[:head, 0]
             if state.shared is None:
                 state.buffer = state.work.reshape(-1)
@@ -433,8 +431,11 @@ class ExchangeEngine:
 
     def halo_rows(self, handle: int) -> np.ndarray:
         """Row of a vector-bound handle's round buffer holding each entry of
-        ``world.result_items_all``, in that order (fixed at registration)."""
-        return self._bound(handle).result
+        ``world.result_items_all``, in that order: ``n + arange(R)`` on a
+        vector of ``n`` entries and ``R`` output entries."""
+        state = self._bound(handle)
+        n = state.vector_length
+        return np.arange(n, n + state.world.result_rows.size)
 
     # -- per-iteration execution ----------------------------------------------
 
@@ -487,7 +488,7 @@ class ExchangeEngine:
         if self.profiler is not None:
             for program in state.sends:
                 self._account(program)
-        if state.result is None:
+        if state.vector_length is None:
             # The round's one gather: every output entry from its owned row.
             # Indices were validated at register, so "clip" never clips.
             rows = np.empty((state.source.size, work.shape[1]),

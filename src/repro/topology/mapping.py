@@ -240,7 +240,7 @@ class RankMapping:
         """Vectorised :meth:`locality`, as an int64 array of ``Locality`` values.
 
         The unboxed form for bulk consumers (the traffic profiler's batch
-        counters): codes are :class:`Locality` integer values, so
+        counters, a plan's modeled time): codes are :class:`Locality` integer values, so
         ``Locality(code)`` recovers the enum member.
         """
         ranks_a = self._checked_rank_array(ranks_a)
@@ -250,14 +250,6 @@ class RankMapping:
             np.where(self._nodes[ranks_a] != self._nodes[ranks_b], 3,
                      np.where(self._sockets[ranks_a] != self._sockets[ranks_b],
                               2, 1))).astype(np.int64)
-
-    def locality_many(self, ranks_a: np.ndarray,
-                      ranks_b: np.ndarray) -> list[Locality]:
-        """Vectorised :meth:`locality` over parallel rank arrays."""
-        codes = self.locality_codes(ranks_a, ranks_b)
-        order = (Locality.SELF, Locality.INTRA_SOCKET,
-                 Locality.INTER_SOCKET, Locality.INTER_NODE)
-        return [order[code] for code in codes.tolist()]
 
     def _checked_rank_array(self, ranks) -> np.ndarray:
         ranks = np.asarray(ranks, dtype=np.int64)

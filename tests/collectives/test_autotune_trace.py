@@ -80,7 +80,7 @@ class _FlatModel(CostModel):
     def message_time(self, nbytes, locality) -> float:
         return self.seconds
 
-    def phase_time(self, per_process) -> float:
+    def phase_time(self, sources, nbytes, localities) -> float:
         return self.seconds
 
 

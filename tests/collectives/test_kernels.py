@@ -18,6 +18,7 @@ from repro.collectives.exchange import (ExchangeSpec, WorldExchange,
 from repro.collectives.kernels import NUMPY_BACKEND, KernelBackend
 from repro.collectives.plan import Phase
 from repro.simmpi import ExchangeEngine
+from repro.utils.errors import ValidationError
 
 
 def _phase_arrays(rng, *, n_rows=64, n_wire=200, item_size=3, dtype=np.float64):
@@ -106,7 +107,8 @@ def test_memory_bound_last_hop_round_makes_one_gather_and_no_fused_call(
     one-phase :class:`WorldExchange` in the compiler's form: every output
     entry names the owned row it copies.  Clock-free: the round must be
     byte-equal to plain numpy indexing of ``result_rows`` and, counted, make
-    exactly one ``take`` and no ``fused`` call.
+    exactly one ``take`` and no ``fused`` call.  Built without a plan, the
+    world stores no replay column and can derive none.
     """
     n_owned, n_result, item_size = 200_000, 300_000, 4
     rng = np.random.default_rng(23)
@@ -115,13 +117,11 @@ def test_memory_bound_last_hop_round_makes_one_gather_and_no_fused_call(
     world = WorldExchange(
         variant=Variant.STANDARD,
         spec=ExchangeSpec(dtype=np.dtype(np.float64), item_size=item_size),
-        n_ranks=1, n_world_rows=n_owned,
-        owned_offsets=np.array([0, n_owned]),
+        n_ranks=1, owned_offsets=np.array([0, n_owned]),
         result_rows=result_rows, result_offsets=np.array([0, n_result]),
         steps=(("send", Phase.DIRECT), ("recv", Phase.DIRECT)),
         programs={Phase.DIRECT: WorldPhaseProgram(
-            phase=Phase.DIRECT, tag=10, gather=empty, scatter=empty,
-            wire_perm=empty, msg_sources=empty, msg_dests=empty,
+            phase=Phase.DIRECT, tag=10, msg_sources=empty, msg_dests=empty,
             msg_nbytes=empty)},
         owned_items_all=np.arange(n_owned), result_items_all=result_rows,
         result_sources_all=np.zeros(n_result, dtype=np.int64))
@@ -134,3 +134,8 @@ def test_memory_bound_last_hop_round_makes_one_gather_and_no_fused_call(
         calls = [count_calls(engine.run, handle, values, of=[kernel])
                  for kernel in (np.ndarray.take, kernels._numpy_fused)]
     assert calls == [1, 0]
+    # Built by hand, the world has no plan to derive replay columns from.
+    for read in (lambda: world.n_world_rows,
+                 lambda: world.programs[Phase.DIRECT].gather):
+        with pytest.raises(ValidationError, match="holds no plan"):
+            read()

@@ -6,10 +6,11 @@ import pytest
 
 from plan_tables import phase_table, tampered
 
+from repro.collectives import make_plan
 from repro.collectives.exchange import compile_world_exchange
 from repro.collectives.plan import Phase, PlannedMessage, SlotTable
 from repro.collectives.planner import plan_full, plan_partial, plan_standard
-from repro.pattern.builders import pattern_from_edges
+from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.perfmodel.base import CostModel
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import PlanError
@@ -205,6 +206,37 @@ class TestModeledTime:
         model = PostalModel()
         for builder in (plan_standard, plan_partial, plan_full):
             assert builder(pattern, mapping).modeled_time(model) == 0.0
+
+    @pytest.mark.parametrize("variant", ["standard", "partial", "full"])
+    def test_columnar_pricing_matches_the_message_loop(self, variant,
+                                                       lassen_model):
+        """Per message ``message_time``, summed per sender in row order,
+        the slowest sender per phase: the loop the columns replaced."""
+        def loop_time(plan, model, phase):
+            table = plan.phases.get(phase)
+            if not table:
+                return 0.0
+            per_process = {}
+            for src, dest, count in zip(table.srcs.tolist(),
+                                        table.dests.tolist(),
+                                        table.payload_counts.tolist()):
+                per_process.setdefault(src, []).append(model.message_time(
+                    count * plan.item_bytes, plan.mapping.locality(src, dest)))
+            return max(sum(times) for times in per_process.values())
+
+        pattern = random_pattern(64, avg_neighbors=6, seed=2, item_size=3)
+        plan = make_plan(pattern, paper_mapping(64, ranks_per_node=8),
+                         variant, use_cache=False)
+        for model in (lassen_model, lassen_model.with_active_per_node(64),
+                      PostalModel(alpha=2e-6, beta=3e-9),
+                      _OpaqueModel(scale=1.5)):
+            t = {phase: loop_time(plan, model, phase) for phase in Phase}
+            expected = t[Phase.DIRECT] if variant == "standard" else max(
+                t[Phase.LOCAL], t[Phase.SETUP_REDIST] + t[Phase.GLOBAL]) \
+                + t[Phase.FINAL_REDIST]
+            assert expected > 0.0
+            assert plan.modeled_time(model) == pytest.approx(expected,
+                                                             rel=1e-12)
 
     def test_setup_costs_are_per_process_maxima(self, cross_region_pattern, mapping):
         plan = plan_partial(cross_region_pattern, mapping)

@@ -190,6 +190,37 @@ def test_disk_round_trip_byte_identical(pattern, mapping, monkeypatch,
     assert plan_cache_stats()["disk_hits"] >= 2
 
 
+def test_a_world_is_stored_without_plan_or_replay_columns(
+        pattern, mapping, monkeypatch, tmp_path):
+    """The disk tier stores a world's message columns, result view and
+    offsets only; loaded, the world gets the plan back and derives replay
+    columns byte-equal to a fresh compile's."""
+    directory = enable_disk(monkeypatch, tmp_path)
+    plan = make_plan(pattern, mapping, Variant.PARTIAL)
+    cold = WorldNeighborCollective(plan)
+    cold.close()
+    entry, = directory.glob("world-*.pkl")
+    with entry.open("rb") as handle:
+        stored = pickle.load(handle)["payload"]
+    assert cold.world.n_world_rows > 0      # derived and kept, not pickled
+    for world in (stored, pickle.loads(pickle.dumps(cold.world))):
+        for replay in [world.replay] + [program.replay for program
+                                        in world.programs.values()]:
+            assert replay is world.replay
+            assert (replay.plan, replay.columns) == (None, None)
+
+    clear_plan_cache()  # a fresh process: memory gone, disk remains
+    warm_plan = make_plan(pattern, mapping, Variant.PARTIAL)
+    warm = WorldNeighborCollective(warm_plan)
+    try:
+        assert warm.world.replay.plan is warm_plan
+        assert_worlds_identical(warm.world, compile_world_exchange(
+            make_plan(pattern, mapping, Variant.PARTIAL, use_cache=False)))
+    finally:
+        warm.close()
+    assert plan_cache_stats()["disk_hits"] >= 2
+
+
 def test_a_plan_loaded_from_disk_shares_its_patterns_key_table(
         mapping, monkeypatch, tmp_path):
     """A pattern pickles its CSR columns and ``owned_keys``, not its other

@@ -12,20 +12,25 @@ paper's largest runs need:
 * a world compiler whose call count does not grow with ranks (counted, not
   timed);
 * a world compiler whose working set stays a small multiple of the world it
-  returns (counted in traced bytes, not timed), a standard plan that
+  returns (counted in traced bytes, not timed), a solve path that derives
+  no replay column (counted), a standard plan that
   shares the pattern's columns instead of copying them, and phase tables
   that store key ids, not ``(origin, item)`` pairs (counted in bytes).
 """
 
 from __future__ import annotations
 
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.collectives import Variant, make_plan
+from repro.amg.hierarchy import build_hierarchy
+from repro.amg.vcycle import WorldAMGSolver
+from repro.collectives import Variant, make_plan, plan_cache
+from repro.collectives import exchange as exchange_module
 from repro.collectives.exchange import compile_world_exchange
 from repro.collectives.plan import Phase
 from repro.collectives.planner import plan_standard
@@ -149,6 +154,33 @@ def test_world_compile_peaks_at_most_3x_the_world_it_keeps(name):
     assert peak <= WORKING_SET_RATIO * kept, \
         f"{name}: compile peak {peak / 1e6:.1f} MB is " \
         f"{peak / kept:.2f}x the {kept / 1e6:.1f} MB it keeps"
+
+
+def test_the_solve_path_derives_no_replay_column(count_calls):
+    """The replay columns (``gather`` / ``scatter`` / ``wire_perm`` /
+    ``n_world_rows``) are for the kernel replay and the test oracles: a
+    compiled program stores none, and building the ``amg_solve_256``
+    solver (65 536 rows on 256 ranks, partial) and solving with it derives
+    none."""
+    program = compile_world_exchange(working_set_plan("halo-4096-partial")) \
+        .programs[Phase.GLOBAL]
+    assert not {"gather", "scatter", "wire_perm"} & set(vars(program))
+    assert program.replay.columns is None
+
+    problem = strong_scaling_problem(65536, 256, epsilon=0.001,
+                                     theta=math.pi / 4.0)
+    hierarchy = build_hierarchy(problem.matrix)
+    mapping = paper_mapping(256, ranks_per_node=16)
+    plan_cache.clear_plan_cache()
+
+    def build_and_solve():
+        with WorldAMGSolver(problem.matrix, mapping, variant=Variant.PARTIAL,
+                            hierarchy=hierarchy, runtime="engine") as solver:
+            b = np.random.default_rng(0).standard_normal(problem.matrix.n_rows)
+            assert solver.solve(b, tol=1e-6).converged
+
+    assert count_calls(build_and_solve,
+                       of=[exchange_module._replay_columns]) == 0
 
 
 def test_standard_plan_shares_the_pattern_columns_unless_it_drops_self_edges():

@@ -12,17 +12,22 @@ hops composed into ``result_rows`` are checked against both worlds run hop
 by hop (``oracles.replay_hops``): the reference's result rows, the compiled
 world's replay and the engine's one-gather round must return the same
 bytes.  The world-level pass must reproduce the reference compiler's
-:class:`PlanError` diagnostics for malformed plans.  ``TestRowMap`` pins the
+:class:`PlanError` diagnostics for malformed plans, and its lean hop check
+must fail exactly where the hop-by-hop join that derives the replay columns
+fails, with the same text, on tampered plans.  ``TestRowMap`` pins the
 reference's own key interning.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import replay_hops, replay_round
-from plan_tables import phase_table, tampered
+from plan_tables import cut_messages, phase_table, tampered
 from reference_world_compile import (
     _RowMap,
     compile_exchange,
@@ -30,8 +35,12 @@ from reference_world_compile import (
 )
 
 from repro.collectives import Variant, make_plan
-from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
-from repro.collectives.plan import CollectivePlan, Phase
+from repro.collectives.exchange import (
+    ExchangeSpec,
+    _replay_columns,
+    compile_world_exchange,
+)
+from repro.collectives.plan import AGGREGATED_PHASES, CollectivePlan, Phase
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
 from repro.simmpi import ExchangeEngine
 from repro.topology import paper_mapping
@@ -56,16 +65,25 @@ def _assert_same(lhs, rhs, name) -> None:
         assert lhs == rhs, name
 
 
+#: The columns a world derives from its plan when first read.
+REPLAY_COLUMNS = ("gather", "scatter", "wire_perm")
+
+
 def assert_worlds_identical(lhs, rhs):
-    """Two compiled worlds: every scalar and array equal, value- and
-    dtype-wise."""
+    """Two compiled worlds: every scalar and array they store equal, value-
+    and dtype-wise, and so every replay column they derive."""
     assert set(lhs.programs) == set(rhs.programs)
     for name, value in vars(lhs).items():
-        if name != "programs":
+        if name not in ("programs", "replay"):
             _assert_same(value, getattr(rhs, name), name)
+    _assert_same(lhs.n_world_rows, rhs.n_world_rows, "n_world_rows")
     for phase, program in lhs.programs.items():
+        other = rhs.programs[phase]
         for name, value in vars(program).items():
-            _assert_same(value, getattr(rhs.programs[phase], name),
+            if name != "replay":
+                _assert_same(value, getattr(other, name), f"{phase}:{name}")
+        for name in REPLAY_COLUMNS:
+            _assert_same(getattr(program, name), getattr(other, name),
                          f"{phase}:{name}")
 
 
@@ -196,6 +214,116 @@ def test_world_compile_reports_undelivered_result_like_reference():
         compile_world_exchange_reference(broken)
     with pytest.raises(PlanError, match="no phase of"):
         compile_world_exchange(broken)
+
+
+# -- the lean check and the join agree on tampered plans ---------------------
+
+
+#: What :func:`tampered_plan` does to a planned schedule.
+TAMPERS = ("drop a payload row", "move a row to an earlier phase",
+           "add an out-of-range key", "empty every phase",
+           "deliver a value its receiver owns")
+
+
+def _with_messages(plan, phase, messages):
+    """``plan`` with ``phase``'s messages replaced by ``messages``."""
+    return dataclasses.replace(plan, phases={
+        **plan.phases, phase: phase_table(plan.pattern, phase, messages)})
+
+
+def _take_row(messages, index, row):
+    """Remove payload row ``row`` of message ``index`` (the message too if
+    nothing is left); returns the ``(origin, item)`` removed."""
+    message = messages[index]
+    row %= len(message.payload)
+    pair = tuple(message.payload[row].tolist())
+    payload = np.delete(message.payload, row, axis=0)
+    if payload.size:
+        messages[index] = message._replace(payload=payload)
+    else:
+        del messages[index]
+    return pair
+
+
+@st.composite
+def tampered_plan(draw):
+    """A small plan, tampered one of the :data:`TAMPERS` ways."""
+    n_ranks = draw(st.sampled_from([3, 4, 6]))
+    if draw(st.booleans()):
+        pattern = random_pattern(
+            n_ranks, avg_neighbors=draw(st.sampled_from([1.0, 2.0])),
+            avg_items_per_message=3.0, items_per_rank=6,
+            duplicate_fraction=draw(st.sampled_from([0.0, 0.6])),
+            seed=draw(st.integers(min_value=0, max_value=10_000)))
+    else:       # every value stays home: nothing for a stream to hold
+        pattern = CommPattern(n_ranks, {0: {0: [1, 2]}, 2: {2: [4]}})
+    variant = draw(st.sampled_from(ALL_VARIANTS))
+    plan = make_plan(pattern, paper_mapping(n_ranks, ranks_per_node=2),
+                     variant, use_cache=False)
+    direct = Phase.DIRECT in plan.phases
+    busy = [phase for phase, table in plan.phases.items() if table.srcs.size]
+    holders, items, _ = pattern.owned_keys()
+    needs = {"drop a payload row": busy, "add an out-of-range key": busy,
+             "move a row to an earlier phase": busy and not direct,
+             "empty every phase": True,
+             "deliver a value its receiver owns": holders.size}
+    kind = draw(st.sampled_from([kind for kind in TAMPERS if needs[kind]]))
+    index, row = (draw(st.integers(min_value=0, max_value=99))
+                  for _ in range(2))
+    if kind == "empty every phase":
+        return kind, dataclasses.replace(plan, phases={
+            phase: phase_table(pattern, phase, []) for phase in plan.phases})
+    if kind == "drop a payload row":
+        phase = busy[index % len(busy)]
+        messages = cut_messages(plan.phases[phase])
+        _take_row(messages, row % len(messages), index)
+        return kind, _with_messages(plan, phase, messages)
+    if kind == "move a row to an earlier phase":
+        late = busy[index % len(busy)]
+        early = Phase.LOCAL if late is Phase.LOCAL else \
+            AGGREGATED_PHASES[row % AGGREGATED_PHASES.index(late)]
+        messages = cut_messages(plan.phases[late])
+        message = messages[row % len(messages)]
+        pair = _take_row(messages, row % len(messages), index)
+        return kind, tampered(
+            _with_messages(plan, late, messages), early,
+            extra=[(message.src, message.dest, [pair + (message.dest,)])])
+    if kind == "add an out-of-range key":
+        origin = int(index % n_ranks)
+        return kind, tampered(plan, busy[row % len(busy)], extra=[
+            (origin, (origin + 1) % n_ranks,
+             [(origin, 10_000 + row, (origin + 1) % n_ranks)])])
+    # A value its owner sends out comes back to it in a later step; in a
+    # one-step schedule the owner sends it to itself.
+    key = index % holders.size
+    owner, item = int(holders[key]), int(items[key])
+    if direct:
+        return kind, tampered(plan, Phase.DIRECT, extra=[
+            (owner, owner, [(owner, item, owner)])])
+    other = (owner + 1 + row % (n_ranks - 1)) % n_ranks
+    plan = tampered(plan, Phase.LOCAL, extra=[
+        (owner, other, [(owner, item, other)])])
+    return kind, tampered(plan, Phase.FINAL_REDIST, extra=[
+        (other, owner, [(owner, item, owner)])])
+
+
+def _outcome(build):
+    """``None`` if ``build()`` returns, else its :class:`PlanError` text."""
+    try:
+        build()
+    except PlanError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_plan())
+def test_lean_check_and_join_agree_on_tampered_plans(case):
+    """The compile's lean check fails exactly where the hop-by-hop join
+    does, with the join's diagnostic, and passes where it passes."""
+    kind, plan = case
+    assert _outcome(lambda: compile_world_exchange(plan)) \
+        == _outcome(lambda: _replay_columns(plan)), kind
 
 
 class TestRowMap:

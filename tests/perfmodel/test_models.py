@@ -1,8 +1,8 @@
 """Unit tests for the locality-aware cost model and the postal test oracle."""
 
+import numpy as np
 import pytest
 
-from repro.perfmodel.base import MessageCost
 from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
 from repro.topology.machine import Locality
 from repro.utils.errors import ValidationError
@@ -31,19 +31,23 @@ class TestPostalModel:
         with pytest.raises(ValidationError):
             PostalModel().message_time(-1, Locality.INTER_NODE)
 
-    def test_process_time_sums_messages(self):
+    def test_phase_time_sums_each_process_messages(self):
         model = PostalModel(alpha=1e-6, beta=0.0)
-        msgs = [MessageCost(0, Locality.INTER_NODE)] * 5
-        assert model.process_time(msgs) == pytest.approx(5e-6)
+        assert model.phase_time(np.zeros(5, dtype=np.int64),
+                                np.zeros(5, dtype=np.int64),
+                                np.full(5, Locality.INTER_NODE)) \
+            == pytest.approx(5e-6)
 
     def test_phase_time_is_max_over_processes(self):
         model = PostalModel(alpha=1e-6, beta=0.0)
-        per_process = {0: [MessageCost(0, Locality.INTER_NODE)] * 2,
-                       1: [MessageCost(0, Locality.INTER_NODE)] * 7}
-        assert model.phase_time(per_process) == pytest.approx(7e-6)
+        sources = np.array([1, 0, 1, 1, 1, 0, 1, 1, 1])
+        assert model.phase_time(sources, np.zeros(9, dtype=np.int64),
+                                np.full(9, Locality.INTER_NODE)) \
+            == pytest.approx(7e-6)
 
     def test_phase_time_empty(self):
-        assert PostalModel().phase_time({}) == 0.0
+        empty = np.empty(0, dtype=np.int64)
+        assert PostalModel().phase_time(empty, empty, empty) == 0.0
 
     def test_describe_names_parameters(self):
         text = PostalModel(alpha=2e-6, beta=3e-9).describe()
@@ -85,6 +89,20 @@ class TestLocalityAwareModel:
         assert lassen_model.beta(Locality.INTER_NODE) > 0.0
         assert lassen_model.alpha(Locality.INTER_NODE) > \
             lassen_model.alpha(Locality.INTRA_SOCKET)
+
+    def test_message_times_equal_message_time_bit_for_bit(self,
+                                                          lassen_model):
+        """The closed form over columns, inter-node injection cap
+        included, prices every message as :meth:`message_time` does."""
+        nbytes = np.array([0, 8, 64, 1 << 20, 3 << 22] * 4)
+        codes = np.repeat(np.array([int(c) for c in Locality]), 5)
+        for model in (lassen_model, lassen_model.with_active_per_node(1),
+                      lassen_model.with_active_per_node(256)):
+            loop = [model.message_time(size, Locality(code))
+                    for size, code in zip(nbytes.tolist(), codes.tolist())]
+            assert model.message_times(nbytes, codes).tolist() == loop
+        with pytest.raises(ValidationError):
+            lassen_model.message_times(np.array([4, -1]), np.array([1, 1]))
 
     def test_describe_mentions_classes(self, lassen_model):
         text = lassen_model.describe()
