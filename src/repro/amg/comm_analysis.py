@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.amg.hierarchy import AMGHierarchy
 from repro.collectives.aggregation import BalanceStrategy
+from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
@@ -80,15 +81,18 @@ class LevelCommProfile:
     statistics: Dict[Variant, PatternStatistics] = field(default_factory=dict)
     times: Dict[Variant, float] = field(default_factory=dict)
 
-    def best_variant(self, *, candidates: tuple[Variant, ...] = (
-            Variant.STANDARD, Variant.PARTIAL, Variant.FULL)) -> Variant:
-        """Cheapest variant for this level under the profile's cost model."""
+    def best_variant(self, *, candidates: tuple[Variant, ...] =
+                     DEFAULT_CANDIDATES) -> Variant:
+        """Cheapest variant for this level under the profile's cost model
+        (:func:`~repro.collectives.autotune.seed_event`'s rule: ties break on
+        candidate order)."""
         if not self.times:
             raise ValidationError("profile was built without a cost model")
-        return min(candidates, key=lambda v: (self.times[v], v.value))
+        return Variant(seed_event(self.level, self.times,
+                                  candidates=candidates).variant)
 
-    def best_time(self, *, candidates: tuple[Variant, ...] = (
-            Variant.STANDARD, Variant.PARTIAL, Variant.FULL)) -> float:
+    def best_time(self, *, candidates: tuple[Variant, ...] =
+                  DEFAULT_CANDIDATES) -> float:
         """Modeled time of the cheapest variant (the per-level selection the
         paper applies in its scaling studies)."""
         return self.times[self.best_variant(candidates=candidates)]

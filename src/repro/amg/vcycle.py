@@ -56,6 +56,7 @@ from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
+    SETUP_OUTCOME,
     DecisionTrace,
     is_auto_variant,
     seed_event,
@@ -242,8 +243,7 @@ class WorldVCycle:
                 for candidate in modeled:
                     modeled[candidate] += \
                         weight * plans[candidate].modeled_time(model)
-            event = seed_event(index, modeled,
-                               outcome="committed at set-up for the solve")
+            event = seed_event(index, modeled, outcome=SETUP_OUTCOME)
             self._trace.append(event)
             return Variant(event.variant)
 

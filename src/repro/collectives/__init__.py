@@ -15,8 +15,9 @@ This package is the reproduction of the paper's core contribution:
 * :mod:`repro.collectives.selection` — model-driven dynamic selection of the
   cheapest variant (the paper's future-work extension);
 * :mod:`repro.collectives.autotune` — per-level selection for a whole
-  hierarchy: the modeled commit of ``variant="auto"``, the probe-window
-  selector the drivers simulate, and an auditable decision trace.
+  hierarchy: the one selection rule (each level commits its modeled
+  argmin, ties broken on candidate order) behind ``variant="auto"`` and
+  the drivers' ``auto`` series, and an auditable decision trace.
 """
 
 from repro.collectives.plan import (
@@ -54,7 +55,6 @@ from repro.collectives.selection import select_variant
 from repro.collectives.autotune import (
     DecisionTrace,
     is_auto_variant,
-    simulate_modeled_auto,
 )
 
 __all__ = [
@@ -82,5 +82,4 @@ __all__ = [
     "select_variant",
     "DecisionTrace",
     "is_auto_variant",
-    "simulate_modeled_auto",
 ]

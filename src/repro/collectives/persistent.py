@@ -112,12 +112,7 @@ class WorldNeighborCollective:
 
     @property
     def handle(self) -> int:
-        """This collective's registration handle on :attr:`engine`.
-
-        The key the engine's per-round timing hook reports, so callers
-        (e.g. the online autotuner) can attribute measured rounds back to
-        the collective that ran.
-        """
+        """This collective's registration handle on :attr:`engine`."""
         return self._handle
 
     # -- lifecycle --------------------------------------------------------------

@@ -5,8 +5,10 @@ little communication (the fine AMG levels) and win on dense ones (the middle
 levels), and that a "simple performance measure is needed within the
 neighborhood collective to dynamically select the optimal communication
 strategy".  :func:`select_variant` implements exactly that: build every
-variant's plan, time it with a cost model, optionally amortise the setup cost
-over an expected iteration count, and pick the cheapest.
+variant's plan, time it with a cost model, amortise the setup cost over an
+expected iteration count, and commit the cheapest through the one selection
+rule, :func:`~repro.collectives.autotune.seed_event` (ties break on candidate
+order).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.collectives.aggregation import BalanceStrategy
+from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
@@ -41,11 +44,9 @@ class SelectionResult:
 
 def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel, *,
                    expected_iterations: int = 1000,
-                   include_setup: bool = True,
                    setup_model: SetupCostModel | None = None,
                    strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                   candidates: tuple[Variant, ...] = (
-                       Variant.STANDARD, Variant.PARTIAL, Variant.FULL),
+                   candidates: tuple[Variant, ...] = DEFAULT_CANDIDATES,
                    ) -> SelectionResult:
     """Pick the cheapest collective variant for a pattern under a cost model.
 
@@ -53,10 +54,8 @@ def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel,
     ----------
     expected_iterations:
         How many Start/Wait iterations the setup cost will be amortised over
-        (the solve phase of AMG typically runs hundreds to thousands).
-    include_setup:
-        When False only the per-iteration cost matters (the asymptotic
-        choice); when True short-lived patterns fall back to cheaper setups.
+        (the solve phase of AMG typically runs hundreds to thousands), so
+        short-lived patterns fall back to cheaper setups.
     """
     if expected_iterations < 1:
         raise ValidationError("expected_iterations must be >= 1")
@@ -68,16 +67,15 @@ def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel,
     for variant in candidates:
         plan = plans[variant]
         per_iteration[variant] = plan.modeled_time(model)
-        if include_setup and variant in (Variant.PARTIAL, Variant.FULL):
+        if variant in (Variant.PARTIAL, Variant.FULL):
             n_messages, slot_bytes = plan.setup_costs()
             setup[variant] = setup_model.cost(n_messages, slot_bytes)
         else:
             setup[variant] = 0.0
 
-    def total(variant: Variant) -> float:
-        return setup[variant] + expected_iterations * per_iteration[variant]
-
-    best = min(candidates, key=lambda v: (total(v), v.value))
+    totals = {variant: setup[variant] + expected_iterations * per_iteration[variant]
+              for variant in candidates}
+    best = Variant(seed_event(0, totals, candidates=candidates).variant)
     return SelectionResult(variant=best, plan=plans[best],
                            per_iteration=per_iteration, setup=setup,
                            expected_iterations=expected_iterations)

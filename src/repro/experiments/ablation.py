@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.autotune import DecisionTrace, simulate_modeled_auto
+from repro.collectives.autotune import DecisionTrace, seed_trace
 from repro.collectives.plan import Variant
 from repro.collectives.planner import plan_partial
 from repro.collectives.selection import select_variant
@@ -29,11 +29,11 @@ from repro.utils.formatting import format_table
 class SelectionAblationResult:
     """Per-level variant choices and aggregate times of each policy.
 
-    ``auto_choice`` is the per-level pick of the *online* selector
-    (:mod:`repro.collectives.autotune`) replayed on the modeled times —
-    fed exact modeled measurements it should land on the oracle, which
-    the property suite pins — and :attr:`decision_trace` records the
-    seed/probe/commit path that led there.
+    ``auto_choice`` is the per-level commit of ``variant="auto"``
+    (:func:`~repro.collectives.autotune.seed_trace` on the modeled times),
+    and :attr:`decision_trace` records why each level committed it.  The
+    model, auto and oracle choices all decide through one rule (ties break
+    on candidate order), so they differ only where their costs do.
     """
 
     levels: List[int]
@@ -53,11 +53,9 @@ class SelectionAblationResult:
 
     def to_table(self) -> str:
         """Render choices per level plus aggregate policy times."""
-        rows = [(level, model, online, oracle)
-                for level, model, online, oracle
-                in zip(self.levels, self.model_choice, self.auto_choice,
-                       self.oracle_choice)]
-        table = format_table(["level", "model choice", "online choice",
+        rows = list(zip(self.levels, self.model_choice, self.auto_choice,
+                        self.oracle_choice))
+        table = format_table(["level", "model choice", "auto choice",
                               "oracle choice"], rows,
                              title="Ablation: dynamic variant selection")
         lines = [table, "", "total modeled time per policy (seconds):"]
@@ -72,11 +70,8 @@ def run_selection_ablation(context: ExperimentContext | None = None, *,
                            expected_iterations: int = 1000) -> SelectionAblationResult:
     """Compare model-driven selection with the oracle and fixed policies.
 
-    Five fixed/static policies plus ``online_auto``: the online selector
-    of :mod:`repro.collectives.autotune` replayed deterministically on the
-    modeled per-level times (steady-state cost under its converged
-    choices, probe overhead excluded — the amortised regime the paper's
-    crossover analysis targets).
+    Five fixed/static policies plus ``auto``: every level on the variant
+    ``variant="auto"`` commits on the modeled per-level times.
     """
     if context is None:
         context = ExperimentContext.build(config or ExperimentConfig.from_environment())
@@ -90,9 +85,12 @@ def run_selection_ablation(context: ExperimentContext | None = None, *,
         "always_partial": 0.0,
         "always_full": 0.0,
         "model_selection": 0.0,
+        "auto": 0.0,
         "oracle": 0.0,
     }
-    for profile in profiles:
+    trace = seed_trace([p.times for p in profiles])
+    auto_choice = [trace.committed(index) for index in range(len(profiles))]
+    for profile, auto in zip(profiles, auto_choice):
         selection = select_variant(profile.pattern, context.mapping, context.model,
                                    expected_iterations=expected_iterations,
                                    setup_model=context.setup_model,
@@ -105,17 +103,14 @@ def run_selection_ablation(context: ExperimentContext | None = None, *,
         policy_times["always_partial"] += profile.times[Variant.PARTIAL]
         policy_times["always_full"] += profile.times[Variant.FULL]
         policy_times["model_selection"] += profile.times[selection.variant]
+        policy_times["auto"] += profile.times[auto]
         policy_times["oracle"] += profile.times[oracle]
-    sim = simulate_modeled_auto([p.times for p in profiles],
-                                candidates=candidates)
-    policy_times["online_auto"] = sim.steady_per_iteration
-    auto_choice = [sim.choices[index].value for index in range(len(profiles))]
     return SelectionAblationResult(levels=[p.level for p in profiles],
                                    model_choice=model_choice,
                                    oracle_choice=oracle_choice,
-                                   auto_choice=auto_choice,
+                                   auto_choice=[v.value for v in auto_choice],
                                    policy_times=policy_times,
-                                   decision_trace=sim.trace)
+                                   decision_trace=trace)
 
 
 @dataclass

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.collectives.autotune import (
-    DecisionTrace,
-    is_auto_variant,
-    simulate_modeled_auto,
-)
+from repro.collectives.autotune import DecisionTrace, is_auto_variant, seed_trace
 from repro.collectives.plan import Variant
 from repro.experiments.config import ALL_VARIANTS, ExperimentConfig, ExperimentContext
 from repro.pattern.statistics import average_neighbors
@@ -24,7 +20,7 @@ from repro.perfmodel.params import GraphCreationModel, graph_creation_model
 from repro.utils.errors import ValidationError
 from repro.utils.formatting import format_series
 
-#: Series key of the online-autotuned protocol in the result dicts (a plain
+#: Series key of the per-level auto commit in the result dicts (a plain
 #: string next to the :class:`Variant` keys of the fixed protocols).
 AUTO_SERIES = "auto"
 
@@ -38,10 +34,9 @@ class CrossoverResult:
     """Total cost series per protocol and the derived crossover points.
 
     When the ``"auto"`` series was requested its dict keys are the plain
-    string ``"auto"`` (online selection is a policy over the variants, not
-    a protocol), its totals include the probe overhead of every cycle the
-    selector spent measuring, and :attr:`decision_trace` records why each
-    level ended up on its variant.
+    string ``"auto"`` (the per-level commit is a policy over the variants,
+    not a protocol), and :attr:`decision_trace` records why each level
+    committed its variant.
     """
 
     iteration_counts: List[int]
@@ -99,53 +94,14 @@ def _initialisation_costs(context: ExperimentContext,
     return init
 
 
-def _add_auto_series(result: CrossoverResult,
-                     level_times: List[Dict[Variant, float]],
-                     window: int) -> None:
-    """Simulate the online selector on the per-level times and add its series.
-
-    The auto run registers every candidate variant up front; in the
-    initialisation model that costs the standard init plus the partially
-    optimized init (which already performs the fully optimized setup it
-    wraps), so nothing is double-counted.  Totals come from the simulated
-    per-cycle costs — probe windows execute whatever variant they measure,
-    so the early iterations carry the real exploration overhead.
-    """
-    max_n = max(result.iteration_counts) if result.iteration_counts else 0
-    sim = simulate_modeled_auto(level_times, window=window,
-                                n_cycles=max(max_n, 3 * window + 1))
-    init_auto = result.init_costs[Variant.STANDARD] + \
-        result.init_costs[Variant.PARTIAL]
-    result.init_costs[AUTO_SERIES] = init_auto
-    result.per_iteration[AUTO_SERIES] = sim.steady_per_iteration
-    result.totals[AUTO_SERIES] = [init_auto + sim.cumulative[n]
-                                  for n in result.iteration_counts]
-    result.decision_trace = sim.trace
-
-    baseline = result.per_iteration[Variant.POINT_TO_POINT]
-    crossover: Optional[int] = None
-    horizon = len(sim.cumulative) - 1
-    for n in range(1, horizon + 1):
-        if init_auto + sim.cumulative[n] < baseline * n:
-            crossover = n
-            break
-    if crossover is None and baseline > sim.steady_per_iteration:
-        # Beyond the simulated horizon the series is linear at steady state.
-        overhead = init_auto + sim.cumulative[horizon] \
-            - horizon * sim.steady_per_iteration
-        needed = int(overhead / (baseline - sim.steady_per_iteration)) + 1
-        crossover = max(needed, horizon + 1)
-    result.crossovers[AUTO_SERIES] = crossover
-
-
 def run_crossover(context: ExperimentContext | None = None, *,
                   config: ExperimentConfig | None = None,
                   mpi_implementation: str = "spectrum",
                   iteration_counts: Sequence[int] | None = None,
                   use_measured_iteration: bool = False,
                   solve_phase: bool = False,
-                  variants: Sequence[Variant | str] | None = None,
-                  autotune_window: int = 3) -> CrossoverResult:
+                  variants: Sequence[Variant | str] | None = None
+                  ) -> CrossoverResult:
     """Reproduce Figure 7 for the configured problem and scale.
 
     With ``use_measured_iteration=True`` the per-iteration cost of every
@@ -166,11 +122,12 @@ def run_crossover(context: ExperimentContext | None = None, *,
 
     ``variants`` requests additional series beyond the four fixed protocols
     (always computed — they are the figure's frame of reference): the only
-    recognised addition is ``"auto"``, the online per-level selector of
-    :mod:`repro.collectives.autotune` replayed deterministically on the
-    same per-level times the fixed series use, with probe overhead in its
-    totals and its :class:`~repro.collectives.autotune.DecisionTrace` on
-    the result.  ``autotune_window`` sizes its probe windows.  The auto
+    recognised addition is ``"auto"``, what ``variant="auto"`` runs: every
+    level on its commit from cycle 0
+    (:func:`~repro.collectives.autotune.seed_trace` over the same per-level
+    times the fixed series use), with the trace on the result.  Its init
+    is every candidate's planning, ``init[standard] + init[partial]`` (the
+    partial init already performs the full setup it wraps).  The auto
     series needs a per-level time decomposition, so it cannot be combined
     with ``solve_phase=True`` (whole-cycle measurements only).
     """
@@ -192,7 +149,7 @@ def run_crossover(context: ExperimentContext | None = None, *,
         )
 
     init_costs = _initialisation_costs(context, graph_model)
-    level_times: List[Dict[Variant, float]] | None = None
+    trace: Optional[DecisionTrace] = None
     if solve_phase:
         per_iteration = dict(context.measured_cycle_times())
     else:
@@ -203,9 +160,17 @@ def run_crossover(context: ExperimentContext | None = None, *,
             variant: sum(times[variant] for times in level_times)
             for variant in ALL_VARIANTS
         }
+        if auto_requested:
+            trace = seed_trace(level_times)
+            per_iteration[AUTO_SERIES] = sum(
+                times[trace.committed(level)]
+                for level, times in enumerate(level_times))
+            init_costs[AUTO_SERIES] = init_costs[Variant.STANDARD] + \
+                init_costs[Variant.PARTIAL]
 
     result = CrossoverResult(iteration_counts=iteration_counts,
-                             init_costs=init_costs, per_iteration=per_iteration)
+                             init_costs=init_costs, per_iteration=per_iteration,
+                             decision_trace=trace)
     for variant in per_iteration:
         result.totals[variant] = [
             init_costs[variant] + n * per_iteration[variant] for n in iteration_counts
@@ -214,14 +179,13 @@ def run_crossover(context: ExperimentContext | None = None, *,
     # Crossover: first iteration count at which a variant's total cost drops
     # below standard Hypre's (point-to-point, no init cost).
     baseline = per_iteration[Variant.POINT_TO_POINT]
-    for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
+    for variant in per_iteration:
+        if variant == Variant.POINT_TO_POINT:
+            continue
         crossover: Optional[int] = None
         delta_per_iter = baseline - per_iteration[variant]
         if delta_per_iter > 0:
             needed = init_costs[variant] / delta_per_iter
             crossover = int(needed) + 1 if needed >= 0 else 0
         result.crossovers[variant] = crossover
-
-    if auto_requested:
-        _add_auto_series(result, level_times, autotune_window)
     return result

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.collectives.autotune import DecisionTrace, simulate_modeled_auto
+from repro.collectives.autotune import DecisionTrace, seed_trace
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.experiments.config import ExperimentConfig, ExperimentContext
 from repro.pattern.statistics import PatternStatistics
@@ -28,9 +28,8 @@ class PerLevelResult:
     """All per-level series of Figures 8-11.
 
     ``times`` includes the ``"auto_selected"`` series — the per-level time
-    of whatever variant the online selector converged to, replayed
-    deterministically on the modeled times — with the selector's
-    :attr:`decision_trace` justifying each level's choice.
+    of the variant ``variant="auto"`` commits on the modeled times — with
+    :attr:`decision_trace` justifying each level's commit.
     """
 
     levels: List[int]
@@ -202,13 +201,13 @@ def run_per_level(context: ExperimentContext | None = None, *,
         "partially_optimized_neighbor": [p.times[Variant.PARTIAL] for p in profiles],
         "fully_optimized_neighbor": [p.times[Variant.FULL] for p in profiles],
     }
-    # Figure 11's future-work overlay: the per-level variant the online
-    # selector converges to when fed the same modeled times, one entry per
-    # level like every other series, with the full decision record attached.
-    sim = simulate_modeled_auto([p.times for p in profiles])
+    # Figure 11's future-work overlay: the per-level variant the auto
+    # commit picks on the same modeled times, one entry per level like every
+    # other series, with the decision record attached.
+    trace = seed_trace([p.times for p in profiles])
     result.times["auto_selected"] = [
-        float(profile.times[sim.choices[index]])
+        float(profile.times[trace.committed(index)])
         for index, profile in enumerate(profiles)
     ]
-    result.decision_trace = sim.trace
+    result.decision_trace = trace
     return result

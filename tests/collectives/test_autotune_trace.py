@@ -12,9 +12,9 @@ tests) rely on:
 * trace *byte-identity* across execution runtimes: the same auto solve on
   ``"engine"`` and ``"procs"`` must produce the identical ``to_json()``
   string (the commit is made at set-up, before any round runs);
-* :meth:`DecisionTrace.validate` — every commit/switch must reference a
-  probe window that actually ran for that level, and tampering is caught;
-  malformed input raises :class:`ValidationError`;
+* :meth:`DecisionTrace.validate` — one seed per level, estimates for every
+  candidate, and a variant that is their candidate-order argmin, so
+  tampering is caught; malformed input raises :class:`ValidationError`;
 * solver equivalence — an auto solve is byte-identical to the fixed-variant
   solves it arbitrates between (variant choice changes time, never bytes).
 """
@@ -33,11 +33,12 @@ from repro.collectives import exchange as exchange_module
 from repro.collectives import plan_cache
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
+    SETUP_OUTCOME,
     TRACE_SCHEMA_VERSION,
     DecisionEvent,
     DecisionTrace,
-    OnlineSelector,
-    simulate_modeled_auto,
+    seed_event,
+    seed_trace,
 )
 from repro.collectives.plan import Variant
 from repro.collectives.planner import all_plans
@@ -55,13 +56,16 @@ N_RANKS = 4
 
 #: The pinned serialisation schema: exactly these keys, in any dict order
 #: (canonical JSON sorts them).  Extending the schema requires a version bump.
-EVENT_KEYS = {"kind", "level", "cycle", "variant", "previous", "estimates",
-              "window", "samples", "source", "reason"}
+EVENT_KEYS = {"kind", "level", "cycle", "variant", "estimates", "source",
+              "reason"}
 
 LEVEL_TIMES = [
     {Variant.STANDARD: 3.0, Variant.PARTIAL: 2.0, Variant.FULL: 4.0},
     {Variant.STANDARD: 1.0, Variant.PARTIAL: 5.0, Variant.FULL: 2.0},
 ]
+
+#: Every candidate's estimate equal: no cheapest one to name.
+TIE = "every candidate's estimate ties; candidate order picked the commit"
 
 
 def _problem():
@@ -86,36 +90,31 @@ class _FlatModel(CostModel):
 
 class TestEventSchema:
     def test_event_dict_key_set_is_pinned(self):
-        sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
-        assert len(sim.trace) > 0
-        for event in sim.trace:
+        trace = seed_trace(LEVEL_TIMES)
+        assert len(trace) == len(LEVEL_TIMES)
+        for event in trace:
             assert set(event.to_dict()) == EVENT_KEYS
 
     def test_seed_event_golden(self):
-        sim = simulate_modeled_auto(LEVEL_TIMES, window=1)
-        assert sim.trace[0].to_dict() == {
+        assert seed_event(0, LEVEL_TIMES[0],
+                          outcome=SETUP_OUTCOME).to_dict() == {
             "kind": "seed",
             "level": 0,
             "cycle": 0,
             "variant": "partial",
-            "previous": None,
             "estimates": {"full": 4.0, "partial": 2.0, "standard": 3.0},
-            "window": None,
-            "samples": [],
             "source": "model",
-            "reason": "cost model's cheapest candidate; full probe "
-                      "schedule queued",
+            "reason": "cost model's cheapest candidate; committed at set-up "
+                      "for the solve",
         }
 
     def test_seed_reason_without_a_model_says_the_estimates_tie(self):
         """Equal estimates name no cheapest candidate, so the reason names
-        the tie and candidate order — in the simulation and on the solve
+        the tie and candidate order — for the rule alone and on the solve
         path, where a model pricing every plan alike ties every level."""
-        tie = "every candidate's estimate ties; candidate order picked the " \
-              "commit"
-        sim = simulate_modeled_auto([dict.fromkeys(DEFAULT_CANDIDATES, 1.0)])
-        assert sim.trace[0].variant == DEFAULT_CANDIDATES[0].value
-        assert sim.trace[0].reason == f"{tie}; full probe schedule queued"
+        event = seed_event(0, dict.fromkeys(DEFAULT_CANDIDATES, 1.0))
+        assert event.variant == DEFAULT_CANDIDATES[0].value
+        assert event.reason == TIE
         matrix, hierarchy, mapping = _problem()
         with WorldVCycle(hierarchy, mapping, variant="auto",
                          model=_FlatModel(0.0)) as vcycle:
@@ -124,56 +123,59 @@ class TestEventSchema:
         for event in seeds:
             assert set(event.estimates.values()) == {0.0}
             assert event.variant == DEFAULT_CANDIDATES[0].value
-            assert event.reason == f"{tie}; committed at set-up for the solve"
+            assert event.reason == f"{TIE}; {SETUP_OUTCOME}"
 
     def test_seed_reason_names_the_candidates_a_commit_ties_with(self):
-        sim = simulate_modeled_auto([{Variant.STANDARD: 2.0,
-                                      Variant.PARTIAL: 1.0,
-                                      Variant.FULL: 1.0}])
-        assert sim.trace[0].variant == "partial"
-        assert sim.trace[0].reason == (
+        event = seed_event(0, {Variant.STANDARD: 2.0, Variant.PARTIAL: 1.0,
+                               Variant.FULL: 1.0}, outcome=SETUP_OUTCOME)
+        assert event.variant == "partial"
+        assert event.reason == (
             "cost model's cheapest candidate, tied with full; candidate "
-            "order picked the commit; full probe schedule queued")
+            "order picked the commit; committed at set-up for the solve")
 
     def test_event_round_trip_is_lossless(self):
-        sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
-        for event in sim.trace:
+        for event in seed_trace(LEVEL_TIMES):
             assert DecisionEvent.from_dict(event.to_dict()) == event
 
     def test_bad_kind_and_source_are_rejected(self):
-        with pytest.raises(ValidationError):
-            DecisionEvent(kind="guess", level=0, cycle=0)
-        with pytest.raises(ValidationError):
-            DecisionEvent(kind="probe", level=0, cycle=0, source="vibes")
+        for kind in ("guess", "probe"):
+            with pytest.raises(ValidationError, match="event kind"):
+                DecisionEvent(kind=kind, level=0, cycle=0, variant="full")
+        for source in ("vibes", "measured"):
+            with pytest.raises(ValidationError, match="event source"):
+                DecisionEvent(kind="seed", level=0, cycle=0, variant="full",
+                              source=source)
 
 
 class TestTraceSerialisation:
     def test_json_round_trip_byte_identical(self):
-        sim = simulate_modeled_auto(LEVEL_TIMES, window=2)
-        text = sim.trace.to_json()
+        trace = seed_trace(LEVEL_TIMES)
+        text = trace.to_json()
         rebuilt = DecisionTrace.from_json(text)
         assert rebuilt.to_json() == text
-        assert rebuilt.choices() == sim.trace.choices()
+        assert rebuilt.choices() == trace.choices() == {
+            0: Variant.PARTIAL, 1: Variant.STANDARD}
         rebuilt.validate()
 
     def test_json_is_canonical(self):
-        text = simulate_modeled_auto(LEVEL_TIMES, window=1).trace.to_json()
+        text = seed_trace(LEVEL_TIMES).to_json()
         payload = json.loads(text)
-        assert payload["schema"] == TRACE_SCHEMA_VERSION
+        assert payload["schema"] == TRACE_SCHEMA_VERSION == 3
         assert json.dumps(payload, sort_keys=True,
                           separators=(",", ":")) == text
 
     def test_unknown_schema_version_is_rejected(self):
-        payload = simulate_modeled_auto(LEVEL_TIMES, window=1).trace.to_dict()
-        payload["schema"] = TRACE_SCHEMA_VERSION + 1
-        with pytest.raises(ValidationError):
-            DecisionTrace.from_dict(payload)
+        payload = seed_trace(LEVEL_TIMES).to_dict()
+        for schema in (TRACE_SCHEMA_VERSION - 1, TRACE_SCHEMA_VERSION + 1):
+            payload["schema"] = schema
+            with pytest.raises(ValidationError, match="schema"):
+                DecisionTrace.from_dict(payload)
 
     @staticmethod
     def _payload(**changes):
         """A one-event trace dict with the event's fields ``changes``d
         (``None`` drops a field)."""
-        event = simulate_modeled_auto(LEVEL_TIMES, window=1).trace[0].to_dict()
+        event = seed_trace(LEVEL_TIMES)[0].to_dict()
         event.update(changes)
         return {"schema": TRACE_SCHEMA_VERSION,
                 "events": [{key: value for key, value in event.items()
@@ -186,6 +188,26 @@ class TestTraceSerialisation:
     def test_a_non_integer_level_is_rejected(self):
         with pytest.raises(ValidationError, match="malformed decision event"):
             DecisionTrace.from_dict(self._payload(level="x"))
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": "x"}},
+         "full estimate must be seconds"),
+        ({"estimates": {"standard": 3.0, "partial": 2.0,
+                        "full": float("nan")}}, "finite and non-negative"),
+        ({"estimates": {"standard": 3.0, "partial": -2.0, "full": 4.0}},
+         "finite and non-negative"),
+        ({"estimates": {"standard": 3.0, "partial": 2.0, "warp": 4.0}},
+         "estimate key must name a variant"),
+        ({"variant": "warp"}, "committed variant must name a variant"),
+        ({"variant": None}, "malformed decision event"),
+    ], ids=["string-estimate", "nan-estimate", "negative-estimate",
+            "unknown-estimate-key", "unknown-variant", "no-variant"])
+    def test_a_malformed_event_is_rejected_on_load(self, changes, match):
+        """A trace is read from outside the program: a bad estimate or
+        variant name fails at ``from_dict``, not later at ``to_json`` or
+        ``choices``."""
+        with pytest.raises(ValidationError, match=match):
+            DecisionTrace.from_dict(self._payload(**changes))
 
     @pytest.mark.parametrize("text", ["[]", "3", '"trace"', "{"])
     def test_json_that_is_not_a_trace_object_is_rejected(self, text):
@@ -200,47 +222,46 @@ class TestTraceSerialisation:
 
 
 class TestTraceValidation:
+    """``validate`` re-derives every commit: one seed per level, estimates
+    for every candidate, and the candidate-order argmin as its variant."""
+
     @staticmethod
-    def _switching_trace() -> DecisionTrace:
-        """A trace containing a switch: the model seeds FULL, measurement
-        overturns it in favour of STANDARD."""
-        selector = OnlineSelector(window=1)
-        selector.seed(0, {Variant.STANDARD: 9.0, Variant.PARTIAL: 8.0,
-                          Variant.FULL: 1.0})
-        measured = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0,
-                    Variant.FULL: 3.0}
-        for _ in range(selector.probe_budget):
-            selector.begin_cycle()
-            selector.record(0, float(measured[selector.variant_for(0)]))
-            selector.end_cycle()
-        assert selector.committed(0) == Variant.STANDARD
-        return selector.trace
-
-    def test_every_switch_references_a_probe_window_that_ran(self):
-        trace = self._switching_trace()
-        switches = trace.events(kind="switch", level=0)
-        assert len(switches) == 1
-        probe_windows = {event.window
-                         for event in trace.events(kind="probe", level=0)}
-        assert switches[0].window in probe_windows
-        trace.validate()
-
-    def test_tampered_window_reference_is_caught(self):
-        trace = self._switching_trace()
-        events = [event.to_dict() for event in trace]
-        for event in events:
-            if event["kind"] == "switch":
-                event["window"] = 999
-        tampered = DecisionTrace.from_dict(
+    def _tampered(position: int, **changes) -> DecisionTrace:
+        events = [event.to_dict() for event in seed_trace(LEVEL_TIMES)]
+        events[position].update(changes)
+        return DecisionTrace.from_dict(
             {"schema": TRACE_SCHEMA_VERSION, "events": events})
-        with pytest.raises(ValidationError, match="never ran"):
-            tampered.validate()
 
-    def test_commit_without_window_is_caught(self):
-        bad = DecisionTrace([DecisionEvent(kind="commit", level=0, cycle=0,
-                                           variant="standard")])
-        with pytest.raises(ValidationError, match="without a window"):
-            bad.validate()
+    def test_a_seed_trace_validates(self):
+        trace = seed_trace(LEVEL_TIMES)
+        trace.validate()
+        self._tampered(0).validate()
+
+    @pytest.mark.parametrize("variant", ["standard", "full"])
+    def test_tampered_variant_is_caught(self, variant):
+        with pytest.raises(ValidationError,
+                           match="candidate-order argmin of its estimates "
+                                 "is 'partial'"):
+            self._tampered(0, variant=variant).validate()
+
+    def test_a_tie_committed_out_of_candidate_order_is_caught(self):
+        """``partial`` and ``full`` tie: only ``partial``, the earlier
+        candidate, is the rule's commit."""
+        tied = {"standard": 2.0, "partial": 1.0, "full": 1.0}
+        self._tampered(0, estimates=tied, variant="partial").validate()
+        with pytest.raises(ValidationError, match="argmin"):
+            self._tampered(0, estimates=tied, variant="full").validate()
+
+    def test_a_missing_or_extra_estimate_is_caught(self):
+        for estimates in ({"standard": 3.0, "partial": 2.0},
+                          {"standard": 3.0, "partial": 2.0, "full": 4.0,
+                           "point_to_point": 1.0}):
+            with pytest.raises(ValidationError, match="not the candidates"):
+                self._tampered(0, estimates=estimates).validate()
+
+    def test_a_second_seed_for_a_level_is_caught(self):
+        with pytest.raises(ValidationError, match="second seed for level 0"):
+            self._tampered(1, level=0).validate()
 
 
 class TestModeledCommit:

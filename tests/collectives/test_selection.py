@@ -42,13 +42,6 @@ class TestSelectVariant:
         # With a single iteration the setup can never pay off.
         assert short_lived.variant is Variant.STANDARD
 
-    def test_include_setup_false_ignores_setup(self, mapping, model):
-        pattern = random_pattern(32, avg_neighbors=20, seed=42)
-        result = select_variant(pattern, mapping, model, expected_iterations=1,
-                                include_setup=False)
-        assert result.setup[Variant.PARTIAL] == 0.0
-        assert result.variant in (Variant.PARTIAL, Variant.FULL)
-
     def test_per_iteration_and_setup_reported_for_all_candidates(self, mapping, model):
         pattern = random_pattern(32, avg_neighbors=10, seed=43)
         result = select_variant(pattern, mapping, model)

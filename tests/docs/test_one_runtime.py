@@ -10,10 +10,11 @@ message accessors, dict delivery multisets or slot-list helpers.  Nor does
 the solve path time its rounds: ``variant="auto"`` commits each level's
 variant from the cost model at set-up, and the engine's per-round timing
 hook, the deterministic clock fed to it and the per-cycle measurement
-window were deleted.  This guard keeps all three deleted: it fails if one
-of the runtime's module files exists again, or if any module under
-``src/``, ``examples/`` or ``bench/`` defines, imports or references one of
-the deleted names.
+window were deleted; so was the online probe / commit / drift selector the
+experiment drivers once simulated.  This guard keeps all of them deleted:
+it fails if one of the runtime's module files exists again, or if any
+module under ``src/``, ``examples/`` or ``bench/`` defines, imports or
+references one of the deleted names.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ PLAN_OBJECT_NAMES = {"Slot", "from_slots", "to_slots", "from_table", "_fill",
 CLOCK_HOOK_NAMES = {"set_run_observer", "FixedStepClock", "abort_cycle",
                     "_attach_observers", "_make_observer", "_recovery_events"}
 
-DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES
+#: Names of the deleted online selector and its modeled simulation.
+SELECTOR_NAMES = {"OnlineSelector", "_LevelState", "AutoSimulation",
+                  "simulate_modeled_auto", "_add_auto_series"}
+
+DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
+    SELECTOR_NAMES
 
 _DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
 
@@ -143,6 +149,9 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "engine.set_run_observer(None)",
     "from repro.collectives.autotune import FixedStepClock",
     "def _recovery_events(self):\n    return 0",
+    "from repro.collectives.autotune import OnlineSelector",
+    "from repro.collectives import simulate_modeled_auto",
+    "class AutoSimulation:\n    pass",
     """
     def later():
         from repro.simmpi.world import helper
@@ -161,7 +170,7 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.plan import PhaseTable, PlannedMessage, SlotTable",
     "from repro.collectives.dedup import unique_keys_segmented",
     "np.take(work, rows, axis=0)",
-    "from repro.collectives.autotune import OnlineSelector, seed_event",
+    "from repro.collectives.autotune import seed_event, seed_trace",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)

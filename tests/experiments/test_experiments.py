@@ -281,7 +281,8 @@ class TestSolvePhaseDrivers:
 
 
 class TestAutoSeries:
-    """The drivers' online-autotuned ("auto") series (ISSUE 9)."""
+    """The drivers' ``auto`` series: every level on its ``variant="auto"``
+    commit from cycle 0."""
 
     def test_crossover_auto_series_is_opt_in(self, smoke_context):
         result = run_crossover(smoke_context)
@@ -294,11 +295,16 @@ class TestAutoSeries:
         assert len(result.totals["auto"]) == len(result.iteration_counts)
         assert result.decision_trace is not None
         result.decision_trace.validate()
-        # Steady state is the oracle: never worse than any fixed variant.
+        # The per-level commit is the oracle: never worse than any fixed
+        # variant, and equal to the sum of per-level minima exactly.
         for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
             assert result.per_iteration["auto"] <= \
                 result.per_iteration[variant] + 1e-15
-        # Registering every candidate costs standard + partial init (the
+        assert result.per_iteration["auto"] == sum(
+            min(profile.times[v] for v in (Variant.STANDARD, Variant.PARTIAL,
+                                           Variant.FULL))
+            for profile in smoke_context.profiles)
+        # Planning every candidate costs standard + partial init (the
         # partial setup already wraps the full one).
         assert result.init_costs["auto"] == pytest.approx(
             result.init_costs[Variant.STANDARD]
@@ -306,11 +312,12 @@ class TestAutoSeries:
         assert "auto" in result.crossovers
         assert "auto" in result.to_table()
 
-    def test_crossover_auto_totals_include_probe_overhead(self, smoke_context):
+    def test_crossover_auto_totals_are_init_plus_n_iterations(
+            self, smoke_context):
         result = run_crossover(smoke_context, variants=("auto",))
-        for n, total in zip(result.iteration_counts, result.totals["auto"]):
-            floor = result.init_costs["auto"] + n * result.per_iteration["auto"]
-            assert total >= floor - 1e-15
+        assert result.totals["auto"] == [
+            result.init_costs["auto"] + n * result.per_iteration["auto"]
+            for n in result.iteration_counts]
 
     def test_crossover_auto_rejects_solve_phase(self, smoke_context):
         from repro.utils.errors import ValidationError
@@ -332,13 +339,13 @@ class TestAutoSeries:
         result.decision_trace.validate()
         assert sorted(result.decision_trace.levels()) == sorted(result.levels)
 
-    def test_selection_ablation_online_auto_matches_oracle(self, smoke_context):
+    def test_selection_ablation_auto_matches_oracle(self, smoke_context):
         result = run_selection_ablation(smoke_context)
-        # Fed exact modeled measurements the online selector lands on the
-        # oracle's cost (choices may differ only on exact ties).
-        assert result.policy_times["online_auto"] == \
-            pytest.approx(result.policy_times["oracle"])
+        # One rule decides both, ties included: the same choice on every
+        # level and the same total.
+        assert result.auto_choice == result.oracle_choice
+        assert result.policy_times["auto"] == result.policy_times["oracle"]
         assert len(result.auto_choice) == len(result.levels)
         assert result.decision_trace is not None
         result.decision_trace.validate()
-        assert "online choice" in result.to_table()
+        assert "auto choice" in result.to_table()

@@ -1,21 +1,17 @@
-"""Property-based tests (hypothesis) for the online autotuner.
+"""Property-based tests (hypothesis) for the one selection rule.
 
-The invariants ISSUE 9 pins:
+``variant="auto"`` and the experiment drivers' ``auto`` series commit every
+level through :func:`~repro.collectives.autotune.seed_event`.  The
+invariants pinned here:
 
-* **bounded exploration** — probe scheduling is lock-stepped, so during the
-  initial probe phase every cycle runs ONE candidate hierarchy-wide and no
-  auto cycle can ever cost more than the worst fixed variant's cycle;
-* **convergence** — within the probe budget every level commits to its
-  per-level cheapest candidate, so the steady per-iteration cost equals the
-  oracle's (sum of per-level minima), never worse than any fixed variant;
-* **determinism** — the selector never reads a clock; fed the same values it
-  produces byte-identical decision traces and cost series, and an
-  engine-backed auto solve, which commits at set-up, is just as
-  reproducible;
-* **drift** — a sustained change of the committed variant's cost triggers a
-  clean re-probe and a new commit on the now-cheapest candidate;
-* **hygiene** — measurements outside an open cycle never perturb the state
-  machine, and a non-finite one is refused.
+* **argmin** — each level commits the candidate-order argmin of its
+  estimates, so the per-level cost sum equals the oracle's (sum of
+  per-level minima) exactly and never exceeds any fixed variant;
+* **determinism** — nothing reads a clock; the same estimates give
+  byte-identical decision traces, and an engine-backed auto solve, which
+  commits at set-up, is just as reproducible;
+* **hygiene** — a non-finite, negative or missing estimate is refused, and
+  a trace with a second seed for a level does not validate.
 """
 
 from __future__ import annotations
@@ -28,8 +24,10 @@ from repro.amg.hierarchy import build_hierarchy
 from repro.amg.vcycle import WorldVCycle
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    OnlineSelector,
-    simulate_modeled_auto,
+    TRACE_SCHEMA_VERSION,
+    DecisionTrace,
+    seed_event,
+    seed_trace,
 )
 from repro.collectives.plan import Variant
 from repro.sparse.parcsr import ParCSRMatrix
@@ -40,9 +38,9 @@ from repro.utils.errors import ValidationError
 
 CANDIDATES = DEFAULT_CANDIDATES
 
-#: strictly positive, well-separated-enough costs (no subnormal noise).
-_cost = st.floats(min_value=1e-6, max_value=10.0,
-                  allow_nan=False, allow_infinity=False)
+#: strictly positive costs drawn from a few values, so ties are common.
+_cost = st.sampled_from([1e-6, 0.5, 1.0, 2.0, 10.0]) | st.floats(
+    min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False)
 
 #: one hierarchy level: a modeled seconds value per candidate variant.
 _level = st.fixed_dictionaries({variant: _cost for variant in CANDIDATES})
@@ -51,147 +49,62 @@ _level = st.fixed_dictionaries({variant: _cost for variant in CANDIDATES})
 _hierarchy = st.lists(_level, min_size=1, max_size=5)
 
 
-@settings(max_examples=40, deadline=None)
-@given(level_times=_hierarchy, window=st.integers(min_value=1, max_value=4))
-def test_no_auto_cycle_exceeds_the_worst_fixed_variant(level_times, window):
-    """Lock-stepped probing: each cycle runs one variant hierarchy-wide."""
-    sim = simulate_modeled_auto(level_times, window=window)
-    worst_fixed = max(sum(times[variant] for times in level_times)
-                      for variant in CANDIDATES)
-    for cost in sim.per_cycle:
-        assert cost <= worst_fixed + 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(level_times=_hierarchy, window=st.integers(min_value=1, max_value=4))
-def test_converges_to_the_per_level_best_within_the_probe_budget(
-        level_times, window):
-    """Exactly probe_budget cycles suffice: every level lands on its minimum."""
-    sim = simulate_modeled_auto(level_times, window=window,
-                                n_cycles=len(CANDIDATES) * window)
-    selector = sim.selector
-    assert sim.selector.probe_budget == len(CANDIDATES) * window
+@settings(max_examples=60, deadline=None)
+@given(level_times=_hierarchy)
+def test_seed_trace_commits_the_candidate_order_argmin_of_every_level(
+        level_times):
+    trace = seed_trace(level_times)
+    trace.validate()
+    assert trace.levels() == list(range(len(level_times)))
     oracle = 0.0
+    committed = 0.0
     for level, times in enumerate(level_times):
-        assert not selector.is_probing(level)
         best = min(times[variant] for variant in CANDIDATES)
-        # The choice may differ from argmin on exact ties, but never its cost.
-        assert times[sim.choices[level]] == best
+        first = next(v for v in CANDIDATES if times[v] == best)
+        assert trace.committed(level) == first
         oracle += best
-    assert sim.steady_per_iteration == pytest.approx(oracle)
-    # Steady state therefore beats (or ties) every fixed policy.
+        committed += times[trace.committed(level)]
+    assert committed == oracle
     for variant in CANDIDATES:
-        fixed = sum(times[variant] for times in level_times)
-        assert sim.steady_per_iteration <= fixed + 1e-12
+        assert committed <= sum(times[variant] for times in level_times)
+    again = seed_trace(level_times)
+    assert again.to_json() == trace.to_json()
+    assert DecisionTrace.from_json(trace.to_json()).to_json() == \
+        trace.to_json()
 
 
-@settings(max_examples=40, deadline=None)
-@given(level_times=_hierarchy, window=st.integers(min_value=1, max_value=3))
-def test_simulation_is_deterministic(level_times, window):
-    """Same inputs → byte-identical trace JSON and identical cost series."""
-    first = simulate_modeled_auto(level_times, window=window)
-    second = simulate_modeled_auto(level_times, window=window)
-    assert first.trace.to_json() == second.trace.to_json()
-    assert first.per_cycle == second.per_cycle
-    assert first.choices == second.choices
-    first.trace.validate()
-
-
-@settings(max_examples=40, deadline=None)
-@given(level_times=_hierarchy, window=st.integers(min_value=1, max_value=3))
-def test_every_commit_references_a_probe_window_that_ran(level_times, window):
-    sim = simulate_modeled_auto(level_times, window=window)
-    sim.trace.validate()
-    # One commit per level once converged, each justified by >= 1 probe.
-    for level in range(len(level_times)):
-        commits = sim.trace.events(kind="commit", level=level)
-        probes = sim.trace.events(kind="probe", level=level)
-        assert len(commits) == 1
-        assert len(probes) == len(CANDIDATES)
-        windows = {event.window for event in probes}
-        assert commits[0].window in windows
-
-
-def test_ties_break_on_candidate_order():
-    """Equal measured costs must pick candidates[0] — deterministically."""
-    sim = simulate_modeled_auto(
-        [{variant: 1.0 for variant in CANDIDATES}], window=2)
-    assert sim.choices[0] == CANDIDATES[0]
-
-
-def test_drift_triggers_a_clean_reprobe_and_a_new_commit():
-    """Sustained cost change on the committed variant re-runs the probes."""
-    times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
-    selector = OnlineSelector(window=2, drift_factor=2.0)
-    level_times = [times]
-
-    def run_cycles(n):
-        for _ in range(n):
-            selector.begin_cycle()
-            selector.record(0, float(times[selector.variant_for(0)]))
-            selector.end_cycle()
-
-    selector.seed(0, times)
-    run_cycles(selector.probe_budget)
-    assert selector.committed(0) == Variant.STANDARD
-    assert not selector.is_probing(0)
-
-    # The committed variant's true cost quadruples: drift both past the
-    # factor and past every alternative.
-    times[Variant.STANDARD] = 8.0
-    run_cycles(2)                      # fill the rolling window -> drift event
-    assert selector.is_probing(0)
-    assert selector.trace.events(kind="drift", level=0)
-    run_cycles(selector.probe_budget)  # full re-probe
-    assert selector.committed(0) == Variant.PARTIAL
-    switches = selector.trace.events(kind="switch", level=0)
-    assert switches and switches[-1].variant == Variant.PARTIAL.value
-    assert switches[-1].previous == Variant.STANDARD.value
-    selector.trace.validate()
-    del level_times
-
-
-def test_records_outside_a_cycle_are_ignored():
-    times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
-    selector = OnlineSelector(window=1)
-    selector.seed(0, times)
-    selector.record(0, 1e9)            # warm-up: no open cycle, no effect
-    before = selector.trace.to_json()
-    assert selector.trace.to_json() == before
-    for _ in range(selector.probe_budget):
-        selector.begin_cycle()
-        selector.record(0, float(times[selector.variant_for(0)]))
-        selector.record(99, 1.0)       # unmanaged level, also ignored
-        selector.end_cycle()
-    assert selector.committed(0) == Variant.STANDARD
-    assert selector.estimates(0)[Variant.STANDARD] == 1.0
+@pytest.mark.parametrize("candidates", [
+    CANDIDATES, CANDIDATES[::-1], (Variant.FULL, Variant.STANDARD)],
+    ids=["standard-partial-full", "full-partial-standard", "full-standard"])
+def test_ties_break_on_candidate_order(candidates):
+    """Equal costs pick ``candidates[0]``, whatever the order."""
+    event = seed_event(0, {variant: 1.0 for variant in CANDIDATES},
+                       candidates=candidates)
+    assert event.variant == candidates[0].value
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_non_finite_or_negative_seconds_are_refused(bad):
-    """A ``nan`` would make an estimate ``nan`` and decide commits
-    silently: seeds, records and the modeled simulation refuse it."""
+    """A ``nan`` would decide a commit silently: the rule, the drivers'
+    traces and a loaded event all refuse it."""
     times = {Variant.STANDARD: 1.0, Variant.PARTIAL: 2.0, Variant.FULL: 3.0}
-    selector = OnlineSelector(window=1)
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        selector.seed(0, {**times, Variant.PARTIAL: bad})
-    selector.seed(0, times)
-    selector.begin_cycle()
+        seed_event(0, {**times, Variant.PARTIAL: bad})
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        selector.record(0, bad)
-    selector.end_cycle()
-    assert selector.estimates(0) == times
+        seed_trace([times, {**times, Variant.FULL: bad}])
+    payload = seed_event(0, times).to_dict()
+    payload["estimates"]["standard"] = bad
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        simulate_modeled_auto([{**times, Variant.FULL: bad}])
+        DecisionTrace.from_dict({"schema": TRACE_SCHEMA_VERSION,
+                                 "events": [payload]})
 
 
 def test_seed_rejects_duplicates_and_incomplete_estimates():
-    selector = OnlineSelector()
-    selector.seed(0, {v: 1.0 for v in CANDIDATES})
-    with pytest.raises(ValidationError):
-        selector.seed(0, {v: 1.0 for v in CANDIDATES})
-    with pytest.raises(ValidationError):
-        selector.seed(1, {Variant.STANDARD: 1.0})
+    with pytest.raises(ValidationError, match="lacks candidate 'partial'"):
+        seed_event(1, {Variant.STANDARD: 1.0, Variant.FULL: 1.0})
+    twice = DecisionTrace([seed_event(0, {v: 1.0 for v in CANDIDATES})] * 2)
+    with pytest.raises(ValidationError, match="second seed for level 0"):
+        twice.validate()
 
 
 def test_engine_backed_auto_vcycle_is_deterministic():
