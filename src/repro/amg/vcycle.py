@@ -56,7 +56,6 @@ from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    SETUP_OUTCOME,
     DecisionTrace,
     is_auto_variant,
     seed_event,
@@ -243,7 +242,7 @@ class WorldVCycle:
                 for candidate in modeled:
                     modeled[candidate] += \
                         weight * plans[candidate].modeled_time(model)
-            event = seed_event(index, modeled, outcome=SETUP_OUTCOME)
+            event = seed_event(index, modeled)
             self._trace.append(event)
             return Variant(event.variant)
 

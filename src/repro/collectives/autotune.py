@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,7 +36,7 @@ DEFAULT_CANDIDATES: Tuple[Variant, ...] = (
 AUTO_VARIANT = "auto"
 
 #: What the solve path does with a level's commit (ends its reason).
-SETUP_OUTCOME = "committed at set-up for the solve"
+_SETUP_OUTCOME = "committed at set-up for the solve"
 
 #: Version stamp of :meth:`DecisionTrace.to_dict`; bump on any schema change.
 TRACE_SCHEMA_VERSION = 3
@@ -277,19 +278,18 @@ class DecisionTrace:
 
 
 def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
-               candidates: Sequence[Variant] = DEFAULT_CANDIDATES,
-               cycle: int = 0, outcome: str = "") -> DecisionEvent:
+               candidates: Sequence[Variant] = DEFAULT_CANDIDATES
+               ) -> DecisionEvent:
     """The ``seed`` event committing one level's modeled-cheapest candidate.
 
     ``modeled`` gives the modeled seconds of every candidate, keyed by
     variant or value; each must be finite and non-negative, or
     :class:`ValidationError` is raised (a ``nan`` would otherwise decide the
     commit silently).  Ties break on candidate order, and the reason names
-    the candidates the commit ties with; ``outcome``, when given, ends it
-    with what the caller does with the commit.
+    the candidates the commit ties with.  The event is cycle 0's: the solve
+    path commits at set-up, and its reason says so.
 
-    >>> event = seed_event(0, {"standard": 2.0, "partial": 1.0, "full": 1.0},
-    ...                    outcome=SETUP_OUTCOME)
+    >>> event = seed_event(0, {"standard": 2.0, "partial": 1.0, "full": 1.0})
     >>> event.variant
     'partial'
     >>> print(event.reason.replace("; ", ";\\n"))
@@ -319,10 +319,9 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
                f"{', '.join(tied)}; candidate order picked the commit")
     else:
         why = "cost model's cheapest candidate"
-    return DecisionEvent(kind="seed", level=level, cycle=cycle,
+    return DecisionEvent(kind="seed", level=level, cycle=0,
                          variant=committed.value, estimates=estimates,
-                         source="model",
-                         reason=f"{why}; {outcome}" if outcome else why)
+                         source="model", reason=f"{why}; {_SETUP_OUTCOME}")
 
 
 def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]
@@ -330,17 +329,16 @@ def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]
     """One :func:`seed_event` per level of ``level_times`` (levels numbered
     from 0): the commits ``variant="auto"`` makes at set-up when a level's
     cost is its entry, which is how the experiment drivers model it."""
-    return DecisionTrace([seed_event(level, times, outcome=SETUP_OUTCOME)
+    return DecisionTrace([seed_event(level, times)
                           for level, times in enumerate(level_times)])
 
 
 def _checked_seconds(value, what: str) -> float:
-    """``value`` as seconds: finite and non-negative, else it raises."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{what} must be seconds, got {value!r}") from None
+    """``value`` as seconds: a real number (not a string or a bool), finite
+    and non-negative, else it raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be seconds, got {value!r}")
+    seconds = float(value)
     if not (math.isfinite(seconds) and seconds >= 0.0):
         raise ValidationError(
             f"{what} must be finite and non-negative seconds, got {seconds!r}")

@@ -13,6 +13,7 @@ order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -75,6 +76,12 @@ def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel,
 
     totals = {variant: setup[variant] + expected_iterations * per_iteration[variant]
               for variant in candidates}
+    for variant, total in totals.items():
+        if not (math.isfinite(total) and total >= 0.0):
+            raise ValidationError(
+                f"select_variant's {variant.value} total (setup plus "
+                f"{expected_iterations} iterations) must be finite and "
+                f"non-negative seconds, got {total!r}")
     best = Variant(seed_event(0, totals, candidates=candidates).variant)
     return SelectionResult(variant=best, plan=plans[best],
                            per_iteration=per_iteration, setup=setup,

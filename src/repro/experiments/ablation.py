@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.autotune import DecisionTrace, seed_trace
+from repro.collectives.autotune import (DEFAULT_CANDIDATES, DecisionTrace,
+                                        seed_trace)
 from repro.collectives.plan import Variant
 from repro.collectives.planner import plan_partial
 from repro.collectives.selection import select_variant
@@ -31,9 +32,11 @@ class SelectionAblationResult:
 
     ``auto_choice`` is the per-level commit of ``variant="auto"``
     (:func:`~repro.collectives.autotune.seed_trace` on the modeled times),
-    and :attr:`decision_trace` records why each level committed it.  The
-    model, auto and oracle choices all decide through one rule (ties break
-    on candidate order), so they differ only where their costs do.
+    and :attr:`decision_trace` records why each level committed it.  That
+    commit is the per-level modeled argmin, i.e. the oracle, so the auto and
+    oracle columns are one computation shown twice.  The model choice
+    decides through the same rule (ties break on candidate order) on setup
+    plus iteration totals, so it differs only where those costs do.
     """
 
     levels: List[int]
@@ -76,39 +79,35 @@ def run_selection_ablation(context: ExperimentContext | None = None, *,
     if context is None:
         context = ExperimentContext.build(config or ExperimentConfig.from_environment())
     profiles = context.profiles
-    candidates = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
 
     model_choice: List[str] = []
-    oracle_choice: List[str] = []
     policy_times: Dict[str, float] = {
         "always_standard": 0.0,
         "always_partial": 0.0,
         "always_full": 0.0,
         "model_selection": 0.0,
-        "auto": 0.0,
         "oracle": 0.0,
     }
     trace = seed_trace([p.times for p in profiles])
-    auto_choice = [trace.committed(index) for index in range(len(profiles))]
-    for profile, auto in zip(profiles, auto_choice):
+    oracle_choice = [trace.committed(index) for index in range(len(profiles))]
+    for profile, oracle in zip(profiles, oracle_choice):
         selection = select_variant(profile.pattern, context.mapping, context.model,
                                    expected_iterations=expected_iterations,
                                    setup_model=context.setup_model,
                                    strategy=context.config.strategy,
-                                   candidates=candidates)
-        oracle = profile.best_variant(candidates=candidates)
+                                   candidates=DEFAULT_CANDIDATES)
         model_choice.append(selection.variant.value)
-        oracle_choice.append(oracle.value)
         policy_times["always_standard"] += profile.times[Variant.STANDARD]
         policy_times["always_partial"] += profile.times[Variant.PARTIAL]
         policy_times["always_full"] += profile.times[Variant.FULL]
         policy_times["model_selection"] += profile.times[selection.variant]
-        policy_times["auto"] += profile.times[auto]
         policy_times["oracle"] += profile.times[oracle]
+    policy_times["auto"] = policy_times["oracle"]
+    oracle_names = [v.value for v in oracle_choice]
     return SelectionAblationResult(levels=[p.level for p in profiles],
                                    model_choice=model_choice,
-                                   oracle_choice=oracle_choice,
-                                   auto_choice=[v.value for v in auto_choice],
+                                   oracle_choice=oracle_names,
+                                   auto_choice=list(oracle_names),
                                    policy_times=policy_times,
                                    decision_trace=trace)
 

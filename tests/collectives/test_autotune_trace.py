@@ -33,7 +33,6 @@ from repro.collectives import exchange as exchange_module
 from repro.collectives import plan_cache
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    SETUP_OUTCOME,
     TRACE_SCHEMA_VERSION,
     DecisionEvent,
     DecisionTrace,
@@ -67,6 +66,9 @@ LEVEL_TIMES = [
 #: Every candidate's estimate equal: no cheapest one to name.
 TIE = "every candidate's estimate ties; candidate order picked the commit"
 
+#: How every seed's reason ends: the solve path commits at set-up.
+SET_UP = "committed at set-up for the solve"
+
 
 def _problem():
     matrix = ParCSRMatrix(poisson_2d((12, 12)), RowPartition.even(144, N_RANKS))
@@ -96,8 +98,7 @@ class TestEventSchema:
             assert set(event.to_dict()) == EVENT_KEYS
 
     def test_seed_event_golden(self):
-        assert seed_event(0, LEVEL_TIMES[0],
-                          outcome=SETUP_OUTCOME).to_dict() == {
+        assert seed_event(0, LEVEL_TIMES[0]).to_dict() == {
             "kind": "seed",
             "level": 0,
             "cycle": 0,
@@ -114,7 +115,7 @@ class TestEventSchema:
         path, where a model pricing every plan alike ties every level."""
         event = seed_event(0, dict.fromkeys(DEFAULT_CANDIDATES, 1.0))
         assert event.variant == DEFAULT_CANDIDATES[0].value
-        assert event.reason == TIE
+        assert event.reason == f"{TIE}; {SET_UP}"
         matrix, hierarchy, mapping = _problem()
         with WorldVCycle(hierarchy, mapping, variant="auto",
                          model=_FlatModel(0.0)) as vcycle:
@@ -123,11 +124,11 @@ class TestEventSchema:
         for event in seeds:
             assert set(event.estimates.values()) == {0.0}
             assert event.variant == DEFAULT_CANDIDATES[0].value
-            assert event.reason == f"{TIE}; {SETUP_OUTCOME}"
+            assert event.reason == f"{TIE}; {SET_UP}"
 
     def test_seed_reason_names_the_candidates_a_commit_ties_with(self):
         event = seed_event(0, {Variant.STANDARD: 2.0, Variant.PARTIAL: 1.0,
-                               Variant.FULL: 1.0}, outcome=SETUP_OUTCOME)
+                               Variant.FULL: 1.0})
         assert event.variant == "partial"
         assert event.reason == (
             "cost model's cheapest candidate, tied with full; candidate "
@@ -192,6 +193,10 @@ class TestTraceSerialisation:
     @pytest.mark.parametrize("changes, match", [
         ({"estimates": {"standard": 3.0, "partial": 2.0, "full": "x"}},
          "full estimate must be seconds"),
+        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": "2"}},
+         "full estimate must be seconds"),
+        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": True}},
+         "full estimate must be seconds"),
         ({"estimates": {"standard": 3.0, "partial": 2.0,
                         "full": float("nan")}}, "finite and non-negative"),
         ({"estimates": {"standard": 3.0, "partial": -2.0, "full": 4.0}},
@@ -200,7 +205,8 @@ class TestTraceSerialisation:
          "estimate key must name a variant"),
         ({"variant": "warp"}, "committed variant must name a variant"),
         ({"variant": None}, "malformed decision event"),
-    ], ids=["string-estimate", "nan-estimate", "negative-estimate",
+    ], ids=["string-estimate", "string-number-estimate", "bool-estimate",
+            "nan-estimate", "negative-estimate",
             "unknown-estimate-key", "unknown-variant", "no-variant"])
     def test_a_malformed_event_is_rejected_on_load(self, changes, match):
         """A trace is read from outside the program: a bad estimate or

@@ -67,3 +67,14 @@ class TestSelectVariant:
         result = select_variant(pattern, mapping, model, expected_iterations=10,
                                 setup_model=expensive_setup)
         assert result.variant is Variant.STANDARD
+
+    @pytest.mark.parametrize("base", [float("nan"), float("inf"), -1.0])
+    def test_a_bad_total_is_refused_in_its_own_terms(self, mapping, model, base):
+        """A setup model yielding a non-finite or negative total is refused
+        in ``select_variant``'s own terms, not as a hierarchy level's."""
+        pattern = random_pattern(32, avg_neighbors=10, seed=47)
+        with pytest.raises(ValidationError,
+                           match="select_variant's partial total") as caught:
+            select_variant(pattern, mapping, model,
+                           setup_model=SetupCostModel(base=base))
+        assert "level" not in str(caught.value)

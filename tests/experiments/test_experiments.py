@@ -341,10 +341,13 @@ class TestAutoSeries:
 
     def test_selection_ablation_auto_matches_oracle(self, smoke_context):
         result = run_selection_ablation(smoke_context)
-        # One rule decides both, ties included: the same choice on every
-        # level and the same total.
-        assert result.auto_choice == result.oracle_choice
-        assert result.policy_times["auto"] == result.policy_times["oracle"]
+        # The auto commit is the per-level modeled argmin, ties included:
+        # each profile's own best variant and best time.
+        profiles = smoke_context.profiles
+        assert result.auto_choice == result.oracle_choice == [
+            profile.best_variant().value for profile in profiles]
+        assert result.policy_times["auto"] == result.policy_times["oracle"] \
+            == sum(profile.best_time() for profile in profiles)
         assert len(result.auto_choice) == len(result.levels)
         assert result.decision_trace is not None
         result.decision_trace.validate()
