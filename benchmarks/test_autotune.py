@@ -22,7 +22,7 @@ CANDIDATES = (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
 
 def test_bench_autotune_tracks_per_level_best(experiment_config):
     context = ExperimentContext.build(experiment_config.with_ranks(N_RANKS))
-    result = run_crossover(context, variants=("auto",))
+    result = run_crossover(context, auto=True)
     emit("fig07_crossover_auto", result.to_table())
 
     auto_steady = result.per_iteration["auto"]

@@ -66,7 +66,6 @@ from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
 from repro.perfmodel.params import lassen_parameters
 from repro.simmpi.engine import ExchangeEngine
-from repro.simmpi.profiler import TrafficProfiler
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV
@@ -127,15 +126,37 @@ class WorldVCycle:
     seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle` on the assembled
     operators — the solve-phase equivalence suite pins it.
 
-    Pass ``engine`` to register all levels with a shared engine (e.g.
-    ``ExchangeEngine(n_ranks, profiler=...)``), ``profiler`` for a
-    private engine around one profiler, or ``level_profilers`` (one per
-    level) for per-level engines, each accounting its own level's traffic.
-    ``runtime`` / ``n_workers`` select and size the backend of every engine
-    the cycle creates itself (``"engine"`` single-process, ``"procs"``
-    shared-memory worker pool); ``close`` — or context-manager exit —
-    releases those engines' workers and shared segments deterministically (a
-    caller-supplied engine stays open).
+    The engine is the execution configuration: its runtime, its worker
+    count and its traffic profiler.  Pass one
+    :class:`~repro.simmpi.engine.ExchangeEngine` as ``engine`` to register
+    every level with it, or a sequence of one engine per hierarchy level
+    to give each level its own (and so its own profiler).  Without one the
+    cycle builds a private engine on ``runtime`` (``"engine"``
+    single-process, ``"procs"`` shared-memory worker pool; default
+    ``REPRO_RUNTIME``), and ``close`` — or context-manager exit — releases
+    that engine's workers and shared segments.  An engine the caller passes
+    belongs to the caller and stays open.
+
+    >>> from repro.amg import build_hierarchy
+    >>> from repro.simmpi import ExchangeEngine, TrafficProfiler
+    >>> from repro.sparse import ParCSRMatrix, RowPartition
+    >>> from repro.sparse.stencils import poisson_2d
+    >>> from repro.topology import paper_mapping
+    >>> matrix = ParCSRMatrix(poisson_2d((16, 16)), RowPartition.even(256, 8))
+    >>> hierarchy = build_hierarchy(matrix)
+    >>> mapping = paper_mapping(8, ranks_per_node=4)
+    >>> engines = [ExchangeEngine(8, profiler=TrafficProfiler(mapping))
+    ...            for _ in range(hierarchy.n_levels)]
+    >>> with WorldVCycle(hierarchy, mapping, engine=engines) as cycle:
+    ...     x = cycle.cycle(np.ones(256), np.zeros(256))
+    >>> [engine.profiler.total().message_count for engine in engines]
+    [80, 120, 146, 28]
+    >>> [engine.profiler.total().byte_count for engine in engines]
+    [7664, 6312, 3544, 672]
+    >>> [engine.closed for engine in engines]    # the caller's to close
+    [False, False, False, False]
+    >>> for engine in engines:
+    ...     engine.close()
 
     ``variant="auto"`` picks each level's variant at set-up: every
     candidate's plans are built, and the level commits the one the cost
@@ -155,11 +176,8 @@ class WorldVCycle:
                  strategy: BalanceStrategy = BalanceStrategy.BYTES,
                  pre_sweeps: int = 1, post_sweeps: int = 1,
                  omega: float = 2.0 / 3.0,
-                 engine: ExchangeEngine | None = None,
-                 profiler: TrafficProfiler | None = None,
-                 level_profilers: Optional[Sequence[TrafficProfiler]] = None,
+                 engine: ExchangeEngine | Sequence[ExchangeEngine] | None = None,
                  runtime: str | None = None,
-                 n_workers: int | None = None,
                  model=None):
         if hierarchy.n_levels == 0:
             raise SolverError("hierarchy has no levels")
@@ -167,27 +185,17 @@ class WorldVCycle:
             pre_sweeps, post_sweeps, omega)
         check_mapping_covers(mapping, hierarchy.levels[0].matrix.n_ranks,
                              "the matrix partition")
-        if level_profilers is not None \
-                and len(level_profilers) != hierarchy.n_levels:
+        n_levels = hierarchy.n_levels
+        if engine is not None and runtime is not None:
             raise ValidationError(
-                f"level_profilers must have one entry per level "
-                f"({hierarchy.n_levels}), got {len(level_profilers)}"
+                "an engine already fixed its runtime; pass runtime only when "
+                "the cycle builds its own engine"
             )
-        if level_profilers is not None and engine is not None:
+        if engine is not None and not isinstance(engine, ExchangeEngine) \
+                and len(engine) != n_levels:
             raise ValidationError(
-                "pass either a shared engine or per-level profilers, not both"
-            )
-        if profiler is not None and (engine is not None
-                                     or level_profilers is not None):
-            raise ValidationError(
-                "pass either a profiler (for a private shared engine) or an "
-                "engine / per-level profilers, not both"
-            )
-        if engine is not None and (runtime is not None
-                                   or n_workers is not None):
-            raise ValidationError(
-                "a shared engine already fixed its runtime; pass runtime/"
-                "n_workers only when the cycle creates its own engines"
+                f"engine must be one ExchangeEngine or one per level "
+                f"(n_levels={n_levels}), got {len(engine)}"
             )
         auto = is_auto_variant(variant)
         if not auto:
@@ -215,19 +223,11 @@ class WorldVCycle:
         self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest.matrix)) \
             if coarsest.n_rows > 0 else None
         self.n_ranks = hierarchy.levels[0].matrix.n_ranks
-        n_levels = hierarchy.n_levels
-        if level_profilers is not None:
-            engines = [ExchangeEngine(self.n_ranks, profiler=level_profiler,
-                                      runtime=runtime, n_workers=n_workers)
-                       for level_profiler in level_profilers]
-            self._owned_engines = list(engines)
-        else:
-            shared = engine if engine is not None else \
-                ExchangeEngine(self.n_ranks, profiler=profiler,
-                               runtime=runtime, n_workers=n_workers)
-            engines = [shared] * n_levels
-            self._owned_engines = [] if engine is not None else [shared]
-        self.engines = engines
+        self._owns_engine = engine is None
+        if engine is None:
+            engine = ExchangeEngine(self.n_ranks, runtime=runtime)
+        self.engines = engines = [engine] * n_levels \
+            if isinstance(engine, ExchangeEngine) else list(engine)
         self._trace = DecisionTrace() if auto else None
 
         def commit(index: int, weighted) -> Variant:
@@ -303,9 +303,10 @@ class WorldVCycle:
         return self.hierarchy.levels[0].matrix.n_rows
 
     def close(self) -> None:
-        """Release every engine this cycle created (workers, shared segments)."""
-        for owned in self._owned_engines:
-            owned.close()
+        """Release the engine this cycle built (workers, shared segments); a
+        caller's engine stays open."""
+        if self._owns_engine:
+            self.engines[0].close()
 
     def __enter__(self) -> "WorldVCycle":
         return self
@@ -426,11 +427,8 @@ class WorldAMGSolver:
                  variant: Variant | str = Variant.PARTIAL,
                  strategy: BalanceStrategy = BalanceStrategy.BYTES,
                  hierarchy: Optional[AMGHierarchy] = None,
-                 engine: ExchangeEngine | None = None,
-                 profiler: TrafficProfiler | None = None,
-                 level_profilers: Optional[Sequence[TrafficProfiler]] = None,
+                 engine: ExchangeEngine | Sequence[ExchangeEngine] | None = None,
                  runtime: str | None = None,
-                 n_workers: int | None = None,
                  model=None):
         self.matrix = matrix
         self.hierarchy = hierarchy or build_hierarchy(
@@ -441,8 +439,7 @@ class WorldAMGSolver:
         self.vcycle_executor = WorldVCycle(
             self.hierarchy, mapping, variant=variant, strategy=strategy,
             pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega,
-            engine=engine, profiler=profiler, level_profilers=level_profilers,
-            runtime=runtime, n_workers=n_workers, model=model)
+            engine=engine, runtime=runtime, model=model)
 
     @property
     def decision_trace(self) -> DecisionTrace | None:

@@ -52,13 +52,6 @@ class AggregationAssignment:
             raise PlanError(f"no aggregation leaders assigned for region pair {key}")
         return self.send_leader[key], self.recv_leader[key]
 
-    def sender_load(self) -> Dict[int, int]:
-        """Number of region pairs each rank sends for (load-balance diagnostics)."""
-        load: Dict[int, int] = {}
-        for rank in self.send_leader.values():
-            load[rank] = load.get(rank, 0) + 1
-        return load
-
 
 def _pair_loads(pattern: CommPattern, mapping: RankMapping) -> Dict[int, Dict[int, float]]:
     """``loads[src_region][dest_region]``: items (duplicates included) per

@@ -46,7 +46,6 @@ from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.comm_pattern import CommPattern
 from repro.simmpi.engine import ExchangeEngine
-from repro.simmpi.profiler import TrafficProfiler
 from repro.topology.mapping import RankMapping
 
 
@@ -58,7 +57,6 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
                                   dtype: np.dtype | type | str | None = None,
                                   item_size: int | None = None,
                                   engine: ExchangeEngine | None = None,
-                                  profiler: TrafficProfiler | None = None,
                                   runtime: str | None = None,
                                   n_workers: int | None = None,
                                   vector_length: int | None = None
@@ -74,14 +72,14 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     numpy calls.
 
     ``dtype`` / ``item_size`` default to the pattern's element type.  Pass an
-    ``engine`` to share one engine (and its profiler) across collectives, or a
-    ``profiler`` to let the collective create a private engine around it;
-    ``runtime`` / ``n_workers`` select the private engine's backend
-    (``"engine"`` single-process, ``"procs"`` shared-memory worker
-    pool); ``vector_length`` registers the exchange on the caller's vector.
+    ``engine`` — the execution configuration: runtime, workers and traffic
+    profiler — to share it across collectives; without one, ``runtime`` /
+    ``n_workers`` select the private engine's backend (``"engine"``
+    single-process, ``"procs"`` shared-memory worker pool).
+    ``vector_length`` registers the exchange on the caller's vector.
     """
     plan = make_plan(pattern, mapping, variant, strategy=strategy)
     return WorldNeighborCollective(plan, dtype=dtype, item_size=item_size,
-                                   engine=engine, profiler=profiler,
-                                   runtime=runtime, n_workers=n_workers,
+                                   engine=engine, runtime=runtime,
+                                   n_workers=n_workers,
                                    vector_length=vector_length)

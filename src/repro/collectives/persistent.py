@@ -31,7 +31,6 @@ from repro.collectives.exchange import (
 from repro.collectives import plan_cache
 from repro.collectives.plan import CollectivePlan
 from repro.simmpi.engine import ExchangeEngine, WorldValues
-from repro.simmpi.profiler import TrafficProfiler
 from repro.utils.errors import ValidationError
 
 
@@ -55,10 +54,12 @@ class WorldNeighborCollective:
     and returns the engine's round buffer; ``exchange``, and a per-rank list
     given to ``exchange_flat``, raise :class:`ValidationError`.
 
-    ``runtime`` / ``n_workers`` select and size the engine backend
-    (``"engine"`` single-process, ``"procs"`` shared-memory worker
-    pool) when the collective creates its own private engine; they cannot
-    be combined with a shared ``engine``, which already fixed its runtime.
+    ``engine`` is the execution configuration — its runtime, worker count
+    and traffic profiler; a caller who wants the traffic accounted passes
+    an engine that has a profiler.  Without one the collective creates a
+    private engine on ``runtime`` / ``n_workers`` (``"engine"``
+    single-process, ``"procs"`` shared-memory worker pool); they cannot be
+    combined with a shared ``engine``, which already fixed its runtime.
     ``close`` (or using the collective as a context manager) releases a
     private engine's workers and shared segments deterministically — a
     shared engine is left to its owner.
@@ -68,16 +69,9 @@ class WorldNeighborCollective:
                  dtype: np.dtype | type | str | None = None,
                  item_size: int | None = None,
                  engine: ExchangeEngine | None = None,
-                 profiler: TrafficProfiler | None = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
                  vector_length: int | None = None):
-        if engine is not None and profiler is not None \
-                and engine.profiler is not profiler:
-            raise ValidationError(
-                "pass either an engine (with its own profiler) or a profiler, "
-                "not both"
-            )
         if engine is not None and (runtime is not None or n_workers is not None):
             raise ValidationError(
                 "a shared engine already fixed its runtime; pass runtime/"
@@ -101,8 +95,8 @@ class WorldNeighborCollective:
         self.world: WorldExchange = world
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else \
-            ExchangeEngine(self.world.n_ranks, profiler=profiler,
-                           runtime=runtime, n_workers=n_workers)
+            ExchangeEngine(self.world.n_ranks, runtime=runtime,
+                           n_workers=n_workers)
         self._handle = self.engine.register(self.world,
                                             vector_length=vector_length)
         # Per-rank slices of the flat result (a bound vector has none).

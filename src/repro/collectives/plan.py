@@ -444,10 +444,6 @@ class CollectivePlan:
         srcs, dests, payloads = self._stacked("srcs", "dests", "payload_counts")
         return payloads[~self.mapping.same_region_many(srcs, dests)]
 
-    def max_global_message_bytes(self) -> int:
-        """Largest single inter-region message (Figure 10 uses the per-process max)."""
-        return int(self._global_payloads().max(initial=0)) * self.item_bytes
-
     def global_payload_items(self) -> int:
         """Total number of values crossing region boundaries."""
         return int(self._global_payloads().sum())

@@ -38,10 +38,6 @@ class SelectionResult:
     setup: Mapping[Variant, float]
     expected_iterations: int
 
-    def total_cost(self, variant: Variant) -> float:
-        """Setup plus iteration cost over the expected horizon."""
-        return self.setup[variant] + self.expected_iterations * self.per_iteration[variant]
-
 
 def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel, *,
                    expected_iterations: int = 1000,

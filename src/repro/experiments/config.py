@@ -34,6 +34,11 @@ from repro.utils.errors import ValidationError
 ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
                 Variant.PARTIAL, Variant.FULL)
 
+#: The variable :meth:`ExperimentConfig.from_environment` reads, and what
+#: each accepted value selects (``True``: the paper's configuration).
+PAPER_SCALE_ENV = "REPRO_PAPER_SCALE"
+PAPER_SCALE_VALUES = {"0": False, "false": False, "1": True, "true": True}
+
 
 def measured_level_times(profiles: Sequence[LevelCommProfile], *,
                          variants: Sequence[Variant] = ALL_VARIANTS,
@@ -162,10 +167,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_environment(cls) -> "ExperimentConfig":
-        """Pick the paper-scale configuration when ``REPRO_PAPER_SCALE`` is set."""
-        if os.environ.get("REPRO_PAPER_SCALE", "0") not in ("", "0", "false", "False"):
-            return cls.paper()
-        return cls.reduced()
+        """The paper-scale configuration when ``REPRO_PAPER_SCALE`` is ``1``
+        or ``true``, the reduced one when it is ``0``, ``false`` or unset
+        (case-insensitive).  Any other value raises
+        :class:`ValidationError`: a typo must not silently start minutes of
+        paper-scale set-up."""
+        value = os.environ.get(PAPER_SCALE_ENV, "").strip().lower() or "0"
+        if value not in PAPER_SCALE_VALUES:
+            raise ValidationError(
+                f"{PAPER_SCALE_ENV} must be one of "
+                f"{tuple(PAPER_SCALE_VALUES)} or unset, got {value!r}")
+        return cls.paper() if PAPER_SCALE_VALUES[value] else cls.reduced()
 
     def with_ranks(self, n_ranks: int) -> "ExperimentConfig":
         """Copy of the configuration distributed over ``n_ranks`` ranks."""

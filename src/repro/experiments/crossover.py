@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.collectives.autotune import DecisionTrace, is_auto_variant, seed_trace
+from repro.collectives.autotune import DecisionTrace, seed_trace
 from repro.collectives.plan import Variant
 from repro.experiments.config import ALL_VARIANTS, ExperimentConfig, ExperimentContext
 from repro.pattern.statistics import average_neighbors
@@ -100,8 +100,7 @@ def run_crossover(context: ExperimentContext | None = None, *,
                   iteration_counts: Sequence[int] | None = None,
                   use_measured_iteration: bool = False,
                   solve_phase: bool = False,
-                  variants: Sequence[Variant | str] | None = None
-                  ) -> CrossoverResult:
+                  auto: bool = False) -> CrossoverResult:
     """Reproduce Figure 7 for the configured problem and scale.
 
     With ``use_measured_iteration=True`` the per-iteration cost of every
@@ -120,10 +119,9 @@ def run_crossover(context: ExperimentContext | None = None, *,
     computed against real solve-phase execution rather than summed exchange
     rounds.
 
-    ``variants`` requests additional series beyond the four fixed protocols
-    (always computed — they are the figure's frame of reference): the only
-    recognised addition is ``"auto"``, what ``variant="auto"`` runs: every
-    level on its commit from cycle 0
+    ``auto=True`` adds one series beside the four fixed protocols (always
+    computed — they are the figure's frame of reference): ``"auto"``, what
+    ``variant="auto"`` runs: every level on its commit from cycle 0
     (:func:`~repro.collectives.autotune.seed_trace` over the same per-level
     times the fixed series use), with the trace on the result.  Its init
     is every candidate's planning, ``init[standard] + init[partial]`` (the
@@ -137,12 +135,7 @@ def run_crossover(context: ExperimentContext | None = None, *,
     iteration_counts = list(iteration_counts if iteration_counts is not None
                             else config.crossover_iterations)
     graph_model = graph_creation_model(mpi_implementation)
-    requested = list(variants) if variants is not None else []
-    auto_requested = any(is_auto_variant(entry) for entry in requested)
-    for entry in requested:
-        if not is_auto_variant(entry):
-            Variant(entry)
-    if auto_requested and solve_phase:
+    if auto and solve_phase:
         raise ValidationError(
             "the auto series needs per-level times; solve_phase=True "
             "measures whole cycles only"
@@ -160,7 +153,7 @@ def run_crossover(context: ExperimentContext | None = None, *,
             variant: sum(times[variant] for times in level_times)
             for variant in ALL_VARIANTS
         }
-        if auto_requested:
+        if auto:
             trace = seed_trace(level_times)
             per_iteration[AUTO_SERIES] = sum(
                 times[trace.committed(level)]

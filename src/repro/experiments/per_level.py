@@ -87,10 +87,12 @@ def executed_statistics(plan: CollectivePlan) -> PatternStatistics:
     executed traffic rather than from plan metadata.
     """
     from repro.collectives.persistent import WorldNeighborCollective
+    from repro.simmpi.engine import ExchangeEngine
     from repro.simmpi.profiler import TrafficProfiler
 
     profiler = TrafficProfiler(plan.mapping)
-    with WorldNeighborCollective(plan, profiler=profiler) as collective:
+    with ExchangeEngine(plan.pattern.n_ranks, profiler=profiler) as engine, \
+            WorldNeighborCollective(plan, engine=engine) as collective:
         n_owned = int(collective.world.owned_offsets[-1])
         collective.exchange(np.zeros(n_owned, dtype=collective.dtype))
     sources, dests, nbytes = profiler.data_columns()
@@ -108,8 +110,9 @@ def executed_cycle_statistics(hierarchy, mapping, *,
                               ) -> List[PatternStatistics]:
     """Per-level statistics observed by executing one whole world-stepped V-cycle.
 
-    Builds a :class:`~repro.amg.vcycle.WorldVCycle` with one
-    :class:`~repro.simmpi.profiler.TrafficProfiler` per hierarchy level, runs
+    Builds a :class:`~repro.amg.vcycle.WorldVCycle` on one engine per
+    hierarchy level, each with its own
+    :class:`~repro.simmpi.profiler.TrafficProfiler`, runs
     a single cycle (smoother sweeps, residual SpMV, grid transfers, and the
     coarse gather all through the exchange engine), and folds each level's
     bulk data-path counters into a :class:`PatternStatistics`.  Unlike
@@ -119,19 +122,25 @@ def executed_cycle_statistics(hierarchy, mapping, *,
     """
     from repro.amg.vcycle import WorldVCycle
     from repro.collectives.aggregation import BalanceStrategy
+    from repro.simmpi.engine import ExchangeEngine
     from repro.simmpi.profiler import TrafficProfiler
 
     strategy = strategy if strategy is not None else BalanceStrategy.BYTES
-    profilers = [TrafficProfiler(mapping) for _ in range(hierarchy.n_levels)]
-    with WorldVCycle(hierarchy, mapping, variant=variant, strategy=strategy,
-                     pre_sweeps=pre_sweeps, post_sweeps=post_sweeps,
-                     level_profilers=profilers) as vcycle:
+    n_ranks = hierarchy.levels[0].matrix.n_ranks
+    engines = [ExchangeEngine(n_ranks, profiler=TrafficProfiler(mapping))
+               for _ in range(hierarchy.n_levels)]
+    try:
+        vcycle = WorldVCycle(hierarchy, mapping, variant=variant,
+                             strategy=strategy, pre_sweeps=pre_sweeps,
+                             post_sweeps=post_sweeps, engine=engines)
         n = vcycle.n_rows
         vcycle.cycle(np.ones(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
-    n_ranks = hierarchy.levels[0].matrix.n_ranks
+    finally:
+        for engine in engines:
+            engine.close()
     per_level: List[PatternStatistics] = []
-    for profiler in profilers:
-        sources, dests, nbytes = profiler.data_columns()
+    for engine in engines:
+        sources, dests, nbytes = engine.profiler.data_columns()
         stats = PatternStatistics(n_ranks=n_ranks)
         if sources.size:
             stats.add_messages(sources, mapping.same_region_many(sources, dests),

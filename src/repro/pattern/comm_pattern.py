@@ -272,10 +272,7 @@ class CommPattern:
         self._item_offsets = item_offsets
         self._items = items
         self._edge_srcs: np.ndarray | None = None
-        self._item_views: Tuple[np.ndarray, ...] | None = None
-        self._item_view_cache: Dict[int, np.ndarray] = {}
         self._recv_csr: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._edge_lists: Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]] | None = None
         self._edge_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unique_edges: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._owned_keys: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -339,32 +336,10 @@ class CommPattern:
         """Items per edge, in edge order (derived from ``item_offsets``)."""
         return np.diff(self._item_offsets)
 
-    def _edge_item_views(self) -> Tuple[np.ndarray, ...]:
-        """All per-edge views into the stored item column (cached, read-only).
-
-        Views already handed out by the single-edge accessors are reused, so
-        an edge's view object stays stable no matter which accessor made it.
-        """
-        if self._item_views is None:
-            views = tuple(self._edge_view(e) for e in range(self._dests.size))
-            self._item_views = views
-            self._item_view_cache = {}
-        return self._item_views
-
     def _edge_view(self, slot: int) -> np.ndarray:
-        """The item view of one edge slot (O(1); caches for identity stability).
-
-        Single-edge accessors (``send_items``/``recv_items``/the map views)
-        use this so that looking up one edge never materialises views for all
-        edges; repeated lookups of the same edge return the same object.
-        """
-        if self._item_views is not None:
-            return self._item_views[slot]
-        view = self._item_view_cache.get(slot)
-        if view is None:
-            view = self._items[self._item_offsets[slot]:self._item_offsets[slot + 1]]
-            self._item_view_cache[slot] = view
-        return view
+        """The item ids of one edge slot: an O(1) slice of the frozen item
+        column, so read-only and never a copy."""
+        return self._items[self._item_offsets[slot]:self._item_offsets[slot + 1]]
 
     def _edge_slot(self, src: int, dest: int) -> int:
         """Edge index of ``(src, dest)``, or -1 when the edge does not exist."""
@@ -442,21 +417,20 @@ class CommPattern:
         The yielded arrays are read-only views of the stored item column.
         """
         edge_srcs = self.edge_sources()
-        views = self._edge_item_views()
         dests = self._dests
         for slot in range(dests.size):
-            yield int(edge_srcs[slot]), int(dests[slot]), views[slot]
+            yield int(edge_srcs[slot]), int(dests[slot]), self._edge_view(slot)
 
     def edge_lists(self) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
         """Per-edge columnar view: ``(srcs, dests, item_arrays)`` in edge order.
 
-        ``dests`` is the stored CSR column itself; ``srcs`` and the per-edge
-        item views are cached expansions.
+        ``dests`` is the stored CSR column itself, ``srcs`` its cached
+        expansion, and the per-edge item arrays read-only slices of the item
+        column, made on each call.
         """
-        if self._edge_lists is None:
-            self._edge_lists = (self.edge_sources(), self._dests,
-                                self._edge_item_views())
-        return self._edge_lists
+        return (self.edge_sources(), self._dests,
+                tuple(self._edge_view(slot)
+                      for slot in range(self._dests.size)))
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fully expanded columnar edge table ``(origins, dests, items)``.
@@ -543,30 +517,9 @@ class CommPattern:
         """Total payload bytes in the standard scheme."""
         return self.total_items * self.item_bytes
 
-    def message_size(self, src: int, dest: int) -> int:
-        """Bytes of the (src, dest) message in the standard scheme."""
-        return int(self.send_items(src, dest).size) * self.item_bytes
-
     def active_ranks(self) -> np.ndarray:
         """Ranks that send or receive at least one message."""
         return np.unique(np.concatenate([self.edge_sources(), self._dests]))
-
-    def restrict_to(self, ranks: Iterable[int]) -> "CommPattern":
-        """Sub-pattern containing only edges whose endpoints are both in ``ranks``."""
-        keep = as_index_array(sorted(set(int(r) for r in ranks)))
-        edge_srcs = self.edge_sources()
-        edge_keep = np.isin(edge_srcs, keep) & np.isin(self._dests, keep)
-        counts = self.edge_item_counts()
-        row_keep = np.repeat(edge_keep, counts)
-        columns = (self._offsets_from_keys(edge_srcs[edge_keep]),
-                   self._dests[edge_keep],
-                   counts_to_displs(counts[edge_keep]),
-                   self._items[row_keep])
-        for column in columns:
-            column.flags.writeable = False
-        return CommPattern.from_csr(
-            self.n_ranks, *columns, item_bytes=self.item_bytes,
-            dtype=self.dtype, item_size=self.item_size)
 
     def __getstate__(self):
         """Pickle the metadata, the CSR columns and ``owned_keys`` only.
@@ -577,8 +530,7 @@ class CommPattern:
         again.
         """
         state = self.__dict__.copy()
-        state.update(_edge_srcs=None, _item_views=None, _item_view_cache={},
-                     _recv_csr=None, _edge_lists=None, _edge_arrays=None,
+        state.update(_edge_srcs=None, _recv_csr=None, _edge_arrays=None,
                      _unique_edges=None)
         return state
 

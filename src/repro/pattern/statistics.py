@@ -9,7 +9,7 @@ all variants uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -129,18 +129,6 @@ class PatternStatistics:
             local_bytes=self.local_bytes + other.local_bytes,
             global_bytes=self.global_bytes + other.global_bytes,
         )
-
-    def as_dict(self) -> Dict[str, int]:
-        """Summary dictionary used by reports and EXPERIMENTS.md tables."""
-        return {
-            "max_local_messages": self.max_local_messages,
-            "max_global_messages": self.max_global_messages,
-            "max_local_bytes": self.max_local_bytes,
-            "max_global_bytes": self.max_global_bytes,
-            "total_local_messages": self.total_local_messages,
-            "total_global_messages": self.total_global_messages,
-            "total_global_bytes": self.total_global_bytes,
-        }
 
 
 def average_neighbors(pattern: CommPattern, ranks: Iterable[int] | None = None) -> float:

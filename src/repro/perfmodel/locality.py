@@ -58,8 +58,9 @@ class LocalityAwareModel(CostModel):
         ``active_per_node`` processes.
     active_per_node:
         Processes per node assumed active; with three-step aggregation only a
-        subset of processes inject, which callers express by constructing a
-        model with a smaller value via :meth:`with_active_per_node`.
+        subset of processes inject, which callers express with a smaller
+        value (``lassen_parameters(active_per_node=)`` or
+        ``dataclasses.replace``).
     """
 
     parameters: Mapping[Locality, LocalityParameters] = field(
@@ -75,12 +76,6 @@ class LocalityAwareModel(CostModel):
             raise ValidationError("beta_injection must be non-negative")
         if self.active_per_node < 1:
             raise ValidationError("active_per_node must be >= 1")
-
-    def with_active_per_node(self, active_per_node: int) -> "LocalityAwareModel":
-        """Copy of the model with a different number of injecting processes."""
-        return LocalityAwareModel(parameters=dict(self.parameters),
-                                  beta_injection=self.beta_injection,
-                                  active_per_node=active_per_node)
 
     def message_time(self, nbytes: int, locality: Locality) -> float:
         """Per-message time using the class-specific alpha/beta."""

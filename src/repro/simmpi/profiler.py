@@ -218,13 +218,6 @@ class TrafficProfiler:
             return 0
         return max(s.message_count for s in per_rank.values())
 
-    def max_bytes_per_rank(self, *, localities: Iterable[Locality] | None = None) -> int:
-        """Maximum number of bytes sent by any single rank."""
-        per_rank = self.per_rank(localities=localities)
-        if not per_rank:
-            return 0
-        return max(s.byte_count for s in per_rank.values())
-
     def inter_region_records(self) -> List[TrafficRecord]:
         """Messages whose endpoints lie in different aggregation regions."""
         if self.mapping is None:

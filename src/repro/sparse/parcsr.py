@@ -187,10 +187,6 @@ class ParCSRMatrix:
         """Number of ranks in the (shared) partitions."""
         return self.partition.n_ranks
 
-    def with_partition(self, partition: RowPartition) -> "ParCSRMatrix":
-        """Same matrix, different distribution."""
-        return ParCSRMatrix(self.matrix, partition)
-
     def transpose(self) -> "ParCSRMatrix":
         """The transposed operator with the partitions swapped."""
         return ParCSRMatrix(self.matrix.T.tocsr(), self.col_partition,

@@ -7,7 +7,7 @@ matches how the paper's problems are distributed.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,27 +73,10 @@ class RowPartition:
         self._check_rank(rank)
         return int(self.offsets[rank]), int(self.offsets[rank + 1])
 
-    def local_size(self, rank: int) -> int:
-        """Number of rows owned by ``rank``."""
-        first, last = self.row_range(rank)
-        return last - first
-
     def rows_of(self, rank: int) -> np.ndarray:
         """Global row indices owned by ``rank``."""
         first, last = self.row_range(rank)
         return np.arange(first, last, dtype=np.int64)
-
-    def to_local(self, rank: int, rows: Sequence[int]) -> np.ndarray:
-        """Convert global row indices owned by ``rank`` to local indices."""
-        rows = np.asarray(rows, dtype=np.int64)
-        first, last = self.row_range(rank)
-        if rows.size and (rows.min() < first or rows.max() >= last):
-            raise ValidationError(f"rows not owned by rank {rank}")
-        return rows - first
-
-    def iter_ranks(self) -> Iterator[int]:
-        """Iterate over rank ids."""
-        return iter(range(self.n_ranks))
 
     def active_ranks(self) -> np.ndarray:
         """Ranks owning at least one row (coarse AMG levels leave ranks empty)."""

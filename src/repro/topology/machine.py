@@ -71,11 +71,6 @@ class MachineSpec:
         """Total cores in the machine."""
         return self.nodes * self.cores_per_node
 
-    @property
-    def total_sockets(self) -> int:
-        """Total CPUs (NUMA regions) in the machine."""
-        return self.nodes * self.sockets_per_node
-
     def core_location(self, core: int) -> tuple[int, int, int]:
         """Return ``(node, socket_within_node, core_within_socket)`` of a core id.
 
@@ -89,27 +84,6 @@ class MachineSpec:
         node, rest = divmod(core, self.cores_per_node)
         socket, core_in_socket = divmod(rest, self.cores_per_socket)
         return node, socket, core_in_socket
-
-    def locality_between(self, core_a: int, core_b: int) -> Locality:
-        """Classify the path between two cores."""
-        if core_a == core_b:
-            return Locality.SELF
-        node_a, socket_a, _ = self.core_location(core_a)
-        node_b, socket_b, _ = self.core_location(core_b)
-        if node_a != node_b:
-            return Locality.INTER_NODE
-        if socket_a != socket_b:
-            return Locality.INTER_SOCKET
-        return Locality.INTRA_SOCKET
-
-    def with_nodes(self, nodes: int) -> "MachineSpec":
-        """Return a copy of this spec with a different node count."""
-        return MachineSpec(
-            name=self.name,
-            nodes=nodes,
-            sockets_per_node=self.sockets_per_node,
-            cores_per_socket=self.cores_per_socket,
-        )
 
     def describe(self) -> str:
         """One-line human readable summary."""

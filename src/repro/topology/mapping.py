@@ -93,7 +93,6 @@ class RankMapping:
         # Regions are renumbered densely in order of first appearance so that
         # region ids are always 0..n_regions-1 even for sparse placements.
         unique, dense = np.unique(self._regions, return_inverse=True)
-        self._region_renumber = unique
         self._regions = dense.astype(np.int64)
         self._n_regions = int(unique.size)
 
@@ -101,9 +100,6 @@ class RankMapping:
             np.flatnonzero(self._regions == r).astype(np.int64)
             for r in range(self._n_regions)
         ]
-        self._local_index = np.empty(self.n_ranks, dtype=np.int64)
-        for members in self._region_members:
-            self._local_index[members] = np.arange(members.size)
 
     # -- construction -----------------------------------------------------
 
@@ -131,15 +127,6 @@ class RankMapping:
             raise TopologyError("custom mapping must supply custom_cores")
         return node * machine.cores_per_node + slot
 
-    @classmethod
-    def from_cores(cls, machine: MachineSpec, cores: Sequence[int], *,
-                   region: str = "node") -> "RankMapping":
-        """Build a mapping from an explicit rank→core array."""
-        cores = np.asarray(cores, dtype=np.int64)
-        return cls(machine, len(cores), kind=MappingKind.CUSTOM,
-                   custom_cores=cores, region=region,
-                   ranks_per_node=machine.cores_per_node)
-
     # -- content view ------------------------------------------------------
 
     def cores_array(self) -> np.ndarray:
@@ -155,30 +142,15 @@ class RankMapping:
 
     # -- per-rank queries --------------------------------------------------
 
-    def core_of(self, rank: int) -> int:
-        """Core id hosting ``rank``."""
-        self._check_rank(rank)
-        return int(self._cores[rank])
-
     def node_of(self, rank: int) -> int:
         """Node id hosting ``rank``."""
         self._check_rank(rank)
         return int(self._nodes[rank])
 
-    def socket_of(self, rank: int) -> int:
-        """Global socket (NUMA region) id hosting ``rank``."""
-        self._check_rank(rank)
-        return int(self._sockets[rank])
-
     def region_of(self, rank: int) -> int:
         """Aggregation-region id of ``rank`` (dense, 0-based)."""
         self._check_rank(rank)
         return int(self._regions[rank])
-
-    def local_index(self, rank: int) -> int:
-        """Position of ``rank`` within its region (0..region_size-1)."""
-        self._check_rank(rank)
-        return int(self._local_index[rank])
 
     def locality(self, rank_a: int, rank_b: int) -> Locality:
         """Locality class of a message from ``rank_a`` to ``rank_b``."""
@@ -211,17 +183,9 @@ class RankMapping:
             raise TopologyError(f"region {region} out of range [0, {self._n_regions})")
         return self._region_members[region].copy()
 
-    def region_size(self, region: int) -> int:
-        """Number of ranks in ``region``."""
-        return int(self.ranks_in_region(region).size)
-
     def regions_array(self) -> np.ndarray:
         """Vector of region ids indexed by rank (copy)."""
         return self._regions.copy()
-
-    def nodes_array(self) -> np.ndarray:
-        """Vector of node ids indexed by rank (copy)."""
-        return self._nodes.copy()
 
     def region_of_many(self, ranks: Iterable[int]) -> np.ndarray:
         """Vectorised :meth:`region_of`."""

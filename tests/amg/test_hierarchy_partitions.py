@@ -39,20 +39,20 @@ class TestCoarsePartition:
         coarse = _coarse_partition(fine, splitting)
         assert coarse.n_ranks == fine.n_ranks
         assert coarse.n_rows == 5
-        assert [coarse.local_size(rank) for rank in range(3)] == [2, 1, 2]
+        assert np.diff(coarse.offsets).tolist() == [2, 1, 2]
 
     def test_rank_without_coarse_points_gets_empty_range(self):
         fine = RowPartition([0, 2, 4, 6])
         splitting = _splitting([CPOINT, FPOINT, FPOINT, FPOINT, CPOINT, CPOINT])
         coarse = _coarse_partition(fine, splitting)
-        assert [coarse.local_size(rank) for rank in range(3)] == [1, 0, 2]
+        assert np.diff(coarse.offsets).tolist() == [1, 0, 2]
         assert coarse.active_ranks().tolist() == [0, 2]
 
     def test_empty_fine_rank_stays_empty(self):
         fine = RowPartition([0, 3, 3, 6])
         splitting = _splitting([CPOINT, CPOINT, FPOINT, FPOINT, CPOINT, FPOINT])
         coarse = _coarse_partition(fine, splitting)
-        assert [coarse.local_size(rank) for rank in range(3)] == [2, 0, 1]
+        assert np.diff(coarse.offsets).tolist() == [2, 0, 1]
 
     def test_all_fine_points_yields_empty_partition(self):
         fine = RowPartition([0, 2, 4])

@@ -22,6 +22,7 @@ from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.planner import make_plan
 from repro.collectives.plan import Variant
 from repro.pattern.statistics import PatternStatistics
+from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix
@@ -88,9 +89,10 @@ def test_world_cycle_byte_identical_to_seed(config_key, variant, runtime,
     b = rng.standard_normal(matrix.n_rows)
     x0 = rng.standard_normal(matrix.n_rows)
 
-    with WorldVCycle(hierarchy, mapping, variant=variant, runtime=runtime,
-                     n_workers=n_workers) as world:
-        world_x = world.cycle(b, x0)
+    with ExchangeEngine(N_RANKS, runtime=runtime,
+                        n_workers=n_workers) as engine:
+        world_x = WorldVCycle(hierarchy, mapping, variant=variant,
+                              engine=engine).cycle(b, x0)
     seed_x = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
     assert world_x.tobytes() == seed_x.tobytes()
 
@@ -139,19 +141,25 @@ def test_per_level_profiler_totals_identical(config_key, variant, rng):
     x0 = rng.standard_normal(matrix.n_rows)
     n_levels = hierarchy.n_levels
 
-    profilers = [TrafficProfiler(mapping) for _ in range(n_levels)]
-    with WorldVCycle(hierarchy, mapping, variant=variant,
-                     level_profilers=profilers) as world:
-        world.cycle(b, x0)
-        rounds = world.pre_sweeps + 1 + world.post_sweeps
+    engines = _level_engines(mapping, n_levels)
+    world = WorldVCycle(hierarchy, mapping, variant=variant, engine=engines)
+    world.cycle(b, x0)
+    rounds = world.pre_sweeps + 1 + world.post_sweeps
 
-    for index, profiler in enumerate(profilers):
+    for index, engine in enumerate(engines):
         planned = _planned_columns(
             _level_plans(hierarchy, mapping, variant, index, rounds))
-        observed = _sorted(*profiler.data_columns())
+        observed = _sorted(*engine.profiler.data_columns())
         assert planned[0].size, f"level {index} planned no traffic"
         for observed_column, planned_column in zip(observed, planned):
             assert np.array_equal(observed_column, planned_column), index
+
+
+def _level_engines(mapping, n_levels):
+    """One engine per level, each accounting its level's traffic on its
+    own profiler."""
+    return [ExchangeEngine(N_RANKS, profiler=TrafficProfiler(mapping))
+            for _ in range(n_levels)]
 
 
 def _merged(parts):
@@ -176,14 +184,14 @@ def test_executed_cycle_statistics_match_planned(variant, rng):
     x0 = rng.standard_normal(matrix.n_rows)
     n_levels = hierarchy.n_levels
 
-    profilers = [TrafficProfiler(mapping) for _ in range(n_levels)]
+    engines = _level_engines(mapping, n_levels)
     WorldVCycle(hierarchy, mapping, variant=variant,
-                level_profilers=profilers).cycle(b, x0)
+                engine=engines).cycle(b, x0)
 
     for index in range(n_levels):
         expected = _merged([plan.statistics() for plan in _level_plans(
             hierarchy, mapping, variant, index, rounds=3)])
-        sources, dests, nbytes = profilers[index].data_columns()
+        sources, dests, nbytes = engines[index].profiler.data_columns()
         observed = PatternStatistics(n_ranks=N_RANKS)
         if sources.size:
             observed.add_messages(sources,
@@ -215,8 +223,6 @@ def test_world_solver_matches_seed_solver(rng):
 
 def test_world_solver_reuses_shared_engine(rng):
     """All levels of a solve can register with one caller-supplied engine."""
-    from repro.simmpi.engine import ExchangeEngine
-
     matrix, hierarchy = _build("poisson_even")
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
     profiler = TrafficProfiler(mapping)
@@ -230,6 +236,21 @@ def test_world_solver_reuses_shared_engine(rng):
     assert profiler.total().message_count > 0
 
 
+def test_cycle_closes_only_the_engine_it_built():
+    """``close`` releases the cycle's private engine; one engine or one per
+    level that the caller passed belongs to the caller and stays open."""
+    matrix, hierarchy = _build("poisson_even")
+    mapping = paper_mapping(N_RANKS, ranks_per_node=4)
+    with WorldVCycle(hierarchy, mapping) as private:
+        built = private.engines[0]
+        assert all(engine is built for engine in private.engines)
+    assert built.closed
+    engines = _level_engines(mapping, hierarchy.n_levels)
+    with WorldVCycle(hierarchy, mapping, engine=engines) as per_level:
+        assert per_level.engines == engines
+    assert not any(engine.closed for engine in engines)
+
+
 def test_vcycle_validation():
     matrix, hierarchy = _build("poisson_even")
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
@@ -238,16 +259,13 @@ def test_vcycle_validation():
         world.cycle(np.zeros(3), np.zeros(3))
     with pytest.raises(ValidationError):
         WorldVCycle(hierarchy, mapping, pre_sweeps=-1)
-    with pytest.raises(ValidationError):
-        WorldVCycle(hierarchy, mapping,
-                    level_profilers=[TrafficProfiler(mapping)])
-    # A profiler alongside an engine (or per-level profilers) would be
-    # silently ignored; the conflict must be rejected instead.
-    from repro.simmpi.engine import ExchangeEngine
-
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="n_levels"):
+        WorldVCycle(hierarchy, mapping, engine=[ExchangeEngine(N_RANKS)])
+    # A runtime alongside an engine would be silently ignored; the
+    # conflict must be rejected instead.
+    with pytest.raises(ValidationError, match="runtime"):
         WorldVCycle(hierarchy, mapping, engine=ExchangeEngine(N_RANKS),
-                    profiler=TrafficProfiler(mapping))
+                    runtime="engine")
     # A mapping smaller than the hierarchy's partition must fail up front
     # with a clear error, not deep inside the planner.
     with pytest.raises(ValidationError, match="mapping covers"):

@@ -17,6 +17,7 @@ from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.builders import (halo_exchange_pattern, pattern_from_edges,
                                     random_pattern)
+from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import PlanError, ValidationError
@@ -57,9 +58,10 @@ def _expected_output(collective, rank, dtype, item_size):
 
 def _check_array_exchange(pattern, mapping, variant, dtype, item_size,
                           profiler=None):
-    with neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
-                                       dtype=dtype, item_size=item_size,
-                                       profiler=profiler) as collective:
+    with ExchangeEngine(pattern.n_ranks, profiler=profiler) as engine, \
+            neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                          dtype=dtype, item_size=item_size,
+                                          engine=engine) as collective:
         received = collective.exchange([
             _owned_values(collective, rank, dtype, item_size)
             for rank in range(pattern.n_ranks)])

@@ -43,6 +43,7 @@ from repro.collectives.plan import Variant
 from repro.collectives.planner import all_plans
 from repro.perfmodel.base import CostModel
 from repro.perfmodel.params import lassen_parameters
+from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.generators import strong_scaling_problem
 from repro.sparse.parcsr import ParCSRMatrix
@@ -383,8 +384,10 @@ class TestRuntimeByteIdentity:
     def _run(self, runtime: str, n_workers=None):
         matrix, hierarchy, mapping = _problem()
         b = np.ones(matrix.n_rows, dtype=np.float64)
-        with WorldVCycle(hierarchy, mapping, variant="auto", runtime=runtime,
-                         n_workers=n_workers) as vcycle:
+        with ExchangeEngine(matrix.n_ranks, runtime=runtime,
+                            n_workers=n_workers) as engine:
+            vcycle = WorldVCycle(hierarchy, mapping, variant="auto",
+                                 engine=engine)
             x = np.zeros(matrix.n_rows, dtype=np.float64)
             for _ in range(4):
                 x = vcycle.cycle(b, x)

@@ -48,7 +48,7 @@ def reference_sends_from_parcsr(matrix):
     """
     partition = matrix.col_partition
     sends = {}
-    for rank in partition.iter_ranks():
+    for rank in range(partition.n_ranks):
         first, last = matrix.partition.row_range(rank)
         col_first, col_last = partition.row_range(rank)
         cols = np.unique(matrix.matrix[first:last].indices).astype(np.int64)

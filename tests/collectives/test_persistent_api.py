@@ -119,7 +119,8 @@ class TestPersistentHandleSemantics:
         pattern = random_pattern(16, avg_neighbors=5, seed=30)
         plan = make_plan(pattern, small_mapping, Variant.PARTIAL)
         profiler = TrafficProfiler(small_mapping)
-        collective = WorldNeighborCollective(plan, profiler=profiler)
+        collective = WorldNeighborCollective(
+            plan, engine=ExchangeEngine(16, profiler=profiler))
         expected = plan.n_messages
         assert collective.messages_per_iteration() == expected
         collective.exchange([_value_of(rank, _owned_items(pattern, rank))
@@ -232,7 +233,7 @@ class TestApiValidation:
         profiler = TrafficProfiler(mapping)
         collective = neighbor_alltoallv_init_world(
             pattern, mapping, variant=Variant.PARTIAL, dtype=np.float32,
-            item_size=3, profiler=profiler)
+            item_size=3, engine=ExchangeEngine(n_ranks, profiler=profiler))
         assert (collective.dtype, collective.item_size) == (np.float32, 3)
         values = [(_value_of(rank, _owned_items(pattern, rank))[:, None]
                    + np.arange(3)).astype(np.float32) for rank in range(n_ranks)]

@@ -114,10 +114,6 @@ class TestPlanAccessors:
     def test_describe_mentions_variant(self, cross_region_pattern, mapping):
         assert "standard" in plan_standard(cross_region_pattern, mapping).describe()
 
-    def test_max_global_message_bytes(self, cross_region_pattern, mapping):
-        plan = plan_partial(cross_region_pattern, mapping)
-        assert plan.max_global_message_bytes() > 0
-
     def test_item_bytes_taken_from_pattern(self, mapping):
         pattern = pattern_from_edges(8, [(0, 4, [1])], item_bytes=4)
         plan = plan_standard(pattern, mapping)
@@ -227,7 +223,8 @@ class TestModeledTime:
         pattern = random_pattern(64, avg_neighbors=6, seed=2, item_size=3)
         plan = make_plan(pattern, paper_mapping(64, ranks_per_node=8),
                          variant, use_cache=False)
-        for model in (lassen_model, lassen_model.with_active_per_node(64),
+        for model in (lassen_model, dataclasses.replace(lassen_model,
+                                                        active_per_node=64),
                       PostalModel(alpha=2e-6, beta=3e-9),
                       _OpaqueModel(scale=1.5)):
             t = {phase: loop_time(plan, model, phase) for phase in Phase}

@@ -145,8 +145,9 @@ class TestGoldenEquivalence:
         plan = make_plan(pattern, mapping, variant)
 
         profiler = TrafficProfiler(mapping)
-        with WorldNeighborCollective(plan, profiler=profiler,
-                                     **_runtime_kwargs(runtime)) as collective:
+        with ExchangeEngine(n_ranks, profiler=profiler,
+                            **_runtime_kwargs(runtime)) as engine:
+            collective = WorldNeighborCollective(plan, engine=engine)
             results = collective.exchange(_rank_values(collective))
             _assert_results(results, _oracle_results(collective))
             _assert_profile_is_plan(profiler, plan, collective.spec.item_bytes)
@@ -158,7 +159,8 @@ class TestGoldenEquivalence:
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         plan = make_plan(pattern, mapping, variant)
         profiler = TrafficProfiler(mapping)
-        collective = WorldNeighborCollective(plan, profiler=profiler)
+        collective = WorldNeighborCollective(
+            plan, engine=ExchangeEngine(n_ranks, profiler=profiler))
         for iteration in range(3):
             scale = (iteration + 1) * 10.0
             results = collective.exchange(_rank_values(collective, scale))
@@ -302,16 +304,6 @@ class TestEngineInterface:
             totals.append(engine.profiler.total().message_count)
         # Both collectives' traffic landed in the one shared profiler.
         assert totals[1] > totals[0] > 0
-
-    def test_engine_and_profiler_conflict_rejected(self):
-        n_ranks = 4
-        pattern = random_pattern(n_ranks, avg_neighbors=2, seed=1)
-        mapping = paper_mapping(n_ranks, ranks_per_node=2)
-        plan = make_plan(pattern, mapping, Variant.STANDARD)
-        engine = ExchangeEngine(n_ranks)
-        with pytest.raises(ValidationError, match="not both"):
-            WorldNeighborCollective(plan, engine=engine,
-                                    profiler=TrafficProfiler(mapping))
 
     @pytest.mark.parametrize("rank", [-1, 6, 7])
     def test_rank_outside_the_world_is_rejected(self, small_collective, rank):
@@ -512,7 +504,8 @@ class TestSelfSendPattern:
         for variant in ALL_VARIANTS:
             plan = make_plan(pattern, mapping, variant)
             profiler = TrafficProfiler(mapping)
-            collective = WorldNeighborCollective(plan, profiler=profiler)
+            collective = WorldNeighborCollective(
+                plan, engine=ExchangeEngine(4, profiler=profiler))
             results = collective.exchange(_rank_values(collective, scale=10.0))
             _assert_results(results, _oracle_results(collective, scale=10.0))
             _assert_profile_is_plan(profiler, plan, collective.spec.item_bytes)

@@ -11,19 +11,27 @@ the solve path time its rounds: ``variant="auto"`` commits each level's
 variant from the cost model at set-up, and the engine's per-round timing
 hook, the deterministic clock fed to it and the per-cycle measurement
 window were deleted; so was the online probe / commit / drift selector the
-experiment drivers once simulated.  This guard keeps all of them deleted:
-it fails if one of the runtime's module files exists again, or if any
-module under ``src/``, ``examples/`` or ``bench/`` defines, imports or
-references one of the deleted names.
+experiment drivers once simulated.  And the engine is the execution
+configuration: a caller who wants per-level traffic passes one profiled
+engine per level, so the ``level_profilers=`` keyword was deleted.  This
+guard keeps all of them deleted: it fails if one of the runtime's module
+files exists again, or if any module under ``src/``, ``examples/`` or
+``bench/`` defines, imports or references one of the deleted names, or
+declares or passes one of the deleted keywords.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import textwrap
 
 import pytest
+
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
+from repro.collectives.api import neighbor_alltoallv_init_world
+from repro.collectives.persistent import WorldNeighborCollective
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -61,6 +69,10 @@ SELECTOR_NAMES = {"OnlineSelector", "_LevelState", "AutoSimulation",
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
     SELECTOR_NAMES
 
+#: Keywords the solve path's constructors no longer take: per-level
+#: traffic is a list of profiled engines passed as ``engine=``.
+DELETED_KEYWORDS = {"level_profilers"}
+
 _DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
 
 
@@ -71,9 +83,15 @@ def _is_deleted_module(module: str) -> bool:
 
 def _violations(source: str) -> list:
     """``(line, what)`` for every definition, import or attribute reference
-    of the deleted runtime in ``source``."""
+    of the deleted runtime in ``source``, and every parameter or call
+    keyword with a deleted keyword's name."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
+            if name in DELETED_KEYWORDS:
+                found.append((node.lineno, f"{name}="))
+            continue
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             names = [node.name]
@@ -152,6 +170,8 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "from repro.collectives.autotune import OnlineSelector",
     "from repro.collectives import simulate_modeled_auto",
     "class AutoSimulation:\n    pass",
+    "def f(level_profilers=None):\n    pass",
+    "WorldVCycle(h, m, level_profilers=[])",
     """
     def later():
         from repro.simmpi.world import helper
@@ -171,6 +191,37 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.dedup import unique_keys_segmented",
     "np.take(work, rows, axis=0)",
     "from repro.collectives.autotune import seed_event, seed_trace",
+    "WorldVCycle(h, m, engine=[ExchangeEngine(8)] * 3)",
+    "def f(profilers=None):\n    pass",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)
+
+
+
+#: The keyword-only parameters of the solve path's constructors.  The
+#: engine carries the runtime, the worker count and the profiler, so none
+#: of them takes ``profiler=`` or ``level_profilers=``, and the cycle and
+#: the solver take no ``n_workers=`` either.
+CONSTRUCTOR_KEYWORDS = {
+    WorldVCycle: {"variant", "strategy", "pre_sweeps", "post_sweeps",
+                  "omega", "engine", "runtime", "model"},
+    WorldAMGSolver: {"strength_theta", "max_levels", "max_coarse_size",
+                     "pre_sweeps", "post_sweeps", "omega", "truncation",
+                     "seed", "variant", "strategy", "hierarchy", "engine",
+                     "runtime", "model"},
+    WorldNeighborCollective: {"dtype", "item_size", "engine", "runtime",
+                              "n_workers", "vector_length"},
+    neighbor_alltoallv_init_world: {"variant", "strategy", "dtype",
+                                    "item_size", "engine", "runtime",
+                                    "n_workers", "vector_length"},
+}
+
+
+@pytest.mark.parametrize("constructor", CONSTRUCTOR_KEYWORDS,
+                         ids=lambda constructor: constructor.__name__)
+def test_the_solve_path_constructors_keep_their_keyword_sets(constructor):
+    keywords = {parameter.name for parameter
+                in inspect.signature(constructor).parameters.values()
+                if parameter.kind is parameter.KEYWORD_ONLY}
+    assert keywords == CONSTRUCTOR_KEYWORDS[constructor]

@@ -37,6 +37,24 @@ class TestConfig:
         monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
         assert ExperimentConfig.from_environment().n_rows == 524288
 
+    @pytest.mark.parametrize("value,paper", [
+        ("0", False), ("false", False), ("False", False), (" FALSE ", False),
+        ("", False), ("1", True), ("true", True), ("True", True),
+        (" TRUE\n", True)])
+    def test_from_environment_accepted_values(self, monkeypatch, value,
+                                              paper):
+        monkeypatch.setenv("REPRO_PAPER_SCALE", value)
+        expected = ExperimentConfig.paper() if paper \
+            else ExperimentConfig.reduced()
+        assert ExperimentConfig.from_environment() == expected
+
+    @pytest.mark.parametrize("value", ["flase", "yes", "2", "on", "paper"])
+    def test_from_environment_refuses_a_typo(self, monkeypatch, value):
+        from repro.utils.errors import ValidationError
+        monkeypatch.setenv("REPRO_PAPER_SCALE", value)
+        with pytest.raises(ValidationError, match="REPRO_PAPER_SCALE must be"):
+            ExperimentConfig.from_environment()
+
     def test_with_ranks(self, smoke_config):
         assert smoke_config.with_ranks(128).n_ranks == 128
 
@@ -290,7 +308,7 @@ class TestAutoSeries:
         assert result.decision_trace is None
 
     def test_crossover_auto_series_and_trace(self, smoke_context):
-        result = run_crossover(smoke_context, variants=("auto",))
+        result = run_crossover(smoke_context, auto=True)
         assert "auto" in result.totals
         assert len(result.totals["auto"]) == len(result.iteration_counts)
         assert result.decision_trace is not None
@@ -314,7 +332,7 @@ class TestAutoSeries:
 
     def test_crossover_auto_totals_are_init_plus_n_iterations(
             self, smoke_context):
-        result = run_crossover(smoke_context, variants=("auto",))
+        result = run_crossover(smoke_context, auto=True)
         assert result.totals["auto"] == [
             result.init_costs["auto"] + n * result.per_iteration["auto"]
             for n in result.iteration_counts]
@@ -322,9 +340,7 @@ class TestAutoSeries:
     def test_crossover_auto_rejects_solve_phase(self, smoke_context):
         from repro.utils.errors import ValidationError
         with pytest.raises(ValidationError, match="per-level"):
-            run_crossover(smoke_context, variants=("auto",), solve_phase=True)
-        with pytest.raises(ValueError):
-            run_crossover(smoke_context, variants=("warp_drive",))
+            run_crossover(smoke_context, auto=True, solve_phase=True)
 
     def test_per_level_auto_selected_is_the_per_level_best(self, smoke_context):
         result = run_per_level(smoke_context)

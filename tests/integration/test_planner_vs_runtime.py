@@ -13,6 +13,7 @@ from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
 from repro.pattern.builders import random_pattern
+from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.topology.machine import Locality
@@ -22,8 +23,9 @@ from repro.topology.presets import paper_mapping
 def _run_with_profiler(pattern, mapping, variant):
     """Execute one exchange of ``variant`` and return the recorded traffic."""
     profiler = TrafficProfiler(mapping)
-    with neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
-                                       profiler=profiler) as collective:
+    with ExchangeEngine(pattern.n_ranks, profiler=profiler) as engine, \
+            neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
+                                          engine=engine) as collective:
         # Set-up sends nothing: only the exchange is accounted.
         assert profiler.total().message_count == 0
         collective.exchange([collective.owned_item_ids(rank).astype(np.float64)

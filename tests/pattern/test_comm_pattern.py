@@ -41,7 +41,6 @@ class TestCommPatternBasics:
         assert pattern.n_messages == 2
         assert pattern.total_items == 3
         assert pattern.total_bytes == 12
-        assert pattern.message_size(0, 1) == 8
 
     def test_out_of_range_ranks_rejected(self):
         with pytest.raises(ValidationError):
@@ -56,12 +55,6 @@ class TestCommPatternBasics:
     def test_active_ranks(self):
         pattern = pattern_from_edges(6, [(0, 3, [1])])
         assert pattern.active_ranks().tolist() == [0, 3]
-
-    def test_restrict_to(self):
-        pattern = pattern_from_edges(4, [(0, 1, [1]), (0, 2, [2]), (2, 3, [3])])
-        restricted = pattern.restrict_to([0, 1, 3])
-        assert restricted.n_messages == 1
-        assert restricted.send_items(0, 1).tolist() == [1]
 
     def test_equality(self):
         a = pattern_from_edges(3, [(0, 1, [1, 2])])
@@ -124,7 +117,8 @@ class TestCommPatternBasics:
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 1, [3])])
         items = pattern.send_items(0, 1)
         assert not items.flags.writeable
-        assert pattern.send_items(0, 1) is items     # no per-call copy
+        # No per-call copy: a view of the stored item column.
+        assert np.shares_memory(pattern.send_items(0, 1), pattern.csr()[3])
         for _, _, edge_items in pattern.edges():
             assert not edge_items.flags.writeable
         assert not pattern.recv_items(1, 0).flags.writeable
@@ -152,7 +146,8 @@ class TestCommPatternBasics:
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 3, [3])])
         srcs, dests, item_arrays = pattern.edge_lists()
         assert not srcs.flags.writeable and not dests.flags.writeable
-        assert isinstance(item_arrays, tuple)   # cache cannot be mutated
+        assert isinstance(item_arrays, tuple)
+        assert not any(items.flags.writeable for items in item_arrays)
 
     def test_edge_arrays_expand_pattern(self):
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 3, [3])])

@@ -55,10 +55,6 @@ class TestPatternStatisticsContainer:
         with pytest.raises(ValidationError):
             PatternStatistics(n_ranks=2).add_message(5, True, 1)
 
-    def test_as_dict_keys(self):
-        keys = PatternStatistics(n_ranks=1).as_dict().keys()
-        assert "max_global_messages" in keys and "total_global_bytes" in keys
-
     def test_empty_statistics(self):
         stats = PatternStatistics(n_ranks=3)
         assert stats.max_local_messages == 0

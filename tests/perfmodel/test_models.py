@@ -1,5 +1,7 @@
 """Unit tests for the locality-aware cost model and the postal test oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,10 @@ class TestLocalityAwareModel:
     def test_self_free(self, lassen_model):
         assert lassen_model.message_time(10_000, Locality.SELF) == 0.0
 
-    def test_with_active_per_node_reduces_injection_penalty(self, lassen_model):
-        fewer = lassen_model.with_active_per_node(1)
-        many = lassen_model.with_active_per_node(64)
+    def test_fewer_active_per_node_reduces_injection_penalty(self,
+                                                             lassen_model):
+        fewer = dataclasses.replace(lassen_model, active_per_node=1)
+        many = dataclasses.replace(lassen_model, active_per_node=64)
         size = 1 << 20
         assert fewer.message_time(size, Locality.INTER_NODE) <= \
             many.message_time(size, Locality.INTER_NODE)
@@ -96,8 +99,9 @@ class TestLocalityAwareModel:
         included, prices every message as :meth:`message_time` does."""
         nbytes = np.array([0, 8, 64, 1 << 20, 3 << 22] * 4)
         codes = np.repeat(np.array([int(c) for c in Locality]), 5)
-        for model in (lassen_model, lassen_model.with_active_per_node(1),
-                      lassen_model.with_active_per_node(256)):
+        for model in (lassen_model,
+                      dataclasses.replace(lassen_model, active_per_node=1),
+                      dataclasses.replace(lassen_model, active_per_node=256)):
             loop = [model.message_time(size, Locality(code))
                     for size, code in zip(nbytes.tolist(), codes.tolist())]
             assert model.message_times(nbytes, codes).tolist() == loop

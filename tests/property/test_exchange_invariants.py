@@ -129,8 +129,9 @@ def _run_variants(pattern: CommPattern, mapping, n_workers=None):
         workers = n_workers(plan) if callable(n_workers) else n_workers
         where = dict(runtime="engine") if workers is None \
             else dict(runtime="procs", n_workers=workers)
-        with WorldNeighborCollective(plan, profiler=profiler,
-                                     **where) as collective:
+        with ExchangeEngine(pattern.n_ranks, profiler=profiler,
+                            **where) as engine, \
+                WorldNeighborCollective(plan, engine=engine) as collective:
             world = collective.world
             if workers is not None:
                 shared = collective.engine._programs[collective.handle].shared

@@ -36,7 +36,6 @@ class TestTrafficProfiler:
         profiler.record_batch(np.zeros(3, dtype=np.int64), np.array([1, 2, 3]),
                               np.full(3, 16))
         assert profiler.max_messages_per_rank() == 3
-        assert profiler.max_bytes_per_rank() == 3 * 16
         assert set(profiler.per_rank().keys()) == {0}
 
     def test_clear(self):
@@ -77,7 +76,6 @@ class TestTrafficProfiler:
                 for rank, s in inter.items()} == {0: (1, 32), 3: (1, 64)}
         assert profiler.max_messages_per_rank() == 3
         assert profiler.max_messages_per_rank(localities=[Locality.INTER_NODE]) == 1
-        assert profiler.max_bytes_per_rank(localities=[Locality.INTER_NODE]) == 64
         assert profiler.per_rank(localities=[Locality.INTER_SOCKET]) == {}
 
     def test_without_a_mapping_only_totals_are_known(self):
@@ -87,7 +85,6 @@ class TestTrafficProfiler:
         assert profiler.total().message_count == 4
         assert profiler.by_locality() == {}
         assert profiler.per_rank(localities=[Locality.INTER_NODE]) == {}
-        assert profiler.max_bytes_per_rank(localities=[Locality.INTER_NODE]) == 0
         assert profiler.inter_region_records() == []
         assert all(record.locality is None for record in profiler.records)
         assert len(profiler.per_rank()) == 4
@@ -103,7 +100,6 @@ class TestTrafficProfiler:
         assert profiler.records == []
         assert profiler.per_rank() == {}
         assert profiler.max_messages_per_rank() == 0
-        assert profiler.max_bytes_per_rank() == 0
 
     def test_a_batch_of_self_messages_records_nothing(self):
         profiler = TrafficProfiler(paper_mapping(4, ranks_per_node=2))

@@ -87,11 +87,6 @@ class TestParCSRMatrix:
         np.testing.assert_allclose(small_poisson_matrix.spmv(x),
                                    small_poisson_matrix.matrix @ x)
 
-    def test_with_partition(self, small_poisson_matrix):
-        repartitioned = small_poisson_matrix.with_partition(RowPartition.even(576, 4))
-        assert repartitioned.n_ranks == 4
-        assert repartitioned.nnz == small_poisson_matrix.nnz
-
 
 class TestCommPkg:
     """What hypre keeps in a comm package, read off ``pattern_from_parcsr``."""

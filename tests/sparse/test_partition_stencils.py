@@ -20,7 +20,7 @@ from repro.utils.errors import ValidationError
 class TestRowPartition:
     def test_even_split(self):
         partition = RowPartition.even(10, 3)
-        assert [partition.local_size(r) for r in range(3)] == [4, 3, 3]
+        assert np.diff(partition.offsets).tolist() == [4, 3, 3]
 
     def test_owner_of(self):
         partition = RowPartition.even(10, 3)
@@ -35,18 +35,15 @@ class TestRowPartition:
         owners = partition.owners_of(rows)
         assert all(owners[i] == partition.owner_of(int(i)) for i in rows)
 
-    def test_row_range_and_to_local(self):
+    def test_row_range(self):
         partition = RowPartition.even(12, 4)
         first, last = partition.row_range(2)
         assert (first, last) == (6, 9)
-        assert partition.to_local(2, [6, 8]).tolist() == [0, 2]
-        with pytest.raises(ValidationError):
-            partition.to_local(2, [0])
 
     def test_from_sizes(self):
         partition = RowPartition.from_sizes([2, 0, 3])
         assert partition.n_rows == 5
-        assert partition.local_size(1) == 0
+        assert partition.rows_of(1).size == 0
         assert partition.active_ranks().tolist() == [0, 2]
 
     def test_invalid_offsets(self):
@@ -146,4 +143,4 @@ class TestProblemGenerators:
     def test_weak_scaling_problem(self):
         problem = weak_scaling_problem(128, 16)
         assert problem.n_rows == 2048
-        assert problem.matrix.partition.local_size(0) == 128
+        assert problem.matrix.partition.rows_of(0).size == 128

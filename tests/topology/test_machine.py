@@ -15,7 +15,6 @@ class TestMachineSpec:
     def test_core_counts(self, node):
         assert node.cores_per_node == 16
         assert node.total_cores == 64
-        assert node.total_sockets == 8
 
     def test_core_location_first_core(self, node):
         assert node.core_location(0) == (0, 0, 0)
@@ -35,28 +34,11 @@ class TestMachineSpec:
         with pytest.raises(ValidationError):
             MachineSpec(name="bad", nodes=0, sockets_per_node=1, cores_per_socket=1)
 
-    def test_with_nodes(self, node):
-        bigger = node.with_nodes(16)
-        assert bigger.nodes == 16
-        assert bigger.cores_per_node == node.cores_per_node
-
     def test_describe_mentions_counts(self, node):
         assert "4 nodes" in node.describe()
 
 
 class TestLocalityClassification:
-    def test_self(self, node):
-        assert node.locality_between(5, 5) is Locality.SELF
-
-    def test_intra_socket(self, node):
-        assert node.locality_between(0, 7) is Locality.INTRA_SOCKET
-
-    def test_inter_socket(self, node):
-        assert node.locality_between(0, 8) is Locality.INTER_SOCKET
-
-    def test_inter_node(self, node):
-        assert node.locality_between(0, 16) is Locality.INTER_NODE
-
     def test_ordering_reflects_distance(self):
         assert Locality.SELF < Locality.INTRA_SOCKET < Locality.INTER_SOCKET \
             < Locality.INTER_NODE

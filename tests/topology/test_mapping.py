@@ -26,11 +26,6 @@ class TestBlockMapping:
         assert mapping.region_of(0) == mapping.region_of(15)
         assert mapping.region_of(0) != mapping.region_of(16)
 
-    def test_local_index_within_region(self, machine):
-        mapping = RankMapping(machine, 32, ranks_per_node=16)
-        assert mapping.local_index(0) == 0
-        assert mapping.local_index(17) == 1
-
     def test_ranks_in_region(self, machine):
         mapping = RankMapping(machine, 32, ranks_per_node=16)
         assert mapping.ranks_in_region(1).tolist() == list(range(16, 32))
@@ -38,7 +33,7 @@ class TestBlockMapping:
     def test_partial_last_node(self, machine):
         mapping = RankMapping(machine, 20, ranks_per_node=16)
         assert mapping.n_regions == 2
-        assert mapping.region_size(1) == 4
+        assert mapping.ranks_in_region(1).tolist() == [16, 17, 18, 19]
 
     def test_too_many_ranks_raises(self, machine):
         with pytest.raises(TopologyError):
@@ -66,9 +61,10 @@ class TestRoundRobinMapping:
 
 
 class TestCustomMapping:
-    def test_from_cores(self, machine):
+    def test_custom_cores_place_ranks(self, machine):
         cores = [0, 1, 16, 17]   # two ranks on node 0, two on node 1
-        mapping = RankMapping.from_cores(machine, cores)
+        mapping = RankMapping(machine, 4, kind=MappingKind.CUSTOM,
+                              custom_cores=cores, ranks_per_node=16)
         assert mapping.n_regions == 2
         assert mapping.same_region(0, 1)
         assert not mapping.same_region(1, 2)

@@ -41,8 +41,7 @@ class TestPresets:
 
     def test_paper_mapping_uses_first_cpu_only(self):
         mapping = paper_mapping(40)
-        for rank in range(40):
-            assert mapping.socket_of(rank) == \
-                mapping.machine.sockets_per_node * mapping.node_of(rank)
+        assert all(mapping.machine.core_location(core)[1] == 0
+                   for core in mapping.cores_array().tolist())
         assert mapping.locality(0, 15) is Locality.INTRA_SOCKET
         assert mapping.locality(0, 16) is Locality.INTER_NODE
