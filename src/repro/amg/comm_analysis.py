@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.amg.hierarchy import AMGHierarchy
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
@@ -26,13 +24,9 @@ from repro.topology.mapping import RankMapping
 from repro.utils.errors import ValidationError
 
 
-def level_patterns(hierarchy: AMGHierarchy, *, item_bytes: int | None = None,
-                   dtype=None, item_size: int = 1) -> List[CommPattern]:
+def level_patterns(hierarchy: AMGHierarchy) -> List[CommPattern]:
     """The SpMV communication pattern of every level of the hierarchy."""
-    dtype = np.float64 if dtype is None else dtype
-    return [pattern_from_parcsr(level.matrix, item_bytes=item_bytes,
-                                dtype=dtype, item_size=item_size)
-            for level in hierarchy.levels]
+    return [pattern_from_parcsr(level.matrix) for level in hierarchy.levels]
 
 
 @dataclass
@@ -51,23 +45,13 @@ class TransferPatterns:
     restrict: CommPattern
 
 
-def level_transfer_patterns(hierarchy: AMGHierarchy, *,
-                            item_bytes: int | None = None,
-                            dtype=None, item_size: int = 1
-                            ) -> List[TransferPatterns]:
+def level_transfer_patterns(hierarchy: AMGHierarchy) -> List[TransferPatterns]:
     """The grid-transfer patterns of every non-coarsest level."""
-    dtype = np.float64 if dtype is None else dtype
-    patterns: List[TransferPatterns] = []
-    for index in range(hierarchy.n_levels - 1):
-        prolong = pattern_from_parcsr(hierarchy.prolongation_matrix(index),
-                                      item_bytes=item_bytes, dtype=dtype,
-                                      item_size=item_size)
-        restrict = pattern_from_parcsr(hierarchy.restriction_matrix(index),
-                                       item_bytes=item_bytes, dtype=dtype,
-                                       item_size=item_size)
-        patterns.append(TransferPatterns(level=index, prolong=prolong,
-                                         restrict=restrict))
-    return patterns
+    return [TransferPatterns(
+                level=index,
+                prolong=pattern_from_parcsr(hierarchy.prolongation_matrix(index)),
+                restrict=pattern_from_parcsr(hierarchy.restriction_matrix(index)))
+            for index in range(hierarchy.n_levels - 1)]
 
 
 @dataclass
@@ -91,18 +75,10 @@ class LevelCommProfile:
         return Variant(seed_event(self.level, self.times,
                                   candidates=candidates).variant)
 
-    def best_time(self, *, candidates: tuple[Variant, ...] =
-                  DEFAULT_CANDIDATES) -> float:
-        """Modeled time of the cheapest variant (the per-level selection the
-        paper applies in its scaling studies)."""
-        return self.times[self.best_variant(candidates=candidates)]
-
 
 def hierarchy_comm_profiles(hierarchy: AMGHierarchy, mapping: RankMapping, *,
                             model: Optional[CostModel] = None,
                             strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                            item_bytes: int | None = None,
-                            dtype=None, item_size: int = 1,
                             validate: bool = False) -> List[LevelCommProfile]:
     """Build a :class:`LevelCommProfile` for every level of ``hierarchy``.
 
@@ -116,8 +92,7 @@ def hierarchy_comm_profiles(hierarchy: AMGHierarchy, mapping: RankMapping, *,
     """
     if mapping.n_ranks < hierarchy.levels[0].matrix.n_ranks:
         raise ValidationError("mapping has fewer ranks than the hierarchy's partition")
-    patterns = level_patterns(hierarchy, item_bytes=item_bytes,
-                              dtype=dtype, item_size=item_size)
+    patterns = level_patterns(hierarchy)
     profiles: List[LevelCommProfile] = []
     for level, pattern in zip(hierarchy.levels, patterns):
         plans = all_plans(pattern, mapping, strategy=strategy)

@@ -81,15 +81,6 @@ class AMGHierarchy:
             return 0.0
         return sum(level.nnz for level in self.levels) / fine_nnz
 
-    def grid_complexity(self) -> float:
-        """Sum of per-level rows divided by fine-level rows."""
-        if not self.levels:
-            return 0.0
-        fine_rows = self.levels[0].n_rows
-        if fine_rows == 0:
-            return 0.0
-        return sum(level.n_rows for level in self.levels) / fine_rows
-
     def prolongation_matrix(self, index: int) -> ParCSRMatrix:
         """Level ``index``'s prolongation as a distributed operator.
 

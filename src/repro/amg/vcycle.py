@@ -74,8 +74,7 @@ from repro.utils.arrays import INDEX_DTYPE
 from repro.utils.errors import SolverError, ValidationError
 
 
-def coarse_gather_pattern(partition: RowPartition, *,
-                          dtype=np.float64, item_size: int = 1) -> CommPattern:
+def coarse_gather_pattern(partition: RowPartition) -> CommPattern:
     """The all-gather of the coarsest level as a neighborhood pattern.
 
     Every rank owning coarse rows sends them to every *other* rank (item ids
@@ -99,8 +98,7 @@ def coarse_gather_pattern(partition: RowPartition, *,
             item_arrays.append(items)
     return CommPattern.from_edge_lists(
         n_ranks, np.asarray(srcs, dtype=INDEX_DTYPE),
-        np.asarray(dests, dtype=INDEX_DTYPE), item_arrays,
-        dtype=dtype, item_size=item_size)
+        np.asarray(dests, dtype=INDEX_DTYPE), item_arrays)
 
 
 @dataclass

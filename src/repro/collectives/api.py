@@ -12,9 +12,10 @@ simulated communicator at once:
    :class:`~repro.simmpi.engine.ExchangeEngine`;
 3. call ``exchange`` every iteration with each rank's dense value array.
 
-The exchange is dtype-generic: ``dtype`` and ``item_size`` describe the
-element type (e.g. ``dtype=np.float32, item_size=9`` for a D2Q9 lattice
-Boltzmann distribution halo) and determine the wire size of every message.
+The exchange is dtype-generic: the pattern's ``dtype`` and ``item_size``
+are the element type (e.g. ``random_pattern(..., dtype=np.float32,
+item_size=9)`` for a D2Q9 lattice Boltzmann distribution halo) and
+determine the wire size of every message.
 
 Example (doctest): rank 0 sends items 0 and 1 to rank 1, rank 1 sends item 5
 back, world-stepped.
@@ -38,8 +39,6 @@ array([50.])
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
@@ -54,8 +53,6 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
                                   *,
                                   variant: Variant | str = Variant.PARTIAL,
                                   strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                                  dtype: np.dtype | type | str | None = None,
-                                  item_size: int | None = None,
                                   engine: ExchangeEngine | None = None,
                                   runtime: str | None = None,
                                   n_workers: int | None = None,
@@ -71,15 +68,15 @@ def neighbor_alltoallv_init_world(pattern: CommPattern,
     ``exchange`` call moves a whole iteration for all ranks with O(phases)
     numpy calls.
 
-    ``dtype`` / ``item_size`` default to the pattern's element type.  Pass an
-    ``engine`` — the execution configuration: runtime, workers and traffic
-    profiler — to share it across collectives; without one, ``runtime`` /
-    ``n_workers`` select the private engine's backend (``"engine"``
-    single-process, ``"procs"`` shared-memory worker pool).
+    The element type is the pattern's (``pattern.dtype`` ×
+    ``pattern.item_size``), so the plan's byte counts are what the exchange
+    moves.  Pass an ``engine`` — the execution configuration: runtime,
+    workers and traffic profiler — to share it across collectives; without
+    one, ``runtime`` / ``n_workers`` select the private engine's backend
+    (``"engine"`` single-process, ``"procs"`` shared-memory worker pool).
     ``vector_length`` registers the exchange on the caller's vector.
     """
     plan = make_plan(pattern, mapping, variant, strategy=strategy)
-    return WorldNeighborCollective(plan, dtype=dtype, item_size=item_size,
-                                   engine=engine, runtime=runtime,
+    return WorldNeighborCollective(plan, engine=engine, runtime=runtime,
                                    n_workers=n_workers,
                                    vector_length=vector_length)

@@ -278,6 +278,10 @@ def compile_world_exchange(plan: CollectivePlan,
     intermediate is dropped after its last reader, so the pass peaks under
     three times the world it returns.
 
+    The element type is the pattern's; a ``spec`` naming another one
+    raises :class:`ValidationError`, since the plan counts the pattern's
+    bytes.
+
     >>> from repro.collectives import make_plan
     >>> from repro.pattern import halo_exchange_pattern
     >>> from repro.simmpi import ExchangeEngine
@@ -316,8 +320,14 @@ def compile_world_exchange(plan: CollectivePlan,
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
+    own = ExchangeSpec(dtype=pattern.dtype, item_size=pattern.item_size)
     if spec is None:
-        spec = ExchangeSpec(dtype=pattern.dtype, item_size=pattern.item_size)
+        spec = own
+    elif spec != own:
+        raise ValidationError(
+            f"the pattern sets the element type ({own.item_size}x"
+            f"{own.dtype.name}); an exchange spec of {spec.item_size}x"
+            f"{spec.dtype.name} would move other bytes than the plan counts")
     tables, schedule = _phase_tables(plan)
     recv_step, send_steps = _step_numbers(schedule)
 

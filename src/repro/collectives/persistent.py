@@ -12,9 +12,10 @@ runs the standard, partially optimized and fully optimized variants; the
 difference is entirely in the plan.
 
 The data path is array-native and dtype-generic (float32/float64/int64/
-complex128/… with any number of components per item): a round is O(phases)
-numpy calls for the whole communicator, with no per-item or per-message
-Python loop.
+complex128/… with any number of components per item): the element type is
+the pattern's (``pattern.dtype`` × ``pattern.item_size``), and a round is
+O(phases) numpy calls for the whole communicator, with no per-item or
+per-message Python loop.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ class WorldNeighborCollective:
     """
 
     def __init__(self, plan: CollectivePlan, *,
-                 dtype: np.dtype | type | str | None = None,
-                 item_size: int | None = None,
                  engine: ExchangeEngine | None = None,
                  runtime: str | None = None,
                  n_workers: int | None = None,
@@ -79,20 +78,16 @@ class WorldNeighborCollective:
             )
         self.plan = plan
         self.variant = plan.variant
-        self.spec = ExchangeSpec(
-            dtype=np.dtype(dtype) if dtype is not None else plan.pattern.dtype,
-            item_size=item_size if item_size is not None
-            else plan.pattern.item_size,
-        )
         # Planner-built plans carry a content token, so the compiled world
         # program can be served from (and feed) the plan/exchange cache; a
         # hit is byte-identical to the cold compile and registration never
         # mutates it, so one world may back many collectives/engines.
-        world = plan_cache.fetch_world(plan, self.spec)
+        world = plan_cache.fetch_world(plan)
         if world is None:
-            world = compile_world_exchange(plan, self.spec)
-            plan_cache.store_world(plan, self.spec, world)
+            world = compile_world_exchange(plan)
+            plan_cache.store_world(plan, world)
         self.world: WorldExchange = world
+        self.spec: ExchangeSpec = world.spec
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else \
             ExchangeEngine(self.world.n_ranks, runtime=runtime,

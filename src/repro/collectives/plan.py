@@ -192,10 +192,6 @@ class PlannedMessage(NamedTuple):
         """Number of values physically transferred."""
         return self.n_payload
 
-    def nbytes(self, item_bytes: int) -> int:
-        """Payload size in bytes."""
-        return self.n_payload * item_bytes
-
 
 def _gathered(column: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
     """``column[key_ids]``, read-only: a derived phase column."""

@@ -3,8 +3,8 @@
 Setup at scale pays two distinct costs: *planning* (pattern → message
 schedule) and *world compilation* (plan → checked hops, each phase's
 message columns and the one-gather result view).  Both are pure functions
-of content — a pattern's CSR columns, the
-rank mapping, the variant/strategy, and the element spec — so drivers that
+of content — a pattern's CSR columns and element type, the
+rank mapping and the variant/strategy — so drivers that
 rebuild the same problem (the figure harness, repeated ``WorldVCycle``
 setups, every warm re-run of a weak-scaling sweep) can reuse earlier results
 instead of recompiling.
@@ -49,7 +49,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 9
+CACHE_FORMAT_VERSION = 10
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
@@ -143,29 +143,13 @@ def plan_key(pattern, mapping, variant, strategy) -> Tuple:
             _strategy_token(strategy))
 
 
-def world_key(plan, spec) -> Tuple | None:
-    """In-process cache key of a compiled world exchange, or ``None``.
-
-    Extends the plan's :func:`plan_key` token with the element spec —
-    ``(dtype, item_size)`` changes the wire sizes — and the rank count
-    (already implied by the pattern, kept explicit per the cache-key
-    contract).  Plans without a ``cache_token`` (phase tables assembled by
-    hand) are uncacheable: the inputs alone do not determine their message
-    schedule, so serving a cached world for them could be wrong.
-    """
-    if plan.cache_token is None:
-        return None
-    return (plan.cache_token
-            + (spec.dtype.str, int(spec.item_size), plan.pattern.n_ranks))
-
-
 def _digest(kind: str, key: Tuple) -> str:
     """SHA-256 content digest of a cache key, stable across processes.
 
     ``hash()`` of the in-process key is salted per interpreter
     (``PYTHONHASHSEED``), so the on-disk address re-derives everything from
-    raw bytes: the pattern's CSR columns and element meta, the mapping token,
-    and the protocol/spec strings.
+    raw bytes: the pattern's CSR columns and element type, the mapping token,
+    and the protocol strings.
     """
     pattern = key[0]
     hasher = hashlib.sha256()
@@ -177,7 +161,7 @@ def _digest(kind: str, key: Tuple) -> str:
         hasher.update(label.encode())
         hasher.update(np.ascontiguousarray(column).tobytes())
     hasher.update(f"{pattern.n_ranks}:{pattern.dtype.str}:"
-                  f"{pattern.item_size}:{pattern.item_bytes}".encode())
+                  f"{pattern.item_size}".encode())
     for part in key[1:]:
         if isinstance(part, tuple):
             for piece in part:
@@ -291,9 +275,16 @@ def store_plan(plan) -> None:
     _disk_store("plan", key, plan)
 
 
-def fetch_world(plan, spec):
-    """A cached world exchange for ``(plan key, spec)``, or ``None``."""
-    key = world_key(plan, spec)
+def fetch_world(plan):
+    """A cached world exchange of ``plan``, or ``None``.
+
+    A world is keyed by its plan's :func:`plan_key` token: the pattern in it
+    carries the element type, which sets the wire sizes.  Plans without a
+    ``cache_token`` (phase tables assembled by hand) are uncacheable: the
+    inputs alone do not determine their message schedule, so serving a
+    cached world for them could be wrong.
+    """
+    key = plan.cache_token
     if key is None:
         return None
     world = _world_lru.get(key)
@@ -306,9 +297,9 @@ def fetch_world(plan, spec):
     return world
 
 
-def store_world(plan, spec, world) -> None:
+def store_world(plan, world) -> None:
     """Cache a freshly compiled world exchange in both tiers."""
-    key = world_key(plan, spec)
+    key = plan.cache_token
     if key is None:
         return
     _world_lru.put(key, world)

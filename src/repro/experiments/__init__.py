@@ -8,12 +8,7 @@ tables to ``benchmarks/results/``; :mod:`repro.experiments.runner` runs
 everything and prints a full report.
 """
 
-from repro.experiments.config import (
-    ExperimentConfig,
-    ExperimentContext,
-    measured_cycle_times,
-    measured_level_times,
-)
+from repro.experiments.config import ExperimentConfig, ExperimentContext
 from repro.experiments.graph_creation import run_graph_creation
 from repro.experiments.crossover import run_crossover
 from repro.experiments.per_level import run_per_level
@@ -23,8 +18,6 @@ from repro.experiments.ablation import run_selection_ablation, run_balance_ablat
 __all__ = [
     "ExperimentConfig",
     "ExperimentContext",
-    "measured_cycle_times",
-    "measured_level_times",
     "run_graph_creation",
     "run_crossover",
     "run_per_level",

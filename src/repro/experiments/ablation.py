@@ -22,7 +22,7 @@ from repro.collectives.autotune import (DEFAULT_CANDIDATES, DecisionTrace,
 from repro.collectives.plan import Variant
 from repro.collectives.planner import plan_partial
 from repro.collectives.selection import select_variant
-from repro.experiments.config import ExperimentConfig, ExperimentContext
+from repro.experiments.config import ExperimentContext
 from repro.utils.formatting import format_table
 
 
@@ -68,16 +68,15 @@ class SelectionAblationResult:
         return "\n".join(lines)
 
 
-def run_selection_ablation(context: ExperimentContext | None = None, *,
-                           config: ExperimentConfig | None = None,
-                           expected_iterations: int = 1000) -> SelectionAblationResult:
+def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResult:
     """Compare model-driven selection with the oracle and fixed policies.
 
     Five fixed/static policies plus ``auto``: every level on the variant
-    ``variant="auto"`` commits on the modeled per-level times.
+    ``variant="auto"`` commits on the modeled per-level times.  The model
+    selection amortises each variant's setup over
+    :func:`~repro.collectives.selection.select_variant`'s default of 1000
+    iterations.
     """
-    if context is None:
-        context = ExperimentContext.build(config or ExperimentConfig.from_environment())
     profiles = context.profiles
 
     model_choice: List[str] = []
@@ -92,7 +91,6 @@ def run_selection_ablation(context: ExperimentContext | None = None, *,
     oracle_choice = [trace.committed(index) for index in range(len(profiles))]
     for profile, oracle in zip(profiles, oracle_choice):
         selection = select_variant(profile.pattern, context.mapping, context.model,
-                                   expected_iterations=expected_iterations,
                                    setup_model=context.setup_model,
                                    strategy=context.config.strategy,
                                    candidates=DEFAULT_CANDIDATES)
@@ -129,11 +127,8 @@ class BalanceAblationResult:
                             title="Ablation: aggregation load balancing")
 
 
-def run_balance_ablation(context: ExperimentContext | None = None, *,
-                         config: ExperimentConfig | None = None) -> BalanceAblationResult:
+def run_balance_ablation(context: ExperimentContext) -> BalanceAblationResult:
     """Compare the two leader-assignment strategies on every AMG level."""
-    if context is None:
-        context = ExperimentContext.build(config or ExperimentConfig.from_environment())
     strategies = [BalanceStrategy.ROUND_ROBIN, BalanceStrategy.BYTES]
     max_bytes: List[int] = []
     times: List[float] = []

@@ -39,33 +39,33 @@ ALL_VARIANTS = (Variant.POINT_TO_POINT, Variant.STANDARD,
 PAPER_SCALE_ENV = "REPRO_PAPER_SCALE"
 PAPER_SCALE_VALUES = {"0": False, "false": False, "1": True, "true": True}
 
+#: Timed rounds of each measured helper; the best one is recorded.
+MEASURED_ROUNDS = 3
 
-def measured_level_times(profiles: Sequence[LevelCommProfile], *,
-                         variants: Sequence[Variant] = ALL_VARIANTS,
-                         iterations: int = 3
+
+def measured_level_times(profiles: Sequence[LevelCommProfile]
                          ) -> List[Dict[Variant, float]]:
     """Wall-clock seconds of one world-stepped exchange round, per level and variant.
 
     The *measured* counterpart of ``profile.times`` (which holds modeled
     network times): every level's plan is compiled into a world exchange and
     executed through the batched
-    :class:`~repro.simmpi.engine.ExchangeEngine`; the best of ``iterations``
-    rounds is recorded.  This is what "switching the experiment drivers onto
-    the world-stepped API" means operationally — the drivers can ask for real
-    execution cost at figure scale.
+    :class:`~repro.simmpi.engine.ExchangeEngine`, for every variant of
+    :data:`ALL_VARIANTS`; the best of :data:`MEASURED_ROUNDS` rounds is
+    recorded.  The figure drivers plot the modeled times; this helper gives
+    the real execution cost of the same rounds at figure scale.
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
     times: List[Dict[Variant, float]] = []
     for profile in profiles:
         per_variant: Dict[Variant, float] = {}
-        for variant in variants:
+        for variant in ALL_VARIANTS:
             with WorldNeighborCollective(profile.plans[variant]) as collective:
                 n_owned = int(collective.world.owned_offsets[-1])
-                values = np.zeros(n_owned, dtype=collective.dtype)
+                values = np.zeros((n_owned, collective.item_size),
+                                  dtype=collective.dtype)
                 collective.exchange(values)  # warm the arenas
                 best = float("inf")
-                for _ in range(iterations):
+                for _ in range(MEASURED_ROUNDS):
                     start = time.perf_counter()
                     collective.exchange(values)
                     best = min(best, time.perf_counter() - start)
@@ -74,33 +74,28 @@ def measured_level_times(profiles: Sequence[LevelCommProfile], *,
     return times
 
 
-def measured_cycle_times(hierarchy, mapping, *,
-                         variants: Sequence[Variant] = ALL_VARIANTS,
-                         strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                         iterations: int = 3) -> Dict[Variant, float]:
+def measured_cycle_times(hierarchy, mapping) -> Dict[Variant, float]:
     """Wall-clock seconds of one whole world-stepped V-cycle, per variant.
 
     The solve-phase counterpart of :func:`measured_level_times`: instead of
     timing one exchange round per level, every variant's
     :class:`~repro.amg.vcycle.WorldVCycle` is built once and a full cycle —
     smoother sweeps, residual SpMV, grid transfers, coarse gather, all
-    through the batched engine — is timed; the best of ``iterations`` runs is
+    through the batched engine — is timed, for every variant of
+    :data:`ALL_VARIANTS`; the best of :data:`MEASURED_ROUNDS` runs is
     recorded.
     """
     from repro.amg.vcycle import WorldVCycle
 
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
     times: Dict[Variant, float] = {}
     n = hierarchy.levels[0].matrix.n_rows
     b = np.ones(n, dtype=np.float64)
     x = np.zeros(n, dtype=np.float64)
-    for variant in variants:
-        with WorldVCycle(hierarchy, mapping, variant=variant,
-                         strategy=strategy) as vcycle:
+    for variant in ALL_VARIANTS:
+        with WorldVCycle(hierarchy, mapping, variant=variant) as vcycle:
             vcycle.cycle(b, x)  # warm the arenas
             best = float("inf")
-            for _ in range(iterations):
+            for _ in range(MEASURED_ROUNDS):
                 start = time.perf_counter()
                 vcycle.cycle(b, x)
                 best = min(best, time.perf_counter() - start)
@@ -229,19 +224,3 @@ class ExperimentContext:
         return ExperimentContext(config=self.config.with_ranks(n_ranks),
                                  hierarchy=hierarchy, mapping=mapping,
                                  model=self.model, setup_model=self.setup_model)
-
-    def measured_level_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
-                             iterations: int = 3
-                             ) -> List[Dict[Variant, float]]:
-        """World-stepped measured exchange-round times (see module helper)."""
-        return measured_level_times(self.profiles, variants=variants,
-                                    iterations=iterations)
-
-    def measured_cycle_times(self, *, variants: Sequence[Variant] = ALL_VARIANTS,
-                             iterations: int = 3
-                             ) -> Dict[Variant, float]:
-        """World-stepped measured whole-V-cycle times (see module helper)."""
-        return measured_cycle_times(self.hierarchy, self.mapping,
-                                    variants=variants,
-                                    strategy=self.config.strategy,
-                                    iterations=iterations)

@@ -10,14 +10,11 @@ for the partially optimized and ~22 for the fully optimized implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.collectives.autotune import DecisionTrace, seed_trace
 from repro.collectives.plan import Variant
-from repro.experiments.config import ALL_VARIANTS, ExperimentConfig, ExperimentContext
-from repro.pattern.statistics import average_neighbors
-from repro.perfmodel.params import GraphCreationModel, graph_creation_model
-from repro.utils.errors import ValidationError
+from repro.experiments.config import ALL_VARIANTS, ExperimentContext
 from repro.utils.formatting import format_series
 
 #: Series key of the per-level auto commit in the result dicts (a plain
@@ -59,28 +56,18 @@ class CrossoverResult:
         return "\n".join(lines)
 
 
-def _initialisation_costs(context: ExperimentContext,
-                          graph_model: GraphCreationModel,
-                          *, include_graph_creation: bool = False
-                          ) -> Dict[Variant, float]:
+def _initialisation_costs(context: ExperimentContext) -> Dict[Variant, float]:
     """Per-protocol one-time cost of ``MPI_Neighbor_alltoallv_init`` per level.
 
     Figure 7's caption counts one ``*_init`` call per level plus Start/Wait per
     iteration; the topology-communicator creation of Figure 6 is a separate
-    cost and is excluded by default (``include_graph_creation=False``), as in
-    the paper.  The standard neighborhood collective's init simply wraps
-    persistent point-to-point setup, so it only pays the base cost.
+    cost and is excluded, as in the paper.  The standard neighborhood
+    collective's init simply wraps persistent point-to-point setup, so it
+    only pays the base cost.
     """
-    config = context.config
     init = {Variant.POINT_TO_POINT: 0.0, Variant.STANDARD: 0.0,
             Variant.PARTIAL: 0.0, Variant.FULL: 0.0}
     for profile in context.profiles:
-        if include_graph_creation:
-            neighbors = average_neighbors(profile.pattern,
-                                          profile.pattern.active_ranks().tolist())
-            graph_cost = graph_model.cost(config.n_ranks, neighbors)
-            for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
-                init[variant] += graph_cost
         # Standard neighbor init: wrapping point-to-point persistent setup.
         init[Variant.STANDARD] += context.setup_model.base
         full_setup = context.setup_model.cost(*profile.plans[Variant.FULL].setup_costs())
@@ -94,30 +81,17 @@ def _initialisation_costs(context: ExperimentContext,
     return init
 
 
-def run_crossover(context: ExperimentContext | None = None, *,
-                  config: ExperimentConfig | None = None,
-                  mpi_implementation: str = "spectrum",
-                  iteration_counts: Sequence[int] | None = None,
-                  use_measured_iteration: bool = False,
-                  solve_phase: bool = False,
+def run_crossover(context: ExperimentContext, *,
                   auto: bool = False) -> CrossoverResult:
     """Reproduce Figure 7 for the configured problem and scale.
 
-    With ``use_measured_iteration=True`` the per-iteration cost of every
-    protocol is *measured* — one world-stepped exchange round per level
-    through the batched engine
-    (:meth:`ExperimentContext.measured_level_times`) — instead of taken from
-    the locality-aware network model.  Measured numbers are this machine's
-    Python execution cost, not Lassen network time, so the resulting
-    crossovers characterise the simulator itself.
-
-    With ``solve_phase=True`` (which supersedes ``use_measured_iteration``)
-    an iteration is one *whole executed V-cycle* — every level's smoother
-    sweeps, residual SpMV, grid transfers, and the coarse gather, stepped
-    through the exchange engine
-    (:meth:`ExperimentContext.measured_cycle_times`) — so the crossover is
-    computed against real solve-phase execution rather than summed exchange
-    rounds.
+    The iteration counts are ``config.crossover_iterations``, and the
+    per-iteration cost of every protocol is the sum of its modeled per-level
+    Start+Wait times (``profile.times``).  Measured counterparts are the
+    module-level helpers :func:`~repro.experiments.config.measured_level_times`
+    (one world-stepped exchange round per level) and
+    :func:`~repro.experiments.config.measured_cycle_times` (one whole
+    executed V-cycle).
 
     ``auto=True`` adds one series beside the four fixed protocols (always
     computed — they are the figure's frame of reference): ``"auto"``, what
@@ -125,41 +99,23 @@ def run_crossover(context: ExperimentContext | None = None, *,
     (:func:`~repro.collectives.autotune.seed_trace` over the same per-level
     times the fixed series use), with the trace on the result.  Its init
     is every candidate's planning, ``init[standard] + init[partial]`` (the
-    partial init already performs the full setup it wraps).  The auto
-    series needs a per-level time decomposition, so it cannot be combined
-    with ``solve_phase=True`` (whole-cycle measurements only).
+    partial init already performs the full setup it wraps).
     """
-    if context is None:
-        context = ExperimentContext.build(config or ExperimentConfig.from_environment())
-    config = context.config
-    iteration_counts = list(iteration_counts if iteration_counts is not None
-                            else config.crossover_iterations)
-    graph_model = graph_creation_model(mpi_implementation)
-    if auto and solve_phase:
-        raise ValidationError(
-            "the auto series needs per-level times; solve_phase=True "
-            "measures whole cycles only"
-        )
-
-    init_costs = _initialisation_costs(context, graph_model)
+    iteration_counts = list(context.config.crossover_iterations)
+    init_costs = _initialisation_costs(context)
+    level_times = [profile.times for profile in context.profiles]
+    per_iteration = {
+        variant: sum(times[variant] for times in level_times)
+        for variant in ALL_VARIANTS
+    }
     trace: Optional[DecisionTrace] = None
-    if solve_phase:
-        per_iteration = dict(context.measured_cycle_times())
-    else:
-        level_times = (context.measured_level_times()
-                       if use_measured_iteration
-                       else [profile.times for profile in context.profiles])
-        per_iteration = {
-            variant: sum(times[variant] for times in level_times)
-            for variant in ALL_VARIANTS
-        }
-        if auto:
-            trace = seed_trace(level_times)
-            per_iteration[AUTO_SERIES] = sum(
-                times[trace.committed(level)]
-                for level, times in enumerate(level_times))
-            init_costs[AUTO_SERIES] = init_costs[Variant.STANDARD] + \
-                init_costs[Variant.PARTIAL]
+    if auto:
+        trace = seed_trace(level_times)
+        per_iteration[AUTO_SERIES] = sum(
+            times[trace.committed(level)]
+            for level, times in enumerate(level_times))
+        init_costs[AUTO_SERIES] = init_costs[Variant.STANDARD] + \
+            init_costs[Variant.PARTIAL]
 
     result = CrossoverResult(iteration_counts=iteration_counts,
                              init_costs=init_costs, per_iteration=per_iteration,

@@ -11,7 +11,7 @@ per-scale neighbor counts of the same matrix family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.experiments.config import ExperimentConfig
 from repro.pattern.statistics import average_neighbors
@@ -43,28 +43,30 @@ class GraphCreationResult:
                              title="Figure 6: graph creation cost (seconds)")
 
 
-def run_graph_creation(config: ExperimentConfig | None = None, *,
-                       implementations: Sequence[str] = ("spectrum", "mvapich")
-                       ) -> GraphCreationResult:
+#: The two MPI implementations Figure 6 compares.
+IMPLEMENTATIONS = ("spectrum", "mvapich")
+
+
+def run_graph_creation(config: ExperimentConfig) -> GraphCreationResult:
     """Reproduce Figure 6.
 
     For every process count the strong-scaled matrix is re-partitioned, the
-    SpMV pattern extracted, and the per-implementation model evaluated at that
-    scale with the pattern's real average neighbor count.
+    SpMV pattern extracted, and the model of each of
+    :data:`IMPLEMENTATIONS` evaluated at that scale with the pattern's real
+    average neighbor count.
     """
-    config = config or ExperimentConfig.from_environment()
     problem = strong_scaling_problem(config.n_rows, max(config.graph_creation_ranks),
                                      epsilon=config.epsilon, theta=config.theta)
     matrix = problem.matrix.matrix  # global scipy matrix, re-partitioned per scale
 
     result = GraphCreationResult(process_counts=list(config.graph_creation_ranks))
-    models = {name: graph_creation_model(name) for name in implementations}
-    for name in implementations:
+    models = {name: graph_creation_model(name) for name in IMPLEMENTATIONS}
+    for name in IMPLEMENTATIONS:
         result.costs[name] = []
     for n_processes in config.graph_creation_ranks:
         partition = RowPartition.even(config.n_rows, n_processes)
         pattern = pattern_from_parcsr(ParCSRMatrix(matrix, partition))
         neighbors = average_neighbors(pattern, pattern.active_ranks().tolist())
-        for name in implementations:
+        for name in IMPLEMENTATIONS:
             result.costs[name].append(models[name].cost(n_processes, neighbors))
     return result

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.collectives.autotune import DecisionTrace, seed_trace
 from repro.collectives.plan import CollectivePlan, Variant
-from repro.experiments.config import ExperimentConfig, ExperimentContext
+from repro.experiments.config import ExperimentContext
 from repro.pattern.statistics import PatternStatistics
 from repro.utils.formatting import format_series
 
@@ -94,7 +94,8 @@ def executed_statistics(plan: CollectivePlan) -> PatternStatistics:
     with ExchangeEngine(plan.pattern.n_ranks, profiler=profiler) as engine, \
             WorldNeighborCollective(plan, engine=engine) as collective:
         n_owned = int(collective.world.owned_offsets[-1])
-        collective.exchange(np.zeros(n_owned, dtype=collective.dtype))
+        collective.exchange(np.zeros((n_owned, collective.item_size),
+                                     dtype=collective.dtype))
     sources, dests, nbytes = profiler.data_columns()
     stats = PatternStatistics(n_ranks=plan.pattern.n_ranks)
     if sources.size:
@@ -103,10 +104,7 @@ def executed_statistics(plan: CollectivePlan) -> PatternStatistics:
     return stats
 
 
-def executed_cycle_statistics(hierarchy, mapping, *,
-                              variant: Variant | str = Variant.PARTIAL,
-                              strategy=None,
-                              pre_sweeps: int = 1, post_sweeps: int = 1
+def executed_cycle_statistics(hierarchy, mapping, variant: Variant | str
                               ) -> List[PatternStatistics]:
     """Per-level statistics observed by executing one whole world-stepped V-cycle.
 
@@ -121,18 +119,15 @@ def executed_cycle_statistics(hierarchy, mapping, *,
     exchange the V-cycle actually performs there.
     """
     from repro.amg.vcycle import WorldVCycle
-    from repro.collectives.aggregation import BalanceStrategy
     from repro.simmpi.engine import ExchangeEngine
     from repro.simmpi.profiler import TrafficProfiler
 
-    strategy = strategy if strategy is not None else BalanceStrategy.BYTES
     n_ranks = hierarchy.levels[0].matrix.n_ranks
     engines = [ExchangeEngine(n_ranks, profiler=TrafficProfiler(mapping))
                for _ in range(hierarchy.n_levels)]
     try:
         vcycle = WorldVCycle(hierarchy, mapping, variant=variant,
-                             strategy=strategy, pre_sweeps=pre_sweeps,
-                             post_sweeps=post_sweeps, engine=engines)
+                             engine=engines)
         n = vcycle.n_rows
         vcycle.cycle(np.ones(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
     finally:
@@ -149,48 +144,22 @@ def executed_cycle_statistics(hierarchy, mapping, *,
     return per_level
 
 
-def run_per_level(context: ExperimentContext | None = None, *,
-                  config: ExperimentConfig | None = None,
-                  execute: bool = False,
-                  solve_phase: bool = False) -> PerLevelResult:
+def run_per_level(context: ExperimentContext) -> PerLevelResult:
     """Reproduce the per-level analysis of Section 4.1 (Figures 8-11).
 
-    With ``execute=True`` the message/byte series of Figures 8-10 come from
-    :func:`executed_statistics` — one real world-stepped exchange round per
-    level and variant — instead of the planner's predicted statistics.  The
-    two are identical by construction; the flag exists so the figures can be
-    regenerated from observed traffic (and so any future divergence between
-    planner and runtime shows up in the figures themselves).
-
-    With ``solve_phase=True`` (which supersedes ``execute``) the series come
-    from :func:`executed_cycle_statistics`: one whole world-stepped V-cycle
-    per variant, so every level's numbers are the traffic its smoother
-    sweeps, residual SpMV, grid transfers, and coarse gather actually moved —
-    the solve phase the paper times, executed rather than planned.
+    The message/byte series of Figures 8-10 are the planner's statistics of
+    every level's plans.  The executed traffic equals them exactly (the
+    equivalence tests pin it): :func:`executed_statistics` observes one
+    world-stepped exchange round of a plan, :func:`executed_cycle_statistics`
+    every level's traffic of one whole V-cycle.
     """
-    if context is None:
-        context = ExperimentContext.build(config or ExperimentConfig.from_environment())
     profiles = context.profiles
 
     result = PerLevelResult(levels=[p.level for p in profiles],
                             rows_per_level=[p.n_rows for p in profiles])
-
-    if solve_phase:
-        std, par, ful = (
-            executed_cycle_statistics(context.hierarchy, context.mapping,
-                                      variant=variant,
-                                      strategy=context.config.strategy)
-            for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
-        )
-    elif execute:
-        std, par, ful = (
-            [executed_statistics(p.plans[variant]) for p in profiles]
-            for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL)
-        )
-    else:
-        std = [p.statistics[Variant.STANDARD] for p in profiles]
-        par = [p.statistics[Variant.PARTIAL] for p in profiles]
-        ful = [p.statistics[Variant.FULL] for p in profiles]
+    std = [p.statistics[Variant.STANDARD] for p in profiles]
+    par = [p.statistics[Variant.PARTIAL] for p in profiles]
+    ful = [p.statistics[Variant.FULL] for p in profiles]
 
     result.local_messages = {
         "standard_local": [s.max_local_messages for s in std],

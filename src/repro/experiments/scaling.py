@@ -63,82 +63,46 @@ class ScalingResult:
                              x_label="processes", title=title)
 
 
-def _protocol_times(level_times: Sequence[Dict[Variant, float]], *,
-                    best_per_level: bool) -> Dict[str, float]:
-    """Sum per-level times; optimized protocols may fall back to standard per level.
-
-    ``level_times`` holds one ``{variant: seconds}`` mapping per level — either
-    the modeled ``profile.times`` or the engine-measured
-    :func:`~repro.experiments.config.measured_level_times`.
-    """
+def _protocol_times(level_times: Sequence[Dict[Variant, float]]) -> Dict[str, float]:
+    """Sum the modeled per-level times; the optimized protocols fall back to
+    standard on any level where it is cheaper."""
     totals: Dict[str, float] = {}
     for label, variant in _PROTOCOLS.items():
         total = 0.0
         for times in level_times:
             time = times[variant]
-            if best_per_level and variant in (Variant.PARTIAL, Variant.FULL):
+            if variant in (Variant.PARTIAL, Variant.FULL):
                 time = min(time, times[Variant.STANDARD])
             total += time
         totals[label] = total
     return totals
 
 
-def _level_times(profiles, *, measured: bool) -> Sequence[Dict[Variant, float]]:
-    """Per-level time mappings: modeled by default, world-stepped measured on demand."""
-    if measured:
-        from repro.experiments.config import measured_level_times
-
-        return measured_level_times(profiles)
-    return [profile.times for profile in profiles]
-
-
-def _solve_phase_totals(hierarchy, mapping, strategy) -> Dict[str, float]:
-    """Per-protocol cost of one whole executed world-stepped V-cycle."""
-    from repro.experiments.config import measured_cycle_times
-
-    cycle_times = measured_cycle_times(hierarchy, mapping, strategy=strategy)
-    return {label: cycle_times[variant] for label, variant in _PROTOCOLS.items()}
-
-
-def run_strong_scaling(context: ExperimentContext | None = None, *,
-                       config: ExperimentConfig | None = None,
-                       process_counts: Sequence[int] | None = None,
-                       best_per_level: bool = True,
-                       use_measured_iteration: bool = False,
-                       solve_phase: bool = False) -> ScalingResult:
-    """Reproduce Figure 12: fixed problem size, growing process count.
-
-    With ``use_measured_iteration=True`` every scale's per-level times are
-    measured by executing one world-stepped exchange round per level through
-    the batched engine instead of evaluated with the network model — real
-    execution cost of this machine's simulator, tractable even at paper-scale
-    rank counts.
-
-    With ``solve_phase=True`` (which supersedes ``use_measured_iteration``)
-    every scale's per-protocol cost is one whole executed world-stepped
-    V-cycle on the redistributed hierarchy — the solve phase itself, not a
-    sum of isolated exchange rounds.
-    """
-    if context is None:
-        context = ExperimentContext.build(config or ExperimentConfig.from_environment())
-    config = context.config
-    process_counts = list(process_counts if process_counts is not None
-                          else config.scaling_ranks)
-    result = ScalingResult(mode="strong", process_counts=process_counts)
+def _scaling_result(mode: str, process_counts: Sequence[int],
+                    profiles_at) -> ScalingResult:
+    """One series point per process count: the protocol totals of
+    ``profiles_at(n_ranks)``."""
+    result = ScalingResult(mode=mode, process_counts=list(process_counts))
     for label in _PROTOCOLS:
         result.times[label] = []
     for n_ranks in process_counts:
-        scaled = context.redistributed(n_ranks)
-        if solve_phase:
-            totals = _solve_phase_totals(scaled.hierarchy, scaled.mapping,
-                                         config.strategy)
-        else:
-            totals = _protocol_times(
-                _level_times(scaled.profiles, measured=use_measured_iteration),
-                best_per_level=best_per_level)
-        for label, total in totals.items():
+        for label, total in _protocol_times(
+                [profile.times for profile in profiles_at(n_ranks)]).items():
             result.times[label].append(total)
     return result
+
+
+def run_strong_scaling(context: ExperimentContext) -> ScalingResult:
+    """Reproduce Figure 12: fixed problem size, growing process count.
+
+    The hierarchy is redistributed over every ``config.scaling_ranks``
+    count, and each protocol's total is the sum of its modeled per-level
+    times.  Measured counterparts are the module-level helpers of
+    :mod:`repro.experiments.config`.
+    """
+    return _scaling_result(
+        "strong", context.config.scaling_ranks,
+        lambda n_ranks: context.redistributed(n_ranks).profiles)
 
 
 @lru_cache(maxsize=8)
@@ -158,38 +122,21 @@ def _weak_setup(rows_per_rank: int, n_ranks: int, epsilon: float, theta: float,
     return problem, hierarchy
 
 
-def run_weak_scaling(config: ExperimentConfig | None = None, *,
-                     process_counts: Sequence[int] | None = None,
-                     rows_per_rank: int | None = None,
-                     best_per_level: bool = True,
-                     use_measured_iteration: bool = False,
-                     solve_phase: bool = False) -> ScalingResult:
+def run_weak_scaling(config: ExperimentConfig) -> ScalingResult:
     """Reproduce Figure 13: fixed rows per process, growing process count.
 
-    ``use_measured_iteration`` and ``solve_phase`` behave as in
+    Every ``config.scaling_ranks`` count solves its own problem of
+    ``config.weak_rows_per_rank`` rows per rank; totals are modeled as in
     :func:`run_strong_scaling`.
     """
-    config = config or ExperimentConfig.from_environment()
-    process_counts = list(process_counts if process_counts is not None
-                          else config.scaling_ranks)
-    rows_per_rank = rows_per_rank or config.weak_rows_per_rank
-    result = ScalingResult(mode="weak", process_counts=process_counts)
-    for label in _PROTOCOLS:
-        result.times[label] = []
-    for n_ranks in process_counts:
-        _, hierarchy = _weak_setup(rows_per_rank, n_ranks,
+    model = lassen_parameters(active_per_node=config.ranks_per_node)
+
+    def profiles_at(n_ranks: int):
+        _, hierarchy = _weak_setup(config.weak_rows_per_rank, n_ranks,
                                    config.epsilon, config.theta,
                                    config.strength_theta, config.seed)
         mapping = paper_mapping(n_ranks, ranks_per_node=config.ranks_per_node)
-        if solve_phase:
-            totals = _solve_phase_totals(hierarchy, mapping, config.strategy)
-        else:
-            model = lassen_parameters(active_per_node=config.ranks_per_node)
-            profiles = hierarchy_comm_profiles(hierarchy, mapping, model=model,
-                                               strategy=config.strategy)
-            totals = _protocol_times(
-                _level_times(profiles, measured=use_measured_iteration),
-                best_per_level=best_per_level)
-        for label, total in totals.items():
-            result.times[label].append(total)
-    return result
+        return hierarchy_comm_profiles(hierarchy, mapping, model=model,
+                                       strategy=config.strategy)
+
+    return _scaling_result("weak", config.scaling_ranks, profiles_at)

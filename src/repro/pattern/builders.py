@@ -6,7 +6,7 @@ the other cases the tests and examples need: explicit edge lists, random
 irregular patterns with controllable fan-out, and structured halo exchanges.
 
 Every builder is CSR-native: it accumulates per-edge endpoint/item arrays and
-hands them to :meth:`CommPattern.from_edge_arrays` in one vectorized
+hands them to :meth:`CommPattern.from_edge_lists` in one vectorized
 concatenate + stable-lexsort pass — no per-edge dict insertion, no per-item
 Python conversion.
 """
@@ -25,19 +25,17 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 
 def _pattern_from_triples(n_ranks: int, srcs: Sequence[int], dests: Sequence[int],
                           item_arrays: Sequence[np.ndarray], *,
-                          item_bytes: int | None, dtype, item_size: int
-                          ) -> CommPattern:
+                          dtype, item_size: int) -> CommPattern:
     """Assemble a pattern from parallel per-edge lists in one columnar pass."""
     return CommPattern.from_edge_lists(
         n_ranks, np.asarray(srcs, dtype=INDEX_DTYPE),
         np.asarray(dests, dtype=INDEX_DTYPE), item_arrays,
-        item_bytes=item_bytes, dtype=dtype, item_size=item_size)
+        dtype=dtype, item_size=item_size)
 
 
 def pattern_from_edges(n_ranks: int,
                        edges: Iterable[Tuple[int, int, Sequence[int]]],
-                       *, item_bytes: int | None = None,
-                       dtype=np.float64, item_size: int = 1) -> CommPattern:
+                       *, dtype=np.float64, item_size: int = 1) -> CommPattern:
     """Build a pattern from ``(src, dest, item_ids)`` triples.
 
     Items for repeated ``(src, dest)`` pairs are concatenated in call order
@@ -51,16 +49,15 @@ def pattern_from_edges(n_ranks: int,
         dests.append(int(dest))
         item_arrays.append(as_index_array(items))
     return _pattern_from_triples(n_ranks, srcs, dests, item_arrays,
-                                 item_bytes=item_bytes, dtype=dtype,
-                                 item_size=item_size)
+                                 dtype=dtype, item_size=item_size)
 
 
 def random_pattern(n_ranks: int, *, avg_neighbors: float = 6.0,
                    avg_items_per_message: float = 12.0,
                    duplicate_fraction: float = 0.3,
                    items_per_rank: int = 64,
-                   seed: int = 0, item_bytes: int | None = None,
-                   dtype=np.float64, item_size: int = 1) -> CommPattern:
+                   seed: int = 0, dtype=np.float64,
+                   item_size: int = 1) -> CommPattern:
     """Generate a random irregular pattern with controllable duplication.
 
     Every rank owns ``items_per_rank`` items with globally unique ids
@@ -105,13 +102,11 @@ def random_pattern(n_ranks: int, *, avg_neighbors: float = 6.0,
             edge_dests.append(int(dest))
             item_arrays.append(items)
     return _pattern_from_triples(n_ranks, srcs, edge_dests, item_arrays,
-                                 item_bytes=item_bytes, dtype=dtype,
-                                 item_size=item_size)
+                                 dtype=dtype, item_size=item_size)
 
 
 def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
                           points_per_cell: int = 16,
-                          item_bytes: int | None = None,
                           dtype=np.float64, item_size: int = 1,
                           periodic: bool = False) -> CommPattern:
     """Structured 2-D halo exchange: every rank talks to its grid neighbors.
@@ -166,5 +161,4 @@ def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
                 edge_dests.append(dest)
                 item_arrays.append(items)
     return _pattern_from_triples(n_ranks, srcs, edge_dests, item_arrays,
-                                 item_bytes=item_bytes, dtype=dtype,
-                                 item_size=item_size)
+                                 dtype=dtype, item_size=item_size)

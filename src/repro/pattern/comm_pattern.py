@@ -104,18 +104,17 @@ class CommPattern:
     item_size:
         Number of ``dtype`` components per item (1 for scalar unknowns; >1 for
         vector-valued items such as LBM distribution sets).
-    item_bytes:
-        Explicit size in bytes of one data item.  Defaults to
-        ``dtype.itemsize * item_size``; pass it only to model hypothetical
-        wire sizes that differ from the actual element type.
+
+    The pattern is the only place an exchange's element type is set: plans
+    count ``item_bytes = dtype.itemsize * item_size`` bytes per item, and a
+    collective compiled from the pattern moves exactly that element type.
     """
 
     def __init__(self, n_ranks: int,
                  sends: Mapping[int, Mapping[int, Iterable[int]]],
-                 *, item_bytes: int | None = None,
-                 dtype: np.dtype | type | str = np.float64,
+                 *, dtype: np.dtype | type | str = np.float64,
                  item_size: int = 1):
-        self._init_meta(n_ranks, item_bytes, dtype, item_size)
+        self._init_meta(n_ranks, dtype, item_size)
         edge_srcs: list[int] = []
         edge_dests: list[int] = []
         item_arrays: list[np.ndarray] = []
@@ -141,8 +140,7 @@ class CommPattern:
 
     @classmethod
     def from_edge_lists(cls, n_ranks: int, srcs, dests, item_arrays,
-                        *, item_bytes: int | None = None,
-                        dtype: np.dtype | type | str = np.float64,
+                        *, dtype: np.dtype | type | str = np.float64,
                         item_size: int = 1) -> "CommPattern":
         """Build a pattern from parallel per-edge columns and item arrays.
 
@@ -154,7 +152,7 @@ class CommPattern:
         ``np.concatenate``.
         """
         self = cls.__new__(cls)
-        self._init_meta(n_ranks, item_bytes, dtype, item_size)
+        self._init_meta(n_ranks, dtype, item_size)
         srcs = as_index_array(srcs)
         dests = as_index_array(dests)
         if not (srcs.size == dests.size == len(item_arrays)):
@@ -203,8 +201,7 @@ class CommPattern:
 
     @classmethod
     def from_csr(cls, n_ranks: int, src_offsets, dests, item_offsets, items,
-                 *, item_bytes: int | None = None,
-                 dtype: np.dtype | type | str = np.float64,
+                 *, dtype: np.dtype | type | str = np.float64,
                  item_size: int = 1) -> "CommPattern":
         """Build a pattern directly from canonical CSR columns (validated).
 
@@ -216,7 +213,7 @@ class CommPattern:
         copied before freezing.
         """
         self = cls.__new__(cls)
-        self._init_meta(n_ranks, item_bytes, dtype, item_size)
+        self._init_meta(n_ranks, dtype, item_size)
         src_offsets = _frozen_index_array(src_offsets)
         dests = _frozen_index_array(dests)
         item_offsets = _frozen_index_array(item_offsets)
@@ -227,8 +224,7 @@ class CommPattern:
 
     @classmethod
     def from_edge_arrays(cls, n_ranks: int, origins, dests, items,
-                         *, item_bytes: int | None = None,
-                         dtype: np.dtype | type | str = np.float64,
+                         *, dtype: np.dtype | type | str = np.float64,
                          item_size: int = 1) -> "CommPattern":
         """Build a pattern from fully expanded ``(origin, dest, item)`` rows.
 
@@ -237,7 +233,7 @@ class CommPattern:
         edge-by-edge dict construction did.
         """
         self = cls.__new__(cls)
-        self._init_meta(n_ranks, item_bytes, dtype, item_size)
+        self._init_meta(n_ranks, dtype, item_size)
         origins = as_index_array(origins)
         dest_rows = as_index_array(dests)
         items = as_index_array(items)
@@ -250,17 +246,12 @@ class CommPattern:
 
     # -- construction internals --------------------------------------------------
 
-    def _init_meta(self, n_ranks: int, item_bytes: int | None,
-                   dtype, item_size: int) -> None:
+    def _init_meta(self, n_ranks: int, dtype, item_size: int) -> None:
         check_positive_int("n_ranks", n_ranks)
         check_positive_int("item_size", item_size)
         self.n_ranks = int(n_ranks)
         self.dtype = np.dtype(dtype)
         self.item_size = int(item_size)
-        if item_bytes is None:
-            item_bytes = self.dtype.itemsize * self.item_size
-        check_positive_int("item_bytes", item_bytes)
-        self.item_bytes = int(item_bytes)
 
     def _init_columns(self, src_offsets: np.ndarray, dests: np.ndarray,
                       item_offsets: np.ndarray, items: np.ndarray) -> None:
@@ -499,8 +490,8 @@ class CommPattern:
         """Pattern with the roles of senders and receivers exchanged."""
         origins, dests, items = self.edge_arrays()
         return CommPattern.from_edge_arrays(
-            self.n_ranks, dests, origins, items, item_bytes=self.item_bytes,
-            dtype=self.dtype, item_size=self.item_size)
+            self.n_ranks, dests, origins, items, dtype=self.dtype,
+            item_size=self.item_size)
 
     @property
     def n_messages(self) -> int:
@@ -511,6 +502,11 @@ class CommPattern:
     def total_items(self) -> int:
         """Total number of data items transferred (duplicates included)."""
         return int(self._items.size)
+
+    @property
+    def item_bytes(self) -> int:
+        """Bytes of one data item: ``dtype.itemsize * item_size``."""
+        return self.dtype.itemsize * self.item_size
 
     @property
     def total_bytes(self) -> int:
@@ -546,8 +542,8 @@ class CommPattern:
             return NotImplemented
         if self is other:
             return True
-        if self.n_ranks != other.n_ranks or self.item_bytes != other.item_bytes \
-                or self.dtype != other.dtype or self.item_size != other.item_size:
+        if self.n_ranks != other.n_ranks or self.dtype != other.dtype \
+                or self.item_size != other.item_size:
             return False
         return all(np.array_equal(a, b)
                    for a, b in zip(self.csr(), other.csr()))
@@ -556,7 +552,7 @@ class CommPattern:
         """Content hash, consistent with ``__eq__`` (cached; patterns are immutable)."""
         if self._hash is None:
             self._hash = hash((
-                self.n_ranks, self.item_bytes, self.dtype, self.item_size,
+                self.n_ranks, self.dtype, self.item_size,
                 self._src_offsets.tobytes(), self._dests.tobytes(),
                 self._item_offsets.tobytes(), self._items.tobytes(),
             ))

@@ -55,11 +55,6 @@ class PatternStatistics:
         return int(self.global_messages.max(initial=0))
 
     @property
-    def max_local_bytes(self) -> int:
-        """Max intra-region bytes sent by any process."""
-        return int(self.local_bytes.max(initial=0))
-
-    @property
     def max_global_bytes(self) -> int:
         """Figure 10: max inter-region bytes sent by any process."""
         return int(self.global_bytes.max(initial=0))
@@ -117,18 +112,6 @@ class PatternStatistics:
             byte_totals += np.bincount(
                 selected, weights=nbytes[mask], minlength=self.n_ranks
             ).astype(np.int64)
-
-    def merged_with(self, other: "PatternStatistics") -> "PatternStatistics":
-        """Element-wise sum of two statistics objects (e.g. across phases)."""
-        if other.n_ranks != self.n_ranks:
-            raise ValidationError("cannot merge statistics of different sizes")
-        return PatternStatistics(
-            n_ranks=self.n_ranks,
-            local_messages=self.local_messages + other.local_messages,
-            global_messages=self.global_messages + other.global_messages,
-            local_bytes=self.local_bytes + other.local_bytes,
-            global_bytes=self.global_bytes + other.global_bytes,
-        )
 
 
 def average_neighbors(pattern: CommPattern, ranks: Iterable[int] | None = None) -> float:

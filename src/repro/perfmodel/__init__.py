@@ -15,7 +15,6 @@ from repro.perfmodel.locality import LocalityAwareModel, LocalityParameters
 from repro.perfmodel.params import (
     lassen_parameters,
     graph_creation_model,
-    GraphCreationModel,
     SetupCostModel,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "LocalityParameters",
     "lassen_parameters",
     "graph_creation_model",
-    "GraphCreationModel",
     "SetupCostModel",
 ]

@@ -30,17 +30,14 @@ from repro.utils.arrays import INDEX_DTYPE, freeze_columns, group_rows_to_csr
 from repro.utils.errors import ValidationError
 
 
-def pattern_from_parcsr(matrix: ParCSRMatrix, *, item_bytes: int | None = None,
-                        dtype=np.float64, item_size: int = 1) -> CommPattern:
+def pattern_from_parcsr(matrix: ParCSRMatrix) -> CommPattern:
     """The SpMV communication pattern of ``matrix`` as a :class:`CommPattern`.
 
     Item ids are global *input-vector* indices (the operator's own rows for a
     level ``A``, coarse rows for a prolongation's ``P @ x_coarse``, fine rows
     for a restriction's ``Pᵀ @ r_fine``), so the deduplicating collectives
     treat grid-transfer halos exactly like SpMV halos one level up or down.
-    ``dtype``/``item_size`` describe the exchanged vector entries (float64
-    scalars for a plain SpMV; wider items for multi-component unknowns) and
-    determine the modeled wire size unless ``item_bytes`` overrides it.
+    The items are float64 scalars, the vector entries ``WorldSpMV`` moves.
 
     Every rank's needed entries are its ``col_map_offd`` — taken from
     :meth:`~repro.sparse.parcsr.ParCSRMatrix.stacked_blocks`, the same split
@@ -70,5 +67,4 @@ def pattern_from_parcsr(matrix: ParCSRMatrix, *, item_bytes: int | None = None,
         raise ValidationError("off-diagonal columns must be owned by other ranks")
     columns = group_rows_to_csr(n_ranks, owners, recv_ranks, needed)
     freeze_columns(*columns)
-    return CommPattern.from_csr(n_ranks, *columns, item_bytes=item_bytes,
-                                dtype=dtype, item_size=item_size)
+    return CommPattern.from_csr(n_ranks, *columns)

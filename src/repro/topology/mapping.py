@@ -142,11 +142,6 @@ class RankMapping:
 
     # -- per-rank queries --------------------------------------------------
 
-    def node_of(self, rank: int) -> int:
-        """Node id hosting ``rank``."""
-        self._check_rank(rank)
-        return int(self._nodes[rank])
-
     def region_of(self, rank: int) -> int:
         """Aggregation-region id of ``rank`` (dense, 0-based)."""
         self._check_rank(rank)

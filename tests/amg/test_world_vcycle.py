@@ -163,10 +163,11 @@ def _level_engines(mapping, n_levels):
 
 
 def _merged(parts):
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.merged_with(part)
-    return result
+    """Element-wise sum of per-plan statistics."""
+    return PatternStatistics(n_ranks=parts[0].n_ranks, **{
+        name: sum(getattr(part, name) for part in parts)
+        for name in ("local_messages", "global_messages", "local_bytes",
+                     "global_bytes")})
 
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])

@@ -58,9 +58,9 @@ def _expected_output(collective, rank, dtype, item_size):
 
 def _check_array_exchange(pattern, mapping, variant, dtype, item_size,
                           profiler=None):
+    assert (pattern.dtype, pattern.item_size) == (np.dtype(dtype), item_size)
     with ExchangeEngine(pattern.n_ranks, profiler=profiler) as engine, \
             neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
-                                          dtype=dtype, item_size=item_size,
                                           engine=engine) as collective:
         received = collective.exchange([
             _owned_values(collective, rank, dtype, item_size)
@@ -103,7 +103,9 @@ class TestArrayPathDeliversCorrectData:
         collective = neighbor_alltoallv_init_world(
             pattern, small_mapping, variant=Variant.STANDARD)
         f32 = neighbor_alltoallv_init_world(
-            pattern, small_mapping, variant=Variant.STANDARD, dtype=np.float32)
+            pattern_from_edges(2, [(0, 1, [1, 2]), (1, 0, [5])],
+                               dtype=np.float32),
+            small_mapping, variant=Variant.STANDARD)
         # Cross-kind casts that can corrupt values must be rejected: complex
         # into a real collective (imaginary parts discarded), int64 into
         # float32 (exact above 2**24 only).

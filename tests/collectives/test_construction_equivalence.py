@@ -127,7 +127,9 @@ def test_eq_and_hash_invariant_across_construction_routes(case):
     assert len({dict_route, csr_pattern}) == 1
     # Metadata still differentiates:
     assert dict_route != CommPattern(csr_pattern.n_ranks, reference.sends,
-                                     item_bytes=3)
+                                     dtype=np.float32)
+    assert dict_route != CommPattern(csr_pattern.n_ranks, reference.sends,
+                                     item_size=2)
 
 
 @pytest.mark.parametrize("case", ["edges", "random-high-dup", "halo", "parcsr"])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.collectives.api import neighbor_alltoallv_init_world
+from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
@@ -180,10 +181,10 @@ class TestPersistentHandleSemantics:
                 WorldNeighborCollective(plan, engine=engine, **kwargs)
 
     def test_describe_names_variant_and_item_type(self):
-        pattern = random_pattern(8, avg_neighbors=3, seed=35)
+        pattern = random_pattern(8, avg_neighbors=3, seed=35,
+                                 dtype=np.float32, item_size=3)
         collective = neighbor_alltoallv_init_world(
-            pattern, paper_mapping(8, ranks_per_node=4), variant=Variant.FULL,
-            dtype=np.float32, item_size=3)
+            pattern, paper_mapping(8, ranks_per_node=4), variant=Variant.FULL)
         text = collective.describe()
         assert text.startswith("world full collective over 8 ranks")
         assert f"{collective.messages_per_iteration()} messages/iteration" in text
@@ -218,23 +219,22 @@ class TestApiValidation:
     def test_non_int_item_size_rejected(self, item_size):
         """A float, bool or string item size is refused by name, never
         truncated to run with fewer (or one) components per item."""
-        pattern = random_pattern(4, avg_neighbors=2, seed=37)
         with pytest.raises(ValidationError, match="item_size must be an int"):
-            neighbor_alltoallv_init_world(
-                pattern, paper_mapping(4, ranks_per_node=2),
-                item_size=item_size)
+            random_pattern(4, avg_neighbors=2, seed=37, item_size=item_size)
 
-    def test_dtype_and_item_size_override_the_pattern(self):
+    def test_the_pattern_sets_the_element_type(self):
         """The wire carries ``item_size * dtype.itemsize`` bytes per item of
-        the element type asked for, not the pattern's default float64."""
+        the pattern's element type, exactly what the plan counts."""
         n_ranks = 8
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
-        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=38)
+        pattern = random_pattern(n_ranks, avg_neighbors=3, seed=38,
+                                 dtype=np.float32, item_size=3)
         profiler = TrafficProfiler(mapping)
         collective = neighbor_alltoallv_init_world(
-            pattern, mapping, variant=Variant.PARTIAL, dtype=np.float32,
-            item_size=3, engine=ExchangeEngine(n_ranks, profiler=profiler))
+            pattern, mapping, variant=Variant.PARTIAL,
+            engine=ExchangeEngine(n_ranks, profiler=profiler))
         assert (collective.dtype, collective.item_size) == (np.float32, 3)
+        assert collective.spec == ExchangeSpec(np.float32, 3)
         values = [(_value_of(rank, _owned_items(pattern, rank))[:, None]
                    + np.arange(3)).astype(np.float32) for rank in range(n_ranks)]
         results = collective.exchange(values)
@@ -243,3 +243,20 @@ class TestApiValidation:
             assert received.shape == (collective.recv_item_ids(rank).size, 3)
         payload = sum(m.payload_count() for m in collective.plan.messages())
         assert profiler.total().byte_count == payload * 3 * 4
+        planned = collective.plan.statistics()
+        assert profiler.total().byte_count == int(planned.local_bytes.sum()
+                                                  + planned.global_bytes.sum())
+
+    @pytest.mark.parametrize("spec", [ExchangeSpec(np.float32),
+                                      ExchangeSpec(np.float64, 2)],
+                             ids=["float32-1", "float64-2"])
+    def test_a_spec_other_than_the_patterns_is_refused(self, spec):
+        """A float64 plan counts 8 bytes per item; compiling it for another
+        element type would move other bytes than it counts."""
+        pattern = random_pattern(8, avg_neighbors=3, seed=39)
+        plan = make_plan(pattern, paper_mapping(8, ranks_per_node=4),
+                         Variant.PARTIAL)
+        with pytest.raises(ValidationError, match="pattern sets the element"):
+            compile_world_exchange(plan, spec)
+        assert compile_world_exchange(plan, ExchangeSpec(np.float64)).spec \
+            == compile_world_exchange(plan).spec

@@ -62,7 +62,6 @@ class TestColumns:
         assert first == again and first is not again
         with pytest.raises(AttributeError):
             first.src = 3
-        assert first.nbytes(8) == 8 * first.payload_count()
 
     def test_tables_compare_column_by_column(self, full_plan):
         table = full_plan.phases[Phase.GLOBAL]

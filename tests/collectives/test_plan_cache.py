@@ -29,7 +29,6 @@ from repro.collectives import (
     plan_cache_stats,
 )
 from repro.collectives import exchange, planner
-from repro.collectives.exchange import ExchangeSpec
 from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
 from repro.collectives import plan_cache
 from repro.pattern import halo_exchange_pattern
@@ -67,11 +66,10 @@ def test_memory_hit_returns_cached_plan_object(pattern, mapping):
 
 def test_memory_hit_byte_identical_to_cold_compile(pattern, mapping):
     plan = make_plan(pattern, mapping, Variant.FULL)
-    spec = ExchangeSpec(pattern.dtype, pattern.item_size)
     warm = WorldNeighborCollective(plan)
     try:
         cold_plan = make_plan(pattern, mapping, Variant.FULL, use_cache=False)
-        cold = compile_world_exchange(cold_plan, spec)
+        cold = compile_world_exchange(cold_plan)
         assert_worlds_identical(warm.world, cold)
     finally:
         warm.close()
@@ -100,16 +98,16 @@ def test_each_key_ingredient_misses_independently(pattern, mapping):
     assert make_plan(pattern, mapping, Variant.PARTIAL,
                      strategy=BalanceStrategy.ROUND_ROBIN) is not base
 
-    spec = ExchangeSpec(pattern.dtype, pattern.item_size)
-    world = plan_cache.fetch_world(base, spec) \
-        or compile_world_exchange(base, spec)
-    plan_cache.store_world(base, spec, world)
-    assert plan_cache.fetch_world(base, spec) is world
-    assert plan_cache.fetch_world(
-        base, ExchangeSpec(dtype=np.dtype(np.float32), item_size=1)) is None
-    assert plan_cache.fetch_world(
-        base, ExchangeSpec(dtype=spec.dtype, item_size=spec.item_size + 1)) \
-        is None
+    world = plan_cache.fetch_world(base) or compile_world_exchange(base)
+    plan_cache.store_world(base, world)
+    assert plan_cache.fetch_world(base) is world
+    # The element type is the pattern's, so it keys the plan and the world.
+    for element in ({"dtype": np.float32}, {"item_size": 2}):
+        wider = halo_exchange_pattern((4, 4), **element)
+        assert wider != pattern
+        other = make_plan(wider, mapping, Variant.PARTIAL)
+        assert other is not base
+        assert plan_cache.fetch_world(other) is None
 
 
 def test_strategy_normalised_out_of_unaggregated_keys(pattern, mapping):
@@ -133,11 +131,9 @@ def test_hand_built_plan_never_cached(pattern, mapping):
         mapping=reference.mapping, phases=reference.phases,
         self_deliveries=reference.self_deliveries)
     assert hand_built.cache_token is None
-    spec = ExchangeSpec(pattern.dtype, pattern.item_size)
-    assert plan_cache.world_key(hand_built, spec) is None
-    world = compile_world_exchange(hand_built, spec)
-    plan_cache.store_world(hand_built, spec, world)
-    assert plan_cache.fetch_world(hand_built, spec) is None
+    world = compile_world_exchange(hand_built)
+    plan_cache.store_world(hand_built, world)
+    assert plan_cache.fetch_world(hand_built) is None
 
 
 def test_nothing_is_hashed_while_the_disk_tier_is_off(pattern, mapping,
@@ -168,7 +164,6 @@ def test_disk_round_trip_byte_identical(pattern, mapping, monkeypatch,
                                         tmp_path):
     directory = enable_disk(monkeypatch, tmp_path)
     plan = make_plan(pattern, mapping, Variant.FULL)
-    spec = ExchangeSpec(pattern.dtype, pattern.item_size)
     cold = WorldNeighborCollective(plan)
     cold_world = cold.world
     cold.close()
@@ -183,7 +178,7 @@ def test_disk_round_trip_byte_identical(pattern, mapping, monkeypatch,
     try:
         assert_worlds_identical(warm.world, cold_world)
         uncached = compile_world_exchange(
-            make_plan(pattern, mapping, Variant.FULL, use_cache=False), spec)
+            make_plan(pattern, mapping, Variant.FULL, use_cache=False))
         assert_worlds_identical(warm.world, uncached)
     finally:
         warm.close()
@@ -262,9 +257,8 @@ def test_corrupted_disk_entry_discarded_then_recompiled(pattern, mapping,
     with pytest.warns(PlanCacheWarning, match="unreadable"):
         recompiled = make_plan(pattern, mapping, Variant.PARTIAL)
     cold = make_plan(pattern, mapping, Variant.PARTIAL, use_cache=False)
-    spec = ExchangeSpec(pattern.dtype, pattern.item_size)
-    assert_worlds_identical(compile_world_exchange(recompiled, spec),
-                            compile_world_exchange(cold, spec))
+    assert_worlds_identical(compile_world_exchange(recompiled),
+                            compile_world_exchange(cold))
     # the recompile self-heals the entry: it is valid again afterwards
     with entry.open("rb") as handle:
         envelope = pickle.load(handle)
@@ -376,6 +370,7 @@ def test_warm_weak_scaling_rerun_makes_no_planner_or_compiler_call(count_calls):
     the world compiler — and must produce byte-identical protocol times: the
     cache may only change *when* work happens, never the answer.
     """
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.scaling import _weak_setup, run_weak_scaling
 
     _weak_setup.cache_clear()
@@ -385,8 +380,8 @@ def test_warm_weak_scaling_rerun_makes_no_planner_or_compiler_call(count_calls):
     results = []
 
     def weak_scaling_run():
-        results.append(run_weak_scaling(process_counts=[256, 1024],
-                                        rows_per_rank=8))
+        results.append(run_weak_scaling(ExperimentConfig(
+            scaling_ranks=(256, 1024), weak_rows_per_rank=8)))
 
     cold_calls = count_calls(weak_scaling_run, of=setup_functions)
     cold_stats = plan_cache_stats()

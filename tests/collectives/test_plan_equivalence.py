@@ -89,7 +89,7 @@ CASES = {
         paper_mapping(48, ranks_per_node=8)),
     "random-item-bytes": lambda: (
         random_pattern(24, avg_neighbors=6, duplicate_fraction=0.4, seed=23,
-                       item_bytes=4),
+                       dtype=np.float32),
         paper_mapping(24, ranks_per_node=4)),
     "halo": lambda: (
         halo_exchange_pattern((4, 4), points_per_cell=6),

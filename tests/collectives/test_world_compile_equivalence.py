@@ -153,7 +153,7 @@ def test_world_compile_matches_reference(name, pattern, variant):
                                              (np.float64, 9),
                                              (np.complex128, 2)])
 def test_world_compile_matches_reference_specs(variant, dtype, item_size):
-    pattern = random_pattern(16, seed=11)
+    pattern = random_pattern(16, seed=11, dtype=dtype, item_size=item_size)
     mapping = paper_mapping(16, ranks_per_node=8)
     plan = make_plan(pattern, mapping, variant)
     spec = ExchangeSpec(dtype=dtype, item_size=item_size)

@@ -17,7 +17,9 @@ engine per level, so the ``level_profilers=`` keyword was deleted.  This
 guard keeps all of them deleted: it fails if one of the runtime's module
 files exists again, or if any module under ``src/``, ``examples/`` or
 ``bench/`` defines, imports or references one of the deleted names, or
-declares or passes one of the deleted keywords.
+declares or passes one of the deleted keywords.  The keyword sets of the
+solve path's constructors, the figure drivers and the element-type path
+are pinned too, so a removed option cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -29,9 +31,35 @@ import textwrap
 
 import pytest
 
-from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
+from repro.amg.comm_analysis import (
+    hierarchy_comm_profiles,
+    level_patterns,
+    level_transfer_patterns,
+)
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.persistent import WorldNeighborCollective
+from repro.experiments import (
+    run_balance_ablation,
+    run_crossover,
+    run_graph_creation,
+    run_per_level,
+    run_selection_ablation,
+    run_strong_scaling,
+    run_weak_scaling,
+)
+from repro.experiments.config import measured_cycle_times, measured_level_times
+from repro.experiments.per_level import (
+    executed_cycle_statistics,
+    executed_statistics,
+)
+from repro.pattern import CommPattern
+from repro.pattern.builders import (
+    halo_exchange_pattern,
+    pattern_from_edges,
+    random_pattern,
+)
+from repro.sparse.comm_pkg import pattern_from_parcsr
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -202,7 +230,9 @@ def test_the_world_path_stays_allowed(source):
 #: The keyword-only parameters of the solve path's constructors.  The
 #: engine carries the runtime, the worker count and the profiler, so none
 #: of them takes ``profiler=`` or ``level_profilers=``, and the cycle and
-#: the solver take no ``n_workers=`` either.
+#: the solver take no ``n_workers=`` either.  The pattern carries the
+#: element type, so neither collective constructor takes ``dtype=`` or
+#: ``item_size=``.
 CONSTRUCTOR_KEYWORDS = {
     WorldVCycle: {"variant", "strategy", "pre_sweeps", "post_sweeps",
                   "omega", "engine", "runtime", "model"},
@@ -210,11 +240,10 @@ CONSTRUCTOR_KEYWORDS = {
                      "pre_sweeps", "post_sweeps", "omega", "truncation",
                      "seed", "variant", "strategy", "hierarchy", "engine",
                      "runtime", "model"},
-    WorldNeighborCollective: {"dtype", "item_size", "engine", "runtime",
-                              "n_workers", "vector_length"},
-    neighbor_alltoallv_init_world: {"variant", "strategy", "dtype",
-                                    "item_size", "engine", "runtime",
-                                    "n_workers", "vector_length"},
+    WorldNeighborCollective: {"engine", "runtime", "n_workers",
+                              "vector_length"},
+    neighbor_alltoallv_init_world: {"variant", "strategy", "engine",
+                                    "runtime", "n_workers", "vector_length"},
 }
 
 
@@ -225,3 +254,50 @@ def test_the_solve_path_constructors_keep_their_keyword_sets(constructor):
                 in inspect.signature(constructor).parameters.values()
                 if parameter.kind is parameter.KEYWORD_ONLY}
     assert keywords == CONSTRUCTOR_KEYWORDS[constructor]
+
+
+#: The options (keyword-only parameters and parameters with a default) of
+#: the figure drivers, the measured helpers and the element-type path.  Each
+#: figure driver has one code path: it plots modeled times and planned counts
+#: on the config's sweeps, and the measured helpers execute what it models,
+#: over every variant with a fixed number of timed rounds.  Only the pattern constructors and builders set an exchange's
+#: element type, as ``dtype`` x ``item_size``; ``item_bytes`` is derived from
+#: them, and the ParCSR / hierarchy patterns are float64 scalar halos.
+OPTIONS = {
+    run_graph_creation: set(),
+    run_crossover: {"auto"},
+    run_per_level: set(),
+    run_strong_scaling: set(),
+    run_weak_scaling: set(),
+    run_selection_ablation: set(),
+    run_balance_ablation: set(),
+    measured_level_times: set(),
+    measured_cycle_times: set(),
+    executed_statistics: set(),
+    executed_cycle_statistics: set(),
+    CommPattern: {"dtype", "item_size"},
+    CommPattern.from_edge_lists: {"dtype", "item_size"},
+    CommPattern.from_csr: {"dtype", "item_size"},
+    CommPattern.from_edge_arrays: {"dtype", "item_size"},
+    pattern_from_edges: {"dtype", "item_size"},
+    random_pattern: {"avg_neighbors", "avg_items_per_message",
+                     "duplicate_fraction", "items_per_rank", "seed", "dtype",
+                     "item_size"},
+    halo_exchange_pattern: {"width", "points_per_cell", "dtype", "item_size",
+                            "periodic"},
+    pattern_from_parcsr: set(),
+    level_patterns: set(),
+    level_transfer_patterns: set(),
+    hierarchy_comm_profiles: {"model", "strategy", "validate"},
+    coarse_gather_pattern: set(),
+}
+
+
+@pytest.mark.parametrize("function", OPTIONS,
+                         ids=lambda function: function.__qualname__)
+def test_the_drivers_and_the_element_type_path_keep_their_options(function):
+    options = {parameter.name for parameter
+               in inspect.signature(function).parameters.values()
+               if parameter.kind is parameter.KEYWORD_ONLY
+               or parameter.default is not parameter.empty}
+    assert options == OPTIONS[function]

@@ -1,13 +1,24 @@
 """Tests of the experiment harness at smoke scale (shapes, not absolute numbers)."""
 
+import dataclasses
+
 import pytest
 
 from repro.collectives.plan import Variant
 from repro.experiments.ablation import run_balance_ablation, run_selection_ablation
-from repro.experiments.config import ExperimentConfig, ExperimentContext
+from repro.experiments.config import (
+    ExperimentConfig,
+    ExperimentContext,
+    measured_cycle_times,
+    measured_level_times,
+)
 from repro.experiments.crossover import run_crossover
 from repro.experiments.graph_creation import run_graph_creation
-from repro.experiments.per_level import run_per_level
+from repro.experiments.per_level import (
+    executed_cycle_statistics,
+    executed_statistics,
+    run_per_level,
+)
 from repro.experiments.runner import render_report, run_all_experiments
 from repro.experiments.scaling import run_strong_scaling, run_weak_scaling
 
@@ -151,8 +162,8 @@ class TestScaling:
             result.speedup_at_largest_scale("partially_optimized_neighbor") - 1e-9
 
     def test_weak_scaling_series(self, smoke_config):
-        result = run_weak_scaling(smoke_config, process_counts=(16, 32),
-                                  rows_per_rank=64)
+        result = run_weak_scaling(dataclasses.replace(
+            smoke_config, scaling_ranks=(16, 32), weak_rows_per_rank=64))
         assert result.mode == "weak"
         assert len(result.times["fully_optimized_neighbor"]) == 2
         assert all(s >= 0.999 for s in result.speedup("fully_optimized_neighbor"))
@@ -163,11 +174,18 @@ class TestScaling:
             result.speedup("nonexistent")
 
     def test_best_per_level_fallback_never_hurts(self, smoke_context):
-        with_fallback = run_strong_scaling(smoke_context, best_per_level=True)
-        without = run_strong_scaling(smoke_context, best_per_level=False)
-        for a, b in zip(with_fallback.times["partially_optimized_neighbor"],
-                        without.times["partially_optimized_neighbor"]):
-            assert a <= b + 1e-15
+        """The optimized series sum ``min(variant, standard)`` per level, so
+        they never exceed the variant's own per-level sum."""
+        result = run_strong_scaling(smoke_context)
+        for n_ranks, total in zip(
+                result.process_counts,
+                result.times["partially_optimized_neighbor"]):
+            profiles = smoke_context.redistributed(n_ranks).profiles
+            assert total == sum(min(p.times[Variant.PARTIAL],
+                                    p.times[Variant.STANDARD])
+                                for p in profiles)
+            assert total <= sum(p.times[Variant.PARTIAL]
+                                for p in profiles) + 1e-15
 
 
 class TestAblationsAndRunner:
@@ -220,58 +238,47 @@ class TestAblationsAndRunner:
         assert report == expected
 
 
-class TestWorldSteppedDrivers:
-    """The drivers' world-stepped execution paths (batched exchange engine)."""
+class TestMeasuredHelpers:
+    """The module-level helpers that execute what the figures model."""
 
     def test_per_level_executed_series_match_planned(self, smoke_context):
-        planned = run_per_level(smoke_context)
-        executed = run_per_level(smoke_context, execute=True)
-        assert executed.local_messages == planned.local_messages
-        assert executed.global_messages == planned.global_messages
-        assert executed.global_bytes == planned.global_bytes
+        fields = ("local_messages", "global_messages", "local_bytes",
+                  "global_bytes")
+        for profile in smoke_context.profiles:
+            for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
+                executed = executed_statistics(profile.plans[variant])
+                planned = profile.statistics[variant]
+                for field in fields:
+                    assert getattr(executed, field).tolist() == \
+                        getattr(planned, field).tolist(), (variant, field)
 
     def test_measured_level_times_shape(self, smoke_context):
-        times = smoke_context.measured_level_times(iterations=1)
+        times = measured_level_times(smoke_context.profiles)
         assert len(times) == smoke_context.hierarchy.n_levels
         for per_variant in times:
             assert set(per_variant) == {Variant.POINT_TO_POINT, Variant.STANDARD,
                                         Variant.PARTIAL, Variant.FULL}
             assert all(t > 0.0 for t in per_variant.values())
 
-    def test_crossover_with_measured_iteration(self, smoke_context):
-        result = run_crossover(smoke_context, use_measured_iteration=True)
-        assert all(t > 0.0 for t in result.per_iteration.values())
-        assert len(result.totals[Variant.FULL]) == len(result.iteration_counts)
-
-    def test_strong_scaling_with_measured_iteration(self, smoke_context):
-        result = run_strong_scaling(smoke_context, process_counts=(16, 32),
-                                    use_measured_iteration=True)
-        assert len(result.times["standard_hypre"]) == 2
-        assert all(t > 0.0 for t in result.times["fully_optimized_neighbor"])
-
-
-class TestSolvePhaseDrivers:
-    """The drivers' solve-phase mode: whole executed V-cycles, not rounds."""
-
-    def test_per_level_solve_phase_series_exceed_single_rounds(self,
-                                                               smoke_context):
+    def test_executed_cycle_traffic_exceeds_single_rounds(self,
+                                                          smoke_context):
         """A V-cycle exchanges each level's pattern several times (smoother
         sweeps + residual) plus the grid transfers, so the executed
         solve-phase traffic dominates the planned single-round traffic on
         every level with communication."""
         planned = run_per_level(smoke_context)
-        solved = run_per_level(smoke_context, solve_phase=True)
-        assert solved.levels == planned.levels
-        for key in ("standard_global",):
-            for single, cycle in zip(planned.global_messages[key],
-                                     solved.global_messages[key]):
-                assert cycle >= single
-        assert sum(solved.global_bytes["fully_optimized"]) > \
+        standard, full = (
+            executed_cycle_statistics(smoke_context.hierarchy,
+                                      smoke_context.mapping, variant=variant)
+            for variant in (Variant.STANDARD, Variant.FULL))
+        assert len(standard) == len(planned.levels)
+        for single, cycle in zip(planned.global_messages["standard_global"],
+                                 standard):
+            assert cycle.max_global_messages >= single
+        assert sum(stats.max_global_bytes for stats in full) > \
             sum(planned.global_bytes["fully_optimized"])
 
     def test_executed_cycle_statistics_per_level(self, smoke_context):
-        from repro.experiments.per_level import executed_cycle_statistics
-
         stats = executed_cycle_statistics(smoke_context.hierarchy,
                                           smoke_context.mapping,
                                           variant=Variant.FULL)
@@ -279,23 +286,11 @@ class TestSolvePhaseDrivers:
         assert stats[0].max_global_messages > 0
 
     def test_measured_cycle_times_shape(self, smoke_context):
-        times = smoke_context.measured_cycle_times(iterations=1)
+        times = measured_cycle_times(smoke_context.hierarchy,
+                                     smoke_context.mapping)
         assert set(times) == {Variant.POINT_TO_POINT, Variant.STANDARD,
                               Variant.PARTIAL, Variant.FULL}
         assert all(t > 0.0 for t in times.values())
-
-    def test_crossover_solve_phase(self, smoke_context):
-        result = run_crossover(smoke_context, solve_phase=True)
-        assert all(t > 0.0 for t in result.per_iteration.values())
-        assert len(result.totals[Variant.FULL]) == len(result.iteration_counts)
-
-    def test_scaling_solve_phase(self, smoke_context, smoke_config):
-        strong = run_strong_scaling(smoke_context, process_counts=(16,),
-                                    solve_phase=True)
-        assert all(t > 0.0 for t in strong.times["standard_hypre"])
-        weak = run_weak_scaling(smoke_config, process_counts=(16,),
-                                solve_phase=True)
-        assert all(t > 0.0 for t in weak.times["fully_optimized_neighbor"])
 
 
 class TestAutoSeries:
@@ -337,11 +332,6 @@ class TestAutoSeries:
             result.init_costs["auto"] + n * result.per_iteration["auto"]
             for n in result.iteration_counts]
 
-    def test_crossover_auto_rejects_solve_phase(self, smoke_context):
-        from repro.utils.errors import ValidationError
-        with pytest.raises(ValidationError, match="per-level"):
-            run_crossover(smoke_context, auto=True, solve_phase=True)
-
     def test_per_level_auto_selected_is_the_per_level_best(self, smoke_context):
         result = run_per_level(smoke_context)
         auto = result.times["auto_selected"]
@@ -363,7 +353,7 @@ class TestAutoSeries:
         assert result.auto_choice == result.oracle_choice == [
             profile.best_variant().value for profile in profiles]
         assert result.policy_times["auto"] == result.policy_times["oracle"] \
-            == sum(profile.best_time() for profile in profiles)
+            == sum(profile.times[profile.best_variant()] for profile in profiles)
         assert len(result.auto_choice) == len(result.levels)
         assert result.decision_trace is not None
         result.decision_trace.validate()

@@ -12,6 +12,7 @@ import pytest
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Variant
 from repro.collectives.planner import make_plan
+from repro.experiments.per_level import executed_statistics
 from repro.pattern.builders import random_pattern
 from repro.simmpi.engine import ExchangeEngine
 from repro.simmpi.profiler import TrafficProfiler
@@ -35,18 +36,30 @@ def _run_with_profiler(pattern, mapping, variant):
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.PARTIAL, Variant.FULL])
 class TestObservedTrafficMatchesPlan:
-    def test_message_and_byte_counts(self, variant):
+    @pytest.mark.parametrize("dtype,item_size",
+                             [(np.float64, 1), (np.float32, 3),
+                              (np.complex128, 1), (np.int64, 2)],
+                             ids=["float64-1", "float32-3", "complex128-1",
+                                  "int64-2"])
+    def test_message_and_byte_counts(self, variant, dtype, item_size):
+        """Planner = runtime for every element type: the pattern sets it, so
+        the profiler counts exactly the bytes ``plan.statistics()`` counts."""
         n_ranks = 16
         mapping = paper_mapping(n_ranks, ranks_per_node=4)
         pattern = random_pattern(n_ranks, avg_neighbors=6, duplicate_fraction=0.5,
-                                 seed=77)
+                                 seed=77, dtype=dtype, item_size=item_size)
         plan = make_plan(pattern, mapping, variant)
-        profiler = _run_with_profiler(pattern, mapping, variant)
-
-        observed = profiler.total()
-        assert observed.message_count == plan.n_messages
-        expected_bytes = sum(m.nbytes(plan.item_bytes) for m in plan.messages())
-        assert observed.byte_count == expected_bytes
+        executed = executed_statistics(plan)
+        planned = plan.statistics()
+        for field in ("local_messages", "global_messages", "local_bytes",
+                      "global_bytes"):
+            np.testing.assert_array_equal(getattr(executed, field),
+                                          getattr(planned, field),
+                                          err_msg=field)
+        assert int(planned.local_messages.sum()
+                   + planned.global_messages.sum()) == plan.n_messages
+        assert int(planned.local_bytes.sum() + planned.global_bytes.sum()) \
+            == sum(m.payload_count() for m in plan.messages()) * pattern.item_bytes
 
     def test_per_locality_split(self, variant):
         n_ranks = 16

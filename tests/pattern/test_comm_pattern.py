@@ -37,10 +37,26 @@ class TestCommPatternBasics:
         assert pattern.recv_items(0, 2).size == 0
 
     def test_counts(self):
-        pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (1, 0, [3])], item_bytes=4)
+        pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (1, 0, [3])],
+                                     dtype=np.float32)
         assert pattern.n_messages == 2
         assert pattern.total_items == 3
+        assert pattern.item_bytes == 4
         assert pattern.total_bytes == 12
+
+    @pytest.mark.parametrize("dtype,item_size", [(np.float32, 3),
+                                                 (np.complex128, 1),
+                                                 (np.int64, 2)])
+    def test_item_bytes_is_derived_from_the_element_type(self, dtype,
+                                                         item_size):
+        pattern = pattern_from_edges(3, [(0, 1, [1, 2])], dtype=dtype,
+                                     item_size=item_size)
+        assert pattern.item_bytes == np.dtype(dtype).itemsize * item_size
+        # A pickle carries the element type only; the size is derived again.
+        state = pattern.__getstate__()
+        assert "item_bytes" not in state
+        assert pickle.loads(pickle.dumps(pattern)).item_bytes \
+            == pattern.item_bytes
 
     def test_out_of_range_ranks_rejected(self):
         with pytest.raises(ValidationError):
@@ -74,7 +90,7 @@ class TestCommPatternBasics:
         a = pattern_from_edges(3, edges)
         assert not patterns_equivalent(a, pattern_from_edges(4, edges))
         assert not patterns_equivalent(
-            a, pattern_from_edges(3, edges, item_bytes=a.item_bytes * 2))
+            a, pattern_from_edges(3, edges, item_size=2))
 
     def test_equivalence_detects_missing_edge(self):
         a = pattern_from_edges(3, [(0, 1, [1]), (2, 0, [4])])
@@ -100,8 +116,8 @@ class TestCommPatternBasics:
         assert hash(a) != hash(pattern_from_edges(3, [(0, 1, [1, 2])]))
 
     def test_hash_respects_item_bytes(self):
-        a = pattern_from_edges(3, [(0, 1, [1])], item_bytes=8)
-        b = pattern_from_edges(3, [(0, 1, [1])], item_bytes=4)
+        a = pattern_from_edges(3, [(0, 1, [1])])
+        b = pattern_from_edges(3, [(0, 1, [1])], dtype=np.float32)
         assert a != b
         assert hash(a) != hash(b)
 

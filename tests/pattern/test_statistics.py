@@ -37,20 +37,6 @@ class TestPatternStatisticsContainer:
         assert stats.max_global_bytes == 60
         assert stats.total_global_bytes == 100
 
-    def test_merge(self):
-        a = PatternStatistics(n_ranks=2)
-        a.add_message(0, True, 8)
-        b = PatternStatistics(n_ranks=2)
-        b.add_message(0, True, 8)
-        b.add_message(1, False, 16)
-        merged = a.merged_with(b)
-        assert merged.local_messages.tolist() == [2, 0]
-        assert merged.global_bytes.tolist() == [0, 16]
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            PatternStatistics(n_ranks=2).merged_with(PatternStatistics(n_ranks=3))
-
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
             PatternStatistics(n_ranks=2).add_message(5, True, 1)
@@ -67,8 +53,7 @@ class TestPatternStatisticsFromPattern:
     def test_known_pattern(self):
         mapping = paper_mapping(8, ranks_per_node=4)
         # Rank 0: one local message (to 1), two global (to 4 and 5).
-        pattern = pattern_from_edges(8, [(0, 1, [1, 2]), (0, 4, [3]), (0, 5, [4, 5, 6])],
-                                     item_bytes=8)
+        pattern = pattern_from_edges(8, [(0, 1, [1, 2]), (0, 4, [3]), (0, 5, [4, 5, 6])])
         stats = plan_standard(pattern, mapping).statistics()
         assert stats.local_messages[0] == 1
         assert stats.global_messages[0] == 2
@@ -107,7 +92,7 @@ class TestLocalityBreakdowns:
 
     def test_locality_byte_counts(self):
         mapping = paper_mapping(32, ranks_per_node=16)
-        pattern = pattern_from_edges(32, [(0, 16, [1, 2, 3])], item_bytes=8)
+        pattern = pattern_from_edges(32, [(0, 16, [1, 2, 3])])
         counts = _exchanged_traffic(pattern, mapping)
         assert counts[Locality.INTER_NODE].byte_count == 24
 

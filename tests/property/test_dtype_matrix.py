@@ -48,7 +48,6 @@ def _reference(origin: int, items: np.ndarray, item_size: int,
 def _check_variant(engine, pattern, mapping, variant, dtype, item_size):
     """Run one variant on ``engine`` and verify every rank's output."""
     collective = neighbor_alltoallv_init_world(pattern, mapping, variant=variant,
-                                               dtype=dtype, item_size=item_size,
                                                engine=engine)
     received = collective.exchange([
         _reference(rank, collective.owned_item_ids(rank), item_size, dtype)

@@ -263,11 +263,11 @@ def test_a_permuted_delivery_is_folded_into_offd(monkeypatch, variant, rng):
     compile_world = persistent.compile_world_exchange
     monkeypatch.setattr(
         persistent, "compile_world_exchange",
-        lambda plan, spec: _reversed_delivery(compile_world(plan, spec)))
+        lambda plan: _reversed_delivery(compile_world(plan)))
     monkeypatch.setattr(persistent.plan_cache, "fetch_world",
-                        lambda plan, spec: None)
+                        lambda plan: None)
     monkeypatch.setattr(persistent.plan_cache, "store_world",
-                        lambda plan, spec, world: None)
+                        lambda plan, world: None)
     for runtime in ("engine", "procs"):
         with _engine(operator.n_ranks, runtime) as engine, \
                 WorldSpMV(operator, mapping, variant=variant,
