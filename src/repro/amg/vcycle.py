@@ -42,7 +42,7 @@ exchanges, so its traffic is accounted like theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,7 +70,7 @@ from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV
 from repro.topology.mapping import RankMapping, check_mapping_covers
-from repro.utils.arrays import INDEX_DTYPE
+from repro.utils.arrays import INDEX_DTYPE, counts_to_displs, freeze_columns
 from repro.utils.errors import SolverError, ValidationError
 
 
@@ -82,23 +82,28 @@ def coarse_gather_pattern(partition: RowPartition) -> CommPattern:
     holds the full coarse right-hand side: its own entries plus everything
     the pattern delivered.  Expressing the gather as a pattern lets the
     coarse solve ride the same collective machinery — and the same traffic
-    accounting — as the halo exchanges.
+    accounting — as the halo exchanges.  The CSR columns are built whole: an
+    active rank's ``n_ranks - 1`` edges skip the rank itself, and each edge
+    lists the rank's owned row range.
+
+    >>> pattern = coarse_gather_pattern(RowPartition.from_sizes([2, 0, 1]))
+    >>> [(src, dest, items.tolist()) for src, dest, items in pattern.edges()]
+    [(0, 1, [0, 1]), (0, 2, [0, 1]), (2, 0, [2]), (2, 1, [2])]
     """
     n_ranks = partition.n_ranks
-    srcs: List[int] = []
-    dests: List[int] = []
-    item_arrays: List[np.ndarray] = []
-    for src in partition.active_ranks().tolist():
-        items = partition.rows_of(src)
-        for dest in range(n_ranks):
-            if dest == src:
-                continue
-            srcs.append(src)
-            dests.append(dest)
-            item_arrays.append(items)
-    return CommPattern.from_edge_lists(
-        n_ranks, np.asarray(srcs, dtype=INDEX_DTYPE),
-        np.asarray(dests, dtype=INDEX_DTYPE), item_arrays)
+    fan_out = n_ranks - 1
+    active = partition.active_ranks()
+    srcs = np.repeat(active, fan_out)
+    others = np.tile(np.arange(fan_out, dtype=INDEX_DTYPE), active.size)
+    dests = others + (others >= srcs)
+    first_rows = partition.offsets[srcs]
+    sizes = partition.offsets[srcs + 1] - first_rows
+    item_offsets = counts_to_displs(sizes)
+    items = (np.arange(item_offsets[-1], dtype=INDEX_DTYPE)
+             + np.repeat(first_rows - item_offsets[:-1], sizes))
+    src_offsets = counts_to_displs(np.bincount(srcs, minlength=n_ranks))
+    freeze_columns(src_offsets, dests, item_offsets, items)
+    return CommPattern.from_csr(n_ranks, src_offsets, dests, item_offsets, items)
 
 
 @dataclass

@@ -164,18 +164,11 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         row_dest_regions = dest_region_ids[inter_mask]
         del origin_regions, dest_region_ids, same_region, inter_mask
 
-        # Per-row leaders via dense (src_region, dest_region) lookup tables —
-        # no pre-sort by region pair needed.
+        # Per-row leaders read off the assignment's dense (src_region,
+        # dest_region) tables — no pre-sort by region pair needed.
         n_regions = mapping.n_regions
-
-        def row_leaders(leader_of_pair) -> np.ndarray:
-            table = np.full((n_regions, n_regions), -1, dtype=INDEX_DTYPE)
-            for (src_region, dest_region), rank in leader_of_pair.items():
-                table[src_region, dest_region] = rank
-            return table[row_src_regions, row_dest_regions]
-
-        row_send = row_leaders(assignment.send_leader)
-        row_recv = row_leaders(assignment.recv_leader)
+        row_send = assignment.send[row_src_regions, row_dest_regions]
+        row_recv = assignment.recv[row_src_regions, row_dest_regions]
         unassigned = (row_send < 0) | (row_recv < 0)
         if unassigned.any():
             index = int(np.argmax(unassigned))

@@ -24,7 +24,7 @@ from repro.experiments.scaling import run_strong_scaling, run_weak_scaling
 from repro.utils.errors import ValidationError
 
 #: Every figure the runner knows, in report order.  Weak scaling and the
-#: ablations are the expensive tail, which is why the CLI can skip them.
+#: ablations are the expensive tail; ``--figures`` leaves them out.
 FIGURE_KEYS = (
     "fig06_graph_creation",
     "fig07_crossover",
@@ -43,16 +43,13 @@ _CONTEXT_FIGURES = frozenset({
 
 
 def run_all_experiments(config: ExperimentConfig | None = None, *,
-                        include_weak_scaling: bool = True,
-                        include_ablations: bool = True,
                         figures: Sequence[str] | None = None) -> Dict[str, object]:
     """Run the selected experiments once and return result objects keyed by figure.
 
     ``figures`` restricts the run to a subset of :data:`FIGURE_KEYS` (defaults
     to all of them); the expensive AMG-hierarchy context is only built when a
     selected figure needs it, so e.g. ``figures=["fig06_graph_creation"]``
-    runs in seconds.  ``include_weak_scaling`` / ``include_ablations`` remain
-    as coarse switches applied on top of the selection.
+    runs in seconds.
     """
     config = config or ExperimentConfig.from_environment()
     selected = list(figures) if figures is not None else list(FIGURE_KEYS)
@@ -61,10 +58,6 @@ def run_all_experiments(config: ExperimentConfig | None = None, *,
         raise ValidationError(
             f"unknown figure keys {unknown}; valid keys: {', '.join(FIGURE_KEYS)}"
         )
-    if not include_weak_scaling:
-        selected = [key for key in selected if key != "fig13_weak_scaling"]
-    if not include_ablations:
-        selected = [key for key in selected if not key.startswith("ablation_")]
     context = (ExperimentContext.build(config)
                if any(key in _CONTEXT_FIGURES for key in selected) else None)
     runners = {
@@ -110,17 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--figures", type=str, default=None, metavar="KEYS",
                         help="comma-separated figure keys to run "
                              f"(default: all; valid: {', '.join(FIGURE_KEYS)})")
-    parser.add_argument("--skip-weak", action="store_true",
-                        help="skip the weak-scaling study (it rebuilds hierarchies)")
-    parser.add_argument("--skip-ablations", action="store_true",
-                        help="skip the ablation studies")
     args = parser.parse_args(argv)
     config = ExperimentConfig.paper() if args.paper else ExperimentConfig.from_environment()
     figures = args.figures.split(",") if args.figures else None
-    results = run_all_experiments(config,
-                                  include_weak_scaling=not args.skip_weak,
-                                  include_ablations=not args.skip_ablations,
-                                  figures=figures)
+    results = run_all_experiments(config, figures=figures)
     print(render_report(results))
     return 0
 

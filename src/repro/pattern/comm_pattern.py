@@ -52,6 +52,7 @@ from repro.utils.arrays import (
     counts_to_displs,
     frozen_copy_on_write,
     group_rows_to_csr,
+    lexsort_packed,
     run_starts_mask,
 )
 from repro.utils.errors import ValidationError
@@ -475,7 +476,7 @@ class CommPattern:
         """
         if self._owned_keys is None:
             origins, _, items = self.unique_edge_table()
-            order = np.lexsort((items, origins))
+            order = lexsort_packed(origins, items)
             origins, items = origins[order], items[order]
             starts = run_starts_mask(origins, items)
             edge_keys = np.empty(order.size, dtype=INDEX_DTYPE)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.topology.machine import Locality, MachineSpec
+from repro.utils.arrays import counts_to_displs, freeze_columns
 from repro.utils.errors import TopologyError, ValidationError
 from repro.utils.validation import check_positive_int
 
@@ -96,10 +97,17 @@ class RankMapping:
         self._regions = dense.astype(np.int64)
         self._n_regions = int(unique.size)
 
-        self._region_members: list[np.ndarray] = [
-            np.flatnonzero(self._regions == r).astype(np.int64)
-            for r in range(self._n_regions)
-        ]
+        # Region ``r``'s ranks, ascending, are ``members[r, :counts[r]]``; the
+        # padding is -1.  One stable sort by region builds the whole table.
+        by_region = np.argsort(self._regions, kind="stable")
+        counts = np.bincount(self._regions, minlength=self._n_regions)
+        sorted_regions = self._regions[by_region]
+        slots = (np.arange(self.n_ranks, dtype=np.int64)
+                 - counts_to_displs(counts)[sorted_regions])
+        members = np.full((self._n_regions, int(counts.max())), -1, dtype=np.int64)
+        members[sorted_regions, slots] = by_region
+        freeze_columns(members, counts)
+        self._members, self._member_counts = members, counts
 
     # -- construction -----------------------------------------------------
 
@@ -176,7 +184,16 @@ class RankMapping:
         """Sorted array of ranks belonging to ``region``."""
         if region < 0 or region >= self._n_regions:
             raise TopologyError(f"region {region} out of range [0, {self._n_regions})")
-        return self._region_members[region].copy()
+        return self._members[region, :self._member_counts[region]].copy()
+
+    def member_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every region's ranks at once: ``(members, counts)`` (read-only).
+
+        ``members`` is ``(n_regions, max ranks per region)``; row ``r`` holds
+        region ``r``'s ranks ascending in its first ``counts[r]`` slots and
+        -1 after them.
+        """
+        return self._members, self._member_counts
 
     def regions_array(self) -> np.ndarray:
         """Vector of region ids indexed by rank (copy)."""

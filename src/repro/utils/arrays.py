@@ -182,6 +182,39 @@ def argsort_packed(columns: Sequence[np.ndarray],
     return np.argsort(packed, kind="stable")
 
 
+def lexsort_packed(*columns: np.ndarray) -> np.ndarray:
+    """``np.lexsort``'s order of rows by parallel int64 key columns, most
+    significant first.
+
+    The keys, offset by each column's minimum, are packed into one int64 with
+    the row index in the low bits, so no two rows tie: one plain ``np.sort``
+    (faster than a stable sort of the keys alone) puts the rows in the stable
+    order, which the low bits then read off.  Falls back to ``np.lexsort``
+    when the packed key does not fit in int64.
+    """
+    n_rows = columns[0].size
+    if n_rows == 0:
+        return np.empty(0, dtype=INDEX_DTYPE)
+    row_bits = (n_rows - 1).bit_length()
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) << row_bits > 2 ** 63:
+        return np.lexsort(columns[::-1])
+    packed = columns[0].astype(INDEX_DTYPE)
+    offset = lows[0]
+    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        packed *= span
+        packed += column
+        offset = offset * span + low
+    if offset:
+        packed -= offset
+    packed <<= row_bits
+    packed |= np.arange(n_rows, dtype=INDEX_DTYPE)
+    packed.sort()
+    packed &= (1 << row_bits) - 1
+    return packed
+
+
 def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,
                       items: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,6 @@ import pytest
 from repro.collectives.aggregation import (
     AggregationAssignment,
     BalanceStrategy,
-    _pair_loads,
     setup_aggregation,
 )
 from repro.collectives.dedup import unique_keys_segmented
@@ -14,6 +13,7 @@ from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.topology.machine import MachineSpec
 from repro.topology.mapping import RankMapping
 from repro.topology.presets import paper_mapping
+from reference_aggregation import _pair_loads
 from reference_planner import collect_region_traffic
 from repro.utils.errors import PlanError
 
@@ -58,7 +58,7 @@ class TestCollectRegionTraffic:
         assert triples == [(4, 13, [9]), (5, 12, [7, 8])]
 
     def test_columnar_loads_equal_pair_items(self, mapping):
-        """What ``setup_aggregation`` reads off the CSR columns is, pair for
+        """What the oracle assignment reads off the CSR columns is, pair for
         pair, what the edge-walking grouping of the pinned planner counts."""
         pattern = random_pattern(16, avg_neighbors=6, avg_items_per_message=5,
                                  duplicate_fraction=0.4, seed=11)
@@ -73,15 +73,19 @@ class TestLeaderAssignment:
     def test_leaders_live_in_their_regions(self, mapping):
         pattern = random_pattern(16, avg_neighbors=6, seed=2)
         assignment = setup_aggregation(pattern, mapping)
-        for (src_region, dest_region), rank in assignment.send_leader.items():
-            assert mapping.region_of(rank) == src_region
-        for (src_region, dest_region), rank in assignment.recv_leader.items():
-            assert mapping.region_of(rank) == dest_region
+        src_regions, dest_regions = np.nonzero(assignment.send >= 0)
+        assert src_regions.size
+        assert mapping.region_of_many(
+            assignment.send[src_regions, dest_regions]).tolist() == \
+            src_regions.tolist()
+        assert mapping.region_of_many(
+            assignment.recv[src_regions, dest_regions]).tolist() == \
+            dest_regions.tolist()
 
     def test_send_and_recv_cover_same_pairs(self, mapping):
         pattern = random_pattern(16, avg_neighbors=6, seed=3)
         assignment = setup_aggregation(pattern, mapping)
-        assert set(assignment.send_leader) == set(assignment.recv_leader)
+        assert np.array_equal(assignment.send >= 0, assignment.recv >= 0)
 
     def test_round_robin_spreads_over_region(self, mapping):
         # Region 0 sends to the three other regions; with round-robin the three
@@ -89,7 +93,7 @@ class TestLeaderAssignment:
         pattern = pattern_from_edges(16, [(0, 4, [1]), (1, 8, [2]), (2, 12, [3])])
         assignment = setup_aggregation(pattern, mapping,
                                        strategy=BalanceStrategy.ROUND_ROBIN)
-        leaders = {assignment.send_leader[(0, r)] for r in (1, 2, 3)}
+        leaders = {assignment.leaders_for(0, r)[0] for r in (1, 2, 3)}
         assert len(leaders) == 3
 
     def test_bytes_strategy_balances_load(self, mapping):
@@ -99,7 +103,7 @@ class TestLeaderAssignment:
             (0, 8, [1]), (0, 12, [2]), (1, 8, [3]),
         ])
         assignment = setup_aggregation(pattern, mapping, strategy=BalanceStrategy.BYTES)
-        load = np.bincount(list(assignment.send_leader.values()))
+        load = np.bincount(assignment.send[assignment.send >= 0])
         # No single rank should carry every pair.
         assert load.max() < 4
 
@@ -118,16 +122,18 @@ class TestLeaderAssignment:
         assert counts[1] <= 2 * counts[0]
 
     def test_unknown_pair_raises(self):
-        assignment = AggregationAssignment(send_leader={}, recv_leader={})
-        with pytest.raises(PlanError):
-            assignment.leaders_for(0, 1)
+        no_pair = np.full((2, 2), -1)
+        assignment = AggregationAssignment(send=no_pair, recv=no_pair)
+        for src_region, dest_region in ((0, 1), (2, 0), (-1, 0)):
+            with pytest.raises(PlanError):
+                assignment.leaders_for(src_region, dest_region)
 
     def test_deterministic(self, mapping):
         pattern = random_pattern(16, avg_neighbors=6, seed=4)
         a = setup_aggregation(pattern, mapping)
         b = setup_aggregation(pattern, mapping)
-        assert a.send_leader == b.send_leader
-        assert a.recv_leader == b.recv_leader
+        assert np.array_equal(a.send, b.send)
+        assert np.array_equal(a.recv, b.recv)
 
 
 class TestDeduplication:

@@ -249,8 +249,10 @@ def test_plans_and_validate_make_as_many_calls_at_1024_ranks_as_at_256(
     ``plan_partial`` + ``plan_full`` and the ``validate()`` of each make the
     same number of Python + C calls on the 256-rank pattern as on the same
     generator at 1024 ranks — four times the ranks, messages and slots.
-    ``setup_aggregation`` stays outside the count: it is a per-region-pair
-    Python loop (its calls grow ~15x from 256 to 1024 ranks).
+    ``setup_aggregation`` stays outside the count: it takes one ``argmin``
+    step per target beyond a region's rank count, so its calls grow with the
+    number of regions (at most linearly; pinned by
+    ``test_leader_tables.py::test_setup_aggregation_grows_at_most_linearly_in_regions``).
     """
     def counted_plans(pattern, mapping):
         assignment = setup_aggregation(pattern, mapping)

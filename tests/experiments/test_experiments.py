@@ -204,8 +204,9 @@ class TestAblationsAndRunner:
         assert by_name["bytes"] <= by_name["round_robin"]
 
     def test_run_all_and_render(self, smoke_config):
-        results = run_all_experiments(smoke_config, include_weak_scaling=False,
-                                      include_ablations=False)
+        results = run_all_experiments(smoke_config, figures=[
+            "fig06_graph_creation", "fig07_crossover", "fig08_11_per_level",
+            "fig12_strong_scaling"])
         assert "fig06_graph_creation" in results
         report = render_report(results)
         assert "Figure 6" in report and "Figure 12" in report

@@ -34,6 +34,19 @@ class TestBlockMapping:
         assert mapping.n_regions == 2
         assert mapping.ranks_in_region(1).tolist() == [16, 17, 18, 19]
 
+    def test_member_table_pads_uneven_regions(self, machine):
+        """Cores 17, 2, 40, 5, 16 put ranks {1, 3}, {0, 4} and {2} on nodes
+        0, 1 and 2."""
+        mapping = RankMapping(machine, 5, kind=MappingKind.CUSTOM,
+                              custom_cores=[17, 2, 40, 5, 16])
+        members, counts = mapping.member_table()
+        assert members.tolist() == [[1, 3], [0, 4], [2, -1]]
+        assert counts.tolist() == [2, 2, 1]
+        assert not members.flags.writeable and not counts.flags.writeable
+        for region in range(mapping.n_regions):
+            assert mapping.ranks_in_region(region).tolist() == \
+                members[region, :counts[region]].tolist()
+
     def test_too_many_ranks_raises(self, machine):
         with pytest.raises(TopologyError):
             RankMapping(machine, 1000, ranks_per_node=16)

@@ -13,6 +13,7 @@ from repro.utils.arrays import (
     frozen_copy_on_write,
     gather_ranges,
     group_rows_to_csr,
+    lexsort_packed,
     partition_evenly,
     run_starts_mask,
 )
@@ -143,6 +144,24 @@ class TestArgsortPacked:
         b = np.array([5, big - 2, 1, 0])
         expected = np.lexsort((b, a))
         assert argsort_packed([a, b], [big, big]).tolist() == expected.tolist()
+
+
+class TestLexsortPacked:
+    """One plain sort of row-tagged packed keys is ``np.lexsort``'s order."""
+
+    def test_matches_lexsort_with_ties_and_negative_keys(self):
+        rng = np.random.default_rng(3)
+        for n_rows in (0, 1, 2, 17, 1000):
+            for n_columns in (1, 2, 3):
+                columns = [rng.integers(-4, 5, n_rows) for _ in range(n_columns)]
+                assert lexsort_packed(*columns).tolist() == \
+                    np.lexsort(columns[::-1]).tolist()
+
+    def test_overflowing_keys_fall_back_to_lexsort(self):
+        big = 2 ** 40
+        a = np.array([big - 1, 0, big - 1, 3])
+        b = np.array([5, big - 2, 5, 0])
+        assert lexsort_packed(a, b).tolist() == np.lexsort((b, a)).tolist()
 
 
 class TestGroupRowsToCsr:
