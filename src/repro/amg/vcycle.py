@@ -318,7 +318,13 @@ class WorldVCycle:
         self.close()
 
     def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Fine-level residual ``b - A x`` through the world-stepped SpMV."""
+        """Fine-level residual ``b - A x`` through the world-stepped SpMV.
+
+        ``b`` and ``x`` must have :meth:`cycle`'s shape, so an ``(n, 1)``
+        ``b`` raises instead of broadcasting into an ``(n, n)`` result.
+        """
+        if np.shape(b) != (self.n_rows,) or np.shape(x) != (self.n_rows,):
+            raise ValidationError(f"b and x must have shape {(self.n_rows,)}")
         return b - self.fine_spmv.multiply(x)
 
     # -- the data path --------------------------------------------------------

@@ -12,12 +12,17 @@ run through the same code.
 The halo exchange is registered on the input vector itself, so one round
 through the batched :class:`~repro.simmpi.engine.ExchangeEngine` turns ``x``
 into the engine's ``[x | halo]`` work array, the halo in ``col_map_offd``
-order, and the product is one CSR — the matrix's cached stacked operator,
-whose columns are that array — times it.  No pack, no unpack, no diag/offd
-split, no per-rank loop.  A row sums in the assembled matrix's stored order,
-so every product equals
-``matrix.matrix @ x`` to the bit: the correctness argument for replacing
-Hypre's point-to-point communication with the optimized collectives.
+order, and the product is one kernel call over the matrix's cached stacked
+operator, whose columns are that array.  No pack, no unpack, no diag/offd
+split, no per-rank loop.  The kernel is picked once per operator from its
+row structure: regular rows run SciPy's row loop ``csr_matvec``; rows whose
+entry counts keep changing (an AMG prolongation mixes one-entry C rows with
+two-entry F rows) run ``coo_matvec``, a branch-free stream over the same
+entries with a row index per entry.  Either way a row sums in the assembled
+matrix's stored order, so every product equals ``matrix.matrix @ x`` to the
+bit (on NaN input, up to the sign of a NaN): the correctness argument for
+replacing Hypre's point-to-point communication with the optimized
+collectives.
 
 Example (doctest): distribute a tiny matrix over 4 simulated ranks and check
 the world-stepped product against the sequential reference.
@@ -39,8 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-# The kernel ``csr_matrix @ vector`` ends in; public ``@`` has no ``out=``.
-from scipy.sparse._sparsetools import csr_matvec
+# The kernels ``csr_matrix @ vector`` and ``coo_matrix @ vector`` end in;
+# public ``@`` has no ``out=``.
+from scipy.sparse._sparsetools import coo_matvec, csr_matvec
 
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
@@ -50,6 +56,51 @@ from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.errors import ValidationError
+
+#: An operator runs the entry stream when more than this share of its
+#: adjacent rows differ in entry count.  Past it the row loop mispredicts
+#: its row-end branch so often that the entry stream wins despite reading a
+#: row index per entry (3x on an AMG ``P``).
+IRREGULAR_ROWS = 0.25
+
+
+def _row_loop(operator: sp.csr_matrix):
+    """``csr_matvec`` and the arguments it takes before ``x, y``: one running
+    sum per row, stored to ``y[i]`` at the row's end."""
+    return csr_matvec, (*operator.shape, operator.indptr, operator.indices,
+                        operator.data)
+
+
+def _entry_stream(operator: sp.csr_matrix):
+    """``coo_matvec`` and the arguments it takes before ``x, y``: one pass
+    over the stored entries with a row-index column built here, adding each
+    ``a · x[j]`` into ``y[i]``: SciPy's own COO product.  Same entries,
+    same order, same additions as the row loop's running sum, so the same
+    bytes with no per-row branch.  (Where NaNs of opposite sign meet in a
+    row, the two compiled kernels keep different ones.)"""
+    lengths = np.diff(operator.indptr)
+    rows = np.repeat(np.arange(lengths.size, dtype=operator.indices.dtype),
+                     lengths)
+    return coo_matvec, (int(operator.indptr[-1]), rows, operator.indices,
+                        operator.data)
+
+
+def _kernel_of(operator: sp.csr_matrix):
+    """``(kernel, arguments)``: ``kernel(*arguments, x, y)`` adds
+    ``operator @ x`` into ``y`` — the entry stream when more than
+    :data:`IRREGULAR_ROWS` of adjacent rows change length, else the row loop.
+
+    >>> from scipy.sparse import csr_matrix
+    >>> kernel, arguments = _kernel_of(csr_matrix([[1.0, 2.0], [0.0, 3.0]]))
+    >>> kernel.__name__, arguments[1].tolist()
+    ('coo_matvec', [0, 0, 1])
+    >>> _kernel_of(csr_matrix(np.eye(3)))[0].__name__
+    'csr_matvec'
+    """
+    lengths = np.diff(operator.indptr)
+    changes = np.count_nonzero(lengths[1:] != lengths[:-1])
+    irregular = changes > IRREGULAR_ROWS * max(lengths.size - 1, 0)
+    return (_entry_stream if irregular else _row_loop)(operator)
 
 
 def _operator_on_buffer(stacked: StackedBlocks, world) -> sp.csr_matrix:
@@ -94,9 +145,10 @@ class WorldSpMV:
     columns ``[x | halo]`` are the engine's round buffer, so ``multiply`` is
     what hypre runs per process, once for all ranks: one engine round — the
     halo gathered, every message accounted — then one product, equal bit
-    for bit to ``matrix.matrix @ x``.  The product is the ``csr_matvec``
-    call ``operator @ buffer`` itself makes, so it can be written into a
-    caller's ``out`` array instead of a new one.
+    for bit to ``matrix.matrix @ x``.  The product is one SciPy kernel call
+    picked at set-up from the operator's rows (``csr_matvec``, or for
+    irregular rows ``coo_matvec`` over the same entries in the same order),
+    so it can be written into a caller's ``out`` array instead of a new one.
 
     The exchange runs on ``engine``; without one it gets a private default
     engine (``REPRO_RUNTIME`` picks its runtime).  A profiler, a runtime or
@@ -120,10 +172,9 @@ class WorldSpMV:
         self._handle = collective.handle
         self._operator = operator = _operator_on_buffer(
             matrix.stacked_blocks(), collective.world)
-        # What ``operator @ buffer`` passes to ``csr_matvec``, and the dtype
-        # of the product it allocates.
-        self._matvec_args = (operator.shape[0], operator.shape[1],
-                             operator.indptr, operator.indices, operator.data)
+        # The product's kernel and what it takes before ``buffer, out``, and
+        # the dtype of the product ``operator @ buffer`` allocates.
+        self._kernel, self._kernel_args = _kernel_of(operator)
         self._dtype = np.result_type(operator.dtype, collective.world.spec.dtype)
 
     def close(self) -> None:
@@ -158,6 +209,6 @@ class WorldSpMV:
                 f"{getattr(out, 'shape', '')}")
         else:
             out.fill(0)
-        csr_matvec(*self._matvec_args,
-                   self.collective.engine.run(self._handle, x), out)
+        self._kernel(*self._kernel_args,
+                     self.collective.engine.run(self._handle, x), out)
         return out

@@ -200,14 +200,14 @@ def lexsort_packed(*columns: np.ndarray) -> np.ndarray:
     spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
     if math.prod(spans) << row_bits > 2 ** 63:
         return np.lexsort(columns[::-1])
+    # Each column's minimum comes off as it goes in: a step may wrap int64,
+    # but the key it ends on lies in [0, 2**63), so the wraps cancel.
     packed = columns[0].astype(INDEX_DTYPE)
-    offset = lows[0]
+    packed -= lows[0]
     for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
         packed *= span
         packed += column
-        offset = offset * span + low
-    if offset:
-        packed -= offset
+        packed -= low
     packed <<= row_bits
     packed |= np.arange(n_rows, dtype=INDEX_DTYPE)
     packed.sort()

@@ -2,13 +2,16 @@
 
 :class:`WorldVCycle` runs every update on vectors it allocated once, the
 smoother writes each step into an ``out`` array and :meth:`WorldSpMV.multiply`
-calls the ``csr_matvec`` kernel behind ``operator @ vector`` into a caller's
-array.  This suite pins the contract that makes that safe — no argument is
-ever written, no result shares memory with another or with the cycle's own
-vectors, a bad ``out`` raises — and the kernel call itself against the
-public ``@`` on every operator of a hierarchy, so a SciPy release that
-changed ``csr_matvec`` fails here.  The call budget guard counts, with no
-clock, the Python + C calls a whole cycle makes.
+calls a SciPy kernel into a caller's array: ``csr_matvec``, the kernel behind
+``operator @ vector``, or on irregular rows ``coo_matvec`` over the same
+entries in the same order.  This suite pins the contract that makes that
+safe — no argument is ever written, no result shares memory with another or
+with the cycle's own vectors, a bad ``out`` raises — and the kernel call
+itself against the public ``@`` on every operator of a hierarchy, so a SciPy
+release that changed ``csr_matvec`` fails here (``coo_matvec`` has its own
+canary in ``tests/sparse/test_product_layouts.py``).  It also pins, with no
+clock, which operators take which kernel and the Python + C calls a whole
+cycle makes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_matvec, csr_matvec
 
 from repro.amg.hierarchy import AMGHierarchy, AMGLevel, build_hierarchy
 from repro.amg.solver import BoomerAMGSolver
@@ -27,7 +31,7 @@ from repro.simmpi import engine as engine_module
 from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmv import WorldSpMV
+from repro.sparse.spmv import IRREGULAR_ROWS, WorldSpMV
 from repro.sparse.stencils import rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
@@ -91,6 +95,31 @@ def test_multiply_into_out_is_the_public_product_on_every_operator(
             assert out.tobytes() == expected.tobytes(), name
             assert out.tobytes() == (spmv.matrix.matrix @ x).tobytes(), name
             assert x.tobytes() == kept.tobytes(), name
+
+
+def test_the_fine_operator_keeps_the_row_loop_and_prolongations_stream_entries(
+        hierarchy_case):
+    """Each operator's kernel follows from its rows alone, with no clock.
+    The fine ``A`` and ``Pᵀ`` (nearly every row the same length) keep
+    ``csr_matvec``; the prolongations of the two finest levels (one-entry
+    C rows among two-entry F rows) and the coarse ``A`` s, whose stencils
+    have spread unevenly, run ``coo_matvec``.  Small coarse operators fall
+    either side of the share, by the same rule."""
+    _, hierarchy = hierarchy_case
+    with WorldVCycle(hierarchy, paper_mapping(N_RANKS, ranks_per_node=4)) \
+            as cycle:
+        for name, spmv in _operators(cycle):
+            lengths = np.diff(spmv._operator.indptr)
+            share = np.count_nonzero(np.diff(lengths)) / (lengths.size - 1)
+            expected = coo_matvec if share > IRREGULAR_ROWS else csr_matvec
+            assert spmv._kernel is expected, (name, share)
+        levels = cycle.levels
+        assert levels[0].spmv._kernel is csr_matvec
+        assert levels[0].restrict._kernel is csr_matvec
+        assert [level.prolong._kernel for level in levels[:2]] \
+            == [coo_matvec] * 2
+        assert [level.spmv._kernel for level in levels[1:4]] \
+            == [coo_matvec] * 3
 
 
 def test_a_bad_out_raises_before_the_round(rng):
@@ -186,6 +215,26 @@ def test_cycle_never_writes_its_arguments_and_results_share_nothing(
         assert second.tobytes() == third.tobytes() == expected.tobytes()
 
 
+def test_residual_refuses_the_shapes_cycle_refuses(rng):
+    """``residual(b, x)`` takes :meth:`WorldVCycle.cycle`'s shapes and raises
+    its error: an ``(n, 1)`` ``b`` used to broadcast against the ``(n,)``
+    product into an ``(n, n)`` "residual"."""
+    matrix, hierarchy = _hierarchy()
+    n = matrix.n_rows
+    b, x = rng.standard_normal(n), rng.standard_normal(n)
+    with WorldVCycle(hierarchy, paper_mapping(N_RANKS, ranks_per_node=4)) \
+            as cycle:
+        for bad_b, bad_x in ((b[:, None], x), (np.ones(n + 1), x),
+                             (b, x[:, None]), (b, np.zeros(n + 1)),
+                             (b, x[:-1])):
+            for method in (cycle.residual, cycle.cycle):
+                with pytest.raises(ValidationError,
+                                   match=rf"b and x must have shape \({n},\)"):
+                    method(bad_b, bad_x)
+        assert cycle.residual(b, x).tobytes() \
+            == (b - matrix.matrix @ x).tobytes()
+
+
 # -- a bound handle's input rules --------------------------------------------------------
 
 
@@ -222,17 +271,21 @@ def test_a_bound_handle_admits_its_own_vector_and_casts_the_rest(
 # -- the call budget ------------------------------------------------------------------
 
 
-#: Python + C calls one cycle may make: per smoothed level (three engine
+#: Python + C calls one cycle makes: per smoothed level (three engine
 #: rounds for the smoother and residual, one each for restrict and prolong,
-#: two sweeps' arithmetic) and once for the entry, coarse gather and solve.
-#: Half of what the out-of-place cycle made (335 per level, 68 once).
-CALLS_PER_LEVEL, CALLS_ONCE = 167, 34
+#: two sweeps' arithmetic) and once for the entry, coarse gather and solve —
+#: the measured counts, 121 calls at two levels and 269 at four.
+CALLS_PER_LEVEL, CALLS_ONCE = 74, 47
 
 
 @pytest.mark.parametrize("levels", [2, 4])
-def test_cycle_call_budget_per_level(count_calls, levels, rng):
+def test_cycle_call_budget_per_level(count_calls, levels, rng, monkeypatch):
     """A cycle's call count depends on its level count alone: the same on
-    4x the rows, and within the per-level budget."""
+    4x the rows, and within the per-level budget.  Its overlap checks are
+    the public ``sweep`` / ``multiply`` ones, once per call: two per sweep
+    (``out`` against ``b`` and ``x``) and one per product."""
+    overlap_checks = []
+    may_share_memory = np.may_share_memory
     counts = []
     for grid in (16, 32):
         n = grid * grid
@@ -247,6 +300,13 @@ def test_cycle_call_budget_per_level(count_calls, levels, rng):
                                 engine=engine)
             cycle.cycle(b, x)           # lazy state settles before counting
             counts.append(count_calls(cycle.cycle, b, x))
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "may_share_memory", lambda *args: (
+                    overlap_checks.append(args), may_share_memory(*args))[1])
+                cycle.cycle(b, x)
+            sweeps = cycle.pre_sweeps + cycle.post_sweeps
+            assert len(overlap_checks) == (3 * sweeps + 3) * (levels - 1)
+            overlap_checks.clear()
             assert count_calls(cycle.cycle, b, x,
                                of=[engine_module._checked_steps]) == 0
     assert counts[0] == counts[1], counts

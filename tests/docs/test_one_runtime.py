@@ -36,6 +36,7 @@ from repro.amg.comm_analysis import (
     level_patterns,
     level_transfer_patterns,
 )
+from repro.amg.relax import DistributedJacobi
 from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.persistent import WorldNeighborCollective
@@ -60,6 +61,7 @@ from repro.pattern.builders import (
     random_pattern,
 )
 from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.sparse.spmv import WorldSpMV
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -232,8 +234,11 @@ def test_the_world_path_stays_allowed(source):
 #: of them takes ``profiler=`` or ``level_profilers=``, and the cycle and
 #: the solver take no ``n_workers=`` either.  The pattern carries the
 #: element type, so neither collective constructor takes ``dtype=`` or
-#: ``item_size=``.
+#: ``item_size=``.  The product's kernel follows from the operator's rows,
+#: so neither the SpMV nor the smoother takes a kernel or layout knob.
 CONSTRUCTOR_KEYWORDS = {
+    WorldSpMV: {"variant", "strategy", "engine"},
+    DistributedJacobi: {"omega"},
     WorldVCycle: {"variant", "strategy", "pre_sweeps", "post_sweeps",
                   "omega", "engine", "runtime", "model"},
     WorldAMGSolver: {"strength_theta", "max_levels", "max_coarse_size",

@@ -163,6 +163,15 @@ class TestLexsortPacked:
         b = np.array([5, big - 2, 5, 0])
         assert lexsort_packed(a, b).tolist() == np.lexsort((b, a)).tolist()
 
+    def test_keys_that_fit_but_sit_far_from_zero(self):
+        """The packed key fits in int64 while ``first · span + second``
+        taken from zero does not: the minima come off column by column."""
+        for a, b in (([3, 3], [0, 2 ** 62 - 40]),
+                     ([2 ** 40, 2 ** 40 + 1, 2 ** 40], [0, 2 ** 23, 5]),
+                     ([-2 ** 40, -2 ** 40 + 1], [2 ** 23, 0])):
+            a, b = np.array(a), np.array(b)
+            assert lexsort_packed(a, b).tolist() == np.lexsort((b, a)).tolist()
+
 
 class TestGroupRowsToCsr:
     def test_empty_rows(self):
