@@ -321,11 +321,14 @@ class WorldVCycle:
         """Fine-level residual ``b - A x`` through the world-stepped SpMV.
 
         ``b`` and ``x`` must have :meth:`cycle`'s shape, so an ``(n, 1)``
-        ``b`` raises instead of broadcasting into an ``(n, n)`` result.
+        ``b`` raises instead of broadcasting into an ``(n, n)`` result.  The
+        difference is written into the product's own fresh array: one
+        n-vector per call, bit for bit ``b - A x``.
         """
         if np.shape(b) != (self.n_rows,) or np.shape(x) != (self.n_rows,):
             raise ValidationError(f"b and x must have shape {(self.n_rows,)}")
-        return b - self.fine_spmv.multiply(x)
+        product = self.fine_spmv.multiply(x)
+        return np.subtract(b, product, out=product)
 
     # -- the data path --------------------------------------------------------
 

@@ -9,9 +9,12 @@ composition of every hop: one gather from the owned rows per round.  On
 ``runtime="engine"`` the parent makes it itself with ``ndarray.take``, one C
 call with no Python frame around it; ``gather`` is what the
 ``runtime="procs"`` workers run on their share of a vector-bound handle's
-halo rows.  Every ``take`` runs with ``mode="clip"`` (numpy's
-``mode="raise"`` buffers ``out`` and costs 3x): ``ExchangeEngine.register``
-validates every index once, up front.
+halo rows.  Every ``take`` runs with ``mode="wrap"``:
+``ExchangeEngine.register`` validates every index once, up front, so no
+mode ever moves one, and ``mode="raise"`` buffers ``out`` and costs 3x.  On
+numpy 2.4, ``wrap`` is up to a third faster than ``clip`` on rows of 4 to 32
+bytes past ~10^4 entries, equal on small arrays, and 1-3 % slower on
+64-byte rows.
 
 There is one backend, plain numpy: a round is ``take`` into a slice.
 """
@@ -42,7 +45,7 @@ class KernelBackend:
 
 
 def _numpy_gather(work: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
-    np.take(work, indices, axis=0, out=out, mode="clip")
+    np.take(work, indices, axis=0, out=out, mode="wrap")
 
 
 def _numpy_fused(work: np.ndarray, scatter_indices: np.ndarray,

@@ -34,6 +34,44 @@ from repro.collectives.plan import CollectivePlan
 from repro.simmpi.engine import ExchangeEngine, WorldValues
 from repro.utils.errors import ValidationError
 
+#: Shortest run of consecutive ranks with equal result lengths that a list
+#: round cuts with one reshape: iterating the ``(k, L)`` array makes its row
+#: views in C, but the reshape costs about as much as 20 slices, so shorter
+#: runs are cut rank by rank.
+MIN_RUN = 20
+
+
+def result_cuts(offsets: np.ndarray, item_size: int) -> List[tuple]:
+    """How :meth:`WorldNeighborCollective.exchange` cuts a flat result
+    delimited by ``offsets`` into per-rank views: ``(cut, shape)`` pieces in
+    rank order.
+
+    Every run of at least :data:`MIN_RUN` consecutive ranks that receive the
+    same number ``L`` of items is one piece, the run's slice of the result
+    and its shape ``(k, L)`` (``(k, L, item_size)`` for wider items), with
+    an explicit ``L`` so that a run of empty ranks reshapes too.  The ranks
+    between such runs are one piece: a list of their slices, and ``None``.
+    The periodic 64×64 halo is one piece.
+    """
+    lengths = np.diff(offsets)
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1))
+    stops = np.append(starts[1:], lengths.size)
+    long = stops - starts >= MIN_RUN
+    bounds = offsets.tolist()
+    slices = list(map(slice, bounds[:-1], bounds[1:]))
+    cuts = []
+    rank = 0
+    for start, stop in zip(starts[long].tolist(), stops[long].tolist()):
+        if rank < start:
+            cuts.append((slices[rank:start], None))
+        shape = (stop - start, bounds[start + 1] - bounds[start], item_size)
+        cuts.append((slice(bounds[start], bounds[stop]),
+                     shape if item_size > 1 else shape[:2]))
+        rank = stop
+    if rank < len(slices):
+        cuts.append((slices[rank:], None))
+    return cuts
+
 
 class WorldNeighborCollective:
     """Every rank's persistent handle, as one world-stepped collective.
@@ -94,10 +132,9 @@ class WorldNeighborCollective:
                            n_workers=n_workers)
         self._handle = self.engine.register(self.world,
                                             vector_length=vector_length)
-        # Per-rank slices of the flat result (a bound vector has none).
-        offsets = self.world.result_offsets.tolist()
-        self._result_bounds = None if vector_length is not None \
-            else list(zip(offsets[:-1], offsets[1:]))
+        # How a list round cuts the flat result (a bound vector has none).
+        self._result_cuts = None if vector_length is not None \
+            else result_cuts(self.world.result_offsets, self.spec.item_size)
 
     @property
     def handle(self) -> int:
@@ -162,13 +199,22 @@ class WorldNeighborCollective:
         C-level calls with no per-rank Python work; any other per-rank form
         (casts, nested lists, ``(n_owned, 1)`` columns, subclasses) is still
         accepted through the engine's checked per-rank path.
+
+        The views are cut from the round's one fresh result array by runs,
+        not by ranks (:func:`result_cuts`): a long run of ranks that receive
+        equally many items is one reshape, whose rows numpy makes in C, and
+        every other rank one prebuilt slice.
         """
-        if self._result_bounds is None:
+        if self._result_cuts is None:
             raise ValidationError(
                 "this collective is bound to a vector: run engine.run(handle, "
                 "x) and read the halo at engine.halo_rows(handle)")
         flat = self.exchange_flat(values)
-        return [flat[a:b] for a, b in self._result_bounds]
+        views: List[np.ndarray] = []
+        for cut, shape in self._result_cuts:
+            views.extend(flat[cut].reshape(shape) if shape is not None
+                         else [flat[span] for span in cut])
+        return views
 
     # -- introspection ----------------------------------------------------------
 

@@ -140,7 +140,8 @@ class _RegisteredProgram:
 
     A bound handle also fixes its fast path at registration: ``head`` is the
     vector's rows of ``work`` as one 1-D view — an input of exactly its
-    shape and dtype is copied in with no further check — and ``buffer`` the
+    shape and dtype is copied in with no further check — ``halo`` the rows
+    behind it as another, which the round's take fills, and ``buffer`` the
     read-only flat view of ``work`` a round returns (``None`` while ``work``
     is a shared segment, which hands out a copy instead).  An unbound handle
     fixes its list fast path likewise: ``owned`` is ``work`` as one ``(n,)``
@@ -155,6 +156,7 @@ class _RegisteredProgram:
     source: np.ndarray
     shared: Optional["SharedProgram"] = None
     head: Optional[np.ndarray] = None
+    halo: Optional[np.ndarray] = None
     buffer: Optional[np.ndarray] = None
     owned: Optional[np.ndarray] = None
     lengths: Optional[List[int]] = None
@@ -162,8 +164,8 @@ class _RegisteredProgram:
 
 def _check_range(name: str, index: np.ndarray, bound: int) -> None:
     """Reject an index outside ``[0, bound)`` once, so no kernel has to
-    (``take`` clips, fancy indexing wraps negatives — either would deliver
-    garbage)."""
+    (``take`` in the rounds' ``mode="wrap"``, and fancy indexing of a
+    negative one, would wrap it — and deliver garbage)."""
     if index.size and not (0 <= index.min() and index.max() < bound):
         raise CommunicationError(f"corrupt world exchange: {name} holds an "
                                  f"index outside [0, {bound})")
@@ -405,7 +407,8 @@ class ExchangeEngine:
                 if bound:
                     state.source = shared.step_sources()[-1]
         if bound:
-            state.head = state.work[:head, 0]
+            # Cut after the pool swapped ``work`` for its shared segment.
+            state.head, state.halo = state.work[:head, 0], state.work[head:, 0]
             if state.shared is None:
                 state.buffer = state.work.reshape(-1)
                 state.buffer.flags.writeable = False
@@ -490,17 +493,18 @@ class ExchangeEngine:
                 self._account(program)
         if state.vector_length is None:
             # The round's one gather: every output entry from its owned row.
-            # Indices were validated at register, so "clip" never clips.
+            # Indices were validated at register, so "wrap" never wraps
+            # ("raise" would buffer ``out``).
             rows = np.empty((state.source.size, work.shape[1]),
                             dtype=work.dtype)
-            work.take(state.source, 0, rows, "clip")
+            work.take(state.source, 0, rows, "wrap")
             return rows.reshape(-1) if state.world.spec.item_size == 1 \
                 else rows
         if not delivered:
-            # The halo from the vector rows: no overlap, called on the array
-            # directly (``np.take`` would add two Python frames).
-            n = state.vector_length
-            work[:n].take(state.source, 0, work[n:], "clip")
+            # The halo from the vector rows: two disjoint views fixed at
+            # register, the take called on the array directly (``np.take``
+            # would add two Python frames).
+            head.take(state.source, 0, state.halo, "wrap")
         if state.buffer is not None:
             return state.buffer         # the round buffer itself, read-only
         # The rows are a shared segment: a private read-only copy, so no

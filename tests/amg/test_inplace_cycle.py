@@ -235,6 +235,32 @@ def test_residual_refuses_the_shapes_cycle_refuses(rng):
             == (b - matrix.matrix @ x).tobytes()
 
 
+@pytest.mark.parametrize("form", ["float64", "float32", "list"])
+def test_residual_writes_into_its_product(monkeypatch, rng, form):
+    """``residual(b, x)`` makes one n-vector: ``b - A x`` is written into
+    the fresh array ``multiply`` returned, bit for bit the assembled
+    ``b - A @ x`` for a float64, a float32 and a list ``b``."""
+    matrix, hierarchy = _hierarchy()
+    n = matrix.n_rows
+    b, x = rng.standard_normal(n), rng.standard_normal(n)
+    b = {"float64": b, "float32": b.astype(np.float32),
+         "list": b.tolist()}[form]
+    with WorldVCycle(hierarchy, paper_mapping(N_RANKS, ranks_per_node=4)) \
+            as cycle:
+        spmv = cycle.fine_spmv
+        products = []
+
+        def multiply(vector):
+            products.append(WorldSpMV.multiply(spmv, vector))
+            return products[-1]
+
+        monkeypatch.setattr(spmv, "multiply", multiply)
+        residual = cycle.residual(b, x)
+    assert len(products) == 1 and residual is products[0]
+    assert residual.dtype == np.float64
+    assert residual.tobytes() == (b - matrix.matrix @ x).tobytes()
+
+
 # -- a bound handle's input rules --------------------------------------------------------
 
 

@@ -212,17 +212,21 @@ class TestZeroPerRankWork:
     """Regression guard: a list-I/O round is O(phases), not O(ranks).
 
     One round of a standard periodic halo exchange fed one array per rank
-    (views of one flat array, as ``np.split`` cuts them) is counted; the
-    count may not change from 16 to 256 ranks.  The engine checks the list
-    and concatenates it into its work array with C-level calls, and the
-    per-rank views of the output are slices, which make no calls.  On
+    (views of one flat array, as ``np.split`` cuts them) is counted twice:
+    its Python + C calls, and its Python line events.  Neither count may
+    change from 25 to 256 ranks.  The engine checks the list and
+    concatenates it into its work array with C-level calls, and every rank
+    of a periodic halo receives equally many items, so ``exchange`` cuts
+    the output with one reshape whose row views numpy makes in C (both
+    sizes are runs of at least ``persistent.MIN_RUN`` ranks).  A slice per
+    rank would make no call, but it would run a line per rank.  On
     ``runtime="procs"`` the pool's wait for its workers is left out, as in
     :class:`TestZeroPerItemWork`; loading the list happens in the parent on
     both runtimes.
     """
 
     @staticmethod
-    def _count_ops(count_calls, side):
+    def _count_ops(count_calls, count_lines, side):
         from repro.simmpi.procs import ProcsPool
 
         n_ranks = side * side
@@ -237,19 +241,23 @@ class TestZeroPerRankWork:
                               world.owned_offsets[1:-1])
             assert len(values) == n_ranks
             collective.exchange(values)
-            count = count_calls(collective.exchange, values,
+            calls = count_calls(collective.exchange, values,
+                                skip=[ProcsPool.run])
+            lines = count_lines(collective.exchange, values,
                                 skip=[ProcsPool.run])
             received = collective.exchange(values)
             for rank in range(n_ranks):
                 assert np.array_equal(received[rank],
                                       collective.recv_item_ids(rank))
-            return count
+            return calls, lines
 
-    def test_op_count_independent_of_rank_count(self, count_calls):
-        small = self._count_ops(count_calls, 4)
-        large = self._count_ops(count_calls, 16)
-        assert small == large
-        assert large <= 40
+    def test_op_count_independent_of_rank_count(self, count_calls,
+                                                count_lines):
+        small = self._count_ops(count_calls, count_lines, 5)
+        large = self._count_ops(count_calls, count_lines, 16)
+        assert small[0] == large[0]
+        assert large[0] <= 40
+        assert small[1] == large[1]
 
 
 def _outcome(collective, values):
