@@ -43,7 +43,7 @@ def test_bench_autotune_tracks_per_level_best(experiment_config):
     choices = trace.choices()
     assert sorted(choices) == [profile.level for profile in context.profiles]
     for profile in context.profiles:
-        (seed,) = trace.events(kind="seed", level=profile.level)
+        (seed,) = trace.events(level=profile.level)
         assert profile.times[choices[profile.level]] == \
             min(profile.times[variant] for variant in CANDIDATES)
         assert seed.variant == choices[profile.level].value

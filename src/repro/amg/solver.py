@@ -73,6 +73,28 @@ def check_cycle_parameters(pre_sweeps: int, post_sweeps: int,
     return pre_sweeps, post_sweeps, omega
 
 
+def solver_hierarchy(matrix: ParCSRMatrix,
+                     hierarchy: Optional[AMGHierarchy]) -> AMGHierarchy:
+    """A solver's hierarchy: ``build_hierarchy(matrix)`` with its defaults
+    for ``None`` (to tune it, the caller builds it), else ``hierarchy``,
+    whose fine operator must have ``matrix``'s shape and partition offsets.
+    """
+    if not isinstance(matrix, ParCSRMatrix):
+        raise ValidationError(
+            f"a solver needs a ParCSRMatrix, got {type(matrix).__name__}")
+    if hierarchy is None:
+        return build_hierarchy(matrix)
+    if hierarchy.n_levels == 0:
+        raise SolverError("hierarchy has no levels")
+    fine = hierarchy.levels[0].matrix
+    if fine.matrix.shape != matrix.matrix.shape or not np.array_equal(
+            fine.partition.offsets, matrix.partition.offsets):
+        raise ValidationError(
+            f"the hierarchy's fine operator {fine} does not match the matrix "
+            f"{matrix} in shape and partition offsets")
+    return hierarchy
+
+
 def stationary_solve(
         cycle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
         residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -127,23 +149,13 @@ class BoomerAMGSolver:
     """Algebraic multigrid preconditioner/solver with V-cycles."""
 
     def __init__(self, matrix: ParCSRMatrix, *,
-                 strength_theta: float = 0.25,
-                 max_levels: int = 25,
-                 max_coarse_size: int = 16,
-                 pre_sweeps: int = 1,
-                 post_sweeps: int = 1,
+                 pre_sweeps: int = 1, post_sweeps: int = 1,
                  omega: float = 2.0 / 3.0,
-                 truncation: float = 0.0,
-                 seed: int = 42,
                  hierarchy: Optional[AMGHierarchy] = None):
         self.matrix = matrix
         self.pre_sweeps, self.post_sweeps, self.omega = check_cycle_parameters(
             pre_sweeps, post_sweeps, omega)
-        self.hierarchy = hierarchy or build_hierarchy(
-            matrix, strength_theta=strength_theta, max_levels=max_levels,
-            max_coarse_size=max_coarse_size, truncation=truncation, seed=seed)
-        if self.hierarchy.n_levels == 0:
-            raise SolverError("hierarchy construction produced no levels")
+        self.hierarchy = solver_hierarchy(matrix, hierarchy)
         coarsest = self.hierarchy.levels[-1].matrix.matrix
         self._coarse_solver = spla.factorized(sp.csc_matrix(coarsest)) \
             if coarsest.shape[0] > 0 else None

@@ -1,57 +1,36 @@
 """The distributed AMG solve phase: whole V-cycles through the exchange layer.
 
-The seed :class:`~repro.amg.solver.BoomerAMGSolver` validates the hierarchy by
-relaxing and grid-transferring on the assembled global operators; the classes
-here execute the same V-cycle *distributed*, so every SpMV and smoother halo
-exchange of every hierarchy level — the irregular communication the paper
-times inside BoomerAMG's solve phase — actually runs through the
-neighborhood collectives.
-
-Per non-coarsest level the cycle runs an operator SpMV, a
-:class:`~repro.amg.relax.DistributedJacobi` smoother over it, and two more
-SpMVs for the grid transfers (restrict ``Pᵀ r``, prolong-correct ``x + P e``),
-each with its own communication pattern derived from the operator's column
-map; then pre-smooth → residual → restrict → coarse solve → prolong-correct →
-post-smooth.
-
-* :class:`WorldVCycle` compiles every level's exchanges once and registers
-  them with the batched :class:`~repro.simmpi.engine.ExchangeEngine`; its
-  operators are :class:`~repro.sparse.spmv.WorldSpMV` on the engine's work
-  array and its vectors global, so one ``cycle`` call runs a whole V-cycle
-  for *all* ranks with O(phases) numpy calls per level — no per-message
-  Python work, and an iterate bit-equal to
-  :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.  It runs in place: each
-  level's vectors are allocated once, every product and smoother step is
-  written into one of them with ``out=`` in the order the out-of-place
-  expressions read, and only the caller's ``x`` is copied in and the result
-  copied out.
-* :class:`WorldAMGSolver` is the ``BoomerAMGSolver.solve``-equivalent built
-  on top: the same stationary iteration
-  (:func:`~repro.amg.solver.stationary_solve`) with residual norms computed
-  through the fine-level world SpMV, so no assembled-matrix multiply remains
-  on the data path.
-
-The coarsest-level direct solve needs every rank to see the full coarse
-right-hand side.  Instead of an object allgather on the control plane, the
-gather is expressed as one more neighborhood collective
-(:func:`coarse_gather_pattern`: every owning rank sends its coarse entries to
-every other rank) and executed through the same engine as the halo
-exchanges, so its traffic is accounted like theirs.
+:class:`WorldVCycle` runs the V-cycle of the sequential
+:class:`~repro.amg.solver.BoomerAMGSolver` with every halo exchange of every
+level — the irregular communication the paper times inside BoomerAMG's solve
+phase — through the neighborhood collectives on the batched
+:class:`~repro.simmpi.engine.ExchangeEngine`: per smoothed level an operator
+SpMV under a :class:`~repro.amg.relax.DistributedJacobi` smoother and two
+grid-transfer SpMVs (restrict ``Pᵀ r``, prolong-correct ``x + P e``), each
+on its own pattern, and on the coarsest level a gather-to-all expressed as
+one more pattern (:func:`coarse_gather_pattern`), so no control-plane object
+gather remains and its traffic is accounted like theirs.  One ``cycle`` call
+makes O(phases) numpy calls per level, in place on vectors allocated once,
+and its iterate is bit-equal to the sequential one;
+:attr:`WorldVCycle.schedule` says which exchanges it makes, how often.
+:class:`WorldAMGSolver` runs the sequential solver's stationary iteration
+(:func:`~repro.amg.solver.stationary_solve`) with every residual through the
+fine-level world SpMV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
+from repro.amg.hierarchy import AMGHierarchy
 from repro.amg.relax import DistributedJacobi
 from repro.amg.solver import (SolveResult, check_cycle_parameters,
-                              stationary_solve)
+                              solver_hierarchy, stationary_solve)
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
@@ -116,18 +95,48 @@ class _Level:
     prolong: WorldSpMV
 
 
+class ScheduleRow(NamedTuple):
+    """One exchange of :attr:`WorldVCycle.schedule`."""
+
+    level: int
+    operator: str
+    cycle_rounds: int
+    solve_rounds: int
+    collective: WorldNeighborCollective
+
+
+def _exchange_schedule(n_levels: int, pre_sweeps: int, post_sweeps: int,
+                       has_gather: bool) -> List[tuple]:
+    """``(level, operator, cycle_rounds, solve_rounds)`` of every exchange
+    of a V-cycle: the one place the cycle's exchange schedule is written.
+
+    A smoothed level makes one ``A`` product per smoother sweep and one for
+    the residual, one ``R`` and one ``P``; the coarsest level the gather, if
+    any rank sends.  A steady ``solve`` iteration hands the cycle its checked
+    residual, so with a pre-sweep the fine level makes one product fewer,
+    and the check is one more — a single-level hierarchy's only product.
+    """
+    smoothed = pre_sweeps + post_sweeps + 1
+    rows = []
+    for level in range(n_levels - 1):
+        solve = smoothed - (pre_sweeps > 0) + 1 if level == 0 else smoothed
+        rows += [(level, "A", smoothed, solve), (level, "R", 1, 1),
+                 (level, "P", 1, 1)]
+    if n_levels == 1:
+        rows.append((0, "A", 0, 1))
+    if has_gather:
+        rows.append((n_levels - 1, "gather", 1, 1))
+    return rows
+
+
 class WorldVCycle:
     """A whole V-cycle for all ranks, stepped through the exchange engine.
 
-    Every level's halo exchanges (operator SpMV inside the smoother and the
-    residual, restrict ``Pᵀ``, prolong ``P``) are compiled once and
-    registered with a world :class:`~repro.simmpi.engine.ExchangeEngine`;
-    ``cycle`` then advances the whole communicator through
+    Every exchange of :attr:`schedule` is compiled once and registered with
+    a world :class:`~repro.simmpi.engine.ExchangeEngine`; ``cycle`` then runs
     pre-smooth → residual → restrict → coarse-solve → prolong-correct →
-    post-smooth with O(phases) numpy calls per level and no per-message
-    Python work anywhere on the data path.  Results are byte-identical to the
-    seed :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle` on the assembled
-    operators — the solve-phase equivalence suite pins it.
+    post-smooth for the whole communicator with no per-message Python work,
+    byte-identical to :meth:`~repro.amg.solver.BoomerAMGSolver.vcycle`.
 
     The engine is the execution configuration: its runtime, its worker
     count and its traffic profiler.  Pass one
@@ -158,20 +167,21 @@ class WorldVCycle:
     [7664, 6312, 3544, 672]
     >>> [engine.closed for engine in engines]    # the caller's to close
     [False, False, False, False]
+    >>> [row[:4] for row in cycle.schedule[-4:]]  # the rounds that sent them
+    [(2, 'A', 3, 3), (2, 'R', 1, 1), (2, 'P', 1, 1), (3, 'gather', 1, 1)]
     >>> for engine in engines:
     ...     engine.close()
 
     ``variant="auto"`` picks each level's variant at set-up: every
     candidate's plans are built, and the level commits the one the cost
     ``model`` (default: :func:`~repro.perfmodel.params.lassen_parameters`
-    at the mapping's ranks per node) prices cheapest over one cycle — the
-    operator's exchange once per smoother sweep and once for the residual,
-    plus one restrict and one prolong exchange; the coarsest level prices
-    its gather.  Ties break on candidate order.  Only the committed
-    variant's exchanges are compiled, so the cycle is then a fixed-variant
-    cycle whose levels differ in variant; results are byte-identical to any
-    fixed variant, and every commit is a ``seed`` event on
-    :attr:`decision_trace`.
+    at the mapping's ranks per node) prices cheapest over one cycle: the sum
+    of ``cycle_rounds`` × modeled time over the level's rows of
+    :attr:`schedule`, the one place the cycle's exchanges are counted.  Ties
+    break on candidate order.  Only the committed variant's exchanges are
+    compiled, so the cycle is then a fixed-variant cycle whose levels differ
+    in variant; results are byte-identical to any fixed variant, and every
+    commit is a ``seed`` event on :attr:`decision_trace`.
     """
 
     def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping, *,
@@ -194,12 +204,12 @@ class WorldVCycle:
                 "an engine already fixed its runtime; pass runtime only when "
                 "the cycle builds its own engine"
             )
-        if engine is not None and not isinstance(engine, ExchangeEngine) \
-                and len(engine) != n_levels:
+        if engine is not None and not isinstance(engine, ExchangeEngine) and (
+                not isinstance(engine, Sequence) or len(engine) != n_levels
+                or not all(isinstance(item, ExchangeEngine) for item in engine)):
             raise ValidationError(
                 f"engine must be one ExchangeEngine or one per level "
-                f"(n_levels={n_levels}), got {len(engine)}"
-            )
+                f"(n_levels={n_levels}), got {engine!r}")
         auto = is_auto_variant(variant)
         if not auto:
             try:
@@ -232,49 +242,66 @@ class WorldVCycle:
         self.engines = engines = [engine] * n_levels \
             if isinstance(engine, ExchangeEngine) else list(engine)
         self._trace = DecisionTrace() if auto else None
+        gather = coarse_gather_pattern(self._coarse_partition)
+        schedule = _exchange_schedule(n_levels, self.pre_sweeps,
+                                      self.post_sweeps, gather.n_messages > 0)
 
-        def commit(index: int, weighted) -> Variant:
+        def operator(index: int, name: str):
+            """The matrix an ``"A"``, ``"R"`` or ``"P"`` row multiplies by."""
+            return hierarchy.levels[index].matrix if name == "A" else \
+                hierarchy.restriction_matrix(index) if name == "R" else \
+                hierarchy.prolongation_matrix(index)
+
+        def commit(index: int, rows) -> Variant:
             """Level ``index``'s variant: the fixed one, or under ``"auto"``
-            the cheapest modeled ``sum(weight · exchange)`` over its
-            ``(weight, pattern)`` pairs, recorded on the trace."""
+            the cheapest modeled ``Σ cycle_rounds · exchange`` over its
+            ``rows`` (none priced: the first candidate), traced."""
             if not auto:
                 return variant
+            weighted = [(rounds, name) for _, name, rounds, _ in rows if rounds]
+            if not weighted:
+                return DEFAULT_CANDIDATES[0]
             modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)
-            for weight, pattern in weighted:
+            for rounds, name in weighted:
+                pattern = gather if name == "gather" else \
+                    pattern_from_parcsr(operator(index, name))
                 plans = all_plans(pattern, mapping, strategy=strategy)
                 for candidate in modeled:
                     modeled[candidate] += \
-                        weight * plans[candidate].modeled_time(model)
+                        rounds * plans[candidate].modeled_time(model)
             event = seed_event(index, modeled)
             self._trace.append(event)
             return Variant(event.variant)
 
-        sweeps = self.pre_sweeps + self.post_sweeps + 1
-
-        def build_level(index: int) -> _Level:
-            """Level ``index``'s ``A``, ``Pᵀ`` and ``P`` on its engine."""
-            operators = (hierarchy.levels[index].matrix,
-                         hierarchy.restriction_matrix(index),
-                         hierarchy.prolongation_matrix(index))
-            chosen = commit(index, ((weight, pattern_from_parcsr(operator))
-                                    for weight, operator
-                                    in zip((sweeps, 1, 1), operators)))
-            spmv, restrict, prolong = (
-                WorldSpMV(operator, mapping, variant=chosen,
-                          strategy=strategy, engine=engines[index])
-                for operator in operators)
-            return _Level(spmv=spmv,
-                          smoother=DistributedJacobi(spmv, omega=self.omega),
-                          restrict=restrict, prolong=prolong)
-
-        self.levels = [build_level(index) for index in range(n_levels - 1)]
-
+        products, rows = {}, []
         self._coarse_collective: WorldNeighborCollective | None = None
-        pattern = coarse_gather_pattern(self._coarse_partition)
-        if pattern.n_messages:
-            self._coarse_collective = neighbor_alltoallv_init_world(
-                pattern, mapping, variant=commit(n_levels - 1, [(1, pattern)]),
-                strategy=strategy, engine=engines[n_levels - 1])
+        for index in range(n_levels):
+            level_rows = [row for row in schedule if row[0] == index]
+            chosen = commit(index, level_rows)
+            for level, name, cycle_rounds, solve_rounds in level_rows:
+                if name == "gather":
+                    collective = self._coarse_collective = \
+                        neighbor_alltoallv_init_world(
+                            gather, mapping, variant=chosen,
+                            strategy=strategy, engine=engines[index])
+                else:
+                    products[index, name] = WorldSpMV(
+                        operator(index, name), mapping, variant=chosen,
+                        strategy=strategy, engine=engines[index])
+                    collective = products[index, name].collective
+                rows.append(ScheduleRow(level, name, cycle_rounds,
+                                        solve_rounds, collective))
+        self._schedule = tuple(rows)
+        self.levels = [
+            _Level(spmv=products[index, "A"],
+                   smoother=DistributedJacobi(products[index, "A"],
+                                              omega=self.omega),
+                   restrict=products[index, "R"],
+                   prolong=products[index, "P"])
+            for index in range(n_levels - 1)]
+        # The solve's residual norms; on a single-level hierarchy no cycle
+        # round runs on it.
+        self.fine_spmv = products[0, "A"]
 
         # The cycle's vectors, allocated once: per smoothed level the iterate
         # and one more vector (A x, then the residual, then the prolonged
@@ -285,14 +312,16 @@ class WorldVCycle:
                          for size in sizes[:-1]]
         self._rhs = [None] + [np.empty(size) for size in sizes[1:]]
 
-        # Residual norms of an iterative solve need the fine operator even on
-        # a single-level hierarchy, where no smoothing level exists; under
-        # "auto" it takes the level's commit (its gather's), if any.
-        self.fine_spmv = self.levels[0].spmv if self.levels else \
-            WorldSpMV(hierarchy.levels[0].matrix, mapping,
-                      variant=variant if not auto else (
-                          self._trace.committed(0) or DEFAULT_CANDIDATES[0]),
-                      strategy=strategy, engine=engines[0])
+    @property
+    def schedule(self) -> Tuple[ScheduleRow, ...]:
+        """Every exchange of the cycle, level by level, as a
+        ``(level, operator, cycle_rounds, solve_rounds, collective)`` row:
+        ``operator`` is ``"A"`` (smoother sweeps and residual), ``"R"``
+        (``Pᵀ``), ``"P"`` or ``"gather"``; the rounds are one ``cycle``
+        call's and one steady-state ``solve`` iteration's; ``collective`` is
+        the committed one they run on (``.variant``, ``.plan``, ``.world``,
+        ``.handle``).  The ``"auto"`` commit prices each level from it."""
+        return self._schedule
 
     @property
     def decision_trace(self) -> DecisionTrace | None:
@@ -418,7 +447,8 @@ class WorldAMGSolver:
     """BoomerAMG-style V-cycle solver executed entirely world-stepped.
 
     The drop-in distributed equivalent of
-    :class:`~repro.amg.solver.BoomerAMGSolver`: same setup knobs, same
+    :class:`~repro.amg.solver.BoomerAMGSolver`: the same ``hierarchy``
+    (default ``build_hierarchy(matrix)``) and cycle knobs, the same
     :class:`~repro.amg.solver.SolveResult`, but relaxation, grid transfers,
     the coarse gather, *and* the convergence-check residuals all run through
     the batched exchange engine — the hierarchy traffic the experiments
@@ -428,14 +458,8 @@ class WorldAMGSolver:
     """
 
     def __init__(self, matrix, mapping: RankMapping, *,
-                 strength_theta: float = 0.25,
-                 max_levels: int = 25,
-                 max_coarse_size: int = 16,
-                 pre_sweeps: int = 1,
-                 post_sweeps: int = 1,
+                 pre_sweeps: int = 1, post_sweeps: int = 1,
                  omega: float = 2.0 / 3.0,
-                 truncation: float = 0.0,
-                 seed: int = 42,
                  variant: Variant | str = Variant.PARTIAL,
                  strategy: BalanceStrategy = BalanceStrategy.BYTES,
                  hierarchy: Optional[AMGHierarchy] = None,
@@ -443,11 +467,7 @@ class WorldAMGSolver:
                  runtime: str | None = None,
                  model=None):
         self.matrix = matrix
-        self.hierarchy = hierarchy or build_hierarchy(
-            matrix, strength_theta=strength_theta, max_levels=max_levels,
-            max_coarse_size=max_coarse_size, truncation=truncation, seed=seed)
-        if self.hierarchy.n_levels == 0:
-            raise SolverError("hierarchy construction produced no levels")
+        self.hierarchy = solver_hierarchy(matrix, hierarchy)
         self.vcycle_executor = WorldVCycle(
             self.hierarchy, mapping, variant=variant, strategy=strategy,
             pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega,

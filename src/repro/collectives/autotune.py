@@ -39,13 +39,7 @@ AUTO_VARIANT = "auto"
 _SETUP_OUTCOME = "committed at set-up for the solve"
 
 #: Version stamp of :meth:`DecisionTrace.to_dict`; bump on any schema change.
-TRACE_SCHEMA_VERSION = 3
-
-#: Every event kind a trace may contain.
-EVENT_KINDS = ("seed",)
-
-#: Where an event's numbers came from.
-EVENT_SOURCES = ("model",)
+TRACE_SCHEMA_VERSION = 4
 
 
 def is_auto_variant(variant) -> bool:
@@ -59,7 +53,7 @@ def is_auto_variant(variant) -> bool:
 
 @dataclass(frozen=True)
 class DecisionEvent:
-    """One level's commit.
+    """One level's set-up commit, with the cost model's estimates.
 
     ``estimates`` holds every candidate's modeled seconds, keyed by variant
     value — the alternatives the commit was chosen from.  Each key must name
@@ -68,22 +62,12 @@ class DecisionEvent:
     ``variant``.
     """
 
-    kind: str
     level: int
-    cycle: int
     variant: str
     estimates: Mapping[str, float] = field(default_factory=dict)
-    source: str = "model"
     reason: str = ""
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValidationError(
-                f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}")
-        if self.source not in EVENT_SOURCES:
-            raise ValidationError(
-                f"event source must be one of {EVENT_SOURCES}, "
-                f"got {self.source!r}")
         object.__setattr__(self, "variant",
                            _variant_name(self.variant, "committed variant"))
         object.__setattr__(self, "estimates", {
@@ -94,13 +78,10 @@ class DecisionEvent:
     def to_dict(self) -> Dict[str, object]:
         """The event as a plain dict — the pinned serialisation schema."""
         return {
-            "kind": self.kind,
             "level": int(self.level),
-            "cycle": int(self.cycle),
             "variant": self.variant,
             "estimates": {key: float(value)
                           for key, value in sorted(self.estimates.items())},
-            "source": self.source,
             "reason": self.reason,
         }
 
@@ -112,12 +93,9 @@ class DecisionEvent:
         from outside the program)."""
         try:
             return cls(
-                kind=str(payload["kind"]),
                 level=int(payload["level"]),
-                cycle=int(payload["cycle"]),
                 variant=payload["variant"],
                 estimates=dict(payload.get("estimates", {})),
-                source=str(payload.get("source", "model")),
                 reason=str(payload.get("reason", "")),
             )
         except ValidationError:
@@ -170,18 +148,9 @@ class DecisionTrace:
 
     # -- queries --------------------------------------------------------------
 
-    def events(self, *, kind: str | None = None,
-               level: int | None = None) -> List[DecisionEvent]:
-        """Events filtered by kind and/or level, in recording order."""
-        selected = self._events
-        if kind is not None:
-            if kind not in EVENT_KINDS:
-                raise ValidationError(
-                    f"event kind must be one of {EVENT_KINDS}, got {kind!r}")
-            selected = [e for e in selected if e.kind == kind]
-        if level is not None:
-            selected = [e for e in selected if e.level == level]
-        return list(selected)
+    def events(self, *, level: int | None = None) -> List[DecisionEvent]:
+        """Events, all or level ``level``'s, in recording order."""
+        return [e for e in self._events if level is None or e.level == level]
 
     def levels(self) -> List[int]:
         """Sorted levels that appear in the trace."""
@@ -201,7 +170,7 @@ class DecisionTrace:
     # -- serialisation --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Versioned plain-dict form: ``{"schema": 3, "events": [...]}``."""
+        """Versioned plain-dict form: ``{"schema": 4, "events": [...]}``."""
         return {"schema": TRACE_SCHEMA_VERSION,
                 "events": [event.to_dict() for event in self._events]}
 
@@ -269,9 +238,8 @@ class DecisionTrace:
 
     def describe(self) -> str:
         """Human-readable one-line-per-event rendering (figure annotations)."""
-        return "\n".join(f"[cycle {event.cycle:>3d}] level {event.level}: "
-                         f"{event.kind:<8s} {event.variant:<14s} {event.reason}"
-                         for event in self._events)
+        return "\n".join(f"level {event.level}: {event.variant:<14s} "
+                         f"{event.reason}" for event in self._events)
 
 
 # -- the rule -----------------------------------------------------------------
@@ -286,8 +254,8 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
     variant or value; each must be finite and non-negative, or
     :class:`ValidationError` is raised (a ``nan`` would otherwise decide the
     commit silently).  Ties break on candidate order, and the reason names
-    the candidates the commit ties with.  The event is cycle 0's: the solve
-    path commits at set-up, and its reason says so.
+    the candidates the commit ties with.  The solve path commits at set-up,
+    before any cycle runs, and the reason says so.
 
     >>> event = seed_event(0, {"standard": 2.0, "partial": 1.0, "full": 1.0})
     >>> event.variant
@@ -319,9 +287,9 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
                f"{', '.join(tied)}; candidate order picked the commit")
     else:
         why = "cost model's cheapest candidate"
-    return DecisionEvent(kind="seed", level=level, cycle=0,
-                         variant=committed.value, estimates=estimates,
-                         source="model", reason=f"{why}; {_SETUP_OUTCOME}")
+    return DecisionEvent(level=level, variant=committed.value,
+                         estimates=estimates,
+                         reason=f"{why}; {_SETUP_OUTCOME}")
 
 
 def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]

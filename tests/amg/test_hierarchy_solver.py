@@ -184,8 +184,9 @@ class TestRedistribution:
 
 
 class TestSolver:
-    def test_poisson_vcycle_converges(self, poisson_matrix, rng):
-        solver = BoomerAMGSolver(poisson_matrix, seed=1)
+    def test_poisson_vcycle_converges(self, poisson_matrix, poisson_hierarchy,
+                                      rng):
+        solver = BoomerAMGSolver(poisson_matrix, hierarchy=poisson_hierarchy)
         x_exact = rng.random(poisson_matrix.n_rows)
         b = poisson_matrix.matrix @ x_exact
         result = solver.solve(b, tol=1e-8, max_iterations=100)
@@ -196,24 +197,29 @@ class TestSolver:
         np.testing.assert_allclose(result.solution, x_exact, rtol=1e-4, atol=1e-5)
 
     def test_anisotropic_solve_reduces_residual(self, anisotropic_matrix):
-        solver = BoomerAMGSolver(anisotropic_matrix, seed=1)
+        solver = BoomerAMGSolver(
+            anisotropic_matrix,
+            hierarchy=build_hierarchy(anisotropic_matrix, seed=1))
         b = np.ones(anisotropic_matrix.n_rows)
         result = solver.solve(b, tol=1e-10, max_iterations=30)
         assert result.residual_norms[-1] < 0.05 * result.residual_norms[0]
 
-    def test_residual_history_monotone_overall(self, poisson_matrix):
-        solver = BoomerAMGSolver(poisson_matrix, seed=1)
+    def test_residual_history_monotone_overall(self, poisson_matrix,
+                                               poisson_hierarchy):
+        solver = BoomerAMGSolver(poisson_matrix, hierarchy=poisson_hierarchy)
         b = np.ones(poisson_matrix.n_rows)
         result = solver.solve(b, tol=1e-10, max_iterations=20)
         assert result.residual_norms[-1] < result.residual_norms[0]
 
-    def test_zero_rhs_short_circuits(self, poisson_matrix):
-        solver = BoomerAMGSolver(poisson_matrix, seed=1)
+    def test_zero_rhs_short_circuits(self, poisson_matrix,
+                                     poisson_hierarchy):
+        solver = BoomerAMGSolver(poisson_matrix, hierarchy=poisson_hierarchy)
         result = solver.solve(np.zeros(poisson_matrix.n_rows))
         assert result.converged and result.iterations == 0
 
-    def test_vcycle_shape_validation(self, poisson_matrix):
-        solver = BoomerAMGSolver(poisson_matrix, seed=1)
+    def test_vcycle_shape_validation(self, poisson_matrix,
+                                     poisson_hierarchy):
+        solver = BoomerAMGSolver(poisson_matrix, hierarchy=poisson_hierarchy)
         with pytest.raises(ValidationError):
             solver.vcycle(np.zeros(3), np.zeros(3))
 

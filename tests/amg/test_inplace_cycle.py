@@ -349,8 +349,8 @@ def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
     solve, prolong-correct, post-smooth) on a 1600-row anisotropic hierarchy,
     executed with ``WorldVCycle`` through the batched ``ExchangeEngine`` and
     with the sequential ``BoomerAMGSolver``.  Clock-free: the iterates must be
-    equal to the bit, and what made the engine cycle fast is counted — five
-    engine rounds per smoothed level plus the coarse gather, each one
+    equal to the bit, and what made the engine cycle fast is counted — one
+    engine round per round of the cycle's schedule, each one
     receive step made by one ``take`` whatever hops the variant composes,
     nothing validated after set-up, and not one call more at 64 ranks than
     at 32 (no per-rank or per-message Python work on the solve path).
@@ -380,13 +380,8 @@ def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
                 count_calls(cycle, of=of) for of in (
                     [ExchangeEngine.run], [np.ndarray.take],
                     [engine_module._checked_steps], None))
-            exchanges = [operator.collective.world for level in world.levels
-                         for operator in (level.spmv,) * 3
-                         + (level.restrict, level.prolong)]
-            coarse = world._coarse_collective
-            exchanges += [coarse.world] if coarse is not None else []
-        assert len(exchanges) == 5 * (hierarchy.n_levels - 1) + (coarse is not None)
-        assert counts[:3] == (len(exchanges), len(exchanges), 0)
+            rounds = sum(row.cycle_rounds for row in world.schedule)
+        assert counts[:3] == (rounds, rounds, 0)
         assert all(np.array_equal(iterate, iterates[0]) for iterate in iterates)
         sequential = BoomerAMGSolver(matrix, hierarchy=hierarchy).vcycle(b, x0)
         assert np.array_equal(iterates[0], sequential)
@@ -406,15 +401,14 @@ def test_cycle_makes_one_round_per_exchange_and_one_take_per_receive_step(
 def test_solve_hands_its_checked_residual_to_the_next_cycle(
         count_calls, variant, pre_sweeps, rng):
     """The convergence check's ``b - A x`` is the first pre-smoothing
-    sweep's: a steady iteration makes ``(sweeps + 3) × (levels − 1) + 1``
-    engine rounds — 5 per smoothed level and the coarse gather, with one
-    sweep each way — where checking and cycling apart make one more.  With
-    no pre-sweep there is nothing to hand over.  ``"auto"`` commits each
+    sweep's: a steady iteration makes the schedule's ``solve_rounds`` engine
+    rounds — one cycle and one check, less the product the handed residual
+    saves — where checking and cycling apart make one more.  With no
+    pre-sweep there is nothing to hand over.  ``"auto"`` commits each
     level's variant at set-up, so its cycle is a fixed-variant cycle and
     hands over the same.  Either way the solve is the sequential solver's
     to the bit."""
     matrix, hierarchy = _hierarchy()
-    levels = hierarchy.n_levels
     b = rng.standard_normal(matrix.n_rows)
     with WorldAMGSolver(matrix, paper_mapping(N_RANKS, ranks_per_node=4),
                         hierarchy=hierarchy, variant=variant,
@@ -422,9 +416,10 @@ def test_solve_hands_its_checked_residual_to_the_next_cycle(
         rounds = [count_calls(solver.solve, b, tol=0.0, max_iterations=k,
                               of=[ExchangeEngine.run]) for k in (3, 4)]
         result = solver.solve(b, tol=1e-8, max_iterations=60)
-    handed = pre_sweeps > 0
-    assert rounds[1] - rounds[0] == \
-        (pre_sweeps + 1 + 3) * (levels - 1) + 1 + (not handed)
+    schedule = solver.vcycle_executor.schedule
+    cycle_rounds = sum(row.cycle_rounds for row in schedule)
+    assert rounds[1] - rounds[0] == sum(row.solve_rounds for row in schedule)
+    assert rounds[1] - rounds[0] == cycle_rounds + 1 - (pre_sweeps > 0)
     expected = BoomerAMGSolver(matrix, hierarchy=hierarchy,
                                pre_sweeps=pre_sweeps).solve(
         b, tol=1e-8, max_iterations=60)

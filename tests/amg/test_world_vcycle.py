@@ -18,7 +18,7 @@ import pytest
 
 from repro.amg.hierarchy import build_hierarchy
 from repro.amg.solver import BoomerAMGSolver
-from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
 from repro.collectives.planner import make_plan
 from repro.collectives.plan import Variant
 from repro.pattern.statistics import PatternStatistics
@@ -30,6 +30,7 @@ from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
+from oracles import schedule_pattern
 
 N_RANKS = 8
 
@@ -49,18 +50,14 @@ def _build(config_key: str):
     return matrix, hierarchy
 
 
-def _level_plans(hierarchy, mapping, variant, index, rounds):
-    """The plans of every exchange level ``index`` runs in one cycle, with
-    ``rounds`` operator exchanges on a smoothed level."""
-    if index == hierarchy.n_levels - 1:
-        return [make_plan(coarse_gather_pattern(
-            hierarchy.levels[index].matrix.partition), mapping, variant)]
-    operator, restriction, prolongation = (
-        make_plan(pattern_from_parcsr(matrix), mapping, variant)
-        for matrix in (hierarchy.levels[index].matrix,
-                       hierarchy.restriction_matrix(index),
-                       hierarchy.prolongation_matrix(index)))
-    return [operator] * rounds + [restriction, prolongation]
+def _level_plans(hierarchy, mapping, variant, schedule, index):
+    """The plans of every exchange level ``index`` runs in one cycle: per
+    row of the cycle's ``schedule`` on the level, a plan made here from the
+    row's pattern, ``cycle_rounds`` times."""
+    return [plan for row in schedule if row.level == index and row.cycle_rounds
+            for plan in [make_plan(schedule_pattern(hierarchy, index,
+                                                    row.operator),
+                                   mapping, variant)] * row.cycle_rounds]
 
 
 def _sorted(sources, dests, nbytes):
@@ -131,9 +128,10 @@ def test_per_level_profiler_totals_identical(config_key, variant, rng):
 
     Per level, the profiler's ``(src, dest, nbytes)`` columns are — as a
     multiset — the phase-table columns ``(srcs, dests, payload_counts *
-    item_bytes)`` of the operator's plan once per smoother sweep and once for
-    the residual, then the restriction's and the prolongation's; on the
-    coarsest level, the coarse gather's.
+    item_bytes)`` of each exchange of the cycle's schedule on the level, once
+    per cycle round: the operator's once per smoother sweep and once for the
+    residual, then the restriction's and the prolongation's; on the coarsest
+    level, the coarse gather's.
     """
     matrix, hierarchy = _build(config_key)
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
@@ -144,11 +142,10 @@ def test_per_level_profiler_totals_identical(config_key, variant, rng):
     engines = _level_engines(mapping, n_levels)
     world = WorldVCycle(hierarchy, mapping, variant=variant, engine=engines)
     world.cycle(b, x0)
-    rounds = world.pre_sweeps + 1 + world.post_sweeps
 
     for index, engine in enumerate(engines):
         planned = _planned_columns(
-            _level_plans(hierarchy, mapping, variant, index, rounds))
+            _level_plans(hierarchy, mapping, variant, world.schedule, index))
         observed = _sorted(*engine.profiler.data_columns())
         assert planned[0].size, f"level {index} planned no traffic"
         for observed_column, planned_column in zip(observed, planned):
@@ -174,10 +171,12 @@ def _merged(parts):
 def test_executed_cycle_statistics_match_planned(variant, rng):
     """Per-level executed traffic of a cycle equals the planner's prediction.
 
-    A (non-coarsest) level performs ``pre_sweeps + 1 + post_sweeps`` operator
-    exchanges plus one restriction and one prolongation; the coarsest level
-    performs one gather round.  Summing the planned per-rank statistics of
-    those plans must reproduce the profiler-observed traffic exactly.
+    Each row of the cycle's schedule runs its ``cycle_rounds``: a
+    (non-coarsest) level one operator exchange per smoother sweep and one
+    for the residual, plus one restriction and one prolongation, the
+    coarsest level one gather round.  Summing the planned per-rank
+    statistics of those plans must reproduce the profiler-observed traffic
+    exactly.
     """
     matrix, hierarchy = _build("anisotropic_uneven")
     mapping = paper_mapping(N_RANKS, ranks_per_node=4)
@@ -186,12 +185,12 @@ def test_executed_cycle_statistics_match_planned(variant, rng):
     n_levels = hierarchy.n_levels
 
     engines = _level_engines(mapping, n_levels)
-    WorldVCycle(hierarchy, mapping, variant=variant,
-                engine=engines).cycle(b, x0)
+    world = WorldVCycle(hierarchy, mapping, variant=variant, engine=engines)
+    world.cycle(b, x0)
 
     for index in range(n_levels):
         expected = _merged([plan.statistics() for plan in _level_plans(
-            hierarchy, mapping, variant, index, rounds=3)])
+            hierarchy, mapping, variant, world.schedule, index)])
         sources, dests, nbytes = engines[index].profiler.data_columns()
         observed = PatternStatistics(n_ranks=N_RANKS)
         if sources.size:
@@ -271,6 +270,43 @@ def test_vcycle_validation():
     # with a clear error, not deep inside the planner.
     with pytest.raises(ValidationError, match="mapping covers"):
         WorldVCycle(hierarchy, paper_mapping(4, ranks_per_node=4))
+
+
+@pytest.mark.parametrize("engine", [5, [5, 5, 5, 5]],
+                         ids=["int", "list-of-int"])
+def test_an_engine_that_is_no_engine_is_a_validation_error(engine):
+    """``engine=`` takes one ExchangeEngine or a sequence of one per level;
+    anything else is refused with the documented error, not a TypeError
+    from deep in the set-up."""
+    _, hierarchy = _build("poisson_even")
+    mapping = paper_mapping(N_RANKS, ranks_per_node=4)
+    with pytest.raises(ValidationError, match="one ExchangeEngine or one per "
+                                              "level"):
+        WorldVCycle(hierarchy, mapping, engine=engine)
+
+
+def _mismatched_inputs():
+    """``(matrix, hierarchy)`` pairs whose fine operator differs from the
+    matrix: in shape (16 rows against 64), and in partition offsets only."""
+    small = ParCSRMatrix(poisson_2d((4, 4)), RowPartition.even(16, N_RANKS))
+    large = ParCSRMatrix(poisson_2d((8, 8)), RowPartition.even(64, N_RANKS))
+    shifted = ParCSRMatrix(poisson_2d((8, 8)), RowPartition(
+        [0, 4, 16, 24, 32, 40, 48, 56, 64]))
+    return [(small, build_hierarchy(large)), (shifted, build_hierarchy(large))]
+
+
+@pytest.mark.parametrize("pair", [0, 1], ids=["shape", "partition"])
+def test_a_hierarchy_of_another_matrix_is_refused_at_construction(pair):
+    """Both solvers refuse a hierarchy whose fine operator is not the
+    matrix's — same shape and same partition offsets — when they are built,
+    instead of constructing and then rejecting a correct right-hand side at
+    the first solve."""
+    matrix, hierarchy = _mismatched_inputs()[pair]
+    mapping = paper_mapping(N_RANKS, ranks_per_node=4)
+    with pytest.raises(ValidationError, match="does not match the matrix"):
+        WorldAMGSolver(matrix, mapping, hierarchy=hierarchy)
+    with pytest.raises(ValidationError, match="does not match the matrix"):
+        BoomerAMGSolver(matrix, hierarchy=hierarchy)
 
 
 @pytest.mark.parametrize("variant", ["bogus", "Partial", 3])

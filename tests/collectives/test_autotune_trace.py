@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.amg.hierarchy import build_hierarchy
-from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
+from repro.amg.vcycle import WorldAMGSolver, WorldVCycle
 from repro.collectives import exchange as exchange_module
 from repro.collectives import plan_cache
 from repro.collectives.autotune import (
@@ -44,20 +44,19 @@ from repro.collectives.planner import all_plans
 from repro.perfmodel.base import CostModel
 from repro.perfmodel.params import lassen_parameters
 from repro.simmpi.engine import ExchangeEngine
-from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.generators import strong_scaling_problem
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import poisson_2d
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
+from oracles import schedule_pattern
 
 N_RANKS = 4
 
 #: The pinned serialisation schema: exactly these keys, in any dict order
 #: (canonical JSON sorts them).  Extending the schema requires a version bump.
-EVENT_KEYS = {"kind", "level", "cycle", "variant", "estimates", "source",
-              "reason"}
+EVENT_KEYS = {"level", "variant", "estimates", "reason"}
 
 LEVEL_TIMES = [
     {Variant.STANDARD: 3.0, Variant.PARTIAL: 2.0, Variant.FULL: 4.0},
@@ -100,12 +99,9 @@ class TestEventSchema:
 
     def test_seed_event_golden(self):
         assert seed_event(0, LEVEL_TIMES[0]).to_dict() == {
-            "kind": "seed",
             "level": 0,
-            "cycle": 0,
             "variant": "partial",
             "estimates": {"full": 4.0, "partial": 2.0, "standard": 3.0},
-            "source": "model",
             "reason": "cost model's cheapest candidate; committed at set-up "
                       "for the solve",
         }
@@ -120,7 +116,7 @@ class TestEventSchema:
         matrix, hierarchy, mapping = _problem()
         with WorldVCycle(hierarchy, mapping, variant="auto",
                          model=_FlatModel(0.0)) as vcycle:
-            seeds = vcycle.decision_trace.events(kind="seed")
+            seeds = vcycle.decision_trace.events()
         assert len(seeds) == len(vcycle.decision_trace) == hierarchy.n_levels
         for event in seeds:
             assert set(event.estimates.values()) == {0.0}
@@ -139,14 +135,12 @@ class TestEventSchema:
         for event in seed_trace(LEVEL_TIMES):
             assert DecisionEvent.from_dict(event.to_dict()) == event
 
-    def test_bad_kind_and_source_are_rejected(self):
-        for kind in ("guess", "probe"):
-            with pytest.raises(ValidationError, match="event kind"):
-                DecisionEvent(kind=kind, level=0, cycle=0, variant="full")
-        for source in ("vibes", "measured"):
-            with pytest.raises(ValidationError, match="event source"):
-                DecisionEvent(kind="seed", level=0, cycle=0, variant="full",
-                              source=source)
+    def test_describe_is_one_line_per_level(self):
+        assert seed_trace(LEVEL_TIMES).describe().splitlines() == [
+            f"level 0: partial        cost model's cheapest candidate; "
+            f"{SET_UP}",
+            f"level 1: standard       cost model's cheapest candidate; "
+            f"{SET_UP}"]
 
 
 class TestTraceSerialisation:
@@ -162,7 +156,7 @@ class TestTraceSerialisation:
     def test_json_is_canonical(self):
         text = seed_trace(LEVEL_TIMES).to_json()
         payload = json.loads(text)
-        assert payload["schema"] == TRACE_SCHEMA_VERSION == 3
+        assert payload["schema"] == TRACE_SCHEMA_VERSION == 4
         assert json.dumps(payload, sort_keys=True,
                           separators=(",", ":")) == text
 
@@ -172,6 +166,22 @@ class TestTraceSerialisation:
             payload["schema"] = schema
             with pytest.raises(ValidationError, match="schema"):
                 DecisionTrace.from_dict(payload)
+
+    def test_a_schema_3_document_is_rejected(self):
+        """Schema 3 stamped every event ``kind="seed"``, ``cycle=0`` and
+        ``source="model"``; schema 4 dropped the three constant fields, so
+        an old document is refused, not read."""
+        old = {"schema": 3, "events": [{
+            "kind": "seed", "level": 0, "cycle": 0, "variant": "partial",
+            "estimates": {"full": 4.0, "partial": 2.0, "standard": 3.0},
+            "source": "model", "reason": f"cost model's cheapest candidate; "
+                                         f"{SET_UP}"}]}
+        with pytest.raises(ValidationError,
+                           match="unsupported decision-trace schema 3"):
+            DecisionTrace.from_dict(old)
+        with pytest.raises(ValidationError,
+                           match="unsupported decision-trace schema 3"):
+            DecisionTrace.from_json(json.dumps(old))
 
     @staticmethod
     def _payload(**changes):
@@ -183,9 +193,9 @@ class TestTraceSerialisation:
                 "events": [{key: value for key, value in event.items()
                             if value is not None or key not in changes}]}
 
-    def test_an_event_without_a_kind_is_rejected(self):
+    def test_an_event_without_a_level_is_rejected(self):
         with pytest.raises(ValidationError, match="malformed decision event"):
-            DecisionTrace.from_dict(self._payload(kind=None))
+            DecisionTrace.from_dict(self._payload(level=None))
 
     def test_a_non_integer_level_is_rejected(self):
         with pytest.raises(ValidationError, match="malformed decision event"):
@@ -222,7 +232,7 @@ class TestTraceSerialisation:
             DecisionTrace.from_json(text)
 
     def test_events_that_are_not_a_list_of_objects_are_rejected(self):
-        for events in ({"kind": "seed"}, ["seed"]):
+        for events in ({"level": 0}, ["seed"]):
             with pytest.raises(ValidationError, match="list of mappings"):
                 DecisionTrace.from_dict({"schema": TRACE_SCHEMA_VERSION,
                                          "events": events})
@@ -275,26 +285,23 @@ class TestModeledCommit:
     """``variant="auto"`` commits each level's modeled argmin at set-up."""
 
     @staticmethod
-    def _oracle(hierarchy, mapping, model, sweeps):
+    def _oracle(hierarchy, mapping, model, schedule):
         """Each level's ``(estimates, argmin)``, from ``all_plans`` and
-        ``modeled_time``: ``sweeps·A + Pᵀ + P`` per smoothed level, the
-        coarse gather on the coarsest."""
-        def argmin(modeled):
-            return modeled, min(DEFAULT_CANDIDATES, key=modeled.__getitem__)
-
+        ``modeled_time`` of patterns built here: ``Σ cycle_rounds ·
+        exchange`` over the level's rows of the cycle's ``schedule`` —
+        ``A``, ``Pᵀ`` and ``P`` on a smoothed level, the coarse gather on
+        the coarsest."""
         levels = []
-        for index in range(hierarchy.n_levels - 1):
-            a, r, p = (all_plans(pattern_from_parcsr(operator), mapping)
-                       for operator in (hierarchy.levels[index].matrix,
-                                        hierarchy.restriction_matrix(index),
-                                        hierarchy.prolongation_matrix(index)))
-            levels.append(argmin({
-                v: sweeps * a[v].modeled_time(model) + r[v].modeled_time(model)
-                + p[v].modeled_time(model) for v in DEFAULT_CANDIDATES}))
-        gather = all_plans(coarse_gather_pattern(
-            hierarchy.levels[-1].matrix.partition), mapping)
-        levels.append(argmin({v: gather[v].modeled_time(model)
-                              for v in DEFAULT_CANDIDATES}))
+        for index in range(hierarchy.n_levels):
+            plans = [(row.cycle_rounds, all_plans(
+                schedule_pattern(hierarchy, index, row.operator), mapping))
+                     for row in schedule
+                     if row.level == index and row.cycle_rounds]
+            modeled = {v: sum(rounds * level_plans[v].modeled_time(model)
+                              for rounds, level_plans in plans)
+                       for v in DEFAULT_CANDIDATES}
+            levels.append((modeled, min(DEFAULT_CANDIDATES,
+                                        key=modeled.__getitem__)))
         return levels
 
     def test_amg_solve_256_commits_the_modeled_argmin_of_every_level(self):
@@ -313,11 +320,12 @@ class TestModeledCommit:
                 traces.append(vcycle.decision_trace)
         assert traces[0].to_json() == traces[1].to_json()
         oracle = self._oracle(hierarchy, mapping,
-                              lassen_parameters(active_per_node=16), sweeps=3)
+                              lassen_parameters(active_per_node=16),
+                              vcycle.schedule)
         trace = traces[0]
-        assert [event.kind for event in trace] == ["seed"] * len(oracle)
+        assert len(trace) == len(oracle)
         for level, (event, (modeled, best)) in enumerate(zip(trace, oracle)):
-            assert (event.level, event.source) == (level, "model")
+            assert event.level == level
             assert event.estimates == {v.value: t for v, t in modeled.items()}
             assert event.variant == best.value
             assert event.reason.endswith("; committed at set-up for the solve")
@@ -342,12 +350,9 @@ class TestModeledCommit:
         plan_cache.clear_plan_cache()
         with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
             choices = vcycle.decision_trace.choices()
-            for index, level in enumerate(vcycle.levels):
-                assert {operator.collective.plan.variant for operator in (
-                    level.spmv, level.restrict, level.prolong)} == \
-                    {choices[index]}
-            assert vcycle._coarse_collective.plan.variant == \
-                choices[hierarchy.n_levels - 1]
+            for index in range(hierarchy.n_levels):
+                assert {row.collective.plan.variant for row in vcycle.schedule
+                        if row.level == index} == {choices[index]}
         assert compiles["auto"] == compiles[Variant.PARTIAL] == \
             3 * (hierarchy.n_levels - 1) + 1
 
@@ -362,7 +367,8 @@ class TestModeledCommit:
                 trace = vcycle.decision_trace
             assert [event.variant for event in trace] == \
                 ["standard"] * (hierarchy.n_levels - 1) + [coarsest]
-        oracle = self._oracle(hierarchy, mapping, _FlatModel(1e-6), sweeps=3)
+        oracle = self._oracle(hierarchy, mapping, _FlatModel(1e-6),
+                              vcycle.schedule)
         assert [event.estimates for event in trace] == [
             {v.value: t for v, t in modeled.items()} for modeled, _ in oracle]
 

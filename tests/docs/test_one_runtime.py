@@ -37,6 +37,7 @@ from repro.amg.comm_analysis import (
     level_transfer_patterns,
 )
 from repro.amg.relax import DistributedJacobi
+from repro.amg.solver import BoomerAMGSolver
 from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.persistent import WorldNeighborCollective
@@ -92,9 +93,11 @@ PLAN_OBJECT_NAMES = {"Slot", "from_slots", "to_slots", "from_table", "_fill",
 CLOCK_HOOK_NAMES = {"set_run_observer", "FixedStepClock", "abort_cycle",
                     "_attach_observers", "_make_observer", "_recovery_events"}
 
-#: Names of the deleted online selector and its modeled simulation.
+#: Names of the deleted online selector, its modeled simulation, and the
+#: event kinds and sources a trace of set-up commits no longer records.
 SELECTOR_NAMES = {"OnlineSelector", "_LevelState", "AutoSimulation",
-                  "simulate_modeled_auto", "_add_auto_series"}
+                  "simulate_modeled_auto", "_add_auto_series", "EVENT_KINDS",
+                  "EVENT_SOURCES"}
 
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
     SELECTOR_NAMES
@@ -199,6 +202,7 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "def _recovery_events(self):\n    return 0",
     "from repro.collectives.autotune import OnlineSelector",
     "from repro.collectives import simulate_modeled_auto",
+    "from repro.collectives.autotune import EVENT_KINDS",
     "class AutoSimulation:\n    pass",
     "def f(level_profilers=None):\n    pass",
     "WorldVCycle(h, m, level_profilers=[])",
@@ -235,16 +239,17 @@ def test_the_world_path_stays_allowed(source):
 #: the solver take no ``n_workers=`` either.  The pattern carries the
 #: element type, so neither collective constructor takes ``dtype=`` or
 #: ``item_size=``.  The product's kernel follows from the operator's rows,
-#: so neither the SpMV nor the smoother takes a kernel or layout knob.
+#: so neither the SpMV nor the smoother takes a kernel or layout knob.  The
+#: solvers take a hierarchy, not the set-up's options: a caller who tunes
+#: it calls ``build_hierarchy`` and passes the result as ``hierarchy=``.
 CONSTRUCTOR_KEYWORDS = {
     WorldSpMV: {"variant", "strategy", "engine"},
     DistributedJacobi: {"omega"},
     WorldVCycle: {"variant", "strategy", "pre_sweeps", "post_sweeps",
                   "omega", "engine", "runtime", "model"},
-    WorldAMGSolver: {"strength_theta", "max_levels", "max_coarse_size",
-                     "pre_sweeps", "post_sweeps", "omega", "truncation",
-                     "seed", "variant", "strategy", "hierarchy", "engine",
-                     "runtime", "model"},
+    WorldAMGSolver: {"pre_sweeps", "post_sweeps", "omega", "variant",
+                     "strategy", "hierarchy", "engine", "runtime", "model"},
+    BoomerAMGSolver: {"pre_sweeps", "post_sweeps", "omega", "hierarchy"},
     WorldNeighborCollective: {"engine", "runtime", "n_workers",
                               "vector_length"},
     neighbor_alltoallv_init_world: {"variant", "strategy", "engine",

@@ -11,7 +11,10 @@ another way, kept only so tests can check against it:
   plans in the modeled-time tests;
 * :func:`replay_hops` / :func:`replay_round` — a world exchange run hop by
   hop on its replay columns, the reference the engine's one-gather round is
-  pinned to.
+  pinned to;
+* :func:`schedule_pattern` — the pattern of a row of a V-cycle's exchange
+  schedule, built from the hierarchy, so a test checks the cycle's
+  collectives and traffic against plans it made itself.
 
 pytest puts ``tests/`` on ``sys.path`` when it loads ``tests/conftest.py``,
 so any test imports them as ``from oracles import ...``.
@@ -24,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.amg.relax import weighted_jacobi_iteration
+from repro.amg.vcycle import coarse_gather_pattern
 from repro.perfmodel.base import CostModel
+from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.topology.machine import Locality
 from repro.utils.errors import ValidationError
 
@@ -52,6 +57,22 @@ def patterns_equivalent(a, b) -> bool:
     edges_a = {(s, d): tuple(sorted(items.tolist())) for s, d, items in a.edges()}
     edges_b = {(s, d): tuple(sorted(items.tolist())) for s, d, items in b.edges()}
     return edges_a == edges_b
+
+
+def schedule_pattern(hierarchy, level: int, operator: str):
+    """The pattern that the ``(level, operator)`` row of
+    ``WorldVCycle.schedule`` exchanges: the halo of level ``level``'s
+    operator ``A``, restriction ``R`` or prolongation ``P``, or the
+    coarsest level's ``gather``."""
+    if operator == "gather":
+        return coarse_gather_pattern(hierarchy.levels[level].matrix.partition)
+    if operator == "A":
+        return pattern_from_parcsr(hierarchy.levels[level].matrix)
+    if operator == "R":
+        return pattern_from_parcsr(hierarchy.restriction_matrix(level))
+    if operator == "P":
+        return pattern_from_parcsr(hierarchy.prolongation_matrix(level))
+    raise ValueError(f"no schedule operator {operator!r}")
 
 
 @dataclass(frozen=True)
