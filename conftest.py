@@ -3,8 +3,9 @@
 Adds ``src/`` to ``sys.path`` so the test-suite and benchmarks run even when
 the package has not been pip-installed (handy on air-gapped machines).  When
 ``repro`` is already installed the installed copy wins because editable
-installs place it earlier on the path.  Also home of the one fixture both
-``tests/`` and ``benchmarks/`` use.
+installs place it earlier on the path.  Also home of the fixtures both
+``tests/`` and ``benchmarks/`` use, and of the session hook that stops
+every process the suite started before pytest exits.
 """
 
 import gc
@@ -16,6 +17,43 @@ import pytest
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Stop every process the session started and wait until each has ended.
+
+    The procs runtime joins its workers on ``close()``, but it also starts
+    multiprocessing's resource tracker, which otherwise outlives pytest
+    (it exits only once our end of its pipe closes at interpreter shutdown,
+    unreaped) and keeps the suite's inherited stderr open.  Dropped engines
+    are collected first, so their pools unlink their segments while the
+    tracker still runs.
+    """
+    if "multiprocessing" not in sys.modules:
+        return
+    import multiprocessing
+
+    gc.collect()
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join(timeout=10.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(tracker_module, "_resource_tracker", None)
+    descriptor, pid = getattr(tracker, "_fd", None), getattr(tracker, "_pid", None)
+    if descriptor is None:
+        return
+    # Closing the "alive" descriptor ends the tracker's main loop.
+    os.close(descriptor)
+    tracker._fd = None
+    if pid is not None:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+        tracker._pid = None
 
 
 @pytest.fixture

@@ -66,8 +66,8 @@ def coarse_gather_pattern(partition: RowPartition) -> CommPattern:
     lists the rank's owned row range.
 
     >>> pattern = coarse_gather_pattern(RowPartition.from_sizes([2, 0, 1]))
-    >>> [(src, dest, items.tolist()) for src, dest, items in pattern.edges()]
-    [(0, 1, [0, 1]), (0, 2, [0, 1]), (2, 0, [2]), (2, 1, [2])]
+    >>> [column.tolist() for column in pattern.csr()]
+    [[0, 2, 2, 4], [1, 2, 0, 1], [0, 2, 4, 5, 6], [0, 1, 0, 1, 2, 2]]
     """
     n_ranks = partition.n_ranks
     fan_out = n_ranks - 1
@@ -175,13 +175,14 @@ class WorldVCycle:
     ``variant="auto"`` picks each level's variant at set-up: every
     candidate's plans are built, and the level commits the one the cost
     ``model`` (default: :func:`~repro.perfmodel.params.lassen_parameters`
-    at the mapping's ranks per node) prices cheapest over one cycle: the sum
-    of ``cycle_rounds`` × modeled time over the level's rows of
-    :attr:`schedule`, the one place the cycle's exchanges are counted.  Ties
-    break on candidate order.  Only the committed variant's exchanges are
-    compiled, so the cycle is then a fixed-variant cycle whose levels differ
-    in variant; results are byte-identical to any fixed variant, and every
-    commit is a ``seed`` event on :attr:`decision_trace`.
+    at the mapping's ranks per node) prices cheapest over one solve
+    iteration: the sum of ``solve_rounds`` × modeled time over the level's
+    rows of :attr:`schedule`, the one place the cycle's exchanges are
+    counted (so a single-level hierarchy prices its fine product with its
+    gather).  Ties break on candidate order.  Only the committed variant's
+    exchanges are compiled, so the cycle is then a fixed-variant cycle whose
+    levels differ in variant; results are byte-identical to any fixed
+    variant, and every commit is a ``seed`` event on :attr:`decision_trace`.
     """
 
     def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping, *,
@@ -254,11 +255,11 @@ class WorldVCycle:
 
         def commit(index: int, rows) -> Variant:
             """Level ``index``'s variant: the fixed one, or under ``"auto"``
-            the cheapest modeled ``Σ cycle_rounds · exchange`` over its
+            the cheapest modeled ``Σ solve_rounds · exchange`` over its
             ``rows`` (none priced: the first candidate), traced."""
             if not auto:
                 return variant
-            weighted = [(rounds, name) for _, name, rounds, _ in rows if rounds]
+            weighted = [(rounds, name) for _, name, _, rounds in rows if rounds]
             if not weighted:
                 return DEFAULT_CANDIDATES[0]
             modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)

@@ -49,7 +49,7 @@ ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the pickled layout of plans/worlds changes; older on-disk
 #: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 10
+CACHE_FORMAT_VERSION = 11
 
 #: Entries kept per in-process tier (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128

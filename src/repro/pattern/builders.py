@@ -6,9 +6,9 @@ the other cases the tests and examples need: explicit edge lists, random
 irregular patterns with controllable fan-out, and structured halo exchanges.
 
 Every builder is CSR-native: it accumulates per-edge endpoint/item arrays and
-hands them to :meth:`CommPattern.from_edge_lists` in one vectorized
-concatenate + stable-lexsort pass — no per-edge dict insertion, no per-item
-Python conversion.
+hands them to :meth:`CommPattern.from_edge_lists`, which sorts the edges
+(not the items) with ``group_rows_to_csr`` and concatenates the items once —
+no per-edge dict insertion, no per-item Python conversion.
 """
 
 from __future__ import annotations
@@ -18,19 +18,8 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from repro.pattern.comm_pattern import CommPattern
-from repro.utils.arrays import INDEX_DTYPE, as_index_array
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_non_negative_int, check_positive_int
-
-
-def _pattern_from_triples(n_ranks: int, srcs: Sequence[int], dests: Sequence[int],
-                          item_arrays: Sequence[np.ndarray], *,
-                          dtype, item_size: int) -> CommPattern:
-    """Assemble a pattern from parallel per-edge lists in one columnar pass."""
-    return CommPattern.from_edge_lists(
-        n_ranks, np.asarray(srcs, dtype=INDEX_DTYPE),
-        np.asarray(dests, dtype=INDEX_DTYPE), item_arrays,
-        dtype=dtype, item_size=item_size)
 
 
 def pattern_from_edges(n_ranks: int,
@@ -43,13 +32,13 @@ def pattern_from_edges(n_ranks: int,
     """
     srcs: list[int] = []
     dests: list[int] = []
-    item_arrays: list[np.ndarray] = []
+    item_arrays: list = []
     for src, dest, items in edges:
         srcs.append(int(src))
         dests.append(int(dest))
-        item_arrays.append(as_index_array(items))
-    return _pattern_from_triples(n_ranks, srcs, dests, item_arrays,
-                                 dtype=dtype, item_size=item_size)
+        item_arrays.append(items)
+    return CommPattern.from_edge_lists(n_ranks, srcs, dests, item_arrays,
+                                       dtype=dtype, item_size=item_size)
 
 
 def random_pattern(n_ranks: int, *, avg_neighbors: float = 6.0,
@@ -101,8 +90,8 @@ def random_pattern(n_ranks: int, *, avg_neighbors: float = 6.0,
             srcs.append(src)
             edge_dests.append(int(dest))
             item_arrays.append(items)
-    return _pattern_from_triples(n_ranks, srcs, edge_dests, item_arrays,
-                                 dtype=dtype, item_size=item_size)
+    return CommPattern.from_edge_lists(n_ranks, srcs, edge_dests, item_arrays,
+                                       dtype=dtype, item_size=item_size)
 
 
 def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
@@ -135,7 +124,6 @@ def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
     srcs: list[int] = []
     edge_dests: list[int] = []
     item_arrays: list[np.ndarray] = []
-    edge_slot: dict[Tuple[int, int], int] = {}
     for r in range(rows):
         for c in range(cols):
             src = r * cols + c
@@ -146,19 +134,14 @@ def halo_exchange_pattern(grid_shape: Tuple[int, int], *, width: int = 1,
                 "west": rank_of(r, c - 1),
                 "east": rank_of(r, c + 1),
             }
-            for face_index, (_, dest) in enumerate(sorted(faces.items())):
-                if dest is None or dest == src:
-                    continue
-                items = base + face_index * side + np.arange(side, dtype=np.int64)
-                # On tiny periodic grids two faces can hit the same neighbor;
-                # the last face wins, as in dict-keyed construction.
-                slot = edge_slot.get((src, dest))
-                if slot is not None:
-                    item_arrays[slot] = items
-                    continue
-                edge_slot[(src, dest)] = len(srcs)
-                srcs.append(src)
-                edge_dests.append(dest)
-                item_arrays.append(items)
-    return _pattern_from_triples(n_ranks, srcs, edge_dests, item_arrays,
-                                 dtype=dtype, item_size=item_size)
+            # On tiny periodic grids two faces can hit the same neighbor;
+            # the last face wins, as in dict-keyed construction.
+            sends = {dest: base + face_index * side
+                     + np.arange(side, dtype=np.int64)
+                     for face_index, (_, dest) in enumerate(sorted(faces.items()))
+                     if dest is not None and dest != src}
+            srcs += [src] * len(sends)
+            edge_dests += sends
+            item_arrays += sends.values()
+    return CommPattern.from_edge_lists(n_ranks, srcs, edge_dests, item_arrays,
+                                       dtype=dtype, item_size=item_size)

@@ -17,12 +17,12 @@ Storage is CSR-native: the pattern holds four canonical int64 columns
   ``items[item_offsets[e]:item_offsets[e + 1]]``,
 * ``items`` — ``(total_items,)``; all item ids, concatenated in edge order.
 
-Every accessor is a view of (or a cached expansion over) these columns:
-``edge_arrays()`` hands back the stored ``items`` column itself,
-``send_map``/``recv_map``/``edges()`` are thin compatibility views slicing it,
-and ``__eq__``/``__hash__`` compare the columns directly.  Patterns are
-immutable: the columns are frozen (``writeable = False``) at construction, so
-no accessor ever needs a defensive copy.
+These are the neighbor lists with counts and displacements a persistent
+neighbor collective takes, and every reader works on them: ``csr()`` hands
+them back, ``edge_arrays()`` expands the endpoints beside the stored
+``items`` column, and ``__eq__``/``__hash__`` compare the columns directly.
+Patterns are immutable: the columns are frozen (``writeable = False``) at
+construction, so no accessor ever needs a defensive copy.
 
 Example (doctest): three ranks, rank 0 sending item 4 to both rank 1 and
 rank 2 — the duplicate the fully optimized collective sends across a region
@@ -30,19 +30,20 @@ boundary only once.
 
 >>> from repro.pattern import CommPattern
 >>> pattern = CommPattern(3, {0: {1: [4, 5], 2: [4]}, 1: {2: [9]}})
->>> pattern.send_items(0, 1)
+>>> src_offsets, dests, item_offsets, items = pattern.csr()
+>>> src_offsets  # rank 0 owns edges 0 and 1, rank 1 edge 2
+array([0, 2, 3, 3])
+>>> dests  # the edges (0, 1), (0, 2), (1, 2)
+array([1, 2, 2])
+>>> items[item_offsets[0]:item_offsets[1]]  # what rank 0 sends rank 1
 array([4, 5])
->>> pattern.recv_ranks(2)
-[0, 1]
 >>> pattern.n_messages, pattern.total_items
 (3, 4)
->>> pattern.csr()[1]  # the destination column: edges (0,1), (0,2), (1,2)
-array([1, 2, 2])
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -70,10 +71,6 @@ def _frozen_index_array(values) -> np.ndarray:
     return frozen_copy_on_write(as_index_array(values), values)
 
 
-_EMPTY_ITEMS = np.empty(0, dtype=INDEX_DTYPE)
-_EMPTY_ITEMS.flags.writeable = False
-
-
 def _check_endpoints(n_ranks: int, srcs: np.ndarray, dests: np.ndarray) -> None:
     """Reject edge endpoints outside ``[0, n_ranks)``."""
     if srcs.size == 0:
@@ -87,6 +84,27 @@ def _check_endpoints(n_ranks: int, srcs: np.ndarray, dests: np.ndarray) -> None:
         )
 
 
+def _edge_list_columns(n_ranks: int, srcs: np.ndarray, dests: np.ndarray,
+                       item_arrays) -> Tuple[np.ndarray, ...]:
+    """Canonical CSR columns from per-edge keys and item arrays.
+
+    ``group_rows_to_csr`` groups the edge *ids* by ``(src, dest)``, so the
+    sort is over edges, not items; its stable order merges repeated pairs
+    with their items concatenated in input order.  Empty item arrays are
+    dropped, and items are touched once, by ``np.concatenate``.
+    """
+    arrays = [as_index_array(a) for a in item_arrays]
+    sizes = np.fromiter((a.size for a in arrays), dtype=INDEX_DTYPE,
+                        count=len(arrays))
+    kept = np.flatnonzero(sizes)
+    src_offsets, edge_dests, runs, order = group_rows_to_csr(
+        n_ranks, srcs[kept], dests[kept], kept)
+    items = np.concatenate([arrays[e] for e in order.tolist()]) if order.size \
+        else np.empty(0, dtype=INDEX_DTYPE)
+    return (src_offsets, edge_dests, counts_to_displs(sizes[order])[runs],
+            items)
+
+
 class CommPattern:
     """Immutable, CSR-stored description of an irregular communication pattern.
 
@@ -98,7 +116,7 @@ class CommPattern:
         ``sends[src][dest]`` is an array of item ids rank ``src`` must deliver
         to rank ``dest``.  Empty destination lists are dropped.  This mapping
         constructor is the compatibility route; producers that already hold
-        columnar data should use :meth:`from_csr` or :meth:`from_edge_arrays`.
+        columnar data should use :meth:`from_csr` or :meth:`from_edge_lists`.
     dtype:
         Element dtype of one data item (default float64, the vector entries of
         a SpMV halo exchange).
@@ -118,7 +136,7 @@ class CommPattern:
         self._init_meta(n_ranks, dtype, item_size)
         edge_srcs: list[int] = []
         edge_dests: list[int] = []
-        item_arrays: list[np.ndarray] = []
+        item_arrays: list = []
         for src, dests in sends.items():
             src = int(src)
             if src < 0 or src >= self.n_ranks:
@@ -127,15 +145,12 @@ class CommPattern:
                 dest = int(dest)
                 if dest < 0 or dest >= self.n_ranks:
                     raise ValidationError(f"destination rank {dest} out of range")
-                arr = as_index_array(items)
-                if arr.size == 0:
-                    continue
                 edge_srcs.append(src)
                 edge_dests.append(dest)
-                item_arrays.append(arr)
-        self._init_columns(*self._columns_from_edge_lists(
-            np.asarray(edge_srcs, dtype=INDEX_DTYPE),
-            np.asarray(edge_dests, dtype=INDEX_DTYPE), item_arrays))
+                item_arrays.append(items)
+        self._init_columns(*_edge_list_columns(
+            self.n_ranks, as_index_array(edge_srcs),
+            as_index_array(edge_dests), item_arrays))
 
     # -- columnar constructors --------------------------------------------------
 
@@ -159,46 +174,9 @@ class CommPattern:
         if not (srcs.size == dests.size == len(item_arrays)):
             raise ValidationError("edge-list columns must have matching lengths")
         _check_endpoints(self.n_ranks, srcs, dests)
-        self._init_columns(*self._columns_from_edge_lists(srcs, dests,
-                                                          list(item_arrays)))
+        self._init_columns(*_edge_list_columns(self.n_ranks, srcs, dests,
+                                               item_arrays))
         return self
-
-    def _columns_from_edge_lists(self, srcs: np.ndarray, dests: np.ndarray,
-                                 item_arrays: list) -> Tuple[np.ndarray, ...]:
-        """Canonical CSR columns from per-edge keys and item arrays.
-
-        One stable lexsort over the edge keys orders the edges; runs of equal
-        ``(src, dest)`` merge into one edge whose items concatenate in input
-        order.  Items are touched exactly once, by ``np.concatenate``.
-        """
-        sizes = np.fromiter((np.asarray(a).size for a in item_arrays),
-                            dtype=INDEX_DTYPE, count=len(item_arrays))
-        keep = sizes > 0
-        if not keep.all():
-            srcs, dests, sizes = srcs[keep], dests[keep], sizes[keep]
-            item_arrays = [a for a, k in zip(item_arrays, keep) if k]
-        if not item_arrays:
-            return (np.zeros(self.n_ranks + 1, dtype=INDEX_DTYPE),
-                    np.empty(0, dtype=INDEX_DTYPE),
-                    np.zeros(1, dtype=INDEX_DTYPE),
-                    np.empty(0, dtype=INDEX_DTYPE))
-        order = np.lexsort((dests, srcs))
-        srcs, dests, sizes = srcs[order], dests[order], sizes[order]
-        items = np.concatenate([as_index_array(item_arrays[e]) for e in order])
-        starts = run_starts_mask(srcs, dests)
-        ends = np.cumsum(sizes)
-        boundaries = np.flatnonzero(starts)
-        item_offsets = np.empty(boundaries.size + 1, dtype=INDEX_DTYPE)
-        item_offsets[0] = 0
-        item_offsets[1:-1] = ends[boundaries[1:] - 1]
-        item_offsets[-1] = items.size
-        return (self._offsets_from_keys(srcs[starts]), dests[starts],
-                item_offsets, items)
-
-    def _offsets_from_keys(self, edge_srcs: np.ndarray) -> np.ndarray:
-        return counts_to_displs(np.bincount(edge_srcs, minlength=self.n_ranks)
-                                if edge_srcs.size else
-                                np.zeros(self.n_ranks, dtype=INDEX_DTYPE))
 
     @classmethod
     def from_csr(cls, n_ranks: int, src_offsets, dests, item_offsets, items,
@@ -223,28 +201,6 @@ class CommPattern:
         self._init_columns(src_offsets, dests, item_offsets, items)
         return self
 
-    @classmethod
-    def from_edge_arrays(cls, n_ranks: int, origins, dests, items,
-                         *, dtype: np.dtype | type | str = np.float64,
-                         item_size: int = 1) -> "CommPattern":
-        """Build a pattern from fully expanded ``(origin, dest, item)`` rows.
-
-        Rows for the same ``(origin, dest)`` pair keep their input order
-        (stable lexsort), so repeated edges concatenate exactly as the
-        edge-by-edge dict construction did.
-        """
-        self = cls.__new__(cls)
-        self._init_meta(n_ranks, dtype, item_size)
-        origins = as_index_array(origins)
-        dest_rows = as_index_array(dests)
-        items = as_index_array(items)
-        if not (origins.size == dest_rows.size == items.size):
-            raise ValidationError("edge-array columns must have matching lengths")
-        _check_endpoints(self.n_ranks, origins, dest_rows)
-        self._init_columns(*group_rows_to_csr(self.n_ranks, origins, dest_rows,
-                                              items))
-        return self
-
     # -- construction internals --------------------------------------------------
 
     def _init_meta(self, n_ranks: int, dtype, item_size: int) -> None:
@@ -264,7 +220,6 @@ class CommPattern:
         self._item_offsets = item_offsets
         self._items = items
         self._edge_srcs: np.ndarray | None = None
-        self._recv_csr: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._edge_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unique_edges: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._owned_keys: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -327,102 +282,6 @@ class CommPattern:
     def edge_item_counts(self) -> np.ndarray:
         """Items per edge, in edge order (derived from ``item_offsets``)."""
         return np.diff(self._item_offsets)
-
-    def _edge_view(self, slot: int) -> np.ndarray:
-        """The item ids of one edge slot: an O(1) slice of the frozen item
-        column, so read-only and never a copy."""
-        return self._items[self._item_offsets[slot]:self._item_offsets[slot + 1]]
-
-    def _edge_slot(self, src: int, dest: int) -> int:
-        """Edge index of ``(src, dest)``, or -1 when the edge does not exist."""
-        lo, hi = int(self._src_offsets[src]), int(self._src_offsets[src + 1])
-        slot = lo + int(np.searchsorted(self._dests[lo:hi], dest))
-        if slot < hi and int(self._dests[slot]) == dest:
-            return slot
-        return -1
-
-    def _recv_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Transposed edge index ``(dest_offsets, srcs, edge_slots)`` (cached)."""
-        if self._recv_csr is None:
-            edge_srcs = self.edge_sources()
-            order = np.lexsort((edge_srcs, self._dests))
-            dest_counts = np.bincount(self._dests, minlength=self.n_ranks) \
-                if self._dests.size else np.zeros(self.n_ranks, dtype=INDEX_DTYPE)
-            self._recv_csr = (counts_to_displs(dest_counts),
-                              edge_srcs[order], order)
-        return self._recv_csr
-
-    # -- send-side accessors ---------------------------------------------------
-
-    def send_ranks(self, src: int) -> list[int]:
-        """Destination ranks of ``src`` in ascending order."""
-        self._check_rank(src)
-        lo, hi = self._src_offsets[src], self._src_offsets[src + 1]
-        return self._dests[lo:hi].tolist()
-
-    def send_items(self, src: int, dest: int) -> np.ndarray:
-        """Item ids ``src`` sends to ``dest`` (read-only view; empty when none)."""
-        self._check_rank(src)
-        self._check_rank(dest)
-        slot = self._edge_slot(src, dest)
-        if slot < 0:
-            return _EMPTY_ITEMS
-        return self._edge_view(slot)
-
-    def send_map(self, src: int) -> Dict[int, np.ndarray]:
-        """Destination→items map of ``src`` (read-only array views)."""
-        self._check_rank(src)
-        lo, hi = int(self._src_offsets[src]), int(self._src_offsets[src + 1])
-        return {int(self._dests[slot]): self._edge_view(slot)
-                for slot in range(lo, hi)}
-
-    # -- receive-side accessors --------------------------------------------------
-
-    def recv_ranks(self, dest: int) -> list[int]:
-        """Source ranks of ``dest`` in ascending order."""
-        self._check_rank(dest)
-        dest_offsets, srcs, _ = self._recv_index()
-        return srcs[dest_offsets[dest]:dest_offsets[dest + 1]].tolist()
-
-    def recv_items(self, dest: int, src: int) -> np.ndarray:
-        """Item ids ``dest`` receives from ``src`` (read-only view)."""
-        self._check_rank(dest)
-        self._check_rank(src)
-        slot = self._edge_slot(src, dest)
-        if slot < 0:
-            return _EMPTY_ITEMS
-        return self._edge_view(slot)
-
-    def recv_map(self, dest: int) -> Dict[int, np.ndarray]:
-        """Source→items map of ``dest`` (read-only array views)."""
-        self._check_rank(dest)
-        dest_offsets, srcs, edge_slots = self._recv_index()
-        lo, hi = int(dest_offsets[dest]), int(dest_offsets[dest + 1])
-        return {int(srcs[k]): self._edge_view(int(edge_slots[k]))
-                for k in range(lo, hi)}
-
-    # -- global views -------------------------------------------------------------
-
-    def edges(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Iterate over ``(src, dest, items)`` triples in deterministic order.
-
-        The yielded arrays are read-only views of the stored item column.
-        """
-        edge_srcs = self.edge_sources()
-        dests = self._dests
-        for slot in range(dests.size):
-            yield int(edge_srcs[slot]), int(dests[slot]), self._edge_view(slot)
-
-    def edge_lists(self) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-        """Per-edge columnar view: ``(srcs, dests, item_arrays)`` in edge order.
-
-        ``dests`` is the stored CSR column itself, ``srcs`` its cached
-        expansion, and the per-edge item arrays read-only slices of the item
-        column, made on each call.
-        """
-        return (self.edge_sources(), self._dests,
-                tuple(self._edge_view(slot)
-                      for slot in range(self._dests.size)))
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fully expanded columnar edge table ``(origins, dests, items)``.
@@ -487,13 +346,6 @@ class CommPattern:
             self._owned_keys = columns
         return self._owned_keys
 
-    def transpose(self) -> "CommPattern":
-        """Pattern with the roles of senders and receivers exchanged."""
-        origins, dests, items = self.edge_arrays()
-        return CommPattern.from_edge_arrays(
-            self.n_ranks, dests, origins, items, dtype=self.dtype,
-            item_size=self.item_size)
-
     @property
     def n_messages(self) -> int:
         """Total number of point-to-point messages in the standard scheme."""
@@ -527,8 +379,7 @@ class CommPattern:
         again.
         """
         state = self.__dict__.copy()
-        state.update(_edge_srcs=None, _recv_csr=None, _edge_arrays=None,
-                     _unique_edges=None)
+        state.update(_edge_srcs=None, _edge_arrays=None, _unique_edges=None)
         return state
 
     def __setstate__(self, state):
@@ -558,10 +409,6 @@ class CommPattern:
                 self._item_offsets.tobytes(), self._items.tobytes(),
             ))
         return self._hash
-
-    def _check_rank(self, rank: int) -> None:
-        if rank < 0 or rank >= self.n_ranks:
-            raise ValidationError(f"rank {rank} out of range [0, {self.n_ranks})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CommPattern(n_ranks={self.n_ranks}, messages={self.n_messages}, "

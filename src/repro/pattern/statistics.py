@@ -116,9 +116,16 @@ class PatternStatistics:
 
 def average_neighbors(pattern: CommPattern, ranks: Iterable[int] | None = None) -> float:
     """Average out-degree over the given ranks (default: all ranks)."""
+    degrees = np.diff(pattern.csr()[0])
     if ranks is None:
-        ranks = range(pattern.n_ranks)
-    ranks = list(ranks)
-    if not ranks:
+        return float(degrees.mean())
+    ranks = np.asarray(list(ranks))
+    if not ranks.size:
         return 0.0
-    return float(np.mean([len(pattern.send_ranks(r)) for r in ranks]))
+    if ranks.dtype.kind not in "iu":
+        raise ValidationError(f"ranks must be integers, got {ranks.dtype}")
+    outside = ranks[(ranks < 0) | (ranks >= pattern.n_ranks)]
+    if outside.size:
+        raise ValidationError(
+            f"rank {outside[0]} out of range [0, {pattern.n_ranks})")
+    return float(degrees[ranks].mean())

@@ -8,10 +8,10 @@ planners consume: :func:`pattern_from_parcsr` derives it from a
 :class:`~repro.sparse.parcsr.ParCSRMatrix` — a level operator or a grid
 transfer alike — with global input-vector indices as item ids, so the
 deduplicating collective can recognise when one vector entry is needed by
-several ranks on the same node.  ``pattern.send_map(rank)`` /
-``pattern.recv_map(rank)`` are what a rank hands to
-``MPI_Neighbor_alltoallv_init``; the world-stepped collective takes the
-whole pattern (``neighbor_alltoallv_init_world``).
+several ranks on the same node.  Each rank's segment of the pattern's CSR
+columns (``pattern.csr()``: its destinations, item counts and item ids) is
+what it hands to ``MPI_Neighbor_alltoallv_init``; the world-stepped
+collective takes the whole pattern (``neighbor_alltoallv_init_world``).
 
 The build is columnar end to end: the matrix's one stacked diag/offd split
 already holds every rank's needed columns in rank order, their owners come
@@ -44,27 +44,30 @@ def pattern_from_parcsr(matrix: ParCSRMatrix) -> CommPattern:
     the world-stepped product runs on — and their owners come from the
     *column* partition.
 
-    Example (doctest): a 1-D Laplacian over four ranks; what rank 0 receives
-    is exactly its off-process column map.
+    Example (doctest): a 1-D Laplacian over four ranks; the items rank 1
+    sends rank 0 are exactly rank 0's off-process column map.
 
     >>> import scipy.sparse as sp
     >>> from repro.sparse import ParCSRMatrix, RowPartition, pattern_from_parcsr
     >>> laplacian = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(8, 8))
     >>> matrix = ParCSRMatrix(laplacian, RowPartition.even(8, 4))
     >>> pattern = pattern_from_parcsr(matrix)
-    >>> pattern.recv_map(0), matrix.local_blocks(0).col_map_offd
-    ({1: array([2])}, array([2]))
-    >>> pattern.send_map(1)
-    {0: array([2]), 2: array([3])}
+    >>> src_offsets, dests, item_offsets, items = pattern.csr()
+    >>> dests[src_offsets[1]:src_offsets[2]]  # rank 1's neighbors
+    array([0, 2])
+    >>> items[item_offsets[src_offsets[1]]:item_offsets[src_offsets[2]]]
+    array([2, 3])
+    >>> matrix.local_blocks(0).col_map_offd
+    array([2])
     """
     n_ranks = matrix.n_ranks
     stacked = matrix.stacked_blocks()
     needed = stacked.col_map_offd
-    recv_ranks = np.repeat(np.arange(n_ranks, dtype=INDEX_DTYPE),
-                           np.diff(stacked.offd_offsets))
+    receivers = np.repeat(np.arange(n_ranks, dtype=INDEX_DTYPE),
+                          np.diff(stacked.offd_offsets))
     owners = matrix.col_partition.owners_of(needed)
-    if np.any(owners == recv_ranks):
+    if np.any(owners == receivers):
         raise ValidationError("off-diagonal columns must be owned by other ranks")
-    columns = group_rows_to_csr(n_ranks, owners, recv_ranks, needed)
+    columns = group_rows_to_csr(n_ranks, owners, receivers, needed)
     freeze_columns(*columns)
     return CommPattern.from_csr(n_ranks, *columns)

@@ -226,8 +226,9 @@ def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,
     The sort is one *stable* lexsort by ``(primary, secondary)``, so items
     keep their input order within each edge — the invariant that makes the
     CSR build byte-identical to edge-by-edge dict accumulation.  This is the
-    one shared grouping pass behind ``CommPattern.from_edge_arrays`` and
-    ``pattern_from_parcsr``.
+    one pass that merges repeated edges: ``pattern_from_parcsr`` groups its
+    item rows with it, and ``CommPattern``'s edge-list constructors group
+    their edge ids.
     """
     if items.size == 0:
         return (np.zeros(n_keys + 1, dtype=INDEX_DTYPE),

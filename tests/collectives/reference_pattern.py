@@ -6,7 +6,8 @@ original edge-by-edge construction — ``Dict[src, Dict[dest, items]]`` send
 maps assembled with ``setdefault`` loops, and the per-edge derivation of the
 columnar edge tables — so that the construction-equivalence tests
 (``test_construction_equivalence.py``) can pin the CSR build to
-byte-identical ``edge_arrays()`` / ``unique_edge_table()`` output.
+byte-identical ``csr()`` / ``edge_arrays()`` / ``unique_edge_table()``
+output.
 
 It is a test oracle, not library code.
 """
@@ -17,7 +18,7 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.arrays import INDEX_DTYPE, run_starts_mask
+from repro.utils.arrays import INDEX_DTYPE, counts_to_displs, run_starts_mask
 from repro.utils.errors import ValidationError
 
 
@@ -27,7 +28,8 @@ class DictPattern:
     Only the surface the equivalence tests need is reproduced:
     construction semantics (int casts, empty-edge
     dropping, range validation), deterministic ``edges()`` iteration, and the
-    per-edge derivation of ``edge_arrays()`` / ``unique_edge_table()``.
+    per-edge derivation of ``csr()`` / ``edge_arrays()`` /
+    ``unique_edge_table()``.
     """
 
     def __init__(self, n_ranks: int,
@@ -53,6 +55,17 @@ class DictPattern:
         for src in sorted(self.sends):
             for dest in sorted(self.sends[src]):
                 yield src, dest, self.sends[src][dest]
+
+    def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(src_offsets, dests, item_offsets, items)``, derived edge by edge."""
+        _, dests, item_arrays = zip(*self.edges()) if self.sends \
+            else ((), (), ())
+        degrees = [len(self.sends.get(src, {})) for src in range(self.n_ranks)]
+        return (counts_to_displs(degrees),
+                np.array(dests, dtype=INDEX_DTYPE),
+                counts_to_displs([items.size for items in item_arrays]),
+                np.concatenate(item_arrays) if item_arrays
+                else np.empty(0, dtype=INDEX_DTYPE))
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expanded ``(origins, dests, items)`` columns, derived edge by edge."""

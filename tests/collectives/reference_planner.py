@@ -19,6 +19,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from oracles import edge_maps
 from repro.collectives.aggregation import (
     AggregationAssignment,
     BalanceStrategy,
@@ -50,6 +51,13 @@ class RegionTraffic:
         return sum(int(items.size) for _, _, items in self.per_pair.get(dest_region, []))
 
 
+def _edges(pattern: CommPattern) -> List[Tuple[int, int, np.ndarray]]:
+    """``(src, dest, items)`` of every edge of ``pattern``, in edge order."""
+    return [(src, dest, items)
+            for src, sends in enumerate(edge_maps(pattern)[0])
+            for dest, items in sends.items()]
+
+
 def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
                            ) -> Dict[int, RegionTraffic]:
     """Group the inter-region edges of ``pattern`` by (source region, dest region).
@@ -57,7 +65,8 @@ def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
     Region membership is resolved with one vectorized lookup over the per-edge
     endpoint arrays instead of two mapping queries per edge.
     """
-    srcs, dests, item_arrays = pattern.edge_lists()
+    srcs, dests = pattern.edge_sources(), pattern.csr()[1]
+    edges = _edges(pattern)
     traffic: Dict[int, RegionTraffic] = {}
     if srcs.size == 0:
         return traffic
@@ -68,7 +77,7 @@ def collect_region_traffic(pattern: CommPattern, mapping: RankMapping
         src_region = int(src_regions[index])
         bucket = traffic.setdefault(src_region, RegionTraffic(region=src_region))
         bucket.per_pair.setdefault(int(dest_regions[index]), []).append(
-            (int(srcs[index]), int(dests[index]), item_arrays[index]))
+            edges[index])
     return traffic
 
 
@@ -149,7 +158,7 @@ class ReferencePlan:
 
     def required_deliveries(self) -> Dict[Tuple[int, int, int], int]:
         required: Dict[Tuple[int, int, int], int] = {}
-        for src, dest, items in self.pattern.edges():
+        for src, dest, items in _edges(self.pattern):
             for item in items.tolist():
                 key = (src, int(item), dest)
                 required[key] = required.get(key, 0) + 1
@@ -230,7 +239,7 @@ def reference_plan_standard(pattern: CommPattern, mapping: RankMapping, *,
         raise PlanError(f"plan_standard cannot build variant {variant}")
     direct: List[ReferenceMessage] = []
     self_deliveries: List[Slot] = []
-    for src, dest, items in pattern.edges():
+    for src, dest, items in _edges(pattern):
         slots = _edge_slots(src, dest, items)
         if src == dest:
             self_deliveries.extend(slots)
@@ -256,7 +265,7 @@ def reference_aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     local: List[ReferenceMessage] = []
     self_deliveries: List[Slot] = []
 
-    for src, dest, items in pattern.edges():
+    for src, dest, items in _edges(pattern):
         if src != dest and not mapping.same_region(src, dest):
             continue
         slots = _edge_slots(src, dest, items)

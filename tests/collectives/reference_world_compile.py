@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from oracles import edge_maps
 from plan_tables import Message, plan_messages
 
 from repro.collectives.exchange import (
@@ -166,8 +167,8 @@ class CompiledExchange:
 
 def compile_exchange(plan: CollectivePlan, rank: int,
                      spec: ExchangeSpec | None = None,
-                     messages: Dict[Phase, List[Message]] | None = None
-                     ) -> CompiledExchange:
+                     messages: Dict[Phase, List[Message]] | None = None,
+                     maps=None) -> CompiledExchange:
     """Compile ``rank``'s share of ``plan`` into gather/scatter index arrays.
 
     The compilation walks the phases in execution order, resolving every send
@@ -176,14 +177,15 @@ def compile_exchange(plan: CollectivePlan, rank: int,
     :class:`PlanError` at compile time rather than a runtime failure.
     ``messages`` is the plan cut into records (``plan_messages``); the world
     reference passes one cut to every rank, so a sender's and a receiver's
-    list share the record of each message.
+    list share the record of each message.  ``maps`` is the pattern's
+    ``edge_maps``, which the world reference also reads once for all ranks.
     """
     spec = spec or ExchangeSpec()
-    pattern = plan.pattern
+    sends, recvs = maps or edge_maps(plan.pattern)
 
     # Rows [0, n_owned) are the rank's owned items in ascending-id order; that
     # order is the array API's input convention.
-    send_map = pattern.send_map(rank)
+    send_map = sends[rank]
     if send_map:
         owned_ids = np.unique(np.concatenate(list(send_map.values())))
     else:
@@ -238,7 +240,7 @@ def compile_exchange(plan: CollectivePlan, rank: int,
     # self-sends) must have a row by now — either owned, or delivered by some
     # phase, or a self-delivery of the aggregation (the receive leader is the
     # final destination, so the key arrived with the global phase).
-    recv_map = pattern.recv_map(rank)
+    recv_map = recvs[rank]
     if recv_map:
         sources = np.concatenate([
             np.full(items.size, src, dtype=INDEX_DTYPE)
@@ -340,7 +342,8 @@ def compile_world_exchange_reference(plan: CollectivePlan,
                             item_size=plan.pattern.item_size)
     n_ranks = plan.pattern.n_ranks
     messages = plan_messages(plan)
-    compiled = [compile_exchange(plan, rank, spec, messages)
+    maps = edge_maps(plan.pattern)
+    compiled = [compile_exchange(plan, rank, spec, messages, maps)
                 for rank in range(n_ranks)]
 
     rank_bases = counts_to_displs(np.fromiter((c.n_rows for c in compiled),

@@ -47,7 +47,7 @@ from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.generators import strong_scaling_problem
 from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.stencils import poisson_2d
+from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
 from oracles import schedule_pattern
@@ -287,16 +287,16 @@ class TestModeledCommit:
     @staticmethod
     def _oracle(hierarchy, mapping, model, schedule):
         """Each level's ``(estimates, argmin)``, from ``all_plans`` and
-        ``modeled_time`` of patterns built here: ``Σ cycle_rounds ·
+        ``modeled_time`` of patterns built here: ``Σ solve_rounds ·
         exchange`` over the level's rows of the cycle's ``schedule`` —
         ``A``, ``Pᵀ`` and ``P`` on a smoothed level, the coarse gather on
         the coarsest."""
         levels = []
         for index in range(hierarchy.n_levels):
-            plans = [(row.cycle_rounds, all_plans(
+            plans = [(row.solve_rounds, all_plans(
                 schedule_pattern(hierarchy, index, row.operator), mapping))
                      for row in schedule
-                     if row.level == index and row.cycle_rounds]
+                     if row.level == index and row.solve_rounds]
             modeled = {v: sum(rounds * level_plans[v].modeled_time(model)
                               for rounds, level_plans in plans)
                        for v in DEFAULT_CANDIDATES}
@@ -333,6 +333,27 @@ class TestModeledCommit:
             "standard", "full", "partial", "full", "full", "full", "full",
             "partial", "full", "full"]
         trace.validate()
+
+    def test_a_single_level_hierarchy_prices_its_fine_product(self):
+        """On one level no cycle round runs on the fine ``A``: its one
+        round per solve iteration is the convergence check.  The commit
+        prices it beside the gather, so ``fine_spmv`` runs a variant chosen
+        on its own plans too, not on the gather's alone."""
+        matrix = ParCSRMatrix(rotated_anisotropic_diffusion((24, 24)),
+                              RowPartition.even(576, 8))
+        hierarchy = build_hierarchy(matrix, max_levels=1)
+        mapping = paper_mapping(8, ranks_per_node=4)
+        with WorldVCycle(hierarchy, mapping, variant="auto",
+                         runtime="engine") as vcycle:
+            assert [row[:4] for row in vcycle.schedule] == [
+                (0, "A", 0, 1), (0, "gather", 1, 1)]
+            [event] = vcycle.decision_trace
+            assert vcycle.fine_spmv.collective.variant.value == event.variant
+        [(modeled, best)] = self._oracle(
+            hierarchy, mapping, lassen_parameters(active_per_node=4),
+            vcycle.schedule)
+        assert event.estimates == {v.value: t for v, t in modeled.items()}
+        assert event.variant == best.value
 
     def test_each_level_runs_and_compiles_only_its_committed_variant(
             self, count_calls, monkeypatch):

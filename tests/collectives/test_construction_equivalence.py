@@ -1,13 +1,15 @@
 """Construction-equivalence tests: CSR-native builds vs the dict-build reference.
 
-The CSR-native pattern construction (PR 3) must be a pure storage/performance
+The CSR-native pattern construction must be a pure storage/performance
 change: for every producer — edge-list builder, random generator, halo
-builder and ParCSR halo pattern (``A``, ``P`` and ``Pᵀ``) — the CSR build
-has to produce *byte-identical* ``edge_arrays()`` / ``unique_edge_table()``
-columns, equal patterns (``__eq__``/``__hash__`` invariant across construction
-routes), identical plan phases, and identical statistics to the seed's
-edge-by-edge dict construction, which is preserved in
-``reference_pattern.py`` for exactly this comparison.
+builder and ParCSR halo pattern (``A``, ``P`` and ``Pᵀ``) — and for every
+constructor route (``from_edge_lists``, ``pattern_from_edges`` and the dict
+constructor, all merging repeated edges in ``group_rows_to_csr``) the CSR
+build has to produce *byte-identical* ``csr()`` / ``edge_arrays()`` /
+``unique_edge_table()`` columns, equal patterns (``__eq__``/``__hash__``
+invariant across construction routes), identical plan phases, and identical
+statistics to the seed's edge-by-edge dict construction, which is preserved
+in ``reference_pattern.py`` for exactly this comparison.
 """
 
 import numpy as np
@@ -38,6 +40,16 @@ EDGE_TRIPLES = [
     (2, 5, [120]), (0, 1, [103]), (3, 12, [130]),
     (0, 4, [99]),                       # repeated (src, dest): concatenates
 ]
+
+#: Empty item arrays: dropped alone, and a no-op beside a repeated pair.
+EMPTY_ITEM_TRIPLES = [
+    (0, 1, []), (2, 3, [5]), (2, 3, []), (0, 2, [4, 4]), (3, 0, []),
+    (0, 2, []), (2, 3, [6, 5]), (1, 0, np.empty(0, dtype=np.int64)),
+]
+
+#: The raw edges each edge-list case feeds the constructors; every other
+#: case feeds its reference's (already merged) edges.
+RAW_TRIPLES = {"edges": EDGE_TRIPLES, "edges-empty-items": EMPTY_ITEM_TRIPLES}
 
 
 def reference_sends_from_parcsr(matrix):
@@ -102,6 +114,17 @@ CASES = {
     "halo-periodic": lambda: (
         halo_exchange_pattern((2, 3), points_per_cell=4, periodic=True),
         reference_halo_pattern((2, 3), points_per_cell=4, periodic=True)),
+    "edges-empty-items": lambda: (
+        pattern_from_edges(4, EMPTY_ITEM_TRIPLES),
+        reference_pattern_from_edges(4, EMPTY_ITEM_TRIPLES)),
+    # One and two ranks a side: two faces reach the same neighbor, and the
+    # last face wins.
+    "halo-periodic-1x2": lambda: (
+        halo_exchange_pattern((1, 2), points_per_cell=3, periodic=True),
+        reference_halo_pattern((1, 2), points_per_cell=3, periodic=True)),
+    "halo-periodic-2x2": lambda: (
+        halo_exchange_pattern((2, 2), points_per_cell=3, periodic=True),
+        reference_halo_pattern((2, 2), points_per_cell=3, periodic=True)),
     "empty": lambda: (pattern_from_edges(8, []),
                       reference_pattern_from_edges(8, [])),
     "parcsr": _parcsr_pair(lambda: strong_scaling_problem(4096, 16).matrix),
@@ -114,6 +137,34 @@ CASES = {
 def test_csr_build_matches_dict_build_tables(case):
     csr_pattern, reference = CASES[case]()
     assert_tables_identical(csr_pattern, reference)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_construction_route_gives_the_reference_columns(case):
+    """The builder, ``from_edge_lists``, ``pattern_from_edges`` and the dict
+    constructor each store the dict build's ``csr()`` columns, byte for
+    byte: repeated pairs concatenate in call order, empty item arrays drop."""
+    csr_pattern, reference = CASES[case]()
+    n_ranks = reference.n_ranks
+    triples = RAW_TRIPLES.get(case, list(reference.edges()))
+    srcs, dests, item_arrays = zip(*triples) if triples else ((), (), ())
+    # The dict route gets each raw pair once, with its merged items (empty
+    # for a pair whose items were all empty).
+    sends = {}
+    for src, dest, _ in triples:
+        sends.setdefault(src, {})[dest] = \
+            reference.sends.get(src, {}).get(dest, [])
+    routes = {
+        "builder": csr_pattern,
+        "from_edge_lists": CommPattern.from_edge_lists(n_ranks, srcs, dests,
+                                                       item_arrays),
+        "pattern_from_edges": pattern_from_edges(n_ranks, triples),
+        "dict": CommPattern(n_ranks, sends),
+    }
+    expected = [(column.dtype, column.tobytes()) for column in reference.csr()]
+    for route, pattern in routes.items():
+        assert [(column.dtype, column.tobytes())
+                for column in pattern.csr()] == expected, route
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -151,32 +202,6 @@ def test_plans_identical_across_construction_routes(case, variant):
     twin.validate()
 
 
-class TestCommPkgColumnarViews:
-    """The pattern's dict accessors are views of its packed CSR columns."""
-
-    def test_views_match_reference_dicts(self):
-        matrix = strong_scaling_problem(4096, 16).matrix
-        pattern = pattern_from_parcsr(matrix)
-        reference_sends = reference_sends_from_parcsr(matrix)
-        ranks = range(matrix.n_ranks)
-        assert {src for src in ranks if pattern.send_map(src)} \
-            == set(reference_sends)
-        for src, dests in reference_sends.items():
-            assert set(pattern.send_map(src)) == set(dests)
-            for dest, items in dests.items():
-                np.testing.assert_array_equal(pattern.send_map(src)[dest], items)
-        # recv side is the transpose of the send side.
-        for rank in ranks:
-            recv = pattern.recv_map(rank)
-            for src, items in recv.items():
-                np.testing.assert_array_equal(pattern.send_map(src)[rank], items)
-                assert items.base is pattern.csr()[3]
-            assert matrix.local_blocks(rank).col_map_offd.size \
-                == sum(a.size for a in recv.values())
-            assert pattern.recv_ranks(rank) == sorted(recv.keys())
-            assert pattern.send_ranks(rank) == sorted(pattern.send_map(rank))
-
-
 class TestCsrConstructor:
     """Validation of the CSR-native constructor."""
 
@@ -189,9 +214,8 @@ class TestCsrConstructor:
 
     def test_round_trip(self):
         pattern = CommPattern.from_csr(3, *self._columns())
-        assert pattern.send_items(0, 1).tolist() == [10, 11]
-        assert pattern.send_items(0, 2).tolist() == [12]
-        assert pattern.send_items(1, 0).tolist() == [13, 14]
+        assert all(np.array_equal(ours, theirs) for ours, theirs
+                   in zip(pattern.csr(), self._columns()))
         assert pattern == CommPattern(3, {0: {1: [10, 11], 2: [12]},
                                           1: {0: [13, 14]}})
 

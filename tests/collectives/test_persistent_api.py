@@ -10,6 +10,7 @@ never the collective's own metadata.
 import numpy as np
 import pytest
 
+from oracles import edge_maps
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.persistent import WorldNeighborCollective
@@ -34,14 +35,15 @@ def _value_of(rank, item):
 
 def _owned_items(pattern, rank):
     """Every item ``rank`` sends, ascending: its dense input order."""
-    return np.unique(concatenate_or_empty(list(pattern.send_map(rank).values())))
+    return np.unique(concatenate_or_empty(list(edge_maps(pattern)[0][rank].values())))
 
 
 def _check_received(pattern, collective, results, factor=1.0):
     """Per rank, ``results`` is ``recv_item_ids`` order: every item the
     pattern says the rank expects, valued by the source that declared it."""
+    recvs = edge_maps(pattern)[1]
     for rank, received in enumerate(results):
-        recv_map = pattern.recv_map(rank)
+        recv_map = recvs[rank]
         ids = collective.recv_item_ids(rank)
         assert ids.tolist() == sorted({int(i) for items in recv_map.values()
                                        for i in items})

@@ -225,7 +225,7 @@ def test_a_plan_loaded_from_disk_shares_its_patterns_key_table(
     pattern = halo_exchange_pattern((4, 4), width=2)
     enable_disk(monkeypatch, tmp_path)
     plan = make_plan(pattern, mapping, Variant.FULL)
-    pattern.edge_arrays(), pattern.edge_lists(), pattern.recv_map(0)
+    pattern.edge_arrays(), pattern.edge_sources(), pattern.unique_edge_table()
     kept = sum(column.nbytes for column in pattern.csr() + pattern.owned_keys())
     # 2 KiB for pickle framing and metadata; the expanded edge arrays alone
     # are 36 KiB here.

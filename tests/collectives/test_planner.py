@@ -99,7 +99,9 @@ class TestAggregatedPlans:
     def test_final_phase_delivers_to_pattern_destinations(self, example_pattern, mapping):
         plan = plan_partial(example_pattern, mapping)
         final_dests = {m.dest for m in plan.messages(Phase.FINAL_REDIST)}
-        pattern_dests = {dest for src, dest, _items in example_pattern.edges()
+        pattern_dests = {dest for src, dest in zip(
+            example_pattern.edge_sources().tolist(),
+            example_pattern.csr()[1].tolist())
                          if not mapping.same_region(src, dest)}
         # Every final-redistribution message targets a real destination rank
         # (some destinations are reached without a message when they are the

@@ -99,8 +99,18 @@ SELECTOR_NAMES = {"OnlineSelector", "_LevelState", "AutoSimulation",
                   "simulate_modeled_auto", "_add_auto_series", "EVENT_KINDS",
                   "EVENT_SOURCES"}
 
+#: Names of the deleted per-rank views of a pattern and its second edge
+#: merge: a pattern is its CSR columns, and ``group_rows_to_csr`` is the one
+#: pass that merges repeated edges.  (``CommPattern.edges`` and
+#: ``CommPattern.transpose`` are gone too, but ``ParCSRMatrix.transpose`` is
+#: live and ``edges`` is a common local name.)
+PATTERN_VIEW_NAMES = {"send_map", "recv_map", "send_items", "recv_items",
+                      "send_ranks", "recv_ranks", "edge_lists",
+                      "from_edge_arrays", "_pattern_from_triples",
+                      "_columns_from_edge_lists", "_recv_index", "_edge_slot"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
-    SELECTOR_NAMES
+    SELECTOR_NAMES | PATTERN_VIEW_NAMES
 
 #: Keywords the solve path's constructors no longer take: per-level
 #: traffic is a list of profiled engines passed as ``engine=``.
@@ -206,6 +216,9 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "class AutoSimulation:\n    pass",
     "def f(level_profilers=None):\n    pass",
     "WorldVCycle(h, m, level_profilers=[])",
+    "pattern.send_map(0)",
+    "CommPattern.from_edge_arrays(4, srcs, dests, items)",
+    "from repro.pattern.builders import _pattern_from_triples",
     """
     def later():
         from repro.simmpi.world import helper
@@ -227,6 +240,8 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.autotune import seed_event, seed_trace",
     "WorldVCycle(h, m, engine=[ExchangeEngine(8)] * 3)",
     "def f(profilers=None):\n    pass",
+    "CommPattern.from_edge_lists(4, srcs, dests, item_arrays)",
+    "prolongation.transpose()",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)
@@ -288,7 +303,6 @@ OPTIONS = {
     CommPattern: {"dtype", "item_size"},
     CommPattern.from_edge_lists: {"dtype", "item_size"},
     CommPattern.from_csr: {"dtype", "item_size"},
-    CommPattern.from_edge_arrays: {"dtype", "item_size"},
     pattern_from_edges: {"dtype", "item_size"},
     random_pattern: {"avg_neighbors", "avg_items_per_message",
                      "duplicate_fraction", "items_per_rank", "seed", "dtype",

@@ -5,6 +5,8 @@ another way, kept only so tests can check against it:
 
 * :func:`jacobi` — repeated out-of-place weighted-Jacobi sweeps on the
   assembled matrix, the reference the world-stepped smoother is pinned to;
+* :func:`edge_maps` — a pattern's per-rank send and receive maps, read off
+  its CSR columns, for tests that check one rank's edges;
 * :func:`patterns_equivalent` — pattern equality up to the order of items
   within a message;
 * :class:`PostalModel` — the uniform alpha-beta cost model, which prices
@@ -45,18 +47,38 @@ def jacobi(A, b: np.ndarray, x: np.ndarray, *, sweeps: int = 1,
     return result
 
 
+def edge_maps(pattern):
+    """``(sends, recvs)``: ``sends[src]`` maps each destination of rank
+    ``src`` to the item ids it sends there, ``recvs[dest]`` each source of
+    rank ``dest`` to the ids it receives, both in ascending rank order.
+
+    Read off ``pattern.csr()``: the item arrays are read-only slices of the
+    stored item column, and a rank with no edges maps to ``{}``.
+    """
+    src_offsets, dests, item_offsets, items = pattern.csr()
+    srcs = np.repeat(np.arange(pattern.n_ranks), np.diff(src_offsets))
+    sends = [{} for _ in range(pattern.n_ranks)]
+    recvs = [{} for _ in range(pattern.n_ranks)]
+    for edge, (src, dest) in enumerate(zip(srcs.tolist(), dests.tolist())):
+        sends[src][dest] = recvs[dest][src] = \
+            items[item_offsets[edge]:item_offsets[edge + 1]]
+    return sends, recvs
+
+
 def patterns_equivalent(a, b) -> bool:
     """True when two patterns deliver the same multiset of items per (src, dest).
 
     Unlike ``CommPattern.__eq__`` this ignores the order of items within a
     message, which is the right notion of equivalence after a round-trip
-    through transpose or serialization.
+    through serialization.
     """
     if a.n_ranks != b.n_ranks or a.item_bytes != b.item_bytes:
         return False
-    edges_a = {(s, d): tuple(sorted(items.tolist())) for s, d, items in a.edges()}
-    edges_b = {(s, d): tuple(sorted(items.tolist())) for s, d, items in b.edges()}
-    return edges_a == edges_b
+
+    def multisets(pattern):
+        return [{dest: sorted(items.tolist()) for dest, items in sends.items()}
+                for sends in edge_maps(pattern)[0]]
+    return multisets(a) == multisets(b)
 
 
 def schedule_pattern(hierarchy, level: int, operator: str):

@@ -15,26 +15,20 @@ from repro.pattern.builders import (
 )
 from repro.pattern.comm_pattern import CommPattern
 from repro.utils.errors import ValidationError
-from oracles import patterns_equivalent
+from oracles import edge_maps, patterns_equivalent
 
 
 class TestCommPatternBasics:
-    def test_send_and_recv_views_are_transposes(self):
-        pattern = pattern_from_edges(4, [(0, 1, [10, 11]), (2, 1, [12]), (0, 3, [13])])
-        assert pattern.send_ranks(0) == [1, 3]
-        assert pattern.recv_ranks(1) == [0, 2]
-        assert pattern.recv_items(1, 0).tolist() == [10, 11]
-        assert pattern.send_items(2, 1).tolist() == [12]
+    def test_columns_list_each_sources_edges_in_destination_order(self):
+        pattern = pattern_from_edges(4, [(0, 3, [13]), (2, 1, [12]), (0, 1, [10, 11])])
+        assert [column.tolist() for column in pattern.csr()] == [
+            [0, 2, 2, 3, 3], [1, 3, 1], [0, 2, 3, 4], [10, 11, 13, 12]]
+        assert pattern.edge_sources().tolist() == [0, 0, 2]
 
     def test_empty_edges_dropped(self):
         pattern = CommPattern(3, {0: {1: [], 2: [5]}})
-        assert pattern.send_ranks(0) == [2]
+        assert pattern.csr()[1].tolist() == [2]
         assert pattern.n_messages == 1
-
-    def test_missing_edge_returns_empty(self):
-        pattern = pattern_from_edges(3, [(0, 1, [1])])
-        assert pattern.send_items(1, 2).size == 0
-        assert pattern.recv_items(0, 2).size == 0
 
     def test_counts(self):
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (1, 0, [3])],
@@ -63,10 +57,6 @@ class TestCommPatternBasics:
             CommPattern(2, {0: {5: [1]}})
         with pytest.raises(ValidationError):
             CommPattern(2, {7: {0: [1]}})
-
-    def test_transpose_twice_is_identity(self):
-        pattern = random_pattern(12, seed=4)
-        assert patterns_equivalent(pattern.transpose().transpose(), pattern)
 
     def test_active_ranks(self):
         pattern = pattern_from_edges(6, [(0, 3, [1])])
@@ -100,12 +90,14 @@ class TestCommPatternBasics:
 
     def test_edges_deterministic_order(self):
         pattern = pattern_from_edges(4, [(2, 0, [5]), (0, 3, [1]), (0, 1, [2])])
-        edges = [(s, d) for s, d, _ in pattern.edges()]
-        assert edges == sorted(edges)
+        edges = list(zip(pattern.edge_sources().tolist(),
+                         pattern.csr()[1].tolist()))
+        assert edges == [(0, 1), (0, 3), (2, 0)]
 
     def test_repeated_edges_concatenate(self):
         pattern = pattern_from_edges(3, [(0, 1, [1]), (0, 1, [2])])
-        assert pattern.send_items(0, 1).tolist() == [1, 2]
+        assert pattern.n_messages == 1
+        assert pattern.csr()[3].tolist() == [1, 2]
 
     def test_equal_patterns_hash_equal(self):
         a = pattern_from_edges(3, [(0, 1, [1, 2]), (1, 2, [3])])
@@ -129,24 +121,20 @@ class TestCommPatternBasics:
         assert a != b
         assert hash(a) != hash(b)
 
-    def test_accessors_return_read_only_views_without_copying(self):
+    def test_columns_are_the_read_only_storage_itself(self):
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 1, [3])])
-        items = pattern.send_items(0, 1)
-        assert not items.flags.writeable
-        # No per-call copy: a view of the stored item column.
-        assert np.shares_memory(pattern.send_items(0, 1), pattern.csr()[3])
-        for _, _, edge_items in pattern.edges():
-            assert not edge_items.flags.writeable
-        assert not pattern.recv_items(1, 0).flags.writeable
-        assert not pattern.send_map(0)[1].flags.writeable
+        columns = pattern.csr()
+        # No per-call copy: every call hands back the stored arrays.
+        assert all(a is b for a, b in zip(columns, pattern.csr()))
+        assert not any(column.flags.writeable for column in columns)
         with pytest.raises(ValueError):
-            items[0] = 99
+            columns[3][0] = 99
 
     def test_caller_array_not_frozen_by_construction(self):
         mine = np.array([4, 5, 6], dtype=np.int64)
         pattern = CommPattern(2, {0: {1: mine}})
         mine[0] = 40                                  # caller's array untouched
-        assert pattern.send_items(0, 1).tolist() == [4, 5, 6]
+        assert pattern.csr()[3].tolist() == [4, 5, 6]
 
     def test_readonly_view_of_writable_buffer_copied(self):
         base = np.array([4, 5, 6], dtype=np.int64)
@@ -155,15 +143,8 @@ class TestCommPatternBasics:
         pattern = CommPattern(2, {0: {1: view}})
         hash_before = hash(pattern)
         base[0] = 99                                  # mutation through the base
-        assert pattern.send_items(0, 1).tolist() == [4, 5, 6]
+        assert pattern.csr()[3].tolist() == [4, 5, 6]
         assert hash(pattern) == hash_before
-
-    def test_edge_lists_columns_are_frozen(self):
-        pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 3, [3])])
-        srcs, dests, item_arrays = pattern.edge_lists()
-        assert not srcs.flags.writeable and not dests.flags.writeable
-        assert isinstance(item_arrays, tuple)
-        assert not any(items.flags.writeable for items in item_arrays)
 
     def test_edge_arrays_expand_pattern(self):
         pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 3, [3])])
@@ -192,12 +173,12 @@ class TestRandomPattern:
 
     def test_no_self_messages(self):
         pattern = random_pattern(16, seed=3)
-        assert all(src != dest for src, dest, _ in pattern.edges())
+        assert np.all(pattern.edge_sources() != pattern.csr()[1])
 
     def test_items_owned_by_sender(self):
         pattern = random_pattern(8, items_per_rank=16, seed=5)
-        for src, _, items in pattern.edges():
-            assert np.all(items // 16 == src)
+        origins, _, items = pattern.edge_arrays()
+        assert np.all(items // 16 == origins)
 
     def test_duplicate_fraction_controls_sharing(self):
         """Higher duplicate_fraction -> larger share of transfers that are duplicates
@@ -206,10 +187,10 @@ class TestRandomPattern:
             pattern = random_pattern(8, duplicate_fraction=fraction, seed=6)
             transfers = 0
             duplicates = 0
-            for src in range(8):
+            for sends in edge_maps(pattern)[0]:
                 seen = {}
-                for dest in pattern.send_ranks(src):
-                    for item in pattern.send_items(src, dest).tolist():
+                for dest, items in sends.items():
+                    for item in items.tolist():
                         seen.setdefault(item, set()).add(dest)
                         transfers += 1
                 duplicates += sum(len(dests) - 1 for dests in seen.values())
@@ -229,26 +210,25 @@ class TestHaloPattern:
     def test_interior_rank_has_four_neighbors(self):
         pattern = halo_exchange_pattern((4, 4), points_per_cell=8)
         interior = 1 * 4 + 1
-        assert len(pattern.send_ranks(interior)) == 4
+        assert np.diff(pattern.csr()[0])[interior] == 4
 
     def test_corner_rank_has_two_neighbors(self):
         pattern = halo_exchange_pattern((4, 4), points_per_cell=8)
-        assert len(pattern.send_ranks(0)) == 2
+        assert np.diff(pattern.csr()[0])[0] == 2
 
     def test_periodic_gives_four_neighbors_everywhere(self):
         pattern = halo_exchange_pattern((4, 4), points_per_cell=8, periodic=True)
-        assert all(len(pattern.send_ranks(r)) == 4 for r in range(16))
+        assert np.diff(pattern.csr()[0]).tolist() == [4] * 16
 
     def test_message_sizes_uniform(self):
         pattern = halo_exchange_pattern((3, 3), points_per_cell=10, width=2)
-        sizes = {items.size for _, _, items in pattern.edges()}
-        assert sizes == {20}
+        assert set(pattern.edge_item_counts().tolist()) == {20}
 
     def test_symmetry(self):
         pattern = halo_exchange_pattern((4, 4))
-        assert patterns_equivalent(pattern.transpose().transpose(), pattern)
-        for src, dest, _ in pattern.edges():
-            assert pattern.send_items(dest, src).size > 0  # symmetric neighbours
+        edges = set(zip(pattern.edge_sources().tolist(),
+                        pattern.csr()[1].tolist()))
+        assert edges == {(dest, src) for src, dest in edges}  # symmetric neighbours
 
 
 def test_pattern_from_edges_makes_as_many_calls_with_4x_the_items(count_calls):
@@ -267,7 +247,9 @@ def test_pattern_from_edges_makes_as_many_calls_with_4x_the_items(count_calls):
     n_ranks = 1024
     base = random_pattern(n_ranks, avg_neighbors=16, avg_items_per_message=48,
                           duplicate_fraction=0.4, seed=11)
-    triples = [(src, dest, items) for src, dest, items in base.edges()]
+    triples = [(src, dest, items)
+               for src, sends in enumerate(edge_maps(base)[0])
+               for dest, items in sends.items()]
     longer = [(src, dest, (4 * items[:, None] + np.arange(4)).ravel())
               for src, dest, items in triples]
     assert pattern_from_edges(n_ranks, longer).total_items \

@@ -101,3 +101,13 @@ class TestLocalityBreakdowns:
         assert average_neighbors(pattern) == pytest.approx((2 + 1 + 0 + 0) / 4)
         assert average_neighbors(pattern, [0, 1]) == pytest.approx(1.5)
         assert average_neighbors(pattern, []) == 0.0
+        assert average_neighbors(pattern, np.array([3, 0])) == 1.0
+
+    @pytest.mark.parametrize("rank", [4, -1])
+    def test_average_neighbors_rejects_a_rank_outside_the_pattern(self, rank):
+        """A negative rank is refused, not read from the end."""
+        pattern = pattern_from_edges(4, [(0, 1, [1]), (3, 2, [2])])
+        with pytest.raises(ValidationError, match=f"rank {rank} out of range"):
+            average_neighbors(pattern, [0, rank])
+        with pytest.raises(ValidationError, match="must be integers"):
+            average_neighbors(pattern, [0, 1.5])

@@ -60,8 +60,8 @@ def _oracle(items: np.ndarray, item_size: int, dtype) -> np.ndarray:
 
 def _required(pattern: CommPattern, rank: int) -> np.ndarray:
     """Sorted distinct items ``rank`` must receive."""
-    items = [pattern.recv_items(rank, src) for src in pattern.recv_ranks(rank)]
-    return np.unique(np.concatenate(items)) if items else np.empty(0, np.int64)
+    _, dests, items = pattern.edge_arrays()
+    return np.unique(items[dests == rank])
 
 
 def _pool_steps(world, head: int | None = None):

@@ -175,3 +175,52 @@ def test_failed_registration_then_close_is_clean_under_w_error():
     assert "OK" in result.stdout
     assert "ResourceWarning" not in result.stderr
     assert "leaked" not in result.stderr
+
+
+def _processes_of_session(session: int) -> list:
+    """``(pid, state, command)`` of every process of ``session``, zombies
+    included: a zombie is a child its parent never reaped."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+            state, _, _, process_session = \
+                stat[stat.rindex(")") + 2:].split()[:4]
+            if int(process_session) != session:
+                continue
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue                    # ended and reaped while we looked
+        found.append((int(pid), state, command))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to list a session's processes")
+def test_no_process_of_a_pytest_session_outlives_it(tmp_path):
+    """A procs test forks its workers and starts multiprocessing's resource
+    tracker, which would outlive pytest and hold its output open.  The root
+    conftest's ``pytest_sessionfinish`` stops and reaps them all, so when a
+    pytest run of one such test (pytest, two workers and the tracker: far
+    below 16 processes) exits, nothing of its session is left, not even an
+    unreaped zombie.  The output goes to a file, not a pipe, so a survivor
+    cannot make the wait wait for it."""
+    small_test = os.path.join(os.path.dirname(__file__), "test_procs_runtime.py")
+    with open(tmp_path / "output.txt", "w+") as output:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{small_test}::TestProcsExecution::"
+             "test_multi_iteration_reuses_pool"],
+            cwd=os.path.join(REPO_SRC, os.pardir), stdout=output,
+            stderr=subprocess.STDOUT, start_new_session=True,
+            env=dict(os.environ, PYTHONPATH=REPO_SRC))
+        try:
+            returncode = process.wait(timeout=300)
+        finally:
+            process.kill()              # no-op unless the wait timed out
+        survivors = _processes_of_session(process.pid)
+        output.seek(0)
+        assert returncode == 0, output.read()
+    assert survivors == []
