@@ -9,9 +9,7 @@ served from cache, and a defective on-disk entry degrades to a miss with a
 
 from __future__ import annotations
 
-import os
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from repro.collectives import (
     plan_cache_stats,
 )
 from repro.collectives import exchange, planner
-from repro.collectives.plan import CollectivePlan, Phase, PlannedMessage
+from repro.collectives.plan import CollectivePlan
 from repro.collectives import plan_cache
 from repro.pattern import halo_exchange_pattern
 from repro.topology import paper_mapping

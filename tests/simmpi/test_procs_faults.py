@@ -21,13 +21,13 @@ contract of ISSUE 7:
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import textwrap
 import time
 
 import numpy as np
 import pytest
+
+from test_procs_resources import run_in_own_session
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
@@ -525,11 +525,9 @@ def test_no_leaks_or_zombies_after_chaos_under_w_error():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
     env.pop(FAULTS_ENV, None)
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _CHAOS_HYGIENE_SCRIPT],
-        capture_output=True, text=True, timeout=300, env=env,
-    )
+    result, survivors = run_in_own_session(_CHAOS_HYGIENE_SCRIPT, env)
     assert result.returncode == 0, result.stderr
     assert "OK" in result.stdout
     assert "ResourceWarning" not in result.stderr
     assert "leaked" not in result.stderr
+    assert survivors == []

@@ -115,6 +115,51 @@ def test_a_program_costs_two_segments_and_at_most_four_descriptors(created):
     assert descriptors() < open_at_close
 
 
+def _processes_of_session(session: int) -> list:
+    """``(pid, state, command)`` of every process of ``session``, zombies
+    included: a zombie is a child its parent never reaped."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+            state, _, _, process_session = \
+                stat[stat.rindex(")") + 2:].split()[:4]
+            if int(process_session) != session:
+                continue
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue                    # ended and reaped while we looked
+        found.append((int(pid), state, command))
+    return found
+
+
+#: Appended to every child script: the child stops the resource tracker it
+#: started and reaps it, so the tracker cannot outlive the child as an orphan
+#: no parent reaps.
+END_OWN_TRACKER = textwrap.dedent("""
+    from multiprocessing import resource_tracker
+    resource_tracker._resource_tracker._stop()
+""")
+
+
+def run_in_own_session(script: str, env: dict):
+    """Run ``script`` under ``-W error`` in a new session; return the finished
+    process and every process of that session still there after it exited."""
+    process = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", script + END_OWN_TRACKER],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        stdout, stderr = process.communicate(timeout=300)
+    finally:
+        process.kill()                  # no-op unless the wait timed out
+    result = subprocess.CompletedProcess(
+        process.args, process.returncode, stdout, stderr)
+    return result, _processes_of_session(process.pid)
+
+
 #: Interpreter shutdown is part of the test, with every warning an error.  (The
 #: resource tracker swallows its own "leaked" warning under ``-W error``, so
 #: the script looks for the segments itself.)
@@ -167,34 +212,12 @@ _FAILED_REGISTRATION_SCRIPT = textwrap.dedent("""
 def test_failed_registration_then_close_is_clean_under_w_error():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _FAILED_REGISTRATION_SCRIPT],
-        capture_output=True, text=True, timeout=300, env=env,
-    )
+    result, survivors = run_in_own_session(_FAILED_REGISTRATION_SCRIPT, env)
     assert result.returncode == 0, result.stderr
     assert "OK" in result.stdout
     assert "ResourceWarning" not in result.stderr
     assert "leaked" not in result.stderr
-
-
-def _processes_of_session(session: int) -> list:
-    """``(pid, state, command)`` of every process of ``session``, zombies
-    included: a zombie is a child its parent never reaped."""
-    found = []
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat") as handle:
-                stat = handle.read()
-            state, _, _, process_session = \
-                stat[stat.rindex(")") + 2:].split()[:4]
-            if int(process_session) != session:
-                continue
-            with open(f"/proc/{pid}/cmdline", "rb") as handle:
-                command = handle.read().replace(b"\0", b" ").decode()
-        except OSError:
-            continue                    # ended and reaped while we looked
-        found.append((int(pid), state, command))
-    return found
+    assert survivors == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"),

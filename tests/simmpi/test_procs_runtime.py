@@ -18,13 +18,13 @@ not:
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from test_procs_resources import run_in_own_session
 
 from repro.collectives import Variant, WorldNeighborCollective, make_plan
 from repro.collectives.exchange import ExchangeSpec
@@ -381,11 +381,9 @@ def test_no_resource_warnings_under_w_error():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
     env.pop(RUNTIME_ENV, None)
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _HYGIENE_SCRIPT],
-        capture_output=True, text=True, timeout=300, env=env,
-    )
+    result, survivors = run_in_own_session(_HYGIENE_SCRIPT, env)
     assert result.returncode == 0, result.stderr
     assert "OK" in result.stdout
     assert "ResourceWarning" not in result.stderr
     assert "leaked" not in result.stderr
+    assert survivors == []
