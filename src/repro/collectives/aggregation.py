@@ -44,9 +44,9 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.topology.mapping import RankMapping
 from repro.utils.arrays import (
     INDEX_DTYPE,
-    argsort_packed,
     counts_to_displs,
     freeze_columns,
+    lexsort_packed,
     run_starts_mask,
 )
 from repro.utils.errors import PlanError
@@ -121,11 +121,9 @@ def _leaders(owners: np.ndarray, targets: np.ndarray, loads: np.ndarray,
     if owners.size == 0:
         return leaders
     if strategy is BalanceStrategy.ROUND_ROBIN:
-        order = argsort_packed((owners, targets), (n_regions, n_regions))
+        order = lexsort_packed(owners, targets)
     else:
-        heaviest = int(loads.max())
-        order = argsort_packed((owners, heaviest - loads, targets),
-                               (n_regions, heaviest + 1, n_regions))
+        order = lexsort_packed(owners, -loads, targets)
     owners = owners[order]
     nth = (np.arange(order.size, dtype=INDEX_DTYPE)
            - counts_to_displs(np.bincount(owners, minlength=n_regions))[owners])
@@ -141,7 +139,7 @@ def _leaders(owners: np.ndarray, targets: np.ndarray, loads: np.ndarray,
     member_loads = np.where(members >= 0, 0, np.iinfo(INDEX_DTYPE).max)
     member_loads[rows, slots] = loads[first]
     later = np.flatnonzero(~first)
-    later = later[np.argsort(nth[later], kind="stable")]
+    later = later[lexsort_packed(nth[later])]
     bounds = np.append(np.flatnonzero(run_starts_mask(nth[later])), later.size)
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         step = later[start:stop]

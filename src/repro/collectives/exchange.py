@@ -47,9 +47,9 @@ from repro.collectives.plan import (
 )
 from repro.utils.arrays import (
     INDEX_DTYPE,
-    argsort_packed,
     counts_to_displs,
     gather_ranges,
+    lexsort_packed,
     range_index,
     run_starts_mask,
 )
@@ -359,7 +359,7 @@ def compile_world_exchange(plan: CollectivePlan,
         counts = table.payload_counts
         held &= _all_held(stream, unowned(np.repeat(table.srcs, counts),
                                           table.payload_key_ids), allowed)
-        send_order = np.argsort(table.srcs, kind="stable")
+        send_order = lexsort_packed(table.srcs)
         programs[phase] = WorldPhaseProgram(
             phase=phase,
             tag=PHASE_TAGS[phase],
@@ -502,7 +502,7 @@ def _replay_columns(plan: CollectivePlan):
     holder and its key.  The *registration stream* holds all ranks' owned
     keys in (holder, item) order, then the payload of each ``("recv",
     phase)`` schedule step in (receiver, message, position) order.  A
-    stable argsort keeps the first occurrence of every value — the moment
+    stable sort keeps the first occurrence of every value — the moment
     its holder first has it.  Sends and the result view resolve against the
     sorted survivors with one ``searchsorted`` each; a send may only use
     values first seen in an earlier schedule step.  A replay row is its
@@ -526,8 +526,8 @@ def _replay_columns(plan: CollectivePlan):
         # Stable, so each rank keeps its per-message order and sender-side
         # position ``k`` of a ``(src, dest)`` stream still pairs with
         # receiver-side position ``k`` — the FIFO matching of the fabric.
-        send_order = send_orders[phase] = np.argsort(table.srcs, kind="stable")
-        recv_order = recv_orders[phase] = np.argsort(table.dests, kind="stable")
+        send_order = send_orders[phase] = lexsort_packed(table.srcs)
+        recv_order = recv_orders[phase] = lexsort_packed(table.dests)
         wire_starts = np.empty(counts.size, dtype=INDEX_DTYPE)
         wire_starts[send_order] = counts_to_displs(counts[send_order])[:-1]
         wire_perms[phase] = range_index(wire_starts[recv_order],
@@ -638,7 +638,7 @@ def _held_values(owned_holders: np.ndarray, pack,
     for segment, (table, recv_order) in enumerate(recv_steps, 1):
         stream[seg_bounds[segment]:seg_bounds[segment + 1]] = _packed_values(
             table, recv_order, table.dests, pack)
-    key_sort = np.argsort(stream, kind="stable")
+    key_sort = lexsort_packed(stream)
     stream = stream[key_sort]
     starts_mask = run_starts_mask(stream)
     held = stream[starts_mask]
@@ -672,10 +672,7 @@ def _result_view(pattern):
     """
     edge_origins, edge_dests, edge_items = pattern.unique_edge_table()
     edge_keys = pattern.owned_keys()[2]
-    low = int(edge_items.min(initial=0))
-    by_receiver = argsort_packed(
-        (edge_dests, edge_items - low),
-        (pattern.n_ranks, int(edge_items.max(initial=0)) - low + 1))
+    by_receiver = lexsort_packed(edge_dests, edge_items)
     d_sorted, i_sorted = edge_dests[by_receiver], edge_items[by_receiver]
     run_start = run_starts_mask(d_sorted, i_sorted)
     run_end = np.empty_like(run_start)

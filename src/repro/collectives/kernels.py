@@ -14,7 +14,10 @@ halo rows.  Every ``take`` runs with ``mode="wrap"``:
 mode ever moves one, and ``mode="raise"`` buffers ``out`` and costs 3x.  On
 numpy 2.4, ``wrap`` is up to a third faster than ``clip`` on rows of 4 to 32
 bytes past ~10^4 entries, equal on small arrays, and 1-3 % slower on
-64-byte rows.
+64-byte rows, which take numpy's generic per-row copy.  Taken as 32-byte
+halves with a doubled index, the irregular benchmark's result gather ran
+11-25 % faster on a 2-vCPU VM, but its round time fell 12 % in only 10 of
+12 paired runs, inside their spread, so rows are not split.
 
 There is one backend, plain numpy: a round is ``take`` into a slice.
 """

@@ -39,6 +39,7 @@ from repro.utils.arrays import (
     concatenate_or_empty,
     freeze_columns,
     frozen_copy_on_write,
+    lexsort_packed,
     run_starts_mask,
 )
 from repro.utils.errors import PlanError, ValidationError
@@ -296,18 +297,16 @@ _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _multiset_compare(required: _Columns, delivered: _Columns):
-    """Compare two delivery multisets (column triples) with one lexsort pass.
+    """Compare two delivery multisets (column triples) with one sort pass.
 
     Returns ``(unique_columns, missing_ids, spurious_ids, duplicated_ids)``
     where the id arrays index into ``unique_columns`` (one row per distinct
-    triple, sorted lexicographically, so ids ascend in tuple order).  One
-    int64 lexsort — far faster than ``np.unique(..., axis=0)``'s void-dtype
-    sort.
+    triple, sorted lexicographically, so ids ascend in tuple order).
     """
     n_required = required[0].size
     origins, items, dests = (np.concatenate(pair)
                              for pair in zip(required, delivered))
-    order = np.lexsort((dests, items, origins))
+    order = lexsort_packed(origins, items, dests)
     columns = (origins[order], items[order], dests[order])
     new_group = run_starts_mask(*columns)
     group_of = np.empty(order.size, dtype=INDEX_DTYPE)

@@ -43,9 +43,8 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.arrays import (
     INDEX_DTYPE,
-    argsort_packed,
-    counts_to_displs,
     freeze_columns,
+    lexsort_packed,
     run_starts_mask,
 )
 from repro.utils.errors import PlanError
@@ -60,26 +59,22 @@ def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
 
 def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
                  final_dests: np.ndarray, keys: np.ndarray,
-                 key_table, *, dedup_keys: int | None = None) -> PhaseTable:
+                 key_table, *, deduplicate: bool = False) -> PhaseTable:
     """One message per ``(src, dest)`` run of pre-sorted per-row endpoint columns.
 
     ``srcs``/``dests`` give every row's message endpoints and must be the
     primary sort keys of all the columns; ``keys`` are the rows' interned
     ``(origin, item)`` ids, rows of ``key_table`` (the pattern's
     ``(holders, items)`` key columns, shared by the table).  With
-    ``dedup_keys`` (the pattern's key count) the payload unique of every
-    message of the phase runs as one segmented sort.
+    ``deduplicate`` the payload unique of every message of the phase runs as
+    one segmented sort.
     """
     starts = np.flatnonzero(run_starts_mask(srcs, dests))
     bounds = np.append(starts, srcs.size).astype(INDEX_DTYPE, copy=False)
     payload = None
-    if dedup_keys is not None:
-        n_messages = starts.size
-        segments = np.repeat(np.arange(n_messages, dtype=INDEX_DTYPE),
-                             np.diff(bounds))
-        firsts, counts = unique_keys_segmented(segments, keys, dedup_keys,
-                                               n_messages)
-        payload = (counts_to_displs(counts), keys[firsts])
+    if deduplicate:
+        firsts, payload_offsets = unique_keys_segmented(bounds, keys)
+        payload = (payload_offsets, keys[firsts])
     return PhaseTable(phase, srcs[starts], dests[starts], bounds, keys,
                       final_dests, key_table, payload)
 
@@ -117,7 +112,6 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     origins, dests, items = pattern.unique_edge_table()
     key_holders, key_items, keys = pattern.owned_keys()
     key_table = (key_holders, key_items)
-    dedup_keys = int(key_holders.size) if deduplicate else None
     regions = mapping.regions_array()
     origin_regions = mapping.region_of_many(origins)
     dest_region_ids = mapping.region_of_many(dests)
@@ -166,7 +160,6 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
 
         # Per-row leaders read off the assignment's dense (src_region,
         # dest_region) tables — no pre-sort by region pair needed.
-        n_regions = mapping.n_regions
         row_send = assignment.send[row_src_regions, row_dest_regions]
         row_recv = assignment.recv[row_src_regions, row_dest_regions]
         unassigned = (row_send < 0) | (row_recv < 0)
@@ -184,54 +177,46 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         del unassigned, shared
 
         # The rows arrive sorted by (origin, dest, item) and every sort below
-        # is stable, so each names only the keys ahead of that tail: ties
-        # share an origin (and in phase r a dest) and keep their input order.
-        n_ranks = mapping.n_ranks
+        # is stable, so each names only the keys ahead of that order (phases
+        # g and r leave out the origin, which leads it).
 
         # Phase s: every rank forwards its contribution to the send leader.
         # Sorting with the skip flag as the most significant key puts the
         # leader's own rows last, so the forwarded block is one slice.
         skip = row_origins == row_send
-        order = argsort_packed(
-            (skip, row_origins, row_send, row_dest_regions),
-            (2, n_ranks, n_ranks, n_regions))
+        order = lexsort_packed(skip, row_origins, row_send, row_dest_regions)
         selection = order[:order.size - int(np.count_nonzero(skip))]
         phases[Phase.SETUP_REDIST] = _phase_table(
             Phase.SETUP_REDIST, row_origins[selection], row_send[selection],
             row_dests[selection], row_keys[selection], key_table,
-            dedup_keys=dedup_keys)
+            deduplicate=deduplicate)
         del skip, order, selection
 
         # Phase g: one aggregated message between the leaders of each pair.
-        order = argsort_packed((row_send, row_recv, row_origins),
-                               (n_ranks, n_ranks, n_ranks))
+        order = lexsort_packed(row_send, row_recv)
         phases[Phase.GLOBAL] = _phase_table(
             Phase.GLOBAL, row_send[order], row_recv[order], row_dests[order],
-            row_keys[order], key_table, dedup_keys=dedup_keys)
+            row_keys[order], key_table, deduplicate=deduplicate)
         del order, row_send
 
-        # Phase r: the receive leader forwards to final destinations; rows it
-        # keeps for itself are satisfied without a message (same flag trick,
-        # self-kept rows sorted into the tail in self-delivery order).
+        # Phase r: the receive leader forwards to final destinations.  The
+        # few rows it keeps for itself (no message) sort on their own; the
+        # flag trick puts them last in the forwarding sort.  Not deduplicated:
+        # a message has one destination and the edge rows are distinct.
         keep_self = row_dests == row_recv
-        n_kept = int(np.count_nonzero(keep_self))
-        if n_kept:
-            order = argsort_packed(
-                (keep_self, row_src_regions, row_dest_regions, row_dests,
-                 row_origins),
-                (2, n_regions, n_regions, n_ranks, n_ranks))
-            selection = order[order.size - n_kept:]
+        kept = np.flatnonzero(keep_self)
+        if kept.size:
+            kept = kept[lexsort_packed(row_src_regions[kept],
+                                       row_dest_regions[kept], row_dests[kept])]
             self_parts.append(_self_delivery_table(
-                row_origins[selection], key_items[row_keys[selection]],
-                row_dests[selection]))
-        order = argsort_packed(
-            (keep_self, row_recv, row_dests, row_src_regions, row_origins),
-            (2, n_ranks, n_ranks, n_regions, n_ranks))
-        selection = order[:order.size - n_kept]
+                row_origins[kept], key_items[row_keys[kept]], row_dests[kept]))
+        order = lexsort_packed(keep_self, row_recv, row_dests,
+                               row_src_regions)
+        selection = order[:order.size - kept.size]
         final_dests = row_dests[selection]
         phases[Phase.FINAL_REDIST] = _phase_table(
             Phase.FINAL_REDIST, row_recv[selection], final_dests, final_dests,
-            row_keys[selection], key_table, dedup_keys=dedup_keys)
+            row_keys[selection], key_table)
 
     return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases=phases,

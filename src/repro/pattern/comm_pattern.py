@@ -314,7 +314,7 @@ class CommPattern:
             edge_starts = np.zeros(items.size, dtype=bool)
             edge_starts[self._item_offsets[:-1]] = True
             if not np.all((items[1:] > items[:-1]) | edge_starts[1:]):
-                order = np.lexsort((items, dests, origins))
+                order = lexsort_packed(origins, dests, items)
                 origins, dests, items = origins[order], dests[order], items[order]
                 keep = run_starts_mask(origins, dests, items)
                 origins, dests, items = origins[keep], dests[keep], items[keep]

@@ -55,6 +55,7 @@ from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.sparse.parcsr import ParCSRMatrix, StackedBlocks
 from repro.topology.mapping import RankMapping, check_mapping_covers
+from repro.utils.arrays import lexsort_packed
 from repro.utils.errors import ValidationError
 
 #: An operator runs the entry stream when more than this share of its
@@ -121,7 +122,7 @@ def _operator_on_buffer(stacked: StackedBlocks, world) -> sp.csr_matrix:
         return operator
     counts, expected = np.diff(offsets), np.diff(stacked.offd_offsets)
     rank_of = np.repeat(np.arange(counts.size), counts)
-    order = np.lexsort((ids, rank_of))  # delivery position of each map entry
+    order = lexsort_packed(rank_of, ids)  # delivery position of each map entry
     if np.array_equal(counts, expected):
         wrong = rank_of[ids[order] != stacked.col_map_offd]
     else:

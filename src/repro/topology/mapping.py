@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.topology.machine import Locality, MachineSpec
-from repro.utils.arrays import counts_to_displs, freeze_columns
+from repro.utils.arrays import counts_to_displs, freeze_columns, lexsort_packed
 from repro.utils.errors import TopologyError, ValidationError
 from repro.utils.validation import check_positive_int
 
@@ -99,7 +99,7 @@ class RankMapping:
 
         # Region ``r``'s ranks, ascending, are ``members[r, :counts[r]]``; the
         # padding is -1.  One stable sort by region builds the whole table.
-        by_region = np.argsort(self._regions, kind="stable")
+        by_region = lexsort_packed(self._regions)
         counts = np.bincount(self._regions, minlength=self._n_regions)
         sorted_regions = self._regions[by_region]
         slots = (np.arange(self.n_ranks, dtype=np.int64)

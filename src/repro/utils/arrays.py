@@ -4,6 +4,9 @@ Everything here operates on plain numpy arrays and is deliberately free of any
 knowledge about communicators or matrices; the functions encode the handful of
 index manipulations (counts/displacements, stable uniques, even partitions)
 that MPI-style code needs constantly.
+
+Every stable order of set-up is :func:`lexsort_packed`'s: one plain (SIMD)
+sort of keys tagged with their row index.
 """
 
 from __future__ import annotations
@@ -165,54 +168,53 @@ def run_starts_mask(*columns: np.ndarray) -> np.ndarray:
     return mask
 
 
-def argsort_packed(columns: Sequence[np.ndarray],
-                   bounds: Sequence[int]) -> np.ndarray:
-    """Stable argsort by parallel key columns, most significant first.
+def tagged_sort(columns: Sequence[np.ndarray]):
+    """``(tagged, row_bits)``: the keys of two or more rows packed into one
+    int64 from 0, most significant column first, with the row index in the
+    low ``row_bits`` bits, sorted, so each key's rows form a run, first row
+    first; ``None`` when that overflows int64.
 
-    Every column holds integers in ``[0, bound)``.  The keys are packed into
-    one int64 (the ``row * n + col`` idiom) for a single stable argsort —
-    nearly-sorted input costs close to one pass — unless the product of the
-    bounds overflows, where it falls back to ``np.lexsort``.
+    Packing starts from an int64 copy, so bool and int32 columns cannot
+    overflow in their own dtype.  A step may wrap int64, but the minima come
+    off as the columns go in, so the key ends in ``[0, 2**63)``.
     """
-    if math.prod(int(bound) for bound in bounds) >= 2 ** 63:
-        return np.lexsort(tuple(columns)[::-1])
-    packed = columns[0]
-    for column, bound in zip(columns[1:], bounds[1:]):
-        packed = packed * int(bound) + column
-    return np.argsort(packed, kind="stable")
-
-
-def lexsort_packed(*columns: np.ndarray) -> np.ndarray:
-    """``np.lexsort``'s order of rows by parallel int64 key columns, most
-    significant first.
-
-    The keys, offset by each column's minimum, are packed into one int64 with
-    the row index in the low bits, so no two rows tie: one plain ``np.sort``
-    (faster than a stable sort of the keys alone) puts the rows in the stable
-    order, which the low bits then read off.  Falls back to ``np.lexsort``
-    when the packed key does not fit in int64.
-    """
-    n_rows = columns[0].size
-    if n_rows == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    row_bits = (n_rows - 1).bit_length()
+    row_bits = (columns[0].size - 1).bit_length()
     lows = [int(column.min()) for column in columns]
     spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
     if math.prod(spans) << row_bits > 2 ** 63:
-        return np.lexsort(columns[::-1])
-    # Each column's minimum comes off as it goes in: a step may wrap int64,
-    # but the key it ends on lies in [0, 2**63), so the wraps cancel.
-    packed = columns[0].astype(INDEX_DTYPE)
-    packed -= lows[0]
+        return None
+    tagged = columns[0].astype(INDEX_DTYPE)
+    tagged -= lows[0]
     for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-        packed *= span
-        packed += column
-        packed -= low
-    packed <<= row_bits
-    packed |= np.arange(n_rows, dtype=INDEX_DTYPE)
-    packed.sort()
-    packed &= (1 << row_bits) - 1
-    return packed
+        tagged *= span
+        tagged += column
+        tagged -= low
+    tagged <<= row_bits
+    tagged |= np.arange(tagged.size, dtype=INDEX_DTYPE)
+    tagged.sort()
+    return tagged, row_bits
+
+
+def lexsort_packed(*columns: np.ndarray) -> np.ndarray:
+    """``np.lexsort``'s order of rows by parallel integer (or bool) key
+    columns, most significant first: the one stable order of set-up.
+
+    With the row index in the low bits of the packed key no two rows tie, so
+    one plain (SIMD) ``np.sort``, faster than a stable sort of unsorted
+    keys, gives the stable order, which the low bits then read off.  When
+    that tagged key overflows int64 the rows go to ``np.lexsort``.
+
+    >>> lexsort_packed(np.array([1, 0, 1, 0]), np.array([2, 9, -5, 9]))
+    array([1, 3, 2, 0])
+    """
+    if columns[0].size < 2:
+        return np.arange(columns[0].size, dtype=INDEX_DTYPE)
+    tagged = tagged_sort(columns)
+    if tagged is None:
+        return np.lexsort(columns[::-1])
+    order, row_bits = tagged
+    order &= (1 << row_bits) - 1
+    return order
 
 
 def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,
@@ -223,25 +225,17 @@ def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,
     Returns ``(offsets, secondaries, item_offsets, items)``: the edges of key
     ``p`` occupy slots ``offsets[p]:offsets[p + 1]``, edge ``e`` pairs key
     ``secondaries[e]`` with ``items[item_offsets[e]:item_offsets[e + 1]]``.
-    The sort is one *stable* lexsort by ``(primary, secondary)``, so items
-    keep their input order within each edge — the invariant that makes the
+    The sort is one stable :func:`lexsort_packed` by ``(primary, secondary)``,
+    so items keep their input order within each edge — the invariant that makes the
     CSR build byte-identical to edge-by-edge dict accumulation.  This is the
     one pass that merges repeated edges: ``pattern_from_parcsr`` groups its
     item rows with it, and ``CommPattern``'s edge-list constructors group
     their edge ids.
     """
-    if items.size == 0:
-        return (np.zeros(n_keys + 1, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=INDEX_DTYPE),
-                np.zeros(1, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=INDEX_DTYPE))
-    order = np.lexsort((secondary, primary))
+    order = lexsort_packed(primary, secondary)
     primary, secondary, items = primary[order], secondary[order], items[order]
     starts = run_starts_mask(primary, secondary)
-    boundaries = np.flatnonzero(starts)
-    item_offsets = np.empty(boundaries.size + 1, dtype=INDEX_DTYPE)
-    item_offsets[:-1] = boundaries
-    item_offsets[-1] = items.size
+    item_offsets = np.append(np.flatnonzero(starts), items.size)
     offsets = counts_to_displs(np.bincount(primary[starts], minlength=n_keys))
     return offsets, secondary[starts], item_offsets, np.ascontiguousarray(items)
 

@@ -141,14 +141,15 @@ class TestDeduplication:
         """Each segment keeps the first row of every key it holds, rows in
         their original order; a key repeated in another segment is kept
         there too."""
-        segments = np.array([0, 0, 0, 0, 2, 2, 2])
+        offsets = np.array([0, 4, 4, 7])
         keys = np.array([3, 1, 3, 0, 1, 1, 3])
-        firsts, counts = unique_keys_segmented(segments, keys, 4, 3)
+        firsts, kept_offsets = unique_keys_segmented(offsets, keys)
         assert firsts.tolist() == [0, 1, 3, 4, 6]
-        assert counts.tolist() == [3, 0, 2]
-        assert counts.dtype == np.int64
+        assert kept_offsets.tolist() == [0, 3, 3, 5]
+        assert kept_offsets.dtype == np.int64
 
     def test_no_rows(self):
         empty = np.empty(0, dtype=np.int64)
-        firsts, counts = unique_keys_segmented(empty, empty, 5, 2)
-        assert firsts.size == 0 and counts.tolist() == [0, 0]
+        firsts, kept_offsets = unique_keys_segmented(np.zeros(3, dtype=np.int64),
+                                                     empty)
+        assert firsts.size == 0 and kept_offsets.tolist() == [0, 0, 0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.arrays import (
-    argsort_packed,
     as_index_array,
     buffer_writable,
     concatenate_or_empty,
@@ -16,6 +15,7 @@ from repro.utils.arrays import (
     lexsort_packed,
     partition_evenly,
     run_starts_mask,
+    tagged_sort,
 )
 from repro.utils.errors import ValidationError
 
@@ -125,27 +125,6 @@ class TestRunStartsMask:
         assert run_starts_mask(np.array([7]), np.array([9])).tolist() == [True]
 
 
-class TestArgsortPacked:
-    def test_matches_lexsort(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 5, 50)
-        b = rng.integers(0, 7, 50)
-        expected = np.lexsort((b, a))
-        assert argsort_packed([a, b], [5, 7]).tolist() == expected.tolist()
-
-    def test_stable_for_equal_keys(self):
-        a = np.array([1, 0, 1, 0])
-        b = np.array([2, 2, 2, 2])
-        assert argsort_packed([a, b], [2, 3]).tolist() == [1, 3, 0, 2]
-
-    def test_overflowing_bounds_fall_back_to_lexsort(self):
-        big = 2 ** 40
-        a = np.array([big - 1, 0, big - 1, 3])
-        b = np.array([5, big - 2, 1, 0])
-        expected = np.lexsort((b, a))
-        assert argsort_packed([a, b], [big, big]).tolist() == expected.tolist()
-
-
 class TestLexsortPacked:
     """One plain sort of row-tagged packed keys is ``np.lexsort``'s order."""
 
@@ -163,6 +142,16 @@ class TestLexsortPacked:
         b = np.array([5, big - 2, 5, 0])
         assert lexsort_packed(a, b).tolist() == np.lexsort((b, a)).tolist()
 
+    def test_int32_and_bool_columns_pack_in_int64(self):
+        """Keys pack in int64 whatever the columns' dtype: packed in int32,
+        the first row's key ``3 · (6 · 2**28 + 1) + ...`` would wrap."""
+        a = np.array([3, 1, 2, 0], dtype=np.int32)
+        b = np.array([5, 7, 1, 2], dtype=np.int32)
+        assert lexsort_packed(a, b * (2 ** 28)).tolist() == [3, 1, 2, 0]
+        flags = np.array([True, False, True, False])
+        assert lexsort_packed(flags, a).tolist() == [3, 1, 2, 0]
+        assert lexsort_packed(a, flags).tolist() == [3, 1, 2, 0]
+
     def test_keys_that_fit_but_sit_far_from_zero(self):
         """The packed key fits in int64 while ``first · span + second``
         taken from zero does not: the minima come off column by column."""
@@ -171,6 +160,20 @@ class TestLexsortPacked:
                      ([-2 ** 40, -2 ** 40 + 1], [2 ** 23, 0])):
             a, b = np.array(a), np.array(b)
             assert lexsort_packed(a, b).tolist() == np.lexsort((b, a)).tolist()
+
+
+class TestTaggedSort:
+    def test_each_key_is_a_run_of_its_rows_first_row_first(self):
+        a = np.array([2, 0, 2, 1, 0, 2])
+        b = np.array([5, 5, 5, 5, 5, 4])
+        tagged, row_bits = tagged_sort((a, b))
+        assert row_bits == 3
+        assert (tagged & 7).tolist() == [1, 4, 3, 5, 0, 2]
+        assert (tagged >> 3).tolist() == [1, 1, 3, 4, 5, 5]
+
+    def test_overflowing_keys_give_none(self):
+        big = 2 ** 62
+        assert tagged_sort((np.array([big, -big]), np.array([1, 2]))) is None
 
 
 class TestGroupRowsToCsr:
