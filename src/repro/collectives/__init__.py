@@ -44,7 +44,6 @@ from repro.collectives.exchange import (
     compile_world_exchange,
 )
 from repro.collectives.plan_cache import (
-    PlanCacheWarning,
     clear_plan_cache,
     plan_cache_stats,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "WorldExchange",
     "WorldPhaseProgram",
     "compile_world_exchange",
-    "PlanCacheWarning",
     "clear_plan_cache",
     "plan_cache_stats",
     "active_backend",

@@ -113,18 +113,13 @@ class _Replay:
     """A world's replay columns, derived from its compiling plan by
     :func:`_replay_columns` on first read and kept from then on.
 
-    The world and each of its phase programs share one; a pickle of it is
-    an empty one, so a pickled world carries neither the plan nor the
-    columns (the plan cache attaches the plan again on load).
+    The world and each of its phase programs share one.
     """
 
     __slots__ = ("plan", "columns")
 
     def __init__(self, plan: CollectivePlan | None = None):
         self.plan, self.columns = plan, None
-
-    def __reduce__(self):
-        return _Replay, ()
 
     def __call__(self):
         """``(n_world_rows, {phase: (gather, scatter, wire_perm)})``."""
@@ -197,9 +192,7 @@ class WorldExchange:
     The per-rank item metadata is stored columnar: ``owned_items_all`` /
     ``result_items_all`` / ``result_sources_all`` concatenate every rank's
     owned-input and result-output id columns, delimited by ``owned_offsets``
-    and ``result_offsets`` — the accessors below slice them.  A pickled
-    world holds these arrays only, no plan and no replay column, so it is
-    cheap to store in the on-disk plan cache.
+    and ``result_offsets`` — the accessors below slice them.
     """
 
     variant: Variant

@@ -367,19 +367,6 @@ class CollectivePlan:
         default_factory=weakref.WeakKeyDictionary, init=False, compare=False,
         repr=False)
 
-    def __getstate__(self):
-        # The memos are derived state: excluding them keeps pickles (the
-        # disk tier of the plan cache) independent of what analyses happened
-        # to run first, and the weak-keyed time memo cannot pickle anyway.
-        state = self.__dict__.copy()
-        state["_statistics_memo"] = None
-        state["_modeled_time_memo"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__dict__["_modeled_time_memo"] = weakref.WeakKeyDictionary()
-
     # -- iteration ------------------------------------------------------------
 
     def messages(self, phase: Phase | None = None) -> Iterator[PlannedMessage]:

@@ -1,4 +1,4 @@
-"""Content-addressed cache for collective plans and compiled world exchanges.
+"""In-process cache for collective plans and compiled world exchanges.
 
 Setup at scale pays two distinct costs: *planning* (pattern → message
 schedule) and *world compilation* (plan → checked hops, each phase's
@@ -9,56 +9,29 @@ rebuild the same problem (the figure harness, repeated ``WorldVCycle``
 setups, every warm re-run of a weak-scaling sweep) can reuse earlier results
 instead of recompiling.
 
-Two tiers share one content key:
-
-* an **in-process LRU** (always on) keyed on the live objects —
-  :class:`~repro.pattern.comm_pattern.CommPattern` hashes by content, the
-  mapping contributes its placement token — serving repeated setups inside
-  one driver process, and
-* an optional **on-disk store** under ``REPRO_PLAN_CACHE=<dir>`` persisting
-  pickled plans/worlds across processes and runs.  Entries are
-  content-addressed by a SHA-256 digest of the full key, carry a format
-  version, and are *verified on load*: a corrupted, truncated, or
-  stale-format file is discarded with a :class:`PlanCacheWarning` and the
-  caller recompiles — a cache can produce a miss, never a wrong result.
+The cache is one LRU per kind (plans, worlds) of
+:data:`MEMORY_CACHE_SIZE` entries, keyed on the live objects —
+:class:`~repro.pattern.comm_pattern.CommPattern` hashes by content, the
+mapping contributes its placement token.  It lives and dies with the
+process, as a persistent collective's set-up does in the paper;
+``make_plan(..., use_cache=False)`` bypasses it and
+:func:`clear_plan_cache` empties it.
 
 Cache hits are byte-identical to cold compiles (the golden cache tests pin
 this).  A cached :class:`~repro.collectives.exchange.WorldExchange` is the
 program the engine runs, so a hit is re-registered with any engine runtime
 without renumbering anything — registration validates it, remaps its head,
-and never mutates it.  A pickled world holds neither its plan nor its
-replay columns (``gather`` / ``scatter`` / ``wire_perm``, derived from the
-plan on first read), so :func:`fetch_world` attaches the plan it was asked
-for to a world it loads from disk.
+and never mutates it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
-#: Environment variable naming the on-disk cache directory (absent = no disk).
-ENV_VAR = "REPRO_PLAN_CACHE"
-
-#: Bump when the pickled layout of plans/worlds changes; older on-disk
-#: entries are then discarded as stale instead of being unpickled blindly.
-CACHE_FORMAT_VERSION = 11
-
-#: Entries kept per in-process tier (plans and worlds count separately).
+#: Entries kept per kind (plans and worlds count separately).
 MEMORY_CACHE_SIZE = 128
-
-_MAGIC = b"repro-plan-cache"
-
-
-class PlanCacheWarning(UserWarning):
-    """Structured warning for discarded (corrupted or stale) cache entries."""
 
 
 class _LRUCache:
@@ -98,8 +71,6 @@ class _LRUCache:
 
 _plan_lru = _LRUCache(MEMORY_CACHE_SIZE)
 _world_lru = _LRUCache(MEMORY_CACHE_SIZE)
-_disk_hits = 0
-_disk_misses = 0
 
 
 # -- content keys -----------------------------------------------------------------
@@ -143,136 +114,18 @@ def plan_key(pattern, mapping, variant, strategy) -> Tuple:
             _strategy_token(strategy))
 
 
-def _digest(kind: str, key: Tuple) -> str:
-    """SHA-256 content digest of a cache key, stable across processes.
-
-    ``hash()`` of the in-process key is salted per interpreter
-    (``PYTHONHASHSEED``), so the on-disk address re-derives everything from
-    raw bytes: the pattern's CSR columns and element type, the mapping token,
-    and the protocol strings.
-    """
-    pattern = key[0]
-    hasher = hashlib.sha256()
-    hasher.update(_MAGIC)
-    hasher.update(f":v{CACHE_FORMAT_VERSION}:{kind}".encode())
-    src_offsets, dests, item_offsets, items = pattern.csr()
-    for label, column in (("src_offsets", src_offsets), ("dests", dests),
-                          ("item_offsets", item_offsets), ("items", items)):
-        hasher.update(label.encode())
-        hasher.update(np.ascontiguousarray(column).tobytes())
-    hasher.update(f"{pattern.n_ranks}:{pattern.dtype.str}:"
-                  f"{pattern.item_size}".encode())
-    for part in key[1:]:
-        if isinstance(part, tuple):
-            for piece in part:
-                hasher.update(repr(piece).encode()
-                              if not isinstance(piece, bytes) else piece)
-        else:
-            hasher.update(repr(part).encode())
-    return hasher.hexdigest()
-
-
-# -- on-disk tier -----------------------------------------------------------------
-
-
-def cache_dir() -> str | None:
-    """The configured on-disk cache directory, or ``None`` when disabled."""
-    directory = os.environ.get(ENV_VAR, "").strip()
-    return directory or None
-
-
-def _entry_path(directory: str, kind: str, digest: str) -> str:
-    return os.path.join(directory, f"{kind}-{digest}.pkl")
-
-
-def _discard(path: str, reason: str) -> None:
-    """Drop a bad on-disk entry with a structured warning; never raise."""
-    warnings.warn(
-        f"discarding plan-cache entry {os.path.basename(path)}: {reason}",
-        PlanCacheWarning, stacklevel=4)
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def _disk_load(kind: str, key: Tuple):
-    """Load and verify one on-disk entry; ``None`` on miss or any defect.
-
-    Nothing is hashed unless a cache directory is configured.
-    """
-    global _disk_hits, _disk_misses
-    directory = cache_dir()
-    if directory is None:
-        return None
-    digest = _digest(kind, key)
-    path = _entry_path(directory, kind, digest)
-    if not os.path.exists(path):
-        _disk_misses += 1
-        return None
-    try:
-        with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
-    except Exception as exc:  # noqa: BLE001 - any unpickling defect is a miss
-        _discard(path, f"unreadable ({type(exc).__name__}: {exc})")
-        _disk_misses += 1
-        return None
-    if not isinstance(envelope, dict) \
-            or envelope.get("format") != CACHE_FORMAT_VERSION:
-        _discard(path, "stale cache format")
-        _disk_misses += 1
-        return None
-    if envelope.get("kind") != kind or envelope.get("digest") != digest:
-        _discard(path, "content digest mismatch")
-        _disk_misses += 1
-        return None
-    _disk_hits += 1
-    return envelope.get("payload")
-
-
-def _disk_store(kind: str, key: Tuple, payload) -> None:
-    """Persist one entry (atomic rename); failures degrade to no caching."""
-    directory = cache_dir()
-    if directory is None:
-        return
-    digest = _digest(kind, key)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        path = _entry_path(directory, kind, digest)
-        # Unique per writer: concurrent threads or processes may store
-        # the same digest, and a shared staging path would let one writer's
-        # rename snatch the file out from under another's.
-        staging = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(staging, "wb") as handle:
-            pickle.dump({"format": CACHE_FORMAT_VERSION, "kind": kind,
-                         "digest": digest, "payload": payload}, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(staging, path)
-    except OSError as exc:
-        warnings.warn(f"plan cache write failed: {exc}", PlanCacheWarning,
-                      stacklevel=4)
-
-
 # -- public fetch/store API --------------------------------------------------------
 
 
 def fetch_plan(pattern, mapping, variant, strategy):
-    """A cached plan for the key, or ``None`` (memory first, then disk)."""
-    key = plan_key(pattern, mapping, variant, strategy)
-    plan = _plan_lru.get(key)
-    if plan is not None:
-        return plan
-    plan = _disk_load("plan", key)
-    if plan is not None:
-        _plan_lru.put(key, plan)
-    return plan
+    """A cached plan for the key, or ``None``."""
+    return _plan_lru.get(plan_key(pattern, mapping, variant, strategy))
 
 
 def store_plan(plan) -> None:
-    """Cache a freshly built plan in both tiers."""
-    key = plan_key(plan.pattern, plan.mapping, plan.variant, plan.strategy)
-    _plan_lru.put(key, plan)
-    _disk_store("plan", key, plan)
+    """Cache a freshly built plan."""
+    _plan_lru.put(plan_key(plan.pattern, plan.mapping, plan.variant,
+                           plan.strategy), plan)
 
 
 def fetch_world(plan):
@@ -285,51 +138,27 @@ def fetch_world(plan):
     cached world for them could be wrong.
     """
     key = plan.cache_token
-    if key is None:
-        return None
-    world = _world_lru.get(key)
-    if world is not None:
-        return world
-    world = _disk_load("world", key)
-    if world is not None:
-        world.replay.plan = plan    # a pickled world holds no plan
-        _world_lru.put(key, world)
-    return world
+    return None if key is None else _world_lru.get(key)
 
 
 def store_world(plan, world) -> None:
-    """Cache a freshly compiled world exchange in both tiers."""
+    """Cache a freshly compiled world exchange."""
     key = plan.cache_token
-    if key is None:
-        return
-    _world_lru.put(key, world)
-    _disk_store("world", key, world)
+    if key is not None:
+        _world_lru.put(key, world)
 
 
-def clear_plan_cache(*, disk: bool = False) -> None:
-    """Reset the in-process tiers (and optionally delete the disk entries)."""
-    global _disk_hits, _disk_misses
+def clear_plan_cache() -> None:
+    """Empty both LRUs and reset their counters."""
     _plan_lru.clear()
     _world_lru.clear()
-    _disk_hits = 0
-    _disk_misses = 0
-    directory = cache_dir()
-    if disk and directory and os.path.isdir(directory):
-        for name in os.listdir(directory):
-            if name.endswith(".pkl") and "-" in name:
-                try:
-                    os.unlink(os.path.join(directory, name))
-                except OSError:
-                    pass
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of every tier (for tests and benchmarks)."""
+    """Hit/miss counters of both LRUs (for tests and benchmarks)."""
     return {
         "plan_memory_hits": _plan_lru.hits,
         "plan_memory_misses": _plan_lru.misses,
         "world_memory_hits": _world_lru.hits,
         "world_memory_misses": _world_lru.misses,
-        "disk_hits": _disk_hits,
-        "disk_misses": _disk_misses,
     }

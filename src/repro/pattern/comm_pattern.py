@@ -370,21 +370,9 @@ class CommPattern:
         """Ranks that send or receive at least one message."""
         return np.unique(np.concatenate([self.edge_sources(), self._dests]))
 
-    def __getstate__(self):
-        """Pickle the metadata, the CSR columns and ``owned_keys`` only.
-
-        Every other cache is derived and rebuilds on first use.
-        ``owned_keys`` stays: a plan's phase tables share its arrays, so a
-        pickled plan stores them once, and the loaded tables share them
-        again.
-        """
-        state = self.__dict__.copy()
-        state.update(_edge_srcs=None, _edge_arrays=None, _unique_edges=None)
-        return state
-
     def __setstate__(self, state):
         # The content hash is a hash of bytes, which differs between
-        # processes: a loaded pattern computes its own.
+        # processes: a pattern unpickled in another one computes its own.
         self.__dict__.update(state, _hash=None)
 
     # -- comparison / utilities -----------------------------------------------------

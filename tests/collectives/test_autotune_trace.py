@@ -356,10 +356,9 @@ class TestModeledCommit:
         assert event.variant == best.value
 
     def test_each_level_runs_and_compiles_only_its_committed_variant(
-            self, count_calls, monkeypatch):
+            self, count_calls):
         """One compile per exchange, as many as a fixed variant makes, and
         every exchange of a level on the level's commit."""
-        monkeypatch.delenv(plan_cache.ENV_VAR, raising=False)
         matrix, hierarchy, mapping = _problem()
         compiles = {}
         for variant in ("auto", Variant.PARTIAL):

@@ -8,9 +8,6 @@ message count, set-up call counts that do not grow with it either, and
 exactness of the packing for ids that cannot be packed naively.
 """
 
-import pickle
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,29 +70,19 @@ class TestColumns:
         assert not PhaseTable.empty(Phase.GLOBAL)
         assert PhaseTable.empty(Phase.GLOBAL) != PhaseTable.empty(Phase.LOCAL)
 
-    def test_pickle_round_trip_keeps_payload_sharing(self, full_plan):
-        restored = pickle.loads(pickle.dumps(full_plan))
-        for phase, table in full_plan.phases.items():
-            twin = restored.phases[phase]
-            assert twin == table
-            assert (twin.payload_key_ids is twin.slot_key_ids) \
-                == (table.payload_key_ids is table.slot_key_ids)
-            np.testing.assert_array_equal(twin.payload_key_ids,
-                                          table.payload_key_ids)
-
 
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
 def test_phase_equality_call_count_does_not_grow_with_messages(count_calls,
                                                               variant):
-    """``plan.phases == twin.phases`` (``twin`` a pickle round trip) makes
-    the same number of calls at 256 ranks as at 1024: the tables compare
-    column by column, not message by message."""
+    """``plan.phases == twin.phases`` (``twin`` a second, uncached plan of
+    the same inputs) makes the same number of calls at 256 ranks as at
+    1024: the tables compare column by column, not message by message."""
     counts = []
     for side in (16, 32):
         pattern = halo_exchange_pattern((side, side), points_per_cell=4)
-        plan = make_plan(pattern, paper_mapping(side * side, ranks_per_node=16),
-                         variant, use_cache=False)
-        twin = pickle.loads(pickle.dumps(plan))
+        mapping = paper_mapping(side * side, ranks_per_node=16)
+        plan = make_plan(pattern, mapping, variant, use_cache=False)
+        twin = make_plan(pattern, mapping, variant, use_cache=False)
 
         def compare():
             assert plan.phases == twin.phases

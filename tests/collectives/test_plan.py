@@ -299,16 +299,3 @@ class TestModeledTimeMemo:
         for scale in (1.0, 2.0, 3.0):
             plan.modeled_time(_OpaqueModel(scale=scale))  # keys die right away
         assert len(plan._modeled_time_memo) == 0
-
-    def test_pickle_round_trip_recomputes_correctly(self, cross_region_pattern,
-                                                    mapping):
-        import pickle
-
-        plan = plan_standard(cross_region_pattern, mapping)
-        model = _OpaqueModel(scale=5.0)
-        before = plan.modeled_time(model)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert len(clone._modeled_time_memo) == 0  # memos never travel
-        assert clone.modeled_time(model) == before
-        assert clone.modeled_time(_OpaqueModel(scale=10.0)) == \
-            pytest.approx(2.0 * before)

@@ -13,7 +13,9 @@ hook, the deterministic clock fed to it and the per-cycle measurement
 window were deleted; so was the online probe / commit / drift selector the
 experiment drivers once simulated.  And the engine is the execution
 configuration: a caller who wants per-level traffic passes one profiled
-engine per level, so the ``level_profilers=`` keyword was deleted.  This
+engine per level, so the ``level_profilers=`` keyword was deleted.  The
+plan cache is one in-process LRU: its pickled disk tier, the environment
+variable naming its directory and the warning it raised were deleted.  This
 guard keeps all of them deleted: it fails if one of the runtime's module
 files exists again, or if any module under ``src/``, ``examples/`` or
 ``bench/`` defines, imports or references one of the deleted names, or
@@ -109,8 +111,12 @@ PATTERN_VIEW_NAMES = {"send_map", "recv_map", "send_items", "recv_items",
                       "from_edge_arrays", "_pattern_from_triples",
                       "_columns_from_edge_lists", "_recv_index", "_edge_slot"}
 
+#: Names of the deleted on-disk tier of the plan cache.
+PLAN_CACHE_DISK_NAMES = {"PlanCacheWarning", "cache_dir", "_disk_load",
+                         "_disk_store", "_digest", "CACHE_FORMAT_VERSION"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
-    SELECTOR_NAMES | PATTERN_VIEW_NAMES
+    SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES
 
 #: Keywords the solve path's constructors no longer take: per-level
 #: traffic is a list of profiled engines passed as ``engine=``.
@@ -219,6 +225,10 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "pattern.send_map(0)",
     "CommPattern.from_edge_arrays(4, srcs, dests, items)",
     "from repro.pattern.builders import _pattern_from_triples",
+    "from repro.collectives import PlanCacheWarning",
+    "directory = plan_cache.cache_dir()",
+    "def _disk_store(kind, key, payload):\n    pass",
+    "CACHE_FORMAT_VERSION = 11",
     """
     def later():
         from repro.simmpi.world import helper
@@ -242,6 +252,7 @@ def test_the_guard_sees_each_kind_of_use(source):
     "def f(profilers=None):\n    pass",
     "CommPattern.from_edge_lists(4, srcs, dests, item_arrays)",
     "prolongation.transpose()",
+    "from repro.collectives import clear_plan_cache, plan_cache_stats",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)

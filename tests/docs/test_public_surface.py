@@ -33,8 +33,6 @@ PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro")
 ALLOWED = {
     ("repro.utils", "ReproError"):
         "the base class callers catch for any library error",
-    ("repro.collectives", "PlanCacheWarning"):
-        "the warning category callers filter when a cache file is rejected",
 }
 
 
