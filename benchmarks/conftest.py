@@ -19,6 +19,11 @@ import pytest
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+# The test oracles (``from oracles import ...``), for the gates that check
+# a driver's output the way the test suite does.
+_TESTS = os.path.join(os.path.dirname(_SRC), "tests")
+if _TESTS not in sys.path:
+    sys.path.append(_TESTS)
 
 from repro.experiments.config import ExperimentConfig, ExperimentContext  # noqa: E402
 

@@ -11,6 +11,7 @@ machinery, the margin guards future noise sources).
 from __future__ import annotations
 
 from conftest import emit
+from oracles import check_decisions
 
 from repro.collectives.plan import Variant
 from repro.experiments.config import ExperimentContext
@@ -36,14 +37,12 @@ def test_bench_autotune_tracks_per_level_best(experiment_config):
     assert auto_steady <= 1.10 * oracle
     assert oracle <= auto_steady + 1e-15
 
-    # The trace justifies every level's choice and is internally consistent:
-    # one seed per level, naming the level's argmin.
-    trace = result.decision_trace
-    trace.validate()
-    choices = trace.choices()
-    assert sorted(choices) == [profile.level for profile in context.profiles]
-    for profile in context.profiles:
-        (seed,) = trace.events(level=profile.level)
-        assert profile.times[choices[profile.level]] == \
+    # The decisions justify every level's choice and are internally
+    # consistent: one seed per level, naming the level's argmin.
+    decisions = result.decision_trace
+    check_decisions(decisions)
+    assert [seed.level for seed in decisions] == \
+        [profile.level for profile in context.profiles]
+    for profile, seed in zip(context.profiles, decisions):
+        assert profile.times[Variant(seed.variant)] == \
             min(profile.times[variant] for variant in CANDIDATES)
-        assert seed.variant == choices[profile.level].value

@@ -16,14 +16,11 @@ because it is that suite's oracle; the stationary iteration around a cycle,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
-    from repro.collectives.autotune import DecisionTrace
 
 from repro.amg.hierarchy import AMGHierarchy, build_hierarchy
 from repro.amg.relax import weighted_jacobi_iteration
@@ -40,10 +37,6 @@ class SolveResult:
     residual_norms: List[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    #: Per-level variant commits (``variant="auto"`` solves through
-    #: :class:`~repro.amg.vcycle.WorldAMGSolver` attach theirs; fixed-variant
-    #: and sequential solves leave it ``None``).
-    decision_trace: "Optional[DecisionTrace]" = None
 
     @property
     def final_residual(self) -> float:

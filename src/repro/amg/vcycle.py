@@ -35,7 +35,7 @@ from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    DecisionTrace,
+    DecisionEvent,
     is_auto_variant,
     seed_event,
 )
@@ -96,13 +96,15 @@ class _Level:
 
 
 class ScheduleRow(NamedTuple):
-    """One exchange of :attr:`WorldVCycle.schedule`."""
+    """One exchange of :attr:`WorldVCycle.schedule`, and why it runs its
+    variant (``decision``, one event shared by every row of the level)."""
 
     level: int
     operator: str
     cycle_rounds: int
     solve_rounds: int
     collective: WorldNeighborCollective
+    decision: DecisionEvent
 
 
 def _exchange_schedule(n_levels: int, pre_sweeps: int, post_sweeps: int,
@@ -169,6 +171,8 @@ class WorldVCycle:
     [False, False, False, False]
     >>> [row[:4] for row in cycle.schedule[-4:]]  # the rounds that sent them
     [(2, 'A', 3, 3), (2, 'R', 1, 1), (2, 'P', 1, 1), (3, 'gather', 1, 1)]
+    >>> cycle.schedule[-1].decision              # and why on that variant
+    DecisionEvent(level=3, variant='partial', estimates={}, reason='fixed by caller')
     >>> for engine in engines:
     ...     engine.close()
 
@@ -182,7 +186,10 @@ class WorldVCycle:
     gather).  Ties break on candidate order.  Only the committed variant's
     exchanges are compiled, so the cycle is then a fixed-variant cycle whose
     levels differ in variant; results are byte-identical to any fixed
-    variant, and every commit is a ``seed`` event on :attr:`decision_trace`.
+    variant.  Each row of :attr:`schedule` says why its level runs its
+    variant: ``row.decision`` is the level's :func:`seed_event` commit, with
+    every candidate's estimate, or under a fixed variant the variant with no
+    estimates and the reason ``"fixed by caller"``.
     """
 
     def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping, *,
@@ -242,7 +249,6 @@ class WorldVCycle:
             engine = ExchangeEngine(self.n_ranks, runtime=runtime)
         self.engines = engines = [engine] * n_levels \
             if isinstance(engine, ExchangeEngine) else list(engine)
-        self._trace = DecisionTrace() if auto else None
         gather = coarse_gather_pattern(self._coarse_partition)
         schedule = _exchange_schedule(n_levels, self.pre_sweeps,
                                       self.post_sweeps, gather.n_messages > 0)
@@ -253,32 +259,31 @@ class WorldVCycle:
                 hierarchy.restriction_matrix(index) if name == "R" else \
                 hierarchy.prolongation_matrix(index)
 
-        def commit(index: int, rows) -> Variant:
-            """Level ``index``'s variant: the fixed one, or under ``"auto"``
-            the cheapest modeled ``Σ solve_rounds · exchange`` over its
-            ``rows`` (none priced: the first candidate), traced."""
+        def decide(index: int, rows) -> DecisionEvent:
+            """Why level ``index`` runs its variant: the fixed one, or under
+            ``"auto"`` the :func:`seed_event` commit of the cheapest modeled
+            ``Σ solve_rounds · exchange`` over its (non-empty) ``rows``."""
             if not auto:
-                return variant
-            weighted = [(rounds, name) for _, name, _, rounds in rows if rounds]
-            if not weighted:
-                return DEFAULT_CANDIDATES[0]
+                return DecisionEvent(index, variant.value, {},
+                                     "fixed by caller")
             modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)
-            for rounds, name in weighted:
+            for _, name, _, rounds in rows:
                 pattern = gather if name == "gather" else \
                     pattern_from_parcsr(operator(index, name))
                 plans = all_plans(pattern, mapping, strategy=strategy)
                 for candidate in modeled:
                     modeled[candidate] += \
                         rounds * plans[candidate].modeled_time(model)
-            event = seed_event(index, modeled)
-            self._trace.append(event)
-            return Variant(event.variant)
+            return seed_event(index, modeled)
 
         products, rows = {}, []
         self._coarse_collective: WorldNeighborCollective | None = None
         for index in range(n_levels):
             level_rows = [row for row in schedule if row[0] == index]
-            chosen = commit(index, level_rows)
+            if not level_rows:      # the coarsest, when no rank sends
+                continue
+            decision = decide(index, level_rows)
+            chosen = Variant(decision.variant)
             for level, name, cycle_rounds, solve_rounds in level_rows:
                 if name == "gather":
                     collective = self._coarse_collective = \
@@ -291,7 +296,7 @@ class WorldVCycle:
                         strategy=strategy, engine=engines[index])
                     collective = products[index, name].collective
                 rows.append(ScheduleRow(level, name, cycle_rounds,
-                                        solve_rounds, collective))
+                                        solve_rounds, collective, decision))
         self._schedule = tuple(rows)
         self.levels = [
             _Level(spmv=products[index, "A"],
@@ -316,19 +321,15 @@ class WorldVCycle:
     @property
     def schedule(self) -> Tuple[ScheduleRow, ...]:
         """Every exchange of the cycle, level by level, as a
-        ``(level, operator, cycle_rounds, solve_rounds, collective)`` row:
-        ``operator`` is ``"A"`` (smoother sweeps and residual), ``"R"``
-        (``Pᵀ``), ``"P"`` or ``"gather"``; the rounds are one ``cycle``
-        call's and one steady-state ``solve`` iteration's; ``collective`` is
-        the committed one they run on (``.variant``, ``.plan``, ``.world``,
-        ``.handle``).  The ``"auto"`` commit prices each level from it."""
+        ``(level, operator, cycle_rounds, solve_rounds, collective,
+        decision)`` row: ``operator`` is ``"A"`` (smoother sweeps and
+        residual), ``"R"`` (``Pᵀ``), ``"P"`` or ``"gather"``; the rounds are
+        one ``cycle`` call's and one steady-state ``solve`` iteration's;
+        ``collective`` is the committed one they run on (``.variant``,
+        ``.plan``, ``.world``, ``.handle``), and ``decision`` the level's
+        :class:`~repro.collectives.autotune.DecisionEvent` saying why.  The
+        ``"auto"`` commit prices each level from it."""
         return self._schedule
-
-    @property
-    def decision_trace(self) -> DecisionTrace | None:
-        """Each level's ``seed`` commit under ``variant="auto"`` (``None``
-        on a fixed variant)."""
-        return self._trace
 
     @property
     def n_rows(self) -> int:
@@ -455,7 +456,8 @@ class WorldAMGSolver:
     the batched exchange engine — the hierarchy traffic the experiments
     analyse is executed, not modeled, on every iteration.  ``variant`` and
     ``model`` are :class:`WorldVCycle`'s (``"auto"`` commits each level's
-    modeled-cheapest variant at set-up).
+    modeled-cheapest variant at set-up); ``vcycle_executor.schedule`` says
+    what each level runs and why.
     """
 
     def __init__(self, matrix, mapping: RankMapping, *,
@@ -473,12 +475,6 @@ class WorldAMGSolver:
             self.hierarchy, mapping, variant=variant, strategy=strategy,
             pre_sweeps=pre_sweeps, post_sweeps=post_sweeps, omega=omega,
             engine=engine, runtime=runtime, model=model)
-
-    @property
-    def decision_trace(self) -> DecisionTrace | None:
-        """Each level's ``variant="auto"`` commit (``None`` on a fixed
-        variant)."""
-        return self.vcycle_executor.decision_trace
 
     def close(self) -> None:
         """Release the underlying V-cycle's engines (workers, shared segments)."""
@@ -507,8 +503,6 @@ class WorldAMGSolver:
         per iteration fewer, with the same iterates to the bit.
         """
         executor = self.vcycle_executor
-        result = stationary_solve(executor._cycle_from, executor.residual, b,
-                                  n_rows=self.matrix.n_rows, x0=x0, tol=tol,
-                                  max_iterations=max_iterations)
-        result.decision_trace = self.decision_trace
-        return result
+        return stationary_solve(executor._cycle_from, executor.residual, b,
+                                n_rows=self.matrix.n_rows, x0=x0, tol=tol,
+                                max_iterations=max_iterations)

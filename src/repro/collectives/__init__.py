@@ -17,7 +17,8 @@ This package is the reproduction of the paper's core contribution:
 * :mod:`repro.collectives.autotune` — per-level selection for a whole
   hierarchy: the one selection rule (each level commits its modeled
   argmin, ties broken on candidate order) behind ``variant="auto"`` and
-  the drivers' ``auto`` series, and an auditable decision trace.
+  the drivers' ``auto`` series, and the event that says why a level runs
+  its variant.
 """
 
 from repro.collectives.plan import (
@@ -51,10 +52,7 @@ from repro.collectives.kernels import active_backend
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.selection import select_variant
-from repro.collectives.autotune import (
-    DecisionTrace,
-    is_auto_variant,
-)
+from repro.collectives.autotune import is_auto_variant
 
 __all__ = [
     "Variant",
@@ -78,6 +76,5 @@ __all__ = [
     "WorldNeighborCollective",
     "neighbor_alltoallv_init_world",
     "select_variant",
-    "DecisionTrace",
     "is_auto_variant",
 ]

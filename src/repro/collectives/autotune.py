@@ -1,4 +1,4 @@
-"""Per-level variant selection with an auditable decision trace.
+"""Per-level variant selection: the one rule, and the record of why.
 
 The paper's stated future work is a "simple performance measure within the
 neighborhood collective to dynamically select the optimal communication
@@ -9,18 +9,19 @@ ties broken on candidate order, and say why.  ``variant="auto"``
 (:class:`~repro.amg.vcycle.WorldVCycle`) calls it once per level at set-up
 and compiles only the commit; ``select_variant``, ``best_variant`` and the
 experiment drivers' ``auto`` series (:func:`seed_trace`) decide through it
-too.  Each commit is a ``seed`` :class:`DecisionEvent`, whose estimates are
-its alternatives, on a :class:`DecisionTrace` with a versioned JSON schema.
-Nothing reads a clock, so selection is bit-reproducible.
+too.  Each commit is a :class:`DecisionEvent`, whose estimates are its
+alternatives; the solve path puts every level's event on its rows of
+:attr:`~repro.amg.vcycle.WorldVCycle.schedule`, a fixed variant's too, so
+the schedule says what each level runs and why.  Nothing reads a clock, so
+selection is bit-reproducible.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.collectives.plan import Variant
 from repro.utils.errors import ValidationError
@@ -38,9 +39,6 @@ AUTO_VARIANT = "auto"
 #: What the solve path does with a level's commit (ends its reason).
 _SETUP_OUTCOME = "committed at set-up for the solve"
 
-#: Version stamp of :meth:`DecisionTrace.to_dict`; bump on any schema change.
-TRACE_SCHEMA_VERSION = 4
-
 
 def is_auto_variant(variant) -> bool:
     """Whether ``variant`` requests the per-level modeled commit
@@ -48,198 +46,24 @@ def is_auto_variant(variant) -> bool:
     return isinstance(variant, str) and variant.strip().lower() == AUTO_VARIANT
 
 
-# -- the trace -----------------------------------------------------------------
+# -- the decision -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DecisionEvent:
-    """One level's set-up commit, with the cost model's estimates.
+    """One level's variant and why: what each row of
+    :attr:`~repro.amg.vcycle.WorldVCycle.schedule` says it runs on.
 
-    ``estimates`` holds every candidate's modeled seconds, keyed by variant
-    value — the alternatives the commit was chosen from.  Each key must name
-    a :class:`~repro.collectives.plan.Variant` and each value be finite and
-    non-negative seconds, or :class:`ValidationError` is raised; so must
-    ``variant``.
+    Under ``variant="auto"`` it is the level's :func:`seed_event` commit,
+    and ``estimates`` holds every candidate's modeled seconds, keyed by
+    variant value — the alternatives the commit was chosen from.  Under a
+    fixed variant it has no estimates and the reason "fixed by caller".
     """
 
     level: int
     variant: str
-    estimates: Mapping[str, float] = field(default_factory=dict)
-    reason: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "variant",
-                           _variant_name(self.variant, "committed variant"))
-        object.__setattr__(self, "estimates", {
-            _variant_name(key, "estimate key"): _checked_seconds(
-                seconds, f"level {self.level}'s {key} estimate")
-            for key, seconds in dict(self.estimates).items()})
-
-    def to_dict(self) -> Dict[str, object]:
-        """The event as a plain dict — the pinned serialisation schema."""
-        return {
-            "level": int(self.level),
-            "variant": self.variant,
-            "estimates": {key: float(value)
-                          for key, value in sorted(self.estimates.items())},
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "DecisionEvent":
-        """Inverse of :meth:`to_dict`; raises :class:`ValidationError` for a
-        field missing or of the wrong type, an unknown variant name, or an
-        estimate that is not finite non-negative seconds (a trace is read
-        from outside the program)."""
-        try:
-            return cls(
-                level=int(payload["level"]),
-                variant=payload["variant"],
-                estimates=dict(payload.get("estimates", {})),
-                reason=str(payload.get("reason", "")),
-            )
-        except ValidationError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"malformed decision event {payload!r}: "
-                f"{type(exc).__name__}: {exc}") from None
-
-
-def _variant_name(name, what: str) -> str:
-    """``name`` as a :class:`Variant` value, else :class:`ValidationError`."""
-    try:
-        return Variant(name).value
-    except ValueError:
-        raise ValidationError(
-            f"{what} must name a variant "
-            f"{tuple(v.value for v in Variant)}, got {name!r}") from None
-
-
-class DecisionTrace:
-    """Ordered, queryable record of every level's commit.
-
-    Queried with :meth:`events` / :meth:`choices`, serialised with a stable
-    versioned schema (:meth:`to_dict` / :meth:`to_json`), rebuilt
-    (:meth:`from_dict` / :meth:`from_json`), and validated
-    (:meth:`validate`: one seed per level, whose variant is the
-    candidate-order argmin of its estimates).
-    """
-
-    def __init__(self, events: Sequence[DecisionEvent] = ()):
-        self._events: List[DecisionEvent] = list(events)
-
-    # -- container protocol ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[DecisionEvent]:
-        return iter(self._events)
-
-    def __getitem__(self, index) -> DecisionEvent:
-        return self._events[index]
-
-    def append(self, event: DecisionEvent) -> None:
-        """Record one more decision (the solve path's set-up calls this)."""
-        if not isinstance(event, DecisionEvent):
-            raise ValidationError("a DecisionTrace holds DecisionEvent objects")
-        self._events.append(event)
-
-    # -- queries --------------------------------------------------------------
-
-    def events(self, *, level: int | None = None) -> List[DecisionEvent]:
-        """Events, all or level ``level``'s, in recording order."""
-        return [e for e in self._events if level is None or e.level == level]
-
-    def levels(self) -> List[int]:
-        """Sorted levels that appear in the trace."""
-        return sorted({e.level for e in self._events})
-
-    def committed(self, level: int) -> Optional[Variant]:
-        """The level's commit, if the trace has one."""
-        for event in reversed(self._events):
-            if event.level == level:
-                return Variant(event.variant)
-        return None
-
-    def choices(self) -> Dict[int, Variant]:
-        """Every level's commit — what :meth:`committed` returns, for all."""
-        return {level: self.committed(level) for level in self.levels()}
-
-    # -- serialisation --------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Versioned plain-dict form: ``{"schema": 4, "events": [...]}``."""
-        return {"schema": TRACE_SCHEMA_VERSION,
-                "events": [event.to_dict() for event in self._events]}
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace variance) of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "DecisionTrace":
-        """Rebuild a trace from :meth:`to_dict` output; anything else raises
-        :class:`ValidationError`."""
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"a decision trace is a mapping, got {type(payload).__name__}")
-        schema = payload.get("schema")
-        if schema != TRACE_SCHEMA_VERSION:
-            raise ValidationError(
-                f"unsupported decision-trace schema {schema!r} "
-                f"(this build reads version {TRACE_SCHEMA_VERSION})")
-        events = payload.get("events", [])
-        if not isinstance(events, (list, tuple)) or not all(
-                isinstance(event, Mapping) for event in events):
-            raise ValidationError(
-                "a decision trace's events are a list of mappings")
-        return cls([DecisionEvent.from_dict(event) for event in events])
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTrace":
-        """Rebuild a trace from :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"decision trace is not JSON: {exc}") \
-                from None
-        return cls.from_dict(payload)
-
-    # -- validation -----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check that the trace is what :func:`seed_event` records; raises
-        :class:`ValidationError`.
-
-        Every level has one ``seed``, with an estimate for every one of
-        :data:`DEFAULT_CANDIDATES` and no other, and its ``variant`` is
-        their candidate-order argmin.
-        """
-        names = sorted(candidate.value for candidate in DEFAULT_CANDIDATES)
-        seen = set()
-        for position, event in enumerate(self._events):
-            if event.level in seen:
-                raise ValidationError(
-                    f"event {position}: a second seed for level {event.level}")
-            seen.add(event.level)
-            if sorted(event.estimates) != names:
-                raise ValidationError(
-                    f"event {position}: level {event.level}'s estimates name "
-                    f"{sorted(event.estimates)}, not the candidates {names}")
-            argmin = seed_event(event.level, event.estimates).variant
-            if event.variant != argmin:
-                raise ValidationError(
-                    f"event {position}: level {event.level} commits "
-                    f"{event.variant!r}, but the candidate-order argmin of "
-                    f"its estimates is {argmin!r}")
-
-    def describe(self) -> str:
-        """Human-readable one-line-per-event rendering (figure annotations)."""
-        return "\n".join(f"level {event.level}: {event.variant:<14s} "
-                         f"{event.reason}" for event in self._events)
+    estimates: Mapping[str, float]
+    reason: str
 
 
 # -- the rule -----------------------------------------------------------------
@@ -293,12 +117,12 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
 
 
 def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]
-               ) -> DecisionTrace:
+               ) -> Tuple[DecisionEvent, ...]:
     """One :func:`seed_event` per level of ``level_times`` (levels numbered
     from 0): the commits ``variant="auto"`` makes at set-up when a level's
     cost is its entry, which is how the experiment drivers model it."""
-    return DecisionTrace([seed_event(level, times)
-                          for level, times in enumerate(level_times)])
+    return tuple(seed_event(level, times)
+                 for level, times in enumerate(level_times))
 
 
 def _checked_seconds(value, what: str) -> float:

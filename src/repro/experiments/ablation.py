@@ -1,23 +1,25 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the design choices docs/ARCHITECTURE.md describes.
 
 Two ablations beyond the paper's figures:
 
-* **Dynamic selection** (the paper's future-work item): how close does the
+* **Dynamic selection** (the paper's future-work item; "Per-level
+  selection" in the architecture document): how close does the
   model-driven selection of :mod:`repro.collectives.selection` come to the
   oracle (per-level minimum over all variants), and how much does it improve
   over always using one fixed variant?
 * **Load balancing**: round-robin vs byte-balanced assignment of destination
   regions to the processes of a region (the "load balancing" the paper's
-  aggregation setup performs).
+  aggregation setup performs; "Leader tables" in the architecture
+  document).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.autotune import (DEFAULT_CANDIDATES, DecisionTrace,
+from repro.collectives.autotune import (DEFAULT_CANDIDATES, DecisionEvent,
                                         seed_trace)
 from repro.collectives.plan import Variant
 from repro.collectives.planner import plan_partial
@@ -32,7 +34,7 @@ class SelectionAblationResult:
 
     ``auto_choice`` is the per-level commit of ``variant="auto"``
     (:func:`~repro.collectives.autotune.seed_trace` on the modeled times),
-    and :attr:`decision_trace` records why each level committed it.  That
+    and :attr:`decision_trace` holds each level's commit and why.  That
     commit is the per-level modeled argmin, i.e. the oracle, so the auto and
     oracle columns are one computation shown twice.  The model choice
     decides through the same rule (ties break on candidate order) on setup
@@ -44,7 +46,7 @@ class SelectionAblationResult:
     oracle_choice: List[str]
     auto_choice: List[str] = field(default_factory=list)
     policy_times: Dict[str, float] = field(default_factory=dict)
-    decision_trace: Optional[DecisionTrace] = None
+    decision_trace: Optional[Tuple[DecisionEvent, ...]] = None
 
     @property
     def agreement(self) -> float:
@@ -87,8 +89,8 @@ def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResul
         "model_selection": 0.0,
         "oracle": 0.0,
     }
-    trace = seed_trace([p.times for p in profiles])
-    oracle_choice = [trace.committed(index) for index in range(len(profiles))]
+    decisions = seed_trace([p.times for p in profiles])
+    oracle_choice = [Variant(decision.variant) for decision in decisions]
     for profile, oracle in zip(profiles, oracle_choice):
         selection = select_variant(profile.pattern, context.mapping, context.model,
                                    setup_model=context.setup_model,
@@ -107,7 +109,7 @@ def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResul
                                    oracle_choice=oracle_names,
                                    auto_choice=list(oracle_names),
                                    policy_times=policy_times,
-                                   decision_trace=trace)
+                                   decision_trace=decisions)
 
 
 @dataclass

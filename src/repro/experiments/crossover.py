@@ -10,9 +10,9 @@ for the partially optimized and ~22 for the fully optimized implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.collectives.autotune import DecisionTrace, seed_trace
+from repro.collectives.autotune import DecisionEvent, seed_trace
 from repro.collectives.plan import Variant
 from repro.experiments.config import ALL_VARIANTS, ExperimentContext
 from repro.utils.formatting import format_series
@@ -32,8 +32,8 @@ class CrossoverResult:
 
     When the ``"auto"`` series was requested its dict keys are the plain
     string ``"auto"`` (the per-level commit is a policy over the variants,
-    not a protocol), and :attr:`decision_trace` records why each level
-    committed its variant.
+    not a protocol), and :attr:`decision_trace` holds each level's commit
+    and why, one event per level.
     """
 
     iteration_counts: List[int]
@@ -41,7 +41,7 @@ class CrossoverResult:
     per_iteration: Dict[Variant, float]
     totals: Dict[Variant, List[float]] = field(default_factory=dict)
     crossovers: Dict[Variant, Optional[int]] = field(default_factory=dict)
-    decision_trace: Optional[DecisionTrace] = None
+    decision_trace: Optional[Tuple[DecisionEvent, ...]] = None
 
     def to_table(self) -> str:
         """Render the cost-vs-iterations series as a text table."""
@@ -97,7 +97,7 @@ def run_crossover(context: ExperimentContext, *,
     computed — they are the figure's frame of reference): ``"auto"``, what
     ``variant="auto"`` runs: every level on its commit from cycle 0
     (:func:`~repro.collectives.autotune.seed_trace` over the same per-level
-    times the fixed series use), with the trace on the result.  Its init
+    times the fixed series use), with the decisions on the result.  Its init
     is every candidate's planning, ``init[standard] + init[partial]`` (the
     partial init already performs the full setup it wraps).
     """
@@ -108,18 +108,18 @@ def run_crossover(context: ExperimentContext, *,
         variant: sum(times[variant] for times in level_times)
         for variant in ALL_VARIANTS
     }
-    trace: Optional[DecisionTrace] = None
+    decisions: Optional[Tuple[DecisionEvent, ...]] = None
     if auto:
-        trace = seed_trace(level_times)
+        decisions = seed_trace(level_times)
         per_iteration[AUTO_SERIES] = sum(
-            times[trace.committed(level)]
+            times[Variant(decisions[level].variant)]
             for level, times in enumerate(level_times))
         init_costs[AUTO_SERIES] = init_costs[Variant.STANDARD] + \
             init_costs[Variant.PARTIAL]
 
     result = CrossoverResult(iteration_counts=iteration_counts,
                              init_costs=init_costs, per_iteration=per_iteration,
-                             decision_trace=trace)
+                             decision_trace=decisions)
     for variant in per_iteration:
         result.totals[variant] = [
             init_costs[variant] + n * per_iteration[variant] for n in iteration_counts

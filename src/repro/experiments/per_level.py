@@ -12,11 +12,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.collectives.autotune import DecisionTrace, seed_trace
+from repro.collectives.autotune import DecisionEvent, seed_trace
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.experiments.config import ExperimentContext
 from repro.pattern.statistics import PatternStatistics
@@ -38,7 +38,7 @@ class PerLevelResult:
     global_messages: Dict[str, List[int]] = field(default_factory=dict)
     global_bytes: Dict[str, List[int]] = field(default_factory=dict)
     times: Dict[str, List[float]] = field(default_factory=dict)
-    decision_trace: Optional[DecisionTrace] = None
+    decision_trace: Optional[Tuple[DecisionEvent, ...]] = None
 
     # -- derived headline numbers -------------------------------------------------
 
@@ -182,10 +182,10 @@ def run_per_level(context: ExperimentContext) -> PerLevelResult:
     # Figure 11's future-work overlay: the per-level variant the auto
     # commit picks on the same modeled times, one entry per level like every
     # other series, with the decision record attached.
-    trace = seed_trace([p.times for p in profiles])
+    decisions = seed_trace([p.times for p in profiles])
     result.times["auto_selected"] = [
-        float(profile.times[trace.committed(index)])
-        for index, profile in enumerate(profiles)
+        float(profile.times[Variant(decision.variant)])
+        for profile, decision in zip(profiles, decisions)
     ]
-    result.decision_trace = trace
+    result.decision_trace = decisions
     return result

@@ -91,7 +91,7 @@ class PlanError(ReproError, RuntimeError):
 
     Raised when a planner produces (or is given) a phase plan whose messages do
     not conserve payload, reference ranks outside the communicator, or violate
-    the aggregation invariants described in DESIGN.md.
+    the aggregation invariants described in docs/ARCHITECTURE.md (Layer 2).
     """
 
 

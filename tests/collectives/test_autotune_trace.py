@@ -1,27 +1,28 @@
-"""Golden/schema suite for the autotuner's decision trace.
+"""The solve path's per-level decisions, as its schedule reports them.
 
-Pins the contracts downstream consumers (figures, CI artifacts, replay
-tests) rely on:
+Every row of ``WorldVCycle.schedule`` carries its level's
+:class:`DecisionEvent`; the contracts pinned here:
 
-* the dict/JSON serialisation schema of :class:`DecisionEvent` and
-  :class:`DecisionTrace` — exact key set, canonical JSON, version stamp,
-  lossless round-trip;
+* the event and its rule — four frozen fields, estimates read as real
+  seconds (a string or a bool is refused, a sign of zero kept);
+* the fixed-variant decision — every row says its variant, with no
+  estimates and the reason "fixed by caller"; a level with no row has
+  no decision;
 * the modeled commit of ``variant="auto"`` — each level's argmin of the
   cost model over every candidate's plans, computed here independently,
-  with only the committed variant compiled;
-* trace *byte-identity* across execution runtimes: the same auto solve on
-  ``"engine"`` and ``"procs"`` must produce the identical ``to_json()``
-  string (the commit is made at set-up, before any round runs);
-* :meth:`DecisionTrace.validate` — one seed per level, estimates for every
-  candidate, and a variant that is their candidate-order argmin, so
-  tampering is caught; malformed input raises :class:`ValidationError`;
+  with only the committed variant compiled, and every row of a level on
+  its level's one decision;
+* decision *byte-identity* across execution runtimes: the same auto solve
+  on ``"engine"`` and ``"procs"`` must produce the identical ``repr`` of
+  every row's decision (the commit is made at set-up, before any round
+  runs; ``repr`` tells ``-0.0`` from ``0.0``);
 * solver equivalence — an auto solve is byte-identical to the fixed-variant
   solves it arbitrates between (variant choice changes time, never bytes).
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -33,9 +34,7 @@ from repro.collectives import exchange as exchange_module
 from repro.collectives import plan_cache
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
-    TRACE_SCHEMA_VERSION,
     DecisionEvent,
-    DecisionTrace,
     seed_event,
     seed_trace,
 )
@@ -50,13 +49,9 @@ from repro.sparse.partition import RowPartition
 from repro.sparse.stencils import poisson_2d, rotated_anisotropic_diffusion
 from repro.topology.presets import paper_mapping
 from repro.utils.errors import ValidationError
-from oracles import schedule_pattern
+from oracles import check_decisions, schedule_decisions, schedule_pattern
 
 N_RANKS = 4
-
-#: The pinned serialisation schema: exactly these keys, in any dict order
-#: (canonical JSON sorts them).  Extending the schema requires a version bump.
-EVENT_KEYS = {"level", "variant", "estimates", "reason"}
 
 LEVEL_TIMES = [
     {Variant.STANDARD: 3.0, Variant.PARTIAL: 2.0, Variant.FULL: 4.0},
@@ -91,20 +86,23 @@ class _FlatModel(CostModel):
 
 
 class TestEventSchema:
-    def test_event_dict_key_set_is_pinned(self):
-        trace = seed_trace(LEVEL_TIMES)
-        assert len(trace) == len(LEVEL_TIMES)
-        for event in trace:
-            assert set(event.to_dict()) == EVENT_KEYS
+    def test_event_field_set_is_pinned(self):
+        """What a schedule row says about its level: these four fields,
+        frozen."""
+        assert [field.name for field in dataclasses.fields(DecisionEvent)] \
+            == ["level", "variant", "estimates", "reason"]
+        event = seed_event(0, LEVEL_TIMES[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.variant = "full"
 
     def test_seed_event_golden(self):
-        assert seed_event(0, LEVEL_TIMES[0]).to_dict() == {
-            "level": 0,
-            "variant": "partial",
-            "estimates": {"full": 4.0, "partial": 2.0, "standard": 3.0},
-            "reason": "cost model's cheapest candidate; committed at set-up "
-                      "for the solve",
-        }
+        event = seed_event(0, LEVEL_TIMES[0])
+        assert event == DecisionEvent(
+            level=0, variant="partial",
+            estimates={"standard": 3.0, "partial": 2.0, "full": 4.0},
+            reason="cost model's cheapest candidate; committed at set-up "
+                   "for the solve")
+        assert all(type(value) is float for value in event.estimates.values())
 
     def test_seed_reason_without_a_model_says_the_estimates_tie(self):
         """Equal estimates name no cheapest candidate, so the reason names
@@ -116,8 +114,8 @@ class TestEventSchema:
         matrix, hierarchy, mapping = _problem()
         with WorldVCycle(hierarchy, mapping, variant="auto",
                          model=_FlatModel(0.0)) as vcycle:
-            seeds = vcycle.decision_trace.events()
-        assert len(seeds) == len(vcycle.decision_trace) == hierarchy.n_levels
+            seeds = schedule_decisions(vcycle.schedule)
+        assert len(seeds) == hierarchy.n_levels
         for event in seeds:
             assert set(event.estimates.values()) == {0.0}
             assert event.variant == DEFAULT_CANDIDATES[0].value
@@ -131,154 +129,141 @@ class TestEventSchema:
             "cost model's cheapest candidate, tied with full; candidate "
             "order picked the commit; committed at set-up for the solve")
 
-    def test_event_round_trip_is_lossless(self):
-        for event in seed_trace(LEVEL_TIMES):
-            assert DecisionEvent.from_dict(event.to_dict()) == event
-
-    def test_describe_is_one_line_per_level(self):
-        assert seed_trace(LEVEL_TIMES).describe().splitlines() == [
-            f"level 0: partial        cost model's cheapest candidate; "
-            f"{SET_UP}",
-            f"level 1: standard       cost model's cheapest candidate; "
-            f"{SET_UP}"]
-
-
-class TestTraceSerialisation:
-    def test_json_round_trip_byte_identical(self):
-        trace = seed_trace(LEVEL_TIMES)
-        text = trace.to_json()
-        rebuilt = DecisionTrace.from_json(text)
-        assert rebuilt.to_json() == text
-        assert rebuilt.choices() == trace.choices() == {
-            0: Variant.PARTIAL, 1: Variant.STANDARD}
-        rebuilt.validate()
-
-    def test_json_is_canonical(self):
-        text = seed_trace(LEVEL_TIMES).to_json()
-        payload = json.loads(text)
-        assert payload["schema"] == TRACE_SCHEMA_VERSION == 4
-        assert json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) == text
-
-    def test_unknown_schema_version_is_rejected(self):
-        payload = seed_trace(LEVEL_TIMES).to_dict()
-        for schema in (TRACE_SCHEMA_VERSION - 1, TRACE_SCHEMA_VERSION + 1):
-            payload["schema"] = schema
-            with pytest.raises(ValidationError, match="schema"):
-                DecisionTrace.from_dict(payload)
-
-    def test_a_schema_3_document_is_rejected(self):
-        """Schema 3 stamped every event ``kind="seed"``, ``cycle=0`` and
-        ``source="model"``; schema 4 dropped the three constant fields, so
-        an old document is refused, not read."""
-        old = {"schema": 3, "events": [{
-            "kind": "seed", "level": 0, "cycle": 0, "variant": "partial",
-            "estimates": {"full": 4.0, "partial": 2.0, "standard": 3.0},
-            "source": "model", "reason": f"cost model's cheapest candidate; "
-                                         f"{SET_UP}"}]}
-        with pytest.raises(ValidationError,
-                           match="unsupported decision-trace schema 3"):
-            DecisionTrace.from_dict(old)
-        with pytest.raises(ValidationError,
-                           match="unsupported decision-trace schema 3"):
-            DecisionTrace.from_json(json.dumps(old))
-
-    @staticmethod
-    def _payload(**changes):
-        """A one-event trace dict with the event's fields ``changes``d
-        (``None`` drops a field)."""
-        event = seed_trace(LEVEL_TIMES)[0].to_dict()
-        event.update(changes)
-        return {"schema": TRACE_SCHEMA_VERSION,
-                "events": [{key: value for key, value in event.items()
-                            if value is not None or key not in changes}]}
-
-    def test_an_event_without_a_level_is_rejected(self):
-        with pytest.raises(ValidationError, match="malformed decision event"):
-            DecisionTrace.from_dict(self._payload(level=None))
-
-    def test_a_non_integer_level_is_rejected(self):
-        with pytest.raises(ValidationError, match="malformed decision event"):
-            DecisionTrace.from_dict(self._payload(level="x"))
-
-    @pytest.mark.parametrize("changes, match", [
-        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": "x"}},
-         "full estimate must be seconds"),
-        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": "2"}},
-         "full estimate must be seconds"),
-        ({"estimates": {"standard": 3.0, "partial": 2.0, "full": True}},
-         "full estimate must be seconds"),
-        ({"estimates": {"standard": 3.0, "partial": 2.0,
-                        "full": float("nan")}}, "finite and non-negative"),
-        ({"estimates": {"standard": 3.0, "partial": -2.0, "full": 4.0}},
-         "finite and non-negative"),
-        ({"estimates": {"standard": 3.0, "partial": 2.0, "warp": 4.0}},
-         "estimate key must name a variant"),
-        ({"variant": "warp"}, "committed variant must name a variant"),
-        ({"variant": None}, "malformed decision event"),
-    ], ids=["string-estimate", "string-number-estimate", "bool-estimate",
-            "nan-estimate", "negative-estimate",
-            "unknown-estimate-key", "unknown-variant", "no-variant"])
-    def test_a_malformed_event_is_rejected_on_load(self, changes, match):
-        """A trace is read from outside the program: a bad estimate or
-        variant name fails at ``from_dict``, not later at ``to_json`` or
-        ``choices``."""
+    @pytest.mark.parametrize("full, match", [
+        ("x", "full estimate must be seconds"),
+        ("2", "full estimate must be seconds"),
+        (True, "full estimate must be seconds"),
+    ], ids=["string-estimate", "string-number-estimate", "bool-estimate"])
+    def test_seed_event_refuses_an_estimate_that_is_not_seconds(self, full,
+                                                                 match):
+        """A string or a bool is not seconds, even where ``float()`` would
+        read it: the rule refuses it instead of committing on it."""
         with pytest.raises(ValidationError, match=match):
-            DecisionTrace.from_dict(self._payload(**changes))
+            seed_event(0, {"standard": 3.0, "partial": 2.0, "full": full})
 
-    @pytest.mark.parametrize("text", ["[]", "3", '"trace"', "{"])
-    def test_json_that_is_not_a_trace_object_is_rejected(self, text):
-        with pytest.raises(ValidationError):
-            DecisionTrace.from_json(text)
+    @pytest.mark.parametrize("full", [
+        2, np.float32(0.5), np.float64(1.5)],
+        ids=["int", "numpy-float32", "numpy-float64"])
+    def test_seed_event_coerces_a_real_estimate_to_float(self, full):
+        """Any real number is seconds; the event holds it as a ``float``,
+        so its ``repr`` does not depend on the model's number type."""
+        event = seed_event(0, {"standard": 3.0, "partial": 2.5, "full": full})
+        assert type(event.estimates["full"]) is float
+        assert event.estimates["full"] == float(full)
+        assert event == seed_event(
+            0, {"standard": 3.0, "partial": 2.5, "full": float(full)})
 
-    def test_events_that_are_not_a_list_of_objects_are_rejected(self):
-        for events in ({"level": 0}, ["seed"]):
-            with pytest.raises(ValidationError, match="list of mappings"):
-                DecisionTrace.from_dict({"schema": TRACE_SCHEMA_VERSION,
-                                         "events": events})
+    def test_seed_event_keeps_the_sign_of_a_zero_estimate(self):
+        """``-0.0`` is non-negative seconds and ties ``0.0``, but the event
+        keeps its sign, so comparing ``repr``s tells the two apart."""
+        signed = seed_event(0, {"standard": -0.0, "partial": 0.0,
+                                "full": 0.0})
+        unsigned = seed_event(0, dict.fromkeys(DEFAULT_CANDIDATES, 0.0))
+        assert math.copysign(1.0, signed.estimates["standard"]) == -1.0
+        assert signed.variant == unsigned.variant == "standard"
+        assert signed.reason == unsigned.reason == f"{TIE}; {SET_UP}"
+        assert signed == unsigned
+        assert repr(signed) != repr(unsigned)
+
+    def test_seed_event_reads_estimates_keyed_by_variant_or_value(self):
+        by_value = {"standard": 3.0, "partial": 2.0, "full": 4.0}
+        mixed = {Variant.STANDARD: 3.0, "partial": 2.0, Variant.FULL: 4.0}
+        assert seed_event(0, by_value) == seed_event(0, mixed) == \
+            seed_event(0, LEVEL_TIMES[0])
+        assert list(seed_event(0, mixed).estimates) == \
+            [candidate.value for candidate in DEFAULT_CANDIDATES]
+
+    @pytest.mark.parametrize("position, changes, match", [
+        (0, {"variant": "standard"},
+         "candidate-order argmin of its estimates is 'partial'"),
+        (0, {"variant": "full"},
+         "candidate-order argmin of its estimates is 'partial'"),
+        (0, {"estimates": {"standard": 2.0, "partial": 1.0, "full": 1.0},
+             "variant": "full"}, "argmin of its estimates is 'partial'"),
+        (0, {"estimates": {"standard": 3.0, "partial": 2.0}},
+         "not the candidates"),
+        (0, {"estimates": {"standard": 3.0, "partial": 2.0, "full": 4.0,
+                           "point_to_point": 1.0}}, "not the candidates"),
+        (1, {"level": 0}, "one event per level, in level order"),
+    ], ids=["variant-standard", "variant-full", "tie-out-of-candidate-order",
+            "missing-estimate", "extra-estimate", "second-seed-for-a-level"])
+    def test_the_decision_check_catches_tampering(self, position, changes,
+                                                  match):
+        """``check_decisions`` re-derives every commit: it accepts what
+        ``seed_trace`` records and refuses each kind of tampering."""
+        decisions = list(seed_trace(LEVEL_TIMES))
+        check_decisions(decisions)
+        decisions[position] = dataclasses.replace(decisions[position],
+                                                  **changes)
+        with pytest.raises(ValidationError, match=match):
+            check_decisions(decisions)
 
 
-class TestTraceValidation:
-    """``validate`` re-derives every commit: one seed per level, estimates
-    for every candidate, and the candidate-order argmin as its variant."""
+class TestScheduleDecisions:
+    """Each row of the schedule says why its level runs its variant."""
 
-    @staticmethod
-    def _tampered(position: int, **changes) -> DecisionTrace:
-        events = [event.to_dict() for event in seed_trace(LEVEL_TIMES)]
-        events[position].update(changes)
-        return DecisionTrace.from_dict(
-            {"schema": TRACE_SCHEMA_VERSION, "events": events})
+    def test_a_fixed_variant_solver_reports_every_level_fixed_by_caller(self):
+        matrix, hierarchy, mapping = _problem()
+        for variant in DEFAULT_CANDIDATES:
+            with WorldAMGSolver(matrix, mapping, hierarchy=hierarchy,
+                                variant=variant) as solver:
+                schedule = solver.vcycle_executor.schedule
+            assert {row.level for row in schedule} == \
+                set(range(hierarchy.n_levels))
+            for row in schedule:
+                assert row.decision == DecisionEvent(
+                    row.level, variant.value, {}, "fixed by caller")
+                assert row.collective.variant == variant
 
-    def test_a_seed_trace_validates(self):
-        trace = seed_trace(LEVEL_TIMES)
-        trace.validate()
-        self._tampered(0).validate()
+    def test_every_row_of_an_auto_level_runs_its_levels_one_decision(self):
+        matrix, hierarchy, mapping = _problem()
+        with WorldAMGSolver(matrix, mapping, hierarchy=hierarchy,
+                            variant="auto") as solver:
+            schedule = solver.vcycle_executor.schedule
+        decisions = schedule_decisions(schedule)   # one per level's rows
+        assert len(decisions) == hierarchy.n_levels
+        check_decisions(decisions)
+        for row in schedule:
+            assert row.collective.variant.value == row.decision.variant
 
-    @pytest.mark.parametrize("variant", ["standard", "full"])
-    def test_tampered_variant_is_caught(self, variant):
-        with pytest.raises(ValidationError,
-                           match="candidate-order argmin of its estimates "
-                                 "is 'partial'"):
-            self._tampered(0, variant=variant).validate()
+    @pytest.mark.parametrize("value", [variant.value for variant in Variant])
+    def test_a_variant_named_by_value_is_fixed_by_caller(self, value):
+        """Every protocol, point-to-point too, named by its value: each row
+        runs it and says the caller fixed it."""
+        matrix, hierarchy, mapping = _problem()
+        with WorldVCycle(hierarchy, mapping, variant=value) as vcycle:
+            schedule = vcycle.schedule
+        assert [event.level for event in schedule_decisions(schedule)] == \
+            list(range(hierarchy.n_levels))
+        for row in schedule:
+            assert row.decision == DecisionEvent(row.level, value, {},
+                                                 "fixed by caller")
+            assert row.collective.variant == Variant(value)
 
-    def test_a_tie_committed_out_of_candidate_order_is_caught(self):
-        """``partial`` and ``full`` tie: only ``partial``, the earlier
-        candidate, is the rule's commit."""
-        tied = {"standard": 2.0, "partial": 1.0, "full": 1.0}
-        self._tampered(0, estimates=tied, variant="partial").validate()
-        with pytest.raises(ValidationError, match="argmin"):
-            self._tampered(0, estimates=tied, variant="full").validate()
+    def test_auto_in_any_spelling_commits_alike(self):
+        matrix, hierarchy, mapping = _problem()
+        reprs = []
+        for spelling in ("auto", " Auto ", "AUTO"):
+            with WorldVCycle(hierarchy, mapping, variant=spelling) as vcycle:
+                reprs.append([repr(row.decision) for row in vcycle.schedule])
+                check_decisions(schedule_decisions(vcycle.schedule))
+        assert reprs[0] == reprs[1] == reprs[2]
 
-    def test_a_missing_or_extra_estimate_is_caught(self):
-        for estimates in ({"standard": 3.0, "partial": 2.0},
-                          {"standard": 3.0, "partial": 2.0, "full": 4.0,
-                           "point_to_point": 1.0}):
-            with pytest.raises(ValidationError, match="not the candidates"):
-                self._tampered(0, estimates=estimates).validate()
-
-    def test_a_second_seed_for_a_level_is_caught(self):
-        with pytest.raises(ValidationError, match="second seed for level 0"):
-            self._tampered(1, level=0).validate()
+    def test_a_level_with_no_rows_has_no_decision(self):
+        """On one rank no rank sends the coarse gather, so the coarsest
+        level has no exchange: no row, hence no decision, while every
+        smoothed level has its seed."""
+        matrix = ParCSRMatrix(poisson_2d((12, 12)), RowPartition.even(144, 1))
+        hierarchy = build_hierarchy(matrix, seed=1)
+        assert hierarchy.n_levels >= 2
+        mapping = paper_mapping(1, ranks_per_node=1)
+        for variant in ("auto", Variant.PARTIAL):
+            with WorldVCycle(hierarchy, mapping, variant=variant) as vcycle:
+                decisions = schedule_decisions(vcycle.schedule)
+            assert [event.level for event in decisions] == \
+                list(range(hierarchy.n_levels - 1))
+            if variant == "auto":
+                check_decisions(decisions)
 
 
 class TestModeledCommit:
@@ -313,26 +298,27 @@ class TestModeledCommit:
                                          theta=math.pi / 4.0)
         hierarchy = build_hierarchy(problem.matrix)
         mapping = paper_mapping(256, ranks_per_node=16)
-        traces = []
+        reprs = []
         for _ in range(2):
             with WorldVCycle(hierarchy, mapping, variant="auto",
                              runtime="engine") as vcycle:
-                traces.append(vcycle.decision_trace)
-        assert traces[0].to_json() == traces[1].to_json()
+                reprs.append([repr(row.decision) for row in vcycle.schedule])
+        assert reprs[0] == reprs[1]
         oracle = self._oracle(hierarchy, mapping,
                               lassen_parameters(active_per_node=16),
                               vcycle.schedule)
-        trace = traces[0]
-        assert len(trace) == len(oracle)
-        for level, (event, (modeled, best)) in enumerate(zip(trace, oracle)):
+        decisions = schedule_decisions(vcycle.schedule)
+        assert len(decisions) == len(oracle)
+        for level, (event, (modeled, best)) in enumerate(zip(decisions,
+                                                             oracle)):
             assert event.level == level
             assert event.estimates == {v.value: t for v, t in modeled.items()}
             assert event.variant == best.value
             assert event.reason.endswith("; committed at set-up for the solve")
-        assert [trace.committed(level).value for level in trace.levels()] == [
+        assert [event.variant for event in decisions] == [
             "standard", "full", "partial", "full", "full", "full", "full",
             "partial", "full", "full"]
-        trace.validate()
+        check_decisions(decisions)
 
     def test_a_single_level_hierarchy_prices_its_fine_product(self):
         """On one level no cycle round runs on the fine ``A``: its one
@@ -347,7 +333,7 @@ class TestModeledCommit:
                          runtime="engine") as vcycle:
             assert [row[:4] for row in vcycle.schedule] == [
                 (0, "A", 0, 1), (0, "gather", 1, 1)]
-            [event] = vcycle.decision_trace
+            [event] = schedule_decisions(vcycle.schedule)
             assert vcycle.fine_spmv.collective.variant.value == event.variant
         [(modeled, best)] = self._oracle(
             hierarchy, mapping, lassen_parameters(active_per_node=4),
@@ -369,10 +355,11 @@ class TestModeledCommit:
                 of=[exchange_module.compile_world_exchange])
         plan_cache.clear_plan_cache()
         with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
-            choices = vcycle.decision_trace.choices()
+            decisions = schedule_decisions(vcycle.schedule)
             for index in range(hierarchy.n_levels):
                 assert {row.collective.plan.variant for row in vcycle.schedule
-                        if row.level == index} == {choices[index]}
+                        if row.level == index} == \
+                    {Variant(decisions[index].variant)}
         assert compiles["auto"] == compiles[Variant.PARTIAL] == \
             3 * (hierarchy.n_levels - 1) + 1
 
@@ -384,7 +371,7 @@ class TestModeledCommit:
         for model, coarsest in ((None, "full"), (_FlatModel(1e-6), "standard")):
             with WorldVCycle(hierarchy, mapping, variant="auto",
                              model=model) as vcycle:
-                trace = vcycle.decision_trace
+                trace = schedule_decisions(vcycle.schedule)
             assert [event.variant for event in trace] == \
                 ["standard"] * (hierarchy.n_levels - 1) + [coarsest]
         oracle = self._oracle(hierarchy, mapping, _FlatModel(1e-6),
@@ -417,17 +404,31 @@ class TestRuntimeByteIdentity:
             x = np.zeros(matrix.n_rows, dtype=np.float64)
             for _ in range(4):
                 x = vcycle.cycle(b, x)
-            return x, vcycle.decision_trace
+            return x, vcycle.schedule
 
     def test_trace_byte_identical_across_runtimes(self):
-        """Engine vs procs: the same commits, hence the same canonical JSON
-        byte string, and the same iterate."""
-        x_engine, trace_engine = self._run("engine")
-        x_procs, trace_procs = self._run("procs", n_workers=2)
+        """Engine vs procs: the same commits, hence the same ``repr`` of
+        every row's decision, and the same iterate."""
+        x_engine, schedule_engine = self._run("engine")
+        x_procs, schedule_procs = self._run("procs", n_workers=2)
         assert np.array_equal(x_engine, x_procs)
-        assert trace_engine.choices() == trace_procs.choices()
-        assert trace_engine.to_json() == trace_procs.to_json()
-        trace_engine.validate()
+        assert [repr(row.decision) for row in schedule_engine] == \
+            [repr(row.decision) for row in schedule_procs]
+        check_decisions(schedule_decisions(schedule_engine))
+
+    def test_fixed_decisions_identical_across_runtimes(self):
+        """A fixed variant's rows say the same on either runtime."""
+        matrix, hierarchy, mapping = _problem()
+        reprs = []
+        for runtime, n_workers in (("engine", None), ("procs", 2)):
+            with ExchangeEngine(matrix.n_ranks, runtime=runtime,
+                                n_workers=n_workers) as engine:
+                vcycle = WorldVCycle(hierarchy, mapping,
+                                     variant=Variant.FULL, engine=engine)
+                reprs.append([repr(row.decision) for row in vcycle.schedule])
+        assert reprs[0] == reprs[1]
+        assert {row.decision.reason for row in vcycle.schedule} == \
+            {"fixed by caller"}
 
 
 class TestSolverEquivalence:
@@ -438,14 +439,15 @@ class TestSolverEquivalence:
         def solve(variant, **kwargs):
             with WorldAMGSolver(matrix, mapping, hierarchy=hierarchy,
                                 variant=variant, **kwargs) as solver:
-                return solver.solve(b, max_iterations=6, tol=0.0)
+                return (solver.solve(b, max_iterations=6, tol=0.0),
+                        schedule_decisions(solver.vcycle_executor.schedule))
 
-        auto = solve("auto")
-        assert auto.decision_trace is not None
-        auto.decision_trace.validate()
-        assert auto.decision_trace.choices()  # every level justified
+        auto, decisions = solve("auto")
+        check_decisions(decisions)
+        assert len(decisions) == hierarchy.n_levels  # every level justified
         for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
-            fixed = solve(variant)
-            assert fixed.decision_trace is None
+            fixed, fixed_decisions = solve(variant)
+            assert [event.reason for event in fixed_decisions] == \
+                ["fixed by caller"] * hierarchy.n_levels
             assert np.array_equal(auto.solution, fixed.solution)
             assert auto.residual_norms == fixed.residual_norms

@@ -53,3 +53,26 @@ def test_readme_links_architecture_doc():
         readme = handle.read()
     assert "docs/ARCHITECTURE.md" in readme, \
         "README must link the architecture document"
+
+
+#: A markdown file name, with any directory before it, as a module names it.
+_MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_markdown_paths_named_in_src_exist():
+    """Every ``*.md`` path a module under ``src/`` names (relative to the
+    repository root) exists, so a docstring never sends its reader to a
+    document that is gone."""
+    missing = []
+    for directory, _, files in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, 1):
+                    missing += [
+                        f"{os.path.relpath(path, REPO_ROOT)}:{number}: {target}"
+                        for target in _MD_PATH.findall(line)
+                        if not os.path.isfile(os.path.join(REPO_ROOT, target))]
+    assert not missing, "modules name missing documents:\n" + "\n".join(missing)

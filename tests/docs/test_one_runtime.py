@@ -15,13 +15,16 @@ experiment drivers once simulated.  And the engine is the execution
 configuration: a caller who wants per-level traffic passes one profiled
 engine per level, so the ``level_profilers=`` keyword was deleted.  The
 plan cache is one in-process LRU: its pickled disk tier, the environment
-variable naming its directory and the warning it raised were deleted.  This
-guard keeps all of them deleted: it fails if one of the runtime's module
-files exists again, or if any module under ``src/``, ``examples/`` or
-``bench/`` defines, imports or references one of the deleted names, or
-declares or passes one of the deleted keywords.  The keyword sets of the
-solve path's constructors, the figure drivers and the element-type path
-are pinned too, so a removed option cannot come back unnoticed.
+variable naming its directory and the warning it raised were deleted.  The
+schedule is the one record of what each level runs and why: the decision
+trace, with its versioned schema and its loader, was deleted, and so was
+``SolveResult``'s field that carried it.  This guard keeps all of them
+deleted: it fails if one of the runtime's module files exists again, or if
+any module under ``src/``, ``examples/`` or ``bench/`` defines, imports or
+references one of the deleted names, or declares or passes one of the
+deleted keywords.  The keyword sets of the solve path's constructors, the
+figure drivers, the element-type path and the solve result are pinned too,
+so a removed option cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.amg.comm_analysis import (
     level_transfer_patterns,
 )
 from repro.amg.relax import DistributedJacobi
-from repro.amg.solver import BoomerAMGSolver
+from repro.amg.solver import BoomerAMGSolver, SolveResult
 from repro.amg.vcycle import WorldAMGSolver, WorldVCycle, coarse_gather_pattern
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.persistent import WorldNeighborCollective
@@ -115,8 +118,14 @@ PATTERN_VIEW_NAMES = {"send_map", "recv_map", "send_items", "recv_items",
 PLAN_CACHE_DISK_NAMES = {"PlanCacheWarning", "cache_dir", "_disk_load",
                          "_disk_store", "_digest", "CACHE_FORMAT_VERSION"}
 
+#: Names of the deleted decision trace: each row of ``WorldVCycle.schedule``
+#: carries its level's decision.  (Its ``to_json`` / ``from_dict`` are gone
+#: too, but those are common method names elsewhere.)
+DECISION_TRACE_NAMES = {"DecisionTrace", "TRACE_SCHEMA_VERSION"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
-    SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES
+    SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES | \
+    DECISION_TRACE_NAMES
 
 #: Keywords the solve path's constructors no longer take: per-level
 #: traffic is a list of profiled engines passed as ``engine=``.
@@ -229,6 +238,9 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "directory = plan_cache.cache_dir()",
     "def _disk_store(kind, key, payload):\n    pass",
     "CACHE_FORMAT_VERSION = 11",
+    "from repro.collectives import DecisionTrace",
+    "trace = autotune.DecisionTrace([])",
+    "TRACE_SCHEMA_VERSION = 4",
     """
     def later():
         from repro.simmpi.world import helper
@@ -253,6 +265,8 @@ def test_the_guard_sees_each_kind_of_use(source):
     "CommPattern.from_edge_lists(4, srcs, dests, item_arrays)",
     "prolongation.transpose()",
     "from repro.collectives import clear_plan_cache, plan_cache_stats",
+    "from repro.collectives.autotune import DecisionEvent",
+    "payload = event.to_json()",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)
@@ -293,12 +307,15 @@ def test_the_solve_path_constructors_keep_their_keyword_sets(constructor):
 
 
 #: The options (keyword-only parameters and parameters with a default) of
-#: the figure drivers, the measured helpers and the element-type path.  Each
-#: figure driver has one code path: it plots modeled times and planned counts
-#: on the config's sweeps, and the measured helpers execute what it models,
-#: over every variant with a fixed number of timed rounds.  Only the pattern constructors and builders set an exchange's
+#: the figure drivers, the measured helpers, the element-type path and the
+#: solve result.  Each figure driver has one code path: it plots modeled
+#: times and planned counts on the config's sweeps, and the measured helpers
+#: execute what it models, over every variant with a fixed number of timed
+#: rounds.  Only the pattern constructors and builders set an exchange's
 #: element type, as ``dtype`` x ``item_size``; ``item_bytes`` is derived from
-#: them, and the ParCSR / hierarchy patterns are float64 scalar halos.
+#: them, and the ParCSR / hierarchy patterns are float64 scalar halos.  A
+#: solve's result carries its numbers only: why each level runs its variant
+#: is on the solver's schedule, so ``SolveResult`` has no decision field.
 OPTIONS = {
     run_graph_creation: set(),
     run_crossover: {"auto"},
@@ -325,6 +342,7 @@ OPTIONS = {
     level_transfer_patterns: set(),
     hierarchy_comm_profiles: {"model", "strategy", "validate"},
     coarse_gather_pattern: set(),
+    SolveResult: {"residual_norms", "iterations", "converged"},
 }
 
 

@@ -21,6 +21,7 @@ from repro.experiments.per_level import (
 )
 from repro.experiments.runner import render_report, run_all_experiments
 from repro.experiments.scaling import run_strong_scaling, run_weak_scaling
+from oracles import check_decisions
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +308,8 @@ class TestAutoSeries:
         result = run_crossover(smoke_context, auto=True)
         assert "auto" in result.totals
         assert len(result.totals["auto"]) == len(result.iteration_counts)
-        assert result.decision_trace is not None
-        result.decision_trace.validate()
+        check_decisions(result.decision_trace)
+        assert len(result.decision_trace) == len(smoke_context.profiles)
         # The per-level commit is the oracle: never worse than any fixed
         # variant, and equal to the sum of per-level minima exactly.
         for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
@@ -342,9 +343,9 @@ class TestAutoSeries:
         for index in range(len(result.levels)):
             best = min(result.times[series][index] for series in candidates)
             assert auto[index] == pytest.approx(best)
-        assert result.decision_trace is not None
-        result.decision_trace.validate()
-        assert sorted(result.decision_trace.levels()) == sorted(result.levels)
+        check_decisions(result.decision_trace)
+        assert [event.level for event in result.decision_trace] == \
+            result.levels
 
     def test_selection_ablation_auto_matches_oracle(self, smoke_context):
         result = run_selection_ablation(smoke_context)
@@ -356,6 +357,7 @@ class TestAutoSeries:
         assert result.policy_times["auto"] == result.policy_times["oracle"] \
             == sum(profile.times[profile.best_variant()] for profile in profiles)
         assert len(result.auto_choice) == len(result.levels)
-        assert result.decision_trace is not None
-        result.decision_trace.validate()
+        check_decisions(result.decision_trace)
+        assert [event.level for event in result.decision_trace] == \
+            result.levels
         assert "auto choice" in result.to_table()

@@ -16,7 +16,10 @@ another way, kept only so tests can check against it:
   pinned to;
 * :func:`schedule_pattern` — the pattern of a row of a V-cycle's exchange
   schedule, built from the hierarchy, so a test checks the cycle's
-  collectives and traffic against plans it made itself.
+  collectives and traffic against plans it made itself;
+* :func:`schedule_decisions` / :func:`check_decisions` — each level's
+  decision off a schedule, and the check that decisions are what
+  ``seed_event`` commits (one per level, the argmin of their estimates).
 
 pytest puts ``tests/`` on ``sys.path`` when it loads ``tests/conftest.py``,
 so any test imports them as ``from oracles import ...``.
@@ -30,6 +33,7 @@ import numpy as np
 
 from repro.amg.relax import weighted_jacobi_iteration
 from repro.amg.vcycle import coarse_gather_pattern
+from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
 from repro.perfmodel.base import CostModel
 from repro.sparse.comm_pkg import pattern_from_parcsr
 from repro.topology.machine import Locality
@@ -95,6 +99,42 @@ def schedule_pattern(hierarchy, level: int, operator: str):
     if operator == "P":
         return pattern_from_parcsr(hierarchy.prolongation_matrix(level))
     raise ValueError(f"no schedule operator {operator!r}")
+
+
+def schedule_decisions(schedule) -> tuple:
+    """Each level's decision off a ``WorldVCycle.schedule``, in level
+    order, after asserting that every row of a level carries the same one."""
+    decisions = {}
+    for row in schedule:
+        assert row.decision == decisions.setdefault(row.level, row.decision), \
+            f"level {row.level}'s {row.operator} row decides otherwise"
+    return tuple(decisions[level] for level in sorted(decisions))
+
+
+def check_decisions(decisions) -> None:
+    """Check that ``decisions`` are what ``seed_event`` commits; raises
+    :class:`ValidationError`.
+
+    There is one event per level, in level order from 0; each has an
+    estimate for every one of ``DEFAULT_CANDIDATES`` and no other, and its
+    variant is their candidate-order argmin.
+    """
+    names = sorted(candidate.value for candidate in DEFAULT_CANDIDATES)
+    for position, event in enumerate(decisions):
+        if event.level != position:
+            raise ValidationError(
+                f"event {position} is level {event.level}'s, not level "
+                f"{position}'s: one event per level, in level order")
+        if sorted(event.estimates) != names:
+            raise ValidationError(
+                f"event {position}: level {event.level}'s estimates name "
+                f"{sorted(event.estimates)}, not the candidates {names}")
+        argmin = seed_event(event.level, event.estimates).variant
+        if event.variant != argmin:
+            raise ValidationError(
+                f"event {position}: level {event.level} commits "
+                f"{event.variant!r}, but the candidate-order argmin of "
+                f"its estimates is {argmin!r}")
 
 
 @dataclass(frozen=True)

@@ -262,8 +262,9 @@ def test_pattern_from_edges_makes_as_many_calls_with_4x_the_items(count_calls):
 
 def test_a_pickled_pattern_hashes_like_an_equal_one_in_another_process():
     """A pattern's hash is a hash of bytes, which differs between processes:
-    a pickle must not carry it, or a pattern loaded elsewhere (the disk plan
-    cache) equals a fresh one yet misses it as a dict key."""
+    a pickle must not carry it, or a pattern loaded in another process (any
+    pickle, whoever wrote it) equals a fresh one yet misses it as a dict
+    key."""
     pattern = halo_exchange_pattern((4, 4))
     hash(pattern)
     code = ("import pickle, sys\n"
