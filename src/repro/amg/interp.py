@@ -9,11 +9,15 @@ behaviour the paper studies.
 
 ``P`` is built in passes over ``A``'s stored entries, never row by row: rows
 are expanded once (``np.repeat`` over ``indptr``); an entry is *strong-C* when
-its column is a C-point and its ``(row, col)`` is in ``S``'s structure (one
-sorted-key ``searchsorted`` over ``row * n + col``, so explicit zeros in ``S``
-count and ``S`` entries absent from ``A`` contribute nothing); the four row sums
-are ``np.bincount`` with weights; ``alpha``, ``beta`` and the lumped diagonal are
-vector expressions; injections and weights go into one ``csr_matrix`` call.
+its column is a C-point and its ``(row, col)`` is in ``S``'s structure.  An
+``S`` from :func:`~repro.amg.strength.classical_strength` of this ``A`` (the
+hierarchy's) says which entries those are in its ``strong_entries`` mask,
+which one compare pass certifies against ``A`` and ``S``; for a caller's own
+``S`` it is one sorted-key ``searchsorted`` over ``row * n + col``, so explicit
+zeros in ``S`` count and ``S`` entries absent from ``A`` contribute nothing.
+The four row sums are ``np.bincount`` with weights; ``alpha``, ``beta`` and
+the lumped diagonal are vector expressions; injections and weights go into one
+``csr_matrix`` call.
 
 Contract, pinned against the row-loop oracle by
 ``tests/amg/test_interp_equivalence.py``: pattern exactly the loop's, weights to
@@ -78,12 +82,16 @@ def direct_interpolation(matrix: sp.spmatrix, strength: sp.spmatrix,
     cols = A.indices.astype(INDEX_DTYPE, copy=False)
     vals = A.data
 
-    # Strong-C entries of F-rows.  The -1 sentinel sorts below every key, so
-    # "last key <= query" always exists: no bounds case, none for an empty S.
-    strong_keys = np.sort(np.append(
-        np.repeat(row_ids, np.diff(S.indptr)) * n + S.indices, -1))
-    keys = rows * n + cols
-    in_strength = strong_keys[np.searchsorted(strong_keys, keys, side="right") - 1] == keys
+    # Strong-C entries of F-rows.
+    in_strength = getattr(strength, "strong_entries", None)
+    if not _certifies(A, S, in_strength):
+        # The -1 sentinel sorts below every key, so "last key <= query"
+        # always exists: no bounds case, none for an empty S.
+        strong_keys = np.sort(np.append(
+            np.repeat(row_ids, np.diff(S.indptr)) * n + S.indices, -1))
+        keys = rows * n + cols
+        in_strength = strong_keys[
+            np.searchsorted(strong_keys, keys, side="right") - 1] == keys
     strong_c = in_strength & is_coarse[cols] & ~is_coarse[rows]
 
     def row_sum(mask: np.ndarray) -> np.ndarray:
@@ -113,3 +121,18 @@ def direct_interpolation(matrix: sp.spmatrix, strength: sp.spmatrix,
     P = sp.csr_matrix((p_vals, (p_rows, p_cols)), shape=(n, splitting.n_coarse))
     P.sum_duplicates()
     return P
+
+
+def _certifies(A: sp.csr_matrix, S: sp.csr_matrix, strong) -> bool:
+    """Whether the entry mask ``strong`` says which of ``A``'s stored
+    entries are in ``S``'s structure: ``A`` is canonical, and ``S`` holds
+    exactly the entries ``strong`` marks, in ``A``'s order.  Then an entry
+    in ``S`` is a marked one, since ``A`` has no duplicate ``(row, col)``."""
+    if not isinstance(strong, np.ndarray) or strong.dtype != bool \
+            or strong.shape != A.indices.shape \
+            or S.indptr.shape != A.indptr.shape or not A.has_canonical_format:
+        return False
+    marked = np.zeros(strong.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(strong, out=marked[1:])
+    return np.array_equal(S.indptr, marked[A.indptr]) \
+        and np.array_equal(S.indices, A.indices[strong])

@@ -26,6 +26,12 @@ def classical_strength(matrix: sp.spmatrix, theta: float = 0.25) -> sp.csr_matri
         Square sparse matrix (typically an M-matrix-like discretisation).
     theta:
         Strength threshold in [0, 1]; Hypre's default for 2-D problems is 0.25.
+
+    The result carries ``strong_entries``: over the entries of ``matrix``
+    with its indices sorted, the ones it is built from.  On a canonical
+    ``matrix`` that says which stored entries are in the result, and
+    :func:`~repro.amg.interp.direct_interpolation` reads it there, once
+    checked, in place of a search.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta}")
@@ -33,8 +39,9 @@ def classical_strength(matrix: sp.spmatrix, theta: float = 0.25) -> sp.csr_matri
     if A.shape[0] != A.shape[1]:
         raise ValidationError("strength of connection requires a square matrix")
     n = A.shape[0]
-    A = A.copy()
-    A.sort_indices()
+    if not A.has_sorted_indices:
+        A = A.copy()
+        A.sort_indices()
 
     indptr = A.indptr
     indices = A.indices
@@ -54,6 +61,7 @@ def classical_strength(matrix: sp.spmatrix, theta: float = 0.25) -> sp.csr_matri
          (row_of_entry[strong], indices[strong])),
         shape=A.shape,
     )
+    strength.strong_entries = strong
     return strength
 
 

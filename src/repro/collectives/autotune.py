@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.collectives.plan import Variant
@@ -49,7 +50,7 @@ def is_auto_variant(variant) -> bool:
 # -- the decision -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DecisionEvent:
     """One level's variant and why: what each row of
     :attr:`~repro.amg.vcycle.WorldVCycle.schedule` says it runs on.
@@ -58,12 +59,28 @@ class DecisionEvent:
     and ``estimates`` holds every candidate's modeled seconds, keyed by
     variant value — the alternatives the commit was chosen from.  Under a
     fixed variant it has no estimates and the reason "fixed by caller".
+
+    The event is as frozen as it says: ``estimates`` is a read-only copy of
+    the mapping it was given, and the event hashes by value.
     """
 
     level: int
     variant: str
     estimates: Mapping[str, float]
     reason: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "estimates",
+                           MappingProxyType(dict(self.estimates)))
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.variant,
+                     tuple(sorted(self.estimates.items())), self.reason))
+
+    def __repr__(self) -> str:
+        return (f"DecisionEvent(level={self.level!r}, "
+                f"variant={self.variant!r}, "
+                f"estimates={dict(self.estimates)!r}, reason={self.reason!r})")
 
 
 # -- the rule -----------------------------------------------------------------

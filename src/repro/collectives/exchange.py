@@ -18,8 +18,9 @@ it, or never delivers a required one, is a :class:`PlanError` here.
 Compilation itself is columnar too: the compiler never looks at an
 ``(origin, item)`` pair — it reads the plan's phase tables, whose payload
 rows carry the pattern's interned key ids, and checks the hops with one
-in-place sort of packed ``(holder, key, step)`` int64 and one
-``searchsorted`` per hop.  The hops as written — the *replay columns*
+in-place sort of packed ``(holder, key, step)`` int64 and at most one
+``searchsorted`` per hop — none for a direct plan, whose receipts are its
+results row for row.  The hops as written — the *replay columns*
 ``gather`` / ``scatter`` / ``wire_perm`` on ``n_world_rows`` rows, which
 only the kernel replay and the tests' reference executor read — are not
 compiled: a world derives them from its plan by the hop-by-hop join
@@ -52,6 +53,7 @@ from repro.utils.arrays import (
     lexsort_packed,
     range_index,
     run_starts_mask,
+    sort_unless_sorted,
 )
 from repro.utils.errors import PlanError, ValidationError
 from repro.utils.validation import check_positive_int
@@ -259,8 +261,12 @@ def compile_world_exchange(plan: CollectivePlan,
     payload rows tagged with the step's number and is sorted in place.  A
     send may only pack what its sender owns or received in an earlier
     schedule step, and every result entry's receiver must hold its value by
-    the end of the round: both are one ``searchsorted`` of the sorted
-    unowned queries into the stream.  A plan that fails either is a
+    the end of the round: both ask the sorted stream about the sorted
+    unowned queries (:func:`_all_held`).  Where the two name the same
+    pairs row for row — a direct plan's results, every receipt a result
+    entry — one xor pass says so; any other answer is one
+    ``searchsorted``.  Queries already in order, as the result view's
+    usually are, are not sorted again.  A plan that fails either is a
     :class:`PlanError`, with the diagnostic of the hop-by-hop join
     (:func:`_replay_columns`).
 
@@ -436,7 +442,7 @@ def _unowned_queries(owned_holders: np.ndarray, n_ranks: int):
         query += asked
         del asked
         query <<= _STEP_BITS
-        query.sort()
+        sort_unless_sorted(query)
         return query
 
     return unowned
@@ -471,11 +477,21 @@ def _all_held(stream: np.ndarray, queries: np.ndarray, allowed: int) -> bool:
     """Whether the sorted ``stream`` answers every one of the sorted
     ``queries`` with a step numbered at most ``allowed``: the entry found
     xor the query is the step when they pack the same ``(holder, key)``,
-    and at least ``1 << _STEP_BITS`` when they do not."""
+    and at least ``1 << _STEP_BITS`` when they do not.
+
+    A direct phase's stream is its result queries, row for row: then one
+    xor pass says "held" with no search.  Anything else it may say goes to
+    the search, which alone answers "not held".
+    """
     if not queries.size:
         return True
     if not stream.size:
         return False
+    if stream.size == queries.size:
+        found = stream ^ queries
+        if int(found.max()) <= allowed:
+            return True
+        del found
     found = np.searchsorted(stream, queries)
     stream.take(found, out=found, mode="clip")
     found ^= queries

@@ -51,25 +51,29 @@ def result_cuts(offsets: np.ndarray, item_size: int) -> List[tuple]:
     and its shape ``(k, L)`` (``(k, L, item_size)`` for wider items), with
     an explicit ``L`` so that a run of empty ranks reshapes too.  The ranks
     between such runs are one piece: a list of their slices, and ``None``.
-    The periodic 64×64 halo is one piece.
+    Only those ranks get a slice of their own: the periodic 64×64 halo is
+    one piece, and one slice.
     """
     lengths = np.diff(offsets)
     starts = np.flatnonzero(np.diff(lengths, prepend=-1))
     stops = np.append(starts[1:], lengths.size)
     long = stops - starts >= MIN_RUN
     bounds = offsets.tolist()
-    slices = list(map(slice, bounds[:-1], bounds[1:]))
+
+    def slices(first: int, stop: int) -> list:
+        return list(map(slice, bounds[first:stop], bounds[first + 1:stop + 1]))
+
     cuts = []
     rank = 0
     for start, stop in zip(starts[long].tolist(), stops[long].tolist()):
         if rank < start:
-            cuts.append((slices[rank:start], None))
+            cuts.append((slices(rank, start), None))
         shape = (stop - start, bounds[start + 1] - bounds[start], item_size)
         cuts.append((slice(bounds[start], bounds[stop]),
                      shape if item_size > 1 else shape[:2]))
         rank = stop
-    if rank < len(slices):
-        cuts.append((slices[rank:], None))
+    if rank < lengths.size:
+        cuts.append((slices(rank, lengths.size), None))
     return cuts
 
 

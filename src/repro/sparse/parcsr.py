@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.partition import RowPartition
+from repro.utils.arrays import unique_inverse
 from repro.utils.errors import ValidationError
 
 
@@ -99,7 +100,7 @@ def _stack_rank_blocks(csr: sp.csr_matrix, row_partition: RowPartition,
     # column map and, via the inverse, each entry's position in it.
     rank_keys = np.arange(n_ranks + 1, dtype=np.int64) * n_cols
     keys = np.repeat(rank_keys[:-1], per_rank)[offd] + cols[offd]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_keys, inverse = unique_inverse(keys)
     width = n_cols + unique_keys.size
     indices = cols.astype(np.result_type(cols.dtype,
                                          sp.get_index_dtype(maxval=width)))

@@ -6,7 +6,10 @@ index manipulations (counts/displacements, stable uniques, even partitions)
 that MPI-style code needs constantly.
 
 Every stable order of set-up is :func:`lexsort_packed`'s: one plain (SIMD)
-sort of keys tagged with their row index.
+sort of keys tagged with their row index, and every unique-with-inverse is
+:func:`unique_inverse`'s, the same sort read off by runs.  Keys that already
+ascend skip their sort (:func:`sort_unless_sorted`): a compare pass costs a
+fraction of what ``np.sort`` spends even on sorted input.
 """
 
 from __future__ import annotations
@@ -168,6 +171,13 @@ def run_starts_mask(*columns: np.ndarray) -> np.ndarray:
     return mask
 
 
+def sort_unless_sorted(values: np.ndarray) -> None:
+    """Sort ``values`` in place, unless they already ascend: a compare pass
+    costs about a tenth of what ``np.sort`` spends on sorted input."""
+    if not np.all(values[1:] >= values[:-1]):
+        values.sort()
+
+
 def tagged_sort(columns: Sequence[np.ndarray]):
     """``(tagged, row_bits)``: the keys of two or more rows packed into one
     int64 from 0, most significant column first, with the row index in the
@@ -191,7 +201,7 @@ def tagged_sort(columns: Sequence[np.ndarray]):
         tagged -= low
     tagged <<= row_bits
     tagged |= np.arange(tagged.size, dtype=INDEX_DTYPE)
-    tagged.sort()
+    sort_unless_sorted(tagged)
     return tagged, row_bits
 
 
@@ -215,6 +225,29 @@ def lexsort_packed(*columns: np.ndarray) -> np.ndarray:
     order, row_bits = tagged
     order &= (1 << row_bits) - 1
     return order
+
+
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of an integer column: one
+    :func:`tagged_sort`, whose high bits are the sorted keys, their run
+    starts and one scatter of each run's number to its rows.
+
+    >>> unique_inverse(np.array([7, 3, 7, 5]))
+    (array([3, 5, 7]), array([2, 0, 2, 1]))
+    """
+    tagged = tagged_sort((keys,)) if keys.size > 1 else None
+    if tagged is None:
+        return np.unique(keys, return_inverse=True)
+    order, row_bits = tagged
+    sorted_keys = order >> row_bits
+    sorted_keys += keys.min()
+    order &= (1 << row_bits) - 1
+    starts = run_starts_mask(sorted_keys)
+    runs = np.cumsum(starts)
+    runs -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = runs
+    return sorted_keys[starts], inverse
 
 
 def group_rows_to_csr(n_keys: int, primary: np.ndarray, secondary: np.ndarray,

@@ -226,6 +226,21 @@ class TestScheduleDecisions:
         for row in schedule:
             assert row.collective.variant.value == row.decision.variant
 
+    def test_an_auto_rows_decision_hashes_and_cannot_be_rewritten(self):
+        """The event is frozen all through: it hashes by value, and its
+        estimates, shared by every row of the level, reject a write."""
+        matrix, hierarchy, mapping = _problem()
+        with WorldVCycle(hierarchy, mapping, variant="auto") as vcycle:
+            rows = [row for row in vcycle.schedule if row.level == 0]
+        decision = rows[0].decision
+        assert decision.estimates
+        before = dict(decision.estimates)
+        assert hash(decision) == hash(dataclasses.replace(decision))
+        assert len({row.decision for row in rows}) == 1
+        with pytest.raises(TypeError):
+            decision.estimates["full"] = -1.0
+        assert all(dict(row.decision.estimates) == before for row in rows)
+
     @pytest.mark.parametrize("value", [variant.value for variant in Variant])
     def test_a_variant_named_by_value_is_fixed_by_caller(self, value):
         """Every protocol, point-to-point too, named by its value: each row

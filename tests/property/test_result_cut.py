@@ -10,14 +10,21 @@ distinct, for ``item_size`` 1 and 3 on both runtimes, the list must be:
     byte, shape for shape and dtype for dtype;
 (b) views of one fresh array that owns its memory;
 (c) sharing no memory with the previous round's result.
+
+The cut itself builds a slice only for a rank outside the long runs, and one
+per long run: the periodic 64×64 halo's 4 096 ranks are one slice.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.collectives import Variant, neighbor_alltoallv_init_world
+from repro.collectives import persistent
 from repro.collectives.persistent import MIN_RUN, result_cuts
 from repro.pattern.builders import pattern_from_edges
 from repro.topology import paper_mapping
@@ -107,3 +114,56 @@ def test_every_run_of_min_run_ranks_is_one_reshape():
                                           (MIN_RUN, 0, 3))
     periodic = np.arange(0, 4097 * 64, 64)
     assert result_cuts(periodic, 1) == [(slice(0, 4096 * 64), (4096, 64))]
+
+
+def _counted_cuts(offsets, item_size):
+    """``(cuts, slices)``: ``result_cuts`` and the slices it built."""
+    built = []
+
+    def counted(*bounds):
+        built.append(bounds)
+        return slice(*bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistent, "slice", counted, raising=False)
+        cuts = result_cuts(offsets, item_size)
+    return cuts, len(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 3),
+                               st.integers(1, 3 * MIN_RUN)),
+                     min_size=1, max_size=8),
+       item_size=st.sampled_from([1, 3]))
+@example(runs=[(1, MIN_RUN - 1), (1, 1), (0, MIN_RUN)], item_size=1)
+def test_only_ranks_outside_long_runs_get_a_slice(runs, item_size):
+    """Cut the way ``exchange`` cuts, the pieces are ``np.split`` of the
+    flat result at the rank offsets; the slices built are one per long run
+    and one per rank outside them."""
+    lengths = _lengths(runs)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    cuts, slices = _counted_cuts(offsets, item_size)
+
+    flat = np.arange(offsets[-1] * item_size, dtype=np.float64)
+    if item_size > 1:
+        flat = flat.reshape(-1, item_size)
+    views = []
+    for cut, shape in cuts:
+        views.extend(flat[cut].reshape(shape) if shape is not None
+                     else [flat[span] for span in cut])
+    expected = np.split(flat, offsets[1:-1])
+    assert len(views) == len(expected)
+    for view, rank_view in zip(views, expected):
+        assert view.shape == rank_view.shape
+        assert view.tobytes() == rank_view.tobytes()
+
+    run_lengths = [len(list(run)) for _, run in itertools.groupby(lengths)]
+    long_runs = [size for size in run_lengths if size >= MIN_RUN]
+    assert slices == len(long_runs) + len(lengths) - sum(long_runs)
+
+
+def test_the_periodic_halo_is_one_slice():
+    periodic = np.arange(0, 4097 * 64, 64)
+    cuts, slices = _counted_cuts(periodic, 1)
+    assert cuts == [(slice(0, 4096 * 64), (4096, 64))]
+    assert slices == 1

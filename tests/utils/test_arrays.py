@@ -15,7 +15,9 @@ from repro.utils.arrays import (
     lexsort_packed,
     partition_evenly,
     run_starts_mask,
+    sort_unless_sorted,
     tagged_sort,
+    unique_inverse,
 )
 from repro.utils.errors import ValidationError
 
@@ -174,6 +176,47 @@ class TestTaggedSort:
     def test_overflowing_keys_give_none(self):
         big = 2 ** 62
         assert tagged_sort((np.array([big, -big]), np.array([1, 2]))) is None
+
+
+class TestSortUnlessSorted:
+    """Keys already in order are checked, not sorted again."""
+
+    def test_sorts_in_place_and_skips_sorted_input(self, count_calls):
+        rng = np.random.default_rng(5)
+        for values in (np.arange(50), np.repeat(np.arange(5), 3),
+                       rng.integers(-9, 9, 40), np.array([3]),
+                       np.array([], dtype=np.int64)):
+            expected = np.sort(values)
+            was_sorted = values.tolist() == expected.tolist()
+            sorts = count_calls(sort_unless_sorted, values,
+                                of=[np.ndarray.sort])
+            assert values.tolist() == expected.tolist()
+            assert sorts == (0 if was_sorted else 1)
+
+    def test_lexsort_packed_of_rows_in_order_sorts_nothing(self, count_calls):
+        a = np.repeat(np.arange(6), 4)
+        b = np.tile([1, 1, 2, 7], 6)
+        assert count_calls(lexsort_packed, a, b, of=[np.ndarray.sort]) == 0
+        assert lexsort_packed(a, b).tolist() == list(range(a.size))
+        assert count_calls(lexsort_packed, b, a, of=[np.ndarray.sort]) == 1
+
+
+class TestUniqueInverse:
+    """One tagged sort gives ``np.unique``'s values and inverse, bytes and
+    dtypes alike."""
+
+    @pytest.mark.parametrize("high", [1, 4, 10 ** 6, 2 ** 40, 2 ** 62])
+    def test_matches_np_unique(self, high):
+        rng = np.random.default_rng(high % 97)
+        for size in (0, 1, 2, 3, 50, 1000):
+            keys = rng.integers(-high, high, size)
+            values, inverse = unique_inverse(keys)
+            expected_values, expected_inverse = np.unique(
+                keys, return_inverse=True)
+            for got, expected in ((values, expected_values),
+                                  (inverse, expected_inverse)):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestGroupRowsToCsr:
