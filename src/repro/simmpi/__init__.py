@@ -22,14 +22,11 @@ Typical use::
 """
 
 from repro.simmpi.engine import ExchangeEngine
-from repro.simmpi.faults import FaultPlan, FaultSpec
 from repro.simmpi.procs import ProcsPool, RecoveryEvent, default_worker_count
 from repro.simmpi.profiler import TrafficProfiler
 
 __all__ = [
     "ExchangeEngine",
-    "FaultPlan",
-    "FaultSpec",
     "ProcsPool",
     "RecoveryEvent",
     "default_worker_count",

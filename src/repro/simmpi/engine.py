@@ -33,9 +33,8 @@ else goes through the full input check.
   array and the step's source rows move into
   ``multiprocessing.shared_memory`` and every forked worker gathers its even
   share of the halo rows.  On an unbound handle the step is an empty slot —
-  the output gather stays in the parent.  A retried round, and a round the
-  parent finishes itself after the pool failed, are the same step on the
-  same rows.
+  the output gather stays in the parent.  A round the pool retries after a
+  worker died or hung is the same step on the same rows.
 
 Profiler data-path totals are identical on both.  These two are the only
 runtimes: ``REPRO_RUNTIME=procs`` in the environment flips the default for
@@ -64,13 +63,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.simmpi.profiler import TrafficProfiler
-from repro.utils.errors import CommunicationError, ValidationError, WorkerError
+from repro.utils.errors import CommunicationError, ValidationError
 from repro.utils.validation import (check_non_negative_int,
                                     check_value_preserving_cast)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.collectives.exchange import WorldExchange, WorldPhaseProgram
-    from repro.simmpi.faults import FaultPlan
     from repro.simmpi.procs import ProcsPool, RecoveryEvent, SharedProgram
 
 #: Per-iteration input: one flat concatenation of all ranks' owned values in
@@ -81,21 +79,9 @@ WorldValues = Union[Sequence[np.ndarray], np.ndarray]
 #: the process, including those a collective, SpMV or V-cycle creates itself.
 RUNTIME_ENV = "REPRO_RUNTIME"
 
-#: Environment variable that flips the default worker-failure policy for
-#: every ``runtime="procs"`` engine in the process — the way to set it for
-#: engines a collective, SpMV or V-cycle creates itself.
-ON_FAILURE_ENV = "REPRO_ON_FAILURE"
-
 #: Every runtime an engine executes, and so every value ``runtime=`` and
 #: ``REPRO_RUNTIME`` may name.
 ENGINE_RUNTIMES = ("engine", "procs")
-
-#: What a ``runtime="procs"`` engine does when a worker dies, hangs, or
-#: corrupts its pipe: ``"retry"`` respawns the pool and retries (then
-#: raises), ``"fallback"`` retries and — with retries exhausted — finishes
-#: the round on the single-process path and stays serial,
-#: ``"raise"`` fails fast with no retry.
-ON_FAILURE_POLICIES = ("retry", "fallback", "raise")
 
 
 def default_runtime() -> str:
@@ -108,18 +94,6 @@ def default_runtime() -> str:
         raise ValidationError(
             f"{RUNTIME_ENV} must be one of {ENGINE_RUNTIMES}, got {value!r}")
     return value or "engine"
-
-
-def default_on_failure() -> str:
-    """The policy an ``on_failure=None`` caller gets: ``REPRO_ON_FAILURE``
-    when set, ``"retry"`` otherwise.  A value that names no policy raises
-    :class:`ValidationError`, as an unknown ``REPRO_RUNTIME`` does."""
-    value = os.environ.get(ON_FAILURE_ENV, "").strip().lower()
-    if value and value not in ON_FAILURE_POLICIES:
-        raise ValidationError(
-            f"{ON_FAILURE_ENV} must be one of {ON_FAILURE_POLICIES}, "
-            f"got {value!r}")
-    return value or "retry"
 
 
 @dataclass
@@ -224,24 +198,14 @@ class ExchangeEngine:
     through ``REPRO_RUNTIME``); ``n_workers`` sizes the procs pool (default:
     one per available core, capped by ``n_ranks``).
 
-    Worker failures on the procs backend are supervised: ``on_failure``
-    picks the policy (``"retry"`` — respawn the pool and retry, then raise;
-    ``"fallback"`` — retry, then re-run the round on the single-process
-    path and stay serial; ``"raise"`` — fail fast; ``None`` resolves
-    through ``REPRO_ON_FAILURE``, default ``"retry"``), ``timeout`` bounds
-    how long the parent waits for worker acknowledgements
-    (``REPRO_WORKER_TIMEOUT``, default 120 s), ``max_retries`` /
-    ``retry_backoff`` shape the retry schedule, and ``fault_plan`` injects
-    deterministic chaos (:mod:`repro.simmpi.faults`, ``REPRO_FAULTS``).
-    Every supervision decision is recorded in :attr:`events`.
+    Worker failures on the procs backend are supervised: the pool respawns
+    its workers and retries the failed command, then raises
+    :class:`~repro.utils.errors.WorkerError` (:mod:`repro.simmpi.procs`).
+    Every retry and give-up is recorded in :attr:`events`.
     """
 
     def __init__(self, n_ranks: int, *, profiler: TrafficProfiler | None = None,
-                 runtime: str | None = None, n_workers: int | None = None,
-                 on_failure: str | None = None,
-                 timeout: float | None = None, max_retries: int = 2,
-                 retry_backoff: float = 0.05,
-                 fault_plan: "FaultPlan | None" = None):
+                 runtime: str | None = None, n_workers: int | None = None):
         if isinstance(n_ranks, (int, np.integer)) and n_ranks <= 0:
             raise ValidationError("an exchange engine needs at least one rank")
         # A float, bool or string is rejected, never truncated.
@@ -258,21 +222,12 @@ class ExchangeEngine:
                 f"engine runtime must be one of {ENGINE_RUNTIMES}, "
                 f"got {runtime!r}"
             )
-        if on_failure is None:
-            on_failure = default_on_failure()
-        if on_failure not in ON_FAILURE_POLICIES:
-            raise ValidationError(
-                f"on_failure must be one of {ON_FAILURE_POLICIES}, "
-                f"got {on_failure!r}"
-            )
         self.n_ranks = n_ranks
         self.profiler = profiler
         self.runtime = runtime
-        self.on_failure = on_failure
         self._programs: List[_RegisteredProgram] = []
         self._closed = False
         self._pool: Optional["ProcsPool"] = None
-        self._pool_failed = False
         self._events: List["RecoveryEvent"] = []
         self._finalizer = None
         if runtime == "procs":
@@ -281,11 +236,6 @@ class ExchangeEngine:
             self._pool = ProcsPool(
                 n_workers=n_workers if n_workers is not None
                 else default_worker_count(self.n_ranks),
-                timeout=timeout,
-                # "raise" means fail fast: the pool gets no retry budget.
-                max_retries=0 if on_failure == "raise" else max_retries,
-                retry_backoff=retry_backoff,
-                fault_plan=fault_plan,
                 events=self._events)
             # The backstop must not keep the engine alive, so it closes the
             # pool object directly (close() is idempotent).
@@ -306,16 +256,10 @@ class ExchangeEngine:
 
     @property
     def events(self) -> List["RecoveryEvent"]:
-        """The supervision decision trace: every retry, give-up, and fallback
-        recorded as a structured :class:`~repro.simmpi.procs.RecoveryEvent`,
-        in the order they were decided."""
+        """The supervision decision trace: every retry and give-up recorded
+        as a structured :class:`~repro.simmpi.procs.RecoveryEvent`, in the
+        order they were decided."""
         return list(self._events)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the procs pool failed permanently and the engine now runs
-        every round on the single-process path."""
-        return self._pool_failed
 
     def close(self) -> None:
         """Release workers and shared-memory segments deterministically.
@@ -390,22 +334,16 @@ class ExchangeEngine:
         work = np.zeros((head + n_halo, world.spec.item_size),
                         dtype=world.spec.dtype)
         state = _RegisteredProgram(world, vector_length, work, sends, source)
-        if self._pool is not None and not self._pool_failed:
+        if self._pool is not None:
             # The pool's schedule: every send, then the round's one receive
             # step — an empty slot on an unbound handle, whose output gather
             # stays here.
             steps = [(None, 0, 0)] * len(sends) \
                 + [(source if bound else source[:0], head, head + n_halo)]
-            try:
-                shared = self._pool.register(work, steps)
-            except WorkerError as exc:
-                if self.on_failure != "fallback":
-                    raise
-                self._fall_back("register", exc)    # stays on its own arrays
-            else:
-                state.shared, state.work = shared, shared.work.array
-                if bound:
-                    state.source = shared.step_sources()[-1]
+            shared = self._pool.register(work, steps)
+            state.shared, state.work = shared, shared.work.array
+            if bound:
+                state.source = shared.step_sources()[-1]
         if bound:
             # Cut after the pool swapped ``work`` for its shared segment.
             state.head, state.halo = state.work[:head, 0], state.work[head:, 0]
@@ -477,17 +415,8 @@ class ExchangeEngine:
         elif not (state.owned is not None and _load_ranks(state, values)):
             loaded = self._load_values(state, values)
             work[:loaded.shape[0]] = loaded
-        delivered = False
-        if state.shared is not None and not self._pool_failed:
-            try:
-                self._pool.run(handle)
-                delivered = True
-            except WorkerError as exc:
-                if self.on_failure != "fallback":
-                    raise
-                # No worker is left to write a row: the half-written round
-                # re-runs below, on the same rows.
-                self._fall_back("run", exc)
+        if state.shared is not None:
+            self._pool.run(handle)
         if self.profiler is not None:
             for program in state.sends:
                 self._account(program)
@@ -500,12 +429,11 @@ class ExchangeEngine:
             work.take(state.source, 0, rows, "wrap")
             return rows.reshape(-1) if state.world.spec.item_size == 1 \
                 else rows
-        if not delivered:
+        if state.buffer is not None:
             # The halo from the vector rows: two disjoint views fixed at
             # register, the take called on the array directly (``np.take``
             # would add two Python frames).
             head.take(state.source, 0, state.halo, "wrap")
-        if state.buffer is not None:
             return state.buffer         # the round buffer itself, read-only
         # The rows are a shared segment: a private read-only copy, so no
         # shared-memory view escapes to the caller.
@@ -514,28 +442,6 @@ class ExchangeEngine:
         return rows
 
     # -- helpers --------------------------------------------------------------
-
-    def _fall_back(self, command: str, exc: WorkerError) -> None:
-        """Degrade permanently to the single-process path after pool failure.
-
-        Quarantines the pool (stopping any wedged worker that might later
-        wake and scribble on the shared work arrays — the parent-side
-        segments stay alive until ``close``) and records the decision in the
-        event trace.  Every subsequent round of every registered program
-        runs here, on the rows it already has.
-        """
-        from repro.simmpi.procs import RecoveryEvent
-
-        self._pool.quarantine()
-        self._pool_failed = True
-        self._events.append(RecoveryEvent(
-            action="fallback", command=command,
-            attempt=self._pool.max_retries,
-            chosen=(f"retries exhausted; quarantined the "
-                    f"{self._pool.n_workers}-worker pool and completed the "
-                    f"{command} on the single-process path "
-                    f"(engine stays serial from here on)"),
-            crashes=exc.crashes))
 
     def _load_values(self, state: _RegisteredProgram,
                      values: WorldValues) -> np.ndarray:

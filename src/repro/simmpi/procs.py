@@ -16,41 +16,39 @@ by at most one row) and runs ``gather(work[:a], src[lo:hi],
 work[a + lo:a + hi])`` — disjoint writes, reads only of rows no step writes.
 A :class:`multiprocessing.Barrier` after each receive step orders every
 write of a step before any read of the next.  Send steps move nothing: they
-stay accounting in the parent (and fault-injection points here).
+stay accounting in the parent.
 
 The parent loads the head — rows no worker ever writes — before dispatching
 and, after all workers report done, copies the result out (or, on an
 unbound handle, runs the output gather into a fresh array), so no
 shared-memory view ever escapes to the caller.  An unbound handle's receive
 step is an empty range ``a == b``: every worker's share of it is empty and
-only the barrier and the fault-injection point remain.  Message accounting
-(the profiler) stays in the parent, exactly as on the serial path.
+only the barrier remains.  Message accounting (the profiler) stays in the
+parent, exactly as on the serial path.
 
 **Supervision.**  The parent collects acknowledgements with one
 ``multiprocessing.connection.wait`` over every command pipe *and* every
 process sentinel, so a worker that dies mid-round (OOM kill, segfault,
 ``os._exit``) is diagnosed the moment its sentinel fires — not after a
 per-worker poll timeout.  Failures are classified: a dead, wedged, or
-wire-corrupted worker raises :class:`~repro.utils.errors.WorkerError`
-carrying structured :class:`~repro.utils.errors.WorkerCrash` records
-(retryable infrastructure fault); an exception *inside* a worker's program
-raises plain :class:`~repro.utils.errors.CommunicationError` (deterministic
-bug — retrying would only repeat it).  The ack timeout is configurable
-(``timeout=`` here and on the engine, ``REPRO_WORKER_TIMEOUT`` in the
-environment).
+unreadable worker raises :class:`~repro.utils.errors.WorkerError` carrying
+structured :class:`~repro.utils.errors.WorkerCrash` records (retryable
+infrastructure fault); an exception *inside* a worker's program raises plain
+:class:`~repro.utils.errors.CommunicationError` (deterministic bug —
+retrying would only repeat it).  A worker that stays silent for
+:data:`WORKER_TIMEOUT` seconds counts as wedged.
 
-**Recovery.**  On a :class:`WorkerError` the pool tears the broken workers
-down (aborting the barrier so survivors blocked in ``Barrier.wait`` exit
-cleanly), respawns the pool, re-registers every retained
-:class:`SharedProgram` from the parent-side segments, and re-dispatches the
-failed command — up to ``max_retries`` times with exponential backoff.
-Workers only ever write the rows behind the head, all fully rewritten in
-schedule order, so a half-written round is safely discarded and the retried
-result — or the one the engine finishes itself, on the same rows, once the
-pool is quarantined — is byte-identical to the serial engine.  Every decision
-lands in ``events`` as a structured :class:`RecoveryEvent` (the
-decision-trace idiom).  Fault injection for all of this is deterministic:
-:class:`~repro.simmpi.faults.FaultPlan` (``REPRO_FAULTS``).
+**Recovery.**  The pool has one failure policy.  On a :class:`WorkerError`
+it tears the broken workers down (aborting the barrier so survivors blocked
+in ``Barrier.wait`` exit cleanly), respawns the pool, re-registers every
+retained :class:`SharedProgram` from the parent-side segments, and
+re-dispatches the failed command — up to :data:`MAX_RETRIES` times, after a
+backoff of :data:`RETRY_BACKOFF` seconds that doubles with each retry — and
+then lets the error escape.  Workers only ever write the rows behind the
+head, all fully rewritten in schedule order, so a half-written round is
+safely discarded and the retried result is byte-identical to the serial
+engine.  Every retry and give-up lands in ``events`` as a structured
+:class:`RecoveryEvent`.
 
 Lifecycle: workers are daemonic ``fork`` children driven over per-worker
 pipes; :meth:`ProcsPool.close` shuts them down and unlinks every segment
@@ -71,46 +69,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simmpi.faults import CORRUPT_WIRE_BYTES, FaultPlan, FaultSpec, fire
 from repro.utils.arrays import concatenate_or_empty
-from repro.utils.errors import (
-    CommunicationError,
-    ValidationError,
-    WorkerCrash,
-    WorkerError,
-)
-
-#: Environment variable overriding the default worker-acknowledgement timeout.
-TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
+from repro.utils.errors import CommunicationError, WorkerCrash, WorkerError
 
 #: How long the parent waits for a worker to finish one exchange round or
-#: acknowledge a command before declaring the pool wedged (default; see
-#: ``REPRO_WORKER_TIMEOUT`` and the ``timeout=`` keywords).
-_WORKER_TIMEOUT = 120.0
+#: acknowledge a command before declaring the pool wedged.
+WORKER_TIMEOUT = 120.0
+
+#: Retries of a failed command, each on a freshly respawned pool, before its
+#: :class:`~repro.utils.errors.WorkerError` escapes.
+MAX_RETRIES = 2
+
+#: Seconds before the first retry; each later retry waits twice as long.
+RETRY_BACKOFF = 0.05
 
 #: After the first failure is detected, how long the parent keeps draining
 #: the surviving workers' pending acknowledgements (they unblock as soon as
 #: the barrier is aborted) so a recovered pool never reads a stale ack.
 _DRAIN_GRACE = 5.0
-
-
-def default_worker_timeout() -> float:
-    """The ack timeout a ``timeout=None`` caller gets: ``REPRO_WORKER_TIMEOUT``
-    when set (must be a positive number of seconds), 120 s otherwise."""
-    text = os.environ.get(TIMEOUT_ENV, "").strip()
-    if not text:
-        return _WORKER_TIMEOUT
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(
-            f"{TIMEOUT_ENV} must be a number of seconds, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise ValidationError(
-            f"{TIMEOUT_ENV} must be positive, got {value}"
-        )
-    return value
 
 
 def default_worker_count(n_ranks: int) -> int:
@@ -128,8 +104,7 @@ class RecoveryEvent:
     """One supervision decision, recorded in the pool/engine event trace.
 
     ``action`` names what was decided (``"retry"`` — respawn and re-dispatch;
-    ``"give-up"`` — retries exhausted, error propagated; ``"fallback"`` —
-    engine finished the round on the single-process path); ``command`` is
+    ``"give-up"`` — retries exhausted, error propagated); ``command`` is
     what failed (``"run"`` or ``"register"``), ``attempt`` the 0-based
     delivery attempt that failed, ``crashes`` the structured per-worker
     diagnoses, and ``chosen`` the human-readable decision line.
@@ -280,22 +255,14 @@ def _attach_program(descriptor: dict) -> tuple:  # pragma: no cover - forked chi
     return work, sources, descriptor["steps"]
 
 
-def _run_round(program: tuple, worker_id: int, n_workers: int, barrier,
-               conn, fault: Optional[FaultSpec]) -> None:  # pragma: no cover
-    """Execute this worker's share of one exchange round's steps.
-
-    ``fault`` (chaos testing only) fires at the first step whose kind matches
-    the spec's phase — *inside* the round, peers already committed to their
-    barrier waits, exactly where a real OOM kill or wedge lands.
-    """
+def _run_round(program: tuple, worker_id: int, n_workers: int,
+               barrier) -> None:  # pragma: no cover - forked child
+    """Execute this worker's share of one exchange round's steps."""
     from repro.collectives.kernels import _numpy_gather as gather
 
     work, sources = program[0].array, program[1].array
     head = work.shape[0] - sources.shape[0]
     for kind, a, b in program[2]:
-        if fault is not None and fault.phase == kind:
-            fire(fault, conn)
-            fault = None  # a "hang" fault eventually returns; fire once
         if kind == "send":
             continue
         lo, hi = _share(b - a, worker_id, n_workers)
@@ -318,14 +285,9 @@ def _safe_send(conn: Connection, payload) -> bool:  # pragma: no cover - forked 
         return False
 
 
-def _worker_main(worker_id: int, n_workers: int, conn: Connection, barrier,
-                 fault_plan: Optional[FaultPlan]) -> None:  # pragma: no cover - forked child
-    """Worker loop: register programs, run rounds, exit on close.
-
-    Every command carries the delivery coordinate (round/handle, attempt)
-    the fault plan is consulted with; a healthy run never pays more than a
-    ``None`` check.
-    """
+def _worker_main(worker_id: int, n_workers: int, conn: Connection,
+                 barrier) -> None:  # pragma: no cover - forked child
+    """Worker loop: register programs, run rounds, exit on close."""
     import threading
 
     programs: Dict[int, tuple] = {}
@@ -335,34 +297,14 @@ def _worker_main(worker_id: int, n_workers: int, conn: Connection, barrier,
             kind = command[0]
             if kind == "close":
                 break
-            corrupt_ack = False
             try:
                 if kind == "register":
-                    descriptor, attempt = command[1], command[2]
-                    fault = fault_plan.match(
-                        phases=("register",), round=descriptor["handle"],
-                        worker=worker_id, attempt=attempt,
-                    ) if fault_plan else None
-                    if fault is not None:
-                        if fault.kind == "corrupt":
-                            corrupt_ack = True
-                        else:
-                            fire(fault, conn)
-                    programs[descriptor["handle"]] = \
-                        _attach_program(descriptor)
+                    programs[command[1]["handle"]] = \
+                        _attach_program(command[1])
                 elif kind == "run":
-                    handle, round_index, attempt = command[1:4]
-                    fault = fault_plan.match(
-                        phases=("send", "recv"), round=round_index,
-                        worker=worker_id, attempt=attempt,
-                    ) if fault_plan else None
-                    if fault is not None and fault.kind == "corrupt":
-                        corrupt_ack, fault = True, None
-                    _run_round(programs[handle], worker_id, n_workers,
-                               barrier, conn, fault)
-                if corrupt_ack:
-                    conn.send_bytes(CORRUPT_WIRE_BYTES)
-                elif not _safe_send(conn, (worker_id, None)):
+                    _run_round(programs[command[1]], worker_id, n_workers,
+                               barrier)
+                if not _safe_send(conn, (worker_id, None)):
                     break
             except threading.BrokenBarrierError:
                 if not _safe_send(conn, (worker_id,
@@ -395,44 +337,20 @@ class ProcsPool:
     One pool per ``runtime="procs"`` engine.  The workers are forked lazily at
     the first :meth:`register` (so an engine that never registers anything
     never forks) and live until :meth:`close` — or until one of them dies,
-    in which case the pool respawns them and retries (``max_retries`` times,
-    exponential ``retry_backoff`` between attempts) before letting the
-    :class:`~repro.utils.errors.WorkerError` escape to the engine's
-    ``on_failure`` policy.  ``events`` accumulates one
-    :class:`RecoveryEvent` per supervision decision.
+    in which case the pool respawns them and retries (:data:`MAX_RETRIES`
+    times, a doubling :data:`RETRY_BACKOFF` between attempts) before letting
+    the :class:`~repro.utils.errors.WorkerError` escape.  ``events``
+    accumulates one :class:`RecoveryEvent` per supervision decision.
     """
 
     n_workers: int
-    timeout: Optional[float] = None
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-    fault_plan: Optional[FaultPlan] = None
-    events: Optional[List[RecoveryEvent]] = None
+    events: List[RecoveryEvent] = field(default_factory=list)
     _processes: List[mp.Process] = field(default_factory=list)
     _connections: List[Connection] = field(default_factory=list)
     _barrier: Optional[object] = None
     _programs: List[SharedProgram] = field(default_factory=list)
-    _round: int = 0
     _broken: bool = False
     _closed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.timeout is None:
-            self.timeout = default_worker_timeout()
-        self.timeout = float(self.timeout)
-        if self.timeout <= 0:
-            raise ValidationError(
-                f"worker timeout must be positive, got {self.timeout}"
-            )
-        if int(self.max_retries) < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        self.max_retries = int(self.max_retries)
-        if self.fault_plan is None:
-            self.fault_plan = FaultPlan.from_environment()
-        if self.events is None:
-            self.events = []
 
     @property
     def started(self) -> bool:
@@ -456,8 +374,7 @@ class ProcsPool:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(worker_id, self.n_workers, child_conn, self._barrier,
-                      self.fault_plan),
+                args=(worker_id, self.n_workers, child_conn, self._barrier),
                 daemon=True,
                 name=f"repro-exchange-worker-{worker_id}",
             )
@@ -497,14 +414,14 @@ class ProcsPool:
         }
         crashes: List[WorkerCrash] = []
         soft_errors: List[str] = []
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + WORKER_TIMEOUT
         drain_deadline: Optional[float] = None
 
         def start_draining() -> None:
             nonlocal drain_deadline
             if drain_deadline is None:
                 self._abort_barrier()
-                drain_deadline = time.monotonic() + min(self.timeout,
+                drain_deadline = time.monotonic() + min(WORKER_TIMEOUT,
                                                         _DRAIN_GRACE)
 
         while pending:
@@ -518,7 +435,7 @@ class ProcsPool:
                         crashes.append(self._crash(
                             worker_id, what,
                             f"no acknowledgement within the "
-                            f"{min(self.timeout, _DRAIN_GRACE):.1f}s drain "
+                            f"{min(WORKER_TIMEOUT, _DRAIN_GRACE):.1f}s drain "
                             f"grace after the barrier was aborted"))
                     pending.clear()
                     break
@@ -542,7 +459,7 @@ class ProcsPool:
                         crashes.append(self._crash(
                             worker_id, what,
                             "command pipe closed before acknowledgement"))
-                    except Exception as exc:  # corrupted wire bytes
+                    except Exception as exc:  # bytes that do not unpickle
                         crashes.append(self._crash(
                             worker_id, what,
                             f"unreadable acknowledgement "
@@ -636,7 +553,7 @@ class ProcsPool:
         self._connections.clear()
         self._barrier = None
 
-    def _respawn(self, attempt: int) -> None:
+    def _respawn(self) -> None:
         """Replace a broken worker generation and restore its state.
 
         Re-registers every retained :class:`SharedProgram` from the
@@ -646,22 +563,9 @@ class ProcsPool:
         self._teardown_workers(graceful=False)
         self._ensure_started()
         for handle, program in enumerate(self._programs):
-            self._dispatch(("register", program.descriptor(handle), attempt),
+            self._dispatch(("register", program.descriptor(handle)),
                            "register")
             self._collect("register")
-
-    def quarantine(self) -> None:
-        """Stop the workers but keep every shared segment alive.
-
-        The engine calls this before falling back to the single-process
-        path: a wedged worker that later wakes must not scribble on the
-        work array while the serial kernels are using it.  The pool stays
-        un-closed so :meth:`close` still unlinks the segments.
-        """
-        if self._closed:
-            return
-        self._teardown_workers(graceful=False)
-        self._broken = True
 
     def _retry_loop(self, what: str, dispatch) -> None:
         """Run ``dispatch()`` with supervised retry + backoff + respawn."""
@@ -669,28 +573,28 @@ class ProcsPool:
         while True:
             try:
                 if self._broken and self._programs:
-                    self._respawn(attempt)
+                    self._respawn()
                     if what == "register":
                         # The respawn re-registered every retained program —
                         # including the one this call appended — so the
                         # failed registration is already redone.
                         return
                 self._ensure_started()
-                dispatch(attempt)
+                dispatch()
                 return
             except WorkerError as exc:
-                if attempt >= self.max_retries:
+                if attempt >= MAX_RETRIES:
                     self._record(
                         "give-up", what, attempt,
                         f"retries exhausted after {attempt + 1} attempt(s); "
-                        f"raising to the engine's on_failure policy", exc)
+                        f"raising the WorkerError", exc)
                     raise
-                backoff = self.retry_backoff * (2 ** attempt)
+                backoff = RETRY_BACKOFF * (2 ** attempt)
                 self._record(
                     "retry", what, attempt,
                     f"respawning {self.n_workers} worker(s) and retrying "
                     f"after {backoff:.2f}s backoff "
-                    f"(attempt {attempt + 2}/{self.max_retries + 1})", exc)
+                    f"(attempt {attempt + 2}/{MAX_RETRIES + 1})", exc)
                 time.sleep(backoff)
                 attempt += 1
 
@@ -706,8 +610,8 @@ class ProcsPool:
         self._programs.append(program)
         descriptor = program.descriptor(len(self._programs) - 1)
 
-        def dispatch(attempt: int) -> None:
-            self._dispatch(("register", descriptor, attempt), "register")
+        def dispatch() -> None:
+            self._dispatch(("register", descriptor), "register")
             self._collect("register")
 
         try:
@@ -724,11 +628,9 @@ class ProcsPool:
         """Execute one exchange round across all workers (blocking)."""
         if self._closed:
             raise CommunicationError("exchange engine is closed")
-        round_index = self._round
-        self._round += 1
 
-        def dispatch(attempt: int) -> None:
-            self._dispatch(("run", handle, round_index, attempt), "run")
+        def dispatch() -> None:
+            self._dispatch(("run", handle), "run")
             self._collect("run")
 
         self._retry_loop("run", dispatch)

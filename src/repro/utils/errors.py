@@ -74,10 +74,9 @@ class WorkerError(CommunicationError):
 
     Unlike a plain :class:`CommunicationError` (a deterministic program
     error that retrying would only repeat), a ``WorkerError`` is an
-    infrastructure fault: the supervision layer may respawn the pool and
-    retry, or fall back to the single-process path, per its
-    ``on_failure`` policy.  ``crashes`` holds one structured
-    :class:`WorkerCrash` per failed worker.
+    infrastructure fault: the pool respawns its workers and retries the
+    command, and raises it once its retries are spent.  ``crashes`` holds
+    one structured :class:`WorkerCrash` per failed worker.
     """
 
     def __init__(self, message: str,

@@ -1,11 +1,11 @@
-"""The library reads the process environment in five known places.
+"""The library reads the process environment in two known places.
 
 Each ``os.environ`` read is a hidden input: a run's behaviour then depends
 on more than its arguments.  This guard pins every read under ``src/`` by
-module and enclosing function — the runtime and failure-policy defaults of
-the engine, the worker-pool timeout, the fault plan and the paper-scale
-experiment switch.  A new read fails it; a change that deletes one of these
-drops it from :data:`READS` in the same change, so the set only shrinks.
+module and enclosing function — the engine's default runtime and the
+paper-scale experiment switch.  A new read fails it; a change that deletes
+one of these drops it from :data:`READS` in the same change, so the set
+only shrinks.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 #: ``(file under src/, enclosing function) -> reads`` of the environment.
 READS = Counter({
     (os.path.join("repro", "simmpi", "engine.py"), "default_runtime"): 1,
-    (os.path.join("repro", "simmpi", "engine.py"), "default_on_failure"): 1,
-    (os.path.join("repro", "simmpi", "procs.py"),
-     "default_worker_timeout"): 1,
-    (os.path.join("repro", "simmpi", "faults.py"), "from_environment"): 1,
     (os.path.join("repro", "experiments", "config.py"),
      "from_environment"): 1,
 })

@@ -18,13 +18,17 @@ plan cache is one in-process LRU: its pickled disk tier, the environment
 variable naming its directory and the warning it raised were deleted.  The
 schedule is the one record of what each level runs and why: the decision
 trace, with its versioned schema and its loader, was deleted, and so was
-``SolveResult``'s field that carried it.  This guard keeps all of them
-deleted: it fails if one of the runtime's module files exists again, or if
+``SolveResult``'s field that carried it.  The procs pool has one failure
+policy — respawn, retry, then raise — so the fault-injection module, the
+fallback and fail-fast policies, their engine and pool keywords and their
+three environment variables were deleted.  This guard keeps all of them
+deleted: it fails if one of the deleted module files exists again, or if
 any module under ``src/``, ``examples/`` or ``bench/`` defines, imports or
-references one of the deleted names, or declares or passes one of the
-deleted keywords.  The keyword sets of the solve path's constructors, the
-figure drivers, the element-type path and the solve result are pinned too,
-so a removed option cannot come back unnoticed.
+references one of the deleted names, declares or passes one of the deleted
+keywords, or spells one of the deleted environment variables.  The keyword
+sets of the engine, the solve path's constructors, the figure drivers, the
+element-type path and the solve result are pinned too, so a removed option
+cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from repro.pattern.builders import (
     random_pattern,
 )
 from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.simmpi import ExchangeEngine
 from repro.sparse.spmv import WorldSpMV
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -75,8 +80,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 #: Trees the guard parses.
 GUARDED = ("src", "examples", "bench")
 
-#: Modules of the deleted envelope-routed runtime.
-DELETED_MODULES = ("mailbox", "request", "comm", "world", "topo_comm")
+#: Modules of the deleted envelope-routed runtime, and of the deleted
+#: worker fault injection.
+DELETED_MODULES = ("mailbox", "request", "comm", "world", "topo_comm",
+                   "faults")
 
 #: Public names of the deleted runtime and the per-rank collective API.
 RUNTIME_NAMES = {"PersistentNeighborCollective", "neighbor_alltoallv_init",
@@ -123,13 +130,28 @@ PLAN_CACHE_DISK_NAMES = {"PlanCacheWarning", "cache_dir", "_disk_load",
 #: too, but those are common method names elsewhere.)
 DECISION_TRACE_NAMES = {"DecisionTrace", "TRACE_SCHEMA_VERSION"}
 
+#: Names of the deleted worker fault injection and of the failure policies
+#: other than respawn-retry-raise: the serial fallback with its quarantined
+#: pool, and the environment defaults of the policy and the ack timeout.
+FAILURE_POLICY_NAMES = {"FaultPlan", "FaultSpec", "degraded", "quarantine",
+                        "_fall_back", "_pool_failed", "FAULTS_ENV",
+                        "ON_FAILURE_ENV", "ON_FAILURE_POLICIES",
+                        "default_on_failure", "TIMEOUT_ENV",
+                        "default_worker_timeout", "CORRUPT_WIRE_BYTES"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
     SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES | \
-    DECISION_TRACE_NAMES
+    DECISION_TRACE_NAMES | FAILURE_POLICY_NAMES
 
-#: Keywords the solve path's constructors no longer take: per-level
-#: traffic is a list of profiled engines passed as ``engine=``.
-DELETED_KEYWORDS = {"level_profilers"}
+#: Keywords no longer taken: per-level traffic is a list of profiled
+#: engines passed as ``engine=``, and the pool's failure policy, retry
+#: schedule and fault plan are not options.
+DELETED_KEYWORDS = {"level_profilers", "on_failure", "fault_plan",
+                    "max_retries", "retry_backoff"}
+
+#: Environment variables the library no longer reads.
+DELETED_VARIABLES = {"REPRO_FAULTS", "REPRO_ON_FAILURE",
+                     "REPRO_WORKER_TIMEOUT"}
 
 _DELETED_PATHS = tuple(f"repro.simmpi.{name}" for name in DELETED_MODULES)
 
@@ -141,10 +163,15 @@ def _is_deleted_module(module: str) -> bool:
 
 def _violations(source: str) -> list:
     """``(line, what)`` for every definition, import or attribute reference
-    of the deleted runtime in ``source``, and every parameter or call
-    keyword with a deleted keyword's name."""
+    of the deleted runtime in ``source``, every parameter or call keyword
+    with a deleted keyword's name, and every string naming a deleted
+    environment variable."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant):
+            if node.value in DELETED_VARIABLES:
+                found.append((node.lineno, node.value))
+            continue
         if isinstance(node, (ast.arg, ast.keyword)):
             name = node.arg
             if name in DELETED_KEYWORDS:
@@ -241,6 +268,14 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "from repro.collectives import DecisionTrace",
     "trace = autotune.DecisionTrace([])",
     "TRACE_SCHEMA_VERSION = 4",
+    "import repro.simmpi.faults",
+    "from repro.simmpi import FaultPlan, FaultSpec",
+    "ExchangeEngine(8, runtime='procs', on_failure='fallback')",
+    "ProcsPool(2, max_retries=0, retry_backoff=0.0, fault_plan=None)",
+    "if engine.degraded:\n    pass",
+    "engine._pool.quarantine()",
+    "timeout = os.environ.get('REPRO_WORKER_TIMEOUT')",
+    "ON_FAILURE_ENV = 'REPRO_ON_FAILURE'",
     """
     def later():
         from repro.simmpi.world import helper
@@ -267,22 +302,28 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives import clear_plan_cache, plan_cache_stats",
     "from repro.collectives.autotune import DecisionEvent",
     "payload = event.to_json()",
+    "ExchangeEngine(8, runtime='procs', n_workers=2)",
+    "process.join(timeout=10.0)",
+    "actions = [event.action for event in engine.events]",
+    "from repro.simmpi.procs import MAX_RETRIES, WORKER_TIMEOUT",
 ])
 def test_the_world_path_stays_allowed(source):
     assert not _violations(source)
 
 
 
-#: The keyword-only parameters of the solve path's constructors.  The
-#: engine carries the runtime, the worker count and the profiler, so none
-#: of them takes ``profiler=`` or ``level_profilers=``, and the cycle and
-#: the solver take no ``n_workers=`` either.  The pattern carries the
+#: The keyword-only parameters of the engine and the solve path's
+#: constructors.  The engine takes the runtime, the worker count and the
+#: profiler, and no failure-policy option.  It carries them to the solve
+#: path, so none of the others takes ``profiler=`` or ``level_profilers=``,
+#: and the cycle and the solver take no ``n_workers=`` either.  The pattern carries the
 #: element type, so neither collective constructor takes ``dtype=`` or
 #: ``item_size=``.  The product's kernel follows from the operator's rows,
 #: so neither the SpMV nor the smoother takes a kernel or layout knob.  The
 #: solvers take a hierarchy, not the set-up's options: a caller who tunes
 #: it calls ``build_hierarchy`` and passes the result as ``hierarchy=``.
 CONSTRUCTOR_KEYWORDS = {
+    ExchangeEngine: {"profiler", "runtime", "n_workers"},
     WorldSpMV: {"variant", "strategy", "engine"},
     DistributedJacobi: {"omega"},
     WorldVCycle: {"variant", "strategy", "pre_sweeps", "post_sweeps",

@@ -268,7 +268,7 @@ def _assert_bound_rounds(world, n_workers) -> None:
                 assert halo.tobytes() == \
                     expected.reshape(-1, size)[:, 0].tobytes()
                 buffers.append(buffer.tobytes())
-            assert not engine.degraded
+            assert not engine.events
     _assert_shares_tile([(n, n + world.result_rows.size)], n_workers)
     assert buffers[:2] == buffers[2:]
 

@@ -1,25 +1,30 @@
-"""Chaos suite: deterministic fault injection against the procs runtime.
+"""Worker failures on the procs runtime: detection, recovery, give-up, hygiene.
 
-Every test drives the supervision/recovery machinery of
-:mod:`repro.simmpi.procs` through a :class:`~repro.simmpi.faults.FaultPlan`
-— worker crashes (SIGKILL), hangs, dropped pipes, and corrupted wire bytes,
-each injected at a chosen (round, phase, worker, attempt) — and asserts the
-contract of ISSUE 7:
+The pool has one failure policy: on a dead or wedged worker it respawns its
+workers, re-registers every retained shared program and retries the failed
+command, at most ``procs.MAX_RETRIES`` times, then raises
+:class:`~repro.utils.errors.WorkerError`.  The failures here come from the
+tests themselves (``worker_fates``): a worker SIGKILLed from here between
+rounds, or a patched ``_run_round`` / ``_attach_program`` that kills, exits,
+hangs or raises in a chosen round or registration.  The suite pins:
 
-* **detection** — a dead worker is diagnosed via its process sentinel in
-  well under the ack timeout (and far under the legacy 120 s poll);
-* **recovery** — the pool respawns, re-registers every retained shared
-  program, retries the failed command, and the results stay byte-identical
-  to the single-process engine;
-* **degradation** — with retries exhausted, ``on_failure="fallback"``
-  finishes the round on the serial fused-kernel path, records a structured
-  event, and keeps the engine serviceable;
+* **detection** — a dead worker is diagnosed through its process sentinel,
+  well under the ack timeout, and a hanging one at the (patched, short) ack
+  timeout;
+* **recovery** — rounds, vector-bound handles and registrations recover
+  byte-identically to the single-process engine, with one ``"retry"`` event;
+* **policy** — at most ``MAX_RETRIES`` retries, a doubling
+  ``RETRY_BACKOFF`` between them, a ``WORKER_TIMEOUT`` ack timeout;
+* **give-up** — a command that fails on every attempt raises
+  ``WorkerError`` after ``"retry", "retry", "give-up"``, and a program
+  error inside a worker is a plain ``CommunicationError``, never retried;
 * **hygiene** — no deadlocked ``close``, no zombie processes, no leaked
   shared-memory segments, pinned in a ``python -W error`` subprocess.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import textwrap
 import time
@@ -28,123 +33,63 @@ import numpy as np
 import pytest
 
 from test_procs_resources import run_in_own_session
+from worker_fates import kill_worker, set_fates
 
-from repro.collectives import Variant, WorldNeighborCollective, make_plan
+from repro.collectives import Variant, make_plan
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
-from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
-from repro.simmpi.engine import ON_FAILURE_ENV, default_on_failure
-from repro.simmpi.faults import FAULTS_ENV
-from repro.simmpi.procs import TIMEOUT_ENV, default_worker_timeout
+from repro.simmpi import ExchangeEngine, procs
 from repro.topology import paper_mapping
-from repro.utils.errors import (
-    CommunicationError,
-    ValidationError,
-    WorkerCrash,
-    WorkerError,
-)
+from repro.utils.errors import CommunicationError, WorkerCrash, WorkerError
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 N_RANKS = 6
 N_WORKERS = 2
 
-#: The acceptance bound: detection and diagnosis of a mid-round fault must
-#: land well under the (legacy, hard-coded) 120 s timeout.
+#: The budget for diagnosing and replacing a dead or wedged worker, far under
+#: the 120 s ack timeout.
 DETECTION_BOUND_S = 5.0
 
 
-@pytest.fixture(scope="module")
-def plan():
+def _world(variant: Variant = Variant.FULL, seed: int = 13):
     pattern = random_pattern(N_RANKS, avg_neighbors=3,
-                             duplicate_fraction=0.3, seed=13)
-    mapping = paper_mapping(N_RANKS, ranks_per_node=3)
-    return make_plan(pattern, mapping, Variant.FULL)
-
-
-@pytest.fixture(scope="module")
-def expected(plan):
-    """Reference results from the single-process engine (explicitly, so the
-    chaos CI job's ``REPRO_RUNTIME=procs`` cannot redirect the baseline)."""
-    with WorldNeighborCollective(plan, runtime="engine") as collective:
-        return collective.exchange(_values(collective))
-
-
-def _values(collective, scale: float = 1.0):
-    return [scale * (100.0 * rank
-                     + collective.owned_item_ids(rank).astype(np.float64))
-            for rank in range(N_RANKS)]
-
-
-def _world_values(world, scale: float = 1.0):
-    return np.concatenate([
-        scale * (100.0 * rank + world.owned_item_ids(rank).astype(np.float64))
-        for rank in range(N_RANKS)
-    ])
-
-
-def _run_per_rank(engine, handle, world, scale: float = 1.0):
-    """One round; the engine's flat result cut into one array per rank."""
-    return np.split(engine.run(handle, _world_values(world, scale)),
-                    world.result_offsets[1:-1])
-
-
-def _faulty_engine(faults, *, timeout=30.0, **kwargs) -> ExchangeEngine:
-    return ExchangeEngine(N_RANKS, runtime="procs", n_workers=N_WORKERS,
-                          fault_plan=FaultPlan(faults), timeout=timeout,
-                          retry_backoff=0.01, **kwargs)
-
-
-def _registered(engine, plan):
-    world = compile_world_exchange(
+                             duplicate_fraction=0.3, seed=seed)
+    plan = make_plan(pattern, paper_mapping(N_RANKS, ranks_per_node=3),
+                     variant)
+    return compile_world_exchange(
         plan, ExchangeSpec(dtype=np.dtype(np.float64), item_size=1))
-    return world, engine.register(world)
 
 
-class TestFaultPlanParsing:
-    def test_round_trip(self):
-        text = "crash:1:send:0;hang:2:recv:1:*;corrupt:0:register:3:4"
-        plan = FaultPlan.parse(text)
-        assert len(plan) == 3
-        assert plan.specs[0] == FaultSpec("crash", 1, "send", 0, 0)
-        assert plan.specs[1] == FaultSpec("hang", 2, "recv", 1, None)
-        assert plan.specs[2] == FaultSpec("corrupt", 0, "register", 3, 4)
-        assert FaultPlan.parse(plan.describe()).specs == plan.specs
+def _values(world, scale: float = 1.0) -> np.ndarray:
+    return scale * (7.0 + world.owned_items_all.astype(np.float64))
 
-    def test_empty_entries_are_skipped(self):
-        assert len(FaultPlan.parse("; crash:0:send:0 ; ;")) == 1
-        assert not FaultPlan.parse("")
 
-    @pytest.mark.parametrize("text", [
-        "explode:0:send:0",          # unknown kind
-        "crash:0:sideways:0",        # unknown phase
-        "crash:0:send",              # too few fields
-        "crash:0:send:0:1:2",        # too many fields
-        "crash:x:send:0",            # non-integer round
-        "crash:-1:send:0",           # negative round
-    ])
-    def test_rejects_malformed_entries(self, text):
-        with pytest.raises(ValidationError):
-            FaultPlan.parse(text)
+def _vector(world, scale: float = 1.0) -> np.ndarray:
+    return scale * (7.0 + np.arange(int(world.owned_items_all.max()) + 3,
+                                    dtype=np.float64))
 
-    def test_from_environment(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert FaultPlan.from_environment() is None
-        monkeypatch.setenv(FAULTS_ENV, "pipe_drop:3:recv:1")
-        plan = FaultPlan.from_environment()
-        assert plan.specs == (FaultSpec("pipe_drop", 3, "recv", 1, 0),)
 
-    def test_match_semantics(self):
-        plan = FaultPlan([FaultSpec("crash", 1, "send", 0, None),
-                          FaultSpec("hang", 2, "recv", 1, 3)])
-        hit = plan.match(phases=("send", "recv"), round=1, worker=0, attempt=7)
-        assert hit is plan.specs[0]          # wildcard attempt matches any
-        assert plan.match(phases=("send",), round=2, worker=1,
-                          attempt=3) is None  # phase filter applies
-        assert plan.match(phases=("recv",), round=2, worker=1,
-                          attempt=2) is None  # pinned attempt must match
-        assert plan.match(phases=("recv",), round=2, worker=1,
-                          attempt=3) is plan.specs[1]
+def _expected(world, scale: float = 1.0) -> bytes:
+    """One round's bytes on the single-process engine (named explicitly, so
+    ``REPRO_RUNTIME=procs`` cannot redirect the reference)."""
+    with ExchangeEngine(N_RANKS, runtime="engine") as engine:
+        return engine.run(engine.register(world),
+                          _values(world, scale)).tobytes()
+
+
+def _pool() -> ExchangeEngine:
+    return ExchangeEngine(N_RANKS, runtime="procs", n_workers=N_WORKERS)
+
+
+def _actions(engine) -> list:
+    return [event.action for event in engine.events]
+
+
+@pytest.fixture
+def short_timeout(monkeypatch):
+    """A 1 s ack timeout, so a hanging worker is declared wedged quickly."""
+    monkeypatch.setattr(procs, "WORKER_TIMEOUT", 1.0)
 
 
 class TestStructuredCrashes:
@@ -170,348 +115,411 @@ class TestStructuredCrashes:
 
 
 class TestDetection:
-    """A dead worker is diagnosed immediately, not after the timeout."""
+    """A dead worker is diagnosed at once, a wedged one at the timeout."""
 
-    @pytest.mark.parametrize("kind, fault_round", [
-        ("crash", 0), ("pipe_drop", 0), ("corrupt", 0), ("crash", 1),
-    ], ids=["crash", "pipe_drop", "corrupt", "crash_after_a_warm_round"])
-    def test_dead_or_corrupt_worker_detected_fast(self, plan, kind,
-                                                  fault_round):
-        # The generous timeout proves detection is sentinel/EOF-driven, not
-        # timeout-driven: with the legacy sequential poll this would block
-        # the full 60 s before diagnosing anything.  A crash after a warm
-        # round hits a pool that has already run the program.
-        engine = _faulty_engine(
-            [FaultSpec(kind, round=fault_round, phase="send", worker=1)],
-            timeout=60.0, on_failure="raise")
-        try:
-            world, handle = _registered(engine, plan)
-            for _ in range(fault_round):
-                engine.run(handle, _world_values(world))
+    @pytest.mark.parametrize("how", ["killed_between_rounds",
+                                     "killed_mid_round", "exited_mid_round"])
+    def test_a_dead_worker_is_detected_within_the_budget(self, monkeypatch,
+                                                         tmp_path, how):
+        # The 120 s ack timeout stands: a round that recovers in well under
+        # 5 s was diagnosed by the dead worker's sentinel or pipe.
+        world = _world()
+        fates = {"killed_mid_round": ["ok", "kill"],
+                 "exited_mid_round": ["ok", "exit"]}.get(how, [])
+        set_fates(monkeypatch, tmp_path, fates, worker=1)
+        with _pool() as engine:
+            handle = engine.register(world)
+            engine.run(handle, _values(world))
+            if how == "killed_between_rounds":
+                kill_worker(engine, 1)
             start = time.monotonic()
-            with pytest.raises(WorkerError) as info:
-                engine.run(handle, _world_values(world))
+            result = engine.run(handle, _values(world, 2.0))
             elapsed = time.monotonic() - start
             assert elapsed < DETECTION_BOUND_S
-            crashes = info.value.crashes
+            assert result.tobytes() == _expected(world, 2.0)
+            assert _actions(engine) == ["retry"]
+            crashes = engine.events[0].crashes
             assert [crash.worker_id for crash in crashes] == [1]
             assert crashes[0].command == "run"
-            if kind == "crash":
-                assert crashes[0].signal == 9
-        finally:
-            engine.close()
+            assert crashes[0].exitcode == (0 if how == "exited_mid_round"
+                                           else -9)
 
-    def test_hung_worker_detected_at_the_configured_timeout(self, plan):
-        engine = _faulty_engine(
-            [FaultSpec("hang", round=0, phase="recv", worker=0)],
-            timeout=1.0, on_failure="raise")
-        try:
-            world, handle = _registered(engine, plan)
+    def test_a_hung_worker_is_detected_at_the_timeout(self, monkeypatch,
+                                                      tmp_path,
+                                                      short_timeout):
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["hang"])
+        with _pool() as engine:
+            handle = engine.register(world)
             start = time.monotonic()
-            with pytest.raises(WorkerError) as info:
-                engine.run(handle, _world_values(world))
+            result = engine.run(handle, _values(world))
             elapsed = time.monotonic() - start
-            # 1 s primary timeout + <= 1 s drain grace, nowhere near 120 s.
+            # 1 s timeout + <= 1 s drain grace + the respawn: nowhere near
+            # the 120 s default.
             assert elapsed < DETECTION_BOUND_S
-            wedged = [crash for crash in info.value.crashes
+            assert result.tobytes() == _expected(world)
+            assert _actions(engine) == ["retry"]
+            wedged = [crash for crash in engine.events[0].crashes
                       if crash.worker_id == 0]
             assert wedged and wedged[0].exitcode is None
             assert "stopped answering" in wedged[0].describe()
-        finally:
-            engine.close()
 
 
 class TestRecovery:
     """Respawn + retry reproduces the serial results byte for byte."""
 
-    @pytest.mark.parametrize("kind", ["crash", "hang", "pipe_drop", "corrupt"])
-    @pytest.mark.parametrize("phase", ["send", "recv"])
-    def test_mid_round_fault_recovers_byte_identical(self, plan, expected,
-                                                     kind, phase):
-        timeout = 1.0 if kind == "hang" else 30.0
-        engine = _faulty_engine(
-            [FaultSpec(kind, round=1, phase=phase, worker=0)],
-            timeout=timeout)
-        try:
-            world, handle = _registered(engine, plan)
-            for round_index, scale in enumerate([1.0, 2.0, 3.0]):
-                results = _run_per_rank(engine, handle, world, scale)
-                for rank in range(N_RANKS):
-                    assert np.array_equal(results[rank],
-                                          scale * expected[rank]), \
-                        (kind, phase, round_index, rank)
-            actions = [event.action for event in engine.events]
-            assert actions == ["retry"]
+    @pytest.mark.parametrize("fate", ["kill", "exit", "hang"])
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
+    def test_a_round_recovers_byte_identical(self, monkeypatch, tmp_path,
+                                             short_timeout, variant, fate):
+        world = _world(variant)
+        set_fates(monkeypatch, tmp_path, ["ok", fate])
+        with _pool() as engine:
+            handle = engine.register(world)
+            for scale in (1.0, 2.0, 3.0):
+                assert engine.run(handle, _values(world, scale)).tobytes() \
+                    == _expected(world, scale), (fate, scale)
+            assert _actions(engine) == ["retry"]
             assert engine.events[0].command == "run"
-            assert not engine.degraded
-        finally:
-            engine.close()
 
-    @pytest.mark.parametrize("kind", ["crash", "hang", "pipe_drop", "corrupt"])
-    def test_register_fault_recovers(self, plan, expected, kind):
-        timeout = 1.0 if kind == "hang" else 30.0
-        engine = _faulty_engine(
-            [FaultSpec(kind, round=0, phase="register", worker=1)],
-            timeout=timeout)
-        try:
-            world, handle = _registered(engine, plan)
-            results = _run_per_rank(engine, handle, world)
-            for rank in range(N_RANKS):
-                assert np.array_equal(results[rank], expected[rank])
-            assert [event.action for event in engine.events] == ["retry"]
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.FULL])
+    def test_a_bound_handle_recovers_byte_identical(self, monkeypatch,
+                                                    tmp_path, variant):
+        world = _world(variant)
+        n = _vector(world).size
+        with ExchangeEngine(N_RANKS, runtime="engine") as serial:
+            reference = serial.register(world, vector_length=n)
+            expected = [serial.run(reference, _vector(world, scale)).tobytes()
+                        for scale in (1.0, -2.5, 4.0)]
+        set_fates(monkeypatch, tmp_path, ["ok", "kill"])
+        with _pool() as engine:
+            handle = engine.register(world, vector_length=n)
+            for scale, reference in zip((1.0, -2.5, 4.0), expected):
+                assert engine.run(handle, _vector(world, scale)).tobytes() \
+                    == reference
+            assert _actions(engine) == ["retry"]
+
+    def test_a_registration_recovers_byte_identical(self):
+        first, second = _world(), _world(Variant.PARTIAL, seed=21)
+        with _pool() as engine:
+            handles = [engine.register(first)]
+            engine.run(handles[0], _values(first))
+            kill_worker(engine, 1)
+            handles.append(engine.register(second))
+            assert _actions(engine) == ["retry"]
             assert engine.events[0].command == "register"
-        finally:
-            engine.close()
+            assert engine.events[0].crashes[0].worker_id == 1
+            for handle, world in zip(handles, (first, second)):
+                assert engine.run(handle, _values(world, 3.0)).tobytes() \
+                    == _expected(world, 3.0)
 
-    def test_recovered_pool_serves_many_more_rounds(self, plan, expected):
-        """No stale acks: a recovered pool keeps answering round after round."""
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="recv", worker=1)])
-        try:
-            world, handle = _registered(engine, plan)
+    @pytest.mark.parametrize("fate", ["kill", "exit", "hang"])
+    def test_a_failed_registration_recovers_byte_identical(
+            self, monkeypatch, tmp_path, short_timeout, fate):
+        """A worker that fails while attaching a new program: the respawn
+        re-registers both programs, and neither handle moves."""
+        first, second = _world(), _world(Variant.STANDARD, seed=21)
+        set_fates(monkeypatch, tmp_path, ["ok", fate], worker=1,
+                  command="register")
+        with _pool() as engine:
+            handles = [engine.register(first)]
+            handles.append(engine.register(second))
+            assert handles == [0, 1]
+            assert _actions(engine) == ["retry"]
+            assert engine.events[0].command == "register"
+            failed = [crash for crash in engine.events[0].crashes
+                      if crash.worker_id == 1]
+            assert failed and failed[0].exitcode == {
+                "kill": -9, "exit": 0, "hang": None}[fate]
+            for handle, world in zip(handles, (first, second)):
+                assert engine.run(handle, _values(world, 3.0)).tobytes() \
+                    == _expected(world, 3.0)
+            assert len(engine.events) == 1
+
+    def test_two_dead_workers_recover_in_one_retry(self):
+        world = _world()
+        with _pool() as engine:
+            handle = engine.register(world)
+            engine.run(handle, _values(world))
+            for worker in range(N_WORKERS):
+                kill_worker(engine, worker)
+            assert engine.run(handle, _values(world, 2.0)).tobytes() \
+                == _expected(world, 2.0)
+            assert _actions(engine) == ["retry"]
+            assert sorted(crash.worker_id
+                          for crash in engine.events[0].crashes) \
+                == list(range(N_WORKERS))
+            assert all(crash.signal == 9
+                       for crash in engine.events[0].crashes)
+
+    def test_recovered_pool_serves_many_more_rounds(self, monkeypatch,
+                                                    tmp_path):
+        """No stale acks: a recovered pool keeps answering round after
+        round, on the same pool object."""
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["kill"], worker=1)
+        with _pool() as engine:
+            handle = engine.register(world)
             pool = engine._pool
-            for scale in [1.0, 0.5, -2.0, 7.0, 11.0]:
-                results = _run_per_rank(engine, handle, world, scale)
-                for rank in range(N_RANKS):
-                    assert np.array_equal(results[rank],
-                                          scale * expected[rank])
-            assert engine._pool is pool  # same pool object, respawned workers
-            assert pool.started and not engine.degraded
-        finally:
-            engine.close()
+            for scale in (1.0, 0.5, -2.0, 7.0, 11.0):
+                assert engine.run(handle, _values(world, scale)).tobytes() \
+                    == _expected(world, scale)
+            assert engine._pool is pool and pool.started
+            assert _actions(engine) == ["retry"]
 
-    def test_second_program_registered_after_recovery(self, plan, expected):
-        """Respawn re-registers retained programs; new ones still register."""
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0)])
-        try:
-            world, handle = _registered(engine, plan)
-            first = _run_per_rank(engine, handle, world)
-            world2, handle2 = _registered(engine, plan)
-            second = _run_per_rank(engine, handle2, world2, 3.0)
-            for rank in range(N_RANKS):
-                assert np.array_equal(first[rank], expected[rank])
-                assert np.array_equal(second[rank], 3.0 * expected[rank])
-        finally:
-            engine.close()
+    def test_second_program_registered_after_recovery(self, monkeypatch,
+                                                       tmp_path):
+        first, second = _world(), _world(seed=34)
+        set_fates(monkeypatch, tmp_path, ["kill"])
+        with _pool() as engine:
+            handle = engine.register(first)
+            assert engine.run(handle, _values(first)).tobytes() \
+                == _expected(first)
+            later = engine.register(second)
+            assert engine.run(later, _values(second, 3.0)).tobytes() \
+                == _expected(second, 3.0)
+            assert _actions(engine) == ["retry"]
+
+    def test_an_unreadable_acknowledgement_is_a_crash(self, monkeypatch,
+                                                      tmp_path):
+        """Bytes that do not unpickle are the worker's fault, not a program
+        error: the pool respawns and retries."""
+        world = _world()
+        garbled = tmp_path / "garbled"
+        send = procs._safe_send
+
+        def garble_once(conn, payload):  # pragma: no cover - forked child
+            if payload == (0, None) and not garbled.exists():
+                garbled.touch()
+                conn.send_bytes(b"not a pickle")
+                return True
+            return send(conn, payload)
+
+        monkeypatch.setattr(procs, "_safe_send", garble_once)
+        with _pool() as engine:
+            handle = engine.register(world)
+            assert engine.run(handle, _values(world)).tobytes() \
+                == _expected(world)
+            assert _actions(engine) == ["retry"]
+            assert engine.events[0].command == "register"
+            assert "unreadable acknowledgement" in \
+                engine.events[0].crashes[0].detail
 
 
-class TestFallback:
-    """Retries exhausted -> the round completes on the serial path."""
-
-    def test_persistent_crash_falls_back_byte_identical(self, plan, expected):
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0,
-                       attempt=None)],  # fires on every attempt
-            max_retries=1, on_failure="fallback")
-        try:
-            world, handle = _registered(engine, plan)
-            results = _run_per_rank(engine, handle, world)
-            for rank in range(N_RANKS):
-                assert np.array_equal(results[rank], expected[rank])
-            actions = [event.action for event in engine.events]
-            assert actions == ["retry", "give-up", "fallback"]
-            fallback = engine.events[-1]
-            assert fallback.command == "run"
-            assert fallback.crashes  # the structured diagnosis rides along
-            assert "single-process" in fallback.chosen
-            assert engine.degraded
-            # The quarantined pool's workers are gone; later rounds run
-            # serially on the retained shared segments and stay correct.
-            assert not engine._pool.started
-            again = _run_per_rank(engine, handle, world, 2.0)
-            for rank in range(N_RANKS):
-                assert np.array_equal(again[rank], 2.0 * expected[rank])
-        finally:
-            engine.close()
-
-    def test_persistent_register_fault_falls_back(self, plan, expected):
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="register", worker=1,
-                       attempt=None)],
-            max_retries=1, on_failure="fallback")
-        try:
-            world, handle = _registered(engine, plan)
-            assert engine.degraded
-            assert [event.action for event in engine.events][-1] == "fallback"
-            results = _run_per_rank(engine, handle, world)
-            for rank in range(N_RANKS):
-                assert np.array_equal(results[rank], expected[rank])
-        finally:
-            engine.close()
-
-    def test_event_trace_is_readable(self, plan):
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0,
-                       attempt=None)],
-            max_retries=0, on_failure="fallback")
-        try:
-            world, handle = _registered(engine, plan)
-            engine.run(handle, _world_values(world))
+class TestGiveUp:
+    def test_spent_retries_raise_worker_error(self, monkeypatch, tmp_path):
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["kill"] * (procs.MAX_RETRIES + 1))
+        with _pool() as engine:
+            handle = engine.register(world)
+            with pytest.raises(WorkerError) as info:
+                engine.run(handle, _values(world))
+            assert [crash.signal for crash in info.value.crashes] == [9]
+            assert _actions(engine) == ["retry", "retry", "give-up"]
+            assert [event.attempt for event in engine.events] == [0, 1, 2]
             lines = [event.describe() for event in engine.events]
-            assert any("give-up" in line for line in lines)
-            assert any("killed by signal 9" in line for line in lines)
-            assert any("->" in line for line in lines)
-        finally:
-            engine.close()
+            assert all("killed by signal 9" in line and "->" in line
+                       for line in lines)
+            # The fates are spent: the next round respawns and runs.
+            assert engine.run(handle, _values(world, 2.0)).tobytes() \
+                == _expected(world, 2.0)
+            assert len(engine.events) == 3
 
+    @pytest.mark.parametrize("fate", ["exit", "hang"])
+    def test_spent_retries_name_each_crash(self, monkeypatch, tmp_path,
+                                           short_timeout, fate):
+        """Every attempt's crash record says how the worker failed: an exit
+        code for a worker that left, none for one that stopped answering."""
+        world = _world()
+        set_fates(monkeypatch, tmp_path, [fate] * (procs.MAX_RETRIES + 1))
+        with _pool() as engine:
+            handle = engine.register(world)
+            with pytest.raises(WorkerError) as info:
+                engine.run(handle, _values(world))
+            assert _actions(engine) == ["retry", "retry", "give-up"]
+            expected = {"exit": "exited with code 0",
+                        "hang": "stopped answering"}[fate]
+            for crashes in [info.value.crashes] + [event.crashes
+                                                   for event in engine.events]:
+                mine = [crash for crash in crashes if crash.worker_id == 0]
+                assert mine and expected in mine[0].describe()
+                assert mine[0].signal is None
+            # The next round replaces the failed generation and runs.
+            assert engine.run(handle, _values(world, 2.0)).tobytes() \
+                == _expected(world, 2.0)
+            assert len(engine.events) == 3
 
-class TestPolicyAndConfiguration:
-    def test_raise_policy_fails_fast_without_retry(self, plan):
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0)],
-            on_failure="raise")
-        try:
-            world, handle = _registered(engine, plan)
+    def test_a_registration_that_always_fails_gives_up_cleanly(
+            self, monkeypatch, tmp_path):
+        """A registration that fails on every attempt raises, takes no
+        handle and keeps no segments; the program before it still runs."""
+        first, second = _world(), _world(seed=34)
+        set_fates(monkeypatch, tmp_path,
+                  ["ok"] + ["kill"] * (procs.MAX_RETRIES + 1),
+                  command="register")
+        with _pool() as engine:
+            handle = engine.register(first)
             with pytest.raises(WorkerError):
-                engine.run(handle, _world_values(world))
-            actions = [event.action for event in engine.events]
-            assert actions == ["give-up"]  # no retry was attempted
-        finally:
-            engine.close()
+                engine.register(second)
+            assert _actions(engine) == ["retry", "retry", "give-up"]
+            assert {event.command for event in engine.events} == {"register"}
+            assert len(engine._pool._programs) == 1
+            assert engine.run(handle, _values(first, 2.0)).tobytes() \
+                == _expected(first, 2.0)
+            assert engine.register(second) == 1
 
-    def test_retry_policy_raises_after_exhaustion(self, plan):
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0,
-                       attempt=None)],
-            max_retries=1, on_failure="retry")
-        try:
-            world, handle = _registered(engine, plan)
+    def test_the_backoff_doubles_between_attempts(self, monkeypatch,
+                                                  tmp_path):
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["kill"] * (procs.MAX_RETRIES + 1))
+        pauses = []
+        sleep = time.sleep
+
+        def recorded(seconds):
+            pauses.append(seconds)
+            sleep(seconds)
+
+        with _pool() as engine:
+            handle = engine.register(world)
+            monkeypatch.setattr(procs.time, "sleep", recorded)
             with pytest.raises(WorkerError):
-                engine.run(handle, _world_values(world))
-            actions = [event.action for event in engine.events]
-            assert actions == ["retry", "give-up"]
-            assert not engine.degraded  # "retry" never falls back
-        finally:
-            engine.close()
+                engine.run(handle, _values(world))
+            monkeypatch.setattr(procs.time, "sleep", sleep)
+            assert pauses == [procs.RETRY_BACKOFF * 2 ** attempt
+                              for attempt in range(procs.MAX_RETRIES)]
+            retries = [event.chosen for event in engine.events[:-1]]
+            assert [f"after {pause:.2f}s backoff" in chosen
+                    for pause, chosen in zip(pauses, retries)] \
+                == [True] * procs.MAX_RETRIES
 
-    def test_on_failure_validation_and_env_default(self, monkeypatch):
-        with pytest.raises(ValidationError, match="on_failure"):
-            ExchangeEngine(4, on_failure="shrug")
-        monkeypatch.delenv(ON_FAILURE_ENV, raising=False)
-        assert default_on_failure() == "retry"
-        monkeypatch.setenv(ON_FAILURE_ENV, "fallback")
-        assert default_on_failure() == "fallback"
-        engine = ExchangeEngine(4, runtime="procs", n_workers=2)
-        assert engine.on_failure == "fallback"
-        engine.close()
-        monkeypatch.setenv(ON_FAILURE_ENV, "quantum")
-        with pytest.raises(ValidationError, match=ON_FAILURE_ENV):
-            default_on_failure()
+    def test_the_one_policy_keeps_its_constants(self):
+        """The retry policy is fixed, not configured: two retries, a 0.05 s
+        doubling backoff, a 120 s ack timeout."""
+        assert procs.MAX_RETRIES == 2
+        assert procs.RETRY_BACKOFF == 0.05
+        assert procs.WORKER_TIMEOUT == 120.0
 
-    def test_timeout_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        assert default_worker_timeout() == 120.0
-        monkeypatch.setenv(TIMEOUT_ENV, "7.5")
-        assert default_worker_timeout() == 7.5
-        engine = ExchangeEngine(4, runtime="procs", n_workers=2)
-        assert engine._pool.timeout == 7.5
-        engine.close()
-        monkeypatch.setenv(TIMEOUT_ENV, "soon")
-        with pytest.raises(ValidationError, match=TIMEOUT_ENV):
-            default_worker_timeout()
-        monkeypatch.setenv(TIMEOUT_ENV, "-3")
-        with pytest.raises(ValidationError, match="positive"):
-            default_worker_timeout()
-        with pytest.raises(ValidationError, match="positive"):
-            ExchangeEngine(4, runtime="procs", n_workers=2, timeout=0.0)
-
-    def test_faults_env_drives_injection_end_to_end(self, plan, expected,
-                                                    monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "crash:0:send:1")
-        with WorldNeighborCollective(plan, runtime="procs",
-                                     n_workers=N_WORKERS) as collective:
-            results = collective.exchange(_values(collective))
-            for rank in range(N_RANKS):
-                assert np.array_equal(results[rank], expected[rank])
-            assert [event.action
-                    for event in collective.engine.events] == ["retry"]
+    def test_a_program_error_in_a_worker_is_not_retried(self, monkeypatch,
+                                                        tmp_path):
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["raise"])
+        with _pool() as engine:
+            handle = engine.register(world)
+            with pytest.raises(CommunicationError,
+                               match="a program error inside the worker") \
+                    as info:
+                engine.run(handle, _values(world))
+            assert not isinstance(info.value, WorkerError)
+            assert engine.events == []
+            # The same workers serve the next round.
+            pids = [process.pid for process in engine._pool._processes]
+            assert engine.run(handle, _values(world, 2.0)).tobytes() \
+                == _expected(world, 2.0)
+            assert [process.pid for process in engine._pool._processes] \
+                == pids
 
 
 class TestCloseHygiene:
-    def test_close_does_not_deadlock_on_barrier_blocked_worker(self, plan):
+    def test_close_does_not_deadlock_on_barrier_blocked_worker(
+            self, monkeypatch, tmp_path):
         """A worker whose peer died mid-round is parked in ``Barrier.wait``;
         ``close`` must abort the barrier so it reads the close command
         instead of forcing the 10 s join-then-terminate path."""
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0)],
-            on_failure="raise")
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["kill"])
+        engine = _pool()
         try:
-            world, handle = _registered(engine, plan)
+            handle = engine.register(world)
             pool = engine._pool
-            # Dispatch without collecting: worker 0 dies at its first send
-            # step, worker 1 completes the step and parks in Barrier.wait.
-            pool._dispatch(("run", handle, 0, 0), "run")
-            deadline = time.monotonic() + DETECTION_BOUND_S
-            while pool._processes[0].is_alive() \
-                    and time.monotonic() < deadline:
-                time.sleep(0.02)
+            # Dispatch without collecting: worker 0 dies in its round, worker
+            # 1 completes its share and parks in Barrier.wait.
+            pool._dispatch(("run", handle), "run")
+            pool._processes[0].join(timeout=DETECTION_BOUND_S)
             time.sleep(0.2)  # give worker 1 time to commit to the barrier
             start = time.monotonic()
         finally:
             engine.close()
         assert time.monotonic() - start < 5.0
 
-    def test_quarantined_and_closed_pools_leave_no_processes(self, plan):
-        import multiprocessing as mp
+    def test_close_after_a_kill_between_rounds_leaves_no_processes(self):
+        """A pool whose worker was killed and never noticed closes without
+        a recovery and leaves no worker behind."""
+        world = _world()
+        engine = _pool()
+        try:
+            handle = engine.register(world)
+            engine.run(handle, _values(world))
+            kill_worker(engine, 0)
+        finally:
+            engine.close()
+        assert engine.events == []
+        assert [process for process in mp.active_children()
+                if process.name.startswith("repro-exchange-worker")] == []
 
-        engine = _faulty_engine(
-            [FaultSpec("crash", round=0, phase="send", worker=0,
-                       attempt=None)],
-            max_retries=0, on_failure="fallback")
-        world, handle = _registered(engine, plan)
-        engine.run(handle, _world_values(world))
-        assert engine.degraded
-        workers = [process for process in mp.active_children()
-                   if process.name.startswith("repro-exchange-worker")]
-        assert workers == []  # quarantine already reaped the pool
+    def test_a_pool_that_gave_up_leaves_no_processes(self, monkeypatch,
+                                                     tmp_path):
+        world = _world()
+        set_fates(monkeypatch, tmp_path, ["kill"] * (procs.MAX_RETRIES + 1))
+        engine = _pool()
+        handle = engine.register(world)
+        with pytest.raises(WorkerError):
+            engine.run(handle, _values(world))
         engine.close()
+        assert [process for process in mp.active_children()
+                if process.name.startswith("repro-exchange-worker")] == []
 
 
 #: Run in a subprocess so interpreter shutdown is part of the test: one
-#: engine recovers from an injected crash, one falls back permanently, with
-#: every warning (ResourceWarning included) promoted to an error and a
-#: zombie/segment sweep at exit.
+#: engine recovers from a killed worker and is closed, one gives up and is
+#: dropped for its finalizer, with every warning (ResourceWarning included)
+#: promoted to an error and a zombie sweep at exit.
 _CHAOS_HYGIENE_SCRIPT = textwrap.dedent("""
     import gc
     import multiprocessing as mp
+    import os
+    import signal
     import numpy as np
     from repro.collectives import Variant, make_plan
     from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
     from repro.pattern import random_pattern
-    from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
+    from repro.simmpi import ExchangeEngine, procs
     from repro.topology import paper_mapping
+    from repro.utils.errors import WorkerError
 
     pattern = random_pattern(6, avg_neighbors=3, seed=13)
-    mapping = paper_mapping(6, ranks_per_node=3)
-    plan = make_plan(pattern, mapping, Variant.FULL)
-    spec = ExchangeSpec(dtype=np.dtype(np.float64), item_size=1)
+    plan = make_plan(pattern, paper_mapping(6, ranks_per_node=3), Variant.FULL)
+    world = compile_world_exchange(
+        plan, ExchangeSpec(dtype=np.dtype(np.float64), item_size=1))
+    values = world.owned_items_all.astype(np.float64)
 
-    def world_values(world):
-        return np.concatenate([
-            100.0 * rank + world.owned_item_ids(rank).astype(np.float64)
-            for rank in range(6)])
-
-    # Crash -> respawn -> recover, then explicit close.
-    recovered = ExchangeEngine(
-        6, runtime="procs", n_workers=2, timeout=30.0, retry_backoff=0.01,
-        fault_plan=FaultPlan([FaultSpec("crash", 0, "send", 0)]))
-    world = compile_world_exchange(plan, spec)
+    # A worker killed between rounds -> respawn -> recover, then close.
+    recovered = ExchangeEngine(6, runtime="procs", n_workers=2)
     handle = recovered.register(world)
-    recovered.run(handle, world_values(world))
+    recovered.run(handle, values)
+    os.kill(recovered._pool._processes[0].pid, signal.SIGKILL)
+    recovered.run(handle, values)
     assert [event.action for event in recovered.events] == ["retry"]
     recovered.close()
 
-    # Persistent crash -> serial fallback, engine dropped for the finalizer.
-    degraded = ExchangeEngine(
-        6, runtime="procs", n_workers=2, timeout=30.0, retry_backoff=0.01,
-        max_retries=0, on_failure="fallback",
-        fault_plan=FaultPlan([FaultSpec("crash", 0, "recv", 1, None)]))
-    world = compile_world_exchange(plan, spec)
-    handle = degraded.register(world)
-    degraded.run(handle, world_values(world))
-    assert degraded.degraded
-    del degraded
+    # A worker that dies in every round -> give up, engine dropped.
+    run_round = procs._run_round
+
+    def dying_round(program, worker_id, n_workers, barrier):
+        if worker_id == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        run_round(program, worker_id, n_workers, barrier)
+
+    procs._run_round = dying_round
+    given_up = ExchangeEngine(6, runtime="procs", n_workers=2)
+    handle = given_up.register(world)
+    try:
+        given_up.run(handle, values)
+    except WorkerError:
+        pass
+    else:
+        raise AssertionError("a worker that always dies did not surface")
+    assert [event.action for event in given_up.events][-1] == "give-up"
+    del given_up
     gc.collect()
 
     leftovers = [process for process in mp.active_children()
@@ -524,7 +532,6 @@ _CHAOS_HYGIENE_SCRIPT = textwrap.dedent("""
 def test_no_leaks_or_zombies_after_chaos_under_w_error():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
-    env.pop(FAULTS_ENV, None)
     result, survivors = run_in_own_session(_CHAOS_HYGIENE_SCRIPT, env)
     assert result.returncode == 0, result.stderr
     assert "OK" in result.stdout

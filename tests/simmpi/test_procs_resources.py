@@ -83,7 +83,7 @@ def test_a_failed_registration_leaks_no_segment(created):
         assert created[1] is None and len(created) == 2
         assert not os.path.exists(os.path.join("/dev/shm", created[0]))
         # Nothing half-registered stays behind: the engine is serviceable.
-        assert not engine._pool._programs and not engine.degraded
+        assert not engine._pool._programs and not engine.events
         handle = engine.register(later)
         assert handle == 0 and len(created) == 4
         assert engine.run(handle, _values(later)).tobytes() == expected

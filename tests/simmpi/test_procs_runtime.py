@@ -177,7 +177,7 @@ class TestProcsExecution:
                 lambda: results.append(pooled.exchange(values)), of=of)
                 for of in ([ExchangeEngine.run], [np.ndarray.take])]
             assert counts == [1, 1]
-            assert not engine.degraded and not engine.events
+            assert not engine.events
             for round_results in results:
                 for rank in range(n_ranks):
                     assert reference[rank].tobytes() \

@@ -5,14 +5,14 @@ row of every output entry (``result_rows``), and every runtime runs a round
 as one clipped ``take`` of it — so a corrupt column must be refused at
 registration, with a :class:`CommunicationError`, because no later kernel
 bounds-checks anything.  ``runtime="procs"`` hands the same step to its
-workers on the same rows (in shared memory), so a healthy, a retried and a
-fallen-back round share one layout and nothing is ever validated again.
+workers on the same rows (in shared memory), so a healthy and a retried
+round share one layout and nothing is ever validated again.
 
 A handle registered with ``vector_length=n`` is bound to the caller's vector:
 ``run`` takes the ``(n,)`` array itself and returns the round buffer
 ``[x | halo]`` read-only, ``halo_rows`` locates the received values in it —
-the same rows on every runtime — and neither a bad input, a bad binding nor
-a pool fallback can mis-load it.
+the same rows on every runtime — and neither a bad input nor a bad binding
+can mis-load it.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from worker_fates import set_fates
+
 from repro.collectives import (Variant, make_plan,
                                neighbor_alltoallv_init_world)
 from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.pattern import random_pattern
-from repro.simmpi import ExchangeEngine, FaultPlan, FaultSpec
+from repro.simmpi import ExchangeEngine
 from repro.simmpi import engine as engine_module
 from repro.sparse import ParCSRMatrix, RowPartition, WorldSpMV
 from repro.sparse.stencils import poisson_2d
@@ -114,45 +116,8 @@ def _reference_rounds(worlds, scales):
                 for handle, world in zip(handles, worlds)]
 
 
-def _pool_engine(*faults, **kwargs) -> ExchangeEngine:
-    return ExchangeEngine(
-        N_RANKS, runtime="procs", n_workers=N_WORKERS, timeout=30.0,
-        retry_backoff=0.01, fault_plan=FaultPlan(faults) if faults else None,
-        **kwargs)
-
-
-def _crash(round: int, attempt=0) -> FaultSpec:
-    return FaultSpec("crash", round=round, phase="send", worker=0,
-                     attempt=attempt)
-
-
-def test_fallen_back_engine_matches_a_fresh_engine_on_every_program(count_calls):
-    before, after = [_world(13), _world(21, Variant.PARTIAL)], _world(34)
-    scales = (1.0, -2.5, 4.0)
-    expected = _reference_rounds(before + [after], scales)
-
-    def chaos():
-        with _pool_engine(_crash(0, attempt=None), max_retries=0,
-                          on_failure="fallback") as engine:
-            handles = [engine.register(world) for world in before]
-            rows = [engine._programs[handle].work for handle in handles]
-            first = engine.run(handles[0], _values(before[0], scales[0]))
-            assert engine.degraded and first.tobytes() == expected[0][0]
-            # The half-written round re-ran on the very same rows.
-            for handle, work in zip(handles, rows):
-                state = engine._programs[handle]
-                assert state.work is work
-                assert np.shares_memory(work, state.shared.work.array)
-            handles.append(engine.register(after))  # registered after the failure
-            assert engine._programs[handles[-1]].shared is None
-            for handle, world, rounds in zip(handles, before + [after], expected):
-                for scale, reference in zip(scales, rounds):
-                    assert engine.run(handle, _values(world, scale)).tobytes() \
-                        == reference
-
-    # One validation per program, at its registration — before the failure
-    # or after it — and none in any round, the fallen-back one included.
-    assert count_calls(chaos, of=[engine_module._checked_steps]) == 3
+def _pool_engine() -> ExchangeEngine:
+    return ExchangeEngine(N_RANKS, runtime="procs", n_workers=N_WORKERS)
 
 
 def test_healthy_procs_engine_never_stages(count_calls):
@@ -171,7 +136,7 @@ def test_healthy_procs_engine_never_stages(count_calls):
                     == reference
 
         assert count_calls(rounds, of=[engine_module._checked_steps]) == 0
-        assert not engine.degraded and not engine.events
+        assert not engine.events
 
 
 # -- handles bound to the caller's vector ------------------------------------------
@@ -365,7 +330,8 @@ def test_corrupt_programs_raise_at_register_on_a_pool(tamper):
             _reference_rounds([world], (1.0,))[0][0]
 
 
-def test_every_program_is_staged_exactly_once(count_calls):
+def test_every_program_is_staged_exactly_once(count_calls, monkeypatch,
+                                              tmp_path):
     """Registration is O(1) numpy calls per step, once per program."""
     worlds = [_world(13), _world(21, Variant.PARTIAL), _world(34)]
 
@@ -388,13 +354,18 @@ def test_every_program_is_staged_exactly_once(count_calls):
                 assert [event.action for event in engine.events] == events
         return run
 
+    def respawning_pool() -> ExchangeEngine:
+        # Worker 0 dies in the second round; the pool respawns mid-round.
+        set_fates(monkeypatch, tmp_path, ["ok", "kill"])
+        return _pool_engine()
+
     # Whoever runs the steps — the parent, a healthy pool, a pool that
     # respawned mid-round — a program is validated at register and never
     # again.
     for make_engine, events in (
             (lambda: ExchangeEngine(N_RANKS, runtime="engine"), []),
             (_pool_engine, []),
-            (lambda: _pool_engine(_crash(1)), ["retry"])):
+            (respawning_pool, ["retry"])):
         assert count_calls(lifetime(make_engine, events),
                            of=[engine_module._checked_steps]) == len(worlds)
 
@@ -413,32 +384,3 @@ def test_every_program_is_staged_exactly_once(count_calls):
                                         _vector_length(world)})]
                   for world in (worlds[0], wide)]
     assert counts[0] == counts[1]
-
-
-def test_a_fallback_never_moves_a_bound_layout():
-    before, after = [_world(13), _world(21, Variant.PARTIAL)], _world(34)
-    worlds, scales = before + [after], (1.0, -2.5, 4.0)
-    with ExchangeEngine(N_RANKS, runtime="engine") as fresh:
-        handles = [fresh.register(world, vector_length=_vector_length(world))
-                   for world in worlds]
-        layouts = [fresh.halo_rows(handle) for handle in handles]
-        expected = [[fresh.run(handle, _vector(world, scale)).tobytes()
-                     for scale in scales]
-                    for handle, world in zip(handles, worlds)]
-    with _pool_engine(_crash(0, attempt=None), max_retries=0,
-                      on_failure="fallback") as engine:
-        handles = [engine.register(world, vector_length=_vector_length(world))
-                   for world in before]
-        first = engine.run(handles[0], _vector(before[0], scales[0]))
-        assert engine.degraded
-        assert first.tobytes() == expected[0][0]
-        handles.append(engine.register(         # registered after the failure
-            after, vector_length=_vector_length(after)))
-        for handle, world, rows, rounds in zip(handles, worlds, layouts,
-                                               expected):
-            # The engine runtime's rows, before the failure and after it.
-            assert np.array_equal(engine.halo_rows(handle), rows)
-            for scale, reference in zip(scales, rounds):
-                assert engine.run(handle, _vector(world, scale)).tobytes() \
-                    == reference
-            assert np.array_equal(engine.halo_rows(handle), rows)
