@@ -24,28 +24,39 @@ from repro.utils.arrays import (
 )
 
 
-def unique_keys_segmented(offsets: np.ndarray,
-                          keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def unique_keys_segmented(offsets: np.ndarray, keys: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment first appearances of interned keys, in one tagged sort.
 
     Segment ``k`` is rows ``offsets[k]:offsets[k + 1]`` of ``keys``.
     Returns the ascending rows keeping each segment's first copy of every
-    key, and the segments' offsets into them.  The tagged sort of
-    ``(segment, key)`` puts each pair's rows in a run, first row first, and
-    a keep mask returns the runs' first rows in row order without a second
-    sort.  The order is deterministic, so both sides of a message agree.
+    key, the segments' offsets into them, and every row's *payload row*:
+    the index, among the kept rows, of the row whose copy it shares.  The
+    tagged sort of ``(segment, key)`` puts each pair's rows in a run, first
+    row first, and a keep mask returns the runs' first rows in row order
+    without a second sort; the mask's running count numbers the kept rows,
+    and each run hands its first row's number to its rows.  The order is
+    deterministic, so both sides of a message agree.
     """
     segments = np.repeat(np.arange(offsets.size - 1, dtype=INDEX_DTYPE),
                          np.diff(offsets))
     tagged = tagged_sort((segments, keys)) if keys.size > 1 else None
     if tagged is None:
         order = lexsort_packed(segments, keys)
-        firsts = order[run_starts_mask(segments[order], keys[order])]
+        starts = run_starts_mask(segments[order], keys[order])
     else:
-        tagged, row_bits = tagged
-        firsts = tagged[run_starts_mask(tagged >> row_bits)]
-        firsts &= (1 << row_bits) - 1
+        order, row_bits = tagged
+        starts = run_starts_mask(order >> row_bits)
+        order &= (1 << row_bits) - 1
+    del segments
+    firsts = order[starts]
     keep = np.zeros(keys.size, dtype=bool)
     keep[firsts] = True
-    firsts = np.flatnonzero(keep)
-    return firsts, np.searchsorted(firsts, offsets)
+    # ``kept_before[r]``: kept rows ahead of row ``r``.
+    kept_before = np.zeros(keys.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=kept_before[1:])
+    runs = np.cumsum(starts)
+    runs -= 1
+    payload_rows = np.empty(keys.size, dtype=INDEX_DTYPE)
+    payload_rows[order] = kept_before[firsts][runs]
+    return np.flatnonzero(keep), kept_before[offsets], payload_rows

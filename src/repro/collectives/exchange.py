@@ -17,10 +17,13 @@ it, or never delivers a required one, is a :class:`PlanError` here.
 
 Compilation itself is columnar too: the compiler never looks at an
 ``(origin, item)`` pair — it reads the plan's phase tables, whose payload
-rows carry the pattern's interned key ids, and checks the hops with one
-in-place sort of packed ``(holder, key, step)`` int64 and at most one
-``searchsorted`` per hop — none for a direct plan, whose receipts are its
-results row for row.  The hops as written — the *replay columns*
+rows carry the pattern's interned key ids.  A planner-built plan carries the
+planner's :class:`~repro.collectives.plan.Witness`, which names the receipt
+that gives every holder its value; the compiler certifies it with one
+gather-and-compare pass per hop, with no sort and no search.  A plan with no
+witness, or one that fails anywhere, is checked by search: one in-place sort
+of packed ``(holder, key, step)`` int64 and one ``searchsorted`` per hop,
+the only check that can say "not held".  The hops as written — the *replay columns*
 ``gather`` / ``scatter`` / ``wire_perm`` on ``n_world_rows`` rows, which
 only the kernel replay and the tests' reference executor read — are not
 compiled: a world derives them from its plan by the hop-by-hop join
@@ -256,26 +259,30 @@ def compile_world_exchange(plan: CollectivePlan,
     a rank holds is its ``key`` — the payload row's interned ``(origin,
     item)`` id (:meth:`CommPattern.owned_keys`, the table's
     ``payload_key_ids``), which is also the value's owned row.  A holder
-    has the keys it owns from the start; every other ``(holder, key)`` is
-    one packed int64 of a *receipt stream*, which holds each receive step's
-    payload rows tagged with the step's number and is sorted in place.  A
-    send may only pack what its sender owns or received in an earlier
-    schedule step, and every result entry's receiver must hold its value by
-    the end of the round: both ask the sorted stream about the sorted
-    unowned queries (:func:`_all_held`).  Where the two name the same
-    pairs row for row — a direct plan's results, every receipt a result
-    entry — one xor pass says so; any other answer is one
-    ``searchsorted``.  Queries already in order, as the result view's
-    usually are, are not sorted again.  A plan that fails either is a
-    :class:`PlanError`, with the diagnostic of the hop-by-hop join
-    (:func:`_replay_columns`).
+    has the keys it owns from the start and every other one from a
+    *receipt*: a payload row of a receive step.  A send may only pack what
+    its sender owns or received in an earlier schedule step, and every
+    result entry's receiver must hold its value by the end of the round.
+
+    A planner-built plan proves both with its witness (:func:`_certified`):
+    every forwarded payload row and every result entry names its receipt
+    row, or ``-1`` for an owned key, and one gather-and-compare pass per
+    hop checks the named rows — in range, in a step the hop may use, and
+    packing the entry's own holder and key.  That makes no sort and no
+    ``searchsorted``.  A plan without a witness, or whose witness fails
+    anywhere, goes to the search (:func:`_searched`): a *receipt stream*
+    of each receive step's payload rows tagged with the step's number,
+    sorted in place, and one ``searchsorted`` of each hop's sorted unowned
+    queries into it (:func:`_all_held`).  Only the search answers "not
+    held", so a plan that fails is a :class:`PlanError` with the
+    diagnostic of the hop-by-hop join (:func:`_replay_columns`), whatever
+    its witness says.
 
     The world keeps what the engine runs — each phase's message columns in
     wire order, the result view (a result entry's row is its key) and the
     offsets — and the plan, from which the replay columns are derived on
-    first read.  The result queries are built before the stream and every
-    intermediate is dropped after its last reader, so the pass peaks under
-    three times the world it returns.
+    first read.  Every intermediate is dropped after its last reader, so
+    the pass peaks under three times the world it returns.
 
     The element type is the pattern's; a ``spec`` naming another one
     raises :class:`ValidationError`, since the plan counts the pattern's
@@ -327,50 +334,47 @@ def compile_world_exchange(plan: CollectivePlan,
             f"the pattern sets the element type ({own.item_size}x"
             f"{own.dtype.name}); an exchange spec of {spec.item_size}x"
             f"{spec.dtype.name} would move other bytes than the plan counts")
-    tables, schedule = _phase_tables(plan)
+    tables, schedule = _phase_tables(plan.variant, plan.phases)
     recv_step, send_steps = _step_numbers(schedule)
 
     owned_holders, owned_items_all, _ = pattern.owned_keys()
     owned_offsets = counts_to_displs(
         np.bincount(owned_holders, minlength=n_ranks).astype(INDEX_DTYPE))
-    unowned = _unowned_queries(owned_holders, n_ranks)
 
     # -- the result view: each output entry is its value's owned row, which
     # -- its receiver must hold by the end of the round ------------------------
-    result_holders, result_items_all, result_sources_all, result_rows = \
-        _result_view(pattern)
+    (result_holders, result_items_all, result_sources_all, result_rows,
+     result_edges) = _result_view(pattern)
     result_offsets = counts_to_displs(
         np.bincount(result_holders, minlength=n_ranks).astype(INDEX_DTYPE))
-    result_queries = unowned(result_holders, result_rows)
     del result_holders
+    result_proof = _result_proof(plan.witness, pattern, result_edges)
+    del result_edges
 
-    stream = _receipt_stream(
-        [(tables[phase], step) for phase, step in recv_step.items()],
-        n_ranks, owned_holders.size)
-    held = _all_held(stream, result_queries, len(recv_step))
-    del result_queries
+    # -- every send step packs only what its holder already has, and every
+    # -- receiver holds its results: proved by the witness, else searched -----
+    held = result_proof is not None and _certified(
+        plan.witness.hops, result_proof, tables, recv_step, send_steps,
+        owned_holders, result_offsets, result_rows)
+    del result_proof
+    if not held and not _searched(tables, recv_step, send_steps,
+                                  owned_holders, result_offsets, result_rows):
+        _replay_columns(plan)       # names the first hop that fails
+        raise PlanError("the plan's hops do not deliver what it uses")
 
-    # -- every send step packs only what its holder already has ---------------
     replay = _Replay(plan)
     programs: Dict[Phase, WorldPhaseProgram] = {}
-    for phase, allowed in send_steps:
+    for phase, _ in send_steps:
         table = tables[phase]
-        counts = table.payload_counts
-        held &= _all_held(stream, unowned(np.repeat(table.srcs, counts),
-                                          table.payload_key_ids), allowed)
         send_order = lexsort_packed(table.srcs)
         programs[phase] = WorldPhaseProgram(
             phase=phase,
             tag=PHASE_TAGS[phase],
             msg_sources=table.srcs[send_order],
             msg_dests=table.dests[send_order],
-            msg_nbytes=counts[send_order] * spec.item_bytes,
+            msg_nbytes=table.payload_counts[send_order] * spec.item_bytes,
             replay=replay,
         )
-    del stream
-    if not held:
-        _replay_columns(plan)       # names the first hop that fails
-        raise PlanError("the plan's hops do not deliver what it uses")
 
     return WorldExchange(
         variant=plan.variant,
@@ -388,15 +392,15 @@ def compile_world_exchange(plan: CollectivePlan,
     )
 
 
-def _phase_tables(plan: CollectivePlan):
-    """``(tables, schedule)``: ``plan``'s table of every phase of its
-    variant, in phase order and empty where it has none, and the schedule
-    its steps run in."""
-    if plan.variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
+def _phase_tables(variant: Variant, phases: Dict[Phase, PhaseTable]):
+    """``(tables, schedule)``: the table in ``phases`` of every phase of
+    ``variant``, in phase order and empty where there is none, and the
+    schedule its steps run in."""
+    if variant in (Variant.STANDARD, Variant.POINT_TO_POINT):
         order, schedule = (Phase.DIRECT,), _DIRECT_SCHEDULE
     else:
         order, schedule = AGGREGATED_PHASES, _AGGREGATED_SCHEDULE
-    return {phase: plan.phases.get(phase) or PhaseTable.empty(phase)
+    return {phase: phases.get(phase) or PhaseTable.empty(phase)
             for phase in order}, schedule
 
 
@@ -414,8 +418,135 @@ def _step_numbers(schedule):
     return recv_step, send_steps
 
 
+def _receipt_ends(tables, recv_step) -> np.ndarray:
+    """``ends[s]``: the receipt rows of receive steps ``1..s``.  A receipt
+    row indexes the receive steps' payload rows, concatenated in schedule
+    order."""
+    return counts_to_displs([int(tables[phase].payload_offsets[-1])
+                             for phase in recv_step])
+
+
+def receipt_starts(variant: Variant,
+                   phases: Dict[Phase, PhaseTable]) -> Dict[Phase, int]:
+    """The first receipt row of every receive step's payload, for a plan of
+    ``variant`` with the tables ``phases`` — where the planner's
+    :class:`~repro.collectives.plan.Witness` rows of each step begin."""
+    tables, schedule = _phase_tables(variant, phases)
+    recv_step = _step_numbers(schedule)[0]
+    return dict(zip(recv_step,
+                    _receipt_ends(tables, recv_step)[:-1].tolist()))
+
+
+def _pack_receipts(tables, out: np.ndarray, spare: int,
+                   holder_offset: int) -> None:
+    """Write every payload row of ``tables`` (the receive steps' tables, in
+    step order) into ``out`` as ``(holder_offset + receiver) * width +
+    key``, ``width`` leaving the spare key id ``spare`` and every id past
+    it packing as the spare."""
+    width, start = spare + 1, 0
+    for table in tables:
+        rows = out[start:start + table.payload_key_ids.size]
+        start += rows.size
+        np.minimum(table.payload_key_ids, spare, out=rows)
+        receivers = np.repeat(table.dests, table.payload_counts)
+        receivers += holder_offset
+        receivers *= width
+        rows += receivers
+
+
+def _holders(result_offsets: np.ndarray) -> np.ndarray:
+    """The receiver of every result entry, a fresh array."""
+    return np.repeat(np.arange(result_offsets.size - 1, dtype=INDEX_DTYPE),
+                     np.diff(result_offsets))
+
+
+def _result_proof(witness, pattern, result_edges: np.ndarray):
+    """The witness entry of every result entry — its unique edge row's — or
+    ``None`` when there is no witness of the pattern's edges."""
+    if witness is None or witness.edges.size != pattern.owned_keys()[2].size:
+        return None
+    return witness.edges.take(result_edges)
+
+
+def _certified(hops, result_proof, tables, recv_step, send_steps,
+               owned_holders: np.ndarray, result_offsets: np.ndarray,
+               result_rows: np.ndarray) -> bool:
+    """Whether a witness proves every hop held, with one gather-and-compare
+    pass per hop and no sort or search.
+
+    ``hops`` maps a send phase to the witness entry of every payload row,
+    and ``result_proof`` gives every result entry's.  The *holding table*
+    is every owned key ``k`` on row ``k`` as ``owner * width + k``, one
+    row nobody holds, then every receipt row as ``receiver * width + key``.
+    An entry ``-1`` reads the key's owned row, any other the receipt row
+    it names, which must lie in a step no later than the hop may use; the
+    row read must pack the entry's own holder and key.  A send phase with
+    no witness entries has every payload row read as owned.  So a "yes" is
+    a proof of holding; a "no" proves nothing and goes to the search.
+    """
+    ends = _receipt_ends(tables, recv_step)
+    spare = owned_holders.size
+    width = spare + 1
+    holding = np.empty(width + int(ends[-1]), dtype=INDEX_DTYPE)
+    np.multiply(owned_holders, width, out=holding[:spare])
+    holding[:spare] += np.arange(spare, dtype=INDEX_DTYPE)
+    holding[spare] = -1
+    _pack_receipts([tables[phase] for phase in recv_step], holding[width:],
+                   spare, 0)
+
+    def proves(holders, keys, entries, allowed) -> bool:
+        # ``holders`` is the caller's fresh buffer: it becomes the packing
+        # every row read must equal.
+        if not keys.size:
+            return entries is None or not entries.size
+        if int(keys.min()) < 0 or int(keys.max()) > spare:
+            return False
+        if entries is None:
+            found = holding.take(keys)
+        elif entries.size != keys.size:
+            return False
+        else:
+            low = int(entries.min())
+            if low < -1 or int(entries.max()) >= ends[allowed]:
+                return False
+            found = entries + np.int64(width)
+            if low < 0:
+                np.copyto(found, keys, where=entries < 0)
+            holding.take(found, out=found, mode="clip")
+        holders *= width
+        holders += keys
+        return np.array_equal(found, holders)
+
+    if not proves(_holders(result_offsets), result_rows, result_proof,
+                  len(recv_step)):
+        return False
+    return all(proves(np.repeat(tables[phase].srcs,
+                                tables[phase].payload_counts),
+                      tables[phase].payload_key_ids, hops.get(phase), allowed)
+               for phase, allowed in send_steps)
+
+
 #: Low bits of a receipt-stream entry, which number its receive step.
 _STEP_BITS = 3
+
+
+def _searched(tables, recv_step, send_steps, owned_holders: np.ndarray,
+              result_offsets: np.ndarray, result_rows: np.ndarray) -> bool:
+    """Whether every hop is held, by search: the receipt stream sorted in
+    place, and each hop's sorted unowned queries looked up in it with one
+    ``searchsorted`` (:func:`_all_held`).  The result queries are built
+    before the stream."""
+    n_ranks = result_offsets.size - 1
+    unowned = _unowned_queries(owned_holders, n_ranks)
+    result_queries = unowned(_holders(result_offsets), result_rows)
+    stream = _receipt_stream(tables, recv_step, n_ranks, owned_holders.size)
+    if not _all_held(stream, result_queries, len(recv_step)):
+        return False
+    del result_queries
+    return all(_all_held(stream, unowned(
+        np.repeat(tables[phase].srcs, tables[phase].payload_counts),
+        tables[phase].payload_key_ids), allowed)
+        for phase, allowed in send_steps)
 
 
 def _unowned_queries(owned_holders: np.ndarray, n_ranks: int):
@@ -448,27 +579,20 @@ def _unowned_queries(owned_holders: np.ndarray, n_ranks: int):
     return unowned
 
 
-def _receipt_stream(recv_steps, n_ranks: int, spare: int) -> np.ndarray:
-    """Every receive row of ``recv_steps`` (``(table, step number)``
-    pairs), packed as its receiver's query of the key with the step number
-    in the low bits, written in place into one array that is then sorted
-    in place: the first entry at or after a query is the earliest step that
-    delivered it, if any did."""
-    width = spare + 1
-    sizes = [int(table.payload_key_ids.size) for table, _ in recv_steps]
-    stream = np.empty(sum(sizes), dtype=INDEX_DTYPE)
-    start = 0
-    for (table, step), size in zip(recv_steps, sizes):
-        rows = stream[start:start + size]
-        start += size
-        np.minimum(table.payload_key_ids, spare, out=rows)
-        receivers = np.repeat(table.dests, table.payload_counts)
-        receivers += n_ranks
-        receivers *= width
-        rows += receivers
-        del receivers
-        rows <<= _STEP_BITS
-        rows |= step
+def _receipt_stream(tables, recv_step, n_ranks: int,
+                    spare: int) -> np.ndarray:
+    """Every receive row of the ``recv_step`` phases (``phase -> step
+    number``), packed as its receiver's query of the key with the step
+    number in the low bits, written in place into one array that is then
+    sorted in place: the first entry at or after a query is the earliest
+    step that delivered it, if any did."""
+    ends = _receipt_ends(tables, recv_step)
+    stream = np.empty(int(ends[-1]), dtype=INDEX_DTYPE)
+    _pack_receipts([tables[phase] for phase in recv_step], stream, spare,
+                   n_ranks)
+    stream <<= _STEP_BITS
+    for step in range(1, ends.size):
+        stream[ends[step - 1]:ends[step]] |= step
     stream.sort()
     return stream
 
@@ -477,21 +601,12 @@ def _all_held(stream: np.ndarray, queries: np.ndarray, allowed: int) -> bool:
     """Whether the sorted ``stream`` answers every one of the sorted
     ``queries`` with a step numbered at most ``allowed``: the entry found
     xor the query is the step when they pack the same ``(holder, key)``,
-    and at least ``1 << _STEP_BITS`` when they do not.
-
-    A direct phase's stream is its result queries, row for row: then one
-    xor pass says "held" with no search.  Anything else it may say goes to
-    the search, which alone answers "not held".
-    """
+    and at least ``1 << _STEP_BITS`` when they do not.  This is the only
+    check that answers "not held"."""
     if not queries.size:
         return True
     if not stream.size:
         return False
-    if stream.size == queries.size:
-        found = stream ^ queries
-        if int(found.max()) <= allowed:
-            return True
-        del found
     found = np.searchsorted(stream, queries)
     stream.take(found, out=found, mode="clip")
     found ^= queries
@@ -522,7 +637,7 @@ def _replay_columns(plan: CollectivePlan):
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks
-    tables, schedule = _phase_tables(plan)
+    tables, schedule = _phase_tables(plan.variant, plan.phases)
     recv_segment, send_steps = _step_numbers(schedule)
     owned_holders = pattern.owned_keys()[0]
     pack = _packing(owned_holders, n_ranks)
@@ -576,7 +691,7 @@ def _replay_columns(plan: CollectivePlan):
         columns[phase] = (hit, group_of[lo:hi].copy(), wire_perms[phase])
 
     # -- the result view: each output entry's value must reach its holder ----
-    result_holders, result_items_all, result_sources_all, result_rows = \
+    result_holders, result_items_all, result_sources_all, result_rows, _ = \
         _result_view(pattern)
     found = _lookup(held, pack(result_holders, result_rows))[1]
     if not found.all():
@@ -674,10 +789,11 @@ def _lookup(held: np.ndarray, values: np.ndarray):
 def _result_view(pattern):
     """Per receiver, the last-declaring source of every item it expects.
 
-    Returns the ``(holder, item, source, key)`` columns of the result, in
-    (receiver, item) order.  The unique edge table is sorted by origin
-    first, so a stable sort by (receiver, item) leaves the highest declaring
-    source last in each run.
+    Returns the ``(holder, item, source, key, edge row)`` columns of the
+    result, in (receiver, item) order; the edge row is the entry's row of
+    the unique edge table.  That table is sorted by origin first, so a
+    stable sort by (receiver, item) leaves the highest declaring source
+    last in each run.
     """
     edge_origins, edge_dests, edge_items = pattern.unique_edge_table()
     edge_keys = pattern.owned_keys()[2]
@@ -691,4 +807,4 @@ def _result_view(pattern):
     holders = d_sorted[run_start]
     del d_sorted
     return (holders, i_sorted[run_start], edge_origins[run_last],
-            edge_keys[run_last])
+            edge_keys[run_last], run_last)

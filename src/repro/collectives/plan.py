@@ -292,6 +292,26 @@ class PhaseTable:
         return f"PhaseTable({self.phase.value}, messages={len(self)})"
 
 
+class Witness(NamedTuple):
+    """The planner's proof that every value of its plan is held in time.
+
+    A *receipt row* indexes the receive steps' payload rows, concatenated in
+    the world compiler's schedule order
+    (:func:`~repro.collectives.exchange.receipt_starts`).  Each entry names
+    the receipt row that gives a holder its value, or is ``-1`` where the
+    holder owns it.  The compiler checks every entry with one
+    gather-and-compare pass per hop; a witness that fails anywhere proves
+    nothing, and the plan goes to the search.
+    """
+
+    #: Entry of every row of the pattern's unique edge table: the receipt
+    #: that gives the row's destination its value.
+    edges: np.ndarray
+    #: Entry of every payload row of each forwarding phase (``g``, ``r``):
+    #: the receipt that gives the message's sender the value it packs.
+    hops: Dict[Phase, np.ndarray]
+
+
 #: Column triple ``(origins, items, final_dests)`` — the multiset element layout.
 _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -352,6 +372,13 @@ class CollectivePlan:
     #: equal tokens are interchangeable — a guarantee hand-assembled phase
     #: tables cannot make.
     cache_token: object = field(default=None, init=False, compare=False)
+    #: The planner's :class:`Witness`: int32 receipt rows, 4 bytes per
+    #: forwarded payload row and per unique edge row, from which the world
+    #: compiler certifies every hop without a sort or a search.  ``None`` on
+    #: hand-built plans; like the cache token it is no ``__init__`` field,
+    #: so a ``dataclasses.replace`` copy has none and is checked by search.
+    witness: object = field(default=None, init=False, compare=False,
+                            repr=False)
     #: Instance memos of the derived analyses.  A plan is immutable, so
     #: statistics and modeled times are pure functions of it (and the cost
     #: model); neither memo is an ``__init__`` field, so a

@@ -16,6 +16,15 @@ runs by boundary detection, so planning cost scales with neither routed items
 nor messages.  The slot-list implementation this replaced is preserved
 verbatim as a test oracle (``tests/collectives/reference_planner.py``) and
 pinned to this planner by the golden-equivalence tests.
+
+Every plan leaves with a :class:`~repro.collectives.plan.Witness`: the
+receipt that gives each holder the value it forwards or keeps, read off the
+permutations and deduplication groups the planner already holds (a phase's
+sort order, scattered once to its inverse, and
+:func:`~repro.collectives.dedup.unique_keys_segmented`'s payload row of
+every row).  The world compiler certifies the plan from it without sorting
+or searching anything; the witness only speeds that check up and never
+decides it.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from repro.collectives.aggregation import (
     setup_aggregation,
 )
 from repro.collectives.dedup import unique_keys_segmented
+from repro.collectives.exchange import receipt_starts
 from repro.collectives.plan import (
     AGGREGATED_PHASES,
     CollectivePlan,
@@ -37,6 +47,7 @@ from repro.collectives.plan import (
     PhaseTable,
     SlotTable,
     Variant,
+    Witness,
 )
 from repro.collectives import plan_cache
 from repro.pattern.comm_pattern import CommPattern
@@ -49,6 +60,9 @@ from repro.utils.arrays import (
 )
 from repro.utils.errors import PlanError
 
+#: Dtype of a witness row: 4 bytes per forwarded payload row and edge row.
+WITNESS_DTYPE = np.int32
+
 
 def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
                          dests: np.ndarray) -> SlotTable:
@@ -59,7 +73,7 @@ def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
 
 def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
                  final_dests: np.ndarray, keys: np.ndarray,
-                 key_table, *, deduplicate: bool = False) -> PhaseTable:
+                 key_table, *, deduplicate: bool = False):
     """One message per ``(src, dest)`` run of pre-sorted per-row endpoint columns.
 
     ``srcs``/``dests`` give every row's message endpoints and must be the
@@ -67,16 +81,24 @@ def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
     ``(origin, item)`` ids, rows of ``key_table`` (the pattern's
     ``(holders, items)`` key columns, shared by the table).  With
     ``deduplicate`` the payload unique of every message of the phase runs as
-    one segmented sort.
+    one segmented sort.  Returns the :class:`PhaseTable` and every row's
+    payload row (``None`` when the rows are the payload).
     """
     starts = np.flatnonzero(run_starts_mask(srcs, dests))
     bounds = np.append(starts, srcs.size).astype(INDEX_DTYPE, copy=False)
-    payload = None
+    payload = payload_rows = None
     if deduplicate:
-        firsts, payload_offsets = unique_keys_segmented(bounds, keys)
+        firsts, payload_offsets, payload_rows = unique_keys_segmented(bounds,
+                                                                      keys)
         payload = (payload_offsets, keys[firsts])
     return PhaseTable(phase, srcs[starts], dests[starts], bounds, keys,
-                      final_dests, key_table, payload)
+                      final_dests, key_table, payload), payload_rows
+
+
+def _payload_rows(rows, size: int) -> np.ndarray:
+    """Each of ``size`` rows' payload row: ``rows``, or the row itself when
+    ``rows`` is ``None`` (the rows are the payload)."""
+    return np.arange(size, dtype=INDEX_DTYPE) if rows is None else rows
 
 
 def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
@@ -95,10 +117,24 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
         keep = ~self_mask
         origins, dests, keys = origins[keep], dests[keep], keys[keep]
     direct = _phase_table(Phase.DIRECT, origins, dests, dests, keys,
-                          (key_holders, key_items))
-    return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
+                          (key_holders, key_items))[0]
+    plan = CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases={Phase.DIRECT: direct},
                           self_deliveries=self_deliveries)
+    # The direct phase's payload rows are the edge rows without the
+    # self-edges, which their destinations own.
+    edges = np.arange(self_mask.size, dtype=WITNESS_DTYPE)
+    if len(self_deliveries):
+        edges -= np.cumsum(self_mask, dtype=WITNESS_DTYPE)
+        edges[self_mask] = -1
+    plan.witness = _frozen_witness(edges, {})
+    return plan
+
+
+def _frozen_witness(edges: np.ndarray, hops) -> Witness:
+    """A read-only :class:`Witness` of ``edges`` and ``hops``."""
+    freeze_columns(edges, *hops.values())
+    return Witness(edges, hops)
 
 
 def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
@@ -127,10 +163,10 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     local_mask = same_region & ~self_mask
     local_origins, local_dests = origins[local_mask], dests[local_mask]
     local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_dests,
-                         keys[local_mask], key_table)
+                         keys[local_mask], key_table)[0]
     # Each per-row column is released after its last reader: the planner's
     # transient peak is the high-water mark of a collective's set-up.
-    del self_mask, local_mask, local_origins, local_dests
+    del self_mask, local_origins, local_dests
 
     # Inter-region traffic: the three aggregated phases.  The leaders of each
     # (source region, destination region) pair fan out to per-row arrays, and
@@ -149,14 +185,21 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     phases = {phase: PhaseTable.empty(phase) for phase in AGGREGATED_PHASES}
     phases[Phase.LOCAL] = local
 
+    # The witness (see Witness) is built from the permutations and dedup
+    # groups below, relative to the first receipt row of the phase it names
+    # until every phase is sized: ``sender_rows`` is each phase-g payload
+    # row's phase-s payload row (-1 where the send leader is the origin),
+    # ``leader_rows`` each inter-region row's phase-g payload row, and
+    # ``final_rows`` the phase-r order of the rows it forwards.
     inter_mask = ~same_region
+    sender_rows = leader_rows = final_rows = None
     if inter_mask.any():
         row_origins = origins[inter_mask]
         row_dests = dests[inter_mask]
         row_keys = keys[inter_mask]
         row_src_regions = origin_regions[inter_mask]
         row_dest_regions = dest_region_ids[inter_mask]
-        del origin_regions, dest_region_ids, same_region, inter_mask
+        del origin_regions, dest_region_ids, same_region
 
         # Per-row leaders read off the assignment's dense (src_region,
         # dest_region) tables — no pre-sort by region pair needed.
@@ -186,18 +229,28 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         skip = row_origins == row_send
         order = lexsort_packed(skip, row_origins, row_send, row_dest_regions)
         selection = order[:order.size - int(np.count_nonzero(skip))]
-        phases[Phase.SETUP_REDIST] = _phase_table(
+        phases[Phase.SETUP_REDIST], payload_rows = _phase_table(
             Phase.SETUP_REDIST, row_origins[selection], row_send[selection],
             row_dests[selection], row_keys[selection], key_table,
             deduplicate=deduplicate)
-        del skip, order, selection
+        setup_rows = np.full(skip.size, -1, dtype=WITNESS_DTYPE)
+        setup_rows[selection] = _payload_rows(payload_rows, selection.size)
+        del skip, order, selection, payload_rows
 
         # Phase g: one aggregated message between the leaders of each pair.
+        # A payload row's rows share its key and send leader, so they share
+        # the phase-s row that brought the key to the leader.
         order = lexsort_packed(row_send, row_recv)
-        phases[Phase.GLOBAL] = _phase_table(
+        phases[Phase.GLOBAL], payload_rows = _phase_table(
             Phase.GLOBAL, row_send[order], row_recv[order], row_dests[order],
             row_keys[order], key_table, deduplicate=deduplicate)
-        del order, row_send
+        payload_rows = _payload_rows(payload_rows, order.size)
+        sender_rows = np.empty(phases[Phase.GLOBAL].payload_key_ids.size,
+                               dtype=WITNESS_DTYPE)
+        sender_rows[payload_rows] = setup_rows[order]
+        leader_rows = np.empty(order.size, dtype=WITNESS_DTYPE)
+        leader_rows[order] = payload_rows
+        del order, row_send, setup_rows, payload_rows
 
         # Phase r: the receive leader forwards to final destinations.  The
         # few rows it keeps for itself (no message) sort on their own; the
@@ -216,12 +269,48 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
         final_dests = row_dests[selection]
         phases[Phase.FINAL_REDIST] = _phase_table(
             Phase.FINAL_REDIST, row_recv[selection], final_dests, final_dests,
-            row_keys[selection], key_table)
+            row_keys[selection], key_table)[0]
+        final_rows = selection
 
-    return CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
+    plan = CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases=phases,
                           self_deliveries=SlotTable.concat(self_parts),
                           strategy=strategy)
+    plan.witness = _aggregated_witness(variant, phases, local_mask,
+                                       inter_mask, sender_rows, leader_rows,
+                                       final_rows)
+    return plan
+
+
+def _aggregated_witness(variant: Variant, phases: Dict[Phase, PhaseTable],
+                        local_mask: np.ndarray, inter_mask: np.ndarray,
+                        sender_rows, leader_rows, final_rows) -> Witness:
+    """The witness of an aggregated plan, from the planner's relative rows
+    (see :func:`_aggregated_plan`) and every phase's first receipt row.
+
+    A phase-g payload row's sender got its key in phase s, or owns it; a
+    phase-r payload row's sender, the receive leader, got it in phase g.
+    An edge row's destination gets its value in phase l, in phase g when it
+    is the receive leader itself, and in phase r otherwise; a self-edge's
+    destination owns it.
+    """
+    start = receipt_starts(variant, phases)
+    edges = np.full(local_mask.size, -1, dtype=WITNESS_DTYPE)
+    first = start[Phase.LOCAL]
+    edges[local_mask] = np.arange(first, first + phases[Phase.LOCAL].offsets[-1],
+                                  dtype=WITNESS_DTYPE)
+    hops = {}
+    if leader_rows is not None:
+        np.add(sender_rows, start[Phase.SETUP_REDIST], out=sender_rows,
+               where=sender_rows >= 0)
+        leader_rows += start[Phase.GLOBAL]
+        hops = {Phase.GLOBAL: sender_rows,
+                Phase.FINAL_REDIST: leader_rows[final_rows]}
+        first = start[Phase.FINAL_REDIST]
+        leader_rows[final_rows] = np.arange(first, first + final_rows.size,
+                                            dtype=WITNESS_DTYPE)
+        edges[inter_mask] = leader_rows
+    return _frozen_witness(edges, hops)
 
 
 def plan_partial(pattern: CommPattern, mapping: RankMapping, *,

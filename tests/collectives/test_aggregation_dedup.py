@@ -140,16 +140,19 @@ class TestDeduplication:
     def test_segment_firsts_in_appearance_order(self):
         """Each segment keeps the first row of every key it holds, rows in
         their original order; a key repeated in another segment is kept
-        there too."""
+        there too.  Every row names the kept row whose copy it shares."""
         offsets = np.array([0, 4, 4, 7])
         keys = np.array([3, 1, 3, 0, 1, 1, 3])
-        firsts, kept_offsets = unique_keys_segmented(offsets, keys)
+        firsts, kept_offsets, payload_rows = unique_keys_segmented(offsets,
+                                                                   keys)
         assert firsts.tolist() == [0, 1, 3, 4, 6]
         assert kept_offsets.tolist() == [0, 3, 3, 5]
         assert kept_offsets.dtype == np.int64
+        assert payload_rows.tolist() == [0, 1, 0, 2, 3, 3, 4]
 
     def test_no_rows(self):
         empty = np.empty(0, dtype=np.int64)
-        firsts, kept_offsets = unique_keys_segmented(np.zeros(3, dtype=np.int64),
-                                                     empty)
+        firsts, kept_offsets, payload_rows = unique_keys_segmented(
+            np.zeros(3, dtype=np.int64), empty)
         assert firsts.size == 0 and kept_offsets.tolist() == [0, 0, 0]
+        assert payload_rows.size == 0

@@ -1,18 +1,21 @@
-"""The compile's delivery check, ``_all_held``, can only say yes faster.
+"""The search's delivery check, ``_all_held``, answers by search alone.
 
-A direct plan's sorted receipt stream is its sorted result queries row for
-row, so the check answers "held" from one xor pass; every other answer
-comes from the ``searchsorted`` it had before.  These tests pin that the
-fast path never changes an answer:
+The compile certifies a planner-built plan from its witness; every other
+plan — hand-built, or a ``dataclasses.replace`` copy such as the one below,
+which carries no witness — goes to the search, whose check is
+``_all_held``: each sorted query looks up the sorted receipt stream with one
+``searchsorted``, and only that check can answer "not held".  These tests
+pin its answers:
 
-(a) on random sorted streams and queries — among them equal-size pairs that
+(a) on random sorted streams and queries — among them direct-phase cases
+    whose queries are the receipts row for row, equal-size pairs that
     differ, and a pair received at two steps with ``allowed`` between them —
     it equals "every query's pair arrives at a step ``<= allowed``", read
     off a dict;
 (b) a standard plan with one result sent to the wrong rank (as many
-    receipts as results, so the fast path runs and declines) still raises
-    the hop-by-hop join's :class:`PlanError`, word for word the per-rank
-    reference compiler's.
+    receipts as results, the case a row-for-row shortcut once answered)
+    raises the hop-by-hop join's :class:`PlanError`, word for word the
+    per-rank reference compiler's.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cases())
-# One pair received at steps 1 and 3, asked twice, allowed 2: the rows
-# xor to 1 and 3, so the fast path declines, and the search finds step 1.
+# One pair received at steps 1 and 3, asked twice, allowed 2: the search
+# finds step 1.
 @example(([(5, 1), (5, 3)], [5, 5], 2))
 # The same receipts asked once each for two pairs: one never arrives.
 @example(([(5, 1), (5, 3)], [5, 6], 3))
@@ -99,7 +102,7 @@ def test_a_standard_plan_with_one_misrouted_result_raises_the_joins_error():
     broken = dataclasses.replace(plan, phases={
         Phase.DIRECT: phase_table(pattern, Phase.DIRECT, messages)})
     table = broken.phases[Phase.DIRECT]
-    # As many receipts as results: the fast path runs, and must decline.
+    # As many receipts as results, and one of them misrouted.
     assert int(table.payload_counts.sum()) \
         == int(plan.phases[Phase.DIRECT].payload_counts.sum())
     with pytest.raises(PlanError, match="no phase of the plan delivers") as ours:

@@ -13,7 +13,7 @@ paper's largest runs need:
   timed);
 * a world compiler whose working set stays a small multiple of the world it
   returns (counted in traced bytes, not timed), a direct compile that makes
-  no search and sorts no query set that is already in order (counted), a
+  no search and a search that sorts no query set already in order (counted), a
   solve path that derives no replay column (counted), a standard plan that
   shares the pattern's columns instead of copying them, and phase tables
   that store key ids, not ``(origin, item)`` pairs (counted in bytes).
@@ -158,9 +158,9 @@ def test_world_compile_peaks_at_most_3x_the_world_it_keeps(name):
 
 
 def test_a_direct_compile_searches_nothing(count_calls):
-    """A direct plan's sorted receipt stream is its sorted result queries
-    row for row, so the compile says every value is held from one xor pass,
-    with no ``searchsorted``."""
+    """A direct plan's witness names every result entry's receipt, so the
+    compile says every value is held from one gather-and-compare pass, with
+    no ``searchsorted``."""
     plan = working_set_plan("halo-4096-standard")
     compile_world_exchange(plan)    # the pattern's cached tables settle
     assert count_calls(compile_world_exchange, plan,
@@ -174,7 +174,7 @@ def test_queries_already_in_order_are_not_sorted_again(count_calls):
     pattern = working_set_plan("halo-4096-standard").pattern
     unowned = exchange_module._unowned_queries(pattern.owned_keys()[0],
                                                pattern.n_ranks)
-    holders, _, _, keys = exchange_module._result_view(pattern)
+    holders, _, _, keys, _ = exchange_module._result_view(pattern)
     assert count_calls(unowned, holders, keys, of=[np.ndarray.sort]) == 0
     shuffle = np.random.default_rng(0).permutation(holders.size)
     assert count_calls(unowned, holders[shuffle], keys[shuffle],

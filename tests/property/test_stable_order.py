@@ -6,7 +6,8 @@ overflows, whether the keys alone do or only the row index beside them.
 Over bool, int32 and int64 columns, negative keys, keys far from zero, 0 and
 1 rows and spans that force each path, the order must be ``np.lexsort``'s.
 ``unique_keys_segmented`` (one tagged sort and a first-of-run keep mask)
-must keep what a per-segment ``np.unique(..., return_index=True)`` keeps.
+must keep what a per-segment ``np.unique(..., return_index=True)`` keeps,
+and point every row at the kept row of its key in its segment.
 """
 
 from __future__ import annotations
@@ -102,12 +103,17 @@ def _unique_oracle(sizes, keys):
 def test_unique_keys_segmented_is_a_per_segment_unique(case):
     sizes, keys = case
     keys = _int64(keys)
-    firsts, kept_offsets = unique_keys_segmented(
-        np.cumsum([0] + sizes), keys)
+    offsets = np.cumsum([0] + sizes)
+    firsts, kept_offsets, payload_rows = unique_keys_segmented(offsets, keys)
     expected_firsts, expected_counts = _unique_oracle(sizes, keys)
     assert firsts.tolist() == expected_firsts
     assert np.diff(kept_offsets).tolist() == expected_counts
     assert kept_offsets.dtype == np.int64 and kept_offsets[0] == 0
+    # Every row's payload row is the kept row of its key in its segment.
+    segments = np.repeat(np.arange(len(sizes)), sizes)
+    shared = firsts[payload_rows]
+    assert keys[shared].tolist() == keys.tolist()
+    assert segments[shared].tolist() == segments.tolist()
 
 
 def test_the_overflow_case_overflows_the_tagged_key():
