@@ -136,8 +136,10 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
 def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]
                ) -> Tuple[DecisionEvent, ...]:
     """One :func:`seed_event` per level of ``level_times`` (levels numbered
-    from 0): the commits ``variant="auto"`` makes at set-up when a level's
-    cost is its entry, which is how the experiment drivers model it."""
+    from 0), a level's cost being its entry.  The experiment drivers pass
+    each level's ``A``-pattern times only; ``WorldVCycle(variant="auto")``
+    also prices the ``R``, ``P`` and gather rows, so it can break an ``A``
+    tie differently."""
     return tuple(seed_event(level, times)
                  for level, times in enumerate(level_times))
 

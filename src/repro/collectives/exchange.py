@@ -20,14 +20,15 @@ Compilation itself is columnar too: the compiler never looks at an
 rows carry the pattern's interned key ids.  A planner-built plan carries the
 planner's :class:`~repro.collectives.plan.Witness`, which names the receipt
 that gives every holder its value; the compiler certifies it with one
-gather-and-compare pass per hop, with no sort and no search.  A plan with no
-witness, or one that fails anywhere, is checked by search: one in-place sort
-of packed ``(holder, key, step)`` int64 and one ``searchsorted`` per hop,
-the only check that can say "not held".  The hops as written — the *replay columns*
-``gather`` / ``scatter`` / ``wire_perm`` on ``n_world_rows`` rows, which
-only the kernel replay and the tests' reference executor read — are not
-compiled: a world derives them from its plan by the hop-by-hop join
-(:func:`_replay_columns`) when one is first read.
+gather-and-compare pass per hop, with no sort and no search.  Any other
+plan — one with no witness, or whose witness fails anywhere — goes to the
+hop-by-hop join (:func:`_replay_columns`), the only check that can say "not
+held": it returns for a plan whose hops hold and raises the first failing
+hop's :class:`PlanError` for any other.  The hops as written — the *replay
+columns* ``gather`` / ``scatter`` / ``wire_perm`` on ``n_world_rows`` rows,
+which only the kernel replay and the tests' reference executor read — are
+not kept by the compile: a world derives them from its plan by the same
+join when one is first read.
 
 The compilation is dtype-generic: an :class:`ExchangeSpec` carries the element
 dtype and the number of components per item (``item_size`` — e.g. the
@@ -56,7 +57,6 @@ from repro.utils.arrays import (
     lexsort_packed,
     range_index,
     run_starts_mask,
-    sort_unless_sorted,
 )
 from repro.utils.errors import PlanError, ValidationError
 from repro.utils.validation import check_positive_int
@@ -270,19 +270,17 @@ def compile_world_exchange(plan: CollectivePlan,
     hop checks the named rows — in range, in a step the hop may use, and
     packing the entry's own holder and key.  That makes no sort and no
     ``searchsorted``.  A plan without a witness, or whose witness fails
-    anywhere, goes to the search (:func:`_searched`): a *receipt stream*
-    of each receive step's payload rows tagged with the step's number,
-    sorted in place, and one ``searchsorted`` of each hop's sorted unowned
-    queries into it (:func:`_all_held`).  Only the search answers "not
-    held", so a plan that fails is a :class:`PlanError` with the
-    diagnostic of the hop-by-hop join (:func:`_replay_columns`), whatever
-    its witness says.
+    anywhere, goes to the hop-by-hop join (:func:`_replay_columns`), which
+    returns where every hop holds and otherwise raises the first failing
+    hop's :class:`PlanError`, whatever the witness says.  The join's
+    columns are dropped: the world derives them again on first read.
 
     The world keeps what the engine runs — each phase's message columns in
     wire order, the result view (a result entry's row is its key) and the
     offsets — and the plan, from which the replay columns are derived on
     first read.  Every intermediate is dropped after its last reader, so
-    the pass peaks under three times the world it returns.
+    on a planner-built plan the pass peaks under three times the world it
+    returns.
 
     The element type is the pattern's; a ``spec`` naming another one
     raises :class:`ValidationError`, since the plan counts the pattern's
@@ -352,15 +350,13 @@ def compile_world_exchange(plan: CollectivePlan,
     del result_edges
 
     # -- every send step packs only what its holder already has, and every
-    # -- receiver holds its results: proved by the witness, else searched -----
+    # -- receiver holds its results: proved by the witness, else joined -------
     held = result_proof is not None and _certified(
         plan.witness.hops, result_proof, tables, recv_step, send_steps,
         owned_holders, result_offsets, result_rows)
     del result_proof
-    if not held and not _searched(tables, recv_step, send_steps,
-                                  owned_holders, result_offsets, result_rows):
-        _replay_columns(plan)       # names the first hop that fails
-        raise PlanError("the plan's hops do not deliver what it uses")
+    if not held:
+        _replay_columns(plan)       # raises the first failing hop's error
 
     replay = _Replay(plan)
     programs: Dict[Phase, WorldPhaseProgram] = {}
@@ -437,23 +433,6 @@ def receipt_starts(variant: Variant,
                     _receipt_ends(tables, recv_step)[:-1].tolist()))
 
 
-def _pack_receipts(tables, out: np.ndarray, spare: int,
-                   holder_offset: int) -> None:
-    """Write every payload row of ``tables`` (the receive steps' tables, in
-    step order) into ``out`` as ``(holder_offset + receiver) * width +
-    key``, ``width`` leaving the spare key id ``spare`` and every id past
-    it packing as the spare."""
-    width, start = spare + 1, 0
-    for table in tables:
-        rows = out[start:start + table.payload_key_ids.size]
-        start += rows.size
-        np.minimum(table.payload_key_ids, spare, out=rows)
-        receivers = np.repeat(table.dests, table.payload_counts)
-        receivers += holder_offset
-        receivers *= width
-        rows += receivers
-
-
 def _holders(result_offsets: np.ndarray) -> np.ndarray:
     """The receiver of every result entry, a fresh array."""
     return np.repeat(np.arange(result_offsets.size - 1, dtype=INDEX_DTYPE),
@@ -482,7 +461,8 @@ def _certified(hops, result_proof, tables, recv_step, send_steps,
     it names, which must lie in a step no later than the hop may use; the
     row read must pack the entry's own holder and key.  A send phase with
     no witness entries has every payload row read as owned.  So a "yes" is
-    a proof of holding; a "no" proves nothing and goes to the search.
+    a proof of holding; a "no" proves nothing and the plan goes to the
+    join (:func:`_replay_columns`).
     """
     ends = _receipt_ends(tables, recv_step)
     spare = owned_holders.size
@@ -491,8 +471,12 @@ def _certified(hops, result_proof, tables, recv_step, send_steps,
     np.multiply(owned_holders, width, out=holding[:spare])
     holding[:spare] += np.arange(spare, dtype=INDEX_DTYPE)
     holding[spare] = -1
-    _pack_receipts([tables[phase] for phase in recv_step], holding[width:],
-                   spare, 0)
+    for phase, start in zip(recv_step, ends[:-1] + width):
+        table = tables[phase]
+        rows = holding[start:start + table.payload_key_ids.size]
+        np.multiply(np.repeat(table.dests, table.payload_counts), width,
+                    out=rows)
+        rows += np.minimum(table.payload_key_ids, spare)
 
     def proves(holders, keys, entries, allowed) -> bool:
         # ``holders`` is the caller's fresh buffer: it becomes the packing
@@ -526,93 +510,6 @@ def _certified(hops, result_proof, tables, recv_step, send_steps,
                for phase, allowed in send_steps)
 
 
-#: Low bits of a receipt-stream entry, which number its receive step.
-_STEP_BITS = 3
-
-
-def _searched(tables, recv_step, send_steps, owned_holders: np.ndarray,
-              result_offsets: np.ndarray, result_rows: np.ndarray) -> bool:
-    """Whether every hop is held, by search: the receipt stream sorted in
-    place, and each hop's sorted unowned queries looked up in it with one
-    ``searchsorted`` (:func:`_all_held`).  The result queries are built
-    before the stream."""
-    n_ranks = result_offsets.size - 1
-    unowned = _unowned_queries(owned_holders, n_ranks)
-    result_queries = unowned(_holders(result_offsets), result_rows)
-    stream = _receipt_stream(tables, recv_step, n_ranks, owned_holders.size)
-    if not _all_held(stream, result_queries, len(recv_step)):
-        return False
-    del result_queries
-    return all(_all_held(stream, unowned(
-        np.repeat(tables[phase].srcs, tables[phase].payload_counts),
-        tables[phase].payload_key_ids), allowed)
-        for phase, allowed in send_steps)
-
-
-def _unowned_queries(owned_holders: np.ndarray, n_ranks: int):
-    """``unowned(holders, keys)``: the sorted stream queries of every row
-    whose holder does not own its key.
-
-    A query is ``((n_ranks + holder) * width + key) << _STEP_BITS``, with
-    ``width`` leaving one spare key id, ``n_owned``, that nobody owns;
-    every id past it (a hand-built table's pair outside the pattern) packs
-    as that spare.  A row whose holder owns its key asks nothing.
-    """
-    spare = owned_holders.size
-    width = spare + 1
-    owners = np.append(owned_holders, -1)
-
-    def unowned(holders: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        asks = owners.take(keys, mode="clip") != holders
-        query = holders[asks]
-        query += n_ranks
-        query *= width
-        asked = keys[asks]
-        del asks
-        np.minimum(asked, spare, out=asked)
-        query += asked
-        del asked
-        query <<= _STEP_BITS
-        sort_unless_sorted(query)
-        return query
-
-    return unowned
-
-
-def _receipt_stream(tables, recv_step, n_ranks: int,
-                    spare: int) -> np.ndarray:
-    """Every receive row of the ``recv_step`` phases (``phase -> step
-    number``), packed as its receiver's query of the key with the step
-    number in the low bits, written in place into one array that is then
-    sorted in place: the first entry at or after a query is the earliest
-    step that delivered it, if any did."""
-    ends = _receipt_ends(tables, recv_step)
-    stream = np.empty(int(ends[-1]), dtype=INDEX_DTYPE)
-    _pack_receipts([tables[phase] for phase in recv_step], stream, spare,
-                   n_ranks)
-    stream <<= _STEP_BITS
-    for step in range(1, ends.size):
-        stream[ends[step - 1]:ends[step]] |= step
-    stream.sort()
-    return stream
-
-
-def _all_held(stream: np.ndarray, queries: np.ndarray, allowed: int) -> bool:
-    """Whether the sorted ``stream`` answers every one of the sorted
-    ``queries`` with a step numbered at most ``allowed``: the entry found
-    xor the query is the step when they pack the same ``(holder, key)``,
-    and at least ``1 << _STEP_BITS`` when they do not.  This is the only
-    check that answers "not held"."""
-    if not queries.size:
-        return True
-    if not stream.size:
-        return False
-    found = np.searchsorted(stream, queries)
-    stream.take(found, out=found, mode="clip")
-    found ^= queries
-    return int(found.max()) <= allowed
-
-
 # -- the replay columns: today's hop-by-hop join ---------------------------------
 
 
@@ -631,9 +528,10 @@ def _replay_columns(plan: CollectivePlan):
     sorted survivors with one ``searchsorted`` each; a send may only use
     values first seen in an earlier schedule step.  A replay row is its
     value's index among the sorted survivors, where the owned values come
-    first, in key order.  The compiler checks the same hops with a leaner
-    pass and calls this only to name a failure; nothing on the solve path
-    reads its columns.
+    first, in key order.  The compiler certifies a planner-built plan
+    from its witness without this join and runs it on every other plan,
+    for the verdict alone: the columns are dropped, and nothing on the
+    solve path reads them.
     """
     pattern = plan.pattern
     n_ranks = pattern.n_ranks

@@ -301,7 +301,7 @@ class Witness(NamedTuple):
     the receipt row that gives a holder its value, or is ``-1`` where the
     holder owns it.  The compiler checks every entry with one
     gather-and-compare pass per hop; a witness that fails anywhere proves
-    nothing, and the plan goes to the search.
+    nothing, and the plan goes to the hop-by-hop join.
     """
 
     #: Entry of every row of the pattern's unique edge table: the receipt
@@ -376,7 +376,8 @@ class CollectivePlan:
     #: forwarded payload row and per unique edge row, from which the world
     #: compiler certifies every hop without a sort or a search.  ``None`` on
     #: hand-built plans; like the cache token it is no ``__init__`` field,
-    #: so a ``dataclasses.replace`` copy has none and is checked by search.
+    #: so a ``dataclasses.replace`` copy has none and is checked by the
+    #: hop-by-hop join.
     witness: object = field(default=None, init=False, compare=False,
                             repr=False)
     #: Instance memos of the derived analyses.  A plan is immutable, so

@@ -32,11 +32,15 @@ from repro.utils.formatting import format_table
 class SelectionAblationResult:
     """Per-level variant choices and aggregate times of each policy.
 
-    ``auto_choice`` is the per-level commit of ``variant="auto"``
-    (:func:`~repro.collectives.autotune.seed_trace` on the modeled times),
+    ``auto_choice`` is each level's
+    :func:`~repro.collectives.autotune.seed_event` over its ``A``-pattern
+    modeled times alone (:func:`~repro.collectives.autotune.seed_trace`),
     and :attr:`decision_trace` holds each level's commit and why.  That
     commit is the per-level modeled argmin, i.e. the oracle, so the auto and
-    oracle columns are one computation shown twice.  The model choice
+    oracle columns are one computation shown twice.
+    ``WorldVCycle(variant="auto")`` prices each level's ``R``, ``P`` and
+    gather rows too and can break an ``A`` tie differently, so this column
+    is not always what the solver commits.  The model choice
     decides through the same rule (ties break on candidate order) on setup
     plus iteration totals, so it differs only where those costs do.
     """
@@ -74,7 +78,9 @@ def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResul
     """Compare model-driven selection with the oracle and fixed policies.
 
     Five fixed/static policies plus ``auto``: every level on the variant
-    ``variant="auto"`` commits on the modeled per-level times.  The model
+    :func:`~repro.collectives.autotune.seed_event` commits over its
+    ``A``-pattern modeled times (not always ``WorldVCycle(variant="auto")``'s
+    commit, which also prices the ``R``, ``P`` and gather rows).  The model
     selection amortises each variant's setup over
     :func:`~repro.collectives.selection.select_variant`'s default of 1000
     iterations.

@@ -94,10 +94,13 @@ def run_crossover(context: ExperimentContext, *,
     executed V-cycle).
 
     ``auto=True`` adds one series beside the four fixed protocols (always
-    computed — they are the figure's frame of reference): ``"auto"``, what
-    ``variant="auto"`` runs: every level on its commit from cycle 0
-    (:func:`~repro.collectives.autotune.seed_trace` over the same per-level
-    times the fixed series use), with the decisions on the result.  Its init
+    computed — they are the figure's frame of reference): ``"auto"``, every
+    level on its :func:`~repro.collectives.autotune.seed_event` over the
+    same ``A``-pattern times the fixed series use
+    (:func:`~repro.collectives.autotune.seed_trace`), with the decisions on
+    the result.  ``WorldVCycle(variant="auto")`` prices each level's ``R``,
+    ``P`` and gather rows too and can break an ``A`` tie differently, so
+    this is not always the series the solver runs.  Its init
     is every candidate's planning, ``init[standard] + init[partial]`` (the
     partial init already performs the full setup it wraps).
     """

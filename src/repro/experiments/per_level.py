@@ -28,8 +28,12 @@ class PerLevelResult:
     """All per-level series of Figures 8-11.
 
     ``times`` includes the ``"auto_selected"`` series — the per-level time
-    of the variant ``variant="auto"`` commits on the modeled times — with
+    of the variant :func:`~repro.collectives.autotune.seed_event` commits
+    over that level's ``A``-pattern modeled times alone — with
     :attr:`decision_trace` justifying each level's commit.
+    ``WorldVCycle(variant="auto")`` prices each level's ``R``, ``P`` and
+    gather rows too and can break an ``A`` tie differently, so this series
+    is not always what the solver commits.
     """
 
     levels: List[int]
@@ -179,9 +183,9 @@ def run_per_level(context: ExperimentContext) -> PerLevelResult:
         "partially_optimized_neighbor": [p.times[Variant.PARTIAL] for p in profiles],
         "fully_optimized_neighbor": [p.times[Variant.FULL] for p in profiles],
     }
-    # Figure 11's future-work overlay: the per-level variant the auto
-    # commit picks on the same modeled times, one entry per level like every
-    # other series, with the decision record attached.
+    # Figure 11's future-work overlay: the per-level variant seed_event
+    # picks on the same A-pattern modeled times, one entry per level like
+    # every other series, with the decision record attached.
     decisions = seed_trace([p.times for p in profiles])
     result.times["auto_selected"] = [
         float(profile.times[Variant(decision.variant)])

@@ -8,7 +8,7 @@ These tests pin that
 
 (a) the compile of every planner-built plan — every variant of the three
     working-set plans, and every level's exchange of the ``amg_solve_256``
-    solver — makes no ``searchsorted`` call and builds no receipt stream
+    solver — makes no ``searchsorted`` call and runs no hop-by-hop join
     (counted);
 (b) a corrupted witness — shifted, rolled, two rows swapped, a row out of
     range, a row in a step later than its hop may use, an unowned row
@@ -62,11 +62,11 @@ FORWARDING = (Phase.GLOBAL, Phase.FINAL_REDIST)
 
 
 def searches(count_calls, plan) -> int:
-    """``searchsorted`` calls plus receipt streams built by one compile."""
+    """``searchsorted`` calls plus hop-by-hop joins run by one compile."""
     compile_world_exchange(plan)    # the pattern's cached tables settle
     return count_calls(compile_world_exchange, plan,
                        of=[np.ndarray.searchsorted,
-                           exchange_module._receipt_stream])
+                           exchange_module._replay_columns])
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
@@ -266,9 +266,9 @@ def test_a_receipt_later_than_the_hop_proves_nothing():
         compile_world_exchange(plan)
 
 
-def test_a_witness_that_fails_sends_the_plan_to_the_search(count_calls):
+def test_a_witness_that_fails_sends_the_plan_to_the_join(count_calls):
     """One row of the irregular plan's phase-r witness points into phase r
-    itself: the certificate declines, the search says "held", and the world
+    itself: the certificate declines, the join says "held", and the world
     is the certified one."""
     plan = working_set_plan("random-1024-full")
     certified = compile_world_exchange(plan)
@@ -279,9 +279,9 @@ def test_a_witness_that_fails_sends_the_plan_to_the_search(count_calls):
     copy.witness = plan.witness._replace(
         hops={**plan.witness.hops, Phase.FINAL_REDIST: entries})
     assert count_calls(compile_world_exchange, copy,
-                       of=[exchange_module._receipt_stream]) == 1
-    searched = compile_world_exchange(copy)
-    assert searched.result_rows.tobytes() == certified.result_rows.tobytes()
+                       of=[exchange_module._replay_columns]) == 1
+    joined = compile_world_exchange(copy)
+    assert joined.result_rows.tobytes() == certified.result_rows.tobytes()
 
 
 # -- what a witness costs ------------------------------------------------------

@@ -13,10 +13,10 @@ paper's largest runs need:
   timed);
 * a world compiler whose working set stays a small multiple of the world it
   returns (counted in traced bytes, not timed), a direct compile that makes
-  no search and a search that sorts no query set already in order (counted), a
-  solve path that derives no replay column (counted), a standard plan that
-  shares the pattern's columns instead of copying them, and phase tables
-  that store key ids, not ``(origin, item)`` pairs (counted in bytes).
+  no search (counted), a solve path that derives no replay column (counted),
+  a standard plan that shares the pattern's columns instead of copying them,
+  and phase tables that store key ids, not ``(origin, item)`` pairs
+  (counted in bytes).
 """
 
 from __future__ import annotations
@@ -165,22 +165,6 @@ def test_a_direct_compile_searches_nothing(count_calls):
     compile_world_exchange(plan)    # the pattern's cached tables settle
     assert count_calls(compile_world_exchange, plan,
                        of=[np.ndarray.searchsorted]) == 0
-
-
-def test_queries_already_in_order_are_not_sorted_again(count_calls):
-    """The halo's result queries come out of the result view in order: the
-    query pass checks that and sorts nothing; the same rows shuffled are
-    sorted once, into the same queries."""
-    pattern = working_set_plan("halo-4096-standard").pattern
-    unowned = exchange_module._unowned_queries(pattern.owned_keys()[0],
-                                               pattern.n_ranks)
-    holders, _, _, keys, _ = exchange_module._result_view(pattern)
-    assert count_calls(unowned, holders, keys, of=[np.ndarray.sort]) == 0
-    shuffle = np.random.default_rng(0).permutation(holders.size)
-    assert count_calls(unowned, holders[shuffle], keys[shuffle],
-                       of=[np.ndarray.sort]) == 1
-    assert unowned(holders[shuffle], keys[shuffle]).tobytes() \
-        == unowned(holders, keys).tobytes()
 
 
 def test_the_solve_path_derives_no_replay_column(count_calls):

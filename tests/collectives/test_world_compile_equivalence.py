@@ -12,10 +12,9 @@ hops composed into ``result_rows`` are checked against both worlds run hop
 by hop (``oracles.replay_hops``): the reference's result rows, the compiled
 world's replay and the engine's one-gather round must return the same
 bytes.  The world-level pass must reproduce the reference compiler's
-:class:`PlanError` diagnostics for malformed plans, and its lean hop check
-must fail exactly where the hop-by-hop join that derives the replay columns
-fails, with the same text, on tampered plans.  ``TestRowMap`` pins the
-reference's own key interning.
+:class:`PlanError` diagnostics for malformed plans, and fail exactly where
+the reference fails, with the same text, on tampered plans.  ``TestRowMap``
+pins the reference's own key interning.
 """
 
 from __future__ import annotations
@@ -35,11 +34,7 @@ from reference_world_compile import (
 )
 
 from repro.collectives import Variant, make_plan
-from repro.collectives.exchange import (
-    ExchangeSpec,
-    _replay_columns,
-    compile_world_exchange,
-)
+from repro.collectives.exchange import ExchangeSpec, compile_world_exchange
 from repro.collectives.plan import AGGREGATED_PHASES, CollectivePlan, Phase
 from repro.pattern import CommPattern, halo_exchange_pattern, random_pattern
 from repro.simmpi import ExchangeEngine
@@ -216,7 +211,30 @@ def test_world_compile_reports_undelivered_result_like_reference():
         compile_world_exchange(broken)
 
 
-# -- the lean check and the join agree on tampered plans ---------------------
+def test_a_standard_plan_with_one_misrouted_result_raises_the_joins_error():
+    pattern = halo_exchange_pattern((4, 4), periodic=True)
+    plan = make_plan(pattern, paper_mapping(16, ranks_per_node=4),
+                     Variant.STANDARD, use_cache=False)
+    messages = cut_messages(plan.phases[Phase.DIRECT])
+    src, dest, slots, payload = messages[-1]
+    wrong = next(rank for rank in range(16) if rank not in (src, dest))
+    slots = slots.copy()
+    slots[:, 2] = wrong
+    messages[-1] = (src, wrong, slots, payload)
+    broken = dataclasses.replace(plan, phases={
+        Phase.DIRECT: phase_table(pattern, Phase.DIRECT, messages)})
+    table = broken.phases[Phase.DIRECT]
+    # As many receipts as results, and one of them misrouted.
+    assert int(table.payload_counts.sum()) \
+        == int(plan.phases[Phase.DIRECT].payload_counts.sum())
+    with pytest.raises(PlanError, match="no phase of the plan delivers") as ours:
+        compile_world_exchange(broken)
+    with pytest.raises(PlanError) as theirs:
+        compile_world_exchange_reference(broken)
+    assert str(ours.value) == str(theirs.value)
+
+
+# -- the compile and the per-rank reference agree on tampered plans -----------
 
 
 #: What :func:`tampered_plan` does to a planned schedule.
@@ -318,12 +336,12 @@ def _outcome(build):
 
 @settings(max_examples=150, deadline=None)
 @given(tampered_plan())
-def test_lean_check_and_join_agree_on_tampered_plans(case):
-    """The compile's lean check fails exactly where the hop-by-hop join
-    does, with the join's diagnostic, and passes where it passes."""
+def test_compile_and_reference_agree_on_tampered_plans(case):
+    """The compile fails exactly where the per-rank reference compiler
+    does, with the reference's diagnostic, and passes where it passes."""
     kind, plan = case
     assert _outcome(lambda: compile_world_exchange(plan)) \
-        == _outcome(lambda: _replay_columns(plan)), kind
+        == _outcome(lambda: compile_world_exchange_reference(plan)), kind
 
 
 class TestRowMap:

@@ -21,7 +21,10 @@ trace, with its versioned schema and its loader, was deleted, and so was
 ``SolveResult``'s field that carried it.  The procs pool has one failure
 policy — respawn, retry, then raise — so the fault-injection module, the
 fallback and fail-fast policies, their engine and pool keywords and their
-three environment variables were deleted.  This guard keeps all of them
+three environment variables were deleted.  The world compile has one
+delivery check beside the planner's witness, the hop-by-hop join, so the
+receipt-stream search it once ran on hand-built plans was deleted.  This
+guard keeps all of them
 deleted: it fails if one of the deleted module files exists again, or if
 any module under ``src/``, ``examples/`` or ``bench/`` defines, imports or
 references one of the deleted names, declares or passes one of the deleted
@@ -139,9 +142,14 @@ FAILURE_POLICY_NAMES = {"FaultPlan", "FaultSpec", "degraded", "quarantine",
                         "default_on_failure", "TIMEOUT_ENV",
                         "default_worker_timeout", "CORRUPT_WIRE_BYTES"}
 
+#: Names of the deleted receipt-stream search of the world compile: a plan
+#: the planner's witness does not certify goes to the hop-by-hop join.
+RECEIPT_SEARCH_NAMES = {"_searched", "_receipt_stream", "_all_held",
+                        "_unowned_queries", "_STEP_BITS"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
     SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES | \
-    DECISION_TRACE_NAMES | FAILURE_POLICY_NAMES
+    DECISION_TRACE_NAMES | FAILURE_POLICY_NAMES | RECEIPT_SEARCH_NAMES
 
 #: Keywords no longer taken: per-level traffic is a list of profiled
 #: engines passed as ``engine=``, and the pool's failure policy, retry
@@ -276,6 +284,10 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "engine._pool.quarantine()",
     "timeout = os.environ.get('REPRO_WORKER_TIMEOUT')",
     "ON_FAILURE_ENV = 'REPRO_ON_FAILURE'",
+    "from repro.collectives.exchange import _STEP_BITS, _all_held",
+    "def _searched(tables, recv_step, send_steps):\n    pass",
+    "stream = exchange._receipt_stream(tables, recv_step, 4, 9)",
+    "_STEP_BITS = 3",
     """
     def later():
         from repro.simmpi.world import helper
