@@ -8,19 +8,24 @@ pattern and the rank mapping, which is what lets the experiment harness compute
 Figures 8-13 for thousands of simulated ranks without executing any
 communication.
 
-Planning is columnar end to end: the pattern's unique edge table (three
-parallel int64 arrays plus the interned key of every row) is routed with one
-sort per phase, and the sorted columns *are* the phase — a
-:class:`~repro.collectives.plan.PhaseTable` keeps them and finds the message
-runs by boundary detection, so planning cost scales with neither routed items
-nor messages.  The slot-list implementation this replaced is preserved
-verbatim as a test oracle (``tests/collectives/reference_planner.py``) and
-pinned to this planner by the golden-equivalence tests.
+Planning is columnar end to end.  The pattern's unique edge table (three
+parallel int64 arrays plus the interned key of every row) is sorted by
+``(origin, dest, item)``, so each edge of the pattern — one standard-scheme
+message — is one run of its rows, and every key an aggregated phase routes
+or orders by is constant over a run.  Each of those phases is therefore one
+stable sort of the edges, expanded to the edges' rows once, and the
+expanded columns *are* the phase: a
+:class:`~repro.collectives.plan.PhaseTable` keeps them, with the message
+runs found by boundary detection on the sorted edges.  The direct phase of
+``plan_standard`` is the table's own rows.  The number of numpy calls grows
+with neither routed items nor messages, and the phase sorts grow with the
+edges, not the rows.  The slot-list implementation this replaced is
+preserved verbatim as a test oracle (``tests/collectives/reference_planner.py``)
+and pinned to this planner by the golden-equivalence tests.
 
 Every plan leaves with a :class:`~repro.collectives.plan.Witness`: the
-receipt that gives each holder the value it forwards or keeps, read off the
-permutations and deduplication groups the planner already holds (a phase's
-sort order, scattered once to its inverse, and
+receipt that gives each holder the value it forwards or keeps, read off
+what the planner already holds (each phase's rows of the edge table, and
 :func:`~repro.collectives.dedup.unique_keys_segmented`'s payload row of
 every row).  The world compiler certifies the plan from it without sorting
 or searching anything; the witness only speeds that check up and never
@@ -29,7 +34,7 @@ decides it.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -73,26 +78,18 @@ def _self_delivery_table(origins: np.ndarray, items: np.ndarray,
 
 def _phase_table(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
                  final_dests: np.ndarray, keys: np.ndarray,
-                 key_table, *, deduplicate: bool = False):
+                 key_table) -> PhaseTable:
     """One message per ``(src, dest)`` run of pre-sorted per-row endpoint columns.
 
     ``srcs``/``dests`` give every row's message endpoints and must be the
     primary sort keys of all the columns; ``keys`` are the rows' interned
     ``(origin, item)`` ids, rows of ``key_table`` (the pattern's
-    ``(holders, items)`` key columns, shared by the table).  With
-    ``deduplicate`` the payload unique of every message of the phase runs as
-    one segmented sort.  Returns the :class:`PhaseTable` and every row's
-    payload row (``None`` when the rows are the payload).
+    ``(holders, items)`` key columns, shared by the table).
     """
     starts = np.flatnonzero(run_starts_mask(srcs, dests))
     bounds = np.append(starts, srcs.size).astype(INDEX_DTYPE, copy=False)
-    payload = payload_rows = None
-    if deduplicate:
-        firsts, payload_offsets, payload_rows = unique_keys_segmented(bounds,
-                                                                      keys)
-        payload = (payload_offsets, keys[firsts])
     return PhaseTable(phase, srcs[starts], dests[starts], bounds, keys,
-                      final_dests, key_table, payload), payload_rows
+                      final_dests, key_table)
 
 
 def _payload_rows(rows, size: int) -> np.ndarray:
@@ -117,7 +114,7 @@ def plan_standard(pattern: CommPattern, mapping: RankMapping, *,
         keep = ~self_mask
         origins, dests, keys = origins[keep], dests[keep], keys[keep]
     direct = _phase_table(Phase.DIRECT, origins, dests, dests, keys,
-                          (key_holders, key_items))[0]
+                          (key_holders, key_items))
     plan = CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases={Phase.DIRECT: direct},
                           self_deliveries=self_deliveries)
@@ -137,6 +134,84 @@ def _frozen_witness(edges: np.ndarray, hops) -> Witness:
     return Witness(edges, hops)
 
 
+class _EdgeRuns(NamedTuple):
+    """A pattern's unique edge table, cut into its edges.
+
+    The table is sorted by ``(origin, dest, item)``, so edge ``e`` is one
+    run of rows, ``offsets[e]:offsets[e] + lengths[e]``, never empty
+    (:meth:`CommPattern.unique_edge_offsets`); every phase key is constant
+    over it, so a phase orders edges and expands them to rows once.
+    """
+
+    origins: np.ndarray
+    dests: np.ndarray
+    items: np.ndarray
+    #: Every row's interned ``(origin, item)`` id.
+    keys: np.ndarray
+    #: The ids' ``(holders, items)`` columns, shared by every phase table.
+    key_table: Tuple[np.ndarray, np.ndarray]
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+
+def _run_rows(table: _EdgeRuns, runs: np.ndarray):
+    """The rows of the edges ``runs``, in that order, and where each edge's
+    rows begin among them: :func:`~repro.utils.arrays.range_index`'s one
+    ``arange`` and one ``repeat``, unchecked.  Where every edge, or every
+    edge of ``runs``, is one row, the rows are the edges' first rows."""
+    if table.lengths.size == table.origins.size:
+        return runs, np.arange(runs.size + 1, dtype=INDEX_DTYPE)
+    starts, lengths = table.offsets[runs], table.lengths[runs]
+    bounds = np.zeros(runs.size + 1, dtype=INDEX_DTYPE)
+    lengths.cumsum(out=bounds[1:])
+    if bounds[-1] == runs.size:
+        return starts, bounds
+    rows = np.arange(bounds[-1], dtype=INDEX_DTYPE)
+    rows += (starts - bounds[:-1]).repeat(lengths)
+    return rows, bounds
+
+
+def _run_phase(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
+               runs: np.ndarray, table: _EdgeRuns, *, spans_by=None):
+    """One message per ``(src, dest)`` run of the edges ``runs``.
+
+    ``srcs`` / ``dests`` are the edges' message endpoints, parallel to
+    ``runs`` and sorted so each message's edges are adjacent.  With
+    ``spans_by`` (a tuple of per-edge columns, possibly empty) the phase is
+    deduplicated: a key repeats only within a span, the edges of one
+    message that agree on those columns, and only spans of two or more
+    edges are sorted (:func:`~repro.collectives.dedup.unique_keys_segmented`).
+    Returns the :class:`PhaseTable`, its rows of the edge table and every
+    row's payload row (``None`` when the rows are the payload).
+    """
+    rows, run_bounds = _run_rows(table, runs)
+    starts_mask = run_starts_mask(srcs, dests)
+    starts = starts_mask.nonzero()[0]
+    bounds = np.concatenate((run_bounds[starts], run_bounds[-1:]))
+    srcs, dests = srcs[starts], dests[starts]
+    keys = table.keys[rows]
+    payload = payload_rows = None
+    if spans_by is not None:
+        for column in spans_by:
+            starts_mask |= run_starts_mask(column)
+        firsts = starts_mask.nonzero()[0]
+        ends = np.concatenate((firsts[1:], [runs.size]))
+        several = ends - firsts > 1
+        spans = (run_bounds[firsts[several]], run_bounds[ends[several]])
+        firsts, payload_offsets, payload_rows = unique_keys_segmented(
+            bounds, keys, spans)
+        payload = (payload_offsets, keys[firsts])
+    return PhaseTable(phase, srcs, dests, bounds, keys, table.dests[rows],
+                      table.key_table, payload), rows, payload_rows
+
+
+def _run_self_deliveries(table: _EdgeRuns, runs: np.ndarray) -> SlotTable:
+    """The self-delivery table of the edges ``runs``' rows, in that order."""
+    rows = _run_rows(table, runs)[0]
+    return _self_delivery_table(table.origins[rows], table.items[rows],
+                                table.dests[rows])
+
+
 def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
                      deduplicate: bool,
                      strategy: BalanceStrategy,
@@ -145,148 +220,148 @@ def _aggregated_plan(pattern: CommPattern, mapping: RankMapping, *,
     if assignment is None:
         assignment = setup_aggregation(pattern, mapping, strategy=strategy)
 
-    origins, dests, items = pattern.unique_edge_table()
+    # Every phase is planned on the pattern's edges (see _EdgeRuns).
+    offsets = pattern.unique_edge_offsets()
     key_holders, key_items, keys = pattern.owned_keys()
-    key_table = (key_holders, key_items)
-    regions = mapping.regions_array()
-    origin_regions = mapping.region_of_many(origins)
-    dest_region_ids = mapping.region_of_many(dests)
-    self_mask = origins == dests
-    same_region = origin_regions == dest_region_ids
+    table = _EdgeRuns(*pattern.unique_edge_table(), keys,
+                      (key_holders, key_items), offsets,
+                      offsets[1:] - offsets[:-1])
+    edge_origins, edge_dests = pattern.edge_sources(), pattern.csr()[1]
+    src_regions = mapping.region_of_many(edge_origins)
+    dest_regions = mapping.region_of_many(edge_dests)
+    same_region = src_regions == dest_regions
+    self_edges = edge_origins == edge_dests
 
     # Phase l: messages that never leave the region go directly to their
     # destination, exactly as in the standard plan; self-edges are satisfied
     # without any message.
-    self_parts: List[SlotTable] = [
-        _self_delivery_table(origins[self_mask], items[self_mask],
-                             dests[self_mask])]
-    local_mask = same_region & ~self_mask
-    local_origins, local_dests = origins[local_mask], dests[local_mask]
-    local = _phase_table(Phase.LOCAL, local_origins, local_dests, local_dests,
-                         keys[local_mask], key_table)[0]
-    # Each per-row column is released after its last reader: the planner's
-    # transient peak is the high-water mark of a collective's set-up.
-    del self_mask, local_origins, local_dests
+    self_parts: List[SlotTable] = []
+    if self_edges.any():
+        self_parts.append(_run_self_deliveries(table,
+                                               np.flatnonzero(self_edges)))
+    local = np.flatnonzero(same_region & ~self_edges)
+    phases: Dict[Phase, PhaseTable] = {}
+    phases[Phase.LOCAL], local_rows, _ = _run_phase(
+        Phase.LOCAL, edge_origins[local], edge_dests[local], local, table)
 
     # Inter-region traffic: the three aggregated phases.  The leaders of each
-    # (source region, destination region) pair fan out to per-row arrays, and
-    # each phase is then a single packed-key sort + boundary grouping:
+    # (source region, destination region) pair fan out to the edges, and each
+    # phase is then a single packed-key sort of the edges + boundary grouping:
     #
-    # * phase s groups by (origin, send leader), skipping rows the leader
+    # * phase s groups by (origin, send leader), skipping edges the leader
     #   already holds,
     # * phase g groups by the leader pair (one aggregated message per region
     #   pair), and
-    # * phase r groups by (receive leader, final destination); rows whose
+    # * phase r groups by (receive leader, final destination); edges whose
     #   destination *is* the receive leader become self-deliveries.
     #
     # Messages sharing endpoints within a phase merge automatically (one
     # buffer per pair of ranks per phase), which is what a real implementation
     # posts.
-    phases = {phase: PhaseTable.empty(phase) for phase in AGGREGATED_PHASES}
-    phases[Phase.LOCAL] = local
+    #
+    # The witness (see Witness) is built from the phases' rows and dedup
+    # groups, relative to the first receipt row of the phase it names until
+    # every phase is sized: ``sender_rows`` is each phase-g payload row's
+    # phase-s payload row (-1 where the send leader is the origin) and
+    # ``global_rows`` each phase-g row's payload row.
+    inter = np.flatnonzero(~same_region)
+    inter_rows = sender_rows = global_rows = final_rows = None
+    if inter.size:
+        inter_origins, inter_dests = edge_origins[inter], edge_dests[inter]
+        inter_src_regions = src_regions[inter]
+        inter_dest_regions = dest_regions[inter]
 
-    # The witness (see Witness) is built from the permutations and dedup
-    # groups below, relative to the first receipt row of the phase it names
-    # until every phase is sized: ``sender_rows`` is each phase-g payload
-    # row's phase-s payload row (-1 where the send leader is the origin),
-    # ``leader_rows`` each inter-region row's phase-g payload row, and
-    # ``final_rows`` the phase-r order of the rows it forwards.
-    inter_mask = ~same_region
-    sender_rows = leader_rows = final_rows = None
-    if inter_mask.any():
-        row_origins = origins[inter_mask]
-        row_dests = dests[inter_mask]
-        row_keys = keys[inter_mask]
-        row_src_regions = origin_regions[inter_mask]
-        row_dest_regions = dest_region_ids[inter_mask]
-        del origin_regions, dest_region_ids, same_region
-
-        # Per-row leaders read off the assignment's dense (src_region,
-        # dest_region) tables — no pre-sort by region pair needed.
-        row_send = assignment.send[row_src_regions, row_dest_regions]
-        row_recv = assignment.recv[row_src_regions, row_dest_regions]
-        unassigned = (row_send < 0) | (row_recv < 0)
+        # Edge leaders read off the assignment's dense (src_region,
+        # dest_region) tables — no pre-sort by region pair needed.  The
+        # first offending edge holds the first offending row.
+        send = assignment.send[inter_src_regions, inter_dest_regions]
+        recv = assignment.recv[inter_src_regions, inter_dest_regions]
+        unassigned = (send < 0) | (recv < 0)
         if unassigned.any():
             index = int(np.argmax(unassigned))
-            key = (int(row_src_regions[index]), int(row_dest_regions[index]))
+            key = (int(inter_src_regions[index]),
+                   int(inter_dest_regions[index]))
             raise PlanError(f"no aggregation leaders assigned for region pair {key}")
-        shared = regions[row_send] == regions[row_recv]
+        regions = mapping.regions_array()
+        shared = regions[send] == regions[recv]
         if shared.any():
             index = int(np.argmax(shared))
             raise PlanError(
-                f"leaders for region pair ({int(row_src_regions[index])}, "
-                f"{int(row_dest_regions[index])}) share a region"
+                f"leaders for region pair ({int(inter_src_regions[index])}, "
+                f"{int(inter_dest_regions[index])}) share a region"
             )
-        del unassigned, shared
 
-        # The rows arrive sorted by (origin, dest, item) and every sort below
-        # is stable, so each names only the keys ahead of that order (phases
-        # g and r leave out the origin, which leads it).
+        # The edges arrive sorted by (origin, dest) and every sort below is
+        # stable, so each names only the keys ahead of that order (phases g
+        # and r leave out the origin, which leads it).
 
         # Phase s: every rank forwards its contribution to the send leader.
         # Sorting with the skip flag as the most significant key puts the
-        # leader's own rows last, so the forwarded block is one slice.
-        skip = row_origins == row_send
-        order = lexsort_packed(skip, row_origins, row_send, row_dest_regions)
-        selection = order[:order.size - int(np.count_nonzero(skip))]
-        phases[Phase.SETUP_REDIST], payload_rows = _phase_table(
-            Phase.SETUP_REDIST, row_origins[selection], row_send[selection],
-            row_dests[selection], row_keys[selection], key_table,
-            deduplicate=deduplicate)
-        setup_rows = np.full(skip.size, -1, dtype=WITNESS_DTYPE)
-        setup_rows[selection] = _payload_rows(payload_rows, selection.size)
-        del skip, order, selection, payload_rows
+        # leader's own edges last, so the forwarded block is one slice.  A
+        # message has one origin, so any two of its edges may share a key.
+        skip = inter_origins == send
+        order = lexsort_packed(skip, inter_origins, send, inter_dest_regions)
+        forward = order[:order.size - int(np.count_nonzero(skip))]
+        phases[Phase.SETUP_REDIST], rows, payload_rows = _run_phase(
+            Phase.SETUP_REDIST, inter_origins[forward], send[forward],
+            inter[forward], table, spans_by=() if deduplicate else None)
+        setup_rows = np.full(keys.size, -1, dtype=WITNESS_DTYPE)
+        setup_rows[rows] = _payload_rows(payload_rows, rows.size)
+        # The per-row columns are released after their last reader: the
+        # planner's transient peak is the high-water mark of a set-up.
+        del rows, payload_rows
 
         # Phase g: one aggregated message between the leaders of each pair.
-        # A payload row's rows share its key and send leader, so they share
-        # the phase-s row that brought the key to the leader.
-        order = lexsort_packed(row_send, row_recv)
-        phases[Phase.GLOBAL], payload_rows = _phase_table(
-            Phase.GLOBAL, row_send[order], row_recv[order], row_dests[order],
-            row_keys[order], key_table, deduplicate=deduplicate)
-        payload_rows = _payload_rows(payload_rows, order.size)
+        # A message holds each origin's edges next to each other, and a key
+        # names its origin, so a key repeats only within them.  A payload
+        # row's rows share its key and send leader, so they share the
+        # phase-s row that brought the key to the leader.
+        order = lexsort_packed(send, recv)
+        phases[Phase.GLOBAL], inter_rows, global_rows = _run_phase(
+            Phase.GLOBAL, send[order], recv[order], inter[order], table,
+            spans_by=(inter_origins[order],) if deduplicate else None)
+        global_rows = _payload_rows(global_rows, inter_rows.size)
         sender_rows = np.empty(phases[Phase.GLOBAL].payload_key_ids.size,
                                dtype=WITNESS_DTYPE)
-        sender_rows[payload_rows] = setup_rows[order]
-        leader_rows = np.empty(order.size, dtype=WITNESS_DTYPE)
-        leader_rows[order] = payload_rows
-        del order, row_send, setup_rows, payload_rows
+        sender_rows[global_rows] = setup_rows[inter_rows]
+        del setup_rows
 
         # Phase r: the receive leader forwards to final destinations.  The
-        # few rows it keeps for itself (no message) sort on their own; the
-        # flag trick puts them last in the forwarding sort.  Not deduplicated:
-        # a message has one destination and the edge rows are distinct.
-        keep_self = row_dests == row_recv
+        # few edges it keeps for itself (no message) sort on their own; the
+        # flag trick puts them last in the forwarding sort.  Not
+        # deduplicated: a message has one destination and the edge rows are
+        # distinct.
+        keep_self = inter_dests == recv
         kept = np.flatnonzero(keep_self)
         if kept.size:
-            kept = kept[lexsort_packed(row_src_regions[kept],
-                                       row_dest_regions[kept], row_dests[kept])]
-            self_parts.append(_self_delivery_table(
-                row_origins[kept], key_items[row_keys[kept]], row_dests[kept]))
-        order = lexsort_packed(keep_self, row_recv, row_dests,
-                               row_src_regions)
-        selection = order[:order.size - kept.size]
-        final_dests = row_dests[selection]
-        phases[Phase.FINAL_REDIST] = _phase_table(
-            Phase.FINAL_REDIST, row_recv[selection], final_dests, final_dests,
-            row_keys[selection], key_table)[0]
-        final_rows = selection
+            kept = kept[lexsort_packed(inter_src_regions[kept],
+                                       inter_dest_regions[kept],
+                                       inter_dests[kept])]
+            self_parts.append(_run_self_deliveries(table, inter[kept]))
+        order = lexsort_packed(keep_self, recv, inter_dests, inter_src_regions)
+        forward = order[:order.size - kept.size]
+        phases[Phase.FINAL_REDIST], final_rows, _ = _run_phase(
+            Phase.FINAL_REDIST, recv[forward], inter_dests[forward],
+            inter[forward], table)
 
+    phases = {phase: phases[phase] if phase in phases
+              else PhaseTable.empty(phase) for phase in AGGREGATED_PHASES}
     plan = CollectivePlan(variant=variant, pattern=pattern, mapping=mapping,
                           phases=phases,
                           self_deliveries=SlotTable.concat(self_parts),
                           strategy=strategy)
-    plan.witness = _aggregated_witness(variant, phases, local_mask,
-                                       inter_mask, sender_rows, leader_rows,
-                                       final_rows)
+    plan.witness = _aggregated_witness(variant, phases, keys.size,
+                                       local_rows, sender_rows, inter_rows,
+                                       global_rows, final_rows)
     return plan
 
 
 def _aggregated_witness(variant: Variant, phases: Dict[Phase, PhaseTable],
-                        local_mask: np.ndarray, inter_mask: np.ndarray,
-                        sender_rows, leader_rows, final_rows) -> Witness:
+                        n_rows: int, local_rows: np.ndarray, sender_rows,
+                        inter_rows, global_rows, final_rows) -> Witness:
     """The witness of an aggregated plan, from the planner's relative rows
-    (see :func:`_aggregated_plan`) and every phase's first receipt row.
+    (see :func:`_aggregated_plan`), the edge table's rows of phases l, g
+    and r, and every phase's first receipt row.
 
     A phase-g payload row's sender got its key in phase s, or owns it; a
     phase-r payload row's sender, the receive leader, got it in phase g.
@@ -295,21 +370,21 @@ def _aggregated_witness(variant: Variant, phases: Dict[Phase, PhaseTable],
     destination owns it.
     """
     start = receipt_starts(variant, phases)
-    edges = np.full(local_mask.size, -1, dtype=WITNESS_DTYPE)
+    edges = np.full(n_rows, -1, dtype=WITNESS_DTYPE)
     first = start[Phase.LOCAL]
-    edges[local_mask] = np.arange(first, first + phases[Phase.LOCAL].offsets[-1],
+    edges[local_rows] = np.arange(first, first + local_rows.size,
                                   dtype=WITNESS_DTYPE)
     hops = {}
-    if leader_rows is not None:
+    if inter_rows is not None:
         np.add(sender_rows, start[Phase.SETUP_REDIST], out=sender_rows,
                where=sender_rows >= 0)
-        leader_rows += start[Phase.GLOBAL]
+        global_rows += start[Phase.GLOBAL]
+        edges[inter_rows] = global_rows
         hops = {Phase.GLOBAL: sender_rows,
-                Phase.FINAL_REDIST: leader_rows[final_rows]}
+                Phase.FINAL_REDIST: edges[final_rows]}
         first = start[Phase.FINAL_REDIST]
-        leader_rows[final_rows] = np.arange(first, first + final_rows.size,
-                                            dtype=WITNESS_DTYPE)
-        edges[inter_mask] = leader_rows
+        edges[final_rows] = np.arange(first, first + final_rows.size,
+                                      dtype=WITNESS_DTYPE)
     return _frozen_witness(edges, hops)
 
 

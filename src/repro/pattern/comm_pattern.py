@@ -222,6 +222,7 @@ class CommPattern:
         self._edge_srcs: np.ndarray | None = None
         self._edge_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unique_edges: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._unique_offsets: np.ndarray | None = None
         self._owned_keys: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._hash: int | None = None
 
@@ -309,19 +310,36 @@ class CommPattern:
         """
         if self._unique_edges is None:
             origins, dests, items = self.edge_arrays()
+            offsets = self._item_offsets
             # Edges are stored in (origin, dest) order: the table is already
             # canonical when every edge lists its items strictly ascending.
             edge_starts = np.zeros(items.size, dtype=bool)
-            edge_starts[self._item_offsets[:-1]] = True
+            edge_starts[offsets[:-1]] = True
             if not np.all((items[1:] > items[:-1]) | edge_starts[1:]):
                 order = lexsort_packed(origins, dests, items)
                 origins, dests, items = origins[order], dests[order], items[order]
                 keep = run_starts_mask(origins, dests, items)
                 origins, dests, items = origins[keep], dests[keep], items[keep]
-                for arr in (origins, dests, items):
+                # The sort moves rows only within their edge.
+                kept_before = np.zeros(keep.size + 1, dtype=INDEX_DTYPE)
+                np.cumsum(keep, out=kept_before[1:])
+                offsets = kept_before[offsets]
+                for arr in (origins, dests, items, offsets):
                     arr.flags.writeable = False
             self._unique_edges = (origins, dests, items)
+            self._unique_offsets = offsets
         return self._unique_edges
+
+    def unique_edge_offsets(self) -> np.ndarray:
+        """Where each edge's run of :meth:`unique_edge_table` rows begins.
+
+        Edge ``e`` (``edge_sources()[e] -> csr()[1][e]``) is rows
+        ``offsets[e]:offsets[e + 1]`` of the table, never empty; when no edge
+        repeats an item these are the stored ``item_offsets`` (cached,
+        read-only).
+        """
+        self.unique_edge_table()
+        return self._unique_offsets
 
     def owned_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct ``(origin, item)`` values, interned: ``(holders, items, edge_keys)``.

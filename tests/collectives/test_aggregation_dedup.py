@@ -143,16 +143,27 @@ class TestDeduplication:
         there too.  Every row names the kept row whose copy it shares."""
         offsets = np.array([0, 4, 4, 7])
         keys = np.array([3, 1, 3, 0, 1, 1, 3])
-        firsts, kept_offsets, payload_rows = unique_keys_segmented(offsets,
-                                                                   keys)
+        firsts, kept_offsets, payload_rows = unique_keys_segmented(
+            offsets, keys, (offsets[:-1], offsets[1:]))
         assert firsts.tolist() == [0, 1, 3, 4, 6]
         assert kept_offsets.tolist() == [0, 3, 3, 5]
         assert kept_offsets.dtype == np.int64
         assert payload_rows.tolist() == [0, 1, 0, 2, 3, 3, 4]
 
+    def test_only_spans_are_searched(self):
+        """A key repeated outside the spans is kept twice: the caller
+        promises that no key repeats there."""
+        offsets = np.array([0, 7])
+        keys = np.array([3, 1, 3, 0, 1, 1, 3])
+        firsts, kept_offsets, payload_rows = unique_keys_segmented(
+            offsets, keys, (np.array([4]), np.array([6])))
+        assert firsts.tolist() == [0, 1, 2, 3, 4, 6]
+        assert kept_offsets.tolist() == [0, 6]
+        assert payload_rows.tolist() == [0, 1, 2, 3, 4, 4, 5]
+
     def test_no_rows(self):
         empty = np.empty(0, dtype=np.int64)
         firsts, kept_offsets, payload_rows = unique_keys_segmented(
-            np.zeros(3, dtype=np.int64), empty)
+            np.zeros(3, dtype=np.int64), empty, (empty, empty))
         assert firsts.size == 0 and kept_offsets.tolist() == [0, 0, 0]
         assert payload_rows.size == 0

@@ -17,6 +17,7 @@ import pytest
 from plan_tables import phase_table
 from reference_planner import reference_all_plans, reference_make_plan
 
+from repro.collectives.aggregation import setup_aggregation
 from repro.collectives.plan import (
     TERMINAL_PHASES,
     PhaseTable,
@@ -80,6 +81,12 @@ def assert_plans_identical(plan, reference):
     reference.validate()
 
 
+def _irregular_smoke():
+    return random_pattern(64, avg_neighbors=8, avg_items_per_message=24,
+                          duplicate_fraction=0.3, items_per_rank=128,
+                          item_size=8, seed=0)
+
+
 CASES = {
     "random-low-dup": lambda: (
         random_pattern(32, avg_neighbors=7, duplicate_fraction=0.1, seed=21),
@@ -112,7 +119,18 @@ CASES = {
     "socket-regions": lambda: (
         random_pattern(32, avg_neighbors=6, duplicate_fraction=0.4, seed=26),
         RankMapping(lassen_like(), 32, ranks_per_node=8, region="socket")),
+    # Long messages (~24 items each, the irregular benchmark's smoke
+    # geometry): the other cases carry 1-3 items per message.
+    "irregular-smoke": lambda: (
+        _irregular_smoke(), paper_mapping(64, ranks_per_node=16)),
+    "irregular-smoke-round-robin": lambda: (
+        _irregular_smoke(),
+        RankMapping(lassen_like(), 64, ranks_per_node=16,
+                    kind=MappingKind.ROUND_ROBIN)),
 }
+
+#: The cases with long messages, whose edges are runs of many rows.
+LONG_MESSAGE_CASES = ("irregular-smoke", "irregular-smoke-round-robin")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -121,6 +139,27 @@ def test_columnar_planner_matches_slot_list_reference(case, variant):
     pattern, mapping = CASES[case]()
     assert_plans_identical(make_plan(pattern, mapping, variant),
                            reference_make_plan(pattern, mapping, variant))
+
+
+@pytest.mark.parametrize("case", LONG_MESSAGE_CASES)
+def test_long_message_cases_reach_every_run_shape(case):
+    """Each long-message case has, among its inter-region edges: phase-g
+    deduplication groups (one leader pair and origin) of one edge and of
+    several, an origin that is its own send leader and a destination that
+    is its receive leader."""
+    pattern, mapping = CASES[case]()
+    assignment = setup_aggregation(pattern, mapping)
+    origins, dests = pattern.edge_sources(), pattern.csr()[1]
+    src_regions = mapping.region_of_many(origins)
+    dest_regions = mapping.region_of_many(dests)
+    inter = src_regions != dest_regions
+    send = assignment.send[src_regions[inter], dest_regions[inter]]
+    recv = assignment.recv[src_regions[inter], dest_regions[inter]]
+    groups = Counter(zip(send.tolist(), recv.tolist(),
+                         origins[inter].tolist()))
+    assert min(groups.values()) == 1 and max(groups.values()) >= 2
+    assert np.any(origins[inter] == send)
+    assert np.any(dests[inter] == recv)
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])

@@ -8,11 +8,16 @@ calls (``count_calls``, root ``conftest.py``), and the whole pipeline at
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.collectives import planner
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.plan import Phase, Variant
-from repro.collectives.aggregation import setup_aggregation
+from repro.collectives.aggregation import (
+    AggregationAssignment,
+    setup_aggregation,
+)
 from repro.collectives.planner import (
     all_plans,
     make_plan,
@@ -23,6 +28,7 @@ from repro.collectives.planner import (
 from repro.pattern.builders import pattern_from_edges, random_pattern
 from repro.perfmodel import lassen_parameters
 from repro.topology.presets import paper_mapping
+from repro.utils.arrays import lexsort_packed
 from repro.utils.errors import PlanError, ValidationError
 
 
@@ -189,6 +195,67 @@ class TestUndersizedMapping:
                       use_cache=False)
 
 
+class TestTamperedAssignment:
+    """A leader table that does not fit the pattern raises the planner's two
+    ``PlanError`` texts, naming the region pair of the first offending row
+    of the unique edge table."""
+
+    @pytest.fixture
+    def case(self):
+        pattern = random_pattern(32, avg_neighbors=8, seed=5)
+        mapping = paper_mapping(32, ranks_per_node=4)
+        return pattern, mapping, setup_aggregation(pattern, mapping)
+
+    @staticmethod
+    def _pairs_in_row_order(pattern, mapping):
+        """Inter-region pairs of the unique edge table, in the order of the
+        first row that uses each."""
+        origins, dests, _ = pattern.unique_edge_table()
+        pairs = []
+        for origin, dest in zip(origins.tolist(), dests.tolist()):
+            pair = (mapping.region_of(origin), mapping.region_of(dest))
+            if pair[0] != pair[1] and pair not in pairs:
+                pairs.append(pair)
+        return pairs
+
+    def _tampered(self, case, edit):
+        """The first of two tampered pairs in row order, and the assignment
+        ``edit(send, recv, pair)`` made of copies of the case's tables."""
+        pattern, mapping, assignment = case
+        pairs = self._pairs_in_row_order(pattern, mapping)
+        send, recv = assignment.send.copy(), assignment.recv.copy()
+        for pair in (pairs[-1], pairs[len(pairs) // 2]):
+            edit(send, recv, pair)
+        return pairs[len(pairs) // 2], AggregationAssignment(send=send,
+                                                              recv=recv)
+
+    @pytest.mark.parametrize("planner", [plan_partial, plan_full])
+    @pytest.mark.parametrize("side", ["send", "recv"])
+    def test_an_unassigned_used_pair(self, case, planner, side):
+        def unassign(send, recv, pair):
+            (send if side == "send" else recv)[pair] = -1
+
+        pair, assignment = self._tampered(case, unassign)
+        with pytest.raises(PlanError) as raised:
+            planner(case[0], case[1], assignment=assignment)
+        assert str(raised.value) == \
+            f"no aggregation leaders assigned for region pair {pair}"
+
+    @pytest.mark.parametrize("planner", [plan_partial, plan_full])
+    def test_leaders_sharing_a_region(self, case, planner):
+        regions = case[1].regions_array()
+
+        def share(send, recv, pair):
+            members = np.flatnonzero(regions == pair[1])
+            send[pair] = members[members != recv[pair]][0]
+
+        pair, assignment = self._tampered(case, share)
+        with pytest.raises(PlanError) as raised:
+            planner(case[0], case[1], assignment=assignment)
+        assert str(raised.value) == \
+            f"leaders for region pair ({pair[0]}, {pair[1]}) share a region"
+
+
 class TestDispatchers:
     def test_make_plan_accepts_strings(self, example_pattern, mapping):
         plan = make_plan(example_pattern, mapping, "full")
@@ -295,3 +362,23 @@ def test_all_plans_with_statistics_and_validate_at_1024_ranks_under_60_s():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, \
         f"1024-rank plan pipeline took {elapsed:.1f}s — slot-loop regression?"
+
+
+def test_phase_orders_sort_messages_not_rows(monkeypatch):
+    """Every phase key is constant over an ``(origin, dest)`` message, so the
+    aggregated planner sorts messages and expands each phase to rows once:
+    no phase-order sort of a cold ``full`` plan gets more rows than the
+    pattern has messages (counted, not timed)."""
+    sizes = []
+
+    def counted(*columns):
+        sizes.append(columns[0].size)
+        return lexsort_packed(*columns)
+
+    monkeypatch.setattr(planner, "lexsort_packed", counted)
+    pattern = random_pattern(64, avg_neighbors=8, avg_items_per_message=24,
+                             duplicate_fraction=0.3, seed=3)
+    assert pattern.total_items > 10 * pattern.n_messages
+    make_plan(pattern, paper_mapping(64, ranks_per_node=16), "full",
+              use_cache=False)
+    assert len(sizes) >= 3 and max(sizes) <= pattern.n_messages, sizes

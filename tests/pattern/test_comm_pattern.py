@@ -162,6 +162,24 @@ class TestCommPatternBasics:
         assert dests.tolist() == [1, 0, 0]
         assert items.tolist() == [9, 4, 5]
 
+    def test_unique_edge_offsets_cut_the_table_into_edges(self):
+        pattern = pattern_from_edges(4, [(1, 0, [5, 5, 4]), (0, 1, [9]),
+                                         (1, 2, [7, 6, 7, 6])])
+        offsets = pattern.unique_edge_offsets()
+        assert offsets.tolist() == [0, 1, 3, 5]
+        assert not offsets.flags.writeable
+        origins, dests, items = pattern.unique_edge_table()
+        for edge, (origin, dest) in enumerate(zip(
+                pattern.edge_sources().tolist(), pattern.csr()[1].tolist())):
+            rows = slice(offsets[edge], offsets[edge + 1])
+            assert set(origins[rows].tolist()) == {origin}
+            assert set(dests[rows].tolist()) == {dest}
+        assert items.tolist() == [9, 4, 5, 6, 7]
+
+    def test_unique_edge_offsets_are_the_item_offsets_without_repeats(self):
+        pattern = pattern_from_edges(4, [(0, 1, [1, 2]), (2, 3, [3])])
+        assert pattern.unique_edge_offsets() is pattern.csr()[2]
+
 
 class TestRandomPattern:
     def test_deterministic_for_seed(self):

@@ -5,9 +5,10 @@ runs a plain sort, and hands the rows to ``np.lexsort`` when that tagged key
 overflows, whether the keys alone do or only the row index beside them.
 Over bool, int32 and int64 columns, negative keys, keys far from zero, 0 and
 1 rows and spans that force each path, the order must be ``np.lexsort``'s.
-``unique_keys_segmented`` (one tagged sort and a first-of-run keep mask)
-must keep what a per-segment ``np.unique(..., return_index=True)`` keeps,
-and point every row at the kept row of its key in its segment.
+``unique_keys_segmented`` (one tagged sort of the rows of the spans a key
+may repeat in, and a first-of-run keep mask) must keep what a per-segment
+``np.unique(..., return_index=True)`` keeps, and point every row at the
+kept row of its key in its segment.
 """
 
 from __future__ import annotations
@@ -104,7 +105,13 @@ def test_unique_keys_segmented_is_a_per_segment_unique(case):
     sizes, keys = case
     keys = _int64(keys)
     offsets = np.cumsum([0] + sizes)
-    firsts, kept_offsets, payload_rows = unique_keys_segmented(offsets, keys)
+    _check_segmented_unique(sizes, keys, (offsets[:-1], offsets[1:]))
+
+
+def _check_segmented_unique(sizes, keys, spans):
+    offsets = np.cumsum([0] + sizes)
+    firsts, kept_offsets, payload_rows = unique_keys_segmented(offsets, keys,
+                                                               spans)
     expected_firsts, expected_counts = _unique_oracle(sizes, keys)
     assert firsts.tolist() == expected_firsts
     assert np.diff(kept_offsets).tolist() == expected_counts
@@ -114,6 +121,39 @@ def test_unique_keys_segmented_is_a_per_segment_unique(case):
     shared = firsts[payload_rows]
     assert keys[shared].tolist() == keys.tolist()
     assert segments[shared].tolist() == segments.tolist()
+
+
+@st.composite
+def keys_in_spans(draw):
+    """Segments cut into pieces with keys of their own: a *span* piece may
+    repeat its keys, any other piece holds distinct keys.  Returns the
+    segment sizes, the keys and the span pieces' ``(starts, stops)``."""
+    sizes, keys, starts, stops = [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        size = 0
+        for _ in range(draw(st.integers(0, 4))):
+            base = 100 * len(keys) + 10 ** 6
+            if draw(st.booleans()):
+                piece = draw(st.lists(st.integers(0, 3), min_size=2,
+                                      max_size=8))
+                starts.append(len(keys))
+                stops.append(len(keys) + len(piece))
+            else:
+                piece = draw(st.lists(st.integers(0, 50), max_size=5,
+                                      unique=True))
+            keys.extend(base + value for value in piece)
+            size += len(piece)
+        sizes.append(size)
+    return sizes, keys, (_int64(starts), _int64(stops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=keys_in_spans())
+def test_only_the_spans_are_sorted(case):
+    """Rows outside every span are kept as they are; the result is still
+    the per-segment unique."""
+    sizes, keys, spans = case
+    _check_segmented_unique(sizes, _int64(keys), spans)
 
 
 def test_the_overflow_case_overflows_the_tagged_key():
