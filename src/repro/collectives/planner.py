@@ -59,6 +59,7 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.topology.mapping import RankMapping, check_mapping_covers
 from repro.utils.arrays import (
     INDEX_DTYPE,
+    expand_ranges,
     freeze_columns,
     lexsort_packed,
     run_starts_mask,
@@ -156,19 +157,11 @@ class _EdgeRuns(NamedTuple):
 
 def _run_rows(table: _EdgeRuns, runs: np.ndarray):
     """The rows of the edges ``runs``, in that order, and where each edge's
-    rows begin among them: :func:`~repro.utils.arrays.range_index`'s one
-    ``arange`` and one ``repeat``, unchecked.  Where every edge, or every
-    edge of ``runs``, is one row, the rows are the edges' first rows."""
+    rows begin among them.  Where every edge is one row, the rows are the
+    edges themselves."""
     if table.lengths.size == table.origins.size:
         return runs, np.arange(runs.size + 1, dtype=INDEX_DTYPE)
-    starts, lengths = table.offsets[runs], table.lengths[runs]
-    bounds = np.zeros(runs.size + 1, dtype=INDEX_DTYPE)
-    lengths.cumsum(out=bounds[1:])
-    if bounds[-1] == runs.size:
-        return starts, bounds
-    rows = np.arange(bounds[-1], dtype=INDEX_DTYPE)
-    rows += (starts - bounds[:-1]).repeat(lengths)
-    return rows, bounds
+    return expand_ranges(table.offsets[runs], table.lengths[runs])
 
 
 def _run_phase(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
@@ -194,10 +187,9 @@ def _run_phase(phase: Phase, srcs: np.ndarray, dests: np.ndarray,
     if spans_by is not None:
         for column in spans_by:
             starts_mask |= run_starts_mask(column)
-        firsts = starts_mask.nonzero()[0]
-        ends = np.concatenate((firsts[1:], [runs.size]))
-        several = ends - firsts > 1
-        spans = (run_bounds[firsts[several]], run_bounds[ends[several]])
+        cuts = np.append(starts_mask.nonzero()[0], runs.size)
+        several = np.diff(cuts) > 1
+        spans = (run_bounds[cuts[:-1][several]], run_bounds[cuts[1:][several]])
         firsts, payload_offsets, payload_rows = unique_keys_segmented(
             bounds, keys, spans)
         payload = (payload_offsets, keys[firsts])

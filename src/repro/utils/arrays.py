@@ -88,10 +88,23 @@ def range_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         raise ValidationError("starts and lengths must be parallel arrays")
     if lengths.size and lengths.min() < 0:
         raise ValidationError("lengths must be non-negative")
-    offsets = counts_to_displs(lengths)
-    index = np.arange(int(offsets[-1]), dtype=INDEX_DTYPE)
+    return expand_ranges(starts, lengths)[0]
+
+
+def expand_ranges(starts: np.ndarray, lengths: np.ndarray):
+    """:func:`range_index` without its checks, and where each range begins
+    in the index.
+
+    ``starts`` and ``lengths`` must be parallel int64 arrays, ``lengths``
+    non-negative; the planner's callers hold such columns already and call
+    this once per phase, where the checks would cost as much as the
+    expansion.
+    """
+    offsets = np.zeros(lengths.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(lengths, out=offsets[1:])
+    index = np.arange(offsets[-1], dtype=INDEX_DTYPE)
     index += np.repeat(starts - offsets[:-1], lengths)
-    return index
+    return index, offsets
 
 
 def gather_ranges(values: np.ndarray, starts: np.ndarray,

@@ -20,6 +20,7 @@ from reference_planner import reference_all_plans, reference_make_plan
 from repro.collectives.aggregation import setup_aggregation
 from repro.collectives.plan import (
     TERMINAL_PHASES,
+    Phase,
     PhaseTable,
     SlotTable,
     Variant,
@@ -109,6 +110,14 @@ CASES = {
         paper_mapping(16, ranks_per_node=4)),
     "empty": lambda: (
         pattern_from_edges(8, []), paper_mapping(8, ranks_per_node=4)),
+    # Every inter-region origin is its region's lowest rank, its own send
+    # leader, so phase s is empty while phase g deduplicates.
+    "origins-are-send-leaders": lambda: (
+        pattern_from_edges(8, [
+            (0, 4, [1, 2]), (0, 5, [1, 3]), (0, 6, [2]), (4, 0, [9, 8]),
+            (4, 1, [9]),
+        ]),
+        paper_mapping(8, ranks_per_node=4)),
     "single-region": lambda: (
         random_pattern(8, avg_neighbors=4, seed=24),
         paper_mapping(8, ranks_per_node=8)),
@@ -160,6 +169,16 @@ def test_long_message_cases_reach_every_run_shape(case):
     assert min(groups.values()) == 1 and max(groups.values()) >= 2
     assert np.any(origins[inter] == send)
     assert np.any(dests[inter] == recv)
+
+
+def test_a_case_plans_an_empty_setup_phase_and_deduplicates():
+    """``origins-are-send-leaders`` keeps covering a deduplicated plan whose
+    phase s gets no edges."""
+    pattern, mapping = CASES["origins-are-send-leaders"]()
+    plan = make_plan(pattern, mapping, Variant.FULL, use_cache=False)
+    setup, global_ = plan.phases[Phase.SETUP_REDIST], plan.phases[Phase.GLOBAL]
+    assert setup.srcs.size == 0
+    assert global_.payload_key_ids.size < global_.slot_key_ids.size
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])

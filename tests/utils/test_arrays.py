@@ -8,12 +8,14 @@ from repro.utils.arrays import (
     buffer_writable,
     concatenate_or_empty,
     counts_to_displs,
+    expand_ranges,
     freeze_columns,
     frozen_copy_on_write,
     gather_ranges,
     group_rows_to_csr,
     lexsort_packed,
     partition_evenly,
+    range_index,
     run_starts_mask,
     sort_unless_sorted,
     tagged_sort,
@@ -91,6 +93,15 @@ class TestGatherRanges:
     def test_negative_lengths_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             gather_ranges(np.arange(5), np.array([0]), np.array([-1]))
+
+    @pytest.mark.parametrize("lengths", [[4, 2, 3, 0], [1, 1, 1], []])
+    def test_the_unchecked_expansion_is_range_index_and_its_offsets(
+            self, lengths):
+        lengths = np.array(lengths, dtype=np.int64)
+        starts = np.arange(lengths.size, dtype=np.int64) * 7
+        index, offsets = expand_ranges(starts, lengths)
+        assert index.tolist() == range_index(starts, lengths).tolist()
+        assert offsets.tolist() == counts_to_displs(lengths).tolist()
 
 
 class TestMisc:
