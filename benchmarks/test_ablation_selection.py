@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from conftest import emit
+from oracles import schedule_decisions
 
+from repro.amg.vcycle import WorldVCycle
 from repro.experiments.ablation import run_selection_ablation
 
 
@@ -23,3 +25,10 @@ def test_ablation_dynamic_selection(experiment_context):
     # The oracle is within reach: selection costs at most 2x the oracle time.
     assert result.policy_times["model_selection"] <= 2.0 * result.policy_times["oracle"]
     assert result.agreement >= 0.6
+    # The auto column is the auto cycle's commits.
+    with WorldVCycle(experiment_context.hierarchy, experiment_context.mapping,
+                     variant="auto", model=experiment_context.model,
+                     strategy=experiment_context.config.strategy) as cycle:
+        assert result.decision_trace == schedule_decisions(cycle.schedule)
+    assert result.auto_choice == [event.variant
+                                  for event in result.decision_trace]

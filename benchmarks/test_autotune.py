@@ -2,17 +2,20 @@
 
 Runs the Figure 7 crossover driver with the ``auto`` series on the modeled
 1024-rank figure — every level on its ``variant="auto"`` commit from cycle
-0 — and gates its per-iteration cost against the best *fixed* variant and
-the per-level oracle: it may never cost more than 10% (in fact the commit
-is the oracle when fed exact modeled times — the gate guards the
-machinery, the margin guards future noise sources).
+0, the decisions ``WorldVCycle(variant="auto")`` puts on its schedule — and
+gates its per-iteration cost against the best *fixed* variant and the
+per-level oracle: it may never cost more than 10% (at this scale the commit
+differs from the per-level ``A``-time argmin only on exact ties, so it costs
+the oracle — the gate guards the machinery, the margin guards future noise
+sources).
 """
 
 from __future__ import annotations
 
 from conftest import emit
-from oracles import check_decisions
+from oracles import check_decisions, schedule_decisions
 
+from repro.amg.vcycle import WorldVCycle
 from repro.collectives.plan import Variant
 from repro.experiments.config import ExperimentContext
 from repro.experiments.crossover import run_crossover
@@ -38,9 +41,14 @@ def test_bench_autotune_tracks_per_level_best(experiment_config):
     assert oracle <= auto_steady + 1e-15
 
     # The decisions justify every level's choice and are internally
-    # consistent: one seed per level, naming the level's argmin.
+    # consistent: one seed per level, naming the level's argmin.  They are
+    # the auto cycle's own.
     decisions = result.decision_trace
     check_decisions(decisions)
+    with WorldVCycle(context.hierarchy, context.mapping, variant="auto",
+                     model=context.model,
+                     strategy=context.config.strategy) as cycle:
+        assert decisions == schedule_decisions(cycle.schedule)
     assert [seed.level for seed in decisions] == \
         [profile.level for profile in context.profiles]
     for profile, seed in zip(context.profiles, decisions):

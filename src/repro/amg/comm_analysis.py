@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from repro.amg.hierarchy import AMGHierarchy
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.collectives.planner import all_plans
 from repro.pattern.comm_pattern import CommPattern
@@ -65,30 +64,17 @@ class LevelCommProfile:
     statistics: Dict[Variant, PatternStatistics] = field(default_factory=dict)
     times: Dict[Variant, float] = field(default_factory=dict)
 
-    def best_variant(self, *, candidates: tuple[Variant, ...] =
-                     DEFAULT_CANDIDATES) -> Variant:
-        """Cheapest variant for this level under the profile's cost model
-        (:func:`~repro.collectives.autotune.seed_event`'s rule: ties break on
-        candidate order)."""
-        if not self.times:
-            raise ValidationError("profile was built without a cost model")
-        return Variant(seed_event(self.level, self.times,
-                                  candidates=candidates).variant)
-
 
 def hierarchy_comm_profiles(hierarchy: AMGHierarchy, mapping: RankMapping, *,
                             model: Optional[CostModel] = None,
-                            strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                            validate: bool = False) -> List[LevelCommProfile]:
+                            strategy: BalanceStrategy = BalanceStrategy.BYTES
+                            ) -> List[LevelCommProfile]:
     """Build a :class:`LevelCommProfile` for every level of ``hierarchy``.
 
     Parameters
     ----------
     model:
         When given, modeled Start+Wait times per variant are attached.
-    validate:
-        When True every plan is checked against its pattern (slow for large
-        hierarchies; the test-suite does this on smaller ones).
     """
     if mapping.n_ranks < hierarchy.levels[0].matrix.n_ranks:
         raise ValidationError("mapping has fewer ranks than the hierarchy's partition")
@@ -96,9 +82,6 @@ def hierarchy_comm_profiles(hierarchy: AMGHierarchy, mapping: RankMapping, *,
     profiles: List[LevelCommProfile] = []
     for level, pattern in zip(hierarchy.levels, patterns):
         plans = all_plans(pattern, mapping, strategy=strategy)
-        if validate:
-            for plan in plans.values():
-                plan.validate()
         statistics = {variant: plan.statistics() for variant, plan in plans.items()}
         times = {variant: plan.modeled_time(model) for variant, plan in plans.items()} \
             if model is not None else {}

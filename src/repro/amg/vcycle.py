@@ -33,12 +33,8 @@ from repro.amg.solver import (SolveResult, check_cycle_parameters,
                               solver_hierarchy, stationary_solve)
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.api import neighbor_alltoallv_init_world
-from repro.collectives.autotune import (
-    DEFAULT_CANDIDATES,
-    DecisionEvent,
-    is_auto_variant,
-    seed_event,
-)
+from repro.collectives.autotune import (AUTO_VARIANT, DecisionEvent,
+                                        modeled_commit)
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
 from repro.collectives.planner import all_plans
@@ -46,6 +42,7 @@ from repro.pattern.comm_pattern import CommPattern
 from repro.perfmodel.params import lassen_parameters
 from repro.simmpi.engine import ExchangeEngine
 from repro.sparse.comm_pkg import pattern_from_parcsr
+from repro.sparse.parcsr import ParCSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import WorldSpMV
 from repro.topology.mapping import RankMapping, check_mapping_covers
@@ -107,28 +104,52 @@ class ScheduleRow(NamedTuple):
     decision: DecisionEvent
 
 
-def _exchange_schedule(n_levels: int, pre_sweeps: int, post_sweeps: int,
-                       has_gather: bool) -> List[tuple]:
-    """``(level, operator, cycle_rounds, solve_rounds)`` of every exchange
-    of a V-cycle: the one place the cycle's exchange schedule is written.
+class CycleExchange(NamedTuple):
+    """A :class:`ScheduleRow` before set-up: ``source`` is the matrix an
+    ``"A"``, ``"R"`` or ``"P"`` row multiplies by, or the gather pattern."""
+
+    level: int
+    operator: str
+    cycle_rounds: int
+    solve_rounds: int
+    source: ParCSRMatrix | CommPattern
+
+    def pattern(self) -> CommPattern:
+        """The pattern the exchange moves (built on every call)."""
+        return self.source if self.operator == "gather" else \
+            pattern_from_parcsr(self.source)
+
+
+def cycle_exchanges(hierarchy: AMGHierarchy, pre_sweeps: int = 1,
+                    post_sweeps: int = 1) -> List[List[CycleExchange]]:
+    """Every exchange of a V-cycle on ``hierarchy``, one list per level:
+    the one place the cycle's exchange schedule is written.
 
     A smoothed level makes one ``A`` product per smoother sweep and one for
     the residual, one ``R`` and one ``P``; the coarsest level the gather, if
-    any rank sends.  A steady ``solve`` iteration hands the cycle its checked
-    residual, so with a pre-sweep the fine level makes one product fewer,
-    and the check is one more — a single-level hierarchy's only product.
+    any rank sends (else its list is empty).  A steady ``solve`` iteration
+    hands the cycle its checked residual, so with a pre-sweep the fine level
+    makes one product fewer, and the check is one more — a single-level
+    hierarchy's only product.
     """
     smoothed = pre_sweeps + post_sweeps + 1
-    rows = []
+    n_levels = hierarchy.n_levels
+    levels = []
     for level in range(n_levels - 1):
         solve = smoothed - (pre_sweeps > 0) + 1 if level == 0 else smoothed
-        rows += [(level, "A", smoothed, solve), (level, "R", 1, 1),
-                 (level, "P", 1, 1)]
+        levels.append([
+            CycleExchange(level, "A", smoothed, solve,
+                          hierarchy.levels[level].matrix),
+            CycleExchange(level, "R", 1, 1, hierarchy.restriction_matrix(level)),
+            CycleExchange(level, "P", 1, 1,
+                          hierarchy.prolongation_matrix(level))])
+    coarsest = []
     if n_levels == 1:
-        rows.append((0, "A", 0, 1))
-    if has_gather:
-        rows.append((n_levels - 1, "gather", 1, 1))
-    return rows
+        coarsest.append(CycleExchange(0, "A", 0, 1, hierarchy.levels[0].matrix))
+    gather = coarse_gather_pattern(hierarchy.levels[-1].matrix.partition)
+    if gather.n_messages > 0:
+        coarsest.append(CycleExchange(n_levels - 1, "gather", 1, 1, gather))
+    return levels + [coarsest]
 
 
 class WorldVCycle:
@@ -181,15 +202,16 @@ class WorldVCycle:
     ``model`` (default: :func:`~repro.perfmodel.params.lassen_parameters`
     at the mapping's ranks per node) prices cheapest over one solve
     iteration: the sum of ``solve_rounds`` × modeled time over the level's
-    rows of :attr:`schedule`, the one place the cycle's exchanges are
-    counted (so a single-level hierarchy prices its fine product with its
-    gather).  Ties break on candidate order.  Only the committed variant's
-    exchanges are compiled, so the cycle is then a fixed-variant cycle whose
-    levels differ in variant; results are byte-identical to any fixed
-    variant.  Each row of :attr:`schedule` says why its level runs its
-    variant: ``row.decision`` is the level's :func:`seed_event` commit, with
-    every candidate's estimate, or under a fixed variant the variant with no
-    estimates and the reason ``"fixed by caller"``.
+    :func:`cycle_exchanges` (so a single-level hierarchy prices its fine
+    product with its gather, and a deeper one's coarsest level its gather
+    alone, not its ``A`` pattern).  Ties break on candidate order.  Only the
+    committed variant's exchanges are compiled, so the cycle is then a
+    fixed-variant cycle whose levels differ in variant; results are
+    byte-identical to any fixed variant.  Each row of :attr:`schedule` says
+    why its level runs its variant: ``row.decision`` is the level's
+    :func:`~repro.collectives.autotune.modeled_commit`, or under a fixed
+    variant the variant with no estimates and the reason ``"fixed by
+    caller"``.
     """
 
     def __init__(self, hierarchy: AMGHierarchy, mapping: RankMapping, *,
@@ -218,7 +240,8 @@ class WorldVCycle:
             raise ValidationError(
                 f"engine must be one ExchangeEngine or one per level "
                 f"(n_levels={n_levels}), got {engine!r}")
-        auto = is_auto_variant(variant)
+        auto = isinstance(variant, str) and \
+            variant.strip().lower() == AUTO_VARIANT
         if not auto:
             try:
                 variant = Variant(variant)
@@ -249,50 +272,31 @@ class WorldVCycle:
             engine = ExchangeEngine(self.n_ranks, runtime=runtime)
         self.engines = engines = [engine] * n_levels \
             if isinstance(engine, ExchangeEngine) else list(engine)
-        gather = coarse_gather_pattern(self._coarse_partition)
-        schedule = _exchange_schedule(n_levels, self.pre_sweeps,
-                                      self.post_sweeps, gather.n_messages > 0)
-
-        def operator(index: int, name: str):
-            """The matrix an ``"A"``, ``"R"`` or ``"P"`` row multiplies by."""
-            return hierarchy.levels[index].matrix if name == "A" else \
-                hierarchy.restriction_matrix(index) if name == "R" else \
-                hierarchy.prolongation_matrix(index)
-
-        def decide(index: int, rows) -> DecisionEvent:
-            """Why level ``index`` runs its variant: the fixed one, or under
-            ``"auto"`` the :func:`seed_event` commit of the cheapest modeled
-            ``Σ solve_rounds · exchange`` over its (non-empty) ``rows``."""
-            if not auto:
-                return DecisionEvent(index, variant.value, {},
-                                     "fixed by caller")
-            modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)
-            for _, name, _, rounds in rows:
-                pattern = gather if name == "gather" else \
-                    pattern_from_parcsr(operator(index, name))
-                plans = all_plans(pattern, mapping, strategy=strategy)
-                for candidate in modeled:
-                    modeled[candidate] += \
-                        rounds * plans[candidate].modeled_time(model)
-            return seed_event(index, modeled)
-
         products, rows = {}, []
         self._coarse_collective: WorldNeighborCollective | None = None
-        for index in range(n_levels):
-            level_rows = [row for row in schedule if row[0] == index]
-            if not level_rows:      # the coarsest, when no rank sends
+        for index, exchanges in enumerate(cycle_exchanges(
+                hierarchy, self.pre_sweeps, self.post_sweeps)):
+            if not exchanges:       # the coarsest, when no rank sends
                 continue
-            decision = decide(index, level_rows)
+            if auto:
+                decision = modeled_commit(
+                    index, [(exchange.solve_rounds,
+                             all_plans(exchange.pattern(), mapping,
+                                       strategy=strategy))
+                            for exchange in exchanges], model)
+            else:
+                decision = DecisionEvent(index, variant.value, {},
+                                         "fixed by caller")
             chosen = Variant(decision.variant)
-            for level, name, cycle_rounds, solve_rounds in level_rows:
+            for level, name, cycle_rounds, solve_rounds, source in exchanges:
                 if name == "gather":
                     collective = self._coarse_collective = \
                         neighbor_alltoallv_init_world(
-                            gather, mapping, variant=chosen,
+                            source, mapping, variant=chosen,
                             strategy=strategy, engine=engines[index])
                 else:
                     products[index, name] = WorldSpMV(
-                        operator(index, name), mapping, variant=chosen,
+                        source, mapping, variant=chosen,
                         strategy=strategy, engine=engines[index])
                     collective = products[index, name].collective
                 rows.append(ScheduleRow(level, name, cycle_rounds,
@@ -327,8 +331,8 @@ class WorldVCycle:
         one ``cycle`` call's and one steady-state ``solve`` iteration's;
         ``collective`` is the committed one they run on (``.variant``,
         ``.plan``, ``.world``, ``.handle``), and ``decision`` the level's
-        :class:`~repro.collectives.autotune.DecisionEvent` saying why.  The
-        ``"auto"`` commit prices each level from it."""
+        :class:`~repro.collectives.autotune.DecisionEvent` saying why: the
+        rows of :func:`cycle_exchanges`, set up."""
         return self._schedule
 
     @property

@@ -52,7 +52,6 @@ from repro.collectives.kernels import active_backend
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.api import neighbor_alltoallv_init_world
 from repro.collectives.selection import select_variant
-from repro.collectives.autotune import is_auto_variant
 
 __all__ = [
     "Variant",
@@ -76,5 +75,4 @@ __all__ = [
     "WorldNeighborCollective",
     "neighbor_alltoallv_init_world",
     "select_variant",
-    "is_auto_variant",
 ]

@@ -5,11 +5,12 @@ neighborhood collective to dynamically select the optimal communication
 strategy": its crossover figures show the winning variant flips with level
 size and density.  The measure here is the cost model's, and there is one
 selection rule, :func:`seed_event`: commit the modeled-cheapest candidate,
-ties broken on candidate order, and say why.  ``variant="auto"``
-(:class:`~repro.amg.vcycle.WorldVCycle`) calls it once per level at set-up
-and compiles only the commit; ``select_variant``, ``best_variant`` and the
-experiment drivers' ``auto`` series (:func:`seed_trace`) decide through it
-too.  Each commit is a :class:`DecisionEvent`, whose estimates are its
+ties broken on candidate order, and say why.  :func:`modeled_commit`, the
+one ``auto``, applies it to a level's exchanges of one solve iteration:
+``variant="auto"`` (:class:`~repro.amg.vcycle.WorldVCycle`) commits each
+level through it at set-up, and the experiment drivers' ``auto`` series
+read the same commits; ``select_variant`` decides through the rule too.
+Each commit is a :class:`DecisionEvent`, whose estimates are its
 alternatives; the solve path puts every level's event on its rows of
 :attr:`~repro.amg.vcycle.WorldVCycle.schedule`, a fixed variant's too, so
 the schedule says what each level runs and why.  Nothing reads a clock, so
@@ -22,9 +23,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.collectives.plan import Variant
+from repro.perfmodel.base import CostModel
 from repro.utils.errors import ValidationError
 
 #: Candidate protocols the selection arbitrates between — the paper's three
@@ -41,12 +43,6 @@ AUTO_VARIANT = "auto"
 _SETUP_OUTCOME = "committed at set-up for the solve"
 
 
-def is_auto_variant(variant) -> bool:
-    """Whether ``variant`` requests the per-level modeled commit
-    (:func:`seed_event` on every level) instead of a fixed protocol."""
-    return isinstance(variant, str) and variant.strip().lower() == AUTO_VARIANT
-
-
 # -- the decision -------------------------------------------------------------
 
 
@@ -55,7 +51,7 @@ class DecisionEvent:
     """One level's variant and why: what each row of
     :attr:`~repro.amg.vcycle.WorldVCycle.schedule` says it runs on.
 
-    Under ``variant="auto"`` it is the level's :func:`seed_event` commit,
+    Under ``variant="auto"`` it is the level's :func:`modeled_commit`,
     and ``estimates`` holds every candidate's modeled seconds, keyed by
     variant value — the alternatives the commit was chosen from.  Under a
     fixed variant it has no estimates and the reason "fixed by caller".
@@ -133,15 +129,17 @@ def seed_event(level: int, modeled: Mapping[Variant | str, float], *,
                          reason=f"{why}; {_SETUP_OUTCOME}")
 
 
-def seed_trace(level_times: Sequence[Mapping[Variant | str, float]]
-               ) -> Tuple[DecisionEvent, ...]:
-    """One :func:`seed_event` per level of ``level_times`` (levels numbered
-    from 0), a level's cost being its entry.  The experiment drivers pass
-    each level's ``A``-pattern times only; ``WorldVCycle(variant="auto")``
-    also prices the ``R``, ``P`` and gather rows, so it can break an ``A``
-    tie differently."""
-    return tuple(seed_event(level, times)
-                 for level, times in enumerate(level_times))
+def modeled_commit(level: int, exchanges: Iterable[Tuple[int, Mapping]],
+                   model: CostModel) -> DecisionEvent:
+    """Level ``level``'s ``auto`` commit: the :func:`seed_event` of its
+    ``(solve_rounds, plans)`` exchanges (``plans`` by variant), a
+    candidate's estimate being ``Σ solve_rounds · plan.modeled_time(model)``
+    — zero for every candidate of a level that exchanges nothing."""
+    modeled = dict.fromkeys(DEFAULT_CANDIDATES, 0.0)
+    for rounds, plans in exchanges:
+        for candidate in modeled:
+            modeled[candidate] += rounds * plans[candidate].modeled_time(model)
+    return seed_event(level, modeled)
 
 
 def _checked_seconds(value, what: str) -> float:

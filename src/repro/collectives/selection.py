@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.collectives.aggregation import BalanceStrategy
 from repro.collectives.autotune import DEFAULT_CANDIDATES, seed_event
@@ -42,10 +42,9 @@ class SelectionResult:
 def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel, *,
                    expected_iterations: int = 1000,
                    setup_model: SetupCostModel | None = None,
-                   strategy: BalanceStrategy = BalanceStrategy.BYTES,
-                   candidates: tuple[Variant, ...] = DEFAULT_CANDIDATES,
+                   strategy: BalanceStrategy = BalanceStrategy.BYTES
                    ) -> SelectionResult:
-    """Pick the cheapest collective variant for a pattern under a cost model.
+    """Pick the cheapest neighborhood variant for a pattern under a cost model.
 
     Parameters
     ----------
@@ -59,26 +58,20 @@ def select_variant(pattern: CommPattern, mapping: RankMapping, model: CostModel,
     setup_model = setup_model or SetupCostModel()
     plans = all_plans(pattern, mapping, strategy=strategy)
 
-    per_iteration: Dict[Variant, float] = {}
-    setup: Dict[Variant, float] = {}
-    for variant in candidates:
-        plan = plans[variant]
-        per_iteration[variant] = plan.modeled_time(model)
-        if variant in (Variant.PARTIAL, Variant.FULL):
-            n_messages, slot_bytes = plan.setup_costs()
-            setup[variant] = setup_model.cost(n_messages, slot_bytes)
-        else:
-            setup[variant] = 0.0
-
+    per_iteration = {variant: plans[variant].modeled_time(model)
+                     for variant in DEFAULT_CANDIDATES}
+    setup = {variant: setup_model.cost(*plans[variant].setup_costs())
+             if variant in (Variant.PARTIAL, Variant.FULL) else 0.0
+             for variant in DEFAULT_CANDIDATES}
     totals = {variant: setup[variant] + expected_iterations * per_iteration[variant]
-              for variant in candidates}
+              for variant in DEFAULT_CANDIDATES}
     for variant, total in totals.items():
         if not (math.isfinite(total) and total >= 0.0):
             raise ValidationError(
                 f"select_variant's {variant.value} total (setup plus "
                 f"{expected_iterations} iterations) must be finite and "
                 f"non-negative seconds, got {total!r}")
-    best = Variant(seed_event(0, totals, candidates=candidates).variant)
+    best = Variant(seed_event(0, totals).variant)
     return SelectionResult(variant=best, plan=plans[best],
                            per_iteration=per_iteration, setup=setup,
                            expected_iterations=expected_iterations)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.aggregation import BalanceStrategy
-from repro.collectives.autotune import (DEFAULT_CANDIDATES, DecisionEvent,
-                                        seed_trace)
+from repro.collectives.autotune import DecisionEvent, seed_event
 from repro.collectives.plan import Variant
 from repro.collectives.planner import plan_partial
 from repro.collectives.selection import select_variant
@@ -32,17 +31,16 @@ from repro.utils.formatting import format_table
 class SelectionAblationResult:
     """Per-level variant choices and aggregate times of each policy.
 
-    ``auto_choice`` is each level's
+    ``auto_choice`` is each level's ``WorldVCycle(variant="auto")`` commit
+    (:attr:`~repro.experiments.config.ExperimentContext.decisions`), and
+    :attr:`decision_trace` holds each level's commit and why.
+    ``oracle_choice`` is each level's
     :func:`~repro.collectives.autotune.seed_event` over its ``A``-pattern
-    modeled times alone (:func:`~repro.collectives.autotune.seed_trace`),
-    and :attr:`decision_trace` holds each level's commit and why.  That
-    commit is the per-level modeled argmin, i.e. the oracle, so the auto and
-    oracle columns are one computation shown twice.
-    ``WorldVCycle(variant="auto")`` prices each level's ``R``, ``P`` and
-    gather rows too and can break an ``A`` tie differently, so this column
-    is not always what the solver commits.  The model choice
-    decides through the same rule (ties break on candidate order) on setup
-    plus iteration totals, so it differs only where those costs do.
+    modeled times alone.  The two differ where the commit's other rows
+    break an ``A`` tie, and on the coarsest level, whose commit prices its
+    gather.  The model choice decides through the same rule (ties break on
+    candidate order) on setup plus iteration totals, so it differs from the
+    oracle only where those costs do.
     """
 
     levels: List[int]
@@ -78,10 +76,9 @@ def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResul
     """Compare model-driven selection with the oracle and fixed policies.
 
     Five fixed/static policies plus ``auto``: every level on the variant
-    :func:`~repro.collectives.autotune.seed_event` commits over its
-    ``A``-pattern modeled times (not always ``WorldVCycle(variant="auto")``'s
-    commit, which also prices the ``R``, ``P`` and gather rows).  The model
-    selection amortises each variant's setup over
+    ``WorldVCycle(variant="auto")`` commits, at its ``A``-pattern modeled
+    time like every other policy.  The model selection amortises each
+    variant's setup over
     :func:`~repro.collectives.selection.select_variant`'s default of 1000
     iterations.
     """
@@ -94,26 +91,26 @@ def run_selection_ablation(context: ExperimentContext) -> SelectionAblationResul
         "always_full": 0.0,
         "model_selection": 0.0,
         "oracle": 0.0,
+        "auto": 0.0,
     }
-    decisions = seed_trace([p.times for p in profiles])
-    oracle_choice = [Variant(decision.variant) for decision in decisions]
-    for profile, oracle in zip(profiles, oracle_choice):
+    decisions = context.decisions
+    oracle_choice = [Variant(seed_event(profile.level, profile.times).variant)
+                     for profile in profiles]
+    for profile, oracle, decision in zip(profiles, oracle_choice, decisions):
         selection = select_variant(profile.pattern, context.mapping, context.model,
                                    setup_model=context.setup_model,
-                                   strategy=context.config.strategy,
-                                   candidates=DEFAULT_CANDIDATES)
+                                   strategy=context.config.strategy)
         model_choice.append(selection.variant.value)
         policy_times["always_standard"] += profile.times[Variant.STANDARD]
         policy_times["always_partial"] += profile.times[Variant.PARTIAL]
         policy_times["always_full"] += profile.times[Variant.FULL]
         policy_times["model_selection"] += profile.times[selection.variant]
         policy_times["oracle"] += profile.times[oracle]
-    policy_times["auto"] = policy_times["oracle"]
-    oracle_names = [v.value for v in oracle_choice]
+        policy_times["auto"] += profile.times[Variant(decision.variant)]
     return SelectionAblationResult(levels=[p.level for p in profiles],
                                    model_choice=model_choice,
-                                   oracle_choice=oracle_names,
-                                   auto_choice=list(oracle_names),
+                                   oracle_choice=[v.value for v in oracle_choice],
+                                   auto_choice=[d.variant for d in decisions],
                                    policy_times=policy_times,
                                    decision_trace=decisions)
 

@@ -14,15 +14,18 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amg.comm_analysis import LevelCommProfile, hierarchy_comm_profiles
 from repro.amg.hierarchy import AMGHierarchy, build_hierarchy, redistribute_hierarchy
+from repro.amg.vcycle import cycle_exchanges
 from repro.collectives.aggregation import BalanceStrategy
+from repro.collectives.autotune import DecisionEvent, modeled_commit
 from repro.collectives.persistent import WorldNeighborCollective
 from repro.collectives.plan import Variant
+from repro.collectives.planner import all_plans
 from repro.perfmodel.base import CostModel
 from repro.perfmodel.params import SetupCostModel, lassen_parameters
 from repro.sparse.generators import strong_scaling_problem
@@ -194,6 +197,7 @@ class ExperimentContext:
     model: CostModel
     setup_model: SetupCostModel = field(default_factory=SetupCostModel)
     _profiles: Optional[List[LevelCommProfile]] = None
+    _decisions: Optional[Tuple[DecisionEvent, ...]] = None
 
     @classmethod
     def build(cls, config: ExperimentConfig | None = None) -> "ExperimentContext":
@@ -216,6 +220,26 @@ class ExperimentContext:
                 self.hierarchy, self.mapping, model=self.model,
                 strategy=self.config.strategy)
         return self._profiles
+
+    @property
+    def decisions(self) -> Tuple[DecisionEvent, ...]:
+        """Each level's ``WorldVCycle(variant="auto", model=self.model)``
+        commit, which the drivers' ``auto`` series read (computed lazily,
+        cached): :func:`~repro.collectives.autotune.modeled_commit` over
+        the level's :func:`~repro.amg.vcycle.cycle_exchanges`, with the
+        ``A`` plans of :attr:`profiles` and the ``R``, ``P`` and gather
+        patterns planned beside them; nothing is compiled."""
+        if self._decisions is None:
+            self._decisions = tuple(
+                modeled_commit(profile.level, [
+                    (exchange.solve_rounds,
+                     profile.plans if exchange.operator == "A" else
+                     all_plans(exchange.pattern(), self.mapping,
+                               strategy=self.config.strategy))
+                    for exchange in exchanges], self.model)
+                for profile, exchanges in zip(
+                    self.profiles, cycle_exchanges(self.hierarchy)))
+        return self._decisions
 
     def redistributed(self, n_ranks: int) -> "ExperimentContext":
         """Same hierarchy distributed over ``n_ranks`` ranks (strong scaling)."""

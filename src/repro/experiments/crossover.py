@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.collectives.autotune import DecisionEvent, seed_trace
+from repro.collectives.autotune import DecisionEvent
 from repro.collectives.plan import Variant
 from repro.experiments.config import ALL_VARIANTS, ExperimentContext
 from repro.utils.formatting import format_series
@@ -95,13 +95,12 @@ def run_crossover(context: ExperimentContext, *,
 
     ``auto=True`` adds one series beside the four fixed protocols (always
     computed — they are the figure's frame of reference): ``"auto"``, every
-    level on its :func:`~repro.collectives.autotune.seed_event` over the
-    same ``A``-pattern times the fixed series use
-    (:func:`~repro.collectives.autotune.seed_trace`), with the decisions on
-    the result.  ``WorldVCycle(variant="auto")`` prices each level's ``R``,
-    ``P`` and gather rows too and can break an ``A`` tie differently, so
-    this is not always the series the solver runs.  Its init
-    is every candidate's planning, ``init[standard] + init[partial]`` (the
+    level on the variant ``WorldVCycle(variant="auto")`` commits
+    (:attr:`~repro.experiments.config.ExperimentContext.decisions`), priced
+    at the same ``A``-pattern times the fixed series use, with the
+    decisions on the result.  The coarsest level's commit prices its
+    gather, so there it need not be the cheapest ``A`` time.  Its init is
+    every candidate's planning, ``init[standard] + init[partial]`` (the
     partial init already performs the full setup it wraps).
     """
     iteration_counts = list(context.config.crossover_iterations)
@@ -113,10 +112,10 @@ def run_crossover(context: ExperimentContext, *,
     }
     decisions: Optional[Tuple[DecisionEvent, ...]] = None
     if auto:
-        decisions = seed_trace(level_times)
+        decisions = context.decisions
         per_iteration[AUTO_SERIES] = sum(
-            times[Variant(decisions[level].variant)]
-            for level, times in enumerate(level_times))
+            times[Variant(decision.variant)]
+            for times, decision in zip(level_times, decisions))
         init_costs[AUTO_SERIES] = init_costs[Variant.STANDARD] + \
             init_costs[Variant.PARTIAL]
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.collectives.autotune import DecisionEvent, seed_trace
+from repro.collectives.autotune import DecisionEvent
 from repro.collectives.plan import CollectivePlan, Variant
 from repro.experiments.config import ExperimentContext
 from repro.pattern.statistics import PatternStatistics
@@ -27,13 +27,12 @@ from repro.utils.formatting import format_series
 class PerLevelResult:
     """All per-level series of Figures 8-11.
 
-    ``times`` includes the ``"auto_selected"`` series — the per-level time
-    of the variant :func:`~repro.collectives.autotune.seed_event` commits
-    over that level's ``A``-pattern modeled times alone — with
-    :attr:`decision_trace` justifying each level's commit.
-    ``WorldVCycle(variant="auto")`` prices each level's ``R``, ``P`` and
-    gather rows too and can break an ``A`` tie differently, so this series
-    is not always what the solver commits.
+    ``times`` includes the ``"auto_selected"`` series — the per-level
+    ``A``-pattern time of the variant ``WorldVCycle(variant="auto")``
+    commits on that level
+    (:attr:`~repro.experiments.config.ExperimentContext.decisions`) — with
+    :attr:`decision_trace` justifying each level's commit.  The coarsest
+    level's commit prices its gather, not the ``A`` pattern plotted here.
     """
 
     levels: List[int]
@@ -183,10 +182,10 @@ def run_per_level(context: ExperimentContext) -> PerLevelResult:
         "partially_optimized_neighbor": [p.times[Variant.PARTIAL] for p in profiles],
         "fully_optimized_neighbor": [p.times[Variant.FULL] for p in profiles],
     }
-    # Figure 11's future-work overlay: the per-level variant seed_event
-    # picks on the same A-pattern modeled times, one entry per level like
-    # every other series, with the decision record attached.
-    decisions = seed_trace([p.times for p in profiles])
+    # Figure 11's future-work overlay: the per-level variant the solver's
+    # auto commit runs, one entry per level like every other series, with
+    # the decision record attached.
+    decisions = context.decisions
     result.times["auto_selected"] = [
         float(profile.times[Variant(decision.variant)])
         for profile, decision in zip(profiles, decisions)

@@ -36,7 +36,6 @@ from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
     DecisionEvent,
     seed_event,
-    seed_trace,
 )
 from repro.collectives.plan import Variant
 from repro.collectives.planner import all_plans
@@ -190,8 +189,10 @@ class TestEventSchema:
     def test_the_decision_check_catches_tampering(self, position, changes,
                                                   match):
         """``check_decisions`` re-derives every commit: it accepts what
-        ``seed_trace`` records and refuses each kind of tampering."""
-        decisions = list(seed_trace(LEVEL_TIMES))
+        ``seed_event`` records, one per level, and refuses each kind of
+        tampering."""
+        decisions = [seed_event(level, times)
+                     for level, times in enumerate(LEVEL_TIMES)]
         check_decisions(decisions)
         decisions[position] = dataclasses.replace(decisions[position],
                                                   **changes)

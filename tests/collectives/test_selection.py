@@ -51,12 +51,6 @@ class TestSelectVariant:
                                              Variant.FULL}
         assert all(v >= 0 for v in result.per_iteration.values())
 
-    def test_candidates_restriction(self, mapping, model):
-        pattern = random_pattern(32, avg_neighbors=10, seed=44)
-        result = select_variant(pattern, mapping, model,
-                                candidates=(Variant.STANDARD,))
-        assert result.variant is Variant.STANDARD
-
     def test_invalid_iterations(self, mapping, model):
         pattern = random_pattern(32, seed=45)
         with pytest.raises(ValidationError):

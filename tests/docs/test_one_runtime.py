@@ -147,9 +147,15 @@ FAILURE_POLICY_NAMES = {"FaultPlan", "FaultSpec", "degraded", "quarantine",
 RECEIPT_SEARCH_NAMES = {"_searched", "_receipt_stream", "_all_held",
                         "_unowned_queries", "_STEP_BITS"}
 
+#: Names of the deleted second ``auto`` rule (each level's ``A`` times
+#: alone): the drivers read ``ExperimentContext.decisions``, the commits
+#: ``WorldVCycle(variant="auto")`` makes.
+SECOND_AUTO_NAMES = {"seed_trace", "best_variant"}
+
 DELETED_NAMES = RUNTIME_NAMES | PLAN_OBJECT_NAMES | CLOCK_HOOK_NAMES | \
     SELECTOR_NAMES | PATTERN_VIEW_NAMES | PLAN_CACHE_DISK_NAMES | \
-    DECISION_TRACE_NAMES | FAILURE_POLICY_NAMES | RECEIPT_SEARCH_NAMES
+    DECISION_TRACE_NAMES | FAILURE_POLICY_NAMES | RECEIPT_SEARCH_NAMES | \
+    SECOND_AUTO_NAMES
 
 #: Keywords no longer taken: per-level traffic is a list of profiled
 #: engines passed as ``engine=``, and the pool's failure policy, retry
@@ -288,6 +294,8 @@ def test_no_module_defines_or_imports_the_deleted_runtime():
     "def _searched(tables, recv_step, send_steps):\n    pass",
     "stream = exchange._receipt_stream(tables, recv_step, 4, 9)",
     "_STEP_BITS = 3",
+    "from repro.collectives.autotune import seed_event, seed_trace",
+    "choice = profile.best_variant()",
     """
     def later():
         from repro.simmpi.world import helper
@@ -306,7 +314,7 @@ def test_the_guard_sees_each_kind_of_use(source):
     "from repro.collectives.plan import PhaseTable, PlannedMessage, SlotTable",
     "from repro.collectives.dedup import unique_keys_segmented",
     "np.take(work, rows, axis=0)",
-    "from repro.collectives.autotune import seed_event, seed_trace",
+    "from repro.collectives.autotune import seed_event",
     "WorldVCycle(h, m, engine=[ExchangeEngine(8)] * 3)",
     "def f(profilers=None):\n    pass",
     "CommPattern.from_edge_lists(4, srcs, dests, item_arrays)",
@@ -393,7 +401,7 @@ OPTIONS = {
     pattern_from_parcsr: set(),
     level_patterns: set(),
     level_transfer_patterns: set(),
-    hierarchy_comm_profiles: {"model", "strategy", "validate"},
+    hierarchy_comm_profiles: {"model", "strategy"},
     coarse_gather_pattern: set(),
     SolveResult: {"residual_norms", "iterations", "converged"},
 }

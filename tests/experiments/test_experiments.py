@@ -4,7 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.amg.vcycle import WorldVCycle
+from repro.collectives.autotune import seed_event
+from repro.collectives.exchange import compile_world_exchange
 from repro.collectives.plan import Variant
+from repro.collectives.planner import all_plans
 from repro.experiments.ablation import run_balance_ablation, run_selection_ablation
 from repro.experiments.config import (
     ExperimentConfig,
@@ -21,7 +25,7 @@ from repro.experiments.per_level import (
 )
 from repro.experiments.runner import render_report, run_all_experiments
 from repro.experiments.scaling import run_strong_scaling, run_weak_scaling
-from oracles import check_decisions
+from oracles import check_decisions, schedule_decisions
 
 
 @pytest.fixture(scope="module")
@@ -295,9 +299,52 @@ class TestMeasuredHelpers:
         assert all(t > 0.0 for t in times.values())
 
 
+def _cycle_decisions(context):
+    """Each level's decision on the schedule of the auto cycle the drivers'
+    ``auto`` series report."""
+    with WorldVCycle(context.hierarchy, context.mapping, variant="auto",
+                     model=context.model,
+                     strategy=context.config.strategy) as cycle:
+        return schedule_decisions(cycle.schedule)
+
+
 class TestAutoSeries:
     """The drivers' ``auto`` series: every level on its ``variant="auto"``
     commit from cycle 0."""
+
+    def test_the_drivers_commit_what_the_cycle_commits(self, smoke_context):
+        """Every driver's ``auto`` reads the decisions the auto cycle puts
+        on its schedule, on the coarsest level too, whose commit prices its
+        gather."""
+        decisions = _cycle_decisions(smoke_context)
+        assert smoke_context.decisions == decisions
+        assert len(decisions) == smoke_context.hierarchy.n_levels
+        assert run_crossover(smoke_context, auto=True).decision_trace \
+            == decisions
+        assert run_per_level(smoke_context).decision_trace == decisions
+        assert run_selection_ablation(smoke_context).auto_choice == \
+            [event.variant for event in decisions]
+
+    def test_the_drivers_compile_nothing_and_a_fixed_cycle_plans_no_candidates(
+            self, smoke_config, count_calls):
+        """The drivers' decisions plan the cycle's patterns and compile
+        none of them; a fixed-variant cycle plans only its own variant."""
+        context = ExperimentContext.build(smoke_config)
+
+        def drivers():
+            run_crossover(context, auto=True)
+            run_per_level(context)
+            run_selection_ablation(context)
+
+        assert count_calls(drivers, of=[compile_world_exchange]) == 0
+
+        def cycle(variant):
+            with WorldVCycle(context.hierarchy, context.mapping,
+                             variant=variant):
+                pass
+
+        assert count_calls(cycle, Variant.FULL, of=[all_plans]) == 0
+        assert count_calls(cycle, "auto", of=[all_plans]) > 0
 
     def test_crossover_auto_series_is_opt_in(self, smoke_context):
         result = run_crossover(smoke_context)
@@ -310,15 +357,15 @@ class TestAutoSeries:
         assert len(result.totals["auto"]) == len(result.iteration_counts)
         check_decisions(result.decision_trace)
         assert len(result.decision_trace) == len(smoke_context.profiles)
-        # The per-level commit is the oracle: never worse than any fixed
-        # variant, and equal to the sum of per-level minima exactly.
+        # The series runs the cycle's commits at their A times, and on smoke
+        # is never worse than any fixed variant.
+        assert result.decision_trace == _cycle_decisions(smoke_context)
         for variant in (Variant.STANDARD, Variant.PARTIAL, Variant.FULL):
             assert result.per_iteration["auto"] <= \
                 result.per_iteration[variant] + 1e-15
         assert result.per_iteration["auto"] == sum(
-            min(profile.times[v] for v in (Variant.STANDARD, Variant.PARTIAL,
-                                           Variant.FULL))
-            for profile in smoke_context.profiles)
+            profile.times[Variant(decision.variant)] for profile, decision
+            in zip(smoke_context.profiles, result.decision_trace))
         # Planning every candidate costs standard + partial init (the
         # partial setup already wraps the full one).
         assert result.init_costs["auto"] == pytest.approx(
@@ -334,28 +381,31 @@ class TestAutoSeries:
             result.init_costs["auto"] + n * result.per_iteration["auto"]
             for n in result.iteration_counts]
 
-    def test_per_level_auto_selected_is_the_per_level_best(self, smoke_context):
+    def test_per_level_auto_selected_is_the_cycles_commit(self, smoke_context):
         result = run_per_level(smoke_context)
         auto = result.times["auto_selected"]
         assert len(auto) == len(result.levels)
-        candidates = ("unoptimized_neighbor", "partially_optimized_neighbor",
-                      "fully_optimized_neighbor")
-        for index in range(len(result.levels)):
-            best = min(result.times[series][index] for series in candidates)
-            assert auto[index] == pytest.approx(best)
+        assert result.decision_trace == _cycle_decisions(smoke_context)
+        for profile, decision, time in zip(smoke_context.profiles,
+                                           result.decision_trace, auto):
+            assert time == profile.times[Variant(decision.variant)]
         check_decisions(result.decision_trace)
         assert [event.level for event in result.decision_trace] == \
             result.levels
 
-    def test_selection_ablation_auto_matches_oracle(self, smoke_context):
+    def test_selection_ablation_auto_is_the_cycles_commit(self, smoke_context):
         result = run_selection_ablation(smoke_context)
-        # The auto commit is the per-level modeled argmin, ties included:
-        # each profile's own best variant and best time.
+        decisions = _cycle_decisions(smoke_context)
         profiles = smoke_context.profiles
-        assert result.auto_choice == result.oracle_choice == [
-            profile.best_variant().value for profile in profiles]
-        assert result.policy_times["auto"] == result.policy_times["oracle"] \
-            == sum(profile.times[profile.best_variant()] for profile in profiles)
+        assert result.decision_trace == decisions
+        assert result.auto_choice == [event.variant for event in decisions]
+        assert result.policy_times["auto"] == sum(
+            profile.times[Variant(event.variant)]
+            for profile, event in zip(profiles, decisions))
+        # The oracle column stays the per-level A-time argmin.
+        assert result.oracle_choice == [
+            seed_event(profile.level, profile.times).variant
+            for profile in profiles]
         assert len(result.auto_choice) == len(result.levels)
         check_decisions(result.decision_trace)
         assert [event.level for event in result.decision_trace] == \

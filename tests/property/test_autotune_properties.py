@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the one selection rule.
 
 ``variant="auto"`` and the experiment drivers' ``auto`` series commit every
-level through :func:`~repro.collectives.autotune.seed_event`.  The
-invariants pinned here:
+level through :func:`~repro.collectives.autotune.seed_event`, one event per
+level.  The invariants pinned here:
 
 * **argmin** — each level commits the candidate-order argmin of its
   estimates, so the per-level cost sum equals the oracle's (sum of
@@ -24,7 +24,6 @@ from repro.amg.vcycle import WorldVCycle
 from repro.collectives.autotune import (
     DEFAULT_CANDIDATES,
     seed_event,
-    seed_trace,
 )
 from repro.collectives.plan import Variant
 from repro.sparse.parcsr import ParCSRMatrix
@@ -47,11 +46,17 @@ _level = st.fixed_dictionaries({variant: _cost for variant in CANDIDATES})
 _hierarchy = st.lists(_level, min_size=1, max_size=5)
 
 
+def _per_level(level_times):
+    """One ``seed_event`` per level, levels numbered from 0."""
+    return tuple(seed_event(level, times)
+                 for level, times in enumerate(level_times))
+
+
 @settings(max_examples=60, deadline=None)
 @given(level_times=_hierarchy)
-def test_seed_trace_commits_the_candidate_order_argmin_of_every_level(
+def test_seed_event_commits_the_candidate_order_argmin_of_every_level(
         level_times):
-    decisions = seed_trace(level_times)
+    decisions = _per_level(level_times)
     check_decisions(decisions)
     assert [event.level for event in decisions] == \
         list(range(len(level_times)))
@@ -66,7 +71,7 @@ def test_seed_trace_commits_the_candidate_order_argmin_of_every_level(
     assert committed == oracle
     for variant in CANDIDATES:
         assert committed <= sum(times[variant] for times in level_times)
-    assert repr(seed_trace(level_times)) == repr(decisions)
+    assert repr(_per_level(level_times)) == repr(decisions)
 
 
 @pytest.mark.parametrize("candidates", [
@@ -87,7 +92,7 @@ def test_non_finite_or_negative_seconds_are_refused(bad):
     with pytest.raises(ValidationError, match="finite and non-negative"):
         seed_event(0, {**times, Variant.PARTIAL: bad})
     with pytest.raises(ValidationError, match="finite and non-negative"):
-        seed_trace([times, {**times, Variant.FULL: bad}])
+        _per_level([times, {**times, Variant.FULL: bad}])
 
 
 def test_seed_rejects_duplicates_and_incomplete_estimates():
